@@ -22,8 +22,6 @@ import (
 	"talign/internal/dataset"
 	"talign/internal/plan"
 	"talign/internal/relation"
-	"talign/internal/sqlish"
-	"talign/internal/storage"
 )
 
 var (
@@ -33,11 +31,6 @@ var (
 	sqlMax    = flag.Int("sqlmax", 2000, "largest input for standard-SQL series (quadratic)")
 	seed      = flag.Int64("seed", 1, "dataset seed")
 	dopFlag   = flag.Int("j", 1, "degree of parallelism: when > 1, parallel exchange series are added (0 = all CPUs)")
-	benchFlag = flag.String("bench", "", "write ns/op, allocs/op and rows for the Fig. 13/14 panels to this JSON file (e.g. BENCH_PR2.json) instead of printing figures; an existing 'before' section in the file is preserved")
-	optFlag   = flag.String("bench-opt", "", "write filtered Fig. 13-style SQL workloads to this JSON file (e.g. BENCH_PR4.json), measuring DisableOptimizer as 'before' and the stats-fed optimizer as 'after'")
-	colFlag   = flag.String("bench-col", "", "write filtered Fig. 13-style SQL workloads to this JSON file (e.g. BENCH_PR6.json), measuring the row executor (DisableColumnar) as 'before' and the vectorized pipeline as 'after'; both sides run the stats-fed optimizer")
-	storFlag  = flag.String("bench-storage", "", "write disk-backed workloads to this JSON file (e.g. BENCH_PR8.json): the PR 6 filtered panels plus valid-time-filtered scans/ALIGN over on-disk segments, measuring plan.Flags.DisablePruning as 'before' and zone-map segment pruning as 'after'")
-	distFlag  = flag.String("bench-dist", "", "write distributed Fig. 13 ALIGN/NORMALIZE workloads (n scaled by -scale from 10^6) to this JSON file (e.g. BENCH_PR10.json): scatter-gather over 1, 2 and 4 in-process workers, with fragment/row/byte-shipped counters per panel")
 )
 
 // dop resolves the -j flag (0 means every CPU; negatives are rejected).
@@ -61,41 +54,6 @@ func parFlags() plan.Flags {
 
 func main() {
 	flag.Parse()
-	if *benchFlag != "" {
-		if err := runBenchPanels(*benchFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *optFlag != "" {
-		if err := runOptBenchPanels(*optFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-opt: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *colFlag != "" {
-		if err := runColBenchPanels(*colFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-col: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *storFlag != "" {
-		if err := runStorageBenchPanels(*storFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-storage: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *distFlag != "" {
-		if err := runDistBenchPanels(*distFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-dist: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	figs := map[string]func() (benchkit.Figure, error){
 		"13a": fig13a, "13b": fig13b,
 		"14a": fig14a, "14b": fig14b,
@@ -384,341 +342,4 @@ func fig16b() (benchkit.Figure, error) {
 	}
 	fig.Series = append(fig.Series, sAlign, sNorm)
 	return fig, nil
-}
-
-// runBenchPanels measures the Fig. 13/14 panels (the benchmarks whose
-// trajectory BENCH_PR*.json tracks) with testing.Benchmark — ns/op,
-// allocs/op, B/op and output rows — and writes them as the "after"
-// section of path, preserving any committed "before" baseline.
-func runBenchPanels(path string) error {
-	normalize := func(attrs []string, flags plan.Flags, n int) func() (int, error) {
-		return func() (int, error) {
-			out, err := core.New(flags).Normalize(incumben(n), incumben(n), attrs...)
-			if err != nil {
-				return 0, err
-			}
-			return out.Len(), nil
-		}
-	}
-	panels := []struct {
-		name string
-		n    int
-		run  func() (int, error)
-	}{
-		{"fig13/normalize-ssn/merge", 8000, normalize([]string{"ssn"}, plan.Flags{EnableMergeJoin: true, EnableSort: true}, 8000)},
-		{"fig13/normalize-ssn/hash", 8000, normalize([]string{"ssn"}, plan.Flags{EnableHashJoin: true}, 8000)},
-		{"fig13/normalize-ssn/nestloop", 1000, normalize([]string{"ssn"}, plan.Flags{EnableNestLoop: true}, 1000)},
-		{"fig14/normalize-empty", 1000, normalize(nil, plan.DefaultFlags(), 1000)},
-		{"fig14/normalize-pcn", 8000, normalize([]string{"pcn"}, plan.DefaultFlags(), 8000)},
-		{"fig14/normalize-ssn", 8000, normalize([]string{"ssn"}, plan.DefaultFlags(), 8000)},
-	}
-	points := make([]benchkit.BenchPoint, 0, len(panels))
-	for _, p := range panels {
-		pt, err := benchkit.MeasureBench(p.name, p.n, p.run)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "%-32s n=%-6d %12.0f ns/op %8d allocs/op %10d B/op %8d rows\n",
-			pt.Name, pt.N, pt.NsPerOp, pt.AllocsPerOp, pt.BytesPerOp, pt.Rows)
-		points = append(points, pt)
-	}
-	return benchkit.UpdateBenchFile(path, points)
-}
-
-// runOptBenchPanels measures filtered Fig. 13-style workloads through the
-// SQL front end, once with the optimizer disabled (the "before" section)
-// and once with the optimizer plus ANALYZE statistics (the "after"
-// section): the deltas isolate what stats-driven predicate pushdown and
-// strategy choice buy on selective queries over temporal operators.
-func runOptBenchPanels(path string) error {
-	const n = 8000
-	relA := incumben(n)
-	relB := dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: *seed + 1})
-
-	// A predicate keeping ~10% of employees: ssn is dense in [0, employees).
-	var maxSSN int64
-	for _, t := range relA.Tuples {
-		if v := t.Vals[0].Int(); v > maxSSN {
-			maxSSN = v
-		}
-	}
-	k := maxSSN / 10
-
-	mkEngine := func(disableOpt bool) (*sqlish.Engine, error) {
-		f := plan.DefaultFlags()
-		f.DisableOptimizer = disableOpt
-		e := sqlish.NewEngine(f)
-		e.Register("a", relA)
-		e.Register("b", relB)
-		if !disableOpt {
-			for _, name := range []string{"a", "b"} {
-				if _, err := e.Analyze(name); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return e, nil
-	}
-
-	queries := []struct{ name, sql string }{
-		{"pr4/filtered-align", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x WHERE ssn <= %d", k)},
-		{"pr4/filtered-normalize", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a NORMALIZE b USING (ssn)) x WHERE ssn <= %d", k)},
-		{"pr4/filtered-join", fmt.Sprintf(
-			"SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", k)},
-	}
-
-	measure := func(disableOpt bool) ([]benchkit.BenchPoint, error) {
-		e, err := mkEngine(disableOpt)
-		if err != nil {
-			return nil, err
-		}
-		label := "opt"
-		if disableOpt {
-			label = "noopt"
-		}
-		points := make([]benchkit.BenchPoint, 0, len(queries))
-		for _, q := range queries {
-			pt, err := benchkit.MeasureBench(q.name, n, func() (int, error) {
-				rel, _, err := e.Query(q.sql)
-				if err != nil {
-					return 0, err
-				}
-				return rel.Len(), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%-28s %-6s n=%-6d %12.0f ns/op %8d allocs/op %8d rows\n",
-				pt.Name, label, pt.N, pt.NsPerOp, pt.AllocsPerOp, pt.Rows)
-			points = append(points, pt)
-		}
-		return points, nil
-	}
-
-	before, err := measure(true)
-	if err != nil {
-		return err
-	}
-	after, err := measure(false)
-	if err != nil {
-		return err
-	}
-	return benchkit.WriteBenchFile(path, benchkit.BenchFile{
-		Description: "Filtered Fig. 13-style SQL workloads on Incumben (n=8000): 'before' runs with plan.Flags.DisableOptimizer (the analyzer's literal plans), 'after' with the PR 4 cost-based optimizer after ANALYZE (stats-fed estimates, predicate pushdown into ALIGN/NORMALIZE/joins). Regenerate: go run ./cmd/experiments -bench-opt BENCH_PR4.json",
-		Before:      before,
-		After:       after,
-	})
-}
-
-// runColBenchPanels measures the PR 4 filtered workloads with the row
-// executor forced (plan.Flags.DisableColumnar, the "before" section) and
-// with the vectorized pipeline (the "after" section). Both sides run the
-// stats-fed optimizer, so the deltas isolate what the columnar batches
-// buy: selection-vector filters, pointer-shuffle projections and the
-// vector-encoded fused adjust.
-func runColBenchPanels(path string) error {
-	const n = 8000
-	relA := incumben(n)
-	relB := dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: *seed + 1})
-
-	var maxSSN int64
-	for _, t := range relA.Tuples {
-		if v := t.Vals[0].Int(); v > maxSSN {
-			maxSSN = v
-		}
-	}
-	k := maxSSN / 10
-
-	mkEngine := func(disableCol bool) (*sqlish.Engine, error) {
-		f := plan.DefaultFlags()
-		f.DisableColumnar = disableCol
-		e := sqlish.NewEngine(f)
-		e.Register("a", relA)
-		e.Register("b", relB)
-		for _, name := range []string{"a", "b"} {
-			if _, err := e.Analyze(name); err != nil {
-				return nil, err
-			}
-		}
-		return e, nil
-	}
-
-	queries := []struct{ name, sql string }{
-		{"pr6/filtered-align", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x WHERE ssn <= %d", k)},
-		{"pr6/filtered-normalize", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a NORMALIZE b USING (ssn)) x WHERE ssn <= %d", k)},
-		{"pr6/filtered-join", fmt.Sprintf(
-			"SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", k)},
-	}
-
-	measure := func(disableCol bool) ([]benchkit.BenchPoint, error) {
-		e, err := mkEngine(disableCol)
-		if err != nil {
-			return nil, err
-		}
-		label := "columnar"
-		if disableCol {
-			label = "row"
-		}
-		points := make([]benchkit.BenchPoint, 0, len(queries))
-		for _, q := range queries {
-			pt, err := benchkit.MeasureBench(q.name, n, func() (int, error) {
-				rel, _, err := e.Query(q.sql)
-				if err != nil {
-					return 0, err
-				}
-				return rel.Len(), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%-28s %-8s n=%-6d %12.0f ns/op %8d allocs/op %8d rows\n",
-				pt.Name, label, pt.N, pt.NsPerOp, pt.AllocsPerOp, pt.Rows)
-			points = append(points, pt)
-		}
-		return points, nil
-	}
-
-	before, err := measure(true)
-	if err != nil {
-		return err
-	}
-	after, err := measure(false)
-	if err != nil {
-		return err
-	}
-	return benchkit.WriteBenchFile(path, benchkit.BenchFile{
-		Description: "Filtered Fig. 13-style SQL workloads on Incumben (n=8000): 'before' forces the row executor (plan.Flags.DisableColumnar), 'after' runs the PR 6 vectorized pipeline (columnar batches with selection vectors, vector key encoding, fused-adjust sweep over time columns). Both sides use the stats-fed optimizer. Regenerate: go run ./cmd/experiments -bench-col BENCH_PR6.json",
-		Before:      before,
-		After:       after,
-	})
-}
-
-// runStorageBenchPanels measures the PR 8 disk-serving path: both
-// Incumben relations are persisted as interval-partitioned columnar
-// segments in a throwaway store and loaded back (served from the mapped
-// file bytes), then the PR 6 filtered panels plus valid-time-filtered
-// workloads run with zone-map pruning disabled (plan.Flags.
-// DisablePruning, the "before" section) and enabled (the "after"
-// section). Both sides use the stats-fed optimizer over segment-backed
-// scans, so the deltas isolate what pruning buys — the all-attribute
-// panels double as a disk-vs-disk sanity series (pruning cannot help a
-// filter that every segment satisfies, so those deltas should be noise).
-func runStorageBenchPanels(path string) error {
-	const n = 8000
-	dir, err := os.MkdirTemp("", "talign-bench-storage")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	st, err := storage.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	st.SegmentRows = 512
-
-	rels := map[string]*relation.Relation{
-		"a": incumben(n),
-		"b": dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: *seed + 1}),
-	}
-	disk := map[string]*relation.Relation{}
-	for name, rel := range rels {
-		if err := st.CreateTable(name, rel); err != nil {
-			return err
-		}
-		if disk[name], err = st.Load(name); err != nil {
-			return err
-		}
-	}
-
-	maxSSN := rels["a"].Tuples[0].Vals[0].Int()
-	minTS, maxTS := rels["a"].Tuples[0].T.Ts, rels["a"].Tuples[0].T.Ts
-	for _, t := range rels["a"].Tuples {
-		if v := t.Vals[0].Int(); v > maxSSN {
-			maxSSN = v
-		}
-		if t.T.Ts < minTS {
-			minTS = t.T.Ts
-		}
-		if t.T.Ts > maxTS {
-			maxTS = t.T.Ts
-		}
-	}
-	k := maxSSN / 10
-	// Top decile of the valid-time domain: segments are partitioned in
-	// (TS, TE) order, so ~90% of them fall wholly below t0 and prune.
-	t0 := minTS + 9*(maxTS-minTS)/10
-
-	mkEngine := func(disablePrune bool) (*sqlish.Engine, error) {
-		f := plan.DefaultFlags()
-		f.DisablePruning = disablePrune
-		e := sqlish.NewEngine(f)
-		e.Register("a", disk["a"])
-		e.Register("b", disk["b"])
-		for _, name := range []string{"a", "b"} {
-			if _, err := e.Analyze(name); err != nil {
-				return nil, err
-			}
-		}
-		return e, nil
-	}
-
-	queries := []struct{ name, sql string }{
-		{"pr8/time-filtered-scan", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM a WHERE Ts >= %d", t0)},
-		{"pr8/time-filtered-align", fmt.Sprintf(
-			"SELECT ssn, Ts, Te FROM ((SELECT ssn, pcn FROM a WHERE Ts >= %d) q ALIGN b ON q.ssn = b.ssn) x", t0)},
-		{"pr8/filtered-align", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x WHERE ssn <= %d", k)},
-		{"pr8/filtered-normalize", fmt.Sprintf(
-			"SELECT ssn, pcn, Ts, Te FROM (a NORMALIZE b USING (ssn)) x WHERE ssn <= %d", k)},
-		{"pr8/filtered-join", fmt.Sprintf(
-			"SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", k)},
-	}
-
-	measure := func(disablePrune bool) ([]benchkit.BenchPoint, error) {
-		e, err := mkEngine(disablePrune)
-		if err != nil {
-			return nil, err
-		}
-		label := "pruned"
-		if disablePrune {
-			label = "full"
-		}
-		points := make([]benchkit.BenchPoint, 0, len(queries))
-		for _, q := range queries {
-			pt, err := benchkit.MeasureBench(q.name, n, func() (int, error) {
-				rel, _, err := e.Query(q.sql)
-				if err != nil {
-					return 0, err
-				}
-				return rel.Len(), nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%-28s %-8s n=%-6d %12.0f ns/op %8d allocs/op %8d rows\n",
-				pt.Name, label, pt.N, pt.NsPerOp, pt.AllocsPerOp, pt.Rows)
-			points = append(points, pt)
-		}
-		return points, nil
-	}
-
-	before, err := measure(true)
-	if err != nil {
-		return err
-	}
-	after, err := measure(false)
-	if err != nil {
-		return err
-	}
-	return benchkit.WriteBenchFile(path, benchkit.BenchFile{
-		Description: "Disk-backed workloads on Incumben (n=8000, 512-row interval-partitioned segments loaded from an on-disk store): the PR 6 filtered panels plus valid-time-filtered scan/ALIGN. 'before' sets plan.Flags.DisablePruning (every segment scanned), 'after' enables zone-map segment pruning. Both sides use the stats-fed optimizer over segment-backed scans. Regenerate: go run ./cmd/experiments -bench-storage BENCH_PR8.json",
-		Before:      before,
-		After:       after,
-	})
 }

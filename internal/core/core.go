@@ -113,9 +113,9 @@ func swapTheta(theta expr.Expr, rWidth, sWidth int) expr.Expr {
 
 // ----------------------------------------------------- primitive: aligner
 
-// AlignPlan builds the plan for r Φ_θ s (Def. 11): the group-construction
-// left outer join of Sec. 6.1, partitioned by r-tuple and sorted by the
-// intersection interval, feeding the plane-sweep Adjust node.
+// AlignPlan builds the plan for r Φ_θ s (Def. 11): the group construction
+// of Sec. 6.1 and the plane sweep of Sec. 6.2 as one fused operator
+// (plan.AdjustmentNode).
 func (a *Algebra) AlignPlan(r, s plan.Node, theta expr.Expr) plan.Node {
 	return a.alignPlanMode(r, s, theta, exec.ModeAlign)
 }
@@ -129,7 +129,7 @@ func (a *Algebra) GapsPlan(r, s plan.Node, theta expr.Expr) plan.Node {
 }
 
 func (a *Algebra) alignPlanMode(r, s plan.Node, theta expr.Expr, mode exec.AdjustMode) plan.Node {
-	serial := a.alignFragment(r, s, theta, mode)
+	serial := a.p.FusedAlign(r, s, theta, mode)
 	attempt, force := a.p.ShouldParallelize(r.Rows())
 	if !attempt {
 		return serial
@@ -137,79 +137,12 @@ func (a *Algebra) alignPlanMode(r, s plan.Node, theta expr.Expr, mode exec.Adjus
 	// Parallel alignment: the plane sweep is independent per left tuple, so
 	// r is hash-partitioned by the whole tuple (values and valid time), the
 	// group side is materialized once and broadcast, and each fragment runs
-	// group construction + sort + sweep on its partition.
+	// group construction + sweep on its partition.
 	shared := a.p.Shared(s)
 	ex, err := a.p.Exchange([]plan.Node{r}, [][]expr.Expr{nil}, func(parts []plan.Node) (plan.Node, error) {
-		return a.alignFragment(parts[0], shared, theta, mode), nil
+		return a.p.FusedAlign(parts[0], shared, theta, mode), nil
 	})
 	return plan.PickParallel(serial, ex, err, force)
-}
-
-// alignFragment is the serial group-construction + plane-sweep pipeline;
-// in a parallel plan it runs once per partition of r. By default it is a
-// single fused operator (plan.FusedAdjustNode) that probes the group side
-// and sweeps without materializing concatenated join rows; the
-// DisableFusedAdjust flag selects the paper-literal three-node chain.
-func (a *Algebra) alignFragment(r, s plan.Node, theta expr.Expr, mode exec.AdjustMode) plan.Node {
-	if !a.p.Flags.DisableFusedAdjust {
-		return a.p.FusedAlign(r, s, theta, mode)
-	}
-	return a.alignFragmentLegacy(r, s, theta, mode)
-}
-
-// alignFragmentLegacy is the classic pipeline: project the group side's
-// timestamps into columns, left outer join, sort by (r tuple, P1, P2),
-// plane-sweep.
-func (a *Algebra) alignFragmentLegacy(r, s plan.Node, theta expr.Expr, mode exec.AdjustMode) plan.Node {
-	rl, sl := r.Schema().Len(), s.Schema().Len()
-
-	// Project the group side to (s attributes, __ts, __te): the sweep needs
-	// the group tuple's timestamp as ordinary values.
-	names := make([]string, 0, sl+2)
-	exprs := make([]expr.Expr, 0, sl+2)
-	for i, at := range s.Schema().Attrs {
-		names = append(names, at.Name)
-		exprs = append(exprs, expr.ColIdx{Idx: i, Typ: at.Type, Name: at.Name})
-	}
-	names = append(names, "__ts", "__te")
-	exprs = append(exprs, expr.TStart{}, expr.TEnd{})
-	sp := a.p.Project(s, names, exprs)
-
-	tsCol := rl + sl     // __ts position in the join row
-	teCol := rl + sl + 1 // __te position in the join row
-	overlap := expr.And(
-		expr.Lt(expr.TStart{}, expr.CI(teCol, value.KindInt)),
-		expr.Lt(expr.CI(tsCol, value.KindInt), expr.TEnd{}),
-	)
-	cond := overlap
-	if theta != nil {
-		cond = expr.And(theta, overlap)
-	}
-	var join plan.Node
-	if pairs, _ := expr.SplitJoinCondition(cond, rl); a.p.Flags.EnableIntervalIndex && len(pairs) == 0 {
-		// θ admits no equi keys: the sort-based overlap join (Sec. 8
-		// future work) replaces the quadratic nested loop.
-		join = a.p.IntervalJoin(r, sp, cond, exec.LeftOuterJoin)
-	} else {
-		join = a.p.Join(r, sp, cond, exec.LeftOuterJoin, false)
-	}
-
-	// Partition by r-tuple (attributes + valid time), order by the
-	// intersection [P1, P2) so duplicates are adjacent (Fig. 9).
-	p1 := expr.Call("GREATEST", expr.TStart{}, expr.CI(tsCol, value.KindInt))
-	p2 := expr.Call("LEAST", expr.TEnd{}, expr.CI(teCol, value.KindInt))
-	keys := make([]exec.SortKey, 0, rl+4)
-	for i, at := range r.Schema().Attrs {
-		keys = append(keys, exec.SortKey{Expr: expr.ColIdx{Idx: i, Typ: at.Type, Name: at.Name}})
-	}
-	keys = append(keys,
-		exec.SortKey{Expr: expr.TStart{}},
-		exec.SortKey{Expr: expr.TEnd{}},
-		exec.SortKey{Expr: p1},
-		exec.SortKey{Expr: p2},
-	)
-	sorted := a.p.Sort(join, keys...)
-	return a.p.Adjust(sorted, mode, rl, p1, p2)
 }
 
 // Align evaluates r Φ_θ s. theta is a condition over Concat(r, s) (nil for
@@ -224,10 +157,9 @@ func (a *Algebra) Align(r, s *relation.Relation, theta expr.Expr) (*relation.Rel
 
 // ---------------------------------------------------- primitive: splitter
 
-// NormalizePlan builds the plan for N_B(r; s) (Def. 9): r is left outer
-// joined with the union of s's start and end points π_{B,Ts}(s) ∪
-// π_{B,Te}(s) (Sec. 6.3), partitioned by r-tuple, sorted by split point,
-// and swept with isalign = false.
+// NormalizePlan builds the plan for N_B(r; s) (Def. 9): r is grouped with
+// the union of s's start and end points π_{B,Ts}(s) ∪ π_{B,Te}(s)
+// (Sec. 6.3) and swept with isalign = false by the fused operator.
 //
 // cols are the positions of the grouping attributes B, applied
 // positionally to both r and s (for the set operations they are all of
@@ -276,56 +208,19 @@ func (a *Algebra) splitPointsPlan(s plan.Node, sCols []int) plan.Node {
 	return a.p.SetOp(splitPoints(expr.TStart{}), splitPoints(expr.TEnd{}), exec.UnionOp)
 }
 
-// normalizeFragment joins r with the split-point relation and sweeps; in
+// normalizeFragment groups r with the split-point relation and sweeps; in
 // a parallel plan it runs once per partition of r. cols are B's positions
-// in r; the split-point relation carries B first and __p last. Like
-// alignFragment it defaults to the fused operator and keeps the classic
-// join → sort → Adjust chain behind DisableFusedAdjust.
+// in r; the split-point relation carries B first and __p last.
 func (a *Algebra) normalizeFragment(r, points plan.Node, cols []int) plan.Node {
-	if !a.p.Flags.DisableFusedAdjust {
-		keys := make([]expr.EquiPair, 0, len(cols))
-		for i, c := range cols {
-			at := r.Schema().Attrs[c]
-			keys = append(keys, expr.EquiPair{
-				Left:  expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name},
-				Right: expr.ColIdx{Idx: i, Typ: at.Type, Name: points.Schema().Attrs[i].Name},
-			})
-		}
-		return a.p.FusedNormalize(r, points, keys, len(cols))
-	}
-	return a.normalizeFragmentLegacy(r, points, cols)
-}
-
-func (a *Algebra) normalizeFragmentLegacy(r, points plan.Node, cols []int) plan.Node {
-	rl := r.Schema().Len()
-
-	pCol := rl + len(cols) // __p position in the join row
-	conds := make([]expr.Expr, 0, len(cols)+2)
+	keys := make([]expr.EquiPair, 0, len(cols))
 	for i, c := range cols {
 		at := r.Schema().Attrs[c]
-		conds = append(conds, expr.Eq(
-			expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name},
-			expr.CI(rl+i, at.Type),
-		))
+		keys = append(keys, expr.EquiPair{
+			Left:  expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name},
+			Right: expr.ColIdx{Idx: i, Typ: at.Type, Name: points.Schema().Attrs[i].Name},
+		})
 	}
-	// Only split points strictly inside r's interval split it.
-	conds = append(conds,
-		expr.Lt(expr.TStart{}, expr.CI(pCol, value.KindInt)),
-		expr.Lt(expr.CI(pCol, value.KindInt), expr.TEnd{}),
-	)
-	join := a.p.Join(r, points, expr.And(conds...), exec.LeftOuterJoin, false)
-
-	keys := make([]exec.SortKey, 0, rl+3)
-	for i, at := range r.Schema().Attrs {
-		keys = append(keys, exec.SortKey{Expr: expr.ColIdx{Idx: i, Typ: at.Type, Name: at.Name}})
-	}
-	keys = append(keys,
-		exec.SortKey{Expr: expr.TStart{}},
-		exec.SortKey{Expr: expr.TEnd{}},
-		exec.SortKey{Expr: expr.CI(pCol, value.KindInt)},
-	)
-	sorted := a.p.Sort(join, keys...)
-	return a.p.Adjust(sorted, exec.ModeNormalize, rl, expr.CI(pCol, value.KindInt), nil)
+	return a.p.FusedNormalize(r, points, keys, len(cols))
 }
 
 // Normalize evaluates N_B(r; s) with B given by attribute names of r,

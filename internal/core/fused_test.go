@@ -1,110 +1,289 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"talign/internal/exec"
 	"talign/internal/expr"
+	"talign/internal/interval"
+	"talign/internal/oracle"
 	"talign/internal/plan"
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-// legacyFlags reverts to the classic join → sort → Adjust pipeline under
-// the given join-method flags.
-func legacyFlags(base plan.Flags) plan.Flags {
-	base.DisableFusedAdjust = true
-	return base
+// The references below read the paper's definitions literally: for every
+// argument tuple they enumerate EVERY candidate interval inside its valid
+// time and keep the ones the definition admits. No planner, no sort, no
+// sweep — they share nothing with the operator under test.
+
+// refMatches returns the s tuples that satisfy θ with l (θ bound against
+// Concat(r, s); nil means true).
+func refMatches(t *testing.T, l tuple.Tuple, s *relation.Relation, theta expr.Expr) []tuple.Tuple {
+	t.Helper()
+	var out []tuple.Tuple
+	for _, m := range s.Tuples {
+		if theta != nil {
+			env := expr.Env{Vals: append(append([]value.Value{}, l.Vals...), m.Vals...), T: l.T}
+			ok, err := expr.EvalBool(theta, &env)
+			if err != nil {
+				t.Fatalf("reference θ: %v", err)
+			}
+			if !ok {
+				continue
+			}
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
-// methodFlags builds flag sets that force each group strategy.
-func methodFlags() map[string]plan.Flags {
+// refAlign is r Φ_θ s by Def. 11: r̃ = (r.A, T) is in the result iff T is a
+// non-empty intersection r.T ∩ s.T with a θ-matching s, or T ⊆ r.T is
+// disjoint from every θ-matching s and no proper superinterval inside r.T
+// is. gapsOnly keeps only the second disjunct (the Sec. 8 antijoin
+// customization).
+func refAlign(t *testing.T, r, s *relation.Relation, theta expr.Expr, gapsOnly bool) *relation.Relation {
+	t.Helper()
+	out := relation.New(r.Schema)
+	for _, l := range r.Tuples {
+		group := refMatches(t, l, s, theta)
+		uncovered := func(iv interval.Interval) bool {
+			for _, m := range group {
+				if m.T.Overlaps(iv) {
+					return false
+				}
+			}
+			return true
+		}
+		for a := l.T.Ts; a < l.T.Te; a++ {
+			for b := a + 1; b <= l.T.Te; b++ {
+				iv := interval.Interval{Ts: a, Te: b}
+				isIntersection := false
+				for _, m := range group {
+					if m.T.Overlaps(l.T) && max(m.T.Ts, l.T.Ts) == a && min(m.T.Te, l.T.Te) == b {
+						isIntersection = true
+					}
+				}
+				isGap := uncovered(iv) &&
+					(a == l.T.Ts || !uncovered(interval.Interval{Ts: a - 1, Te: b})) &&
+					(b == l.T.Te || !uncovered(interval.Interval{Ts: a, Te: b + 1}))
+				if (isIntersection && !gapsOnly) || isGap {
+					out.Tuples = append(out.Tuples, l.WithT(iv))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// refNormalize is N_B(r; s) by Def. 9, B given positionally by cols: r̃ =
+// (r.A, T) is in the result iff T ⊆ r.T contains no start or end point of
+// an s tuple with s.B = r.B strictly inside, and no proper superinterval
+// inside r.T does.
+func refNormalize(r, s *relation.Relation, cols []int) *relation.Relation {
+	out := relation.New(r.Schema)
+	for _, l := range r.Tuples {
+		split := map[int64]bool{}
+		for _, m := range s.Tuples {
+			same := true
+			for _, c := range cols {
+				// ω never equals anything (randrel generates none; kept for the definition).
+				if l.Vals[c].IsNull() || m.Vals[c].IsNull() || !l.Vals[c].Equal(m.Vals[c]) {
+					same = false
+				}
+			}
+			if same {
+				split[m.T.Ts], split[m.T.Te] = true, true
+			}
+		}
+		for a := l.T.Ts; a < l.T.Te; a++ {
+			for b := a + 1; b <= l.T.Te; b++ {
+				unsplit := true
+				for p := a + 1; p < b; p++ {
+					if split[p] {
+						unsplit = false
+					}
+				}
+				if unsplit && (a == l.T.Ts || split[a]) && (b == l.T.Te || split[b]) {
+					out.Tuples = append(out.Tuples, l.WithT(interval.Interval{Ts: a, Te: b}))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// strategyFlags are the four planner configurations that force each group
+// strategy (the interval index only fires for keyless align θ; keyed
+// shapes under it fall to the cost-based choice).
+func strategyFlags() map[string]plan.Flags {
+	ivx := plan.DefaultFlags()
+	ivx.EnableIntervalIndex = true
 	return map[string]plan.Flags{
-		"hash":     {EnableHashJoin: true, EnableSort: true},
-		"merge":    {EnableMergeJoin: true, EnableSort: true},
-		"nestloop": {EnableNestLoop: true, EnableSort: true},
+		"hash":           {EnableHashJoin: true, EnableSort: true},
+		"merge":          {EnableMergeJoin: true, EnableSort: true},
+		"nestloop":       {EnableNestLoop: true, EnableSort: true},
+		"interval-index": ivx,
 	}
 }
 
-// TestFusedAdjustMatchesLegacy is the randomized differential test for the
-// fused group-construction → sweep operator: for random relations, ALIGN
-// and NORMALIZE under every forced group strategy must be set-equal to the
-// classic pipeline under the same flags.
-func TestFusedAdjustMatchesLegacy(t *testing.T) {
+// wantStrategy is the group strategy EXPLAIN must show for a flag set and
+// θ shape ("join" alone where the choice is left to the cost model).
+func wantStrategy(flags string, keyed, normalize bool) string {
+	switch {
+	case keyed && flags == "interval-index":
+		return "join"
+	case keyed && flags != "nestloop":
+		return flags + " join"
+	case !keyed && !normalize && flags == "interval-index":
+		return "interval-index join"
+	}
+	return "nestloop join"
+}
+
+func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation) {
+	t.Helper()
+	if !relation.SetEqual(got, want) {
+		a, b := relation.Diff(got, want)
+		t.Fatalf("%s\nonly engine: %v\nonly reference: %v\nr:\n%s\ns:\n%s", what, a, b, r, s)
+	}
+}
+
+// TestFusedAdjustMatchesDefinitions is the randomized differential test of
+// the one ALIGN/NORMALIZE operator against Defs. 11 and 9: 30 seeds ×
+// {hash, merge, nestloop, interval-index} × {θ equi, equi+residual,
+// keyless, nil} × {align, gaps, normalize}, each on the columnar path and
+// with DisableColumnar (row children bridged into the same operator).
+func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
-	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
+	equi := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
+	vLEw := expr.Le(expr.CI(1, value.KindInt), expr.CI(3, value.KindInt))
+	shapes := []struct {
+		name  string
+		theta expr.Expr
+		cols  []int // the normalize B of matching shape
+		keyed bool
+	}{
+		{"equi", equi, []int{0}, true},
+		{"equi+residual", expr.And(equi, vLEw), []int{0, 1}, true},
+		{"keyless", vLEw, nil, false},
+		{"nil", nil, nil, false},
+	}
 
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		for name, flags := range methodFlags() {
-			fused := New(flags)
-			legacy := New(legacyFlags(flags))
-
-			check := func(op string, f func(a *Algebra) (*relation.Relation, error)) {
-				t.Helper()
-				want, err := f(legacy)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s legacy: %v", seed, op, name, err)
-				}
-				got, err := f(fused)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s fused: %v", seed, op, name, err)
-				}
-				if !relation.SetEqual(want, got) {
-					a, b := relation.Diff(want, got)
-					t.Fatalf("seed %d %s/%s: fused differs from legacy\nonly legacy: %v\nonly fused: %v\nr:\n%s\ns:\n%s",
-						seed, op, name, a, b, r, s)
+		for fname, flags := range strategyFlags() {
+			for _, noCol := range []bool{false, true} {
+				flags.DisableColumnar = noCol
+				a := New(flags)
+				p := a.Planner()
+				for _, sh := range shapes {
+					tag := fmt.Sprintf("seed %d %s/%s noCol=%v", seed, fname, sh.name, noCol)
+					for _, gaps := range []bool{false, true} {
+						node := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
+						if gaps {
+							node = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
+						}
+						if text, want := plan.Explain(node), wantStrategy(fname, sh.keyed, false); !strings.Contains(text, want) {
+							t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
+						}
+						got, err := plan.Run(node)
+						if err != nil {
+							t.Fatalf("%s gaps=%v: %v", tag, gaps, err)
+						}
+						mustSetEqual(t, fmt.Sprintf("%s gaps=%v: align differs from Def. 11", tag, gaps),
+							got, refAlign(t, r, s, sh.theta, gaps), r, s)
+					}
+					// Split points from the other relation and from r itself.
+					for _, pts := range []*relation.Relation{s, r} {
+						node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
+						if text, want := plan.Explain(node), wantStrategy(fname, len(sh.cols) > 0, true); !strings.Contains(text, want) {
+							t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
+						}
+						got, err := plan.Run(node)
+						if err != nil {
+							t.Fatalf("%s normalize: %v", tag, err)
+						}
+						mustSetEqual(t, tag+": normalize differs from Def. 9", got, refNormalize(r, pts, sh.cols), r, pts)
+					}
 				}
 			}
-			check("align-theta", func(a *Algebra) (*relation.Relation, error) { return a.Align(r, s, theta) })
-			check("align-true", func(a *Algebra) (*relation.Relation, error) { return a.Align(r, s, nil) })
-			check("normalize-x", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r, "x") })
-			check("normalize-all", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r, "x", "v") })
-			check("normalize-empty", func(a *Algebra) (*relation.Relation, error) { return a.Normalize(r, r) })
-			check("fullouter", func(a *Algebra) (*relation.Relation, error) { return a.FullOuterJoin(r, s, theta) })
-			check("antijoin", func(a *Algebra) (*relation.Relation, error) { return a.AntiJoin(r, s, theta) })
 		}
 	}
 }
 
-// TestFusedAdjustIntervalIndex differentially tests the fused
-// interval-index strategy (keyless θ) against the legacy interval-index
-// plan and the nested-loop fallback.
-func TestFusedAdjustIntervalIndex(t *testing.T) {
-	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}}
-	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}}
-	ivx := plan.DefaultFlags()
-	ivx.EnableIntervalIndex = true
-	for seed := int64(0); seed < 20; seed++ {
+// TestFusedAdjustComposedMatchesOracle: the Table 2 reductions built on
+// the primitives agree with the snapshot oracle under every forced group
+// strategy.
+func TestFusedAdjustComposedMatchesOracle(t *testing.T) {
+	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
+	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
+	equi := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
+	vLEw := expr.Le(expr.CI(1, value.KindInt), expr.CI(3, value.KindInt))
+	type rels = *relation.Relation
+	checks := []struct {
+		name   string
+		run    func(a *Algebra, r, s rels) (rels, error)
+		oracle func(r, s rels) (rels, error)
+	}{
+		{"fullouter-equi",
+			func(a *Algebra, r, s rels) (rels, error) { return a.FullOuterJoin(r, s, equi) },
+			func(r, s rels) (rels, error) { return oracle.FullOuterJoin(r, s, equi) }},
+		{"fullouter-true",
+			func(a *Algebra, r, s rels) (rels, error) { return a.FullOuterJoin(r, s, nil) },
+			func(r, s rels) (rels, error) { return oracle.FullOuterJoin(r, s, nil) }},
+		{"leftouter-keyless",
+			func(a *Algebra, r, s rels) (rels, error) { return a.LeftOuterJoin(r, s, vLEw) },
+			func(r, s rels) (rels, error) { return oracle.LeftOuterJoin(r, s, vLEw) }},
+		{"antijoin-equi",
+			func(a *Algebra, r, s rels) (rels, error) { return a.AntiJoin(r, s, equi) },
+			func(r, s rels) (rels, error) { return oracle.AntiJoin(r, s, equi) }},
+		{"antijoin-residual",
+			func(a *Algebra, r, s rels) (rels, error) { return a.AntiJoin(r, s, expr.And(equi, vLEw)) },
+			func(r, s rels) (rels, error) { return oracle.AntiJoin(r, s, expr.And(equi, vLEw)) }},
+		{"difference",
+			func(a *Algebra, r, s rels) (rels, error) { return a.Difference(r, r2(s, attrsR)) },
+			func(r, s rels) (rels, error) { return oracle.Difference(r, r2(s, attrsR)) }},
+		{"aggregation",
+			func(a *Algebra, r, _ rels) (rels, error) {
+				return a.Aggregation(r, []string{"x"}, []exec.AggSpec{{Func: exec.AggCount, Arg: expr.C("v"), Name: "c"}})
+			},
+			func(r, _ rels) (rels, error) {
+				return oracle.Aggregation(r, []string{"x"}, []oracle.AggSpec{{Op: oracle.Count, Arg: expr.C("v"), Name: "c"}})
+			}},
+	}
+	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		want, err := New(legacyFlags(ivx)).Align(r, s, nil)
-		if err != nil {
-			t.Fatalf("seed %d legacy interval-index: %v", seed, err)
-		}
-		got, err := New(ivx).Align(r, s, nil)
-		if err != nil {
-			t.Fatalf("seed %d fused interval-index: %v", seed, err)
-		}
-		nl, err := Default().Align(r, s, nil)
-		if err != nil {
-			t.Fatalf("seed %d nestloop: %v", seed, err)
-		}
-		if !relation.SetEqual(want, got) || !relation.SetEqual(nl, got) {
-			t.Fatalf("seed %d: interval-index results diverge\nr:\n%s\ns:\n%s", seed, r, s)
+		for fname, flags := range strategyFlags() {
+			for _, c := range checks {
+				want, err := c.oracle(r, s)
+				if err != nil {
+					t.Fatalf("seed %d %s oracle: %v", seed, c.name, err)
+				}
+				got, err := c.run(New(flags), r, s)
+				if err != nil {
+					t.Fatalf("seed %d %s/%s: %v", seed, c.name, fname, err)
+				}
+				mustSetEqual(t, fmt.Sprintf("seed %d %s/%s differs from the oracle", seed, c.name, fname), got, want, r, s)
+			}
 		}
 	}
 }
 
 // TestFusedAdjustParallel: the exchange rewrite composes with the fused
-// fragment — parallel fused plans match serial fused and serial legacy.
+// fragment — parallel plans match the definitions too.
 func TestFusedAdjustParallel(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
@@ -112,38 +291,25 @@ func TestFusedAdjustParallel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		want, err := New(legacyFlags(plan.DefaultFlags())).Align(r, s, theta)
-		if err != nil {
-			t.Fatalf("seed %d legacy: %v", seed, err)
-		}
 		for _, v := range []struct{ dop, batch int }{{2, 1}, {4, 3}, {4, 0}} {
 			a := New(parallelFlags(v.dop, v.batch))
+			tag := fmt.Sprintf("seed %d dop=%d batch=%d", seed, v.dop, v.batch)
 			got, err := a.Align(r, s, theta)
 			if err != nil {
-				t.Fatalf("seed %d dop=%d: %v", seed, v.dop, err)
+				t.Fatalf("%s: %v", tag, err)
 			}
-			if !relation.SetEqual(want, got) {
-				x, y := relation.Diff(want, got)
-				t.Fatalf("seed %d dop=%d batch=%d: parallel fused differs\nonly legacy: %v\nonly fused: %v",
-					seed, v.dop, v.batch, x, y)
-			}
+			mustSetEqual(t, tag+": parallel align differs from Def. 11", got, refAlign(t, r, s, theta, false), r, s)
 			gotN, err := a.Normalize(r, r, "x")
 			if err != nil {
-				t.Fatalf("seed %d dop=%d normalize: %v", seed, v.dop, err)
+				t.Fatalf("%s normalize: %v", tag, err)
 			}
-			wantN, err := New(legacyFlags(plan.DefaultFlags())).Normalize(r, r, "x")
-			if err != nil {
-				t.Fatalf("seed %d legacy normalize: %v", seed, err)
-			}
-			if !relation.SetEqual(wantN, gotN) {
-				t.Fatalf("seed %d dop=%d: parallel fused normalize differs", seed, v.dop)
-			}
+			mustSetEqual(t, tag+": parallel normalize differs from Def. 9", gotN, refNormalize(r, r, []int{0}), r, r)
 		}
 	}
 }
 
 // TestFusedAdjustPlanShape: EXPLAIN renders the fused node with its mode
-// and group strategy, and the legacy flag restores the classic chain.
+// and group strategy.
 func TestFusedAdjustPlanShape(t *testing.T) {
 	r := relation.NewBuilder("x string", "v int").Row(0, 5, "a", 1).MustBuild()
 	s := relation.NewBuilder("y string", "w int").Row(2, 7, "a", 2).MustBuild()
@@ -153,15 +319,7 @@ func TestFusedAdjustPlanShape(t *testing.T) {
 	}
 	a := Default()
 	text := plan.Explain(a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "FusedAdjust align") {
-		t.Fatalf("fused plan missing FusedAdjust node:\n%s", text)
-	}
-	if !strings.Contains(text, "join)") {
-		t.Fatalf("fused plan label missing group strategy:\n%s", text)
-	}
-	leg := New(legacyFlags(plan.DefaultFlags()))
-	text = plan.Explain(leg.AlignPlan(leg.Planner().Scan(r, "r"), leg.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "Sort") || strings.Contains(text, "FusedAdjust") {
-		t.Fatalf("legacy plan should keep the classic chain:\n%s", text)
+	if !strings.Contains(text, "FusedAdjust align (") || !strings.Contains(text, " join)") {
+		t.Fatalf("plan missing the fused node label with its group strategy:\n%s", text)
 	}
 }

@@ -125,9 +125,9 @@ func BenchmarkColFusedAdjust(b *testing.B) {
 	right := colTestRel(r, 2048, false)
 	left.Columnar()
 	right.Columnar()
-	f, ok := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, GroupHash, benchAdjustKeys(), -1)
-	if !ok {
-		b.Fatal("fused adjust did not compile")
+	f, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, GroupHash, benchAdjustKeys(), nil, -1)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,23 +145,6 @@ func BenchmarkColFusedAdjust(b *testing.B) {
 			}
 		}
 		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRowFusedAdjust(b *testing.B) {
-	r := rand.New(rand.NewSource(33))
-	left := colTestRel(r, 2048, false)
-	right := colTestRel(r, 2048, false)
-	f, err := NewFusedAdjust(NewScan(left), NewScan(right), ModeAlign, GroupHash, benchAdjustKeys(), nil, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := drainIterator(f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,25 +1,116 @@
-// ColFusedAdjust: the vectorized fused group-construction + plane-sweep
-// operator. Same algorithm as the row FusedAdjust (see fused_adjust.go
-// for the algorithmic commentary), but the group side accumulates into a
-// columnar store whose equi keys are encoded straight from the vectors,
-// and the sweep reads only the two valid-time columns of the left batch.
-// Output rows are appended columnar — the left row's attribute vectors
-// are copied once per emitted segment, never boxed into tuples.
+// ColFusedAdjust: the one ALIGN/NORMALIZE operator. It fuses the
+// group-construction join of Sec. 6.1/6.3 with the plane-sweep adjustment
+// of Sec. 6.2 (Fig. 10): the group side accumulates into a columnar store,
+// each left row finds its group members through one of four strategies
+// (hash, merge, nested loop, interval index), every member is reduced to a
+// (P1, P2) span, and the small per-row span buffer is sorted and swept
+// immediately — concatenated join rows are never materialized.
 //
-// The columnar node supports the hash and nested-loop strategies with
-// fully extracted join conditions (no residual); the planner falls back
-// to the row operator for merge/interval strategies and residual θ.
+//	align:     span = [max(l.Ts, r.Ts), min(l.Te, r.Te))   (overlaps only)
+//	normalize: span = [p, p] for the split point p = right[PCol],
+//	           kept only when strictly inside l's interval
+//
+// Equi keys match through order-preserving byte encodings (ω keys never
+// match). The optional residual θ runs over a reused scratch concatenation
+// of the pair, with env.T = the left row's T, and only for pairs that
+// passed the temporal and key tests. Output rows are the left row's
+// attribute vectors with an adjusted timestamp, in left-input order (or
+// equi-key order under GroupMerge); consumers are order-insensitive
+// (relations are sets).
+//
+// The operator assumes the left input is duplicate free (the paper's
+// Sec. 3.1 relation invariant): each left row sweeps its own group.
 package exec
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"hash/maphash"
 	"slices"
+	"sort"
 
 	"talign/internal/colbatch"
 	"talign/internal/expr"
+	"talign/internal/interval"
 	"talign/internal/schema"
+	"talign/internal/tuple"
+	"talign/internal/value"
 )
+
+// AdjustMode selects between the two temporal primitives that share the
+// plane-sweep executor function (Fig. 10): temporal alignment (Def. 11) and
+// temporal normalization (Def. 9). In the paper's terms this is the
+// `isalign` flag of ExecAdjustment.
+type AdjustMode uint8
+
+const (
+	// ModeAlign produces, per left tuple, each distinct non-empty
+	// intersection with a matching group tuple plus the maximal uncovered
+	// gaps (temporal aligner, Def. 10).
+	ModeAlign AdjustMode = iota
+	// ModeNormalize splits each left tuple at every distinct split point
+	// strictly inside its interval (temporal splitter, Def. 8).
+	ModeNormalize
+	// ModeGaps emits only the maximal uncovered sub-intervals of ModeAlign
+	// and suppresses the intersections. It implements the paper's Sec. 8
+	// future-work customization for the antijoin, whose reduction keeps
+	// exactly the gap tuples: the aligned intersections can never survive
+	// r ▷_{θ∧r.T=s.T} (sΦθr), so producing them is wasted work.
+	ModeGaps
+)
+
+func (m AdjustMode) String() string {
+	switch m {
+	case ModeAlign:
+		return "align"
+	case ModeGaps:
+		return "align-gaps"
+	}
+	return "normalize"
+}
+
+// GroupStrategy selects how ColFusedAdjust finds each left row's group
+// members (the physical method of the group-construction join that the
+// fused node absorbs).
+type GroupStrategy uint8
+
+const (
+	// GroupHash builds a hash table over the group side's equi keys and
+	// probes it per left row.
+	GroupHash GroupStrategy = iota
+	// GroupMerge key-sorts both sides by their equi keys and walks the
+	// runs in lockstep.
+	GroupMerge
+	// GroupNestLoop scans the whole group side per left row (the paper's
+	// fallback when θ has no equi keys).
+	GroupNestLoop
+	// GroupInterval uses the sort-by-start interval index over the group
+	// side (the Sec. 8 access path; align modes only).
+	GroupInterval
+)
+
+func (g GroupStrategy) String() string {
+	return [...]string{"hash join", "merge join", "nestloop join", "interval-index join"}[g]
+}
+
+// span is one (P1, P2) pair fed into the sweep; for normalization only P1
+// (the split point) is meaningful.
+type span struct{ p1, p2 int64 }
+
+// keyOperand evaluates one side of an equi pair on a physical batch row:
+// through a compiled vector accessor for the plain column / constant /
+// valid-time shapes, otherwise by Eval over the row boxed into a scratch
+// slice.
+type keyOperand struct {
+	fast colVal
+	e    expr.Expr
+}
+
+func compileKeyOperand(e expr.Expr) keyOperand {
+	fast, _ := compileOperand(e)
+	return keyOperand{fast: fast, e: e}
+}
 
 // ColFusedAdjust adjusts left tuples against their group on the right.
 type ColFusedAdjust struct {
@@ -27,75 +118,115 @@ type ColFusedAdjust struct {
 	Left, Right ColIterator
 	Mode        AdjustMode
 	Strategy    GroupStrategy
-	Keys        []expr.EquiPair
-	PCol        int
+	// Keys are θ's equi conjuncts: Left bound against the left schema,
+	// Right against the group side's schema.
+	Keys []expr.EquiPair
+	// Residual is the rest of θ, bound against Concat(left, right); nil
+	// when θ was fully extracted into Keys.
+	Residual expr.Expr
+	// PCol is the group-side column holding the split point (normalize
+	// only; -1 for the align modes).
+	PCol int
 
-	out schema.Schema
-
-	lkeyVals []colVal // compiled left key accessors
-	rkeyVals []colVal // compiled right key accessors
-
-	store       *colbatch.Batch // accumulated group side
-	sharedStore bool            // store aliases a relation's cached image
-	seed        maphash.Seed
-	heads       []int32 // flat hash table: bucket -> store row index + 1
-	mask        uint64
-	chain       []int32
-	rhash       []uint64 // full hash per store row, pre-filters probes
-	rkeys       [][]byte
-	arena       []byte
-
+	out      schema.Schema
+	lkeyOps  []keyOperand
+	rkeyOps  []keyOperand
+	store    *colbatch.Batch // accumulated group side
+	rkeys    [][]byte        // encoded group-side equi keys (nil: unmatchable ω key)
+	arena    []byte
 	keyBuf   []byte
+	keyRow   []value.Value // boxed row for non-compiled key operands
+	concat   []value.Value // residual scratch: left values, then right values
+	env      expr.Env      // reused eval scratch: avoids a per-row heap Env
 	spans    []span
 	outB     colbatch.Batch
-	lb       *colbatch.Batch
+	lb       *colbatch.Batch // current left batch (merge: the whole left side)
 	lpos     int
 	leftDone bool
+
+	// hash strategy: flat chained table over rkeys
+	seed  maphash.Seed
+	heads []int32 // bucket -> store row index + 1
+	mask  uint64
+	chain []int32
+	rhash []uint64 // full hash per store row, pre-filters probes
+
+	// merge and interval strategies: rperm lists store rows in equi-key
+	// order (merge, ω-keyed rows dropped, rkeys permuted alongside) or in
+	// start order (interval).
+	rperm    []int32
+	lperm    []int32  // merge: left rows in equi-key order
+	lkeys    [][]byte // merge: left keys, parallel to lperm
+	rlo, rhi int      // merge: current right-side equi-key run
+	starts   []int64  // interval: store.TS in rperm order
+	maxDur   int64    // interval: longest group-side interval
 }
 
-// NewColFusedAdjust compiles the fused node; ok=false when the mode,
-// strategy or key shapes need the row operator.
-func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy, keys []expr.EquiPair, pCol int) (*ColFusedAdjust, bool) {
-	if strategy != GroupHash && strategy != GroupNestLoop {
-		return nil, false
-	}
-	if strategy == GroupHash && len(keys) == 0 {
-		return nil, false
-	}
+// NewColFusedAdjust builds the operator. For the align modes pass
+// pCol < 0; for normalize, pCol must address an int-typed group-side
+// column and the interval strategy is rejected (split points are
+// nontemporal).
+func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy, keys []expr.EquiPair, residual expr.Expr, pCol int) (*ColFusedAdjust, error) {
 	if mode == ModeNormalize {
-		if pCol < 0 || pCol >= r.Schema().Len() {
-			return nil, false
+		rs := r.Schema()
+		if pCol < 0 || pCol >= rs.Len() {
+			return nil, fmt.Errorf("exec: fused normalize split column %d out of range for %s", pCol, rs)
+		}
+		if at := rs.Attrs[pCol]; at.Type != value.KindInt {
+			return nil, fmt.Errorf("exec: fused normalize split column %q has kind %s, want int", at.Name, at.Type)
+		}
+		if strategy == GroupInterval {
+			return nil, fmt.Errorf("exec: fused normalize cannot use the interval-index strategy")
 		}
 	} else {
 		pCol = -1
 	}
+	if strategy == GroupInterval && len(keys) > 0 {
+		return nil, fmt.Errorf("exec: interval-index strategy requires a keyless θ")
+	}
+	if (strategy == GroupHash || strategy == GroupMerge) && len(keys) == 0 {
+		return nil, fmt.Errorf("exec: %s strategy requires equi keys", strategy)
+	}
 	f := &ColFusedAdjust{
 		Left: l, Right: r,
 		Mode: mode, Strategy: strategy,
-		Keys: keys, PCol: pCol,
+		Keys: keys, Residual: residual, PCol: pCol,
 		out: l.Schema(),
 	}
 	for _, k := range keys {
-		lv, ok := compileOperand(k.Left)
-		if !ok {
-			return nil, false
-		}
-		rv, ok := compileOperand(k.Right)
-		if !ok {
-			return nil, false
-		}
-		f.lkeyVals = append(f.lkeyVals, lv)
-		f.rkeyVals = append(f.rkeyVals, rv)
+		f.lkeyOps = append(f.lkeyOps, compileKeyOperand(k.Left))
+		f.rkeyOps = append(f.rkeyOps, compileKeyOperand(k.Right))
 	}
-	return f, true
+	return f, nil
 }
 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
 
-// Open implements ColIterator: it drains the group side into the
-// columnar store and, under the hash strategy, builds the arena-backed
-// key chains exactly like the row operator.
+// drainColumnar materializes an opened columnar stream as one batch. A
+// bare columnar scan hands over the relation's cached image (populated by
+// its Open) instead of a copy: the result is only ever read, so sharing is
+// safe, and it skips one full-relation copy per execution.
+func drainColumnar(in ColIterator) (*colbatch.Batch, error) {
+	if cs, ok := in.(*ColScan); ok {
+		return cs.img, nil
+	}
+	store := colbatch.New(in.Schema())
+	for {
+		b, err := in.NextCol()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return store, nil
+		}
+		store.AppendBatch(b)
+	}
+}
+
+// Open implements ColIterator: it drains the group side into the columnar
+// store, encodes its equi keys once, and builds the strategy's access
+// structure (hash chains, key-sorted or start-sorted permutation).
 func (f *ColFusedAdjust) Open() error {
 	if err := f.Left.Open(); err != nil {
 		return err
@@ -103,51 +234,28 @@ func (f *ColFusedAdjust) Open() error {
 	if err := f.Right.Open(); err != nil {
 		return err
 	}
-	if cs, ok := f.Right.(*ColScan); ok {
-		// The group side is a bare columnar scan: alias the relation's
-		// cached image (populated by the Open above) instead of copying
-		// it. The store is only ever read, so sharing is safe, and it
-		// skips one full-relation copy per execution.
-		f.store, f.sharedStore = cs.img, true
-	} else {
-		if f.store == nil || f.sharedStore {
-			f.store = colbatch.New(f.Right.Schema())
-		} else {
-			f.store.ResetSchema(f.Right.Schema())
-		}
-		f.sharedStore = false
-		for {
-			b, err := f.Right.NextCol()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			f.store.AppendBatch(b)
-		}
+	var err error
+	if f.store, err = drainColumnar(f.Right); err != nil {
+		return err
 	}
 	f.outB.ResetSchema(f.out)
 	f.lb, f.lpos, f.leftDone = nil, 0, false
+	n := f.store.Len()
 
-	if f.Strategy == GroupHash {
+	if len(f.Keys) > 0 {
+		// ω keys become nil: they can never match, and unmatched group rows
+		// never surface — the group join is a left outer join.
 		f.arena = f.arena[:0]
-		f.rkeys = f.rkeys[:0]
-		for j := 0; j < f.store.Len(); j++ {
-			start := len(f.arena)
-			kb, hasNull := f.appendStoreKey(f.arena, j)
-			if hasNull {
-				f.rkeys = append(f.rkeys, nil)
-				continue
-			}
-			f.arena = kb
-			f.rkeys = append(f.rkeys, kb[start:len(kb):len(kb)])
+		if f.rkeys, err = f.encodeKeys(f.rkeys[:0], f.rkeyOps, f.store, true); err != nil {
+			return err
 		}
+	}
+	switch f.Strategy {
+	case GroupHash:
 		// Chained flat hash table instead of a Go map: buckets hold
 		// store-row-index+1, collisions thread through chain, and the
 		// stored full hashes pre-filter probes before the byte compare.
 		f.seed = maphash.MakeSeed()
-		n := f.store.Len()
 		size := 1
 		for size < 2*n {
 			size <<= 1
@@ -173,32 +281,130 @@ func (f *ColFusedAdjust) Open() error {
 			f.chain[j] = f.heads[bkt]
 			f.heads[bkt] = int32(j) + 1
 		}
+	case GroupMerge:
+		// Materialize the left side too and key-sort a row permutation of
+		// each side; NextCol walks the runs in lockstep.
+		if f.lb, err = drainColumnar(f.Left); err != nil {
+			return err
+		}
+		if f.lkeys, err = f.encodeKeys(f.lkeys[:0], f.lkeyOps, f.lb, false); err != nil {
+			return err
+		}
+		f.lperm = identityPerm(f.lperm[:0], f.lb.Len())
+		tuple.KeySort(f.lperm, f.lkeys)
+		f.rperm = f.rperm[:0]
+		kept := f.rkeys[:0]
+		for j, k := range f.rkeys {
+			if k != nil {
+				f.rperm = append(f.rperm, int32(j))
+				kept = append(kept, k)
+			}
+		}
+		f.rkeys = kept
+		tuple.KeySort(f.rperm, f.rkeys)
+		f.rlo, f.rhi = 0, 0
+	case GroupInterval:
+		f.rperm = identityPerm(f.rperm[:0], n)
+		ts, te := f.store.TS, f.store.TE
+		slices.SortFunc(f.rperm, func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
+		f.starts, f.maxDur = slices.Grow(f.starts[:0], n), 0
+		for _, j := range f.rperm {
+			f.starts = append(f.starts, ts[j])
+			if d := te[j] - ts[j]; d > f.maxDur {
+				f.maxDur = d
+			}
+		}
 	}
 	return nil
 }
 
-// appendStoreKey encodes the group-side equi key of store row j.
-func (f *ColFusedAdjust) appendStoreKey(dst []byte, j int) (key []byte, hasNull bool) {
-	for _, kv := range f.rkeyVals {
-		v := kv(f.store, j)
-		if v.IsNull() {
-			hasNull = true
-		}
-		dst = v.AppendKey(dst)
+func identityPerm(dst []int32, n int) []int32 {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int32(i))
 	}
-	return dst, hasNull
+	return dst
 }
 
-// appendLeftKey encodes the left equi key of physical row `row` of b.
-func (f *ColFusedAdjust) appendLeftKey(dst []byte, b *colbatch.Batch, row int) (key []byte, hasNull bool) {
-	for _, kv := range f.lkeyVals {
-		v := kv(b, row)
+// encodeKeys appends the equi key of every physical row of b to the
+// shared arena; with nilOnNull set, rows whose key contains ω get a nil
+// key instead.
+func (f *ColFusedAdjust) encodeKeys(keys [][]byte, ops []keyOperand, b *colbatch.Batch, nilOnNull bool) ([][]byte, error) {
+	keys = slices.Grow(keys, b.Len())
+	for row := 0; row < b.Len(); row++ {
+		start := len(f.arena)
+		kb, hasNull, err := f.appendKey(f.arena, ops, b, row)
+		if err != nil {
+			return nil, err
+		}
+		if nilOnNull && hasNull {
+			keys = append(keys, nil)
+			continue
+		}
+		f.arena = kb
+		keys = append(keys, kb[start:len(kb):len(kb)])
+		if row == 0 {
+			// Fixed-width keys, the common case, then fit one allocation.
+			f.arena = slices.Grow(f.arena, (len(kb)-start)*(b.Len()-1))
+		}
+	}
+	return keys, nil
+}
+
+// appendKey encodes one side's equi key of physical row `row` of b;
+// hasNull reports an ω key component (which can never match).
+func (f *ColFusedAdjust) appendKey(dst []byte, ops []keyOperand, b *colbatch.Batch, row int) (key []byte, hasNull bool, err error) {
+	boxed := false
+	for i := range ops {
+		var v value.Value
+		if op := &ops[i]; op.fast != nil {
+			v = op.fast(b, row)
+		} else {
+			if !boxed {
+				f.keyRow = boxRow(f.keyRow[:0], b, row)
+				f.env = expr.Env{Vals: f.keyRow, T: b.Interval(row)}
+				boxed = true
+			}
+			if v, err = op.e.Eval(&f.env); err != nil {
+				return dst, false, err
+			}
+		}
 		if v.IsNull() {
 			hasNull = true
 		}
 		dst = v.AppendKey(dst)
 	}
-	return dst, hasNull
+	return dst, hasNull, nil
+}
+
+// boxRow appends physical row `row` of b to dst as boxed values.
+func boxRow(dst []value.Value, b *colbatch.Batch, row int) []value.Value {
+	for c := range b.Cols {
+		dst = append(dst, b.Cols[c].Value(row))
+	}
+	return dst
+}
+
+// nextLeft advances to the next left row of f.lb: the next equi-key
+// ordered row under the merge strategy, else the next selected row of the
+// streamed left input. ok=false signals exhaustion.
+func (f *ColFusedAdjust) nextLeft() (row int, ok bool, err error) {
+	if f.Strategy == GroupMerge {
+		if f.lpos >= len(f.lperm) {
+			return 0, false, nil
+		}
+		f.lpos++
+		return int(f.lperm[f.lpos-1]), true, nil
+	}
+	for f.lb == nil || f.lpos >= f.lb.NumRows() {
+		b, err := f.Left.NextCol()
+		if err != nil || b == nil {
+			return 0, false, err
+		}
+		f.lb, f.lpos = b, 0
+	}
+	f.lpos++
+	return f.lb.RowAt(f.lpos - 1), true, nil
 }
 
 // NextCol implements ColIterator.
@@ -206,39 +412,18 @@ func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 	f.outB.Reset()
 	target := f.batchCap()
 	for f.outB.Len() < target && !f.leftDone {
-		if f.lb == nil || f.lpos >= f.lb.NumRows() {
-			b, err := f.Left.NextCol()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				f.leftDone = true
-				continue
-			}
-			f.lb, f.lpos = b, 0
-			continue
+		row, ok, err := f.nextLeft()
+		if err != nil {
+			return nil, err
 		}
-		row := f.lb.RowAt(f.lpos)
-		f.lpos++
-		lts, lte := f.lb.TS[row], f.lb.TE[row]
-		f.spans = f.spans[:0]
-		if f.Strategy == GroupHash {
-			kb, hasNull := f.appendLeftKey(f.keyBuf[:0], f.lb, row)
-			f.keyBuf = kb
-			if !hasNull { // ω keys never match: empty group, bare sweep
-				h := maphash.Bytes(f.seed, kb)
-				for j := f.heads[h&f.mask]; j != 0; j = f.chain[j-1] {
-					if f.rhash[j-1] == h && bytes.Equal(f.rkeys[j-1], kb) {
-						f.addCandidate(row, int(j-1), lts, lte)
-					}
-				}
-			}
-		} else {
-			for j := 0; j < f.store.Len(); j++ {
-				f.addCandidate(row, j, lts, lte)
-			}
+		if !ok {
+			f.leftDone = true
+			break
 		}
-		f.sweep(row, lts, lte)
+		if err := f.gather(row); err != nil {
+			return nil, err
+		}
+		f.sweep(row)
 	}
 	if f.outB.Len() == 0 {
 		return nil, nil
@@ -246,23 +431,108 @@ func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 	return &f.outB, nil
 }
 
-// addCandidate reduces one (left row, store row) pair to a span, applying
-// the native temporal predicate and (nested loop) the equi keys — the
-// columnar twin of FusedAdjust.addCandidate, minus error paths (compiled
-// accessors cannot fail).
-func (f *ColFusedAdjust) addCandidate(lrow, j int, lts, lte int64) {
+// gather fills f.spans with the group of physical left row `row` under
+// the operator's strategy.
+func (f *ColFusedAdjust) gather(row int) error {
+	f.spans = f.spans[:0]
+	lts, lte := f.lb.TS[row], f.lb.TE[row]
+	if f.Residual != nil {
+		f.concat = boxRow(f.concat[:0], f.lb, row)
+	}
+	var lk []byte
+	switch {
+	case f.Strategy == GroupMerge:
+		lk = f.lkeys[f.lpos-1]
+	case len(f.Keys) > 0:
+		kb, hasNull, err := f.appendKey(f.keyBuf[:0], f.lkeyOps, f.lb, row)
+		f.keyBuf = kb
+		if err != nil {
+			return err
+		}
+		if hasNull {
+			return nil // ω keys never match: empty group, bare sweep
+		}
+		lk = kb
+	}
+	switch f.Strategy {
+	case GroupHash:
+		h := maphash.Bytes(f.seed, lk)
+		for j := f.heads[h&f.mask]; j != 0; j = f.chain[j-1] {
+			if f.rhash[j-1] == h && bytes.Equal(f.rkeys[j-1], lk) {
+				if err := f.addCandidate(int(j-1), lts, lte); err != nil {
+					return err
+				}
+			}
+		}
+	case GroupMerge:
+		// Both sides are sorted by encoded equi keys, so the right-run
+		// window only moves forward: position it at the first key >= lk.
+		if f.rlo == f.rhi || bytes.Compare(f.rkeys[f.rlo], lk) < 0 {
+			lo := f.rhi
+			for lo < len(f.rkeys) && bytes.Compare(f.rkeys[lo], lk) < 0 {
+				lo++
+			}
+			hi := lo
+			for hi < len(f.rkeys) && bytes.Equal(f.rkeys[hi], lk) {
+				hi++
+			}
+			f.rlo, f.rhi = lo, hi
+		}
+		if f.rlo < f.rhi && bytes.Equal(f.rkeys[f.rlo], lk) {
+			for i := f.rlo; i < f.rhi; i++ {
+				if err := f.addCandidate(int(f.rperm[i]), lts, lte); err != nil {
+					return err
+				}
+			}
+		}
+	case GroupNestLoop:
+		// The only strategy that visits every pair: test overlap inline so
+		// the call is paid for real group members only.
+		ts, te := f.store.TS, f.store.TE
+		align := f.Mode != ModeNormalize
+		for j, n := 0, f.store.Len(); j < n; j++ {
+			if align && (ts[j] >= lte || te[j] <= lts) {
+				continue
+			}
+			if lk != nil && !bytes.Equal(f.rkeys[j], lk) {
+				continue
+			}
+			if err := f.addCandidate(j, lts, lte); err != nil {
+				return err
+			}
+		}
+	case GroupInterval:
+		// Overlap candidates satisfy r.Ts < lte and r.Te > lts; since
+		// r.Te <= r.Ts + maxDur, every candidate has r.Ts > lts - maxDur.
+		// Binary search that bound and scan while r.Ts < lte.
+		lo := lts - f.maxDur
+		pos := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo })
+		for ; pos < len(f.starts) && f.starts[pos] < lte; pos++ {
+			if err := f.addCandidate(int(f.rperm[pos]), lts, lte); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// addCandidate reduces one (current left row, store row j) pair whose
+// equi keys already matched to a span, applying the native temporal
+// predicate and then the residual.
+func (f *ColFusedAdjust) addCandidate(j int, lts, lte int64) error {
 	var p1, p2 int64
 	if f.Mode == ModeNormalize {
 		pv := &f.store.Cols[f.PCol]
 		if pv.IsNull(j) {
-			return
+			return nil
 		}
 		p := pv.Int(j)
 		if p <= lts || p >= lte {
-			return // only points strictly inside split
+			return nil // only points strictly inside split
 		}
 		p1, p2 = p, p
 	} else {
+		// Align modes: overlap means a non-empty intersection.
 		p1, p2 = lts, lte
 		if ts := f.store.TS[j]; ts > p1 {
 			p1 = ts
@@ -271,25 +541,25 @@ func (f *ColFusedAdjust) addCandidate(lrow, j int, lts, lte int64) {
 			p2 = te
 		}
 		if p1 >= p2 {
-			return
+			return nil
 		}
 	}
-	if f.Strategy == GroupNestLoop && len(f.Keys) > 0 {
-		for k := range f.lkeyVals {
-			lv := f.lkeyVals[k](f.lb, lrow)
-			rv := f.rkeyVals[k](f.store, j)
-			if lv.IsNull() || rv.IsNull() || !lv.Equal(rv) {
-				return
-			}
+	if f.Residual != nil {
+		f.concat = boxRow(f.concat[:len(f.lb.Cols)], f.store, j)
+		f.env = expr.Env{Vals: f.concat, T: interval.Interval{Ts: lts, Te: lte}}
+		ok, err := expr.EvalBool(f.Residual, &f.env)
+		if err != nil || !ok {
+			return err
 		}
 	}
 	f.spans = append(f.spans, span{p1: p1, p2: p2})
+	return nil
 }
 
 // sweep is the Fig. 10 plane sweep over the gathered spans of one left
-// row, identical to the row operator's sweep; emitted segments copy the
-// left row's columns into the output batch.
-func (f *ColFusedAdjust) sweep(row int, lts, lte int64) {
+// row; emitted segments copy the left row's columns into the output batch.
+func (f *ColFusedAdjust) sweep(row int) {
+	lts, lte := f.lb.TS[row], f.lb.TE[row]
 	slices.SortFunc(f.spans, func(a, b span) int {
 		switch {
 		case a.p1 < b.p1:
@@ -323,10 +593,13 @@ func (f *ColFusedAdjust) sweep(row int, lts, lte int64) {
 	var lastP1, lastP2 int64
 	lastSet := false
 	for _, sp := range f.spans {
+		// Gap before this intersection (first block of Fig. 10).
 		if sweep < sp.p1 {
 			emit(sweep, sp.p1)
 			sweep = sp.p1
 		}
+		// The intersection itself, skipping adjacent duplicates (second
+		// block); ModeGaps advances the sweep without emitting it.
 		if f.Mode != ModeGaps && (!lastSet || sp.p1 != lastP1 || sp.p2 != lastP2) {
 			emit(sp.p1, sp.p2)
 			lastP1, lastP2, lastSet = sp.p1, sp.p2, true
@@ -335,17 +608,17 @@ func (f *ColFusedAdjust) sweep(row int, lts, lte int64) {
 			sweep = sp.p2
 		}
 	}
+	// Trailing gap, or the whole interval when the group was empty — the
+	// ω-padded row of the paper's group-construction outer join.
 	emit(sweep, lte)
 }
 
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
-	f.store = nil
-	f.heads = nil
-	f.chain = nil
-	f.rhash = nil
-	f.rkeys = nil
-	f.arena = nil
+	f.store, f.lb = nil, nil
+	f.heads, f.chain, f.rhash = nil, nil, nil
+	f.rkeys, f.lkeys, f.arena = nil, nil, nil
+	f.rperm, f.lperm, f.starts = nil, nil, nil
 	err1 := f.Left.Close()
 	err2 := f.Right.Close()
 	if err1 != nil {

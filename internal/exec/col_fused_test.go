@@ -1,0 +1,303 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"talign/internal/expr"
+	"talign/internal/interval"
+	"talign/internal/relation"
+	"talign/internal/tuple"
+	"talign/internal/value"
+)
+
+// fusedInput wraps rel as a columnar input: a bare ColScan (whose image
+// the operator aliases) or a row scan bridged by ToCol (which it drains
+// into its own store), with tiny batches to cross batch boundaries.
+func fusedInput(rel *relation.Relation, bridged bool) ColIterator {
+	if bridged {
+		sc := NewScan(rel)
+		sc.SetBatchSize(3)
+		return NewToCol(sc)
+	}
+	sc := NewColScan(rel)
+	sc.SetBatchSize(3)
+	return sc
+}
+
+func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode AdjustMode, strat GroupStrategy, keys []expr.EquiPair, residual expr.Expr, pCol int) []tuple.Tuple {
+	t.Helper()
+	op, err := NewColFusedAdjust(fusedInput(left, bridged), fusedInput(right, bridged), mode, strat, keys, residual, pCol)
+	if err != nil {
+		t.Fatalf("%v %v: %v", mode, strat, err)
+	}
+	op.SetBatchSize(2)
+	return collectRows(t, NewMaterialize(op))
+}
+
+// keyOnCol0 equates column 0 of both sides.
+func keyOnCol0(k value.Kind) []expr.EquiPair {
+	return []expr.EquiPair{{Left: expr.ColIdx{Idx: 0, Typ: k}, Right: expr.ColIdx{Idx: 0, Typ: k}}}
+}
+
+// TestColFusedAdjustSweepCases replays the Fig. 10/11 unit cases of the
+// plane sweep — group members given as group-side tuples rather than a
+// pre-joined stream — under every group strategy that applies: keyed
+// cases under hash, merge and nested loop, single-group cases
+// additionally keyless under nested loop and the interval index.
+func TestColFusedAdjustSweepCases(t *testing.T) {
+	lrel := func(rows ...[3]any) *relation.Relation {
+		b := relation.NewBuilder("x string")
+		for _, r := range rows {
+			b.Row(int64(r[1].(int)), int64(r[2].(int)), r[0])
+		}
+		return b.MustBuild()
+	}
+	// Group side: (x, p); p doubles as a distinguishing attribute for the
+	// align modes and is the split point for normalize.
+	rrel := func(rows ...[4]any) *relation.Relation {
+		b := relation.NewBuilder("x string", "p int")
+		for _, r := range rows {
+			b.Row(int64(r[1].(int)), int64(r[2].(int)), r[0], r[3])
+		}
+		return b.MustBuild()
+	}
+	cases := []struct {
+		name      string
+		mode      AdjustMode
+		left      *relation.Relation
+		right     *relation.Relation
+		needsKeys bool // result depends on the x = x key
+		want      *relation.Relation
+	}{
+		{"Fig. 11: two intersections inside r1, gap before and tail after",
+			ModeAlign, lrel([3]any{"r1", 0, 5}),
+			rrel([4]any{"r1", 1, 3, 1}, [4]any{"r1", 2, 3, 2}), false,
+			lrel([3]any{"r1", 0, 1}, [3]any{"r1", 1, 3}, [3]any{"r1", 2, 3}, [3]any{"r1", 3, 5})},
+		{"Fig. 11 in gaps mode: intersections suppressed",
+			ModeGaps, lrel([3]any{"r1", 0, 5}),
+			rrel([4]any{"r1", 1, 3, 1}, [4]any{"r1", 2, 3, 2}), false,
+			lrel([3]any{"r1", 0, 1}, [3]any{"r1", 3, 5})},
+		{"identical intersections from different group members collapse",
+			ModeAlign, lrel([3]any{"r1", 0, 10}),
+			rrel([4]any{"r1", 2, 4, 1}, [4]any{"r1", 2, 4, 2}, [4]any{"r1", 2, 4, 3}), false,
+			lrel([3]any{"r1", 0, 2}, [3]any{"r1", 2, 4}, [3]any{"r1", 4, 10})},
+		{"empty group yields the whole interval",
+			ModeAlign, lrel([3]any{"r1", 3, 9}), rrel(), false,
+			lrel([3]any{"r1", 3, 9})},
+		{"group member outside the interval is an empty group",
+			ModeAlign, lrel([3]any{"r1", 3, 9}), rrel([4]any{"r1", 9, 12, 1}, [4]any{"r1", 0, 3, 2}), false,
+			lrel([3]any{"r1", 3, 9})},
+		{"covered prefix: an intersection spanning the interval leaves no gaps",
+			ModeAlign, lrel([3]any{"r1", 2, 6}),
+			rrel([4]any{"r1", 0, 8, 1}, [4]any{"r1", 3, 5, 2}), false,
+			lrel([3]any{"r1", 2, 6}, [3]any{"r1", 3, 5})},
+		{"group boundary: value-equivalent left tuples sweep separately",
+			ModeAlign, lrel([3]any{"a", 0, 4}, [3]any{"a", 6, 9}, [3]any{"b", 0, 2}),
+			rrel([4]any{"a", 1, 2, 1}, [4]any{"b", 0, 2, 2}), true,
+			lrel([3]any{"a", 0, 1}, [3]any{"a", 1, 2}, [3]any{"a", 2, 4}, [3]any{"a", 6, 9}, [3]any{"b", 0, 2})},
+		{"normalize: duplicate and out-of-range split points are ignored",
+			ModeNormalize, lrel([3]any{"r1", 0, 10}),
+			rrel([4]any{"r1", 0, 1, 3}, [4]any{"r1", 1, 2, 3}, [4]any{"r1", 0, 1, 7},
+				[4]any{"r1", 0, 1, 0}, [4]any{"r1", 0, 1, 10}, [4]any{"r1", 0, 1, 12}, [4]any{"r1", 0, 1, nil}), false,
+			lrel([3]any{"r1", 0, 3}, [3]any{"r1", 3, 7}, [3]any{"r1", 7, 10})},
+		{"normalize: no split points reproduce the input tuple",
+			ModeNormalize, lrel([3]any{"r1", 5, 8}), rrel(), false,
+			lrel([3]any{"r1", 5, 8})},
+	}
+	for _, c := range cases {
+		type variant struct {
+			strat GroupStrategy
+			keys  []expr.EquiPair
+		}
+		keys := keyOnCol0(value.KindString)
+		variants := []variant{{GroupHash, keys}, {GroupMerge, keys}, {GroupNestLoop, keys}}
+		if !c.needsKeys {
+			variants = append(variants, variant{GroupNestLoop, nil})
+			if c.mode != ModeNormalize {
+				variants = append(variants, variant{GroupInterval, nil})
+			}
+		}
+		pCol := -1
+		if c.mode == ModeNormalize {
+			pCol = 1
+		}
+		for _, v := range variants {
+			for _, bridged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, v.strat, len(v.keys), bridged), func(t *testing.T) {
+					got := runFused(t, c.left, c.right, bridged, c.mode, v.strat, v.keys, nil, pCol)
+					assertSameRows(t, got, append([]tuple.Tuple(nil), c.want.Tuples...))
+				})
+			}
+		}
+	}
+}
+
+// TestColFusedAdjustConstructorErrors: invalid configurations are build
+// errors, not refusals or per-row panics.
+func TestColFusedAdjustConstructorErrors(t *testing.T) {
+	rel := relation.NewBuilder("x string", "p int").MustBuild()
+	keys := keyOnCol0(value.KindString)
+	for _, c := range []struct {
+		name  string
+		mode  AdjustMode
+		strat GroupStrategy
+		keys  []expr.EquiPair
+		pCol  int
+		want  string
+	}{
+		{"split column out of range", ModeNormalize, GroupNestLoop, nil, 2, "out of range"},
+		{"negative split column", ModeNormalize, GroupNestLoop, nil, -1, "out of range"},
+		{"non-int split column", ModeNormalize, GroupNestLoop, nil, 0, "want int"},
+		{"interval index in normalize mode", ModeNormalize, GroupInterval, nil, 1, "interval-index"},
+		{"interval index with equi keys", ModeAlign, GroupInterval, keys, -1, "keyless"},
+		{"hash without keys", ModeAlign, GroupHash, nil, -1, "requires equi keys"},
+		{"merge without keys", ModeGaps, GroupMerge, nil, -1, "requires equi keys"},
+	} {
+		_, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), c.mode, c.strat, c.keys, nil, c.pCol)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// refAdjust is the definition-literal reference for one operator
+// configuration: per left tuple it enumerates every candidate interval
+// over the small time domain and keeps those Def. 11 (align: intersections
+// with matching group tuples and maximal uncovered gaps; gaps: the latter
+// only) or Def. 9 (normalize: maximal pieces with no split point strictly
+// inside) admits. match decides θ for a pair.
+func refAdjust(left, right *relation.Relation, mode AdjustMode, pCol int, match func(l, r tuple.Tuple) bool) []tuple.Tuple {
+	var out []tuple.Tuple
+	for _, l := range left.Tuples {
+		var group []tuple.Tuple
+		for _, r := range right.Tuples {
+			if match(l, r) {
+				group = append(group, r)
+			}
+		}
+		// admits reports whether iv ⊆ l.T is free of group interference.
+		admits := func(iv interval.Interval) bool {
+			for _, r := range group {
+				if mode == ModeNormalize {
+					if p := r.Vals[pCol]; !p.IsNull() && iv.Ts < p.Int() && p.Int() < iv.Te {
+						return false
+					}
+				} else if r.T.Overlaps(iv) {
+					return false
+				}
+			}
+			return true
+		}
+		for a := l.T.Ts; a < l.T.Te; a++ {
+			for b := a + 1; b <= l.T.Te; b++ {
+				iv := interval.Interval{Ts: a, Te: b}
+				keep := admits(iv) &&
+					(a == l.T.Ts || !admits(interval.Interval{Ts: a - 1, Te: b})) &&
+					(b == l.T.Te || !admits(interval.Interval{Ts: a, Te: b + 1}))
+				if mode == ModeAlign {
+					for _, r := range group {
+						if x, ok := l.T.Intersect(r.T); ok && x == iv {
+							keep = true
+						}
+					}
+				}
+				if keep {
+					out = append(out, l.WithT(iv))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestColFusedAdjustMatchesDefinition is the operator-level randomized
+// differential: every group strategy × mode × θ shape — including key
+// expressions the vector accessors cannot compile, residual θ and
+// float-demoted columns — against the brute-force reference.
+func TestColFusedAdjustMatchesDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	k0 := expr.ColIdx{Idx: 0, Typ: value.KindInt}
+	plainKeys := []expr.EquiPair{{Left: k0, Right: k0}}
+	// k + 0 = k + 0: same matches, but evaluated through the boxed-row path.
+	computedKeys := []expr.EquiPair{{Left: expr.Add(k0, expr.Int(0)), Right: expr.Add(k0, expr.Int(0))}}
+	// l.v <= r.v over Concat(left, right).
+	residual := expr.Le(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt})
+	keyMatch := func(l, r tuple.Tuple) bool {
+		return !l.Vals[0].IsNull() && !r.Vals[0].IsNull() && l.Vals[0].Equal(r.Vals[0])
+	}
+	resMatch := func(l, r tuple.Tuple) bool {
+		return !l.Vals[1].IsNull() && !r.Vals[1].IsNull() && l.Vals[1].Compare(r.Vals[1]) <= 0
+	}
+	type shape struct {
+		name     string
+		keys     []expr.EquiPair
+		residual expr.Expr
+		match    func(l, r tuple.Tuple) bool
+		strats   []GroupStrategy
+	}
+	keyed := []GroupStrategy{GroupHash, GroupMerge, GroupNestLoop}
+	keyless := []GroupStrategy{GroupNestLoop, GroupInterval}
+	shapes := []shape{
+		{"equi", plainKeys, nil, keyMatch, keyed},
+		{"equi-computed", computedKeys, nil, keyMatch, keyed},
+		{"equi+residual", plainKeys, residual, func(l, r tuple.Tuple) bool { return keyMatch(l, r) && resMatch(l, r) }, keyed},
+		{"keyless-residual", nil, residual, resMatch, keyless},
+		{"nil", nil, nil, func(l, r tuple.Tuple) bool { return true }, keyless},
+	}
+	for trial := 0; trial < 6; trial++ {
+		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
+			// Normalize splits on column v, which must hold ints; the align
+			// modes get mixed int/float columns to exercise demotion.
+			mixed := mode != ModeNormalize
+			left := colTestRel(r, 40, mixed).Dedup()
+			right := colTestRel(r, 50, mixed)
+			pCol := -1
+			if mode == ModeNormalize {
+				pCol = 1
+			}
+			for _, sh := range shapes {
+				want := refAdjust(left, right, mode, pCol, sh.match)
+				for _, strat := range sh.strats {
+					if strat == GroupInterval && mode == ModeNormalize {
+						continue
+					}
+					got := runFused(t, left, right, trial%2 == 1, mode, strat, sh.keys, sh.residual, pCol)
+					t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, strat), func(t *testing.T) {
+						assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestColFusedAdjustKeyEvalError: an equi-key expression that fails to
+// evaluate surfaces as an error from Open (group side) or NextCol (left
+// side), under every keyed strategy.
+func TestColFusedAdjustKeyEvalError(t *testing.T) {
+	rel := relation.NewBuilder("k string").Row(0, 5, "a").MustBuild()
+	k0 := expr.ColIdx{Idx: 0, Typ: value.KindString}
+	bad := expr.Add(k0, expr.Int(1)) // string + int fails at evaluation
+	for _, strat := range []GroupStrategy{GroupHash, GroupMerge, GroupNestLoop} {
+		for _, keys := range [][]expr.EquiPair{
+			{{Left: bad, Right: k0}},
+			{{Left: k0, Right: bad}},
+		} {
+			op, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), ModeAlign, strat, keys, nil, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = op.Open()
+			if err == nil {
+				_, err = op.NextCol()
+			}
+			if err == nil {
+				t.Errorf("%s: key evaluation error was swallowed", strat)
+			}
+			op.Close()
+		}
+	}
+}

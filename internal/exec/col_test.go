@@ -212,72 +212,6 @@ func TestColLimitCountsSelectedRows(t *testing.T) {
 	}
 }
 
-func TestColFusedAdjustMatchesRow(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	keys := []expr.EquiPair{{
-		Left:  expr.ColIdx{Idx: 0, Typ: value.KindInt},
-		Right: expr.ColIdx{Idx: 0, Typ: value.KindInt},
-	}}
-	for trial := 0; trial < 10; trial++ {
-		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
-			// Normalize splits on column v, whose values must be ints
-			// (Value.Int panics on floats in both paths); the align modes
-			// get mixed int/float columns to exercise demotion.
-			mixed := mode != ModeNormalize
-			left := colTestRel(r, 120, mixed).Dedup()
-			right := colTestRel(r, 150, mixed)
-			pCol := -1
-			if mode == ModeNormalize {
-				pCol = 1
-			}
-			for _, strat := range []GroupStrategy{GroupHash, GroupNestLoop} {
-				kset := keys
-				if strat == GroupNestLoop && trial%2 == 0 {
-					kset = nil // keyless nested loop
-				}
-				rowOp, err := NewFusedAdjust(NewScan(left), NewScan(right), mode, strat, kset, nil, pCol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := collectRows(t, rowOp)
-
-				colOp, ok := NewColFusedAdjust(NewColScan(left), NewColScan(right), mode, strat, kset, pCol)
-				if !ok {
-					t.Fatalf("mode %v strat %v did not compile", mode, strat)
-				}
-				got := collectRows(t, NewMaterialize(colOp))
-				assertSameRows(t, got, want)
-			}
-		}
-	}
-}
-
-func TestColFusedAdjustNormalizePanicsOnNonInt(t *testing.T) {
-	// A string split point must panic exactly like the row operator's
-	// pv.Int() — not silently coerce.
-	s := schema.MustNew(schema.Attr{Name: "p", Type: value.KindString})
-	right := relation.New(s)
-	right.MustAppend(tuple.New(interval.New(0, 10), value.NewString("x")))
-	left := relation.New(s)
-	left.MustAppend(tuple.New(interval.New(0, 10), value.NewString("x")))
-
-	colOp, ok := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeNormalize, GroupNestLoop, nil, 0)
-	if !ok {
-		t.Fatal("did not compile")
-	}
-	m := NewMaterialize(colOp)
-	if err := m.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-int split point")
-		}
-	}()
-	_, _ = m.Next()
-}
-
 func TestColSetOpUnionMatchesRow(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 5; trial++ {

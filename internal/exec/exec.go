@@ -2,13 +2,11 @@
 // iterators for scans, selections, projections, sorts, nested-loop / hash /
 // sort-merge joins (inner, left/right/full outer, semi, anti), hash
 // aggregation, set operations, duplicate elimination, the paper's new
-// executor nodes — Adjust (the plane-sweep ExecAdjustment of Fig. 10,
-// serving both temporal alignment and temporal normalization), FusedAdjust
-// (the fused group-construction → sweep operator that replaces the
-// join → sort → Adjust chain without materializing concatenated rows) and
-// Absorb (Def. 12) — plus a hash-partitioned parallel exchange layer
-// (Splitter / Exchange) that spreads a plan fragment across worker
-// goroutines.
+// executor nodes — ColFusedAdjust (the one ALIGN/NORMALIZE operator: the
+// group-construction join of Sec. 6.1/6.3 fused with the plane-sweep
+// ExecAdjustment of Sec. 6.2, Fig. 10, over columnar batches) and Absorb
+// (Def. 12) — plus a hash-partitioned parallel exchange layer (Splitter /
+// Exchange) that spreads a plan fragment across worker goroutines.
 //
 // Sorting, grouping and set membership run over order-preserving byte
 // keys (value.AppendKey / tuple.AppendKey): comparisons are memcmp, sorts
@@ -18,7 +16,7 @@
 // Operators exchange data batch-at-a-time: Next returns a slice of tuples
 // and an empty batch signals exhaustion. Batching amortizes the virtual
 // Next dispatch across BatchSize tuples and lets hot loops (hash-join
-// probe, the Adjust sweep) run over pre-sized buffers.
+// probe, the adjust sweep) run over pre-sized buffers.
 //
 // Every tuple carries its valid-time interval T natively. Join nodes can be
 // asked to additionally match T with equality (MatchT), which is exactly the
@@ -104,9 +102,9 @@ func (b *batching) resetOut() {
 }
 
 // cursor adapts a child's batch stream to per-tuple pulls for the stateful
-// operators (merge join, plane sweep) whose logic is inherently
-// tuple-at-a-time. The per-tuple call is a concrete, inlineable method, so
-// the virtual Next dispatch is still paid once per batch.
+// operators (the joins) whose logic is inherently tuple-at-a-time. The
+// per-tuple call is a concrete, inlineable method, so the virtual Next
+// dispatch is still paid once per batch.
 type cursor struct {
 	it    Iterator
 	batch []tuple.Tuple

@@ -61,13 +61,7 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 		return o.project(o.rewrite(x.Input), x.Names, foldAll(x.Exprs), x.TMode, fold(x.TExpr))
 	case *plan.JoinNode:
 		return o.join(o.rewrite(x.Left), o.rewrite(x.Right), x.Cond, x.Type, x.MatchT)
-	case *plan.IntervalJoinNode:
-		l, r := o.rewrite(x.Left), o.rewrite(x.Right)
-		if l == x.Left && r == x.Right {
-			return x
-		}
-		return o.p.IntervalJoin(l, r, x.Cond, x.Type)
-	case *plan.FusedAdjustNode:
+	case *plan.AdjustmentNode:
 		l, r := o.rewrite(x.Left), o.rewrite(x.Right)
 		if l == x.Left && r == x.Right {
 			return x
@@ -107,12 +101,6 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 			return x
 		}
 		return o.p.Absorb(in)
-	case *plan.AdjustNode:
-		in := o.rewrite(x.Input)
-		if in == x.Input {
-			return x
-		}
-		return o.p.Adjust(in, x.Mode, x.LeftWidth, x.P1, x.P2)
 	case *plan.SharedNode:
 		in := o.rewrite(x.Input)
 		if in == x.Input {
@@ -160,7 +148,7 @@ func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 	case *plan.JoinNode:
 		return o.filterOverJoin(x, pred)
 
-	case *plan.FusedAdjustNode:
+	case *plan.AdjustmentNode:
 		// The fused node emits rows carrying a LEFT tuple's values (with
 		// adjusted T), and every left tuple yields at least its own
 		// output rows independently of the others — so a value-only
@@ -168,18 +156,6 @@ func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 		push, keep := splitConjuncts(pred, func(c expr.Expr) bool { return !expr.UsesT(c) })
 		if push != nil {
 			n := o.p.FusedAdjustFrom(o.filter(x.Left, push), x.Right, x.Mode, x.Keys, x.Residual, x.PCol)
-			return o.keepFilter(n, keep)
-		}
-
-	case *plan.AdjustNode:
-		// Legacy chain: Adjust groups its input by the left-width prefix;
-		// a value predicate over that prefix is constant per group and
-		// removes whole groups, exactly like filtering the output.
-		push, keep := splitConjuncts(pred, func(c expr.Expr) bool {
-			return !expr.UsesT(c) && expr.MinColIdx(c) >= 0 && expr.MaxColIdx(c) < x.LeftWidth
-		})
-		if push != nil {
-			n := o.p.Adjust(o.filter(x.Input, push), x.Mode, x.LeftWidth, x.P1, x.P2)
 			return o.keepFilter(n, keep)
 		}
 

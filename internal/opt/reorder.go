@@ -277,12 +277,7 @@ func (o *optimizer) rebuildChildren(n plan.Node) plan.Node {
 		if l != x.Left || r != x.Right {
 			return o.p.Join(l, r, x.Cond, x.Type, x.MatchT)
 		}
-	case *plan.IntervalJoinNode:
-		l, r := o.reorder(x.Left), o.reorder(x.Right)
-		if l != x.Left || r != x.Right {
-			return o.p.IntervalJoin(l, r, x.Cond, x.Type)
-		}
-	case *plan.FusedAdjustNode:
+	case *plan.AdjustmentNode:
 		l, r := o.reorder(x.Left), o.reorder(x.Right)
 		if l != x.Left || r != x.Right {
 			return o.p.FusedAdjustFrom(l, r, x.Mode, x.Keys, x.Residual, x.PCol)
@@ -305,10 +300,6 @@ func (o *optimizer) rebuildChildren(n plan.Node) plan.Node {
 	case *plan.AbsorbNode:
 		if in := o.reorder(x.Input); in != x.Input {
 			return o.p.Absorb(in)
-		}
-	case *plan.AdjustNode:
-		if in := o.reorder(x.Input); in != x.Input {
-			return o.p.Adjust(in, x.Mode, x.LeftWidth, x.P1, x.P2)
 		}
 	case *plan.SharedNode:
 		if in := o.reorder(x.Input); in != x.Input {

@@ -3,22 +3,28 @@
 // path first and finish it with a single exec.Materialize step at the
 // row boundary, so cursors, the wire protocol and the database/sql
 // driver keep seeing rows while the pipeline underneath runs over
-// colbatch vectors.
+// colbatch vectors. The adjustment node is the exception that has no
+// twin: exec.ColFusedAdjust is its only operator, so its Build always
+// builds it, bridging children that stay on the row path with
+// exec.NewToCol.
 //
 // Three invariants keep the protocol safe:
 //
 //  1. BuildCol is consumption-free on refusal: every pure gate (flag,
-//     instrumentation, expression shapes, strategy) is checked before
-//     any child is built, so ok=false never leaves a half-consumed
-//     partition leaf behind and the caller can fall back to the row
-//     path unconditionally.
+//     instrumentation, expression shapes) is checked before any child is
+//     built, so ok=false never leaves a half-consumed partition leaf
+//     behind and the caller can fall back to the row path
+//     unconditionally.
 //  2. Multi-input nodes never refuse after the first child succeeded:
 //     a row-only sibling is bridged with exec.NewToCol instead. Combined
 //     with (1) this makes refusal propagation sound in exchange
 //     fragments, where inputs are single-use partition streams.
-//  3. Instrumented executions (EXPLAIN ANALYZE) stay entirely on the
-//     row path — colDisabled checks ctx.Instrument — so per-operator
-//     row counters keep their meaning.
+//  3. In instrumented executions (EXPLAIN ANALYZE) every BuildCol
+//     refuses — colDisabled checks ctx.Instrument — so each plan node is
+//     built through Build and wrapped by the instrument hook exactly
+//     once, and per-operator row counters keep their meaning. Twinned
+//     nodes then run their row operator; the adjustment node still runs
+//     the columnar one, counted at its Materialize boundary.
 package plan
 
 import (
@@ -149,40 +155,16 @@ func (l *LimitNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	return exec.NewColLimit(in, l.N, l.Offset), true, nil
 }
 
-// BuildCol builds the vectorized fused adjust for the hash and
-// nested-loop strategies with fully extracted equi keys; merge/interval
-// strategies and residual θ keep the row operator. The group side is
-// bridged with ToCol when it cannot build columnar — the operator drains
-// it into a columnar store on Open either way.
-func (n *FusedAdjustNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
-	if colDisabled(n.noCol, ctx) || n.Residual != nil {
+// BuildCol hands the fused adjust to a columnar parent. It refuses only
+// on the pure colDisabled gate — keeping row parents (and their EXPLAIN
+// ANALYZE counters) on the row path — never because of strategy, key or
+// θ shape: Build runs the same operator either way.
+func (n *AdjustmentNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
+	if colDisabled(n.noCol, ctx) {
 		return nil, false, nil
 	}
-	if n.Strategy != exec.GroupHash && n.Strategy != exec.GroupNestLoop {
-		return nil, false, nil
-	}
-	keys := bindPairs(ctx, n.Keys)
-	for _, k := range keys {
-		if !exec.ColOperandOK(k.Left) || !exec.ColOperandOK(k.Right) {
-			return nil, false, nil
-		}
-	}
-	if n.Mode == exec.ModeNormalize && (n.PCol < 0 || n.PCol >= n.Right.Schema().Len()) {
-		return nil, false, nil
-	}
-	l, ok, err := buildColNode(n.Left, ctx)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	r, err := toColInput(n.Right, ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	fa, ok := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, keys, n.PCol)
-	if !ok {
-		return nil, false, fmt.Errorf("plan: columnar fused adjust refused after gates")
-	}
-	return exec.ApplyColBatch(fa, n.batch), true, nil
+	fa, err := n.buildFused(ctx)
+	return fa, err == nil, err
 }
 
 // BuildCol streams the union with selection-vector dedup; intersect and

@@ -10,15 +10,15 @@ import (
 	"talign/internal/stats"
 )
 
-// FusedAdjustNode is the logical node for the fused group-construction →
-// plane-sweep pipeline: it replaces the (join → sort → Adjust) chain of
-// the classic ALIGN/NORMALIZE plans with a single operator that never
-// materializes concatenated join rows. The group strategy (hash, merge,
-// nested loop, interval index) is chosen at construction exactly like
-// JoinNode's method — candidate costs plus DisableCost for disabled
+// AdjustmentNode is the logical node of the two temporal primitives,
+// r Φ_θ s and N_B(r; s): group construction (Sec. 6.1/6.3) and the plane
+// sweep (Sec. 6.2, Fig. 10) as one operator, exec.ColFusedAdjust, that
+// never materializes concatenated join rows. The group strategy (hash,
+// merge, nested loop, interval index) is chosen at construction exactly
+// like JoinNode's method — candidate costs plus DisableCost for disabled
 // paths — so the planner flags that steer Fig. 13's join-method series
 // steer the fused node the same way.
-type FusedAdjustNode struct {
+type AdjustmentNode struct {
 	Left, Right Node
 	Mode        exec.AdjustMode
 	Strategy    exec.GroupStrategy
@@ -34,40 +34,28 @@ type FusedAdjustNode struct {
 
 // FusedAlign builds the fused aligner for r Φ_θ s (modes align or gaps).
 // theta is bound against Concat(r, s) and may be nil.
-func (p *Planner) FusedAlign(r, s Node, theta expr.Expr, mode exec.AdjustMode) *FusedAdjustNode {
+func (p *Planner) FusedAlign(r, s Node, theta expr.Expr, mode exec.AdjustMode) *AdjustmentNode {
 	var keys []expr.EquiPair
 	var residual expr.Expr
 	if theta != nil {
 		keys, residual = expr.SplitJoinCondition(theta, r.Schema().Len())
 	}
-	n := &FusedAdjustNode{
-		Left: r, Right: s, Mode: mode,
-		Keys: keys, Residual: residual, PCol: -1,
-		out: r.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
-	}
-	n.choose(p.Flags)
-	return n
+	return p.FusedAdjustFrom(r, s, mode, keys, residual, -1)
 }
 
 // FusedNormalize builds the fused splitter N_B(r; points): keys equate
 // r's grouping attributes with the point relation's leading columns, and
 // pCol is the split-point column in the point relation.
-func (p *Planner) FusedNormalize(r, points Node, keys []expr.EquiPair, pCol int) *FusedAdjustNode {
-	n := &FusedAdjustNode{
-		Left: r, Right: points, Mode: exec.ModeNormalize,
-		Keys: keys, PCol: pCol,
-		out: r.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
-	}
-	n.choose(p.Flags)
-	return n
+func (p *Planner) FusedNormalize(r, points Node, keys []expr.EquiPair, pCol int) *AdjustmentNode {
+	return p.FusedAdjustFrom(r, points, exec.ModeNormalize, keys, nil, pCol)
 }
 
-// FusedAdjustFrom rebuilds a fused adjust node from its decomposed parts
-// over (possibly rewritten) inputs, re-running strategy choice under the
-// planner's flags and the inputs' statistics. The optimizer uses it after
-// pushing predicates below the node.
-func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.EquiPair, residual expr.Expr, pCol int) *FusedAdjustNode {
-	n := &FusedAdjustNode{
+// FusedAdjustFrom builds the node from its decomposed parts, choosing the
+// group strategy under the planner's flags and the inputs' statistics. The
+// optimizer uses it to rebuild a node over rewritten inputs after pushing
+// predicates below it.
+func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.EquiPair, residual expr.Expr, pCol int) *AdjustmentNode {
+	n := &AdjustmentNode{
 		Left: l, Right: r, Mode: mode,
 		Keys: keys, Residual: residual, PCol: pCol,
 		out: l.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
@@ -77,9 +65,9 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 }
 
 // choose picks the group strategy with JoinNode's cost candidates, plus
-// the interval index (align only, keyless θ) which — matching the classic
-// plan's behaviour — wins whenever its flag is on and θ has no equi keys.
-func (n *FusedAdjustNode) choose(flags Flags) {
+// the interval index (align only, keyless θ), which wins whenever its flag
+// is on and θ has no equi keys.
+func (n *AdjustmentNode) choose(flags Flags) {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	base := n.Left.Cost() + n.Right.Cost()
 
@@ -122,8 +110,8 @@ func (n *FusedAdjustNode) choose(flags Flags) {
 	n.cost = bestCost + 2*CPUOperatorCost*n.Rows()
 }
 
-func (n *FusedAdjustNode) Schema() schema.Schema { return n.out }
-func (n *FusedAdjustNode) Children() []Node      { return []Node{n.Left, n.Right} }
+func (n *AdjustmentNode) Schema() schema.Schema { return n.out }
+func (n *AdjustmentNode) Children() []Node      { return []Node{n.Left, n.Right} }
 
 // Rows follows the paper's estimates (Sec. 6.2/6.3): alignment emits ~3
 // rows per group-join row, normalization ~2, with the group join scaled
@@ -131,7 +119,7 @@ func (n *FusedAdjustNode) Children() []Node      { return []Node{n.Left, n.Right
 // inputs the group join is additionally scaled by the overlap fraction —
 // group construction only pairs tuples whose valid times overlap, which
 // is exactly what the overlap profile estimates.
-func (n *FusedAdjustNode) Rows() float64 {
+func (n *AdjustmentNode) Rows() float64 {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	ls, rs := NodeStats(n.Left), NodeStats(n.Right)
 	f, hasOverlap := stats.OverlapFrac(ls, rs)
@@ -158,7 +146,7 @@ func (n *FusedAdjustNode) Rows() float64 {
 
 // Stats reports the left input's column statistics at the adjusted
 // cardinality: the fused node emits left rows with rewritten valid times.
-func (n *FusedAdjustNode) Stats() *stats.Table {
+func (n *AdjustmentNode) Stats() *stats.Table {
 	in := NodeStats(n.Left)
 	if in == nil {
 		return nil
@@ -166,27 +154,39 @@ func (n *FusedAdjustNode) Stats() *stats.Table {
 	return &stats.Table{Rows: int64(n.Rows()), Cols: in.Cols}
 }
 
-func (n *FusedAdjustNode) Cost() float64 { return n.cost }
+func (n *AdjustmentNode) Cost() float64 { return n.cost }
 
-func (n *FusedAdjustNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(n, ctx); err != nil || ok {
-		return it, err
-	}
-	l, err := n.Left.Build(ctx)
+// Build runs the one fused operator on every configuration: it is
+// columnar, so the result is materialized at the row boundary, and an
+// instrumented execution (EXPLAIN ANALYZE) counts the rows of the same
+// operator production runs.
+func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
+	fa, err := n.buildFused(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r, err := n.Right.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	fa, err := exec.NewFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual), n.PCol)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(n, applyBatch(fa, n.batch)), nil
+	return ctx.instrument(n, exec.NewMaterialize(fa)), nil
 }
 
-func (n *FusedAdjustNode) Label() string {
+// buildFused builds the operator over columnar inputs; a child that
+// cannot build columnar (row-only operator, DisableColumnar, instrumented
+// execution) is bridged with exec.NewToCol.
+func (n *AdjustmentNode) buildFused(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := toColInput(n.Left, ctx)
+	if err != nil {
+		return nil, err
+	}
+	r, err := toColInput(n.Right, ctx)
+	if err != nil {
+		return nil, err
+	}
+	fa, err := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual), n.PCol)
+	if err != nil {
+		return nil, err
+	}
+	return exec.ApplyColBatch(fa, n.batch), nil
+}
+
+func (n *AdjustmentNode) Label() string {
 	return fmt.Sprintf("FusedAdjust %s (%s)", n.Mode, n.Strategy)
 }

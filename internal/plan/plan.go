@@ -57,13 +57,6 @@ type Flags struct {
 	// reduction (Sec. 8 future work: primitives specialized per operator).
 	// Off by default for paper fidelity.
 	EnableAntiJoinRewrite bool
-	// DisableFusedAdjust reverts ALIGN/NORMALIZE to the classic
-	// three-node pipeline (group-construction join → sort → Adjust)
-	// instead of the fused group-construction → plane-sweep operator.
-	// The fused node is the default (zero value) because it eliminates
-	// the per-pair concatenated-row allocation and the sort of the join
-	// output; the legacy path remains for differential testing.
-	DisableFusedAdjust bool
 	// DOP is the degree of parallelism for the exchange layer: plans whose
 	// estimated input cardinality reaches ParallelMinRows are rewritten to
 	// hash-partition work across DOP worker goroutines. 0 or 1 disables
@@ -88,12 +81,13 @@ type Flags struct {
 	// as the escape hatch for differential testing: optimized and
 	// unoptimized plans must return identical results.
 	DisableOptimizer bool
-	// DisableColumnar keeps every operator on the row ([]tuple.Tuple)
-	// path. The columnar (colbatch vector) path is the default where
-	// supported — scans, compilable filters, column projections, limits,
-	// fused adjust (hash/nestloop), union, exchange — with row fallback
-	// elsewhere; this flag exists for differential testing and as an
-	// escape hatch.
+	// DisableColumnar keeps every operator that has a row twin on the row
+	// ([]tuple.Tuple) path. The columnar (colbatch vector) path is the
+	// default where supported — scans, compilable filters, column
+	// projections, limits, union, exchange — with row fallback elsewhere;
+	// ALIGN/NORMALIZE always run the one columnar operator, over bridged
+	// row children under this flag. It exists for differential testing
+	// and as an escape hatch.
 	DisableColumnar bool
 
 	// DisablePruning turns off zone-map segment pruning on scans of
@@ -133,9 +127,9 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,fa%c,dop%d,pmr%g,fp%c,bs%d,op%c,co%c,zp%c",
+	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,co%c,zp%c",
 		b(f.EnableNestLoop), b(f.EnableHashJoin), b(f.EnableMergeJoin), b(f.EnableSort),
-		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite), b(f.DisableFusedAdjust),
+		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite),
 		f.DOP, f.ParallelMinRows, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer),
 		b(f.DisableColumnar), b(f.DisablePruning))
 }
@@ -872,67 +866,6 @@ func (j *JoinNode) Label() string {
 	return fmt.Sprintf("%s %s join ON %s%s", j.Method, j.Type, cond, t)
 }
 
-// -------------------------------------------------------- interval join
-
-// IntervalJoinNode is the sort-based overlap join (Sec. 8 future work):
-// group construction for alignment when θ admits no equi keys.
-type IntervalJoinNode struct {
-	Left, Right Node
-	Cond        expr.Expr
-	Type        exec.JoinType
-
-	out   schema.Schema
-	batch int
-}
-
-// IntervalJoin builds the node (inner or left outer only).
-func (p *Planner) IntervalJoin(l, r Node, cond expr.Expr, typ exec.JoinType) *IntervalJoinNode {
-	return &IntervalJoinNode{Left: l, Right: r, Cond: cond, Type: typ, out: l.Schema().Concat(r.Schema()), batch: p.Flags.BatchSize}
-}
-
-func (j *IntervalJoinNode) Schema() schema.Schema { return j.out }
-func (j *IntervalJoinNode) Children() []Node      { return []Node{j.Left, j.Right} }
-func (j *IntervalJoinNode) Rows() float64 {
-	rows := j.Left.Rows() * 3 // default: a few overlap partners per tuple
-	if f, ok := stats.OverlapFrac(NodeStats(j.Left), NodeStats(j.Right)); ok {
-		prod := j.Left.Rows() * j.Right.Rows()
-		rows = prod * clampSel(f, prod)
-	}
-	if j.Type == exec.LeftOuterJoin {
-		rows = math.Max(rows, j.Left.Rows())
-	}
-	return math.Max(rows, 1)
-}
-func (j *IntervalJoinNode) Cost() float64 {
-	lr, rr := math.Max(j.Left.Rows(), 2), math.Max(j.Right.Rows(), 2)
-	return j.Left.Cost() + j.Right.Cost() +
-		2*CPUOperatorCost*rr*math.Log2(rr) + // sort the inner
-		lr*CPUOperatorCost*math.Log2(rr) + // binary search per outer tuple
-		j.Rows()*CPUOperatorCost // window scan
-}
-func (j *IntervalJoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	l, err := j.Left.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := j.Right.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ij, err := exec.NewIntervalJoin(l, r, ctx.bind(j.Cond), j.Type)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(j, applyBatch(ij, j.batch)), nil
-}
-func (j *IntervalJoinNode) Label() string {
-	cond := "true"
-	if j.Cond != nil {
-		cond = j.Cond.String()
-	}
-	return fmt.Sprintf("interval-index %s join ON %s", j.Type, cond)
-}
-
 // ------------------------------------------------------------- aggregation
 
 // AggNode groups and aggregates.
@@ -1093,63 +1026,6 @@ func (d *DistinctNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	return ctx.instrument(d, applyBatch(exec.NewDistinct(in), d.batch)), nil
 }
 func (d *DistinctNode) Label() string { return "Distinct" }
-
-// ----------------------------------------------------- adjust (align/norm)
-
-// AdjustNode is the logical node for the plane-sweep primitive. Its row
-// and cost estimates are the paper's (Sec. 6.2 for alignment, Sec. 6.3 for
-// normalization):
-//
-//	align:     numRows = 3·input.numRows
-//	           cost    = input.cost + 2·cpu_op·input.numRows·numCols
-//	normalize: numRows = 2·input.numRows
-//	           cost    = input.cost + cpu_op·input.numRows·numCols
-type AdjustNode struct {
-	Input     Node
-	Mode      exec.AdjustMode
-	LeftWidth int
-	P1, P2    expr.Expr
-
-	out   schema.Schema
-	batch int
-}
-
-// Adjust builds the plane-sweep node over the group-construction stream.
-func (p *Planner) Adjust(input Node, mode exec.AdjustMode, leftWidth int, p1, p2 expr.Expr) *AdjustNode {
-	cols := make([]int, leftWidth)
-	for i := range cols {
-		cols[i] = i
-	}
-	return &AdjustNode{Input: input, Mode: mode, LeftWidth: leftWidth, P1: p1, P2: p2, out: input.Schema().Project(cols), batch: p.Flags.BatchSize}
-}
-
-func (a *AdjustNode) Schema() schema.Schema { return a.out }
-func (a *AdjustNode) Children() []Node      { return []Node{a.Input} }
-func (a *AdjustNode) Rows() float64 {
-	if a.Mode == exec.ModeAlign {
-		return 3 * a.Input.Rows()
-	}
-	return 2 * a.Input.Rows()
-}
-func (a *AdjustNode) Cost() float64 {
-	numCols := float64(a.LeftWidth)
-	if a.Mode == exec.ModeAlign {
-		return a.Input.Cost() + 2*CPUOperatorCost*a.Input.Rows()*numCols
-	}
-	return a.Input.Cost() + CPUOperatorCost*a.Input.Rows()*numCols
-}
-func (a *AdjustNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := a.Input.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ad, err := exec.NewAdjust(in, a.Mode, a.LeftWidth, ctx.bind(a.P1), ctx.bind(a.P2))
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(a, applyBatch(ad, a.batch)), nil
-}
-func (a *AdjustNode) Label() string { return "Adjust " + a.Mode.String() }
 
 // ----------------------------------------------------------------- absorb
 

@@ -22,26 +22,25 @@ func equiCond(split int) expr.Expr {
 	return expr.Eq(expr.CI(0, value.KindInt), expr.CI(split, value.KindInt))
 }
 
-// TestPaperCostEstimates checks the Sec. 6.2/6.3 formulas: alignment
-// estimates 3× input rows, normalization 2×, with the stated CPU costs.
+// TestPaperCostEstimates checks the Sec. 6.2/6.3 formulas on the fused
+// node: alignment estimates 3× its group-join rows, normalization 2×, and
+// the sweep adds 2·cpu_op per output row to the chosen group strategy.
 func TestPaperCostEstimates(t *testing.T) {
 	p := NewPlanner(DefaultFlags())
 	scan := p.Scan(sampleRel(100), "r")
-	adjA := p.Adjust(scan, exec.ModeAlign, 2, expr.TStart{}, expr.TEnd{})
-	if got := adjA.Rows(); got != 300 {
-		t.Fatalf("align rows: got %v want 300 (= 3·input)", got)
+	// No statistics: the group join on k = k keeps max(100·100·2·EqSelectivity, 100) = 100 rows.
+	align := p.FusedAlign(scan, scan, equiCond(2), exec.ModeAlign)
+	if got := align.Rows(); got != 300 {
+		t.Fatalf("align rows: got %v want 300 (= 3·group join)", got)
 	}
-	wantCostA := scan.Cost() + 2*CPUOperatorCost*100*2
-	if got := adjA.Cost(); got != wantCostA {
-		t.Fatalf("align cost: got %v want %v", got, wantCostA)
+	keys := []expr.EquiPair{{Left: expr.CI(0, value.KindInt), Right: expr.CI(0, value.KindInt)}}
+	norm := p.FusedNormalize(scan, scan, keys, 1)
+	if got := norm.Rows(); got != 200 {
+		t.Fatalf("normalize rows: got %v want 200 (= 2·group join)", got)
 	}
-	adjN := p.Adjust(scan, exec.ModeNormalize, 2, expr.TStart{}, nil)
-	if got := adjN.Rows(); got != 200 {
-		t.Fatalf("normalize rows: got %v want 200 (= 2·input)", got)
-	}
-	wantCostN := scan.Cost() + CPUOperatorCost*100*2
-	if got := adjN.Cost(); got != wantCostN {
-		t.Fatalf("normalize cost: got %v want %v", got, wantCostN)
+	join := p.Join(scan, scan, equiCond(2), exec.LeftOuterJoin, false)
+	if got, want := align.Cost(), join.Cost()+2*CPUOperatorCost*300; got != want {
+		t.Fatalf("align cost: got %v want %v (group join + sweep)", got, want)
 	}
 }
 
