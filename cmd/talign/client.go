@@ -10,7 +10,7 @@ import (
 )
 
 // client wraps the public talign package's remote backend: every
-// statement entered in the shell runs over talignd's NDJSON streaming
+// statement entered in the shell runs over talignd's streaming
 // protocol, and rows print as they arrive instead of after the server
 // finished buffering the result. Ctrl-C'ing the shell mid-query drops
 // the connection, which cancels the query server-side.

@@ -16,7 +16,7 @@
 // (-j 0 uses all CPUs); EXPLAIN shows the Exchange nodes.
 //
 // With -connect, talign becomes a client of a running talignd server:
-// statements run over its wire-level NDJSON row-streaming protocol
+// statements run over its wire-level row-streaming protocol
 // (rows print as the server produces them) and the catalog lives on the
 // server (name=file.csv arguments are rejected).
 package main

@@ -33,8 +33,9 @@
 //
 //	POST /query         {"sql": "SELECT ...", "params": [...]}
 //	                    {"session": "s1", "stmt": "q1", "params": [...]}
-//	POST /query/stream  same body; chunked NDJSON row streaming (schema
-//	                    frame, row-batch frames, trailing status frame);
+//	POST /query/stream  same body; chunked frame stream (schema frame,
+//	                    row-batch frames, trailing status frame) — NDJSON,
+//	                    or binary batch frames when the Accept header asks;
 //	                    client disconnect cancels the query
 //	POST /prepare       {"session": "s1", "name": "q1", "sql": "... $1 ..."}
 //	GET  /explain       ?sql=... (or ?session=s1&stmt=q1)

@@ -9,7 +9,6 @@ import (
 	"talign/internal/dataset"
 	"talign/internal/relation"
 	"talign/internal/server"
-	"talign/internal/sqlish"
 	"talign/internal/stats"
 	"talign/internal/tuple"
 	"talign/internal/value"
@@ -84,7 +83,7 @@ func (e *embeddedDB) prepare(ctx context.Context, session, name, sql string) (st
 	if err != nil {
 		return stmtMeta{}, err
 	}
-	cols, types := preparedColumns(prep)
+	cols, types := server.SchemaColumns(prep)
 	return stmtMeta{numParams: prep.NumParams, columns: cols, types: types}, nil
 }
 
@@ -150,19 +149,4 @@ func (s *embeddedSource) next() ([]value.Value, error) {
 func (s *embeddedSource) close() error {
 	s.batch, s.pos = nil, 0
 	return s.rs.Close()
-}
-
-// preparedColumns lists a prepared statement's result columns and types
-// (visible attributes plus the valid-time bounds).
-func preparedColumns(prep *sqlish.Prepared) (cols, types []string) {
-	sch := prep.Schema()
-	cols = make([]string, 0, sch.Len()+2)
-	types = make([]string, 0, sch.Len()+2)
-	for _, at := range sch.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
-	}
-	cols = append(cols, "ts", "te")
-	types = append(types, "int", "int")
-	return cols, types
 }

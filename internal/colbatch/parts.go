@@ -91,26 +91,25 @@ func (v *Vec) AnyRaw() ([]value.Value, bool) {
 }
 
 // NullBitmap returns the column's packed validity bitmap in canonical
-// form (nullOff 0), or nil when no row is ω. The result is freshly
-// allocated only when the vector is an offset view.
+// form (nullOff 0, no bit at or beyond Len), or nil when no row is ω. A
+// view shares its parent's bitmap, so the result is freshly allocated
+// when the vector is an offset view, or a prefix view whose last word
+// also holds bits of the parent's later rows.
 func (v *Vec) NullBitmap() []uint64 {
-	if len(v.nulls) == 0 {
-		return nil
-	}
+	n := v.Len()
 	if v.nullOff == 0 {
-		any := false
-		for _, w := range v.nulls {
+		words := v.nulls[:min(len(v.nulls), (n+63)/64)]
+		if r := n & 63; len(words)*64 > n && words[len(words)-1]>>r != 0 {
+			words = append([]uint64(nil), words...)
+			words[len(words)-1] &= 1<<r - 1
+		}
+		for _, w := range words {
 			if w != 0 {
-				any = true
-				break
+				return words
 			}
 		}
-		if !any {
-			return nil
-		}
-		return v.nulls
+		return nil
 	}
-	n := v.Len()
 	var out []uint64
 	for i := 0; i < n; i++ {
 		if v.IsNull(i) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,12 +13,11 @@ import (
 	"time"
 
 	"talign/internal/backoff"
+	"talign/internal/colbatch"
+	"talign/internal/exec"
 	"talign/internal/faultinject"
-	"talign/internal/interval"
-	"talign/internal/relation"
+	"talign/internal/schema"
 	"talign/internal/sqlish"
-	"talign/internal/tuple"
-	"talign/internal/value"
 	"talign/internal/wire"
 )
 
@@ -27,6 +27,10 @@ import (
 // consumed, stage/unstage are last-write-wins registrations — so a
 // retry can at worst repeat work, never duplicate an effect.
 const fragmentRetries = 2
+
+// stageFrameRows caps the rows of one staged rows frame, keeping every
+// frame of a large shard far below wire.MaxFramePayload.
+const stageFrameRows = 1 << 16
 
 // workerClient issues fragment operations against the worker fleet with
 // the shared backoff curve, classifying exhausted retries as structured
@@ -57,25 +61,23 @@ func newWorkerClient() *workerClient {
 	}
 }
 
-// unavailable wraps a dispatch failure as the structured error the
-// satellite contract requires: code "unavailable", naming the worker.
-func unavailable(w Worker, err error) error {
+// unavailable wraps a dispatch or stream failure as the structured error
+// the satellite contract requires: code "unavailable", naming the worker.
+func unavailable(w Worker, what string, err error) error {
 	return &sqlish.Error{
 		Code: sqlish.ErrUnavailable,
-		Msg:  fmt.Sprintf("worker %s (%s) unreachable: %v", w.Name, w.URL, err),
+		Msg:  fmt.Sprintf("worker %s (%s) %s: %v", w.Name, w.URL, what, err),
 		Pos:  -1,
 	}
 }
 
-// post sends one fragment request, retrying transport failures and 503s
-// (a draining or restarting worker) with exponential backoff. The body
-// is re-marshaled per attempt; responses with structured error bodies
-// are decoded and returned as their coded errors.
-func (c *workerClient) post(ctx context.Context, w Worker, req *wire.FragmentRequest) (*http.Response, error) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
+// post sends one encoded fragment request — the JSON request object,
+// followed by the staged shard's batch frames when there is one —
+// retrying transport failures and 503s (a draining or restarting worker)
+// with exponential backoff. The body is replayed per attempt; responses
+// with structured error bodies are decoded and returned as their coded
+// errors.
+func (c *workerClient) post(ctx context.Context, w Worker, data []byte) (*http.Response, error) {
 	c.fragments.Add(1)
 	c.bytesOut.Add(uint64(len(data)))
 	var lastErr error
@@ -105,14 +107,14 @@ func (c *workerClient) post(ctx context.Context, w Worker, req *wire.FragmentReq
 		}
 		if attempt >= c.retries || ctx.Err() != nil {
 			c.unreachable.Add(1)
-			return nil, unavailable(w, lastErr)
+			return nil, unavailable(w, "unreachable", lastErr)
 		}
 		c.retried.Add(1)
 		select {
 		case <-time.After(backoff.Default(attempt)):
 		case <-ctx.Done():
 			c.unreachable.Add(1)
-			return nil, unavailable(w, lastErr)
+			return nil, unavailable(w, "unreachable", lastErr)
 		}
 	}
 }
@@ -130,42 +132,60 @@ func decodeHTTPError(resp *http.Response) error {
 	return fmt.Errorf("worker returned %s", resp.Status)
 }
 
-// ack performs one non-exec fragment operation (stage, unstage,
-// analyze) and decodes its acknowledgement.
+// ack performs one non-exec fragment operation (unstage, analyze) and
+// decodes its acknowledgement.
 func (c *workerClient) ack(ctx context.Context, w Worker, req *wire.FragmentRequest) (wire.FragmentAck, error) {
-	resp, err := c.post(ctx, w, req)
+	data, err := json.Marshal(req)
+	if err != nil {
+		return wire.FragmentAck{}, err
+	}
+	return c.ackBody(ctx, w, req.Op, data)
+}
+
+// ackBody posts an encoded non-exec request and decodes its
+// acknowledgement.
+func (c *workerClient) ackBody(ctx context.Context, w Worker, op string, body []byte) (wire.FragmentAck, error) {
+	resp, err := c.post(ctx, w, body)
 	if err != nil {
 		return wire.FragmentAck{}, err
 	}
 	defer resp.Body.Close()
 	var out wire.FragmentAck
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("distsql: bad %s ack from %s: %v", req.Op, w.Name, err)
+		return out, fmt.Errorf("distsql: bad %s ack from %s: %v", op, w.Name, err)
 	}
 	return out, nil
 }
 
-// stage registers rel under name on worker w.
-func (c *workerClient) stage(ctx context.Context, w Worker, name string, rel *relation.Relation) error {
-	cols := make([]string, 0, rel.Schema.Len())
-	types := make([]string, 0, rel.Schema.Len())
-	for _, at := range rel.Schema.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
+// stage registers the dense batch shard under name on worker w. The
+// shard travels as batch frames behind the request object: a schema
+// frame, rows frames of at most stageFrameRows rows (one even when the
+// shard is empty — it types the columns) and the status frame.
+func (c *workerClient) stage(ctx context.Context, w Worker, name string, shard *colbatch.Batch) error {
+	head, err := json.Marshal(wire.FragmentRequest{Op: wire.FragmentStage, Name: name})
+	if err != nil {
+		return err
 	}
-	rows := make([][]any, rel.Len())
-	for i, t := range rel.Tuples {
-		row := make([]any, 0, len(t.Vals)+2)
-		for _, v := range t.Vals {
-			row = append(row, wire.Cell(v))
+	// Sized to about the shard's encoded length.
+	body := append(make([]byte, 0, len(head)+8*shard.Len()*(3+len(shard.Cols))+512), head...)
+	write := func(f wire.Frame) {
+		if err == nil {
+			body, err = wire.AppendFrame(body, f)
 		}
-		row = append(row, t.T.Ts, t.T.Te)
-		rows[i] = row
 	}
-	c.rowsOut.Add(uint64(len(rows)))
-	_, err := c.ack(ctx, w, &wire.FragmentRequest{
-		Op: wire.FragmentStage, Name: name, Columns: cols, Types: types, Rows: rows,
-	})
+	cols, types := wire.SchemaColumns(shard.Schema)
+	write(wire.Frame{Frame: wire.FrameSchema, Columns: cols, Types: types})
+	var view colbatch.Batch
+	for lo := 0; lo < shard.Len() || lo == 0; lo += stageFrameRows {
+		shard.SliceInto(&view, lo, min(lo+stageFrameRows, shard.Len()))
+		write(wire.Frame{Frame: wire.FrameRows, Batch: &view})
+	}
+	write(wire.Frame{Frame: wire.FrameStatus, RowCount: int64(shard.Len())})
+	if err != nil {
+		return fmt.Errorf("distsql: encoding shard %s for %s: %v", name, w.Name, err)
+	}
+	c.rowsOut.Add(uint64(shard.Len()))
+	_, err = c.ackBody(ctx, w, wire.FragmentStage, body)
 	return err
 }
 
@@ -182,53 +202,60 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // workerStream is one worker's in-flight exec fragment: a goroutine
-// decodes its NDJSON frames into tuple batches on a bounded channel; err
-// is set before the channel closes (read it only after the close).
+// decodes its batch frames onto a bounded channel — every batch owns its
+// frame's memory, so it stays valid while queued; err is set before the
+// channel closes (read it only after the close).
 type workerStream struct {
 	worker Worker
-	ch     chan []tuple.Tuple
+	ch     chan *colbatch.Batch
 	err    error
 }
 
 // startExec dispatches an exec fragment to w and streams its decoded
-// batches. The stream ends with a closed channel; a truncated stream (a
-// worker killed mid-query) surfaces as a structured "unavailable" error
-// naming the worker.
+// batches. The stream ends with a closed channel; a stream that is
+// truncated (a worker killed mid-query), corrupt, or whose status frame
+// disagrees with the rows received surfaces as a structured
+// "unavailable" error naming the worker.
 func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, params []any, batch int) *workerStream {
-	ws := &workerStream{worker: w, ch: make(chan []tuple.Tuple, 4)}
+	// A few batches of slack let a worker run ahead of the merge, which
+	// drains the workers in order.
+	ws := &workerStream{worker: w, ch: make(chan *colbatch.Batch, 4)}
 	go func() {
 		defer close(ws.ch)
-		resp, err := c.post(ctx, w, &wire.FragmentRequest{Op: wire.FragmentExec, SQL: sql, Params: params, Batch: batch})
+		defer func() {
+			// A panic here would otherwise kill the coordinator process.
+			if perr := exec.Recovered("distsql.workerStream", recover()); perr != nil {
+				ws.err = perr
+			}
+		}()
+		data, err := json.Marshal(wire.FragmentRequest{Op: wire.FragmentExec, SQL: sql, Params: params, Batch: batch})
+		if err != nil {
+			ws.err = err
+			return
+		}
+		resp, err := c.post(ctx, w, data)
 		if err != nil {
 			ws.err = err
 			return
 		}
 		defer resp.Body.Close()
-		dec := json.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn})
-		dec.UseNumber()
-		var types []string
+		dec := wire.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn}, wire.MediaBatch)
 		for {
-			var f wire.Frame
-			if err := dec.Decode(&f); err != nil {
-				ws.err = &sqlish.Error{
-					Code: sqlish.ErrUnavailable,
-					Msg:  fmt.Sprintf("worker %s (%s): stream truncated: %v", w.Name, w.URL, err),
-					Pos:  -1,
+			f, err := dec.Next()
+			if err != nil {
+				what := "stream truncated"
+				if errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrVersion) {
+					what = "sent a bad stream"
 				}
+				ws.err = unavailable(w, what, err)
 				return
 			}
 			switch f.Frame {
 			case wire.FrameSchema:
-				types = f.Types
 			case wire.FrameRows:
-				batchTuples, derr := decodeRows(f.Rows, types)
-				if derr != nil {
-					ws.err = fmt.Errorf("distsql: worker %s: %v", w.Name, derr)
-					return
-				}
-				c.rowsIn.Add(uint64(len(batchTuples)))
+				c.rowsIn.Add(uint64(f.Batch.Len()))
 				select {
-				case ws.ch <- batchTuples:
+				case ws.ch <- f.Batch:
 				case <-ctx.Done():
 					ws.err = ctx.Err()
 					return
@@ -247,56 +274,10 @@ func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, para
 	return ws
 }
 
-// decodeRows converts wire rows (visible cells then ts, te) back to
-// tuples, steering cell decoding by the fragment's schema types.
-func decodeRows(rows [][]any, types []string) ([]tuple.Tuple, error) {
-	out := make([]tuple.Tuple, len(rows))
-	for i, row := range rows {
-		if len(row) < 2 {
-			return nil, fmt.Errorf("short row (%d cells)", len(row))
-		}
-		vals := make([]value.Value, len(row)-2)
-		for j := range vals {
-			typ := ""
-			if j < len(types) {
-				typ = types[j]
-			}
-			v, err := wire.ValueAs(row[j], typ)
-			if err != nil {
-				return nil, fmt.Errorf("bad cell: %v", err)
-			}
-			vals[j] = v
-		}
-		ts, err := cellInt(row[len(row)-2])
-		if err != nil {
-			return nil, fmt.Errorf("bad ts: %v", err)
-		}
-		te, err := cellInt(row[len(row)-1])
-		if err != nil {
-			return nil, fmt.Errorf("bad te: %v", err)
-		}
-		out[i] = tuple.Tuple{Vals: vals, T: interval.Interval{Ts: ts, Te: te}}
-	}
-	return out, nil
-}
-
-// cellInt decodes a ts/te bound (int64 in-process, json.Number off the
-// wire).
-func cellInt(x any) (int64, error) {
-	switch t := x.(type) {
-	case int64:
-		return t, nil
-	case json.Number:
-		return t.Int64()
-	case float64:
-		return int64(t), nil
-	}
-	return 0, fmt.Errorf("unsupported bound type %T", x)
-}
-
 // mergeSource concatenates worker streams in worker order (deterministic
 // merge; workers still produce in parallel, buffered by their channels).
-// It implements server.BatchSource.
+// Batches pass through as decoded — no row is ever built here. It
+// implements server.BatchSource.
 type mergeSource struct {
 	cancel  context.CancelFunc
 	streams []*workerStream
@@ -304,10 +285,10 @@ type mergeSource struct {
 	done    bool
 }
 
-// Next returns the next batch from the current worker, advancing to the
-// next worker when one finishes. A worker error is terminal for the
+// NextBatch returns the next batch from the current worker, advancing to
+// the next worker when one finishes. A worker error is terminal for the
 // whole merge.
-func (m *mergeSource) Next() ([]tuple.Tuple, error) {
+func (m *mergeSource) NextBatch() (*colbatch.Batch, error) {
 	if m.done {
 		return nil, nil
 	}
@@ -341,19 +322,22 @@ func (m *mergeSource) Close() error {
 	return nil
 }
 
-// drain collects a merge stream into a flat tuple slice (the gather
-// stage of final-pass strategies).
-func drain(src *mergeSource) ([]tuple.Tuple, error) {
+// gather drains a merge stream, handing every batch to each (the gather
+// stage of the final-pass strategies and the repartitioning shuffle).
+func gather(src *mergeSource, each func(*colbatch.Batch)) error {
 	defer src.Close()
-	var out []tuple.Tuple
 	for {
-		b, err := src.Next()
-		if err != nil {
-			return nil, err
+		b, err := src.NextBatch()
+		if err != nil || b == nil {
+			return err
 		}
-		if len(b) == 0 {
-			return out, nil
-		}
-		out = append(out, b...)
+		each(b)
 	}
+}
+
+// gatherInto drains a merge stream into one dense batch over sch.
+func gatherInto(src *mergeSource, sch schema.Schema) (*colbatch.Batch, error) {
+	img := colbatch.New(sch)
+	err := gather(src, img.AppendBatch)
+	return img, err
 }

@@ -8,13 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"talign/internal/colbatch"
 	"talign/internal/csvio"
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/schema"
 	"talign/internal/server"
 	"talign/internal/sqlish"
-	"talign/internal/tuple"
 	"talign/internal/value"
 	"talign/internal/wire"
 )
@@ -220,20 +220,30 @@ func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *rel
 	if col == "" {
 		col = rel.Schema.Attrs[0].Name
 	}
-	shards, err := partitionRelation(rel, col, len(c.topo.Workers))
+	idx, err := partitionColumn(rel.Schema, col)
 	if err != nil {
 		return fmt.Errorf("distsql: partitioning %s: %v", name, err)
 	}
-	for i, w := range c.topo.Workers {
-		if err := c.client.stage(ctx, w, name, shards[i]); err != nil {
-			return err
-		}
+	shards := newShards(rel.Schema, len(c.topo.Workers))
+	partitionBatch(shards, rel.Columnar(), idx)
+	if err := c.stageShards(ctx, name, shards); err != nil {
+		return err
 	}
 	c.srv.Catalog().Register(name, relation.New(rel.Schema))
 	c.mu.Lock()
 	c.parts[name] = strings.ToLower(col)
 	c.shardVer++
 	c.mu.Unlock()
+	return nil
+}
+
+// stageShards stages shards[i] under name on worker i.
+func (c *Coordinator) stageShards(ctx context.Context, name string, shards []*colbatch.Batch) error {
+	for i, w := range c.topo.Workers {
+		if err := c.client.stage(ctx, w, name, shards[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -577,22 +587,25 @@ func equalStrings(a, b []string) bool {
 
 // ------------------------------------------------------- execution
 
-// gatherTable streams every worker's shard of name back into one
-// relation (the stub's schema supplies the attribute kinds; tuples come
-// off the wire).
-func (c *Coordinator) gatherTable(ctx context.Context, name string, sch schema.Schema, batch int) (*relation.Relation, error) {
+// scanShards starts streaming every worker's shard of name back.
+func (c *Coordinator) scanShards(ctx context.Context, name string, batch int) *mergeSource {
 	gctx, cancel := context.WithCancel(ctx)
 	streams := make([]*workerStream, len(c.topo.Workers))
 	for i, w := range c.topo.Workers {
 		streams[i] = c.client.startExec(gctx, w, "SELECT * FROM "+name, nil, batch)
 	}
-	tuples, err := drain(&mergeSource{cancel: cancel, streams: streams})
+	return &mergeSource{cancel: cancel, streams: streams}
+}
+
+// gatherTable reassembles name from its shards as one relation (the
+// stub's schema supplies the attribute kinds; the rows arrive as batches
+// and are materialized once, for the row operators of the local plan).
+func (c *Coordinator) gatherTable(ctx context.Context, name string, sch schema.Schema, batch int) (*relation.Relation, error) {
+	img, err := gatherInto(c.scanShards(ctx, name, batch), sch)
 	if err != nil {
 		return nil, err
 	}
-	// Built directly: gathered columns typed by the stub schema may carry
-	// kinds Append would re-check against ω cells.
-	return &relation.Relation{Schema: sch, Tuples: tuples}, nil
+	return relation.FromColumnar(img), nil
 }
 
 // unstageAll removes staged repartition temps from every worker,
@@ -645,21 +658,24 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 			if !found {
 				return nil, fmt.Errorf("distsql: table %s vanished during planning", t)
 			}
-			rel, gerr := c.gatherTable(fanCtx, t, stub.Schema, batch)
-			if gerr != nil {
-				return nil, gerr
-			}
-			shards, perr := partitionRelation(rel, col, len(c.topo.Workers))
+			idx, perr := partitionColumn(stub.Schema, col)
 			if perr != nil {
 				return nil, perr
 			}
-			name := fmt.Sprintf("__rp%d_%s", qid, t)
-			for i, w := range c.topo.Workers {
-				if serr := c.client.stage(fanCtx, w, name, shards[i]); serr != nil {
-					return nil, serr
-				}
+			// Every gathered batch is re-hashed as it arrives; the table is
+			// never assembled on the coordinator.
+			shards := newShards(stub.Schema, len(c.topo.Workers))
+			gerr := gather(c.scanShards(fanCtx, t, batch), func(b *colbatch.Batch) { partitionBatch(shards, b, idx) })
+			if gerr != nil {
+				return nil, gerr
 			}
+			name := fmt.Sprintf("__rp%d_%s", qid, t)
+			// Registered for cleanup first: a stage that fails midway has
+			// already reached some workers.
 			staged = append(staged, name)
+			if serr := c.stageShards(fanCtx, name, shards); serr != nil {
+				return nil, serr
+			}
 			subst[t] = name
 		}
 	}
@@ -709,16 +725,16 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	}
 
 	// Final-stage strategies buffer: gather the shard results into a temp
-	// and run the rendered final statement over it locally.
-	tuples, derr := drain(merge)
+	// and stream the rendered final statement over it locally.
+	gathered, derr := gatherInto(merge, pl.bodySch)
 	cleanup()
 	staged = nil
 	if derr != nil {
 		return nil, derr
 	}
 	tmp := sqlish.MapCatalog{}
-	tmp.Register("__g", &relation.Relation{Schema: pl.bodySch, Tuples: tuples})
-	fprep, perr := sqlish.Prepare(pl.finalSQL, tmp, c.flags)
+	tmp.Register("__g", relation.FromColumnar(gathered))
+	fprep, perr := sqlish.Prepare(pl.finalSQL, tmp, c.flagsFor(batch))
 	if perr != nil {
 		return nil, fmt.Errorf("distsql: final stage: %v", perr)
 	}
@@ -726,7 +742,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	if merr != nil {
 		return nil, merr
 	}
-	out, xerr := c.collect(ctx, fprep, fparams)
+	cur, xerr := fprep.Stream(ctx, fparams...)
 	if xerr != nil {
 		return nil, xerr
 	}
@@ -735,10 +751,18 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	} else {
 		c.scatterFinals.Add(1)
 	}
-	return &server.DistResult{
-		Cols: pl.cols, Types: pl.types, Schema: fprep.Schema(), CacheHit: hit,
-		Src: &relSource{tuples: out, batch: batchOr(batch)},
-	}, nil
+	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: fprep.Schema(), CacheHit: hit, Src: cur}, nil
+}
+
+// flagsFor is the coordinator's planner flags under a request's
+// batch-size override (batch <= 0 keeps the configured size), for the
+// statements it runs locally.
+func (c *Coordinator) flagsFor(batch int) plan.Flags {
+	flags := c.flags
+	if batch > 0 {
+		flags.BatchSize = batch
+	}
+	return flags
 }
 
 // runGatherAll reassembles every referenced table on the coordinator and
@@ -759,7 +783,7 @@ func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl
 		}
 		tmp.Register(t, rel)
 	}
-	prep, err := st.Prepare(tmp, c.flags)
+	prep, err := st.Prepare(tmp, c.flagsFor(batch))
 	if err != nil {
 		return nil, err
 	}
@@ -770,36 +794,11 @@ func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl
 		}
 		return &server.DistResult{Plan: text, CacheHit: hit}, nil
 	}
-	out, err := c.collect(ctx, prep, params)
-	if err != nil {
-		return nil, err
-	}
-	return &server.DistResult{
-		Cols: pl.cols, Types: pl.types, Schema: prep.Schema(), CacheHit: hit,
-		Src: &relSource{tuples: out, batch: batchOr(batch)},
-	}, nil
-}
-
-// collect drains one local execution into a tuple slice under ctx.
-func (c *Coordinator) collect(ctx context.Context, prep *sqlish.Prepared, params []value.Value) ([]tuple.Tuple, error) {
 	cur, err := prep.Stream(ctx, params...)
 	if err != nil {
 		return nil, err
 	}
-	defer cur.Close()
-	var out []tuple.Tuple
-	for {
-		b, nerr := cur.Next()
-		if nerr != nil {
-			return nil, nerr
-		}
-		if len(b) == 0 {
-			return out, nil
-		}
-		// Batches are reused by the executor; the tuple structs copy
-		// safely per the batch ownership contract.
-		out = append(out, b...)
-	}
+	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: prep.Schema(), CacheHit: hit, Src: cur}, nil
 }
 
 // mapParams rebinds a fragment's gap-free $1..$N to the original
@@ -843,34 +842,4 @@ func (s *cleanupSource) Close() error {
 	err := s.mergeSource.Close()
 	s.once.Do(s.cleanup)
 	return err
-}
-
-// relSource serves an in-memory result as batches (the final-stage and
-// gather-all strategies buffer at the coordinator by construction).
-type relSource struct {
-	tuples []tuple.Tuple
-	batch  int
-	pos    int
-}
-
-func (r *relSource) Next() ([]tuple.Tuple, error) {
-	if r.pos >= len(r.tuples) {
-		return nil, nil
-	}
-	end := r.pos + r.batch
-	if end > len(r.tuples) {
-		end = len(r.tuples)
-	}
-	b := r.tuples[r.pos:end]
-	r.pos = end
-	return b, nil
-}
-
-func (r *relSource) Close() error { return nil }
-
-func batchOr(batch int) int {
-	if batch > 0 {
-		return batch
-	}
-	return 1024
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
@@ -34,12 +35,20 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, partition map[string]string) *cluster {
 	t.Helper()
+	return newClusterWrapped(t, n, partition, func(_ int, h http.Handler) http.Handler { return h })
+}
+
+// newClusterWrapped is newCluster with every worker's handler passed
+// through wrap (worker index, real handler), so a test can stand between
+// the coordinator and a worker.
+func newClusterWrapped(t *testing.T, n int, partition map[string]string, wrap func(int, http.Handler) http.Handler) *cluster {
+	t.Helper()
 	flags := plan.DefaultFlags()
 	cl := &cluster{}
 	var topo Topology
 	for i := 0; i < n; i++ {
 		wsrv := server.New(server.Config{Flags: flags, MaxDOP: 16})
-		hs := httptest.NewServer(Handler(wsrv))
+		hs := httptest.NewServer(wrap(i, Handler(wsrv)))
 		t.Cleanup(hs.Close)
 		cl.wsrvs = append(cl.wsrvs, wsrv)
 		cl.workers = append(cl.workers, hs)

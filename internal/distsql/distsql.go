@@ -1,10 +1,18 @@
 // Package distsql turns talignd into a sharded cluster: a coordinator
 // hash-partitions tables by alignment key across N worker talignd
 // nodes, rewrites each statement into per-shard SQL fragments, executes
-// them over the wire-level fragment protocol (POST /fragment, the same
-// NDJSON frames as /query/stream), and merges the worker streams back
-// into the ordinary client protocol — clients cannot tell a coordinator
-// from a single node.
+// them over the wire-level fragment protocol (POST /fragment), and
+// merges the worker streams back into the ordinary client protocol —
+// clients cannot tell a coordinator from a single node.
+//
+// Everything that moves between nodes moves as wire batch frames —
+// colbatch.Batch column regions, never JSON rows: exec fragments answer
+// in them, staged shards travel in them, and the merge, gather and
+// repartition paths pass decoded batches along, so a streamed scatter
+// result goes from a worker's frame to the client's frame without a
+// tuple being built. Rows appear only where a relation is registered
+// for a local plan (a staged shard on a worker, a final-stage or
+// gather-all input on the coordinator).
 //
 // The planner picks the cheapest correct strategy per statement:
 //

@@ -2,90 +2,54 @@ package distsql
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
-	"talign/internal/relation"
+	"talign/internal/colbatch"
 	"talign/internal/schema"
-	"talign/internal/tuple"
-	"talign/internal/value"
 )
 
-// shardOf maps one partition-key value to a worker index: FNV-1a over
-// the value's order-preserving key encoding (ω included), modulo the
-// worker count. Every node that partitions — the coordinator loading a
-// table, the repartitioning shuffle — must use exactly this function, or
-// colocation silently breaks.
-func shardOf(v value.Value, n int) int {
-	h := fnv.New64a()
-	h.Write(v.AppendKey(nil))
-	return int(h.Sum64() % uint64(n))
+// shardOfKey maps one partition-key value, given as its order-preserving
+// key encoding (ω included), to a worker index: FNV-1a over the bytes,
+// modulo the worker count. Every node that partitions — the coordinator
+// loading a table, the repartitioning shuffle — must use exactly this
+// function, or colocation silently breaks.
+func shardOfKey(key []byte, n int) int {
+	h := uint64(14695981039346656037)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return int(h % uint64(n))
 }
 
-// partitionRelation splits rel into n shards by hashing column col.
-// Value-equivalent tuples agree on every attribute, so they always land
-// on the same shard — the property shard-local dedup and alignment rely
-// on.
-func partitionRelation(rel *relation.Relation, col string, n int) ([]*relation.Relation, error) {
-	idx := -1
-	for i, at := range rel.Schema.Attrs {
+// partitionColumn resolves a partition column name against a schema.
+func partitionColumn(sch schema.Schema, col string) (int, error) {
+	for i, at := range sch.Attrs {
 		if at.Name == strings.ToLower(col) {
-			idx = i
-			break
+			return i, nil
 		}
 	}
-	if idx < 0 {
-		return nil, fmt.Errorf("distsql: partition column %q not in schema", col)
-	}
-	shards := make([]*relation.Relation, n)
-	for i := range shards {
-		shards[i] = relation.New(rel.Schema)
-	}
-	for _, t := range rel.Tuples {
-		shards[shardOf(t.Vals[idx], n)].Tuples = append(shards[shardOf(t.Vals[idx], n)].Tuples, t)
-	}
-	return shards, nil
+	return -1, fmt.Errorf("distsql: partition column %q not in schema", col)
 }
 
-// partitionTuples is partitionRelation over bare tuples with a known
-// column index (the repartitioning shuffle's inner loop).
-func partitionTuples(tuples []tuple.Tuple, idx, n int) [][]tuple.Tuple {
-	shards := make([][]tuple.Tuple, n)
-	for _, t := range tuples {
-		s := shardOf(t.Vals[idx], n)
-		shards[s] = append(shards[s], t)
+// newShards returns n empty appendable batches over sch, one per worker.
+func newShards(sch schema.Schema, n int) []*colbatch.Batch {
+	shards := make([]*colbatch.Batch, n)
+	for i := range shards {
+		shards[i] = colbatch.New(sch)
 	}
 	return shards
 }
 
-// kindOf maps a wire type name back to a value kind ("null" and unknown
-// names map to KindNull, which only ever describes all-ω columns).
-func kindOf(name string) value.Kind {
-	switch name {
-	case "bool":
-		return value.KindBool
-	case "int":
-		return value.KindInt
-	case "float":
-		return value.KindFloat
-	case "string":
-		return value.KindString
-	case "period", "interval":
-		return value.KindInterval
+// partitionBatch appends every logically present row of b to the shard
+// its column col hashes to. Value-equivalent rows agree on every
+// attribute, so they always land on the same shard — the property
+// shard-local dedup and alignment rely on.
+func partitionBatch(shards []*colbatch.Batch, b *colbatch.Batch, col int) {
+	var key []byte
+	v := &b.Cols[col]
+	for i, n := 0, b.NumRows(); i < n; i++ {
+		row := b.RowAt(i)
+		key = v.AppendKey(key[:0], row)
+		shards[shardOfKey(key, len(shards))].AppendFrom(b, row, b.TS[row], b.TE[row])
 	}
-	return value.KindNull
-}
-
-// schemaOf rebuilds a visible-attribute schema from wire columns/types
-// (the trailing ts/te pair already stripped by the caller).
-func schemaOf(cols, types []string) (schema.Schema, error) {
-	attrs := make([]schema.Attr, len(cols))
-	for i, c := range cols {
-		typ := ""
-		if i < len(types) {
-			typ = types[i]
-		}
-		attrs[i] = schema.Attr{Name: c, Type: kindOf(typ)}
-	}
-	return schema.New(attrs...)
 }

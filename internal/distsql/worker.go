@@ -3,8 +3,10 @@ package distsql
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
+	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/relation"
 	"talign/internal/server"
@@ -17,8 +19,9 @@ import (
 // single-node HTTP surface stays mounted (health probes, /metrics,
 // direct debugging queries), and POST /fragment adds the
 // coordinator-facing operations — exec (a streamed shard-local query,
-// answered in the exact NDJSON frames of /query/stream), stage/unstage
-// (shard registration for CREATE and the repartitioning shuffle) and
+// answered in binary batch frames straight off the columnar executor),
+// stage/unstage (shard registration for CREATE and the repartitioning
+// shuffle; the shard follows the request object as batch frames) and
 // analyze (statistics broadcast).
 func Handler(srv *server.Server) http.Handler {
 	mux := http.NewServeMux()
@@ -52,14 +55,11 @@ func Handler(srv *server.Server) http.Handler {
 				return
 			}
 			defer rs.Close()
-			server.WriteFrameStream(w, rs)
+			server.WriteFrameStream(w, rs, wire.MediaBatch)
 		case wire.FragmentStage:
-			sch, err := schemaOf(req.Columns, req.Types)
-			if err != nil {
-				server.HTTPError(w, fmt.Errorf("distsql: stage %s: %v", req.Name, err))
-				return
-			}
-			tuples, err := decodeRows(req.Rows, req.Types)
+			// The JSON decoder may have read past the request object; the
+			// frames start in its buffer and continue in the body.
+			img, err := readStaged(wire.NewDecoder(io.MultiReader(dec.Buffered(), r.Body), wire.MediaBatch))
 			if err != nil {
 				server.HTTPError(w, fmt.Errorf("distsql: stage %s: %v", req.Name, err))
 				return
@@ -67,12 +67,12 @@ func Handler(srv *server.Server) http.Handler {
 			// Built directly rather than via Append: a staged shard may carry
 			// all-ω columns typed KindNull by the coordinator's local plan,
 			// and Append's kind check would reject the non-null originals.
-			srv.Catalog().Register(req.Name, &relation.Relation{Schema: sch, Tuples: tuples})
-			writeAck(w, wire.FragmentAck{OK: true, Rows: int64(len(tuples))})
+			srv.Catalog().Register(req.Name, relation.FromColumnar(img))
+			writeAck(w, wire.FragmentAck{OK: true, Rows: int64(img.Len())})
 		case wire.FragmentUnstage:
 			// Idempotent: unstaging an absent table is a success, so the
 			// coordinator's best-effort cleanup can retry blindly.
-			srv.Catalog().Drop(req.Name)
+			srv.Unstage(req.Name)
 			writeAck(w, wire.FragmentAck{OK: true})
 		case wire.FragmentAnalyze:
 			if req.Name == "" {
@@ -95,6 +95,43 @@ func Handler(srv *server.Server) http.Handler {
 		}
 	})
 	return mux
+}
+
+// readStaged reads a staged shard — schema frame, rows frames, status
+// frame — into one dense batch. The first rows frame types the columns
+// (a stage body always carries one, even for an empty shard), and a
+// shard that fits one frame is that frame's batch, uncopied.
+func readStaged(frames *wire.Decoder) (*colbatch.Batch, error) {
+	var img *colbatch.Batch
+	ncols, nframes := -1, 0
+	for {
+		f, err := frames.Next()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case f.Frame == wire.FrameSchema && ncols < 0 && len(f.Columns) >= 2:
+			ncols = len(f.Columns) - 2 // the schema frame also lists ts and te
+		case f.Frame == wire.FrameRows && f.Batch != nil && ncols >= 0:
+			if len(f.Batch.Cols) != ncols {
+				return nil, fmt.Errorf("rows frame has %d columns, the schema frame named %d", len(f.Batch.Cols), ncols)
+			}
+			if nframes++; nframes == 1 {
+				img = f.Batch
+				continue
+			}
+			if nframes == 2 {
+				first := img
+				img = colbatch.New(first.Schema)
+				img.AppendBatch(first)
+			}
+			img.AppendBatch(f.Batch)
+		case f.Frame == wire.FrameStatus && img != nil:
+			return img, nil
+		default:
+			return nil, fmt.Errorf("unexpected %q frame", f.Frame)
+		}
+	}
 }
 
 func writeAck(w http.ResponseWriter, ack wire.FragmentAck) {

@@ -103,6 +103,7 @@ func TestExportedDocs(t *testing.T) {
 		"internal/server", "internal/expr", "internal/stats",
 		"internal/opt", "internal/wire", "internal/colbatch",
 		"internal/storage", "internal/distsql", "internal/backoff",
+		"internal/relation",
 		".", "sqldriver",
 	} {
 		dir := filepath.Join(root, pkg)

@@ -59,8 +59,17 @@ func (b *Budget) charge(batch []tuple.Tuple) error {
 	if b == nil || len(batch) == 0 {
 		return nil
 	}
-	rows := b.rows.Add(int64(len(batch)))
-	bytes := b.bytes.Add(approxBatchBytes(batch))
+	return b.chargeRows(len(batch), approxBatchBytes(batch))
+}
+
+// chargeRows is charge for a batch already measured: n rows of
+// approximately size bytes.
+func (b *Budget) chargeRows(n int, size int64) error {
+	if b == nil || n == 0 {
+		return nil
+	}
+	rows := b.rows.Add(int64(n))
+	bytes := b.bytes.Add(size)
 	switch {
 	case b.MaxRows > 0 && rows > b.MaxRows:
 		return b.trip("rows", rows, b.MaxRows)

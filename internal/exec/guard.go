@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
+	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/schema"
 	"talign/internal/tuple"
@@ -85,20 +86,30 @@ func RecoverAsError(site string, errp *error) {
 type Guard struct {
 	// Input is the wrapped operator.
 	Input Iterator
+	guardState
+}
 
+// guardState is what the row and columnar guards share: the execution's
+// context and budget, and whether this guard already counted its
+// cancellation.
+type guardState struct {
 	ctx     context.Context
 	budget  *Budget
 	tripped bool
+}
+
+func newGuardState(ctx context.Context, budget *Budget) guardState {
+	if ctx != nil && ctx.Done() == nil {
+		ctx = nil
+	}
+	return guardState{ctx: ctx, budget: budget}
 }
 
 // NewGuard wraps in with the panic/cancellation/budget boundary. A nil
 // (or never-cancellable) ctx skips the cancellation check; a nil budget
 // skips charging; panic recovery is unconditional.
 func NewGuard(ctx context.Context, budget *Budget, in Iterator) Iterator {
-	if ctx != nil && ctx.Done() == nil {
-		ctx = nil
-	}
-	return &Guard{Input: in, ctx: ctx, budget: budget}
+	return &Guard{Input: in, guardState: newGuardState(ctx, budget)}
 }
 
 // Schema implements Iterator.
@@ -159,7 +170,7 @@ func (g *Guard) site() string { return fmt.Sprintf("%T", g.Input) }
 
 // check returns the context's error once it is done, counting the first
 // observation into the process-wide instrumentation counter.
-func (g *Guard) check() error {
+func (g *guardState) check() error {
 	if g.ctx == nil {
 		return nil
 	}
@@ -172,3 +183,66 @@ func (g *Guard) check() error {
 	}
 	return nil
 }
+
+// ColGuard is Guard for a columnar plan root: when the consumer pulls
+// batches straight off the vectorized pipeline (no Materialize step),
+// the root still gets the panic, cancellation and budget boundary — and
+// the exec.open / exec.next fault sites — a guarded row root has.
+type ColGuard struct {
+	// Input is the wrapped columnar operator.
+	Input ColIterator
+	guardState
+}
+
+// NewColGuard wraps in like NewGuard wraps a row operator.
+func NewColGuard(ctx context.Context, budget *Budget, in ColIterator) *ColGuard {
+	return &ColGuard{Input: in, guardState: newGuardState(ctx, budget)}
+}
+
+// Schema implements ColIterator.
+func (g *ColGuard) Schema() schema.Schema { return g.Input.Schema() }
+
+// Open implements ColIterator.
+func (g *ColGuard) Open() (err error) {
+	defer RecoverAsError(g.site(), &err)
+	if err := g.check(); err != nil {
+		return err
+	}
+	if err := faultinject.Hit("exec.open"); err != nil {
+		return err
+	}
+	return g.Input.Open()
+}
+
+// NextCol implements ColIterator, charging the batch's selected rows at
+// the row guard's rates.
+func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
+	defer func() {
+		if rerr := Recovered(g.site(), recover()); rerr != nil {
+			b, err = nil, rerr
+		}
+	}()
+	if err := g.check(); err != nil {
+		return nil, err
+	}
+	if err := faultinject.Hit("exec.next"); err != nil {
+		return nil, err
+	}
+	b, err = g.Input.NextCol()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	n := b.NumRows()
+	if err := g.budget.chargeRows(n, int64(n)*24*int64(1+len(b.Cols))); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Close implements ColIterator.
+func (g *ColGuard) Close() (err error) {
+	defer RecoverAsError(g.site(), &err)
+	return g.Input.Close()
+}
+
+func (g *ColGuard) site() string { return fmt.Sprintf("%T", g.Input) }

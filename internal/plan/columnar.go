@@ -68,6 +68,19 @@ func materializeColBuild(n Node, ctx *ExecCtx) (exec.Iterator, bool, error) {
 	return ctx.instrument(n, exec.NewMaterialize(cit)), true, nil
 }
 
+// BuildColRoot builds n as the root of a columnar pull: ok=true hands
+// back the vectorized pipeline itself — behind the same panic,
+// cancellation and budget boundary instrument gives a row root — for a
+// consumer that ships batches instead of materializing rows. Refusal is
+// consumption-free (invariant 1), so the caller falls back to n.Build.
+func BuildColRoot(n Node, ctx *ExecCtx) (exec.ColIterator, bool, error) {
+	cit, ok, err := buildColNode(n, ctx)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return exec.NewColGuard(ctx.Ctx, ctx.Budget, cit), true, nil
+}
+
 // toColInput bridges a child into a columnar pipeline when the child
 // itself cannot build columnar: the row subtree is built as usual and
 // adapted batch-by-batch.

@@ -43,6 +43,18 @@ func (r *Relation) SetColumnar(img *colbatch.Batch) {
 	r.setColumnar(img)
 }
 
+// FromColumnar builds a relation over a dense columnar image (no
+// selection vector) that arrived as batches rather than rows — a shard
+// staged on a worker, shard results gathered on a coordinator: the rows
+// are materialized once, one value slab for the whole relation, and the
+// image becomes the relation's columnar form. The image must not be
+// appended to afterwards.
+func FromColumnar(img *colbatch.Batch) *Relation {
+	r := &Relation{Schema: img.Schema, Tuples: img.Materialize(make([]tuple.Tuple, 0, img.Len()))}
+	r.SetColumnar(img)
+	return r
+}
+
 func (r *Relation) setColumnar(img *colbatch.Batch) {
 	r.colv.Store(&colImage{img: img, n: len(r.Tuples), first: stamp(r)})
 }

@@ -93,6 +93,21 @@ func (c *PlanCache) put(key cacheKey, prep *sqlish.Prepared) {
 	}
 }
 
+// dropOlder removes every plan built against a catalog version before
+// version. They are not LRU evictions.
+func (c *PlanCache) dropOlder(version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; {
+		slot, next := el.Value.(*cacheSlot), el.Next()
+		if slot.key.version < version {
+			c.order.Remove(el)
+			delete(c.byKey, slot.key)
+		}
+		el = next
+	}
+}
+
 // GetOrPrepare returns the plan cached under key, or plans it with prepare
 // and caches the result; hit reports whether the cache already had it.
 // Concurrent misses on the same key may each run prepare (last insert

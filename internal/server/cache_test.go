@@ -103,6 +103,40 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	}
 }
 
+// TestUnstageDropsPlansOfOlderCatalogVersions: a cached plan pins the
+// relations it was planned over, so a worker that stages and unstages a
+// shard per query must not keep a cache's worth of dead shards alive —
+// Unstage drops the plans the drop made unreachable, and they are not
+// LRU evictions. A plain catalog change keeps its stale plans.
+func TestUnstageDropsPlansOfOlderCatalogVersions(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	stage := func(i int) {
+		s.Catalog().Register("tmp", relation.NewBuilder("v int").Row(0, 2, int64(i)).MustBuild())
+		for _, q := range []string{"SELECT v FROM tmp", "SELECT n FROM r"} {
+			if _, err := s.Query("", "", q, nil); err != nil {
+				t.Fatalf("Query(%s): %v", q, err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		stage(i)
+		if !s.Unstage("tmp") {
+			t.Fatalf("round %d: Unstage reported no table", i)
+		}
+		if st := s.CacheStats(); st.Size != 0 || st.Evictions != 0 {
+			t.Fatalf("round %d: stats = %+v, want an empty cache and no evictions", i, st)
+		}
+	}
+	if s.Unstage("tmp") {
+		t.Fatal("Unstage of an absent table reported a drop")
+	}
+	stage(5)
+	s.Catalog().Drop("tmp")
+	if st := s.CacheStats(); st.Size != 2 {
+		t.Fatalf("after a plain Drop: stats = %+v, want both stale plans kept", st)
+	}
+}
+
 // TestCacheNormalization: formatting variants of one statement share a
 // cache entry.
 func TestCacheNormalization(t *testing.T) {

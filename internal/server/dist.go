@@ -4,22 +4,31 @@ import (
 	"context"
 	"net/http"
 
+	"talign/internal/colbatch"
 	"talign/internal/schema"
 	"talign/internal/sqlish"
 	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-// BatchSource is the pull contract a RowStream drains: batches of tuples
-// until an empty batch, then Close. A sqlish.Cursor is the local
-// implementation; the distsql coordinator's merged worker stream is the
+// BatchSource is the pull contract a RowStream drains: columnar batches
+// until a nil batch, then Close. A sqlish.Cursor is the local
+// implementation (it also serves rows natively, which RowStream.Next
+// uses); the distsql coordinator's merged worker stream is the
 // distributed one.
 type BatchSource interface {
-	// Next returns the next batch; an empty batch signals exhaustion and
-	// errors are terminal.
-	Next() ([]tuple.Tuple, error)
+	// NextBatch returns the next batch, valid until the following call;
+	// nil signals exhaustion and errors are terminal.
+	NextBatch() (*colbatch.Batch, error)
 	// Close tears the source down; it must be idempotent.
 	Close() error
+}
+
+// rowSource is the optional native row pull of a BatchSource: one that
+// has it (a sqlish.Cursor) serves RowStream.Next without a detour
+// through columnar batches.
+type rowSource interface {
+	Next() ([]tuple.Tuple, error)
 }
 
 // DistResult is a distributor's answer for one handled statement:

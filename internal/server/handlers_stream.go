@@ -1,19 +1,22 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
 
 	"talign/internal/faultinject"
+	"talign/internal/tuple"
 	"talign/internal/wire"
 )
 
 // handleQueryStream is the wire-level row-streaming endpoint: it runs the
 // request under the request's context (client disconnect cancels the
-// running plan server-side) and writes the result as chunked NDJSON
-// frames — a schema frame, one rows frame per executor batch, and a
+// running plan server-side) and writes the result as a chunked frame
+// stream — a schema frame, one rows frame per executor batch, and a
 // trailing status (or error) frame — flushing after every frame so rows
-// reach the client as the executor produces them.
+// reach the client as the executor produces them. The encoding is
+// negotiated: binary batch frames when the Accept header asks for
+// wire.MediaBatch, NDJSON for every other request.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, params, err := decodeRequest(r)
 	if err != nil {
@@ -29,28 +32,43 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rs.Close()
 	s.streams.Add(1)
-	WriteFrameStream(w, rs)
+	media := wire.MediaNDJSON
+	if wire.AcceptsBatch(r.Header.Get("Accept")) {
+		media = wire.MediaBatch
+	}
+	WriteFrameStream(w, rs, media)
 }
 
-// WriteFrameStream writes a RowStream as chunked NDJSON frames — schema,
-// one rows frame per batch, a terminal status or error frame — flushing
-// after every frame. It is the one encoder of the row-stream wire shape,
-// shared by the client-facing /query/stream endpoint and the worker-side
-// /fragment executor, so coordinator-to-worker hops speak byte-identical
-// protocol to client-to-server hops. The caller Closes rs.
-func WriteFrameStream(w http.ResponseWriter, rs *RowStream) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// WriteFrameStream writes a RowStream as a chunked frame stream in the
+// given media type — schema, one rows frame per batch, a terminal status
+// or error frame (also when a frame cannot be encoded) — flushing after
+// every frame. It is the one writer of the row-stream wire shape, shared
+// by the client-facing /query/stream endpoint and the worker-side
+// /fragment executor (which always answers wire.MediaBatch). Batch
+// frames are pulled with NextBatch, so a columnar plan root reaches the
+// socket without being materialized; NDJSON rows are pulled with Next.
+// The caller Closes rs.
+func WriteFrameStream(w http.ResponseWriter, rs *RowStream, media string) {
+	w.Header().Set("Content-Type", media)
 	w.Header().Set("X-Accel-Buffering", "no") // streaming through proxies
-	enc := json.NewEncoder(w)
+	fw := wire.NewWriter(w, media)
 	flusher, _ := w.(http.Flusher)
 	send := func(f wire.Frame) bool {
-		if err := enc.Encode(f); err != nil {
+		err := fw.Write(f)
+		ended := false
+		if errors.Is(err, wire.ErrEncode) && f.Frame != wire.FrameError {
+			// Nothing of the frame was written (a batch over the frame limit,
+			// say): end the stream with the cause, not as a truncation.
+			err = fw.Write(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(err, errorCode(err))})
+			ended = true
+		}
+		if err != nil {
 			return false // client is gone; the deferred Close cancels upstream
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
+		return !ended
 	}
 
 	if rs.Plan() != "" {
@@ -62,9 +80,23 @@ func WriteFrameStream(w http.ResponseWriter, rs *RowStream) {
 	if !send(wire.Frame{Frame: wire.FrameSchema, Columns: rs.Columns(), Types: rs.Types(), CacheHit: rs.CacheHit()}) {
 		return
 	}
+	// pull fetches the next rows frame in the stream's encoding, and how
+	// many rows it carries (none at exhaustion).
+	pull := func() (f wire.Frame, n int, err error) {
+		f.Frame = wire.FrameRows
+		if media == wire.MediaBatch {
+			if f.Batch, err = rs.NextBatch(); f.Batch != nil {
+				n = f.Batch.NumRows()
+			}
+			return f, n, err
+		}
+		batch, err := rs.Next()
+		f.Rows = cellRows(batch)
+		return f, len(batch), err
+	}
 	var total int64
 	for {
-		batch, err := rs.Next()
+		f, n, err := pull()
 		if err == nil {
 			// Chaos-test seam: fail (or stall) the response mid-stream, after
 			// rows have already been flushed to the client.
@@ -74,22 +106,28 @@ func WriteFrameStream(w http.ResponseWriter, rs *RowStream) {
 			send(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(err, errorCode(err))})
 			return
 		}
-		if len(batch) == 0 {
+		if n == 0 {
 			send(wire.Frame{Frame: wire.FrameStatus, RowCount: total})
 			return
 		}
-		rows := make([][]any, len(batch))
-		for i, t := range batch {
-			row := make([]any, 0, len(t.Vals)+2)
-			for _, v := range t.Vals {
-				row = append(row, wire.Cell(v))
-			}
-			row = append(row, t.T.Ts, t.T.Te)
-			rows[i] = row
-		}
-		total += int64(len(batch))
-		if !send(wire.Frame{Frame: wire.FrameRows, Rows: rows}) {
+		total += int64(n)
+		if !send(f) {
 			return
 		}
 	}
+}
+
+// cellRows renders tuples as NDJSON rows: the visible cells, then the
+// valid-time bounds.
+func cellRows(batch []tuple.Tuple) [][]any {
+	rows := make([][]any, len(batch))
+	for i, t := range batch {
+		row := make([]any, 0, len(t.Vals)+2)
+		for _, v := range t.Vals {
+			row = append(row, wire.Cell(v))
+		}
+		row = append(row, t.T.Ts, t.T.Te)
+		rows[i] = row
+	}
+	return rows
 }

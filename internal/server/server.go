@@ -4,8 +4,15 @@
 // plans keyed on normalized SQL + catalog version + planner flags, named
 // prepared statements with $N placeholders scoped to sessions, an
 // admission gate bounding the total in-flight degree of parallelism, and
-// an HTTP/JSON front end (POST /query, POST /prepare, GET /explain,
-// GET /healthz).
+// an HTTP/JSON front end (POST /query, POST /query/stream, POST /prepare,
+// GET /explain, GET /healthz).
+//
+// Every execution is a RowStream, pulled as tuple batches (Next: the
+// NDJSON encoder, embedded cursors, the buffered path) or as columnar
+// batches (NextBatch: the wire batch-frame encoder, which serves a
+// columnar plan root straight off the executor). WriteFrameStream is the
+// one writer of a result stream, in whichever of the two wire encodings
+// the request negotiated.
 //
 // The layering invariant the whole package leans on: a sqlish.Prepared is
 // immutable and its Execute builds a fresh executor tree per call, so one
@@ -148,6 +155,21 @@ func (s *Server) planWith(norm string, batch int) (*sqlish.Prepared, bool, error
 	return s.cache.GetOrPrepare(key, func() (*sqlish.Prepared, error) {
 		return sqlish.Prepare(norm, snap, flags)
 	})
+}
+
+// Unstage drops a shard a coordinator staged under name, reporting
+// whether it existed, together with the cached plans of older catalog
+// versions: the drop made them unreachable, and a plan pins the
+// relations it scans, so a worker that stages and unstages a shuffle's
+// shards for every query would otherwise keep a cache's worth of dead
+// shards alive. Every other catalog change leaves stale plans to age out
+// of the LRU.
+func (s *Server) Unstage(name string) bool {
+	if !s.catalog.Drop(name) {
+		return false
+	}
+	s.cache.dropOlder(s.catalog.Version())
+	return true
 }
 
 // Analyze computes and installs statistics for one table, invalidating
@@ -296,7 +318,8 @@ func (s *Server) Explain(sessionID, stmtName, sql string) (string, error) {
 //
 //	POST /query         {"sql": "...", "params": [...]} or
 //	                    {"session": "s", "stmt": "name", "params": [...]}
-//	POST /query/stream  same body; chunked batch-framed NDJSON response
+//	POST /query/stream  same body; chunked frame stream: NDJSON, or
+//	                    binary batch frames when the Accept header asks
 //	POST /prepare       {"session": "s", "name": "q1", "sql": "... $1 ..."}
 //	GET  /explain       ?sql=... | ?session=s&stmt=name     (text/plain)
 //	GET  /healthz       liveness + catalog/cache/gate statistics
@@ -523,27 +546,11 @@ func decodeRequest(r *http.Request) (queryRequest, []value.Value, error) {
 
 // encodeRelation renders a result relation as a queryResponse.
 func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
-	cols := make([]string, 0, rel.Schema.Len()+2)
-	types := make([]string, 0, rel.Schema.Len()+2)
-	for _, at := range rel.Schema.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
-	}
-	cols = append(cols, "ts", "te")
-	types = append(types, "int", "int")
-	rows := make([][]any, rel.Len())
-	for i, t := range rel.Tuples {
-		row := make([]any, 0, len(t.Vals)+2)
-		for _, v := range t.Vals {
-			row = append(row, wire.Cell(v))
-		}
-		row = append(row, t.T.Ts, t.T.Te)
-		rows[i] = row
-	}
+	cols, types := wire.SchemaColumns(rel.Schema)
 	return queryResponse{
 		Columns:  cols,
 		Types:    types,
-		Rows:     rows,
+		Rows:     cellRows(rel.Tuples),
 		RowCount: rel.Len(),
 		CacheHit: cacheHit,
 	}
@@ -551,17 +558,9 @@ func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
 
 // SchemaColumns lists a prepared statement's result columns and types:
 // the visible attributes followed by the valid-time bounds "ts" and
-// "te". It is the one definition of the wire schema shape (the public
-// talign package reuses it for embedded cursors).
+// "te" (wire.SchemaColumns over the statement's schema).
 func SchemaColumns(prep *sqlish.Prepared) (cols, types []string) {
-	sch := prep.Schema()
-	for _, at := range sch.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
-	}
-	cols = append(cols, "ts", "te")
-	types = append(types, "int", "int")
-	return cols, types
+	return wire.SchemaColumns(prep.Schema())
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"talign/internal/colbatch"
 	"talign/internal/exec"
 	"talign/internal/faultinject"
 	"talign/internal/schema"
@@ -16,9 +17,9 @@ import (
 
 // RowStream is one query's incremental result: schema metadata up front,
 // then batches of rows pulled straight from the executor. It is the
-// server-core primitive beneath the wire-level NDJSON streaming, the
-// public talign package's embedded cursors and the buffered legacy
-// Query path.
+// server-core primitive beneath the wire-level frame streaming (both
+// encodings), the public talign package's embedded cursors and the
+// buffered legacy Query path.
 //
 // The admission-gate units the execution claimed are held until Close —
 // a streaming client occupies its parallelism budget for as long as it
@@ -35,6 +36,7 @@ type RowStream struct {
 	s       *Server
 	src     BatchSource
 	sch     schema.Schema
+	rows    []tuple.Tuple // Next's buffer when the source has no row pull
 	release func()
 	cancel  func()
 	counted bool
@@ -59,31 +61,68 @@ func (rs *RowStream) CacheHit() bool { return rs.cacheHit }
 // exhaustion. The batch is only valid until the following Next or Close
 // (the executor's ownership contract). Errors — cancellations,
 // timeouts, budget aborts and recovered panics, each counted into its
-// own server metric — are terminal.
+// own server metric — are terminal. A source without a native row pull
+// (the coordinator's merged worker batches) is materialized here.
 func (rs *RowStream) Next() (batch []tuple.Tuple, err error) {
-	defer func() {
-		// The executor guards every operator, but the stream layer itself
-		// (batch encoding, instrumentation hooks) must not crash the
-		// process either.
-		if rerr := exec.Recovered("server.RowStream", recover()); rerr != nil {
-			batch, err = nil, rerr
-			rs.fail(rerr)
+	defer rs.recoverPull(&err)
+	rows, ok := rs.src.(rowSource)
+	if !ok {
+		b, err := rs.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
 		}
-	}()
-	if rs.src == nil || rs.done {
+		rs.rows = b.Materialize(rs.rows[:0])
+		return rs.rows, nil
+	}
+	if rs.done {
 		return nil, nil
 	}
-	b, err := rs.src.Next()
-	if err != nil {
-		rs.fail(err)
-		return nil, err
+	batch, err = rows.Next()
+	return batch, rs.pulled(len(batch), len(batch) == 0, err)
+}
+
+// NextBatch is the columnar pull: the next batch with at least one
+// selected row, or nil at exhaustion, under Next's ownership and error
+// contract. A columnar plan root is served straight off its ColIterator
+// — nothing is materialized between the executor and the caller — and
+// a stream is pulled with either Next or NextBatch, never both.
+func (rs *RowStream) NextBatch() (b *colbatch.Batch, err error) {
+	defer rs.recoverPull(&err)
+	for b == nil || b.NumRows() == 0 {
+		if rs.src == nil || rs.done {
+			return nil, nil
+		}
+		b, err = rs.src.NextBatch()
+		if err = rs.pulled(0, b == nil, err); err != nil || b == nil {
+			return nil, err
+		}
 	}
-	if len(b) == 0 {
-		rs.Close()
-		return nil, nil
-	}
-	rs.s.rowsStreamed.Add(uint64(len(b)))
+	rs.s.rowsStreamed.Add(uint64(b.NumRows()))
 	return b, nil
+}
+
+// pulled does the bookkeeping both pulls share: a failed pull fails the
+// stream, an exhausted one closes it, anything else counts its rows.
+func (rs *RowStream) pulled(rows int, exhausted bool, err error) error {
+	switch {
+	case err != nil:
+		rs.fail(err)
+	case exhausted:
+		rs.Close()
+	default:
+		rs.s.rowsStreamed.Add(uint64(rows))
+	}
+	return err
+}
+
+// recoverPull keeps a panic in the stream layer itself (the executor
+// guards every operator, but batch bridging and instrumentation hooks
+// run here) from crashing the process.
+func (rs *RowStream) recoverPull(err *error) {
+	if rerr := exec.Recovered("server.RowStream", recover()); rerr != nil {
+		*err = rerr
+		rs.fail(rerr)
+	}
 }
 
 // fail records a terminal error (classified once per stream) and tears

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -386,4 +387,31 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	t.Fatalf("timed out waiting for %s\n%s", what, buf[:n])
+}
+
+// TestStreamEncodeErrorEndsWithErrorFrame: a frame the batch-frame format
+// cannot carry — here a column alias longer than its u16 length field —
+// ends the stream with an error frame naming the cause, where a peer
+// used to see a bare truncation.
+func TestStreamEncodeErrorEndsWithErrorFrame(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body, _ := json.Marshal(map[string]string{"sql": "SELECT a AS " + strings.Repeat("x", 70000) + " FROM p"})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query/stream", bytes.NewReader(body))
+	req.Header.Set("Accept", wire.MediaBatch)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST /query/stream: %v", err)
+	}
+	defer resp.Body.Close()
+	dec := wire.NewDecoder(resp.Body, resp.Header.Get("Content-Type"))
+	f, err := dec.Next()
+	if err != nil || f.Frame != wire.FrameError || !strings.Contains(f.Error.Message, "name length of 70000 exceeds 65535") {
+		t.Fatalf("first frame = %+v, %v; want an error frame naming the over-long name", f, err)
+	}
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("after the error frame: %v, want io.EOF", err)
+	}
 }

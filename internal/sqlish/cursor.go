@@ -3,6 +3,7 @@ package sqlish
 import (
 	"context"
 
+	"talign/internal/colbatch"
 	"talign/internal/exec"
 	"talign/internal/plan"
 	"talign/internal/schema"
@@ -18,11 +19,21 @@ import (
 // aborts the pipeline cooperatively between batches; reaching a LIMIT
 // stops the pipeline without draining it.
 //
+// A cursor pulls rows (Next) or columnar batches (NextBatch); one
+// consumer uses one of the two for the cursor's whole life. A plan whose
+// root runs vectorized is built once, as a columnar pipeline: NextBatch
+// serves its batches untouched and Next materializes them, so which pull
+// the consumer picks never changes what executes. A row root serves Next
+// natively and bridges NextBatch with exec.NewToCol.
+//
 // A Cursor is single-use and not safe for concurrent use; Close is
 // idempotent and must be called (it tears down exchange workers and
 // releases operator state).
 type Cursor struct {
+	// Exactly one of it and cit is set by Stream; the first pull on the
+	// other side fills it in as a bridge over the built one.
 	it     exec.Iterator
+	cit    exec.ColIterator
 	sch    schema.Schema
 	opened bool
 	closed bool
@@ -50,6 +61,13 @@ func (p *Prepared) StreamBudget(ctx context.Context, budget *exec.Budget, params
 	}
 	ec := plan.NewExecCtxContext(ctx, params...)
 	ec.Budget = budget
+	cit, ok, err := plan.BuildColRoot(p.root, ec)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return &Cursor{cit: cit, sch: p.root.Schema()}, nil
+	}
 	it, err := p.root.Build(ec)
 	if err != nil {
 		return nil, err
@@ -66,31 +84,60 @@ func (c *Cursor) Schema() schema.Schema { return c.sch }
 // keep tuples must copy them out. After an error (including context
 // cancellation) the cursor is done and Next keeps returning that error.
 func (c *Cursor) Next() ([]tuple.Tuple, error) {
-	if c.err != nil {
+	if c.it == nil {
+		c.it = exec.NewMaterialize(c.cit)
+	}
+	if !c.ready(c.it.Open) {
 		return nil, c.err
 	}
-	if c.closed {
-		return nil, nil
+	b, err := c.it.Next()
+	if err != nil || len(b) == 0 {
+		c.finish(err)
+		return nil, err
+	}
+	return b, nil
+}
+
+// NextBatch is Next on the columnar side: it returns the next batch, or
+// nil at exhaustion. The batch is valid only until the following
+// NextBatch or Close, and may carry a selection vector (even an empty
+// one — keep pulling).
+func (c *Cursor) NextBatch() (*colbatch.Batch, error) {
+	if c.cit == nil {
+		c.cit = exec.NewToCol(c.it)
+	}
+	if !c.ready(c.cit.Open) {
+		return nil, c.err
+	}
+	b, err := c.cit.NextCol()
+	if err != nil || b == nil {
+		c.finish(err)
+		return nil, err
+	}
+	return b, nil
+}
+
+// ready reports whether the cursor can be pulled, opening the tree on
+// the first pull.
+func (c *Cursor) ready(open func() error) bool {
+	if c.err != nil || c.closed {
+		return false
 	}
 	if !c.opened {
 		c.opened = true
-		if err := c.it.Open(); err != nil {
-			c.err = err
-			c.Close()
-			return nil, err
+		if err := open(); err != nil {
+			c.finish(err)
+			return false
 		}
 	}
-	b, err := c.it.Next()
-	if err != nil {
-		c.err = err
-		c.Close()
-		return nil, err
-	}
-	if len(b) == 0 {
-		c.Close()
-		return nil, nil
-	}
-	return b, nil
+	return true
+}
+
+// finish ends the cursor at exhaustion (err == nil) or on its terminal
+// error.
+func (c *Cursor) finish(err error) {
+	c.err = err
+	c.Close()
 }
 
 // Close releases the execution's resources (idempotent). Closing before
@@ -101,12 +148,14 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	if !c.opened {
-		c.opened = true
-		// The tree was never opened: Close alone must still release any
-		// resources operators pre-allocated at build time.
+	// A tree that was never opened is closed all the same: operators may
+	// hold resources from build time. The bridge, when there is one,
+	// closes what it wraps.
+	c.opened = true
+	if c.it != nil {
+		return c.it.Close()
 	}
-	return c.it.Close()
+	return c.cit.Close()
 }
 
 // Err returns the error that terminated the cursor, if any.

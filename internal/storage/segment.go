@@ -2,52 +2,24 @@ package storage
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
-	"unsafe"
 
 	"talign/internal/colbatch"
 	"talign/internal/schema"
 	"talign/internal/value"
 )
 
-// Column storage encodings inside a segment. The encoding mirrors the
-// physical layout of colbatch.Vec, so decoding reverses to the same
-// in-memory form the vectorized executor scans.
-const (
-	encInt      = 0 // data: rows × int64
-	encFloat    = 1 // data: rows × float64
-	encStr      = 2 // aux: (rows+1) × u32 offsets; data: blob
-	encBool     = 3 // data: rows × byte (0/1)
-	encInterval = 4 // data: rows × int64 starts; aux: rows × int64 ends
-	encAny      = 5 // aux: (rows+1) × u32 offsets; data: tagged cells
-)
-
-// colRegion locates one column's regions in the payload. Offsets are
-// absolute file offsets, 8-byte aligned; a zero-length nulls region
-// means "no ω rows".
-type colRegion struct {
-	enc                uint8
-	dataOff, dataLen   uint64
-	auxOff, auxLen     uint64
-	nullsOff, nullsLen uint64
-}
-
-// segHeader is the decoded header of a segment file.
+// segHeader is the decoded header of a segment file. Region offsets
+// (colbatch.ColRegions) are absolute file offsets, 8-byte aligned.
 type segHeader struct {
 	rows   int
 	schema schema.Schema
 	zone   colbatch.Zone
 	tsOff  uint64
 	teOff  uint64
-	cols   []colRegion
+	cols   []colbatch.ColRegions
 }
-
-// hostLittleEndian reports whether int64/float64 regions can alias
-// file bytes directly.
-var hostLittleEndian = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // EncodeSegment serializes a batch (no selection vector) into the
 // segment file format, including its zone map. The encoding is
@@ -57,143 +29,29 @@ func EncodeSegment(b *colbatch.Batch) []byte {
 	if b.Sel != nil {
 		panic("storage: EncodeSegment over a selection")
 	}
-	rows := b.Len()
-	zone := colbatch.ZoneOf(b)
+	hdr := segHeader{rows: b.Len(), schema: b.Schema, zone: colbatch.ZoneOf(b), cols: make([]colbatch.ColRegions, len(b.Cols))}
 
-	// Payload regions are laid out before the header is sized: offsets
-	// are absolute, so the payload base (preamble + header length) must
-	// be known first. Encode the header twice: once with zero offsets to
-	// learn its length, then for real.
-	type regionData struct {
-		data, aux, nulls []byte
-	}
-	regions := make([]regionData, len(b.Cols))
-	encs := make([]uint8, len(b.Cols))
-	for c := range b.Cols {
-		v := &b.Cols[c]
-		var r regionData
-		switch {
-		case is(v.IntsRaw()):
-			xs, _ := v.IntsRaw()
-			encs[c] = encInt
-			r.data = appendInt64s(nil, xs)
-		case isF(v.FloatsRaw()):
-			xs, _ := v.FloatsRaw()
-			encs[c] = encFloat
-			r.data = appendFloat64s(nil, xs)
-		case isS(v.StrsRaw()):
-			xs, _ := v.StrsRaw()
-			encs[c] = encStr
-			r.aux, r.data = encodeOffsets(len(xs), func(i int) []byte { return []byte(xs[i]) })
-		case isB(v.BoolsRaw()):
-			xs, _ := v.BoolsRaw()
-			encs[c] = encBool
-			r.data = make([]byte, len(xs))
-			for i, x := range xs {
-				if x {
-					r.data[i] = 1
-				}
-			}
-		case isIv(v.IntervalsRaw()):
-			ts, te, _ := v.IntervalsRaw()
-			encs[c] = encInterval
-			r.data = appendInt64s(nil, ts)
-			r.aux = appendInt64s(nil, te)
-		default:
-			xs, _ := v.AnyRaw()
-			encs[c] = encAny
-			var e enc
-			r.aux, r.data = encodeOffsets(len(xs), func(i int) []byte {
-				e.b = e.b[:0]
-				e.val(xs[i])
-				return e.b
-			})
-		}
-		if bm := v.NullBitmap(); bm != nil {
-			r.nulls = appendUint64s(nil, bm)
-		}
-		regions[c] = r
-	}
-	tsRegion := appendInt64s(nil, b.TS)
-	teRegion := appendInt64s(nil, b.TE)
-
-	layout := func(payloadBase uint64) (hdr segHeader, payload []byte) {
-		hdr = segHeader{rows: rows, schema: b.Schema, zone: zone, cols: make([]colRegion, len(b.Cols))}
-		place := func(region []byte) uint64 {
-			for uint64(len(payload))%8 != 0 {
-				payload = append(payload, 0)
-			}
-			off := payloadBase + uint64(len(payload))
-			payload = append(payload, region...)
-			return off
-		}
-		hdr.tsOff = place(tsRegion)
-		hdr.teOff = place(teRegion)
-		for c, r := range regions {
-			cr := colRegion{enc: encs[c], dataLen: uint64(len(r.data)), auxLen: uint64(len(r.aux)), nullsLen: uint64(len(r.nulls))}
-			cr.dataOff = place(r.data)
-			cr.auxOff = place(r.aux)
-			cr.nullsOff = place(r.nulls)
-			hdr.cols[c] = cr
-		}
-		return hdr, payload
-	}
-
-	// Pass 1 sizes the header; pass 2 uses the resulting payload base.
-	// The header length is offset-independent (offsets are fixed u64s).
-	probeHdr, _ := layout(0)
-	hdrLen := len(encodeSegHeader(probeHdr))
+	// The header precedes the payload but records the payload's
+	// offsets, so its space is reserved first — its length does not
+	// depend on the offsets, which are fixed-width — and filled in once
+	// the regions have been appended behind it.
+	hdrLen := len(encodeSegHeader(hdr))
 	preamble := len(segMagic) + 8 // magic + version + body length
-	base := uint64(preamble + hdrLen)
-	for base%8 != 0 {
-		base++ // header is padded so the payload starts aligned
-	}
-	hdr, payload := layout(base)
-	body := encodeSegHeader(hdr)
-	for uint64(preamble+len(body))%8 != 0 {
-		body = append(body, 0)
-	}
-	body = append(body, payload...)
-	return frame(segMagic, SegmentVersion, body)
-}
+	payloadBase := (preamble + hdrLen + 7) &^ 7
+	out := make([]byte, payloadBase, payloadBase+(2+len(b.Cols))*8*(b.Len()+1))
+	copy(out, segMagic)
+	binary.LittleEndian.PutUint32(out[len(segMagic):], SegmentVersion)
 
-// Tiny ok-adapters so the encoder switch reads as layout dispatch.
-func is(_ []int64, ok bool) bool      { return ok }
-func isF(_ []float64, ok bool) bool   { return ok }
-func isS(_ []string, ok bool) bool    { return ok }
-func isB(_ []bool, ok bool) bool      { return ok }
-func isIv(_, _ []int64, ok bool) bool { return ok }
-
-func appendInt64s(dst []byte, xs []int64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+	hdr.tsOff = uint64(len(out))
+	out = colbatch.AppendInt64s(out, b.TS)
+	hdr.teOff = uint64(len(out))
+	out = colbatch.AppendInt64s(out, b.TE)
+	for c := range b.Cols {
+		out, hdr.cols[c] = b.Cols[c].AppendRegions(out, 0)
 	}
-	return dst
-}
-
-func appendFloat64s(dst []byte, xs []float64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-	}
-	return dst
-}
-
-func appendUint64s(dst []byte, xs []uint64) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint64(dst, x)
-	}
-	return dst
-}
-
-// encodeOffsets builds the (rows+1)-entry u32 offset region plus the
-// concatenated blob for variable-width cells.
-func encodeOffsets(n int, cell func(i int) []byte) (aux, data []byte) {
-	aux = binary.LittleEndian.AppendUint32(aux, 0)
-	for i := 0; i < n; i++ {
-		data = append(data, cell(i)...)
-		aux = binary.LittleEndian.AppendUint32(aux, uint32(len(data)))
-	}
-	return aux, data
+	copy(out[preamble:], encodeSegHeader(hdr))
+	binary.LittleEndian.PutUint32(out[len(segMagic)+4:], uint32(len(out)-preamble))
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
 // encodeSegHeader serializes the header section.
@@ -209,13 +67,13 @@ func encodeSegHeader(h segHeader) []byte {
 	e.u64(h.tsOff)
 	e.u64(h.teOff)
 	for _, c := range h.cols {
-		e.u8(c.enc)
-		e.u64(c.dataOff)
-		e.u64(c.dataLen)
-		e.u64(c.auxOff)
-		e.u64(c.auxLen)
-		e.u64(c.nullsOff)
-		e.u64(c.nullsLen)
+		e.u8(c.Enc)
+		e.u64(c.DataOff)
+		e.u64(c.DataLen)
+		e.u64(c.AuxOff)
+		e.u64(c.AuxLen)
+		e.u64(c.NullsOff)
+		e.u64(c.NullsLen)
 	}
 	return e.b
 }
@@ -283,16 +141,16 @@ func DecodeSegment(data []byte) (*colbatch.Batch, colbatch.Zone, error) {
 	hdr := segHeader{rows: rows, schema: schema.Schema{Attrs: attrs}, zone: zone}
 	hdr.tsOff = d.u64()
 	hdr.teOff = d.u64()
-	hdr.cols = make([]colRegion, ncols)
+	hdr.cols = make([]colbatch.ColRegions, ncols)
 	for i := range hdr.cols {
 		c := &hdr.cols[i]
-		c.enc = d.u8()
-		c.dataOff = d.u64()
-		c.dataLen = d.u64()
-		c.auxOff = d.u64()
-		c.auxLen = d.u64()
-		c.nullsOff = d.u64()
-		c.nullsLen = d.u64()
+		c.Enc = d.u8()
+		c.DataOff = d.u64()
+		c.DataLen = d.u64()
+		c.AuxOff = d.u64()
+		c.AuxLen = d.u64()
+		c.NullsOff = d.u64()
+		c.NullsLen = d.u64()
 	}
 	if d.err != nil {
 		return nil, colbatch.Zone{}, d.err
@@ -322,179 +180,29 @@ func DecodeSegment(data []byte) (*colbatch.Batch, colbatch.Zone, error) {
 	if err != nil {
 		return nil, colbatch.Zone{}, err
 	}
-	ts := decodeInt64s(tsb, rows)
-	te := decodeInt64s(teb, rows)
+	ts := colbatch.DecodeInt64s(tsb, rows)
+	te := colbatch.DecodeInt64s(teb, rows)
 
 	cols := make([]colbatch.Vec, ncols)
 	for i := range cols {
 		c := hdr.cols[i]
 		name := attrs[i].Name
-		var nulls []uint64
-		if c.nullsLen != 0 {
-			want := uint64((rows + 63) / 64 * 8)
-			if c.nullsLen > want {
-				return nil, colbatch.Zone{}, corruptf("segment: column %q bitmap is %d bytes, want at most %d", name, c.nullsLen, want)
-			}
-			nb, err := region(c.nullsOff, c.nullsLen, name+" bitmap")
-			if err != nil {
-				return nil, colbatch.Zone{}, err
-			}
-			nulls = decodeUint64s(nb, int(c.nullsLen/8))
-		}
-		db, err := region(c.dataOff, c.dataLen, name+" data")
+		nb, err := region(c.NullsOff, c.NullsLen, name+" bitmap")
 		if err != nil {
 			return nil, colbatch.Zone{}, err
 		}
-		ab, err := region(c.auxOff, c.auxLen, name+" aux")
+		db, err := region(c.DataOff, c.DataLen, name+" data")
 		if err != nil {
 			return nil, colbatch.Zone{}, err
 		}
-		vec, err := decodeColumn(c.enc, attrs[i].Type, name, rows, db, ab, nulls)
+		ab, err := region(c.AuxOff, c.AuxLen, name+" aux")
 		if err != nil {
 			return nil, colbatch.Zone{}, err
 		}
-		cols[i] = vec
+		cols[i], err = colbatch.DecodeRegions(c.Enc, attrs[i].Type, rows, db, ab, nb)
+		if err != nil {
+			return nil, colbatch.Zone{}, corruptf("segment: column %q: %v", name, err)
+		}
 	}
 	return colbatch.NewFromParts(hdr.schema, cols, ts, te), zone, nil
-}
-
-// decodeColumn reverses one column region pair into a Vec. Typed
-// encodings must match the declared schema kind; boxed cells (encAny)
-// are legal for any declared kind — that is how demoted heterogeneous
-// and untyped columns persist.
-func decodeColumn(colEnc uint8, kind value.Kind, name string, rows int, data, aux []byte, nulls []uint64) (colbatch.Vec, error) {
-	var zero colbatch.Vec
-	wantKind := map[uint8]value.Kind{
-		encInt: value.KindInt, encFloat: value.KindFloat, encStr: value.KindString,
-		encBool: value.KindBool, encInterval: value.KindInterval,
-	}
-	if k, typed := wantKind[colEnc]; typed && k != kind {
-		return zero, corruptf("segment: column %q declared %s but stored with encoding %d", name, kind, colEnc)
-	}
-	fixed := func(b []byte, width int, what string) error {
-		if len(b) != rows*width {
-			return corruptf("segment: column %q %s region is %d bytes, want %d", name, what, len(b), rows*width)
-		}
-		return nil
-	}
-	switch colEnc {
-	case encInt:
-		if err := fixed(data, 8, "data"); err != nil {
-			return zero, err
-		}
-		return colbatch.VecFromInts(decodeInt64s(data, rows), nulls), nil
-	case encFloat:
-		if err := fixed(data, 8, "data"); err != nil {
-			return zero, err
-		}
-		return colbatch.VecFromFloats(decodeFloat64s(data, rows), nulls), nil
-	case encBool:
-		if err := fixed(data, 1, "data"); err != nil {
-			return zero, err
-		}
-		xs := make([]bool, rows)
-		for i, b := range data {
-			xs[i] = b != 0
-		}
-		return colbatch.VecFromBools(xs, nulls), nil
-	case encInterval:
-		if err := fixed(data, 8, "data"); err != nil {
-			return zero, err
-		}
-		if err := fixed(aux, 8, "aux"); err != nil {
-			return zero, err
-		}
-		return colbatch.VecFromIntervals(decodeInt64s(data, rows), decodeInt64s(aux, rows), nulls), nil
-	case encStr:
-		cells, err := splitOffsets(name, rows, data, aux)
-		if err != nil {
-			return zero, err
-		}
-		xs := make([]string, rows)
-		for i, c := range cells {
-			xs[i] = string(c)
-		}
-		return colbatch.VecFromStrs(xs, nulls), nil
-	case encAny:
-		cells, err := splitOffsets(name, rows, data, aux)
-		if err != nil {
-			return zero, err
-		}
-		xs := make([]value.Value, rows)
-		for i, c := range cells {
-			cd := &dec{b: c, what: "segment cell"}
-			xs[i] = cd.val()
-			if err := cd.done(); err != nil {
-				return zero, corruptf("segment: column %q row %d: %v", name, i, err)
-			}
-		}
-		return colbatch.VecFromAny(kind, xs), nil
-	default:
-		return zero, corruptf("segment: column %q has unknown encoding %d", name, colEnc)
-	}
-}
-
-// splitOffsets slices variable-width cell storage by its offset region.
-func splitOffsets(name string, rows int, data, aux []byte) ([][]byte, error) {
-	if len(aux) != (rows+1)*4 {
-		return nil, corruptf("segment: column %q offset region is %d bytes, want %d", name, len(aux), (rows+1)*4)
-	}
-	cells := make([][]byte, rows)
-	prev := binary.LittleEndian.Uint32(aux)
-	if prev != 0 {
-		return nil, corruptf("segment: column %q offsets do not start at 0", name)
-	}
-	for i := 0; i < rows; i++ {
-		next := binary.LittleEndian.Uint32(aux[(i+1)*4:])
-		if next < prev || next > uint32(len(data)) {
-			return nil, corruptf("segment: column %q offset %d (%d) out of order or out of range", name, i+1, next)
-		}
-		cells[i] = data[prev:next]
-		prev = next
-	}
-	return cells, nil
-}
-
-// decodeInt64s aliases b as []int64 when the host allows zero-copy,
-// else copies.
-func decodeInt64s(b []byte, n int) []int64 {
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func decodeFloat64s(b []byte, n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func decodeUint64s(b []byte, n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
 }

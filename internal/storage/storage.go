@@ -45,7 +45,7 @@ import (
 	"hash/crc32"
 	"math"
 
-	"talign/internal/interval"
+	"talign/internal/colbatch"
 	"talign/internal/value"
 )
 
@@ -132,31 +132,8 @@ func (e *enc) str(s string) {
 	e.b = append(e.b, s...)
 }
 
-// val appends a tagged value cell: kind byte, then the payload.
-func (e *enc) val(v value.Value) {
-	e.u8(uint8(v.Kind()))
-	switch v.Kind() {
-	case value.KindNull:
-	case value.KindBool:
-		if v.Bool() {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
-	case value.KindInt:
-		e.i64(v.Int())
-	case value.KindFloat:
-		e.f64(v.Float())
-	case value.KindString:
-		s := v.Str()
-		e.u32(uint32(len(s)))
-		e.b = append(e.b, s...)
-	case value.KindInterval:
-		iv := v.Interval()
-		e.i64(iv.Ts)
-		e.i64(iv.Te)
-	}
-}
+// val appends a tagged value cell (colbatch.AppendCell).
+func (e *enc) val(v value.Value) { e.b = colbatch.AppendCell(e.b, v) }
 
 // dec is a bounds-checked little-endian decoder; the first failure
 // latches an error and turns every further read into a zero-value
@@ -227,28 +204,18 @@ func (d *dec) str() string {
 	return string(d.take(n))
 }
 
-// val reads one tagged value cell.
+// val reads one tagged value cell (colbatch.DecodeCell).
 func (d *dec) val() value.Value {
-	switch k := value.Kind(d.u8()); k {
-	case value.KindNull:
-		return value.Null
-	case value.KindBool:
-		return value.NewBool(d.u8() != 0)
-	case value.KindInt:
-		return value.NewInt(d.i64())
-	case value.KindFloat:
-		return value.NewFloat(d.f64())
-	case value.KindString:
-		n := int(d.u32())
-		return value.NewString(string(d.take(n)))
-	case value.KindInterval:
-		ts := d.i64()
-		te := d.i64()
-		return value.NewInterval(interval.Interval{Ts: ts, Te: te})
-	default:
-		d.fail("unknown value tag %d at offset %d", k, d.off-1)
+	if d.err != nil {
 		return value.Null
 	}
+	v, n, err := colbatch.DecodeCell(d.b[d.off:])
+	if err != nil {
+		d.fail("%v at offset %d", err, d.off)
+		return value.Null
+	}
+	d.off += n
+	return v
 }
 
 // done checks that the decoder consumed the buffer exactly.

@@ -1,15 +1,15 @@
-// Package wire defines talignd's wire-level streaming protocol: the
-// NDJSON frame shapes of POST /query/stream, the structured error object
-// every endpoint returns, and the JSON encoding of engine values. The
-// server (internal/server) and the public streaming client (package
-// talign) share these types, so the two ends of the protocol cannot
-// drift apart.
+// Package wire defines talignd's frame-stream protocol — the one
+// interchange format of every hop — in its two encodings, the structured
+// error object every endpoint returns, and the JSON encoding of engine
+// values. The server (internal/server), the distributed layer
+// (internal/distsql) and the public streaming client (package talign)
+// share these types, so the ends of the protocol cannot drift apart.
 //
-// A stream response is a sequence of newline-delimited JSON frames:
+// A stream response is a sequence of frames:
 //
-//	{"frame":"schema","columns":[...],"types":[...],"cache_hit":true}
-//	{"frame":"rows","rows":[[...],...]}          // one per executor batch
-//	{"frame":"status","row_count":123}           // terminal: success
+//	schema   columns, types, cache_hit
+//	rows     one executor batch              // zero or more
+//	status   row_count                       // terminal: success
 //
 // Statements that render a plan instead of rows (EXPLAIN, EXPLAIN
 // ANALYZE, ANALYZE) send a single plan frame before the status frame.
@@ -17,6 +17,25 @@
 // sequence with an error frame carrying the structured error object.
 // The schema frame always lists the visible attributes followed by the
 // valid-time bounds "ts" and "te".
+//
+// The two encodings carry the same frames (Writer and Decoder speak
+// both). NDJSON (MediaNDJSON) is the public edge and the default for any
+// client that does not ask: one JSON object per line, rows as arrays of
+// Cell-encoded values:
+//
+//	{"frame":"schema","columns":[...],"types":[...],"cache_hit":true}
+//	{"frame":"rows","rows":[[...],...]}
+//	{"frame":"status","row_count":123}
+//
+// Batch frames (MediaBatch; see batchframe.go for the byte layout) are
+// versioned, checksummed, length-prefixed binary frames whose rows
+// payload is a colbatch.Batch in the column-region layout segment files
+// use: typed regions, validity bitmaps and TS/TE arrays that decode by
+// aliasing, with each column's kind carried in the frame so NaN/±Inf,
+// periods, ω and untyped all-ω columns round-trip without type hints.
+// /query/stream answers in them when the request's Accept header names
+// MediaBatch (the Go client always asks, and reads nothing else);
+// /fragment exec answers and stage bodies use them unconditionally.
 package wire
 
 import (
@@ -24,7 +43,9 @@ import (
 	"fmt"
 	"math"
 
+	"talign/internal/colbatch"
 	"talign/internal/interval"
+	"talign/internal/schema"
 	"talign/internal/sqlish"
 	"talign/internal/value"
 )
@@ -43,7 +64,7 @@ const (
 	FrameError = "error"
 )
 
-// Frame is one NDJSON line of a streaming query response.
+// Frame is one frame of a streaming query response, in either encoding.
 type Frame struct {
 	// Frame discriminates the kind (one of the Frame* constants).
 	Frame string `json:"frame"`
@@ -54,9 +75,11 @@ type Frame struct {
 	// CacheHit reports whether the plan came from the plan cache (schema
 	// and plan frames).
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Rows carries the batch's rows (rows frames), each cell encoded by
-	// Cell.
+	// Rows carries the batch's rows (NDJSON rows frames), each cell
+	// encoded by Cell.
 	Rows [][]any `json:"rows,omitempty"`
+	// Batch carries the batch itself (binary rows frames).
+	Batch *colbatch.Batch `json:"-"`
 	// Plan carries the rendering of EXPLAIN-style statements.
 	Plan string `json:"plan,omitempty"`
 	// RowCount is the total rows streamed (status frames; omitted when
@@ -66,11 +89,25 @@ type Frame struct {
 	Error *Error `json:"error,omitempty"`
 }
 
+// SchemaColumns lists a result schema as a schema frame does: the
+// visible attributes' names and type names followed by the valid-time
+// bounds "ts" and "te" (int columns). It is the one definition of the
+// wire schema shape.
+func SchemaColumns(sch schema.Schema) (cols, types []string) {
+	cols = make([]string, 0, sch.Len()+2)
+	types = make([]string, 0, sch.Len()+2)
+	for _, at := range sch.Attrs {
+		cols = append(cols, at.Name)
+		types = append(types, at.Type.String())
+	}
+	return append(cols, "ts", "te"), append(types, "int", "int")
+}
+
 // Fragment operations (the "op" field of a POST /fragment body). The
 // fragment endpoint is the worker half of distributed execution: the
-// coordinator stages shard data, executes SQL fragments (answered with
-// the same NDJSON frame stream as /query/stream), and tears staged
-// relations down when a distributed query finishes.
+// coordinator stages shard data, executes SQL fragments (answered with a
+// batch-frame stream), and tears staged relations down when a
+// distributed query finishes.
 const (
 	// FragmentExec runs a SQL fragment and streams frames back.
 	FragmentExec = "exec"
@@ -83,19 +120,18 @@ const (
 	FragmentAnalyze = "analyze"
 )
 
-// FragmentRequest is the POST /fragment body. Exec carries SQL with
-// bound params; stage carries a relation — Columns/Types describe the
-// visible attributes and each row appends the valid-time bounds ts, te
-// (the same row shape FrameRows uses).
+// FragmentRequest is the JSON object that opens a POST /fragment body.
+// Exec carries SQL with bound params. Stage names a relation, and the
+// relation itself follows the object in the same body as a batch-frame
+// stream: a schema frame (visible attributes, then ts and te), at least
+// one rows frame — its column kinds type the relation — and the status
+// frame.
 type FragmentRequest struct {
-	Op      string   `json:"op"`
-	SQL     string   `json:"sql,omitempty"`
-	Params  []any    `json:"params,omitempty"`
-	Batch   int      `json:"batch,omitempty"`
-	Name    string   `json:"name,omitempty"`
-	Columns []string `json:"columns,omitempty"`
-	Types   []string `json:"types,omitempty"`
-	Rows    [][]any  `json:"rows,omitempty"`
+	Op     string `json:"op"`
+	SQL    string `json:"sql,omitempty"`
+	Params []any  `json:"params,omitempty"`
+	Batch  int    `json:"batch,omitempty"`
+	Name   string `json:"name,omitempty"`
 }
 
 // FragmentAck is the JSON response of the non-exec fragment operations.
@@ -159,8 +195,9 @@ func Cell(v value.Value) any {
 // known column type (the schema frame carries the type names), undoing
 // the string escapes Cell applies to values JSON cannot carry natively:
 // non-finite floats ("NaN", "+Inf", "-Inf") and periods ("[ts, te)").
-// Without the type hint those strings would decode as strings and the
-// remote backend would diverge from the embedded one.
+// Without the type hint those strings would decode as strings and an
+// NDJSON reader would diverge from the embedded backend. (The Go client
+// reads batch frames, which carry kinds, and never calls this.)
 func ValueAs(x any, typ string) (value.Value, error) {
 	if n, ok := x.(json.Number); ok && typ == "float" {
 		// A whole float (2.0) serializes as the JSON number 2; the type

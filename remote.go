@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"talign/internal/backoff"
+	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/relation"
 	"talign/internal/stats"
@@ -33,10 +35,11 @@ const (
 )
 
 // remoteDB speaks talignd's wire protocol: prepared statements through
-// POST /prepare and executions through the chunked NDJSON row stream of
-// POST /query/stream. The request context rides on the HTTP request, so
-// cancelling it tears the connection down and — through the server's
-// request context — aborts the query server-side.
+// POST /prepare and executions through the chunked frame stream of
+// POST /query/stream, always asking for binary batch frames (an answer
+// in any other media type is a bad stream). The request context rides on
+// the HTTP request, so cancelling it tears the connection down and —
+// through the server's request context — aborts the query server-side.
 //
 // Requests that fail before any response bytes arrive (a transport
 // error, or a 503 from a draining server) are retried with exponential
@@ -134,7 +137,9 @@ type wireRequest struct {
 	Batch   int    `json:"batch,omitempty"`
 }
 
-func (r *remoteDB) post(ctx context.Context, client *http.Client, path string, body wireRequest) (*http.Response, error) {
+// post sends one JSON request; accept names the media type the caller
+// reads the answer in.
+func (r *remoteDB) post(ctx context.Context, client *http.Client, path, accept string, body wireRequest) (*http.Response, error) {
 	if r.closed.Load() {
 		return nil, fmt.Errorf("talign: DB is closed")
 	}
@@ -148,6 +153,7 @@ func (r *remoteDB) post(ctx context.Context, client *http.Client, path string, b
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", accept)
 		return req, nil
 	})
 }
@@ -177,7 +183,7 @@ func (r *remoteDB) query(ctx context.Context, session, stmt, sql string, params 
 	if r.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, r.timeout)
 	}
-	resp, err := r.post(ctx, r.stream, "/query/stream", wireRequest{Session: session, Stmt: stmt, SQL: sql, Params: cells, Batch: r.batch})
+	resp, err := r.post(ctx, r.stream, "/query/stream", wire.MediaBatch, wireRequest{Session: session, Stmt: stmt, SQL: sql, Params: cells, Batch: r.batch})
 	if err != nil {
 		cancel()
 		return nil, err
@@ -186,11 +192,17 @@ func (r *remoteDB) query(ctx context.Context, session, stmt, sql string, params 
 		cancel()
 		return nil, httpErr(resp)
 	}
-	src := &remoteSource{body: resp.Body, dec: newFrameDecoder(resp.Body), cancel: cancel}
-	first, err := src.dec.next()
+	if media := resp.Header.Get("Content-Type"); media != wire.MediaBatch {
+		cancel()
+		resp.Body.Close()
+		return nil, fmt.Errorf("talign: bad stream: server answered %q, not %s", media, wire.MediaBatch)
+	}
+	src := &remoteSource{body: resp.Body, dec: wire.NewDecoder(resp.Body, wire.MediaBatch), cancel: cancel}
+	src.dec.ReuseBuffer() // every batch is copied into its value arena before the next frame is read
+	first, err := src.frame()
 	if err != nil {
 		src.close()
-		return nil, fmt.Errorf("talign: bad stream: %v", err)
+		return nil, err
 	}
 	switch first.Frame {
 	case wire.FrameError:
@@ -200,7 +212,6 @@ func (r *remoteDB) query(ctx context.Context, session, stmt, sql string, params 
 		src.close()
 		return &Rows{plan: first.Plan, cacheHit: first.CacheHit}, nil
 	case wire.FrameSchema:
-		src.types = first.Types
 		return &Rows{cols: first.Columns, types: first.Types, cacheHit: first.CacheHit, src: src}, nil
 	}
 	src.close()
@@ -208,7 +219,7 @@ func (r *remoteDB) query(ctx context.Context, session, stmt, sql string, params 
 }
 
 func (r *remoteDB) prepare(ctx context.Context, session, name, sql string) (stmtMeta, error) {
-	resp, err := r.post(ctx, r.control, "/prepare", wireRequest{Session: session, Name: name, SQL: sql})
+	resp, err := r.post(ctx, r.control, "/prepare", "application/json", wireRequest{Session: session, Name: name, SQL: sql})
 	if err != nil {
 		return stmtMeta{}, err
 	}
@@ -242,52 +253,49 @@ func (r *remoteDB) close() error {
 	return nil
 }
 
-// frameDecoder reads NDJSON frames off the wire with UseNumber so int64
-// cells survive exactly.
-type frameDecoder struct{ dec *json.Decoder }
-
-func newFrameDecoder(body io.Reader) *frameDecoder {
-	dec := json.NewDecoder(body)
-	dec.UseNumber()
-	return &frameDecoder{dec: dec}
-}
-
-func (d *frameDecoder) next() (wire.Frame, error) {
-	if err := faultinject.Hit("wire.decode"); err != nil {
-		return wire.Frame{}, err
-	}
-	var f wire.Frame
-	err := d.dec.Decode(&f)
-	return f, err
-}
-
 // remoteSource adapts the frame stream to the Rows contract. A stream
 // that ends without a status frame (server died, connection cut) is an
-// error, never a silent truncation. The schema frame's column types
-// steer cell decoding, so string-escaped NaN/Inf floats and periods
-// come back as their real kinds, identical to the embedded backend.
+// error, never a silent truncation, and so is one whose status frame
+// disagrees with the rows received. A rows frame is unpacked into one
+// value arena per frame — the rows handed out are slices of it, fully
+// owned, and the column kinds come from the frame itself, so NaN/Inf
+// floats, periods and ω come back as their real kinds, identical to the
+// embedded backend.
 type remoteSource struct {
 	body   io.ReadCloser
-	dec    *frameDecoder
-	cancel func() // releases the timeout= deadline context, if any
-	types  []string
-	rows   [][]any
-	pos    int
+	dec    *wire.Decoder
+	cancel func()        // releases the timeout= deadline context, if any
+	n, pos int           // rows in the current rows frame, rows handed out
+	arena  []value.Value // the frame's rows, len(arena)/n values each
 	closed bool
 }
 
+// frame reads the next frame, classifying stream defects: a truncated
+// stream and a malformed one are the client's own structured errors,
+// transport errors (cancellation included) pass through.
+func (s *remoteSource) frame() (wire.Frame, error) {
+	if err := faultinject.Hit("wire.decode"); err != nil {
+		return wire.Frame{}, err
+	}
+	f, err := s.dec.Next()
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		err = fmt.Errorf("talign: stream truncated before status frame")
+	case errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrVersion):
+		err = fmt.Errorf("talign: bad stream: %v", err)
+	}
+	return f, err
+}
+
 func (s *remoteSource) next() ([]value.Value, error) {
-	for s.pos >= len(s.rows) {
-		f, err := s.dec.next()
+	for s.pos >= s.n {
+		f, err := s.frame()
 		if err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("talign: stream truncated before status frame")
-			}
 			return nil, err
 		}
 		switch f.Frame {
 		case wire.FrameRows:
-			s.rows, s.pos = f.Rows, 0
+			s.unpack(f.Batch)
 		case wire.FrameStatus:
 			return nil, nil
 		case wire.FrameError:
@@ -296,21 +304,26 @@ func (s *remoteSource) next() ([]value.Value, error) {
 			return nil, fmt.Errorf("talign: bad stream: unexpected %q frame", f.Frame)
 		}
 	}
-	cells := s.rows[s.pos]
 	s.pos++
-	row := make([]value.Value, len(cells))
-	for i, c := range cells {
-		typ := ""
-		if i < len(s.types) {
-			typ = s.types[i]
+	w := len(s.arena) / s.n
+	return s.arena[(s.pos-1)*w : s.pos*w : s.pos*w], nil
+}
+
+// unpack copies a batch into a fresh arena, row-major: each row is its
+// visible values followed by the valid-time bounds ts and te.
+func (s *remoteSource) unpack(b *colbatch.Batch) {
+	n, w := b.Len(), len(b.Cols)+2
+	s.n, s.pos, s.arena = n, 0, make([]value.Value, n*w)
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		for r := 0; r < n; r++ {
+			s.arena[r*w+c] = col.Value(r)
 		}
-		v, err := wire.ValueAs(c, typ)
-		if err != nil {
-			return nil, fmt.Errorf("talign: bad cell: %v", err)
-		}
-		row[i] = v
 	}
-	return row, nil
+	for r := 0; r < n; r++ {
+		s.arena[r*w+w-2] = value.NewInt(b.TS[r])
+		s.arena[r*w+w-1] = value.NewInt(b.TE[r])
+	}
 }
 
 func (s *remoteSource) close() error {

@@ -13,7 +13,7 @@
 // Placeholders are the engine's $1..$N; PrepareContext plans once and
 // executes many times through the backend's plan cache; QueryContext
 // returns incrementally streamed rows (the cursor pulls executor batches
-// or NDJSON wire frames on demand); and the query's context cancels the
+// or wire batch frames on demand); and the query's context cancels the
 // execution backend-side, embedded or remote. Result sets list the
 // visible columns followed by the valid-time bounds "ts" and "te" (int64
 // columns). EXPLAIN-style statements return a single "plan" column, one

@@ -5,7 +5,7 @@
 //	talign://[demo][?opts]    embedded: the full engine in-process
 //	                          (catalog, plan cache, admission gate)
 //	talignd://host:port       remote: a talignd server over the
-//	                          wire-level NDJSON row-streaming protocol
+//	                          wire-level streaming protocol (batch frames)
 //
 // Results are incremental cursors backed directly by the batch executor
 // (embedded) or the streaming wire protocol (remote): rows arrive as the
