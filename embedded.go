@@ -10,7 +10,6 @@ import (
 	"talign/internal/relation"
 	"talign/internal/server"
 	"talign/internal/stats"
-	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -116,37 +115,26 @@ func (db *DB) Server() *server.Server {
 	return nil
 }
 
-// embeddedSource adapts a server RowStream (executor batches, reused
-// buffers) to the Rows contract (fully-owned rows).
+// embeddedSource adapts a server RowStream (executor batches in reused
+// buffers) to the Rows contract (fully-owned rows): it pulls columnar
+// batches — a vectorized plan root is never materialized into tuples —
+// and copies each out once, into its value arena.
 type embeddedSource struct {
-	rs    *server.RowStream
-	batch []tuple.Tuple
-	pos   int
+	rs   *server.RowStream
+	rows batchRows
 }
 
 func (s *embeddedSource) next() ([]value.Value, error) {
-	for s.pos >= len(s.batch) {
-		b, err := s.rs.Next()
-		if err != nil {
+	for {
+		if row := s.rows.next(); row != nil {
+			return row, nil
+		}
+		b, err := s.rs.NextBatch()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		if len(b) == 0 {
-			return nil, nil
-		}
-		s.batch, s.pos = b, 0
+		s.rows.unpack(b)
 	}
-	t := s.batch[s.pos]
-	s.pos++
-	// Copy out of the executor-owned batch; the Vals backing array itself
-	// is immutable once handed out (the batch ownership contract), so a
-	// shallow copy of the slice contents is a full hand-off.
-	row := make([]value.Value, 0, len(t.Vals)+2)
-	row = append(row, t.Vals...)
-	row = append(row, value.NewInt(t.T.Ts), value.NewInt(t.T.Te))
-	return row, nil
 }
 
-func (s *embeddedSource) close() error {
-	s.batch, s.pos = nil, 0
-	return s.rs.Close()
-}
+func (s *embeddedSource) close() error { return s.rs.Close() }

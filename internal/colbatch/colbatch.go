@@ -42,6 +42,8 @@
 package colbatch
 
 import (
+	"slices"
+
 	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/tuple"
@@ -120,12 +122,20 @@ func (v *Vec) IsNull(i int) bool {
 	return v.nulls[w]&(1<<(idx&63)) != 0
 }
 
-// setNull marks row i (which must be the row just appended, with
-// nullOff == 0) as ω, growing the bitmap with zeroed words as needed.
+// setNull marks row i of an owned (nullOff == 0) column as ω. The bitmap
+// extends with zeroed words on demand; when it has to grow it grows once,
+// to cover the typed storage's whole capacity, instead of doubling its way
+// up word by word.
 func (v *Vec) setNull(i int) {
 	w := i >> 6
-	for len(v.nulls) <= w {
-		v.nulls = append(v.nulls, 0)
+	if w >= len(v.nulls) {
+		if w >= cap(v.nulls) {
+			words := max(w+1, (v.capRows()+63)>>6)
+			v.nulls = append(make([]uint64, 0, words), v.nulls...)
+		}
+		old := len(v.nulls)
+		v.nulls = v.nulls[:w+1]
+		clear(v.nulls[old:]) // words past a reset's [:0] are stale
 	}
 	v.nulls[w] |= 1 << (i & 63)
 }
@@ -163,6 +173,42 @@ func (v *Vec) Len() int {
 		return len(v.IvTs)
 	}
 	return len(v.Any)
+}
+
+// capRows returns the row capacity of the column's active storage.
+func (v *Vec) capRows() int {
+	switch v.ph {
+	case physInt:
+		return cap(v.Ints)
+	case physFloat:
+		return cap(v.Floats)
+	case physStr:
+		return cap(v.Strs)
+	case physBool:
+		return cap(v.Bools)
+	case physInterval:
+		return cap(v.IvTs)
+	}
+	return cap(v.Any)
+}
+
+// reserve makes room for n more rows in the active storage.
+func (v *Vec) reserve(n int) {
+	switch v.ph {
+	case physInt:
+		v.Ints = slices.Grow(v.Ints, n)
+	case physFloat:
+		v.Floats = slices.Grow(v.Floats, n)
+	case physStr:
+		v.Strs = slices.Grow(v.Strs, n)
+	case physBool:
+		v.Bools = slices.Grow(v.Bools, n)
+	case physInterval:
+		v.IvTs = slices.Grow(v.IvTs, n)
+		v.IvTe = slices.Grow(v.IvTe, n)
+	default:
+		v.Any = slices.Grow(v.Any, n)
+	}
 }
 
 // Value boxes row i back into a value.Value.
@@ -216,9 +262,10 @@ func (v *Vec) AppendKey(dst []byte, i int) []byte {
 	return v.Any[i].AppendKey(dst)
 }
 
-// appendValue appends one value, demoting the column to boxed storage on
-// a kind mismatch (numeric mixing, values in untyped columns).
-func (v *Vec) appendValue(x value.Value) {
+// Append appends one value, demoting the column to boxed storage on a
+// kind mismatch (numeric mixing, values in untyped columns). A caller that
+// appends column by column declares the batch's row count with SetLen.
+func (v *Vec) Append(x value.Value) {
 	if x.IsNull() {
 		v.appendNull()
 		return
@@ -299,6 +346,99 @@ func (v *Vec) demote() {
 	v.Ints, v.Floats, v.Strs, v.Bools, v.IvTs, v.IvTe = nil, nil, nil, nil, nil, nil
 	v.ph = physAny
 	v.Any = any
+}
+
+// gather appends src[r] for every r of idx, the zero element for a
+// negative r; pad reports whether any r was negative.
+func gather[T any](dst, src []T, idx []int32) (_ []T, pad bool) {
+	for _, r := range idx {
+		if r < 0 {
+			var zero T
+			dst, pad = append(dst, zero), true
+		} else {
+			dst = append(dst, src[r])
+		}
+	}
+	return dst, pad
+}
+
+// AppendRows appends src's physical rows idx, in that order; a negative
+// index appends ω (the null padding of an outer join). Columns in the
+// same typed layout copy their storage directly, one loop per column
+// instead of one layout switch per cell.
+func (v *Vec) AppendRows(src *Vec, idx []int32) {
+	if v.ph != src.ph || v.ph == physAny {
+		for _, r := range idx {
+			if r < 0 {
+				v.appendNull()
+			} else {
+				v.Append(src.Value(int(r)))
+			}
+		}
+		return
+	}
+	base, pad := v.Len(), false
+	switch v.ph {
+	case physInt:
+		v.Ints, pad = gather(v.Ints, src.Ints, idx)
+	case physFloat:
+		v.Floats, pad = gather(v.Floats, src.Floats, idx)
+	case physStr:
+		v.Strs, pad = gather(v.Strs, src.Strs, idx)
+	case physBool:
+		v.Bools, pad = gather(v.Bools, src.Bools, idx)
+	case physInterval:
+		v.IvTs, pad = gather(v.IvTs, src.IvTs, idx)
+		v.IvTe, _ = gather(v.IvTe, src.IvTe, idx)
+	}
+	if !pad && len(src.nulls) == 0 {
+		return
+	}
+	for k, r := range idx {
+		if r < 0 || src.IsNull(int(r)) {
+			v.setNull(base + k)
+		}
+	}
+}
+
+// AppendNulls appends n ω rows.
+func (v *Vec) AppendNulls(n int) {
+	for ; n > 0; n-- {
+		v.appendNull()
+	}
+}
+
+// appendAll appends every physical row of src (which may be v itself).
+func (v *Vec) appendAll(src *Vec) {
+	n := src.Len()
+	if v.ph != src.ph || v.ph == physAny {
+		for i := 0; i < n; i++ {
+			v.Append(src.Value(i))
+		}
+		return
+	}
+	base := v.Len()
+	switch v.ph {
+	case physInt:
+		v.Ints = append(v.Ints, src.Ints...)
+	case physFloat:
+		v.Floats = append(v.Floats, src.Floats...)
+	case physStr:
+		v.Strs = append(v.Strs, src.Strs...)
+	case physBool:
+		v.Bools = append(v.Bools, src.Bools...)
+	case physInterval:
+		v.IvTs = append(v.IvTs, src.IvTs...)
+		v.IvTe = append(v.IvTe, src.IvTe...)
+	}
+	if len(src.nulls) == 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
+		if src.IsNull(i) {
+			v.setNull(base + i)
+		}
+	}
 }
 
 // reset truncates the column to zero rows, keeping storage capacity. The
@@ -426,7 +566,7 @@ func (b *Batch) Interval(i int) interval.Interval {
 // AppendTuple appends a row from its row representation.
 func (b *Batch) AppendTuple(t tuple.Tuple) {
 	for c := range b.Cols {
-		b.Cols[c].appendValue(t.Vals[c])
+		b.Cols[c].Append(t.Vals[c])
 	}
 	b.TS = append(b.TS, t.T.Ts)
 	b.TE = append(b.TE, t.T.Te)
@@ -464,20 +604,56 @@ func (b *Batch) AppendFrom(src *Batch, row int, ts, te int64) {
 				continue
 			}
 		}
-		dv.appendValue(sv.Value(row))
+		dv.Append(sv.Value(row))
 	}
 	b.TS = append(b.TS, ts)
 	b.TE = append(b.TE, te)
 	b.n++
 }
 
-// AppendBatch appends all logically present rows of src (same schema).
+// AppendBatch appends all logically present rows of src (same schema),
+// column by column: whole storage slices when src has no selection, a
+// gather over the selection otherwise.
 func (b *Batch) AppendBatch(src *Batch) {
-	for i, nsel := 0, src.NumRows(); i < nsel; i++ {
-		row := src.RowAt(i)
-		b.AppendFrom(src, row, src.TS[row], src.TE[row])
+	if src.Sel != nil {
+		b.AppendRows(src, src.Sel)
+		return
 	}
+	n := src.n
+	for c := range b.Cols {
+		b.Cols[c].appendAll(&src.Cols[c])
+	}
+	b.TS = append(b.TS, src.TS[:n]...)
+	b.TE = append(b.TE, src.TE[:n]...)
+	b.n += n
 }
+
+// AppendRows appends src's physical rows idx (same schema, no negative
+// index) with their valid times, column by column.
+func (b *Batch) AppendRows(src *Batch, idx []int32) {
+	for c := range b.Cols {
+		b.Cols[c].AppendRows(&src.Cols[c], idx)
+	}
+	for _, r := range idx {
+		b.TS = append(b.TS, src.TS[r])
+		b.TE = append(b.TE, src.TE[r])
+	}
+	b.n += len(idx)
+}
+
+// Reserve makes room for n more rows in every column and the valid-time
+// arrays: one allocation each, exact on an empty batch, at least doubling
+// on one that already holds storage.
+func (b *Batch) Reserve(n int) {
+	for c := range b.Cols {
+		b.Cols[c].reserve(n)
+	}
+	b.TS = slices.Grow(b.TS, n)
+	b.TE = slices.Grow(b.TE, n)
+}
+
+// Cap returns the row capacity Reserve and the appends have built up.
+func (b *Batch) Cap() int { return cap(b.TS) }
 
 // FromTuples converts rows into columnar form, reusing dst when non-nil.
 func FromTuples(dst *Batch, s schema.Schema, rows []tuple.Tuple) *Batch {

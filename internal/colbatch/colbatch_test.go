@@ -204,3 +204,94 @@ func TestAppendFromAcrossLayouts(t *testing.T) {
 		}
 	}
 }
+
+// sameBatchRows fails unless the two batches hold the same logical rows,
+// kinds included.
+func sameBatchRows(t *testing.T, tag string, got, want *Batch) {
+	t.Helper()
+	g, w := got.Materialize(nil), want.Materialize(nil)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d rows, want %d", tag, len(g), len(w))
+	}
+	for i := range w {
+		if g[i].T != w[i].T {
+			t.Fatalf("%s: row %d: T = %v, want %v", tag, i, g[i].T, w[i].T)
+		}
+		for c := range w[i].Vals {
+			if a, b := g[i].Vals[c], w[i].Vals[c]; a.Kind() != b.Kind() || a.String() != b.String() {
+				t.Fatalf("%s: row %d col %d: %v (%s), want %v (%s)", tag, i, c, a, a.Kind(), b, b.Kind())
+			}
+		}
+	}
+}
+
+// TestBulkAppendsMatchRowAppends: the column-wise AppendBatch (whole
+// storage, a gather over a selection, a view with an offset null bitmap,
+// a source that is the destination itself) and AppendRows (with ω padding
+// for negative indexes) build exactly what appending row by row builds —
+// across typed, demoted and untyped columns, into empty and into
+// presized and reset destinations.
+func TestBulkAppendsMatchRowAppends(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for round := 0; round < 60; round++ {
+		src := FromTuples(nil, testSchema, randTuples(r, testSchema, 1+r.Intn(150)))
+		if round%3 == 1 { // a view: nullOff > 0
+			lo := r.Intn(src.Len())
+			view := &Batch{}
+			src.SliceInto(view, lo, src.Len())
+			src = view
+		}
+		if round%2 == 1 { // a sparse selection
+			for i := 0; i < src.Len(); i++ {
+				if r.Intn(3) == 0 {
+					src.Sel = append(src.Sel, int32(i))
+				}
+			}
+			if src.Sel == nil {
+				src.Sel = []int32{}
+			}
+		}
+		head := FromTuples(nil, testSchema, randTuples(r, testSchema, r.Intn(70)))
+
+		want := New(testSchema)
+		got := New(testSchema)
+		if round%4 == 0 { // a reset destination keeps stale bitmap words around
+			got.AppendBatch(head)
+			got.Reset()
+		}
+		got.Reserve(r.Intn(40))
+		for _, in := range []*Batch{head, src} {
+			for i := 0; i < in.NumRows(); i++ {
+				row := in.RowAt(i)
+				want.AppendFrom(in, row, in.TS[row], in.TE[row])
+			}
+			got.AppendBatch(in)
+		}
+		sameBatchRows(t, "AppendBatch", got, want)
+
+		n := got.Len()
+		got.AppendBatch(got)
+		for row := 0; row < n; row++ {
+			want.AppendFrom(want, row, want.TS[row], want.TE[row])
+		}
+		sameBatchRows(t, "AppendBatch(self)", got, want)
+	}
+
+	src := FromTuples(nil, testSchema, randTuples(r, testSchema, 40))
+	idx := []int32{7, -1, 7, 0, -1, 39}
+	out := New(testSchema)
+	for c := range out.Cols {
+		out.Cols[c].AppendRows(&src.Cols[c], idx)
+	}
+	for c := range out.Cols {
+		for k, row := range idx {
+			got, want := out.Cols[c].Value(k), value.Null
+			if row >= 0 {
+				want = src.Cols[c].Value(int(row))
+			}
+			if got.Kind() != want.Kind() || got.String() != want.String() {
+				t.Fatalf("AppendRows col %d pos %d: %v, want %v", c, k, got, want)
+			}
+		}
+	}
+}

@@ -1,15 +1,20 @@
 package exec
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"talign/internal/expr"
 	"talign/internal/interval"
 	"talign/internal/relation"
+	"talign/internal/schema"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-func scanOf(rel *relation.Relation) Iterator { return NewScan(rel) }
+func scanOf(rel *relation.Relation) ColIterator { return NewColScan(rel) }
 
 func TestHashAggregateBasics(t *testing.T) {
 	in := relation.NewBuilder("g string", "v int").
@@ -19,7 +24,7 @@ func TestHashAggregateBasics(t *testing.T) {
 		MustBuild()
 	groupBy := []expr.Expr{expr.ColIdx{Idx: 0, Typ: value.KindString}}
 	arg := expr.ColIdx{Idx: 1, Typ: value.KindInt}
-	agg, err := NewHashAggregate(scanOf(in), groupBy, []string{"g"}, false, []AggSpec{
+	agg, err := NewColHashAggregate(scanOf(in), groupBy, []string{"g"}, false, []AggSpec{
 		{Func: AggCountStar, Name: "c"},
 		{Func: AggSum, Arg: arg, Name: "s"},
 		{Func: AggAvg, Arg: arg, Name: "a"},
@@ -29,7 +34,7 @@ func TestHashAggregateBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(agg)
+	out, err := Collect(NewMaterialize(agg))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -52,7 +57,7 @@ func TestHashAggregateNullHandling(t *testing.T) {
 	in.MustAppend(mkT(0, 5, value.NewString("a"), value.Null))
 	in.MustAppend(mkT(0, 5, value.NewString("a"), value.NewInt(4)))
 	arg := expr.ColIdx{Idx: 1, Typ: value.KindInt}
-	agg, err := NewHashAggregate(scanOf(in),
+	agg, err := NewColHashAggregate(scanOf(in),
 		[]expr.Expr{expr.ColIdx{Idx: 0, Typ: value.KindString}}, []string{"g"}, false,
 		[]AggSpec{
 			{Func: AggCountStar, Name: "all"},
@@ -62,7 +67,7 @@ func TestHashAggregateNullHandling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(agg)
+	out, err := Collect(NewMaterialize(agg))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -75,14 +80,14 @@ func TestHashAggregateNullHandling(t *testing.T) {
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	in := relation.NewBuilder("v int").MustBuild()
 	arg := expr.ColIdx{Idx: 0, Typ: value.KindInt}
-	agg, err := NewHashAggregate(scanOf(in), nil, nil, false, []AggSpec{
+	agg, err := NewColHashAggregate(scanOf(in), nil, nil, false, []AggSpec{
 		{Func: AggCountStar, Name: "c"},
 		{Func: AggSum, Arg: arg, Name: "s"},
 	})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(agg)
+	out, err := Collect(NewMaterialize(agg))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -98,13 +103,13 @@ func TestHashAggregateGroupByT(t *testing.T) {
 		Row(5, 9, 3).
 		MustBuild()
 	arg := expr.ColIdx{Idx: 0, Typ: value.KindInt}
-	agg, err := NewHashAggregate(scanOf(in), nil, nil, true, []AggSpec{
+	agg, err := NewColHashAggregate(scanOf(in), nil, nil, true, []AggSpec{
 		{Func: AggSum, Arg: arg, Name: "s"},
 	})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(agg)
+	out, err := Collect(NewMaterialize(agg))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -258,5 +263,212 @@ func TestProjectTFromExprDropsEmpty(t *testing.T) {
 	}
 	if out.Len() != 1 || out.Tuples[0].T != (interval.Interval{Ts: 3, Te: 7}) {
 		t.Fatalf("TFromExpr wrong: %s", out)
+	}
+}
+
+// refAcc is the reference accumulator of the aggregate differential: the
+// textbook fold over boxed values, one struct per aggregate per group.
+type refAcc struct {
+	fn    AggFunc
+	count int64
+	sumI  int64
+	sumF  float64
+	sawF  bool
+	best  value.Value
+}
+
+func (a *refAcc) add(v value.Value) {
+	if v.IsNull() {
+		return
+	}
+	a.count++
+	switch a.fn {
+	case AggSum, AggAvg:
+		if v.Kind() == value.KindFloat {
+			a.sawF = true
+			a.sumF += v.Float()
+		} else if v.Kind() == value.KindInt {
+			a.sumI += v.Int()
+			a.sumF += float64(v.Int())
+		}
+	case AggMin:
+		if a.best.IsNull() || v.Compare(a.best) < 0 {
+			a.best = v
+		}
+	case AggMax:
+		if a.best.IsNull() || v.Compare(a.best) > 0 {
+			a.best = v
+		}
+	}
+}
+
+func (a *refAcc) result() value.Value {
+	switch {
+	case a.fn == AggCountStar || a.fn == AggCount:
+		return value.NewInt(a.count)
+	case a.count == 0:
+		return value.Null
+	case a.fn == AggSum && a.sawF:
+		return value.NewFloat(a.sumF)
+	case a.fn == AggSum:
+		return value.NewInt(a.sumI)
+	case a.fn == AggAvg:
+		return value.NewFloat(a.sumF / float64(a.count))
+	}
+	return a.best
+}
+
+// refAggregate groups rel with a Go map and returns the groups ascending
+// in (group values, T) — the order the operator promises.
+func refAggregate(t *testing.T, rel *relation.Relation, groupBy []expr.Expr, groupByT bool, aggs []AggSpec) []tuple.Tuple {
+	t.Helper()
+	type group struct {
+		vals []value.Value
+		t    interval.Interval
+		accs []refAcc
+	}
+	groups := map[string]*group{}
+	for _, row := range rel.Tuples {
+		env := expr.Env{Vals: row.Vals, T: row.T}
+		var gt interval.Interval
+		if groupByT {
+			gt = row.T
+		}
+		var vals []value.Value
+		for _, e := range groupBy {
+			v, err := e.Eval(&env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals = append(vals, v)
+		}
+		key := string(tuple.Tuple{Vals: vals, T: gt}.AppendKey(nil))
+		g := groups[key]
+		if g == nil {
+			g = &group{vals: vals, t: gt, accs: make([]refAcc, len(aggs))}
+			for i := range aggs {
+				g.accs[i].fn = aggs[i].Func
+			}
+			groups[key] = g
+		}
+		for i, a := range aggs {
+			if a.Func == AggCountStar {
+				g.accs[i].count++
+				continue
+			}
+			v, err := a.Arg.Eval(&env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.accs[i].add(v)
+		}
+	}
+	if len(rel.Tuples) == 0 && len(groupBy) == 0 && !groupByT {
+		g := &group{accs: make([]refAcc, len(aggs))}
+		for i := range aggs {
+			g.accs[i].fn = aggs[i].Func
+		}
+		groups[""] = g
+	}
+	var out []tuple.Tuple
+	for _, g := range groups {
+		vals := append([]value.Value(nil), g.vals...)
+		for i := range g.accs {
+			vals = append(vals, g.accs[i].result())
+		}
+		out = append(out, tuple.Tuple{Vals: vals, T: g.t})
+	}
+	nk := len(groupBy)
+	sort.Slice(out, func(i, j int) bool {
+		a := tuple.Tuple{Vals: out[i].Vals[:nk], T: out[i].T}
+		b := tuple.Tuple{Vals: out[j].Vals[:nk], T: out[j].T}
+		return a.Compare(b) < 0
+	})
+	return out
+}
+
+// TestColHashAggregateDifferential runs every aggregate function — over an
+// int argument with ω and float cells mixed in, and MIN/MAX/COUNT over a
+// string argument — against the reference, for plain, computed and absent
+// group keys, with and without grouping by T, on random and on empty
+// inputs, at the default batch size and at 2. Rows must come out in
+// ascending key order with identical values (kinds included).
+func TestColHashAggregateDifferential(t *testing.T) {
+	sch := schema.Schema{Attrs: []schema.Attr{
+		{Name: "g", Type: value.KindString}, {Name: "v", Type: value.KindInt}, {Name: "s", Type: value.KindString},
+	}}
+	g, v, s := expr.CI(0, value.KindString), expr.CI(1, value.KindInt), expr.CI(2, value.KindString)
+	var aggs []AggSpec
+	for _, fn := range []AggFunc{AggCountStar, AggCount, AggSum, AggAvg, AggMin, AggMax} {
+		spec := AggSpec{Func: fn}
+		if fn != AggCountStar {
+			spec.Arg = v
+		}
+		aggs = append(aggs, spec)
+	}
+	aggs = append(aggs, AggSpec{Func: AggMin, Arg: s}, AggSpec{Func: AggMax, Arg: s}, AggSpec{Func: AggCount, Arg: s})
+	groupings := []struct {
+		name  string
+		exprs []expr.Expr
+	}{
+		{"none", nil},
+		{"column", []expr.Expr{g}},
+		{"computed", []expr.Expr{expr.Add(v, expr.Int(1)), g}}, // ω, int and float keys; 2 and 2.0 are one group
+	}
+	rng := rand.New(rand.NewSource(77))
+	for round := 0; round < 40; round++ {
+		rel := relation.New(sch)
+		if round > 0 { // round 0: the empty input
+			for i, n := 0, rng.Intn(30); i < n; i++ {
+				grp := string(rune('a' + rng.Intn(3)))
+				var val value.Value
+				switch k := rng.Intn(6); {
+				case grp == "c" || k == 0: // group "c" is all-ω
+					val = value.Null
+				case k == 1:
+					val = value.NewFloat(float64(rng.Intn(4)) + 0.5*float64(rng.Intn(2)))
+				default:
+					val = value.NewInt(int64(rng.Intn(5)))
+				}
+				str := value.NewString([]string{"x", "x\x00", "y"}[rng.Intn(3)])
+				if grp == "c" {
+					str = value.Null
+				}
+				ts := int64(rng.Intn(3))
+				rel.MustAppend(mkT(ts, ts+1+int64(rng.Intn(2)), value.NewString(grp), val, str))
+			}
+		}
+		for _, gr := range groupings {
+			for _, byT := range []bool{false, true} {
+				want := refAggregate(t, rel, gr.exprs, byT, aggs)
+				names := make([]string, len(gr.exprs))
+				for i := range names {
+					names[i] = fmt.Sprintf("k%d", i)
+				}
+				for _, batch := range []int{0, 2} {
+					agg, err := NewColHashAggregate(ApplyColBatch(NewColScan(rel), batch), gr.exprs, names, byT, aggs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := collect(t, NewMaterialize(ApplyColBatch(agg, batch)))
+					tag := fmt.Sprintf("round %d group=%s byT=%v batch=%d", round, gr.name, byT, batch)
+					if got.Len() != len(want) {
+						t.Fatalf("%s: %d groups, want %d\ngot:\n%s\ninput:\n%s", tag, got.Len(), len(want), got, rel)
+					}
+					for i, w := range want {
+						gt := got.Tuples[i]
+						if gt.T != w.T || len(gt.Vals) != len(w.Vals) {
+							t.Fatalf("%s: row %d is %v, want %v", tag, i, gt, w)
+						}
+						for c := range w.Vals {
+							if gt.Vals[c].Kind() != w.Vals[c].Kind() || !gt.Vals[c].Equal(w.Vals[c]) {
+								t.Fatalf("%s: row %d column %d is %v (%s), want %v (%s)\ngot:\n%s\ninput:\n%s",
+									tag, i, c, gt.Vals[c], gt.Vals[c].Kind(), w.Vals[c], w.Vals[c].Kind(), got, rel)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

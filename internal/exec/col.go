@@ -173,3 +173,50 @@ func ApplyColBatch(it ColIterator, n int) ColIterator {
 	}
 	return it
 }
+
+// maxSizeHint bounds what a planner estimate may presize: estimates can be
+// off by orders of magnitude, and past this point growing costs a handful
+// of allocations while a wrong guess costs real memory.
+const maxSizeHint = 1 << 16
+
+// clampHint turns a planner estimate into a safe presize.
+func clampHint(est int) int { return min(max(est, 0), maxSizeHint) }
+
+// drainColumnar materializes an opened columnar stream as one batch. A
+// bare columnar scan hands over the relation's cached image (populated by
+// its Open) instead of a copy: the result is only ever read, so sharing is
+// safe, and it skips one full-relation copy per execution. Anything else
+// is copied column-wise into a store presized from est, the planner's row
+// estimate for the stream (0 = unknown).
+func drainColumnar(in ColIterator, est int) (*colbatch.Batch, error) {
+	if cs, ok := in.(*ColScan); ok {
+		return cs.img, nil
+	}
+	store := colbatch.New(in.Schema())
+	store.Reserve(clampHint(est))
+	for {
+		b, err := in.NextCol()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return store, nil
+		}
+		store.AppendBatch(b)
+	}
+}
+
+// reserveOut makes room for n more rows in an operator's reused output
+// batch. The first buffer is sized by the rows the operator has in hand,
+// so a two-row result does not pay for a full batch; a batch that outgrows
+// it is regrown once, to the full batch size limit, instead of doubling
+// its way up column by column.
+func reserveOut(b *colbatch.Batch, n, limit int) {
+	if b.Cap()-b.Len() >= n {
+		return
+	}
+	if b.Cap() > 0 {
+		n = max(n, limit-b.Len())
+	}
+	b.Reserve(n)
+}

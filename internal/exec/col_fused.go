@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 
@@ -98,20 +97,6 @@ func (g GroupStrategy) String() string {
 // (the split point) is meaningful.
 type span struct{ p1, p2 int64 }
 
-// keyOperand evaluates one side of an equi pair on a physical batch row:
-// through a compiled vector accessor for the plain column / constant /
-// valid-time shapes, otherwise by Eval over the row boxed into a scratch
-// slice.
-type keyOperand struct {
-	fast colVal
-	e    expr.Expr
-}
-
-func compileKeyOperand(e expr.Expr) keyOperand {
-	fast, _ := compileOperand(e)
-	return keyOperand{fast: fast, e: e}
-}
-
 // ColFusedAdjust adjusts left tuples against their group on the right.
 type ColFusedAdjust struct {
 	batching
@@ -127,15 +112,17 @@ type ColFusedAdjust struct {
 	// PCol is the group-side column holding the split point (normalize
 	// only; -1 for the align modes).
 	PCol int
+	// SizeHint is the planner's estimate of the group side's rows; it
+	// presizes the store when the group side is not a bare scan.
+	SizeHint int
 
 	out      schema.Schema
-	lkeyOps  []keyOperand
-	rkeyOps  []keyOperand
+	lenc     rowExprs        // left equi keys
+	renc     rowExprs        // group-side equi keys
 	store    *colbatch.Batch // accumulated group side
-	rkeys    [][]byte        // encoded group-side equi keys (nil: unmatchable ω key)
+	rkeys    [][]byte        // merge, nested loop: encoded group-side equi keys (nil: unmatchable ω key)
 	arena    []byte
 	keyBuf   []byte
-	keyRow   []value.Value // boxed row for non-compiled key operands
 	concat   []value.Value // residual scratch: left values, then right values
 	env      expr.Env      // reused eval scratch: avoids a per-row heap Env
 	spans    []span
@@ -144,12 +131,7 @@ type ColFusedAdjust struct {
 	lpos     int
 	leftDone bool
 
-	// hash strategy: flat chained table over rkeys
-	seed  maphash.Seed
-	heads []int32 // bucket -> store row index + 1
-	mask  uint64
-	chain []int32
-	rhash []uint64 // full hash per store row, pre-filters probes
+	index *chainIndex // hash strategy: equi key → chain of store rows
 
 	// merge and interval strategies: rperm lists store rows in equi-key
 	// order (merge, ω-keyed rows dropped, rkeys permuted alongside) or in
@@ -193,36 +175,13 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy
 		Keys: keys, Residual: residual, PCol: pCol,
 		out: l.Schema(),
 	}
-	for _, k := range keys {
-		f.lkeyOps = append(f.lkeyOps, compileKeyOperand(k.Left))
-		f.rkeyOps = append(f.rkeyOps, compileKeyOperand(k.Right))
-	}
+	lk, rk := equiSides(keys)
+	f.lenc, f.renc = newRowExprs(lk), newRowExprs(rk)
 	return f, nil
 }
 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
-
-// drainColumnar materializes an opened columnar stream as one batch. A
-// bare columnar scan hands over the relation's cached image (populated by
-// its Open) instead of a copy: the result is only ever read, so sharing is
-// safe, and it skips one full-relation copy per execution.
-func drainColumnar(in ColIterator) (*colbatch.Batch, error) {
-	if cs, ok := in.(*ColScan); ok {
-		return cs.img, nil
-	}
-	store := colbatch.New(in.Schema())
-	for {
-		b, err := in.NextCol()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return store, nil
-		}
-		store.AppendBatch(b)
-	}
-}
 
 // Open implements ColIterator: it drains the group side into the columnar
 // store, encodes its equi keys once, and builds the strategy's access
@@ -235,59 +194,33 @@ func (f *ColFusedAdjust) Open() error {
 		return err
 	}
 	var err error
-	if f.store, err = drainColumnar(f.Right); err != nil {
+	if f.store, err = drainColumnar(f.Right, f.SizeHint); err != nil {
 		return err
 	}
 	f.outB.ResetSchema(f.out)
 	f.lb, f.lpos, f.leftDone = nil, 0, false
 	n := f.store.Len()
 
-	if len(f.Keys) > 0 {
+	if len(f.Keys) > 0 && f.Strategy != GroupHash {
 		// ω keys become nil: they can never match, and unmatched group rows
 		// never surface — the group join is a left outer join.
 		f.arena = f.arena[:0]
-		if f.rkeys, err = f.encodeKeys(f.rkeys[:0], f.rkeyOps, f.store, true); err != nil {
+		if f.rkeys, err = f.encodeKeys(f.rkeys[:0], &f.renc, f.store, true); err != nil {
 			return err
 		}
 	}
 	switch f.Strategy {
 	case GroupHash:
-		// Chained flat hash table instead of a Go map: buckets hold
-		// store-row-index+1, collisions thread through chain, and the
-		// stored full hashes pre-filter probes before the byte compare.
-		f.seed = maphash.MakeSeed()
-		size := 1
-		for size < 2*n {
-			size <<= 1
-		}
-		if cap(f.heads) >= size {
-			f.heads = f.heads[:size]
-			clear(f.heads)
-		} else {
-			f.heads = make([]int32, size)
-		}
-		f.mask = uint64(size - 1)
-		f.chain = f.chain[:0]
-		f.rhash = f.rhash[:0]
-		for j := 0; j < n; j++ {
-			f.chain = append(f.chain, 0)
-			f.rhash = append(f.rhash, 0)
-			if f.rkeys[j] == nil {
-				continue
-			}
-			h := maphash.Bytes(f.seed, f.rkeys[j])
-			f.rhash[j] = h
-			bkt := h & f.mask
-			f.chain[j] = f.heads[bkt]
-			f.heads[bkt] = int32(j) + 1
+		if f.index, err = newChainIndex(&f.renc, f.store); err != nil {
+			return err
 		}
 	case GroupMerge:
 		// Materialize the left side too and key-sort a row permutation of
 		// each side; NextCol walks the runs in lockstep.
-		if f.lb, err = drainColumnar(f.Left); err != nil {
+		if f.lb, err = drainColumnar(f.Left, 0); err != nil {
 			return err
 		}
-		if f.lkeys, err = f.encodeKeys(f.lkeys[:0], f.lkeyOps, f.lb, false); err != nil {
+		if f.lkeys, err = f.encodeKeys(f.lkeys[:0], &f.lenc, f.lb, false); err != nil {
 			return err
 		}
 		f.lperm = identityPerm(f.lperm[:0], f.lb.Len())
@@ -303,6 +236,7 @@ func (f *ColFusedAdjust) Open() error {
 		f.rkeys = kept
 		tuple.KeySort(f.rperm, f.rkeys)
 		f.rlo, f.rhi = 0, 0
+		reserveOut(&f.outB, min(f.lb.Len(), f.batchCap()), f.batchCap())
 	case GroupInterval:
 		f.rperm = identityPerm(f.rperm[:0], n)
 		ts, te := f.store.TS, f.store.TE
@@ -329,11 +263,11 @@ func identityPerm(dst []int32, n int) []int32 {
 // encodeKeys appends the equi key of every physical row of b to the
 // shared arena; with nilOnNull set, rows whose key contains ω get a nil
 // key instead.
-func (f *ColFusedAdjust) encodeKeys(keys [][]byte, ops []keyOperand, b *colbatch.Batch, nilOnNull bool) ([][]byte, error) {
+func (f *ColFusedAdjust) encodeKeys(keys [][]byte, enc *rowExprs, b *colbatch.Batch, nilOnNull bool) ([][]byte, error) {
 	keys = slices.Grow(keys, b.Len())
 	for row := 0; row < b.Len(); row++ {
 		start := len(f.arena)
-		kb, hasNull, err := f.appendKey(f.arena, ops, b, row)
+		kb, hasNull, err := enc.appendKey(f.arena, b, row)
 		if err != nil {
 			return nil, err
 		}
@@ -349,40 +283,6 @@ func (f *ColFusedAdjust) encodeKeys(keys [][]byte, ops []keyOperand, b *colbatch
 		}
 	}
 	return keys, nil
-}
-
-// appendKey encodes one side's equi key of physical row `row` of b;
-// hasNull reports an ω key component (which can never match).
-func (f *ColFusedAdjust) appendKey(dst []byte, ops []keyOperand, b *colbatch.Batch, row int) (key []byte, hasNull bool, err error) {
-	boxed := false
-	for i := range ops {
-		var v value.Value
-		if op := &ops[i]; op.fast != nil {
-			v = op.fast(b, row)
-		} else {
-			if !boxed {
-				f.keyRow = boxRow(f.keyRow[:0], b, row)
-				f.env = expr.Env{Vals: f.keyRow, T: b.Interval(row)}
-				boxed = true
-			}
-			if v, err = op.e.Eval(&f.env); err != nil {
-				return dst, false, err
-			}
-		}
-		if v.IsNull() {
-			hasNull = true
-		}
-		dst = v.AppendKey(dst)
-	}
-	return dst, hasNull, nil
-}
-
-// boxRow appends physical row `row` of b to dst as boxed values.
-func boxRow(dst []value.Value, b *colbatch.Batch, row int) []value.Value {
-	for c := range b.Cols {
-		dst = append(dst, b.Cols[c].Value(row))
-	}
-	return dst
 }
 
 // nextLeft advances to the next left row of f.lb: the next equi-key
@@ -402,6 +302,9 @@ func (f *ColFusedAdjust) nextLeft() (row int, ok bool, err error) {
 			return 0, false, err
 		}
 		f.lb, f.lpos = b, 0
+		// Every left row comes out at least once: room for the rows in
+		// hand is room the output is certain to use.
+		reserveOut(&f.outB, min(b.NumRows(), f.batchCap()-f.outB.Len()), f.batchCap())
 	}
 	f.lpos++
 	return f.lb.RowAt(f.lpos - 1), true, nil
@@ -444,7 +347,7 @@ func (f *ColFusedAdjust) gather(row int) error {
 	case f.Strategy == GroupMerge:
 		lk = f.lkeys[f.lpos-1]
 	case len(f.Keys) > 0:
-		kb, hasNull, err := f.appendKey(f.keyBuf[:0], f.lkeyOps, f.lb, row)
+		kb, hasNull, err := f.lenc.appendKey(f.keyBuf[:0], f.lb, row)
 		f.keyBuf = kb
 		if err != nil {
 			return err
@@ -456,12 +359,9 @@ func (f *ColFusedAdjust) gather(row int) error {
 	}
 	switch f.Strategy {
 	case GroupHash:
-		h := maphash.Bytes(f.seed, lk)
-		for j := f.heads[h&f.mask]; j != 0; j = f.chain[j-1] {
-			if f.rhash[j-1] == h && bytes.Equal(f.rkeys[j-1], lk) {
-				if err := f.addCandidate(int(j-1), lts, lte); err != nil {
-					return err
-				}
+		for j := f.index.first(lk); j != 0; j = f.index.next[j-1] {
+			if err := f.addCandidate(int(j-1), lts, lte); err != nil {
+				return err
 			}
 		}
 	case GroupMerge:
@@ -616,7 +516,7 @@ func (f *ColFusedAdjust) sweep(row int) {
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
 	f.store, f.lb = nil, nil
-	f.heads, f.chain, f.rhash = nil, nil, nil
+	f.index = nil
 	f.rkeys, f.lkeys, f.arena = nil, nil, nil
 	f.rperm, f.lperm, f.starts = nil, nil, nil
 	err1 := f.Left.Close()

@@ -1,0 +1,125 @@
+package exec
+
+import (
+	"talign/internal/colbatch"
+	"talign/internal/expr"
+	"talign/internal/value"
+)
+
+// rowExprs evaluates a fixed list of expressions on physical batch rows:
+// through a compiled vector accessor for the plain column / constant /
+// valid-time shapes, otherwise by Eval over the row boxed (once per row,
+// whatever the number of expressions) into a scratch slice. It is how the
+// columnar join, aggregate and fused adjust compute equi keys, group keys
+// and aggregate arguments without materializing tuples.
+type rowExprs struct {
+	fast []colVal // nil entry: evaluate es[i] over the boxed row
+	es   []expr.Expr
+
+	b     *colbatch.Batch
+	row   int
+	boxed bool
+	vals  []value.Value
+	env   expr.Env // reused eval scratch: avoids a per-row heap Env
+}
+
+func newRowExprs(es []expr.Expr) rowExprs {
+	r := rowExprs{es: es, fast: make([]colVal, len(es))}
+	for i, e := range es {
+		r.fast[i], _ = compileOperand(e)
+	}
+	return r
+}
+
+// at positions the evaluator on physical row `row` of b.
+func (r *rowExprs) at(b *colbatch.Batch, row int) { r.b, r.row, r.boxed = b, row, false }
+
+// eval evaluates expression i on the current row.
+func (r *rowExprs) eval(i int) (value.Value, error) {
+	if f := r.fast[i]; f != nil {
+		return f(r.b, r.row), nil
+	}
+	if !r.boxed {
+		r.vals = boxRow(r.vals[:0], r.b, r.row)
+		r.env = expr.Env{Vals: r.vals, T: r.b.Interval(r.row)}
+		r.boxed = true
+	}
+	return r.es[i].Eval(&r.env)
+}
+
+// appendKey appends the order-preserving encoding of every expression's
+// value on physical row `row` of b; hasNull reports an ω component (an
+// equi key that can never match).
+func (r *rowExprs) appendKey(dst []byte, b *colbatch.Batch, row int) (key []byte, hasNull bool, err error) {
+	r.at(b, row)
+	for i := range r.es {
+		v, err := r.eval(i)
+		if err != nil {
+			return dst, false, err
+		}
+		if v.IsNull() {
+			hasNull = true
+		}
+		dst = v.AppendKey(dst)
+	}
+	return dst, hasNull, nil
+}
+
+// boxRow appends physical row `row` of b to dst as boxed values.
+func boxRow(dst []value.Value, b *colbatch.Batch, row int) []value.Value {
+	for c := range b.Cols {
+		dst = append(dst, b.Cols[c].Value(row))
+	}
+	return dst
+}
+
+// equiSides splits equi pairs into the left and right expression lists.
+func equiSides(keys []expr.EquiPair) (l, r []expr.Expr) {
+	for _, k := range keys {
+		l, r = append(l, k.Left), append(r, k.Right)
+	}
+	return l, r
+}
+
+// chainIndex is the key → build rows multimap under the hash join and the
+// fused adjust's hash strategy: a keyTable of the distinct equi keys whose
+// ids head chains threaded through one int32 per build row. Rows whose
+// key has an ω component are in no chain — they can never match.
+type chainIndex struct {
+	table *keyTable
+	head  []int32 // per key id: first build row + 1
+	next  []int32 // per build row: next row with the same key + 1; 0 ends
+}
+
+// newChainIndex indexes every physical row of store under keys. Rows are
+// threaded back to front, so a chain lists its rows in store order.
+func newChainIndex(keys *rowExprs, store *colbatch.Batch) (*chainIndex, error) {
+	n := store.Len()
+	x := &chainIndex{table: newKeyTable(n), head: make([]int32, 0, n), next: make([]int32, n)}
+	var kb []byte
+	for j := n - 1; j >= 0; j-- {
+		var hasNull bool
+		var err error
+		if kb, hasNull, err = keys.appendKey(kb[:0], store, j); err != nil {
+			return nil, err
+		}
+		if hasNull {
+			continue
+		}
+		id, added := x.table.insert(kb)
+		if added {
+			x.head = append(x.head, 0)
+		}
+		x.next[j] = x.head[id]
+		x.head[id] = int32(j) + 1
+	}
+	return x, nil
+}
+
+// first returns the first build row + 1 of key's chain, 0 for no match.
+func (x *chainIndex) first(key []byte) int32 {
+	if id := x.table.find(key); id >= 0 {
+		return x.head[id]
+	}
+	return 0
+}

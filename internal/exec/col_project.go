@@ -1,8 +1,9 @@
 // ColProject: vectorized projection as column pointer shuffling. When
 // every output expression is a plain column reference (or the tuple's own
 // TS/TE, which project as int columns sharing the time arrays), building
-// the output batch is a constant-time header assembly — no values move.
-// Expression-computing projections stay on the row side.
+// the output batch is a constant-time header assembly — no values move —
+// unless the time policy rewrites T (see retime). Expression-computing
+// projections stay on the row side.
 package exec
 
 import (
@@ -24,16 +25,14 @@ type ColProject struct {
 	Input ColIterator
 	Out   schema.Schema
 
-	srcs   []int // per output column: input index, srcTS or srcTE
-	tzero  bool  // TZero: output carries no valid time
-	tfrom  bool  // TFromExpr with a recognized PERIOD shape
-	tsSrc  int   // PERIOD arg sources (column index, srcTS or srcTE)
-	teSrc  int
-	out    colbatch.Batch
-	zeros  []int64
-	tsBuf  []int64
-	teBuf  []int64
-	selBuf []int32
+	srcs  []int // per output column: input index, srcTS or srcTE
+	tzero bool  // TZero: output carries no valid time
+	tfrom bool  // TFromExpr with a recognized PERIOD shape
+	tsSrc int   // PERIOD arg sources (column index, srcTS or srcTE)
+	teSrc int
+	out   colbatch.Batch // header over the input's storage
+	own   colbatch.Batch // TFromExpr/TZero: the surviving rows, compact
+	rows  []int32        // TFromExpr/TZero: scratch, the surviving physical rows
 }
 
 // periodTimeSrcs recognizes the TFromExpr shape the columnar projection
@@ -119,18 +118,17 @@ func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode T
 		}
 	}
 	p.srcs = srcs
+	p.out.Cols = make([]colbatch.Vec, 0, len(srcs))
 	return p, true
 }
 
 // Schema implements ColIterator.
 func (p *ColProject) Schema() schema.Schema { return p.Out }
 
-// Open implements ColIterator. In TFromExpr mode the selection buffer is
-// pre-allocated: a nil selection means "all rows", so an all-dropped
-// batch must carry a non-nil empty selection.
+// Open implements ColIterator.
 func (p *ColProject) Open() error {
-	if p.tfrom && p.selBuf == nil {
-		p.selBuf = make([]int32, 0, 16)
+	if p.tfrom || p.tzero {
+		p.own.ResetSchema(p.Out)
 	}
 	return p.Input.Open()
 }
@@ -156,46 +154,49 @@ func (p *ColProject) NextCol() (*colbatch.Batch, error) {
 			o.Cols = append(o.Cols, b.Cols[s])
 		}
 	}
-	switch {
-	case p.tfrom:
-		// Recompute T per row, dropping rows whose PERIOD is ω or
-		// empty — the exact row-Project TFromExpr semantics (PERIOD
-		// returns ω when either bound is ω or ts >= te).
-		n := b.Len()
-		if cap(p.tsBuf) < n {
-			p.tsBuf = make([]int64, n)
-			p.teBuf = make([]int64, n)
-		}
-		p.tsBuf, p.teBuf = p.tsBuf[:n], p.teBuf[:n]
-		out := p.selBuf[:0]
-		for i, nsel := 0, b.NumRows(); i < nsel; i++ {
-			row := b.RowAt(i)
-			ts, ok1 := timeAt(b, p.tsSrc, row)
-			te, ok2 := timeAt(b, p.teSrc, row)
+	o.TS, o.TE, o.Sel = b.TS, b.TE, b.Sel
+	o.SetLen(b.Len())
+	if p.tfrom || p.tzero {
+		return p.retime(b, o), nil
+	}
+	return o, nil
+}
+
+// retime finishes a projection whose policy rewrites the valid time:
+// TZero's zero intervals, or TFromExpr's PERIOD recomputed per row, with
+// the rows whose PERIOD is ω or empty dropped (the row Project's
+// semantics: PERIOD returns ω when a bound is ω or ts >= te). New valid
+// times need arrays of their own, and arrays as long as the physical
+// batch — what sharing the input's column storage would take — cost 16 KB
+// for the two rows a point filter kept of a 1 000-row batch. So the
+// surviving rows of the header batch o are gathered into an owned batch
+// instead, and every buffer is sized by the selected count.
+func (p *ColProject) retime(b, o *colbatch.Batch) *colbatch.Batch {
+	nsel := b.NumRows()
+	own := &p.own
+	own.Reset()
+	reserveOut(own, nsel, b.Len())
+	rows := roomFor(p.rows[:0], nsel, b.Len())
+	for i := 0; i < nsel; i++ {
+		row := b.RowAt(i)
+		var ts, te int64
+		if p.tfrom {
+			var ok1, ok2 bool
+			ts, ok1 = timeAt(b, p.tsSrc, row)
+			te, ok2 = timeAt(b, p.teSrc, row)
 			if !ok1 || !ok2 || ts >= te {
 				continue
 			}
-			p.tsBuf[row], p.teBuf[row] = ts, te
-			out = append(out, int32(row))
 		}
-		p.selBuf = out
-		o.TS, o.TE = p.tsBuf, p.teBuf
-		o.Sel = out
-		o.SetLen(n)
-		return o, nil
-	case p.tzero:
-		// Nontemporal result: zero intervals, like row Project's TZero.
-		n := b.Len()
-		for len(p.zeros) < n {
-			p.zeros = append(p.zeros, 0)
-		}
-		o.TS, o.TE = p.zeros[:n], p.zeros[:n]
-	default:
-		o.TS, o.TE = b.TS, b.TE
+		rows = append(rows, int32(row))
+		own.TS, own.TE = append(own.TS, ts), append(own.TE, te)
 	}
-	o.Sel = b.Sel
-	o.SetLen(b.Len())
-	return o, nil
+	p.rows = rows
+	for c := range o.Cols {
+		own.Cols[c].AppendRows(&o.Cols[c], rows)
+	}
+	own.SetLen(len(rows))
+	return own
 }
 
 // timeAt reads one PERIOD bound of a physical row; ok=false means the

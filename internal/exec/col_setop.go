@@ -1,5 +1,5 @@
 // ColSetOp: vectorized UNION. Dedup works exactly like the row SetOp's —
-// a persistent byteSet over full row keys (values + valid time) — but
+// a persistent keyTable over full row keys (values + valid time) — but
 // the keys are encoded straight from the vectors and surviving rows are
 // only marked in the selection vector, never copied. Intersect/except
 // need the full right side first and stay on the row path for now.
@@ -16,8 +16,11 @@ import (
 // dedup across both.
 type ColSetOp struct {
 	Left, Right ColIterator
+	// SizeHint is the planner's estimate of the union's rows (exact over
+	// bare scans); it presizes the dedup table.
+	SizeHint int
 
-	seen   *byteSet
+	seen   *keyTable
 	keyBuf []byte
 	selBuf []int32
 	phase  int // 0 = left, 1 = right
@@ -45,7 +48,7 @@ func (s *ColSetOp) Open() error {
 	if err := s.Right.Open(); err != nil {
 		return err
 	}
-	s.seen = newByteSet(0)
+	s.seen = newKeyTable(clampHint(s.SizeHint))
 	if s.selBuf == nil {
 		s.selBuf = make([]int32, 0, 16)
 	}
@@ -78,7 +81,7 @@ func (s *ColSetOp) NextCol() (*colbatch.Batch, error) {
 		for i, nsel := 0, b.NumRows(); i < nsel; i++ {
 			row := b.RowAt(i)
 			s.keyBuf = b.AppendRowKey(s.keyBuf[:0], row)
-			if s.seen.insert(s.keyBuf) {
+			if _, added := s.seen.insert(s.keyBuf); added {
 				out = append(out, int32(row))
 			}
 		}

@@ -175,6 +175,70 @@ func TestColProjectMatchesRowProject(t *testing.T) {
 		}
 		got := collectRows(t, NewMaterialize(cp))
 		assertSameRows(t, got, want)
+
+		// The same over a filter's sparse selections (TFromExpr and TZero
+		// then gather the survivors instead of sharing column storage).
+		pred := expr.Ge(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(25))
+		rp, _ = NewProject(NewFilter(NewScan(src), pred), names, exprs)
+		rp.TMode, rp.TExpr = tmode, texprs[tmode]
+		cf, ok := NewColFilter(NewColScan(src), pred)
+		if !ok {
+			t.Fatal("filter did not compile")
+		}
+		cp, _ = NewColProject(cf, exprs, rp.Out, tmode, texprs[tmode])
+		assertSameRows(t, collectRows(t, NewMaterialize(cp)), collectRows(t, rp))
+	}
+}
+
+// TestFirstBuffersSizedByRowsInHand pins the buffer rule of roomFor: an
+// operator's first output buffer holds the rows it has in hand — a point
+// query's two rows do not pay for 1 024 — and a buffer that turns out too
+// small is replaced once, by a full-size one.
+func TestFirstBuffersSizedByRowsInHand(t *testing.T) {
+	s := roomFor([]int32(nil), 2, 1024)
+	if cap(s) != 2 {
+		t.Fatalf("first buffer has cap %d, want the 2 rows in hand", cap(s))
+	}
+	if s = roomFor(s[:2], 1, 1024); cap(s) != 1024 {
+		t.Fatalf("regrown buffer has cap %d, want the limit 1024", cap(s))
+	}
+
+	rel := relation.NewBuilder("k int", "v int")
+	for i := 0; i < 1000; i++ {
+		rel.Row(int64(i), int64(i)+5, i, i%7)
+	}
+	big := rel.MustBuild()
+	point := expr.Eq(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(500))
+
+	f := NewFilter(NewScan(big), point)
+	if rows := collectRows(t, f); len(rows) != 1 || cap(f.outBuf) > 1000 {
+		t.Fatalf("row filter kept %d rows in a buffer of cap %d, want 1 row and at most the 1 000 in hand", len(rows), cap(f.outBuf))
+	}
+
+	// Columnar: one row selected of a 1 000-row batch. The projection's
+	// recomputed valid times take arrays of their own; they must be sized
+	// by the selection, not by the physical batch.
+	cf, _ := NewColFilter(NewColScan(big), point)
+	exprs := []expr.Expr{expr.ColIdx{Idx: 1, Typ: value.KindInt}}
+	period := expr.Call("PERIOD", expr.TStart{}, expr.TEnd{})
+	out := schema.MustNew(schema.Attr{Name: "v", Type: value.KindInt})
+	for _, tmode := range []TPolicy{TFromExpr, TZero} {
+		cp, ok := NewColProject(cf, exprs, out, tmode, period)
+		if !ok {
+			t.Fatal("projection did not compile")
+		}
+		if err := cp.Open(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := cp.NextCol()
+		if err != nil || b == nil {
+			t.Fatalf("NextCol: %v, %v", b, err)
+		}
+		if b.NumRows() != 1 || b.Len() != 1 || cap(b.TS) > 8 {
+			t.Fatalf("policy %d: %d selected of %d physical rows over valid-time arrays of cap %d, want a compact 1-row batch",
+				tmode, b.NumRows(), b.Len(), cap(b.TS))
+		}
+		cp.Close()
 	}
 }
 

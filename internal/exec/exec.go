@@ -1,29 +1,38 @@
-// Package exec implements the batch-vectorized query executor: pipelined
-// iterators for scans, selections, projections, sorts, nested-loop / hash /
-// sort-merge joins (inner, left/right/full outer, semi, anti), hash
-// aggregation, set operations, duplicate elimination, the paper's new
-// executor nodes — ColFusedAdjust (the one ALIGN/NORMALIZE operator: the
+// Package exec implements the batch-vectorized query executor in two
+// operator families. The columnar one (ColIterator: batches of colbatch
+// vectors plus a selection vector) carries every pipeline that matters:
+// scans, selections, projections, limits, union, and the operators that
+// hold state — ColFusedAdjust (the one ALIGN/NORMALIZE operator: the
 // group-construction join of Sec. 6.1/6.3 fused with the plane-sweep
-// ExecAdjustment of Sec. 6.2, Fig. 10, over columnar batches) and Absorb
-// (Def. 12) — plus a hash-partitioned parallel exchange layer (Splitter /
-// Exchange) that spreads a plan fragment across worker goroutines.
+// ExecAdjustment of Sec. 6.2, Fig. 10), ColHashJoin (inner, left/right/
+// full outer, semi, anti), ColHashAggregate and ColAbsorb (Def. 12). The
+// row one (Iterator: batches of tuples) is what remains of the original
+// executor: sorts, nested-loop and sort-merge joins, duplicate
+// elimination, intersect/except, and row twins of the stateless columnar
+// operators. Materialize and ToCol bridge the two, and a hash-partitioned
+// parallel exchange layer (Splitter / Exchange, row and columnar) spreads
+// a plan fragment across worker goroutines.
 //
-// Sorting, grouping and set membership run over order-preserving byte
-// keys (value.AppendKey / tuple.AppendKey): comparisons are memcmp, sorts
-// are non-stable key sorts with a radix fast path (tuple.KeySort), and
-// hash tables key on the encodings instead of chaining + re-comparing.
+// Sorting, joining, grouping and set membership run over order-preserving
+// byte keys (value.AppendKey / tuple.AppendKey): comparisons are memcmp,
+// sorts are non-stable key sorts with a radix fast path (tuple.KeySort),
+// and every hash table is the one keyTable — distinct keys in an arena,
+// dense ids, open addressing — instead of Go maps, chaining and
+// re-comparing values. Keys are bytewise equal exactly when their values
+// Compare equal, so every operator agrees on 1 = 1.0 and NaN = NaN.
 //
 // Operators exchange data batch-at-a-time: Next returns a slice of tuples
-// and an empty batch signals exhaustion. Batching amortizes the virtual
-// Next dispatch across BatchSize tuples and lets hot loops (hash-join
-// probe, the adjust sweep) run over pre-sized buffers.
+// and an empty batch signals exhaustion; NextCol returns a batch and nil
+// signals exhaustion. Batching amortizes the virtual dispatch across
+// BatchSize rows and lets hot loops (hash-join probe, the adjust sweep)
+// run over pre-sized buffers.
 //
-// Every tuple carries its valid-time interval T natively. Join nodes can be
+// Every row carries its valid-time interval T natively. Join nodes can be
 // asked to additionally match T with equality (MatchT), which is exactly the
 // "r.T = s.T" comparison the reduction rules of Table 2 append to θ.
 //
 // Convention: when a join condition is evaluated over the concatenated row,
-// env.T holds the LEFT input tuple's valid time, so TStart/TEnd in residual
+// env.T holds the LEFT input row's valid time, so TStart/TEnd in residual
 // conditions refer to the left side. The temporal layer projects the right
 // side's timestamp into ordinary columns before joining when it needs it.
 package exec
@@ -93,12 +102,38 @@ func (b *batching) batchCap() int {
 	return DefaultBatchSize
 }
 
-// resetOut clears the output buffer, pre-sizing it on first use.
-func (b *batching) resetOut() {
-	if b.outBuf == nil {
-		b.outBuf = make([]tuple.Tuple, 0, b.batchCap())
+// resetOut truncates the output buffer for the next batch.
+func (b *batching) resetOut() { b.outBuf = b.outBuf[:0] }
+
+// roomFor returns s with room for n more elements under the executor's
+// buffer rule: a first buffer holds exactly what its operator has in hand,
+// so a two-row result does not pay for a full batch, and a buffer that
+// turns out too small is replaced once, by one of at least limit — it
+// never doubles its way up through a dozen allocations.
+func roomFor[T any](s []T, n, limit int) []T {
+	if cap(s)-len(s) >= n {
+		return s
 	}
-	b.outBuf = b.outBuf[:0]
+	need := len(s) + n
+	if cap(s) > 0 {
+		need = max(need, limit)
+	}
+	return append(make([]T, 0, need), s...)
+}
+
+// reserve makes room for n more output tuples — n being the input rows
+// the operator has in hand — up to the batch size, under roomFor's rule.
+func (b *batching) reserve(n int) {
+	limit := b.batchCap()
+	b.outBuf = roomFor(b.outBuf, min(n, max(limit-len(b.outBuf), 0)), limit)
+}
+
+// push appends one output tuple under reserve's growth rule.
+func (b *batching) push(t tuple.Tuple) {
+	if len(b.outBuf) == cap(b.outBuf) {
+		b.reserve(1)
+	}
+	b.outBuf = append(b.outBuf, t)
 }
 
 // cursor adapts a child's batch stream to per-tuple pulls for the stateful
@@ -116,6 +151,9 @@ func (c *cursor) init(it Iterator) {
 	c.batch = nil
 	c.pos = 0
 }
+
+// pending counts the tuples of the current batch not yet handed out.
+func (c *cursor) pending() int { return len(c.batch) - c.pos }
 
 func (c *cursor) next() (tuple.Tuple, bool, error) {
 	for c.pos >= len(c.batch) {

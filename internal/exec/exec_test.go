@@ -61,7 +61,7 @@ func TestJoinMethodsAgree(t *testing.T) {
 		for _, typ := range types {
 			for _, matchT := range []bool{false, true} {
 				nl := collect(t, NewNestedLoopJoin(NewScan(r), NewScan(s), full, typ, matchT))
-				hj := collect(t, NewHashJoin(NewScan(r), NewScan(s), pairs, residual, typ, matchT))
+				hj := collect(t, NewMaterialize(NewColHashJoin(NewColScan(r), NewColScan(s), pairs, residual, typ, matchT)))
 				mkSort := func(rel *relation.Relation, col int) Iterator {
 					return NewSort(NewScan(rel), SortKey{Expr: expr.ColIdx{Idx: col, Typ: value.KindString}})
 				}
@@ -93,7 +93,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	s.MustAppend(mkT(0, 10, value.Null, value.NewInt(2)))
 	pairs, cond := equiKeys(r, s)
 	nl := collect(t, NewNestedLoopJoin(NewScan(r), NewScan(s), cond, LeftOuterJoin, false))
-	hj := collect(t, NewHashJoin(NewScan(r), NewScan(s), pairs, nil, LeftOuterJoin, false))
+	hj := collect(t, NewMaterialize(NewColHashJoin(NewColScan(r), NewColScan(s), pairs, nil, LeftOuterJoin, false)))
 	if nl.Len() != 1 || !nl.Tuples[0].Vals[2].IsNull() {
 		t.Fatalf("nested loop: want one padded row, got %s", nl)
 	}

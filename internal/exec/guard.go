@@ -21,6 +21,16 @@ var panicsRecovered atomic.Uint64
 // process-wide since start.
 func PanicsRecovered() uint64 { return panicsRecovered.Load() }
 
+// cancelObserved counts, process-wide, how many guards observed a
+// cancelled context and aborted: tests and /metrics use it to prove that
+// cancellation stopped the executor cooperatively instead of the query
+// running to completion and the result being thrown away.
+var cancelObserved atomic.Uint64
+
+// CancelObserved reports how many operator-level cancellation aborts have
+// happened process-wide since start.
+func CancelObserved() uint64 { return cancelObserved.Load() }
+
 // PanicError is a recovered operator panic, rendered as a structured
 // runtime error: the query that contained it fails with the wire code
 // "internal", the process — and every concurrent query — keeps running.
@@ -118,8 +128,8 @@ func (g *Guard) Schema() schema.Schema { return g.Input.Schema() }
 // Open implements Iterator.
 func (g *Guard) Open() (err error) {
 	defer func() {
-		if rerr := Recovered(g.site(), recover()); rerr != nil {
-			err = rerr
+		if r := recover(); r != nil {
+			err = Recovered(g.site(), r)
 		}
 	}()
 	if err := g.check(); err != nil {
@@ -134,8 +144,8 @@ func (g *Guard) Open() (err error) {
 // Next implements Iterator.
 func (g *Guard) Next() (batch []tuple.Tuple, err error) {
 	defer func() {
-		if rerr := Recovered(g.site(), recover()); rerr != nil {
-			batch, err = nil, rerr
+		if r := recover(); r != nil {
+			batch, err = nil, Recovered(g.site(), r)
 		}
 	}()
 	if err := g.check(); err != nil {
@@ -158,14 +168,15 @@ func (g *Guard) Next() (batch []tuple.Tuple, err error) {
 // broken state must not panic the unwinding query a second time.
 func (g *Guard) Close() (err error) {
 	defer func() {
-		if rerr := Recovered(g.site(), recover()); rerr != nil {
-			err = rerr
+		if r := recover(); r != nil {
+			err = Recovered(g.site(), r)
 		}
 	}()
 	return g.Input.Close()
 }
 
-// site names the guarded operator for panic diagnostics.
+// site names the guarded operator for panic diagnostics; it is rendered
+// only once a panic is in flight, never per batch.
 func (g *Guard) site() string { return fmt.Sprintf("%T", g.Input) }
 
 // check returns the context's error once it is done, counting the first
@@ -184,10 +195,12 @@ func (g *guardState) check() error {
 	return nil
 }
 
-// ColGuard is Guard for a columnar plan root: when the consumer pulls
-// batches straight off the vectorized pipeline (no Materialize step),
-// the root still gets the panic, cancellation and budget boundary — and
-// the exec.open / exec.next fault sites — a guarded row root has.
+// ColGuard is Guard on a columnar edge no row Guard covers: a plan root
+// whose consumer pulls batches straight off the vectorized pipeline (no
+// Materialize step), and the columnar input of a stateful operator, which
+// drains it inside a single Open or NextCol call. Either gets the panic,
+// cancellation and budget boundary — and the exec.open / exec.next fault
+// sites — a guarded row operator has.
 type ColGuard struct {
 	// Input is the wrapped columnar operator.
 	Input ColIterator
@@ -204,7 +217,11 @@ func (g *ColGuard) Schema() schema.Schema { return g.Input.Schema() }
 
 // Open implements ColIterator.
 func (g *ColGuard) Open() (err error) {
-	defer RecoverAsError(g.site(), &err)
+	defer func() {
+		if r := recover(); r != nil {
+			err = Recovered(g.site(), r)
+		}
+	}()
 	if err := g.check(); err != nil {
 		return err
 	}
@@ -218,8 +235,8 @@ func (g *ColGuard) Open() (err error) {
 // the row guard's rates.
 func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
 	defer func() {
-		if rerr := Recovered(g.site(), recover()); rerr != nil {
-			b, err = nil, rerr
+		if r := recover(); r != nil {
+			b, err = nil, Recovered(g.site(), r)
 		}
 	}()
 	if err := g.check(); err != nil {
@@ -241,7 +258,11 @@ func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
 
 // Close implements ColIterator.
 func (g *ColGuard) Close() (err error) {
-	defer RecoverAsError(g.site(), &err)
+	defer func() {
+		if r := recover(); r != nil {
+			err = Recovered(g.site(), r)
+		}
+	}()
 	return g.Input.Close()
 }
 

@@ -144,6 +144,7 @@ func (n *NestedLoopJoin) Open() error {
 
 func (n *NestedLoopJoin) Next() ([]tuple.Tuple, error) {
 	n.resetOut()
+	n.reserve(n.left.pending() + len(n.inner))
 	target := n.batchCap()
 	for len(n.outBuf) < target && !n.done {
 		if n.draining {
@@ -151,7 +152,7 @@ func (n *NestedLoopJoin) Next() ([]tuple.Tuple, error) {
 				i := n.drainPos
 				n.drainPos++
 				if !n.innerMatch[i] {
-					n.outBuf = append(n.outBuf, n.core.padLeft(n.inner[i]))
+					n.push(n.core.padLeft(n.inner[i]))
 				}
 			}
 			if n.drainPos >= len(n.inner) {
@@ -196,7 +197,7 @@ func (n *NestedLoopJoin) Next() ([]tuple.Tuple, error) {
 			switch n.Type {
 			case SemiJoin:
 				n.curValid = false
-				n.outBuf = append(n.outBuf, n.cur)
+				n.push(n.cur)
 				disqualified = true
 			case AntiJoin:
 				// A match disqualifies the left tuple; for anti joins we
@@ -205,7 +206,7 @@ func (n *NestedLoopJoin) Next() ([]tuple.Tuple, error) {
 				n.curValid = false
 				disqualified = true
 			default:
-				n.outBuf = append(n.outBuf, n.core.combine(n.cur, r))
+				n.push(n.core.combine(n.cur, r))
 				if len(n.outBuf) >= target {
 					// Batch full mid-probe: innerPos persists, so the next
 					// call resumes exactly here.
@@ -224,9 +225,9 @@ func (n *NestedLoopJoin) Next() ([]tuple.Tuple, error) {
 		if !n.curMatched {
 			switch n.Type {
 			case LeftOuterJoin, FullOuterJoin:
-				n.outBuf = append(n.outBuf, n.core.padRight(n.cur))
+				n.push(n.core.padRight(n.cur))
 			case AntiJoin:
-				n.outBuf = append(n.outBuf, n.cur)
+				n.push(n.cur)
 			}
 		}
 	}

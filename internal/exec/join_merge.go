@@ -195,12 +195,13 @@ func keyHasNull(k []value.Value) bool {
 
 func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 	m.resetOut()
+	m.reserve(1 + m.lc.pending() + m.rc.pending())
 	target := m.batchCap()
 	for len(m.outBuf) < target && !m.done {
 		// Drain queued unmatched right rows first.
 		if m.qPos < len(m.queue) {
 			for m.qPos < len(m.queue) && len(m.outBuf) < target {
-				m.outBuf = append(m.outBuf, m.core.padLeft(m.queue[m.qPos]))
+				m.push(m.core.padLeft(m.queue[m.qPos]))
 				m.qPos++
 			}
 			continue
@@ -220,7 +221,7 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 					if err := m.advanceRightRaw(); err != nil {
 						return nil, err
 					}
-					m.outBuf = append(m.outBuf, m.core.padLeft(t))
+					m.push(m.core.padLeft(t))
 					continue
 				}
 				m.rOK = false
@@ -238,9 +239,9 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 			}
 			switch m.Type {
 			case LeftOuterJoin, FullOuterJoin:
-				m.outBuf = append(m.outBuf, m.core.padRight(t))
+				m.push(m.core.padRight(t))
 			case AntiJoin:
-				m.outBuf = append(m.outBuf, t)
+				m.push(t)
 			}
 			continue
 		}
@@ -254,7 +255,7 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 					return nil, err
 				}
 				if m.Type == RightOuterJoin || m.Type == FullOuterJoin {
-					m.outBuf = append(m.outBuf, m.core.padLeft(t))
+					m.push(m.core.padLeft(t))
 					if len(m.outBuf) >= target {
 						// Resume the ω-skip on the next call.
 						return m.outBuf, nil
@@ -277,9 +278,9 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 			}
 			switch m.Type {
 			case LeftOuterJoin, FullOuterJoin:
-				m.outBuf = append(m.outBuf, m.core.padRight(t))
+				m.push(m.core.padRight(t))
 			case AntiJoin:
-				m.outBuf = append(m.outBuf, t)
+				m.push(t)
 			}
 			continue
 		}
@@ -295,9 +296,9 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 			if !matched {
 				switch m.Type {
 				case LeftOuterJoin, FullOuterJoin:
-					m.outBuf = append(m.outBuf, m.core.padRight(t))
+					m.push(m.core.padRight(t))
 				case AntiJoin:
-					m.outBuf = append(m.outBuf, t)
+					m.push(t)
 				}
 			}
 		case c > 0:
@@ -325,7 +326,7 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 					if err := m.advanceLeft(); err != nil {
 						return nil, err
 					}
-					m.outBuf = append(m.outBuf, t)
+					m.push(t)
 					semiEmitted = true
 					break
 				}
@@ -334,7 +335,7 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 					m.gPos = len(m.group)
 					continue
 				}
-				m.outBuf = append(m.outBuf, m.core.combine(m.l, row.t))
+				m.push(m.core.combine(m.l, row.t))
 				if len(m.outBuf) >= target {
 					// Batch full mid-group: gPos persists, the next call
 					// resumes probing for the same left tuple.
@@ -352,9 +353,9 @@ func (m *MergeJoin) Next() ([]tuple.Tuple, error) {
 			if !matched {
 				switch m.Type {
 				case LeftOuterJoin, FullOuterJoin:
-					m.outBuf = append(m.outBuf, m.core.padRight(t))
+					m.push(m.core.padRight(t))
 				case AntiJoin:
-					m.outBuf = append(m.outBuf, t)
+					m.push(t)
 				}
 			}
 		}

@@ -52,6 +52,7 @@ func (f *Filter) Next() ([]tuple.Tuple, error) {
 			f.done = true
 			break
 		}
+		f.reserve(len(in))
 		for i := range in {
 			f.env = expr.Env{Vals: in[i].Vals, T: in[i].T}
 			keep, err := expr.EvalBool(f.Pred, &f.env)
@@ -59,7 +60,7 @@ func (f *Filter) Next() ([]tuple.Tuple, error) {
 				return nil, err
 			}
 			if keep {
-				f.outBuf = append(f.outBuf, in[i])
+				f.push(in[i])
 			}
 		}
 	}
@@ -106,18 +107,6 @@ func NewProject(input Iterator, names []string, exprs []expr.Expr) (*Project, er
 	return &Project{Input: input, Exprs: exprs, Out: schema.Schema{Attrs: attrs}}, nil
 }
 
-// NewProjectCols builds a projection of the given column positions.
-func NewProjectCols(input Iterator, cols []int) *Project {
-	in := input.Schema()
-	exprs := make([]expr.Expr, len(cols))
-	attrs := make([]schema.Attr, len(cols))
-	for i, c := range cols {
-		exprs[i] = expr.ColIdx{Idx: c, Typ: in.Attrs[c].Type, Name: in.Attrs[c].Name}
-		attrs[i] = in.Attrs[c]
-	}
-	return &Project{Input: input, Exprs: exprs, Out: schema.Schema{Attrs: attrs}}
-}
-
 func (p *Project) Schema() schema.Schema { return p.Out }
 
 func (p *Project) Open() error {
@@ -139,6 +128,7 @@ func (p *Project) Next() ([]tuple.Tuple, error) {
 			p.done = true
 			break
 		}
+		p.reserve(len(in))
 		// One contiguous allocation of output values for the whole batch.
 		flat := make([]value.Value, len(in)*len(p.Exprs))
 		for i := range in {
@@ -170,7 +160,7 @@ func (p *Project) Next() ([]tuple.Tuple, error) {
 					continue
 				}
 			}
-			p.outBuf = append(p.outBuf, tuple.Tuple{Vals: vals, T: ts})
+			p.push(tuple.Tuple{Vals: vals, T: ts})
 		}
 	}
 	return p.outBuf, nil
@@ -204,15 +194,6 @@ type Sort struct {
 // NewSort builds a sort node.
 func NewSort(input Iterator, keys ...SortKey) *Sort {
 	return &Sort{Input: input, Keys: keys}
-}
-
-// ByCols returns ascending sort keys for the given column positions.
-func ByCols(s schema.Schema, cols ...int) []SortKey {
-	out := make([]SortKey, len(cols))
-	for i, c := range cols {
-		out[i] = SortKey{Expr: expr.ColIdx{Idx: c, Typ: s.Attrs[c].Type, Name: s.Attrs[c].Name}}
-	}
-	return out
 }
 
 func (s *Sort) Schema() schema.Schema { return s.Input.Schema() }

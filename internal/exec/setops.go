@@ -27,15 +27,15 @@ func (k SetOpKind) String() string {
 // SetOp implements UNION / INTERSECT / EXCEPT over union compatible
 // inputs. Membership uses the order-preserving tuple key encoding: byte
 // keys are bitwise equal exactly when tuples are Equal, so an
-// arena-backed byte-key set replaces hash chains, per-candidate tuple
+// arena-backed byte-key table (keyTable) replaces hash chains, per-candidate tuple
 // comparisons and per-key string allocations.
 type SetOp struct {
 	batching
 	Left, Right Iterator
 	Kind        SetOpKind
 
-	seen   *byteSet // dedup / membership table
-	rhs    *byteSet // right side membership (intersect/except)
+	seen   *keyTable // dedup / membership table
+	rhs    *keyTable // right side membership (intersect/except)
 	keyBuf []byte
 	phase  int
 	done   bool
@@ -58,12 +58,13 @@ func (s *SetOp) key(t tuple.Tuple) []byte {
 }
 
 // memberAdd inserts t into m if absent; it reports whether t was added.
-func (s *SetOp) memberAdd(m *byteSet, t tuple.Tuple) bool {
-	return m.insert(s.key(t))
+func (s *SetOp) memberAdd(m *keyTable, t tuple.Tuple) bool {
+	_, added := m.insert(s.key(t))
+	return added
 }
 
-func (s *SetOp) member(m *byteSet, t tuple.Tuple) bool {
-	return m.contains(s.key(t))
+func (s *SetOp) member(m *keyTable, t tuple.Tuple) bool {
+	return m.find(s.key(t)) >= 0
 }
 
 func (s *SetOp) Open() error {
@@ -73,11 +74,11 @@ func (s *SetOp) Open() error {
 	if err := s.Right.Open(); err != nil {
 		return err
 	}
-	s.seen = newByteSet(0)
+	s.seen = newKeyTable(0)
 	s.phase = 0
 	s.done = false
 	if s.Kind == IntersectOp || s.Kind == ExceptOp {
-		s.rhs = newByteSet(0)
+		s.rhs = newKeyTable(0)
 		for {
 			batch, err := s.Right.Next()
 			if err != nil {
@@ -112,20 +113,21 @@ func (s *SetOp) Next() ([]tuple.Tuple, error) {
 				s.done = true
 				break
 			}
+			s.reserve(len(batch))
 			for i := range batch {
 				t := batch[i]
 				switch s.Kind {
 				case UnionOp:
 					if s.memberAdd(s.seen, t) {
-						s.outBuf = append(s.outBuf, t)
+						s.push(t)
 					}
 				case IntersectOp:
 					if s.member(s.rhs, t) && s.memberAdd(s.seen, t) {
-						s.outBuf = append(s.outBuf, t)
+						s.push(t)
 					}
 				case ExceptOp:
 					if !s.member(s.rhs, t) && s.memberAdd(s.seen, t) {
-						s.outBuf = append(s.outBuf, t)
+						s.push(t)
 					}
 				}
 			}
@@ -138,9 +140,10 @@ func (s *SetOp) Next() ([]tuple.Tuple, error) {
 				s.done = true
 				break
 			}
+			s.reserve(len(batch))
 			for i := range batch {
 				if s.memberAdd(s.seen, batch[i]) {
-					s.outBuf = append(s.outBuf, batch[i])
+					s.push(batch[i])
 				}
 			}
 		}
@@ -166,7 +169,7 @@ type Distinct struct {
 	batching
 	Input Iterator
 
-	seen   *byteSet
+	seen   *keyTable
 	keyBuf []byte
 	done   bool
 }
@@ -179,7 +182,7 @@ func NewDistinct(input Iterator) *Distinct {
 func (d *Distinct) Schema() schema.Schema { return d.Input.Schema() }
 
 func (d *Distinct) Open() error {
-	d.seen = newByteSet(0)
+	d.seen = newKeyTable(0)
 	d.done = false
 	return d.Input.Open()
 }
@@ -196,10 +199,11 @@ func (d *Distinct) Next() ([]tuple.Tuple, error) {
 			d.done = true
 			break
 		}
+		d.reserve(len(batch))
 		for i := range batch {
 			d.keyBuf = batch[i].AppendKey(d.keyBuf[:0])
-			if d.seen.insert(d.keyBuf) {
-				d.outBuf = append(d.outBuf, batch[i])
+			if _, added := d.seen.insert(d.keyBuf); added {
+				d.push(batch[i])
 			}
 		}
 	}

@@ -1,12 +1,13 @@
-// Columnar build protocol. Nodes whose physical operator has a
-// vectorized twin implement colBuilder; Build methods try the columnar
-// path first and finish it with a single exec.Materialize step at the
-// row boundary, so cursors, the wire protocol and the database/sql
-// driver keep seeing rows while the pipeline underneath runs over
-// colbatch vectors. The adjustment node is the exception that has no
-// twin: exec.ColFusedAdjust is its only operator, so its Build always
+// Columnar build protocol. Nodes whose physical operator is vectorized
+// implement colBuilder; Build methods try the columnar path first and
+// finish it with a single exec.Materialize step at the row boundary, so
+// a row parent keeps seeing rows while the pipeline underneath runs over
+// colbatch vectors, and a columnar root (BuildColRoot) hands its batches
+// to the cursor untouched. Scan, filter, project, limit and union have a
+// row twin to fall back on. The adjustment, hash-join, aggregate and
+// absorb nodes have one operator each, a columnar one: their Build always
 // builds it, bridging children that stay on the row path with
-// exec.NewToCol.
+// exec.NewToCol (toColInput).
 //
 // Three invariants keep the protocol safe:
 //
@@ -23,12 +24,13 @@
 //     refuses — colDisabled checks ctx.Instrument — so each plan node is
 //     built through Build and wrapped by the instrument hook exactly
 //     once, and per-operator row counters keep their meaning. Twinned
-//     nodes then run their row operator; the adjustment node still runs
-//     the columnar one, counted at its Materialize boundary.
+//     nodes then run their row operator; the one-operator nodes still
+//     run their columnar one, counted at its Materialize boundary.
 package plan
 
 import (
 	"fmt"
+	"math"
 
 	"talign/internal/exec"
 	"talign/internal/relation"
@@ -81,22 +83,61 @@ func BuildColRoot(n Node, ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	return exec.NewColGuard(ctx.Ctx, ctx.Budget, cit), true, nil
 }
 
-// toColInput bridges a child into a columnar pipeline when the child
-// itself cannot build columnar: the row subtree is built as usual and
-// adapted batch-by-batch.
+// buildMaterialized is Build for a node with one operator, a columnar one:
+// the operator always runs, finished at the row boundary, where an
+// instrumented execution (EXPLAIN ANALYZE) counts its rows.
+func buildMaterialized(n Node, ctx *ExecCtx, build func(*ExecCtx) (exec.ColIterator, error)) (exec.Iterator, error) {
+	cit, err := build(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.instrument(n, exec.NewMaterialize(cit)), nil
+}
+
+// buildColOnly is BuildCol for such a node: it hands the operator to a
+// columnar parent, refusing only on the pure colDisabled gate — keeping
+// row parents (and their EXPLAIN ANALYZE counters) on the row path —
+// never because of a strategy, key or θ shape.
+func buildColOnly(noCol bool, ctx *ExecCtx, build func(*ExecCtx) (exec.ColIterator, error)) (exec.ColIterator, bool, error) {
+	if colDisabled(noCol, ctx) {
+		return nil, false, nil
+	}
+	cit, err := build(ctx)
+	return cit, err == nil, err
+}
+
+// rowHint is n's estimated cardinality as a presize hint for the operator
+// that will hold n's rows (the executor clamps it further).
+func rowHint(n Node) int {
+	return int(math.Min(math.Max(n.Rows(), 0), 1<<30))
+}
+
+// toColInput builds a child as the input of one of the stateful columnar
+// operators (adjust, hash join, aggregate, absorb). A child that cannot
+// build columnar is built as the usual (guarded) row subtree and adapted
+// batch by batch. A columnar chain gets the resilience boundary a row
+// operator's input has always had — exec.ColGuard: the cancellation
+// check, budget charge and panic isolation per batch — because these
+// operators pull whole inputs inside one Open or NextCol call, and a
+// deadline must still be able to stop a build over a runaway join. A bare
+// scan is exempt: it cannot run away, and the operators take its image
+// over without copying only while they can see it is one.
 func toColInput(n Node, ctx *ExecCtx) (exec.ColIterator, error) {
 	cit, ok, err := buildColNode(n, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
+	if !ok {
+		it, err := n.Build(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return exec.NewToCol(it), nil
+	}
+	if _, bare := cit.(*exec.ColScan); bare || ctx == nil {
 		return cit, nil
 	}
-	it, err := n.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewToCol(it), nil
+	return exec.NewColGuard(ctx.Ctx, ctx.Budget, cit), nil
 }
 
 // BuildCol streams the relation's cached columnar image (zero-copy
@@ -168,16 +209,29 @@ func (l *LimitNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	return exec.NewColLimit(in, l.N, l.Offset), true, nil
 }
 
-// BuildCol hands the fused adjust to a columnar parent. It refuses only
-// on the pure colDisabled gate — keeping row parents (and their EXPLAIN
-// ANALYZE counters) on the row path — never because of strategy, key or
-// θ shape: Build runs the same operator either way.
+// BuildCol hands the fused adjust to a columnar parent.
 func (n *AdjustmentNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
-	if colDisabled(n.noCol, ctx) {
+	return buildColOnly(n.noCol, ctx, n.buildFused)
+}
+
+// BuildCol hands the hash join to a columnar parent; the other join
+// methods are row operators (a pure gate, checked before any child is
+// built).
+func (j *JoinNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
+	if j.Method != MethodHash {
 		return nil, false, nil
 	}
-	fa, err := n.buildFused(ctx)
-	return fa, err == nil, err
+	return buildColOnly(j.noCol, ctx, j.buildHash)
+}
+
+// BuildCol hands the aggregate to a columnar parent.
+func (a *AggNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
+	return buildColOnly(a.noCol, ctx, a.buildAgg)
+}
+
+// BuildCol hands the absorb to a columnar parent.
+func (a *AbsorbNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
+	return buildColOnly(a.noCol, ctx, a.buildAbsorb)
 }
 
 // BuildCol streams the union with selection-vector dedup; intersect and
@@ -201,6 +255,7 @@ func (s *SetOpNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	op.SizeHint = rowHint(s)
 	return op, true, nil
 }
 

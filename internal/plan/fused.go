@@ -161,11 +161,7 @@ func (n *AdjustmentNode) Cost() float64 { return n.cost }
 // instrumented execution (EXPLAIN ANALYZE) counts the rows of the same
 // operator production runs.
 func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	fa, err := n.buildFused(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(n, exec.NewMaterialize(fa)), nil
+	return buildMaterialized(n, ctx, n.buildFused)
 }
 
 // buildFused builds the operator over columnar inputs; a child that
@@ -184,6 +180,7 @@ func (n *AdjustmentNode) buildFused(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	fa.SizeHint = rowHint(n.Right)
 	return exec.ApplyColBatch(fa, n.batch), nil
 }
 

@@ -85,9 +85,9 @@ type Flags struct {
 	// ([]tuple.Tuple) path. The columnar (colbatch vector) path is the
 	// default where supported — scans, compilable filters, column
 	// projections, limits, union, exchange — with row fallback elsewhere;
-	// ALIGN/NORMALIZE always run the one columnar operator, over bridged
-	// row children under this flag. It exists for differential testing
-	// and as an escape hatch.
+	// ALIGN/NORMALIZE, hash joins, aggregation and absorb always run their
+	// one columnar operator, over bridged row children under this flag.
+	// It exists for differential testing and as an escape hatch.
 	DisableColumnar bool
 
 	// DisablePruning turns off zone-map segment pruning on scans of
@@ -674,11 +674,12 @@ type JoinNode struct {
 	cost     float64
 	rows     float64
 	batch    int
+	noCol    bool
 }
 
 // Join builds a join node and selects the cheapest enabled method.
 func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool) *JoinNode {
-	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize}
+	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
 	if typ == exec.SemiJoin || typ == exec.AntiJoin {
 		j.out = l.Schema()
 	} else {
@@ -821,7 +822,14 @@ func (j *JoinNode) Stats() *stats.Table {
 	return out
 }
 
+// Build runs the hash method's one operator, exec.ColHashJoin, on every
+// configuration — materialized here at the row boundary, where an
+// instrumented execution counts its rows; the merge and nested-loop
+// methods are row operators.
 func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
+	if j.Method == MethodHash {
+		return buildMaterialized(j, ctx, j.buildHash)
+	}
 	l, err := j.Left.Build(ctx)
 	if err != nil {
 		return nil, err
@@ -833,8 +841,6 @@ func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	keys := bindPairs(ctx, j.keys)
 	residual := ctx.bind(j.residual)
 	switch j.Method {
-	case MethodHash:
-		return ctx.instrument(j, applyBatch(exec.NewHashJoin(l, r, keys, residual, j.Type, j.MatchT), j.batch)), nil
 	case MethodMerge:
 		lk := make([]exec.SortKey, len(keys))
 		rk := make([]exec.SortKey, len(keys))
@@ -852,6 +858,21 @@ func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	default:
 		return ctx.instrument(j, applyBatch(exec.NewNestedLoopJoin(l, r, ctx.bind(j.Cond), j.Type, j.MatchT), j.batch)), nil
 	}
+}
+
+// buildHash builds the hash join over columnar inputs (see toColInput).
+func (j *JoinNode) buildHash(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := toColInput(j.Left, ctx)
+	if err != nil {
+		return nil, err
+	}
+	r, err := toColInput(j.Right, ctx)
+	if err != nil {
+		return nil, err
+	}
+	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, j.keys), ctx.bind(j.residual), j.Type, j.MatchT)
+	hj.SizeHint = rowHint(j.Right)
+	return exec.ApplyColBatch(hj, j.batch), nil
 }
 
 func (j *JoinNode) Label() string {
@@ -878,15 +899,16 @@ type AggNode struct {
 
 	out   schema.Schema
 	batch int
+	noCol bool
 }
 
 // Aggregate builds an aggregation node.
 func (p *Planner) Aggregate(input Node, groupBy []expr.Expr, names []string, groupByT bool, aggs []exec.AggSpec) (*AggNode, error) {
-	probe, err := exec.NewHashAggregate(exec.NewScan(relation.New(input.Schema())), groupBy, names, groupByT, aggs)
+	out, err := exec.AggregateSchema(groupBy, names, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &AggNode{Input: input, GroupBy: groupBy, Names: names, GroupByT: groupByT, Aggs: aggs, out: probe.Schema(), batch: p.Flags.BatchSize}, nil
+	return &AggNode{Input: input, GroupBy: groupBy, Names: names, GroupByT: groupByT, Aggs: aggs, out: out, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}, nil
 }
 
 func (a *AggNode) Schema() schema.Schema { return a.out }
@@ -924,8 +946,16 @@ func (a *AggNode) Rows() float64 {
 func (a *AggNode) Cost() float64 {
 	return a.Input.Cost() + a.Input.Rows()*CPUOperatorCost*float64(1+len(a.Aggs))
 }
+
+// Build runs the one aggregation operator, exec.ColHashAggregate,
+// materialized at the row boundary.
 func (a *AggNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := a.Input.Build(ctx)
+	return buildMaterialized(a, ctx, a.buildAgg)
+}
+
+// buildAgg builds the aggregate over a columnar input (see toColInput).
+func (a *AggNode) buildAgg(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := toColInput(a.Input, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -937,11 +967,11 @@ func (a *AggNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 			aggs[i] = sp
 		}
 	}
-	agg, err := exec.NewHashAggregate(in, ctx.bindAll(a.GroupBy), a.Names, a.GroupByT, aggs)
+	agg, err := exec.NewColHashAggregate(in, ctx.bindAll(a.GroupBy), a.Names, a.GroupByT, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(a, applyBatch(agg, a.batch)), nil
+	return exec.ApplyColBatch(agg, a.batch), nil
 }
 func (a *AggNode) Label() string {
 	return fmt.Sprintf("HashAggregate (%d group cols, byT=%v, %d aggs)", len(a.GroupBy), a.GroupByT, len(a.Aggs))
@@ -1034,11 +1064,12 @@ type AbsorbNode struct {
 	Input Node
 
 	batch int
+	noCol bool
 }
 
 // Absorb builds the temporal-duplicate elimination node (Def. 12).
 func (p *Planner) Absorb(input Node) *AbsorbNode {
-	return &AbsorbNode{Input: input, batch: p.Flags.BatchSize}
+	return &AbsorbNode{Input: input, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
 }
 
 func (a *AbsorbNode) Schema() schema.Schema { return a.Input.Schema() }
@@ -1048,12 +1079,22 @@ func (a *AbsorbNode) Cost() float64 {
 	n := math.Max(a.Input.Rows(), 2)
 	return a.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n)
 }
+
+// Build runs the one absorb operator, exec.ColAbsorb, materialized at the
+// row boundary.
 func (a *AbsorbNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := a.Input.Build(ctx)
+	return buildMaterialized(a, ctx, a.buildAbsorb)
+}
+
+// buildAbsorb builds the operator over a columnar input (see toColInput).
+func (a *AbsorbNode) buildAbsorb(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := toColInput(a.Input, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(a, applyBatch(exec.NewAbsorb(in), a.batch)), nil
+	ab := exec.NewColAbsorb(in)
+	ab.SizeHint = rowHint(a.Input)
+	return exec.ApplyColBatch(ab, a.batch), nil
 }
 func (a *AbsorbNode) Label() string { return "Absorb" }
 

@@ -1,12 +1,16 @@
 package plan
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"talign/internal/exec"
 	"talign/internal/expr"
+	"talign/internal/interval"
 	"talign/internal/relation"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -125,6 +129,84 @@ func TestJoinMethodsProduceSameResult(t *testing.T) {
 		if !relation.SetEqual(results[0], results[i]) {
 			t.Fatalf("method %d produced different result", i)
 		}
+	}
+}
+
+// TestNaNPayloadsJoin runs one pair of NaNs with different payload bits —
+// math.NaN() against what Inf-Inf yields on amd64 — through the hash,
+// merge and nested-loop joins and through a DOP=2 exchange on both
+// splitters. Equal, Compare and AppendKey treat every NaN as one value,
+// so each configuration must pair the two rows.
+func TestNaNPayloadsJoin(t *testing.T) {
+	mk := func(f float64) *relation.Relation {
+		rel := relation.New(relation.NewBuilder("k float").MustBuild().Schema)
+		rel.MustAppend(tuple.New(interval.New(0, 5), value.NewFloat(f)))
+		return rel
+	}
+	l, r := mk(math.NaN()), mk(math.Float64frombits(0xFFF8000000000000))
+	cond := expr.Eq(expr.CI(0, value.KindFloat), expr.CI(1, value.KindFloat))
+	method := func(nl, hash, merge bool) Flags {
+		f := DefaultFlags()
+		f.EnableNestLoop, f.EnableHashJoin, f.EnableMergeJoin = nl, hash, merge
+		return f
+	}
+	exchange := func(noCol bool) Flags {
+		f := DefaultFlags()
+		f.DOP, f.ForceParallel, f.DisableColumnar = 2, true, noCol
+		return f
+	}
+	for name, flags := range map[string]Flags{
+		"hash": method(false, true, false), "merge": method(false, false, true), "nestloop": method(true, false, false),
+		"exchange/columnar splitter": exchange(false), "exchange/row splitter": exchange(true),
+	} {
+		p := NewPlanner(flags)
+		// The exchange seed is random per build: repeat so that a routing
+		// that only works by luck shows up.
+		for i := 0; i < 20; i++ {
+			out, err := Run(p.ParJoin(p.Scan(l, "l"), p.Scan(r, "r"), cond, exec.InnerJoin, false))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.Len() != 1 {
+				t.Fatalf("%s: NaN = NaN produced %d rows, want 1", name, out.Len())
+			}
+		}
+	}
+}
+
+// TestBudgetStopsColumnarBlowUp: an aggregate over a hash join is one
+// columnar pipeline whose root emits a single row, and the aggregate
+// drains the join inside its Open. The row budget must still see the
+// million join rows crossing that edge and abort the execution — the
+// resilience boundary is per operator input, not per plan.
+func TestBudgetStopsColumnarBlowUp(t *testing.T) {
+	b := relation.NewBuilder("k int", "v int")
+	for i := 0; i < 1000; i++ {
+		b.Row(0, 10, 7, i) // one key: the equi join is a cross product
+	}
+	rel := b.MustBuild()
+	flags := DefaultFlags()
+	flags.EnableNestLoop, flags.EnableMergeJoin = false, false
+	p := NewPlanner(flags)
+	join := p.Join(p.Scan(rel, "l"), p.Scan(rel, "r"), equiCond(2), exec.InnerJoin, false)
+	agg, err := p.Aggregate(join, nil, nil, false, []exec.AggSpec{{Func: exec.AggCountStar, Name: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewExecCtx()
+	ctx.Budget = exec.NewBudget(50_000, 0)
+	cit, ok, err := BuildColRoot(agg, ctx)
+	if err != nil || !ok {
+		t.Fatalf("aggregate over hash join did not build columnar: ok=%v err=%v", ok, err)
+	}
+	defer cit.Close()
+	err = cit.Open()
+	var be *exec.BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" {
+		t.Fatalf("Open = %v, want the row budget to abort the build", err)
+	}
+	if rows := ctx.Budget.Rows(); rows > 60_000 {
+		t.Fatalf("the budget let %d rows through before tripping at 50 000", rows)
 	}
 }
 

@@ -201,11 +201,9 @@ func (v Value) rank() int {
 	return 5
 }
 
-// Hash mixes the value into h for hash joins, aggregation and set
-// operations. Values that are Equal hash identically (ints that equal a
-// float hash via the float path only when non-integral floats are
-// impossible; to keep Equal⇒same-hash we hash all numerics as float bits
-// when the value is integral-representable).
+// Hash mixes the value into h for the row exchange's partition routing.
+// Values that are Equal hash identically: an integral float hashes like
+// the int it equals, and every NaN hashes alike.
 func (v Value) Hash(h *maphash.Hash) {
 	switch v.kind {
 	case KindNull:
@@ -217,11 +215,17 @@ func (v Value) Hash(h *maphash.Hash) {
 		h.WriteByte(2)
 		writeUint64(h, uint64(v.i))
 	case KindFloat:
-		if f := v.f; f >= -two63 && f < two63 && f == float64(int64(f)) {
+		switch f := v.f; {
+		case f >= -two63 && f < two63 && f == float64(int64(f)):
 			// Integral float hashes like the equal int.
 			h.WriteByte(2)
 			writeUint64(h, uint64(int64(f)))
-		} else {
+		case f != f:
+			// Every NaN is one value to Equal, Compare and AppendKey,
+			// whatever its sign and payload bits.
+			h.WriteByte(3)
+			writeUint64(h, math.Float64bits(math.NaN()))
+		default:
 			h.WriteByte(3)
 			writeUint64(h, math.Float64bits(f))
 		}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"talign/internal/backoff"
-	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/relation"
 	"talign/internal/stats"
@@ -257,16 +256,12 @@ func (r *remoteDB) close() error {
 // that ends without a status frame (server died, connection cut) is an
 // error, never a silent truncation, and so is one whose status frame
 // disagrees with the rows received. A rows frame is unpacked into one
-// value arena per frame — the rows handed out are slices of it, fully
-// owned, and the column kinds come from the frame itself, so NaN/Inf
-// floats, periods and ω come back as their real kinds, identical to the
-// embedded backend.
+// value arena per frame (batchRows), so the decoder may reuse its buffer.
 type remoteSource struct {
 	body   io.ReadCloser
 	dec    *wire.Decoder
-	cancel func()        // releases the timeout= deadline context, if any
-	n, pos int           // rows in the current rows frame, rows handed out
-	arena  []value.Value // the frame's rows, len(arena)/n values each
+	cancel func() // releases the timeout= deadline context, if any
+	rows   batchRows
 	closed bool
 }
 
@@ -288,14 +283,17 @@ func (s *remoteSource) frame() (wire.Frame, error) {
 }
 
 func (s *remoteSource) next() ([]value.Value, error) {
-	for s.pos >= s.n {
+	for {
+		if row := s.rows.next(); row != nil {
+			return row, nil
+		}
 		f, err := s.frame()
 		if err != nil {
 			return nil, err
 		}
 		switch f.Frame {
 		case wire.FrameRows:
-			s.unpack(f.Batch)
+			s.rows.unpack(f.Batch)
 		case wire.FrameStatus:
 			return nil, nil
 		case wire.FrameError:
@@ -303,26 +301,6 @@ func (s *remoteSource) next() ([]value.Value, error) {
 		default:
 			return nil, fmt.Errorf("talign: bad stream: unexpected %q frame", f.Frame)
 		}
-	}
-	s.pos++
-	w := len(s.arena) / s.n
-	return s.arena[(s.pos-1)*w : s.pos*w : s.pos*w], nil
-}
-
-// unpack copies a batch into a fresh arena, row-major: each row is its
-// visible values followed by the valid-time bounds ts and te.
-func (s *remoteSource) unpack(b *colbatch.Batch) {
-	n, w := b.Len(), len(b.Cols)+2
-	s.n, s.pos, s.arena = n, 0, make([]value.Value, n*w)
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		for r := 0; r < n; r++ {
-			s.arena[r*w+c] = col.Value(r)
-		}
-	}
-	for r := 0; r < n; r++ {
-		s.arena[r*w+w-2] = value.NewInt(b.TS[r])
-		s.arena[r*w+w-1] = value.NewInt(b.TE[r])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"talign/internal/colbatch"
 	"talign/internal/value"
 )
 
@@ -17,6 +18,45 @@ type rowSource interface {
 	// up the wire stream, for embedded ones it tears the executor down
 	// and releases the admission-gate claim.
 	close() error
+}
+
+// batchRows hands one columnar batch out as fully-owned rows, the shape
+// both transports share: the batch's selected rows are unpacked into one
+// fresh value arena — row-major, each row its visible values followed by
+// the valid-time bounds ts and te — and the rows handed out are slices of
+// it. Nothing of the batch (which its producer reuses) is retained, and
+// the column kinds come from the batch itself, so NaN/Inf floats, periods
+// and ω read the same on both DSN schemes.
+type batchRows struct {
+	n, pos int           // rows in the current arena, rows handed out
+	arena  []value.Value // n rows of len(arena)/n values each
+}
+
+// unpack replaces the arena with the selected rows of b.
+func (r *batchRows) unpack(b *colbatch.Batch) {
+	n, w := b.NumRows(), len(b.Cols)+2
+	r.n, r.pos, r.arena = n, 0, make([]value.Value, n*w)
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		for i := 0; i < n; i++ {
+			r.arena[i*w+c] = col.Value(b.RowAt(i))
+		}
+	}
+	for i := 0; i < n; i++ {
+		row := b.RowAt(i)
+		r.arena[i*w+w-2] = value.NewInt(b.TS[row])
+		r.arena[i*w+w-1] = value.NewInt(b.TE[row])
+	}
+}
+
+// next returns the next row of the arena, or nil when it is used up.
+func (r *batchRows) next() []value.Value {
+	if r.pos >= r.n {
+		return nil
+	}
+	r.pos++
+	w := len(r.arena) / r.n
+	return r.arena[(r.pos-1)*w : r.pos*w : r.pos*w]
 }
 
 // Rows is an incremental result cursor in the style of database/sql: call

@@ -9,8 +9,10 @@ import (
 	"context"
 	"database/sql"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -220,5 +222,52 @@ func seedBig(t *testing.T, dsn string) {
 	}
 	if err := db.Register("big", b.MustBuild()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDriverRowsSurviveIteration: values scanned through database/sql
+// stay intact across later Next calls and after Close on both DSN forms,
+// at a batch size that makes the result span several executor batches —
+// with a filter's selection and an outer join's ω padding on the way.
+func TestDriverRowsSurviveIteration(t *testing.T) {
+	const q = `SELECT x.a, y.mn FROM p x LEFT JOIN (SELECT a, mn FROM p WHERE a >= 40) y ON x.a = y.a WHERE x.a >= 20`
+	var results [2][]string
+	for i, dsn := range []string{"talign://demo?batch=2", remoteDSN(t) + "?batch=2"} {
+		db, err := sql.Open("talign", dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", dsn, err)
+		}
+		var kept [][4]any
+		var want []string
+		for rows.Next() {
+			var r [4]any // a, mn and the valid-time bounds ts, te
+			if err := rows.Scan(&r[0], &r[1], &r[2], &r[3]); err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, r)
+			want = append(want, fmt.Sprint(r))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		rows.Close()
+		db.Close()
+		if len(kept) < 3 || !strings.Contains(fmt.Sprint(want), "<nil>") {
+			t.Fatalf("%s: %v neither spans batches of 2 nor carries ω", dsn, want)
+		}
+		for r := range kept {
+			if got := fmt.Sprint(kept[r]); got != want[r] {
+				t.Errorf("%s: row %d reads %s after Close, was %s", dsn, r, got, want[r])
+			}
+		}
+		sort.Strings(want)
+		results[i] = want
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("embedded %v, remote %v", results[0], results[1])
 	}
 }
