@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"talign/internal/dataset"
@@ -100,6 +101,73 @@ func TestEmbeddedAllocsPerRow(t *testing.T) {
 		}
 		if allocs > 0.5*float64(rows) {
 			t.Errorf("%s: %.0f mallocs for %d rows, want at most 0.5 per row", st.name, allocs, rows)
+		}
+	}
+}
+
+// pointShapes are the benchmark's point_prepared statement shapes, $1
+// where the employee id goes.
+var pointShapes = []struct{ name, sql string }{
+	{"align_eq", "SELECT ssn, pcn, Ts, Te FROM ((SELECT ssn, pcn FROM a WHERE ssn = $1) p ALIGN (SELECT ssn, pcn FROM b WHERE ssn = $1) q ON p.ssn = q.ssn) x"},
+	{"normalize_eq", "SELECT ssn, pcn, Ts, Te FROM ((SELECT ssn, pcn FROM a WHERE ssn = $1) p NORMALIZE (SELECT ssn, pcn FROM b WHERE ssn = $1) q USING (ssn)) x"},
+	{"join_eq", "SELECT p.ssn s1, q.pcn p2 FROM (SELECT ssn, pcn FROM a WHERE ssn = $1) p JOIN (SELECT ssn, pcn FROM b WHERE ssn = $1) q ON p.ssn = q.ssn"},
+	{"scan_eq", "SELECT ssn, pcn, Ts, Te FROM a WHERE ssn = $1"},
+	{"agg_eq", "SELECT pcn, COUNT(*) c, Ts, Te FROM ((SELECT ssn, pcn FROM a WHERE ssn = $1) p NORMALIZE (SELECT ssn, pcn FROM a WHERE ssn = $1) q USING (pcn)) x GROUP BY pcn, Ts, Te"},
+}
+
+// TestAdhocPointAllocs pins what planning per statement shape bought a
+// point query: ad-hoc text with a literal never seen before, on a shape
+// seen before, is not planned (PlanCache Plans does not move) and not
+// parsed, and so costs nearly what its prepared twin costs — the lex, the
+// shape key, the lifted values and their binding: at most 10 % more
+// mallocs for the operator shapes, a handful for the bare scan, where
+// that handful is a larger share. Before, it paid a parse, an analysis
+// and an optimization: 230 mallocs more than the twin.
+func TestAdhocPointAllocs(t *testing.T) {
+	db, _ := allocPinDB(t, 1000)
+	ctx := context.Background()
+	sess := db.Session("")
+	const runs = 40
+	for _, sh := range pointShapes {
+		st, err := sess.Prepare(ctx, sh.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		// Texts are built outside the measured calls; every one carries a
+		// literal no statement before it had.
+		texts := make([]string, 0, runs+2)
+		for k := 0; k < cap(texts); k++ {
+			texts = append(texts, strings.ReplaceAll(sh.sql, "$1", fmt.Sprint(k)))
+		}
+		drain := func(rs *Rows, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			for rs.Next() {
+			}
+			if err := rs.Err(); err != nil {
+				t.Fatalf("%s: %v", sh.name, err)
+			}
+			rs.Close()
+		}
+		k := 0
+		prepared := func() { drain(st.Query(ctx, int64(k))); k++ }
+		adhoc := func() { drain(db.Query(ctx, texts[k])); k++ }
+		adhoc() // the shape's plan, from texts[0]
+		twin := testing.AllocsPerRun(runs, prepared)
+		plans := db.Server().CacheStats().Plans
+		k = 1
+		text := testing.AllocsPerRun(runs, adhoc)
+		if got := db.Server().CacheStats().Plans; got != plans {
+			t.Errorf("%s: %d plans built for %d never-seen literals on a seen shape", sh.name, got-plans, runs+1)
+		}
+		t.Logf("%-13s prepared %4.0f mallocs  ad-hoc %4.0f (+%.1f%%)", sh.name, twin, text, 100*(text-twin)/twin)
+		limit := 1.10 * twin
+		if sh.name == "scan_eq" {
+			limit = twin + 6
+		}
+		if text > limit {
+			t.Errorf("%s: ad-hoc text costs %.0f mallocs, its prepared twin %.0f; want at most %.0f", sh.name, text, twin, limit)
 		}
 	}
 }

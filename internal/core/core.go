@@ -201,9 +201,8 @@ func (a *Algebra) splitPointsPlan(s plan.Node, sCols []int) plan.Node {
 		}
 		names = append(names, "__p")
 		exprs = append(exprs, point)
-		pr := a.p.Project(s, names, exprs)
-		pr.TMode = exec.TZero // split points are nontemporal values
-		return pr
+		// Split points are nontemporal values.
+		return a.p.ProjectMode(s, names, exprs, exec.TZero, nil)
 	}
 	return a.p.SetOp(splitPoints(expr.TStart{}), splitPoints(expr.TEnd{}), exec.UnionOp)
 }

@@ -57,7 +57,7 @@ func (s strategy) String() string {
 // that repartition re-render per execution with the staged names).
 type distPlan struct {
 	strategy  strategy
-	verbatim  bool // workerSQL is the full normalized statement; params pass through
+	verbatim  bool // workerSQL is the whole statement over all of its placeholders; every value passes through
 	redoDedup bool
 	repart    map[string]string // table -> partition column it must be re-hashed on
 	tables    []string
@@ -168,17 +168,19 @@ func (c *Coordinator) Attach() { c.srv.SetDistributor(c) }
 // Topology returns the coordinator's worker set.
 func (c *Coordinator) Topology() Topology { return c.topo }
 
-// PlanKey is the distributed plan-cache fingerprint for one normalized
-// statement: it folds in the planner flags, the topology version, the
-// shard-map version and the catalog version, so a cached distributed
-// plan can never survive a worker-set, partitioning or schema change
-// (the distributed mirror of the local cache's statsVersion discipline).
-func (c *Coordinator) PlanKey(norm string) string {
+// PlanKey is the distributed plan-cache fingerprint for one statement
+// shape (sqlish.Statement.ShapeKey: statements that differ only in lifted
+// literals share one distributed plan, like they share one local plan):
+// it folds in the planner flags, the topology version, the shard-map
+// version and the catalog version, so a cached distributed plan can
+// never survive a worker-set, partitioning or schema change (the
+// distributed mirror of the local cache's statsVersion discipline).
+func (c *Coordinator) PlanKey(shape string) string {
 	c.mu.Lock()
 	sv := c.shardVer
 	c.mu.Unlock()
 	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d",
-		norm, c.flagsFP, c.topoVer, sv, c.srv.Catalog().Version())
+		shape, c.flagsFP, c.topoVer, sv, c.srv.Catalog().Version())
 }
 
 // partsSnapshot copies the shard map under the lock.
@@ -264,7 +266,7 @@ func (c *Coordinator) AnalyzeWorkers(ctx context.Context) error {
 // DistStream implements server.Distributor: it classifies the parsed
 // statement, declines anything purely local, and otherwise plans and
 // launches the distributed execution.
-func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, norm string, params []value.Value, batch int) (*server.DistResult, bool, error) {
+func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*server.DistResult, bool, error) {
 	snap := c.srv.Catalog().Snapshot()
 	info := st.DistInfo(snap)
 	switch info.Kind {
@@ -279,7 +281,7 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, norm
 		return nil, false, nil
 	}
 	c.queries.Add(1)
-	pl, hit, err := c.plan(st, norm, info)
+	pl, hit, err := c.plan(st, info)
 	if err != nil {
 		return nil, true, err
 	}
@@ -295,13 +297,13 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, norm
 }
 
 // DistExplain implements the never-executing GET /explain path.
-func (c *Coordinator) DistExplain(st *sqlish.Statement, norm string) (string, bool, error) {
+func (c *Coordinator) DistExplain(st *sqlish.Statement) (string, bool, error) {
 	snap := c.srv.Catalog().Snapshot()
 	info := st.DistInfo(snap)
 	if info.Kind != sqlish.DistSelect || len(info.Tables) == 0 || !c.allSharded(info.Tables) {
 		return "", false, nil
 	}
-	pl, _, err := c.plan(st, norm, info)
+	pl, _, err := c.plan(st, info)
 	if err != nil {
 		return "", true, err
 	}
@@ -390,14 +392,14 @@ func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*ser
 // ------------------------------------------------------- planning
 
 // plan resolves the distributed plan through the cache.
-func (c *Coordinator) plan(st *sqlish.Statement, norm string, info *sqlish.DistInfo) (*distPlan, bool, error) {
-	key := c.PlanKey(norm)
+func (c *Coordinator) plan(st *sqlish.Statement, info *sqlish.DistInfo) (*distPlan, bool, error) {
+	key := c.PlanKey(st.ShapeKey())
 	if pl := c.cache.get(key); pl != nil {
 		c.hits.Add(1)
 		return pl, true, nil
 	}
 	c.misses.Add(1)
-	pl, err := c.buildPlan(st, norm, info)
+	pl, err := c.buildPlan(st, info)
 	if err != nil {
 		return nil, false, err
 	}
@@ -411,7 +413,7 @@ func (c *Coordinator) plan(st *sqlish.Statement, norm string, info *sqlish.DistI
 // an empty temp of the body schema) — a candidate that fails to prepare
 // falls through to the next, ending at gather-all, so a renderer gap can
 // cost performance but never correctness.
-func (c *Coordinator) buildPlan(st *sqlish.Statement, norm string, info *sqlish.DistInfo) (*distPlan, error) {
+func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo) (*distPlan, error) {
 	snap := c.srv.Catalog().Snapshot()
 	prep, err := st.Prepare(snap, c.flags)
 	if err != nil {
@@ -426,7 +428,7 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, norm string, info *sqlish.
 		// One worker holds every shard: any statement runs there verbatim.
 		pl.strategy = stratScatter
 		pl.verbatim = true
-		pl.workerSQL = norm
+		pl.workerSQL = st.ShapeSQL()
 		return pl, nil
 	}
 
@@ -629,6 +631,12 @@ func (c *Coordinator) unstageAll(names []string) {
 // then either stream the merged shards straight through (scatter) or
 // gather and run the final stage locally.
 func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPlan, params []value.Value, batch int, hit bool) (res *server.DistResult, err error) {
+	// The fragments were rendered from the lifted statement: their $N
+	// index the caller's parameters followed by the lifted literals.
+	params, err = st.Args(params)
+	if err != nil {
+		return nil, err
+	}
 	fanCtx, cancel := context.WithCancel(ctx)
 	streaming := false
 	defer func() {

@@ -15,15 +15,29 @@ import (
 type Param struct {
 	// Idx is the 1-based parameter position ($1 has Idx 1).
 	Idx int
+	// Peek is set on a slot the statement front end lifted out of the
+	// statement text: the literal first seen in that position. The plan is
+	// shared by every statement of the same shape, so the peeked value may
+	// feed cost estimates and nothing else — which rows qualify is decided
+	// by the value bound at execution. It also fixes the slot's static kind
+	// (statements whose literals differ in kind never share a plan) and is
+	// what EXPLAIN prints for the slot.
+	Peek *value.Value
 }
 
 // Bind implements Expr; placeholders are position-bound already and pass
 // through schema binding unchanged.
 func (p Param) Bind(schema.Schema) (Expr, error) { return p, nil }
 
-// Type reports KindNull: a placeholder's type is unknown until a value is
-// bound, and every operator in this engine accepts runtime kinds.
-func (p Param) Type() value.Kind { return value.KindNull }
+// Type reports KindNull for a caller's placeholder — its type is unknown
+// until a value is bound, and every operator in this engine accepts
+// runtime kinds — and the literal's kind for a lifted slot.
+func (p Param) Type() value.Kind {
+	if p.Peek != nil {
+		return p.Peek.Kind()
+	}
+	return value.KindNull
+}
 
 // Eval fails: executing a plan that still contains placeholders means the
 // caller skipped BindParams (or supplied too few values).
@@ -31,8 +45,15 @@ func (p Param) Eval(*Env) (value.Value, error) {
 	return value.Null, fmt.Errorf("expr: parameter $%d not bound", p.Idx)
 }
 
-// String renders the placeholder in PostgreSQL's $N syntax.
-func (p Param) String() string { return fmt.Sprintf("$%d", p.Idx) }
+// String renders the placeholder in PostgreSQL's $N syntax; a lifted slot
+// renders as the literal it was lifted from, since the caller never wrote
+// a $N for it.
+func (p Param) String() string {
+	if p.Peek != nil {
+		return p.Peek.String()
+	}
+	return fmt.Sprintf("$%d", p.Idx)
+}
 
 // BindParams returns e with every Param whose value is provided replaced by
 // the corresponding constant (vals[0] binds $1). Params beyond len(vals)

@@ -22,6 +22,7 @@ import (
 	"talign/internal/expr"
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/value"
 )
 
 // Optimize rewrites a plan under the planner's flags and statistics and
@@ -122,7 +123,9 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 // be rewritten.
 func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 	pred = fold(pred)
-	if c, ok := pred.(expr.Const); ok {
+	// A constant of any other kind (WHERE 0) is not a predicate: the filter
+	// stays and the executor reports it.
+	if c, ok := pred.(expr.Const); ok && (c.V.IsNull() || c.V.Kind() == value.KindBool) {
 		if !c.V.IsNull() && c.V.Bool() {
 			return in // WHERE TRUE
 		}
@@ -325,10 +328,7 @@ func (o *optimizer) project(in plan.Node, names []string, exprs []expr.Expr, tmo
 	if tmode == exec.TKeep && isIdentityProject(in, names, exprs) {
 		return in
 	}
-	n := o.p.Project(in, names, exprs)
-	n.TMode = tmode
-	n.TExpr = texpr
-	return n
+	return o.p.ProjectMode(in, names, exprs, tmode, texpr)
 }
 
 // isIdentityProject reports whether the projection returns its input

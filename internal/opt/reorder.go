@@ -263,10 +263,7 @@ func (o *optimizer) rebuildChildren(n plan.Node) plan.Node {
 		}
 	case *plan.ProjectNode:
 		if in := o.reorder(x.Input); in != x.Input {
-			p := o.p.Project(in, x.Names, x.Exprs)
-			p.TMode = x.TMode
-			p.TExpr = x.TExpr
-			return p
+			return o.p.ProjectMode(in, x.Names, x.Exprs, x.TMode, x.TExpr)
 		}
 	case *plan.SortNode:
 		if in := o.reorder(x.Input); in != x.Input {

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"talign/internal/exec"
@@ -133,13 +132,4 @@ func (c *ExecCtx) sharedGet(n *SharedNode, fn func() (*relation.Relation, error)
 	}
 	c.mu.Unlock()
 	return rel, nil
-}
-
-// CheckParams verifies that params supplies every placeholder a plan
-// needs: exactly nparams values (the statement's highest $N index).
-func CheckParams(nparams int, params []value.Value) error {
-	if len(params) != nparams {
-		return fmt.Errorf("plan: statement wants %d parameter(s), got %d", nparams, len(params))
-	}
-	return nil
 }

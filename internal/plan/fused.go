@@ -27,7 +27,9 @@ type AdjustmentNode struct {
 	PCol        int
 
 	out   schema.Schema
+	rows  float64
 	cost  float64
+	stats memoStats
 	batch int
 	noCol bool
 }
@@ -60,6 +62,7 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 		Keys: keys, Residual: residual, PCol: pCol,
 		out: l.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
 	}
+	n.rows = n.estimateRows() // choose costs the sweep per output row
 	n.choose(p.Flags)
 	return n
 }
@@ -107,19 +110,20 @@ func (n *AdjustmentNode) choose(flags Flags) {
 	}
 	n.Strategy = best
 	// The sweep itself: the paper's Sec. 6.2/6.3 per-row adjustment cost.
-	n.cost = bestCost + 2*CPUOperatorCost*n.Rows()
+	n.cost = bestCost + 2*CPUOperatorCost*n.rows
 }
 
 func (n *AdjustmentNode) Schema() schema.Schema { return n.out }
 func (n *AdjustmentNode) Children() []Node      { return []Node{n.Left, n.Right} }
+func (n *AdjustmentNode) Rows() float64         { return n.rows }
 
-// Rows follows the paper's estimates (Sec. 6.2/6.3): alignment emits ~3
+// estimateRows follows the paper's estimates (Sec. 6.2/6.3): alignment emits ~3
 // rows per group-join row, normalization ~2, with the group join scaled
 // by its key selectivity like JoinNode. With interval statistics on both
 // inputs the group join is additionally scaled by the overlap fraction —
 // group construction only pairs tuples whose valid times overlap, which
 // is exactly what the overlap profile estimates.
-func (n *AdjustmentNode) Rows() float64 {
+func (n *AdjustmentNode) estimateRows() float64 {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	ls, rs := NodeStats(n.Left), NodeStats(n.Right)
 	f, hasOverlap := stats.OverlapFrac(ls, rs)
@@ -147,11 +151,14 @@ func (n *AdjustmentNode) Rows() float64 {
 // Stats reports the left input's column statistics at the adjusted
 // cardinality: the fused node emits left rows with rewritten valid times.
 func (n *AdjustmentNode) Stats() *stats.Table {
+	if t, ok := n.stats.load(); ok {
+		return t
+	}
 	in := NodeStats(n.Left)
 	if in == nil {
-		return nil
+		return n.stats.store(nil)
 	}
-	return &stats.Table{Rows: int64(n.Rows()), Cols: in.Cols}
+	return n.stats.store(&stats.Table{Rows: int64(n.rows), Cols: in.Cols})
 }
 
 func (n *AdjustmentNode) Cost() float64 { return n.cost }

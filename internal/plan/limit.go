@@ -19,6 +19,8 @@ type LimitNode struct {
 	N      int64
 	Offset int64
 
+	cost  memoFloat
+	stats memoStats
 	batch int
 	noCol bool
 }
@@ -43,21 +45,27 @@ func (l *LimitNode) Rows() float64 {
 // Cost charges the input in proportion to the fraction of it the early
 // exit actually pulls.
 func (l *LimitNode) Cost() float64 {
+	if v, ok := l.cost.load(); ok {
+		return v
+	}
 	inRows := math.Max(l.Input.Rows(), 1)
 	frac := 1.0
 	if l.N >= 0 {
 		frac = math.Min(1, (float64(l.N)+float64(l.Offset))/inRows)
 	}
-	return l.Input.Cost()*frac + l.Rows()*CPUTupleCost
+	return l.cost.store(l.Input.Cost()*frac + l.Rows()*CPUTupleCost)
 }
 
 // Stats scales the input's statistics down to the capped cardinality.
 func (l *LimitNode) Stats() *stats.Table {
+	if t, ok := l.stats.load(); ok {
+		return t
+	}
 	in := NodeStats(l.Input)
 	if in == nil {
-		return nil
+		return l.stats.store(nil)
 	}
-	return &stats.Table{Rows: int64(l.Rows()), Cols: in.Cols, T: in.T}
+	return l.stats.store(&stats.Table{Rows: int64(l.Rows()), Cols: in.Cols, T: in.T})
 }
 
 func (l *LimitNode) Build(ctx *ExecCtx) (exec.Iterator, error) {

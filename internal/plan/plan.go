@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"talign/internal/exec"
 	"talign/internal/expr"
@@ -160,6 +161,14 @@ func (m JoinMethod) String() string {
 }
 
 // Node is a logical plan node with cost estimates and a physical build.
+// A node is immutable once its constructor returns, and each of its
+// estimates — Rows, Cost and, where it has them, Stats — is computed the
+// first time somebody asks and memoized (memoFloat, memoStats): asking
+// again reads a field, so estimation stays linear in plan size however
+// often the cost comparisons, the optimizer's rebuilds, EXPLAIN and the
+// executors' presizing hints ask. A copy-constructor that changes what an
+// estimate depends on must start from empty memos (ScanNode.WithPrune
+// changes none of it: a scan's estimates read its relation).
 type Node interface {
 	Schema() schema.Schema
 	Children() []Node
@@ -203,6 +212,56 @@ type StatsSource interface {
 type Statser interface {
 	// Stats returns the node's output statistics, or nil when unknown.
 	Stats() *stats.Table
+}
+
+// memoFloat memoizes one Rows or Cost estimate. The zero value means
+// "not computed yet": the stored bits are the value's XORed with a NaN
+// payload no estimate produces. Two executions building the same cached
+// plan may both compute an estimate; they store the same bits.
+type memoFloat struct{ bits atomic.Uint64 }
+
+const memoUnset = 0x7ff8_0000_dead_beef
+
+// load returns the memoized estimate; ok is false before the first store.
+func (m *memoFloat) load() (v float64, ok bool) {
+	b := m.bits.Load()
+	return math.Float64frombits(b ^ memoUnset), b != 0
+}
+
+// store memoizes v and returns it.
+func (m *memoFloat) store(v float64) float64 {
+	m.bits.Store(math.Float64bits(v) ^ memoUnset)
+	return v
+}
+
+// memoStats memoizes a node's derived output statistics the same way;
+// concurrent derivations yield equal, immutable tables, and whichever is
+// stored last serves.
+type memoStats struct{ p atomic.Pointer[stats.Table] }
+
+// noStats marks "derived, and the node has none" in a memoStats.
+var noStats = new(stats.Table)
+
+// load returns the memoized statistics; ok is false before the first
+// store.
+func (m *memoStats) load() (t *stats.Table, ok bool) {
+	switch t = m.p.Load(); t {
+	case nil:
+		return nil, false
+	case noStats:
+		return nil, true
+	}
+	return t, true
+}
+
+// store memoizes t (nil: the node has no statistics) and returns it.
+func (m *memoStats) store(t *stats.Table) *stats.Table {
+	if t == nil {
+		m.p.Store(noStats)
+	} else {
+		m.p.Store(t)
+	}
+	return t
 }
 
 // NodeStats returns n's output statistics, or nil when n does not carry
@@ -326,7 +385,11 @@ func (s *ScanNode) pruneSegments(ctx *ExecCtx) ([]relation.Segment, int, bool) {
 	if segs == nil {
 		return nil, 0, false
 	}
-	keep, pruned := s.Prune.Filter(segs)
+	var params []value.Value
+	if ctx != nil {
+		params = ctx.Params
+	}
+	keep, pruned := s.Prune.Filter(segs, params)
 	exec.SegmentsObserve(len(keep), pruned)
 	if ctx != nil && ctx.SegObserver != nil {
 		ctx.SegObserver(s, len(keep), pruned)
@@ -352,8 +415,10 @@ type FilterNode struct {
 	Input Node
 	Pred  expr.Expr
 
-	batch int
-	noCol bool
+	rows, cost memoFloat
+	stats      memoStats
+	batch      int
+	noCol      bool
 }
 
 // Filter builds a selection node; pred must be bound against input's
@@ -365,23 +430,32 @@ func (p *Planner) Filter(input Node, pred expr.Expr) *FilterNode {
 func (f *FilterNode) Schema() schema.Schema { return f.Input.Schema() }
 func (f *FilterNode) Children() []Node      { return []Node{f.Input} }
 func (f *FilterNode) Rows() float64 {
+	if v, ok := f.rows.load(); ok {
+		return v
+	}
 	in := f.Input.Rows()
 	sel := clampSel(selectivity(f.Pred, NodeStats(f.Input)), in)
-	return math.Max(1, in*sel)
+	return f.rows.store(math.Max(1, in*sel))
 }
 func (f *FilterNode) Cost() float64 {
-	return f.Input.Cost() + f.Input.Rows()*CPUOperatorCost
+	if v, ok := f.cost.load(); ok {
+		return v
+	}
+	return f.cost.store(f.Input.Cost() + f.Input.Rows()*CPUOperatorCost)
 }
 
 // Stats scales the input's statistics to the filtered cardinality; the
 // per-column distributions are kept as-is (a standard, slightly
 // optimistic approximation).
 func (f *FilterNode) Stats() *stats.Table {
+	if t, ok := f.stats.load(); ok {
+		return t
+	}
 	in := NodeStats(f.Input)
 	if in == nil {
-		return nil
+		return f.stats.store(nil)
 	}
-	return &stats.Table{Rows: int64(f.Rows()), Cols: in.Cols, T: in.T}
+	return f.stats.store(&stats.Table{Rows: int64(f.Rows()), Cols: in.Cols, T: in.T})
 }
 
 func (f *FilterNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
@@ -447,8 +521,8 @@ func conjunctSel(c expr.Expr, in *stats.Table) float64 {
 		return RangeSelectivity
 	case expr.Between:
 		if ci, isCol := e.X.(expr.ColIdx); isCol {
-			lo, okLo := constVal(e.Lo)
-			hi, okHi := constVal(e.Hi)
+			lo, okLo := estVal(e.Lo)
+			hi, okHi := estVal(e.Hi)
 			if okLo && okHi {
 				cs := in.Col(ci.Idx)
 				ge, ok1 := cs.SelRange(stats.OpGE, lo)
@@ -468,31 +542,40 @@ func conjunctSel(c expr.Expr, in *stats.Table) float64 {
 	}
 }
 
-// colConstCmp normalizes a comparison between one column and one constant
-// into (column index, constant, operator); ok is false for any other
-// shape (column-column, constant-constant, computed operands, $N
-// parameters).
+// colConstCmp normalizes a comparison between one column and one value
+// known at plan time (see estVal) into (column index, value, operator);
+// ok is false for any other shape (column-column, constant-constant,
+// computed operands, the caller's own $N parameters).
 func colConstCmp(e expr.Cmp) (col int, v value.Value, op expr.CmpOp, ok bool) {
 	if ci, isCol := e.L.(expr.ColIdx); isCol {
-		if cv, isConst := constVal(e.R); isConst {
+		if cv, known := estVal(e.R); known {
 			return ci.Idx, cv, e.Op, true
 		}
 	}
 	if ci, isCol := e.R.(expr.ColIdx); isCol {
-		if cv, isConst := constVal(e.L); isConst {
+		if cv, known := estVal(e.L); known {
 			return ci.Idx, cv, flipCmp(e.Op), true
 		}
 	}
 	return 0, value.Null, e.Op, false
 }
 
-// constVal unwraps a literal operand.
-func constVal(e expr.Expr) (value.Value, bool) {
-	c, ok := e.(expr.Const)
-	if !ok {
-		return value.Null, false
+// estVal is the operand value an ESTIMATE may use: a literal, or the
+// literal a lifted placeholder was first seen with (bind peeking — the
+// plan is costed as if every statement of its shape carried the first
+// one's values). Nothing that decides which rows qualify may call it: a
+// true constant is an expr.Const and nothing else, which is what constant
+// folding (package opt) and zone-map pruning (pruneCond.value) test for.
+func estVal(e expr.Expr) (value.Value, bool) {
+	switch x := e.(type) {
+	case expr.Const:
+		return x.V, true
+	case expr.Param:
+		if x.Peek != nil {
+			return *x.Peek, true
+		}
 	}
-	return c.V, true
+	return value.Null, false
 }
 
 // flipCmp mirrors an operator across swapped operands (5 < a ⇒ a > 5).
@@ -521,56 +604,68 @@ type ProjectNode struct {
 	TExpr expr.Expr
 
 	out   schema.Schema
+	cost  memoFloat
+	stats memoStats
 	batch int
 	noCol bool
 }
 
-// Project builds a projection node.
+// Project builds a projection node that keeps its input's valid time.
 func (p *Planner) Project(input Node, names []string, exprs []expr.Expr) *ProjectNode {
-	attrs := make([]schema.Attr, len(exprs))
-	for i := range exprs {
-		attrs[i] = schema.Attr{Name: names[i], Type: exprs[i].Type()}
-	}
-	return &ProjectNode{Input: input, Exprs: exprs, Names: names, out: schema.Schema{Attrs: attrs}, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return p.ProjectMode(input, names, exprs, exec.TKeep, nil)
 }
 
 // ProjectT builds a projection whose valid time comes from a period-typed
 // expression; tuples with ω/empty periods are dropped.
 func (p *Planner) ProjectT(input Node, names []string, exprs []expr.Expr, tExpr expr.Expr) *ProjectNode {
-	n := p.Project(input, names, exprs)
-	n.TMode = exec.TFromExpr
-	n.TExpr = tExpr
-	return n
+	return p.ProjectMode(input, names, exprs, exec.TFromExpr, tExpr)
+}
+
+// ProjectMode builds a projection under an explicit valid-time policy
+// (tExpr is read under exec.TFromExpr only).
+func (p *Planner) ProjectMode(input Node, names []string, exprs []expr.Expr, tmode exec.TPolicy, tExpr expr.Expr) *ProjectNode {
+	attrs := make([]schema.Attr, len(exprs))
+	for i := range exprs {
+		attrs[i] = schema.Attr{Name: names[i], Type: exprs[i].Type()}
+	}
+	return &ProjectNode{
+		Input: input, Exprs: exprs, Names: names, TMode: tmode, TExpr: tExpr,
+		out: schema.Schema{Attrs: attrs}, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+	}
 }
 
 func (pr *ProjectNode) Schema() schema.Schema { return pr.out }
 func (pr *ProjectNode) Children() []Node      { return []Node{pr.Input} }
 func (pr *ProjectNode) Rows() float64         { return pr.Input.Rows() }
 func (pr *ProjectNode) Cost() float64 {
-	return pr.Input.Cost() + pr.Input.Rows()*CPUOperatorCost*float64(len(pr.Exprs))
+	if v, ok := pr.cost.load(); ok {
+		return v
+	}
+	return pr.cost.store(pr.Input.Cost() + pr.Input.Rows()*CPUOperatorCost*float64(len(pr.Exprs)))
 }
 
 // Stats remaps the input's column statistics through pass-through column
-// references; computed output columns get empty statistics. Interval
-// statistics survive only when the projection keeps the input's valid
-// time.
+// references — the columns are shared, not copied; computed output
+// columns have none. Interval statistics survive only when the projection
+// keeps the input's valid time.
 func (pr *ProjectNode) Stats() *stats.Table {
+	if t, ok := pr.stats.load(); ok {
+		return t
+	}
 	in := NodeStats(pr.Input)
 	if in == nil {
-		return nil
+		return pr.stats.store(nil)
 	}
-	out := &stats.Table{Rows: in.Rows, Cols: make([]stats.Column, len(pr.Exprs))}
+	out := &stats.Table{Rows: in.Rows, Cols: make([]*stats.Column, len(pr.Exprs))}
 	for i, e := range pr.Exprs {
 		if ci, ok := e.(expr.ColIdx); ok {
-			if c := in.Col(ci.Idx); c != nil {
-				out.Cols[i] = *c
-			}
+			out.Cols[i] = in.Col(ci.Idx)
 		}
 	}
 	if pr.TMode == exec.TKeep {
 		out.T = in.T
 	}
-	return out
+	return pr.stats.store(out)
 }
 
 func (pr *ProjectNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
@@ -604,6 +699,7 @@ type SortNode struct {
 	Input Node
 	Keys  []exec.SortKey
 
+	cost  memoFloat
 	batch int
 }
 
@@ -616,8 +712,11 @@ func (s *SortNode) Schema() schema.Schema { return s.Input.Schema() }
 func (s *SortNode) Children() []Node      { return []Node{s.Input} }
 func (s *SortNode) Rows() float64         { return s.Input.Rows() }
 func (s *SortNode) Cost() float64 {
+	if v, ok := s.cost.load(); ok {
+		return v
+	}
 	n := math.Max(s.Input.Rows(), 2)
-	return s.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n)
+	return s.cost.store(s.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n))
 }
 
 // Stats passes the input's statistics through (sorting reorders rows
@@ -673,6 +772,7 @@ type JoinNode struct {
 	out      schema.Schema
 	cost     float64
 	rows     float64
+	stats    memoStats
 	batch    int
 	noCol    bool
 }
@@ -799,27 +899,26 @@ func (j *JoinNode) Rows() float64         { return j.rows }
 func (j *JoinNode) Cost() float64         { return j.cost }
 
 // Stats concatenates the children's column statistics in output-schema
-// order (semi/anti joins keep only the left side); interval statistics do
-// not survive a join.
+// order (semi/anti joins keep only the left side), sharing the columns;
+// interval statistics do not survive a join.
 func (j *JoinNode) Stats() *stats.Table {
+	if t, ok := j.stats.load(); ok {
+		return t
+	}
 	ls, rs := NodeStats(j.Left), NodeStats(j.Right)
 	if ls == nil && rs == nil {
-		return nil
+		return j.stats.store(nil)
 	}
-	out := &stats.Table{Rows: int64(j.rows), Cols: make([]stats.Column, j.out.Len())}
+	out := &stats.Table{Rows: int64(j.rows), Cols: make([]*stats.Column, j.out.Len())}
 	lw := j.Left.Schema().Len()
 	for i := range out.Cols {
-		var c *stats.Column
 		if i < lw {
-			c = ls.Col(i)
+			out.Cols[i] = ls.Col(i)
 		} else {
-			c = rs.Col(i - lw)
-		}
-		if c != nil {
-			out.Cols[i] = *c
+			out.Cols[i] = rs.Col(i - lw)
 		}
 	}
-	return out
+	return j.stats.store(out)
 }
 
 // Build runs the hash method's one operator, exec.ColHashJoin, on every
@@ -897,9 +996,10 @@ type AggNode struct {
 	GroupByT bool
 	Aggs     []exec.AggSpec
 
-	out   schema.Schema
-	batch int
-	noCol bool
+	out        schema.Schema
+	rows, cost memoFloat
+	batch      int
+	noCol      bool
 }
 
 // Aggregate builds an aggregation node.
@@ -914,6 +1014,15 @@ func (p *Planner) Aggregate(input Node, groupBy []expr.Expr, names []string, gro
 func (a *AggNode) Schema() schema.Schema { return a.out }
 func (a *AggNode) Children() []Node      { return []Node{a.Input} }
 func (a *AggNode) Rows() float64 {
+	if v, ok := a.rows.load(); ok {
+		return v
+	}
+	return a.rows.store(a.estimateRows())
+}
+
+// estimateRows is the group-count estimate: the product of the grouping
+// keys' distinct counts where statistics exist, capped by the input.
+func (a *AggNode) estimateRows() float64 {
 	if len(a.GroupBy) == 0 && !a.GroupByT {
 		return 1
 	}
@@ -944,7 +1053,10 @@ func (a *AggNode) Rows() float64 {
 	return math.Max(1, math.Min(groups, in))
 }
 func (a *AggNode) Cost() float64 {
-	return a.Input.Cost() + a.Input.Rows()*CPUOperatorCost*float64(1+len(a.Aggs))
+	if v, ok := a.cost.load(); ok {
+		return v
+	}
+	return a.cost.store(a.Input.Cost() + a.Input.Rows()*CPUOperatorCost*float64(1+len(a.Aggs)))
 }
 
 // Build runs the one aggregation operator, exec.ColHashAggregate,
@@ -984,6 +1096,7 @@ type SetOpNode struct {
 	Left, Right Node
 	Kind        exec.SetOpKind
 
+	cost  memoFloat
 	batch int
 	noCol bool
 }
@@ -1006,7 +1119,10 @@ func (s *SetOpNode) Rows() float64 {
 	}
 }
 func (s *SetOpNode) Cost() float64 {
-	return s.Left.Cost() + s.Right.Cost() + (s.Left.Rows()+s.Right.Rows())*CPUOperatorCost
+	if v, ok := s.cost.load(); ok {
+		return v
+	}
+	return s.cost.store(s.Left.Cost() + s.Right.Cost() + (s.Left.Rows()+s.Right.Rows())*CPUOperatorCost)
 }
 func (s *SetOpNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	if it, ok, err := materializeColBuild(s, ctx); err != nil || ok {
@@ -1034,6 +1150,7 @@ func (s *SetOpNode) Label() string { return "SetOp " + s.Kind.String() }
 type DistinctNode struct {
 	Input Node
 
+	cost  memoFloat
 	batch int
 }
 
@@ -1046,7 +1163,10 @@ func (d *DistinctNode) Schema() schema.Schema { return d.Input.Schema() }
 func (d *DistinctNode) Children() []Node      { return []Node{d.Input} }
 func (d *DistinctNode) Rows() float64         { return math.Max(1, d.Input.Rows()*0.9) }
 func (d *DistinctNode) Cost() float64 {
-	return d.Input.Cost() + d.Input.Rows()*CPUOperatorCost
+	if v, ok := d.cost.load(); ok {
+		return v
+	}
+	return d.cost.store(d.Input.Cost() + d.Input.Rows()*CPUOperatorCost)
 }
 func (d *DistinctNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 	in, err := d.Input.Build(ctx)
@@ -1063,6 +1183,7 @@ func (d *DistinctNode) Label() string { return "Distinct" }
 type AbsorbNode struct {
 	Input Node
 
+	cost  memoFloat
 	batch int
 	noCol bool
 }
@@ -1076,8 +1197,11 @@ func (a *AbsorbNode) Schema() schema.Schema { return a.Input.Schema() }
 func (a *AbsorbNode) Children() []Node      { return []Node{a.Input} }
 func (a *AbsorbNode) Rows() float64         { return math.Max(1, a.Input.Rows()*0.9) }
 func (a *AbsorbNode) Cost() float64 {
+	if v, ok := a.cost.load(); ok {
+		return v
+	}
 	n := math.Max(a.Input.Rows(), 2)
-	return a.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n)
+	return a.cost.store(a.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n))
 }
 
 // Build runs the one absorb operator, exec.ColAbsorb, materialized at the

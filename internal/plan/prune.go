@@ -2,11 +2,13 @@
 // interval-partitioned segments with zone maps (min/max TS/TE, per-column
 // min/max — see relation.Segments). When the optimizer lands a filter
 // directly above a scan, it extracts the conjuncts that compare one
-// column (or TS/TE) against a constant into PruneBounds and attaches
-// them to the scan; at Build time the scan skips every segment whose
-// zone proves the predicate false for all of its rows. The filter stays
-// in place above the scan, so pruning can only skip work, never change
-// results — which is exactly what the pruning differential test asserts.
+// column (or TS/TE) against a constant or a $N placeholder into
+// PruneBounds and attaches them to the scan; at Build time — once per
+// execution, with that execution's parameter values — the scan skips
+// every segment whose zone proves the predicate false for all of its
+// rows. The filter stays in place above the scan, so pruning can only
+// skip work, never change results — which is exactly what the pruning
+// differential test asserts.
 package plan
 
 import (
@@ -26,11 +28,31 @@ const (
 	pruneTE = -2
 )
 
-// pruneCond is one extracted conjunct: target op constant.
+// pruneCond is one extracted conjunct: target op operand, where operand
+// is an expr.Const or an expr.Param.
 type pruneCond struct {
-	target int
-	op     expr.CmpOp
-	v      value.Value
+	target  int
+	op      expr.CmpOp
+	operand expr.Expr
+}
+
+// value resolves the operand for one execution: a constant is itself, a
+// placeholder is the value bound to it. ok is false — the conjunct then
+// prunes nothing — when the placeholder is unbound or the value is ω (a
+// null operand never compares true; that is left to the filter). A
+// placeholder's peeked literal is never consulted: it belongs to whichever
+// statement planned first, not to this execution.
+func (c pruneCond) value(params []value.Value) (v value.Value, ok bool) {
+	switch x := c.operand.(type) {
+	case expr.Const:
+		v = x.V
+	case expr.Param:
+		if x.Idx < 1 || x.Idx > len(params) {
+			return value.Null, false
+		}
+		v = params[x.Idx-1]
+	}
+	return v, !v.IsNull()
 }
 
 // PruneBounds is the set of zone-checkable conjuncts of a scan's
@@ -40,45 +62,42 @@ type PruneBounds struct {
 }
 
 // ExtractPruneBounds collects the zone-checkable conjuncts of pred:
-// column-vs-constant and TS/TE-vs-constant comparisons plus BETWEEN
-// over those operands. Conjuncts of any other shape (column-column,
-// $N parameters, disjunctions, computed operands) contribute nothing —
+// comparisons of a column or TS/TE with a constant or a $N placeholder,
+// plus BETWEEN over those operands. Conjuncts of any other shape
+// (column-column, disjunctions, computed operands) contribute nothing —
 // they are simply not used for pruning. Returns nil when no conjunct
 // qualifies.
 func ExtractPruneBounds(pred expr.Expr, width int) *PruneBounds {
 	var pb PruneBounds
-	add := func(target int, op expr.CmpOp, v value.Value) {
-		if v.IsNull() || (target >= 0 && target >= width) {
-			return // a null constant never compares true; leave it to the filter
+	add := func(target int, op expr.CmpOp, operand expr.Expr) {
+		if target >= 0 && target >= width {
+			return
 		}
-		pb.conds = append(pb.conds, pruneCond{target: target, op: op, v: v})
+		switch x := operand.(type) {
+		case expr.Const:
+			if x.V.IsNull() {
+				return // a null constant never compares true; leave it to the filter
+			}
+		case expr.Param:
+		default:
+			return
+		}
+		pb.conds = append(pb.conds, pruneCond{target: target, op: op, operand: operand})
 	}
 	for _, c := range expr.Conjuncts(pred) {
 		switch e := c.(type) {
 		case expr.Cmp:
 			if target, ok := pruneTargetOf(e.L); ok {
-				if cv, isConst := constVal(e.R); isConst {
-					add(target, e.Op, cv)
-				}
+				add(target, e.Op, e.R)
 				continue
 			}
 			if target, ok := pruneTargetOf(e.R); ok {
-				if cv, isConst := constVal(e.L); isConst {
-					add(target, flipCmp(e.Op), cv)
-				}
+				add(target, flipCmp(e.Op), e.L)
 			}
 		case expr.Between:
-			target, ok := pruneTargetOf(e.X)
-			if !ok {
-				continue
-			}
-			lo, okLo := constVal(e.Lo)
-			hi, okHi := constVal(e.Hi)
-			if okLo {
-				add(target, expr.GE, lo)
-			}
-			if okHi {
-				add(target, expr.LE, hi)
+			if target, ok := pruneTargetOf(e.X); ok {
+				add(target, expr.GE, e.Lo)
+				add(target, expr.LE, e.Hi)
 			}
 		}
 	}
@@ -102,13 +121,17 @@ func pruneTargetOf(e expr.Expr) (int, bool) {
 }
 
 // Admits reports whether the zone may contain a row satisfying every
-// extracted conjunct; false proves the segment empty under the
-// predicate and prunes it.
-func (pb *PruneBounds) Admits(z *colbatch.Zone) bool {
+// extracted conjunct under the execution's parameter values; false proves
+// the segment empty under the predicate and prunes it.
+func (pb *PruneBounds) Admits(z *colbatch.Zone, params []value.Value) bool {
 	if z.Rows == 0 {
 		return false
 	}
 	for _, c := range pb.conds {
+		v, ok := c.value(params)
+		if !ok {
+			continue
+		}
 		var min, max value.Value
 		switch c.target {
 		case pruneTS:
@@ -125,7 +148,7 @@ func (pb *PruneBounds) Admits(z *colbatch.Zone) bool {
 			}
 			min, max = zc.Min, zc.Max
 		}
-		if rangeExcludes(min, max, c.op, c.v) {
+		if rangeExcludes(min, max, c.op, v) {
 			return false
 		}
 	}
@@ -158,11 +181,12 @@ func rangeExcludes(min, max value.Value, op expr.CmpOp, v value.Value) bool {
 	return false
 }
 
-// Filter partitions segs into the survivors and the pruned count.
-func (pb *PruneBounds) Filter(segs []relation.Segment) ([]relation.Segment, int) {
+// Filter partitions segs into the survivors and the pruned count for one
+// execution's parameter values.
+func (pb *PruneBounds) Filter(segs []relation.Segment, params []value.Value) ([]relation.Segment, int) {
 	keep := make([]relation.Segment, 0, len(segs))
 	for _, sg := range segs {
-		if pb.Admits(&sg.Zone) {
+		if pb.Admits(&sg.Zone, params) {
 			keep = append(keep, sg)
 		}
 	}
@@ -170,7 +194,9 @@ func (pb *PruneBounds) Filter(segs []relation.Segment) ([]relation.Segment, int)
 }
 
 // WithPrune returns a copy of the scan carrying pb. The receiver is
-// left untouched: plans are immutable and may be shared.
+// left untouched: plans are immutable and may be shared. The bounds
+// change what a build reads, not what the scan is estimated to return, so
+// the copy keeps the receiver's estimates.
 func (s *ScanNode) WithPrune(pb *PruneBounds) *ScanNode {
 	c := *s
 	c.Prune = pb
@@ -192,7 +218,7 @@ func (pb *PruneBounds) String() string {
 		default:
 			fmt.Fprintf(&b, "#%d", c.target)
 		}
-		b.WriteString(" " + c.op.String() + " " + c.v.String())
+		b.WriteString(" " + c.op.String() + " " + c.operand.String())
 	}
 	return b.String()
 }

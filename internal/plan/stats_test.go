@@ -154,3 +154,96 @@ func TestExplainAnalyzeCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeEstimatesMemoized: a node's Rows, Cost and Stats are computed
+// once, the first time they are asked for, from its inputs' — asking
+// again reads fields.
+// Walking a plan that has every node kind and asking every node for all
+// three allocates nothing, however deep the plan; before, each call
+// re-derived its whole subtree and ProjectNode.Stats copied every column.
+func TestNodeEstimatesMemoized(t *testing.T) {
+	p := NewPlanner(DefaultFlags())
+	r, s := analyzedScan(p, 200, "r"), analyzedScan(p, 100, "s")
+	col := func(i int) expr.Expr { return expr.CI(i, value.KindInt) }
+	left := p.Project(p.Filter(r, expr.Ge(col(1), expr.Int(20))), []string{"k", "v"}, []expr.Expr{col(0), col(1)})
+	right := p.ProjectT(p.Shared(s), []string{"k", "v"}, []expr.Expr{col(0), col(1)}, expr.Call("PERIOD", expr.TStart{}, expr.TEnd{}))
+	join := p.Join(left, right, equiCond(2), exec.InnerJoin, false)
+	align := p.FusedAlign(p.Project(join, []string{"k", "v"}, []expr.Expr{col(0), col(1)}), left, equiCond(2), exec.ModeAlign)
+	agg, err := p.Aggregate(align, []expr.Expr{col(0)}, []string{"k"}, true, []exec.AggSpec{{Name: "c", Func: exec.AggCountStar}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := p.SetOp(p.Distinct(p.Project(agg, []string{"k"}, []expr.Expr{col(0)})), p.Absorb(p.Project(left, []string{"k"}, []expr.Expr{col(0)})), exec.UnionOp)
+	root := p.Limit(p.Sort(union, exec.SortKey{Expr: col(0)}), 10, 2)
+
+	var nodes []Node
+	var walk func(Node)
+	walk = func(n Node) {
+		nodes = append(nodes, n)
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(root)
+	if len(nodes) < 15 {
+		t.Fatalf("the plan has %d nodes; it is meant to have one of every kind", len(nodes))
+	}
+	var sink float64
+	ask := func() {
+		for _, n := range nodes {
+			sink += n.Rows() + n.Cost()
+			if st := NodeStats(n); st != nil {
+				sink += float64(st.Rows)
+			}
+		}
+	}
+	ask()
+	if allocs := testing.AllocsPerRun(10, ask); allocs != 0 {
+		t.Errorf("asking %d nodes for Rows, Cost and Stats allocates %.0f times, want 0", len(nodes), allocs)
+	}
+	// Derived statistics share their inputs' columns instead of copying them.
+	if got, want := NodeStats(left).Col(1), r.TableStats.Col(1); got != want {
+		t.Errorf("a projection's column statistics are a copy (%p), not the table's (%p)", got, want)
+	}
+	if sink == 0 {
+		t.Errorf("estimates sum to zero")
+	}
+}
+
+// TestPeekFeedsEstimatesOnly: a lifted placeholder's peeked literal moves
+// the selectivity estimate exactly like the literal would, a caller's
+// placeholder falls back to the constants, and zone-map pruning reads the
+// bound value and never the peeked one.
+func TestPeekFeedsEstimatesOnly(t *testing.T) {
+	p := NewPlanner(DefaultFlags())
+	scan := analyzedScan(p, 200, "r")
+	v := expr.CI(1, value.KindInt)
+	peek := value.NewInt(150)
+	literal := p.Filter(scan, expr.Ge(v, expr.Int(150))).Rows()
+	lifted := p.Filter(scan, expr.Ge(v, expr.Param{Idx: 1, Peek: &peek})).Rows()
+	generic := p.Filter(scan, expr.Ge(v, expr.Param{Idx: 1})).Rows()
+	if lifted != literal {
+		t.Errorf("v >= 150 estimates %v rows as a literal and %v as a lifted slot peeking 150", literal, lifted)
+	}
+	if want := 200 * RangeSelectivity; math.Abs(generic-want) > 1e-9 || generic == literal {
+		t.Errorf("v >= $1 estimates %v rows, want the default %v", generic, want)
+	}
+	between := expr.Between{X: v, Lo: expr.Param{Idx: 1, Peek: &peek}, Hi: expr.Int(160)}
+	if got, want := p.Filter(scan, between).Rows(), p.Filter(scan, expr.Between{X: v, Lo: expr.Int(150), Hi: expr.Int(160)}).Rows(); got != want {
+		t.Errorf("BETWEEN with a peeked bound estimates %v rows, the literal %v", got, want)
+	}
+
+	pb := ExtractPruneBounds(expr.Ge(v, expr.Param{Idx: 1, Peek: &peek}), 2)
+	if pb == nil {
+		t.Fatal("v >= $1 yields no prune bounds")
+	}
+	if got, ok := pb.conds[0].value([]value.Value{value.NewInt(7)}); !ok || got.Int() != 7 {
+		t.Errorf("the bound resolves to %v (ok=%v), want the bound value 7", got, ok)
+	}
+	if got, ok := pb.conds[0].value(nil); ok {
+		t.Errorf("an unbound slot resolves to %v — the peeked value leaked into pruning", got)
+	}
+	if !strings.Contains(pb.String(), "150") {
+		t.Errorf("EXPLAIN renders the bounds as %q, want the lifted literal shown", pb.String())
+	}
+}

@@ -8,12 +8,17 @@ import (
 )
 
 // cacheKey identifies one cached plan. Four components make reuse sound:
-// the normalized SQL text (formatting differences collapse), the catalog
-// version the plan was built against (schema or data changes invalidate),
-// the statistics version (ANALYZE changes cost decisions, so plans built
-// against stale statistics must not be reused), and the planner-flags
-// fingerprint (flags change method choice and exchange placement, so
-// plans under different flags must not mix).
+// the statement's shape key (sqlish.Statement.ShapeKey: the normalized
+// text — formatting differences collapse — with the literals of WHERE and
+// ON comparisons lifted into hidden parameter slots, plus each lifted
+// literal's kind, so statements that differ only in such literals share
+// one plan; EXPLAIN statements and GET /explain key on their literal
+// normalized text), the catalog version the plan was built against
+// (schema or data changes invalidate), the statistics version (ANALYZE
+// changes cost decisions, so plans built against stale statistics must
+// not be reused), and the planner-flags fingerprint (flags change method
+// choice and exchange placement, so plans under different flags must not
+// mix).
 type cacheKey struct {
 	sql     string
 	version uint64
@@ -74,11 +79,15 @@ func (c *PlanCache) get(key cacheKey) (*sqlish.Prepared, bool) {
 	return el.Value.(*cacheSlot).prep, true
 }
 
-// put inserts (or refreshes) a plan, evicting the least recently used
-// entry beyond capacity.
+// put inserts (or refreshes) a freshly prepared plan, evicting the least
+// recently used entry beyond capacity. Concurrent misses on the same key
+// may each prepare and put (last insert wins); plans are immutable so the
+// duplicates are merely redundant work, and the Plans counter counts
+// every one.
 func (c *PlanCache) put(key cacheKey, prep *sqlish.Prepared) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.plans++
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*cacheSlot).prep = prep
 		c.order.MoveToFront(el)
@@ -106,26 +115,6 @@ func (c *PlanCache) dropOlder(version uint64) {
 		}
 		el = next
 	}
-}
-
-// GetOrPrepare returns the plan cached under key, or plans it with prepare
-// and caches the result; hit reports whether the cache already had it.
-// Concurrent misses on the same key may each run prepare (last insert
-// wins); plans are immutable so the duplicates are merely redundant work,
-// and the Plans counter counts every prepare call.
-func (c *PlanCache) GetOrPrepare(key cacheKey, prepare func() (*sqlish.Prepared, error)) (prep *sqlish.Prepared, hit bool, err error) {
-	if prep, ok := c.get(key); ok {
-		return prep, true, nil
-	}
-	prep, err = prepare()
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	c.plans++
-	c.mu.Unlock()
-	c.put(key, prep)
-	return prep, false, nil
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.

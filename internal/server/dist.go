@@ -71,12 +71,14 @@ type DistMetric struct {
 // touching no sharded table keep working unchanged on a coordinator.
 type Distributor interface {
 	// DistStream plans and launches one statement. The statement arrives
-	// parsed, with its normalized text (the distributed-plan cache key)
-	// and bound parameters. The returned source must honor ctx.
-	DistStream(ctx context.Context, st *sqlish.Statement, norm string, params []value.Value, batch int) (*DistResult, bool, error)
+	// parsed and lifted (sqlish.ParseLifted: its ShapeKey is the
+	// distributed-plan cache key text, its Args the values of every
+	// placeholder the rendered fragments can reference) with the caller's
+	// bound parameters. The returned source must honor ctx.
+	DistStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*DistResult, bool, error)
 	// DistExplain renders the distributed plan for EXPLAIN (the GET
 	// /explain path, which never executes).
-	DistExplain(st *sqlish.Statement, norm string) (string, bool, error)
+	DistExplain(st *sqlish.Statement) (string, bool, error)
 	// DistMetrics lists the distributor's counters for /metrics.
 	DistMetrics() []DistMetric
 }
@@ -102,12 +104,12 @@ func (s *Server) Distributor() Distributor { return s.dist }
 // one admission-gate unit for the whole distributed execution — the
 // coordinator's own fan-out work — before planning, releasing it on
 // error, on plan-only results, or at stream Close.
-func (s *Server) distStream(ctx context.Context, st *sqlish.Statement, norm string, params []value.Value, batch int) (*RowStream, bool, error) {
+func (s *Server) distStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*RowStream, bool, error) {
 	claimed, gerr := s.gate.AcquireCtx(ctx, 1)
 	if gerr != nil {
 		return nil, true, gerr
 	}
-	res, handled, err := s.dist.DistStream(ctx, st, norm, params, batch)
+	res, handled, err := s.dist.DistStream(ctx, st, params, batch)
 	if !handled {
 		s.gate.Release(claimed)
 		return nil, false, nil

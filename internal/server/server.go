@@ -1,8 +1,10 @@
 // Package server implements talignd's concurrent query-serving layer on
 // top of the sqlish Parse → Analyze → Plan → Execute pipeline: a
 // copy-on-write catalog with a version counter, an LRU cache of prepared
-// plans keyed on normalized SQL + catalog version + planner flags, named
-// prepared statements with $N placeholders scoped to sessions, an
+// plans keyed on statement shape (the normalized SQL with the literals of
+// WHERE / ON comparisons lifted into hidden placeholders) + catalog
+// version + planner flags, named prepared statements with $N
+// placeholders scoped to sessions, an
 // admission gate bounding the total in-flight degree of parallelism, and
 // an HTTP/JSON front end (POST /query, POST /query/stream, POST /prepare,
 // GET /explain, GET /healthz).
@@ -134,27 +136,32 @@ func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 // must report zero in-flight DOP.
 func (s *Server) GateStats() GateStats { return s.gate.Stats() }
 
-// plan resolves SQL text to a cached (or freshly prepared) plan against
-// the current catalog snapshot. The second result reports a cache hit.
-func (s *Server) plan(norm string) (*sqlish.Prepared, bool, error) {
-	return s.planWith(norm, 0)
-}
-
-// planWith is plan with a per-request batch-size override (batch <= 0
-// keeps the server's configured flags). Overridden plans are cached like
-// any other: the flags fingerprint in the cache key includes the batch
-// size, so requests with different overrides never share a plan.
-func (s *Server) planWith(norm string, batch int) (*sqlish.Prepared, bool, error) {
+// plan resolves a parsed statement to a cached (or freshly prepared) plan
+// against the current catalog snapshot, under its shape key (its literal
+// normalized text where it was parsed un-lifted). A miss prepares the AST
+// in hand; nothing is parsed again. The second result reports a cache
+// hit. batch is a per-request batch-size override
+// (batch <= 0 keeps the server's configured flags). Overridden plans are
+// cached like any other: the flags fingerprint in the cache key includes
+// the batch size, so requests with different overrides never share a
+// plan.
+func (s *Server) plan(st *sqlish.Statement, batch int) (*sqlish.Prepared, bool, error) {
 	flags, fp := s.flags, s.flagsFP
 	if batch > 0 && batch != flags.BatchSize {
 		flags.BatchSize = batch
 		fp = flags.Fingerprint()
 	}
 	snap := s.catalog.Snapshot()
-	key := cacheKey{sql: norm, version: snap.Version, stats: snap.StatsVersion, flags: fp}
-	return s.cache.GetOrPrepare(key, func() (*sqlish.Prepared, error) {
-		return sqlish.Prepare(norm, snap, flags)
-	})
+	ck := cacheKey{sql: st.ShapeKey(), version: snap.Version, stats: snap.StatsVersion, flags: fp}
+	if prep, ok := s.cache.get(ck); ok {
+		return prep, true, nil
+	}
+	prep, err := st.Prepare(snap, flags)
+	if err != nil {
+		return nil, false, err
+	}
+	s.cache.put(ck, prep)
+	return prep, false, nil
 }
 
 // Unstage drops a shard a coordinator staged under name, reporting
@@ -205,23 +212,25 @@ func (s *Server) AnalyzeAll() int {
 	return n
 }
 
-// Prepare parses, plans and caches sql, then registers it under name in
-// the session. The returned plan carries the statement's parameter count
-// and result schema. Parsing happens against the original text, so
-// syntax errors carry the client statement's line/col.
+// Prepare parses, plans and caches sql, then registers the parsed
+// statement under name in the session. The returned plan carries the
+// statement's parameter count — the caller's $N only; slots its literals
+// were lifted into stay invisible — and result schema. Parsing happens
+// against the original text, so syntax errors carry the client
+// statement's line/col.
 func (s *Server) Prepare(sessionID, name, sql string) (*sqlish.Prepared, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, fmt.Errorf("server: prepared statement needs a name")
 	}
-	_, norm, err := sqlish.ParseNormalized(sql)
+	st, err := sqlish.ParseLifted(sql)
 	if err != nil {
 		return nil, err
 	}
-	prep, _, err := s.plan(norm)
+	prep, _, err := s.plan(st, 0)
 	if err != nil {
 		return nil, err
 	}
-	s.sess.get(sessionID).setStmt(name, norm)
+	s.sess.get(sessionID).setStmt(name, st)
 	return prep, nil
 }
 
@@ -279,33 +288,34 @@ func (s *Server) QueryBatch(ctx context.Context, sessionID, stmtName, sql string
 	return Result{Rel: rel, CacheHit: rs.CacheHit()}, nil
 }
 
-// Explain plans the statement (through the cache) and renders its plan,
-// for ad-hoc SQL or a named prepared statement.
+// Explain renders the plan of ad-hoc SQL or of a named prepared
+// statement, with the estimates of the statement's own literals: ad-hoc
+// text is parsed un-lifted and planned (through the cache) under its
+// literal normalized text, like an EXPLAIN statement; a named statement
+// is the one parsed at /prepare, planned afresh rather than looked up —
+// the cached plan of its shape may carry another statement's estimates.
 func (s *Server) Explain(sessionID, stmtName, sql string) (string, error) {
-	var norm string
+	var st *sqlish.Statement
 	var err error
 	if stmtName != "" {
-		info, lerr := s.sess.get(sessionID).stmt(stmtName)
-		if lerr != nil {
-			return "", lerr
-		}
-		norm = info.norm
+		st, err = s.sess.get(sessionID).stmt(stmtName)
 	} else {
-		_, norm, err = sqlish.ParseNormalized(sql)
-		if err != nil {
-			return "", err
-		}
+		st, _, err = sqlish.ParseNormalized(sql)
+	}
+	if err != nil {
+		return "", err
 	}
 	if s.dist != nil {
-		st, perr := sqlish.Parse(norm)
-		if perr != nil {
-			return "", perr
-		}
-		if text, handled, derr := s.dist.DistExplain(st, norm); handled {
+		if text, handled, derr := s.dist.DistExplain(st); handled {
 			return text, derr
 		}
 	}
-	prep, _, err := s.plan(norm)
+	var prep *sqlish.Prepared
+	if stmtName != "" {
+		prep, err = st.Prepare(s.catalog.Snapshot(), s.flags)
+	} else {
+		prep, _, err = s.plan(st, 0)
+	}
 	if err != nil {
 		return "", err
 	}

@@ -3,11 +3,13 @@ package server
 import (
 	"fmt"
 	"sync"
+
+	"talign/internal/sqlish"
 )
 
 // Session is per-client state: a namespace of named prepared statements.
-// A session stores only statement text and metadata — the plans themselves
-// live in the shared PlanCache keyed by catalog version, so a statement
+// A session stores only the parsed statement — the plans themselves live
+// in the shared PlanCache keyed by catalog version, so a statement
 // prepared before a catalog change transparently re-plans on its next
 // execution (and LRU eviction can never break a session, only cost a
 // re-plan).
@@ -15,34 +17,32 @@ type Session struct {
 	// ID names the session (client-chosen).
 	ID string
 
-	mu    sync.Mutex
-	stmts map[string]*stmtInfo
-}
-
-// stmtInfo is one named prepared statement: only the normalized text is
-// stored — it is the plan-cache key component, and everything else
-// (param count, schema) lives on the cached Prepared and may legitimately
-// change when a catalog bump forces a re-plan.
-type stmtInfo struct {
-	norm string
+	mu sync.Mutex
+	// stmts holds each named statement as parsed and lifted once, at
+	// /prepare: its shape key is the plan-cache key component, its lifted
+	// literals bind on every execution, and a coordinator classifies its
+	// AST without parsing again. Everything else (param count, schema)
+	// lives on the cached Prepared and may legitimately change when a
+	// catalog bump forces a re-plan.
+	stmts map[string]*sqlish.Statement
 }
 
 // setStmt registers (or replaces) a named statement.
-func (s *Session) setStmt(name, norm string) {
+func (s *Session) setStmt(name string, st *sqlish.Statement) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stmts[name] = &stmtInfo{norm: norm}
+	s.stmts[name] = st
 }
 
 // stmt looks up a named statement.
-func (s *Session) stmt(name string) (*stmtInfo, error) {
+func (s *Session) stmt(name string) (*sqlish.Statement, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info, ok := s.stmts[name]
+	st, ok := s.stmts[name]
 	if !ok {
 		return nil, fmt.Errorf("server: session %q has no prepared statement %q", s.ID, name)
 	}
-	return info, nil
+	return st, nil
 }
 
 // StmtCount returns the number of prepared statements in the session.
@@ -74,7 +74,7 @@ func (t *sessions) get(id string) *Session {
 	}
 	s, ok := t.m[id]
 	if !ok {
-		s = &Session{ID: id, stmts: map[string]*stmtInfo{}}
+		s = &Session{ID: id, stmts: map[string]*sqlish.Statement{}}
 		t.m[id] = s
 	}
 	return s

@@ -234,37 +234,30 @@ func (s *Server) streamGuarded(ctx context.Context, sessionID, stmtName, sql str
 }
 
 func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (*RowStream, error) {
-	var norm string
+	var st *sqlish.Statement
 	switch {
 	case stmtName != "" && sql != "":
 		return nil, fmt.Errorf("server: request must set either sql or stmt, not both")
 	case stmtName != "":
-		// The statement text was parse-checked at Prepare time (and an
-		// ANALYZE can never be prepared), so the normalized text goes
-		// straight to the plan cache.
-		info, lerr := s.sess.get(sessionID).stmt(stmtName)
-		if lerr != nil {
+		// The statement was parsed and lifted at Prepare time (and an
+		// ANALYZE can never be prepared): its shape key goes straight to
+		// the plan cache, and a coordinator classifies the same AST.
+		var lerr error
+		if st, lerr = s.sess.get(sessionID).stmt(stmtName); lerr != nil {
 			return nil, lerr
 		}
-		norm = info.norm
 		if s.dist != nil {
-			// Distributed execution re-derives the statement shape from the
-			// normalized text (parse-checked at Prepare time, so this cannot
-			// fail for user reasons).
-			st, perr := sqlish.Parse(norm)
-			if perr != nil {
-				return nil, perr
-			}
-			if rs, handled, derr := s.distStream(ctx, st, norm, params, batch); handled {
+			if rs, handled, derr := s.distStream(ctx, st, params, batch); handled {
 				return rs, derr
 			}
 		}
 	case strings.TrimSpace(sql) != "":
-		// One lex of the ORIGINAL text yields both the parse check (so
-		// syntax errors point at the client's statement, not at the
-		// whitespace-collapsed normalized form) and the plan-cache key.
-		st, norm0, perr := sqlish.ParseNormalized(sql)
-		if perr != nil {
+		// One lex and one parse of the ORIGINAL text yield the parse check
+		// (so syntax errors point at the client's statement, not at a
+		// normalized form), the AST a plan-cache miss prepares, the
+		// plan-cache key and the lifted literals a hit binds.
+		var perr error
+		if st, perr = sqlish.ParseLifted(sql); perr != nil {
 			return nil, perr
 		}
 		// The distributed seam sees every statement first — ANALYZE, CREATE
@@ -272,7 +265,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		// partition rather than act locally. A declined statement (one that
 		// touches no sharded table) falls through to the local pipeline.
 		if s.dist != nil {
-			if rs, handled, derr := s.distStream(ctx, st, norm0, params, batch); handled {
+			if rs, handled, derr := s.distStream(ctx, st, params, batch); handled {
 				return rs, derr
 			}
 		}
@@ -319,11 +312,12 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 			}
 			return &RowStream{s: s, plan: "DROP TABLE " + name}, nil
 		}
-		norm = norm0
 	default:
 		return nil, fmt.Errorf("server: request has neither sql nor stmt")
 	}
-	prep, hit, err := s.planWith(norm, batch)
+	// A hit binds the caller's parameters and the statement's lifted
+	// literals into the shape's plan: no analyze, no optimize.
+	prep, hit, err := s.plan(st, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +350,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	if s.maxRows > 0 || s.maxBytes > 0 {
 		bud = exec.NewBudget(s.maxRows, s.maxBytes)
 	}
-	cur, err := prep.StreamBudget(ctx, bud, params...)
+	cur, err := prep.StreamFor(ctx, bud, st, params)
 	if err != nil {
 		s.gate.Release(claimed)
 		return nil, err

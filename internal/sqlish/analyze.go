@@ -25,6 +25,11 @@ type analyzer struct {
 	planner  *plan.Planner
 	algebra  *core.Algebra
 	maxParam int
+
+	// nuser and lifted come from a statement parsed by ParseLifted: $N
+	// above nuser is a hidden slot holding lifted[N-nuser-1].
+	nuser  int
+	lifted []value.Value
 }
 
 // newAnalyzer builds an analyzer over cat under the given flags. A
@@ -350,6 +355,9 @@ func (a *analyzer) resolve(e sexpr, sc *scope, allowAgg bool) (expr.Expr, error)
 	case sNull:
 		return expr.Null, nil
 	case sParam:
+		if k := x.Idx - a.nuser; k >= 1 && k <= len(a.lifted) {
+			return expr.Param{Idx: x.Idx, Peek: &a.lifted[k-1]}, nil
+		}
 		if x.Idx > a.maxParam {
 			a.maxParam = x.Idx
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"talign/internal/csvio"
 	"talign/internal/opt"
@@ -27,14 +28,48 @@ import (
 // (the analyzer emits plan nodes directly); Execute is Prepared.Execute.
 // A Prepared is immutable and safe for concurrent Execute calls, which is
 // what the server's plan cache relies on.
+//
+// Parse and Prepare are the library path: the statement plans with its
+// own literals. The server enters through ParseLifted (lift.go), which
+// keys a statement by its shape and defers the parse to the first use of
+// the AST, so that a plan-cache hit costs a lex.
 
 // Statement is a parsed but not yet analyzed statement: the output of the
-// Parse stage. It can be prepared against different catalogs.
+// Parse stage. It can be prepared against different catalogs, and is safe
+// for concurrent use.
 type Statement struct {
 	// SQL is the original statement text.
 	SQL string
 
-	ast *statement
+	// ast is the parse tree. ParseLifted defers it for every statement that
+	// is not an EXPLAIN, ANALYZE, CREATE or DROP (deferred, immutable): toks
+	// then holds the lifted token stream until tree parses it, once,
+	// whoever asks first.
+	ast      *statement
+	deferred bool
+	toks     []token
+	parse    sync.Once
+	perr     error
+
+	// shape is the plan-cache key text (ShapeKey; "" after a plain Parse).
+	// nuser and lifted are set by ParseLifted only (see lift.go): the
+	// highest $N the text itself uses, and the values of the literals
+	// lifted into the hidden slots $nuser+1.. in slot order. Immutable:
+	// plans prepared from the statement point into lifted.
+	shape  string
+	nuser  int
+	lifted []value.Value
+}
+
+// tree returns the parse tree, parsing a deferred statement on first use.
+func (st *Statement) tree() (*statement, error) {
+	if st.deferred {
+		st.parse.Do(func() {
+			st.ast, st.perr = parseTokens(st.SQL, st.toks)
+			st.toks = nil
+		})
+	}
+	return st.ast, st.perr
 }
 
 // Parse runs the first pipeline stage: it lexes and parses sql into a
@@ -48,13 +83,16 @@ func Parse(sql string) (*Statement, error) {
 }
 
 // IsExplain reports whether the statement is an EXPLAIN.
-func (st *Statement) IsExplain() bool { return st.ast.Explain }
+func (st *Statement) IsExplain() bool { return !st.deferred && st.ast.Explain }
 
 // AnalyzeTarget returns the table name of a standalone ANALYZE statement;
 // ok is false for every other statement kind. ANALYZE mutates catalog
 // statistics and is executed by the Engine or the server, never through
 // Prepare.
 func (st *Statement) AnalyzeTarget() (name string, ok bool) {
+	if st.deferred {
+		return "", false
+	}
 	return st.ast.Analyze, st.ast.Analyze != ""
 }
 
@@ -64,7 +102,7 @@ func (st *Statement) AnalyzeTarget() (name string, ok bool) {
 // server runs with one) and is executed by the server, never through
 // Prepare.
 func (st *Statement) CreateTarget() (name, csvPath string, ok bool) {
-	if st.ast.Create == nil {
+	if st.deferred || st.ast.Create == nil {
 		return "", "", false
 	}
 	return st.ast.Create.Name, st.ast.Create.CSVPath, true
@@ -74,6 +112,9 @@ func (st *Statement) CreateTarget() (name, csvPath string, ok bool) {
 // false for every other statement kind. Like CREATE TABLE, it is
 // executed by the server, never through Prepare.
 func (st *Statement) DropTarget() (name string, ok bool) {
+	if st.deferred {
+		return "", false
+	}
 	return st.ast.Drop, st.ast.Drop != ""
 }
 
@@ -113,8 +154,15 @@ type Prepared struct {
 	// SQL is the original statement text.
 	SQL string
 	// NumParams is the number of $N placeholders the statement takes
-	// (the highest index seen; numbering must be gap-free from $1).
+	// (the highest index seen; numbering must be gap-free from $1). Slots
+	// ParseLifted lifted literals into do not count: they are invisible to
+	// the caller.
 	NumParams int
+
+	// lifted holds the values of the literals lifted out of the statement
+	// the plan was prepared from; Stream and Execute bind them, StreamFor
+	// binds another statement's.
+	lifted []value.Value
 
 	root           plan.Node
 	maxDOP         int
@@ -149,20 +197,25 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	if name, ok := st.DropTarget(); ok {
 		return nil, fmt.Errorf("sqlish: DROP TABLE %s cannot be prepared; execute it through the server", name)
 	}
+	ast, err := st.tree()
+	if err != nil {
+		return nil, err
+	}
 	a := newAnalyzer(cat, flags)
-	for _, w := range st.ast.With {
+	a.nuser, a.lifted = st.nuser, st.lifted
+	for _, w := range ast.With {
 		node, _, err := a.buildQueryExpr(w.Query)
 		if err != nil {
 			return nil, err
 		}
 		a.with[strings.ToLower(w.Name)] = a.planner.Shared(node)
 	}
-	node, outScope, err := a.buildQueryExpr(st.ast.Body)
+	node, outScope, err := a.buildQueryExpr(ast.Body)
 	if err != nil {
 		return nil, err
 	}
-	if len(st.ast.OrderBy) > 0 {
-		keys, err := a.orderKeys(st.ast.OrderBy, node.Schema(), outScope)
+	if len(ast.OrderBy) > 0 {
+		keys, err := a.orderKeys(ast.OrderBy, node.Schema(), outScope)
 		if err != nil {
 			return nil, err
 		}
@@ -171,27 +224,32 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	if !flags.DisableOptimizer {
 		node = opt.Optimize(node, a.planner)
 	}
-	if st.ast.Limit != nil || st.ast.Offset != nil {
+	if ast.Limit != nil || ast.Offset != nil {
 		// LIMIT sits above ORDER BY and outside the optimizer: its executor
 		// exits early, which is what lets a cursor stop the pipeline
 		// instead of draining it.
 		n := int64(-1)
-		if st.ast.Limit != nil {
-			n = *st.ast.Limit
+		if ast.Limit != nil {
+			n = *ast.Limit
 		}
 		var off int64
-		if st.ast.Offset != nil {
-			off = *st.ast.Offset
+		if ast.Offset != nil {
+			off = *ast.Offset
 		}
 		node = a.planner.Limit(node, n, off)
 	}
+	// Hidden slots are numbered from the parser's count of the caller's
+	// placeholders; the two counts agree on every statement that analyzes,
+	// and taking the larger keeps the slots aligned regardless.
+	numParams := max(a.maxParam, st.nuser)
 	return &Prepared{
 		SQL:            st.SQL,
-		NumParams:      a.maxParam,
+		NumParams:      numParams,
+		lifted:         st.lifted,
 		root:           node,
 		maxDOP:         plan.MaxDOP(node),
-		explain:        st.ast.Explain,
-		explainAnalyze: st.ast.ExplainAnalyze,
+		explain:        ast.Explain,
+		explainAnalyze: ast.ExplainAnalyze,
 	}, nil
 }
 
@@ -232,10 +290,11 @@ func (p *Prepared) ExplainAnalyzeContext(ctx context.Context, params ...value.Va
 	if !p.explainAnalyze {
 		return "", requestError("statement is not EXPLAIN ANALYZE")
 	}
-	if err := plan.CheckParams(p.NumParams, params); err != nil {
-		return "", requestError("%s", paramErrMsg(err))
+	args, err := bindArgs(p.NumParams, params, p.lifted)
+	if err != nil {
+		return "", err
 	}
-	text, _, err := plan.ExplainAnalyze(p.root, plan.NewExecCtxContext(ctx, params...))
+	text, _, err := plan.ExplainAnalyze(p.root, plan.NewExecCtxContext(ctx, args...))
 	return text, err
 }
 
@@ -246,22 +305,21 @@ func (p *Prepared) Execute(params ...value.Value) (*relation.Relation, error) {
 	if p.explain {
 		return nil, requestError("cannot Execute an EXPLAIN statement")
 	}
-	if err := plan.CheckParams(p.NumParams, params); err != nil {
-		return nil, requestError("%s", paramErrMsg(err))
+	args, err := bindArgs(p.NumParams, params, p.lifted)
+	if err != nil {
+		return nil, err
 	}
-	return plan.RunParams(p.root, params...)
-}
-
-// paramErrMsg strips the plan-layer prefix off a CheckParams error.
-func paramErrMsg(err error) string {
-	return strings.TrimPrefix(err.Error(), "plan: ")
+	return plan.RunParams(p.root, args...)
 }
 
 // ParseNormalized runs the Parse stage and derives the normalized
 // plan-cache key text from ONE shared lex of sql: parse errors point
 // into the original statement text (line/col of the offending token),
-// and the caller gets the cache key without lexing again. It is the
-// entry point the server uses for ad-hoc statements.
+// and the caller gets the cache key without lexing again. Nothing is
+// lifted: the statement plans with its own literals, and its ShapeKey is
+// the normalized text. The server uses it where a plan must render the
+// text as written (GET /explain); statements it executes go through
+// ParseLifted.
 func ParseNormalized(sql string) (*Statement, string, error) {
 	toks, err := lex(sql)
 	if err != nil {
@@ -271,7 +329,8 @@ func ParseNormalized(sql string) (*Statement, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return &Statement{SQL: sql, ast: ast}, renderNormalized(toks), nil
+	norm := renderTokens(sql, toks, nil)
+	return &Statement{SQL: sql, ast: ast, shape: norm}, norm, nil
 }
 
 // Normalize canonicalizes a statement's text for plan-cache keying: it
@@ -284,33 +343,7 @@ func Normalize(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return renderNormalized(toks), nil
-}
-
-// renderNormalized renders a token stream in the canonical cache-key
-// form.
-func renderNormalized(toks []token) string {
-	var b strings.Builder
-	for i, t := range toks {
-		if t.kind == tokEOF {
-			break
-		}
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		switch t.kind {
-		case tokString:
-			b.WriteByte('\'')
-			b.WriteString(strings.ReplaceAll(t.text, "'", "''"))
-			b.WriteByte('\'')
-		case tokParam:
-			b.WriteByte('$')
-			b.WriteString(t.text)
-		default:
-			b.WriteString(t.text)
-		}
-	}
-	return b.String()
+	return renderTokens(sql, toks, nil), nil
 }
 
 // StatsCatalog is a Catalog that also resolves per-table ANALYZE

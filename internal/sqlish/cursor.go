@@ -2,6 +2,7 @@ package sqlish
 
 import (
 	"context"
+	"fmt"
 
 	"talign/internal/colbatch"
 	"talign/internal/exec"
@@ -53,13 +54,32 @@ func (p *Prepared) Stream(ctx context.Context, params ...value.Value) (*Cursor, 
 // it aborts the execution with a structured *exec.BudgetError. A nil
 // budget streams unbounded.
 func (p *Prepared) StreamBudget(ctx context.Context, budget *exec.Budget, params ...value.Value) (*Cursor, error) {
+	return p.stream(ctx, budget, params, p.lifted)
+}
+
+// StreamFor is StreamBudget for st, a statement of the plan's shape (the
+// same ShapeKey under ParseLifted — the plan caches guarantee it): params
+// bind the caller's $1..$N and st's own lifted literals bind the hidden
+// slots, so st's rows come back whichever statement the plan was prepared
+// from.
+func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *Statement, params []value.Value) (*Cursor, error) {
+	if len(st.lifted) != len(p.lifted) {
+		return nil, fmt.Errorf("sqlish: statement with %d lifted literal(s) executed on a plan with %d", len(st.lifted), len(p.lifted))
+	}
+	return p.stream(ctx, budget, params, st.lifted)
+}
+
+// stream builds and opens one execution over the caller's params and the
+// given lifted values.
+func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lifted []value.Value) (*Cursor, error) {
 	if p.explain {
 		return nil, requestError("cannot Stream an EXPLAIN statement")
 	}
-	if err := plan.CheckParams(p.NumParams, params); err != nil {
-		return nil, requestError("%s", paramErrMsg(err))
+	args, err := bindArgs(p.NumParams, params, lifted)
+	if err != nil {
+		return nil, err
 	}
-	ec := plan.NewExecCtxContext(ctx, params...)
+	ec := plan.NewExecCtxContext(ctx, args...)
 	ec.Budget = budget
 	cit, ok, err := plan.BuildColRoot(p.root, ec)
 	if err != nil {

@@ -117,7 +117,12 @@ type DistAggSQL struct {
 // Analysis is conservative: any construct it cannot prove scatter-safe
 // leaves Shape nil, which the coordinator treats as gather-all.
 func (st *Statement) DistInfo(cat Catalog) *DistInfo {
-	a := st.ast
+	a, err := st.tree()
+	if err != nil {
+		// A statement that does not parse names no table: the coordinator
+		// declines it and local planning reports the syntax error.
+		return &DistInfo{Kind: DistSelect}
+	}
 	info := &DistInfo{
 		Kind:           DistSelect,
 		Explain:        a.Explain && !a.ExplainAnalyze,
@@ -983,7 +988,10 @@ func (d *drender) orderLimit(a *statement) {
 // survive); the returned ints map the rendered $1..$N back to the
 // original statement's parameter indices.
 func (st *Statement) RenderDistBody(subst map[string]string) (string, []int, error) {
-	a := st.ast
+	a, err := st.tree()
+	if err != nil {
+		return "", nil, err
+	}
 	if len(a.With) > 0 || a.Body == nil || a.Body.Select == nil {
 		return "", nil, fmt.Errorf("sqlish: distributed render: not a single-SELECT statement")
 	}
@@ -1001,7 +1009,10 @@ func (st *Statement) RenderDistBody(subst map[string]string) (string, []int, err
 // over the union of shard-local results (needed when dedup groups are
 // not pinned to one shard).
 func (st *Statement) RenderDistFinal(from string, redoDedup bool) (string, []int, error) {
-	a := st.ast
+	a, err := st.tree()
+	if err != nil {
+		return "", nil, err
+	}
 	d := newDrender(nil)
 	d.str("SELECT ")
 	if redoDedup && a.Body != nil && a.Body.Select != nil {
@@ -1029,7 +1040,10 @@ func (st *Statement) RenderDistFinal(from string, redoDedup bool) (string, []int
 // by Ts/Te so each partial carries its group interval, and the final
 // groups by Ts/Te again.
 func (st *Statement) RenderDistAgg(subst map[string]string, from string) (*DistAggSQL, error) {
-	a := st.ast
+	a, err := st.tree()
+	if err != nil {
+		return nil, err
+	}
 	if len(a.With) > 0 || a.Body == nil || a.Body.Select == nil {
 		return nil, fmt.Errorf("sqlish: distributed render: not a single-SELECT statement")
 	}

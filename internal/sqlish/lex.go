@@ -15,6 +15,8 @@ package sqlish
 import (
 	"strings"
 	"unicode"
+
+	"talign/internal/faultinject"
 )
 
 // tokKind classifies tokens.
@@ -27,10 +29,12 @@ const (
 	tokString
 	tokSymbol // punctuation and operators
 	tokParam  // $N parameter placeholder; text holds the digits
+	tokLifted // a number or string lifted into the hidden placeholder $slot (lift.go)
 )
 
 type token struct {
 	kind tokKind
+	slot int32  // tokLifted: the hidden placeholder's index
 	text string // identifiers are lower-cased; symbols canonical
 	pos  int
 }
@@ -42,8 +46,18 @@ type lexer struct {
 	toks []token
 }
 
+// lex tokenizes one statement. The token slice is sized once from the
+// text's length (a token spans three source bytes or more in all but the
+// densest text), and an identifier's lower-case spelling is taken from
+// the source bytes or the keyword table wherever it can be (see
+// lowerIdent), so a statement costs about as many allocations as it has
+// mixed-case names and escaped strings.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Test seam: the "one lex per statement" tests count visits here.
+	if err := faultinject.Hit("sqlish.lex"); err != nil {
+		return nil, err
+	}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -57,7 +71,7 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start})
+			l.toks = append(l.toks, token{kind: tokIdent, text: lowerIdent(l.src[start:l.pos]), pos: start})
 		case c >= '0' && c <= '9':
 			seenDot := false
 			for l.pos < len(l.src) {
@@ -85,24 +99,27 @@ func lex(src string) ([]token, error) {
 			l.toks = append(l.toks, token{kind: tokParam, text: l.src[digits:l.pos], pos: start})
 		case c == '\'':
 			l.pos++
-			var sb strings.Builder
+			escaped := false
 			for {
 				if l.pos >= len(l.src) {
 					return nil, newErrorAt(l.src, start, "unterminated string")
 				}
 				if l.src[l.pos] == '\'' {
 					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-						sb.WriteByte('\'')
+						escaped = true
 						l.pos += 2
 						continue
 					}
 					l.pos++
 					break
 				}
-				sb.WriteByte(l.src[l.pos])
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
+			text := l.src[start+1 : l.pos-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
 		default:
 			sym := l.symbol()
 			if sym == "" {
@@ -146,7 +163,7 @@ func (l *lexer) symbol() string {
 	switch c := l.src[l.pos]; c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>':
 		l.pos++
-		return string(c)
+		return l.src[l.pos-1 : l.pos]
 	}
 	return ""
 }
@@ -158,6 +175,62 @@ func isIdentStart(r rune) bool {
 func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
+
+// lowerIdent returns an identifier's lower-case spelling without
+// allocating where it can: the source bytes themselves when they hold no
+// upper-case letter, the keyword table's own string when the identifier
+// is one of its words in any case (SELECT, From, Ts), and a lowered copy
+// only for the rest.
+func lowerIdent(s string) string {
+	hasUpper := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x80 {
+			return strings.ToLower(s) // non-ASCII: the general lowering
+		}
+		if c >= 'A' && c <= 'Z' {
+			hasUpper = true
+		}
+	}
+	if !hasUpper {
+		return s
+	}
+	var buf [maxKeywordLen]byte
+	if len(s) <= len(buf) {
+		for i := 0; i < len(s); i++ {
+			c := s[i]
+			if c >= 'A' && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		if w, ok := keywords[string(buf[:len(s)])]; ok {
+			return w
+		}
+	}
+	return strings.ToLower(s)
+}
+
+// maxKeywordLen bounds the keyword table's words (the longest is
+// "normalize" / "intersect").
+const maxKeywordLen = 9
+
+// keywords interns the lower-case spelling of the words statements
+// usually write in upper or mixed case: every reserved word, and the
+// unreserved names the grammar and the analyzer give a meaning to.
+var keywords = func() map[string]string {
+	m := make(map[string]string, len(reserved)+16)
+	for w := range reserved {
+		m[w] = w
+	}
+	for _, w := range []string{
+		"ts", "te", "count", "sum", "avg", "min", "max", "dur", "period",
+		"create", "table", "drop", "csv",
+	} {
+		m[w] = w
+	}
+	return m
+}()
 
 // reserved words that cannot be used as implicit aliases.
 var reserved = map[string]bool{

@@ -2,6 +2,8 @@ package sqlish
 
 import (
 	"strconv"
+
+	"talign/internal/faultinject"
 )
 
 // parser is a recursive-descent parser over the token stream.
@@ -23,6 +25,10 @@ func parse(src string) (*statement, error) {
 // parseTokens parses an already-lexed statement; src backs error
 // positions.
 func parseTokens(src string, toks []token) (*statement, error) {
+	// Test seam: the "at most one parse per statement" tests count visits.
+	if err := faultinject.Hit("sqlish.parse"); err != nil {
+		return nil, err
+	}
 	p := &parser{src: src, toks: toks}
 	st, err := p.statement()
 	if err != nil {
@@ -678,6 +684,9 @@ func (p *parser) primaryExpr() (sexpr, error) {
 	case tokString:
 		p.pos++
 		return sStr{Text: t.text}, nil
+	case tokLifted:
+		p.pos++
+		return sParam{Idx: int(t.slot)}, nil
 	case tokParam:
 		p.pos++
 		idx, err := strconv.Atoi(t.text)

@@ -198,8 +198,12 @@ type IntervalStats struct {
 type Table struct {
 	// Rows is the relation's cardinality at ANALYZE time.
 	Rows int64
-	// Cols holds one Column per schema attribute, in schema order.
-	Cols []Column
+	// Cols holds one Column per schema attribute, in schema order. The
+	// columns are shared, never copied: a derived table (a projection's, a
+	// join's) points at its inputs' columns, and a nil entry means "no
+	// statistics" for that position. A Column is immutable once its table
+	// is published.
+	Cols []*Column
 	// T summarizes the valid-time intervals.
 	T IntervalStats
 }
@@ -210,7 +214,7 @@ func (t *Table) Col(i int) *Column {
 	if t == nil || i < 0 || i >= len(t.Cols) {
 		return nil
 	}
-	return &t.Cols[i]
+	return t.Cols[i]
 }
 
 // OverlapFrac estimates the probability that a random tuple of l and a
@@ -245,9 +249,11 @@ func OverlapFrac(l, r *Table) (frac float64, ok bool) {
 // start-ordered sweep counting overlapping pairs.
 func Analyze(rel *relation.Relation) *Table {
 	n := rel.Len()
-	t := &Table{Rows: int64(n), Cols: make([]Column, rel.Schema.Len())}
-	for i := range t.Cols {
-		t.Cols[i] = analyzeColumn(rel, i)
+	cols := make([]Column, rel.Schema.Len())
+	t := &Table{Rows: int64(n), Cols: make([]*Column, len(cols))}
+	for i := range cols {
+		cols[i] = analyzeColumn(rel, i)
+		t.Cols[i] = &cols[i]
 	}
 	t.T = analyzeIntervals(rel)
 	return t
@@ -265,10 +271,12 @@ func FromSegments(segs []relation.Segment) *Table {
 		return nil
 	}
 	ncols := len(segs[0].Zone.Cols)
-	t := &Table{Cols: make([]Column, ncols)}
+	cols := make([]Column, ncols)
+	t := &Table{Cols: make([]*Column, ncols)}
 	nulls := make([]int64, ncols)
-	for i := range t.Cols {
-		t.Cols[i] = Column{Min: value.Null, Max: value.Null}
+	for i := range cols {
+		cols[i] = Column{Min: value.Null, Max: value.Null}
+		t.Cols[i] = &cols[i]
 	}
 	for si, sg := range segs {
 		z := &sg.Zone
@@ -285,7 +293,7 @@ func FromSegments(segs []relation.Segment) *Table {
 			if zc.Min.IsNull() {
 				continue
 			}
-			c := &t.Cols[i]
+			c := t.Cols[i]
 			if c.Min.IsNull() || zc.Min.Compare(c.Min) < 0 {
 				c.Min = zc.Min
 			}
