@@ -3,6 +3,8 @@ package distsql
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,10 +54,24 @@ func (s strategy) String() string {
 	return "unknown"
 }
 
+// tableDep is one table a distributed plan was built from: the schema
+// stub the coordinator's catalog held for it and the column its shards
+// were hashed on. Restaging a table replaces the stub, so the pointer
+// covers schema and data generation alike.
+type tableDep struct {
+	name string
+	stub *relation.Relation
+	col  string
+}
+
 // distPlan is one cached distributed plan: the strategy decision plus
 // the rendered fragments (rendered without table substitution; plans
 // that repartition re-render per execution with the staged names).
 type distPlan struct {
+	// deps holds one entry per table of the statement; the plan is served
+	// only while every one still matches (Coordinator.current).
+	deps []tableDep
+
 	strategy  strategy
 	verbatim  bool // workerSQL is the whole statement over all of its placeholders; every value passes through
 	redoDedup bool
@@ -73,40 +89,6 @@ type distPlan struct {
 	types   []string
 }
 
-// dcache is the bounded distributed-plan cache (FIFO eviction; the keys
-// already fold in every invalidating version, so stale entries are
-// unreachable rather than wrong).
-type dcache struct {
-	mu    sync.Mutex
-	m     map[string]*distPlan
-	order []string
-	cap   int
-}
-
-func newDcache(capacity int) *dcache {
-	return &dcache{m: make(map[string]*distPlan), cap: capacity}
-}
-
-func (c *dcache) get(key string) *distPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[key]
-}
-
-func (c *dcache) put(key string, pl *distPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.m[key]; exists {
-		return
-	}
-	for len(c.m) >= c.cap && len(c.order) > 0 {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.m[key] = pl
-	c.order = append(c.order, key)
-}
-
 // Coordinator implements server.Distributor over a static worker
 // topology: it owns the shard map (which partition column each table is
 // currently hashed on), the distributed-plan cache and the worker
@@ -114,7 +96,6 @@ func (c *dcache) put(key string, pl *distPlan) {
 type Coordinator struct {
 	srv     *server.Server
 	topo    Topology
-	topoVer string
 	flags   plan.Flags
 	flagsFP string
 	client  *workerClient
@@ -123,16 +104,19 @@ type Coordinator struct {
 	// manifest; tables absent default to their first column.
 	partOverride map[string]string
 
-	mu       sync.Mutex
-	parts    map[string]string // table -> current partition column
-	shardVer uint64
+	// parts is the shard map, table -> current partition column. It is
+	// copy-on-write: setPart replaces it under mu, readers take the
+	// current map and never see it change.
+	mu    sync.Mutex
+	parts map[string]string
 
-	cache *dcache
+	// cache is the server's plan cache type over distributed plans: keyed
+	// on shape + flags, valid per table (see current). The topology is
+	// fixed for a coordinator's lifetime, so it is no part of either.
+	cache *server.PlanCache[*distPlan]
 	qid   atomic.Uint64
 
 	queries       atomic.Uint64
-	hits          atomic.Uint64
-	misses        atomic.Uint64
 	scatters      atomic.Uint64
 	scatterFinals atomic.Uint64
 	partialAggs   atomic.Uint64
@@ -152,13 +136,12 @@ func New(srv *server.Server, topo Topology, flags plan.Flags, partition map[stri
 	return &Coordinator{
 		srv:          srv,
 		topo:         topo,
-		topoVer:      topo.Version(),
 		flags:        flags,
 		flagsFP:      flags.Fingerprint(),
 		client:       newWorkerClient(),
 		partOverride: po,
 		parts:        map[string]string{},
-		cache:        newDcache(256),
+		cache:        server.NewPlanCache[*distPlan](0),
 	}
 }
 
@@ -168,40 +151,38 @@ func (c *Coordinator) Attach() { c.srv.SetDistributor(c) }
 // Topology returns the coordinator's worker set.
 func (c *Coordinator) Topology() Topology { return c.topo }
 
-// PlanKey is the distributed plan-cache fingerprint for one statement
-// shape (sqlish.Statement.ShapeKey: statements that differ only in lifted
-// literals share one distributed plan, like they share one local plan):
-// it folds in the planner flags, the topology version, the shard-map
-// version and the catalog version, so a cached distributed plan can
-// never survive a worker-set, partitioning or schema change (the
-// distributed mirror of the local cache's statsVersion discipline).
-func (c *Coordinator) PlanKey(shape string) string {
-	c.mu.Lock()
-	sv := c.shardVer
-	c.mu.Unlock()
-	return fmt.Sprintf("%s\x00%s\x00%s\x00%d\x00%d",
-		shape, c.flagsFP, c.topoVer, sv, c.srv.Catalog().Version())
-}
-
-// partsSnapshot copies the shard map under the lock.
-func (c *Coordinator) partsSnapshot() map[string]string {
+// shardMap returns the current shard map; it is never mutated.
+func (c *Coordinator) shardMap() map[string]string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.parts))
-	for t, col := range c.parts {
-		out[t] = col
+	return c.parts
+}
+
+// setPart records (col != "") or forgets (col == "") a table's partition
+// column and purges the distributed plans over that table: its stub, its
+// shards or its partitioning just changed, and a cached plan pins the
+// stub it was built from.
+func (c *Coordinator) setPart(table, col string) {
+	c.mu.Lock()
+	next := maps.Clone(c.parts)
+	if col == "" {
+		delete(next, table)
+	} else {
+		next[table] = col
 	}
-	return out
+	c.parts = next
+	c.mu.Unlock()
+	c.cache.Invalidate(func(pl *distPlan) bool {
+		return slices.ContainsFunc(pl.deps, func(d tableDep) bool { return d.name == table })
+	})
 }
 
-// allSharded reports whether every table is in the shard map; statements
-// touching any other table are declined to the local pipeline (which
-// also produces the proper error for unknown tables).
-func (c *Coordinator) allSharded(tables []string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// allSharded reports whether every table is in the shard map parts;
+// statements touching any other table are declined to the local pipeline
+// (which also produces the proper error for unknown tables).
+func allSharded(parts map[string]string, tables ...string) bool {
 	for _, t := range tables {
-		if _, ok := c.parts[t]; !ok {
+		if _, ok := parts[t]; !ok {
 			return false
 		}
 	}
@@ -232,10 +213,7 @@ func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *rel
 		return err
 	}
 	c.srv.Catalog().Register(name, relation.New(rel.Schema))
-	c.mu.Lock()
-	c.parts[name] = strings.ToLower(col)
-	c.shardVer++
-	c.mu.Unlock()
+	c.setPart(name, strings.ToLower(col))
 	return nil
 }
 
@@ -277,11 +255,12 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, para
 	case sqlish.DistDrop:
 		return c.distDrop(ctx, info)
 	}
-	if len(info.Tables) == 0 || !c.allSharded(info.Tables) {
+	parts := c.shardMap()
+	if len(info.Tables) == 0 || !allSharded(parts, info.Tables...) {
 		return nil, false, nil
 	}
 	c.queries.Add(1)
-	pl, hit, err := c.plan(st, info)
+	pl, hit, err := c.plan(st, info, snap, parts)
 	if err != nil {
 		return nil, true, err
 	}
@@ -300,10 +279,11 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, para
 func (c *Coordinator) DistExplain(st *sqlish.Statement) (string, bool, error) {
 	snap := c.srv.Catalog().Snapshot()
 	info := st.DistInfo(snap)
-	if info.Kind != sqlish.DistSelect || len(info.Tables) == 0 || !c.allSharded(info.Tables) {
+	parts := c.shardMap()
+	if info.Kind != sqlish.DistSelect || len(info.Tables) == 0 || !allSharded(parts, info.Tables...) {
 		return "", false, nil
 	}
-	pl, _, err := c.plan(st, info)
+	pl, _, err := c.plan(st, info, snap, parts)
 	if err != nil {
 		return "", true, err
 	}
@@ -334,7 +314,7 @@ func (c *Coordinator) explainText(pl *distPlan) string {
 // row counts into the single-node acknowledgement format.
 func (c *Coordinator) distAnalyze(ctx context.Context, info *sqlish.DistInfo) (*server.DistResult, bool, error) {
 	target := strings.ToLower(info.Target)
-	if !c.allSharded([]string{target}) {
+	if !allSharded(c.shardMap(), target) {
 		return nil, false, nil
 	}
 	var rows int64
@@ -373,7 +353,7 @@ func (c *Coordinator) distCreate(ctx context.Context, info *sqlish.DistInfo) (*s
 // distDrop broadcasts the unstage and drops the local stub.
 func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*server.DistResult, bool, error) {
 	target := strings.ToLower(info.Target)
-	if !c.allSharded([]string{target}) {
+	if !allSharded(c.shardMap(), target) {
 		return nil, false, nil
 	}
 	for _, w := range c.topo.Workers {
@@ -382,29 +362,44 @@ func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*ser
 		}
 	}
 	c.srv.Catalog().Drop(target)
-	c.mu.Lock()
-	delete(c.parts, target)
-	c.shardVer++
-	c.mu.Unlock()
+	c.setPart(target, "")
 	return &server.DistResult{Plan: "DROP TABLE " + target}, true, nil
 }
 
 // ------------------------------------------------------- planning
 
-// plan resolves the distributed plan through the cache.
-func (c *Coordinator) plan(st *sqlish.Statement, info *sqlish.DistInfo) (*distPlan, bool, error) {
-	key := c.PlanKey(st.ShapeKey())
-	if pl := c.cache.get(key); pl != nil {
-		c.hits.Add(1)
+// plan resolves the distributed plan through the cache: one plan per
+// statement shape (sqlish.Statement.ShapeKey: statements that differ only
+// in lifted literals share one distributed plan, like they share one
+// local plan), served while the tables it was built from are unchanged.
+// snap and parts are the catalog snapshot and shard map the statement
+// was classified against.
+func (c *Coordinator) plan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (*distPlan, bool, error) {
+	key := server.CacheKey{Shape: st.ShapeKey(), Flags: c.flagsFP}
+	pl, ok := c.cache.Get(key, func(pl *distPlan) bool { return current(pl, snap, parts) })
+	if ok {
 		return pl, true, nil
 	}
-	c.misses.Add(1)
-	pl, err := c.buildPlan(st, info)
+	pl, err := c.buildPlan(st, info, snap, parts)
 	if err != nil {
 		return nil, false, err
 	}
-	c.cache.put(key, pl)
+	c.cache.Put(key, pl, func(pl *distPlan) bool {
+		return current(pl, c.srv.Catalog().Snapshot(), c.shardMap())
+	})
 	return pl, false, nil
+}
+
+// current reports whether every table pl was built from still has the
+// same stub and the same partition column: restaging, dropping or
+// repartitioning one of its tables makes it stale, nothing else does.
+func current(pl *distPlan, snap server.Snapshot, parts map[string]string) bool {
+	for _, d := range pl.deps {
+		if stub, _ := snap.Lookup(d.name); stub != d.stub || parts[d.name] != d.col {
+			return false
+		}
+	}
+	return true
 }
 
 // buildPlan picks the cheapest strategy the statement's shape admits.
@@ -413,8 +408,7 @@ func (c *Coordinator) plan(st *sqlish.Statement, info *sqlish.DistInfo) (*distPl
 // an empty temp of the body schema) — a candidate that fails to prepare
 // falls through to the next, ending at gather-all, so a renderer gap can
 // cost performance but never correctness.
-func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo) (*distPlan, error) {
-	snap := c.srv.Catalog().Snapshot()
+func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (*distPlan, error) {
 	prep, err := st.Prepare(snap, c.flags)
 	if err != nil {
 		// The statement does not analyze against the schemas; surface the
@@ -423,6 +417,10 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo) (*d
 	}
 	cols, types := server.SchemaColumns(prep)
 	pl := &distPlan{tables: info.Tables, sch: prep.Schema(), cols: cols, types: types}
+	for _, t := range info.Tables {
+		stub, _ := snap.Lookup(t)
+		pl.deps = append(pl.deps, tableDep{name: t, stub: stub, col: parts[t]})
+	}
 
 	if len(c.topo.Workers) == 1 && !info.ExplainAnalyze {
 		// One worker holds every shard: any statement runs there verbatim.
@@ -442,7 +440,6 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo) (*d
 		return gather()
 	}
 
-	parts := c.partsSnapshot()
 	repart := map[string]string{}
 	eff := map[string]string{}
 	for _, t := range info.Tables {

@@ -239,53 +239,69 @@ func TestDistributedStrategies(t *testing.T) {
 	}
 }
 
-// TestPlanKeyInvalidation is the plan-cache satellite regression: the
-// distributed fingerprint must change whenever the worker topology or the
-// shard map changes, and repeated statements must hit the cache between
-// those events.
+// TestPlanKeyInvalidation pins the distributed plan cache's per-table
+// validity: a cached distributed plan survives everything that happens
+// to tables it does not read, and dies with any change to one it does —
+// a restage (new stub, new shards), a change of partition column, a
+// drop. A topology change is a new coordinator, whose cache starts empty.
 func TestPlanKeyInvalidation(t *testing.T) {
+	ctx := context.Background()
 	rels := testRels(2)
-	cl2 := newCluster(t, 2, nil)
-	cl2.load(t, rels)
+	cl := newCluster(t, 2, nil)
+	cl.load(t, rels)
+
+	const q = "SELECT r.a, s.b FROM r JOIN s ON r.a = s.a"
+	run := func(want bool, when string) {
+		t.Helper()
+		res, err := cl.csrv.QueryContext(ctx, "", "", q, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if res.CacheHit != want {
+			t.Fatalf("%s: cache hit = %v, want %v (cache %+v)", when, res.CacheHit, want, cl.coord.cache.Stats())
+		}
+	}
+	run(false, "first execution")
+	run(true, "second execution")
+
+	// Churn on a table the plan does not read: staged, restaged, dropped.
+	for i := 0; i < 3; i++ {
+		if err := cl.coord.DistributeTable(ctx, "u", testRels(3 + i)["u"]); err != nil {
+			t.Fatal(err)
+		}
+		run(true, "after restaging u")
+	}
+	if _, err := cl.csrv.QueryContext(ctx, "", "", "DROP TABLE u", nil); err != nil {
+		t.Fatal(err)
+	}
+	run(true, "after dropping u")
+	if st := cl.coord.cache.Stats(); st.Plans != 1 || st.Invalidated != 0 {
+		t.Fatalf("churn on u re-planned or purged the plan over r, s: %+v", st)
+	}
+
+	// Restaging a table it reads: same schema, same column, new shards.
+	if err := cl.coord.DistributeTable(ctx, "r", rels["r"]); err != nil {
+		t.Fatal(err)
+	}
+	if st := cl.coord.cache.Stats(); st.Size != 0 || st.Invalidated != 1 {
+		t.Fatalf("restaging r left its plan cached: %+v", st)
+	}
+	run(false, "after restaging r")
+	run(true, "re-planned entry")
+
+	// Same stub, another partition column: colocation no longer holds.
+	cl.coord.setPart("s", "b")
+	run(false, "after repartitioning s")
+	if res, err := cl.csrv.QueryContext(ctx, "", "", "EXPLAIN "+q, nil); err != nil || !strings.Contains(res.Plan, "repartition: s by a") {
+		t.Fatalf("EXPLAIN after repartitioning s:\n%s\n%v", res.Plan, err)
+	}
+
+	// Another topology is another coordinator: nothing to inherit.
 	cl3 := newCluster(t, 3, nil)
 	cl3.load(t, rels)
-
-	const norm = "select a, b from r"
-	if cl2.coord.PlanKey(norm) == cl3.coord.PlanKey(norm) {
-		t.Fatal("PlanKey identical across different topologies")
-	}
-
-	q := "SELECT a, b FROM r"
-	res, err := cl2.csrv.QueryContext(context.Background(), "", "", q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("first distributed execution reported a cache hit")
-	}
-	res, err = cl2.csrv.QueryContext(context.Background(), "", "", q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("second distributed execution missed the cache")
-	}
-
-	// A shard-map change (new table distributed) must invalidate.
-	before := cl2.coord.PlanKey(norm)
-	extra := testRels(3)["u"]
-	if err := cl2.coord.DistributeTable(context.Background(), "extra", extra); err != nil {
-		t.Fatal(err)
-	}
-	if cl2.coord.PlanKey(norm) == before {
-		t.Fatal("PlanKey unchanged after a shard-map change")
-	}
-	res, err = cl2.csrv.QueryContext(context.Background(), "", "", q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("distributed plan cache served a stale entry across a shard-map change")
+	res, err := cl3.csrv.QueryContext(ctx, "", "", q, nil)
+	if err != nil || res.CacheHit {
+		t.Fatalf("first execution on a 3-worker topology: hit=%v err=%v", res.CacheHit, err)
 	}
 }
 

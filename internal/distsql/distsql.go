@@ -65,9 +65,9 @@ type Topology struct {
 	Workers []Worker
 }
 
-// Version fingerprints the worker set; it participates in the
-// distributed-plan cache key so cached plans die with topology changes
-// (the distributed mirror of the catalog's statsVersion pattern).
+// Version fingerprints the worker set, for logs. A coordinator's topology
+// is fixed for its lifetime, and its plan cache with it, so no cached
+// plan can outlive a worker-set change.
 func (t Topology) Version() string {
 	h := fnv.New64a()
 	for _, w := range t.Workers {

@@ -6,11 +6,13 @@ import "talign/internal/server"
 // coordinator's counters render into the server's /metrics endpoint
 // alongside the single-node ones.
 func (c *Coordinator) DistMetrics() []server.DistMetric {
+	cs := c.cache.Stats()
 	return []server.DistMetric{
 		{Name: "talignd_dist_workers", Help: "Workers in the static cluster topology.", Gauge: true, Value: uint64(len(c.topo.Workers))},
 		{Name: "talignd_dist_queries_total", Help: "Statements executed through the distributed planner.", Value: c.queries.Load()},
-		{Name: "talignd_dist_plan_cache_hits_total", Help: "Distributed plan-cache hits.", Value: c.hits.Load()},
-		{Name: "talignd_dist_plan_cache_misses_total", Help: "Distributed plan-cache misses.", Value: c.misses.Load()},
+		{Name: "talignd_dist_plan_cache_hits_total", Help: "Distributed plan-cache hits.", Value: cs.Hits},
+		{Name: "talignd_dist_plan_cache_misses_total", Help: "Distributed plan-cache misses.", Value: cs.Misses},
+		{Name: "talignd_dist_plan_cache_invalidated_total", Help: "Distributed plans purged because a table they depend on was restaged, dropped or repartitioned.", Value: cs.Invalidated},
 		{Name: "talignd_fragments_total", Help: "Fragment operations dispatched to workers.", Value: c.client.fragments.Load()},
 		{Name: "talignd_fragment_retries_total", Help: "Fragment dispatches retried after transport failures or 503s.", Value: c.client.retried.Load()},
 		{Name: "talignd_worker_unreachable_total", Help: "Fragment dispatches abandoned after retry exhaustion.", Value: c.client.unreachable.Load()},

@@ -71,8 +71,9 @@ func Handler(srv *server.Server) http.Handler {
 			writeAck(w, wire.FragmentAck{OK: true, Rows: int64(img.Len())})
 		case wire.FragmentUnstage:
 			// Idempotent: unstaging an absent table is a success, so the
-			// coordinator's best-effort cleanup can retry blindly.
-			srv.Unstage(req.Name)
+			// coordinator's best-effort cleanup can retry blindly. The
+			// drop purges the plans over the shard, which unpins it.
+			srv.Catalog().Drop(req.Name)
 			writeAck(w, wire.FragmentAck{OK: true})
 		case wire.FragmentAnalyze:
 			if req.Name == "" {

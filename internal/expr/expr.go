@@ -589,6 +589,15 @@ func funcInfo(name string, arity int) (value.Kind, error) {
 	return value.KindNull, fmt.Errorf("expr: unknown function %s/%d", name, arity)
 }
 
+// CheckCall reports whether a function named name (case-insensitive),
+// built-in or registered, takes arity arguments. Eval indexes its
+// arguments unchecked, so whoever builds a Func from outside input calls
+// this first.
+func CheckCall(name string, arity int) error {
+	_, err := funcInfo(strings.ToUpper(name), arity)
+	return err
+}
+
 func (f Func) Eval(env *Env) (value.Value, error) {
 	// Arguments stay on the stack for the built-in arities (all ≤ 2
 	// except GREATEST/LEAST): Eval runs once per row in projections.

@@ -15,11 +15,16 @@ import (
 // image (possibly memory-mapped, read-only), its zone map, and the row
 // range [Lo, Hi) it occupies in the relation's Tuples slice. Loaders
 // materialize tuples in segment order, so the ranges tile [0, Len()).
+//
+// Owner keeps the memory Img aliases alive — the storage layer's owner of
+// a mapped segment file, which unmaps it once no Segment references it;
+// nil for heap images. Nobody reads it: holding the Segment is the point.
 type Segment struct {
-	Img  *colbatch.Batch
-	Zone colbatch.Zone
-	Lo   int
-	Hi   int
+	Img   *colbatch.Batch
+	Zone  colbatch.Zone
+	Lo    int
+	Hi    int
+	Owner any
 }
 
 // segImage stamps a segment list the same way colImage stamps the

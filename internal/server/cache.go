@@ -3,49 +3,47 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"talign/internal/sqlish"
 )
 
-// cacheKey identifies one cached plan. Four components make reuse sound:
-// the statement's shape key (sqlish.Statement.ShapeKey: the normalized
-// text — formatting differences collapse — with the literals of WHERE and
-// ON comparisons lifted into hidden parameter slots, plus each lifted
-// literal's kind, so statements that differ only in such literals share
-// one plan; EXPLAIN statements and GET /explain key on their literal
-// normalized text), the catalog version the plan was built against
-// (schema or data changes invalidate), the statistics version (ANALYZE
-// changes cost decisions, so plans built against stale statistics must
-// not be reused), and the planner-flags fingerprint (flags change method
-// choice and exchange placement, so plans under different flags must not
-// mix).
-type cacheKey struct {
-	sql     string
-	version uint64
-	stats   uint64
-	flags   string
+// CacheKey identifies one cached plan by what the statement is, never by
+// the state of the catalog: the statement's shape key
+// (sqlish.Statement.ShapeKey: the normalized text — formatting
+// differences collapse — with the literals of WHERE and ON comparisons
+// lifted into hidden parameter slots, plus each lifted literal's kind, so
+// statements that differ only in such literals share one plan; EXPLAIN
+// statements and GET /explain key on their literal normalized text) and
+// the planner-flags fingerprint (flags change method choice and exchange
+// placement, so plans under different flags must not mix).
+type CacheKey struct {
+	Shape string
+	Flags string
 }
 
-// PlanCache is a thread-safe LRU cache of prepared statements. Entries are
-// immutable sqlish.Prepared plans, so a cached entry can be handed to any
-// number of concurrent executions; eviction only drops the cache's
-// reference. A catalog change does not purge entries eagerly — stale
-// versions simply stop being requested and age out of the LRU.
-type PlanCache struct {
+// PlanCache is a thread-safe LRU cache of immutable plans — one per
+// CacheKey, handed to any number of concurrent executions — with
+// table-scoped validity: a plan is served only while the caller's valid
+// function accepts it. The server accepts a sqlish.Prepared whose
+// recorded catalog entries are pointer-identical in the snapshot the
+// execution runs against (Snapshot.Current); the distsql coordinator
+// checks its stubs and partition columns the same way. A catalog change
+// purges the plans that depend on the changed table (Invalidate), at
+// once, so nothing pins a dropped relation that nobody can reach.
+type PlanCache[P any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used; values are *cacheSlot
-	byKey map[cacheKey]*list.Element
+	order *list.List // front = most recently used; values are *cacheSlot[P]
+	byKey map[CacheKey]*list.Element
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	plans     uint64
+	hits        uint64
+	misses      uint64
+	evictions   uint64
+	invalidated uint64
+	plans       uint64
 }
 
-type cacheSlot struct {
-	key  cacheKey
-	prep *sqlish.Prepared
+type cacheSlot[P any] struct {
+	key  CacheKey
+	plan P
 }
 
 // DefaultCacheSize is the prepared-plan cache capacity when Config leaves
@@ -54,67 +52,83 @@ const DefaultCacheSize = 256
 
 // NewPlanCache returns an LRU plan cache holding up to capacity entries
 // (DefaultCacheSize when capacity <= 0).
-func NewPlanCache(capacity int) *PlanCache {
+func NewPlanCache[P any](capacity int) *PlanCache[P] {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &PlanCache{
+	return &PlanCache[P]{
 		cap:   capacity,
 		order: list.New(),
-		byKey: map[cacheKey]*list.Element{},
+		byKey: map[CacheKey]*list.Element{},
 	}
 }
 
-// get returns the cached plan for key, marking it most recently used.
-func (c *PlanCache) get(key cacheKey) (*sqlish.Prepared, bool) {
+// Get returns the cached plan for key if valid accepts it, marking it
+// most recently used. A plan valid rejects is removed (counted as
+// invalidated) and the lookup is a miss.
+func (c *PlanCache[P]) Get(key CacheKey, valid func(P) bool) (plan P, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		c.misses++
-		return nil, false
+	el, found := c.byKey[key]
+	if found {
+		if plan = el.Value.(*cacheSlot[P]).plan; valid(plan) {
+			c.hits++
+			c.order.MoveToFront(el)
+			return plan, true
+		}
+		c.remove(el)
+		c.invalidated++
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheSlot).prep, true
+	c.misses++
+	var none P
+	return none, false
 }
 
-// put inserts (or refreshes) a freshly prepared plan, evicting the least
-// recently used entry beyond capacity. Concurrent misses on the same key
-// may each prepare and put (last insert wins); plans are immutable so the
-// duplicates are merely redundant work, and the Plans counter counts
-// every one.
-func (c *PlanCache) put(key cacheKey, prep *sqlish.Prepared) {
+// Put counts one planning and caches the plan under key, replacing the
+// key's previous plan and evicting the least recently used entry beyond
+// capacity. valid must check the caller's CURRENT state, not the state
+// the plan was built from; it runs under the cache lock, so a plan whose
+// table changed while it was being built cannot slip in behind the purge
+// that change ran. Concurrent misses on one key may each plan and Put
+// (last insert wins): redundant work, the plans being immutable.
+func (c *PlanCache[P]) Put(key CacheKey, plan P, valid func(P) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.plans++
+	if !valid(plan) {
+		return
+	}
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheSlot).prep = prep
+		el.Value.(*cacheSlot[P]).plan = plan
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&cacheSlot{key: key, prep: prep})
+	c.byKey[key] = c.order.PushFront(&cacheSlot[P]{key: key, plan: plan})
 	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.byKey, last.Value.(*cacheSlot).key)
+		c.remove(c.order.Back())
 		c.evictions++
 	}
 }
 
-// dropOlder removes every plan built against a catalog version before
-// version. They are not LRU evictions.
-func (c *PlanCache) dropOlder(version uint64) {
+// Invalidate removes every plan stale reports true for. They are not LRU
+// evictions.
+func (c *PlanCache[P]) Invalidate(stale func(P) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; {
-		slot, next := el.Value.(*cacheSlot), el.Next()
-		if slot.key.version < version {
-			c.order.Remove(el)
-			delete(c.byKey, slot.key)
+		next := el.Next()
+		if stale(el.Value.(*cacheSlot[P]).plan) {
+			c.remove(el)
+			c.invalidated++
 		}
 		el = next
 	}
+}
+
+// remove unlinks one entry (caller holds the lock).
+func (c *PlanCache[P]) remove(el *list.Element) {
+	c.order.Remove(el)
+	delete(c.byKey, el.Value.(*cacheSlot[P]).key)
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters.
@@ -126,6 +140,9 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	// Invalidated counts plans removed because a table they depend on
+	// changed (re-registered, dropped, re-analyzed, re-staged).
+	Invalidated uint64 `json:"invalidated"`
 	// Plans counts how many times a statement was actually planned (a
 	// prepared statement executed N times contributes 1 here and N-1 to
 	// Hits, which is the acceptance check for "plan once, execute many").
@@ -133,15 +150,16 @@ type CacheStats struct {
 }
 
 // Stats returns the current cache counters.
-func (c *PlanCache) Stats() CacheStats {
+func (c *PlanCache[P]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Size:      c.order.Len(),
-		Capacity:  c.cap,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Plans:     c.plans,
+		Size:        c.order.Len(),
+		Capacity:    c.cap,
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Evictions:   c.evictions,
+		Invalidated: c.invalidated,
+		Plans:       c.plans,
 	}
 }

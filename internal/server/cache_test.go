@@ -56,9 +56,9 @@ func TestPreparedPlansExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnCatalogChange: re-registering a relation bumps
-// the catalog version, so the next execution re-plans against fresh data
-// instead of serving the stale snapshot.
+// TestCacheInvalidationOnCatalogChange: re-registering a relation
+// invalidates the plans over it, so the next execution re-plans against
+// fresh data instead of serving the stale snapshot.
 func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
 	if _, err := s.Prepare("s1", "q", "SELECT n FROM r"); err != nil {
@@ -103,37 +103,44 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	}
 }
 
-// TestUnstageDropsPlansOfOlderCatalogVersions: a cached plan pins the
-// relations it was planned over, so a worker that stages and unstages a
-// shard per query must not keep a cache's worth of dead shards alive —
-// Unstage drops the plans the drop made unreachable, and they are not
-// LRU evictions. A plain catalog change keeps its stale plans.
-func TestUnstageDropsPlansOfOlderCatalogVersions(t *testing.T) {
+// TestDropPurgesDependentPlans: a cached plan pins the relations it was
+// planned over, so a worker that stages and unstages a shard per query
+// must not keep a cache's worth of dead shards alive — dropping (or
+// replacing) a table purges exactly the plans over it, at once, and they
+// are not LRU evictions. Plans over other tables stay and keep hitting.
+func TestDropPurgesDependentPlans(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
-	stage := func(i int) {
-		s.Catalog().Register("tmp", relation.NewBuilder("v int").Row(0, 2, int64(i)).MustBuild())
-		for _, q := range []string{"SELECT v FROM tmp", "SELECT n FROM r"} {
-			if _, err := s.Query("", "", q, nil); err != nil {
-				t.Fatalf("Query(%s): %v", q, err)
-			}
+	query := func(q string) Result {
+		t.Helper()
+		res, err := s.Query("", "", q, nil)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", q, err)
 		}
+		return res
 	}
+	query("SELECT n FROM r")
 	for i := 0; i < 5; i++ {
-		stage(i)
-		if !s.Unstage("tmp") {
-			t.Fatalf("round %d: Unstage reported no table", i)
+		s.Catalog().Register("tmp", relation.NewBuilder("v int").Row(0, 2, int64(i)).MustBuild())
+		query("SELECT v FROM tmp")
+		query("SELECT v, n FROM tmp, r")
+		if !query("SELECT n FROM r").CacheHit {
+			t.Fatalf("round %d: staging tmp cost the plan over r", i)
 		}
-		if st := s.CacheStats(); st.Size != 0 || st.Evictions != 0 {
-			t.Fatalf("round %d: stats = %+v, want an empty cache and no evictions", i, st)
+		if !s.Catalog().Drop("tmp") {
+			t.Fatalf("round %d: Drop reported no table", i)
+		}
+		want := CacheStats{Size: 1, Invalidated: uint64(2 * (i + 1)), Plans: uint64(1 + 2*(i+1))}
+		if st := s.CacheStats(); st.Size != want.Size || st.Evictions != 0 || st.Invalidated != want.Invalidated || st.Plans != want.Plans {
+			t.Fatalf("round %d: stats = %+v, want size %d, no evictions, %d invalidated, %d plans", i, st, want.Size, want.Invalidated, want.Plans)
 		}
 	}
-	if s.Unstage("tmp") {
-		t.Fatal("Unstage of an absent table reported a drop")
+	if s.Catalog().Drop("tmp") {
+		t.Fatal("Drop of an absent table reported a drop")
 	}
-	stage(5)
-	s.Catalog().Drop("tmp")
-	if st := s.CacheStats(); st.Size != 2 {
-		t.Fatalf("after a plain Drop: stats = %+v, want both stale plans kept", st)
+	// Replacing a table under its name purges like dropping it.
+	s.Catalog().Register("r", relation.NewBuilder("n string").Row(0, 2, "Zoe").MustBuild())
+	if st := s.CacheStats(); st.Size != 0 {
+		t.Fatalf("after re-registering r: stats = %+v, want an empty cache", st)
 	}
 }
 
@@ -165,23 +172,50 @@ func TestCacheFlagsKeying(t *testing.T) {
 	if f1.Fingerprint() == f2.Fingerprint() {
 		t.Fatalf("distinct flags share a fingerprint %q", f1.Fingerprint())
 	}
-	c := NewPlanCache(8)
+	c := NewPlanCache[*sqlish.Prepared](8)
 	cat := sqlish.MapCatalog{}
 	cat.Register("r", relation.NewBuilder("n string").Row(0, 1, "x").MustBuild())
+	always := func(*sqlish.Prepared) bool { return true }
 	for _, f := range []plan.Flags{f1, f2} {
 		flags := f
-		key := cacheKey{sql: "select n from r", flags: flags.Fingerprint()}
-		if _, hit := c.get(key); hit {
+		key := CacheKey{Shape: "select n from r", Flags: flags.Fingerprint()}
+		if _, hit := c.Get(key, always); hit {
 			t.Fatalf("flags %q wrongly shared a plan", flags.Fingerprint())
 		}
 		prep, err := sqlish.Prepare("select n from r", cat, flags)
 		if err != nil {
 			t.Fatalf("Prepare: %v", err)
 		}
-		c.put(key, prep)
+		c.Put(key, prep, always)
 	}
 	if st := c.Stats(); st.Plans != 2 || st.Size != 2 {
 		t.Fatalf("stats = %+v, want 2 plans, 2 entries", st)
+	}
+}
+
+// TestCacheValidity pins the cache's own contract: a plan the lookup's
+// validator rejects is removed and counted as invalidated, not served; a
+// plan already stale at Put is counted as planned but never inserted; an
+// Invalidate removes exactly what it matches.
+func TestCacheValidity(t *testing.T) {
+	c := NewPlanCache[int](4)
+	yes, no := func(int) bool { return true }, func(int) bool { return false }
+	k := func(s string) CacheKey { return CacheKey{Shape: s} }
+	c.Put(k("a"), 1, yes)
+	c.Put(k("b"), 2, yes)
+	c.Put(k("c"), 3, no)
+	if st := c.Stats(); st.Size != 2 || st.Plans != 3 {
+		t.Fatalf("after puts: %+v, want size 2, plans 3", st)
+	}
+	if _, hit := c.Get(k("a"), no); hit {
+		t.Fatal("a rejected plan was served")
+	}
+	if _, hit := c.Get(k("a"), yes); hit {
+		t.Fatal("a rejected plan stayed cached")
+	}
+	c.Invalidate(func(p int) bool { return p == 2 })
+	if st := c.Stats(); st.Size != 0 || st.Invalidated != 2 || st.Evictions != 0 || st.Misses != 2 {
+		t.Fatalf("after invalidation: %+v, want empty, 2 invalidated, 0 evictions, 2 misses", st)
 	}
 }
 
@@ -282,4 +316,27 @@ func TestGate(t *testing.T) {
 		t.Fatalf("unlimited Acquire = %d", w)
 	}
 	u.Release(0)
+}
+
+// TestPlanCacheHitAllocatesNothing: resolving a warm statement — the key,
+// the lookup and the validation of every table the plan reads against the
+// current snapshot — builds no string and boxes nothing.
+func TestPlanCacheHitAllocatesNothing(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	s.AnalyzeAll()
+	st, err := sqlish.ParseLifted("SELECT n, a FROM r, p WHERE a >= 40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep, _, err := s.plan(st, 0); err != nil || len(prep.Deps()) != 2 {
+		t.Fatalf("plan: %v, deps %v", err, prep.Deps())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, hit, err := s.plan(st, 0); err != nil || !hit {
+			t.Fatalf("warm plan: hit=%v err=%v", hit, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a plan-cache hit on a 2-table shape costs %.0f mallocs, want 0", allocs)
+	}
 }

@@ -11,7 +11,7 @@ import (
 // handleMetrics renders the server's operational counters in Prometheus
 // text exposition format: query/error/cancellation totals, wire-level
 // streaming volume, plan-cache effectiveness (hits, misses, evictions,
-// plans, size) and the admission gate's capacity, in-flight DOP and
+// invalidations, plans, size) and the admission gate's capacity, in-flight DOP and
 // queue depth. Scrape it with any Prometheus-compatible collector; the
 // talignd smoke test in CI greps it directly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -50,6 +50,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("talignd_plan_cache_hits_total", "Plan cache hits.", cs.Hits)
 	counter("talignd_plan_cache_misses_total", "Plan cache misses.", cs.Misses)
 	counter("talignd_plan_cache_evictions_total", "Plan cache LRU evictions.", cs.Evictions)
+	counter("talignd_plan_cache_invalidated_total", "Cached plans purged because a table they depend on changed.", cs.Invalidated)
 	counter("talignd_plans_total", "Statements actually planned.", cs.Plans)
 	gauge("talignd_plan_cache_size", "Cached plans.", cs.Size)
 	gauge("talignd_plan_cache_capacity", "Plan cache capacity.", cs.Capacity)

@@ -1,16 +1,21 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"talign/internal/plan"
+	"talign/internal/relation"
 	"talign/internal/storage"
 )
 
@@ -220,6 +225,129 @@ func TestMetricsExposeStorageCounters(t *testing.T) {
 	} {
 		if strings.Contains(body, metric) {
 			t.Fatalf("%q stuck at zero after CREATE TABLE:\n%s", strings.TrimSpace(metric), body)
+		}
+	}
+}
+
+// TestConcurrentDDLOneName: CREATE TABLE / DROP TABLE of one name from 8
+// goroutines are serialised by the server's DDL mutex. Memory-only, two
+// racing CREATEs never both succeed (every success is matched by a DROP
+// before the next); on a store, the catalog and the store's manifest
+// agree afterwards — no CREATE slipped between a DROP's store and catalog
+// halves and left a table on disk that the catalog has forgotten. Run
+// under -race.
+func TestConcurrentDDLOneName(t *testing.T) {
+	csvPath := writeTortureCSV(t, 40)
+	for _, withStore := range []bool{false, true} {
+		s := New(Config{Flags: plan.DefaultFlags()})
+		var st *storage.Store
+		if withStore {
+			var err error
+			if st, err = storage.Open(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			st.SegmentRows = 16
+			if _, err := s.UseStore(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var created, dropped atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 25; i++ {
+					if (g+i)%2 == 0 {
+						if _, err := s.CreateTable("c", csvPath); err == nil {
+							created.Add(1)
+						} else if !strings.Contains(err.Error(), "already exists") {
+							t.Errorf("CREATE: %v", err)
+						}
+					} else if err := s.DropTable("c"); err == nil {
+						dropped.Add(1)
+					} else if !strings.Contains(err.Error(), "unknown table") {
+						t.Errorf("DROP: %v", err)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		_, inCatalog := s.Catalog().Snapshot().Lookup("c")
+		live := created.Load() - dropped.Load()
+		if live != 0 && live != 1 || (live == 1) != inCatalog {
+			t.Errorf("store=%v: %d CREATEs and %d DROPs succeeded, table in catalog: %v", withStore, created.Load(), dropped.Load(), inCatalog)
+		}
+		if withStore {
+			if onDisk := st.Has("c"); onDisk != inCatalog {
+				t.Errorf("catalog has c: %v, store has c: %v (tables %v)", inCatalog, onDisk, st.Tables())
+			}
+		}
+	}
+}
+
+// TestCursorSurvivesDropTable: a cursor opened before DROP TABLE drains
+// the same rows after it, over memory and over a segment store — there
+// the scan reads zero-copy views of segment files that DROP deletes, and
+// whose mappings now die with their last reader: the open operator tree
+// is a reader, through collections and all. New statements see the table
+// gone at once.
+func TestCursorSurvivesDropTable(t *testing.T) {
+	csvPath := writeTortureCSV(t, 300)
+	// The time predicate gives the scan zone-map bounds, which selects the
+	// segment scan (it prunes nothing).
+	const sql = "SELECT a, tag, Ts, Te FROM big WHERE Ts >= 0"
+	for _, withStore := range []bool{false, true} {
+		s := New(Config{Flags: plan.DefaultFlags()})
+		if withStore {
+			st, err := storage.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			st.SegmentRows = 16
+			if _, err := s.UseStore(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.CreateTable("big", csvPath); err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Query("", "", sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := s.StreamBatch(context.Background(), "", "", sql, nil, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := relation.New(want.Rel.Schema)
+		first, err := rs.Next()
+		if err != nil || len(first) == 0 {
+			t.Fatalf("store=%v: first batch: %d rows, %v", withStore, len(first), err)
+		}
+		got.Tuples = append(got.Tuples, first...)
+		if err := s.DropTable("big"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Query("", "", sql, nil); err == nil || !strings.Contains(err.Error(), "unknown table") {
+			t.Fatalf("store=%v: query after DROP TABLE: %v, want unknown table", withStore, err)
+		}
+		for {
+			runtime.GC() // nothing but the cursor holds the relation now
+			b, err := rs.Next()
+			if err != nil {
+				t.Fatalf("store=%v: draining after DROP TABLE: %v", withStore, err)
+			}
+			if len(b) == 0 {
+				break
+			}
+			got.Tuples = append(got.Tuples, b...)
+		}
+		rs.Close()
+		if want.Rel.Len() != 300 || !relation.SetEqual(got, want.Rel) {
+			t.Errorf("store=%v: cursor drained %d rows after DROP TABLE, the table had %d", withStore, got.Len(), want.Rel.Len())
 		}
 	}
 }

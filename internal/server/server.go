@@ -1,10 +1,10 @@
 // Package server implements talignd's concurrent query-serving layer on
 // top of the sqlish Parse → Analyze → Plan → Execute pipeline: a
-// copy-on-write catalog with a version counter, an LRU cache of prepared
-// plans keyed on statement shape (the normalized SQL with the literals of
-// WHERE / ON comparisons lifted into hidden placeholders) + catalog
-// version + planner flags, named prepared statements with $N
-// placeholders scoped to sessions, an
+// copy-on-write catalog, an LRU cache of prepared plans keyed on
+// statement shape (the normalized SQL with the literals of WHERE / ON
+// comparisons lifted into hidden placeholders) + planner flags and valid
+// while the catalog entries a plan was built from are unchanged, named
+// prepared statements with $N placeholders scoped to sessions, an
 // admission gate bounding the total in-flight degree of parallelism, and
 // an HTTP/JSON front end (POST /query, POST /query/stream, POST /prepare,
 // GET /explain, GET /healthz).
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,10 +76,11 @@ type Server struct {
 	flags    plan.Flags
 	flagsFP  string
 	catalog  *Catalog
-	cache    *PlanCache
+	cache    *PlanCache[*sqlish.Prepared]
 	gate     *Gate
 	sess     sessions
 	store    *storage.Store
+	ddl      sync.Mutex // serialises CreateTable / DropTable (store.go)
 	start    time.Time
 	timeout  time.Duration
 	maxRows  int64
@@ -98,17 +100,23 @@ type Server struct {
 
 // New creates a server with an empty catalog.
 func New(cfg Config) *Server {
-	return &Server{
+	s := &Server{
 		flags:    cfg.Flags,
 		flagsFP:  cfg.Flags.Fingerprint(),
 		catalog:  NewCatalog(),
-		cache:    NewPlanCache(cfg.CacheSize),
+		cache:    NewPlanCache[*sqlish.Prepared](cfg.CacheSize),
 		gate:     NewGate(cfg.MaxDOP),
 		start:    time.Now(),
 		timeout:  cfg.Timeout,
 		maxRows:  cfg.MaxRows,
 		maxBytes: cfg.MaxBytes,
 	}
+	// A table that changes takes its plans with it, at once: their scan
+	// nodes are roots that keep the relation and its mappings alive.
+	s.catalog.changed = func(table string) {
+		s.cache.Invalidate(func(p *sqlish.Prepared) bool { return p.DependsOn(table) })
+	}
+	return s
 }
 
 // BeginDrain flips the server into draining mode: /readyz starts
@@ -138,13 +146,16 @@ func (s *Server) GateStats() GateStats { return s.gate.Stats() }
 
 // plan resolves a parsed statement to a cached (or freshly prepared) plan
 // against the current catalog snapshot, under its shape key (its literal
-// normalized text where it was parsed un-lifted). A miss prepares the AST
-// in hand; nothing is parsed again. The second result reports a cache
-// hit. batch is a per-request batch-size override
-// (batch <= 0 keeps the server's configured flags). Overridden plans are
-// cached like any other: the flags fingerprint in the cache key includes
-// the batch size, so requests with different overrides never share a
-// plan.
+// normalized text where it was parsed un-lifted). A cached plan is served
+// only if every catalog entry it was built from is the one the snapshot
+// holds (Snapshot.Current), so DDL and ANALYZE on other tables cost this
+// statement nothing and a change of one of its own tables is never
+// missed. A miss prepares the AST in hand; nothing is parsed again. The
+// second result reports a cache hit. batch is a per-request batch-size
+// override (batch <= 0 keeps the server's configured flags). Overridden
+// plans are cached like any other: the flags fingerprint in the cache key
+// includes the batch size, so requests with different overrides never
+// share a plan.
 func (s *Server) plan(st *sqlish.Statement, batch int) (*sqlish.Prepared, bool, error) {
 	flags, fp := s.flags, s.flagsFP
 	if batch > 0 && batch != flags.BatchSize {
@@ -152,35 +163,20 @@ func (s *Server) plan(st *sqlish.Statement, batch int) (*sqlish.Prepared, bool, 
 		fp = flags.Fingerprint()
 	}
 	snap := s.catalog.Snapshot()
-	ck := cacheKey{sql: st.ShapeKey(), version: snap.Version, stats: snap.StatsVersion, flags: fp}
-	if prep, ok := s.cache.get(ck); ok {
+	ck := CacheKey{Shape: st.ShapeKey(), Flags: fp}
+	if prep, ok := s.cache.Get(ck, snap.Current); ok {
 		return prep, true, nil
 	}
 	prep, err := st.Prepare(snap, flags)
 	if err != nil {
 		return nil, false, err
 	}
-	s.cache.put(ck, prep)
+	s.cache.Put(ck, prep, func(p *sqlish.Prepared) bool { return s.catalog.Snapshot().Current(p) })
 	return prep, false, nil
 }
 
-// Unstage drops a shard a coordinator staged under name, reporting
-// whether it existed, together with the cached plans of older catalog
-// versions: the drop made them unreachable, and a plan pins the
-// relations it scans, so a worker that stages and unstages a shuffle's
-// shards for every query would otherwise keep a cache's worth of dead
-// shards alive. Every other catalog change leaves stale plans to age out
-// of the LRU.
-func (s *Server) Unstage(name string) bool {
-	if !s.catalog.Drop(name) {
-		return false
-	}
-	s.cache.dropOlder(s.catalog.Version())
-	return true
-}
-
 // Analyze computes and installs statistics for one table, invalidating
-// cached plans through the statistics version in the cache key. The scan
+// the cached plans over that table (and no others). The scan
 // runs outside the catalog lock; SetStatsIf discards the result if the
 // table was re-registered (or dropped) meanwhile, so statistics can
 // never describe a relation other than the registered one.

@@ -9,10 +9,10 @@ import (
 
 // Session is per-client state: a namespace of named prepared statements.
 // A session stores only the parsed statement — the plans themselves live
-// in the shared PlanCache keyed by catalog version, so a statement
-// prepared before a catalog change transparently re-plans on its next
-// execution (and LRU eviction can never break a session, only cost a
-// re-plan).
+// in the shared PlanCache, valid while their tables are unchanged, so a
+// statement prepared before a change to one of its tables transparently
+// re-plans on its next execution (and LRU eviction can never break a
+// session, only cost a re-plan).
 type Session struct {
 	// ID names the session (client-chosen).
 	ID string
@@ -23,7 +23,7 @@ type Session struct {
 	// literals bind on every execution, and a coordinator classifies its
 	// AST without parsing again. Everything else (param count, schema)
 	// lives on the cached Prepared and may legitimately change when a
-	// catalog bump forces a re-plan.
+	// catalog change forces a re-plan.
 	stmts map[string]*sqlish.Statement
 }
 

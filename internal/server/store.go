@@ -16,6 +16,8 @@ import (
 // statements write through to the store, so a restarted talignd serves
 // the same tables byte-for-byte. Returns the number of tables loaded.
 func (s *Server) UseStore(st *storage.Store) (int, error) {
+	s.ddl.Lock()
+	defer s.ddl.Unlock()
 	s.store = st
 	n := 0
 	for _, name := range st.Tables() {
@@ -37,7 +39,12 @@ func (s *Server) Store() *storage.Store { return s.store }
 // catalog registers the store's segment-backed image of it, so zone-map
 // pruning applies from the first query; without one the table is
 // memory-only, exactly like a talignd name=file.csv argument.
+// CreateTable and DropTable hold the DDL mutex across their whole check
+// → store → catalog sequence: of two concurrent CREATEs of one name one
+// succeeds, and none lands between a DROP's store and catalog halves.
 func (s *Server) CreateTable(name, csvPath string) (*relation.Relation, error) {
+	s.ddl.Lock()
+	defer s.ddl.Unlock()
 	key := strings.ToLower(name)
 	if _, ok := s.catalog.Snapshot().Lookup(key); ok {
 		return nil, fmt.Errorf("server: CREATE TABLE: table %q already exists", name)
@@ -61,8 +68,11 @@ func (s *Server) CreateTable(name, csvPath string) (*relation.Relation, error) {
 }
 
 // DropTable removes a table from the catalog and, when a store is
-// attached, from disk.
+// attached, from disk. Cached plans over the table go with it, and its
+// segment mappings once the executions still reading them have closed.
 func (s *Server) DropTable(name string) error {
+	s.ddl.Lock()
+	defer s.ddl.Unlock()
 	key := strings.ToLower(name)
 	if _, ok := s.catalog.Snapshot().Lookup(key); !ok {
 		return fmt.Errorf("server: DROP TABLE: unknown table %q", name)

@@ -20,6 +20,7 @@ import (
 // that is what lets a statement containing WITH be prepared once and
 // executed many times with different parameters.
 type analyzer struct {
+	src      string // the statement text, for positioned errors
 	base     Catalog
 	with     map[string]plan.Node
 	planner  *plan.Planner
@@ -32,19 +33,17 @@ type analyzer struct {
 	lifted []value.Value
 }
 
-// newAnalyzer builds an analyzer over cat under the given flags. A
-// catalog that also resolves statistics (StatsCatalog) feeds them to the
-// planner, so scan nodes pick up their tables' ANALYZE results.
-func newAnalyzer(cat Catalog, flags plan.Flags) *analyzer {
+// newAnalyzer builds an analyzer under the given flags over the recorded
+// catalog, which also feeds the planner the statistics the real catalog
+// resolves (if any), so scan nodes pick up their tables' ANALYZE results.
+func newAnalyzer(cat *depRecorder, flags plan.Flags) *analyzer {
 	a := &analyzer{
 		base:    cat,
 		with:    map[string]plan.Node{},
 		planner: plan.NewPlanner(flags),
 		algebra: core.New(flags),
 	}
-	if src, ok := cat.(plan.StatsSource); ok {
-		a.planner.Stats = src
-	}
+	a.planner.Stats = cat
 	return a
 }
 
@@ -54,10 +53,8 @@ func (a *analyzer) lookup(name string) (plan.Node, bool) {
 	if n, ok := a.with[key]; ok {
 		return n, true
 	}
-	if a.base != nil {
-		if rel, ok := a.base.Lookup(key); ok {
-			return a.planner.Scan(rel, name), true
-		}
+	if rel, ok := a.base.Lookup(key); ok {
+		return a.planner.Scan(rel, name), true
 	}
 	return nil, false
 }
@@ -437,6 +434,13 @@ func (a *analyzer) resolve(e sexpr, sc *scope, allowAgg bool) (expr.Expr, error)
 				return nil, err
 			}
 			args[i] = r
+		}
+		// expr.Func.Eval indexes its arguments unchecked: a wrong arity
+		// must die here, with the call's position, not at the first row.
+		if err := expr.CheckCall(x.Name, len(args)); err != nil {
+			e := newErrorAt(a.src, x.Pos, "%s", strings.TrimPrefix(err.Error(), "expr: "))
+			e.Code = ErrAnalyze
+			return nil, e
 		}
 		return expr.Call(x.Name, args...), nil
 	}

@@ -3,6 +3,7 @@ package sqlish
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -144,12 +145,63 @@ func (m MapCatalog) Register(name string, rel *relation.Relation) {
 	m[strings.ToLower(name)] = rel
 }
 
+// Dep is one catalog entry a Prepared was built from: the relation the
+// analyzer resolved the (lower-case) table Name to and the statistics the
+// planner read for it (nil when the catalog had none). The plan is
+// current exactly while the catalog still answers Name with these two
+// pointers; the entry pins them, so neither address can be reused while
+// a plan that recorded it exists.
+type Dep struct {
+	Name  string
+	Rel   *relation.Relation
+	Stats *stats.Table
+}
+
+// depRecorder is the catalog a statement is prepared against: it passes
+// the analyzer's Lookup and the planner's TableStats (both ask by
+// lower-case name) through to the real catalog and records the answers.
+type depRecorder struct {
+	cat   Catalog
+	stats plan.StatsSource // nil when cat resolves no statistics
+	deps  []Dep
+}
+
+func (r *depRecorder) dep(name string) *Dep {
+	i := slices.IndexFunc(r.deps, func(d Dep) bool { return d.Name == name })
+	if i < 0 {
+		i, r.deps = len(r.deps), append(r.deps, Dep{Name: name})
+	}
+	return &r.deps[i]
+}
+
+// Lookup implements Catalog.
+func (r *depRecorder) Lookup(name string) (*relation.Relation, bool) {
+	if r.cat == nil {
+		return nil, false
+	}
+	rel, ok := r.cat.Lookup(name)
+	if ok {
+		r.dep(name).Rel = rel
+	}
+	return rel, ok
+}
+
+// TableStats implements plan.StatsSource.
+func (r *depRecorder) TableStats(name string) *stats.Table {
+	if r.stats == nil {
+		return nil
+	}
+	t := r.stats.TableStats(name)
+	r.dep(name).Stats = t
+	return t
+}
+
 // Prepared is an analyzed and planned statement: the output of the
 // Analyze + Plan stages. It is immutable — Execute may be called
 // concurrently from many goroutines, each execution binding its own
-// parameter values — and it pins the catalog snapshot it was planned
-// against (plans over changed catalogs must be re-prepared; the server's
-// plan cache keys on the catalog version for exactly that reason).
+// parameter values — and it pins the catalog entries it was planned
+// against (Deps): a plan is reused only while the catalog still holds
+// exactly those entries, which is what the server's plan cache checks.
 type Prepared struct {
 	// SQL is the original statement text.
 	SQL string
@@ -164,10 +216,22 @@ type Prepared struct {
 	// binds another statement's.
 	lifted []value.Value
 
+	deps []Dep // every base table the plan reads, as the catalog resolved it
+
 	root           plan.Node
 	maxDOP         int
 	explain        bool
 	explainAnalyze bool
+}
+
+// Deps lists the catalog entries the plan was built from, one per base
+// table it reads (WITH names are not catalog entries). The slice is
+// shared: callers must not modify it.
+func (p *Prepared) Deps() []Dep { return p.deps }
+
+// DependsOn reports whether the plan reads the (lower-case) table name.
+func (p *Prepared) DependsOn(name string) bool {
+	return slices.ContainsFunc(p.deps, func(d Dep) bool { return d.Name == name })
 }
 
 // Prepare runs Parse, Analyze and Plan in one call.
@@ -201,8 +265,10 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAnalyzer(cat, flags)
-	a.nuser, a.lifted = st.nuser, st.lifted
+	rec := &depRecorder{cat: cat}
+	rec.stats, _ = cat.(plan.StatsSource)
+	a := newAnalyzer(rec, flags)
+	a.src, a.nuser, a.lifted = st.SQL, st.nuser, st.lifted
 	for _, w := range ast.With {
 		node, _, err := a.buildQueryExpr(w.Query)
 		if err != nil {
@@ -246,6 +312,7 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 		SQL:            st.SQL,
 		NumParams:      numParams,
 		lifted:         st.lifted,
+		deps:           rec.deps,
 		root:           node,
 		maxDOP:         plan.MaxDOP(node),
 		explain:        ast.Explain,

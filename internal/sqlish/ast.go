@@ -37,11 +37,13 @@ type (
 	sBetween struct {
 		X, Lo, Hi sexpr
 	}
-	// sCall is a function or aggregate call; Star marks COUNT(*).
+	// sCall is a function or aggregate call; Star marks COUNT(*). Pos is
+	// the byte offset of the name in the statement text.
 	sCall struct {
 		Name string
 		Args []sexpr
 		Star bool
+		Pos  int
 	}
 	// sParam is a $N parameter placeholder (1-based).
 	sParam struct {

@@ -3,7 +3,6 @@ package sqlish
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -265,17 +264,11 @@ func canonRows(rel *relation.Relation) []string {
 // both fail, or both return the same rows.
 func checkLiftedEqualsLiteral(t *testing.T, cat Catalog, sql string) {
 	t.Helper()
-	// run plans and executes one side. The engine's own panics on odd
-	// statements (DUR() with no arguments) count as that side failing:
-	// the property is that lifting changes no outcome, not that every
-	// statement has a good one.
+	// run plans and executes one side. Nothing is recovered: a panic on
+	// either side fails the property (the analyzer rejects what the
+	// executor cannot evaluate, e.g. DUR() with no arguments).
 	skip := false
 	run := func(st *Statement) (rel *relation.Relation, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
 		if _, ok := st.AnalyzeTarget(); ok {
 			skip = true
 			return nil, nil
@@ -311,6 +304,30 @@ func checkLiftedEqualsLiteral(t *testing.T, cat Catalog, sql string) {
 	g, w := canonRows(got), canonRows(want)
 	if strings.Join(g, "\n") != strings.Join(w, "\n") {
 		t.Fatalf("%q (shape %q):\n lifted   %v\n literal %v", sql, st.ShapeKey(), g, w)
+	}
+}
+
+// TestLiftArityError: a call with the wrong number of arguments — the
+// fuzzer's kept input, which used to panic in expr.Func.Eval on both
+// sides — is the same positioned analyze error lifted and un-lifted.
+func TestLiftArityError(t *testing.T) {
+	const sql = "SELECT 00000FROM p WHERE DUR()"
+	cat := liftCatalog()
+	var msgs []string
+	for _, parse := range []func(string) (*Statement, error){Parse, ParseLifted} {
+		st, err := parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.Prepare(cat, plan.DefaultFlags())
+		var se *Error
+		if !errors.As(err, &se) || se.Code != ErrAnalyze || se.Line != 1 || se.Col != 26 {
+			t.Fatalf("Prepare(%q) = %v, want an analyze error at line 1, col 26", sql, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("un-lifted error %q, lifted error %q", msgs[0], msgs[1])
 	}
 }
 

@@ -724,7 +724,7 @@ func (p *parser) primaryExpr() (sexpr, error) {
 		name := t.text
 		// Function call?
 		if p.sym("(") {
-			call := sCall{Name: name}
+			call := sCall{Name: name, Pos: t.pos}
 			if p.sym("*") {
 				call.Star = true
 				if err := p.expectSym(")"); err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // mmapFile maps a file read-only. The mapping stays valid until
-// munmapFile; the Store owns that lifetime and releases every mapping
-// on Close.
+// munmapFile, which its owner (see mapping in store.go) calls exactly
+// once: when nothing references the owner any more, or at Store.Close.
 func mmapFile(f *os.File) ([]byte, error) {
 	st, err := f.Stat()
 	if err != nil {

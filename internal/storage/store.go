@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -47,8 +48,10 @@ func SegmentsLoaded() uint64 { return segsLoadedTotal.Load() }
 
 // Store is an open data directory: the durable table catalog plus its
 // write-ahead log. All methods are safe for concurrent use. Loaded
-// relations alias memory-mapped segment files, so the Store must stay
-// open for as long as any relation loaded from it is in use.
+// relations alias memory-mapped segment files; a mapping belongs to the
+// relations loaded from it and, while the table is in the manifest, to
+// the Store (see mapping). Close unmaps what the Store still owns, so it
+// must stay open while any relation of a table it still holds is in use.
 type Store struct {
 	// SegmentRows caps rows per segment when partitioning a table;
 	// set before the first CreateTable (0 means DefaultSegmentRows).
@@ -61,8 +64,29 @@ type Store struct {
 	wal     *walWriter
 	seq     uint64
 	pending map[string][]tuple.Tuple
-	maps    map[string][]byte
+	maps    map[string]*mapping // segment file -> its mapping, for tables in the manifest
 	closed  bool
+}
+
+// mapping owns one memory-mapped segment file. Every relation.Segment
+// decoded from the file references it (Segment.Owner), and so does
+// Store.maps while the file's table exists; when the last reference is
+// gone — the table dropped, its relation out of the catalog, the plans
+// over it purged, the scans reading it closed — the collector runs the
+// cleanup that unmaps the file. Lifetime is reachability: no reader pins
+// or unpins, and a scan that started before DROP TABLE drains unharmed.
+// Close cancels the cleanup of the mappings the Store still owns and
+// unmaps them itself, so no file is unmapped twice.
+type mapping struct {
+	data    []byte
+	cleanup runtime.Cleanup
+}
+
+// newMapping wraps a fresh mapping in its owner and arms the unmap.
+func newMapping(data []byte) *mapping {
+	m := &mapping{data: data}
+	m.cleanup = runtime.AddCleanup(m, func(b []byte) { _ = munmapFile(b) }, data)
+	return m
 }
 
 // Open opens (creating if needed) a data directory: it reads the
@@ -76,7 +100,7 @@ func Open(dir string) (*Store, error) {
 		dir:     dir,
 		man:     newManifest(),
 		pending: make(map[string][]tuple.Tuple),
-		maps:    make(map[string][]byte),
+		maps:    make(map[string]*mapping),
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, "manifest.bin")); err == nil {
 		m, err := decodeManifest(data)
@@ -308,8 +332,9 @@ func (s *Store) Append(name string, rows []tuple.Tuple) error {
 }
 
 // DropTable removes a table. The WAL record is the commit point; the
-// segment files are deleted immediately afterwards (mappings handed to
-// loaded relations stay valid — the pages live until munmap).
+// segment files are deleted immediately afterwards and the Store lets go
+// of their mappings, which stay valid for the relations that hold them —
+// the pages live until munmap — and go with the last one (see mapping).
 func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,6 +352,7 @@ func (s *Store) DropTable(name string) error {
 	delete(s.pending, name)
 	for _, sg := range t.segs {
 		os.Remove(filepath.Join(s.dir, sg.file))
+		delete(s.maps, sg.file)
 	}
 	return nil
 }
@@ -419,11 +445,11 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 	var segs []relation.Segment
 	lo := 0
 	for _, sg := range t.segs {
-		data, err := s.mapFile(sg.file)
+		m, err := s.mapFile(sg.file)
 		if err != nil {
 			return nil, err
 		}
-		batch, zone, err := DecodeSegment(data)
+		batch, zone, err := DecodeSegment(m.data)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sg.file, err)
 		}
@@ -434,7 +460,7 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 			return nil, corruptf("segment %s holds %d rows, catalog says %d", sg.file, batch.Len(), sg.rows)
 		}
 		rel.Tuples = batch.Materialize(rel.Tuples)
-		segs = append(segs, relation.Segment{Img: batch, Zone: zone, Lo: lo, Hi: lo + batch.Len()})
+		segs = append(segs, relation.Segment{Img: batch, Zone: zone, Lo: lo, Hi: lo + batch.Len(), Owner: m})
 		lo += batch.Len()
 		segsLoadedTotal.Add(1)
 	}
@@ -461,11 +487,11 @@ func sameSchema(a, b schema.Schema) error {
 	return nil
 }
 
-// mapFile memory-maps a segment file once and caches the mapping for
-// the Store's lifetime.
-func (s *Store) mapFile(file string) ([]byte, error) {
-	if b, ok := s.maps[file]; ok {
-		return b, nil
+// mapFile memory-maps a segment file once and shares the mapping among
+// every Load of its table, until the table is dropped.
+func (s *Store) mapFile(file string) (*mapping, error) {
+	if m, ok := s.maps[file]; ok {
+		return m, nil
 	}
 	f, err := os.Open(filepath.Join(s.dir, file))
 	if err != nil {
@@ -476,8 +502,9 @@ func (s *Store) mapFile(file string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.maps[file] = b
-	return b, nil
+	m := newMapping(b)
+	s.maps[file] = m
+	return m, nil
 }
 
 func (s *Store) usable() error {
@@ -487,9 +514,11 @@ func (s *Store) usable() error {
 	return nil
 }
 
-// Close releases every mapping and the WAL handle. Relations loaded
-// from this Store must not be used afterwards: their columnar images
-// alias the released mappings.
+// Close releases the WAL handle and every mapping the Store still owns
+// (the tables in the manifest), cancelling their collector-driven unmap.
+// Relations of those tables must not be used afterwards: their columnar
+// images alias the released mappings. Mappings of tables dropped earlier
+// go when their last reader does. Close is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -498,8 +527,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	var first error
-	for _, b := range s.maps {
-		if err := munmapFile(b); err != nil && first == nil {
+	for _, m := range s.maps {
+		m.cleanup.Stop()
+		if err := munmapFile(m.data); err != nil && first == nil {
 			first = err
 		}
 	}
