@@ -54,14 +54,46 @@ func allocPinDB(t *testing.T, n int) (*DB, *relation.Relation) {
 	return db, a
 }
 
+// bytesPerRun reports the mean heap bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// drainCount drains one statement through the public client, touching
+// nothing but Next: what it allocates is the path's, not a reader's.
+func drainCount(t *testing.T, db *DB, name, sql string) int {
+	t.Helper()
+	rs, err := db.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	defer rs.Close()
+	rows := 0
+	for rs.Next() {
+		rows++
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return rows
+}
+
 // TestEmbeddedAllocsPerRow pins what the columnar join, aggregate and
-// absorb and the batch-drained embedded Rows bought: draining a statement
-// through the public client costs well under one malloc per result row.
-// The texts are the benchmark's (its embedded workload's three operator
-// shapes, plus the plain scan); what remains per execution is operator
-// state, per-batch buffers and one value arena per batch. Before, each
-// row cost one malloc at the client alone and another two to four in the
-// row join, aggregate and absorb.
+// absorb and the in-place embedded Rows bought: draining a statement
+// through the public client costs well under one malloc per result row,
+// and the cursor itself costs no bytes per row — it reads the executor's
+// batch where it lies, so the plain scan, which has no operator state,
+// allocates a few bytes a row in all. The texts are the benchmark's (its
+// embedded workload's operator shapes, plus the plain scan); what remains
+// per execution is operator state and per-batch buffers. Before, every
+// batch was copied into a value arena at the client: 192 B per 4-column
+// row (scan_a read 197.5 B/row, align_ssn 291, filtered_join 276).
 func TestEmbeddedAllocsPerRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 8 000-row relations")
@@ -71,41 +103,35 @@ func TestEmbeddedAllocsPerRow(t *testing.T) {
 	for _, tup := range a.Tuples {
 		maxSSN = max(maxSSN, tup.Vals[0].Int())
 	}
-	stmts := []struct{ name, sql string }{
-		{"scan_a", "SELECT ssn, pcn, Ts, Te FROM a"},
+	stmts := []struct {
+		name, sql string
+		maxBytes  float64 // per row; 0 = not pinned
+	}{
+		{"scan_a", "SELECT ssn, pcn, Ts, Te FROM a", 16},
+		{"align_ssn", "SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x", 124}, // 1.25 × the 99 it reads
 		{"outer_join", "SELECT ABSORB rid, rgrp, a, lo, x.Ts, x.Te " +
 			"FROM (dr ALIGN ds ON dr.rgrp = ds.lo) x " +
 			"LEFT OUTER JOIN (ds ALIGN dr ON dr.rgrp = ds.lo) y " +
-			"ON x.rgrp = y.lo AND x.Ts = y.Ts AND x.Te = y.Te"},
-		{"temporal_agg", "SELECT pcn, COUNT(*) c, Ts, Te FROM (a a1 NORMALIZE a a2 USING (pcn)) x GROUP BY pcn, Ts, Te"},
-		{"filtered_join", fmt.Sprintf("SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", maxSSN/10)},
+			"ON x.rgrp = y.lo AND x.Ts = y.Ts AND x.Te = y.Te", 0},
+		{"temporal_agg", "SELECT pcn, COUNT(*) c, Ts, Te FROM (a a1 NORMALIZE a a2 USING (pcn)) x GROUP BY pcn, Ts, Te", 0},
+		{"filtered_join", fmt.Sprintf("SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", maxSSN/10), 104}, // 1.25 × 83
 	}
-	ctx := context.Background()
 	for _, st := range stmts {
 		rows := 0
-		drain := func() {
-			rs, err := db.Query(ctx, st.sql)
-			if err != nil {
-				t.Fatalf("%s: %v", st.name, err)
-			}
-			rows = 0
-			for rs.Next() {
-				rows++
-			}
-			if err := rs.Err(); err != nil {
-				t.Fatalf("%s: %v", st.name, err)
-			}
-			rs.Close()
-		}
+		drain := func() { rows = drainCount(t, db, st.name, st.sql) }
 		drain() // plan cache, columnar images
 		runtime.GC()
 		allocs := testing.AllocsPerRun(3, drain)
-		t.Logf("%-14s %6d rows  %7.0f mallocs  %.3f allocs/row", st.name, rows, allocs, allocs/float64(rows))
+		bytes := bytesPerRun(3, drain)
+		t.Logf("%-14s %6d rows  %7.0f mallocs  %.3f allocs/row  %6.1f B/row", st.name, rows, allocs, allocs/float64(rows), bytes/float64(rows))
 		if rows < 1000 {
 			t.Errorf("%s: %d rows is not a meaningful result", st.name, rows)
 		}
 		if allocs > 0.5*float64(rows) {
 			t.Errorf("%s: %.0f mallocs for %d rows, want at most 0.5 per row", st.name, allocs, rows)
+		}
+		if st.maxBytes > 0 && bytes > st.maxBytes*float64(rows) && !raceEnabled {
+			t.Errorf("%s: %.1f B per row, want at most %.0f", st.name, bytes/float64(rows), st.maxBytes)
 		}
 	}
 }
@@ -177,6 +203,105 @@ func TestAdhocPointAllocs(t *testing.T) {
 	}
 }
 
+// allocPinCluster distributes srv's tables a and b over a coordinator
+// with two in-process workers; front is the coordinator's own server.
+func allocPinCluster(t *testing.T, srv *server.Server) (coord *distsql.Coordinator, front *server.Server) {
+	t.Helper()
+	flags := plan.DefaultFlags()
+	var topo distsql.Topology
+	for i := 0; i < 2; i++ {
+		hs := httptest.NewServer(distsql.Handler(server.New(server.Config{Flags: flags})))
+		t.Cleanup(hs.Close)
+		topo.Workers = append(topo.Workers, distsql.Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
+	}
+	front = server.New(server.Config{Flags: flags})
+	coord = distsql.New(front, topo, flags, nil)
+	coord.Attach()
+	for _, name := range []string{"a", "b"} {
+		rel, _ := srv.Catalog().Snapshot().Lookup(name)
+		if err := coord.DistributeTable(context.Background(), name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return coord, front
+}
+
+// TestRemoteScanBytesPerRow pins the same plain scan over talignd://,
+// server and client in this one process: encoding the frames, the
+// loopback and a decoder that lays each batch over one reused buffer —
+// and no copy of the batch at the cursor, which used to be 192 of the
+// 2xx bytes a row cost here.
+func TestRemoteScanBytesPerRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 8 000-row relations")
+	}
+	emb, _ := allocPinDB(t, 8000)
+	ts := httptest.NewServer(emb.Server().Handler())
+	t.Cleanup(ts.Close)
+	db, err := Open("talignd://" + strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	rows := 0
+	drain := func() { rows = drainCount(t, db, "scan_a", "SELECT ssn, pcn, Ts, Te FROM a") }
+	drain()
+	runtime.GC()
+	bytes := bytesPerRun(5, drain) / float64(rows)
+	t.Logf("scan_a over talignd://: %d rows, %.1f B/row", rows, bytes)
+	const limit = 25 // 1.25 × the 18–20 it reads
+	if bytes > limit && !raceEnabled {
+		t.Errorf("scan_a over talignd:// allocates %.1f B per row, want at most %d", bytes, limit)
+	}
+}
+
+// TestScatterFrameRingPin pins the gather hop's frame ring: a warm
+// scatter ALIGN over two workers, at a batch size that makes every
+// worker answer in dozens of rows frames, allocates at most one buffer
+// per ring slot — workers × (channel depth 4 + 2) — where it used to
+// allocate one per frame.
+func TestScatterFrameRingPin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 8 000-row relations")
+	}
+	emb, _ := allocPinDB(t, 8000)
+	coord, front := allocPinCluster(t, emb.Server())
+	metric := func(name string) uint64 {
+		for _, m := range coord.DistMetrics() {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		t.Fatalf("no %s metric", name)
+		return 0
+	}
+	frames := 0
+	drain := func() {
+		rs, err := front.StreamBatch(context.Background(), "", "", "SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x", nil, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		for frames = 0; ; frames++ {
+			if b, err := rs.NextBatch(); err != nil || b == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	}
+	drain()
+	before := metric("talignd_dist_frame_buffers_total")
+	drain()
+	bufs := metric("talignd_dist_frame_buffers_total") - before
+	t.Logf("warm scatter align_ssn: %d rows frames, %d frame buffers allocated", frames, bufs)
+	const ring = 2 * (4 + 2)
+	if frames < 3*ring || bufs > ring {
+		t.Errorf("%d rows frames allocated %d frame buffers, want many more frames than the %d ring slots and at most that many buffers", frames, bufs, ring)
+	}
+}
+
 // TestPlanValidityAllocs pins what table-scoped plan validity costs a
 // cache hit. On a server, checking every table a plan reads against the
 // current catalog snapshot is pointer compares: 0 mallocs. On a
@@ -204,21 +329,8 @@ func TestPlanValidityAllocs(t *testing.T) {
 		t.Errorf("validating a 2-table plan costs %.0f mallocs, want 0", allocs)
 	}
 
-	flags := plan.DefaultFlags()
-	var topo distsql.Topology
-	for i := 0; i < 2; i++ {
-		hs := httptest.NewServer(distsql.Handler(server.New(server.Config{Flags: flags})))
-		t.Cleanup(hs.Close)
-		topo.Workers = append(topo.Workers, distsql.Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
-	}
-	coord := distsql.New(server.New(server.Config{Flags: flags}), topo, flags, nil)
+	coord, _ := allocPinCluster(t, srv)
 	ctx := context.Background()
-	for _, name := range []string{"a", "b"} {
-		rel, _ := srv.Catalog().Snapshot().Lookup(name)
-		if err := coord.DistributeTable(ctx, name, rel); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// EXPLAIN: the whole open — classify, plan lookup, render — with no
 	// fragment dispatched, so the count repeats.
 	st, err := sqlish.ParseLifted("EXPLAIN " + join)

@@ -47,12 +47,14 @@ func (c *client) run(sql string) {
 		return
 	}
 	fmt.Println(strings.Join(rows.Columns(), "\t"))
+	// The cursor reads each frame's batch in place; a row is rendered
+	// before the next Next, so nothing of it needs keeping.
 	n := 0
+	var cells []string
 	for rows.Next() {
-		vals := rows.Values()
-		cells := make([]string, len(vals))
-		for i, v := range vals {
-			cells[i] = v.String()
+		cells = cells[:0]
+		for _, v := range rows.Values() {
+			cells = append(cells, v.String())
 		}
 		fmt.Println(strings.Join(cells, "\t"))
 		n++

@@ -15,9 +15,9 @@ import (
 
 // embeddedDB runs the full engine in-process: the same server core that
 // talignd wraps in HTTP — copy-on-write catalog, LRU plan cache,
-// admission gate — minus the wire. Cursors returned by query pull
-// executor batches directly; the admission-gate claim is held until the
-// cursor closes.
+// admission gate — minus the wire. Cursors returned by query read the
+// executor's batches in place (the server.RowStream is the cursor's
+// source); the admission-gate claim is held until the cursor closes.
 type embeddedDB struct {
 	srv    *server.Server
 	closed atomic.Bool
@@ -67,7 +67,7 @@ func (e *embeddedDB) query(ctx context.Context, session, stmt, sql string, param
 		cols:     rs.Columns(),
 		types:    rs.Types(),
 		cacheHit: rs.CacheHit(),
-		src:      &embeddedSource{rs: rs},
+		src:      rs, // a vectorized plan root reaches the cursor as its own batches
 	}, nil
 }
 
@@ -114,27 +114,3 @@ func (db *DB) Server() *server.Server {
 	}
 	return nil
 }
-
-// embeddedSource adapts a server RowStream (executor batches in reused
-// buffers) to the Rows contract (fully-owned rows): it pulls columnar
-// batches — a vectorized plan root is never materialized into tuples —
-// and copies each out once, into its value arena.
-type embeddedSource struct {
-	rs   *server.RowStream
-	rows batchRows
-}
-
-func (s *embeddedSource) next() ([]value.Value, error) {
-	for {
-		if row := s.rows.next(); row != nil {
-			return row, nil
-		}
-		b, err := s.rs.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		s.rows.unpack(b)
-	}
-}
-
-func (s *embeddedSource) close() error { return s.rs.Close() }

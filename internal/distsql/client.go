@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +45,7 @@ type workerClient struct {
 	unreachable atomic.Uint64 // workers given up on after retry exhaustion
 	rowsIn      atomic.Uint64 // rows decoded off worker streams
 	bytesIn     atomic.Uint64 // response-body bytes read off worker streams
+	frameBufs   atomic.Uint64 // frame buffers allocated decoding worker streams
 	rowsOut     atomic.Uint64 // rows staged out to workers
 	bytesOut    atomic.Uint64 // request-body bytes staged out to workers
 }
@@ -202,14 +204,22 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // workerStream is one worker's in-flight exec fragment: a goroutine
-// decodes its batch frames onto a bounded channel — every batch owns its
-// frame's memory, so it stays valid while queued; err is set before the
-// channel closes (read it only after the close).
+// decodes its batch frames onto a bounded channel, cycling through a
+// ring of cap(ch)+2 frame buffers: at most one batch is with the
+// consumer (valid until its next pull), cap(ch) wait in the channel and
+// one is being decoded, so a slot comes round only after its batch is
+// dead, with the channel as the only synchronization. A stream drained
+// to its end leaves its ring in frameRings for the next one. err is set
+// before the channel closes (read it only after the close).
 type workerStream struct {
 	worker Worker
 	ch     chan *colbatch.Batch
+	ring   [][]byte
 	err    error
 }
+
+// frameRings holds the rings ([][]byte) of streams drained to their end.
+var frameRings sync.Pool
 
 // startExec dispatches an exec fragment to w and streams its decoded
 // batches. The stream ends with a closed channel; a stream that is
@@ -220,6 +230,9 @@ func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, para
 	// A few batches of slack let a worker run ahead of the merge, which
 	// drains the workers in order.
 	ws := &workerStream{worker: w, ch: make(chan *colbatch.Batch, 4)}
+	if ws.ring, _ = frameRings.Get().([][]byte); ws.ring == nil {
+		ws.ring = make([][]byte, cap(ws.ch)+2)
+	}
 	go func() {
 		defer close(ws.ch)
 		defer func() {
@@ -240,6 +253,8 @@ func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, para
 		}
 		defer resp.Body.Close()
 		dec := wire.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn}, wire.MediaBatch)
+		dec.ReuseBuffers(ws.ring)
+		defer func() { c.frameBufs.Add(uint64(dec.BufferAllocs())) }()
 		for {
 			f, err := dec.Next()
 			if err != nil {
@@ -298,6 +313,9 @@ func (m *mergeSource) NextBatch() (*colbatch.Batch, error) {
 		if ok {
 			return batch, nil
 		}
+		// The stream's goroutine has exited and the caller is done with
+		// its last batch: nothing reads or writes the ring any more.
+		frameRings.Put(ws.ring)
 		if ws.err != nil {
 			m.Close()
 			return nil, ws.err

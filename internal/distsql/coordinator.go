@@ -207,9 +207,9 @@ func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *rel
 	if err != nil {
 		return fmt.Errorf("distsql: partitioning %s: %v", name, err)
 	}
-	shards := newShards(rel.Schema, len(c.topo.Workers))
-	partitionBatch(shards, rel.Columnar(), idx)
-	if err := c.stageShards(ctx, name, shards); err != nil {
+	part := newPartitioner(rel.Schema, len(c.topo.Workers))
+	part.add(rel.Columnar(), idx)
+	if err := c.stageShards(ctx, name, part.shards); err != nil {
 		return err
 	}
 	c.srv.Catalog().Register(name, relation.New(rel.Schema))
@@ -669,8 +669,8 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 			}
 			// Every gathered batch is re-hashed as it arrives; the table is
 			// never assembled on the coordinator.
-			shards := newShards(stub.Schema, len(c.topo.Workers))
-			gerr := gather(c.scanShards(fanCtx, t, batch), func(b *colbatch.Batch) { partitionBatch(shards, b, idx) })
+			part := newPartitioner(stub.Schema, len(c.topo.Workers))
+			gerr := gather(c.scanShards(fanCtx, t, batch), func(b *colbatch.Batch) { part.add(b, idx) })
 			if gerr != nil {
 				return nil, gerr
 			}
@@ -678,7 +678,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 			// Registered for cleanup first: a stage that fails midway has
 			// already reached some workers.
 			staged = append(staged, name)
-			if serr := c.stageShards(fanCtx, name, shards); serr != nil {
+			if serr := c.stageShards(fanCtx, name, part.shards); serr != nil {
 				return nil, serr
 			}
 			subst[t] = name

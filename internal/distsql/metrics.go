@@ -19,6 +19,7 @@ func (c *Coordinator) DistMetrics() []server.DistMetric {
 		{Name: "talignd_dist_rows_in_total", Help: "Rows decoded off worker result streams.", Value: c.client.rowsIn.Load()},
 		{Name: "talignd_dist_rows_out_total", Help: "Rows staged out to workers (table loads and repartitioning).", Value: c.client.rowsOut.Load()},
 		{Name: "talignd_dist_bytes_in_total", Help: "Response-body bytes read off worker streams.", Value: c.client.bytesIn.Load()},
+		{Name: "talignd_dist_frame_buffers_total", Help: "Frame buffers allocated decoding worker streams (a stream reuses a small ring of them).", Value: c.client.frameBufs.Load()},
 		{Name: "talignd_dist_bytes_out_total", Help: "Request-body bytes shipped to workers.", Value: c.client.bytesOut.Load()},
 		{Name: "talignd_dist_scatter_total", Help: "Queries executed by colocated scatter.", Value: c.scatters.Load()},
 		{Name: "talignd_dist_scatter_final_total", Help: "Queries executed by scatter plus a coordinator final stage.", Value: c.scatterFinals.Load()},

@@ -2,6 +2,7 @@ package distsql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"talign/internal/colbatch"
@@ -31,25 +32,42 @@ func partitionColumn(sch schema.Schema, col string) (int, error) {
 	return -1, fmt.Errorf("distsql: partition column %q not in schema", col)
 }
 
-// newShards returns n empty appendable batches over sch, one per worker.
-func newShards(sch schema.Schema, n int) []*colbatch.Batch {
-	shards := make([]*colbatch.Batch, n)
-	for i := range shards {
-		shards[i] = colbatch.New(sch)
-	}
-	return shards
+// partitioner hashes batches into appendable shards, one per worker, for
+// the table loader and the repartitioning shuffle alike.
+type partitioner struct {
+	shards []*colbatch.Batch
+	of     []int32 // scratch: the shard of each logical row of the batch being added
+	counts []int   // scratch: that batch's rows per shard
+	key    []byte
 }
 
-// partitionBatch appends every logically present row of b to the shard
+func newPartitioner(sch schema.Schema, workers int) *partitioner {
+	p := &partitioner{shards: make([]*colbatch.Batch, workers), counts: make([]int, workers)}
+	for i := range p.shards {
+		p.shards[i] = colbatch.New(sch)
+	}
+	return p
+}
+
+// add appends every logically present row of b, in order, to the shard
 // its column col hashes to. Value-equivalent rows agree on every
 // attribute, so they always land on the same shard — the property
-// shard-local dedup and alignment rely on.
-func partitionBatch(shards []*colbatch.Batch, b *colbatch.Batch, col int) {
-	var key []byte
+// shard-local dedup and alignment rely on. One pass assigns the rows,
+// each shard reserves exactly its share, a second pass copies.
+func (p *partitioner) add(b *colbatch.Batch, col int) {
+	p.of = slices.Grow(p.of[:0], b.NumRows())[:b.NumRows()]
+	clear(p.counts)
 	v := &b.Cols[col]
-	for i, n := 0, b.NumRows(); i < n; i++ {
+	for i := range p.of {
+		p.key = v.AppendKey(p.key[:0], b.RowAt(i))
+		p.of[i] = int32(shardOfKey(p.key, len(p.shards)))
+		p.counts[p.of[i]]++
+	}
+	for w, shard := range p.shards {
+		shard.Reserve(p.counts[w])
+	}
+	for i, w := range p.of {
 		row := b.RowAt(i)
-		key = v.AppendKey(key[:0], row)
-		shards[shardOfKey(key, len(shards))].AppendFrom(b, row, b.TS[row], b.TE[row])
+		p.shards[w].AppendFrom(b, row, b.TS[row], b.TE[row])
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func clientRows(db *talign.DB, q diffQuery) ([][]value.Value, string, error) {
 	defer rows.Close()
 	var out [][]value.Value
 	for rows.Next() {
-		out = append(out, rows.Values())
+		out = append(out, slices.Clone(rows.Values())) // Values is valid until the next Next
 	}
 	return out, rows.Plan(), rows.Err()
 }

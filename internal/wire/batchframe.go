@@ -267,9 +267,10 @@ func appendBatchPayload(dst []byte, b *colbatch.Batch) []byte {
 type Decoder struct {
 	r     io.Reader
 	dec   *json.Decoder // NDJSON
-	reuse bool
-	buf   []byte
-	names []string // visible column names of the last schema frame
+	ring  [][]byte      // binary: the caller's reused frame buffers (ReuseBuffers)
+	next  int           // the ring slot the next frame is read into
+	made  int           // binary: frame buffers allocated so far
+	names []string      // visible column names of the last schema frame
 	rows  int64
 }
 
@@ -285,10 +286,17 @@ func NewDecoder(r io.Reader, media string) *Decoder {
 	return &Decoder{r: r, dec: dec}
 }
 
-// ReuseBuffer makes the decoder read every binary frame into one
-// buffer: a decoded Batch is then valid only until the next call to
-// Next. Without it each rows frame owns its memory and may be retained.
-func (d *Decoder) ReuseBuffer() { d.reuse = true }
+// ReuseBuffers makes the decoder read binary frames into the caller's
+// ring of buffers, one slot per rows frame in turn, allocating a slot
+// only when a frame does not fit it: a decoded Batch is then valid until
+// the len(ring)th following call to Next, and the ring may go to another
+// decoder once this one is done. Without it every rows frame owns its
+// memory and may be retained.
+func (d *Decoder) ReuseBuffers(ring [][]byte) { d.ring = ring }
+
+// BufferAllocs reports how many frame buffers the decoder has allocated:
+// without a ring, one per frame.
+func (d *Decoder) BufferAllocs() int { return d.made }
 
 // Next decodes and validates the next frame.
 func (d *Decoder) Next() (Frame, error) {
@@ -337,17 +345,32 @@ func (d *Decoder) nextBinary(f *Frame) error {
 	if err != nil {
 		return err
 	}
-	buf := d.buf[:0]
-	if !d.reuse {
-		buf = nil
+	// Only a rows frame's batch aliases its buffer, so only rows frames
+	// move the ring on; the slot that is up next holds a dead batch.
+	var buf []byte
+	var slot *[]byte
+	if len(d.ring) > 0 {
+		slot = &d.ring[d.next]
+		buf = (*slot)[:0]
+		if kind == FrameRows {
+			d.next = (d.next + 1) % len(d.ring)
+		}
 	}
 	// A frame of up to 1 MiB is read into one exact allocation; beyond
 	// that the buffer grows no faster than bytes arrive, so a lying prefix
-	// on a short stream cannot size a large allocation.
+	// on a short stream cannot size a large allocation. A ring slot gets
+	// an eighth of slack, so that the frames of one stream, which differ
+	// by a bitmap word or a few strings, fit the slot they come round to.
 	for want := n + 4; len(buf) < want; {
 		step := min(want-len(buf), max(len(buf), 1<<20))
 		if cap(buf)-len(buf) < step {
-			grown := make([]byte, len(buf)+step)
+			size := len(buf) + step
+			room := size
+			if slot != nil {
+				room += size / 8
+			}
+			grown := make([]byte, size, room)
+			d.made++
 			copy(grown, buf)
 			buf = grown
 		} else {
@@ -360,8 +383,8 @@ func (d *Decoder) nextBinary(f *Frame) error {
 			return err
 		}
 	}
-	if d.reuse {
-		d.buf = buf
+	if slot != nil {
+		*slot = buf
 	}
 	payload := buf[:n]
 	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)

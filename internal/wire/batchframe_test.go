@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -371,7 +372,7 @@ func TestBatchFrameAllocs(t *testing.T) {
 	stream := rowsFrame(b)
 	r := bytes.NewReader(stream)
 	dec := NewDecoder(r, MediaBatch)
-	dec.ReuseBuffer()
+	dec.ReuseBuffers(make([][]byte, 1))
 	n := testing.AllocsPerRun(50, func() {
 		r.Reset(stream)
 		if f, err := dec.Next(); err != nil || f.Batch.Len() != 1024 {
@@ -471,5 +472,58 @@ func TestDecoderStreamContract(t *testing.T) {
 	}
 	if _, err := NewDecoder(strings.NewReader(`{"frame":"bogus"}`), MediaNDJSON).Next(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("unknown NDJSON frame kind: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecoderRing: with a ring of n buffers a decoded batch stays intact
+// until the nth following Next — frames that carry no rows do not use a
+// turn up — the ring allocates once per slot, not again for a frame its
+// slack absorbs, and serves a second decoder without allocating at all.
+func TestDecoderRing(t *testing.T) {
+	const ring, frames = 3, 10
+	var stream []Frame
+	var want []*colbatch.Batch
+	stream = append(stream, Frame{Frame: FrameSchema, Columns: []string{"a", "b", "ts", "te"}, Types: []string{"int", "int", "int", "int"}})
+	rows := 0
+	for i := 0; i < frames; i++ {
+		b := intBatch(200 + i%2) // sizes a slot's slack absorbs
+		for r := range b.Cols[0].Ints {
+			b.Cols[0].Ints[r] += int64(1000 * i)
+		}
+		want = append(want, b)
+		stream = append(stream, Frame{Frame: FrameRows, Batch: b})
+		rows += b.Len()
+	}
+	stream = append(stream, Frame{Frame: FrameStatus, RowCount: int64(rows)})
+	data := frameStream(t, MediaBatch, stream...)
+
+	slots := make([][]byte, ring)
+	for pass := 0; pass < 2; pass++ {
+		dec := NewDecoder(bytes.NewReader(data), MediaBatch)
+		dec.ReuseBuffers(slots)
+		born := map[int]int{} // rows frame → the Next call that decoded it
+		var got []*colbatch.Batch
+		for call := 0; ; call++ {
+			f, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Frame == FrameRows {
+				born[len(got)] = call
+				got = append(got, f.Batch)
+			}
+			for k, b := range got {
+				if call-born[k] < ring {
+					sameRows(t, fmt.Sprintf("pass %d, frame %d, %d calls on", pass, k, call-born[k]), b, want[k])
+				}
+			}
+			if f.Frame == FrameStatus {
+				break
+			}
+		}
+		// Cold: one buffer a slot, after the schema frame's own small one.
+		if got, most := dec.BufferAllocs(), (ring+1)*(1-pass); got > most {
+			t.Errorf("pass %d: %d frames allocated %d buffers, want at most %d", pass, frames, got, most)
+		}
 	}
 }

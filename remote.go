@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"talign/internal/backoff"
+	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/relation"
 	"talign/internal/stats"
@@ -197,23 +198,23 @@ func (r *remoteDB) query(ctx context.Context, session, stmt, sql string, params 
 		return nil, fmt.Errorf("talign: bad stream: server answered %q, not %s", media, wire.MediaBatch)
 	}
 	src := &remoteSource{body: resp.Body, dec: wire.NewDecoder(resp.Body, wire.MediaBatch), cancel: cancel}
-	src.dec.ReuseBuffer() // every batch is copied into its value arena before the next frame is read
+	src.dec.ReuseBuffers(src.buf[:]) // the cursor is done with a batch before it asks for the next frame
 	first, err := src.frame()
 	if err != nil {
-		src.close()
+		src.Close()
 		return nil, err
 	}
 	switch first.Frame {
 	case wire.FrameError:
-		src.close()
+		src.Close()
 		return nil, first.Error
 	case wire.FramePlan:
-		src.close()
+		src.Close()
 		return &Rows{plan: first.Plan, cacheHit: first.CacheHit}, nil
 	case wire.FrameSchema:
 		return &Rows{cols: first.Columns, types: first.Types, cacheHit: first.CacheHit, src: src}, nil
 	}
-	src.close()
+	src.Close()
 	return nil, fmt.Errorf("talign: bad stream: unexpected %q frame", first.Frame)
 }
 
@@ -255,13 +256,13 @@ func (r *remoteDB) close() error {
 // remoteSource adapts the frame stream to the Rows contract. A stream
 // that ends without a status frame (server died, connection cut) is an
 // error, never a silent truncation, and so is one whose status frame
-// disagrees with the rows received. A rows frame is unpacked into one
-// value arena per frame (batchRows), so the decoder may reuse its buffer.
+// disagrees with the rows received. A rows frame's batch is handed to the
+// cursor as decoded, laid over the decoder's one reused buffer.
 type remoteSource struct {
 	body   io.ReadCloser
 	dec    *wire.Decoder
-	cancel func() // releases the timeout= deadline context, if any
-	rows   batchRows
+	cancel func()    // releases the timeout= deadline context, if any
+	buf    [1][]byte // the decoder's one reused frame buffer
 	closed bool
 }
 
@@ -282,29 +283,23 @@ func (s *remoteSource) frame() (wire.Frame, error) {
 	return f, err
 }
 
-func (s *remoteSource) next() ([]value.Value, error) {
-	for {
-		if row := s.rows.next(); row != nil {
-			return row, nil
-		}
-		f, err := s.frame()
-		if err != nil {
-			return nil, err
-		}
-		switch f.Frame {
-		case wire.FrameRows:
-			s.rows.unpack(f.Batch)
-		case wire.FrameStatus:
-			return nil, nil
-		case wire.FrameError:
-			return nil, f.Error
-		default:
-			return nil, fmt.Errorf("talign: bad stream: unexpected %q frame", f.Frame)
-		}
+func (s *remoteSource) NextBatch() (*colbatch.Batch, error) {
+	f, err := s.frame()
+	if err != nil {
+		return nil, err
 	}
+	switch f.Frame {
+	case wire.FrameRows:
+		return f.Batch, nil
+	case wire.FrameStatus:
+		return nil, nil
+	case wire.FrameError:
+		return nil, f.Error
+	}
+	return nil, fmt.Errorf("talign: bad stream: unexpected %q frame", f.Frame)
 }
 
-func (s *remoteSource) close() error {
+func (s *remoteSource) Close() error {
 	if s.closed {
 		return nil
 	}

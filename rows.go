@@ -3,60 +3,24 @@ package talign
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"talign/internal/colbatch"
 	"talign/internal/value"
 )
 
 // rowSource is the transport-side half of a Rows cursor: a pull stream of
-// fully-owned rows (safe to retain, unlike executor batches).
+// columnar batches. An embedded cursor pulls a server.RowStream — the
+// executor's own, reused batches, which may carry a selection vector — a
+// remote one the batches its frame decoder lays over one reused buffer.
 type rowSource interface {
-	// next returns the next row, or nil at end of stream. Errors are
-	// terminal.
-	next() ([]value.Value, error)
-	// close aborts the stream (idempotent); for remote sources it hangs
+	// NextBatch returns the next batch, valid until the following
+	// NextBatch or Close, or nil at end of stream. Errors are terminal.
+	NextBatch() (*colbatch.Batch, error)
+	// Close aborts the stream (idempotent); for remote sources it hangs
 	// up the wire stream, for embedded ones it tears the executor down
 	// and releases the admission-gate claim.
-	close() error
-}
-
-// batchRows hands one columnar batch out as fully-owned rows, the shape
-// both transports share: the batch's selected rows are unpacked into one
-// fresh value arena — row-major, each row its visible values followed by
-// the valid-time bounds ts and te — and the rows handed out are slices of
-// it. Nothing of the batch (which its producer reuses) is retained, and
-// the column kinds come from the batch itself, so NaN/Inf floats, periods
-// and ω read the same on both DSN schemes.
-type batchRows struct {
-	n, pos int           // rows in the current arena, rows handed out
-	arena  []value.Value // n rows of len(arena)/n values each
-}
-
-// unpack replaces the arena with the selected rows of b.
-func (r *batchRows) unpack(b *colbatch.Batch) {
-	n, w := b.NumRows(), len(b.Cols)+2
-	r.n, r.pos, r.arena = n, 0, make([]value.Value, n*w)
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		for i := 0; i < n; i++ {
-			r.arena[i*w+c] = col.Value(b.RowAt(i))
-		}
-	}
-	for i := 0; i < n; i++ {
-		row := b.RowAt(i)
-		r.arena[i*w+w-2] = value.NewInt(b.TS[row])
-		r.arena[i*w+w-1] = value.NewInt(b.TE[row])
-	}
-}
-
-// next returns the next row of the arena, or nil when it is used up.
-func (r *batchRows) next() []value.Value {
-	if r.pos >= r.n {
-		return nil
-	}
-	r.pos++
-	w := len(r.arena) / r.n
-	return r.arena[(r.pos-1)*w : r.pos*w : r.pos*w]
+	Close() error
 }
 
 // Rows is an incremental result cursor in the style of database/sql: call
@@ -67,6 +31,13 @@ func (r *batchRows) next() []value.Value {
 // idempotent; abandoning a cursor without closing it leaks its
 // admission-gate claim until garbage collection, so always Close.
 //
+// The cursor reads the backend's current columnar batch in place — the
+// executor's on talign://, the decoded rows frame on talignd:// — and
+// copies nothing per batch: Scan reads each destination from its column,
+// Values fills one row buffer the cursor owns. Outside a row (before the
+// first Next, after Next has returned false, after an error or Close)
+// there is no batch, so Values returns nil and Scan fails.
+//
 // Columns lists the visible attributes followed by the valid-time bounds
 // "ts" and "te" (int columns), matching the wire protocol's schema frame.
 type Rows struct {
@@ -76,7 +47,9 @@ type Rows struct {
 	cacheHit bool
 
 	src    rowSource
-	cur    []value.Value
+	b      *colbatch.Batch // the batch the current row is in; nil outside a row
+	pos    int             // the current row's logical position in b
+	row    []value.Value   // Values' buffer, allocated once per cursor; empty until Values fills it
 	err    error
 	closed bool
 }
@@ -104,36 +77,75 @@ func (r *Rows) Next() bool {
 	if r.closed || r.err != nil || r.src == nil {
 		return false
 	}
-	row, err := r.src.next()
-	if err != nil {
-		r.err = err
-		r.Close()
-		return false
+	r.pos++
+	r.row = r.row[:0]
+	// A batch is used up before the source is asked for the next one, and
+	// never touched afterwards; one whose selection is empty is skipped.
+	for r.b == nil || r.pos >= r.b.NumRows() {
+		r.b, r.pos = nil, 0
+		b, err := r.src.NextBatch()
+		if err != nil {
+			r.err = err
+		}
+		if b == nil || err != nil {
+			r.Close()
+			return false
+		}
+		r.b = b
 	}
-	if row == nil {
-		r.Close()
-		return false
-	}
-	r.cur = row
 	return true
 }
 
-// Values returns the current row's values (valid until the next call to
-// Next). The last two are the valid-time bounds ts and te as ints.
-func (r *Rows) Values() []value.Value { return r.cur }
+// cell reads column i of the current row from its column vector (the
+// last two columns are the valid-time bounds).
+func (r *Rows) cell(i int) value.Value {
+	row := r.b.RowAt(r.pos)
+	switch n := len(r.b.Cols); i {
+	case n:
+		return value.NewInt(r.b.TS[row])
+	case n + 1:
+		return value.NewInt(r.b.TE[row])
+	}
+	return r.b.Cols[i].Value(row)
+}
+
+// Values returns the current row's values; the last two are the
+// valid-time bounds ts and te as ints. Every call returns the same
+// backing slice, which the next call to Next overwrites: to keep a row,
+// write slices.Clone(rows.Values()). The cells themselves may be kept —
+// ints, floats, bools and periods are held by value, and a string cell
+// is a Go string in memory of its own (the frame decoder copies every
+// string column out of its reused buffer), never a view into the batch.
+// Outside a row Values returns nil.
+func (r *Rows) Values() []value.Value {
+	if r.b == nil {
+		return nil
+	}
+	if len(r.row) == 0 {
+		w := len(r.b.Cols) + 2
+		r.row = slices.Grow(r.row, w)
+		for i := 0; i < w; i++ {
+			r.row = append(r.row, r.cell(i))
+		}
+	}
+	return r.row
+}
 
 // Scan copies the current row into dest, one pointer per column:
 // *int64, *int, *float64, *bool, *string and *any are supported, with ω
 // (null) only scannable into *any (as nil). Periods scan into *string.
+// Each destination is read straight from its column, and what Scan
+// stores is the caller's: it stays intact after the cursor moves on or
+// closes.
 func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil {
+	if r.b == nil {
 		return fmt.Errorf("talign: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("talign: Scan wants %d destination(s), got %d", len(r.cur), len(dest))
+	if w := len(r.b.Cols) + 2; len(dest) != w {
+		return fmt.Errorf("talign: Scan wants %d destination(s), got %d", w, len(dest))
 	}
-	for i, v := range r.cur {
-		if err := scanValue(v, dest[i]); err != nil {
+	for i, d := range dest {
+		if err := scanValue(r.cell(i), d); err != nil {
 			return fmt.Errorf("talign: Scan column %d (%s): %v", i, r.colName(i), err)
 		}
 	}
@@ -157,11 +169,11 @@ func (r *Rows) Close() error {
 	if r.closed {
 		return nil
 	}
-	r.closed = true
+	r.closed, r.b = true, nil
 	if r.src == nil {
 		return nil
 	}
-	return r.src.close()
+	return r.src.Close()
 }
 
 // scanValue converts one engine value into a Go destination pointer.
@@ -175,19 +187,13 @@ func scanValue(v value.Value, dest any) error {
 	}
 	switch d := dest.(type) {
 	case *int64:
-		switch v.Kind() {
-		case value.KindInt:
-			*d = v.Int()
+		if x, ok := integral(v); ok {
+			*d = x
 			return nil
-		case value.KindFloat:
-			if f := v.Float(); f == math.Trunc(f) {
-				*d = int64(f)
-				return nil
-			}
 		}
 	case *int:
-		if v.Kind() == value.KindInt {
-			*d = int(v.Int())
+		if x, ok := integral(v); ok && int64(int(x)) == x {
+			*d = int(x)
 			return nil
 		}
 	case *float64:
@@ -211,6 +217,22 @@ func scanValue(v value.Value, dest any) error {
 		return fmt.Errorf("unsupported destination type %T", dest)
 	}
 	return fmt.Errorf("cannot scan %s into %T", v.Kind(), dest)
+}
+
+// integral reads v as an int64: an int, or a float holding a whole number
+// inside the int64 range. Both bounds are exact float64s — -2⁶³ is
+// math.MinInt64, +2⁶³ one past math.MaxInt64 — and NaN and ±Inf fail, so
+// the conversion is never the implementation-defined one.
+func integral(v value.Value) (int64, bool) {
+	switch v.Kind() {
+	case value.KindInt:
+		return v.Int(), true
+	case value.KindFloat:
+		if f := v.Float(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			return int64(f), true
+		}
+	}
+	return 0, false
 }
 
 // goValue converts an engine value to its natural Go representation.

@@ -12,12 +12,15 @@
 //
 // Placeholders are the engine's $1..$N; PrepareContext plans once and
 // executes many times through the backend's plan cache; QueryContext
-// returns incrementally streamed rows (the cursor pulls executor batches
-// or wire batch frames on demand); and the query's context cancels the
-// execution backend-side, embedded or remote. Result sets list the
-// visible columns followed by the valid-time bounds "ts" and "te" (int64
-// columns). EXPLAIN-style statements return a single "plan" column, one
-// row per rendered line; ANALYZE works through Exec.
+// returns incrementally streamed rows; and the query's context cancels
+// the execution backend-side, embedded or remote. Rows sit on the native
+// talign.Rows cursor, which reads the executor's batch or the decoded
+// wire frame in place: each cell goes from its column vector into
+// database/sql's destination slice with no copy of the row in between,
+// and what Scan hands the application is its own (strings included).
+// Result sets list the visible columns followed by the valid-time bounds
+// "ts" and "te" (int64 columns). EXPLAIN-style statements return a single
+// "plan" column, one row per rendered line; ANALYZE works through Exec.
 //
 // Connections are read-only query channels: Exec of row-producing
 // statements drains them, and transactions are not supported (relations
@@ -346,8 +349,7 @@ func (r *rows) Next(dest []driver.Value) error {
 		}
 		return io.EOF
 	}
-	vals := r.r.Values()
-	for i, v := range vals {
+	for i, v := range r.r.Values() {
 		dest[i] = driverValue(v)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -226,48 +227,55 @@ func seedBig(t *testing.T, dsn string) {
 }
 
 // TestDriverRowsSurviveIteration: values scanned through database/sql
-// stay intact across later Next calls and after Close on both DSN forms,
-// at a batch size that makes the result span several executor batches —
-// with a filter's selection and an outer join's ω padding on the way.
+// stay intact across later Next calls, after Close and after a
+// collection on both DSN forms — the driver sits on a cursor that reads
+// the backend's batches in place — at a batch size that makes the result
+// span several executor batches, with a filter's selection, an outer
+// join's ω padding and string cells on the way.
 func TestDriverRowsSurviveIteration(t *testing.T) {
-	const q = `SELECT x.a, y.mn FROM p x LEFT JOIN (SELECT a, mn FROM p WHERE a >= 40) y ON x.a = y.a WHERE x.a >= 20`
-	var results [2][]string
-	for i, dsn := range []string{"talign://demo?batch=2", remoteDSN(t) + "?batch=2"} {
-		db, err := sql.Open("talign", dsn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := db.QueryContext(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", dsn, err)
-		}
-		var kept [][4]any
-		var want []string
-		for rows.Next() {
-			var r [4]any // a, mn and the valid-time bounds ts, te
-			if err := rows.Scan(&r[0], &r[1], &r[2], &r[3]); err != nil {
+	for _, q := range []string{
+		`SELECT x.a, y.mn FROM p x LEFT JOIN (SELECT a, mn FROM p WHERE a >= 40) y ON x.a = y.a WHERE x.a >= 20`,
+		`SELECT x.n, y.n yn FROM r x LEFT JOIN (SELECT n FROM r WHERE n = 'Ann') y ON x.n = y.n WHERE x.Ts >= 0`,
+	} {
+		var results [2][]string
+		for i, dsn := range []string{"talign://demo?batch=2", remoteDSN(t) + "?batch=2"} {
+			db, err := sql.Open("talign", dsn)
+			if err != nil {
 				t.Fatal(err)
 			}
-			kept = append(kept, r)
-			want = append(want, fmt.Sprint(r))
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		rows.Close()
-		db.Close()
-		if len(kept) < 3 || !strings.Contains(fmt.Sprint(want), "<nil>") {
-			t.Fatalf("%s: %v neither spans batches of 2 nor carries ω", dsn, want)
-		}
-		for r := range kept {
-			if got := fmt.Sprint(kept[r]); got != want[r] {
-				t.Errorf("%s: row %d reads %s after Close, was %s", dsn, r, got, want[r])
+			rows, err := db.QueryContext(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %v", dsn, err)
 			}
+			var kept [][4]any
+			var want []string
+			for rows.Next() {
+				var r [4]any // two visible columns and the valid-time bounds ts, te
+				if err := rows.Scan(&r[0], &r[1], &r[2], &r[3]); err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, r)
+				want = append(want, fmt.Sprint(r))
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatal(err)
+			}
+			rows.Close()
+			db.Close()
+			runtime.GC()
+			if len(kept) < 3 || !strings.Contains(fmt.Sprint(want), "<nil>") {
+				t.Fatalf("%s: %v neither spans batches of 2 nor carries ω", dsn, want)
+			}
+			for r := range kept {
+				if got := fmt.Sprint(kept[r]); got != want[r] {
+					t.Errorf("%s: row %d reads %s after Close, was %s", dsn, r, got, want[r])
+				}
+			}
+			sort.Strings(want)
+			results[i] = want
 		}
-		sort.Strings(want)
-		results[i] = want
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("embedded %v, remote %v", results[0], results[1])
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s: embedded %v, remote %v", q, results[0], results[1])
+		}
 	}
 }
