@@ -150,7 +150,7 @@ func printRelation(rel *relation.Relation) {
 	}
 	names = append(names, "t")
 	fmt.Println(strings.Join(names, "\t"))
-	for _, t := range out.Tuples {
+	for _, t := range out.Rows() {
 		cells := make([]string, 0, len(t.Vals)+1)
 		for _, v := range t.Vals {
 			cells = append(cells, v.String())

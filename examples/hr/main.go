@@ -34,7 +34,7 @@ func main() {
 	}
 	fmt.Printf("headcount series: %d periods\n", headcount.Len())
 	peak := int64(0)
-	for _, t := range headcount.Tuples {
+	for _, t := range headcount.Rows() {
 		if v := t.Vals[0].Int(); v > peak {
 			peak = v
 		}

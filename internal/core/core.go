@@ -62,7 +62,7 @@ func Extend(r *relation.Relation, name string) (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.New(s)
-	for _, t := range r.Tuples {
+	for _, t := range r.Rows() {
 		vals := make([]value.Value, 0, len(t.Vals)+1)
 		vals = append(vals, t.Vals...)
 		vals = append(vals, value.NewInterval(t.T))

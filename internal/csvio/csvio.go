@@ -13,14 +13,13 @@ import (
 	"strings"
 
 	"talign/internal/colbatch"
-	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-// Read parses a relation from CSV.
+// Read parses a relation from CSV. The result is batch-born: cells are
+// decoded straight into column vectors and no tuple is built.
 func Read(r io.Reader) (*relation.Relation, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
@@ -43,6 +42,9 @@ func Read(r io.Reader) (*relation.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
+			if kind == value.KindInterval {
+				return nil, fmt.Errorf("csvio: line 1, column %s: type %s cannot be read from CSV", strings.TrimSpace(parts[0]), kind)
+			}
 		}
 		attrs = append(attrs, schema.Attr{Name: strings.TrimSpace(parts[0]), Type: kind})
 	}
@@ -50,20 +52,16 @@ func Read(r io.Reader) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Decode straight into columnar vectors: typed cells append to flat
-	// per-column storage (parseCell already enforces the schema kinds),
-	// the row tuples are materialized from the batch in one pass, and
-	// the batch is donated as the relation's cached columnar image so
-	// the first vectorized scan pays no conversion.
+	// Typed cells append to flat per-column storage (parseCell enforces
+	// the schema kinds). A string cell is a substring of its record's one
+	// backing string, so the reader may reuse the record slice itself.
+	cr.ReuseRecord = true
 	batch := colbatch.New(sch)
-	scratch := make([]value.Value, len(attrs))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			rel := relation.New(sch)
-			rel.Tuples = batch.Materialize(nil)
-			rel.SetColumnar(batch)
-			return rel, nil
+			batch.SetLen(len(batch.TS))
+			return relation.FromColumnar(batch), nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("csvio: line %d: %w", line, err)
@@ -76,7 +74,7 @@ func Read(r io.Reader) (*relation.Relation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("csvio: line %d, column %s: %w", line, attrs[i].Name, err)
 			}
-			scratch[i] = v
+			batch.Cols[i].Append(v)
 		}
 		ts, err := strconv.ParseInt(strings.TrimSpace(rec[len(attrs)]), 10, 64)
 		if err != nil {
@@ -89,7 +87,7 @@ func Read(r io.Reader) (*relation.Relation, error) {
 		if ts >= te {
 			return nil, fmt.Errorf("csvio: line %d: empty interval [%d, %d)", line, ts, te)
 		}
-		batch.AppendTuple(tuple.Tuple{Vals: scratch, T: interval.New(ts, te)})
+		batch.TS, batch.TE = append(batch.TS, ts), append(batch.TE, te)
 	}
 }
 
@@ -134,7 +132,7 @@ func Write(w io.Writer, rel *relation.Relation) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, t := range rel.Tuples {
+	for _, t := range rel.Rows() {
 		rec := make([]string, 0, len(header))
 		for _, v := range t.Vals {
 			if v.IsNull() {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"talign/internal/interval"
 	"talign/internal/relation"
 )
 
@@ -56,8 +57,8 @@ func TestUntypedColumnsDefaultToString(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if rel.Tuples[0].Vals[0].Str() != "ann" {
-		t.Fatalf("got %v", rel.Tuples[0])
+	if rel.Rows()[0].Vals[0].Str() != "ann" {
+		t.Fatalf("got %v", rel.Rows()[0])
 	}
 }
 
@@ -77,5 +78,25 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Fatal("missing file must fail")
+	}
+}
+
+// TestPeriodColumnRejectedAtHeader: Write emits name:interval for a
+// PERIOD(ts, te) result column and Read cannot parse such cells, so it
+// says so once, at the header, naming the column — not once per row as
+// "unsupported CSV type".
+func TestPeriodColumnRejectedAtHeader(t *testing.T) {
+	rel := relation.NewBuilder("n string", "p period").
+		Row(0, 5, "ann", interval.New(0, 5)).
+		MustBuild()
+	var buf bytes.Buffer
+	if err := Write(&buf, rel); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	for _, in := range []string{buf.String(), "n,p:period,ts,te\n", "n, p:interval,ts,te\nann,x,0,5\n"} {
+		_, err := Read(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 1, column p:") {
+			t.Fatalf("Read(%q) = %v, want a line-1 error naming column p", in, err)
+		}
 	}
 }

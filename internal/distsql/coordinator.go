@@ -207,8 +207,16 @@ func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *rel
 	if err != nil {
 		return fmt.Errorf("distsql: partitioning %s: %v", name, err)
 	}
+	// A batch-born relation (a stored table, a CSV file) is partitioned
+	// image by image, so a segmented one is never concatenated first.
+	imgs := rel.Parts()
+	if imgs == nil {
+		imgs = []*colbatch.Batch{rel.Columnar()}
+	}
 	part := newPartitioner(rel.Schema, len(c.topo.Workers))
-	part.add(rel.Columnar(), idx)
+	for _, img := range imgs {
+		part.add(img, idx)
+	}
 	if err := c.stageShards(ctx, name, part.shards); err != nil {
 		return err
 	}
@@ -596,9 +604,9 @@ func (c *Coordinator) scanShards(ctx context.Context, name string, batch int) *m
 	return &mergeSource{cancel: cancel, streams: streams}
 }
 
-// gatherTable reassembles name from its shards as one relation (the
-// stub's schema supplies the attribute kinds; the rows arrive as batches
-// and are materialized once, for the row operators of the local plan).
+// gatherTable reassembles name from its shards as one batch-born relation
+// (the stub's schema supplies the attribute kinds; the rows arrive as
+// batches and stay batches unless a row operator of the local plan asks).
 func (c *Coordinator) gatherTable(ctx context.Context, name string, sch schema.Schema, batch int) (*relation.Relation, error) {
 	img, err := gatherInto(c.scanShards(ctx, name, batch), sch)
 	if err != nil {

@@ -101,8 +101,8 @@ func testRels(seed int) map[string]*relation.Relation {
 // time) is identical.
 func canonKeys(rel *relation.Relation) [][]byte {
 	keys := make([][]byte, rel.Len())
-	for i := range rel.Tuples {
-		keys[i] = rel.Tuples[i].AppendKey(nil)
+	for i := range rel.Rows() {
+		keys[i] = rel.Rows()[i].AppendKey(nil)
 	}
 	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
 	return keys

@@ -201,11 +201,13 @@ func Collect(it Iterator) (*relation.Relation, error) {
 }
 
 // Scan iterates over a materialized relation, handing out zero-copy
-// sub-slices of the backing tuple slice as batches.
+// sub-slices of its rows (relation.Rows: derived on first use for a
+// batch-born relation) as batches.
 type Scan struct {
 	batching
-	Rel *relation.Relation
-	pos int
+	Rel  *relation.Relation
+	rows []tuple.Tuple
+	pos  int
 }
 
 // NewScan returns a scan over rel.
@@ -214,19 +216,16 @@ func NewScan(rel *relation.Relation) *Scan { return &Scan{Rel: rel} }
 func (s *Scan) Schema() schema.Schema { return s.Rel.Schema }
 
 func (s *Scan) Open() error {
-	s.pos = 0
+	s.rows, s.pos = s.Rel.Rows(), 0
 	return nil
 }
 
 func (s *Scan) Next() ([]tuple.Tuple, error) {
-	if s.pos >= len(s.Rel.Tuples) {
+	if s.pos >= len(s.rows) {
 		return nil, nil
 	}
-	end := s.pos + s.batchCap()
-	if end > len(s.Rel.Tuples) {
-		end = len(s.Rel.Tuples)
-	}
-	b := s.Rel.Tuples[s.pos:end:end]
+	end := min(s.pos+s.batchCap(), len(s.rows))
+	b := s.rows[s.pos:end:end]
 	s.pos = end
 	return b, nil
 }

@@ -35,16 +35,17 @@ func SegmentsScanned() uint64 { return segsScanned.Load() }
 // process-wide.
 func SegmentsPruned() uint64 { return segsPruned.Load() }
 
-// SegScan is the row-side segment scan: it streams the tuple ranges of
-// the surviving segments as zero-copy sub-slices, like Scan does for
-// whole relations.
+// SegScan is the row-side segment scan: it streams the ranges of the
+// relation's rows (relation.Rows) that the surviving segments occupy as
+// zero-copy sub-slices, like Scan does for whole relations.
 type SegScan struct {
 	batching
 	Rel  *relation.Relation
 	Segs []relation.Segment
 
-	seg int
-	pos int
+	rows []tuple.Tuple
+	seg  int
+	pos  int
 }
 
 // NewSegScan returns a row scan over the given segments of rel.
@@ -57,7 +58,7 @@ func (s *SegScan) Schema() schema.Schema { return s.Rel.Schema }
 
 // Open implements Iterator.
 func (s *SegScan) Open() error {
-	s.seg = 0
+	s.rows, s.seg = s.Rel.Rows(), 0
 	if len(s.Segs) > 0 {
 		s.pos = s.Segs[0].Lo
 	}
@@ -79,7 +80,7 @@ func (s *SegScan) Next() ([]tuple.Tuple, error) {
 		if end > sg.Hi {
 			end = sg.Hi
 		}
-		b := s.Rel.Tuples[s.pos:end:end]
+		b := s.rows[s.pos:end:end]
 		s.pos = end
 		return b, nil
 	}

@@ -52,7 +52,7 @@ type Func func(z tuple.Tuple, t int64) (Lineage, bool)
 
 // Verify checks Def. 7 on a claimed result relation.
 func Verify(result *relation.Relation, fn Func) error {
-	for zi, z := range result.Tuples {
+	for zi, z := range result.Rows() {
 		// (1) The lineage set is constant across z.T, and z is in the
 		// result at every point of z.T.
 		first, ok := fn(z, z.T.Ts)
@@ -71,7 +71,7 @@ func Verify(result *relation.Relation, fn Func) error {
 		// (2)+(3) Maximality: a value-equivalent tuple covering the point
 		// just before z starts (or the point where z ends) must have a
 		// different lineage there.
-		for zj, z2 := range result.Tuples {
+		for zj, z2 := range result.Rows() {
 			if zi == zj || !z.ValsEqual(z2) {
 				continue
 			}
@@ -124,12 +124,12 @@ func LeftOuterJoin(r, s *relation.Relation, theta expr.Expr) Func {
 		zr, zs := z.Vals[:rl], z.Vals[rl:]
 		if isAllNull(zs) {
 			// Antijoin lineage: 〈{r}, s〉.
-			for i, rt := range r.Tuples {
+			for i, rt := range r.Rows() {
 				if !rt.T.Contains(t) || !valsEq(rt.Vals, zr) {
 					continue
 				}
 				// z is in the result only if r has no θ-partner at t.
-				for _, st := range s.Tuples {
+				for _, st := range s.Rows() {
 					if st.T.Contains(t) && evalTheta(theta, rt, st) {
 						return Lineage{}, false
 					}
@@ -138,11 +138,11 @@ func LeftOuterJoin(r, s *relation.Relation, theta expr.Expr) Func {
 			}
 			return Lineage{}, false
 		}
-		for i, rt := range r.Tuples {
+		for i, rt := range r.Rows() {
 			if !rt.T.Contains(t) || !valsEq(rt.Vals, zr) {
 				continue
 			}
-			for j, st := range s.Tuples {
+			for j, st := range s.Rows() {
 				if !st.T.Contains(t) || !valsEq(st.Vals, zs) {
 					continue
 				}
@@ -158,11 +158,11 @@ func LeftOuterJoin(r, s *relation.Relation, theta expr.Expr) Func {
 // AntiJoin returns the lineage function for r ▷T_θ s.
 func AntiJoin(r, s *relation.Relation, theta expr.Expr) Func {
 	return func(z tuple.Tuple, t int64) (Lineage, bool) {
-		for i, rt := range r.Tuples {
+		for i, rt := range r.Rows() {
 			if !rt.T.Contains(t) || !valsEq(rt.Vals, z.Vals) {
 				continue
 			}
-			for _, st := range s.Tuples {
+			for _, st := range s.Rows() {
 				if st.T.Contains(t) && evalTheta(theta, rt, st) {
 					return Lineage{}, false
 				}
@@ -178,7 +178,7 @@ func AntiJoin(r, s *relation.Relation, theta expr.Expr) Func {
 func Projection(r *relation.Relation, cols []int) Func {
 	return func(z tuple.Tuple, t int64) (Lineage, bool) {
 		var idx []int
-		for i, rt := range r.Tuples {
+		for i, rt := range r.Rows() {
 			if !rt.T.Contains(t) {
 				continue
 			}
@@ -204,12 +204,12 @@ func Projection(r *relation.Relation, cols []int) Func {
 func Union(r, s *relation.Relation) Func {
 	return func(z tuple.Tuple, t int64) (Lineage, bool) {
 		var li, ri []int
-		for i, rt := range r.Tuples {
+		for i, rt := range r.Rows() {
 			if rt.T.Contains(t) && valsEq(rt.Vals, z.Vals) {
 				li = append(li, i)
 			}
 		}
-		for j, st := range s.Tuples {
+		for j, st := range s.Rows() {
 			if st.T.Contains(t) && valsEq(st.Vals, z.Vals) {
 				ri = append(ri, j)
 			}
@@ -225,7 +225,7 @@ func Union(r, s *relation.Relation) Func {
 func Difference(r, s *relation.Relation) Func {
 	return func(z tuple.Tuple, t int64) (Lineage, bool) {
 		var li []int
-		for i, rt := range r.Tuples {
+		for i, rt := range r.Rows() {
 			if rt.T.Contains(t) && valsEq(rt.Vals, z.Vals) {
 				li = append(li, i)
 			}
@@ -233,7 +233,7 @@ func Difference(r, s *relation.Relation) Func {
 		if len(li) == 0 {
 			return Lineage{}, false
 		}
-		for _, st := range s.Tuples {
+		for _, st := range s.Rows() {
 			if st.T.Contains(t) && valsEq(st.Vals, z.Vals) {
 				return Lineage{}, false // removed by the difference at t
 			}

@@ -64,7 +64,7 @@ func lin2(a, b string) string { return "<" + a + ";" + b + ">" }
 func boundaries(rels ...*relation.Relation) []int64 {
 	set := map[int64]struct{}{}
 	for _, r := range rels {
-		for _, t := range r.Tuples {
+		for _, t := range r.Rows() {
 			set[t.T.Ts] = struct{}{}
 			set[t.T.Te] = struct{}{}
 		}
@@ -129,7 +129,7 @@ func pointwise(out schema.Schema, snap func(t int64) ([]row, error), rels ...*re
 // aliveIdx lists the indexes of r's tuples alive at t.
 func aliveIdx(r *relation.Relation, t int64) []int {
 	var out []int
-	for i, tp := range r.Tuples {
+	for i, tp := range r.Rows() {
 		if tp.T.Contains(t) {
 			out = append(out, i)
 		}
@@ -154,16 +154,17 @@ func Selection(r *relation.Relation, pred expr.Expr) (*relation.Relation, error)
 	if err != nil {
 		return nil, err
 	}
+	rt := r.Rows()
 	return pointwise(r.Schema, func(t int64) ([]row, error) {
 		var rows []row
 		for _, i := range aliveIdx(r, t) {
-			env := expr.Env{Vals: r.Tuples[i].Vals}
+			env := expr.Env{Vals: rt[i].Vals}
 			ok, err := expr.EvalBool(bound, &env)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				rows = append(rows, row{vals: r.Tuples[i].Vals, lin: lin2(linSet([]int{i}), "")})
+				rows = append(rows, row{vals: rt[i].Vals, lin: lin2(linSet([]int{i}), "")})
 			}
 		}
 		return rows, nil
@@ -183,7 +184,7 @@ func Projection(r *relation.Relation, attrs ...string) (*relation.Relation, erro
 		for _, i := range aliveIdx(r, t) {
 			b := make([]value.Value, len(cols))
 			for k, c := range cols {
-				b[k] = r.Tuples[i].Vals[c]
+				b[k] = r.Rows()[i].Vals[c]
 			}
 			key := valsKey(b)
 			groups[key] = append(groups[key], i)
@@ -263,7 +264,7 @@ func Aggregation(r *relation.Relation, groupBy []string, aggs []AggSpec) (*relat
 		for _, i := range aliveIdx(r, t) {
 			b := make([]value.Value, len(cols))
 			for k, c := range cols {
-				b[k] = r.Tuples[i].Vals[c]
+				b[k] = r.Rows()[i].Vals[c]
 			}
 			key := valsKey(b)
 			groups[key] = append(groups[key], i)
@@ -297,7 +298,8 @@ func aggEval(a AggSpec, r *relation.Relation, idx []int) (value.Value, error) {
 			count++
 			continue
 		}
-		env := expr.Env{Vals: r.Tuples[i].Vals, T: r.Tuples[i].T}
+		tp := r.Rows()[i]
+		env := expr.Env{Vals: tp.Vals, T: tp.T}
 		v, err := a.Arg.Eval(&env)
 		if err != nil {
 			return value.Null, err
@@ -346,19 +348,20 @@ func aggEval(a AggSpec, r *relation.Relation, idx []int) (value.Value, error) {
 // matchRows pairs alive tuples by value equality for the set operations.
 func setRows(r, s *relation.Relation, t int64, kind setKind) []row {
 	ra, sa := aliveIdx(r, t), aliveIdx(s, t)
+	rt, st := r.Rows(), s.Rows()
 	rGroups := map[string][]int{}
 	rVals := map[string][]value.Value{}
 	for _, i := range ra {
-		k := valsKey(r.Tuples[i].Vals)
+		k := valsKey(rt[i].Vals)
 		rGroups[k] = append(rGroups[k], i)
-		rVals[k] = r.Tuples[i].Vals
+		rVals[k] = rt[i].Vals
 	}
 	sGroups := map[string][]int{}
 	sVals := map[string][]value.Value{}
 	for _, j := range sa {
-		k := valsKey(s.Tuples[j].Vals)
+		k := valsKey(st[j].Vals)
 		sGroups[k] = append(sGroups[k], j)
-		sVals[k] = s.Tuples[j].Vals
+		sVals[k] = st[j].Vals
 	}
 	var rows []row
 	switch kind {
@@ -431,12 +434,13 @@ const (
 
 func joinRows(r, s *relation.Relation, theta expr.Expr, t int64, kind joinKind) ([]row, error) {
 	ra, sa := aliveIdx(r, t), aliveIdx(s, t)
+	rt, st := r.Rows(), s.Rows()
 	rMatched := map[int]bool{}
 	sMatched := map[int]bool{}
 	var rows []row
 	for _, i := range ra {
 		for _, j := range sa {
-			ok, err := evalTheta(theta, r.Tuples[i], s.Tuples[j])
+			ok, err := evalTheta(theta, rt[i], st[j])
 			if err != nil {
 				return nil, err
 			}
@@ -448,9 +452,9 @@ func joinRows(r, s *relation.Relation, theta expr.Expr, t int64, kind joinKind) 
 			if kind == antiKind {
 				continue
 			}
-			vals := make([]value.Value, 0, len(r.Tuples[i].Vals)+len(s.Tuples[j].Vals))
-			vals = append(vals, r.Tuples[i].Vals...)
-			vals = append(vals, s.Tuples[j].Vals...)
+			vals := make([]value.Value, 0, len(rt[i].Vals)+len(st[j].Vals))
+			vals = append(vals, rt[i].Vals...)
+			vals = append(vals, st[j].Vals...)
 			rows = append(rows, row{vals: vals, lin: lin2(linSet([]int{i}), linSet([]int{j}))})
 		}
 	}
@@ -458,7 +462,7 @@ func joinRows(r, s *relation.Relation, theta expr.Expr, t int64, kind joinKind) 
 	if kind == leftKind || kind == fullKind {
 		for _, i := range ra {
 			if !rMatched[i] {
-				vals := append(append([]value.Value{}, r.Tuples[i].Vals...), pad(s.Schema.Len())...)
+				vals := append(append([]value.Value{}, rt[i].Vals...), pad(s.Schema.Len())...)
 				rows = append(rows, row{vals: vals, lin: lin2(linSet([]int{i}), linConst)})
 			}
 		}
@@ -466,7 +470,7 @@ func joinRows(r, s *relation.Relation, theta expr.Expr, t int64, kind joinKind) 
 	if kind == rightKind || kind == fullKind {
 		for _, j := range sa {
 			if !sMatched[j] {
-				vals := append(append([]value.Value{}, pad(r.Schema.Len())...), s.Tuples[j].Vals...)
+				vals := append(append([]value.Value{}, pad(r.Schema.Len())...), st[j].Vals...)
 				rows = append(rows, row{vals: vals, lin: lin2(linConst, linSet([]int{j}))})
 			}
 		}
@@ -474,7 +478,7 @@ func joinRows(r, s *relation.Relation, theta expr.Expr, t int64, kind joinKind) 
 	if kind == antiKind {
 		for _, i := range ra {
 			if !rMatched[i] {
-				rows = append(rows, row{vals: r.Tuples[i].Vals, lin: lin2(linSet([]int{i}), linConst)})
+				rows = append(rows, row{vals: rt[i].Vals, lin: lin2(linSet([]int{i}), linConst)})
 			}
 		}
 	}

@@ -1,62 +1,106 @@
-// Columnar image cache: the vectorized executor scans relations as
-// colbatch vectors, and the conversion from []tuple.Tuple is linear in
-// the relation size. Relations are effectively immutable once loaded
-// (appends during load, then read-only query execution), so each
-// Relation memoizes one columnar image and serves it to every scan.
+// Columnar forms. The vectorized executor scans relations as colbatch
+// vectors. A batch-born relation is such vectors: it holds the images it
+// arrived as, and tuples only once a row reader asks (Rows). A row-born
+// relation memoizes one columnar image of its Tuples for every scan.
 package relation
 
 import (
+	"sync"
+
 	"talign/internal/colbatch"
 	"talign/internal/tuple"
 )
 
-// colImage is a cached columnar conversion of Tuples, stamped with the
-// tuple count and slice identity it was built from so external appends
-// (code that grows r.Tuples directly) are detected without bookkeeping.
+// batchForm is what a batch-born relation holds in place of tuples: the
+// dense images it arrived as, in row order, and their row count, fixed at
+// construction and read-only. rows and img are derived on demand, once.
+type batchForm struct {
+	n     int
+	parts []*colbatch.Batch // one for FromColumnar, one per segment for FromSegments
+	segs  []Segment         // FromSegments only
+
+	rowsOnce, imgOnce sync.Once
+	rows              []tuple.Tuple
+	img               *colbatch.Batch
+}
+
+// colImage is a row-born relation's cached columnar conversion, stamped
+// with the tuple count and slice identity it was built from so external
+// appends (code that grows r.Tuples directly) are detected.
 type colImage struct {
 	img   *colbatch.Batch
 	n     int
 	first *tuple.Tuple // nil for empty relations
 }
 
-// Columnar returns the columnar image of the relation, converting and
-// caching on first use. The image is shared: callers must treat it as
-// read-only (scan it through views, never append). Mutating methods
-// (Append, SortCanonical, Dedup) invalidate the cache; direct external
-// appends to r.Tuples are caught by the length/identity stamp.
+// FromColumnar returns a batch-born relation over a dense image (no
+// selection vector) that arrived as batches: a decoded CSV file, a shard
+// staged on a worker, results gathered on a coordinator. The relation
+// takes the image over — nothing is copied, no tuple built — and the
+// caller must not append to it or modify it afterwards.
+func FromColumnar(img *colbatch.Batch) *Relation {
+	if img.Sel != nil {
+		panic("relation: FromColumnar over a selection")
+	}
+	return &Relation{Schema: img.Schema, born: &batchForm{n: img.Len(), parts: []*colbatch.Batch{img}}}
+}
+
+// Columnar returns the rows as one dense image, shared and read-only
+// (scan it through views, never append). A relation born from one image
+// returns it; one born from segments concatenates their columns on first
+// use and keeps that. A row-born relation converts Tuples on first use
+// and caches the result until a mutating method, or the stamp catching a
+// direct append to Tuples, drops it.
 func (r *Relation) Columnar() *colbatch.Batch {
+	if b := r.born; b != nil {
+		b.imgOnce.Do(func() {
+			if len(b.parts) == 1 {
+				b.img = b.parts[0]
+				return
+			}
+			b.img = colbatch.New(r.Schema)
+			b.img.Reserve(b.n)
+			for _, p := range b.parts {
+				b.img.AppendBatch(p)
+			}
+		})
+		return b.img
+	}
 	if c := r.colv.Load(); c != nil && c.n == len(r.Tuples) && c.first == stamp(r) {
 		return c.img
 	}
 	img := colbatch.FromTuples(nil, r.Schema, r.Tuples)
-	r.setColumnar(img)
+	r.colv.Store(&colImage{img: img, n: len(r.Tuples), first: stamp(r)})
 	return img
 }
 
-// SetColumnar installs a pre-built columnar image (the CSV reader decodes
-// straight into vectors and donates the result). The image must hold
-// exactly r.Tuples' rows in order.
-func (r *Relation) SetColumnar(img *colbatch.Batch) {
-	if img.Len() != len(r.Tuples) || img.Sel != nil {
-		panic("relation: SetColumnar image does not match relation")
+// Parts returns the images a batch-born relation holds, in row order, or
+// nil for a row-born one, whose data is Tuples. Readers that work image
+// by image (statistics, partitioning) use it so that a segmented relation
+// is not concatenated for them. Read-only, like the slice itself.
+func (r *Relation) Parts() []*colbatch.Batch {
+	if r.born != nil {
+		return r.born.parts
 	}
-	r.setColumnar(img)
+	return nil
 }
 
-// FromColumnar builds a relation over a dense columnar image (no
-// selection vector) that arrived as batches rather than rows — a shard
-// staged on a worker, shard results gathered on a coordinator: the rows
-// are materialized once, one value slab for the whole relation, and the
-// image becomes the relation's columnar form. The image must not be
-// appended to afterwards.
-func FromColumnar(img *colbatch.Batch) *Relation {
-	r := &Relation{Schema: img.Schema, Tuples: img.Materialize(make([]tuple.Tuple, 0, img.Len()))}
-	r.SetColumnar(img)
-	return r
-}
-
-func (r *Relation) setColumnar(img *colbatch.Batch) {
-	r.colv.Store(&colImage{img: img, n: len(r.Tuples), first: stamp(r)})
+// ValidTimes returns the rows' valid-time columns in row order, from
+// whichever form the relation holds: a relation of one image returns that
+// image's own arrays, any other fresh ones. Read-only either way.
+func (r *Relation) ValidTimes() (ts, te []int64) {
+	parts := r.Parts()
+	if len(parts) == 1 {
+		return parts[0].TS, parts[0].TE
+	}
+	ts, te = make([]int64, 0, r.Len()), make([]int64, 0, r.Len())
+	for _, p := range parts {
+		ts, te = append(ts, p.TS...), append(te, p.TE...)
+	}
+	for _, t := range r.Tuples {
+		ts, te = append(ts, t.T.Ts), append(te, t.T.Te)
+	}
+	return ts, te
 }
 
 func stamp(r *Relation) *tuple.Tuple {
@@ -66,12 +110,11 @@ func stamp(r *Relation) *tuple.Tuple {
 	return &r.Tuples[0]
 }
 
-// invalidateColumnar drops the cached image; called by every mutating
-// method. The nil-check keeps the common load loop (Append per row) at
-// one atomic load instead of one store.
+// invalidateColumnar drops a row-born relation's cached image; called by
+// every mutating method. The nil-check keeps the common load loop (Append
+// per row) at one atomic load instead of one store.
 func (r *Relation) invalidateColumnar() {
 	if r.colv.Load() != nil {
 		r.colv.Store(nil)
 	}
-	r.invalidateSegments()
 }

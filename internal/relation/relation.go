@@ -17,29 +17,62 @@ import (
 	"talign/internal/value"
 )
 
-// Relation is a temporal relation: a schema plus a slice of tuples. The
-// algebra treats relations as sets; Tuples order is an implementation
-// detail (operators that need an order sort explicitly).
+// Relation is a temporal relation: a schema plus its rows, in one of two
+// forms fixed at birth. The algebra treats relations as sets; row order
+// is an implementation detail (operators that need an order sort
+// explicitly).
+//
+// A row-born relation (New, Builder, a composite literal, exec.Collect)
+// owns Tuples and may be appended to, through Append or directly. A
+// batch-born one (FromColumnar, FromSegments) arrived as column vectors —
+// a CSV file, a stored table, a staged shard, a gathered temp — and holds
+// those, read-only, and a row count: its Tuples is nil and stays nil. So
+// code handed a relation it did not build reads Rows() or the columns
+// (Columnar, Parts), never Tuples; the mutators (Append, SortCanonical,
+// Dedup) make a batch-born relation row-born first.
 type Relation struct {
 	Schema schema.Schema
 	Tuples []tuple.Tuple
 
-	// colv caches the columnar image of Tuples for the vectorized
-	// executor; see Columnar in columnar.go.
-	colv atomic.Pointer[colImage]
-
-	// segv caches the interval-partitioned segment list a storage
-	// loader assembled the relation from; see Segments in segments.go.
-	segv atomic.Pointer[segImage]
+	colv atomic.Pointer[colImage] // row-born: cached image of Tuples, see Columnar
+	born *batchForm               // batch-born: what it was built from; else nil
 }
 
-// New returns an empty relation over the given schema.
+// New returns an empty row-born relation over the given schema.
 func New(s schema.Schema) *Relation {
 	return &Relation{Schema: s}
 }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.Tuples) }
+func (r *Relation) Len() int {
+	if r.born != nil {
+		return r.born.n
+	}
+	return len(r.Tuples)
+}
+
+// Rows returns the relation's tuples: Tuples for a row-born relation, for
+// a batch-born one the rows of its images, derived on the first call (from
+// any number of goroutines, once) and kept. Shared: do not modify.
+func (r *Relation) Rows() []tuple.Tuple {
+	if b := r.born; b != nil {
+		b.rowsOnce.Do(func() {
+			b.rows = make([]tuple.Tuple, 0, b.n)
+			for _, img := range b.parts {
+				b.rows = img.Materialize(b.rows)
+			}
+		})
+		return b.rows
+	}
+	return r.Tuples
+}
+
+// own makes a batch-born relation row-born ahead of a mutation.
+func (r *Relation) own() {
+	if r.born != nil {
+		r.Tuples, r.born = r.Rows(), nil
+	}
+}
 
 // Append adds a tuple after checking its arity and value types against the
 // schema. ω is accepted for any attribute type.
@@ -60,6 +93,7 @@ func (r *Relation) Append(t tuple.Tuple) error {
 		}
 		return fmt.Errorf("relation: attribute %q expects %s, got %s", r.Schema.Attrs[i].Name, want, v.Kind())
 	}
+	r.own()
 	r.Tuples = append(r.Tuples, t)
 	r.invalidateColumnar()
 	return nil
@@ -72,13 +106,14 @@ func (r *Relation) MustAppend(t tuple.Tuple) {
 	}
 }
 
-// Clone returns a deep copy; the schema's attribute list is copied too, so
-// renaming a clone's attributes cannot alias the original.
+// Clone returns a deep, row-born copy; the schema's attribute list is
+// copied too, so renaming a clone's attributes cannot alias the original.
 func (r *Relation) Clone() *Relation {
 	attrs := make([]schema.Attr, len(r.Schema.Attrs))
 	copy(attrs, r.Schema.Attrs)
-	out := &Relation{Schema: schema.Schema{Attrs: attrs}, Tuples: make([]tuple.Tuple, len(r.Tuples))}
-	for i, t := range r.Tuples {
+	rows := r.Rows()
+	out := &Relation{Schema: schema.Schema{Attrs: attrs}, Tuples: make([]tuple.Tuple, len(rows))}
+	for i, t := range rows {
 		out.Tuples[i] = t.Clone()
 	}
 	return out
@@ -88,15 +123,16 @@ func (r *Relation) Clone() *Relation {
 // tuples are value-equivalent over a common time point. It returns the
 // first offending pair if any.
 func (r *Relation) DuplicateFree() error {
-	idx := make([]int, len(r.Tuples))
+	rows := r.Rows()
+	idx := make([]int, len(rows))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return r.Tuples[idx[a]].Compare(r.Tuples[idx[b]]) < 0
+		return rows[idx[a]].Compare(rows[idx[b]]) < 0
 	})
 	for k := 1; k < len(idx); k++ {
-		a, b := r.Tuples[idx[k-1]], r.Tuples[idx[k]]
+		a, b := rows[idx[k-1]], rows[idx[k]]
 		if a.ValsEqual(b) && a.T.Overlaps(b.T) {
 			return fmt.Errorf("relation: tuples %v and %v are value-equivalent over common time points", a, b)
 		}
@@ -109,7 +145,7 @@ func (r *Relation) DuplicateFree() error {
 // TimesliceIdx instead.
 func (r *Relation) Timeslice(t int64) *Relation {
 	out := New(r.Schema)
-	for _, tp := range r.Tuples {
+	for _, tp := range r.Rows() {
 		if tp.T.Contains(t) {
 			out.Tuples = append(out.Tuples, tuple.Tuple{Vals: tp.Vals})
 		}
@@ -120,7 +156,7 @@ func (r *Relation) Timeslice(t int64) *Relation {
 // TimesliceIdx returns the indexes of the tuples alive at time t.
 func (r *Relation) TimesliceIdx(t int64) []int {
 	var out []int
-	for i, tp := range r.Tuples {
+	for i, tp := range r.Rows() {
 		if tp.T.Contains(t) {
 			out = append(out, i)
 		}
@@ -133,8 +169,8 @@ func (r *Relation) TimesliceIdx(t int64) []int {
 // constant, so evaluating the algebra's definitions at the boundary points
 // suffices (used by the oracle).
 func (r *Relation) ActiveDomain() []int64 {
-	set := make(map[int64]struct{}, 2*len(r.Tuples))
-	for _, t := range r.Tuples {
+	set := make(map[int64]struct{}, 2*r.Len())
+	for _, t := range r.Rows() {
 		set[t.T.Ts] = struct{}{}
 		set[t.T.Te] = struct{}{}
 	}
@@ -149,11 +185,12 @@ func (r *Relation) ActiveDomain() []int64 {
 // Span returns the smallest interval covering all tuples, or ok=false if
 // the relation is empty.
 func (r *Relation) Span() (interval.Interval, bool) {
-	if len(r.Tuples) == 0 {
+	rows := r.Rows()
+	if len(rows) == 0 {
 		return interval.Interval{}, false
 	}
-	lo, hi := r.Tuples[0].T.Ts, r.Tuples[0].T.Te
-	for _, t := range r.Tuples[1:] {
+	lo, hi := rows[0].T.Ts, rows[0].T.Te
+	for _, t := range rows[1:] {
 		if t.T.Ts < lo {
 			lo = t.T.Ts
 		}
@@ -169,6 +206,7 @@ func (r *Relation) Span() (interval.Interval, bool) {
 // key-based (order-preserving byte encodings) and not stable; Compare is
 // total, so equal tuples are interchangeable.
 func (r *Relation) SortCanonical() *Relation {
+	r.own()
 	tuple.SortByKey(r.Tuples)
 	r.invalidateColumnar()
 	return r
@@ -193,27 +231,8 @@ func (r *Relation) Dedup() *Relation {
 // SetEqual reports whether two relations contain the same set of tuples
 // (schema names are not compared, only arity via tuple comparison).
 func SetEqual(a, b *Relation) bool {
-	if len(a.Tuples) != len(b.Tuples) {
-		x, y := a.Clone().Dedup(), b.Clone().Dedup()
-		if len(x.Tuples) != len(y.Tuples) {
-			return false
-		}
-		return setEqualSorted(x, y)
-	}
-	x, y := a.Clone().Dedup(), b.Clone().Dedup()
-	return setEqualSorted(x, y)
-}
-
-func setEqualSorted(x, y *Relation) bool {
-	if len(x.Tuples) != len(y.Tuples) {
-		return false
-	}
-	for i := range x.Tuples {
-		if !x.Tuples[i].Equal(y.Tuples[i]) {
-			return false
-		}
-	}
-	return true
+	onlyA, onlyB := Diff(a, b)
+	return len(onlyA)+len(onlyB) == 0
 }
 
 // Diff returns tuples in a but not in b and tuples in b but not in a
@@ -270,7 +289,7 @@ func (r *Relation) String() string {
 	var b strings.Builder
 	b.WriteString(r.Schema.String())
 	b.WriteString(" T\n")
-	for _, t := range r.Tuples {
+	for _, t := range r.Rows() {
 		b.WriteString("  ")
 		b.WriteString(t.String())
 		b.WriteByte('\n')

@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"talign/internal/csvio"
+	"talign/internal/faultinject"
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/storage"
@@ -169,6 +171,57 @@ func TestServerDropTablePersists(t *testing.T) {
 	s2 := New(Config{Flags: plan.DefaultFlags()})
 	if n, err := s2.UseStore(st2); err != nil || n != 0 {
 		t.Fatalf("UseStore after drop: n=%d err=%v", n, err)
+	}
+}
+
+// TestCreateTableFailedLoadLeavesNameFree: a CREATE TABLE whose table
+// persists but cannot be loaded back must not strand the name — in the
+// store ("already exists") but not the catalog ("unknown table"). The
+// failed CREATE drops what it persisted, and DROP TABLE also removes a
+// table that only the store knows.
+func TestCreateTableFailedLoadLeavesNameFree(t *testing.T) {
+	csvPath := writeTortureCSV(t, 30)
+	st, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Config{Flags: plan.DefaultFlags()})
+	if _, err := s.UseStore(st); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	create := fmt.Sprintf(`{"sql": "CREATE TABLE c FROM CSV '%s'"}`, csvPath)
+
+	defer faultinject.Reset()
+	faultinject.Arm("storage.load", faultinject.Fault{Kind: faultinject.KindError})
+	if code, out := rawBody(t, ts, "/query", create); code == http.StatusOK || !strings.Contains(string(out), "storage.load") {
+		t.Fatalf("create under a failing load: %d %s", code, out)
+	}
+	if st.Has("c") {
+		t.Fatal("the failed CREATE left its table in the store")
+	}
+	if code, out := rawBody(t, ts, "/query", create); code != http.StatusOK {
+		t.Fatalf("create after the failed one: %d %s", code, out)
+	}
+	if code, out := rawBody(t, ts, "/query", `{"sql": "DROP TABLE c"}`); code != http.StatusOK {
+		t.Fatalf("drop: %d %s", code, out)
+	}
+
+	// A table only the store knows (its catalog half never happened).
+	rel, err := csvio.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateTable("c", rel); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := rawBody(t, ts, "/query", `{"sql": "DROP TABLE c"}`); code != http.StatusOK || st.Has("c") {
+		t.Fatalf("drop of a store-only table: %d %s (still stored: %v)", code, out, st.Has("c"))
+	}
+	if code, out := rawBody(t, ts, "/query", `{"sql": "DROP TABLE c"}`); code == http.StatusOK || !strings.Contains(string(out), "unknown table") {
+		t.Fatalf("drop of a table nobody knows: %d %s", code, out)
 	}
 }
 

@@ -556,7 +556,7 @@ func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
 	return queryResponse{
 		Columns:  cols,
 		Types:    types,
-		Rows:     cellRows(rel.Tuples),
+		Rows:     cellRows(rel.Rows()),
 		RowCount: rel.Len(),
 		CacheHit: cacheHit,
 	}

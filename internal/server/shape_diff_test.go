@@ -84,8 +84,8 @@ func shapeRels(seed int) map[string]*relation.Relation {
 // and valid time).
 func rowKeys(rel *relation.Relation) [][]byte {
 	keys := make([][]byte, rel.Len())
-	for i := range rel.Tuples {
-		keys[i] = rel.Tuples[i].AppendKey(nil)
+	for i := range rel.Rows() {
+		keys[i] = rel.Rows()[i].AppendKey(nil)
 	}
 	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
 	return keys

@@ -38,7 +38,9 @@ func (s *Server) Store() *storage.Store { return s.store }
 // the data is persisted first (segments + WAL commit record) and the
 // catalog registers the store's segment-backed image of it, so zone-map
 // pruning applies from the first query; without one the table is
-// memory-only, exactly like a talignd name=file.csv argument.
+// memory-only, exactly like a talignd name=file.csv argument. A table
+// that was persisted but cannot be loaded back is dropped from the store
+// again (best effort), so a failed CREATE leaves the name free.
 // CreateTable and DropTable hold the DDL mutex across their whole check
 // → store → catalog sequence: of two concurrent CREATEs of one name one
 // succeeds, and none lands between a DROP's store and catalog halves.
@@ -59,6 +61,7 @@ func (s *Server) CreateTable(name, csvPath string) (*relation.Relation, error) {
 		}
 		loaded, err := s.store.Load(key)
 		if err != nil {
+			_ = s.store.DropTable(key) // the load error is the one to report
 			return nil, storageError(err)
 		}
 		rel = loaded
@@ -68,16 +71,18 @@ func (s *Server) CreateTable(name, csvPath string) (*relation.Relation, error) {
 }
 
 // DropTable removes a table from the catalog and, when a store is
-// attached, from disk. Cached plans over the table go with it, and its
-// segment mappings once the executions still reading them have closed.
+// attached, from disk — also one that only the store knows. Cached plans
+// over the table go with it, and its segment mappings once the executions
+// still reading them have closed.
 func (s *Server) DropTable(name string) error {
 	s.ddl.Lock()
 	defer s.ddl.Unlock()
 	key := strings.ToLower(name)
-	if _, ok := s.catalog.Snapshot().Lookup(key); !ok {
+	stored := s.store != nil && s.store.Has(key)
+	if _, ok := s.catalog.Snapshot().Lookup(key); !ok && !stored {
 		return fmt.Errorf("server: DROP TABLE: unknown table %q", name)
 	}
-	if s.store != nil && s.store.Has(key) {
+	if stored {
 		if err := s.store.DropTable(key); err != nil {
 			return storageError(err)
 		}

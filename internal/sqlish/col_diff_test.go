@@ -40,8 +40,8 @@ func colEngines(t *testing.T, rels map[string]*relation.Relation) (col, colSmall
 // time) is identical.
 func canonKeys(rel *relation.Relation) [][]byte {
 	keys := make([][]byte, rel.Len())
-	for i := range rel.Tuples {
-		keys[i] = rel.Tuples[i].AppendKey(nil)
+	for i := range rel.Rows() {
+		keys[i] = rel.Rows()[i].AppendKey(nil)
 	}
 	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
 	return keys

@@ -252,7 +252,7 @@ func liftCatalog() MapCatalog {
 // canonRows renders a result as sorted row strings.
 func canonRows(rel *relation.Relation) []string {
 	out := make([]string, 0, rel.Len())
-	for _, tp := range rel.Tuples {
+	for _, tp := range rel.Rows() {
 		out = append(out, tp.String())
 	}
 	sort.Strings(out)

@@ -3,11 +3,11 @@
 // estimates, min/max bounds and equi-depth histograms, plus interval
 // statistics for the valid-time column (duration histogram, covering span
 // and an overlap profile). ANALYZE computes them with one pass over a
-// materialized relation; the planner consumes them through the estimation
-// helpers below, falling back to the classic hard-coded selectivity
-// constants wherever statistics are missing. All estimation methods are
-// nil-safe: a nil *Table or *Column reports ok=false and the caller keeps
-// its default.
+// relation's tuples or column images; the planner consumes them through
+// the estimation helpers below, falling back to the classic hard-coded
+// selectivity constants wherever statistics are missing. All estimation
+// methods are nil-safe: a nil *Table or *Column reports ok=false and the
+// caller keeps its default.
 package stats
 
 import (
@@ -246,7 +246,8 @@ func OverlapFrac(l, r *Table) (frac float64, ok bool) {
 // Analyze computes full statistics for rel in O(m · n log n): per column a
 // sort of the non-null values (null fraction, exact distinct count,
 // min/max, equi-depth histogram) and for the valid-time column a
-// start-ordered sweep counting overlapping pairs.
+// start-ordered sweep counting overlapping pairs. It reads the form the
+// relation holds — column images (relation.Parts) or tuples — as it is.
 func Analyze(rel *relation.Relation) *Table {
 	n := rel.Len()
 	cols := make([]Column, rel.Schema.Len())
@@ -313,18 +314,24 @@ func FromSegments(segs []relation.Segment) *Table {
 // analyzeColumn computes one column's statistics.
 func analyzeColumn(rel *relation.Relation, col int) Column {
 	vals := make([]value.Value, 0, rel.Len())
-	nulls := 0
-	for _, tp := range rel.Tuples {
-		v := tp.Vals[col]
-		if v.IsNull() {
-			nulls++
-			continue
+	parts := rel.Parts()
+	for _, p := range parts {
+		for i, vec := 0, &p.Cols[col]; i < p.Len(); i++ {
+			if !vec.IsNull(i) {
+				vals = append(vals, vec.Value(i))
+			}
 		}
-		vals = append(vals, v)
+	}
+	if parts == nil {
+		for _, tp := range rel.Rows() {
+			if v := tp.Vals[col]; !v.IsNull() {
+				vals = append(vals, v)
+			}
+		}
 	}
 	c := Column{Min: value.Null, Max: value.Null}
 	if rel.Len() > 0 {
-		c.NullFrac = float64(nulls) / float64(rel.Len())
+		c.NullFrac = float64(rel.Len()-len(vals)) / float64(rel.Len())
 	}
 	if len(vals) == 0 {
 		return c
@@ -365,19 +372,16 @@ func analyzeIntervals(rel *relation.Relation) IntervalStats {
 	if n == 0 {
 		return IntervalStats{}
 	}
-	starts := make([]int64, n)
-	ends := make([]int64, n)
+	starts, ends := rel.ValidTimes() // read-only: they may be the image's own
 	durs := make([]value.Value, n)
 	var durSum float64
-	for i, tp := range rel.Tuples {
-		starts[i], ends[i] = tp.T.Ts, tp.T.Te
-		durs[i] = value.NewInt(tp.T.Duration())
-		durSum += float64(tp.T.Duration())
+	st := IntervalStats{Span: interval.Interval{Ts: starts[0], Te: ends[0]}}
+	for i := range starts {
+		durs[i] = value.NewInt(ends[i] - starts[i])
+		durSum += float64(ends[i] - starts[i])
+		st.Span.Ts, st.Span.Te = min(st.Span.Ts, starts[i]), max(st.Span.Te, ends[i])
 	}
-	st := IntervalStats{AvgDur: durSum / float64(n)}
-	if span, ok := rel.Span(); ok {
-		st.Span = span
-	}
+	st.AvgDur = durSum / float64(n)
 
 	// Distinct exact intervals: sort (Ts, Te) pairs lexicographically.
 	order := make([]int, n)

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -216,6 +218,8 @@ func (s *Store) segRows() int {
 // writes and syncs them, then commits the table with one WAL record.
 // A crash before the WAL append leaves only orphan files that the next
 // Open garbage-collects; a crash after it leaves a fully durable table.
+// rel is only read, in the form it holds — columns or tuples — and the
+// files are the same bytes either way.
 func (s *Store) CreateTable(name string, rel *relation.Relation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -228,39 +232,61 @@ func (s *Store) CreateTable(name string, rel *relation.Relation) error {
 	if s.man.tables[name] != nil {
 		return fmt.Errorf("storage: table %q already exists", name)
 	}
-
-	// Partition by valid time: sorting by (TS, TE) gives segments with
-	// tight, mostly disjoint time zones, which is what makes zone-map
-	// pruning effective on valid-time predicates.
-	rows := make([]tuple.Tuple, len(rel.Tuples))
-	copy(rows, rel.Tuples)
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].T.Ts != rows[j].T.Ts {
-			return rows[i].T.Ts < rows[j].T.Ts
-		}
-		return rows[i].T.Te < rows[j].T.Te
-	})
-
-	t := &tableMeta{name: name, schema: rel.Schema}
-	per := s.segRows()
-	for lo := 0; lo < len(rows); lo += per {
-		hi := lo + per
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		batch := colbatch.FromTuples(nil, rel.Schema, rows[lo:hi])
-		file := fmt.Sprintf("seg-%08d.tsg", s.man.nextSegID)
-		if err := s.writeSegment(file, EncodeSegment(batch)); err != nil {
-			return err
-		}
-		s.man.nextSegID++
-		t.segs = append(t.segs, segMeta{file: file, rows: hi - lo, zone: colbatch.ZoneOf(batch)})
+	segs, err := s.writeSegments(rel)
+	if err != nil {
+		return err
 	}
+	t := &tableMeta{name: name, schema: rel.Schema, segs: segs}
 	if err := s.commit(encodeWALCreate(s.seq+1, t)); err != nil {
 		return err
 	}
 	s.man.tables[name] = t
 	return nil
+}
+
+// writeSegments writes rel's rows as segment files of at most segRows
+// rows, partitioned by valid time: (TS, TE) order gives segments tight,
+// mostly disjoint time zones, which is what makes zone-map pruning work
+// on valid-time predicates. A permutation of row numbers is sorted, not
+// rows — stably, so ties keep their order — and each run of it gathered
+// into one reused batch: from the columns of a batch-born relation (its
+// one image; a segmented one concatenates first), else from the tuples.
+func (s *Store) writeSegments(rel *relation.Relation) ([]segMeta, error) {
+	var img *colbatch.Batch
+	if rel.Parts() != nil {
+		img = rel.Columnar()
+	}
+	ts, te := rel.ValidTimes()
+	perm := make([]int32, len(ts))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(ts[a], ts[b]), cmp.Compare(te[a], te[b]))
+	})
+	var segs []segMeta
+	per := min(s.segRows(), len(perm))
+	batch := colbatch.New(rel.Schema)
+	batch.Reserve(per)
+	for len(perm) > 0 {
+		run := perm[:min(per, len(perm))]
+		perm = perm[len(run):]
+		batch.Reset()
+		if img != nil {
+			batch.AppendRows(img, run)
+		} else {
+			for _, r := range run {
+				batch.AppendTuple(rel.Rows()[r])
+			}
+		}
+		file := fmt.Sprintf("seg-%08d.tsg", s.man.nextSegID)
+		if err := s.writeSegment(file, EncodeSegment(batch)); err != nil {
+			return nil, err
+		}
+		s.man.nextSegID++
+		segs = append(segs, segMeta{file: file, rows: len(run), zone: colbatch.ZoneOf(batch)})
+	}
+	return segs, nil
 }
 
 // writeSegment durably writes one segment file. Fault sites:
@@ -382,34 +408,17 @@ func (s *Store) Checkpoint() error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	per := s.segRows()
 	for _, n := range names {
 		rows := s.pending[n]
 		t := s.man.tables[n]
 		if t == nil || len(rows) == 0 {
 			continue
 		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			if rows[i].T.Ts != rows[j].T.Ts {
-				return rows[i].T.Ts < rows[j].T.Ts
-			}
-			return rows[i].T.Te < rows[j].T.Te
-		})
-		f := folded{table: t}
-		for lo := 0; lo < len(rows); lo += per {
-			hi := lo + per
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			batch := colbatch.FromTuples(nil, t.schema, rows[lo:hi])
-			file := fmt.Sprintf("seg-%08d.tsg", s.man.nextSegID)
-			if err := s.writeSegment(file, EncodeSegment(batch)); err != nil {
-				return err
-			}
-			s.man.nextSegID++
-			f.segs = append(f.segs, segMeta{file: file, rows: hi - lo, zone: colbatch.ZoneOf(batch)})
+		segs, err := s.writeSegments(&relation.Relation{Schema: t.schema, Tuples: rows})
+		if err != nil {
+			return err
 		}
-		folds = append(folds, f)
+		folds = append(folds, folded{table: t, segs: segs})
 	}
 	for _, f := range folds {
 		f.table.segs = append(f.table.segs, f.segs...)
@@ -428,9 +437,12 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// Load assembles a table into a relation: one zero-copy columnar image
-// per mapped segment (installed through the SetSegments seam, zone maps
-// included) plus any WAL-resident rows as a trailing in-memory segment.
+// Load assembles a table into a batch-born relation over its segments
+// (relation.FromSegments): one zero-copy columnar image per mapped
+// segment file, zone maps included, plus any WAL-resident rows as a
+// trailing heap segment. No tuple is built: the heap cost is per segment,
+// not per row (but see DecodeSegment on strings and bools). Fault site:
+// storage.load, before anything is mapped.
 func (s *Store) Load(name string) (*relation.Relation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,7 +453,9 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 	if t == nil {
 		return nil, fmt.Errorf("storage: unknown table %q", name)
 	}
-	rel := relation.New(t.schema)
+	if err := faultinject.Hit("storage.load"); err != nil {
+		return nil, err
+	}
 	var segs []relation.Segment
 	lo := 0
 	for _, sg := range t.segs {
@@ -459,18 +473,15 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 		if batch.Len() != sg.rows {
 			return nil, corruptf("segment %s holds %d rows, catalog says %d", sg.file, batch.Len(), sg.rows)
 		}
-		rel.Tuples = batch.Materialize(rel.Tuples)
 		segs = append(segs, relation.Segment{Img: batch, Zone: zone, Lo: lo, Hi: lo + batch.Len(), Owner: m})
 		lo += batch.Len()
 		segsLoadedTotal.Add(1)
 	}
 	if rows := s.pending[name]; len(rows) > 0 {
 		batch := colbatch.FromTuples(nil, t.schema, rows)
-		rel.Tuples = batch.Materialize(rel.Tuples)
 		segs = append(segs, relation.Segment{Img: batch, Zone: colbatch.ZoneOf(batch), Lo: lo, Hi: lo + batch.Len()})
 	}
-	rel.SetSegments(segs)
-	return rel, nil
+	return relation.FromSegments(t.schema, segs), nil
 }
 
 // sameSchema checks name/kind equality between a segment's embedded
