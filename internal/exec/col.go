@@ -6,6 +6,32 @@
 // operators can be migrated incrementally). The plan layer decides per
 // operator chain which side runs; see plan's BuildCol protocol.
 //
+// # Life cycle
+//
+// A columnar operator tree is built once and opened many times: Open,
+// NextCol until it returns nil (or the consumer has seen enough), Close —
+// and then Open again, for the next execution of the same prepared plan.
+// Open after Close is legal on every Col* operator; so are Close without
+// Open, after a failed Open and in mid-stream. Open resets everything an
+// execution can observe — cursors, counters, phases, hash tables, match
+// bitmaps, pending output — and re-reads what may differ between
+// executions: a bound expr.Param's frame slot (ColFilter picks its flat
+// kernel from the slot's kind there), the scan's image or pruned segment
+// list, the guards' context and budget (GuardState.Arm). What survives
+// Close is independent of any execution: compiled closures, headers, and
+// small buffers.
+//
+// Retention rule: at Close an operator keeps a buffer it owns (output
+// batch, selection vector, key table, chain index, permutation, store)
+// only while its capacity is at most keptRows elements (keptBytes for
+// byte arenas) and drops anything larger (kept, keepBatch,
+// keyTable.small): an idle tree that last ran over a million rows holds
+// what one that ran over two holds, a few hundred bytes an operator.
+// (Keeping a whole default batch cost a workload of 8 000-row statements
+// 15 % of its peak RSS.) Buffers grow by the same rungs (nextRung), so a
+// point query's settle at keptRows and stay. A store borrowed from a bare
+// ColScan (the relation's image) is dropped at every Close.
+//
 // # Batch ownership
 //
 // The contract mirrors the row side, with one addition. A batch returned
@@ -20,7 +46,7 @@
 // Exhaustion is signalled by a nil batch. A non-nil batch with an empty
 // selection is valid and does NOT signal exhaustion; drivers keep
 // pulling. After NextCol returns nil or an error, behaviour of further
-// NextCol calls is undefined.
+// NextCol calls is undefined until the next Open.
 package exec
 
 import (
@@ -34,12 +60,14 @@ import (
 type ColIterator interface {
 	// Schema describes the nontemporal attributes of the batches.
 	Schema() schema.Schema
-	// Open prepares the iterator; it must be called exactly once.
+	// Open prepares the iterator for one execution; see the package
+	// comment's life cycle for what it resets.
 	Open() error
 	// NextCol returns the next batch, or nil when exhausted. See the
 	// package comment for the ownership contract.
 	NextCol() (*colbatch.Batch, error)
-	// Close releases resources; it must be called exactly once.
+	// Close ends the execution, keeping only what the retention rule
+	// allows; the iterator may be opened again afterwards.
 	Close() error
 }
 
@@ -186,14 +214,17 @@ func clampHint(est int) int { return min(max(est, 0), maxSizeHint) }
 // bare columnar scan hands over the relation's cached image (populated by
 // its Open) instead of a copy: the result is only ever read, so sharing is
 // safe, and it skips one full-relation copy per execution. Anything else
-// is copied column-wise into a store presized from est, the planner's row
-// estimate for the stream (0 = unknown).
-func drainColumnar(in ColIterator, est int) (*colbatch.Batch, error) {
+// is copied column-wise into store, the caller's own (emptied here, and
+// presized from est, the planner's row estimate for the stream; 0 =
+// unknown).
+func drainColumnar(in ColIterator, est int, store *colbatch.Batch) (*colbatch.Batch, error) {
 	if cs, ok := in.(*ColScan); ok {
 		return cs.img, nil
 	}
-	store := colbatch.New(in.Schema())
-	store.Reserve(clampHint(est))
+	store.ResetSchema(in.Schema())
+	if est = clampHint(est); est > store.Cap() {
+		store.Reserve(est)
+	}
 	for {
 		b, err := in.NextCol()
 		if err != nil {
@@ -206,17 +237,52 @@ func drainColumnar(in ColIterator, est int) (*colbatch.Batch, error) {
 	}
 }
 
+// keptRows is the retention rule's bound, in elements, and keptBytes its
+// bound for byte arenas (that many two-integer keys).
+const (
+	keptRows  = DefaultBatchSize / 16
+	keptBytes = 16 * keptRows
+)
+
+// kept applies the retention rule to a buffer at Close: s emptied, or nil
+// when it outgrew one default batch.
+func kept[T any](s []T) []T {
+	if cap(s) > keptRows {
+		return nil
+	}
+	return s[:0]
+}
+
+// keepBatch is kept for an operator's own batch.
+func keepBatch(b *colbatch.Batch) {
+	if b.Cap() > keptRows {
+		*b = colbatch.Batch{}
+		return
+	}
+	b.Reset()
+}
+
+// zeroed returns s resized to n zero elements, reallocating only to grow.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // reserveOut makes room for n more rows in an operator's reused output
 // batch. The first buffer is sized by the rows the operator has in hand,
 // so a two-row result does not pay for a full batch; a batch that outgrows
-// it is regrown once, to the full batch size limit, instead of doubling
-// its way up column by column.
+// it is regrown to the next rung (nextRung), instead of doubling its way
+// up column by column.
 func reserveOut(b *colbatch.Batch, n, limit int) {
 	if b.Cap()-b.Len() >= n {
 		return
 	}
 	if b.Cap() > 0 {
-		n = max(n, limit-b.Len())
+		n = max(n, nextRung(b.Cap(), limit)-b.Len())
 	}
 	b.Reserve(n)
 }

@@ -27,8 +27,14 @@ type ColAbsorb struct {
 	// the store when the input is not a bare scan.
 	SizeHint int
 
-	store *colbatch.Batch
-	keep  []int32 // surviving store rows, in output order
+	store *colbatch.Batch // own, or a bare scan's image
+	own   colbatch.Batch
+	table *keyTable // value key → value group
+	gids  []int32   // per store row: its value group
+	rank  []int32   // per value group: its position in value-key order
+	rows  []int32   // store rows in (value key, Ts, Te desc) order
+	keep  []int32   // surviving store rows, in output order (a prefix of rows' storage)
+	kb    []byte
 	outB  colbatch.Batch
 	pos   int
 }
@@ -45,23 +51,26 @@ func (ab *ColAbsorb) Open() error {
 		return err
 	}
 	var err error
-	if ab.store, err = drainColumnar(ab.Input, ab.SizeHint); err != nil {
+	if ab.store, err = drainColumnar(ab.Input, ab.SizeHint, &ab.own); err != nil {
 		return err
 	}
 	n := ab.store.Len()
-	table := newKeyTable(clampHint(n)) // absorb's input is mostly distinct already
-	gids := make([]int32, n)
-	var kb []byte
+	ab.table = ab.table.reset(clampHint(n)) // absorb's input is mostly distinct already
+	ab.gids = zeroed(ab.gids, n)
+	gids := ab.gids
 	for row := range gids {
-		kb = ab.store.AppendValsKey(kb[:0], row)
-		gids[row], _ = table.insert(kb)
+		ab.kb = ab.store.AppendValsKey(ab.kb[:0], row)
+		gids[row], _ = ab.table.insert(ab.kb)
 	}
-	rank := make([]int32, table.len()) // a value group's position in value-key order
-	for pos, g := range table.sortedIDs() {
+	ab.rows = ab.table.sortedIDs(ab.rows) // the value groups in key order, for now
+	ab.rank = zeroed(ab.rank, len(ab.rows))
+	rank := ab.rank
+	for pos, g := range ab.rows {
 		rank[g] = int32(pos)
 	}
 	ts, te := ab.store.TS, ab.store.TE
-	rows := identityPerm(nil, n)
+	ab.rows = identityPerm(ab.rows[:0], n)
+	rows := ab.rows
 	slices.SortFunc(rows, func(a, b int32) int {
 		if c := cmp.Compare(rank[gids[a]], rank[gids[b]]); c != 0 {
 			return c
@@ -104,6 +113,9 @@ func (ab *ColAbsorb) NextCol() (*colbatch.Batch, error) {
 
 // Close implements ColIterator.
 func (ab *ColAbsorb) Close() error {
-	ab.store, ab.keep = nil, nil
+	ab.store, ab.keep, ab.table = nil, nil, ab.table.small()
+	ab.gids, ab.rank, ab.rows = kept(ab.gids), kept(ab.rank), kept(ab.rows)
+	keepBatch(&ab.own)
+	keepBatch(&ab.outB)
 	return ab.Input.Close()
 }

@@ -96,7 +96,14 @@ func extend[T any](s []T, room int) []T {
 	if len(s) == cap(s) {
 		s = append(make([]T, 0, len(s)+room), s...)
 	}
-	return s[:len(s)+1]
+	var zero T // the storage may be a previous execution's
+	return append(s, zero)
+}
+
+// reset empties the state under the retention rule.
+func (a *accumulators) reset() {
+	a.count, a.sumI, a.sumF = kept(a.count), kept(a.sumI), kept(a.sumF)
+	a.sawF, a.best = kept(a.sawF), kept(a.best)
 }
 
 // grow adds zeroed state for one more group.
@@ -183,10 +190,10 @@ type ColHashAggregate struct {
 	Aggs     []AggSpec
 
 	out    schema.Schema
-	exprs  rowExprs        // group expressions, then the aggregates' arguments
-	argAt  []int           // per aggregate: its argument's index in exprs, -1 for COUNT(*)
-	table  *keyTable       // group key → group id
-	groups *colbatch.Batch // group columns and T, one row per group id
+	exprs  rowExprs       // group expressions, then the aggregates' arguments
+	argAt  []int          // per aggregate: its argument's index in exprs, -1 for COUNT(*)
+	table  *keyTable      // group key → group id
+	groups colbatch.Batch // group columns and T, one row per group id
 	accs   []accumulators
 	order  []int32 // group ids in output order
 	gids   []int32 // scratch: the group of every row of the current batch
@@ -203,6 +210,7 @@ func NewColHashAggregate(input ColIterator, groupBy []expr.Expr, names []string,
 		return nil, err
 	}
 	h := &ColHashAggregate{Input: input, GroupBy: groupBy, GroupByT: groupByT, Aggs: aggs, out: out}
+	h.accs, h.keyVal = make([]accumulators, len(aggs)), make([]value.Value, len(groupBy))
 	es := append([]expr.Expr(nil), groupBy...)
 	for _, a := range aggs {
 		if a.Func == AggCountStar {
@@ -224,13 +232,12 @@ func (h *ColHashAggregate) Open() error {
 	if err := h.Input.Open(); err != nil {
 		return err
 	}
-	h.table = newKeyTable(0)
-	h.groups = colbatch.New(schema.Schema{Attrs: h.out.Attrs[:len(h.GroupBy)]})
-	h.accs = make([]accumulators, len(h.Aggs))
+	h.table = h.table.reset(0)
+	h.groups.ResetSchema(schema.Schema{Attrs: h.out.Attrs[:len(h.GroupBy)]})
 	for i := range h.accs {
 		h.accs[i].fn = h.Aggs[i].Func
+		h.accs[i].reset()
 	}
-	h.keyVal = make([]value.Value, len(h.GroupBy))
 	for {
 		b, err := h.Input.NextCol()
 		if err != nil {
@@ -246,12 +253,13 @@ func (h *ColHashAggregate) Open() error {
 	if h.table.len() == 0 && len(h.GroupBy) == 0 && !h.GroupByT {
 		// Global aggregation over empty input: the one group every row
 		// would have joined, with all-default accumulators.
-		h.table.insert(value.AppendIntervalKey(nil, interval.Interval{}))
+		h.keyBuf = value.AppendIntervalKey(h.keyBuf[:0], interval.Interval{})
+		h.table.insert(h.keyBuf)
 		h.newGroup(interval.Interval{}, 1)
 	}
 	// Deterministic output order: the byte keys encode exactly (group
 	// values, T), so their bytewise order is the canonical group order.
-	h.order = h.table.sortedIDs()
+	h.order = h.table.sortedIDs(h.order)
 	h.outB.ResetSchema(h.out)
 	h.pos = 0
 	return nil
@@ -352,6 +360,11 @@ func (h *ColHashAggregate) NextCol() (*colbatch.Batch, error) {
 
 // Close implements ColIterator.
 func (h *ColHashAggregate) Close() error {
-	h.table, h.groups, h.accs, h.order = nil, nil, nil, nil
+	h.table, h.order, h.gids = h.table.small(), kept(h.order), kept(h.gids)
+	for i := range h.accs {
+		h.accs[i].reset()
+	}
+	keepBatch(&h.groups)
+	keepBatch(&h.outB)
 	return h.Input.Close()
 }

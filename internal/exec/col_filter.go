@@ -3,8 +3,8 @@
 // qualifying physical rows. Predicates are compiled once at construction
 // into tri-state row closures (Kleene logic over -1/0/1 for ω/false/true)
 // mirroring expr's Eval semantics exactly; the single-comparison shapes
-// that dominate real filters additionally compile to branch-light batch
-// kernels over the flat int64/float64 column storage.
+// that dominate real filters additionally compile to a branch-light batch
+// kernel over the flat int64/float64 column storage (flatKernel).
 package exec
 
 import (
@@ -23,19 +23,13 @@ type rowPred func(b *colbatch.Batch, row int) int8
 // colVal produces one operand value for a physical row.
 type colVal func(b *colbatch.Batch, row int) value.Value
 
-// batchKernel filters a whole batch, appending qualifying physical rows
-// to out. ok=false means the column is not in the expected flat layout
-// for this batch (demoted storage) and the caller must fall back to the
-// row closure.
-type batchKernel func(b *colbatch.Batch, out []int32) (_ []int32, ok bool)
-
 // ColFilter filters a columnar stream by writing selection vectors.
 type ColFilter struct {
 	Input ColIterator
 	Pred  expr.Expr
 
 	pred   rowPred
-	kernel batchKernel
+	kernel *flatKernel
 	selBuf []int32
 }
 
@@ -56,10 +50,14 @@ func (f *ColFilter) Schema() schema.Schema { return f.Input.Schema() }
 
 // Open implements ColIterator. The selection buffer is pre-allocated
 // here: a nil selection means "all rows", so the empty selection written
-// on a zero-match batch must be non-nil.
+// on a zero-match batch must be non-nil. The flat kernel reads its operand
+// here: a $N bound to an int now and a string next time changes loops.
 func (f *ColFilter) Open() error {
 	if f.selBuf == nil {
 		f.selBuf = make([]int32, 0, 16)
+	}
+	if f.kernel != nil {
+		f.kernel.v, _ = f.kernel.operand.Eval(nil) // a constant or a bound slot: no env, no error
 	}
 	return f.Input.Open()
 }
@@ -74,7 +72,7 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 	}
 	out := f.selBuf[:0]
 	if f.kernel != nil && b.Sel == nil {
-		if res, ok := f.kernel(b, out); ok {
+		if res, ok := f.kernel.run(b, out); ok {
 			f.selBuf = res
 			b.Sel = res
 			return b, nil
@@ -92,7 +90,10 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 }
 
 // Close implements ColIterator.
-func (f *ColFilter) Close() error { return f.Input.Close() }
+func (f *ColFilter) Close() error {
+	f.selBuf = kept(f.selBuf)
+	return f.Input.Close()
+}
 
 // ColFilterable reports whether the columnar compiler supports pred.
 func ColFilterable(pred expr.Expr) bool {
@@ -226,6 +227,10 @@ func compileOperand(e expr.Expr) (colVal, bool) {
 	case expr.Const:
 		v := n.V
 		return func(*colbatch.Batch, int) value.Value { return v }, true
+	case expr.Param:
+		if slot := n.Slot; slot != nil { // bound: read the frame per row
+			return func(*colbatch.Batch, int) value.Value { return *slot }, true
+		}
 	case expr.ColIdx:
 		idx := n.Idx
 		return func(b *colbatch.Batch, row int) value.Value {
@@ -271,55 +276,88 @@ func cmpTruth(op expr.CmpOp, cv int) int8 {
 	return 0
 }
 
-// compileKernel recognizes the single-comparison shapes worth a flat
-// loop: <int column> op <int const> and <float column> op <float const>,
-// in either operand order, plus TS/TE against an int const. Returns nil
-// when the shape doesn't match; the row closure still handles it.
-func compileKernel(e expr.Expr) batchKernel {
+// flatKernel is the fast path of the single-comparison shapes worth a flat
+// loop: <int column> op <int> and <float column> op <float>, in either
+// operand order, plus TS/TE against an int. The operand is a constant or a
+// bound parameter, so which loop runs — if any: exact cross-kind compare is
+// not a flat loop and stays with the row closure — is decided at Open.
+type flatKernel struct {
+	col     int // column index, srcTS or srcTE
+	op      expr.CmpOp
+	operand expr.Expr
+	v       value.Value // the operand, this execution
+}
+
+// compileKernel returns e's flat kernel, nil when the shape doesn't match;
+// the row closure still handles it.
+func compileKernel(e expr.Expr) *flatKernel {
 	c, ok := e.(expr.Cmp)
 	if !ok {
 		return nil
 	}
-	op := c.Op
-	if col, okc := c.L.(expr.ColIdx); okc {
-		if k := constKernel(col, op, c.R); k != nil {
-			return k
-		}
+	if col, ok := kernelCol(c.L); ok && kernelOperand(c.R) {
+		return &flatKernel{col: col, op: c.Op, operand: c.R}
 	}
-	if col, okc := c.R.(expr.ColIdx); okc {
-		if k := constKernel(col, flipOp(op), c.L); k != nil {
-			return k
-		}
-	}
-	if _, okt := c.L.(expr.TStart); okt {
-		if cv, oki := constInt(c.R); oki {
-			return timeKernel(op, cv, true)
-		}
-	}
-	if _, okt := c.L.(expr.TEnd); okt {
-		if cv, oki := constInt(c.R); oki {
-			return timeKernel(op, cv, false)
-		}
-	}
-	if _, okt := c.R.(expr.TStart); okt {
-		if cv, oki := constInt(c.L); oki {
-			return timeKernel(flipOp(op), cv, true)
-		}
-	}
-	if _, okt := c.R.(expr.TEnd); okt {
-		if cv, oki := constInt(c.L); oki {
-			return timeKernel(flipOp(op), cv, false)
-		}
+	if col, ok := kernelCol(c.R); ok && kernelOperand(c.L) {
+		return &flatKernel{col: col, op: flipOp(c.Op), operand: c.L}
 	}
 	return nil
 }
 
-func constInt(e expr.Expr) (int64, bool) {
-	k, ok := e.(expr.Const)
-	if !ok || k.V.Kind() != value.KindInt {
-		return 0, false
+func kernelCol(e expr.Expr) (int, bool) {
+	switch n := e.(type) {
+	case expr.ColIdx:
+		return n.Idx, true
+	case expr.TStart:
+		return srcTS, true
+	case expr.TEnd:
+		return srcTE, true
 	}
-	return k.V.Int(), true
+	return 0, false
+}
+
+func kernelOperand(e expr.Expr) bool {
+	p, bound := e.(expr.Param)
+	_, isConst := e.(expr.Const)
+	return isConst || bound && p.Slot != nil
+}
+
+// run filters a whole batch, appending qualifying physical rows to out.
+// ok=false means the operand's kind or the column's storage (demoted) has
+// no flat loop for this batch and the caller must use the row closure.
+func (k *flatKernel) run(b *colbatch.Batch, out []int32) (_ []int32, ok bool) {
+	switch kind := k.v.Kind(); {
+	case k.col < 0 && kind == value.KindInt:
+		ts, c := b.TS, k.v.Int()
+		if k.col == srcTE {
+			ts = b.TE
+		}
+		for i := range ts {
+			if cmpTruth(k.op, cmpI64(ts[i], c)) == 1 {
+				out = append(out, int32(i))
+			}
+		}
+		return out, true
+	case k.col >= 0 && kind == value.KindInt:
+		vec, c := &b.Cols[k.col], k.v.Int()
+		ints, flat := vec.IntsRaw()
+		for i := range ints {
+			if !vec.IsNull(i) && cmpTruth(k.op, cmpI64(ints[i], c)) == 1 {
+				out = append(out, int32(i))
+			}
+		}
+		return out, flat
+	case k.col >= 0 && kind == value.KindFloat:
+		vec, c := &b.Cols[k.col], k.v.Float()
+		fs, flat := vec.FloatsRaw()
+		for i := range fs {
+			if !vec.IsNull(i) && cmpTruth(k.op, cmpF64(fs[i], c)) == 1 {
+				out = append(out, int32(i))
+			}
+		}
+		return out, flat
+	}
+	return out, false
 }
 
 // flipOp mirrors an operator across swapped operands (c op x ≡ x flip(op) c).
@@ -335,72 +373,6 @@ func flipOp(op expr.CmpOp) expr.CmpOp {
 		return expr.LE
 	}
 	return op // EQ, NE are symmetric
-}
-
-// constKernel builds the col-op-const kernel when the constant's kind
-// matches the flat storage we expect. Mixed int/float comparisons fall
-// back to the row closure (exact cross-kind compare is not a flat loop).
-func constKernel(col expr.ColIdx, op expr.CmpOp, cexpr expr.Expr) batchKernel {
-	k, ok := cexpr.(expr.Const)
-	if !ok {
-		return nil
-	}
-	idx := col.Idx
-	switch k.V.Kind() {
-	case value.KindInt:
-		c := k.V.Int()
-		return func(b *colbatch.Batch, out []int32) ([]int32, bool) {
-			vec := &b.Cols[idx]
-			ints, flat := vec.IntsRaw()
-			if !flat {
-				return out, false
-			}
-			for i := range ints {
-				if vec.IsNull(i) {
-					continue
-				}
-				if cmpTruth(op, cmpI64(ints[i], c)) == 1 {
-					out = append(out, int32(i))
-				}
-			}
-			return out, true
-		}
-	case value.KindFloat:
-		c := k.V.Float()
-		return func(b *colbatch.Batch, out []int32) ([]int32, bool) {
-			vec := &b.Cols[idx]
-			fs, flat := vec.FloatsRaw()
-			if !flat {
-				return out, false
-			}
-			for i := range fs {
-				if vec.IsNull(i) {
-					continue
-				}
-				if cmpTruth(op, cmpF64(fs[i], c)) == 1 {
-					out = append(out, int32(i))
-				}
-			}
-			return out, true
-		}
-	}
-	return nil
-}
-
-// timeKernel compares the TS or TE column against an int constant.
-func timeKernel(op expr.CmpOp, c int64, start bool) batchKernel {
-	return func(b *colbatch.Batch, out []int32) ([]int32, bool) {
-		ts := b.TS
-		if !start {
-			ts = b.TE
-		}
-		for i := range ts {
-			if cmpTruth(op, cmpI64(ts[i], c)) == 1 {
-				out = append(out, int32(i))
-			}
-		}
-		return out, true
-	}
 }
 
 func cmpI64(a, b int64) int {

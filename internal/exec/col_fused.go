@@ -119,8 +119,10 @@ type ColFusedAdjust struct {
 	out      schema.Schema
 	lenc     rowExprs        // left equi keys
 	renc     rowExprs        // group-side equi keys
-	store    *colbatch.Batch // accumulated group side
-	rkeys    [][]byte        // merge, nested loop: encoded group-side equi keys (nil: unmatchable ω key)
+	store    *colbatch.Batch // accumulated group side: own, or a bare scan's image
+	own      colbatch.Batch
+	lown     colbatch.Batch // merge: the left side, unless a bare scan's image
+	rkeys    [][]byte       // merge, nested loop: encoded group-side equi keys (nil: unmatchable ω key)
 	arena    []byte
 	keyBuf   []byte
 	concat   []value.Value // residual scratch: left values, then right values
@@ -131,7 +133,7 @@ type ColFusedAdjust struct {
 	lpos     int
 	leftDone bool
 
-	index *chainIndex // hash strategy: equi key → chain of store rows
+	index chainIndex // hash strategy: equi key → chain of store rows
 
 	// merge and interval strategies: rperm lists store rows in equi-key
 	// order (merge, ω-keyed rows dropped, rkeys permuted alongside) or in
@@ -194,7 +196,7 @@ func (f *ColFusedAdjust) Open() error {
 		return err
 	}
 	var err error
-	if f.store, err = drainColumnar(f.Right, f.SizeHint); err != nil {
+	if f.store, err = drainColumnar(f.Right, f.SizeHint, &f.own); err != nil {
 		return err
 	}
 	f.outB.ResetSchema(f.out)
@@ -211,13 +213,13 @@ func (f *ColFusedAdjust) Open() error {
 	}
 	switch f.Strategy {
 	case GroupHash:
-		if f.index, err = newChainIndex(&f.renc, f.store); err != nil {
+		if err = f.index.build(&f.renc, f.store); err != nil {
 			return err
 		}
 	case GroupMerge:
 		// Materialize the left side too and key-sort a row permutation of
 		// each side; NextCol walks the runs in lockstep.
-		if f.lb, err = drainColumnar(f.Left, 0); err != nil {
+		if f.lb, err = drainColumnar(f.Left, 0, &f.lown); err != nil {
 			return err
 		}
 		if f.lkeys, err = f.encodeKeys(f.lkeys[:0], &f.lenc, f.lb, false); err != nil {
@@ -226,14 +228,14 @@ func (f *ColFusedAdjust) Open() error {
 		f.lperm = identityPerm(f.lperm[:0], f.lb.Len())
 		tuple.KeySort(f.lperm, f.lkeys)
 		f.rperm = f.rperm[:0]
-		kept := f.rkeys[:0]
+		live := f.rkeys[:0]
 		for j, k := range f.rkeys {
 			if k != nil {
 				f.rperm = append(f.rperm, int32(j))
-				kept = append(kept, k)
+				live = append(live, k)
 			}
 		}
-		f.rkeys = kept
+		f.rkeys = live
 		tuple.KeySort(f.rperm, f.rkeys)
 		f.rlo, f.rhi = 0, 0
 		reserveOut(&f.outB, min(f.lb.Len(), f.batchCap()), f.batchCap())
@@ -516,9 +518,15 @@ func (f *ColFusedAdjust) sweep(row int) {
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
 	f.store, f.lb = nil, nil
-	f.index = nil
-	f.rkeys, f.lkeys, f.arena = nil, nil, nil
-	f.rperm, f.lperm, f.starts = nil, nil, nil
+	f.index.release()
+	keepBatch(&f.own)
+	keepBatch(&f.lown)
+	keepBatch(&f.outB)
+	f.rkeys, f.lkeys, f.spans = kept(f.rkeys), kept(f.lkeys), kept(f.spans)
+	f.rperm, f.lperm, f.starts = kept(f.rperm), kept(f.lperm), kept(f.starts)
+	if cap(f.arena) > keptBytes {
+		f.arena = nil
+	}
 	err1 := f.Left.Close()
 	err2 := f.Right.Close()
 	if err1 != nil {

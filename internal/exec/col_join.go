@@ -14,8 +14,10 @@ import (
 // when the values Compare equal: 1 and 1.0, every NaN — and ω keys never
 // match (SQL semantics); unmatched rows surface through the outer join
 // types. A residual condition and optional timestamp equality filter
-// candidate pairs like NestedLoopJoin's condition: the residual runs over
-// a scratch concatenation of the pair with env.T = the left row's T.
+// candidate pairs: the residual runs over a scratch concatenation of the
+// pair with env.T = the left row's T. With no Keys at all every left row
+// probes the one chain of all store rows, which is the nested-loop join
+// of an arbitrary condition — the planner's nestloop method builds that.
 //
 // A match is only noted as a (left row, store row) index pair; the pairs
 // are gathered column-wise into a reused output batch, so no tuple is
@@ -38,8 +40,9 @@ type ColHashJoin struct {
 
 	out        schema.Schema
 	lenc, renc rowExprs
-	store      *colbatch.Batch // the build side
-	index      *chainIndex
+	store      *colbatch.Batch // the build side: own, or a bare scan's image
+	own        colbatch.Batch
+	index      chainIndex
 	matched    []bool // right/full outer: store rows some left row matched
 	keyBuf     []byte
 	concat     []value.Value // residual scratch: left values, then right values
@@ -85,16 +88,17 @@ func (j *ColHashJoin) Open() error {
 		return err
 	}
 	var err error
-	if j.store, err = drainColumnar(j.Right, j.SizeHint); err != nil {
+	if j.store, err = drainColumnar(j.Right, j.SizeHint, &j.own); err != nil {
 		return err
 	}
-	if j.index, err = newChainIndex(&j.renc, j.store); err != nil {
+	if err = j.index.build(&j.renc, j.store); err != nil {
 		return err
 	}
 	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
-		j.matched = make([]bool, j.store.Len())
+		j.matched = zeroed(j.matched, j.store.Len())
 	}
 	j.outB.ResetSchema(j.out)
+	j.lidx, j.ridx = j.lidx[:0], j.ridx[:0]
 	j.lb, j.lpos, j.probing = nil, 0, false
 	j.drainPos, j.draining, j.done = 0, false, false
 	return nil
@@ -265,7 +269,11 @@ func (j *ColHashJoin) flush() {
 
 // Close implements ColIterator.
 func (j *ColHashJoin) Close() error {
-	j.store, j.index, j.matched, j.lb = nil, nil, nil, nil
+	j.store, j.lb = nil, nil
+	j.index.release()
+	keepBatch(&j.own)
+	keepBatch(&j.outB)
+	j.matched, j.lidx, j.ridx = kept(j.matched), kept(j.lidx), kept(j.ridx)
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

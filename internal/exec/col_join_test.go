@@ -112,7 +112,7 @@ func TestColHashJoinDifferential(t *testing.T) {
 				for _, typ := range types {
 					for _, matchT := range []bool{false, true} {
 						tag := fmt.Sprintf("%s round %d %s matchT=%v residual=%v", d.name, round, typ, matchT, residual != nil)
-						want := collect(t, NewNestedLoopJoin(NewScan(r), NewScan(s), full, typ, matchT))
+						want := naiveJoin(t, r, s, full, typ, matchT)
 						mj, err := NewMergeJoin(
 							NewSort(NewScan(r), SortKey{Expr: lk}), NewSort(NewScan(s), SortKey{Expr: rk}),
 							pairs, residual, typ, matchT)

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/value"
@@ -89,31 +91,39 @@ type chainIndex struct {
 	table *keyTable
 	head  []int32 // per key id: first build row + 1
 	next  []int32 // per build row: next row with the same key + 1; 0 ends
+	kb    []byte
 }
 
-// newChainIndex indexes every physical row of store under keys. Rows are
-// threaded back to front, so a chain lists its rows in store order.
-func newChainIndex(keys *rowExprs, store *colbatch.Batch) (*chainIndex, error) {
+// build indexes every physical row of store under keys, over whatever
+// storage release left from the previous execution. Rows are threaded back
+// to front, so a chain lists its rows in store order; with no keys at all
+// every row is in the one chain of the empty key.
+func (x *chainIndex) build(keys *rowExprs, store *colbatch.Batch) error {
 	n := store.Len()
-	x := &chainIndex{table: newKeyTable(n), head: make([]int32, 0, n), next: make([]int32, n)}
-	var kb []byte
+	x.table = x.table.reset(n)
+	x.head, x.next = slices.Grow(x.head[:0], n), zeroed(x.next, n)
 	for j := n - 1; j >= 0; j-- {
 		var hasNull bool
 		var err error
-		if kb, hasNull, err = keys.appendKey(kb[:0], store, j); err != nil {
-			return nil, err
+		if x.kb, hasNull, err = keys.appendKey(x.kb[:0], store, j); err != nil {
+			return err
 		}
 		if hasNull {
 			continue
 		}
-		id, added := x.table.insert(kb)
+		id, added := x.table.insert(x.kb)
 		if added {
 			x.head = append(x.head, 0)
 		}
 		x.next[j] = x.head[id]
 		x.head[id] = int32(j) + 1
 	}
-	return x, nil
+	return nil
+}
+
+// release applies the retention rule at its operator's Close.
+func (x *chainIndex) release() {
+	x.table, x.head, x.next = x.table.small(), kept(x.head), kept(x.next)
 }
 
 // first returns the first build row + 1 of key's chain, 0 for no match.

@@ -91,4 +91,7 @@ func (l *ColLimit) NextCol() (*colbatch.Batch, error) {
 }
 
 // Close implements ColIterator.
-func (l *ColLimit) Close() error { return l.Input.Close() }
+func (l *ColLimit) Close() error {
+	l.iota, l.selBuf = kept(l.iota), kept(l.selBuf)
+	return l.Input.Close()
+}

@@ -48,7 +48,7 @@ func (s *ColSetOp) Open() error {
 	if err := s.Right.Open(); err != nil {
 		return err
 	}
-	s.seen = newKeyTable(clampHint(s.SizeHint))
+	s.seen = s.seen.reset(clampHint(s.SizeHint))
 	if s.selBuf == nil {
 		s.selBuf = make([]int32, 0, 16)
 	}
@@ -93,7 +93,7 @@ func (s *ColSetOp) NextCol() (*colbatch.Batch, error) {
 
 // Close implements ColIterator.
 func (s *ColSetOp) Close() error {
-	s.seen = nil
+	s.seen, s.selBuf = s.seen.small(), kept(s.selBuf)
 	err1 := s.Left.Close()
 	err2 := s.Right.Close()
 	if err1 != nil {

@@ -193,14 +193,18 @@ func TestColProjectMatchesRowProject(t *testing.T) {
 // TestFirstBuffersSizedByRowsInHand pins the buffer rule of roomFor: an
 // operator's first output buffer holds the rows it has in hand — a point
 // query's two rows do not pay for 1 024 — and a buffer that turns out too
-// small is replaced once, by a full-size one.
+// small is replaced by one of keptRows (what a re-opened point query keeps
+// from execution to execution), then by a full-size one.
 func TestFirstBuffersSizedByRowsInHand(t *testing.T) {
 	s := roomFor([]int32(nil), 2, 1024)
 	if cap(s) != 2 {
 		t.Fatalf("first buffer has cap %d, want the 2 rows in hand", cap(s))
 	}
-	if s = roomFor(s[:2], 1, 1024); cap(s) != 1024 {
-		t.Fatalf("regrown buffer has cap %d, want the limit 1024", cap(s))
+	if s = roomFor(s[:2], 1, 1024); cap(s) != keptRows {
+		t.Fatalf("regrown buffer has cap %d, want keptRows = %d", cap(s), keptRows)
+	}
+	if s = roomFor(s[:keptRows], 1, 1024); cap(s) != 1024 {
+		t.Fatalf("buffer regrown past keptRows has cap %d, want the limit 1024", cap(s))
 	}
 
 	rel := relation.NewBuilder("k int", "v int")

@@ -5,11 +5,12 @@
 // hold state — ColFusedAdjust (the one ALIGN/NORMALIZE operator: the
 // group-construction join of Sec. 6.1/6.3 fused with the plane-sweep
 // ExecAdjustment of Sec. 6.2, Fig. 10), ColHashJoin (inner, left/right/
-// full outer, semi, anti), ColHashAggregate and ColAbsorb (Def. 12). The
+// full outer, semi, anti; keyless, it is the nested-loop join),
+// ColHashAggregate and ColAbsorb (Def. 12). A columnar tree is built once
+// per prepared plan and re-opened for every execution (see col.go). The
 // row one (Iterator: batches of tuples) is what remains of the original
-// executor: sorts, nested-loop and sort-merge joins, duplicate
-// elimination, intersect/except, and row twins of the stateless columnar
-// operators. Materialize and ToCol bridge the two, and a hash-partitioned
+// executor: sorts, the sort-merge join, duplicate elimination,
+// intersect/except, and row twins of the stateless columnar operators. Materialize and ToCol bridge the two, and a hash-partitioned
 // parallel exchange layer (Splitter / Exchange, row and columnar) spreads
 // a plan fragment across worker goroutines.
 //
@@ -108,7 +109,7 @@ func (b *batching) resetOut() { b.outBuf = b.outBuf[:0] }
 // roomFor returns s with room for n more elements under the executor's
 // buffer rule: a first buffer holds exactly what its operator has in hand,
 // so a two-row result does not pay for a full batch, and a buffer that
-// turns out too small is replaced once, by one of at least limit — it
+// turns out too small is replaced by one of the next rung (nextRung) — it
 // never doubles its way up through a dozen allocations.
 func roomFor[T any](s []T, n, limit int) []T {
 	if cap(s)-len(s) >= n {
@@ -116,9 +117,19 @@ func roomFor[T any](s []T, n, limit int) []T {
 	}
 	need := len(s) + n
 	if cap(s) > 0 {
-		need = max(need, limit)
+		need = max(need, nextRung(cap(s), limit))
 	}
 	return append(make([]T, 0, need), s...)
+}
+
+// nextRung is the capacity that replaces a buffer of capacity c that turned
+// out too small: keptRows — where a re-opened point query's buffers settle
+// and, by the retention rule, stay — and past that the full limit.
+func nextRung(c, limit int) int {
+	if c < keptRows {
+		return min(keptRows, limit)
+	}
+	return limit
 }
 
 // reserve makes room for n more output tuples — n being the input rows

@@ -85,7 +85,7 @@ func RecoverAsError(site string, errp *error) {
 //     down the query, not the process;
 //   - cooperative cancellation: once the execution's context is
 //     cancelled or past its deadline, Open/Next abort with the context
-//     error (counted once per guard into CancelObserved);
+//     error (counted once per execution into CancelObserved);
 //   - resource budgeting: every output batch is charged against the
 //     execution's shared Budget, and an exhausted budget aborts with a
 //     structured *BudgetError.
@@ -96,30 +96,34 @@ func RecoverAsError(site string, errp *error) {
 type Guard struct {
 	// Input is the wrapped operator.
 	Input Iterator
-	guardState
+	*GuardState
 }
 
-// guardState is what the row and columnar guards share: the execution's
-// context and budget, and whether this guard already counted its
-// cancellation.
-type guardState struct {
+// GuardState is what every guard of one built pipeline, row and columnar,
+// shares: the running execution's context and budget, and whether its
+// cancellation was counted yet. The guards are built around it once; each
+// execution re-arms it (Arm) before Open, never while one is running.
+type GuardState struct {
 	ctx     context.Context
 	budget  *Budget
-	tripped bool
+	tripped atomic.Bool // guards of exchange fragments run concurrently
 }
 
-func newGuardState(ctx context.Context, budget *Budget) guardState {
+// Arm points the guards at one execution: a nil (or never-cancellable) ctx
+// skips the cancellation check, a nil budget skips charging; Arm(nil, nil)
+// lets go of a finished execution's.
+func (g *GuardState) Arm(ctx context.Context, budget *Budget) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
 	}
-	return guardState{ctx: ctx, budget: budget}
+	g.ctx, g.budget = ctx, budget
+	g.tripped.Store(false)
 }
 
-// NewGuard wraps in with the panic/cancellation/budget boundary. A nil
-// (or never-cancellable) ctx skips the cancellation check; a nil budget
-// skips charging; panic recovery is unconditional.
-func NewGuard(ctx context.Context, budget *Budget, in Iterator) Iterator {
-	return &Guard{Input: in, guardState: newGuardState(ctx, budget)}
+// NewGuard wraps in with the panic/cancellation/budget boundary armed
+// through gs; panic recovery is unconditional.
+func NewGuard(gs *GuardState, in Iterator) Iterator {
+	return &Guard{Input: in, GuardState: gs}
 }
 
 // Schema implements Iterator.
@@ -181,13 +185,12 @@ func (g *Guard) site() string { return fmt.Sprintf("%T", g.Input) }
 
 // check returns the context's error once it is done, counting the first
 // observation into the process-wide instrumentation counter.
-func (g *guardState) check() error {
+func (g *GuardState) check() error {
 	if g.ctx == nil {
 		return nil
 	}
 	if err := g.ctx.Err(); err != nil {
-		if !g.tripped {
-			g.tripped = true
+		if g.tripped.CompareAndSwap(false, true) {
 			cancelObserved.Add(1)
 		}
 		return err
@@ -204,12 +207,12 @@ func (g *guardState) check() error {
 type ColGuard struct {
 	// Input is the wrapped columnar operator.
 	Input ColIterator
-	guardState
+	*GuardState
 }
 
 // NewColGuard wraps in like NewGuard wraps a row operator.
-func NewColGuard(ctx context.Context, budget *Budget, in ColIterator) *ColGuard {
-	return &ColGuard{Input: in, guardState: newGuardState(ctx, budget)}
+func NewColGuard(gs *GuardState, in ColIterator) *ColGuard {
+	return &ColGuard{Input: in, GuardState: gs}
 }
 
 // Schema implements ColIterator.

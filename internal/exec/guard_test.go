@@ -58,6 +58,13 @@ func rowsOf(n int) [][]tuple.Tuple {
 	return out
 }
 
+// armed returns a guard state armed for one execution.
+func armed(ctx context.Context, budget *Budget) *GuardState {
+	gs := new(GuardState)
+	gs.Arm(ctx, budget)
+	return gs
+}
+
 // TestGuardRecoversPanics proves a panic at any Iterator call surfaces as
 // a structured *PanicError instead of crashing, and that the recovery
 // counter advances.
@@ -72,7 +79,7 @@ func TestGuardRecoversPanics(t *testing.T) {
 		case "close":
 			f.closePanic = "boom"
 		}
-		g := NewGuard(context.Background(), nil, f)
+		g := NewGuard(armed(context.Background(), nil), f)
 		before := PanicsRecovered()
 
 		var err error
@@ -106,7 +113,7 @@ func TestGuardRecoversPanics(t *testing.T) {
 func TestGuardCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := NewGuard(ctx, nil, &faultyIter{batches: rowsOf(3)})
+	g := NewGuard(armed(ctx, nil), &faultyIter{batches: rowsOf(3)})
 	if err := g.Open(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Open under cancelled ctx: got %v, want context.Canceled", err)
 	}
@@ -120,7 +127,7 @@ func TestGuardCancellation(t *testing.T) {
 // tripped.
 func TestGuardBudget(t *testing.T) {
 	bud := NewBudget(2, 0)
-	g := NewGuard(nil, bud, &faultyIter{batches: rowsOf(5)})
+	g := NewGuard(armed(nil, bud), &faultyIter{batches: rowsOf(5)})
 	if err := g.Open(); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -144,7 +151,7 @@ func TestGuardBudget(t *testing.T) {
 // when the row count stays small.
 func TestGuardByteBudget(t *testing.T) {
 	bud := NewBudget(0, 10)
-	g := NewGuard(nil, bud, &faultyIter{batches: rowsOf(2)})
+	g := NewGuard(armed(nil, bud), &faultyIter{batches: rowsOf(2)})
 	_ = g.Open()
 	var err error
 	for i := 0; i < 2 && err == nil; i++ {

@@ -19,21 +19,29 @@ import (
 // probed linearly — no Go map, no per-key allocation, and growth that
 // rehashes from the stored hashes without touching the keys. n inserts
 // cost O(log n) allocations (four slices that double together), O(1) when
-// the size hint was right.
+// the size hint was right — and none on a table reset from its operator's
+// previous execution.
 type keyTable struct {
 	seed   maphash.Seed
 	slots  []int32 // id+1; 0 = empty; len is a power of two
 	hashes []uint64
 	offs   []int32 // key id = arena[offs[id]:offs[id+1]]
 	arena  []byte
+	sorted [][]byte // sortedIDs scratch
 }
 
-// newKeyTable returns a table presized for sizeHint distinct keys (0 is
-// fine: the table grows).
-func newKeyTable(sizeHint int) *keyTable {
+// reset returns an empty table presized for sizeHint distinct keys (0 is
+// fine: the table grows): t itself, emptied, when its operator kept it
+// from the previous execution (see small) and it is large enough.
+func (t *keyTable) reset(sizeHint int) *keyTable {
 	size := 16
 	for size < 2*sizeHint {
 		size <<= 1
+	}
+	if t != nil && len(t.slots) >= size {
+		clear(t.slots)
+		t.hashes, t.offs, t.arena = t.hashes[:0], t.offs[:1], t.arena[:0]
+		return t
 	}
 	return &keyTable{
 		seed:   maphash.MakeSeed(),
@@ -41,6 +49,15 @@ func newKeyTable(sizeHint int) *keyTable {
 		hashes: make([]uint64, 0, size/2),
 		offs:   make([]int32, 1, size/2+1),
 	}
+}
+
+// small is the retention rule (see ColIterator) for a table at Close: t
+// while it holds no more than keptRows keys' worth of storage, else nil.
+func (t *keyTable) small() *keyTable {
+	if t == nil || len(t.slots) > 2*keptRows || cap(t.arena) > keptBytes {
+		return nil
+	}
+	return t
 }
 
 // len returns the number of distinct keys.
@@ -54,13 +71,13 @@ func (t *keyTable) key(id int32) []byte {
 
 // sortedIDs returns the ids in ascending key order: the deterministic
 // output order of the operators that group by key.
-func (t *keyTable) sortedIDs() []int32 {
-	ids := identityPerm(nil, t.len())
-	keys := make([][]byte, len(ids))
-	for id := range keys {
-		keys[id] = t.key(int32(id))
+func (t *keyTable) sortedIDs(ids []int32) []int32 {
+	ids = identityPerm(ids[:0], t.len())
+	t.sorted = slices.Grow(t.sorted[:0], len(ids))
+	for id := range ids {
+		t.sorted = append(t.sorted, t.key(int32(id)))
 	}
-	tuple.KeySort(ids, keys)
+	tuple.KeySort(ids, t.sorted)
 	return ids
 }
 

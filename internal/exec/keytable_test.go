@@ -13,7 +13,7 @@ import (
 func TestKeyTableBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, hint := range []int{0, 5, 5000} {
-		tab := newKeyTable(hint)
+		tab := (*keyTable)(nil).reset(hint)
 		ref := map[string]int32{}
 		var keys [][]byte
 		for i := 0; i < 20000; i++ {
@@ -61,7 +61,7 @@ func TestKeyTableAllocs(t *testing.T) {
 		}
 		fill := func(hint int) float64 {
 			return testing.AllocsPerRun(3, func() {
-				tab := newKeyTable(hint)
+				tab := (*keyTable)(nil).reset(hint)
 				for _, k := range keys {
 					tab.insert(k)
 				}

@@ -96,7 +96,10 @@ func (s *SegScan) Close() error { return nil }
 type ColSegScan struct {
 	batching
 	Segs []relation.Segment
-	sch  schema.Schema
+	// Prune, when set, resolves Segs at every Open (the planner's zone-map
+	// pruning under the execution's values), appending survivors to dst.
+	Prune func(dst []relation.Segment) []relation.Segment
+	sch   schema.Schema
 
 	seg  int
 	pos  int
@@ -113,6 +116,9 @@ func (s *ColSegScan) Schema() schema.Schema { return s.sch }
 
 // Open implements ColIterator.
 func (s *ColSegScan) Open() error {
+	if s.Prune != nil {
+		s.Segs = s.Prune(s.Segs[:0])
+	}
 	s.seg = 0
 	s.pos = 0
 	return nil

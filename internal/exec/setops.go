@@ -74,11 +74,11 @@ func (s *SetOp) Open() error {
 	if err := s.Right.Open(); err != nil {
 		return err
 	}
-	s.seen = newKeyTable(0)
+	s.seen = s.seen.reset(0)
 	s.phase = 0
 	s.done = false
 	if s.Kind == IntersectOp || s.Kind == ExceptOp {
-		s.rhs = newKeyTable(0)
+		s.rhs = s.rhs.reset(0)
 		for {
 			batch, err := s.Right.Next()
 			if err != nil {
@@ -182,7 +182,7 @@ func NewDistinct(input Iterator) *Distinct {
 func (d *Distinct) Schema() schema.Schema { return d.Input.Schema() }
 
 func (d *Distinct) Open() error {
-	d.seen = newKeyTable(0)
+	d.seen = d.seen.reset(0)
 	d.done = false
 	return d.Input.Open()
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // Param is a $N query parameter placeholder (1-based). A plan containing
-// Param nodes is a generic plan: it is analyzed, optimized and cached once,
-// and each execution substitutes concrete values with BindParams without
-// re-planning. Until then a Param's static type is unknown (KindNull) and
-// evaluating it is an error.
+// Param nodes is a generic plan: it is analyzed, optimized and cached once.
+// BindParams ties an expression's placeholders to a parameter frame once
+// per built pipeline, and every execution overwrites the frame without
+// re-planning or re-binding. An unbound Param's static type is unknown
+// (KindNull) and evaluating it is an error.
 type Param struct {
 	// Idx is the 1-based parameter position ($1 has Idx 1).
 	Idx int
@@ -23,6 +24,9 @@ type Param struct {
 	// (statements whose literals differ in kind never share a plan) and is
 	// what EXPLAIN prints for the slot.
 	Peek *value.Value
+	// Slot, set by BindParams, is the placeholder's cell in the frame the
+	// expression was bound to; Eval reads whatever the frame holds then.
+	Slot *value.Value
 }
 
 // Bind implements Expr; placeholders are position-bound already and pass
@@ -39,9 +43,12 @@ func (p Param) Type() value.Kind {
 	return value.KindNull
 }
 
-// Eval fails: executing a plan that still contains placeholders means the
-// caller skipped BindParams (or supplied too few values).
+// Eval reads the bound frame slot. It fails on an unbound placeholder:
+// the caller skipped BindParams (or supplied too few values).
 func (p Param) Eval(*Env) (value.Value, error) {
+	if p.Slot != nil {
+		return *p.Slot, nil
+	}
 	return value.Null, fmt.Errorf("expr: parameter $%d not bound", p.Idx)
 }
 
@@ -55,22 +62,23 @@ func (p Param) String() string {
 	return fmt.Sprintf("$%d", p.Idx)
 }
 
-// BindParams returns e with every Param whose value is provided replaced by
-// the corresponding constant (vals[0] binds $1). Params beyond len(vals)
-// are left in place and fail at Eval time; expressions without placeholders
-// are returned unchanged (no copy).
-func BindParams(e Expr, vals []value.Value) Expr {
-	if e == nil || len(vals) == 0 || !HasParams(e) {
+// BindParams returns e with every Param that has a slot in frame bound to
+// it (frame[0] is $1): the result reads the frame at evaluation time, so the
+// caller rebinds by overwriting frame's elements, never by growing it.
+// Params beyond len(frame) stay unbound and fail at Eval time; expressions
+// without placeholders are returned unchanged (no copy).
+func BindParams(e Expr, frame []value.Value) Expr {
+	if e == nil || len(frame) == 0 || !HasParams(e) {
 		return e
 	}
-	return rewriteParams(e, vals)
+	return rewriteParams(e, frame)
 }
 
 func rewriteParams(e Expr, vals []value.Value) Expr {
 	switch x := e.(type) {
 	case Param:
 		if x.Idx >= 1 && x.Idx <= len(vals) {
-			return Const{V: vals[x.Idx-1]}
+			x.Slot = &vals[x.Idx-1]
 		}
 		return x
 	case Cmp:

@@ -4,10 +4,16 @@
 // a row parent keeps seeing rows while the pipeline underneath runs over
 // colbatch vectors, and a columnar root (BuildColRoot) hands its batches
 // to the cursor untouched. Scan, filter, project, limit and union have a
-// row twin to fall back on. The adjustment, hash-join, aggregate and
-// absorb nodes have one operator each, a columnar one: their Build always
-// builds it, bridging children that stay on the row path with
+// row twin to fall back on. The adjustment, hash/nested-loop join,
+// aggregate and absorb nodes have one operator each, a columnar one: their
+// Build always builds it, bridging children that stay on the row path with
 // exec.NewToCol (toColInput).
+//
+// A columnar root is built to be opened again and again: what a build
+// reads from its ExecCtx — parameter frame, guard state — is bound by
+// reference, so the owner runs the next execution by rewriting those and
+// calling Open. What cannot be re-opened yet marks the ExecCtx while it is
+// built (ExecCtx.Reusable).
 //
 // Three invariants keep the protocol safe:
 //
@@ -73,14 +79,15 @@ func materializeColBuild(n Node, ctx *ExecCtx) (exec.Iterator, bool, error) {
 // BuildColRoot builds n as the root of a columnar pull: ok=true hands
 // back the vectorized pipeline itself — behind the same panic,
 // cancellation and budget boundary instrument gives a row root — for a
-// consumer that ships batches instead of materializing rows. Refusal is
+// consumer that ships batches instead of materializing rows, and may keep
+// the pipeline for ctx's next execution while ctx.Reusable(). Refusal is
 // consumption-free (invariant 1), so the caller falls back to n.Build.
 func BuildColRoot(n Node, ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	cit, ok, err := buildColNode(n, ctx)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return exec.NewColGuard(ctx.Ctx, ctx.Budget, cit), true, nil
+	return exec.NewColGuard(&ctx.guard, cit), true, nil
 }
 
 // buildMaterialized is Build for a node with one operator, a columnar one:
@@ -132,22 +139,28 @@ func toColInput(n Node, ctx *ExecCtx) (exec.ColIterator, error) {
 		if err != nil {
 			return nil, err
 		}
+		if ctx != nil {
+			ctx.singleUse = true
+		}
 		return exec.NewToCol(it), nil
 	}
 	if _, bare := cit.(*exec.ColScan); bare || ctx == nil {
 		return cit, nil
 	}
-	return exec.NewColGuard(ctx.Ctx, ctx.Budget, cit), nil
+	return exec.NewColGuard(&ctx.guard, cit), nil
 }
 
 // BuildCol streams the relation's cached columnar image (zero-copy
-// views, see relation.Columnar).
+// views, see relation.Columnar), or the segments that survive pruning,
+// resolved at every Open under the frame's values of the moment.
 func (s *ScanNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	if colDisabled(s.noCol, ctx) {
 		return nil, false, nil
 	}
-	if segs, _, ok := s.pruneSegments(ctx); ok {
-		return exec.ApplyColBatch(exec.NewColSegScan(s.Rel.Schema, segs), s.batch), true, nil
+	if s.prunes() {
+		cs := exec.NewColSegScan(s.Rel.Schema, nil)
+		cs.Prune = func(dst []relation.Segment) []relation.Segment { return s.pruneSegments(ctx, dst) }
+		return exec.ApplyColBatch(cs, s.batch), true, nil
 	}
 	return exec.ApplyColBatch(exec.NewColScan(s.Rel), s.batch), true, nil
 }
@@ -214,11 +227,11 @@ func (n *AdjustmentNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) 
 	return buildColOnly(n.noCol, ctx, n.buildFused)
 }
 
-// BuildCol hands the hash join to a columnar parent; the other join
-// methods are row operators (a pure gate, checked before any child is
-// built).
+// BuildCol hands the hash join (keyless for the nested-loop method) to a
+// columnar parent; the merge method is a row operator (a pure gate,
+// checked before any child is built).
 func (j *JoinNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
-	if j.Method != MethodHash {
+	if j.Method == MethodMerge {
 		return nil, false, nil
 	}
 	return buildColOnly(j.noCol, ctx, j.buildHash)
@@ -265,6 +278,9 @@ func (s *SetOpNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 func (s *SharedNode) BuildCol(ctx *ExecCtx) (exec.ColIterator, bool, error) {
 	if colDisabled(s.noCol, ctx) {
 		return nil, false, nil
+	}
+	if ctx != nil {
+		ctx.singleUse = true
 	}
 	rel, err := ctx.sharedGet(s, func() (*relation.Relation, error) {
 		it, err := s.Input.Build(ctx)

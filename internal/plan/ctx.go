@@ -10,30 +10,20 @@ import (
 	"talign/internal/value"
 )
 
-// ExecCtx carries one execution's runtime state down through Build: the
-// bound parameter values for $N placeholders and the per-execution
-// materialization memo for SharedNode subtrees. Plans themselves stay
-// immutable — a prepared plan can be Built concurrently by many goroutines,
-// each with its own ExecCtx — which is what makes the server's plan cache
-// safe to share.
+// ExecCtx is the rebindable state of one built pipeline, handed down
+// through Build and kept by whoever keeps the pipeline: the parameter
+// frame its expressions read, the guard state its operators' resilience
+// boundaries check, and the materialization memo for SharedNode subtrees.
+// Plans themselves stay immutable — a prepared plan can be Built
+// concurrently, each build with its own ExecCtx — which is what makes the
+// server's plan cache safe to share. A pipeline that runs again (Reusable)
+// runs under the same ExecCtx: its owner overwrites Params' elements and
+// calls Arm between two executions, never during one.
 type ExecCtx struct {
-	// Params are the values bound to $1..$N, in order.
+	// Params is the frame of values bound to $1..$N, in order. Build binds
+	// every placeholder to its element (expr.BindParams), so the slice is
+	// fixed once a Build has seen it: rebind by assigning elements.
 	Params []value.Value
-
-	// Ctx is the execution's context.Context. When it is cancellable,
-	// every operator a Build produces gains a cooperative per-batch
-	// cancellation check (exec.Guard), so cancelling the context — or
-	// passing its deadline — promptly aborts the whole executor tree,
-	// including the fragment operators driven by exchange worker
-	// goroutines. A nil Ctx (or context.Background()) skips the check.
-	Ctx context.Context
-
-	// Budget, when set, is the execution's shared resource budget: every
-	// guarded operator charges its output batches against it, and an
-	// exhausted budget aborts the query with a structured
-	// *exec.BudgetError (wire code "resource"). One Budget serves every
-	// fragment of a parallel plan — the counters are atomic.
-	Budget *exec.Budget
 
 	// Instrument, when set, wraps every operator a Build produces (after
 	// batch sizing) and is how EXPLAIN ANALYZE attaches its row counters.
@@ -48,6 +38,9 @@ type ExecCtx struct {
 	// annotate scan nodes; executions without it pay nothing.
 	SegObserver func(n Node, scanned, pruned int)
 
+	guard     exec.GuardState
+	singleUse bool // set while building: something in the pipeline cannot be re-opened
+
 	mu     sync.Mutex
 	shared map[*SharedNode]*relation.Relation
 }
@@ -60,12 +53,30 @@ func NewExecCtx(params ...value.Value) *ExecCtx {
 // NewExecCtxContext returns an execution context carrying ctx for
 // cooperative cancellation and binding params to $1..$N.
 func NewExecCtxContext(ctx context.Context, params ...value.Value) *ExecCtx {
-	return &ExecCtx{Ctx: ctx, Params: params}
+	c := NewExecCtx(params...)
+	c.Arm(ctx, nil)
+	return c
 }
 
-// bind substitutes this execution's parameter values into e. A nil context
-// (or a context without parameters) returns e unchanged, so plans built
-// outside the prepared-statement path pay nothing.
+// Arm points every guard of the pipeline (exec.Guard, exec.ColGuard) at one
+// execution. Cancelling a cancellable ctx — or passing its deadline —
+// aborts the whole executor tree between batches, exchange fragments
+// included; a nil ctx (or context.Background()) skips the check. budget,
+// when set, is charged every guarded operator's output batches (atomically:
+// one Budget serves all fragments), and exhausting it aborts the query with
+// a *exec.BudgetError (wire code "resource"). Arm(nil, nil) lets go.
+func (c *ExecCtx) Arm(ctx context.Context, budget *exec.Budget) { c.guard.Arm(ctx, budget) }
+
+// Reusable reports whether the pipeline built under c may be opened again
+// after Close. False once the build put in something that cannot be yet: a
+// row subtree behind an exec.ToCol bridge (exchanges are row-built, so
+// this covers DOP > 1) or a scan of a SharedNode's per-execution memo.
+// Instrumented builds and row roots never yield a columnar root to keep.
+func (c *ExecCtx) Reusable() bool { return !c.singleUse }
+
+// bind ties e's placeholders to the pipeline's parameter frame. A nil
+// context (or a context without parameters) returns e unchanged, so plans
+// built outside the prepared-statement path pay nothing.
 func (c *ExecCtx) bind(e expr.Expr) expr.Expr {
 	if c == nil || len(c.Params) == 0 {
 		return e
@@ -97,7 +108,7 @@ func (c *ExecCtx) instrument(n Node, it exec.Iterator) exec.Iterator {
 	if c == nil {
 		return it
 	}
-	it = exec.NewGuard(c.Ctx, c.Budget, it)
+	it = exec.NewGuard(&c.guard, it)
 	if c.Instrument == nil {
 		return it
 	}

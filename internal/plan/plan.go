@@ -366,35 +366,33 @@ func (s *ScanNode) Cost() float64 {
 func (s *ScanNode) Stats() *stats.Table { return s.TableStats }
 
 func (s *ScanNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if segs, _, ok := s.pruneSegments(ctx); ok {
-		return ctx.instrument(s, applyBatch(exec.NewSegScan(s.Rel, segs), s.batch)), nil
+	if s.prunes() {
+		return ctx.instrument(s, applyBatch(exec.NewSegScan(s.Rel, s.pruneSegments(ctx, nil)), s.batch)), nil
 	}
 	return ctx.instrument(s, applyBatch(exec.NewScan(s.Rel), s.batch)), nil
 }
 
-// pruneSegments resolves the relation's segments under s.Prune: the
-// survivors, the pruned count, and whether a segment scan should be
-// used at all (false when the relation has no segments or nothing to
-// prune on). It also feeds the process-wide pruning counters and the
-// context's SegObserver (EXPLAIN ANALYZE).
-func (s *ScanNode) pruneSegments(ctx *ExecCtx) ([]relation.Segment, int, bool) {
-	if s.Prune == nil {
-		return nil, 0, false
-	}
-	segs := s.Rel.Segments()
-	if segs == nil {
-		return nil, 0, false
-	}
+// prunes reports whether a segment scan should be used at all: false when
+// the relation has no segments or there is nothing to prune on.
+func (s *ScanNode) prunes() bool { return s.Prune != nil && s.Rel.Segments() != nil }
+
+// pruneSegments appends to dst the relation's segments that survive
+// s.Prune under the parameter values ctx holds now — once per execution:
+// the row scan asks while it is built, the columnar scan at every Open. It
+// also feeds the process-wide pruning counters and the context's
+// SegObserver (EXPLAIN ANALYZE).
+func (s *ScanNode) pruneSegments(ctx *ExecCtx, dst []relation.Segment) []relation.Segment {
 	var params []value.Value
 	if ctx != nil {
 		params = ctx.Params
 	}
-	keep, pruned := s.Prune.Filter(segs, params)
-	exec.SegmentsObserve(len(keep), pruned)
+	segs := s.Rel.Segments()
+	keep := s.Prune.Filter(dst, segs, params)
+	exec.SegmentsObserve(len(keep), len(segs)-len(keep))
 	if ctx != nil && ctx.SegObserver != nil {
-		ctx.SegObserver(s, len(keep), pruned)
+		ctx.SegObserver(s, len(keep), len(segs)-len(keep))
 	}
-	return keep, pruned, true
+	return keep
 }
 
 func (s *ScanNode) Label() string {
@@ -921,12 +919,12 @@ func (j *JoinNode) Stats() *stats.Table {
 	return j.stats.store(out)
 }
 
-// Build runs the hash method's one operator, exec.ColHashJoin, on every
-// configuration — materialized here at the row boundary, where an
-// instrumented execution counts its rows; the merge and nested-loop
-// methods are row operators.
+// Build runs the hash and nested-loop methods' one operator,
+// exec.ColHashJoin, on every configuration — materialized here at the row
+// boundary, where an instrumented execution counts its rows; the merge
+// method is a row operator.
 func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if j.Method == MethodHash {
+	if j.Method != MethodMerge {
 		return buildMaterialized(j, ctx, j.buildHash)
 	}
 	l, err := j.Left.Build(ctx)
@@ -938,28 +936,24 @@ func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
 		return nil, err
 	}
 	keys := bindPairs(ctx, j.keys)
-	residual := ctx.bind(j.residual)
-	switch j.Method {
-	case MethodMerge:
-		lk := make([]exec.SortKey, len(keys))
-		rk := make([]exec.SortKey, len(keys))
-		for i, k := range keys {
-			lk[i] = exec.SortKey{Expr: k.Left}
-			rk[i] = exec.SortKey{Expr: k.Right}
-		}
-		ls := applyBatch(exec.NewSort(l, lk...), j.batch)
-		rs := applyBatch(exec.NewSort(r, rk...), j.batch)
-		mj, err := exec.NewMergeJoin(ls, rs, keys, residual, j.Type, j.MatchT)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.instrument(j, applyBatch(mj, j.batch)), nil
-	default:
-		return ctx.instrument(j, applyBatch(exec.NewNestedLoopJoin(l, r, ctx.bind(j.Cond), j.Type, j.MatchT), j.batch)), nil
+	lk := make([]exec.SortKey, len(keys))
+	rk := make([]exec.SortKey, len(keys))
+	for i, k := range keys {
+		lk[i] = exec.SortKey{Expr: k.Left}
+		rk[i] = exec.SortKey{Expr: k.Right}
 	}
+	ls := applyBatch(exec.NewSort(l, lk...), j.batch)
+	rs := applyBatch(exec.NewSort(r, rk...), j.batch)
+	mj, err := exec.NewMergeJoin(ls, rs, keys, ctx.bind(j.residual), j.Type, j.MatchT)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.instrument(j, applyBatch(mj, j.batch)), nil
 }
 
-// buildHash builds the hash join over columnar inputs (see toColInput).
+// buildHash builds the hash join over columnar inputs (see toColInput);
+// the nested-loop method is the same operator with no keys — every build
+// row in one chain — and the whole condition as its residual.
 func (j *JoinNode) buildHash(ctx *ExecCtx) (exec.ColIterator, error) {
 	l, err := toColInput(j.Left, ctx)
 	if err != nil {
@@ -969,7 +963,11 @@ func (j *JoinNode) buildHash(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, j.keys), ctx.bind(j.residual), j.Type, j.MatchT)
+	keys, residual := j.keys, j.residual
+	if j.Method == MethodNestLoop {
+		keys, residual = nil, j.Cond
+	}
+	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, keys), ctx.bind(residual), j.Type, j.MatchT)
 	hj.SizeHint = rowHint(j.Right)
 	return exec.ApplyColBatch(hj, j.batch), nil
 }

@@ -193,8 +193,8 @@ func TestBudgetStopsColumnarBlowUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := NewExecCtx()
-	ctx.Budget = exec.NewBudget(50_000, 0)
+	ctx, bud := NewExecCtx(), exec.NewBudget(50_000, 0)
+	ctx.Arm(nil, bud)
 	cit, ok, err := BuildColRoot(agg, ctx)
 	if err != nil || !ok {
 		t.Fatalf("aggregate over hash join did not build columnar: ok=%v err=%v", ok, err)
@@ -205,7 +205,7 @@ func TestBudgetStopsColumnarBlowUp(t *testing.T) {
 	if !errors.As(err, &be) || be.Resource != "rows" {
 		t.Fatalf("Open = %v, want the row budget to abort the build", err)
 	}
-	if rows := ctx.Budget.Rows(); rows > 60_000 {
+	if rows := bud.Rows(); rows > 60_000 {
 		t.Fatalf("the budget let %d rows through before tripping at 50 000", rows)
 	}
 }

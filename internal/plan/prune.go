@@ -3,8 +3,9 @@
 // min/max — see relation.Segments). When the optimizer lands a filter
 // directly above a scan, it extracts the conjuncts that compare one
 // column (or TS/TE) against a constant or a $N placeholder into
-// PruneBounds and attaches them to the scan; at Build time — once per
-// execution, with that execution's parameter values — the scan skips
+// PruneBounds and attaches them to the scan; once per execution — the
+// columnar scan at Open, the row scan when it is built — with that
+// execution's parameter values, the scan skips
 // every segment whose zone proves the predicate false for all of its
 // rows. The filter stays in place above the scan, so pruning can only
 // skip work, never change results — which is exactly what the pruning
@@ -13,6 +14,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"talign/internal/colbatch"
@@ -181,16 +183,16 @@ func rangeExcludes(min, max value.Value, op expr.CmpOp, v value.Value) bool {
 	return false
 }
 
-// Filter partitions segs into the survivors and the pruned count for one
-// execution's parameter values.
-func (pb *PruneBounds) Filter(segs []relation.Segment, params []value.Value) ([]relation.Segment, int) {
-	keep := make([]relation.Segment, 0, len(segs))
+// Filter appends to dst the segments of segs that survive one execution's
+// parameter values; the others are pruned.
+func (pb *PruneBounds) Filter(dst, segs []relation.Segment, params []value.Value) []relation.Segment {
+	dst = slices.Grow(dst, len(segs))
 	for _, sg := range segs {
 		if pb.Admits(&sg.Zone, params) {
-			keep = append(keep, sg)
+			dst = append(dst, sg)
 		}
 	}
-	return keep, len(segs) - len(keep)
+	return dst
 }
 
 // WithPrune returns a copy of the scan carrying pb. The receiver is

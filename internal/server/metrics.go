@@ -52,6 +52,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("talignd_plan_cache_evictions_total", "Plan cache LRU evictions.", cs.Evictions)
 	counter("talignd_plan_cache_invalidated_total", "Cached plans purged because a table they depend on changed.", cs.Invalidated)
 	counter("talignd_plans_total", "Statements actually planned.", cs.Plans)
+	counter("talignd_pipelines_built_total", "Streamed executions that built their executor tree.", s.pipelinesBuilt.Load())
+	counter("talignd_pipelines_reused_total", "Streamed executions that re-opened a tree their plan kept.", s.pipelinesReused.Load())
 	gauge("talignd_plan_cache_size", "Cached plans.", cs.Size)
 	gauge("talignd_plan_cache_capacity", "Plan cache capacity.", cs.Capacity)
 

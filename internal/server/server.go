@@ -96,6 +96,8 @@ type Server struct {
 	panics         atomic.Uint64
 	streams        atomic.Uint64
 	rowsStreamed   atomic.Uint64
+	// Streamed executions that built / re-opened their executor tree.
+	pipelinesBuilt, pipelinesReused atomic.Uint64
 }
 
 // New creates a server with an empty catalog.
@@ -139,6 +141,12 @@ func (s *Server) Catalog() *Catalog { return s.catalog }
 
 // CacheStats exposes the plan-cache counters (tests and /healthz).
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+
+// PipelineStats reports how many streamed executions built their executor
+// tree and how many re-opened one their plan kept (tests and /metrics).
+func (s *Server) PipelineStats() (built, reused uint64) {
+	return s.pipelinesBuilt.Load(), s.pipelinesReused.Load()
+}
 
 // GateStats exposes the admission-gate counters; a drained idle server
 // must report zero in-flight DOP.

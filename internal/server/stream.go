@@ -355,6 +355,11 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		s.gate.Release(claimed)
 		return nil, err
 	}
+	if cur.Reused() {
+		s.pipelinesReused.Add(1)
+	} else {
+		s.pipelinesBuilt.Add(1)
+	}
 	cols, types := SchemaColumns(prep)
 	return &RowStream{
 		cols:     cols,

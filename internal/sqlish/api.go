@@ -197,18 +197,22 @@ func (r *depRecorder) TableStats(name string) *stats.Table {
 }
 
 // Prepared is an analyzed and planned statement: the output of the
-// Analyze + Plan stages. It is immutable — Execute may be called
-// concurrently from many goroutines, each execution binding its own
+// Analyze + Plan stages. Its plan is immutable — Execute and Stream may be
+// called concurrently from many goroutines, each execution binding its own
 // parameter values — and it pins the catalog entries it was planned
 // against (Deps): a plan is reused only while the catalog still holds
 // exactly those entries, which is what the server's plan cache checks.
+//
+// A Prepared also owns the executor trees built from its plan (pipeline,
+// cursor.go): a streamed execution borrows an idle one or builds one, and
+// gives it back at a clean end. A purged plan takes its pipelines along.
 type Prepared struct {
 	// SQL is the original statement text.
 	SQL string
-	// NumParams is the number of $N placeholders the statement takes
-	// (the highest index seen; numbering must be gap-free from $1). Slots
-	// ParseLifted lifted literals into do not count: they are invisible to
-	// the caller.
+	// NumParams is the number of $N placeholders the statement takes: the
+	// highest index seen (an index the text skips still takes a value,
+	// which nothing reads). Slots ParseLifted lifted literals into do not
+	// count: they are invisible to the caller.
 	NumParams int
 
 	// lifted holds the values of the literals lifted out of the statement
@@ -222,6 +226,9 @@ type Prepared struct {
 	maxDOP         int
 	explain        bool
 	explainAnalyze bool
+
+	mu   sync.Mutex
+	idle []*pipeline // built, re-openable, not running: at most GOMAXPROCS
 }
 
 // Deps lists the catalog entries the plan was built from, one per base

@@ -3,6 +3,7 @@ package sqlish
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"talign/internal/colbatch"
 	"talign/internal/exec"
@@ -22,10 +23,16 @@ import (
 //
 // A cursor pulls rows (Next) or columnar batches (NextBatch); one
 // consumer uses one of the two for the cursor's whole life. A plan whose
-// root runs vectorized is built once, as a columnar pipeline: NextBatch
-// serves its batches untouched and Next materializes them, so which pull
-// the consumer picks never changes what executes. A row root serves Next
-// natively and bridges NextBatch with exec.NewToCol.
+// root runs vectorized is a columnar pipeline: NextBatch serves its
+// batches untouched and Next materializes them, so which pull the consumer
+// picks never changes what executes. A row root serves Next natively and
+// bridges NextBatch with exec.NewToCol.
+//
+// The cursor borrows its pipeline from the Prepared: Close hands a
+// re-openable one back for the statement's next execution, but only after
+// a clean end — exhaustion, or a Close before it; one that ended in an
+// error (cancellation, budget abort, recovered panic, injected fault) is
+// left to the collector. So no batch may be used after Close.
 //
 // A Cursor is single-use and not safe for concurrent use; Close is
 // idempotent and must be called (it tears down exchange workers and
@@ -35,16 +42,49 @@ type Cursor struct {
 	// other side fills it in as a bridge over the built one.
 	it     exec.Iterator
 	cit    exec.ColIterator
+	pl     *pipeline // what cit goes back to its Prepared as; nil when single-use
+	reused bool
 	sch    schema.Schema
 	opened bool
 	closed bool
 	err    error
 }
 
-// Stream runs the Execute stage incrementally: it binds params to $1..$N,
-// builds a fresh executor tree under ctx and returns a cursor over its
-// batches. EXPLAIN statements cannot be streamed (use Explain); an
-// ANALYZE statement never reaches Prepare in the first place.
+// pipeline is one built columnar executor tree of a Prepared with the
+// state its executions rebind (parameter frame, context, budget).
+type pipeline struct {
+	owner *Prepared
+	ec    *plan.ExecCtx
+	cit   exec.ColIterator // nil until built, and for good when the tree is single-use
+}
+
+// checkout takes an idle pipeline, or makes the empty shell of a new one.
+func (p *Prepared) checkout() (pl *pipeline, reused bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		pl, p.idle = p.idle[n-1], p.idle[:n-1]
+		return pl, true
+	}
+	return &pipeline{owner: p, ec: plan.NewExecCtx(make([]value.Value, p.NumParams+len(p.lifted))...)}, false
+}
+
+// checkin keeps pl for the next execution, disarmed; beyond one pipeline
+// per processor, the number that can run at once, it is dropped.
+func (p *Prepared) checkin(pl *pipeline) {
+	pl.ec.Arm(nil, nil)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) < runtime.GOMAXPROCS(0) {
+		p.idle = append(p.idle, pl)
+	}
+}
+
+// Stream runs the Execute stage incrementally: it binds params to $1..$N
+// in an executor tree of the plan — one an earlier execution left idle, or
+// a new one — arms it with ctx and returns a cursor over its batches.
+// EXPLAIN statements cannot be streamed (use Explain); an ANALYZE
+// statement never reaches Prepare in the first place.
 func (p *Prepared) Stream(ctx context.Context, params ...value.Value) (*Cursor, error) {
 	return p.StreamBudget(ctx, nil, params...)
 }
@@ -69,30 +109,42 @@ func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *State
 	return p.stream(ctx, budget, params, st.lifted)
 }
 
-// stream builds and opens one execution over the caller's params and the
-// given lifted values.
+// stream starts one execution over the caller's params and the given
+// lifted values. There is one path: the values are written into a
+// pipeline's frame and its guards armed, the tree is built if the pipeline
+// has none yet (its placeholders bound to the frame), and the cursor's
+// first pull opens it — a plan's first execution and its thousandth run
+// the same Open. A plan without a columnar root builds a row tree here,
+// every time.
 func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lifted []value.Value) (*Cursor, error) {
 	if p.explain {
 		return nil, requestError("cannot Stream an EXPLAIN statement")
 	}
-	args, err := bindArgs(p.NumParams, params, lifted)
-	if err != nil {
+	if _, err := bindArgs(p.NumParams, params, nil); err != nil { // the count; the values go into the frame
 		return nil, err
 	}
-	ec := plan.NewExecCtxContext(ctx, args...)
-	ec.Budget = budget
-	cit, ok, err := plan.BuildColRoot(p.root, ec)
-	if err != nil {
-		return nil, err
+	pl, reused := p.checkout()
+	n := copy(pl.ec.Params, params)
+	copy(pl.ec.Params[n:], lifted)
+	pl.ec.Arm(ctx, budget)
+	c := &Cursor{cit: pl.cit, reused: reused, sch: p.root.Schema()}
+	if c.cit == nil {
+		var ok bool
+		var err error
+		if c.cit, ok, err = plan.BuildColRoot(p.root, pl.ec); err != nil {
+			return nil, err
+		}
+		if !ok {
+			if c.it, err = p.root.Build(pl.ec); err != nil {
+				return nil, err
+			}
+			return c, nil
+		}
 	}
-	if ok {
-		return &Cursor{cit: cit, sch: p.root.Schema()}, nil
+	if pl.ec.Reusable() {
+		pl.cit, c.pl = c.cit, pl
 	}
-	it, err := p.root.Build(ec)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{it: it, sch: p.root.Schema()}, nil
+	return c, nil
 }
 
 // Schema describes the cursor's output tuples' nontemporal attributes.
@@ -162,7 +214,8 @@ func (c *Cursor) finish(err error) {
 
 // Close releases the execution's resources (idempotent). Closing before
 // exhaustion stops the pipeline early — upstream operators, exchange
-// workers included, are torn down without draining.
+// workers included, are torn down without draining. A re-openable
+// pipeline that ended cleanly goes back to its Prepared.
 func (c *Cursor) Close() error {
 	if c.closed {
 		return nil
@@ -172,11 +225,21 @@ func (c *Cursor) Close() error {
 	// hold resources from build time. The bridge, when there is one,
 	// closes what it wraps.
 	c.opened = true
+	var err error
 	if c.it != nil {
-		return c.it.Close()
+		err = c.it.Close()
+	} else {
+		err = c.cit.Close()
 	}
-	return c.cit.Close()
+	if c.pl != nil && c.err == nil && err == nil {
+		c.pl.owner.checkin(c.pl)
+	}
+	return err
 }
+
+// Reused reports whether the execution re-opened a pipeline an earlier
+// execution of the statement built, rather than building one.
+func (c *Cursor) Reused() bool { return c.reused }
 
 // Err returns the error that terminated the cursor, if any.
 func (c *Cursor) Err() error { return c.err }

@@ -1,14 +1,17 @@
 package sqlish
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"talign/internal/expr"
 	"talign/internal/oracle"
 	"talign/internal/plan"
+	"talign/internal/raceflag"
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
@@ -86,6 +89,121 @@ func TestExecuteParamCount(t *testing.T) {
 	if _, err := prep.Execute(value.NewInt(30), value.NewInt(40)); err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
+	// NumParams is the highest index: one the text skips still takes a
+	// value, which nothing reads.
+	gap, err := Prepare("SELECT a FROM p WHERE a = $2", testCatalog(), plan.DefaultFlags())
+	if err != nil {
+		t.Fatalf("Prepare with an unused $1: %v", err)
+	}
+	if gap.NumParams != 2 {
+		t.Fatalf("NumParams = %d for a statement whose only placeholder is $2, want 2", gap.NumParams)
+	}
+	if _, err := gap.Execute(value.NewInt(40)); err == nil {
+		t.Fatalf("Execute with 1 of 2 params should fail")
+	}
+	for _, unused := range []value.Value{value.Null, value.NewString("ignored")} {
+		rel, err := gap.Execute(unused, value.NewInt(40))
+		if err != nil || rel.Len() != 2 {
+			t.Fatalf("Execute(%v, 40) = %v, %v; want the two a = 40 rows", unused, rel, err)
+		}
+	}
+}
+
+// streamCount drains (or, with stopAfter > 0, abandons after that many
+// batches) one streamed execution and reports its rows and whether it
+// re-opened a kept pipeline.
+func streamCount(t *testing.T, prep *Prepared, ctx context.Context, stopAfter int, params ...value.Value) (rows int, reused bool, err error) {
+	t.Helper()
+	cur, err := prep.Stream(ctx, params...)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	defer cur.Close()
+	for batches := 0; stopAfter == 0 || batches < stopAfter; batches++ {
+		b, err := cur.NextBatch()
+		if err != nil {
+			return rows, cur.Reused(), err
+		}
+		if b == nil {
+			break
+		}
+		rows += b.NumRows()
+	}
+	return rows, cur.Reused(), nil
+}
+
+// TestStreamReusesPipeline is the Prepared's side of build once, open
+// many: a clean end — exhaustion or an early Close — hands the pipeline
+// back and the next execution re-opens it with its own parameters; an
+// execution that ended in an error does not; a plan with a part that
+// cannot be re-opened (a row root, a WITH memo, a row operator behind a
+// bridge) builds every time; executions that overlap get a pipeline each.
+func TestStreamReusesPipeline(t *testing.T) {
+	cat, flags, ctx := testCatalog(), plan.DefaultFlags(), context.Background()
+	flags.BatchSize = 2
+	prep, err := Prepare("SELECT a, mn FROM p WHERE a >= $1", cat, flags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		arg        int64
+		stopAfter  int
+		cancelled  bool
+		rows       int
+		wantReused bool
+	}{
+		{40, 0, false, 4, false}, // builds
+		{50, 0, false, 2, true},
+		{30, 1, false, 2, true},  // abandoned after one batch of two
+		{30, 0, false, 5, true},  // ... and nothing of it shows
+		{40, 0, true, 0, true},   // ends in context.Canceled
+		{40, 0, false, 4, false}, // so this one builds again
+		{50, 0, false, 2, true},
+	} {
+		cctx, cancel := context.WithCancel(ctx)
+		if c.cancelled {
+			cancel()
+		}
+		rows, reused, err := streamCount(t, prep, cctx, c.stopAfter, value.NewInt(c.arg))
+		cancel()
+		if c.cancelled != (err != nil) {
+			t.Fatalf("execution %d: err = %v, cancelled = %v", i, err, c.cancelled)
+		}
+		if rows != c.rows || reused != c.wantReused {
+			t.Fatalf("execution %d (a >= %d): %d rows, reused = %v; want %d rows, reused = %v", i, c.arg, rows, reused, c.rows, c.wantReused)
+		}
+	}
+	for _, sql := range []string{
+		"SELECT a FROM p WHERE a >= $1 ORDER BY a",                  // row root
+		"WITH q AS (SELECT a FROM p WHERE a >= $1) SELECT a FROM q", // SharedNode memo
+		"SELECT DISTINCT a FROM p WHERE a >= $1",                    // row Distinct
+	} {
+		prep, err := Prepare(sql, cat, flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if rows, reused, err := streamCount(t, prep, ctx, 0, value.NewInt(40)); err != nil || reused || rows == 0 {
+				t.Fatalf("%s, execution %d: %d rows, reused = %v, err = %v; want rows from a pipeline built for it", sql, i, rows, reused, err)
+			}
+		}
+	}
+	// Two cursors open at once cannot share: the second builds. Both go
+	// back, and the next two executions find them.
+	first, _ := prep.Stream(ctx, value.NewInt(40))
+	second, _ := prep.Stream(ctx, value.NewInt(50))
+	if !first.Reused() || second.Reused() {
+		t.Fatalf("overlapping executions: reused = %v, %v; want true, false", first.Reused(), second.Reused())
+	}
+	first.Close()
+	second.Close()
+	first, _ = prep.Stream(ctx, value.NewInt(40))
+	second, _ = prep.Stream(ctx, value.NewInt(50))
+	if kept := runtime.GOMAXPROCS(0) >= 2; !first.Reused() || second.Reused() != kept {
+		t.Fatalf("after both went back: reused = %v, %v; want true, %v (one idle pipeline per processor)", first.Reused(), second.Reused(), kept)
+	}
+	first.Close()
+	second.Close()
 }
 
 func TestExecuteExplainRefused(t *testing.T) {
@@ -288,5 +406,45 @@ func TestWithParamInWith(t *testing.T) {
 	}
 	if r1.Len() != 2 || r2.Len() != 5 {
 		t.Fatalf("param in WITH ignored: got %d and %d rows, want 2 and 5", r1.Len(), r2.Len())
+	}
+}
+
+// TestStreamReuseAllocPin: a streamed execution that re-opens a kept
+// pipeline allocates its Cursor and nothing else — no argument slice, no
+// ExecCtx, no operator — whatever the statement (here ALIGN over two
+// filtered inputs, with a lifted literal beside the caller's $1).
+func TestStreamReuseAllocPin(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	st, err := ParseLifted("SELECT a, mn, Ts, Te FROM ((SELECT a, mn FROM p WHERE a >= $1) x ALIGN (SELECT a, mx FROM p WHERE mx <= 7) y ON x.a = y.a) z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := st.Prepare(testCatalog(), plan.DefaultFlags())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, params := context.Background(), []value.Value{value.NewInt(40)}
+	run := func() {
+		cur, err := prep.StreamFor(ctx, nil, st, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := cur.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+		}
+		cur.Close()
+	}
+	run()
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs > 1 {
+		t.Errorf("a re-opened execution costs %.0f mallocs, want 1 (the Cursor)", allocs)
 	}
 }

@@ -77,6 +77,10 @@ func KeySort[T any](items []T, keys [][]byte) {
 	if len(items) < 2 {
 		return
 	}
+	if len(items) <= insertionMaxLen {
+		insertionSortSuffix(items, keys, 0) // and no sort.Interface to box: a point query's sort allocates nothing
+		return
+	}
 	if len(items) >= radixMinLen {
 		if w := uniformKeyLen(keys); w > 0 {
 			radixSort(items, keys, 0, w)
