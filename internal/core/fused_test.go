@@ -159,8 +159,7 @@ func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation)
 // TestFusedAdjustMatchesDefinitions is the randomized differential test of
 // the one ALIGN/NORMALIZE operator against Defs. 11 and 9: 30 seeds ×
 // {hash, merge, nestloop, interval-index} × {θ equi, equi+residual,
-// keyless, nil} × {align, gaps, normalize}, each on the columnar path and
-// with DisableColumnar (row children bridged into the same operator).
+// keyless, nil} × {align, gaps, normalize}.
 func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -183,39 +182,36 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
 		for fname, flags := range strategyFlags() {
-			for _, noCol := range []bool{false, true} {
-				flags.DisableColumnar = noCol
-				a := New(flags)
-				p := a.Planner()
-				for _, sh := range shapes {
-					tag := fmt.Sprintf("seed %d %s/%s noCol=%v", seed, fname, sh.name, noCol)
-					for _, gaps := range []bool{false, true} {
-						node := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
-						if gaps {
-							node = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
-						}
-						if text, want := plan.Explain(node), wantStrategy(fname, sh.keyed, false); !strings.Contains(text, want) {
-							t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
-						}
-						got, err := plan.Run(node)
-						if err != nil {
-							t.Fatalf("%s gaps=%v: %v", tag, gaps, err)
-						}
-						mustSetEqual(t, fmt.Sprintf("%s gaps=%v: align differs from Def. 11", tag, gaps),
-							got, refAlign(t, r, s, sh.theta, gaps), r, s)
+			a := New(flags)
+			p := a.Planner()
+			for _, sh := range shapes {
+				tag := fmt.Sprintf("seed %d %s/%s", seed, fname, sh.name)
+				for _, gaps := range []bool{false, true} {
+					node := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
+					if gaps {
+						node = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
 					}
-					// Split points from the other relation and from r itself.
-					for _, pts := range []*relation.Relation{s, r} {
-						node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
-						if text, want := plan.Explain(node), wantStrategy(fname, len(sh.cols) > 0, true); !strings.Contains(text, want) {
-							t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
-						}
-						got, err := plan.Run(node)
-						if err != nil {
-							t.Fatalf("%s normalize: %v", tag, err)
-						}
-						mustSetEqual(t, tag+": normalize differs from Def. 9", got, refNormalize(r, pts, sh.cols), r, pts)
+					if text, want := plan.Explain(node), wantStrategy(fname, sh.keyed, false); !strings.Contains(text, want) {
+						t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
 					}
+					got, err := plan.Run(node)
+					if err != nil {
+						t.Fatalf("%s gaps=%v: %v", tag, gaps, err)
+					}
+					mustSetEqual(t, fmt.Sprintf("%s gaps=%v: align differs from Def. 11", tag, gaps),
+						got, refAlign(t, r, s, sh.theta, gaps), r, s)
+				}
+				// Split points from the other relation and from r itself.
+				for _, pts := range []*relation.Relation{s, r} {
+					node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
+					if text, want := plan.Explain(node), wantStrategy(fname, len(sh.cols) > 0, true); !strings.Contains(text, want) {
+						t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
+					}
+					got, err := plan.Run(node)
+					if err != nil {
+						t.Fatalf("%s normalize: %v", tag, err)
+					}
+					mustSetEqual(t, tag+": normalize differs from Def. 9", got, refNormalize(r, pts, sh.cols), r, pts)
 				}
 			}
 		}

@@ -21,7 +21,7 @@ func TestAbsorbDef12(t *testing.T) {
 		Row(5, 9, "a").  // shares end with [1,9): contained, removed
 		Row(8, 12, "a"). // overlaps but not contained: kept
 		MustBuild()
-	got, err := Collect(NewMaterialize(NewColAbsorb(NewColScan(in))))
+	got, err := Collect(NewColAbsorb(NewColScan(in)))
 	if err != nil {
 		t.Fatalf("absorb: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestAbsorbDef12(t *testing.T) {
 // TestAbsorbEmpty covers the trivial cases.
 func TestAbsorbEmpty(t *testing.T) {
 	in := relation.NewBuilder("x string").MustBuild()
-	got, err := Collect(NewMaterialize(NewColAbsorb(NewColScan(in))))
+	got, err := Collect(NewColAbsorb(NewColScan(in)))
 	if err != nil || got.Len() != 0 {
 		t.Fatalf("empty absorb: %v %v", got, err)
 	}
@@ -81,7 +81,7 @@ func TestColAbsorbDifferential(t *testing.T) {
 		want := absorbDef12(in)
 		for _, batch := range []int{0, 2} {
 			ab := NewColAbsorb(ApplyColBatch(NewColScan(in), batch))
-			got := collect(t, NewMaterialize(ApplyColBatch(ab, batch)))
+			got := collect(t, ApplyColBatch(ab, batch))
 			if !sameRows(got, want) {
 				t.Fatalf("round %d batch=%d: got\n%s\nwant\n%s\ninput\n%s", round, batch, got, want, in)
 			}

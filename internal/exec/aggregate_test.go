@@ -34,7 +34,7 @@ func TestHashAggregateBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(NewMaterialize(agg))
+	out, err := Collect(agg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestHashAggregateNullHandling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(NewMaterialize(agg))
+	out, err := Collect(agg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(NewMaterialize(agg))
+	out, err := Collect(agg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestHashAggregateGroupByT(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	out, err := Collect(NewMaterialize(agg))
+	out, err := Collect(agg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestSetOps(t *testing.T) {
 		Row(9, 12, "r").
 		MustBuild()
 	mk := func(kind SetOpKind) *relation.Relation {
-		op, err := NewSetOp(NewScan(a), NewScan(b), kind)
+		op, err := NewColSetOp(NewColScan(a), NewColScan(b), kind)
 		if err != nil {
 			t.Fatalf("setop: %v", err)
 		}
@@ -166,7 +166,7 @@ func TestSetOps(t *testing.T) {
 func TestSetOpRejectsIncompatible(t *testing.T) {
 	a := relation.NewBuilder("x string").MustBuild()
 	b := relation.NewBuilder("x string", "y int").MustBuild()
-	if _, err := NewSetOp(NewScan(a), NewScan(b), UnionOp); err == nil {
+	if _, err := NewColSetOp(NewColScan(a), NewColScan(b), UnionOp); err == nil {
 		t.Fatal("arity mismatch must fail")
 	}
 }
@@ -175,7 +175,7 @@ func TestSetOpTimestampsDistinguish(t *testing.T) {
 	// Same values over different intervals are different set elements.
 	a := relation.NewBuilder("x string").Row(0, 5, "p").MustBuild()
 	b := relation.NewBuilder("x string").Row(5, 9, "p").MustBuild()
-	op, err := NewSetOp(NewScan(a), NewScan(b), UnionOp)
+	op, err := NewColSetOp(NewColScan(a), NewColScan(b), UnionOp)
 	if err != nil {
 		t.Fatalf("setop: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestDistinct(t *testing.T) {
 		Row(0, 5, "p").
 		Row(5, 9, "p").
 		MustBuild()
-	out, err := Collect(NewDistinct(NewScan(in)))
+	out, err := Collect(NewColDistinct(NewColScan(in)))
 	if err != nil {
 		t.Fatalf("distinct: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestSortOrdersAndTieBreaks(t *testing.T) {
 		Row(0, 5, "a", 2).
 		Row(0, 3, "a", 1).
 		MustBuild()
-	s := NewSort(NewScan(in),
+	s := NewColSort(NewColScan(in),
 		SortKey{Expr: expr.ColIdx{Idx: 1, Typ: value.KindInt}, Desc: true},
 		SortKey{Expr: expr.TStart{}},
 	)
@@ -230,13 +230,9 @@ func TestFilterAndProject(t *testing.T) {
 		Row(0, 5, "a", 1).
 		Row(5, 9, "b", 2).
 		MustBuild()
-	f := NewFilter(NewScan(in), expr.Gt(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(1)))
-	pr, err := NewProject(f, []string{"double"}, []expr.Expr{
-		expr.Mul(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(2)),
-	})
-	if err != nil {
-		t.Fatalf("project: %v", err)
-	}
+	f := NewColFilter(NewColScan(in), expr.Gt(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(1)))
+	pr := NewColProject(f, []expr.Expr{expr.Mul(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(2))},
+		schema.MustNew(schema.Attr{Name: "double", Type: value.KindInt}), TKeep, nil)
 	out, err := Collect(pr)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -251,12 +247,9 @@ func TestProjectTFromExprDropsEmpty(t *testing.T) {
 		Row(0, 1, 3, 7).
 		Row(0, 1, 7, 3). // inverted period: dropped
 		MustBuild()
-	pr, err := NewProject(NewScan(in), []string{"a"}, []expr.Expr{expr.ColIdx{Idx: 0, Typ: value.KindInt}})
-	if err != nil {
-		t.Fatalf("project: %v", err)
-	}
-	pr.TMode = TFromExpr
-	pr.TExpr = expr.Call("PERIOD", expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.ColIdx{Idx: 1, Typ: value.KindInt})
+	pr := NewColProject(NewColScan(in), []expr.Expr{expr.ColIdx{Idx: 0, Typ: value.KindInt}},
+		schema.MustNew(schema.Attr{Name: "a", Type: value.KindInt}), TFromExpr,
+		expr.Call("PERIOD", expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.ColIdx{Idx: 1, Typ: value.KindInt}))
 	out, err := Collect(pr)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -450,7 +443,7 @@ func TestColHashAggregateDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := collect(t, NewMaterialize(ApplyColBatch(agg, batch)))
+					got := collect(t, ApplyColBatch(agg, batch))
 					tag := fmt.Sprintf("round %d group=%s byT=%v batch=%d", round, gr.name, byT, batch)
 					if got.Len() != len(want) {
 						t.Fatalf("%s: %d groups, want %d\ngot:\n%s\ninput:\n%s", tag, got.Len(), len(want), got, rel)

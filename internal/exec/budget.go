@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"sync/atomic"
-
-	"talign/internal/tuple"
 )
 
 // budgetAborts counts, process-wide, how many executions a resource
@@ -51,19 +49,12 @@ func (b *Budget) Rows() int64 { return b.rows.Load() }
 // Bytes reports the approximate bytes charged so far.
 func (b *Budget) Bytes() int64 { return b.bytes.Load() }
 
-// charge accounts one batch and reports the structured abort error once
-// a limit is exceeded. Only the first trip is counted into the
-// process-wide instrumentation (every guarded operator of the tree will
-// observe the same exhausted budget as it unwinds).
-func (b *Budget) charge(batch []tuple.Tuple) error {
-	if b == nil || len(batch) == 0 {
-		return nil
-	}
-	return b.chargeRows(len(batch), approxBatchBytes(batch))
-}
-
-// chargeRows is charge for a batch already measured: n rows of
-// approximately size bytes.
+// chargeRows accounts one batch — n rows of approximately size bytes — and
+// reports the structured abort error once a limit is exceeded. The size is
+// deliberately cheap (no string walking): budgets bound runaway work, they
+// are not an allocator. Only the first trip is counted into the
+// process-wide instrumentation (every guard of the tree will observe the
+// same exhausted budget as it unwinds).
 func (b *Budget) chargeRows(n int, size int64) error {
 	if b == nil || n == 0 {
 		return nil
@@ -85,19 +76,6 @@ func (b *Budget) trip(resource string, used, limit int64) error {
 		budgetAborts.Add(1)
 	}
 	return &BudgetError{Resource: resource, Used: used, Limit: limit}
-}
-
-// approxBatchBytes estimates the wire-ish size of a batch: a fixed
-// per-tuple overhead (valid time + header) plus a fixed cost per value.
-// The estimate is deliberately cheap — no string walking — because it
-// runs per batch on every operator boundary; budgets bound runaway work,
-// they are not an allocator.
-func approxBatchBytes(batch []tuple.Tuple) int64 {
-	vals := 0
-	for i := range batch {
-		vals += len(batch[i].Vals)
-	}
-	return int64(len(batch))*24 + int64(vals)*24
 }
 
 // BudgetError is the structured resource-abort error: the server maps it

@@ -1,10 +1,7 @@
-// Columnar side of the executor. ColIterator is the vectorized twin of
-// Iterator: it streams colbatch.Batch values — flat typed vectors plus a
-// selection vector — instead of []tuple.Tuple. The two sides are bridged
-// by exactly two shims: Materialize (columnar → rows, the single
-// conversion at the API boundary) and ToCol (rows → columnar, so
-// operators can be migrated incrementally). The plan layer decides per
-// operator chain which side runs; see plan's BuildCol protocol.
+// ColIterator is the executor's operator interface: it streams
+// colbatch.Batch values — flat typed vectors plus a selection vector. Rows
+// ([]tuple.Tuple) exist on one edge only, behind exactly one shim:
+// Materialize, the conversion at the API boundary.
 //
 // # Life cycle
 //
@@ -34,9 +31,8 @@
 //
 // # Batch ownership
 //
-// The contract mirrors the row side, with one addition. A batch returned
-// by NextCol is owned by the producer and valid only until the next
-// NextCol or Close call. Consumers MAY mutate the returned batch in
+// A batch returned by NextCol is owned by the producer and valid only until
+// the next NextCol or Close call. Consumers MAY mutate the returned batch in
 // place — in particular they may install or refine its selection vector
 // (that is how Filter and Limit work) — because the producer rewrites
 // every field it cares about on the next call. Consumers must NOT retain
@@ -117,36 +113,29 @@ func (s *ColScan) Close() error {
 	return nil
 }
 
-// Materialize adapts a columnar chain to the row Iterator interface: the
-// single columnar→row conversion step at the boundary. Each Next call
-// materializes the selected rows of one (or more, if selections come
-// back empty) columnar batches into fresh tuples.
+// Materialize is the single columnar→row conversion step, at the boundary
+// where a consumer wants tuples (Cursor.Next, Collect): each Next call
+// materializes the selected rows of one columnar batch into fresh tuples.
 type Materialize struct {
 	Input ColIterator
 	out   []tuple.Tuple
 }
 
-// NewMaterialize wraps a columnar iterator as a row iterator.
+// NewMaterialize wraps a columnar iterator for row-at-a-time consumers.
 func NewMaterialize(in ColIterator) *Materialize { return &Materialize{Input: in} }
 
-// Schema implements Iterator.
-func (m *Materialize) Schema() schema.Schema { return m.Input.Schema() }
-
-// Open implements Iterator.
+// Open opens the pipeline.
 func (m *Materialize) Open() error { return m.Input.Open() }
 
-// Next implements Iterator. The returned tuples follow the row-side
-// contract: the slice is reused, the tuples' value slabs are fresh per
-// call and safe to retain.
+// Next returns the next batch of tuples; an empty batch signals exhaustion.
+// The slice is reused by the following Next; the tuples' value slabs are
+// fresh per call and safe to retain.
 func (m *Materialize) Next() ([]tuple.Tuple, error) {
 	m.out = m.out[:0]
 	for {
 		b, err := m.Input.NextCol()
-		if err != nil {
+		if err != nil || b == nil {
 			return nil, err
-		}
-		if b == nil {
-			return nil, nil
 		}
 		if b.NumRows() == 0 {
 			continue // fully filtered batch; keep pulling
@@ -155,44 +144,46 @@ func (m *Materialize) Next() ([]tuple.Tuple, error) {
 	}
 }
 
-// Close implements Iterator.
+// Close closes the pipeline.
 func (m *Materialize) Close() error { return m.Input.Close() }
 
-// ToCol adapts a row iterator to the columnar interface — the shim that
-// lets a columnar operator consume a not-yet-migrated child. Each batch
-// is converted by value into a reused columnar buffer.
-type ToCol struct {
-	Input Iterator
-	out   *colbatch.Batch
+// Collect drains it into a row-born relation, handling Open/Close.
+func Collect(it ColIterator) (*relation.Relation, error) {
+	out := relation.New(it.Schema())
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	for {
+		b, err := it.NextCol()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return out, nil
+		}
+		out.Tuples = b.Materialize(out.Tuples)
+	}
 }
 
-// NewToCol wraps a row iterator as a columnar iterator.
-func NewToCol(in Iterator) *ToCol { return &ToCol{Input: in} }
-
-// Schema implements ColIterator.
-func (c *ToCol) Schema() schema.Schema { return c.Input.Schema() }
-
-// Open implements ColIterator.
-func (c *ToCol) Open() error { return c.Input.Open() }
-
-// NextCol implements ColIterator.
-func (c *ToCol) NextCol() (*colbatch.Batch, error) {
-	rows, err := c.Input.Next()
+// CollectColumnar drains it into a batch-born relation — no tuple is built —
+// handling Open/Close. A bare scan's relation is the answer as it stands.
+func CollectColumnar(it ColIterator) (*relation.Relation, error) {
+	if cs, ok := it.(*ColScan); ok {
+		return cs.Rel, nil
+	}
+	if err := it.Open(); err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	img, err := drainColumnar(it, 0, new(colbatch.Batch))
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	c.out = colbatch.FromTuples(c.out, c.Input.Schema(), rows)
-	return c.out, nil
+	return relation.FromColumnar(img), nil
 }
 
-// Close implements ColIterator.
-func (c *ToCol) Close() error { return c.Input.Close() }
-
-// ApplyColBatch sets the batch size on a columnar operator when it is
-// configurable, mirroring the row side's BatchSizer plumbing.
+// ApplyColBatch sets the batch size on an operator when it is configurable.
 func ApplyColBatch(it ColIterator, n int) ColIterator {
 	if n > 0 {
 		if bs, ok := it.(BatchSizer); ok {

@@ -1,13 +1,15 @@
-// ColFilter: the vectorized filter. It never copies rows — each input
-// batch comes back with a (possibly refined) selection vector listing the
-// qualifying physical rows. Predicates are compiled once at construction
-// into tri-state row closures (Kleene logic over -1/0/1 for ω/false/true)
-// mirroring expr's Eval semantics exactly; the single-comparison shapes
-// that dominate real filters additionally compile to a branch-light batch
-// kernel over the flat int64/float64 column storage (flatKernel).
+// ColFilter: the filter. It never copies rows — each input batch comes back
+// with a (possibly refined) selection vector listing the qualifying physical
+// rows. Predicates are compiled once at construction into tri-state row
+// closures (Kleene logic over -1/0/1 for ω/false/true) mirroring expr's Eval
+// semantics exactly; a sub-predicate whose operands compute (DUR(Ts, Te) >= 5)
+// is the closure that Evals it over the boxed row; the single-comparison
+// shapes that dominate real filters additionally compile to a branch-light
+// batch kernel over the flat int64/float64 column storage (flatKernel).
 package exec
 
 import (
+	"fmt"
 	"math"
 
 	"talign/internal/colbatch"
@@ -30,19 +32,17 @@ type ColFilter struct {
 
 	pred   rowPred
 	kernel *flatKernel
+	rest   rowExprs // the sub-predicates without a closure of their own (evalPred)
+	err    error    // the current batch's first evaluation error
 	selBuf []int32
 }
 
-// NewColFilter compiles pred over in's schema; ok=false when the
-// predicate contains a shape the columnar compiler does not support (the
-// planner then keeps the row filter).
-func NewColFilter(in ColIterator, pred expr.Expr) (*ColFilter, bool) {
-	p, ok := compileRowPred(pred)
-	if !ok {
-		return nil, false
-	}
-	f := &ColFilter{Input: in, Pred: pred, pred: p, kernel: compileKernel(pred)}
-	return f, true
+// NewColFilter compiles pred over in's schema.
+func NewColFilter(in ColIterator, pred expr.Expr) *ColFilter {
+	f := &ColFilter{Input: in, Pred: pred, kernel: compileKernel(pred)}
+	f.pred = f.compile(pred)
+	f.rest = newRowExprs(f.rest.es)
+	return f
 }
 
 // Schema implements ColIterator.
@@ -59,12 +59,13 @@ func (f *ColFilter) Open() error {
 	if f.kernel != nil {
 		f.kernel.v, _ = f.kernel.operand.Eval(nil) // a constant or a bound slot: no env, no error
 	}
+	f.err = nil
 	return f.Input.Open()
 }
 
 // NextCol implements ColIterator. Batches with empty selections are
 // passed through (the contract lets drivers skip them); exhaustion stays
-// the child's nil.
+// the child's nil; an evaluation error ends the stream.
 func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 	b, err := f.Input.NextCol()
 	if err != nil || b == nil {
@@ -78,6 +79,7 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 			return b, nil
 		}
 	}
+	f.rest.b = nil // the producer reuses its batch: nothing boxed carries over
 	for i, nsel := 0, b.NumRows(); i < nsel; i++ {
 		row := b.RowAt(i)
 		if f.pred(b, row) == 1 {
@@ -85,6 +87,9 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 		}
 	}
 	f.selBuf = out
+	if f.err != nil {
+		return nil, f.err
+	}
 	b.Sel = out
 	return b, nil
 }
@@ -95,34 +100,17 @@ func (f *ColFilter) Close() error {
 	return f.Input.Close()
 }
 
-// ColFilterable reports whether the columnar compiler supports pred.
-func ColFilterable(pred expr.Expr) bool {
-	_, ok := compileRowPred(pred)
-	return ok
-}
-
-// ColOperandOK reports whether e compiles to a columnar value accessor
-// (plain column, constant or valid-time reference). The planner uses it
-// to vet join keys and partition keys before committing to a columnar
-// build.
-func ColOperandOK(e expr.Expr) bool {
-	_, ok := compileOperand(e)
-	return ok
-}
-
-// compileRowPred builds the tri-state closure for a predicate tree of
-// comparisons, Kleene connectives, NOT, IS [NOT] NULL, BETWEEN and
-// boolean literals over column/constant/valid-time operands.
-func compileRowPred(e expr.Expr) (rowPred, bool) {
+// compile builds the tri-state closure for a predicate tree: comparisons,
+// IS [NOT] NULL and BETWEEN over column/constant/valid-time operands,
+// Kleene connectives, NOT and boolean literals each get one of their own,
+// anything else evalPred's.
+func (f *ColFilter) compile(e expr.Expr) rowPred {
 	switch n := e.(type) {
 	case expr.Cmp:
-		l, ok := compileOperand(n.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compileOperand(n.R)
-		if !ok {
-			return nil, false
+		l, lok := compileOperand(n.L)
+		r, rok := compileOperand(n.R)
+		if !lok || !rok {
+			break
 		}
 		op := n.Op
 		return func(b *colbatch.Batch, row int) int8 {
@@ -131,16 +119,9 @@ func compileRowPred(e expr.Expr) (rowPred, bool) {
 				return -1
 			}
 			return cmpTruth(op, lv.Compare(rv))
-		}, true
+		}
 	case expr.Logic:
-		l, ok := compileRowPred(n.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := compileRowPred(n.R)
-		if !ok {
-			return nil, false
-		}
+		l, r := f.compile(n.L), f.compile(n.R)
 		if n.Op == expr.AndOp {
 			return func(b *colbatch.Batch, row int) int8 {
 				a := l(b, row)
@@ -155,7 +136,7 @@ func compileRowPred(e expr.Expr) (rowPred, bool) {
 					return -1
 				}
 				return 1
-			}, true
+			}
 		}
 		return func(b *colbatch.Batch, row int) int8 {
 			a := l(b, row)
@@ -170,12 +151,9 @@ func compileRowPred(e expr.Expr) (rowPred, bool) {
 				return -1
 			}
 			return 0
-		}, true
-	case expr.Not:
-		x, ok := compileRowPred(n.X)
-		if !ok {
-			return nil, false
 		}
+	case expr.Not:
+		x := f.compile(n.X)
 		return func(b *colbatch.Batch, row int) int8 {
 			switch x(b, row) {
 			case 1:
@@ -184,11 +162,11 @@ func compileRowPred(e expr.Expr) (rowPred, bool) {
 				return 1
 			}
 			return -1
-		}, true
+		}
 	case expr.IsNull:
 		x, ok := compileOperand(n.X)
 		if !ok {
-			return nil, false
+			break
 		}
 		neg := n.Negate
 		return func(b *colbatch.Batch, row int) int8 {
@@ -196,29 +174,53 @@ func compileRowPred(e expr.Expr) (rowPred, bool) {
 				return 1
 			}
 			return 0
-		}, true
+		}
 	case expr.Between:
 		// Same desugaring as Between.Eval.
-		return compileRowPred(expr.Logic{
+		return f.compile(expr.Logic{
 			Op: expr.AndOp,
 			L:  expr.Cmp{Op: expr.LE, L: n.Lo, R: n.X},
 			R:  expr.Cmp{Op: expr.LE, L: n.X, R: n.Hi},
 		})
 	case expr.Const:
-		v := n.V
-		if v.IsNull() {
-			return func(*colbatch.Batch, int) int8 { return -1 }, true
+		switch v := n.V; {
+		case v.IsNull():
+			return func(*colbatch.Batch, int) int8 { return -1 }
+		case v.Kind() == value.KindBool && v.Bool():
+			return func(*colbatch.Batch, int) int8 { return 1 }
+		case v.Kind() == value.KindBool:
+			return func(*colbatch.Batch, int) int8 { return 0 }
 		}
-		if v.Kind() != value.KindBool {
-			return nil, false
-		}
-		var t int8
-		if v.Bool() {
-			t = 1
-		}
-		return func(*colbatch.Batch, int) int8 { return t }, true
 	}
-	return nil, false
+	return f.evalPred(e)
+}
+
+// evalPred is the closure of a sub-predicate with no compiled form: e's
+// Eval over the row boxed into a scratch slice (once per row, however many
+// of these the predicate has). An evaluation error — a function's, or a
+// value that is no truth value — counts as false and is kept for NextCol.
+func (f *ColFilter) evalPred(e expr.Expr) rowPred {
+	i := len(f.rest.es)
+	f.rest.es = append(f.rest.es, e)
+	return func(b *colbatch.Batch, row int) int8 {
+		if f.rest.b != b || f.rest.row != row {
+			f.rest.at(b, row)
+		}
+		v, err := f.rest.eval(i)
+		switch {
+		case err != nil:
+		case v.IsNull():
+			return -1
+		case v.Kind() != value.KindBool:
+			err = fmt.Errorf("expr: predicate %s evaluated to %s, want bool", e, v.Kind())
+		case v.Bool():
+			return 1
+		}
+		if f.err == nil {
+			f.err = err
+		}
+		return 0
+	}
 }
 
 // compileOperand builds a value accessor for the leaf operand shapes.

@@ -206,8 +206,7 @@ func (f *ColFusedAdjust) Open() error {
 	if len(f.Keys) > 0 && f.Strategy != GroupHash {
 		// ω keys become nil: they can never match, and unmatched group rows
 		// never surface — the group join is a left outer join.
-		f.arena = f.arena[:0]
-		if f.rkeys, err = f.encodeKeys(f.rkeys[:0], &f.renc, f.store, true); err != nil {
+		if f.arena, f.rkeys, err = encodeKeys(f.arena[:0], f.rkeys[:0], &f.renc, f.store, true); err != nil {
 			return err
 		}
 	}
@@ -222,7 +221,7 @@ func (f *ColFusedAdjust) Open() error {
 		if f.lb, err = drainColumnar(f.Left, 0, &f.lown); err != nil {
 			return err
 		}
-		if f.lkeys, err = f.encodeKeys(f.lkeys[:0], &f.lenc, f.lb, false); err != nil {
+		if f.arena, f.lkeys, err = encodeKeys(f.arena, f.lkeys[:0], &f.lenc, f.lb, false); err != nil {
 			return err
 		}
 		f.lperm = identityPerm(f.lperm[:0], f.lb.Len())
@@ -260,31 +259,6 @@ func identityPerm(dst []int32, n int) []int32 {
 		dst = append(dst, int32(i))
 	}
 	return dst
-}
-
-// encodeKeys appends the equi key of every physical row of b to the
-// shared arena; with nilOnNull set, rows whose key contains ω get a nil
-// key instead.
-func (f *ColFusedAdjust) encodeKeys(keys [][]byte, enc *rowExprs, b *colbatch.Batch, nilOnNull bool) ([][]byte, error) {
-	keys = slices.Grow(keys, b.Len())
-	for row := 0; row < b.Len(); row++ {
-		start := len(f.arena)
-		kb, hasNull, err := enc.appendKey(f.arena, b, row)
-		if err != nil {
-			return nil, err
-		}
-		if nilOnNull && hasNull {
-			keys = append(keys, nil)
-			continue
-		}
-		f.arena = kb
-		keys = append(keys, kb[start:len(kb):len(kb)])
-		if row == 0 {
-			// Fixed-width keys, the common case, then fit one allocation.
-			f.arena = slices.Grow(f.arena, (len(kb)-start)*(b.Len()-1))
-		}
-	}
-	return keys, nil
 }
 
 // nextLeft advances to the next left row of f.lb: the next equi-key

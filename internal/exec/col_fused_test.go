@@ -13,17 +13,15 @@ import (
 	"talign/internal/value"
 )
 
-// fusedInput wraps rel as a columnar input: a bare ColScan (whose image
-// the operator aliases) or a row scan bridged by ToCol (which it drains
-// into its own store), with tiny batches to cross batch boundaries.
+// fusedInput wraps rel as an input: a bare ColScan (whose image the
+// operator aliases) or, bridged, a scan behind a pass-all filter (which it
+// drains into its own store), with tiny batches to cross batch boundaries.
 func fusedInput(rel *relation.Relation, bridged bool) ColIterator {
-	if bridged {
-		sc := NewScan(rel)
-		sc.SetBatchSize(3)
-		return NewToCol(sc)
-	}
 	sc := NewColScan(rel)
 	sc.SetBatchSize(3)
+	if bridged {
+		return NewColFilter(sc, expr.Bool(true))
+	}
 	return sc
 }
 
@@ -34,7 +32,7 @@ func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode A
 		t.Fatalf("%v %v: %v", mode, strat, err)
 	}
 	op.SetBatchSize(2)
-	return collectRows(t, NewMaterialize(op))
+	return drainCol(t, op)
 }
 
 // keyOnCol0 equates column 0 of both sides.

@@ -1,13 +1,37 @@
 package exec
 
 import (
+	"bytes"
+
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/schema"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-// ColHashJoin is the hash equi-join over columnar batches. The right input
+// JoinType enumerates join flavours. Semi and Anti emit left tuples only.
+type JoinType uint8
+
+// The join flavours; outer joins pad the unmatched side with ω.
+const (
+	InnerJoin JoinType = iota
+	LeftOuterJoin
+	RightOuterJoin
+	FullOuterJoin
+	SemiJoin
+	AntiJoin
+)
+
+// String renders the flavour for EXPLAIN labels.
+func (j JoinType) String() string {
+	return [...]string{"inner", "left outer", "right outer", "full outer", "semi", "anti"}[j]
+}
+
+// projectsLeftOnly reports whether the join type outputs only the left row.
+func (j JoinType) projectsLeftOnly() bool { return j == SemiJoin || j == AntiJoin }
+
+// ColHashJoin is the equi-join over columnar batches. The right input
 // is drained into a columnar store and indexed by its encoded equi keys
 // (chainIndex over the shared keyTable); left batches probe it row by row.
 // Keys match through their order-preserving byte encodings — equal exactly
@@ -18,6 +42,12 @@ import (
 // pair with env.T = the left row's T. With no Keys at all every left row
 // probes the one chain of all store rows, which is the nested-loop join
 // of an arbitrary condition — the planner's nestloop method builds that.
+//
+// Under Merge the same join runs sort-merge: the left input is drained too,
+// a row permutation of each side is key-sorted (tuple.KeySort), each run of
+// equal right keys becomes one chain, and the left rows are probed in key
+// order against a run cursor that only moves forward — everything past
+// "which chain" is the code the hash method runs.
 //
 // A match is only noted as a (left row, store row) index pair; the pairs
 // are gathered column-wise into a reused output batch, so no tuple is
@@ -34,6 +64,8 @@ type ColHashJoin struct {
 	Residual expr.Expr // bound against Concat(left, right); may be nil
 	Type     JoinType
 	MatchT   bool
+	// Merge selects the sort-merge method; it requires Keys.
+	Merge bool
 	// SizeHint is the planner's estimate of the right input's rows; it
 	// presizes the build store when the right input is not a bare scan.
 	SizeHint int
@@ -52,8 +84,17 @@ type ColHashJoin struct {
 	// batch and a store row, -1 for an ω-padded side.
 	lidx, ridx []int32
 
-	lb       *colbatch.Batch // current left batch
-	lpos     int             // next logical row of lb
+	// Merge: the drained left side (unless a bare scan's image), both sides'
+	// rows in key order with their keys alongside (ω-keyed right rows
+	// dropped), and the first right row whose key is not below the probe's.
+	lown         colbatch.Batch
+	lperm, rperm []int32
+	lkeys, rkeys [][]byte
+	arena        []byte
+	rpos         int
+
+	lb       *colbatch.Batch // current left batch (merge: the whole left side)
+	lpos     int             // next logical row of lb (merge: next position in lperm)
 	row      int             // current probe row (physical, in lb)
 	cur      int32           // rest of the probe row's chain: store row + 1
 	probing  bool            // row still has chain entries or its pad pending
@@ -91,7 +132,13 @@ func (j *ColHashJoin) Open() error {
 	if j.store, err = drainColumnar(j.Right, j.SizeHint, &j.own); err != nil {
 		return err
 	}
-	if err = j.index.build(&j.renc, j.store); err != nil {
+	j.lb, j.lpos, j.probing = nil, 0, false
+	if j.Merge {
+		err = j.openMerge()
+	} else {
+		err = j.index.build(&j.renc, j.store)
+	}
+	if err != nil {
 		return err
 	}
 	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
@@ -99,8 +146,40 @@ func (j *ColHashJoin) Open() error {
 	}
 	j.outB.ResetSchema(j.out)
 	j.lidx, j.ridx = j.lidx[:0], j.ridx[:0]
-	j.lb, j.lpos, j.probing = nil, 0, false
 	j.drainPos, j.draining, j.done = 0, false, false
+	return nil
+}
+
+// openMerge drains the left side, key-sorts a permutation of each side and
+// threads every run of equal right keys into a chain.
+func (j *ColHashJoin) openMerge() (err error) {
+	if j.lb, err = drainColumnar(j.Left, 0, &j.lown); err != nil {
+		return err
+	}
+	j.arena = j.arena[:0]
+	if j.arena, j.lkeys, err = encodeKeys(j.arena, j.lkeys[:0], &j.lenc, j.lb, false); err != nil {
+		return err
+	}
+	j.lperm = identityPerm(j.lperm[:0], j.lb.Len())
+	tuple.KeySort(j.lperm, j.lkeys)
+	var all [][]byte
+	if j.arena, all, err = encodeKeys(j.arena, j.rkeys[:0], &j.renc, j.store, true); err != nil {
+		return err
+	}
+	j.rperm, j.rkeys = j.rperm[:0], all[:0]
+	for r, k := range all {
+		if k != nil { // ω keys never match
+			j.rperm, j.rkeys = append(j.rperm, int32(r)), append(j.rkeys, k)
+		}
+	}
+	tuple.KeySort(j.rperm, j.rkeys)
+	j.index.next = zeroed(j.index.next, j.store.Len())
+	for i := len(j.rperm) - 1; i > 0; i-- {
+		if bytes.Equal(j.rkeys[i-1], j.rkeys[i]) {
+			j.index.next[j.rperm[i-1]] = j.rperm[i] + 1
+		}
+	}
+	j.rpos = 0
 	return nil
 }
 
@@ -143,38 +222,63 @@ func (j *ColHashJoin) NextCol() (*colbatch.Batch, error) {
 // output rows index into the current left batch, so they are flushed
 // before the batch is replaced.
 func (j *ColHashJoin) nextProbe() error {
-	for j.lb == nil || j.lpos >= j.lb.NumRows() {
-		j.flush()
-		b, err := j.Left.NextCol()
+	if j.Merge {
+		if j.lpos >= len(j.lperm) {
+			j.leftDone()
+			return nil
+		}
+		lk := j.lkeys[j.lpos]
+		j.row = int(j.lperm[j.lpos])
+		j.lpos++
+		// Both sides ascend: the run cursor only moves forward. A left key
+		// with an ω component equals no right key (those rows were dropped).
+		for j.rpos < len(j.rkeys) && bytes.Compare(j.rkeys[j.rpos], lk) < 0 {
+			j.rpos++
+		}
+		j.cur = 0
+		if j.rpos < len(j.rkeys) && bytes.Equal(j.rkeys[j.rpos], lk) {
+			j.cur = j.rperm[j.rpos] + 1
+		}
+	} else {
+		for j.lb == nil || j.lpos >= j.lb.NumRows() {
+			j.flush()
+			b, err := j.Left.NextCol()
+			if err != nil {
+				return err
+			}
+			if b == nil {
+				j.leftDone()
+				return nil
+			}
+			j.lb, j.lpos = b, 0
+			rows, limit := min(b.NumRows(), j.batchCap()-j.outB.Len()), j.batchCap()
+			j.lidx, j.ridx = roomFor(j.lidx, rows, limit), roomFor(j.ridx, rows, limit)
+		}
+		j.row = j.lb.RowAt(j.lpos)
+		j.lpos++
+		kb, hasNull, err := j.lenc.appendKey(j.keyBuf[:0], j.lb, j.row)
+		j.keyBuf = kb
 		if err != nil {
 			return err
 		}
-		if b == nil {
-			j.lb = nil
-			j.draining = len(j.matched) > 0
-			j.done = !j.draining
-			return nil
+		j.cur = 0
+		if !hasNull { // ω keys never match
+			j.cur = j.index.first(kb)
 		}
-		j.lb, j.lpos = b, 0
-		rows, limit := min(b.NumRows(), j.batchCap()-j.outB.Len()), j.batchCap()
-		j.lidx, j.ridx = roomFor(j.lidx, rows, limit), roomFor(j.ridx, rows, limit)
-	}
-	j.row = j.lb.RowAt(j.lpos)
-	j.lpos++
-	kb, hasNull, err := j.lenc.appendKey(j.keyBuf[:0], j.lb, j.row)
-	j.keyBuf = kb
-	if err != nil {
-		return err
-	}
-	j.cur = 0
-	if !hasNull { // ω keys never match
-		j.cur = j.index.first(kb)
 	}
 	if j.Residual != nil && j.cur != 0 {
 		j.concat = boxRow(j.concat[:0], j.lb, j.row)
 	}
 	j.probing, j.hit = true, false
 	return nil
+}
+
+// leftDone ends the probe phase: right and full outer joins go on to pad
+// the store rows no left row matched.
+func (j *ColHashJoin) leftDone() {
+	j.flush()
+	j.draining = len(j.matched) > 0
+	j.done = !j.draining
 }
 
 // probe walks the rest of the current row's chain, noting output rows
@@ -272,8 +376,13 @@ func (j *ColHashJoin) Close() error {
 	j.store, j.lb = nil, nil
 	j.index.release()
 	keepBatch(&j.own)
+	keepBatch(&j.lown)
 	keepBatch(&j.outB)
 	j.matched, j.lidx, j.ridx = kept(j.matched), kept(j.lidx), kept(j.ridx)
+	j.lperm, j.rperm, j.lkeys, j.rkeys = kept(j.lperm), kept(j.rperm), kept(j.lkeys), kept(j.rkeys)
+	if cap(j.arena) > keptBytes {
+		j.arena = nil
+	}
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

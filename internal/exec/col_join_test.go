@@ -89,8 +89,8 @@ func joinInput(rng *rand.Rand, dom int, kname, vname string, maxTuples int) *rel
 	return out
 }
 
-// TestColHashJoinDifferential checks the columnar hash join against the
-// nested-loop and merge joins on random inputs across every join type,
+// TestColHashJoinDifferential checks the join's hash and merge methods
+// against the naive nested loop on random inputs across every join type,
 // MatchT on and off, with and without a residual θ, over ω, NaN, mixed
 // int/float and 0x00-string keys, at the default batch size and at 2.
 func TestColHashJoinDifferential(t *testing.T) {
@@ -113,20 +113,14 @@ func TestColHashJoinDifferential(t *testing.T) {
 					for _, matchT := range []bool{false, true} {
 						tag := fmt.Sprintf("%s round %d %s matchT=%v residual=%v", d.name, round, typ, matchT, residual != nil)
 						want := naiveJoin(t, r, s, full, typ, matchT)
-						mj, err := NewMergeJoin(
-							NewSort(NewScan(r), SortKey{Expr: lk}), NewSort(NewScan(s), SortKey{Expr: rk}),
-							pairs, residual, typ, matchT)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := collect(t, mj); !sameRows(got, want) {
-							t.Fatalf("%s: merge join differs from nested loop\nmerge:\n%s\nnested loop:\n%s\nr:\n%s\ns:\n%s", tag, got, want, r, s)
-						}
 						for _, batch := range []int{0, 2} {
-							hj := NewColHashJoin(ApplyColBatch(NewColScan(r), batch), ApplyColBatch(NewColScan(s), batch), pairs, residual, typ, matchT)
-							got := collect(t, NewMaterialize(ApplyColBatch(hj, batch)))
-							if !sameRows(got, want) {
-								t.Fatalf("%s batch=%d: hash join differs from nested loop\nhash:\n%s\nnested loop:\n%s\nr:\n%s\ns:\n%s", tag, batch, got, want, r, s)
+							for _, merge := range []bool{false, true} {
+								hj := NewColHashJoin(ApplyColBatch(NewColScan(r), batch), ApplyColBatch(NewColScan(s), batch), pairs, residual, typ, matchT)
+								hj.Merge = merge
+								got := collect(t, ApplyColBatch(hj, batch))
+								if !sameRows(got, want) {
+									t.Fatalf("%s batch=%d merge=%v: join differs from nested loop\njoin:\n%s\nnested loop:\n%s\nr:\n%s\ns:\n%s", tag, batch, merge, got, want, r, s)
+								}
 							}
 						}
 					}

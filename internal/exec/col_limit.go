@@ -1,17 +1,21 @@
-// ColLimit: vectorized LIMIT/OFFSET. Counting is over *selected* rows —
+// ColLimit: LIMIT/OFFSET with early exit. Counting is over *selected* rows —
 // the logical row count NumRows — never the physical batch length, so an
 // upstream filter's selection vector can't make OFFSET skip rows that
 // were already filtered out (or too few of the surviving ones).
 package exec
 
 import (
+	"fmt"
+
 	"talign/internal/colbatch"
 	"talign/internal/schema"
 )
 
 // ColLimit passes through at most N selected rows after skipping the
-// first Offset selected rows. N < 0 means no limit. Once the quota is
-// reached the child is never pulled again (early exit).
+// first Offset selected rows. N < 0 means no limit (OFFSET alone). Once the
+// quota is reached the child is never pulled again: the stop propagates
+// upstream as simple absence of NextCol calls, so a cursor that reaches its
+// limit never drains the rest of the pipeline.
 type ColLimit struct {
 	Input  ColIterator
 	N      int64
@@ -24,9 +28,13 @@ type ColLimit struct {
 	selBuf    []int32
 }
 
-// NewColLimit returns a columnar limit operator.
-func NewColLimit(in ColIterator, n, offset int64) *ColLimit {
-	return &ColLimit{Input: in, N: n, Offset: offset}
+// NewColLimit wraps in with a limit of n rows after skipping offset rows;
+// n < 0 means unlimited.
+func NewColLimit(in ColIterator, n, offset int64) (*ColLimit, error) {
+	if offset < 0 {
+		return nil, fmt.Errorf("exec: OFFSET must be >= 0, got %d", offset)
+	}
+	return &ColLimit{Input: in, N: n, Offset: offset}, nil
 }
 
 // Schema implements ColIterator.

@@ -1,16 +1,32 @@
-// ColProject: vectorized projection as column pointer shuffling. When
-// every output expression is a plain column reference (or the tuple's own
-// TS/TE, which project as int columns sharing the time arrays), building
-// the output batch is a constant-time header assembly — no values move —
-// unless the time policy rewrites T (see retime). Expression-computing
-// projections stay on the row side.
+// ColProject: projection as column pointer shuffling. When every output
+// expression is a plain column reference (or the tuple's own TS/TE, which
+// project as int columns sharing the time arrays), building the output
+// batch is a constant-time header assembly — no values move — unless the
+// time policy rewrites T (see retime). A projection that computes (a + b, a
+// period from arbitrary expressions) evaluates its expressions per selected
+// row into a batch of its own (see compute).
 package exec
 
 import (
 	"talign/internal/colbatch"
 	"talign/internal/expr"
+	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/value"
+)
+
+// TPolicy controls what valid time a projection assigns to its outputs.
+type TPolicy uint8
+
+const (
+	// TKeep propagates the input tuple's T (the default for π).
+	TKeep TPolicy = iota
+	// TZero marks outputs as nontemporal (zero interval).
+	TZero
+	// TFromExpr computes T from TExpr, which must yield a period value;
+	// tuples whose TExpr is ω or empty are dropped (used by the standard-SQL
+	// baseline to build intersection timestamps).
+	TFromExpr
 )
 
 // colProjSrc encodes where output column i comes from: >= 0 is an input
@@ -20,24 +36,31 @@ const (
 	srcTE = -2
 )
 
-// ColProject projects a columnar stream by reassembling column headers.
+// ColProject projects a columnar stream: by reassembling column headers
+// when it can, by evaluating its expressions otherwise.
 type ColProject struct {
 	Input ColIterator
 	Out   schema.Schema
 
 	srcs  []int // per output column: input index, srcTS or srcTE
 	tzero bool  // TZero: output carries no valid time
-	tfrom bool  // TFromExpr with a recognized PERIOD shape
-	tsSrc int   // PERIOD arg sources (column index, srcTS or srcTE)
+	tfrom bool  // TFromExpr
+	tsSrc int   // header shuffle: PERIOD arg sources (column index, srcTS or srcTE)
 	teSrc int
 	out   colbatch.Batch // header over the input's storage
-	own   colbatch.Batch // TFromExpr/TZero: the surviving rows, compact
+	own   colbatch.Batch // computed, TFromExpr or TZero: the surviving rows, compact
 	rows  []int32        // TFromExpr/TZero: scratch, the surviving physical rows
+
+	// A projection that computes: the output expressions, then TFromExpr's
+	// period; vals is one row's outputs before they are known to survive.
+	computed bool
+	es       rowExprs
+	vals     []value.Value
 }
 
-// periodTimeSrcs recognizes the TFromExpr shape the columnar projection
-// supports: PERIOD(a, b) where each argument is an int column or the
-// tuple's own TS/TE. Anything else stays on the row path.
+// periodTimeSrcs recognizes the TFromExpr shape the header shuffle can
+// retime: PERIOD(a, b) where each argument is an int column or the tuple's
+// own TS/TE. Anything else is computed.
 func periodTimeSrcs(texpr expr.Expr) (ts, te int, ok bool) {
 	f, okf := texpr.(expr.Func)
 	if !okf || f.Name != "PERIOD" || len(f.Args) != 2 {
@@ -62,47 +85,13 @@ func periodTimeSrcs(texpr expr.Expr) (ts, te int, ok bool) {
 	return s[0], s[1], true
 }
 
-// ColProjectable reports whether a projection with these output
-// expressions and time policy can run columnar: every expression a plain
-// column/TS/TE reference, and for TFromExpr a PERIOD over int columns or
-// TS/TE (texpr is ignored for the other policies).
-func ColProjectable(exprs []expr.Expr, tmode TPolicy, texpr expr.Expr) bool {
-	switch tmode {
-	case TKeep, TZero:
-	case TFromExpr:
-		if _, _, ok := periodTimeSrcs(texpr); !ok {
-			return false
-		}
-	default:
-		return false
-	}
-	for _, e := range exprs {
-		switch e.(type) {
-		case expr.ColIdx, expr.TStart, expr.TEnd:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// NewColProject compiles the projection; ok=false when an expression is
-// not a plain column/TS/TE reference or the time policy needs row-side
-// evaluation (a TFromExpr other than the PERIOD shape above).
-func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode TPolicy, texpr expr.Expr) (*ColProject, bool) {
-	p := &ColProject{Input: in, Out: out}
-	switch tmode {
-	case TKeep:
-	case TZero:
-		p.tzero = true
-	case TFromExpr:
-		ts, te, ok := periodTimeSrcs(texpr)
-		if !ok {
-			return nil, false
-		}
-		p.tfrom, p.tsSrc, p.teSrc = true, ts, te
-	default:
-		return nil, false
+// NewColProject compiles the projection of exprs (texpr is read under
+// TFromExpr only) into out.
+func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode TPolicy, texpr expr.Expr) *ColProject {
+	p := &ColProject{Input: in, Out: out, tzero: tmode == TZero, tfrom: tmode == TFromExpr}
+	shuffle := true
+	if p.tfrom {
+		p.tsSrc, p.teSrc, shuffle = periodTimeSrcs(texpr)
 	}
 	srcs := make([]int, 0, len(exprs))
 	for _, e := range exprs {
@@ -114,12 +103,20 @@ func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode T
 		case expr.TEnd:
 			srcs = append(srcs, srcTE)
 		default:
-			return nil, false
+			shuffle = false
 		}
+	}
+	if !shuffle {
+		p.computed = true
+		if p.tfrom {
+			exprs = append(exprs[:len(exprs):len(exprs)], texpr)
+		}
+		p.es, p.vals = newRowExprs(exprs), make([]value.Value, len(out.Attrs))
+		return p
 	}
 	p.srcs = srcs
 	p.out.Cols = make([]colbatch.Vec, 0, len(srcs))
-	return p, true
+	return p
 }
 
 // Schema implements ColIterator.
@@ -127,7 +124,7 @@ func (p *ColProject) Schema() schema.Schema { return p.Out }
 
 // Open implements ColIterator.
 func (p *ColProject) Open() error {
-	if p.tfrom || p.tzero {
+	if p.tfrom || p.tzero || p.computed {
 		p.own.ResetSchema(p.Out)
 	}
 	return p.Input.Open()
@@ -140,6 +137,9 @@ func (p *ColProject) NextCol() (*colbatch.Batch, error) {
 	b, err := p.Input.NextCol()
 	if err != nil || b == nil {
 		return nil, err
+	}
+	if p.computed {
+		return p.compute(b)
 	}
 	o := &p.out
 	o.Schema = p.Out
@@ -197,6 +197,49 @@ func (p *ColProject) retime(b, o *colbatch.Batch) *colbatch.Batch {
 	}
 	own.SetLen(len(rows))
 	return own
+}
+
+// compute evaluates the projection on every selected row of b into the
+// owned batch: the output expressions first, then — under TFromExpr — the
+// period, whose ω or empty value drops the row. An evaluation error ends
+// the stream.
+func (p *ColProject) compute(b *colbatch.Batch) (*colbatch.Batch, error) {
+	nsel := b.NumRows()
+	own := &p.own
+	own.Reset()
+	reserveOut(own, nsel, b.Len())
+	for i := 0; i < nsel; i++ {
+		row := b.RowAt(i)
+		p.es.at(b, row)
+		for c := range p.vals {
+			var err error
+			if p.vals[c], err = p.es.eval(c); err != nil {
+				return nil, err
+			}
+		}
+		var t interval.Interval
+		switch {
+		case p.tfrom:
+			v, err := p.es.eval(len(p.vals))
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				continue
+			}
+			if t = v.Interval(); !t.Valid() {
+				continue
+			}
+		case !p.tzero:
+			t = b.Interval(row)
+		}
+		for c, v := range p.vals {
+			own.Cols[c].Append(v)
+		}
+		own.TS, own.TE = append(own.TS, t.Ts), append(own.TE, t.Te)
+		own.SetLen(own.Len() + 1)
+	}
+	return own, nil
 }
 
 // timeAt reads one PERIOD bound of a physical row; ok=false means the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"math/rand"
 	"testing"
@@ -63,31 +64,16 @@ func assertSameRows(t *testing.T, got, want []tuple.Tuple) {
 	}
 }
 
-func collectRows(t *testing.T, it Iterator) []tuple.Tuple {
-	t.Helper()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := drainAppend(nil, it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
 func TestColScanMaterializeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	rel := colTestRel(r, 300, true)
 	scan := NewColScan(rel)
 	scan.SetBatchSize(64)
-	got := collectRows(t, NewMaterialize(scan))
+	got := drainCol(t, scan)
 	assertSameRows(t, got, append([]tuple.Tuple(nil), rel.Tuples...))
 }
 
-func TestColFilterMatchesRowFilter(t *testing.T) {
+func TestColFilterMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	rel := colTestRel(r, 500, true)
 	ci := func(i int) expr.Expr { return expr.ColIdx{Idx: i, Typ: value.KindInt} }
@@ -101,15 +87,25 @@ func TestColFilterMatchesRowFilter(t *testing.T) {
 		expr.Between{X: ci(1), Lo: expr.Int(10), Hi: expr.Int(20)},
 		expr.Le(expr.TStart{}, expr.Int(40)), // time kernel
 		expr.Gt(expr.TEnd{}, expr.Int(60)),
+		expr.Ge(expr.Call("DUR", expr.TStart{}, expr.TEnd{}), expr.Int(5)),                   // computed operand: Eval over the boxed row
+		expr.And(expr.Le(ci(0), expr.Int(4)), expr.Gt(expr.Add(ci(0), ci(1)), expr.Int(20))), // compiled AND evaluated
+		expr.Or(expr.IsNull{X: expr.Div(expr.Int(6), ci(0))}, expr.Neg(expr.Lt(expr.Mul(ci(0), expr.Int(2)), ci(1)))),
 	}
-	for pi, pred := range preds {
-		cf, ok := NewColFilter(NewColScan(rel), pred)
-		if !ok {
-			t.Fatalf("pred %d did not compile", pi)
+	for _, pred := range preds {
+		got := drainCol(t, NewColFilter(NewColScan(rel), pred))
+		assertSameRows(t, got, naiveFilter(t, rel.Rows(), pred))
+	}
+	// An evaluation error ends the stream; a short-circuited one never happens.
+	bad := expr.Eq(expr.Call("ABS", expr.Str("x")), expr.Int(1))
+	for i, pred := range []expr.Expr{bad, expr.Or(expr.Bool(false), bad), expr.And(expr.Bool(false), bad)} {
+		f := NewColFilter(NewColScan(rel), pred)
+		if err := f.Open(); err != nil {
+			t.Fatal(err)
 		}
-		got := collectRows(t, NewMaterialize(cf))
-		want := collectRows(t, NewFilter(NewScan(rel), pred))
-		assertSameRows(t, got, want)
+		if _, err := f.NextCol(); (err != nil) != (i < 2) {
+			t.Fatalf("%s: NextCol error = %v, want an error: %v", pred, err, i < 2)
+		}
+		f.Close()
 	}
 }
 
@@ -126,67 +122,51 @@ func TestColFilterZeroMatchFirstBatch(t *testing.T) {
 		expr.And(expr.Ge(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(1)),
 			expr.Le(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(5))), // row-closure path
 	} {
-		cf, ok := NewColFilter(NewColScan(rel), pred)
-		if !ok {
-			t.Fatal("pred did not compile")
-		}
-		if got := collectRows(t, NewMaterialize(cf)); len(got) != 0 {
+		if got := drainCol(t, NewColFilter(NewColScan(rel), pred)); len(got) != 0 {
 			t.Fatalf("zero-match filter leaked %d rows: %v", len(got), got)
 		}
 	}
 }
 
-func TestColProjectMatchesRowProject(t *testing.T) {
+func TestColProjectMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	rel := colTestRel(r, 200, true)
-	exprs := []expr.Expr{
-		expr.ColIdx{Idx: 1, Typ: value.KindInt, Name: "v"},
-		expr.ColIdx{Idx: 0, Typ: value.KindInt, Name: "k"},
-		expr.TStart{},
-		expr.TEnd{},
-	}
-	names := []string{"v", "k", "ts", "te"}
+	k, v := expr.ColIdx{Idx: 0, Typ: value.KindInt, Name: "k"}, expr.ColIdx{Idx: 1, Typ: value.KindInt, Name: "v"}
 	// TFromExpr recomputes T from PERIOD over int columns; the nullable
 	// column 0 exercises the ω drop and k >= v the empty-period drop.
 	// The mixed relation demotes column 1, so TFromExpr runs on a flat
-	// one (both paths panic identically on non-int bounds).
+	// one (PERIOD panics on non-int bounds).
 	flatRel := colTestRel(rand.New(rand.NewSource(21)), 200, false)
-	texprs := map[TPolicy]expr.Expr{
-		TFromExpr: expr.Call("PERIOD",
-			expr.ColIdx{Idx: 0, Typ: value.KindInt, Name: "k"},
-			expr.ColIdx{Idx: 1, Typ: value.KindInt, Name: "v"}),
-	}
-	for _, tmode := range []TPolicy{TKeep, TZero, TFromExpr} {
+	for _, c := range []struct {
+		exprs []expr.Expr // header shuffle, then computed
+		tmode TPolicy
+		texpr expr.Expr
+	}{
+		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TKeep, nil},
+		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TZero, nil},
+		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TFromExpr, expr.Call("PERIOD", k, v)},
+		{[]expr.Expr{expr.Add(k, v), k, expr.Div(expr.Int(6), k), expr.TEnd{}}, TKeep, nil},
+		{[]expr.Expr{expr.Mul(v, expr.Int(2))}, TZero, nil},
+		{[]expr.Expr{v, expr.Sub(v, k)}, TFromExpr, expr.Call("PERIOD", k, v)},
+		{[]expr.Expr{k}, TFromExpr, expr.Call("PERIOD", expr.Add(expr.TStart{}, k), expr.Add(k, v))},
+	} {
 		src := rel
-		if tmode == TFromExpr {
+		if c.tmode == TFromExpr {
 			src = flatRel
 		}
-		rp, err := NewProject(NewScan(src), names, exprs)
-		if err != nil {
-			t.Fatal(err)
+		attrs := make([]schema.Attr, len(c.exprs))
+		for i, e := range c.exprs {
+			attrs[i] = schema.Attr{Name: fmt.Sprint("c", i), Type: e.Type()}
 		}
-		rp.TMode = tmode
-		rp.TExpr = texprs[tmode]
-		want := collectRows(t, rp)
-
-		cp, ok := NewColProject(NewColScan(src), exprs, rp.Out, tmode, texprs[tmode])
-		if !ok {
-			t.Fatal("projection did not compile")
-		}
-		got := collectRows(t, NewMaterialize(cp))
-		assertSameRows(t, got, want)
+		out := schema.Schema{Attrs: attrs}
+		got := drainCol(t, NewColProject(NewColScan(src), c.exprs, out, c.tmode, c.texpr))
+		assertSameRows(t, got, naiveProject(t, src.Rows(), c.exprs, c.tmode, c.texpr))
 
 		// The same over a filter's sparse selections (TFromExpr and TZero
 		// then gather the survivors instead of sharing column storage).
-		pred := expr.Ge(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.Int(25))
-		rp, _ = NewProject(NewFilter(NewScan(src), pred), names, exprs)
-		rp.TMode, rp.TExpr = tmode, texprs[tmode]
-		cf, ok := NewColFilter(NewColScan(src), pred)
-		if !ok {
-			t.Fatal("filter did not compile")
-		}
-		cp, _ = NewColProject(cf, exprs, rp.Out, tmode, texprs[tmode])
-		assertSameRows(t, collectRows(t, NewMaterialize(cp)), collectRows(t, rp))
+		pred := expr.Ge(v, expr.Int(25))
+		got = drainCol(t, NewColProject(NewColFilter(NewColScan(src), pred), c.exprs, out, c.tmode, c.texpr))
+		assertSameRows(t, got, naiveProject(t, naiveFilter(t, src.Rows(), pred), c.exprs, c.tmode, c.texpr))
 	}
 }
 
@@ -214,23 +194,15 @@ func TestFirstBuffersSizedByRowsInHand(t *testing.T) {
 	big := rel.MustBuild()
 	point := expr.Eq(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(500))
 
-	f := NewFilter(NewScan(big), point)
-	if rows := collectRows(t, f); len(rows) != 1 || cap(f.outBuf) > 1000 {
-		t.Fatalf("row filter kept %d rows in a buffer of cap %d, want 1 row and at most the 1 000 in hand", len(rows), cap(f.outBuf))
-	}
-
-	// Columnar: one row selected of a 1 000-row batch. The projection's
+	// One row selected of a 1 000-row batch. The projection's
 	// recomputed valid times take arrays of their own; they must be sized
 	// by the selection, not by the physical batch.
-	cf, _ := NewColFilter(NewColScan(big), point)
+	cf := NewColFilter(NewColScan(big), point)
 	exprs := []expr.Expr{expr.ColIdx{Idx: 1, Typ: value.KindInt}}
 	period := expr.Call("PERIOD", expr.TStart{}, expr.TEnd{})
 	out := schema.MustNew(schema.Attr{Name: "v", Type: value.KindInt})
 	for _, tmode := range []TPolicy{TFromExpr, TZero} {
-		cp, ok := NewColProject(cf, exprs, out, tmode, period)
-		if !ok {
-			t.Fatal("projection did not compile")
-		}
+		cp := NewColProject(cf, exprs, out, tmode, period)
 		if err := cp.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -256,19 +228,10 @@ func TestColLimitCountsSelectedRows(t *testing.T) {
 	for _, tc := range []struct{ n, off int64 }{
 		{10, 0}, {10, 5}, {-1, 7}, {0, 3}, {5, 1000}, {1000, 2},
 	} {
-		rowLim, err := NewLimit(NewFilter(NewScan(rel), pred), tc.n, tc.off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := collectRows(t, rowLim)
-
-		cf, ok := NewColFilter(NewColScan(rel), pred)
-		if !ok {
-			t.Fatal("pred did not compile")
-		}
-		got := collectRows(t, NewMaterialize(NewColLimit(cf, tc.n, tc.off)))
-		// LIMIT output is prefix-dependent; both paths stream in scan
-		// order, so rows must match exactly, not just as sets.
+		want := naiveLimit(naiveFilter(t, rel.Rows(), pred), tc.n, tc.off)
+		got := drainCol(t, must(NewColLimit(NewColFilter(NewColScan(rel), pred), tc.n, tc.off)))
+		// LIMIT output is prefix-dependent; both stream in scan order, so
+		// rows must match exactly, not just as sets.
 		if len(got) != len(want) {
 			t.Fatalf("n=%d off=%d: got %d rows, want %d", tc.n, tc.off, len(got), len(want))
 		}
@@ -280,23 +243,44 @@ func TestColLimitCountsSelectedRows(t *testing.T) {
 	}
 }
 
-func TestColSetOpUnionMatchesRow(t *testing.T) {
+func TestColSetOpMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 5; trial++ {
 		l := colTestRel(r, 200, true)
 		rr := colTestRel(r, 200, true)
-		rowOp, err := NewSetOp(NewScan(l), NewScan(rr), UnionOp)
-		if err != nil {
-			t.Fatal(err)
+		rr.Tuples = append(rr.Tuples, l.Tuples[:60]...) // a real intersection
+		for _, kind := range []SetOpKind{UnionOp, IntersectOp, ExceptOp} {
+			got := drainCol(t, must(NewColSetOp(NewColScan(l), NewColScan(rr), kind)))
+			assertSameRows(t, got, naiveSetOp(l.Rows(), rr.Rows(), kind))
 		}
-		want := collectRows(t, rowOp)
+		assertSameRows(t, drainCol(t, NewColDistinct(NewColScan(rr))), naiveSetOp(rr.Rows(), nil, UnionOp))
+	}
+	if _, err := NewColSetOp(NewColScan(colTestRel(r, 1, false)), NewColScan(limitRel(t, 1)), ExceptOp); err == nil {
+		t.Fatal("a union-incompatible pair built")
+	}
+}
 
-		colOp, err := NewColSetOp(NewColScan(l), NewColScan(rr))
-		if err != nil {
-			t.Fatal(err)
+// TestColSortMatchesNaive: multi-key, DESC, expression and valid-time keys,
+// in order, ties broken by the full row key.
+func TestColSortMatchesNaive(t *testing.T) {
+	rel := colTestRel(rand.New(rand.NewSource(18)), 300, true)
+	k, v := expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.ColIdx{Idx: 1, Typ: value.KindInt}
+	for _, keys := range [][]SortKey{
+		{{Expr: k}}, {{Expr: v, Desc: true}, {Expr: k}}, {{Expr: expr.TEnd{}, Desc: true}, {Expr: expr.TStart{}}},
+		{{Expr: expr.Add(k, v), Desc: true}}, nil,
+	} {
+		for _, batch := range []int{7, 0} {
+			got := drainCol(t, ApplyColBatch(NewColSort(NewColFilter(NewColScan(rel), expr.Ge(v, expr.Int(5))), keys...), batch))
+			want := naiveSort(t, naiveFilter(t, rel.Rows(), expr.Ge(v, expr.Int(5))), keys)
+			if len(got) != len(want) {
+				t.Fatalf("%d rows, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("keys %v: row %d is %v, want %v", keys, i, got[i], want[i])
+				}
+			}
 		}
-		got := collectRows(t, NewMaterialize(colOp))
-		assertSameRows(t, got, want)
 	}
 }
 
@@ -311,17 +295,13 @@ func TestColSplitterPartitions(t *testing.T) {
 	keys := []expr.Expr{expr.ColIdx{Idx: 1, Typ: value.KindInt}}
 
 	mk := func() *ColSplitter {
-		sp, ok, err := NewColSplitter(NewColScan(rel), keys, dop, seed)
-		if err != nil || !ok {
-			t.Fatalf("splitter: ok=%v err=%v", ok, err)
-		}
-		return sp
+		return must(NewColSplitter(NewColScan(rel), keys, dop, seed))
 	}
 	spA, spB := mk(), mk()
 	var all []tuple.Tuple
 	partOf := map[string]int{} // encoded key -> partition (run A)
 	for i := 0; i < dop; i++ {
-		rows := collectRows(t, NewMaterialize(spA.Partition(i)))
+		rows := drainCol(t, spA.Partition(i))
 		for _, tp := range rows {
 			partOf[string(tp.Vals[1].AppendKey(nil))] = i
 		}
@@ -330,18 +310,11 @@ func TestColSplitterPartitions(t *testing.T) {
 	assertSameRows(t, all, append([]tuple.Tuple(nil), rel.Tuples...))
 	// Run B (fresh splitter, same seed) must agree on every key's home.
 	for i := 0; i < dop; i++ {
-		rows := collectRows(t, NewMaterialize(spB.Partition(i)))
+		rows := drainCol(t, spB.Partition(i))
 		for _, tp := range rows {
 			if want, okk := partOf[string(tp.Vals[1].AppendKey(nil))]; okk && want != i {
 				t.Fatalf("key %v routed to partition %d, expected %d", tp.Vals[1], i, want)
 			}
 		}
 	}
-}
-
-func TestToColRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	rel := colTestRel(r, 150, true)
-	got := collectRows(t, NewMaterialize(NewToCol(NewScan(rel))))
-	assertSameRows(t, got, append([]tuple.Tuple(nil), rel.Tuples...))
 }

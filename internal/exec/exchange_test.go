@@ -1,58 +1,76 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"talign/internal/colbatch"
 	"talign/internal/expr"
-	"talign/internal/interval"
+	"talign/internal/faultinject"
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
+// partitions builds a splitter over in and returns its partition streams.
+func partitions(t *testing.T, in ColIterator, keys []expr.Expr, dop, batch int) []ColIterator {
+	t.Helper()
+	sp, err := NewColSplitter(in, keys, dop, maphash.MakeSeed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch > 0 {
+		sp.SetBatchSize(batch)
+	}
+	frags := make([]ColIterator, dop)
+	for i := range frags {
+		frags[i] = sp.Partition(i)
+	}
+	return frags
+}
+
+// noLeak fails the test if goroutines started since the call are still
+// running shortly after it ends.
+func noLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines running, %d before the test", n, before)
+		}
+	})
+}
+
 // TestSplitterExchangeRoundTrip: splitting a stream into DOP partitions and
 // merging them back must be a permutation of the input, for several DOPs
-// and batch sizes, keyed and whole-tuple partitioning alike.
+// and batch sizes, under whole-row, column and computed partition keys.
 func TestSplitterExchangeRoundTrip(t *testing.T) {
+	noLeak(t)
 	rng := rand.New(rand.NewSource(11))
 	cfg := randrel.DefaultConfig(schema.Attr{Name: "x", Type: value.KindString}, schema.Attr{Name: "v", Type: value.KindInt})
 	cfg.MaxTuples = 200
 	cfg.TimeMax = 64
 	cfg.Alphabet = 6
 	rel := randrel.Generate(rng, cfg)
-	keyVariants := [][]expr.Expr{
-		nil, // whole tuple
+	for ki, keys := range [][]expr.Expr{
+		nil, // whole row
 		{expr.ColIdx{Idx: 0, Typ: value.KindString}},
-	}
-	for _, keys := range keyVariants {
+		{expr.Mod(expr.Add(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.TStart{}), expr.Int(3))},
+	} {
 		for _, dop := range []int{1, 2, 3, 7} {
 			for _, batch := range []int{1, 3, 0} {
-				name := fmt.Sprintf("keys=%v/dop=%d/batch=%d", keys != nil, dop, batch)
-				sp, err := NewSplitter(NewScan(rel), keys, dop, maphash.MakeSeed())
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if batch > 0 {
-					sp.SetBatchSize(batch)
-				}
-				frags := make([]Iterator, dop)
-				for i := range frags {
-					frags[i] = sp.Partition(i)
-				}
-				ex, err := NewExchange(frags)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got, err := Collect(ex)
-				if err != nil {
-					t.Fatalf("%s: collect: %v", name, err)
-				}
+				name := fmt.Sprintf("keys=%d/dop=%d/batch=%d", ki, dop, batch)
+				got := collect(t, must(NewColExchange(partitions(t, NewColScan(rel), keys, dop, batch))))
 				if !relation.SetEqual(rel, got) {
 					a, b := relation.Diff(rel, got)
 					t.Fatalf("%s: round trip lost tuples\nonly in: %v\nonly out: %v", name, a, b)
@@ -65,142 +83,67 @@ func TestSplitterExchangeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSplitterCoPartition: two splitters sharing a seed must route equal
-// keys to the same partition index.
-func TestSplitterCoPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := randrel.DefaultConfig(schema.Attr{Name: "x", Type: value.KindString}, schema.Attr{Name: "v", Type: value.KindInt})
-	cfg.MaxTuples = 60
-	a := randrel.Generate(rng, cfg)
-	b := randrel.Generate(rng, cfg)
-	const dop = 4
-	seed := maphash.MakeSeed()
-	key := []expr.Expr{expr.ColIdx{Idx: 0, Typ: value.KindString}}
-	drain := func(rel *relation.Relation) [dop]map[string]bool {
-		sp, err := NewSplitter(NewScan(rel), key, dop, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frags := make([]Iterator, dop)
-		for i := range frags {
-			frags[i] = sp.Partition(i)
-		}
-		var out [dop]map[string]bool
-		done := make(chan error, dop)
-		for i := range frags {
-			out[i] = map[string]bool{}
-			go func(i int) {
-				if err := frags[i].Open(); err != nil {
-					done <- err
-					return
-				}
-				defer frags[i].Close()
-				for {
-					batch, err := frags[i].Next()
-					if err != nil {
-						done <- err
-						return
-					}
-					if len(batch) == 0 {
-						done <- nil
-						return
-					}
-					for _, tu := range batch {
-						out[i][tu.Vals[0].String()] = true
-					}
-				}
-			}(i)
-		}
-		for i := 0; i < dop; i++ {
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-	pa, pb := drain(a), drain(b)
-	for i := 0; i < dop; i++ {
-		for k := range pa[i] {
-			for j := 0; j < dop; j++ {
-				if j != i && pb[j][k] {
-					t.Fatalf("key %q lands in partition %d of a but %d of b", k, i, j)
-				}
-			}
-		}
-	}
-}
-
-// errIter fails after emitting a few batches.
-type errIter struct {
-	n int
-}
-
-func (e *errIter) Schema() schema.Schema { return schema.Schema{} }
-func (e *errIter) Open() error           { return nil }
-func (e *errIter) Next() ([]tuple.Tuple, error) {
-	e.n++
-	if e.n > 2 {
-		return nil, errors.New("boom")
-	}
-	return []tuple.Tuple{{}}, nil
-}
-func (e *errIter) Close() error { return nil }
-
-// TestExchangeErrorPropagation: a failing fragment surfaces its error at
-// the merge side and cancels the siblings without deadlocking.
+// TestExchangeErrorPropagation: a fragment that fails — with an error from
+// its input, an injected fault in the worker loop, a key expression that
+// does not evaluate in the splitter, a panic — surfaces its error at the
+// merge side, structured, cancels the siblings without deadlocking, and is
+// still closed.
 func TestExchangeErrorPropagation(t *testing.T) {
-	rel := relation.New(schema.Schema{})
-	for i := 0; i < 100; i++ {
-		rel.Tuples = append(rel.Tuples, tuple.Tuple{})
-	}
-	ex, err := NewExchange([]Iterator{&errIter{}, NewScan(rel)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var sawErr error
-	for {
-		b, err := ex.Next()
-		if err != nil {
-			sawErr = err
-			break
+	noLeak(t)
+	defer faultinject.Reset()
+	rel := limitRel(t, 5000)
+	bad := expr.Call("ABS", expr.Str("x"))
+	for name, mk := range map[string]func() (frag ColIterator, check func(error) bool){
+		"input error": func() (ColIterator, func(error) bool) {
+			return NewColFilter(NewColScan(rel), expr.Eq(bad, expr.Int(1))), func(err error) bool { return err != nil && err.Error() == "expr: ABS of string" }
+		},
+		"worker fault": func() (ColIterator, func(error) bool) {
+			faultinject.Arm("exec.exchange.worker", faultinject.Fault{Kind: faultinject.KindError, After: 2})
+			return NewColScan(rel), func(err error) bool { return err != nil }
+		},
+		"splitter key error": func() (ColIterator, func(error) bool) {
+			return partitions(t, NewColScan(rel), []expr.Expr{bad}, 1, 0)[0], func(err error) bool { return err != nil && err.Error() == "expr: ABS of string" }
+		},
+		"fragment panic": func() (ColIterator, func(error) bool) {
+			return &faultyIter{nextPanic: "fragment boom"}, func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }
+		},
+		"fragment budget": func() (ColIterator, func(error) bool) {
+			return NewColGuard(armed(nil, NewBudget(100, 0)), NewColScan(rel)), func(err error) bool { var be *BudgetError; return errors.As(err, &be) }
+		},
+		"fragment cancelled": func() (ColIterator, func(error) bool) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return NewColGuard(armed(ctx, nil), NewColScan(rel)), func(err error) bool { return errors.Is(err, context.Canceled) }
+		},
+	} {
+		frag, check := mk()
+		sibling := &closeTracker{ColIterator: ApplyColBatch(NewColScan(rel), 16)}
+		failing := &closeTracker{ColIterator: frag}
+		ex := must(NewColExchange([]ColIterator{failing, sibling}))
+		_, err := Collect(ex)
+		faultinject.Reset()
+		if !check(err) {
+			t.Fatalf("%s: the exchange reported %v", name, err)
 		}
-		if len(b) == 0 {
-			break
+		// Close propagates the stored error; never a fresh panic.
+		if cerr := ex.Close(); cerr != nil && !check(cerr) {
+			t.Fatalf("%s: Close: %v", name, cerr)
 		}
-	}
-	ex.Close()
-	if sawErr == nil || sawErr.Error() != "boom" {
-		t.Fatalf("want boom error, got %v", sawErr)
+		if !failing.closed || !sibling.closed {
+			t.Fatalf("%s: fragments closed: failing %v, sibling %v", name, failing.closed, sibling.closed)
+		}
 	}
 }
 
 // TestExchangeEarlyClose: abandoning an exchange mid-stream must unblock
 // the splitter producer and the workers (the test would hang otherwise).
 func TestExchangeEarlyClose(t *testing.T) {
-	rel := relation.New(schema.Schema{Attrs: []schema.Attr{{Name: "v", Type: value.KindInt}}})
-	for i := 0; i < 50_000; i++ {
-		rel.MustAppend(tuple.New(interval.New(int64(i), int64(i)+1), value.NewInt(int64(i%97))))
-	}
-	sp, err := NewSplitter(NewScan(rel), nil, 3, maphash.MakeSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.SetBatchSize(16)
-	frags := make([]Iterator, 3)
-	for i := range frags {
-		frags[i] = sp.Partition(i)
-	}
-	ex, err := NewExchange(frags)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noLeak(t)
+	ex := must(NewColExchange(partitions(t, NewColScan(limitRel(t, 50_000)), nil, 3, 16)))
 	if err := ex.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Next(); err != nil {
+	if _, err := ex.NextCol(); err != nil {
 		t.Fatal(err)
 	}
 	if err := ex.Close(); err != nil {
@@ -208,32 +151,52 @@ func TestExchangeEarlyClose(t *testing.T) {
 	}
 }
 
+// TestExchangeRecyclesBatches: the consumer owns a batch until its next
+// pull — a selection it installs must not leak into what the worker copies
+// next — and the batch it gives back is what a worker fills again.
+func TestExchangeRecyclesBatches(t *testing.T) {
+	rel := limitRel(t, 4000)
+	ex := must(NewColExchange([]ColIterator{ApplyColBatch(NewColScan(rel), 100)}))
+	if err := ex.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	seen, rows := map[*colbatch.Batch]bool{}, 0
+	for {
+		b, err := ex.NextCol()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		seen[b] = true
+		rows += b.NumRows()
+		b.Sel = []int32{} // what a filter above would do
+	}
+	if rows != rel.Len() || len(seen) > chanDepth+2 {
+		t.Fatalf("%d rows (want %d) in %d distinct batches (want the few in flight, recycled)", rows, rel.Len(), len(seen))
+	}
+}
+
 // closeTracker records whether Close was called.
 type closeTracker struct {
-	Iterator
+	ColIterator
 	closed bool
 }
 
 func (c *closeTracker) Close() error {
 	c.closed = true
-	return c.Iterator.Close()
+	return c.ColIterator.Close()
 }
 
 // TestSplitterAbandonedBeforeOpen: closing every partition of a splitter
 // whose producer never launched (the plan-build error path) must close the
 // source iterator and let the drain goroutines exit instead of leaking.
 func TestSplitterAbandonedBeforeOpen(t *testing.T) {
-	rel := relation.New(schema.Schema{Attrs: []schema.Attr{{Name: "v", Type: value.KindInt}}})
-	rel.MustAppend(tuple.New(interval.New(0, 1), value.NewInt(1)))
-	src := &closeTracker{Iterator: NewScan(rel)}
-	sp, err := NewSplitter(src, nil, 3, maphash.MakeSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]Iterator, 3)
-	for i := range parts {
-		parts[i] = sp.Partition(i)
-	}
+	noLeak(t)
+	src := &closeTracker{ColIterator: NewColScan(limitRel(t, 1))}
+	parts := partitions(t, src, nil, 3, 0)
 	// Never Open any partition — simulate ExchangeNode.Build failing after
 	// splitter construction — then close them all.
 	for _, p := range parts {
@@ -245,8 +208,8 @@ func TestSplitterAbandonedBeforeOpen(t *testing.T) {
 		t.Fatal("source iterator not closed after all partitions released")
 	}
 	// The channels must be closed so the drain goroutines exit and a
-	// stray Next reports exhaustion rather than blocking.
-	if b, err := parts[0].Next(); err != nil || len(b) != 0 {
-		t.Fatalf("abandoned partition Next = (%v, %v), want empty", b, err)
+	// stray NextCol reports exhaustion rather than blocking.
+	if b, err := parts[0].NextCol(); err != nil || b != nil {
+		t.Fatalf("abandoned partition NextCol = (%v, %v), want exhaustion", b, err)
 	}
 }

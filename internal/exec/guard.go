@@ -9,7 +9,6 @@ import (
 	"talign/internal/colbatch"
 	"talign/internal/faultinject"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 )
 
 // panicsRecovered counts, process-wide, how many panics the executor's
@@ -73,34 +72,7 @@ func RecoverAsError(site string, errp *error) {
 	}
 }
 
-// Guard is the per-operator resilience boundary the plan layer wraps
-// around every operator a Build produces. One wrapper does three jobs,
-// all at batch granularity so steady-state cost is amortized over
-// BatchSize tuples:
-//
-//   - panic isolation: a panic in the wrapped operator (or anything
-//     beneath it on the same goroutine, including a columnar subtree
-//     under a Materialize) is recovered and converted into a structured
-//     *PanicError, so a poisoned expression or a corrupted batch tears
-//     down the query, not the process;
-//   - cooperative cancellation: once the execution's context is
-//     cancelled or past its deadline, Open/Next abort with the context
-//     error (counted once per execution into CancelObserved);
-//   - resource budgeting: every output batch is charged against the
-//     execution's shared Budget, and an exhausted budget aborts with a
-//     structured *BudgetError.
-//
-// Exchange worker and splitter producer goroutines carry their own
-// recovery (they are separate stacks); together with Guard that makes
-// every goroutine a query can run on panic-isolated.
-type Guard struct {
-	// Input is the wrapped operator.
-	Input Iterator
-	*GuardState
-}
-
-// GuardState is what every guard of one built pipeline, row and columnar,
-// shares: the running execution's context and budget, and whether its
+// GuardState is what every guard of one built pipeline shares: the running execution's context and budget, and whether its
 // cancellation was counted yet. The guards are built around it once; each
 // execution re-arms it (Arm) before Open, never while one is running.
 type GuardState struct {
@@ -120,69 +92,6 @@ func (g *GuardState) Arm(ctx context.Context, budget *Budget) {
 	g.tripped.Store(false)
 }
 
-// NewGuard wraps in with the panic/cancellation/budget boundary armed
-// through gs; panic recovery is unconditional.
-func NewGuard(gs *GuardState, in Iterator) Iterator {
-	return &Guard{Input: in, GuardState: gs}
-}
-
-// Schema implements Iterator.
-func (g *Guard) Schema() schema.Schema { return g.Input.Schema() }
-
-// Open implements Iterator.
-func (g *Guard) Open() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = Recovered(g.site(), r)
-		}
-	}()
-	if err := g.check(); err != nil {
-		return err
-	}
-	if err := faultinject.Hit("exec.open"); err != nil {
-		return err
-	}
-	return g.Input.Open()
-}
-
-// Next implements Iterator.
-func (g *Guard) Next() (batch []tuple.Tuple, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			batch, err = nil, Recovered(g.site(), r)
-		}
-	}()
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	if err := faultinject.Hit("exec.next"); err != nil {
-		return nil, err
-	}
-	b, err := g.Input.Next()
-	if err != nil {
-		return nil, err
-	}
-	if err := g.budget.charge(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Close implements Iterator; teardown of an operator a panic left in a
-// broken state must not panic the unwinding query a second time.
-func (g *Guard) Close() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = Recovered(g.site(), r)
-		}
-	}()
-	return g.Input.Close()
-}
-
-// site names the guarded operator for panic diagnostics; it is rendered
-// only once a panic is in flight, never per batch.
-func (g *Guard) site() string { return fmt.Sprintf("%T", g.Input) }
-
 // check returns the context's error once it is done, counting the first
 // observation into the process-wide instrumentation counter.
 func (g *GuardState) check() error {
@@ -198,19 +107,47 @@ func (g *GuardState) check() error {
 	return nil
 }
 
-// ColGuard is Guard on a columnar edge no row Guard covers: a plan root
-// whose consumer pulls batches straight off the vectorized pipeline (no
-// Materialize step), and the columnar input of a stateful operator, which
-// drains it inside a single Open or NextCol call. Either gets the panic,
-// cancellation and budget boundary — and the exec.open / exec.next fault
-// sites — a guarded row operator has.
+// OpStats is what one plan node's operator did during an analyzed execution
+// (EXPLAIN ANALYZE): the selected rows that left it and the batches they
+// left in. The counters are atomic because the fragments of an exchange
+// count into their template node's stats from worker goroutines.
+type OpStats struct {
+	Rows, Batches atomic.Int64
+}
+
+// ColGuard is the resilience boundary of a pipeline, placed where a whole
+// subtree runs inside one call: around a plan root, whose consumer pulls
+// batches straight off the pipeline, and around the input of an operator
+// that drains it inside a single Open or NextCol. One wrapper does three
+// jobs, all at batch granularity:
+//
+//   - panic isolation: a panic in the wrapped operator (or anything beneath
+//     it on the same goroutine) is recovered and converted into a
+//     structured *PanicError, so a poisoned expression or a corrupted batch
+//     tears down the query, not the process;
+//   - cooperative cancellation: once the execution's context is cancelled
+//     or past its deadline, Open/NextCol abort with the context error
+//     (counted once per execution into CancelObserved);
+//   - resource budgeting: every output batch is charged against the
+//     execution's shared Budget, and an exhausted budget aborts with a
+//     structured *BudgetError.
+//
+// It also carries the exec.open / exec.next fault sites, and — in an
+// analyzed execution, which guards every node's operator — counts what
+// passes into the node's OpStats. Exchange worker and splitter producer
+// goroutines carry their own recovery (they are separate stacks); together
+// with ColGuard that makes every goroutine a query can run on
+// panic-isolated.
 type ColGuard struct {
 	// Input is the wrapped columnar operator.
 	Input ColIterator
+	// Stats, when set, counts the batches and selected rows leaving Input.
+	Stats *OpStats
 	*GuardState
 }
 
-// NewColGuard wraps in like NewGuard wraps a row operator.
+// NewColGuard wraps in with the boundary armed through gs; panic recovery
+// is unconditional.
 func NewColGuard(gs *GuardState, in ColIterator) *ColGuard {
 	return &ColGuard{Input: in, GuardState: gs}
 }
@@ -234,8 +171,8 @@ func (g *ColGuard) Open() (err error) {
 	return g.Input.Open()
 }
 
-// NextCol implements ColIterator, charging the batch's selected rows at
-// the row guard's rates.
+// NextCol implements ColIterator, charging the batch's selected rows: a
+// fixed cost per row (valid time + header) plus a fixed cost per value.
 func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -253,6 +190,10 @@ func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
 		return nil, err
 	}
 	n := b.NumRows()
+	if g.Stats != nil {
+		g.Stats.Rows.Add(int64(n))
+		g.Stats.Batches.Add(1)
+	}
 	if err := g.budget.chargeRows(n, int64(n)*24*int64(1+len(b.Cols))); err != nil {
 		return nil, err
 	}

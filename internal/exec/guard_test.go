@@ -6,22 +6,24 @@ import (
 	"strings"
 	"testing"
 
+	"talign/internal/colbatch"
 	"talign/internal/schema"
 	"talign/internal/tuple"
 )
 
-// faultyIter panics or errors on demand at each Iterator call.
+// faultyIter panics on demand at each ColIterator call and otherwise
+// serves n one-row batches.
 type faultyIter struct {
-	sch        schema.Schema
 	openPanic  any
 	nextPanic  any
 	closePanic any
-	batches    [][]tuple.Tuple
+	n          int
 	pos        int
 	closed     bool
+	out        colbatch.Batch
 }
 
-func (f *faultyIter) Schema() schema.Schema { return f.sch }
+func (f *faultyIter) Schema() schema.Schema { return schema.Schema{} }
 
 func (f *faultyIter) Open() error {
 	if f.openPanic != nil {
@@ -30,16 +32,17 @@ func (f *faultyIter) Open() error {
 	return nil
 }
 
-func (f *faultyIter) Next() ([]tuple.Tuple, error) {
+func (f *faultyIter) NextCol() (*colbatch.Batch, error) {
 	if f.nextPanic != nil {
 		panic(f.nextPanic)
 	}
-	if f.pos >= len(f.batches) {
+	if f.pos >= f.n {
 		return nil, nil
 	}
-	b := f.batches[f.pos]
 	f.pos++
-	return b, nil
+	f.out.ResetSchema(schema.Schema{})
+	f.out.AppendTuple(tuple.Tuple{})
+	return &f.out, nil
 }
 
 func (f *faultyIter) Close() error {
@@ -50,14 +53,6 @@ func (f *faultyIter) Close() error {
 	return nil
 }
 
-func rowsOf(n int) [][]tuple.Tuple {
-	var out [][]tuple.Tuple
-	for i := 0; i < n; i++ {
-		out = append(out, []tuple.Tuple{{}})
-	}
-	return out
-}
-
 // armed returns a guard state armed for one execution.
 func armed(ctx context.Context, budget *Budget) *GuardState {
 	gs := new(GuardState)
@@ -65,8 +60,8 @@ func armed(ctx context.Context, budget *Budget) *GuardState {
 	return gs
 }
 
-// TestGuardRecoversPanics proves a panic at any Iterator call surfaces as
-// a structured *PanicError instead of crashing, and that the recovery
+// TestGuardRecoversPanics proves a panic at any ColIterator call surfaces
+// as a structured *PanicError instead of crashing, and that the recovery
 // counter advances.
 func TestGuardRecoversPanics(t *testing.T) {
 	for _, call := range []string{"open", "next", "close"} {
@@ -79,7 +74,7 @@ func TestGuardRecoversPanics(t *testing.T) {
 		case "close":
 			f.closePanic = "boom"
 		}
-		g := NewGuard(armed(context.Background(), nil), f)
+		g := NewColGuard(armed(context.Background(), nil), f)
 		before := PanicsRecovered()
 
 		var err error
@@ -87,7 +82,7 @@ func TestGuardRecoversPanics(t *testing.T) {
 		case "open":
 			err = g.Open()
 		case "next":
-			_, err = g.Next()
+			_, err = g.NextCol()
 		case "close":
 			err = g.Close()
 		}
@@ -108,32 +103,33 @@ func TestGuardRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestGuardCancellation proves a cancelled context aborts Open and Next
+// TestGuardCancellation proves a cancelled context aborts Open and NextCol
 // with the context's error.
 func TestGuardCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g := NewGuard(armed(ctx, nil), &faultyIter{batches: rowsOf(3)})
+	g := NewColGuard(armed(ctx, nil), &faultyIter{n: 3})
 	if err := g.Open(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Open under cancelled ctx: got %v, want context.Canceled", err)
 	}
-	if _, err := g.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Next under cancelled ctx: got %v, want context.Canceled", err)
+	if _, err := g.NextCol(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NextCol under cancelled ctx: got %v, want context.Canceled", err)
 	}
 }
 
 // TestGuardBudget proves the row budget trips with a structured
-// *BudgetError once cumulative output exceeds the cap, and stays
-// tripped.
+// *BudgetError once cumulative output exceeds the cap, and stays tripped;
+// a guard with stats attached has counted what it let through.
 func TestGuardBudget(t *testing.T) {
 	bud := NewBudget(2, 0)
-	g := NewGuard(armed(nil, bud), &faultyIter{batches: rowsOf(5)})
+	g := NewColGuard(armed(nil, bud), &faultyIter{n: 5})
+	g.Stats = new(OpStats)
 	if err := g.Open(); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	var err error
 	for i := 0; i < 5 && err == nil; i++ {
-		_, err = g.Next()
+		_, err = g.NextCol()
 	}
 	var be *BudgetError
 	if !errors.As(err, &be) {
@@ -142,8 +138,11 @@ func TestGuardBudget(t *testing.T) {
 	if be.Resource != "rows" || be.Limit != 2 {
 		t.Fatalf("bad BudgetError: %+v", be)
 	}
-	if _, err2 := g.Next(); !errors.As(err2, &be) {
+	if _, err2 := g.NextCol(); !errors.As(err2, &be) {
 		t.Fatalf("tripped budget did not stay tripped: %v", err2)
+	}
+	if rows, batches := g.Stats.Rows.Load(), g.Stats.Batches.Load(); rows != 4 || batches != 4 {
+		t.Fatalf("stats read %d rows in %d batches, want the 4 one-row batches pulled", rows, batches)
 	}
 }
 
@@ -151,11 +150,11 @@ func TestGuardBudget(t *testing.T) {
 // when the row count stays small.
 func TestGuardByteBudget(t *testing.T) {
 	bud := NewBudget(0, 10)
-	g := NewGuard(armed(nil, bud), &faultyIter{batches: rowsOf(2)})
+	g := NewColGuard(armed(nil, bud), &faultyIter{n: 2})
 	_ = g.Open()
 	var err error
 	for i := 0; i < 2 && err == nil; i++ {
-		_, err = g.Next()
+		_, err = g.NextCol()
 	}
 	var be *BudgetError
 	if !errors.As(err, &be) {
@@ -163,38 +162,5 @@ func TestGuardByteBudget(t *testing.T) {
 	}
 	if be.Resource != "bytes" {
 		t.Fatalf("bad resource: %+v", be)
-	}
-}
-
-// TestExchangeWorkerPanicIsolated proves a panic inside an exchange
-// fragment goroutine surfaces as a structured error from the consuming
-// side and still closes the fragment.
-func TestExchangeWorkerPanicIsolated(t *testing.T) {
-	frag := &faultyIter{nextPanic: "fragment boom"}
-	ex, err := NewExchange([]Iterator{frag})
-	if err != nil {
-		t.Fatalf("NewExchange: %v", err)
-	}
-	if err := ex.Open(); err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	for err == nil {
-		var b []tuple.Tuple
-		b, err = ex.Next()
-		if err == nil && len(b) == 0 {
-			break
-		}
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("got %v, want *PanicError from fragment goroutine", err)
-	}
-	// Close propagates the stored fragment error; it must be the same
-	// structured error, never a fresh panic.
-	if cerr := ex.Close(); cerr != nil && !errors.As(cerr, &pe) {
-		t.Fatalf("Close: %v", cerr)
-	}
-	if !frag.closed {
-		t.Fatal("fragment iterator was not closed after its panic")
 	}
 }

@@ -3,22 +3,24 @@ package exec
 import (
 	"testing"
 
+	"talign/internal/colbatch"
 	"talign/internal/relation"
-	"talign/internal/tuple"
 )
 
-// pullCounter counts how many batches and tuples its child was asked to
+// pullCounter counts how many batches and rows its child was asked to
 // produce — the probe for the early-exit contract.
 type pullCounter struct {
-	Iterator
-	nexts  int
-	tuples int
+	ColIterator
+	nexts int
+	rows  int
 }
 
-func (p *pullCounter) Next() ([]tuple.Tuple, error) {
-	b, err := p.Iterator.Next()
+func (p *pullCounter) NextCol() (*colbatch.Batch, error) {
+	b, err := p.ColIterator.NextCol()
 	p.nexts++
-	p.tuples += len(b)
+	if b != nil {
+		p.rows += b.NumRows()
+	}
 	return b, err
 }
 
@@ -37,28 +39,18 @@ func limitRel(t *testing.T, n int) *relation.Relation {
 // child is never pulled again, so a LIMIT 10 over a 100k-row scan reads
 // one batch, not the whole table.
 func TestLimitEarlyExit(t *testing.T) {
-	rel := limitRel(t, 100000)
-	scan := NewScan(rel)
-	scan.SetBatchSize(64)
-	probe := &pullCounter{Iterator: scan}
-	lim, err := NewLimit(probe, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := &pullCounter{ColIterator: ApplyColBatch(NewColScan(limitRel(t, 100000)), 64)}
+	out := collect(t, must(NewColLimit(probe, 10, 0)))
 	if out.Len() != 10 {
 		t.Fatalf("LIMIT 10 returned %d rows", out.Len())
 	}
-	if probe.nexts != 1 || probe.tuples != 64 {
-		t.Fatalf("upstream pulled %d batches / %d tuples; early exit should stop after 1 batch of 64", probe.nexts, probe.tuples)
+	if probe.nexts != 1 || probe.rows != 64 {
+		t.Fatalf("upstream pulled %d batches / %d rows; early exit should stop after 1 batch of 64", probe.nexts, probe.rows)
 	}
 }
 
-// TestLimitOffset checks LIMIT/OFFSET row selection and that the skip
-// consumes only the batches it must.
+// TestLimitOffset checks LIMIT/OFFSET row selection, and that a negative
+// OFFSET does not build.
 func TestLimitOffset(t *testing.T) {
 	rel := limitRel(t, 1000)
 	for _, tc := range []struct {
@@ -71,16 +63,7 @@ func TestLimitOffset(t *testing.T) {
 		{0, 0, -1, 0},      // LIMIT 0: no pulls needed at all
 		{2000, 500, 500, 500},
 	} {
-		scan := NewScan(rel)
-		scan.SetBatchSize(16)
-		lim, err := NewLimit(scan, tc.n, tc.off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := Collect(lim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := collect(t, must(NewColLimit(ApplyColBatch(NewColScan(rel), 16), tc.n, tc.off)))
 		if int64(out.Len()) != tc.rows {
 			t.Fatalf("LIMIT %d OFFSET %d: %d rows, want %d", tc.n, tc.off, out.Len(), tc.rows)
 		}
@@ -88,21 +71,15 @@ func TestLimitOffset(t *testing.T) {
 			t.Fatalf("LIMIT %d OFFSET %d: first row %v, want %d", tc.n, tc.off, out.Tuples[0].Vals[0], tc.first)
 		}
 	}
+	if _, err := NewColLimit(NewColScan(rel), 1, -1); err == nil {
+		t.Fatal("OFFSET -1 built")
+	}
 }
 
 // TestLimitZeroPullsNothing: LIMIT 0 must not touch the child at all.
 func TestLimitZeroPullsNothing(t *testing.T) {
-	scan := NewScan(limitRel(t, 100))
-	probe := &pullCounter{Iterator: scan}
-	lim, err := NewLimit(probe, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 || probe.nexts != 0 {
+	probe := &pullCounter{ColIterator: NewColScan(limitRel(t, 100))}
+	if out := collect(t, must(NewColLimit(probe, 0, 0))); out.Len() != 0 || probe.nexts != 0 {
 		t.Fatalf("LIMIT 0: %d rows, %d child pulls; want 0 and 0", out.Len(), probe.nexts)
 	}
 }

@@ -51,6 +51,8 @@ func (c *reopenTree) e(x expr.Expr) expr.Expr {
 			return expr.Logic{Op: n.Op, L: sub(n.L), R: sub(n.R)}
 		case expr.Between:
 			return expr.Between{X: sub(n.X), Lo: sub(n.Lo), Hi: sub(n.Hi)}
+		case expr.Arith:
+			return expr.Arith{Op: n.Op, L: sub(n.L), R: sub(n.R)}
 		}
 		return x
 	}
@@ -62,11 +64,7 @@ func (c *reopenTree) sized(it ColIterator) ColIterator { return ApplyColBatch(it
 // filter is a guarded scan → filter chain: what the planner hands a
 // stateful operator as input.
 func (c *reopenTree) filter(rel *relation.Relation, pred expr.Expr) ColIterator {
-	f, ok := NewColFilter(c.sized(NewColScan(rel)), c.e(pred))
-	if !ok {
-		panic("predicate does not compile: " + pred.String())
-	}
-	return NewColGuard(c.gs, f)
+	return NewColGuard(c.gs, NewColFilter(c.sized(NewColScan(rel)), c.e(pred)))
 }
 
 var (
@@ -84,11 +82,7 @@ func (c *reopenTree) project(in ColIterator, mode TPolicy, texpr expr.Expr, cols
 	for i, e := range cols {
 		attrs[i] = schema.Attr{Name: fmt.Sprintf("c%d", i), Type: e.Type()}
 	}
-	pr, ok := NewColProject(in, cols, schema.Schema{Attrs: attrs}, mode, texpr)
-	if !ok {
-		panic("projection does not compile")
-	}
-	return pr
+	return NewColProject(in, cols, schema.Schema{Attrs: attrs}, mode, texpr)
 }
 
 type reopenCase struct {
@@ -131,8 +125,7 @@ func reopenCases() []reopenCase {
 				}
 				return append(dst, segs[from:]...)
 			}
-			f, _ := NewColFilter(c.sized(ss), c.e(rPred))
-			return f
+			return NewColFilter(c.sized(ss), c.e(rPred))
 		}},
 		{name: "filter int kernel", build: func(c *reopenTree) ColIterator { return c.left() },
 			want: func(_ *testing.T, _, rf, _ *relation.Relation) *relation.Relation { return rf }},
@@ -151,11 +144,15 @@ func reopenCases() []reopenCase {
 		{name: "project TFromExpr", build: func(c *reopenTree) ColIterator {
 			return c.project(c.left(), TFromExpr, expr.Func{Name: "PERIOD", Args: []expr.Expr{rK, rV}}, rK, rV)
 		}},
-		{name: "limit offset", build: func(c *reopenTree) ColIterator { return NewColLimit(c.left(), 3, 2) }},
-		{name: "offset only", build: func(c *reopenTree) ColIterator { return NewColLimit(c.left(), -1, 1) }},
-		{name: "set-op", build: func(c *reopenTree) ColIterator {
-			return must(NewColSetOp(c.project(c.left(), TKeep, nil, rK, rV), c.right()))
+		filter("computed", expr.And(expr.Ge(expr.Add(rV, rK), p(1)), expr.Or(expr.Lt(expr.Call("DUR", expr.TStart{}, expr.TEnd{}), p(2)), expr.Eq(rK, expr.Const{V: value.NewInt(1)})))),
+		{name: "project computed", build: func(c *reopenTree) ColIterator {
+			return c.project(c.left(), TKeep, nil, c.e(expr.Add(rV, p(1))), rK, expr.Div(expr.Const{V: value.NewInt(6)}, rK))
 		}},
+		{name: "project computed TFromExpr", build: func(c *reopenTree) ColIterator {
+			return c.project(c.left(), TFromExpr, expr.Call("PERIOD", expr.TStart{}, expr.Add(expr.TStart{}, rV)), rK, expr.Sub(rV, rK))
+		}},
+		{name: "limit offset", build: func(c *reopenTree) ColIterator { return must(NewColLimit(c.left(), 3, 2)) }},
+		{name: "offset only", build: func(c *reopenTree) ColIterator { return must(NewColLimit(c.left(), -1, 1)) }},
 		{name: "aggregate", build: func(c *reopenTree) ColIterator {
 			aggs := []AggSpec{{Func: AggCountStar, Name: "n"}, {Func: AggSum, Arg: rV, Name: "sv"}, {Func: AggMin, Arg: rF, Name: "mf"}, {Func: AggAvg, Arg: rV, Name: "av"}}
 			return c.sized(must(NewColHashAggregate(c.left(), []expr.Expr{rK}, []string{"k"}, true, aggs)))
@@ -179,7 +176,7 @@ func reopenCases() []reopenCase {
 		{name: "temporal aggregation", build: func(c *reopenTree) ColIterator {
 			// B,Tϑ_F(N_B(r; r)), B = {k}: the split points are r's own
 			// bounds, by k.
-			points := must(NewColSetOp(c.project(c.left(), TKeep, nil, rK, expr.TStart{}), NewColGuard(c.gs, c.project(c.left(), TKeep, nil, rK, expr.TEnd{}))))
+			points := must(NewColSetOp(c.project(c.left(), TKeep, nil, rK, expr.TStart{}), NewColGuard(c.gs, c.project(c.left(), TKeep, nil, rK, expr.TEnd{})), UnionOp))
 			norm := must(NewColFusedAdjust(c.left(), NewColGuard(c.gs, points), ModeNormalize, GroupHash, []expr.EquiPair{{Left: rK, Right: expr.CI(0, value.KindInt)}}, nil, 1))
 			aggs := []AggSpec{{Func: AggCountStar, Name: "n"}, {Func: AggSum, Arg: rV, Name: "sv"}}
 			return c.sized(must(NewColHashAggregate(NewColGuard(c.gs, c.sized(norm)), []expr.Expr{rK}, []string{"k"}, true, aggs)))
@@ -187,14 +184,36 @@ func reopenCases() []reopenCase {
 			return must(oracle.Aggregation(rf, []string{"k"}, []oracle.AggSpec{{Op: oracle.CountStar, Name: "n"}, {Op: oracle.Sum, Arg: rV, Name: "sv"}}))
 		}},
 	}
-	// Hash join: six types × MatchT × residual, keyed and keyless (the
-	// nested-loop method). The keyed ones build over a filter chain (an
-	// owned store), the keyless over a bare scan (the relation's image).
+	// Set operations over r's and s's (k, v | w) pairs; DISTINCT over r's k.
+	for _, kind := range []SetOpKind{UnionOp, IntersectOp, ExceptOp} {
+		cases = append(cases, reopenCase{name: "set-op " + kind.String(), build: func(c *reopenTree) ColIterator {
+			return must(NewColSetOp(c.project(c.left(), TZero, nil, rK, rV), NewColGuard(c.gs, c.project(c.right(), TZero, nil, sK, sW)), kind))
+		}})
+	}
+	cases = append(cases, reopenCase{name: "distinct", build: func(c *reopenTree) ColIterator {
+		return NewColDistinct(c.project(c.left(), TZero, nil, rK))
+	}})
+	// Sort: ascending, descending and expression keys over a filter chain
+	// (an owned store) and a bare scan (the relation's image).
+	for name, keys := range map[string][]SortKey{"asc": {{Expr: rV}}, "desc": {{Expr: rK, Desc: true}, {Expr: expr.TEnd{}}}, "expr": {{Expr: expr.Sub(rV, rK), Desc: true}}} {
+		cases = append(cases, reopenCase{name: "sort " + name, build: func(c *reopenTree) ColIterator {
+			in := c.left()
+			if name == "desc" {
+				in = c.sized(NewColScan(c.r))
+			}
+			return c.sized(NewColSort(in, keys...))
+		}})
+	}
+	// Join: six types × MatchT × residual; keyed under the hash and the
+	// merge method, and keyless (the nested-loop method). The keyed ones
+	// build over a filter chain (an owned store), the keyless over a bare
+	// scan (the relation's image).
 	vLEw := expr.Le(rV, expr.CI(4, value.KindInt))
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin} {
 		for _, matchT := range []bool{false, true} {
 			for _, residual := range []expr.Expr{nil, vLEw} {
-				for _, keyless := range []bool{false, true} {
+				for _, method := range []string{"hash", "merge", "keyless"} {
+					keyless := method == "keyless"
 					if keyless && residual == nil {
 						continue
 					}
@@ -203,12 +222,14 @@ func reopenCases() []reopenCase {
 						cond = expr.Eq(rK, expr.CI(3, value.KindInt))
 					}
 					cases = append(cases, reopenCase{
-						name: fmt.Sprintf("join %s matchT=%v residual=%v keyless=%v", typ, matchT, residual != nil, keyless),
+						name: fmt.Sprintf("join %s matchT=%v residual=%v %s", typ, matchT, residual != nil, method),
 						build: func(c *reopenTree) ColIterator {
 							if keyless {
 								return c.sized(NewColHashJoin(c.left(), c.sized(NewColScan(c.s)), nil, cond, typ, matchT))
 							}
-							return c.sized(NewColHashJoin(c.left(), c.right(), []expr.EquiPair{{Left: rK, Right: sK}}, residual, typ, matchT))
+							j := NewColHashJoin(c.left(), c.right(), []expr.EquiPair{{Left: rK, Right: sK}}, residual, typ, matchT)
+							j.Merge = method == "merge"
+							return c.sized(j)
 						},
 						want: func(t *testing.T, s, rf, sf *relation.Relation) *relation.Relation {
 							if keyless {

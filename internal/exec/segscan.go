@@ -1,10 +1,9 @@
-// Segment-aware scans. A relation loaded from on-disk storage carries
+// The segment-aware scan. A relation loaded from on-disk storage carries
 // interval-partitioned segments with zone maps; the plan layer prunes
 // segments whose zone is disjoint from the pushed-down predicate and
-// hands the survivors to one of these scans. Both serve exactly the
-// rows of the surviving segments — pruning must never change results,
-// only skip work — and both leave the pruning decision entirely to the
-// planner.
+// hands the survivors to this scan. It serves exactly the rows of the
+// surviving segments — pruning must never change results, only skip work —
+// and leaves the pruning decision entirely to the planner.
 package exec
 
 import (
@@ -13,7 +12,6 @@ import (
 	"talign/internal/colbatch"
 	"talign/internal/relation"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 )
 
 var (
@@ -35,62 +33,7 @@ func SegmentsScanned() uint64 { return segsScanned.Load() }
 // process-wide.
 func SegmentsPruned() uint64 { return segsPruned.Load() }
 
-// SegScan is the row-side segment scan: it streams the ranges of the
-// relation's rows (relation.Rows) that the surviving segments occupy as
-// zero-copy sub-slices, like Scan does for whole relations.
-type SegScan struct {
-	batching
-	Rel  *relation.Relation
-	Segs []relation.Segment
-
-	rows []tuple.Tuple
-	seg  int
-	pos  int
-}
-
-// NewSegScan returns a row scan over the given segments of rel.
-func NewSegScan(rel *relation.Relation, segs []relation.Segment) *SegScan {
-	return &SegScan{Rel: rel, Segs: segs}
-}
-
-// Schema implements Iterator.
-func (s *SegScan) Schema() schema.Schema { return s.Rel.Schema }
-
-// Open implements Iterator.
-func (s *SegScan) Open() error {
-	s.rows, s.seg = s.Rel.Rows(), 0
-	if len(s.Segs) > 0 {
-		s.pos = s.Segs[0].Lo
-	}
-	return nil
-}
-
-// Next implements Iterator.
-func (s *SegScan) Next() ([]tuple.Tuple, error) {
-	for s.seg < len(s.Segs) {
-		sg := s.Segs[s.seg]
-		if s.pos >= sg.Hi {
-			s.seg++
-			if s.seg < len(s.Segs) {
-				s.pos = s.Segs[s.seg].Lo
-			}
-			continue
-		}
-		end := s.pos + s.batchCap()
-		if end > sg.Hi {
-			end = sg.Hi
-		}
-		b := s.rows[s.pos:end:end]
-		s.pos = end
-		return b, nil
-	}
-	return nil, nil
-}
-
-// Close implements Iterator.
-func (s *SegScan) Close() error { return nil }
-
-// ColSegScan is the columnar segment scan: it streams zero-copy views
+// ColSegScan is the segment scan: it streams zero-copy views
 // of each surviving segment's columnar image (for mapped segments, the
 // views alias the file mapping directly).
 type ColSegScan struct {

@@ -4,36 +4,27 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"talign/internal/exec"
 	"talign/internal/relation"
 )
 
-// ExplainAnalyze builds the plan under ctx with a row counter attached to
-// every operator, executes it to completion, and renders the tree with
-// estimated vs actual cardinalities per node. Nodes that never built an
-// operator during this execution (template fragments inside an exchange,
-// pruned branches) render "actual rows=-". The result relation is
-// returned alongside the rendering so callers can report the output
-// cardinality without re-running the statement.
+// ExplainAnalyze builds the plan under ctx as an analyzed build — every
+// node's operator behind a guard that counts the selected rows (and the
+// batches) leaving it, the pipeline production runs otherwise — executes it
+// to completion, and renders the tree with estimated vs actual
+// cardinalities per node. The fragments of an exchange count into the
+// template nodes EXPLAIN shows. Nodes that never built an operator during
+// this execution render "actual rows=-". The result relation is returned
+// alongside the rendering so callers can report the output cardinality
+// without re-running the statement.
 //
-// ctx must be fresh: ExplainAnalyze installs its own Instrument hook.
+// ctx must be fresh: ExplainAnalyze makes it an analyzed one.
 func ExplainAnalyze(n Node, ctx *ExecCtx) (string, *relation.Relation, error) {
 	var mu sync.Mutex
-	counts := map[Node]*atomic.Int64{}
 	type segCount struct{ scanned, pruned int }
 	segs := map[Node]segCount{}
-	ctx.Instrument = func(node Node, it exec.Iterator) exec.Iterator {
-		mu.Lock()
-		c := counts[node]
-		if c == nil {
-			c = new(atomic.Int64)
-			counts[node] = c
-		}
-		mu.Unlock()
-		return exec.CountTo(it, c)
-	}
+	ctx.stats = map[Node]*exec.OpStats{}
 	ctx.SegObserver = func(node Node, scanned, pruned int) {
 		mu.Lock()
 		sc := segs[node]
@@ -52,10 +43,10 @@ func ExplainAnalyze(n Node, ctx *ExecCtx) (string, *relation.Relation, error) {
 		b.WriteString(strings.Repeat("  ", depth))
 		actual := "-"
 		segInfo := ""
-		mu.Lock()
-		if c, ok := counts[n]; ok {
-			actual = fmt.Sprint(c.Load())
+		if st, ok := ctx.stats[n]; ok {
+			actual = fmt.Sprint(st.Rows.Load())
 		}
+		mu.Lock()
 		if sc, ok := segs[n]; ok {
 			segInfo = fmt.Sprintf(" (segments scanned=%d pruned=%d)", sc.scanned, sc.pruned)
 		}

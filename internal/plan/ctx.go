@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"talign/internal/exec"
@@ -25,13 +26,6 @@ type ExecCtx struct {
 	// fixed once a Build has seen it: rebind by assigning elements.
 	Params []value.Value
 
-	// Instrument, when set, wraps every operator a Build produces (after
-	// batch sizing) and is how EXPLAIN ANALYZE attaches its row counters.
-	// It must be set before Build and be safe for the node identity it is
-	// given; executions without instrumentation leave it nil and pay
-	// nothing.
-	Instrument func(n Node, it exec.Iterator) exec.Iterator
-
 	// SegObserver, when set, receives each pruning-eligible scan's
 	// segment outcome as it is built: how many segments will be read
 	// and how many the zone maps pruned. EXPLAIN ANALYZE uses it to
@@ -43,6 +37,13 @@ type ExecCtx struct {
 
 	mu     sync.Mutex
 	shared map[*SharedNode]*relation.Relation
+	// stats, when non-nil, makes the build an analyzed one (EXPLAIN ANALYZE):
+	// every node's operator is guarded and counts into the node's entry.
+	// The nodes of an exchange fragment share their template node's entry.
+	stats map[Node]*exec.OpStats
+	// replica is set while the second and later fragments of an exchange are
+	// built: what the fragments share is counted in the first.
+	replica bool
 }
 
 // NewExecCtx returns an execution context binding params to $1..$N.
@@ -58,7 +59,7 @@ func NewExecCtxContext(ctx context.Context, params ...value.Value) *ExecCtx {
 	return c
 }
 
-// Arm points every guard of the pipeline (exec.Guard, exec.ColGuard) at one
+// Arm points every guard of the pipeline (exec.ColGuard) at one
 // execution. Cancelling a cancellable ctx — or passing its deadline —
 // aborts the whole executor tree between batches, exchange fragments
 // included; a nil ctx (or context.Background()) skips the check. budget,
@@ -68,10 +69,9 @@ func NewExecCtxContext(ctx context.Context, params ...value.Value) *ExecCtx {
 func (c *ExecCtx) Arm(ctx context.Context, budget *exec.Budget) { c.guard.Arm(ctx, budget) }
 
 // Reusable reports whether the pipeline built under c may be opened again
-// after Close. False once the build put in something that cannot be yet: a
-// row subtree behind an exec.ToCol bridge (exchanges are row-built, so
-// this covers DOP > 1) or a scan of a SharedNode's per-execution memo.
-// Instrumented builds and row roots never yield a columnar root to keep.
+// after Close. False once the build put in something that cannot be yet: an
+// exchange (its partitions are single-use) or a scan of a SharedNode's
+// per-execution memo.
 func (c *ExecCtx) Reusable() bool { return !c.singleUse }
 
 // bind ties e's placeholders to the pipeline's parameter frame. A nil
@@ -97,22 +97,77 @@ func (c *ExecCtx) bindAll(es []expr.Expr) []expr.Expr {
 	return out
 }
 
-// instrument finalizes a freshly built operator: it first arms the
-// resilience boundary (exec.Guard: panic recovery at every operator
-// call, the context's cooperative cancellation check, and resource
-// budget charging — which is what makes cancellation and crash
-// isolation reach even inside exchange fragments), then applies the
-// Instrument hook. A nil ExecCtx passes the operator through untouched
-// (direct Build calls in benchmarks pay nothing).
-func (c *ExecCtx) instrument(n Node, it exec.Iterator) exec.Iterator {
-	if c == nil {
-		return it
+// BuildRoot builds n as the root of a pull: the pipeline behind the panic,
+// cancellation and budget boundary, for a consumer that ships its batches
+// or materializes them (exec.Materialize, exec.Collect). It is built to be
+// opened again and again: what a build reads from ctx — parameter frame,
+// guard state — is bound by reference, so the owner runs the next execution
+// by rewriting those and calling Open, as long as ctx.Reusable().
+func BuildRoot(n Node, ctx *ExecCtx) (exec.ColIterator, error) {
+	it, err := ctx.stream(n)
+	if err != nil || ctx == nil {
+		return it, err
 	}
-	it = exec.NewGuard(&c.guard, it)
-	if c.Instrument == nil {
-		return it
+	return ctx.guarded(it), nil
+}
+
+// stream builds n as the input of an operator that passes batches on as
+// they come (filter, project, limit, the streamed side of a set operation,
+// a splitter's producer): no boundary of its own. An analyzed build guards
+// every node's operator, counting what leaves it; an ordinary one places
+// guards only where a subtree runs inside one call (input, BuildRoot).
+func (c *ExecCtx) stream(n Node) (exec.ColIterator, error) {
+	it, err := n.Build(c)
+	if err != nil || c == nil || c.stats == nil {
+		return it, err
 	}
-	return c.Instrument(n, it)
+	g := exec.NewColGuard(&c.guard, it)
+	if _, shared := n.(*SharedNode); !shared || !c.replica {
+		g.Stats = c.statsFor(n)
+	}
+	return g, nil
+}
+
+// input builds n as the input of an operator that drains it inside one Open
+// or NextCol call (join, adjust, aggregate, sort, absorb, the right side of
+// a set operation, an exchange fragment), behind the boundary that lets a
+// deadline stop a build over a runaway join: exec.ColGuard's cancellation
+// check, budget charge and panic isolation per batch. A bare scan is
+// exempt: it cannot run away, and the operators take its image over
+// without copying only while they can see it is one.
+func (c *ExecCtx) input(n Node) (exec.ColIterator, error) {
+	it, err := c.stream(n)
+	if _, bare := it.(*exec.ColScan); err != nil || c == nil || bare {
+		return it, err
+	}
+	return c.guarded(it), nil
+}
+
+// guarded wraps it in the resilience boundary unless it is one already (an
+// analyzed build's).
+func (c *ExecCtx) guarded(it exec.ColIterator) exec.ColIterator {
+	if g, ok := it.(*exec.ColGuard); ok {
+		return g
+	}
+	return exec.NewColGuard(&c.guard, it)
+}
+
+// statsFor returns n's entry of an analyzed build, creating it on first use.
+func (c *ExecCtx) statsFor(n Node) *exec.OpStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats[n]
+	if st == nil {
+		st = new(exec.OpStats)
+		c.stats[n] = st
+	}
+	return st
+}
+
+// rowHint is n's estimated cardinality as a presize hint for the operator
+// that will hold n's rows (the executor clamps it further).
+func rowHint(n Node) int {
+	return int(math.Min(math.Max(n.Rows(), 0), 1<<30))
 }
 
 // sharedGet returns the memoized materialization of n for this execution,

@@ -51,7 +51,6 @@ type ExchangeNode struct {
 
 	template Node
 	batch    int
-	noCol    bool
 }
 
 // Exchange builds the node under the planner's DOP. It returns an error if
@@ -79,7 +78,6 @@ func (p *Planner) Exchange(sources []Node, keys [][]expr.Expr, fragment func(par
 		Fragment: fragment,
 		template: tmpl,
 		batch:    p.Flags.BatchSize,
-		noCol:    p.Flags.DisableColumnar,
 	}, nil
 }
 
@@ -123,129 +121,89 @@ func (e *ExchangeNode) Label() string {
 	return fmt.Sprintf("Exchange (hash partition, dop=%d, %d sources)", e.DOP, len(e.Sources))
 }
 
-func (e *ExchangeNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
+// Build routes every source through a splitter — rows go from the source
+// vectors straight into per-partition batches — builds the fragment once
+// per partition over its leaves and merges the fragments. Partitions are
+// single-use, so the pipeline is.
+func (e *ExchangeNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	if ctx != nil {
+		ctx.singleUse = true
+	}
 	// One shared seed per exchange: co-partitioned sources must agree on
 	// where a key lands.
 	seed := maphash.MakeSeed()
-	var created []interface{ Close() error }
+	var parts [][]exec.ColIterator
 	cleanup := func() {
-		for _, it := range created {
-			it.Close()
-		}
-	}
-	// Columnar routing is all-or-nothing per exchange: the row and
-	// columnar splitters hash with different schemes (value.Hash vs
-	// maphash over key encodings), so co-partitioned sources must not
-	// mix them. Every source and key list must go columnar, or none do.
-	colParts, colOK, err := e.buildColSplitters(ctx, seed)
-	if err != nil {
-		return nil, err
-	}
-	var rowParts [][]exec.Iterator
-	if colOK {
-		for _, ps := range colParts {
+		for _, ps := range parts {
 			for _, p := range ps {
-				created = append(created, p)
-			}
-		}
-	} else {
-		rowParts = make([][]exec.Iterator, len(e.Sources))
-		for si, src := range e.Sources {
-			it, err := src.Build(ctx)
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			sp, err := exec.NewSplitter(it, ctx.bindAll(e.Keys[si]), e.DOP, seed)
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			if e.batch > 0 {
-				sp.SetBatchSize(e.batch)
-			}
-			rowParts[si] = make([]exec.Iterator, e.DOP)
-			for i := 0; i < e.DOP; i++ {
-				rowParts[si][i] = sp.Partition(i)
-				created = append(created, rowParts[si][i])
+				p.Close()
 			}
 		}
 	}
-	frags := make([]exec.Iterator, e.DOP)
-	for i := 0; i < e.DOP; i++ {
+	for si, src := range e.Sources {
+		in, err := ctx.stream(src)
+		if err == nil {
+			var sp *exec.ColSplitter
+			if sp, err = exec.NewColSplitter(in, ctx.bindAll(e.Keys[si]), e.DOP, seed); err == nil {
+				if e.batch > 0 {
+					sp.SetBatchSize(e.batch)
+				}
+				ps := make([]exec.ColIterator, e.DOP)
+				for i := range ps {
+					ps[i] = sp.Partition(i)
+				}
+				parts = append(parts, ps)
+			}
+		}
+		if err != nil {
+			cleanup()
+			return nil, err
+		}
+	}
+	frags := make([]exec.ColIterator, e.DOP)
+	for i := range frags {
 		leaves := make([]Node, len(e.Sources))
-		for si := range e.Sources {
-			leaf := &builtLeaf{
-				sch:  e.Sources[si].Schema(),
-				rows: e.Sources[si].Rows() / float64(e.DOP),
-			}
-			if colOK {
-				leaf.colIt = colParts[si][i]
-			} else {
-				leaf.it = rowParts[si][i]
-			}
-			leaves[si] = leaf
+		for si, src := range e.Sources {
+			leaves[si] = &builtLeaf{it: parts[si][i], sch: src.Schema(), rows: src.Rows() / float64(e.DOP)}
 		}
 		fn, err := e.Fragment(leaves)
-		if err != nil {
-			cleanup()
-			return nil, err
+		if err == nil {
+			frags[i], err = ctx.fragment(e.template, fn, i > 0)
 		}
-		frags[i], err = fn.Build(ctx)
 		if err != nil {
 			cleanup()
 			return nil, err
 		}
 	}
-	ex, err := exec.NewExchange(frags)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(e, ex), nil
+	return exec.NewColExchange(frags)
 }
 
-// buildColSplitters attempts to route every source columnar: rows go
-// from the source vectors straight into per-partition batches without
-// ever being materialized as tuples. ok=false (with nothing consumed)
-// when the flag, a key expression or any source keeps the exchange on
-// the row path.
-func (e *ExchangeNode) buildColSplitters(ctx *ExecCtx, seed maphash.Seed) ([][]exec.ColIterator, bool, error) {
-	if colDisabled(e.noCol, ctx) {
-		return nil, false, nil
-	}
-	for si := range e.Sources {
-		for _, k := range ctx.bindAll(e.Keys[si]) {
-			if !exec.ColOperandOK(k) {
-				return nil, false, nil
+// fragment builds one partition's instance of an exchange's template. In an
+// analyzed build the instance's nodes — the two trees are walked in
+// lockstep — count into their template nodes' entries, so EXPLAIN ANALYZE
+// shows per node what all the fragments did.
+func (c *ExecCtx) fragment(template, instance Node, replica bool) (exec.ColIterator, error) {
+	if c != nil && c.stats != nil {
+		var pair func(t, n Node)
+		pair = func(t, n Node) {
+			if t == n {
+				return // a subtree the fragments share
+			}
+			st := c.statsFor(t)
+			c.mu.Lock()
+			c.stats[n] = st
+			c.mu.Unlock()
+			if tc, nc := t.Children(), n.Children(); len(tc) == len(nc) {
+				for i := range tc {
+					pair(tc[i], nc[i])
+				}
 			}
 		}
+		pair(template, instance)
+		defer func(outer bool) { c.replica = outer }(c.replica)
+		c.replica = c.replica || replica
 	}
-	ins := make([]exec.ColIterator, len(e.Sources))
-	for si, src := range e.Sources {
-		in, ok, err := buildColNode(src, ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		ins[si] = in
-	}
-	parts := make([][]exec.ColIterator, len(e.Sources))
-	for si, in := range ins {
-		sp, ok, err := exec.NewColSplitter(in, ctx.bindAll(e.Keys[si]), e.DOP, seed)
-		if err != nil || !ok {
-			return nil, false, err // keys pre-vetted; refusal is unreachable
-		}
-		if e.batch > 0 {
-			sp.SetBatchSize(e.batch)
-		}
-		parts[si] = make([]exec.ColIterator, e.DOP)
-		for i := range parts[si] {
-			parts[si][i] = sp.Partition(i)
-		}
-	}
-	return parts, true, nil
+	return c.input(instance)
 }
 
 // partitionLeaf stands for one partition of a source inside the template
@@ -264,7 +222,7 @@ func (l *partitionLeaf) Cost() float64 {
 	// source rows would be billed twice.
 	return l.src.Cost() / float64(l.dop)
 }
-func (l *partitionLeaf) Build(*ExecCtx) (exec.Iterator, error) {
+func (l *partitionLeaf) Build(*ExecCtx) (exec.ColIterator, error) {
 	return nil, fmt.Errorf("plan: partition leaf is a template node and cannot be built")
 }
 func (l *partitionLeaf) Label() string {
@@ -275,27 +233,18 @@ func (l *partitionLeaf) Label() string {
 	return fmt.Sprintf("Partition (hash by %s, 1/%d)", by, l.dop)
 }
 
-// builtLeaf hands an already-built partition stream (row or columnar) to
-// a fragment. A columnar stream is served natively through BuildCol (see
-// columnar.go) and materialized on demand when the consuming fragment
-// operator needs rows.
+// builtLeaf hands an already-built partition stream to a fragment, once.
 type builtLeaf struct {
-	it    exec.Iterator
-	colIt exec.ColIterator
-	sch   schema.Schema
-	rows  float64
+	it   exec.ColIterator
+	sch  schema.Schema
+	rows float64
 }
 
 func (l *builtLeaf) Schema() schema.Schema { return l.sch }
 func (l *builtLeaf) Children() []Node      { return nil }
 func (l *builtLeaf) Rows() float64         { return l.rows }
 func (l *builtLeaf) Cost() float64         { return l.rows * CPUTupleCost }
-func (l *builtLeaf) Build(*ExecCtx) (exec.Iterator, error) {
-	if l.colIt != nil {
-		it := exec.NewMaterialize(l.colIt)
-		l.colIt = nil
-		return it, nil
-	}
+func (l *builtLeaf) Build(*ExecCtx) (exec.ColIterator, error) {
 	if l.it == nil {
 		return nil, fmt.Errorf("plan: partition iterator already consumed")
 	}
@@ -317,12 +266,11 @@ type SharedNode struct {
 	Input Node
 
 	batch int
-	noCol bool
 }
 
 // Shared wraps input for reuse across exchange fragments.
 func (p *Planner) Shared(input Node) *SharedNode {
-	return &SharedNode{Input: input, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return &SharedNode{Input: input, batch: p.Flags.BatchSize}
 }
 
 func (s *SharedNode) Schema() schema.Schema { return s.Input.Schema() }
@@ -340,18 +288,24 @@ func (s *SharedNode) Cost() float64 {
 // change the distribution).
 func (s *SharedNode) Stats() *stats.Table { return NodeStats(s.Input) }
 
-func (s *SharedNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
+// Build scans the execution's materialization of the input, draining the
+// input first if no other reader of ctx has. The memo is per execution, so
+// the pipeline is single-use.
+func (s *SharedNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	if ctx != nil {
+		ctx.singleUse = true
+	}
 	rel, err := ctx.sharedGet(s, func() (*relation.Relation, error) {
-		it, err := s.Input.Build(ctx)
+		it, err := ctx.input(s.Input)
 		if err != nil {
 			return nil, err
 		}
-		return exec.Collect(it)
+		return exec.CollectColumnar(it)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(s, applyBatch(exec.NewScan(rel), s.batch)), nil
+	return exec.ApplyColBatch(exec.NewColScan(rel), s.batch), nil
 }
 
 func (s *SharedNode) Label() string { return "Materialize (shared)" }

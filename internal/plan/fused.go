@@ -31,7 +31,6 @@ type AdjustmentNode struct {
 	cost  float64
 	stats memoStats
 	batch int
-	noCol bool
 }
 
 // FusedAlign builds the fused aligner for r Φ_θ s (modes align or gaps).
@@ -60,7 +59,7 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 	n := &AdjustmentNode{
 		Left: l, Right: r, Mode: mode,
 		Keys: keys, Residual: residual, PCol: pCol,
-		out: l.Schema(), batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+		out: l.Schema(), batch: p.Flags.BatchSize,
 	}
 	n.rows = n.estimateRows() // choose costs the sweep per output row
 	n.choose(p.Flags)
@@ -163,23 +162,14 @@ func (n *AdjustmentNode) Stats() *stats.Table {
 
 func (n *AdjustmentNode) Cost() float64 { return n.cost }
 
-// Build runs the one fused operator on every configuration: it is
-// columnar, so the result is materialized at the row boundary, and an
-// instrumented execution (EXPLAIN ANALYZE) counts the rows of the same
-// operator production runs.
-func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	return buildMaterialized(n, ctx, n.buildFused)
-}
-
-// buildFused builds the operator over columnar inputs; a child that
-// cannot build columnar (row-only operator, DisableColumnar, instrumented
-// execution) is bridged with exec.NewToCol.
-func (n *AdjustmentNode) buildFused(ctx *ExecCtx) (exec.ColIterator, error) {
-	l, err := toColInput(n.Left, ctx)
+// Build runs the one fused operator over guarded inputs (see
+// ExecCtx.input).
+func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := ctx.input(n.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := toColInput(n.Right, ctx)
+	r, err := ctx.input(n.Right)
 	if err != nil {
 		return nil, err
 	}

@@ -21,13 +21,11 @@ type LimitNode struct {
 
 	cost  memoFloat
 	stats memoStats
-	batch int
-	noCol bool
 }
 
 // Limit builds a LIMIT/OFFSET node; n < 0 means unlimited.
 func (p *Planner) Limit(input Node, n, offset int64) *LimitNode {
-	return &LimitNode{Input: input, N: n, Offset: offset, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return &LimitNode{Input: input, N: n, Offset: offset}
 }
 
 func (l *LimitNode) Schema() schema.Schema { return l.Input.Schema() }
@@ -68,19 +66,13 @@ func (l *LimitNode) Stats() *stats.Table {
 	return l.stats.store(&stats.Table{Rows: int64(l.Rows()), Cols: in.Cols, T: in.T})
 }
 
-func (l *LimitNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(l, ctx); err != nil || ok {
-		return it, err
-	}
-	in, err := l.Input.Build(ctx)
+// Build caps the stream counting selected rows (not physical batch rows).
+func (l *LimitNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.stream(l.Input)
 	if err != nil {
 		return nil, err
 	}
-	lim, err := exec.NewLimit(in, l.N, l.Offset)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(l, lim), nil
+	return exec.NewColLimit(in, l.N, l.Offset)
 }
 
 func (l *LimitNode) Label() string {

@@ -82,15 +82,6 @@ type Flags struct {
 	// as the escape hatch for differential testing: optimized and
 	// unoptimized plans must return identical results.
 	DisableOptimizer bool
-	// DisableColumnar keeps every operator that has a row twin on the row
-	// ([]tuple.Tuple) path. The columnar (colbatch vector) path is the
-	// default where supported — scans, compilable filters, column
-	// projections, limits, union, exchange — with row fallback elsewhere;
-	// ALIGN/NORMALIZE, hash joins, aggregation and absorb always run their
-	// one columnar operator, over bridged row children under this flag.
-	// It exists for differential testing and as an escape hatch.
-	DisableColumnar bool
-
 	// DisablePruning turns off zone-map segment pruning on scans of
 	// storage-backed relations. Pruning only ever skips segments whose
 	// zone proves the pushed-down predicate false for every row, so
@@ -128,21 +119,11 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,co%c,zp%c",
+	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,zp%c",
 		b(f.EnableNestLoop), b(f.EnableHashJoin), b(f.EnableMergeJoin), b(f.EnableSort),
 		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite),
 		f.DOP, f.ParallelMinRows, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer),
-		b(f.DisableColumnar), b(f.DisablePruning))
-}
-
-// applyBatch plumbs a configured batch size into a built operator.
-func applyBatch(it exec.Iterator, n int) exec.Iterator {
-	if n > 0 {
-		if bs, ok := it.(exec.BatchSizer); ok {
-			bs.SetBatchSize(n)
-		}
-	}
-	return it
+		b(f.DisablePruning))
 }
 
 // JoinMethod enumerates physical join strategies.
@@ -176,11 +157,12 @@ type Node interface {
 	Rows() float64
 	// Cost is the estimated total cost (children included).
 	Cost() float64
-	// Build instantiates the executor subtree for one execution. Plans are
-	// immutable and may be Built concurrently; per-execution state (bound
-	// $N parameters, shared materializations) travels in ctx, which may be
-	// nil for parameterless one-shot plans.
-	Build(ctx *ExecCtx) (exec.Iterator, error)
+	// Build instantiates the node's operator over its built inputs (see
+	// ExecCtx.stream and ExecCtx.input; BuildRoot for a whole plan). Plans
+	// are immutable and may be Built concurrently; what an execution binds
+	// ($N parameters, guard state, shared materializations) travels in ctx,
+	// which may be nil for parameterless one-shot plans.
+	Build(ctx *ExecCtx) (exec.ColIterator, error)
 	// Label describes the node for EXPLAIN.
 	Label() string
 }
@@ -330,13 +312,12 @@ type ScanNode struct {
 	Prune *PruneBounds
 
 	batch int
-	noCol bool
 }
 
 // Scan builds a scan node; name is used by EXPLAIN and resolves the
 // table's statistics through the planner's StatsSource.
 func (p *Planner) Scan(rel *relation.Relation, name string) *ScanNode {
-	n := &ScanNode{Rel: rel, Name: name, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	n := &ScanNode{Rel: rel, Name: name, batch: p.Flags.BatchSize}
 	if p.Stats != nil && name != "" {
 		n.TableStats = p.Stats.TableStats(strings.ToLower(name))
 	}
@@ -365,11 +346,16 @@ func (s *ScanNode) Cost() float64 {
 // Stats implements Statser with the table's ANALYZE statistics.
 func (s *ScanNode) Stats() *stats.Table { return s.TableStats }
 
-func (s *ScanNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
+// Build streams the relation's cached columnar image (zero-copy views, see
+// relation.Columnar), or the segments that survive pruning, resolved at
+// every Open under the frame's values of the moment.
+func (s *ScanNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if s.prunes() {
-		return ctx.instrument(s, applyBatch(exec.NewSegScan(s.Rel, s.pruneSegments(ctx, nil)), s.batch)), nil
+		cs := exec.NewColSegScan(s.Rel.Schema, nil)
+		cs.Prune = func(dst []relation.Segment) []relation.Segment { return s.pruneSegments(ctx, dst) }
+		return exec.ApplyColBatch(cs, s.batch), nil
 	}
-	return ctx.instrument(s, applyBatch(exec.NewScan(s.Rel), s.batch)), nil
+	return exec.ApplyColBatch(exec.NewColScan(s.Rel), s.batch), nil
 }
 
 // prunes reports whether a segment scan should be used at all: false when
@@ -378,8 +364,7 @@ func (s *ScanNode) prunes() bool { return s.Prune != nil && s.Rel.Segments() != 
 
 // pruneSegments appends to dst the relation's segments that survive
 // s.Prune under the parameter values ctx holds now — once per execution:
-// the row scan asks while it is built, the columnar scan at every Open. It
-// also feeds the process-wide pruning counters and the context's
+// the scan asks at every Open. It also feeds the process-wide pruning counters and the context's
 // SegObserver (EXPLAIN ANALYZE).
 func (s *ScanNode) pruneSegments(ctx *ExecCtx, dst []relation.Segment) []relation.Segment {
 	var params []value.Value
@@ -415,14 +400,12 @@ type FilterNode struct {
 
 	rows, cost memoFloat
 	stats      memoStats
-	batch      int
-	noCol      bool
 }
 
 // Filter builds a selection node; pred must be bound against input's
 // schema.
 func (p *Planner) Filter(input Node, pred expr.Expr) *FilterNode {
-	return &FilterNode{Input: input, Pred: pred, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return &FilterNode{Input: input, Pred: pred}
 }
 
 func (f *FilterNode) Schema() schema.Schema { return f.Input.Schema() }
@@ -456,15 +439,14 @@ func (f *FilterNode) Stats() *stats.Table {
 	return f.stats.store(&stats.Table{Rows: int64(f.Rows()), Cols: in.Cols, T: in.T})
 }
 
-func (f *FilterNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(f, ctx); err != nil || ok {
-		return it, err
-	}
-	in, err := f.Input.Build(ctx)
+// Build evaluates the predicate over vectors, writing only the selection
+// vector.
+func (f *FilterNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.stream(f.Input)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(f, applyBatch(exec.NewFilter(in, ctx.bind(f.Pred)), f.batch)), nil
+	return exec.NewColFilter(in, ctx.bind(f.Pred)), nil
 }
 func (f *FilterNode) Label() string { return "Filter " + f.Pred.String() }
 
@@ -604,8 +586,6 @@ type ProjectNode struct {
 	out   schema.Schema
 	cost  memoFloat
 	stats memoStats
-	batch int
-	noCol bool
 }
 
 // Project builds a projection node that keeps its input's valid time.
@@ -628,7 +608,7 @@ func (p *Planner) ProjectMode(input Node, names []string, exprs []expr.Expr, tmo
 	}
 	return &ProjectNode{
 		Input: input, Exprs: exprs, Names: names, TMode: tmode, TExpr: tExpr,
-		out: schema.Schema{Attrs: attrs}, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar,
+		out: schema.Schema{Attrs: attrs},
 	}
 }
 
@@ -666,21 +646,14 @@ func (pr *ProjectNode) Stats() *stats.Table {
 	return pr.stats.store(out)
 }
 
-func (pr *ProjectNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(pr, ctx); err != nil || ok {
-		return it, err
-	}
-	in, err := pr.Input.Build(ctx)
+// Build shuffles column headers when every output is a plain column, TS or
+// TE reference, and evaluates the expressions per row otherwise.
+func (pr *ProjectNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.stream(pr.Input)
 	if err != nil {
 		return nil, err
 	}
-	node, err := exec.NewProject(in, pr.Names, ctx.bindAll(pr.Exprs))
-	if err != nil {
-		return nil, err
-	}
-	node.TMode = pr.TMode
-	node.TExpr = ctx.bind(pr.TExpr)
-	return ctx.instrument(pr, applyBatch(node, pr.batch)), nil
+	return exec.NewColProject(in, ctx.bindAll(pr.Exprs), pr.out, pr.TMode, ctx.bind(pr.TExpr)), nil
 }
 func (pr *ProjectNode) Label() string {
 	parts := make([]string, len(pr.Exprs))
@@ -721,12 +694,14 @@ func (s *SortNode) Cost() float64 {
 // only).
 func (s *SortNode) Stats() *stats.Table { return NodeStats(s.Input) }
 
-func (s *SortNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := s.Input.Build(ctx)
+func (s *SortNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.input(s.Input)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(s, applyBatch(exec.NewSort(in, bindKeys(ctx, s.Keys)...), s.batch)), nil
+	so := exec.NewColSort(in, bindKeys(ctx, s.Keys)...)
+	so.SizeHint = rowHint(s.Input)
+	return exec.ApplyColBatch(so, s.batch), nil
 }
 
 // bindKeys substitutes ctx's parameters into sort-key expressions.
@@ -772,12 +747,11 @@ type JoinNode struct {
 	rows     float64
 	stats    memoStats
 	batch    int
-	noCol    bool
 }
 
 // Join builds a join node and selects the cheapest enabled method.
 func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool) *JoinNode {
-	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize}
 	if typ == exec.SemiJoin || typ == exec.AntiJoin {
 		j.out = l.Schema()
 	} else {
@@ -919,47 +893,17 @@ func (j *JoinNode) Stats() *stats.Table {
 	return j.stats.store(out)
 }
 
-// Build runs the hash and nested-loop methods' one operator,
-// exec.ColHashJoin, on every configuration — materialized here at the row
-// boundary, where an instrumented execution counts its rows; the merge
-// method is a row operator.
-func (j *JoinNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if j.Method != MethodMerge {
-		return buildMaterialized(j, ctx, j.buildHash)
-	}
-	l, err := j.Left.Build(ctx)
+// Build runs the one join operator, exec.ColHashJoin, over guarded inputs
+// (see ExecCtx.input): the merge method sorts row permutations of both
+// sides instead of hashing one, and the nested-loop method is the hash
+// method with no keys — every build row in one chain — and the whole
+// condition as its residual.
+func (j *JoinNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := ctx.input(j.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := j.Right.Build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	keys := bindPairs(ctx, j.keys)
-	lk := make([]exec.SortKey, len(keys))
-	rk := make([]exec.SortKey, len(keys))
-	for i, k := range keys {
-		lk[i] = exec.SortKey{Expr: k.Left}
-		rk[i] = exec.SortKey{Expr: k.Right}
-	}
-	ls := applyBatch(exec.NewSort(l, lk...), j.batch)
-	rs := applyBatch(exec.NewSort(r, rk...), j.batch)
-	mj, err := exec.NewMergeJoin(ls, rs, keys, ctx.bind(j.residual), j.Type, j.MatchT)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.instrument(j, applyBatch(mj, j.batch)), nil
-}
-
-// buildHash builds the hash join over columnar inputs (see toColInput);
-// the nested-loop method is the same operator with no keys — every build
-// row in one chain — and the whole condition as its residual.
-func (j *JoinNode) buildHash(ctx *ExecCtx) (exec.ColIterator, error) {
-	l, err := toColInput(j.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := toColInput(j.Right, ctx)
+	r, err := ctx.input(j.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -968,6 +912,7 @@ func (j *JoinNode) buildHash(ctx *ExecCtx) (exec.ColIterator, error) {
 		keys, residual = nil, j.Cond
 	}
 	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, keys), ctx.bind(residual), j.Type, j.MatchT)
+	hj.Merge = j.Method == MethodMerge
 	hj.SizeHint = rowHint(j.Right)
 	return exec.ApplyColBatch(hj, j.batch), nil
 }
@@ -997,7 +942,6 @@ type AggNode struct {
 	out        schema.Schema
 	rows, cost memoFloat
 	batch      int
-	noCol      bool
 }
 
 // Aggregate builds an aggregation node.
@@ -1006,7 +950,7 @@ func (p *Planner) Aggregate(input Node, groupBy []expr.Expr, names []string, gro
 	if err != nil {
 		return nil, err
 	}
-	return &AggNode{Input: input, GroupBy: groupBy, Names: names, GroupByT: groupByT, Aggs: aggs, out: out, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}, nil
+	return &AggNode{Input: input, GroupBy: groupBy, Names: names, GroupByT: groupByT, Aggs: aggs, out: out, batch: p.Flags.BatchSize}, nil
 }
 
 func (a *AggNode) Schema() schema.Schema { return a.out }
@@ -1057,15 +1001,10 @@ func (a *AggNode) Cost() float64 {
 	return a.cost.store(a.Input.Cost() + a.Input.Rows()*CPUOperatorCost*float64(1+len(a.Aggs)))
 }
 
-// Build runs the one aggregation operator, exec.ColHashAggregate,
-// materialized at the row boundary.
-func (a *AggNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	return buildMaterialized(a, ctx, a.buildAgg)
-}
-
-// buildAgg builds the aggregate over a columnar input (see toColInput).
-func (a *AggNode) buildAgg(ctx *ExecCtx) (exec.ColIterator, error) {
-	in, err := toColInput(a.Input, ctx)
+// Build runs the aggregation operator, exec.ColHashAggregate, over a
+// guarded input (see ExecCtx.input).
+func (a *AggNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.input(a.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -1094,14 +1033,12 @@ type SetOpNode struct {
 	Left, Right Node
 	Kind        exec.SetOpKind
 
-	cost  memoFloat
-	batch int
-	noCol bool
+	cost memoFloat
 }
 
 // SetOp builds a set operation node.
 func (p *Planner) SetOp(l, r Node, kind exec.SetOpKind) *SetOpNode {
-	return &SetOpNode{Left: l, Right: r, Kind: kind, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return &SetOpNode{Left: l, Right: r, Kind: kind}
 }
 
 func (s *SetOpNode) Schema() schema.Schema { return s.Left.Schema() }
@@ -1122,23 +1059,24 @@ func (s *SetOpNode) Cost() float64 {
 	}
 	return s.cost.store(s.Left.Cost() + s.Right.Cost() + (s.Left.Rows()+s.Right.Rows())*CPUOperatorCost)
 }
-func (s *SetOpNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	if it, ok, err := materializeColBuild(s, ctx); err != nil || ok {
-		return it, err
-	}
-	l, err := s.Left.Build(ctx)
+
+// Build streams the left input into the set operation; the right input,
+// which intersect and except drain at Open, is guarded (see ExecCtx.input).
+func (s *SetOpNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	l, err := ctx.stream(s.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.Right.Build(ctx)
+	r, err := ctx.input(s.Right)
 	if err != nil {
 		return nil, err
 	}
-	op, err := exec.NewSetOp(l, r, s.Kind)
+	op, err := exec.NewColSetOp(l, r, s.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(s, applyBatch(op, s.batch)), nil
+	op.SizeHint = rowHint(s)
+	return op, nil
 }
 func (s *SetOpNode) Label() string { return "SetOp " + s.Kind.String() }
 
@@ -1148,13 +1086,12 @@ func (s *SetOpNode) Label() string { return "SetOp " + s.Kind.String() }
 type DistinctNode struct {
 	Input Node
 
-	cost  memoFloat
-	batch int
+	cost memoFloat
 }
 
 // Distinct builds a duplicate-elimination node.
 func (p *Planner) Distinct(input Node) *DistinctNode {
-	return &DistinctNode{Input: input, batch: p.Flags.BatchSize}
+	return &DistinctNode{Input: input}
 }
 
 func (d *DistinctNode) Schema() schema.Schema { return d.Input.Schema() }
@@ -1166,12 +1103,14 @@ func (d *DistinctNode) Cost() float64 {
 	}
 	return d.cost.store(d.Input.Cost() + d.Input.Rows()*CPUOperatorCost)
 }
-func (d *DistinctNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	in, err := d.Input.Build(ctx)
+func (d *DistinctNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.stream(d.Input)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.instrument(d, applyBatch(exec.NewDistinct(in), d.batch)), nil
+	op := exec.NewColDistinct(in)
+	op.SizeHint = rowHint(d)
+	return op, nil
 }
 func (d *DistinctNode) Label() string { return "Distinct" }
 
@@ -1183,12 +1122,11 @@ type AbsorbNode struct {
 
 	cost  memoFloat
 	batch int
-	noCol bool
 }
 
 // Absorb builds the temporal-duplicate elimination node (Def. 12).
 func (p *Planner) Absorb(input Node) *AbsorbNode {
-	return &AbsorbNode{Input: input, batch: p.Flags.BatchSize, noCol: p.Flags.DisableColumnar}
+	return &AbsorbNode{Input: input, batch: p.Flags.BatchSize}
 }
 
 func (a *AbsorbNode) Schema() schema.Schema { return a.Input.Schema() }
@@ -1202,15 +1140,10 @@ func (a *AbsorbNode) Cost() float64 {
 	return a.cost.store(a.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n))
 }
 
-// Build runs the one absorb operator, exec.ColAbsorb, materialized at the
-// row boundary.
-func (a *AbsorbNode) Build(ctx *ExecCtx) (exec.Iterator, error) {
-	return buildMaterialized(a, ctx, a.buildAbsorb)
-}
-
-// buildAbsorb builds the operator over a columnar input (see toColInput).
-func (a *AbsorbNode) buildAbsorb(ctx *ExecCtx) (exec.ColIterator, error) {
-	in, err := toColInput(a.Input, ctx)
+// Build runs the absorb operator, exec.ColAbsorb, over a guarded input
+// (see ExecCtx.input).
+func (a *AbsorbNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.input(a.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -1241,7 +1174,7 @@ func RunContext(ctx context.Context, n Node, params ...value.Value) (*relation.R
 
 // RunCtx builds and drains a plan under an explicit execution context.
 func RunCtx(n Node, ctx *ExecCtx) (*relation.Relation, error) {
-	it, err := n.Build(ctx)
+	it, err := BuildRoot(n, ctx)
 	if err != nil {
 		return nil, err
 	}

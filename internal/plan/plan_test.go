@@ -134,8 +134,7 @@ func TestJoinMethodsProduceSameResult(t *testing.T) {
 
 // TestNaNPayloadsJoin runs one pair of NaNs with different payload bits —
 // math.NaN() against what Inf-Inf yields on amd64 — through the hash,
-// merge and nested-loop joins and through a DOP=2 exchange on both
-// splitters. Equal, Compare and AppendKey treat every NaN as one value,
+// merge and nested-loop joins and through a DOP=2 exchange. Equal, Compare and AppendKey treat every NaN as one value,
 // so each configuration must pair the two rows.
 func TestNaNPayloadsJoin(t *testing.T) {
 	mk := func(f float64) *relation.Relation {
@@ -150,14 +149,11 @@ func TestNaNPayloadsJoin(t *testing.T) {
 		f.EnableNestLoop, f.EnableHashJoin, f.EnableMergeJoin = nl, hash, merge
 		return f
 	}
-	exchange := func(noCol bool) Flags {
-		f := DefaultFlags()
-		f.DOP, f.ForceParallel, f.DisableColumnar = 2, true, noCol
-		return f
-	}
+	exchange := DefaultFlags()
+	exchange.DOP, exchange.ForceParallel = 2, true
 	for name, flags := range map[string]Flags{
 		"hash": method(false, true, false), "merge": method(false, false, true), "nestloop": method(true, false, false),
-		"exchange/columnar splitter": exchange(false), "exchange/row splitter": exchange(true),
+		"exchange": exchange,
 	} {
 		p := NewPlanner(flags)
 		// The exchange seed is random per build: repeat so that a routing
@@ -195,9 +191,9 @@ func TestBudgetStopsColumnarBlowUp(t *testing.T) {
 	}
 	ctx, bud := NewExecCtx(), exec.NewBudget(50_000, 0)
 	ctx.Arm(nil, bud)
-	cit, ok, err := BuildColRoot(agg, ctx)
-	if err != nil || !ok {
-		t.Fatalf("aggregate over hash join did not build columnar: ok=%v err=%v", ok, err)
+	cit, err := BuildRoot(agg, ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer cit.Close()
 	err = cit.Open()

@@ -85,14 +85,8 @@ func TestPanicFunctionIsolated(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"row-serial", func(c *Config) { c.Flags.DisableColumnar = true }},
-		{"row-parallel", func(c *Config) {
-			c.Flags.DisableColumnar = true
-			c.Flags.DOP = 4
-			c.Flags.ForceParallel = true
-		}},
-		{"col-serial", nil},
-		{"col-parallel", func(c *Config) {
+		{"serial", nil},
+		{"parallel", func(c *Config) {
 			c.Flags.DOP = 4
 			c.Flags.ForceParallel = true
 		}},

@@ -13,10 +13,10 @@ import (
 	"talign/internal/value"
 )
 
-// colEngines builds a columnar engine (default flags), a columnar engine
-// with a tiny batch size (stressing selection vectors across batch
-// boundaries), and a row-only engine over the same relations.
-func colEngines(t *testing.T, rels map[string]*relation.Relation) (col, colSmall, row *Engine) {
+// colEngines builds an engine under default flags and one with a tiny batch
+// size (stressing selection vectors across batch boundaries) over the same
+// relations.
+func colEngines(t *testing.T, rels map[string]*relation.Relation) (col, colSmall *Engine) {
 	t.Helper()
 	mk := func(mut func(*plan.Flags)) *Engine {
 		f := plan.DefaultFlags()
@@ -30,9 +30,7 @@ func colEngines(t *testing.T, rels map[string]*relation.Relation) (col, colSmall
 		}
 		return e
 	}
-	return mk(func(*plan.Flags) {}),
-		mk(func(f *plan.Flags) { f.BatchSize = 3 }),
-		mk(func(f *plan.Flags) { f.DisableColumnar = true })
+	return mk(func(*plan.Flags) {}), mk(func(f *plan.Flags) { f.BatchSize = 3 })
 }
 
 // canonKeys renders a result as its sorted per-row key encodings, so two
@@ -62,12 +60,10 @@ func assertByteEqual(t *testing.T, tag, q string, seed int, got, want *relation.
 }
 
 // TestColumnarDifferential proves, over randomized relations and the same
-// query corpus the optimizer differential uses, that the vectorized
-// pipeline returns byte-identical rows to the row executor — with the
-// default batch size and with a 3-row batch that forces every operator
-// across batch boundaries. The row path is chained to the
-// snapshot-semantics oracle by the core tests, so agreement here chains
-// the columnar path to the oracle too.
+// query corpus the optimizer differential uses, that a 3-row batch, which
+// forces every operator across batch boundaries, returns byte-identical
+// rows to the default batch size. (TestRowReference holds both to the
+// deleted row executor's answers.)
 func TestColumnarDifferential(t *testing.T) {
 	attrs := []schema.Attr{
 		{Name: "a", Type: value.KindInt},
@@ -83,28 +79,25 @@ func TestColumnarDifferential(t *testing.T) {
 			"s": randrel.Generate(rng, cfg),
 			"u": randrel.Generate(rng, cfg),
 		}
-		col, colSmall, row := colEngines(t, rels)
+		col, colSmall := colEngines(t, rels)
 		for _, q := range diffQueries {
-			want, _, err := row.Query(q)
+			want, _, err := col.Query(q)
 			if err != nil {
-				t.Fatalf("seed %d: row %s: %v", seed, q, err)
+				t.Fatalf("seed %d: %s: %v", seed, q, err)
 			}
-			for tag, e := range map[string]*Engine{"columnar": col, "columnar/batch=3": colSmall} {
-				got, _, err := e.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d: %s %s: %v", seed, tag, q, err)
-				}
-				assertByteEqual(t, tag, q, seed, got, want)
+			got, _, err := colSmall.Query(q)
+			if err != nil {
+				t.Fatalf("seed %d: batch=3 %s: %v", seed, q, err)
 			}
+			assertByteEqual(t, "batch=3", q, seed, got, want)
 		}
 	}
 }
 
-// TestColumnarExchangeParallel forces parallel plans over vectorized
-// sources (ColSplitter partitions by hashing key columns without
-// materializing rows) and diffs them byte-equal against the serial row
-// engine. Run under -race this is the concurrency check for the
-// exchange-over-vectors path.
+// TestColumnarExchangeParallel forces parallel plans (ColSplitter
+// partitions by hashing key encodings, ColExchange merges the fragments)
+// and diffs them byte-equal against the serial engine. Run under -race this
+// is the concurrency check for the exchange.
 func TestColumnarExchangeParallel(t *testing.T) {
 	attrs := []schema.Attr{
 		{Name: "a", Type: value.KindInt},
@@ -128,9 +121,7 @@ func TestColumnarExchangeParallel(t *testing.T) {
 		par.DOP = 4
 		par.ForceParallel = true
 		pe := NewEngine(par)
-		row := plan.DefaultFlags()
-		row.DisableColumnar = true
-		re := NewEngine(row)
+		re := NewEngine(plan.DefaultFlags())
 		for name, rel := range rels {
 			pe.Register(name, rel)
 			re.Register(name, rel)
@@ -138,7 +129,7 @@ func TestColumnarExchangeParallel(t *testing.T) {
 		for _, q := range queries {
 			want, _, err := re.Query(q)
 			if err != nil {
-				t.Fatalf("seed %d: row %s: %v", seed, q, err)
+				t.Fatalf("seed %d: serial %s: %v", seed, q, err)
 			}
 			got, _, err := pe.Query(q)
 			if err != nil {

@@ -22,11 +22,9 @@ import (
 // stops the pipeline without draining it.
 //
 // A cursor pulls rows (Next) or columnar batches (NextBatch); one
-// consumer uses one of the two for the cursor's whole life. A plan whose
-// root runs vectorized is a columnar pipeline: NextBatch serves its
-// batches untouched and Next materializes them, so which pull the consumer
-// picks never changes what executes. A row root serves Next natively and
-// bridges NextBatch with exec.NewToCol.
+// consumer uses one of the two for the cursor's whole life. NextBatch
+// serves the pipeline's batches untouched and Next materializes them, so
+// which pull the consumer picks never changes what executes.
 //
 // The cursor borrows its pipeline from the Prepared: Close hands a
 // re-openable one back for the statement's next execution, but only after
@@ -38,11 +36,9 @@ import (
 // idempotent and must be called (it tears down exchange workers and
 // releases operator state).
 type Cursor struct {
-	// Exactly one of it and cit is set by Stream; the first pull on the
-	// other side fills it in as a bridge over the built one.
-	it     exec.Iterator
 	cit    exec.ColIterator
-	pl     *pipeline // what cit goes back to its Prepared as; nil when single-use
+	rows   *exec.Materialize // over cit, from the first Next
+	pl     *pipeline         // what cit goes back to its Prepared as; nil when single-use
 	reused bool
 	sch    schema.Schema
 	opened bool
@@ -50,7 +46,7 @@ type Cursor struct {
 	err    error
 }
 
-// pipeline is one built columnar executor tree of a Prepared with the
+// pipeline is one built executor tree of a Prepared with the
 // state its executions rebind (parameter frame, context, budget).
 type pipeline struct {
 	owner *Prepared
@@ -114,8 +110,7 @@ func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *State
 // pipeline's frame and its guards armed, the tree is built if the pipeline
 // has none yet (its placeholders bound to the frame), and the cursor's
 // first pull opens it — a plan's first execution and its thousandth run
-// the same Open. A plan without a columnar root builds a row tree here,
-// every time.
+// the same Open.
 func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lifted []value.Value) (*Cursor, error) {
 	if p.explain {
 		return nil, requestError("cannot Stream an EXPLAIN statement")
@@ -129,16 +124,9 @@ func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lift
 	pl.ec.Arm(ctx, budget)
 	c := &Cursor{cit: pl.cit, reused: reused, sch: p.root.Schema()}
 	if c.cit == nil {
-		var ok bool
 		var err error
-		if c.cit, ok, err = plan.BuildColRoot(p.root, pl.ec); err != nil {
+		if c.cit, err = plan.BuildRoot(p.root, pl.ec); err != nil {
 			return nil, err
-		}
-		if !ok {
-			if c.it, err = p.root.Build(pl.ec); err != nil {
-				return nil, err
-			}
-			return c, nil
 		}
 	}
 	if pl.ec.Reusable() {
@@ -156,13 +144,13 @@ func (c *Cursor) Schema() schema.Schema { return c.sch }
 // keep tuples must copy them out. After an error (including context
 // cancellation) the cursor is done and Next keeps returning that error.
 func (c *Cursor) Next() ([]tuple.Tuple, error) {
-	if c.it == nil {
-		c.it = exec.NewMaterialize(c.cit)
+	if c.rows == nil {
+		c.rows = exec.NewMaterialize(c.cit)
 	}
-	if !c.ready(c.it.Open) {
+	if !c.ready() {
 		return nil, c.err
 	}
-	b, err := c.it.Next()
+	b, err := c.rows.Next()
 	if err != nil || len(b) == 0 {
 		c.finish(err)
 		return nil, err
@@ -175,10 +163,7 @@ func (c *Cursor) Next() ([]tuple.Tuple, error) {
 // NextBatch or Close, and may carry a selection vector (even an empty
 // one — keep pulling).
 func (c *Cursor) NextBatch() (*colbatch.Batch, error) {
-	if c.cit == nil {
-		c.cit = exec.NewToCol(c.it)
-	}
-	if !c.ready(c.cit.Open) {
+	if !c.ready() {
 		return nil, c.err
 	}
 	b, err := c.cit.NextCol()
@@ -191,13 +176,13 @@ func (c *Cursor) NextBatch() (*colbatch.Batch, error) {
 
 // ready reports whether the cursor can be pulled, opening the tree on
 // the first pull.
-func (c *Cursor) ready(open func() error) bool {
+func (c *Cursor) ready() bool {
 	if c.err != nil || c.closed {
 		return false
 	}
 	if !c.opened {
 		c.opened = true
-		if err := open(); err != nil {
+		if err := c.cit.Open(); err != nil {
 			c.finish(err)
 			return false
 		}
@@ -222,15 +207,9 @@ func (c *Cursor) Close() error {
 	}
 	c.closed = true
 	// A tree that was never opened is closed all the same: operators may
-	// hold resources from build time. The bridge, when there is one,
-	// closes what it wraps.
+	// hold resources from build time.
 	c.opened = true
-	var err error
-	if c.it != nil {
-		err = c.it.Close()
-	} else {
-		err = c.cit.Close()
-	}
+	err := c.cit.Close()
 	if c.pl != nil && c.err == nil && err == nil {
 		c.pl.owner.checkin(c.pl)
 	}

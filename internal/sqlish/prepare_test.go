@@ -135,9 +135,10 @@ func streamCount(t *testing.T, prep *Prepared, ctx context.Context, stopAfter in
 // TestStreamReusesPipeline is the Prepared's side of build once, open
 // many: a clean end — exhaustion or an early Close — hands the pipeline
 // back and the next execution re-opens it with its own parameters; an
-// execution that ended in an error does not; a plan with a part that
-// cannot be re-opened (a row root, a WITH memo, a row operator behind a
-// bridge) builds every time; executions that overlap get a pipeline each.
+// execution that ended in an error does not; sorts, set operations and
+// merge joins re-open like everything else; a plan with a part that cannot
+// be re-opened (a WITH memo) builds every time; executions that overlap get
+// a pipeline each.
 func TestStreamReusesPipeline(t *testing.T) {
 	cat, flags, ctx := testCatalog(), plan.DefaultFlags(), context.Background()
 	flags.BatchSize = 2
@@ -173,18 +174,29 @@ func TestStreamReusesPipeline(t *testing.T) {
 			t.Fatalf("execution %d (a >= %d): %d rows, reused = %v; want %d rows, reused = %v", i, c.arg, rows, reused, c.rows, c.wantReused)
 		}
 	}
-	for _, sql := range []string{
-		"SELECT a FROM p WHERE a >= $1 ORDER BY a",                  // row root
-		"WITH q AS (SELECT a FROM p WHERE a >= $1) SELECT a FROM q", // SharedNode memo
-		"SELECT DISTINCT a FROM p WHERE a >= $1",                    // row Distinct
+	mergeOnly := flags
+	mergeOnly.EnableNestLoop, mergeOnly.EnableHashJoin = false, false
+	for _, c := range []struct {
+		sql      string
+		flags    plan.Flags
+		rows     [4]int // under $1 = 30, 40, 50, 40
+		reusable bool
+	}{
+		{"SELECT a, mn FROM p WHERE a >= $1 ORDER BY a DESC, mn", flags, [4]int{5, 4, 2, 4}, true},
+		{"SELECT DISTINCT a FROM p WHERE a >= $1", flags, [4]int{5, 4, 2, 4}, true},
+		{"SELECT a FROM p EXCEPT SELECT a FROM p WHERE a >= $1", flags, [4]int{0, 1, 3, 1}, true},
+		{"SELECT x.a, y.mn FROM p x JOIN p y ON x.a = y.a AND x.Ts = y.Ts WHERE x.a >= $1", mergeOnly, [4]int{5, 4, 2, 4}, true},
+		{"WITH q AS (SELECT a FROM p WHERE a >= $1) SELECT a FROM q", flags, [4]int{5, 4, 2, 4}, false}, // SharedNode memo
 	} {
-		prep, err := Prepare(sql, cat, flags)
+		prep, err := Prepare(c.sql, cat, c.flags)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			if rows, reused, err := streamCount(t, prep, ctx, 0, value.NewInt(40)); err != nil || reused || rows == 0 {
-				t.Fatalf("%s, execution %d: %d rows, reused = %v, err = %v; want rows from a pipeline built for it", sql, i, rows, reused, err)
+		for i, arg := range []int64{30, 40, 50, 40} {
+			rows, reused, err := streamCount(t, prep, ctx, 0, value.NewInt(arg))
+			if err != nil || rows != c.rows[i] || reused != (c.reusable && i > 0) {
+				t.Fatalf("%s, execution %d ($1 = %d): %d rows, reused = %v, err = %v; want %d rows, reused = %v",
+					c.sql, i, arg, rows, reused, err, c.rows[i], c.reusable && i > 0)
 			}
 		}
 	}

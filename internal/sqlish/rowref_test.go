@@ -3,7 +3,6 @@ package sqlish
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,8 +19,6 @@ import (
 	"talign/internal/schema"
 	"talign/internal/value"
 )
-
-var updateRowRef = flag.Bool("update-rowref", false, "rewrite testdata/row_reference.golden with the row engine")
 
 type refStmt struct {
 	sql     string // "plan: <join type> [matchT] [residual]" builds r ⋈ s on r.a = s.a through the planner
@@ -199,27 +196,12 @@ func refRender(t *testing.T, tag string, flags plan.Flags) string {
 }
 
 // TestRowReference holds every execution configuration to the answers the
-// row executor (plan.Flags.DisableColumnar, serial) gave at the last commit
-// that had one: testdata/row_reference.golden was rendered there and is
+// row executor (the []tuple.Tuple operator family, serial, under default and
+// merge-only flags alike) gave at the last commit that had one:
+// testdata/row_reference.golden was rendered there, by this file, and is
 // never regenerated.
 func TestRowReference(t *testing.T) {
-	const path = "testdata/row_reference.golden"
-	mk := func(mut func(*plan.Flags)) plan.Flags {
-		f := plan.DefaultFlags()
-		mut(&f)
-		return f
-	}
-	mergeOnly := func(f *plan.Flags) { f.EnableNestLoop, f.EnableHashJoin = false, false }
-	if *updateRowRef {
-		row := refRender(t, "row", mk(func(f *plan.Flags) { f.DisableColumnar = true }))
-		if merge := refRender(t, "row/merge-only", mk(func(f *plan.Flags) { f.DisableColumnar = true; mergeOnly(f) })); merge != row {
-			t.Fatalf("the row engine disagrees with itself under merge-only flags")
-		}
-		if err := os.WriteFile(path, []byte(row), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(path)
+	golden, err := os.ReadFile("testdata/row_reference.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +213,13 @@ func TestRowReference(t *testing.T) {
 		{"default", func(*plan.Flags) {}},
 		{"batch=2", func(f *plan.Flags) { f.BatchSize = 2 }},
 		{"dop=2 forced", func(f *plan.Flags) { f.DOP, f.ForceParallel = 2, true }},
-		{"merge-only", mergeOnly},
+		{"merge-only", func(f *plan.Flags) { f.EnableNestLoop, f.EnableHashJoin = false, false }},
 		{"hash-only", func(f *plan.Flags) { f.EnableNestLoop, f.EnableMergeJoin = false, false }},
 		{"no optimizer", func(f *plan.Flags) { f.DisableOptimizer = true }},
 	} {
-		for i, got := range strings.Split(refRender(t, c.tag, mk(c.mut)), "\n") {
+		flags := plan.DefaultFlags()
+		c.mut(&flags)
+		for i, got := range strings.Split(refRender(t, c.tag, flags), "\n") {
 			if i >= len(want) || got != want[i] {
 				t.Fatalf("%s: line %d:\n got %q\nwant %q", c.tag, i+1, got, append(want, "<end of golden>")[min(i, len(want))])
 			}
