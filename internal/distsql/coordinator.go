@@ -606,7 +606,7 @@ func (c *Coordinator) scanShards(ctx context.Context, name string, batch int) *m
 
 // gatherTable reassembles name from its shards as one batch-born relation
 // (the stub's schema supplies the attribute kinds; the rows arrive as
-// batches and stay batches unless a row operator of the local plan asks).
+// batches and stay batches).
 func (c *Coordinator) gatherTable(ctx context.Context, name string, sch schema.Schema, batch int) (*relation.Relation, error) {
 	img, err := gatherInto(c.scanShards(ctx, name, batch), sch)
 	if err != nil {

@@ -121,15 +121,15 @@ func TestExportedDocs(t *testing.T) {
 }
 
 // ifaceMethods are method names documented once on the package's central
-// interface (plan.Node, exec.Iterator / exec.BatchSizer, expr.Expr);
+// interface (plan.Node, exec.ColIterator / exec.BatchSizer, expr.Expr);
 // implementations inherit that contract, so re-documenting each of the
 // dozens of operator types' Schema/Build/Next/... would be noise. Every
 // other exported method still needs its own comment.
 var ifaceMethods = map[string]bool{
 	// plan.Node
 	"Children": true, "Rows": true, "Cost": true, "Build": true, "Label": true,
-	// exec.Iterator + exec.BatchSizer (Schema is shared with plan.Node)
-	"Schema": true, "Open": true, "Next": true, "Close": true, "SetBatchSize": true,
+	// exec.ColIterator + exec.BatchSizer (Schema is shared with plan.Node)
+	"Schema": true, "Open": true, "NextCol": true, "Close": true, "SetBatchSize": true,
 	// expr.Expr + fmt.Stringer
 	"Bind": true, "Type": true, "Eval": true, "String": true,
 }

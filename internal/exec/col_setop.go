@@ -60,7 +60,7 @@ func NewColSetOp(l, r ColIterator, kind SetOpKind) (*ColSetOp, error) {
 // enforcing set semantics after projections.
 func NewColDistinct(in ColIterator) *ColSetOp { return &ColSetOp{Left: in} }
 
-// Schema implements ColIterator (the left schema, as on the row side).
+// Schema implements ColIterator: the left schema.
 func (s *ColSetOp) Schema() schema.Schema { return s.Left.Schema() }
 
 // Open implements ColIterator. The selection buffer must be non-nil

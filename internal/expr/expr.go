@@ -284,6 +284,9 @@ func (l Logic) Eval(env *Env) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
+	if err := l.operand(a); err != nil {
+		return value.Null, err
+	}
 	// Short circuit where Kleene logic allows it.
 	if !a.IsNull() {
 		if l.Op == AndOp && !a.Bool() {
@@ -295,6 +298,9 @@ func (l Logic) Eval(env *Env) (value.Value, error) {
 	}
 	b, err := l.R.Eval(env)
 	if err != nil {
+		return value.Null, err
+	}
+	if err := l.operand(b); err != nil {
 		return value.Null, err
 	}
 	if !b.IsNull() {
@@ -313,13 +319,24 @@ func (l Logic) Eval(env *Env) (value.Value, error) {
 	}
 	return value.NewBool(a.Bool() || b.Bool()), nil
 }
-func (l Logic) String() string {
-	op := "AND"
-	if l.Op == OrOp {
-		op = "OR"
+
+// operand rejects an operand value that is neither a truth value nor ω
+// (the SQL analyzer rejects the expression; plans built through the Go API
+// get here).
+func (l Logic) operand(v value.Value) error {
+	if v.IsNull() || v.Kind() == value.KindBool {
+		return nil
 	}
-	return fmt.Sprintf("(%s %s %s)", l.L, op, l.R)
+	return fmt.Errorf("expr: %s applied to %s", l.opName(), v.Kind())
 }
+
+func (l Logic) opName() string {
+	if l.Op == OrOp {
+		return "OR"
+	}
+	return "AND"
+}
+func (l Logic) String() string { return fmt.Sprintf("(%s %s %s)", l.L, l.opName(), l.R) }
 
 // Not negates a boolean; ω stays ω.
 type Not struct{ X Expr }
@@ -342,6 +359,9 @@ func (n Not) Eval(env *Env) (value.Value, error) {
 	}
 	if x.IsNull() {
 		return value.Null, nil
+	}
+	if x.Kind() != value.KindBool {
+		return value.Null, fmt.Errorf("expr: NOT applied to %s", x.Kind())
 	}
 	return value.NewBool(!x.Bool()), nil
 }

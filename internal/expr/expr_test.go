@@ -100,6 +100,16 @@ func TestKleeneLogic(t *testing.T) {
 			}
 		}
 	}
+	// An operand that is no truth value is an error, not a panic, on either
+	// side and under NOT.
+	for e, want := range map[Expr]string{
+		And(Bool(true), Str("s")): "expr: AND applied to string", Or(Int(1), Bool(true)): "expr: OR applied to int",
+		Neg(Int(1)): "expr: NOT applied to int",
+	} {
+		if _, err := e.Eval(en); err == nil || err.Error() != want {
+			t.Errorf("%s: Eval error = %v, want %q", e, err, want)
+		}
+	}
 }
 
 func TestIsNullAndBetween(t *testing.T) {

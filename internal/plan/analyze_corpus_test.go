@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,23 +66,32 @@ func corpusCatalog(seed int) sqlish.MapCatalog {
 }
 
 // TestExplainAnalyzeCorpus pins EXPLAIN ANALYZE over the 25-shape corpus:
-// the golden file was rendered at the commit before the join, aggregate
-// and absorb nodes became columnar operators counted at their Materialize
-// boundary, so every node's "actual rows" — and every label and estimate
-// — must still read the same. The hash-only flag set forces the hash
-// join under every join shape (the tiny inputs otherwise pick nested
-// loops). The root's count must equal the statement's result size.
+// the golden file's default and hash-only sections were rendered when row
+// operators did the counting, so every node's "actual rows" — the selected
+// rows leaving the node — and every label and estimate must still read the
+// same now that the guards of the one pipeline count. The hash-only flag
+// set forces the hash join under every join shape (the tiny inputs
+// otherwise pick nested loops). The dop2-forced section runs six shapes
+// (join, ALIGN, NORMALIZE, GROUP BY, union, WITH) through exchanges: a
+// template node shows the sum over its fragments — partition seeds are
+// random, the sums are not — and a broadcast Materialize its rows once.
+// The root's count must equal the statement's result size.
 func TestExplainAnalyzeCorpus(t *testing.T) {
-	hashOnly := plan.DefaultFlags()
+	hashOnly, dop2 := plan.DefaultFlags(), plan.DefaultFlags()
 	hashOnly.EnableNestLoop, hashOnly.EnableMergeJoin = false, false
+	dop2.DOP, dop2.ForceParallel = 2, true
 	var b strings.Builder
 	for _, fl := range []struct {
-		name  string
-		flags plan.Flags
-	}{{"default", plan.DefaultFlags()}, {"hash-only", hashOnly}} {
+		name   string
+		flags  plan.Flags
+		shapes []int // indexes into analyzeCorpus; nil: all
+	}{{"default", plan.DefaultFlags(), nil}, {"hash-only", hashOnly, nil}, {"dop2-forced", dop2, []int{2, 7, 8, 9, 10, 13}}} {
 		for seed := 0; seed < 3; seed++ {
 			cat := corpusCatalog(seed)
-			for _, q := range analyzeCorpus {
+			for i, q := range analyzeCorpus {
+				if fl.shapes != nil && !slices.Contains(fl.shapes, i) {
+					continue
+				}
 				p, err := sqlish.Prepare("EXPLAIN ANALYZE "+q.sql, cat, fl.flags)
 				if err != nil {
 					t.Fatalf("%s seed %d: prepare %q: %v", fl.name, seed, q.sql, err)

@@ -3,11 +3,9 @@
 // min/max — see relation.Segments). When the optimizer lands a filter
 // directly above a scan, it extracts the conjuncts that compare one
 // column (or TS/TE) against a constant or a $N placeholder into
-// PruneBounds and attaches them to the scan; once per execution — the
-// columnar scan at Open, the row scan when it is built — with that
-// execution's parameter values, the scan skips
-// every segment whose zone proves the predicate false for all of its
-// rows. The filter stays in place above the scan, so pruning can only
+// PruneBounds and attaches them to the scan; once per execution — at Open,
+// with that execution's parameter values — the scan skips every segment
+// whose zone proves the predicate false for all of its rows. The filter stays in place above the scan, so pruning can only
 // skip work, never change results — which is exactly what the pruning
 // differential test asserts.
 package plan

@@ -151,7 +151,7 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 			return nil, nil, err
 		}
 		combined := combineScopes(lsc, rsc)
-		theta, err := a.resolve(f.Theta, combined, false)
+		theta, err := a.condition(f.Theta, f.ThetaPos, "ON", combined)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -212,7 +212,7 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 		combined := combineScopes(lsc, rsc)
 		var cond expr.Expr
 		if f.On != nil {
-			cond, err = a.resolve(f.On, combined, false)
+			cond, err = a.condition(f.On, f.OnPos, "ON", combined)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -364,7 +364,7 @@ func (a *analyzer) resolve(e sexpr, sc *scope, allowAgg bool) (expr.Expr, error)
 		if err != nil {
 			return nil, err
 		}
-		return expr.Neg(inner), nil
+		return a.logic("not", x.Pos, inner, nil)
 	case sIsNull:
 		inner, err := a.resolve(x.X, sc, allowAgg)
 		if err != nil {
@@ -395,10 +395,8 @@ func (a *analyzer) resolve(e sexpr, sc *scope, allowAgg bool) (expr.Expr, error)
 			return nil, err
 		}
 		switch x.Op {
-		case "and":
-			return expr.And(l, r), nil
-		case "or":
-			return expr.Or(l, r), nil
+		case "and", "or":
+			return a.logic(x.Op, x.Pos, l, r)
 		case "=":
 			return expr.Eq(l, r), nil
 		case "<>":
@@ -445,6 +443,48 @@ func (a *analyzer) resolve(e sexpr, sc *scope, allowAgg bool) (expr.Expr, error)
 		return expr.Call(x.Name, args...), nil
 	}
 	return nil, fmt.Errorf("sqlish: unhandled expression %T", e)
+}
+
+// truth rejects an expression standing where a truth value must: one whose
+// type is known and is not bool (an untyped NULL or a $N may turn out to be
+// one). The error is the caller's to fix before anything runs, so it is a
+// request error; it points at pos.
+func (a *analyzer) truth(e expr.Expr, what string, pos int) error {
+	if k := e.Type(); k != value.KindBool && k != value.KindNull {
+		err := newErrorAt(a.src, pos, "%s must be boolean, not %s: %s", what, k, e)
+		err.Code = ErrRequest
+		return err
+	}
+	return nil
+}
+
+// condition resolves a WHERE / ON / HAVING condition at pos.
+func (a *analyzer) condition(e sexpr, pos int, clause string, sc *scope) (expr.Expr, error) {
+	cond, err := a.resolve(e, sc, false)
+	if err != nil {
+		return nil, err
+	}
+	return cond, a.truth(cond, clause+" condition", pos)
+}
+
+// logic builds l AND r, l OR r or NOT l (the keyword at pos) over operands
+// that are truth values.
+func (a *analyzer) logic(op string, pos int, l, r expr.Expr) (expr.Expr, error) {
+	for _, operand := range []expr.Expr{l, r} {
+		if operand == nil {
+			continue
+		}
+		if err := a.truth(operand, "operand of "+strings.ToUpper(op), pos); err != nil {
+			return nil, err
+		}
+	}
+	switch op {
+	case "and":
+		return expr.And(l, r), nil
+	case "or":
+		return expr.Or(l, r), nil
+	}
+	return expr.Neg(l), nil
 }
 
 // render canonicalizes a surface expression for GROUP BY matching.

@@ -22,13 +22,19 @@ type (
 	// sBool is TRUE/FALSE; sNull is NULL.
 	sBool struct{ V bool }
 	sNull struct{}
-	// sBin is a binary operator: comparison, arithmetic, AND/OR.
+	// sBin is a binary operator: comparison, arithmetic, AND/OR (Pos is
+	// the byte offset of the AND / OR keyword).
 	sBin struct {
 		Op   string
 		L, R sexpr
+		Pos  int
 	}
-	// sNot is NOT x; sIsNull is x IS [NOT] NULL.
-	sNot    struct{ X sexpr }
+	// sNot is NOT x (Pos: the keyword's byte offset); sIsNull is x IS [NOT]
+	// NULL.
+	sNot struct {
+		X   sexpr
+		Pos int
+	}
 	sIsNull struct {
 		X      sexpr
 		Negate bool
@@ -92,10 +98,11 @@ type (
 		Query *selectStmt
 		Alias string
 	}
-	// fAlign is (a ALIGN b ON θ) alias.
+	// fAlign is (a ALIGN b ON θ) alias; ThetaPos is θ's byte offset.
 	fAlign struct {
 		Left, Right fromItem
 		Theta       sexpr
+		ThetaPos    int
 		Alias       string
 	}
 	// fNormalize is (a NORMALIZE b USING (cols)) alias.
@@ -109,6 +116,7 @@ type (
 		Left, Right fromItem
 		Type        string // inner, left, right, full, cross
 		On          sexpr  // nil for cross
+		OnPos       int    // the condition's byte offset
 	}
 )
 
@@ -124,14 +132,17 @@ type orderKey struct {
 	Desc bool
 }
 
-// selectStmt is a full SELECT (one branch of a set expression).
+// selectStmt is a full SELECT (one branch of a set expression); WherePos
+// and HavingPos are the conditions' byte offsets.
 type selectStmt struct {
-	Dedup   dedupMode
-	Items   []selectItem
-	From    []fromItem
-	Where   sexpr
-	GroupBy []sexpr
-	Having  sexpr
+	Dedup     dedupMode
+	Items     []selectItem
+	From      []fromItem
+	Where     sexpr
+	WherePos  int
+	GroupBy   []sexpr
+	Having    sexpr
+	HavingPos int
 }
 
 // setStmt combines selects with UNION/INTERSECT/EXCEPT (left associative).

@@ -287,6 +287,7 @@ func (p *parser) selectStmt() (*selectStmt, error) {
 		}
 	}
 	if p.kw("where") {
+		st.WherePos = p.peek().pos
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -309,6 +310,7 @@ func (p *parser) selectStmt() (*selectStmt, error) {
 		}
 	}
 	if p.kw("having") {
+		st.HavingPos = p.peek().pos
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -387,16 +389,18 @@ func (p *parser) fromItem() (fromItem, error) {
 			return nil, err
 		}
 		var on sexpr
+		var onPos int
 		if jt != "cross" {
 			if err := p.expectKw("on"); err != nil {
 				return nil, err
 			}
+			onPos = p.peek().pos
 			on, err = p.expr()
 			if err != nil {
 				return nil, err
 			}
 		}
-		left = fJoin{Left: left, Right: right, Type: jt, On: on}
+		left = fJoin{Left: left, Right: right, Type: jt, On: on, OnPos: onPos}
 	}
 }
 
@@ -437,6 +441,7 @@ func (p *parser) fromPrimary() (fromItem, error) {
 			if err := p.expectKw("on"); err != nil {
 				return nil, err
 			}
+			thetaPos := p.peek().pos
 			theta, err := p.expr()
 			if err != nil {
 				return nil, err
@@ -448,7 +453,7 @@ func (p *parser) fromPrimary() (fromItem, error) {
 			if err != nil {
 				return nil, err
 			}
-			return fAlign{Left: left, Right: right, Theta: theta, Alias: alias}, nil
+			return fAlign{Left: left, Right: right, Theta: theta, ThetaPos: thetaPos, Alias: alias}, nil
 		case p.kw("normalize"):
 			right, err := p.fromPrimary()
 			if err != nil {
@@ -532,12 +537,12 @@ func (p *parser) orTerm() (sexpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.kw("or") {
+	for pos := p.peek().pos; p.kw("or"); pos = p.peek().pos {
 		r, err := p.andTerm()
 		if err != nil {
 			return nil, err
 		}
-		l = sBin{Op: "or", L: l, R: r}
+		l = sBin{Op: "or", L: l, R: r, Pos: pos}
 	}
 	return l, nil
 }
@@ -547,23 +552,23 @@ func (p *parser) andTerm() (sexpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.kw("and") {
+	for pos := p.peek().pos; p.kw("and"); pos = p.peek().pos {
 		r, err := p.notTerm()
 		if err != nil {
 			return nil, err
 		}
-		l = sBin{Op: "and", L: l, R: r}
+		l = sBin{Op: "and", L: l, R: r, Pos: pos}
 	}
 	return l, nil
 }
 
 func (p *parser) notTerm() (sexpr, error) {
-	if p.kw("not") {
+	if pos := p.peek().pos; p.kw("not") {
 		x, err := p.notTerm()
 		if err != nil {
 			return nil, err
 		}
-		return sNot{X: x}, nil
+		return sNot{X: x, Pos: pos}, nil
 	}
 	return p.predicate()
 }

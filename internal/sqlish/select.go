@@ -70,7 +70,7 @@ func (a *analyzer) buildSelect(st *selectStmt) (plan.Node, *scope, error) {
 		seen[key] = true
 	}
 	if st.Where != nil {
-		pred, err := a.resolve(st.Where, sc, false)
+		pred, err := a.condition(st.Where, st.WherePos, "WHERE", sc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -295,6 +295,9 @@ func (a *analyzer) buildAggSelect(st *selectStmt, node plan.Node, sc *scope) (pl
 			if err != nil {
 				return nil, err
 			}
+			if x.Op == "and" || x.Op == "or" {
+				return a.logic(x.Op, x.Pos, l, r)
+			}
 			resolved, err := a.resolve(sBin{Op: x.Op, L: sNum{Text: "0"}, R: sNum{Text: "0"}}, &scope{}, false)
 			if err != nil {
 				return nil, err
@@ -304,8 +307,6 @@ func (a *analyzer) buildAggSelect(st *selectStmt, node plan.Node, sc *scope) (pl
 				return expr.Cmp{Op: op.Op, L: l, R: r}, nil
 			case expr.Arith:
 				return expr.Arith{Op: op.Op, L: l, R: r}, nil
-			case expr.Logic:
-				return expr.Logic{Op: op.Op, L: l, R: r}, nil
 			}
 			return nil, fmt.Errorf("sqlish: unsupported operator %q over aggregates", x.Op)
 		}
@@ -340,6 +341,9 @@ func (a *analyzer) buildAggSelect(st *selectStmt, node plan.Node, sc *scope) (pl
 	out := plan.Node(aggNode)
 	if st.Having != nil {
 		having, err := mapHaving(a, st.Having, mapExpr)
+		if err == nil {
+			err = a.truth(having, "HAVING condition", st.HavingPos)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -362,17 +366,14 @@ func mapHaving(a *analyzer, e sexpr, mapExpr func(sexpr) (expr.Expr, error)) (ex
 			if err != nil {
 				return nil, err
 			}
-			if x.Op == "and" {
-				return expr.And(l, r), nil
-			}
-			return expr.Or(l, r), nil
+			return a.logic(x.Op, x.Pos, l, r)
 		}
 	case sNot:
 		inner, err := mapHaving(a, x.X, mapExpr)
 		if err != nil {
 			return nil, err
 		}
-		return expr.Neg(inner), nil
+		return a.logic("not", x.Pos, inner, nil)
 	}
 	return mapExpr(e)
 }

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"talign/internal/dataset"
+	"talign/internal/exec"
 	"talign/internal/relation"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/wire"
 )
 
 // openRemoteTest boots an httptest talignd with the demo catalog and
@@ -211,6 +213,57 @@ func TestStructuredErrorsSurface(t *testing.T) {
 	var se *sqlish.Error
 	if !errors.As(err, &se) || se.Code != sqlish.ErrParse {
 		t.Fatalf("embedded parse error = %v", err)
+	}
+}
+
+// TestNonBooleanConditionRejected: a WHERE / ON / HAVING that is no truth
+// value, and a non-boolean operand of AND / OR / NOT, fail at Prepare on
+// both DSN schemes with a request error that points into the statement —
+// whether or not a row would ever have reached the operand — and never as a
+// recovered panic. An untyped NULL and a $N pass.
+func TestNonBooleanConditionRejected(t *testing.T) {
+	emb, err := Open("talign://demo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer emb.Close()
+	panics := exec.PanicsRecovered()
+	for name, db := range map[string]*DB{"talign://": emb, "talignd://": openRemoteTest(t)} {
+		for sql, col := range map[string]int{
+			"SELECT n FROM r WHERE Ts = 0 AND n":                                    30,
+			"SELECT n FROM r WHERE Ts = 99 AND n":                                   31, // short-circuited on every row
+			"SELECT n FROM (SELECT n FROM r WHERE Ts > 99) e WHERE Ts = 0 AND n":    62, // over no rows
+			"SELECT n FROM r WHERE NOT Ts":                                          23,
+			"SELECT n FROM r WHERE n OR Ts = 0":                                     25,
+			"SELECT n FROM r WHERE n":                                               23,
+			"SELECT r.n FROM r JOIN p ON p.a":                                       29,
+			"SELECT n FROM (r ALIGN p ON a + 1) x":                                  29,
+			"SELECT n, COUNT(*) c FROM r GROUP BY n HAVING COUNT(*)":                47,
+			"SELECT n, COUNT(*) c FROM r GROUP BY n HAVING COUNT(*) > 1 AND MAX(n)": 60,
+		} {
+			_, err := db.Query(context.Background(), sql)
+			var se *sqlish.Error
+			var we *wire.Error
+			switch {
+			case errors.As(err, &se):
+				we = &wire.Error{Code: se.Code, Line: se.Line, Col: se.Col}
+			case !errors.As(err, &we):
+				t.Fatalf("%s: %s: error %v, want a structured one", name, sql, err)
+			}
+			if we.Code != sqlish.ErrRequest || we.Line != 1 || we.Col != col {
+				t.Errorf("%s: %s: %v; want a request error at line 1, col %d", name, sql, err, col)
+			}
+		}
+		for sql, args := range map[string][]any{"SELECT n FROM r WHERE Ts = 0 AND NULL": nil, "SELECT n FROM r WHERE NOT $1 OR $1": {true}} {
+			rows, err := db.Query(context.Background(), sql, args...)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, sql, err)
+			}
+			collect(t, rows)
+		}
+	}
+	if got := exec.PanicsRecovered(); got != panics {
+		t.Fatalf("%d panic(s) recovered", got-panics)
 	}
 }
 
