@@ -121,11 +121,8 @@ type Materialize struct {
 	out   []tuple.Tuple
 }
 
-// NewMaterialize wraps a columnar iterator for row-at-a-time consumers.
+// NewMaterialize reads in, which the caller opens and closes, as tuples.
 func NewMaterialize(in ColIterator) *Materialize { return &Materialize{Input: in} }
-
-// Open opens the pipeline.
-func (m *Materialize) Open() error { return m.Input.Open() }
 
 // Next returns the next batch of tuples; an empty batch signals exhaustion.
 // The slice is reused by the following Next; the tuples' value slabs are
@@ -143,9 +140,6 @@ func (m *Materialize) Next() ([]tuple.Tuple, error) {
 		return b.Materialize(m.out), nil
 	}
 }
-
-// Close closes the pipeline.
-func (m *Materialize) Close() error { return m.Input.Close() }
 
 // Collect drains it into a row-born relation, handling Open/Close.
 func Collect(it ColIterator) (*relation.Relation, error) {

@@ -79,9 +79,12 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 			return b, nil
 		}
 	}
-	f.rest.b = nil // the producer reuses its batch: nothing boxed carries over
+	evals := len(f.rest.es) > 0
 	for i, nsel := 0, b.NumRows(); i < nsel; i++ {
 		row := b.RowAt(i)
+		if evals {
+			f.rest.at(b, row)
+		}
 		if f.pred(b, row) == 1 {
 			out = append(out, int32(row))
 		}
@@ -196,17 +199,15 @@ func (f *ColFilter) compile(e expr.Expr) rowPred {
 }
 
 // evalPred is the closure of a sub-predicate with no compiled form: e's
-// Eval over the row boxed into a scratch slice (once per row, however many
-// of these the predicate has). An evaluation error — a function's, or a
+// Eval over the row boxed into a scratch slice (at most once per row,
+// however many of these the predicate has). An evaluation error — a function's, or a
 // value that is no truth value — counts as false and is kept for NextCol.
 func (f *ColFilter) evalPred(e expr.Expr) rowPred {
 	i := len(f.rest.es)
 	f.rest.es = append(f.rest.es, e)
-	return func(b *colbatch.Batch, row int) int8 {
-		if f.rest.b != b || f.rest.row != row {
-			f.rest.at(b, row)
-		}
-		v, err := f.rest.eval(i)
+	return func(*colbatch.Batch, int) int8 {
+		v, err := f.rest.eval(i) // NextCol positioned rest on the row
+
 		switch {
 		case err != nil:
 		case v.IsNull():

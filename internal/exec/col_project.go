@@ -224,12 +224,10 @@ func (p *ColProject) compute(b *colbatch.Batch) (*colbatch.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			if v.IsNull() {
+			if v.IsNull() || !v.Interval().Valid() {
 				continue
 			}
-			if t = v.Interval(); !t.Valid() {
-				continue
-			}
+			t = v.Interval()
 		case !p.tzero:
 			t = b.Interval(row)
 		}

@@ -228,7 +228,11 @@ func TestColLimitCountsSelectedRows(t *testing.T) {
 	for _, tc := range []struct{ n, off int64 }{
 		{10, 0}, {10, 5}, {-1, 7}, {0, 3}, {5, 1000}, {1000, 2},
 	} {
-		want := naiveLimit(naiveFilter(t, rel.Rows(), pred), tc.n, tc.off)
+		want := naiveFilter(t, rel.Rows(), pred)
+		want = want[min(tc.off, int64(len(want))):]
+		if tc.n >= 0 {
+			want = want[:min(tc.n, int64(len(want)))]
+		}
 		got := drainCol(t, must(NewColLimit(NewColFilter(NewColScan(rel), pred), tc.n, tc.off)))
 		// LIMIT output is prefix-dependent; both stream in scan order, so
 		// rows must match exactly, not just as sets.

@@ -72,8 +72,9 @@ func RecoverAsError(site string, errp *error) {
 	}
 }
 
-// GuardState is what every guard of one built pipeline shares: the running execution's context and budget, and whether its
-// cancellation was counted yet. The guards are built around it once; each
+// GuardState is what every guard of one built pipeline shares: the running
+// execution's context and budget, and whether its cancellation was counted
+// yet. The guards are built around it once; each
 // execution re-arms it (Arm) before Open, never while one is running.
 type GuardState struct {
 	ctx     context.Context

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"talign/internal/colbatch"
+	"talign/internal/expr"
 	"talign/internal/schema"
 	"talign/internal/tuple"
 )
@@ -162,5 +163,35 @@ func TestGuardByteBudget(t *testing.T) {
 	}
 	if be.Resource != "bytes" {
 		t.Fatalf("bad resource: %+v", be)
+	}
+}
+
+// TestDrainingOpenSurfacesGuardErrors: the operators that drain an input
+// inside Open — the sort, the merge join's two sides — pass on what the
+// input's guard reports (a cancelled context, an exhausted budget, a
+// recovered panic) as it is, and close cleanly afterwards.
+func TestDrainingOpenSurfacesGuardErrors(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var pe *PanicError
+	var be *BudgetError
+	for name, c := range map[string]struct {
+		in    func() ColIterator
+		check func(error) bool
+	}{
+		"cancelled": {func() ColIterator { return NewColGuard(armed(cancelled, nil), &faultyIter{n: 3}) }, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		"budget":    {func() ColIterator { return NewColGuard(armed(nil, NewBudget(2, 0)), &faultyIter{n: 5}) }, func(err error) bool { return errors.As(err, &be) }},
+		"panic":     {func() ColIterator { return NewColGuard(armed(nil, nil), &faultyIter{nextPanic: "boom"}) }, func(err error) bool { return errors.As(err, &pe) }},
+	} {
+		merge := NewColHashJoin(&faultyIter{n: 2}, c.in(), []expr.EquiPair{{Left: expr.TStart{}, Right: expr.TStart{}}}, nil, InnerJoin, false)
+		merge.Merge = true
+		for _, op := range []ColIterator{NewColSort(c.in(), SortKey{Expr: expr.TStart{}}), merge} {
+			if err := op.Open(); !c.check(err) {
+				t.Errorf("%s: %T.Open = %v", name, op, err)
+			}
+			if err := op.Close(); err != nil {
+				t.Errorf("%s: %T.Close = %v", name, op, err)
+			}
+		}
 	}
 }

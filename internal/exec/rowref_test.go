@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"bytes"
-	"sort"
 	"testing"
 
 	"talign/internal/expr"
@@ -12,11 +10,8 @@ import (
 )
 
 // The operators' references where internal/oracle has none: naive loops over
-// []tuple.Tuple that say what the deleted row operators said (predicates and
-// projections through expr.Eval on one tuple at a time, set operations and
-// sorts through tuple keys), in the operators' output order.
+// []tuple.Tuple that say what the deleted row operators said.
 
-// holds evaluates pred on one tuple.
 func holds(t *testing.T, pred expr.Expr, tp tuple.Tuple) bool {
 	t.Helper()
 	ok, err := expr.EvalBool(pred, &expr.Env{Vals: tp.Vals, T: tp.T})
@@ -69,36 +64,26 @@ func naiveProject(t *testing.T, rows []tuple.Tuple, exprs []expr.Expr, tmode TPo
 	return out
 }
 
-// naiveSort orders rows by keys (DESC by byte complement), ties by the full
-// row key.
+// naiveSort orders a copy of rows by keys (DESC complemented), ties by row key.
 func naiveSort(t *testing.T, rows []tuple.Tuple, keys []SortKey) []tuple.Tuple {
 	t.Helper()
-	type keyed struct {
-		k  []byte
-		tp tuple.Tuple
-	}
-	ks := make([]keyed, len(rows))
-	for i, tp := range rows {
+	out, ks := append([]tuple.Tuple(nil), rows...), make([][]byte, len(rows))
+	for i, tp := range out {
 		env := expr.Env{Vals: tp.Vals, T: tp.T}
-		var k []byte
 		for _, sk := range keys {
 			v, err := sk.Expr.Eval(&env)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mark := len(k)
-			k = v.AppendKey(k)
-			for j := mark; sk.Desc && j < len(k); j++ {
-				k[j] ^= 0xff
+			mark := len(ks[i])
+			ks[i] = v.AppendKey(ks[i])
+			for j := mark; sk.Desc && j < len(ks[i]); j++ {
+				ks[i][j] ^= 0xff
 			}
 		}
-		ks[i] = keyed{tp.AppendKey(k), tp}
+		ks[i] = tp.AppendKey(ks[i])
 	}
-	sort.Slice(ks, func(a, b int) bool { return bytes.Compare(ks[a].k, ks[b].k) < 0 })
-	out := make([]tuple.Tuple, len(ks))
-	for i := range ks {
-		out[i] = ks[i].tp
-	}
+	tuple.KeySort(out, ks)
 	return out
 }
 
@@ -123,19 +108,9 @@ func naiveSetOp(l, r []tuple.Tuple, kind SetOpKind) (out []tuple.Tuple) {
 	return out
 }
 
-// naiveLimit is OFFSET off LIMIT n (n < 0: no limit).
-func naiveLimit(rows []tuple.Tuple, n, off int64) []tuple.Tuple {
-	rows = rows[min(off, int64(len(rows))):]
-	if n >= 0 {
-		rows = rows[:min(n, int64(len(rows)))]
-	}
-	return rows
-}
-
-// naiveJoin is the joins' reference: every pair tested with cond over the
-// concatenated row (env.T = the left row's T) and, under matchT, with
-// timestamp equality; output in the hash method's order (left order, matches
-// in right order, unmatched right rows last).
+// naiveJoin tests every pair with cond over the concatenated row (env.T =
+// the left row's T) and, under matchT, timestamp equality; output in the hash
+// method's order (left order, matches in right order, unmatched right last).
 func naiveJoin(t *testing.T, r, s *relation.Relation, cond expr.Expr, typ JoinType, matchT bool) *relation.Relation {
 	t.Helper()
 	sch := r.Schema

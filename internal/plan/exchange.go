@@ -133,32 +133,31 @@ func (e *ExchangeNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	// where a key lands.
 	seed := maphash.MakeSeed()
 	var parts [][]exec.ColIterator
-	cleanup := func() {
-		for _, ps := range parts {
+	fail := func(err error) (exec.ColIterator, error) {
+		for _, ps := range parts { // the last Close of a splitter's partitions closes its source
 			for _, p := range ps {
 				p.Close()
 			}
 		}
+		return nil, err
 	}
 	for si, src := range e.Sources {
 		in, err := ctx.stream(src)
-		if err == nil {
-			var sp *exec.ColSplitter
-			if sp, err = exec.NewColSplitter(in, ctx.bindAll(e.Keys[si]), e.DOP, seed); err == nil {
-				if e.batch > 0 {
-					sp.SetBatchSize(e.batch)
-				}
-				ps := make([]exec.ColIterator, e.DOP)
-				for i := range ps {
-					ps[i] = sp.Partition(i)
-				}
-				parts = append(parts, ps)
-			}
-		}
 		if err != nil {
-			cleanup()
-			return nil, err
+			return fail(err)
 		}
+		sp, err := exec.NewColSplitter(in, ctx.bindAll(e.Keys[si]), e.DOP, seed)
+		if err != nil {
+			return fail(err)
+		}
+		if e.batch > 0 {
+			sp.SetBatchSize(e.batch)
+		}
+		ps := make([]exec.ColIterator, e.DOP)
+		for i := range ps {
+			ps[i] = sp.Partition(i)
+		}
+		parts = append(parts, ps)
 	}
 	frags := make([]exec.ColIterator, e.DOP)
 	for i := range frags {
@@ -167,15 +166,18 @@ func (e *ExchangeNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 			leaves[si] = &builtLeaf{it: parts[si][i], sch: src.Schema(), rows: src.Rows() / float64(e.DOP)}
 		}
 		fn, err := e.Fragment(leaves)
-		if err == nil {
-			frags[i], err = ctx.fragment(e.template, fn, i > 0)
-		}
 		if err != nil {
-			cleanup()
-			return nil, err
+			return fail(err)
+		}
+		if frags[i], err = ctx.fragment(e.template, fn, i > 0); err != nil {
+			return fail(err)
 		}
 	}
-	return exec.NewColExchange(frags)
+	ex, err := exec.NewColExchange(frags)
+	if err != nil {
+		return fail(err)
+	}
+	return ex, nil
 }
 
 // fragment builds one partition's instance of an exchange's template. In an

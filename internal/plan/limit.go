@@ -72,7 +72,11 @@ func (l *LimitNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.NewColLimit(in, l.N, l.Offset)
+	lim, err := exec.NewColLimit(in, l.N, l.Offset)
+	if err != nil {
+		return nil, err
+	}
+	return lim, nil
 }
 
 func (l *LimitNode) Label() string {

@@ -364,8 +364,8 @@ func (s *ScanNode) prunes() bool { return s.Prune != nil && s.Rel.Segments() != 
 
 // pruneSegments appends to dst the relation's segments that survive
 // s.Prune under the parameter values ctx holds now — once per execution:
-// the scan asks at every Open. It also feeds the process-wide pruning counters and the context's
-// SegObserver (EXPLAIN ANALYZE).
+// the scan asks at every Open. It also feeds the process-wide pruning
+// counters and the context's SegObserver (EXPLAIN ANALYZE).
 func (s *ScanNode) pruneSegments(ctx *ExecCtx, dst []relation.Segment) []relation.Segment {
 	var params []value.Value
 	if ctx != nil {
