@@ -3,10 +3,12 @@ package talign
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"talign/internal/csvio"
@@ -154,8 +156,9 @@ var pointShapes = []struct{ name, sql string }{
 // rebuilt for it. The prepared twin re-opens the pipeline its Prepared
 // keeps: no operator tree, predicate kernel, key table or output buffer is
 // allocated, and what is left — the Rows, the stream, the cursor, the
-// deadline — is 7 or 8 mallocs whatever the shape (it was 95 / 135 / 96 /
-// 33 / 166 while every execution built its tree), pinned at 20. Ad-hoc
+// deadline — is 5 mallocs whatever the shape (7 while the result columns
+// were listed per execution; 95 / 135 / 96 / 33 / 166 while every
+// execution built its tree), pinned at 20. Ad-hoc
 // text with a literal never seen before, on a shape seen before, is not
 // planned (PlanCache Plans does not move) and not parsed, and so costs what
 // its twin costs plus the lex, the shape key and the lifted values: a
@@ -163,6 +166,33 @@ var pointShapes = []struct{ name, sql string }{
 // is most of a cost this small).
 func TestAdhocPointAllocs(t *testing.T) {
 	db, _ := allocPinDB(t, 1000)
+	pointAllocs(t, db, db, 20)
+}
+
+// TestRemotePointAllocs is TestAdhocPointAllocs over talignd://, client
+// and server in this one process: a statement is one query frame on the
+// DB's pooled frame connection, answered by frames written and decoded
+// with the connection's reused codec, so a prepared execution costs what
+// the engine costs plus a request decode, a cursor and the schema and
+// batch decode — 15 mallocs, pinned at 30, where one HTTP request per
+// statement cost about 140.
+func TestRemotePointAllocs(t *testing.T) {
+	emb, _ := allocPinDB(t, 1000)
+	ts := httptest.NewServer(emb.Server().Handler())
+	t.Cleanup(ts.Close)
+	db, err := Open("talignd://" + strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	pointAllocs(t, db, emb, 30)
+}
+
+// pointAllocs measures and pins the point shapes on db, whose engine is
+// emb's: a prepared execution costs at most pin mallocs, and ad-hoc text
+// with a literal never seen before, on a seen shape, its twin's plus a
+// handful.
+func pointAllocs(t *testing.T, db, emb *DB, pin float64) {
 	ctx := context.Background()
 	sess := db.Session("")
 	const runs = 40
@@ -193,22 +223,59 @@ func TestAdhocPointAllocs(t *testing.T) {
 		adhoc := func() { drain(db.Query(ctx, texts[k])); k++ }
 		adhoc() // the shape's plan, from texts[0]
 		twin := testing.AllocsPerRun(runs, prepared)
-		plans := db.Server().CacheStats().Plans
+		plans := emb.Server().CacheStats().Plans
 		k = 1
 		text := testing.AllocsPerRun(runs, adhoc)
-		if got := db.Server().CacheStats().Plans; got != plans {
+		if got := emb.Server().CacheStats().Plans; got != plans {
 			t.Errorf("%s: %d plans built for %d never-seen literals on a seen shape", sh.name, got-plans, runs+1)
 		}
 		t.Logf("%-13s prepared %4.0f mallocs  ad-hoc %4.0f (+%.1f%%)", sh.name, twin, text, 100*(text-twin)/twin)
 		if raceflag.Enabled {
 			continue
 		}
-		if twin > 20 {
-			t.Errorf("%s: a prepared execution costs %.0f mallocs, want at most 20: is its pipeline rebuilt?", sh.name, twin)
+		if twin > pin {
+			t.Errorf("%s: a prepared execution costs %.0f mallocs, want at most %.0f: is its pipeline rebuilt?", sh.name, twin, pin)
 		}
 		if limit := max(1.10*twin, twin+6); text > limit {
 			t.Errorf("%s: ad-hoc text costs %.0f mallocs, its prepared twin %.0f; want at most %.0f", sh.name, text, twin, limit)
 		}
+	}
+}
+
+// TestOneConnectionPerClient: 200 statements on one DB travel over the
+// one frame connection Open upgraded; the server sees no HTTP request
+// after the upgrade.
+func TestOneConnectionPerClient(t *testing.T) {
+	emb, _ := allocPinDB(t, 200)
+	var requests atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		emb.Server().Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	db, err := Open(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	st, err := db.Prepare(context.Background(), pointShapes[3].sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		rs, err := st.Query(context.Background(), int64(i%20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rs.Next() {
+		}
+		rs.Close()
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("the server saw %d HTTP requests, want the one upgrade", n)
+	}
+	if got := metric(emb.Server(), "talignd_frame_conns_total"); got != "1" {
+		t.Errorf("talignd_frame_conns_total = %s, want 1", got)
 	}
 }
 

@@ -33,10 +33,12 @@
 //
 //	POST /query         {"sql": "SELECT ...", "params": [...]}
 //	                    {"session": "s1", "stmt": "q1", "params": [...]}
-//	POST /query/stream  same body; chunked frame stream (schema frame,
-//	                    row-batch frames, trailing status frame) — NDJSON,
-//	                    or binary batch frames when the Accept header asks;
+//	POST /query/stream  same body; chunked NDJSON frame stream (schema
+//	                    frame, row-batch frames, trailing status frame);
 //	                    client disconnect cancels the query
+//	GET  /frames        Upgrade: talign-frames/1 — the Go client's frame
+//	                    connection: binary query/prepare frames answered
+//	                    by frame streams, one statement at a time
 //	POST /prepare       {"session": "s1", "name": "q1", "sql": "... $1 ..."}
 //	GET  /explain       ?sql=... (or ?session=s1&stmt=q1)
 //	GET  /healthz       liveness: 200 while the process runs

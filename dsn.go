@@ -27,8 +27,8 @@ type dsnConfig struct {
 	timeout time.Duration
 
 	// retry is the number of retries (beyond the first attempt) for
-	// idempotent remote requests that fail at the transport level or hit
-	// a draining server; remote-only. -1 means "not set, use default".
+	// remote statements that cannot reach a frame connection or that a
+	// draining server refuses; remote-only. -1 means "not set, use default".
 	retry int
 
 	// Embedded options.

@@ -175,7 +175,7 @@ func (c *workerClient) stage(ctx context.Context, w Worker, name string, shard *
 			body, err = wire.AppendFrame(body, f)
 		}
 	}
-	cols, types := wire.SchemaColumns(shard.Schema)
+	cols, types := shard.Schema.ResultColumns()
 	write(wire.Frame{Frame: wire.FrameSchema, Columns: cols, Types: types})
 	var view colbatch.Batch
 	for lo := 0; lo < shard.Len() || lo == 0; lo += stageFrameRows {
@@ -252,7 +252,7 @@ func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, para
 			return
 		}
 		defer resp.Body.Close()
-		dec := wire.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn}, wire.MediaBatch)
+		dec := wire.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn})
 		dec.ReuseBuffers(ws.ring)
 		defer func() { c.frameBufs.Add(uint64(dec.BufferAllocs())) }()
 		for {

@@ -133,13 +133,14 @@ func ndjsonRows(t *testing.T, base string, q diffQuery) ([][]value.Value, string
 	if ct := resp.Header.Get("Content-Type"); ct != wire.MediaNDJSON {
 		t.Fatalf("%s: a request without Accept was answered in %q", q.sql, ct)
 	}
-	dec := wire.NewDecoder(resp.Body, wire.MediaNDJSON)
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
 	var types []string
 	var rows [][]value.Value
 	var plan string
 	for {
-		f, err := dec.Next()
-		if err != nil {
+		var f wire.Frame
+		if err := dec.Decode(&f); err != nil {
 			t.Fatalf("%s: NDJSON stream: %v", q.sql, err)
 		}
 		switch f.Frame {
@@ -327,7 +328,8 @@ func TestMidStreamErrorBothFormats(t *testing.T) {
 }
 
 // TestClientCancelBothFormats: hanging up mid-stream aborts the query
-// server-side whichever format the stream is in.
+// server-side on either transport — NDJSON over /query/stream (asking for
+// batch frames there changes nothing) and a frame connection.
 func TestClientCancelBothFormats(t *testing.T) {
 	b := relation.NewBuilder("v int")
 	for i := 0; i < 3000; i++ {
@@ -336,38 +338,46 @@ func TestClientCancelBothFormats(t *testing.T) {
 	srv := singleNode(t, map[string]*relation.Relation{"big": b.MustBuild()})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	body := `{"sql": "SELECT v, Ts, Te FROM (big a ALIGN big b ON true) x", "batch": 64}`
+	const sql = "SELECT v, Ts, Te FROM (big a ALIGN big b ON true) x"
 
-	for _, accept := range []string{"", wire.MediaBatch} {
-		ctx, cancel := context.WithCancel(context.Background())
-		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query/stream", strings.NewReader(body))
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query/stream", strings.NewReader(`{"sql": "`+sql+`", "batch": 64}`))
+	req.Header.Set("Accept", wire.MediaBatch)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wire.MediaNDJSON {
+		t.Fatalf("/query/stream answered in %q, want %q", ct, wire.MediaNDJSON)
+	}
+	dec := json.NewDecoder(resp.Body)
+	for seen := 0; seen < 2; seen++ { // the schema frame and one rows frame
+		if err := dec.Decode(&wire.Frame{}); err != nil {
 			t.Fatal(err)
 		}
-		want := wire.MediaNDJSON
-		if accept != "" {
-			want = accept
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != want {
-			t.Fatalf("Accept %q answered in %q, want %q", accept, ct, want)
-		}
-		dec := wire.NewDecoder(resp.Body, want)
-		for seen := 0; seen < 2; seen++ { // the schema frame and one rows frame
-			if _, err := dec.Next(); err != nil {
-				t.Fatalf("Accept %q: %v", accept, err)
-			}
-		}
-		if srv.GateStats().InUse == 0 {
-			t.Fatalf("Accept %q: the query finished before it could be cancelled", accept)
-		}
-		cancel()
-		resp.Body.Close()
-		waitFor(t, 10*time.Second, "server-side abort", func() bool { return srv.GateStats().InUse == 0 })
 	}
+	if srv.GateStats().InUse == 0 {
+		t.Fatal("NDJSON: the query finished before it could be cancelled")
+	}
+	cancel()
+	resp.Body.Close()
+	waitFor(t, 10*time.Second, "server-side abort", func() bool { return srv.GateStats().InUse == 0 })
+
+	ctx, cancel = context.WithCancel(context.Background())
+	rows, err := openClient(t, ts.URL+"?batch=64").Query(ctx, sql)
+	if err != nil || !rows.Next() {
+		t.Fatalf("frame connection: %v", err)
+	}
+	if srv.GateStats().InUse == 0 {
+		t.Fatal("frame connection: the query finished before it could be cancelled")
+	}
+	cancel()
+	for rows.Next() {
+	}
+	if err := rows.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("frame connection: cancelled cursor ended with %v", err)
+	}
+	waitFor(t, 10*time.Second, "server-side abort", func() bool { return srv.GateStats().InUse == 0 })
 }
 
 // TestStreamedScatterBuildsNoTuples pins the merge path: shard batches

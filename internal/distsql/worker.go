@@ -59,7 +59,7 @@ func Handler(srv *server.Server) http.Handler {
 		case wire.FragmentStage:
 			// The JSON decoder may have read past the request object; the
 			// frames start in its buffer and continue in the body.
-			img, err := readStaged(wire.NewDecoder(io.MultiReader(dec.Buffered(), r.Body), wire.MediaBatch))
+			img, err := readStaged(wire.NewDecoder(io.MultiReader(dec.Buffered(), r.Body)))
 			if err != nil {
 				server.HTTPError(w, fmt.Errorf("distsql: stage %s: %v", req.Name, err))
 				return

@@ -131,6 +131,18 @@ func (s Schema) Equal(o Schema) bool {
 	return true
 }
 
+// ResultColumns lists the schema as every client sees a result: the
+// attributes' names and type names, then the valid-time bounds "ts" and
+// "te" (int columns).
+func (s Schema) ResultColumns() (cols, types []string) {
+	cols, types = make([]string, 0, s.Len()+2), make([]string, 0, s.Len()+2)
+	for _, at := range s.Attrs {
+		cols = append(cols, at.Name)
+		types = append(types, at.Type.String())
+	}
+	return append(cols, "ts", "te"), append(types, "int", "int")
+}
+
 // String renders "(a int, b string)".
 func (s Schema) String() string {
 	parts := make([]string, len(s.Attrs))

@@ -88,10 +88,6 @@ type Distributor interface {
 // handler, so fragment errors look exactly like query errors).
 func HTTPError(w http.ResponseWriter, err error) { httpError(w, err) }
 
-// ErrorCode classifies err into a wire error code (exported alongside
-// HTTPError for the distsql frame writers).
-func ErrorCode(err error) string { return errorCode(err) }
-
 // SetDistributor installs the distributed-execution seam (nil uninstalls
 // it). Install before serving traffic; the seam itself is read without
 // synchronization on the hot path.

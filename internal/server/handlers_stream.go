@@ -9,14 +9,13 @@ import (
 	"talign/internal/wire"
 )
 
-// handleQueryStream is the wire-level row-streaming endpoint: it runs the
+// handleQueryStream is the NDJSON row-streaming endpoint: it runs the
 // request under the request's context (client disconnect cancels the
 // running plan server-side) and writes the result as a chunked frame
 // stream — a schema frame, one rows frame per executor batch, and a
 // trailing status (or error) frame — flushing after every frame so rows
-// reach the client as the executor produces them. The encoding is
-// negotiated: binary batch frames when the Accept header asks for
-// wire.MediaBatch, NDJSON for every other request.
+// reach the client as the executor produces them. Binary batch frames
+// are spoken on frame connections (GET /frames), not here.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, params, err := decodeRequest(r)
 	if err != nil {
@@ -32,27 +31,26 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rs.Close()
 	s.streams.Add(1)
-	media := wire.MediaNDJSON
-	if wire.AcceptsBatch(r.Header.Get("Accept")) {
-		media = wire.MediaBatch
-	}
-	WriteFrameStream(w, rs, media)
+	WriteFrameStream(w, rs, wire.MediaNDJSON)
 }
 
-// WriteFrameStream writes a RowStream as a chunked frame stream in the
-// given media type — schema, one rows frame per batch, a terminal status
-// or error frame (also when a frame cannot be encoded) — flushing after
-// every frame. It is the one writer of the row-stream wire shape, shared
-// by the client-facing /query/stream endpoint and the worker-side
-// /fragment executor (which always answers wire.MediaBatch). Batch
-// frames are pulled with NextBatch, so a columnar plan root reaches the
-// socket without being materialized; NDJSON rows are pulled with Next.
-// The caller Closes rs.
+// WriteFrameStream writes a RowStream as a chunked HTTP frame stream in
+// the given media type (see writeFrames). The caller Closes rs.
 func WriteFrameStream(w http.ResponseWriter, rs *RowStream, media string) {
 	w.Header().Set("Content-Type", media)
 	w.Header().Set("X-Accel-Buffering", "no") // streaming through proxies
-	fw := wire.NewWriter(w, media)
 	flusher, _ := w.(http.Flusher)
+	writeFrames(wire.NewWriter(w, media), rs, media == wire.MediaBatch, flusher)
+}
+
+// writeFrames writes a RowStream as frames — schema, one rows frame per
+// batch, a terminal status or error frame (also when a frame cannot be
+// encoded) — flushing after every frame when given a flusher. It is the
+// one writer of the row-stream wire shape, over HTTP and on frame
+// connections. Batch frames are pulled with NextBatch, so a columnar
+// plan root reaches the socket without being materialized; NDJSON rows
+// are pulled with Next.
+func writeFrames(fw *wire.Writer, rs *RowStream, binary bool, flusher http.Flusher) {
 	send := func(f wire.Frame) bool {
 		err := fw.Write(f)
 		ended := false
@@ -63,7 +61,7 @@ func WriteFrameStream(w http.ResponseWriter, rs *RowStream, media string) {
 			ended = true
 		}
 		if err != nil {
-			return false // client is gone; the deferred Close cancels upstream
+			return false // the peer is gone; the caller's Close cancels upstream
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -84,7 +82,7 @@ func WriteFrameStream(w http.ResponseWriter, rs *RowStream, media string) {
 	// many rows it carries (none at exhaustion).
 	pull := func() (f wire.Frame, n int, err error) {
 		f.Frame = wire.FrameRows
-		if media == wire.MediaBatch {
+		if binary {
 			if f.Batch, err = rs.NextBatch(); f.Batch != nil {
 				n = f.Batch.NumRows()
 			}

@@ -35,6 +35,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("talignd_panics_recovered_total", "Queries that died to a recovered executor panic (the process did not).", s.panics.Load())
 	counter("talignd_streams_total", "Wire-level streaming responses started.", s.streams.Load())
 	counter("talignd_rows_streamed_total", "Rows delivered through streaming cursors.", s.rowsStreamed.Load())
+	gauge("talignd_frame_conns_open", "Open frame connections (GET /frames).", int(s.frameConns.Load()))
+	counter("talignd_frame_conns_total", "Frame connections upgraded.", s.frameConnsTotal.Load())
 	counter("talignd_exec_cancel_observed_total", "Operator batch loops that observed a cancelled context (process-wide).", exec.CancelObserved())
 	counter("talignd_exec_panics_recovered_total", "Panics recovered at executor boundaries (process-wide, includes exchange goroutines).", exec.PanicsRecovered())
 	counter("talignd_exec_budget_aborts_total", "Budget trips observed at executor boundaries (process-wide).", exec.BudgetAborts())

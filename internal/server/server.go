@@ -7,14 +7,13 @@
 // prepared statements with $N placeholders scoped to sessions, an
 // admission gate bounding the total in-flight degree of parallelism, and
 // an HTTP/JSON front end (POST /query, POST /query/stream, POST /prepare,
-// GET /explain, GET /healthz).
+// GET /explain, GET /healthz) and binary frame connections (GET /frames).
 //
 // Every execution is a RowStream, pulled as tuple batches (Next: the
 // NDJSON encoder, embedded cursors, the buffered path) or as columnar
 // batches (NextBatch: the wire batch-frame encoder, which serves a
-// columnar plan root straight off the executor). WriteFrameStream is the
-// one writer of a result stream, in whichever of the two wire encodings
-// the request negotiated.
+// columnar plan root straight off the executor). writeFrames is the one
+// writer of a result stream, over HTTP and on frame connections.
 //
 // The layering invariant the whole package leans on: a sqlish.Prepared is
 // immutable and its Execute builds a fresh executor tree per call, so one
@@ -73,29 +72,33 @@ type Config struct {
 // cache, the session table and the admission gate. All methods are safe
 // for concurrent use.
 type Server struct {
-	flags    plan.Flags
-	flagsFP  string
-	catalog  *Catalog
-	cache    *PlanCache[*sqlish.Prepared]
-	gate     *Gate
-	sess     sessions
-	store    *storage.Store
-	ddl      sync.Mutex // serialises CreateTable / DropTable (store.go)
-	start    time.Time
-	timeout  time.Duration
-	maxRows  int64
-	maxBytes int64
-	dist     Distributor
-	draining atomic.Bool
+	flags     plan.Flags
+	flagsFP   string
+	catalog   *Catalog
+	cache     *PlanCache[*sqlish.Prepared]
+	gate      *Gate
+	sess      sessions
+	store     *storage.Store
+	ddl       sync.Mutex // serialises CreateTable / DropTable (store.go)
+	start     time.Time
+	timeout   time.Duration
+	maxRows   int64
+	maxBytes  int64
+	dist      Distributor
+	draining  atomic.Bool
+	drained   chan struct{} // closed by BeginDrain
+	drainOnce sync.Once
 
-	queries        atomic.Uint64
-	errors         atomic.Uint64
-	cancels        atomic.Uint64
-	timeouts       atomic.Uint64
-	resourceAborts atomic.Uint64
-	panics         atomic.Uint64
-	streams        atomic.Uint64
-	rowsStreamed   atomic.Uint64
+	queries         atomic.Uint64
+	errors          atomic.Uint64
+	cancels         atomic.Uint64
+	timeouts        atomic.Uint64
+	resourceAborts  atomic.Uint64
+	panics          atomic.Uint64
+	streams         atomic.Uint64
+	rowsStreamed    atomic.Uint64
+	frameConns      atomic.Int64 // open; frameConnsTotal counts every upgrade
+	frameConnsTotal atomic.Uint64
 	// Streamed executions that built / re-opened their executor tree.
 	pipelinesBuilt, pipelinesReused atomic.Uint64
 }
@@ -112,6 +115,7 @@ func New(cfg Config) *Server {
 		timeout:  cfg.Timeout,
 		maxRows:  cfg.MaxRows,
 		maxBytes: cfg.MaxBytes,
+		drained:  make(chan struct{}),
 	}
 	// A table that changes takes its plans with it, at once: their scan
 	// nodes are roots that keep the relation and its mappings alive.
@@ -124,9 +128,12 @@ func New(cfg Config) *Server {
 // BeginDrain flips the server into draining mode: /readyz starts
 // reporting 503, and new queries are refused with the wire code
 // "unavailable" while in-flight executions (streaming cursors included)
-// run to completion. Draining is one-way — a drained server is on its
-// way down.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// run to completion; frame connections close once idle. Draining is
+// one-way — a drained server is on its way down.
+func (s *Server) BeginDrain() {
+	s.draining.Store(true)
+	s.drainOnce.Do(func() { close(s.drained) })
+}
 
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -332,23 +339,25 @@ func (s *Server) Explain(sessionID, stmtName, sql string) (string, error) {
 //
 //	POST /query         {"sql": "...", "params": [...]} or
 //	                    {"session": "s", "stmt": "name", "params": [...]}
-//	POST /query/stream  same body; chunked frame stream: NDJSON, or
-//	                    binary batch frames when the Accept header asks
+//	POST /query/stream  same body; chunked NDJSON frame stream
 //	POST /prepare       {"session": "s", "name": "q1", "sql": "... $1 ..."}
+//	GET  /frames        Upgrade: talign-frames/1; then binary query and
+//	                    prepare frames, one statement at a time (frames.go)
 //	GET  /explain       ?sql=... | ?session=s&stmt=name     (text/plain)
 //	GET  /healthz       liveness + catalog/cache/gate statistics
 //	GET  /readyz        readiness: 200 while serving, 503 once draining
 //	GET  /stats         per-table ANALYZE statistics + plan-cache counters
 //	GET  /metrics       Prometheus text-format counters
 //
-// Both query endpoints execute under the request's context: a client
-// that disconnects (or times out) cancels the context, and the
-// cancellation propagates into every operator of the running plan.
+// Every query executes under its request's (or frame connection's)
+// context: a client that disconnects (or times out) cancels the context,
+// and the cancellation propagates into every operator of the running plan.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("POST /query/stream", s.handleQueryStream)
 	mux.HandleFunc("POST /prepare", s.handlePrepare)
+	mux.HandleFunc("GET /frames", s.handleFrames)
 	mux.HandleFunc("GET /explain", s.handleExplain)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -560,7 +569,7 @@ func decodeRequest(r *http.Request) (queryRequest, []value.Value, error) {
 
 // encodeRelation renders a result relation as a queryResponse.
 func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
-	cols, types := wire.SchemaColumns(rel.Schema)
+	cols, types := rel.Schema.ResultColumns()
 	return queryResponse{
 		Columns:  cols,
 		Types:    types,
@@ -572,10 +581,9 @@ func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
 
 // SchemaColumns lists a prepared statement's result columns and types:
 // the visible attributes followed by the valid-time bounds "ts" and
-// "te" (wire.SchemaColumns over the statement's schema).
-func SchemaColumns(prep *sqlish.Prepared) (cols, types []string) {
-	return wire.SchemaColumns(prep.Schema())
-}
+// "te", listed once per plan (sqlish.Prepared.Columns; the slices are
+// shared and must not be modified).
+func SchemaColumns(prep *sqlish.Prepared) (cols, types []string) { return prep.Columns() }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

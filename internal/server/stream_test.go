@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -17,6 +19,7 @@ import (
 	"talign/internal/exec"
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/value"
 	"talign/internal/wire"
 )
 
@@ -389,29 +392,83 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s\n%s", what, buf[:n])
 }
 
+// dialFrames opens a frame connection to ts: the upgrade, then a writer
+// and a decoder over the connection.
+func dialFrames(t *testing.T, ts *httptest.Server) (net.Conn, *wire.Writer, *wire.Decoder) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET /frames HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", wire.FrameProtocol)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v, %v", resp, err)
+	}
+	return conn, wire.NewWriter(conn, wire.MediaBatch), wire.NewDecoder(br)
+}
+
 // TestStreamEncodeErrorEndsWithErrorFrame: a frame the batch-frame format
 // cannot carry — here a column alias longer than its u16 length field —
-// ends the stream with an error frame naming the cause, where a peer
-// used to see a bare truncation.
+// ends the answer with an error frame naming the cause, where a peer
+// used to see a bare truncation; the frame connection then serves the
+// next statement.
 func TestStreamEncodeErrorEndsWithErrorFrame(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	body, _ := json.Marshal(map[string]string{"sql": "SELECT a AS " + strings.Repeat("x", 70000) + " FROM p"})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query/stream", bytes.NewReader(body))
-	req.Header.Set("Accept", wire.MediaBatch)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST /query/stream: %v", err)
-	}
-	defer resp.Body.Close()
-	dec := wire.NewDecoder(resp.Body, resp.Header.Get("Content-Type"))
+	_, fw, dec := dialFrames(t, ts)
+	fw.Write(wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT a AS " + strings.Repeat("x", 70000) + " FROM p"})
 	f, err := dec.Next()
 	if err != nil || f.Frame != wire.FrameError || !strings.Contains(f.Error.Message, "name length of 70000 exceeds 65535") {
 		t.Fatalf("first frame = %+v, %v; want an error frame naming the over-long name", f, err)
 	}
+	fw.Write(wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT a FROM p WHERE a >= $1", Params: []value.Value{value.NewInt(40)}})
+	for f.Frame != wire.FrameStatus {
+		if f, err = dec.Next(); err != nil || f.Frame == wire.FrameError {
+			t.Fatalf("the next statement: %+v, %v", f, err)
+		}
+	}
+	if f.RowCount != 4 {
+		t.Fatalf("the next statement returned %d rows, want 4", f.RowCount)
+	}
+}
+
+// TestFrameConnLifecycle: GET /frames without the Upgrade header is a
+// 400; a connection counts in /metrics while open; BeginDrain closes an
+// idle one, and a draining server refuses the upgrade with the structured
+// 503.
+func TestFrameConnLifecycle(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if resp, err := http.Get(ts.URL + "/frames"); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET /frames without Upgrade: %v, %v", resp, err)
+	}
+	conn, _, dec := dialFrames(t, ts)
+	metric := func() string {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+	if m := metric(); !strings.Contains(m, "talignd_frame_conns_open 1") || !strings.Contains(m, "talignd_frame_conns_total 1") {
+		t.Fatalf("metrics do not count the open frame connection")
+	}
+	s.BeginDrain()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	if _, err := dec.Next(); err != io.EOF {
-		t.Fatalf("after the error frame: %v, want io.EOF", err)
+		t.Fatalf("an idle connection after BeginDrain read %v, want io.EOF", err)
+	}
+	waitFor(t, 5*time.Second, "the connection to close", func() bool { return strings.Contains(metric(), "talignd_frame_conns_open 0") })
+	req, _ := http.NewRequest("GET", ts.URL+"/frames", nil)
+	req.Header.Set("Upgrade", wire.FrameProtocol)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("upgrade while draining: %v, %v", resp, err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(body), `"unavailable"`) {
+		t.Fatalf("upgrade while draining answered %s", body)
 	}
 }

@@ -223,6 +223,7 @@ type Prepared struct {
 	deps []Dep // every base table the plan reads, as the catalog resolved it
 
 	root           plan.Node
+	cols, types    []string // root's ResultColumns, listed once per plan
 	maxDOP         int
 	explain        bool
 	explainAnalyze bool
@@ -315,12 +316,15 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	// placeholders; the two counts agree on every statement that analyzes,
 	// and taking the larger keeps the slots aligned regardless.
 	numParams := max(a.maxParam, st.nuser)
+	cols, types := node.Schema().ResultColumns()
 	return &Prepared{
 		SQL:            st.SQL,
 		NumParams:      numParams,
 		lifted:         st.lifted,
 		deps:           rec.deps,
 		root:           node,
+		cols:           cols,
+		types:          types,
 		maxDOP:         plan.MaxDOP(node),
 		explain:        ast.Explain,
 		explainAnalyze: ast.ExplainAnalyze,
@@ -344,6 +348,10 @@ func (p *Prepared) IsExplainAnalyze() bool { return p.explainAnalyze }
 // Schema describes the result columns (parameter-typed columns report
 // kind ω until execution).
 func (p *Prepared) Schema() schema.Schema { return p.root.Schema() }
+
+// Columns is Schema().ResultColumns(), listed once per plan; the slices
+// are shared and must not be modified.
+func (p *Prepared) Columns() (cols, types []string) { return p.cols, p.types }
 
 // Explain renders the plan with the optimizer's row and cost estimates;
 // unbound placeholders render as $N.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,17 +10,16 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strings"
 
 	"talign/internal/colbatch"
 	"talign/internal/schema"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
-// Media types of a frame stream. NDJSON is the default for any client
-// that does not ask; a request whose Accept header names MediaBatch is
-// answered in binary batch frames, and every node-to-node hop
-// (/fragment exec answers, stage bodies) speaks them unconditionally.
+// Media types of a frame stream. /query/stream answers NDJSON; frame
+// connections (GET /frames) and every node-to-node hop (/fragment exec
+// answers, stage bodies) speak binary batch frames.
 const (
 	// MediaNDJSON is the newline-delimited JSON frame stream.
 	MediaNDJSON = "application/x-ndjson"
@@ -34,6 +34,10 @@ const BatchFrameVersion = 1
 // MaxFramePayload bounds one frame's payload, so a corrupt length prefix
 // can never size an allocation.
 const MaxFramePayload = 1 << 28
+
+// MaxKeptBuffer bounds the frame buffer a Writer or a Decoder's ring slot
+// keeps once an exchange ends: one a large frame grew past it is dropped.
+const MaxKeptBuffer = 1 << 20
 
 // ErrCorrupt is wrapped by every frame-stream decoding failure caused by
 // invalid bytes or an invalid frame sequence: bad magic, truncated or
@@ -61,24 +65,29 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("wire: "+format+": %w", append(args, ErrCorrupt)...)
 }
 
-// AcceptsBatch reports whether an HTTP Accept header asks for batch
-// frames.
-func AcceptsBatch(accept string) bool { return strings.Contains(accept, MediaBatch) }
-
 // A binary frame is an 8-byte header — magic "TF", version, kind, u32
 // payload length — the payload, and a CRC-32 (IEEE) over header and
 // payload. Integers are little-endian. Payloads by kind:
 //
-//	schema  u8 flags (bit 0 cache_hit), u8 0, u16 ncols,
-//	        ncols × (u16 name length, u16 type length), names and types
-//	rows    u32 rows, u16 ncols, u16 0,
-//	        ncols × (u8 kind, u8 encoding, u16 0, u32 data, aux, bitmap lengths),
-//	        TS and TE as rows × int64, then each column's data, aux and
-//	        bitmap regions (colbatch.AppendRegions), every region 8-byte
-//	        aligned from the payload start
-//	plan    u8 flags (bit 0 cache_hit), plan text
-//	status  u64 row count
-//	error   u32 line, u32 col, u16 code length, u16 0, code, message
+//	schema   u8 flags (bit 0 cache_hit), u8 0, u16 ncols,
+//	         ncols × (u16 name length, u16 type length), names and types
+//	rows     u32 rows, u16 ncols, u16 0,
+//	         ncols × (u8 kind, u8 encoding, u16 0, u32 data, aux, bitmap lengths),
+//	         TS and TE as rows × int64, then each column's data, aux and
+//	         bitmap regions (colbatch.AppendRegions), every region 8-byte
+//	         aligned from the payload start
+//	plan     u8 flags (bit 0 cache_hit), plan text
+//	status   u64 row count
+//	error    u32 line, u32 col, u16 code length, u16 0, code, message
+//	query    u32 batch size, u32 0, a statement, then the parameters as
+//	         a one-row rows payload: one column per parameter, of the
+//	         parameter's kind (ω in an untyped column)
+//	prepare  a statement
+//	prepared u16 parameter count, then a schema payload
+//
+// where a statement is u16 session length, u16 name length, u32 sql
+// length, then session, name and sql, zero-padded to a multiple of 8
+// bytes (a query frame names the prepared statement it runs, or none).
 const (
 	frameMagic0, frameMagic1 = 'T', 'F'
 	frameHeaderLen           = 8
@@ -86,7 +95,12 @@ const (
 )
 
 // frameKinds maps the Frame* names to their binary kind byte (index).
-var frameKinds = [...]string{1: FrameSchema, 2: FrameRows, 3: FramePlan, 4: FrameStatus, 5: FrameError}
+var frameKinds = [...]string{1: FrameSchema, 2: FrameRows, 3: FramePlan, 4: FrameStatus, 5: FrameError, 6: FrameQuery, 7: FramePrepare, 8: FramePrepared}
+
+// endsExchange reports whether a frame kind ends an exchange: a request or an answer's last frame.
+func endsExchange(k string) bool {
+	return k == FrameStatus || k == FrameError || k == FrameQuery || k == FramePrepare || k == FramePrepared
+}
 
 func kindByte(name string) (uint8, bool) {
 	for k, n := range frameKinds {
@@ -101,10 +115,11 @@ func kindByte(name string) (uint8, bool) {
 // The binary encoder reuses one buffer across frames, so steady-state
 // encoding allocates nothing per frame.
 type Writer struct {
-	w       io.Writer
-	enc     *json.Encoder  // NDJSON
-	buf     []byte         // binary: the frame under construction
-	compact colbatch.Batch // binary: scratch for compacting a selection away
+	w     io.Writer
+	enc   *json.Encoder  // NDJSON
+	buf   []byte         // binary: the frame under construction
+	batch colbatch.Batch // binary: a rows batch compacted, or a query's parameter row
+	attrs []schema.Attr  // binary: the parameter row's schema
 }
 
 // NewWriter returns a frame writer for media (MediaBatch selects binary
@@ -120,91 +135,64 @@ func NewWriter(w io.Writer, media string) *Writer {
 // selection vector, if any, is compacted away first); an NDJSON rows
 // frame carries f.Rows. A binary frame that cannot be encoded fails with
 // an error wrapping ErrEncode before any byte is written; every other
-// error is the transport's.
+// error is the transport's; a binary frame is one underlying Write.
 func (fw *Writer) Write(f Frame) error {
 	if fw.enc != nil {
 		return fw.enc.Encode(f)
 	}
-	buf, err := appendFrame(fw.buf[:0], f, &fw.compact)
+	buf, err := appendFrame(fw.buf[:0], f, fw)
 	fw.buf = buf[:0]
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = fw.w.Write(buf)
 	}
-	_, err = fw.w.Write(buf)
+	if endsExchange(f.Frame) && cap(fw.buf) > MaxKeptBuffer {
+		fw.buf = nil
+	}
 	return err
 }
 
 // AppendFrame appends the binary encoding of f to dst — what a
 // MediaBatch Writer writes — for a caller assembling a body in memory.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	var scratch colbatch.Batch
-	return appendFrame(dst, f, &scratch)
+	return appendFrame(dst, f, &Writer{})
 }
 
-// appendFrame appends the binary encoding of f to dst. compact is the
-// caller's reusable scratch batch for selection-vector compaction. Every
-// failure wraps ErrEncode and leaves dst as it was.
-func appendFrame(dst []byte, f Frame, compact *colbatch.Batch) ([]byte, error) {
+// appendFrame appends the binary encoding of f to dst, building batches
+// in fw's scratch. Every failure wraps ErrEncode and leaves dst as it was.
+func appendFrame(dst []byte, f Frame, fw *Writer) ([]byte, error) {
 	kind, ok := kindByte(f.Frame)
 	if !ok {
 		return dst, encodef("unknown frame kind %q", f.Frame)
 	}
 	base := len(dst)
-	// u16 checks that n fits the format's 16-bit count and length fields.
-	u16 := func(n int, what string) error {
-		if n > math.MaxUint16 {
-			return encodef("%s frame: %s of %d exceeds %d", f.Frame, what, n, math.MaxUint16)
-		}
-		return nil
-	}
+	var err error
 	dst = append(dst, frameMagic0, frameMagic1, BatchFrameVersion, kind, 0, 0, 0, 0)
 	switch f.Frame {
 	case FrameSchema:
-		if len(f.Types) != len(f.Columns) {
-			return dst[:base], encodef("schema frame with %d columns but %d types", len(f.Columns), len(f.Types))
-		}
-		if err := u16(len(f.Columns), "column count"); err != nil {
-			return dst[:base], err
-		}
-		for i := range f.Columns {
-			if err := u16(max(len(f.Columns[i]), len(f.Types[i])), "name length"); err != nil {
-				return dst[:base], err
-			}
-		}
-		dst = append(dst, flagByte(f.CacheHit), 0)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Columns)))
-		for i := range f.Columns {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Columns[i])))
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Types[i])))
-		}
-		for i := range f.Columns {
-			dst = append(dst, f.Columns[i]...)
-			dst = append(dst, f.Types[i]...)
-		}
+		dst, err = appendSchemaPayload(dst, &f)
 	case FrameRows:
 		b := f.Batch
 		if b == nil {
 			return dst[:base], encodef("rows frame without a batch")
 		}
-		if err := u16(len(b.Cols), "column count"); err != nil {
+		if err := checkU16(&f, len(b.Cols), "column count"); err != nil {
 			return dst[:base], err
 		}
 		if b.Sel != nil {
-			compact.ResetSchema(b.Schema)
-			compact.AppendBatch(b)
-			b = compact
+			fw.batch.ResetSchema(b.Schema)
+			fw.batch.AppendBatch(b)
+			b = &fw.batch
 		}
 		dst = appendBatchPayload(dst, b)
 	case FramePlan:
-		dst = append(dst, flagByte(f.CacheHit))
-		dst = append(dst, f.Plan...)
+		dst = append(append(dst, flagByte(f.CacheHit)), f.Plan...)
 	case FrameStatus:
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(f.RowCount))
 	case FrameError:
 		if f.Error == nil {
 			return dst[:base], encodef("error frame without an error")
 		}
-		if err := u16(len(f.Error.Code), "code length"); err != nil {
+		if err := checkU16(&f, len(f.Error.Code), "code length"); err != nil {
 			return dst[:base], err
 		}
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.Error.Line))
@@ -213,13 +201,83 @@ func appendFrame(dst []byte, f Frame, compact *colbatch.Batch) ([]byte, error) {
 		dst = append(dst, 0, 0)
 		dst = append(dst, f.Error.Code...)
 		dst = append(dst, f.Error.Message...)
+	case FrameQuery:
+		if f.BatchSize < 0 || f.BatchSize > math.MaxUint32 || len(f.Params) > math.MaxUint16 {
+			return dst[:base], encodef("query frame: batch size %d or %d parameters out of range", f.BatchSize, len(f.Params))
+		}
+		dst, err = appendStatement(append(binary.LittleEndian.AppendUint32(dst, uint32(f.BatchSize)), 0, 0, 0, 0), &f)
+		// The parameters are one row whose columns carry their kinds.
+		fw.attrs = fw.attrs[:0]
+		for _, p := range f.Params {
+			fw.attrs = append(fw.attrs, schema.Attr{Type: p.Kind()})
+		}
+		fw.batch.ResetSchema(schema.Schema{Attrs: fw.attrs})
+		fw.batch.AppendTuple(tuple.Tuple{Vals: f.Params})
+		dst = appendBatchPayload(dst, &fw.batch)
+	case FramePrepare:
+		dst, err = appendStatement(dst, &f)
+	case FramePrepared:
+		dst, err = appendSchemaPayload(binary.LittleEndian.AppendUint16(dst, uint16(f.NumParams)), &f)
 	}
 	n := len(dst) - base - frameHeaderLen
-	if n > MaxFramePayload {
-		return dst[:base], encodef("%s frame payload of %d bytes exceeds the %d-byte frame limit", f.Frame, n, MaxFramePayload)
+	if err == nil && n > MaxFramePayload {
+		err = encodef("%s frame payload of %d bytes exceeds the %d-byte frame limit", f.Frame, n, MaxFramePayload)
+	}
+	if err != nil {
+		return dst[:base], err
 	}
 	binary.LittleEndian.PutUint32(dst[base+4:], uint32(n))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[base:])), nil
+}
+
+// checkU16 checks that n fits a 16-bit count or length field.
+func checkU16(f *Frame, n int, what string) error {
+	if n > math.MaxUint16 {
+		return encodef("%s frame: %s of %d exceeds %d", f.Frame, what, n, math.MaxUint16)
+	}
+	return nil
+}
+
+// appendSchemaPayload appends the schema layout of f's columns and types.
+func appendSchemaPayload(dst []byte, f *Frame) ([]byte, error) {
+	if len(f.Types) != len(f.Columns) {
+		return dst, encodef("%s frame with %d columns but %d types", f.Frame, len(f.Columns), len(f.Types))
+	}
+	if err := checkU16(f, max(len(f.Columns), f.NumParams), "column or parameter count"); err != nil {
+		return dst, err
+	}
+	for i := range f.Columns {
+		if err := checkU16(f, max(len(f.Columns[i]), len(f.Types[i])), "name length"); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, flagByte(f.CacheHit), 0)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Columns)))
+	for i := range f.Columns {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Columns[i])))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Types[i])))
+	}
+	for i := range f.Columns {
+		dst = append(dst, f.Columns[i]...)
+		dst = append(dst, f.Types[i]...)
+	}
+	return dst, nil
+}
+
+// appendStatement appends a query or prepare frame's statement, padded so
+// that a parameter row after it keeps its regions 8-byte aligned.
+func appendStatement(dst []byte, f *Frame) ([]byte, error) {
+	if err := checkU16(f, max(len(f.Session), len(f.Stmt)), "session or statement name length"); err != nil {
+		return dst, err
+	}
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Session)))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Stmt)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.SQL)))
+	dst = append(append(append(dst, f.Session...), f.Stmt...), f.SQL...)
+	for n := 8 + len(f.Session) + len(f.Stmt) + len(f.SQL); n%8 != 0; n++ {
+		dst = append(dst, 0)
+	}
+	return dst, nil
 }
 
 func flagByte(cacheHit bool) byte {
@@ -256,35 +314,27 @@ func appendBatchPayload(dst []byte, b *colbatch.Batch) []byte {
 	return dst
 }
 
-// Decoder reads a frame stream in either media type and enforces the
-// stream contract both hops rely on: known frame kinds only, an error
-// frame always carries its error object, and the terminal status
-// frame's row count equals the rows the stream carried. Every violation
-// is an error wrapping ErrCorrupt (ErrVersion for version skew);
-// transport errors pass through unchanged, a stream that ends inside a
-// frame reports io.ErrUnexpectedEOF and one that ends between frames
-// io.EOF.
+// Decoder reads a binary frame stream and enforces the stream contract
+// every hop relies on: known frame kinds only, well-formed payloads (an
+// error frame always carries its error object), and a terminal status
+// frame whose row count equals the rows the stream carried. Every
+// violation is an error wrapping ErrCorrupt (ErrVersion for version
+// skew); transport errors pass through unchanged, a stream that ends
+// inside a frame reports io.ErrUnexpectedEOF and one that ends between
+// frames io.EOF. A status or error frame ends a stream and resets that
+// state, so one Decoder reads the many answers of a frame connection.
 type Decoder struct {
 	r     io.Reader
-	dec   *json.Decoder // NDJSON
-	ring  [][]byte      // binary: the caller's reused frame buffers (ReuseBuffers)
-	next  int           // the ring slot the next frame is read into
-	made  int           // binary: frame buffers allocated so far
-	names []string      // visible column names of the last schema frame
+	ring  [][]byte // the caller's reused frame buffers (ReuseBuffers)
+	next  int      // the ring slot the next frame is read into
+	made  int      // frame buffers allocated so far
+	names []string // visible column names of the last schema frame
 	rows  int64
+	hdr   [frameHeaderLen]byte // the header being read
 }
 
-// NewDecoder returns a frame decoder for a stream of the given media
-// type (MediaBatch selects binary frames, anything else NDJSON, whose
-// numbers decode as json.Number).
-func NewDecoder(r io.Reader, media string) *Decoder {
-	if media == MediaBatch {
-		return &Decoder{r: r}
-	}
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
-	return &Decoder{r: r, dec: dec}
-}
+// NewDecoder returns a decoder of the binary frame stream r.
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
 // ReuseBuffers makes the decoder read binary frames into the caller's
 // ring of buffers, one slot per rows frame in turn, allocating a slot
@@ -301,47 +351,35 @@ func (d *Decoder) BufferAllocs() int { return d.made }
 // Next decodes and validates the next frame.
 func (d *Decoder) Next() (Frame, error) {
 	var f Frame
-	if d.dec != nil {
-		if err := d.dec.Decode(&f); err != nil {
-			var se *json.SyntaxError
-			var te *json.UnmarshalTypeError
-			if errors.As(err, &se) || errors.As(err, &te) {
-				return Frame{}, corruptf("bad NDJSON frame: %v", err)
-			}
-			return Frame{}, err
-		}
-	} else if err := d.nextBinary(&f); err != nil {
+	if err := d.nextBinary(&f); err != nil {
 		return Frame{}, err
 	}
 	switch f.Frame {
-	case FrameSchema, FramePlan:
 	case FrameRows:
-		if f.Batch != nil {
-			d.rows += int64(f.Batch.Len())
-		} else {
-			d.rows += int64(len(f.Rows))
-		}
+		d.rows += int64(f.Batch.Len())
 	case FrameStatus:
 		if f.RowCount != d.rows {
 			return Frame{}, corruptf("status frame reports %d rows, the stream carried %d", f.RowCount, d.rows)
 		}
-	case FrameError:
-		if f.Error == nil {
-			return Frame{}, corruptf("error frame without an error object")
+	}
+	if endsExchange(f.Frame) {
+		d.rows, d.names = 0, nil
+		for i := range d.ring {
+			if cap(d.ring[i]) > MaxKeptBuffer {
+				d.ring[i] = nil
+			}
 		}
-	default:
-		return Frame{}, corruptf("unexpected %q frame", f.Frame)
 	}
 	return f, nil
 }
 
 // nextBinary reads one binary frame into f.
 func (d *Decoder) nextBinary(f *Frame) error {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+	hdr := d.hdr[:]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		return err // io.EOF between frames, io.ErrUnexpectedEOF inside the header
 	}
-	kind, n, err := parseFrameHeader(hdr[:])
+	kind, n, err := parseFrameHeader(hdr)
 	if err != nil {
 		return err
 	}
@@ -387,7 +425,7 @@ func (d *Decoder) nextBinary(f *Frame) error {
 		*slot = buf
 	}
 	payload := buf[:n]
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload)
 	if stored := binary.LittleEndian.Uint32(buf[n:]); stored != sum {
 		return corruptf("%s frame checksum mismatch (stored %08x, computed %08x)", kind, stored, sum)
 	}
@@ -418,32 +456,10 @@ func (d *Decoder) decodePayload(f *Frame, kind string, p []byte) error {
 	f.Frame = kind
 	switch kind {
 	case FrameSchema:
-		if len(p) < 4 {
-			return corruptf("schema frame truncated")
+		if err := decodeSchemaPayload(f, p); err != nil {
+			return err
 		}
-		ncols := int(binary.LittleEndian.Uint16(p[2:]))
-		lens := p[4:]
-		if len(lens) < ncols*4 {
-			return corruptf("schema frame truncated")
-		}
-		blob := lens[ncols*4:]
-		total := 0
-		for i := 0; i < ncols*2; i++ {
-			total += int(binary.LittleEndian.Uint16(lens[i*2:]))
-		}
-		if total != len(blob) {
-			return corruptf("schema frame names are %d bytes, header says %d", len(blob), total)
-		}
-		// One string holds every name and type; the slices cut it up.
-		text, strs := string(blob), make([]string, ncols*2)
-		f.Columns, f.Types = strs[:ncols:ncols], strs[ncols:]
-		for i := 0; i < ncols; i++ {
-			nl := int(binary.LittleEndian.Uint16(lens[i*4:]))
-			tl := int(binary.LittleEndian.Uint16(lens[i*4+2:]))
-			f.Columns[i], f.Types[i], text = text[:nl], text[nl:nl+tl], text[nl+tl:]
-		}
-		f.CacheHit = p[0]&1 != 0
-		d.names = f.Columns[:max(ncols-2, 0)]
+		d.names = f.Columns[:max(len(f.Columns)-2, 0)]
 	case FrameRows:
 		b, err := decodeBatchPayload(p, d.names)
 		if err != nil {
@@ -471,8 +487,87 @@ func (d *Decoder) decodePayload(f *Frame, kind string, p []byte) error {
 			Line:    int(binary.LittleEndian.Uint32(p)),
 			Col:     int(binary.LittleEndian.Uint32(p[4:])),
 		}
+	case FrameQuery:
+		if len(p) < 8 {
+			return corruptf("query frame truncated")
+		}
+		f.BatchSize = int(binary.LittleEndian.Uint32(p))
+		rest, err := decodeStatement(f, p[8:])
+		var b *colbatch.Batch
+		if err == nil {
+			b, err = decodeBatchPayload(rest, nil)
+		}
+		if err == nil && b.Len() != 1 {
+			err = corruptf("query frame carries %d parameter rows, want 1", b.Len())
+		}
+		if err != nil {
+			return err
+		}
+		f.Params = make([]value.Value, len(b.Cols))
+		for c := range b.Cols {
+			f.Params[c] = b.Cols[c].Value(0)
+		}
+	case FramePrepare:
+		if rest, err := decodeStatement(f, p); err != nil || len(rest) != 0 {
+			return cmp.Or(err, corruptf("prepare frame: %d trailing bytes", len(rest)))
+		}
+	case FramePrepared:
+		if len(p) < 2 {
+			return corruptf("prepared frame truncated")
+		}
+		f.NumParams = int(binary.LittleEndian.Uint16(p))
+		return decodeSchemaPayload(f, p[2:])
 	}
 	return nil
+}
+
+// decodeSchemaPayload decodes a schema layout into f's columns, types and
+// cache flag.
+func decodeSchemaPayload(f *Frame, p []byte) error {
+	if len(p) < 4 {
+		return corruptf("%s frame truncated", f.Frame)
+	}
+	ncols := int(binary.LittleEndian.Uint16(p[2:]))
+	lens := p[4:]
+	if len(lens) < ncols*4 {
+		return corruptf("%s frame truncated", f.Frame)
+	}
+	blob := lens[ncols*4:]
+	total := 0
+	for i := 0; i < ncols*2; i++ {
+		total += int(binary.LittleEndian.Uint16(lens[i*2:]))
+	}
+	if total != len(blob) {
+		return corruptf("%s frame names are %d bytes, header says %d", f.Frame, len(blob), total)
+	}
+	// One string holds every name and type; the slices cut it up.
+	text, strs := string(blob), make([]string, ncols*2)
+	f.Columns, f.Types = strs[:ncols:ncols], strs[ncols:]
+	for i := 0; i < ncols; i++ {
+		nl := int(binary.LittleEndian.Uint16(lens[i*4:]))
+		tl := int(binary.LittleEndian.Uint16(lens[i*4+2:]))
+		f.Columns[i], f.Types[i], text = text[:nl], text[nl:nl+tl], text[nl+tl:]
+	}
+	f.CacheHit = p[0]&1 != 0
+	return nil
+}
+
+// decodeStatement decodes the statement part of a query or prepare frame
+// into f and returns what follows its padding.
+func decodeStatement(f *Frame, p []byte) ([]byte, error) {
+	if len(p) < 8 {
+		return nil, corruptf("%s frame truncated", f.Frame)
+	}
+	sl, nl := int(binary.LittleEndian.Uint16(p)), int(binary.LittleEndian.Uint16(p[2:]))
+	ql := int(binary.LittleEndian.Uint32(p[4:]))
+	end := 8 + sl + nl + ql
+	if ql > len(p) || (end+7)&^7 > len(p) {
+		return nil, corruptf("%s frame of %d bytes cannot hold a %d-byte statement", f.Frame, len(p), end)
+	}
+	names := string(p[8 : 8+sl+nl])
+	f.Session, f.Stmt = names[:sl], names[sl:]
+	f.SQL = string(p[8+sl+nl : end])
+	return p[(end+7)&^7:], nil
 }
 
 // decodeBatchPayload decodes a rows-frame payload. names, when it has

@@ -92,7 +92,7 @@ func rowsFrame(b *colbatch.Batch) []byte {
 // decodeRows reads data as a stream of one rows frame, through the path
 // every hop decodes with.
 func decodeRows(data []byte) (*colbatch.Batch, error) {
-	f, err := NewDecoder(bytes.NewReader(data), MediaBatch).Next()
+	f, err := NewDecoder(bytes.NewReader(data)).Next()
 	return f.Batch, err
 }
 
@@ -262,7 +262,7 @@ func TestBatchFrameDefects(t *testing.T) {
 	for _, tc := range cases {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := NewDecoder(bytes.NewReader(tc.data), MediaBatch).Next()
+		_, err := NewDecoder(bytes.NewReader(tc.data)).Next()
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 			t.Errorf("%s: decoding a %d-byte stream allocated %d bytes", tc.name, len(tc.data), grew)
@@ -317,9 +317,17 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	for _, off := range []int{0, 2, 3, 5, 8, 12, 16, 17, len(valid) / 2, len(valid) - 1} {
 		f.Add(reframe(valid, func(b []byte) { b[off%len(b)] ^= 0xff }))
 	}
+	for _, req := range []Frame{ // the request kinds and the prepare answer
+		{Frame: FrameQuery, Session: "s", Stmt: "q", Params: []value.Value{value.NewString("x"), value.Null, value.NewFloat(2)}},
+		{Frame: FramePrepare, Session: "s", Stmt: "q", SQL: "SELECT a FROM p"},
+		{Frame: FramePrepared, NumParams: 1, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
+	} {
+		data, _ := AppendFrame(nil, req)
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(data []byte) {
-			f, err := NewDecoder(bytes.NewReader(data), MediaBatch).Next()
+			f, err := NewDecoder(bytes.NewReader(data)).Next()
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && err != io.EOF && err != io.ErrUnexpectedEOF {
 					t.Fatalf("unstructured decode error: %v", err)
@@ -371,7 +379,7 @@ func TestBatchFrameAllocs(t *testing.T) {
 
 	stream := rowsFrame(b)
 	r := bytes.NewReader(stream)
-	dec := NewDecoder(r, MediaBatch)
+	dec := NewDecoder(r)
 	dec.ReuseBuffers(make([][]byte, 1))
 	n := testing.AllocsPerRun(50, func() {
 		r.Reset(stream)
@@ -397,81 +405,118 @@ func frameStream(t *testing.T, media string, frames ...Frame) []byte {
 	return buf.Bytes()
 }
 
-// TestDecoderStreamContract: on both encodings the decoder passes the
-// frames of a well-formed stream through unchanged and refuses, as
-// ErrCorrupt, an error frame without its error object and a status
-// frame whose row count disagrees with the rows carried.
+// TestDecoderStreamContract: the decoder passes the frames of a
+// well-formed stream through unchanged and refuses, as ErrCorrupt, an
+// error frame without its error object and a status frame whose row count
+// disagrees with the rows carried. A status or error frame ends a stream,
+// so one decoder reads the answers of a frame connection one after the
+// other.
 func TestDecoderStreamContract(t *testing.T) {
 	b := intBatch(3)
-	rows := [][]any{{int64(1), int64(2), int64(0), int64(3)}}
-	for _, media := range []string{MediaNDJSON, MediaBatch} {
-		rowsFrame := Frame{Frame: FrameRows, Rows: rows}
-		carried := int64(len(rows))
-		if media == MediaBatch {
-			rowsFrame, carried = Frame{Frame: FrameRows, Batch: b}, int64(b.Len())
-		}
-		schemaFrame := Frame{Frame: FrameSchema, Columns: []string{"a", "b", "ts", "te"}, Types: []string{"int", "int", "int", "int"}, CacheHit: true}
-
-		dec := NewDecoder(bytes.NewReader(frameStream(t, media, schemaFrame, rowsFrame, Frame{Frame: FrameStatus, RowCount: carried})), media)
+	rowsFrame, carried := Frame{Frame: FrameRows, Batch: b}, int64(b.Len())
+	schemaFrame := Frame{Frame: FrameSchema, Columns: []string{"a", "b", "ts", "te"}, Types: []string{"int", "int", "int", "int"}, CacheHit: true}
+	plan := Frame{Frame: FramePlan, Plan: "Project a\n  SeqScan r", CacheHit: true}
+	want := &Error{Code: "parse", Message: "unexpected token", Line: 2, Col: 7}
+	dec := NewDecoder(bytes.NewReader(frameStream(t, MediaBatch,
+		schemaFrame, rowsFrame, Frame{Frame: FrameStatus, RowCount: carried},
+		schemaFrame, rowsFrame, Frame{Frame: FrameError, Error: want},
+		plan, Frame{Frame: FrameStatus},
+		schemaFrame, rowsFrame, rowsFrame, Frame{Frame: FrameStatus, RowCount: 2 * carried})))
+	for answer := 0; answer < 4; answer++ {
 		f, err := dec.Next()
-		if err != nil || f.Frame != FrameSchema || !f.CacheHit || strings.Join(f.Columns, ",") != "a,b,ts,te" || strings.Join(f.Types, ",") != "int,int,int,int" {
-			t.Fatalf("%s: schema frame came back as %+v, %v", media, f, err)
+		if answer == 2 {
+			if err != nil || f.Plan != plan.Plan || !f.CacheHit {
+				t.Fatalf("plan frame: %+v, %v", f, err)
+			}
+		} else if err != nil || f.Frame != FrameSchema || !f.CacheHit || strings.Join(f.Columns, ",") != "a,b,ts,te" || strings.Join(f.Types, ",") != "int,int,int,int" {
+			t.Fatalf("answer %d: schema frame came back as %+v, %v", answer, f, err)
 		}
-		if f, err = dec.Next(); err != nil || f.Frame != FrameRows {
-			t.Fatalf("%s: rows frame: %+v, %v", media, f, err)
-		}
-		if media == MediaBatch {
-			sameRows(t, media, f.Batch, b)
-			if got := f.Batch.Schema.Attrs[1].Name; got != "b" {
-				t.Fatalf("%s: batch column named %q, want the schema frame's %q", media, got, "b")
+		for f.Frame == FrameSchema || f.Frame == FrameRows || f.Frame == FramePlan {
+			if f, err = dec.Next(); err != nil {
+				t.Fatalf("answer %d: %v", answer, err)
+			}
+			if f.Frame == FrameRows {
+				sameRows(t, "rows frame", f.Batch, b)
+				if got := f.Batch.Schema.Attrs[1].Name; got != "b" {
+					t.Fatalf("batch column named %q, want the schema frame's %q", got, "b")
+				}
 			}
 		}
-		if f, err = dec.Next(); err != nil || f.Frame != FrameStatus || f.RowCount != carried {
-			t.Fatalf("%s: status frame: %+v, %v", media, f, err)
-		}
-		if _, err = dec.Next(); err != io.EOF {
-			t.Fatalf("%s: after the status frame: %v, want io.EOF", media, err)
-		}
-
-		for name, frames := range map[string][]Frame{
-			"dropped rows frame":    {schemaFrame, {Frame: FrameStatus, RowCount: carried}},
-			"duplicated rows frame": {schemaFrame, rowsFrame, rowsFrame, {Frame: FrameStatus, RowCount: carried}},
-		} {
-			dec := NewDecoder(bytes.NewReader(frameStream(t, media, frames...)), media)
-			var err error
-			for err == nil {
-				_, err = dec.Next()
-			}
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "status frame reports") {
-				t.Errorf("%s %s: %v, want a row-count ErrCorrupt", media, name, err)
-			}
-		}
-
-		plan := Frame{Frame: FramePlan, Plan: "Project a\n  SeqScan r", CacheHit: true}
-		dec = NewDecoder(bytes.NewReader(frameStream(t, media, plan, Frame{Frame: FrameStatus})), media)
-		if f, err := dec.Next(); err != nil || f.Plan != plan.Plan || !f.CacheHit {
-			t.Fatalf("%s: plan frame: %+v, %v", media, f, err)
-		}
-		want := &Error{Code: "parse", Message: "unexpected token", Line: 2, Col: 7}
-		dec = NewDecoder(bytes.NewReader(frameStream(t, media, Frame{Frame: FrameError, Error: want})), media)
-		if f, err := dec.Next(); err != nil || f.Error == nil || *f.Error != *want {
-			t.Fatalf("%s: error frame: %+v, %v", media, f.Error, err)
+		if answer == 1 && (f.Error == nil || *f.Error != *want) {
+			t.Fatalf("error frame: %+v", f.Error)
 		}
 	}
-
-	// A body-less error frame: the NDJSON line without its error object,
-	// the binary frame with an empty payload.
-	bodyless := map[string][]byte{
-		MediaNDJSON: []byte(`{"frame":"error"}` + "\n"),
-		MediaBatch:  reframe([]byte{frameMagic0, frameMagic1, BatchFrameVersion, 5, 0, 0, 0, 0, 0, 0, 0, 0}, func([]byte) {}),
+	if _, err := dec.Next(); err != io.EOF {
+		t.Fatalf("after the last answer: %v, want io.EOF", err)
 	}
-	for media, data := range bodyless {
-		if _, err := NewDecoder(bytes.NewReader(data), media).Next(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: body-less error frame: %v, want ErrCorrupt", media, err)
+
+	for name, frames := range map[string][]Frame{
+		"dropped rows frame":    {schemaFrame, {Frame: FrameStatus, RowCount: carried}},
+		"duplicated rows frame": {schemaFrame, rowsFrame, rowsFrame, {Frame: FrameStatus, RowCount: carried}},
+	} {
+		dec := NewDecoder(bytes.NewReader(frameStream(t, MediaBatch, frames...)))
+		var err error
+		for err == nil {
+			_, err = dec.Next()
+		}
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "status frame reports") {
+			t.Errorf("%s: %v, want a row-count ErrCorrupt", name, err)
 		}
 	}
-	if _, err := NewDecoder(strings.NewReader(`{"frame":"bogus"}`), MediaNDJSON).Next(); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("unknown NDJSON frame kind: %v, want ErrCorrupt", err)
+	// A body-less error frame: the binary frame with an empty payload.
+	bodyless := reframe([]byte{frameMagic0, frameMagic1, BatchFrameVersion, 5, 0, 0, 0, 0, 0, 0, 0, 0}, func([]byte) {})
+	if _, err := NewDecoder(bytes.NewReader(bodyless)).Next(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("body-less error frame: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRequestFrames: query, prepare and prepared frames round-trip, a
+// parameter keeping its kind — NaN, a whole float, a period, ω, a string —
+// and the decoded values owning their memory. A buffer a large request
+// grew is dropped once the exchange ends, on both sides.
+func TestRequestFrames(t *testing.T) {
+	params := []value.Value{value.NewFloat(4), value.NewFloat(math.NaN()), value.NewInterval(interval.New(1, 5)),
+		value.Null, value.NewString("Ann"), value.NewInt(-7), value.NewBool(true)}
+	big := strings.Repeat("x", MaxKeptBuffer+1)
+	var buf bytes.Buffer
+	fw := NewWriter(&buf, MediaBatch)
+	for _, f := range []Frame{
+		{Frame: FrameQuery, Session: "s1", Stmt: "q", Params: params, BatchSize: 64},
+		{Frame: FrameQuery, SQL: "SELECT 1"},
+		{Frame: FramePrepare, Session: "s", Stmt: "stmt-3", SQL: "SELECT a FROM p WHERE a >= $1"},
+		{Frame: FramePrepared, NumParams: 2, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
+		{Frame: FrameQuery, SQL: big},
+	} {
+		if err := fw.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(fw.buf) > MaxKeptBuffer {
+		t.Errorf("the writer kept a %d-byte buffer after a request", cap(fw.buf))
+	}
+	dec := NewDecoder(&buf)
+	ring := make([][]byte, 1)
+	dec.ReuseBuffers(ring)
+	f, err := dec.Next()
+	if err != nil || f.Frame != FrameQuery || f.Session != "s1" || f.Stmt != "q" || f.SQL != "" || f.BatchSize != 64 || len(f.Params) != len(params) {
+		t.Fatalf("query frame: %+v, %v", f, err)
+	}
+	for i, p := range f.Params {
+		if p.Kind() != params[i].Kind() || (p.Compare(params[i]) != 0 && !(i == 1 && math.IsNaN(p.Float()))) {
+			t.Errorf("$%d = %v (%s), want %v (%s)", i+1, p, p.Kind(), params[i], params[i].Kind())
+		}
+	}
+	if f, err = dec.Next(); err != nil || f.SQL != "SELECT 1" || len(f.Params) != 0 {
+		t.Fatalf("parameterless query frame: %+v, %v", f, err)
+	}
+	if f, err = dec.Next(); err != nil || f.Frame != FramePrepare || f.Session != "s" || f.Stmt != "stmt-3" || f.SQL != "SELECT a FROM p WHERE a >= $1" {
+		t.Fatalf("prepare frame: %+v, %v", f, err)
+	}
+	if f, err = dec.Next(); err != nil || f.Frame != FramePrepared || f.NumParams != 2 || strings.Join(f.Columns, ",") != "a,ts,te" {
+		t.Fatalf("prepared frame: %+v, %v", f, err)
+	}
+	if f, err = dec.Next(); err != nil || len(f.SQL) != len(big) || cap(ring[0]) > MaxKeptBuffer {
+		t.Fatalf("large query frame: %d bytes of SQL, %v; the ring kept a %d-byte buffer", len(f.SQL), err, cap(ring[0]))
 	}
 }
 
@@ -499,7 +544,7 @@ func TestDecoderRing(t *testing.T) {
 
 	slots := make([][]byte, ring)
 	for pass := 0; pass < 2; pass++ {
-		dec := NewDecoder(bytes.NewReader(data), MediaBatch)
+		dec := NewDecoder(bytes.NewReader(data))
 		dec.ReuseBuffers(slots)
 		born := map[int]int{} // rows frame → the Next call that decoded it
 		var got []*colbatch.Batch

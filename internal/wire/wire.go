@@ -18,10 +18,10 @@
 // The schema frame always lists the visible attributes followed by the
 // valid-time bounds "ts" and "te".
 //
-// The two encodings carry the same frames (Writer and Decoder speak
-// both). NDJSON (MediaNDJSON) is the public edge and the default for any
-// client that does not ask: one JSON object per line, rows as arrays of
-// Cell-encoded values:
+// Writer speaks both encodings, which carry the same frames. NDJSON
+// (MediaNDJSON), the curl-facing edge of /query/stream, is one JSON
+// object per line, rows as arrays of Cell-encoded values (a reader
+// decodes it with encoding/json, UseNumber and ValueAs):
 //
 //	{"frame":"schema","columns":[...],"types":[...],"cache_hit":true}
 //	{"frame":"rows","rows":[[...],...]}
@@ -32,10 +32,11 @@
 // payload is a colbatch.Batch in the column-region layout segment files
 // use: typed regions, validity bitmaps and TS/TE arrays that decode by
 // aliasing, with each column's kind carried in the frame so NaN/±Inf,
-// periods, ω and untyped all-ω columns round-trip without type hints.
-// /query/stream answers in them when the request's Accept header names
-// MediaBatch (the Go client always asks, and reads nothing else);
-// /fragment exec answers and stage bodies use them unconditionally.
+// periods, ω and untyped all-ω columns round-trip without type hints;
+// Decoder reads them. They are spoken on frame connections (GET /frames
+// upgraded to FrameProtocol, the Go client's one transport), which carry
+// requests too — a query or prepare frame, answered by the stream above
+// or by one prepared frame — and on the /fragment node hop.
 package wire
 
 import (
@@ -45,7 +46,6 @@ import (
 
 	"talign/internal/colbatch"
 	"talign/internal/interval"
-	"talign/internal/schema"
 	"talign/internal/sqlish"
 	"talign/internal/value"
 )
@@ -62,7 +62,17 @@ const (
 	FrameStatus = "status"
 	// FrameError terminates a failed response with the structured error.
 	FrameError = "error"
+	// FrameQuery asks a frame connection to run a statement.
+	FrameQuery = "query"
+	// FramePrepare asks a frame connection to prepare a named statement.
+	FramePrepare = "prepare"
+	// FramePrepared answers a prepare frame with its parameters and schema.
+	FramePrepared = "prepared"
 )
+
+// FrameProtocol is the Upgrade token of GET /frames, whose 101 turns the
+// connection into a frame connection: batch frames both ways.
+const FrameProtocol = "talign-frames/1"
 
 // Frame is one frame of a streaming query response, in either encoding.
 type Frame struct {
@@ -87,20 +97,16 @@ type Frame struct {
 	RowCount int64 `json:"row_count,omitempty"`
 	// Error is the structured failure (error frames).
 	Error *Error `json:"error,omitempty"`
-}
 
-// SchemaColumns lists a result schema as a schema frame does: the
-// visible attributes' names and type names followed by the valid-time
-// bounds "ts" and "te" (int columns). It is the one definition of the
-// wire schema shape.
-func SchemaColumns(sch schema.Schema) (cols, types []string) {
-	cols = make([]string, 0, sch.Len()+2)
-	types = make([]string, 0, sch.Len()+2)
-	for _, at := range sch.Attrs {
-		cols = append(cols, at.Name)
-		types = append(types, at.Type.String())
-	}
-	return append(cols, "ts", "te"), append(types, "int", "int")
+	// Request fields (binary only): the session, the prepared statement a
+	// query runs or a prepare names, the text, $1..$N with their kinds, a
+	// batch-size override (0: the server's); NumParams is a prepared's.
+	Session   string        `json:"-"`
+	Stmt      string        `json:"-"`
+	SQL       string        `json:"-"`
+	Params    []value.Value `json:"-"`
+	BatchSize int           `json:"-"`
+	NumParams int           `json:"-"`
 }
 
 // Fragment operations (the "op" field of a POST /fragment body). The

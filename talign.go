@@ -4,8 +4,8 @@
 //
 //	talign://[demo][?opts]    embedded: the full engine in-process
 //	                          (catalog, plan cache, admission gate)
-//	talignd://host:port       remote: a talignd server over the
-//	                          wire-level streaming protocol (batch frames)
+//	talignd://host:port       remote: a talignd server over pooled frame
+//	                          connections (binary frames both ways)
 //
 // Results are incremental cursors backed directly by the batch executor
 // (embedded) or the streaming wire protocol (remote): rows arrive as the
@@ -23,9 +23,9 @@
 //
 // Remote-only DSN options:
 //
-//	retry=N         retries beyond the first attempt for idempotent
-//	                requests that fail at the transport level or hit a
-//	                draining server (default 2), with exponential
+//	retry=N         retries beyond the first attempt for statements whose
+//	                connection cannot be dialed or upgraded, or that a
+//	                draining server refuses (default 2), with exponential
 //	                backoff and jitter
 //
 // Embedded-only DSN options:
@@ -56,7 +56,7 @@ import (
 // DB is a handle to an embedded engine instance or a remote talignd
 // server. It is safe for concurrent use; queries issued through it share
 // the backend's plan cache and admission gate. Close releases the
-// backend (for remote DBs the underlying HTTP connections).
+// backend (for remote DBs its idle frame connections).
 type DB struct {
 	backend backend
 	dsn     string
@@ -90,8 +90,8 @@ type stmtMeta struct {
 
 // Open connects to the backend named by dsn: "talign://..." for an
 // embedded engine, "talignd://host:port" (or an http:// URL) for a
-// remote talignd server. The remote form performs a health check before
-// returning.
+// remote talignd server. The remote form opens its first frame connection
+// before returning.
 func Open(dsn string) (*DB, error) {
 	cfg, err := parseDSN(dsn)
 	if err != nil {

@@ -3,6 +3,8 @@ package talign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -11,9 +13,11 @@ import (
 
 	"talign/internal/dataset"
 	"talign/internal/exec"
+	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/value"
 	"talign/internal/wire"
 )
 
@@ -65,6 +69,23 @@ var apiQueries = []struct {
 	{"SELECT n, Ts, Te FROM (r a NORMALIZE r b USING (n)) x ORDER BY n, Ts", nil},
 	{"WITH r2 AS (SELECT Ts Us, Te Ue, * FROM r) SELECT n, Us, Ue FROM (r2 ALIGN p ON DUR(Us, Ue) BETWEEN mn AND mx AND a >= $1) x ORDER BY n, Us, Ts", []any{30}},
 	{"SELECT a FROM p ORDER BY a DESC LIMIT 2 OFFSET 1", nil},
+	// A parameter keeps its kind over the wire: a whole float, NaN, a period.
+	{"SELECT a, a / $1 b FROM p", []any{4.0}},
+	{"SELECT a, a + $1 b FROM p", []any{math.NaN()}},
+	{"SELECT n FROM r WHERE PERIOD(Ts, Te) = $1", []any{value.NewInterval(interval.New(1, 5))}},
+}
+
+// typed renders rows cell by cell with each cell's Go type, so that NaN
+// matches NaN and 12 does not match 12.0.
+func typed(rows [][]any) string {
+	var b strings.Builder
+	for _, row := range rows {
+		for _, c := range row {
+			fmt.Fprintf(&b, "%T(%v) ", c, c)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
 }
 
 // TestEmbeddedRemoteEquivalent: the same statements produce identical
@@ -92,8 +113,8 @@ func TestEmbeddedRemoteEquivalent(t *testing.T) {
 			t.Fatalf("%s: columns %v vs %v", q.sql, er.Columns(), rr.Columns())
 		}
 		ev, rv := collect(t, er), collect(t, rr)
-		if !reflect.DeepEqual(ev, rv) {
-			t.Fatalf("%s: embedded %v vs remote %v", q.sql, ev, rv)
+		if typed(ev) != typed(rv) {
+			t.Fatalf("%s: embedded\n%svs remote\n%s", q.sql, typed(ev), typed(rv))
 		}
 		if len(ev) == 0 {
 			t.Fatalf("%s: no rows — not a meaningful differential", q.sql)
