@@ -13,13 +13,15 @@
 //	        [-cluster manifest.json] [-partition table=col,...]
 //	        [name=file.csv ...]
 //
-// With -role, talignd forms a scatter-gather cluster: workers mount
-// POST /fragment beside the full single-node surface, and a coordinator
+// With -role, talignd forms a scatter-gather cluster: a worker is a full
+// single-node server whose frame connections also take the
+// coordinator's stage, unstage and analyze frames, and a coordinator
 // hash-partitions loaded tables by their alignment key across the
 // -worker list (or the -cluster manifest, whose per-table partition
-// columns -partition overrides), scatters query fragments and merges
-// the shard streams — the client-facing protocol is byte-identical to a
-// single node. See docs/API.md "Distributed deployment".
+// columns -partition overrides), sends query fragments over pooled frame
+// connections and merges the shard streams — the client-facing protocol
+// is byte-identical to a single node. See docs/API.md "Distributed
+// deployment".
 //
 // With -data, talignd opens (or creates) a persistent data directory:
 // tables created through "CREATE TABLE <name> FROM CSV '<path>'" are
@@ -36,9 +38,9 @@
 //	POST /query/stream  same body; chunked NDJSON frame stream (schema
 //	                    frame, row-batch frames, trailing status frame);
 //	                    client disconnect cancels the query
-//	GET  /frames        Upgrade: talign-frames/1 — the Go client's frame
-//	                    connection: binary query/prepare frames answered
-//	                    by frame streams, one statement at a time
+//	GET  /frames        Upgrade: talign-frames/1 — a frame connection (the
+//	                    Go client's, a coordinator's): binary request
+//	                    frames answered by frame streams, one at a time
 //	POST /prepare       {"session": "s1", "name": "q1", "sql": "... $1 ..."}
 //	GET  /explain       ?sql=... (or ?session=s1&stmt=q1)
 //	GET  /healthz       liveness: 200 while the process runs
@@ -203,7 +205,7 @@ func main() {
 	handler := srv.Handler()
 	if *role == "worker" {
 		handler = distsql.Handler(srv)
-		fmt.Println("worker: fragment endpoint mounted at POST /fragment")
+		fmt.Println("worker: frame connections take the coordinator's stage, unstage and analyze frames")
 	}
 	fmt.Printf("talignd listening on %s (dop=%d, cache=%d, max in-flight dop=%d)\n",
 		*addr, flags.DOP, *cacheSize, *maxDOP)

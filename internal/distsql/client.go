@@ -1,238 +1,171 @@
 package distsql
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"talign/internal/backoff"
 	"talign/internal/colbatch"
 	"talign/internal/exec"
-	"talign/internal/faultinject"
 	"talign/internal/schema"
 	"talign/internal/sqlish"
+	"talign/internal/value"
 	"talign/internal/wire"
 )
 
-// fragmentRetries is how many times an idempotent fragment dispatch is
-// re-issued beyond the first attempt. Every fragment operation is
-// idempotent — exec is read-only and retried only before any frame is
-// consumed, stage/unstage are last-write-wins registrations — so a
-// retry can at worst repeat work, never duplicate an effect.
-const fragmentRetries = 2
+// The worker hop's fixed limits.
+const (
+	// fragmentRetries is how many times an idempotent fragment operation
+	// is re-issued beyond the first attempt. Every fragment operation is
+	// idempotent — exec is read-only and retried only before any frame is
+	// consumed, stage/unstage are last-write-wins registrations — so a
+	// retry can at worst repeat work, never duplicate an effect.
+	fragmentRetries = 2
+	// fragmentTimeout bounds a fragment's request frames and its first
+	// answer frame; a streamed answer is then bounded by its context only.
+	fragmentTimeout = 60 * time.Second
+	// idlePerWorker is how many frame connections to each worker are kept
+	// between fragments.
+	idlePerWorker = 8
+	// streamDepth is how many batches a worker stream may run ahead of the
+	// merge, which drains the workers in order.
+	streamDepth = 4
+	// stageFrameRows caps the rows of one staged rows frame, keeping every
+	// frame of a large shard far below wire.MaxFramePayload.
+	stageFrameRows = 1 << 16
+)
 
-// stageFrameRows caps the rows of one staged rows frame, keeping every
-// frame of a large shard far below wire.MaxFramePayload.
-const stageFrameRows = 1 << 16
+// worker is one worker node and the coordinator's frame connections to it.
+// Each connection decodes into its own ring of streamDepth+2 frame
+// buffers: at most one batch of an exec stream is with the consumer
+// (valid until its next pull), streamDepth wait in the stream's channel
+// and one is being decoded, so a slot comes round only after its batch is
+// dead.
+type worker struct {
+	Worker
+	pool *wire.Pool
+}
 
-// workerClient issues fragment operations against the worker fleet with
-// the shared backoff curve, classifying exhausted retries as structured
+// workerClient issues fragment operations against the worker fleet over
+// pooled frame connections, classifying transport failures as structured
 // "unavailable" errors naming the worker.
 type workerClient struct {
-	http    *http.Client
-	retries int
+	workers []*worker
 
 	fragments   atomic.Uint64 // fragment operations dispatched
-	retried     atomic.Uint64 // dispatch retries after transport failures/503s
 	unreachable atomic.Uint64 // workers given up on after retry exhaustion
 	rowsIn      atomic.Uint64 // rows decoded off worker streams
-	bytesIn     atomic.Uint64 // response-body bytes read off worker streams
 	frameBufs   atomic.Uint64 // frame buffers allocated decoding worker streams
 	rowsOut     atomic.Uint64 // rows staged out to workers
-	bytesOut    atomic.Uint64 // request-body bytes staged out to workers
 }
 
-func newWorkerClient() *workerClient {
-	dialer := &net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}
-	return &workerClient{
-		http: &http.Client{Transport: &http.Transport{
-			DialContext:           dialer.DialContext,
-			TLSHandshakeTimeout:   5 * time.Second,
-			ResponseHeaderTimeout: 60 * time.Second,
-			MaxIdleConnsPerHost:   16,
-		}},
-		retries: fragmentRetries,
+func newWorkerClient(topo Topology) *workerClient {
+	c := &workerClient{}
+	for _, w := range topo.Workers {
+		p := wire.NewPool(w.URL)
+		p.Retries, p.MaxIdle, p.Ring, p.Site = fragmentRetries, idlePerWorker, streamDepth+2, "distsql.dispatch"
+		c.workers = append(c.workers, &worker{Worker: w, pool: p})
 	}
+	return c
 }
 
-// unavailable wraps a dispatch or stream failure as the structured error
-// the satellite contract requires: code "unavailable", naming the worker.
-func unavailable(w Worker, what string, err error) error {
-	return &sqlish.Error{
-		Code: sqlish.ErrUnavailable,
-		Msg:  fmt.Sprintf("worker %s (%s) %s: %v", w.Name, w.URL, what, err),
-		Pos:  -1,
+// poolStats sums the pools' retries and frame bytes read and written.
+func (c *workerClient) poolStats() (retries, read, written uint64) {
+	for _, w := range c.workers {
+		retries += w.pool.Retried.Load()
+		read += w.pool.Read.Load()
+		written += w.pool.Written.Load()
 	}
+	return retries, read, written
 }
 
-// post sends one encoded fragment request — the JSON request object,
-// followed by the staged shard's batch frames when there is one —
-// retrying transport failures and 503s (a draining or restarting worker)
-// with exponential backoff. The body is replayed per attempt; responses
-// with structured error bodies are decoded and returned as their coded
-// errors.
-func (c *workerClient) post(ctx context.Context, w Worker, data []byte) (*http.Response, error) {
+// failed classifies a failed exchange with w: the query's cancellation,
+// the worker's own error frame, or — as the structured "unavailable"
+// error naming the worker — a worker unreachable after the retries or an
+// answer cut short or malformed.
+func (c *workerClient) failed(ctx context.Context, w *worker, err error) error {
+	var we *wire.Error
+	what := "stream truncated"
+	switch {
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case errors.As(err, new(*wire.UnreachableError)):
+		c.unreachable.Add(1)
+		what = "unreachable"
+	case errors.As(err, &we):
+		return &sqlish.Error{Code: we.Code, Msg: fmt.Sprintf("worker %s: %s", w.Name, we.Message), Pos: -1, Line: we.Line, Col: we.Col}
+	case errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrVersion):
+		what = "sent a bad stream"
+	}
+	return &sqlish.Error{Code: sqlish.ErrUnavailable, Msg: fmt.Sprintf("worker %s (%s) %s: %v", w.Name, w.URL, what, err), Pos: -1}
+}
+
+// roundTrip dispatches one fragment operation — reqs are its request
+// frame and the frames that follow it — and returns the connection with
+// the first answer frame. An error frame is the worker's answer, not a
+// transport failure: it fails the operation without a retry.
+func (c *workerClient) roundTrip(ctx context.Context, w *worker, reqs ...wire.Frame) (*wire.Conn, wire.Frame, error) {
 	c.fragments.Add(1)
-	c.bytesOut.Add(uint64(len(data)))
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if err := faultinject.Hit("distsql.dispatch"); err != nil {
-			lastErr = err
-		} else {
-			hreq, herr := http.NewRequestWithContext(ctx, http.MethodPost, w.URL+"/fragment", bytes.NewReader(data))
-			if herr != nil {
-				return nil, herr
-			}
-			hreq.Header.Set("Content-Type", "application/json")
-			resp, rerr := c.http.Do(hreq)
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				return resp, nil
-			}
-			if rerr != nil {
-				lastErr = rerr
-			} else {
-				lastErr = decodeHTTPError(resp)
-				if resp.StatusCode != http.StatusServiceUnavailable {
-					// A structured non-503 failure (parse error, resource abort)
-					// is the query's real outcome, not a reachability problem.
-					return nil, lastErr
-				}
-			}
-		}
-		if attempt >= c.retries || ctx.Err() != nil {
-			c.unreachable.Add(1)
-			return nil, unavailable(w, "unreachable", lastErr)
-		}
-		c.retried.Add(1)
-		select {
-		case <-time.After(backoff.Default(attempt)):
-		case <-ctx.Done():
-			c.unreachable.Add(1)
-			return nil, unavailable(w, "unreachable", lastErr)
-		}
+	conn, first, err := w.pool.RoundTrip(ctx, fragmentTimeout, reqs...)
+	if err == nil && first.Frame == wire.FrameError {
+		conn.Close()
+		err = first.Error
 	}
-}
-
-// decodeHTTPError converts a non-200 fragment response into its
-// structured error (or a plain description when the body is not ours).
-func decodeHTTPError(resp *http.Response) error {
-	defer resp.Body.Close()
-	var out struct {
-		Error *wire.Error `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err == nil && out.Error != nil {
-		return &sqlish.Error{Code: out.Error.Code, Msg: out.Error.Message, Pos: -1, Line: out.Error.Line, Col: out.Error.Col}
-	}
-	return fmt.Errorf("worker returned %s", resp.Status)
-}
-
-// ack performs one non-exec fragment operation (unstage, analyze) and
-// decodes its acknowledgement.
-func (c *workerClient) ack(ctx context.Context, w Worker, req *wire.FragmentRequest) (wire.FragmentAck, error) {
-	data, err := json.Marshal(req)
 	if err != nil {
-		return wire.FragmentAck{}, err
+		return nil, first, c.failed(ctx, w, err)
 	}
-	return c.ackBody(ctx, w, req.Op, data)
+	return conn, first, nil
 }
 
-// ackBody posts an encoded non-exec request and decodes its
-// acknowledgement.
-func (c *workerClient) ackBody(ctx context.Context, w Worker, op string, body []byte) (wire.FragmentAck, error) {
-	resp, err := c.post(ctx, w, body)
+// do performs one fragment operation answered by a status frame — stage,
+// unstage, analyze — and returns the row count it reports.
+func (c *workerClient) do(ctx context.Context, w *worker, reqs ...wire.Frame) (int64, error) {
+	conn, f, err := c.roundTrip(ctx, w, reqs...)
 	if err != nil {
-		return wire.FragmentAck{}, err
+		return 0, err
 	}
-	defer resp.Body.Close()
-	var out wire.FragmentAck
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, fmt.Errorf("distsql: bad %s ack from %s: %v", op, w.Name, err)
+	conn.Close()
+	if f.Frame != wire.FrameStatus {
+		return 0, c.failed(ctx, w, wire.Unexpected(f))
 	}
-	return out, nil
+	return f.RowCount, nil
 }
 
-// stage registers the dense batch shard under name on worker w. The
-// shard travels as batch frames behind the request object: a schema
-// frame, rows frames of at most stageFrameRows rows (one even when the
-// shard is empty — it types the columns) and the status frame.
-func (c *workerClient) stage(ctx context.Context, w Worker, name string, shard *colbatch.Batch) error {
-	head, err := json.Marshal(wire.FragmentRequest{Op: wire.FragmentStage, Name: name})
-	if err != nil {
-		return err
-	}
-	// Sized to about the shard's encoded length.
-	body := append(make([]byte, 0, len(head)+8*shard.Len()*(3+len(shard.Cols))+512), head...)
-	write := func(f wire.Frame) {
-		if err == nil {
-			body, err = wire.AppendFrame(body, f)
-		}
-	}
+// stageFrames are the frames that stage shard under name: the stage
+// frame, then the shard as a schema frame, rows frames of at most
+// stageFrameRows rows (one even when the shard is empty — it types the
+// columns) and the status frame.
+func stageFrames(name string, shard *colbatch.Batch) []wire.Frame {
 	cols, types := shard.Schema.ResultColumns()
-	write(wire.Frame{Frame: wire.FrameSchema, Columns: cols, Types: types})
-	var view colbatch.Batch
-	for lo := 0; lo < shard.Len() || lo == 0; lo += stageFrameRows {
-		shard.SliceInto(&view, lo, min(lo+stageFrameRows, shard.Len()))
-		write(wire.Frame{Frame: wire.FrameRows, Batch: &view})
+	frames := []wire.Frame{{Frame: wire.FrameStage, Table: name}, {Frame: wire.FrameSchema, Columns: cols, Types: types}}
+	views := make([]colbatch.Batch, max(1, (shard.Len()+stageFrameRows-1)/stageFrameRows))
+	for i := range views {
+		shard.SliceInto(&views[i], i*stageFrameRows, min((i+1)*stageFrameRows, shard.Len()))
+		frames = append(frames, wire.Frame{Frame: wire.FrameRows, Batch: &views[i]})
 	}
-	write(wire.Frame{Frame: wire.FrameStatus, RowCount: int64(shard.Len())})
-	if err != nil {
-		return fmt.Errorf("distsql: encoding shard %s for %s: %v", name, w.Name, err)
-	}
-	c.rowsOut.Add(uint64(shard.Len()))
-	_, err = c.ackBody(ctx, w, wire.FragmentStage, body)
-	return err
-}
-
-// countingReader counts bytes read off a worker response body.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
-	return n, err
+	return append(frames, wire.Frame{Frame: wire.FrameStatus, RowCount: int64(shard.Len())})
 }
 
 // workerStream is one worker's in-flight exec fragment: a goroutine
-// decodes its batch frames onto a bounded channel, cycling through a
-// ring of cap(ch)+2 frame buffers: at most one batch is with the
-// consumer (valid until its next pull), cap(ch) wait in the channel and
-// one is being decoded, so a slot comes round only after its batch is
-// dead, with the channel as the only synchronization. A stream drained
-// to its end leaves its ring in frameRings for the next one. err is set
-// before the channel closes (read it only after the close).
+// decodes its rows frames onto a bounded channel through the frame
+// connection's ring (see worker). err is set before the channel closes;
+// read it, and release conn, only after the close.
 type workerStream struct {
-	worker Worker
-	ch     chan *colbatch.Batch
-	ring   [][]byte
-	err    error
+	ch   chan *colbatch.Batch
+	conn *wire.Conn
+	err  error
 }
 
-// frameRings holds the rings ([][]byte) of streams drained to their end.
-var frameRings sync.Pool
-
-// startExec dispatches an exec fragment to w and streams its decoded
+// startExec dispatches an exec fragment — a query frame carrying sql, its
+// typed parameters and the batch size — to w and streams the decoded
 // batches. The stream ends with a closed channel; a stream that is
 // truncated (a worker killed mid-query), corrupt, or whose status frame
 // disagrees with the rows received surfaces as a structured
 // "unavailable" error naming the worker.
-func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, params []any, batch int) *workerStream {
-	// A few batches of slack let a worker run ahead of the merge, which
-	// drains the workers in order.
-	ws := &workerStream{worker: w, ch: make(chan *colbatch.Batch, 4)}
-	if ws.ring, _ = frameRings.Get().([][]byte); ws.ring == nil {
-		ws.ring = make([][]byte, cap(ws.ch)+2)
-	}
+func (c *workerClient) startExec(ctx context.Context, w *worker, sql string, params []value.Value, batch int) *workerStream {
+	ws := &workerStream{ch: make(chan *colbatch.Batch, streamDepth)}
 	go func() {
 		defer close(ws.ch)
 		defer func() {
@@ -241,52 +174,48 @@ func (c *workerClient) startExec(ctx context.Context, w Worker, sql string, para
 				ws.err = perr
 			}
 		}()
-		data, err := json.Marshal(wire.FragmentRequest{Op: wire.FragmentExec, SQL: sql, Params: params, Batch: batch})
+		conn, first, err := c.roundTrip(ctx, w, wire.Frame{Frame: wire.FrameQuery, SQL: sql, Params: params, BatchSize: batch})
+		if ws.conn = conn; err == nil && first.Frame != wire.FrameSchema {
+			err = c.failed(ctx, w, wire.Unexpected(first))
+		}
 		if err != nil {
 			ws.err = err
 			return
 		}
-		resp, err := c.post(ctx, w, data)
-		if err != nil {
-			ws.err = err
-			return
-		}
-		defer resp.Body.Close()
-		dec := wire.NewDecoder(&countingReader{r: resp.Body, n: &c.bytesIn})
-		dec.ReuseBuffers(ws.ring)
-		defer func() { c.frameBufs.Add(uint64(dec.BufferAllocs())) }()
+		conn.NoDeadline()
+		before := conn.BufferAllocs()
+		defer func() { c.frameBufs.Add(uint64(conn.BufferAllocs() - before)) }()
 		for {
-			f, err := dec.Next()
+			b, err := conn.NextBatch()
 			if err != nil {
-				what := "stream truncated"
-				if errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrVersion) {
-					what = "sent a bad stream"
-				}
-				ws.err = unavailable(w, what, err)
+				ws.err = c.failed(ctx, w, err)
 				return
 			}
-			switch f.Frame {
-			case wire.FrameSchema:
-			case wire.FrameRows:
-				c.rowsIn.Add(uint64(f.Batch.Len()))
-				select {
-				case ws.ch <- f.Batch:
-				case <-ctx.Done():
-					ws.err = ctx.Err()
-					return
-				}
-			case wire.FrameStatus:
+			if b == nil {
 				return
-			case wire.FrameError:
-				ws.err = &sqlish.Error{Code: f.Error.Code, Msg: fmt.Sprintf("worker %s: %s", w.Name, f.Error.Message), Pos: -1}
-				return
-			default:
-				ws.err = fmt.Errorf("distsql: worker %s: unexpected %q frame", w.Name, f.Frame)
+			}
+			c.rowsIn.Add(uint64(b.Len()))
+			select {
+			case ws.ch <- b:
+			case <-ctx.Done():
+				ws.err = ctx.Err()
 				return
 			}
 		}
 	}()
 	return ws
+}
+
+// finish waits for the stream's goroutine to exit and releases its
+// connection: back to the pool when the answer was read to its end. The
+// caller must be done with every batch the stream handed out.
+func (ws *workerStream) finish() {
+	for range ws.ch {
+	}
+	if ws.conn != nil {
+		ws.conn.Close()
+		ws.conn = nil
+	}
 }
 
 // mergeSource concatenates worker streams in worker order (deterministic
@@ -313,9 +242,9 @@ func (m *mergeSource) NextBatch() (*colbatch.Batch, error) {
 		if ok {
 			return batch, nil
 		}
-		// The stream's goroutine has exited and the caller is done with
-		// its last batch: nothing reads or writes the ring any more.
-		frameRings.Put(ws.ring)
+		// The stream's goroutine has exited and the caller is done with its
+		// last batch: nothing reads the connection's ring any more.
+		ws.finish()
 		if ws.err != nil {
 			m.Close()
 			return nil, ws.err
@@ -327,8 +256,8 @@ func (m *mergeSource) NextBatch() (*colbatch.Batch, error) {
 }
 
 // Close cancels the fan-out context, tearing down every in-flight worker
-// request; the decode goroutines exit through their context checks and
-// closed response bodies.
+// exchange, and waits for the decode goroutines to exit: a stream read to
+// its end returns its connection to the pool, any other hangs up.
 func (m *mergeSource) Close() error {
 	if m.done {
 		return nil
@@ -336,6 +265,9 @@ func (m *mergeSource) Close() error {
 	m.done = true
 	if m.cancel != nil {
 		m.cancel()
+	}
+	for _, ws := range m.streams[m.idx:] {
+		ws.finish()
 	}
 	return nil
 }

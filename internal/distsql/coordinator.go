@@ -138,7 +138,7 @@ func New(srv *server.Server, topo Topology, flags plan.Flags, partition map[stri
 		topo:         topo,
 		flags:        flags,
 		flagsFP:      flags.Fingerprint(),
-		client:       newWorkerClient(),
+		client:       newWorkerClient(topo),
 		partOverride: po,
 		parts:        map[string]string{},
 		cache:        server.NewPlanCache[*distPlan](0),
@@ -225,10 +225,12 @@ func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *rel
 	return nil
 }
 
-// stageShards stages shards[i] under name on worker i.
+// stageShards stages shards[i] under name on worker i, its frames written
+// straight through the connection's frame writer.
 func (c *Coordinator) stageShards(ctx context.Context, name string, shards []*colbatch.Batch) error {
-	for i, w := range c.topo.Workers {
-		if err := c.client.stage(ctx, w, name, shards[i]); err != nil {
+	for i, w := range c.client.workers {
+		c.client.rowsOut.Add(uint64(shards[i].Len()))
+		if _, err := c.client.do(ctx, w, stageFrames(name, shards[i])...); err != nil {
 			return err
 		}
 	}
@@ -239,8 +241,8 @@ func (c *Coordinator) stageShards(ctx context.Context, name string, shards []*co
 // cost-based optimizers start with real per-shard statistics (the
 // distributed mirror of single-node startup auto-analyze).
 func (c *Coordinator) AnalyzeWorkers(ctx context.Context) error {
-	for _, w := range c.topo.Workers {
-		if _, err := c.client.ack(ctx, w, &wire.FragmentRequest{Op: wire.FragmentAnalyze}); err != nil {
+	for _, w := range c.client.workers {
+		if _, err := c.client.do(ctx, w, wire.Frame{Frame: wire.FrameAnalyze}); err != nil {
 			return err
 		}
 	}
@@ -326,12 +328,12 @@ func (c *Coordinator) distAnalyze(ctx context.Context, info *sqlish.DistInfo) (*
 		return nil, false, nil
 	}
 	var rows int64
-	for _, w := range c.topo.Workers {
-		ack, err := c.client.ack(ctx, w, &wire.FragmentRequest{Op: wire.FragmentAnalyze, Name: target})
+	for _, w := range c.client.workers {
+		n, err := c.client.do(ctx, w, wire.Frame{Frame: wire.FrameAnalyze, Table: target})
 		if err != nil {
 			return nil, true, err
 		}
-		rows += ack.Rows
+		rows += n
 	}
 	cols := 0
 	if stub, ok := c.srv.Catalog().Snapshot().Lookup(target); ok {
@@ -364,8 +366,8 @@ func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*ser
 	if !allSharded(c.shardMap(), target) {
 		return nil, false, nil
 	}
-	for _, w := range c.topo.Workers {
-		if _, err := c.client.ack(ctx, w, &wire.FragmentRequest{Op: wire.FragmentUnstage, Name: target}); err != nil {
+	for _, w := range c.client.workers {
+		if _, err := c.client.do(ctx, w, wire.Frame{Frame: wire.FrameUnstage, Table: target}); err != nil {
 			return nil, true, err
 		}
 	}
@@ -525,7 +527,7 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, sna
 		// The final stage must reproduce the original output shape exactly;
 		// a naming or typing divergence means the split is unsafe.
 		fcols, ftypes := server.SchemaColumns(fprep)
-		if !equalStrings(fcols, pl.cols) || !equalStrings(ftypes, pl.types) {
+		if !slices.Equal(fcols, pl.cols) || !slices.Equal(ftypes, pl.types) {
 			return false
 		}
 		pl.strategy = stratPartialAgg
@@ -580,39 +582,16 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, sna
 	}
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ------------------------------------------------------- execution
 
 // scanShards starts streaming every worker's shard of name back.
 func (c *Coordinator) scanShards(ctx context.Context, name string, batch int) *mergeSource {
 	gctx, cancel := context.WithCancel(ctx)
-	streams := make([]*workerStream, len(c.topo.Workers))
-	for i, w := range c.topo.Workers {
+	streams := make([]*workerStream, len(c.client.workers))
+	for i, w := range c.client.workers {
 		streams[i] = c.client.startExec(gctx, w, "SELECT * FROM "+name, nil, batch)
 	}
 	return &mergeSource{cancel: cancel, streams: streams}
-}
-
-// gatherTable reassembles name from its shards as one batch-born relation
-// (the stub's schema supplies the attribute kinds; the rows arrive as
-// batches and stay batches).
-func (c *Coordinator) gatherTable(ctx context.Context, name string, sch schema.Schema, batch int) (*relation.Relation, error) {
-	img, err := gatherInto(c.scanShards(ctx, name, batch), sch)
-	if err != nil {
-		return nil, err
-	}
-	return relation.FromColumnar(img), nil
 }
 
 // unstageAll removes staged repartition temps from every worker,
@@ -625,8 +604,8 @@ func (c *Coordinator) unstageAll(names []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, name := range names {
-		for _, w := range c.topo.Workers {
-			_, _ = c.client.ack(ctx, w, &wire.FragmentRequest{Op: wire.FragmentUnstage, Name: name})
+		for _, w := range c.client.workers {
+			_, _ = c.client.do(ctx, w, wire.Frame{Frame: wire.FrameUnstage, Table: name})
 		}
 	}
 }
@@ -711,19 +690,15 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 			workerSQL, wpIdx = body, ps
 		}
 	}
-	var wparams []any
-	if pl.verbatim {
-		wparams = cellValues(params)
-	} else {
-		mapped, merr := mapParams(wpIdx, params)
-		if merr != nil {
-			return nil, merr
+	wparams := params
+	if !pl.verbatim {
+		if wparams, err = mapParams(wpIdx, params); err != nil {
+			return nil, err
 		}
-		wparams = cellValues(mapped)
 	}
 
-	streams := make([]*workerStream, len(c.topo.Workers))
-	for i, w := range c.topo.Workers {
+	streams := make([]*workerStream, len(c.client.workers))
+	for i, w := range c.client.workers {
 		streams[i] = c.client.startExec(fanCtx, w, workerSQL, wparams, batch)
 	}
 	merge := &mergeSource{cancel: cancel, streams: streams}
@@ -790,11 +765,13 @@ func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl
 		if !found {
 			return nil, fmt.Errorf("distsql: table %s vanished during planning", t)
 		}
-		rel, err := c.gatherTable(ctx, t, stub.Schema, batch)
+		// One batch-born relation: the stub's schema supplies the attribute
+		// kinds, the rows arrive as batches and stay batches.
+		img, err := gatherInto(c.scanShards(ctx, t, batch), stub.Schema)
 		if err != nil {
 			return nil, err
 		}
-		tmp.Register(t, rel)
+		tmp.Register(t, relation.FromColumnar(img))
 	}
 	prep, err := st.Prepare(tmp, c.flagsFor(batch))
 	if err != nil {
@@ -829,18 +806,6 @@ func mapParams(idxs []int, params []value.Value) ([]value.Value, error) {
 		out[i] = params[idx-1]
 	}
 	return out, nil
-}
-
-// cellValues converts bound parameters to their wire cells.
-func cellValues(vals []value.Value) []any {
-	if len(vals) == 0 {
-		return nil
-	}
-	out := make([]any, len(vals))
-	for i, v := range vals {
-		out[i] = wire.Cell(v)
-	}
-	return out
 }
 
 // cleanupSource runs a cleanup (unstaging repartition temps) when the

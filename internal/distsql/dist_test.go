@@ -5,16 +5,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"talign/internal/faultinject"
+	"talign/internal/interval"
 	"talign/internal/plan"
 	"talign/internal/randrel"
 	"talign/internal/relation"
@@ -30,7 +36,62 @@ type cluster struct {
 	coord   *Coordinator
 	csrv    *server.Server
 	wsrvs   []*server.Server
-	workers []*httptest.Server
+	workers []*node
+}
+
+// node is a worker's listener and every connection it accepted, so that a
+// test can kill the worker the way a dead process dies: frame connections
+// are hijacked, and httptest.Server.Close leaves those open.
+type node struct {
+	*httptest.Server
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startNode(t *testing.T, h http.Handler) *node {
+	n := &node{Server: httptest.NewUnstartedServer(h)}
+	n.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			n.mu.Lock()
+			n.conns = append(n.conns, c)
+			n.mu.Unlock()
+		}
+	}
+	n.Start()
+	t.Cleanup(n.kill)
+	return n
+}
+
+// kill closes the listener and every connection.
+func (n *node) kill() {
+	n.Close()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, c := range n.conns {
+		c.Close()
+	}
+}
+
+// noRetries makes every fragment operation's first failure final.
+func (cl *cluster) noRetries() {
+	for _, w := range cl.coord.client.workers {
+		w.pool.Retries = 0
+	}
+}
+
+// metric reads one /metrics value of srv.
+func metric(t *testing.T, srv *server.Server, name string) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, _ := strconv.Atoi(v)
+			return n
+		}
+	}
+	t.Fatalf("no %s metric", name)
+	return 0
 }
 
 func newCluster(t *testing.T, n int, partition map[string]string) *cluster {
@@ -48,8 +109,7 @@ func newClusterWrapped(t *testing.T, n int, partition map[string]string, wrap fu
 	var topo Topology
 	for i := 0; i < n; i++ {
 		wsrv := server.New(server.Config{Flags: flags, MaxDOP: 16})
-		hs := httptest.NewServer(wrap(i, Handler(wsrv)))
-		t.Cleanup(hs.Close)
+		hs := startNode(t, wrap(i, Handler(wsrv)))
 		cl.wsrvs = append(cl.wsrvs, wsrv)
 		cl.workers = append(cl.workers, hs)
 		topo.Workers = append(topo.Workers, Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
@@ -158,6 +218,11 @@ var distDiffQueries = []diffQuery{
 	{sql: "SELECT DISTINCT b FROM r"},                                                // dedup off the partition column
 	{sql: "SELECT a, b FROM r WHERE a >= $1 AND b <= $2", params: []value.Value{value.NewInt(0), value.NewInt(2)}},
 	{sql: "SELECT r.a, s.b FROM r JOIN s ON r.a = s.a WHERE s.b >= $1", params: []value.Value{value.NewInt(1)}},
+	// Parameters keep their kind on the node hop: a whole float, NaN, and a
+	// period (r's one tuple at seed 1, the wire differential's).
+	{sql: "SELECT a, a / $1 q FROM r", params: []value.Value{value.NewFloat(4)}},
+	{sql: "SELECT a, a + $1 q FROM r", params: []value.Value{value.NewFloat(math.NaN())}},
+	{sql: "SELECT a, b FROM r WHERE PERIOD(Ts, Te) = $1", params: []value.Value{value.NewInterval(interval.New(12, 22))}},
 }
 
 // TestDistributedDifferential is the acceptance differential: for random
@@ -366,9 +431,9 @@ func TestWorkerUnreachable(t *testing.T) {
 	rels := testRels(0)
 	cl := newCluster(t, 2, nil)
 	cl.load(t, rels)
-	cl.coord.client.retries = 0 // keep the failure fast; retry accounting is covered below
+	cl.noRetries() // keep the failure fast; retry accounting is covered below
 
-	cl.workers[1].Close()
+	cl.workers[1].kill()
 	_, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil)
 	var se *sqlish.Error
 	if !errors.As(err, &se) || se.Code != sqlish.ErrUnavailable {
@@ -401,7 +466,7 @@ func TestDispatchRetry(t *testing.T) {
 	if res.Rel == nil {
 		t.Fatal("no rows returned")
 	}
-	if cl.coord.client.retried.Load() == 0 {
+	if retries, _, _ := cl.coord.client.poolStats(); retries == 0 {
 		t.Fatal("talignd_fragment_retries_total did not advance")
 	}
 	if got := cl.coord.client.unreachable.Load(); got != 0 {
@@ -422,7 +487,7 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 
 	cl := newCluster(t, 2, nil)
 	cl.load(t, rels)
-	cl.coord.client.retries = 0
+	cl.noRetries()
 
 	// Warm the connection pool, then baseline: the cluster's own listener
 	// and keep-alive goroutines must not count as query leaks.
@@ -431,7 +496,7 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	// A worker panic mid-stream aborts its chunked response without a
+	// A worker panic mid-stream closes its frame connection without a
 	// terminal frame — byte-for-byte what a kill -9 mid-query looks like
 	// to the coordinator. After=3 lets row frames flush first.
 	faultinject.Arm("server.stream.rows", faultinject.Fault{Kind: faultinject.KindPanic, After: 3})
@@ -471,22 +536,33 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 }
 
 // TestWorkerFaultInjection arms the worker-side fragment site: the
-// injected error must cross the wire as a structured error, not a
-// transport failure.
+// injected error must cross the wire as a structured error frame, not a
+// transport failure, and leave the worker's connection serving.
 func TestWorkerFaultInjection(t *testing.T) {
 	rels := testRels(0)
 	cl := newCluster(t, 2, nil)
 	cl.load(t, rels)
-	cl.coord.client.retries = 0
+	cl.noRetries()
 
 	faultArm(t, "distsql.fragment", 0, true)
 	_, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil)
-	if err == nil {
-		t.Fatal("query succeeded with the fragment endpoint faulted")
+	var se *sqlish.Error
+	if !errors.As(err, &se) || se.Code == sqlish.ErrUnavailable || !strings.Contains(se.Msg, "distsql.fragment") {
+		t.Fatalf("query with the fragment site faulted: %v, want the injected error", err)
 	}
 	waitFor(t, 5*time.Second, "coordinator gate to drain", func() bool {
 		return cl.csrv.GateStats().InUse == 0
 	})
+	faultinject.Reset()
+	if _, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil); err != nil {
+		t.Fatalf("after the fault: %v", err)
+	}
+	// Worker 0's error frame is read before the merge fails the query; the
+	// failure cancels worker 1's exchange, which may still be in flight and
+	// then loses its connection.
+	if n := metric(t, cl.wsrvs[0], "talignd_frame_conns_total"); n != 1 {
+		t.Errorf("worker 0 upgraded %d frame connections, want the one its error frame left serving", n)
+	}
 }
 
 // TestRepartitionCleanup proves repartition temps are unstaged from every
@@ -514,4 +590,55 @@ func TestRepartitionCleanup(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestFragmentConnsReused: after a warm-up, rounds of every strategy that
+// reaches the workers — scatter, scatter+final, partial-aggregate,
+// repartition — and of DistributeTable run on the coordinator's pooled
+// frame connections: no worker upgrades another connection or sees any
+// HTTP request but the upgrades.
+func TestFragmentConnsReused(t *testing.T) {
+	var others atomic.Int32
+	cl := newClusterWrapped(t, 2, nil, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodGet || r.URL.Path != "/frames" {
+				others.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	rels := testRels(0)
+	cl.load(t, rels)
+	round := func() {
+		t.Helper()
+		for _, q := range []string{
+			"SELECT a, b FROM r WHERE a >= 0",
+			"SELECT a, b FROM r ORDER BY a, b LIMIT 3",
+			"SELECT b, COUNT(*) c FROM r GROUP BY b",
+			"SELECT r.a, s.b FROM r JOIN s ON r.b = s.b",
+		} {
+			if _, err := cl.csrv.QueryContext(context.Background(), "", "", q, nil); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+		if err := cl.coord.DistributeTable(context.Background(), "u", rels["u"]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	before := []int{metric(t, cl.wsrvs[0], "talignd_frame_conns_total"), metric(t, cl.wsrvs[1], "talignd_frame_conns_total")}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	if cl.coord.scatters.Load() == 0 || cl.coord.scatterFinals.Load() == 0 || cl.coord.partialAggs.Load() == 0 || cl.coord.repartitions.Load() == 0 {
+		t.Fatal("the rounds did not reach every strategy")
+	}
+	for i, w := range cl.wsrvs {
+		if n := metric(t, w, "talignd_frame_conns_total"); n != before[i] {
+			t.Errorf("worker %d: %d frame connections after 50 rounds, %d after the warm-up", i, n, before[i])
+		}
+	}
+	if n := others.Load(); n != 0 {
+		t.Errorf("the workers saw %d HTTP requests that were not upgrades", n)
+	}
 }

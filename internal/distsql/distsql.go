@@ -1,9 +1,11 @@
 // Package distsql turns talignd into a sharded cluster: a coordinator
 // hash-partitions tables by alignment key across N worker talignd
 // nodes, rewrites each statement into per-shard SQL fragments, executes
-// them over the wire-level fragment protocol (POST /fragment), and
-// merges the worker streams back into the ordinary client protocol —
-// clients cannot tell a coordinator from a single node.
+// them over pooled frame connections to the workers (the same
+// wire.Pool the Go client speaks: exec fragments are query frames,
+// staging and statistics the worker-only stage, unstage and analyze
+// frames), and merges the worker streams back into the ordinary client
+// protocol — clients cannot tell a coordinator from a single node.
 //
 // Everything that moves between nodes moves as wire batch frames —
 // colbatch.Batch column regions, never JSON rows: exec fragments answer
@@ -45,9 +47,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
+
+	"talign/internal/server"
 )
 
 // Worker is one worker node in the static cluster topology.
@@ -133,6 +138,16 @@ func LoadManifest(path string) (*Manifest, error) {
 	}
 	m.Partition = part
 	return &m, nil
+}
+
+// Handler is a worker's HTTP surface: the full single-node one (health
+// probes, /metrics, direct debugging queries), whose frame connections
+// also take the coordinator's stage, unstage and analyze frames
+// (server.EnableFragments). Exec fragments are ordinary query frames,
+// answered in binary batch frames straight off the columnar executor.
+func Handler(srv *server.Server) http.Handler {
+	srv.EnableFragments()
+	return srv.Handler()
 }
 
 // sortedKeys returns a map's keys in deterministic order.

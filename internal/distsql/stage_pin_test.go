@@ -1,47 +1,93 @@
 package distsql
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"io"
+	"fmt"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"testing"
 
 	"talign/internal/dataset"
 	"talign/internal/plan"
 	"talign/internal/raceflag"
+	"talign/internal/relation"
 	"talign/internal/server"
 	"talign/internal/wire"
 )
 
+// TestStagedShardsOwnTheirBuffers: two shards staged back to back on one
+// pooled frame connection read back, through exec fragments, exactly as
+// they were staged. A worker's frame reader reads one frame ahead into a
+// reused buffer, so a staged shard aliasing it would come back with the
+// bytes of the frames after it.
+func TestStagedShardsOwnTheirBuffers(t *testing.T) {
+	rels := map[string]*relation.Relation{
+		"c": dataset.Incumben(dataset.IncumbenConfig{Rows: 500, Seed: 3}),
+		"d": dataset.Incumben(dataset.IncumbenConfig{Rows: 700, Seed: 4}),
+	}
+	cl := newCluster(t, 1, nil)
+	ctx := context.Background()
+	for _, name := range []string{"c", "d"} {
+		if err := cl.coord.DistributeTable(ctx, name, rels[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	single := singleNode(t, rels)
+	for _, q := range []string{"SELECT * FROM c", "SELECT * FROM d"} {
+		want, err := single.QueryContext(ctx, "", "", q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.csrv.QueryContext(ctx, "", "", q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRows(t, "staged", q, got.Rel, want.Rel)
+	}
+	if n := metric(t, cl.wsrvs[0], "talignd_frame_conns_total"); n != 1 {
+		t.Fatalf("the worker upgraded %d frame connections, want the one", n)
+	}
+}
+
 // TestStageAllocPin: a worker that is staged a shard keeps the decoded
-// frame as the shard's relation — a batch-born one — and allocates little
-// beyond the frame's own buffer. With a tuple and a value slab built for
-// every staged row this read 5.35 × the frame bytes.
+// rows frame as the shard's relation — a batch-born one — and allocates
+// little beyond the frame's own buffer. With a tuple and a value slab
+// built for every staged row this read 5.35 × the frame bytes.
 func TestStageAllocPin(t *testing.T) {
 	const n = 8000
 	shard := dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: 3}).Columnar()
 
-	// The stage request exactly as a coordinator sends it.
-	var body []byte
-	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ = io.ReadAll(r.Body)
-		writeAck(w, wire.FragmentAck{OK: true})
-	}))
-	defer sink.Close()
-	if err := newWorkerClient().stage(context.Background(), Worker{Name: "w0", URL: sink.URL}, "c", shard); err != nil {
-		t.Fatal(err)
+	// The stage frames exactly as a coordinator writes them.
+	var body bytes.Buffer
+	fw := wire.NewWriter(&body, wire.MediaBatch)
+	for _, f := range stageFrames("c", shard) {
+		if err := fw.Write(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	srv := server.New(server.Config{Flags: plan.DefaultFlags()})
-	worker := Handler(srv)
+	worker := startNode(t, Handler(srv))
+	conn, err := net.Dial("tcp", worker.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	fmt.Fprintf(conn, "GET /frames HTTP/1.1\r\nHost: w0\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", wire.FrameProtocol)
+	if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("upgrade: %v, %v", resp, err)
+	}
+	dec := wire.NewDecoder(br)
 	stage := func() {
-		rec := httptest.NewRecorder()
-		worker.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fragment", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stage: %d %s", rec.Code, rec.Body)
+		if _, err := conn.Write(body.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := dec.Next(); err != nil || f.Frame != wire.FrameStatus || f.RowCount != n {
+			t.Fatalf("stage answered %+v, %v", f, err)
 		}
 	}
 	stage()
@@ -55,9 +101,9 @@ func TestStageAllocPin(t *testing.T) {
 		stage()
 	}
 	runtime.ReadMemStats(&after)
-	ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(body))
-	t.Logf("staging %d rows, %d frame bytes: %.2f × the frame bytes allocated", n, len(body), ratio)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(body.Len())
+	t.Logf("staging %d rows, %d frame bytes: %.2f × the frame bytes allocated", n, body.Len(), ratio)
 	if ratio > 1.25 && !raceflag.Enabled {
-		t.Errorf("a worker staging %d frame bytes allocates %.2f times that, want at most 1.25", len(body), ratio)
+		t.Errorf("a worker staging %d frame bytes allocates %.2f times that, want at most 1.25", body.Len(), ratio)
 	}
 }

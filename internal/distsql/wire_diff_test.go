@@ -166,6 +166,18 @@ func ndjsonRows(t *testing.T, base string, q diffQuery) ([][]value.Value, string
 	}
 }
 
+// jsonParams reports whether q's parameters keep their kind in a JSON
+// request body, which has no whole float, NaN or period: those arrive as
+// an int or a string.
+func jsonParams(q diffQuery) bool {
+	for _, p := range q.params {
+		if p.Kind() == value.KindInterval || p.Kind() == value.KindFloat && (p.Float() == math.Trunc(p.Float()) || math.IsNaN(p.Float())) {
+			return false
+		}
+	}
+	return true
+}
+
 func openClient(t *testing.T, dsn string) *talign.DB {
 	t.Helper()
 	db, err := talign.Open(dsn)
@@ -221,7 +233,10 @@ func TestThreeWayWireDifferential(t *testing.T) {
 		db := openClient(t, node.url+node.opts)
 		for _, q := range wireDiffQueries() {
 			want, _, werr := clientRows(embedded, q)
-			overNDJSON, _, nerr := ndjsonRows(t, node.url, q)
+			overNDJSON, nerr := want, werr
+			if jsonParams(q) {
+				overNDJSON, _, nerr = ndjsonRows(t, node.url, q)
+			}
 			overFrames, _, ferr := clientRows(db, q)
 			if (werr == nil) != (nerr == nil) || (werr == nil) != (ferr == nil) {
 				t.Fatalf("%s: error parity diverged on %q: embedded=%v ndjson=%v frames=%v", node.name, q.sql, werr, nerr, ferr)

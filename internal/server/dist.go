@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"net/http"
 
 	"talign/internal/colbatch"
 	"talign/internal/schema"
@@ -82,11 +81,6 @@ type Distributor interface {
 	// DistMetrics lists the distributor's counters for /metrics.
 	DistMetrics() []DistMetric
 }
-
-// HTTPError renders err as the server's structured JSON error body with
-// the HTTP status its code implies (exported for the distsql worker
-// handler, so fragment errors look exactly like query errors).
-func HTTPError(w http.ResponseWriter, err error) { httpError(w, err) }
 
 // SetDistributor installs the distributed-execution seam (nil uninstalls
 // it). Install before serving traffic; the seam itself is read without

@@ -7,13 +7,25 @@ import (
 	"net/http"
 	"strings"
 
+	"talign/internal/colbatch"
+	"talign/internal/faultinject"
+	"talign/internal/relation"
 	"talign/internal/sqlish"
+	"talign/internal/stats"
 	"talign/internal/wire"
 )
 
+// EnableFragments makes the server a worker of a distsql coordinator: its
+// frame connections also answer the stage, unstage and analyze frames the
+// coordinator sends, and every request on them visits the
+// "distsql.fragment" fault site. Any other server refuses those frames
+// with a "request" error and goes on serving the connection. Call it
+// before serving.
+func (s *Server) EnableFragments() { s.fragments.Store(true) }
+
 // handleFrames upgrades the connection to wire.FrameProtocol and answers
-// its query and prepare frames, one at a time, until the client hangs up.
-// A draining server refuses the upgrade with the 503 every refused query
+// its request frames, one at a time, until the client hangs up. A
+// draining server refuses the upgrade with the 503 every refused query
 // gets, and closes the connection once its running statement is done.
 func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
@@ -36,20 +48,30 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+wire.FrameProtocol+"\r\n\r\n"); err != nil {
 		return
 	}
-	// The connection's one reader hands requests over; its read failing —
-	// the client hung up — cancels ctx and with it a running plan.
+	// The connection's one reader hands frames over, reading one ahead; its
+	// read failing — the client hung up — cancels ctx and with it a running
+	// plan. A staged relation keeps its rows frames, so between a stage
+	// frame and the status frame ending its relation every frame gets its
+	// own buffer instead of the reused one.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	reqs := make(chan wire.Frame)
 	go func() {
 		defer close(reqs)
 		defer cancel()
+		ring := make([][]byte, 1)
 		dec := wire.NewDecoder(rw.Reader)
-		dec.ReuseBuffers(make([][]byte, 1))
+		dec.ReuseBuffers(ring)
 		for {
 			f, err := dec.Next()
 			if err != nil {
 				return
+			}
+			switch f.Frame {
+			case wire.FrameStage:
+				dec.ReuseBuffers(nil)
+			case wire.FrameStatus, wire.FrameError:
+				dec.ReuseBuffers(ring)
 			}
 			select {
 			case reqs <- f:
@@ -69,7 +91,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 				fw.Write(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(errDraining(), sqlish.ErrUnavailable)})
 				return
 			}
-			s.answerFrame(ctx, fw, req)
+			s.answerFrame(ctx, fw, req, reqs)
 		case <-s.drained:
 			return
 		}
@@ -77,11 +99,23 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 }
 
 // answerFrame runs one request and writes its answer: the frame stream
-// /query/stream would send, or a prepared frame.
-func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Frame) {
+// /query/stream would send, a prepared frame, or — for a worker's stage,
+// unstage and analyze frames — a status frame carrying a row count. A
+// stage frame's relation is read off more, whatever the answer.
+func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Frame, more <-chan wire.Frame) {
+	var shard *colbatch.Batch
 	var err error
-	switch req.Frame {
-	case wire.FrameQuery:
+	if req.Frame == wire.FrameStage {
+		shard, err = readShard(more)
+	}
+	worker := s.fragments.Load()
+	if err == nil && worker {
+		err = faultinject.Hit("distsql.fragment")
+	}
+	var rows int64
+	switch {
+	case err != nil:
+	case req.Frame == wire.FrameQuery:
 		var rs *RowStream
 		if rs, err = s.StreamBatch(ctx, req.Session, req.Stmt, req.SQL, req.Params, req.BatchSize); err == nil {
 			defer rs.Close()
@@ -89,15 +123,77 @@ func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Fram
 			writeFrames(fw, rs, true, nil)
 			return
 		}
-	case wire.FramePrepare:
+	case req.Frame == wire.FramePrepare:
 		var prep *sqlish.Prepared
 		if prep, err = s.Prepare(req.Session, req.Stmt, req.SQL); err == nil {
 			cols, types := prep.Columns()
 			fw.Write(wire.Frame{Frame: wire.FramePrepared, NumParams: prep.NumParams, Columns: cols, Types: types})
 			return
 		}
+	case req.Frame != wire.FrameStage && req.Frame != wire.FrameUnstage && req.Frame != wire.FrameAnalyze:
+		err = fmt.Errorf("server: a frame connection takes request frames, not %q", req.Frame)
+	case !worker:
+		err = fmt.Errorf("server: %s frames are for workers; this server is not one", req.Frame)
+	case req.Frame == wire.FrameStage:
+		// Built directly rather than via Append: a staged shard may carry
+		// all-ω columns typed KindNull by the coordinator's local plan, and
+		// Append's kind check would reject the non-null originals.
+		s.catalog.Register(req.Table, relation.FromColumnar(shard))
+		rows = int64(shard.Len())
+	case req.Frame == wire.FrameUnstage:
+		// Idempotent: unstaging an absent table is a success, so the
+		// coordinator's best-effort cleanup can retry blindly. The drop
+		// purges the plans over the shard, which unpins it.
+		s.catalog.Drop(req.Table)
+	case req.Table == "":
+		rows = int64(s.AnalyzeAll())
 	default:
-		err = fmt.Errorf("server: a frame connection takes query and prepare frames, not %q", req.Frame)
+		var t *stats.Table
+		if t, err = s.Analyze(req.Table); err == nil {
+			rows = t.Rows
+		}
 	}
-	fw.Write(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(err, errorCode(err))})
+	if err != nil {
+		fw.Write(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(err, errorCode(err))})
+		return
+	}
+	fw.Write(wire.Frame{Frame: wire.FrameStatus, RowCount: rows})
+}
+
+// readShard reads a staged relation — schema frame, rows frames, status
+// frame — into one dense batch, always through its terminal frame, so a
+// refused or malformed relation leaves the connection at the next
+// request. The first rows frame types the columns (a stage always sends
+// one, even for an empty relation), and a relation that fits one frame is
+// that frame's batch, uncopied.
+func readShard(frames <-chan wire.Frame) (*colbatch.Batch, error) {
+	var parts []*colbatch.Batch
+	var err error
+	ncols := -1
+	for f := range frames {
+		switch {
+		case err != nil:
+		case f.Frame == wire.FrameSchema && ncols < 0 && len(f.Columns) >= 2:
+			ncols = len(f.Columns) - 2 // the schema frame also lists ts and te
+		case f.Frame == wire.FrameRows && len(f.Batch.Cols) == ncols:
+			parts = append(parts, f.Batch)
+		case f.Frame != wire.FrameStatus || len(parts) == 0:
+			err = fmt.Errorf("server: stage: unexpected %q frame", f.Frame)
+		}
+		if f.Frame != wire.FrameStatus && f.Frame != wire.FrameError {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		img := parts[0]
+		if len(parts) > 1 {
+			img = colbatch.New(img.Schema)
+			for _, p := range parts {
+				img.AppendBatch(p)
+			}
+		}
+		return img, nil
+	}
+	return nil, fmt.Errorf("server: stage: the connection closed inside the relation")
 }

@@ -31,16 +31,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rs.Close()
 	s.streams.Add(1)
-	WriteFrameStream(w, rs, wire.MediaNDJSON)
-}
-
-// WriteFrameStream writes a RowStream as a chunked HTTP frame stream in
-// the given media type (see writeFrames). The caller Closes rs.
-func WriteFrameStream(w http.ResponseWriter, rs *RowStream, media string) {
-	w.Header().Set("Content-Type", media)
+	w.Header().Set("Content-Type", wire.MediaNDJSON)
 	w.Header().Set("X-Accel-Buffering", "no") // streaming through proxies
 	flusher, _ := w.(http.Flusher)
-	writeFrames(wire.NewWriter(w, media), rs, media == wire.MediaBatch, flusher)
+	writeFrames(wire.NewWriter(w, wire.MediaNDJSON), rs, false, flusher)
 }
 
 // writeFrames writes a RowStream as frames — schema, one rows frame per

@@ -99,6 +99,7 @@ type Server struct {
 	rowsStreamed    atomic.Uint64
 	frameConns      atomic.Int64 // open; frameConnsTotal counts every upgrade
 	frameConnsTotal atomic.Uint64
+	fragments       atomic.Bool // EnableFragments: a coordinator's worker
 	// Streamed executions that built / re-opened their executor tree.
 	pipelinesBuilt, pipelinesReused atomic.Uint64
 }

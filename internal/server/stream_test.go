@@ -472,3 +472,44 @@ func TestFrameConnLifecycle(t *testing.T) {
 		t.Fatalf("upgrade while draining answered %s", body)
 	}
 }
+
+// TestWorkerFramesRefused: a server that is no coordinator's worker — a
+// plain talignd or a coordinator — answers a stage, unstage or analyze
+// frame with a "request" error, a stage frame's relation read and
+// dropped, and the connection goes on serving queries.
+func TestWorkerFramesRefused(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, fw, dec := dialFrames(t, ts)
+	shard := relation.NewBuilder("v int").Row(0, 5, int64(1)).Row(3, 9, int64(2)).MustBuild().Columnar()
+	for _, req := range [][]wire.Frame{
+		{{Frame: wire.FrameStage, Table: "c"}, {Frame: wire.FrameSchema, Columns: []string{"v", "ts", "te"}, Types: []string{"int", "int", "int"}},
+			{Frame: wire.FrameRows, Batch: shard}, {Frame: wire.FrameStatus, RowCount: 2}},
+		{{Frame: wire.FrameUnstage, Table: "p"}},
+		{{Frame: wire.FrameAnalyze}},
+	} {
+		for _, f := range req {
+			if err := fw.Write(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f, err := dec.Next(); err != nil || f.Frame != wire.FrameError || f.Error.Code != "request" {
+			t.Fatalf("%s frame on a server that is no worker: %+v, %v; want a request error", req[0].Frame, f, err)
+		}
+	}
+	snap := s.Catalog().Snapshot()
+	if _, staged := snap.Lookup("c"); staged {
+		t.Fatal("a refused stage registered its relation")
+	}
+	if _, kept := snap.Lookup("p"); !kept {
+		t.Fatal("a refused unstage dropped its table")
+	}
+	fw.Write(wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT a FROM p WHERE a >= 40"})
+	f, err := dec.Next()
+	for ; err == nil && f.Frame != wire.FrameStatus && f.Frame != wire.FrameError; f, err = dec.Next() {
+	}
+	if err != nil || f.Frame != wire.FrameStatus || f.RowCount != 4 {
+		t.Fatalf("the query after the refusals: %+v, %v; want 4 rows", f, err)
+	}
+}

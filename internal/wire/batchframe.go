@@ -18,8 +18,8 @@ import (
 )
 
 // Media types of a frame stream. /query/stream answers NDJSON; frame
-// connections (GET /frames) and every node-to-node hop (/fragment exec
-// answers, stage bodies) speak binary batch frames.
+// connections (GET /frames) — the client hop and the coordinator ↔
+// worker hop alike — speak binary batch frames.
 const (
 	// MediaNDJSON is the newline-delimited JSON frame stream.
 	MediaNDJSON = "application/x-ndjson"
@@ -84,6 +84,9 @@ func corruptf(format string, args ...any) error {
 //	         parameter's kind (ω in an untyped column)
 //	prepare  a statement
 //	prepared u16 parameter count, then a schema payload
+//	stage    (9), unstage (10), analyze (11): u16 table-name length, the
+//	         name (analyze: empty for every table); a stage frame is
+//	         followed by the relation's schema, rows and status frames
 //
 // where a statement is u16 session length, u16 name length, u32 sql
 // length, then session, name and sql, zero-padded to a multiple of 8
@@ -95,11 +98,12 @@ const (
 )
 
 // frameKinds maps the Frame* names to their binary kind byte (index).
-var frameKinds = [...]string{1: FrameSchema, 2: FrameRows, 3: FramePlan, 4: FrameStatus, 5: FrameError, 6: FrameQuery, 7: FramePrepare, 8: FramePrepared}
+var frameKinds = [...]string{1: FrameSchema, 2: FrameRows, 3: FramePlan, 4: FrameStatus, 5: FrameError, 6: FrameQuery, 7: FramePrepare, 8: FramePrepared,
+	9: FrameStage, 10: FrameUnstage, 11: FrameAnalyze}
 
 // endsExchange reports whether a frame kind ends an exchange: a request or an answer's last frame.
 func endsExchange(k string) bool {
-	return k == FrameStatus || k == FrameError || k == FrameQuery || k == FramePrepare || k == FramePrepared
+	return k != FrameSchema && k != FrameRows && k != FramePlan
 }
 
 func kindByte(name string) (uint8, bool) {
@@ -149,12 +153,6 @@ func (fw *Writer) Write(f Frame) error {
 		fw.buf = nil
 	}
 	return err
-}
-
-// AppendFrame appends the binary encoding of f to dst — what a
-// MediaBatch Writer writes — for a caller assembling a body in memory.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	return appendFrame(dst, f, &Writer{})
 }
 
 // appendFrame appends the binary encoding of f to dst, building batches
@@ -218,6 +216,10 @@ func appendFrame(dst []byte, f Frame, fw *Writer) ([]byte, error) {
 		dst, err = appendStatement(dst, &f)
 	case FramePrepared:
 		dst, err = appendSchemaPayload(binary.LittleEndian.AppendUint16(dst, uint16(f.NumParams)), &f)
+	case FrameStage, FrameUnstage, FrameAnalyze:
+		if err = checkU16(&f, len(f.Table), "table name length"); err == nil {
+			dst = append(binary.LittleEndian.AppendUint16(dst, uint16(len(f.Table))), f.Table...)
+		}
 	}
 	n := len(dst) - base - frameHeaderLen
 	if err == nil && n > MaxFramePayload {
@@ -316,8 +318,11 @@ func appendBatchPayload(dst []byte, b *colbatch.Batch) []byte {
 
 // Decoder reads a binary frame stream and enforces the stream contract
 // every hop relies on: known frame kinds only, well-formed payloads (an
-// error frame always carries its error object), and a terminal status
-// frame whose row count equals the rows the stream carried. Every
+// error frame always carries its error object), and, in an answer that
+// carried a schema or rows frame, a terminal status frame whose row count
+// equals the rows the stream carried (a bare status frame — answering a
+// worker's stage, unstage or analyze, or after a plan frame — reports any
+// count). Every
 // violation is an error wrapping ErrCorrupt (ErrVersion for version
 // skew); transport errors pass through unchanged, a stream that ends
 // inside a frame reports io.ErrUnexpectedEOF and one that ends between
@@ -330,6 +335,7 @@ type Decoder struct {
 	made  int      // frame buffers allocated so far
 	names []string // visible column names of the last schema frame
 	rows  int64
+	tally bool                 // the exchange carried a schema or rows frame: its status frame counts them
 	hdr   [frameHeaderLen]byte // the header being read
 }
 
@@ -355,15 +361,17 @@ func (d *Decoder) Next() (Frame, error) {
 		return Frame{}, err
 	}
 	switch f.Frame {
+	case FrameSchema:
+		d.tally = true
 	case FrameRows:
-		d.rows += int64(f.Batch.Len())
+		d.rows, d.tally = d.rows+int64(f.Batch.Len()), true
 	case FrameStatus:
-		if f.RowCount != d.rows {
+		if d.tally && f.RowCount != d.rows {
 			return Frame{}, corruptf("status frame reports %d rows, the stream carried %d", f.RowCount, d.rows)
 		}
 	}
 	if endsExchange(f.Frame) {
-		d.rows, d.names = 0, nil
+		d.rows, d.names, d.tally = 0, nil, false
 		for i := range d.ring {
 			if cap(d.ring[i]) > MaxKeptBuffer {
 				d.ring[i] = nil
@@ -517,6 +525,11 @@ func (d *Decoder) decodePayload(f *Frame, kind string, p []byte) error {
 		}
 		f.NumParams = int(binary.LittleEndian.Uint16(p))
 		return decodeSchemaPayload(f, p[2:])
+	case FrameStage, FrameUnstage, FrameAnalyze:
+		if len(p) < 2 || len(p)-2 != int(binary.LittleEndian.Uint16(p)) {
+			return corruptf("%s frame of %d bytes does not hold its table name", kind, len(p))
+		}
+		f.Table = string(p[2:])
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func edgeBatch(rng *rand.Rand, maxRows int) *colbatch.Batch {
 
 // rowsFrame encodes b as one binary rows frame.
 func rowsFrame(b *colbatch.Batch) []byte {
-	frame, err := AppendFrame(nil, Frame{Frame: FrameRows, Batch: b})
+	frame, err := appendFrame(nil, Frame{Frame: FrameRows, Batch: b}, &Writer{})
 	if err != nil {
 		panic(err)
 	}
@@ -248,7 +248,7 @@ func TestBatchFrameDefects(t *testing.T) {
 	}{
 		{"version bump", reframe(valid, func(b []byte) { b[2]++ }), ErrVersion},
 		{"bad magic", flip(0), ErrCorrupt},
-		{"unknown kind", reframe(valid, func(b []byte) { b[3] = 9 }), ErrCorrupt},
+		{"unknown kind", reframe(valid, func(b []byte) { b[3] = byte(len(frameKinds)) }), ErrCorrupt},
 		{"payload bit flip", flip(len(valid) / 2), ErrCorrupt},
 		{"checksum bit flip", flip(len(valid) - 1), ErrCorrupt},
 		{"oversized length prefix", huge, ErrCorrupt},
@@ -288,9 +288,9 @@ func TestBatchFrameEncodeDefects(t *testing.T) {
 		"rows without a batch":  {Frame: FrameRows},
 		"unknown kind":          {Frame: "bogus"},
 	} {
-		dst, err := AppendFrame([]byte("kept"), f)
+		dst, err := appendFrame([]byte("kept"), f, &Writer{})
 		if !errors.Is(err, ErrEncode) || string(dst) != "kept" {
-			t.Errorf("%s: AppendFrame = %q, %v; want the buffer untouched and ErrEncode", name, dst, err)
+			t.Errorf("%s: appendFrame = %q, %v; want the buffer untouched and ErrEncode", name, dst, err)
 		}
 	}
 	var buf bytes.Buffer
@@ -321,8 +321,11 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		{Frame: FrameQuery, Session: "s", Stmt: "q", Params: []value.Value{value.NewString("x"), value.Null, value.NewFloat(2)}},
 		{Frame: FramePrepare, Session: "s", Stmt: "q", SQL: "SELECT a FROM p"},
 		{Frame: FramePrepared, NumParams: 1, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
+		{Frame: FrameStage, Table: "__rp1_r"},
+		{Frame: FrameUnstage, Table: "r"},
+		{Frame: FrameAnalyze},
 	} {
-		data, _ := AppendFrame(nil, req)
+		data, _ := appendFrame(nil, req, &Writer{})
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -470,10 +473,11 @@ func TestDecoderStreamContract(t *testing.T) {
 	}
 }
 
-// TestRequestFrames: query, prepare and prepared frames round-trip, a
-// parameter keeping its kind — NaN, a whole float, a period, ω, a string —
-// and the decoded values owning their memory. A buffer a large request
-// grew is dropped once the exchange ends, on both sides.
+// TestRequestFrames: query, prepare, prepared and the worker's stage,
+// unstage and analyze frames round-trip, a parameter keeping its kind —
+// NaN, a whole float, a period, ω, a string — and the decoded values
+// owning their memory. A buffer a large request grew is dropped once the
+// exchange ends, on both sides.
 func TestRequestFrames(t *testing.T) {
 	params := []value.Value{value.NewFloat(4), value.NewFloat(math.NaN()), value.NewInterval(interval.New(1, 5)),
 		value.Null, value.NewString("Ann"), value.NewInt(-7), value.NewBool(true)}
@@ -485,6 +489,9 @@ func TestRequestFrames(t *testing.T) {
 		{Frame: FrameQuery, SQL: "SELECT 1"},
 		{Frame: FramePrepare, Session: "s", Stmt: "stmt-3", SQL: "SELECT a FROM p WHERE a >= $1"},
 		{Frame: FramePrepared, NumParams: 2, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
+		{Frame: FrameStage, Table: "__rp7_r"},
+		{Frame: FrameUnstage, Table: "c"},
+		{Frame: FrameAnalyze},
 		{Frame: FrameQuery, SQL: big},
 	} {
 		if err := fw.Write(f); err != nil {
@@ -514,6 +521,11 @@ func TestRequestFrames(t *testing.T) {
 	}
 	if f, err = dec.Next(); err != nil || f.Frame != FramePrepared || f.NumParams != 2 || strings.Join(f.Columns, ",") != "a,ts,te" {
 		t.Fatalf("prepared frame: %+v, %v", f, err)
+	}
+	for _, want := range []Frame{{Frame: FrameStage, Table: "__rp7_r"}, {Frame: FrameUnstage, Table: "c"}, {Frame: FrameAnalyze}} {
+		if f, err = dec.Next(); err != nil || f.Frame != want.Frame || f.Table != want.Table {
+			t.Fatalf("%s frame: %+v, %v", want.Frame, f, err)
+		}
 	}
 	if f, err = dec.Next(); err != nil || len(f.SQL) != len(big) || cap(ring[0]) > MaxKeptBuffer {
 		t.Fatalf("large query frame: %d bytes of SQL, %v; the ring kept a %d-byte buffer", len(f.SQL), err, cap(ring[0]))

@@ -34,9 +34,12 @@
 // aliasing, with each column's kind carried in the frame so NaN/±Inf,
 // periods, ω and untyped all-ω columns round-trip without type hints;
 // Decoder reads them. They are spoken on frame connections (GET /frames
-// upgraded to FrameProtocol, the Go client's one transport), which carry
-// requests too — a query or prepare frame, answered by the stream above
-// or by one prepared frame — and on the /fragment node hop.
+// upgraded to FrameProtocol), which carry requests too — a query or
+// prepare frame, answered by the stream above or by one prepared frame;
+// on a worker also the stage, unstage and analyze frames a coordinator
+// sends, answered by a status frame. Frame connections are the one
+// transport of both hops: Pool is their client, used by the Go client
+// (talignd:// DSNs) and by a coordinator talking to its workers.
 package wire
 
 import (
@@ -68,6 +71,15 @@ const (
 	FramePrepare = "prepare"
 	// FramePrepared answers a prepare frame with its parameters and schema.
 	FramePrepared = "prepared"
+	// FrameStage asks a worker to register (or replace) the relation
+	// Table; the relation follows as a schema frame, at least one rows
+	// frame — its column kinds type the relation — and a status frame.
+	FrameStage = "stage"
+	// FrameUnstage asks a worker to drop the relation Table (idempotent).
+	FrameUnstage = "unstage"
+	// FrameAnalyze asks a worker to refresh the statistics of Table, or of
+	// every relation when Table is empty.
+	FrameAnalyze = "analyze"
 )
 
 // FrameProtocol is the Upgrade token of GET /frames, whose 101 turns the
@@ -100,50 +112,15 @@ type Frame struct {
 
 	// Request fields (binary only): the session, the prepared statement a
 	// query runs or a prepare names, the text, $1..$N with their kinds, a
-	// batch-size override (0: the server's); NumParams is a prepared's.
+	// batch-size override (0: the server's); NumParams is a prepared's,
+	// Table the relation a stage, unstage or analyze frame names.
 	Session   string        `json:"-"`
 	Stmt      string        `json:"-"`
 	SQL       string        `json:"-"`
 	Params    []value.Value `json:"-"`
 	BatchSize int           `json:"-"`
 	NumParams int           `json:"-"`
-}
-
-// Fragment operations (the "op" field of a POST /fragment body). The
-// fragment endpoint is the worker half of distributed execution: the
-// coordinator stages shard data, executes SQL fragments (answered with a
-// batch-frame stream), and tears staged relations down when a
-// distributed query finishes.
-const (
-	// FragmentExec runs a SQL fragment and streams frames back.
-	FragmentExec = "exec"
-	// FragmentStage registers (or replaces) a relation on the worker.
-	FragmentStage = "stage"
-	// FragmentUnstage drops a staged relation (idempotent).
-	FragmentUnstage = "unstage"
-	// FragmentAnalyze refreshes statistics for one staged relation, or
-	// for every relation when Name is empty.
-	FragmentAnalyze = "analyze"
-)
-
-// FragmentRequest is the JSON object that opens a POST /fragment body.
-// Exec carries SQL with bound params. Stage names a relation, and the
-// relation itself follows the object in the same body as a batch-frame
-// stream: a schema frame (visible attributes, then ts and te), at least
-// one rows frame — its column kinds type the relation — and the status
-// frame.
-type FragmentRequest struct {
-	Op     string `json:"op"`
-	SQL    string `json:"sql,omitempty"`
-	Params []any  `json:"params,omitempty"`
-	Batch  int    `json:"batch,omitempty"`
-	Name   string `json:"name,omitempty"`
-}
-
-// FragmentAck is the JSON response of the non-exec fragment operations.
-type FragmentAck struct {
-	OK   bool  `json:"ok"`
-	Rows int64 `json:"rows,omitempty"`
+	Table     string        `json:"-"`
 }
 
 // Error is the structured wire error {code, message, line, col}: the

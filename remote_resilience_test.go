@@ -367,7 +367,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // DB's pool and all get their own rows; at most maxIdleConns connections
 // stay open afterwards.
 func TestRemoteConcurrentClients(t *testing.T) {
-	_, db := bigRemote(t)
+	srv, db := bigRemote(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -385,11 +385,10 @@ func TestRemoteConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	rdb := db.backend.(*remoteDB)
-	if rdb.mu.Lock(); len(rdb.idle) > maxIdleConns {
-		t.Errorf("%d idle connections, want at most %d", len(rdb.idle), maxIdleConns)
-	}
-	rdb.mu.Unlock()
+	waitUntil(t, "the connections beyond the idle pool to close", func() bool {
+		open, _ := strconv.Atoi(metric(srv, "talignd_frame_conns_open"))
+		return open <= maxIdleConns
+	})
 }
 
 // TestRemoteDrain: BeginDrain closes the idle connections, and the next
