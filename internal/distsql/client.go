@@ -23,12 +23,14 @@ const (
 	// consumed, stage/unstage are last-write-wins registrations — so a
 	// retry can at worst repeat work, never duplicate an effect.
 	fragmentRetries = 2
-	// fragmentTimeout bounds a fragment's request frames and its first
-	// answer frame; a streamed answer is then bounded by its context only.
+	// fragmentTimeout bounds the wait for a fragment's first answer frame
+	// once its request frames are written; the writing (a staged shard) and
+	// a streamed answer are then bounded by the context only.
 	fragmentTimeout = 60 * time.Second
 	// idlePerWorker is how many frame connections to each worker are kept
-	// between fragments.
-	idlePerWorker = 8
+	// between fragments; concurrent fragments beyond it dial and upgrade
+	// connections of their own.
+	idlePerWorker = 16
 	// streamDepth is how many batches a worker stream may run ahead of the
 	// merge, which drains the workers in order.
 	streamDepth = 4

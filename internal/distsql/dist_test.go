@@ -28,6 +28,7 @@ import (
 	"talign/internal/server"
 	"talign/internal/sqlish"
 	"talign/internal/value"
+	"talign/internal/wire"
 )
 
 // cluster is an in-process distributed deployment: n worker servers
@@ -448,6 +449,23 @@ func TestWorkerUnreachable(t *testing.T) {
 	waitFor(t, 5*time.Second, "coordinator gate to drain", func() bool {
 		return cl.csrv.GateStats().InUse == 0
 	})
+}
+
+// TestUpgradeCancelled: a fragment cancelled while its connection waits
+// for a worker's answer to the upgrade fails with the cancellation at
+// once, not after the upgrade timeout — so closing a fan-out early, which
+// waits for every worker stream, is not held up by a dial.
+func TestUpgradeCancelled(t *testing.T) {
+	hung := startNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-r.Context().Done() }))
+	p := wire.NewPool(hung.URL)
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := p.RoundTrip(ctx, time.Minute, wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT a FROM r"})
+	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > 5*time.Second {
+		t.Fatalf("a fragment cancelled during the upgrade: %v after %v; want the cancellation at once", err, took)
+	}
 }
 
 // TestDispatchRetry proves a transient dispatch failure is retried with

@@ -5,16 +5,23 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
 	"testing"
+	"time"
 
+	"talign/internal/colbatch"
 	"talign/internal/dataset"
+	"talign/internal/interval"
 	"talign/internal/plan"
 	"talign/internal/raceflag"
 	"talign/internal/relation"
+	"talign/internal/schema"
 	"talign/internal/server"
+	"talign/internal/tuple"
+	"talign/internal/value"
 	"talign/internal/wire"
 )
 
@@ -50,6 +57,44 @@ func TestStagedShardsOwnTheirBuffers(t *testing.T) {
 	if n := metric(t, cl.wsrvs[0], "talignd_frame_conns_total"); n != 1 {
 		t.Fatalf("the worker upgraded %d frame connections, want the one", n)
 	}
+}
+
+// TestSlowStageWrite: the fragment deadline bounds the wait for a
+// worker's answer once the request is written, not the writing: a shard
+// larger than the socket buffers, which its worker starts reading only
+// after several times the deadline, still stages.
+func TestSlowStageWrite(t *testing.T) {
+	const limit = 250 * time.Millisecond
+	shard := colbatch.New(schema.MustNew(schema.Attr{Name: "a", Type: value.KindInt}))
+	row := tuple.Tuple{Vals: make([]value.Value, 1)}
+	for i := int64(0); i < 1<<19; i++ { // 12 MiB of frames
+		row.Vals[0], row.T = value.NewInt(i), interval.New(i, i+1)
+		shard.AppendTuple(row)
+	}
+	ack := encode(t, wire.Frame{Frame: wire.FrameStatus, RowCount: int64(shard.Len())})[0]
+	slow := startNode(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, rw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+wire.FrameProtocol+"\r\n\r\n")
+		time.Sleep(4 * limit)
+		dec := wire.NewDecoder(rw.Reader)
+		for f, err := dec.Next(); err == nil; f, err = dec.Next() {
+			if f.Frame == wire.FrameStatus {
+				conn.Write(ack)
+			}
+		}
+	}))
+	p := wire.NewPool(slow.URL)
+	defer p.Close()
+	conn, f, err := p.RoundTrip(context.Background(), limit, stageFrames("c", shard)...)
+	if err != nil || f.Frame != wire.FrameStatus || f.RowCount != int64(shard.Len()) {
+		t.Fatalf("staging a shard the worker reads late: %+v, %v", f, err)
+	}
+	conn.Close()
 }
 
 // TestStageAllocPin: a worker that is staged a shard keeps the decoded

@@ -50,12 +50,13 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 	}
 	// The connection's one reader hands frames over, reading one ahead; its
 	// read failing — the client hung up — cancels ctx and with it a running
-	// plan. A staged relation keeps its rows frames, so between a stage
-	// frame and the status frame ending its relation every frame gets its
-	// own buffer instead of the reused one.
+	// plan. A worker's staged relation keeps its rows frames, so on a
+	// worker, between a stage frame and the status frame ending its
+	// relation, every frame gets its own buffer instead of the reused one.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	reqs := make(chan wire.Frame)
+	worker := s.fragments.Load()
 	go func() {
 		defer close(reqs)
 		defer cancel()
@@ -67,10 +68,10 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			switch f.Frame {
-			case wire.FrameStage:
+			switch {
+			case f.Frame == wire.FrameStage && worker:
 				dec.ReuseBuffers(nil)
-			case wire.FrameStatus, wire.FrameError:
+			case f.Frame == wire.FrameStatus || f.Frame == wire.FrameError:
 				dec.ReuseBuffers(ring)
 			}
 			select {
@@ -91,7 +92,7 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 				fw.Write(wire.Frame{Frame: wire.FrameError, Error: wire.FromError(errDraining(), sqlish.ErrUnavailable)})
 				return
 			}
-			s.answerFrame(ctx, fw, req, reqs)
+			s.answerFrame(ctx, fw, req, reqs, worker)
 		case <-s.drained:
 			return
 		}
@@ -101,14 +102,14 @@ func (s *Server) handleFrames(w http.ResponseWriter, r *http.Request) {
 // answerFrame runs one request and writes its answer: the frame stream
 // /query/stream would send, a prepared frame, or — for a worker's stage,
 // unstage and analyze frames — a status frame carrying a row count. A
-// stage frame's relation is read off more, whatever the answer.
-func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Frame, more <-chan wire.Frame) {
+// stage frame's relation is read off more, whatever the answer; a server
+// that is no worker skips it.
+func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Frame, more <-chan wire.Frame, worker bool) {
 	var shard *colbatch.Batch
 	var err error
 	if req.Frame == wire.FrameStage {
-		shard, err = readShard(more)
+		shard, err = readShard(more, worker)
 	}
-	worker := s.fragments.Load()
 	if err == nil && worker {
 		err = faultinject.Hit("distsql.fragment")
 	}
@@ -165,25 +166,28 @@ func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Fram
 // refused or malformed relation leaves the connection at the next
 // request. The first rows frame types the columns (a stage always sends
 // one, even for an empty relation), and a relation that fits one frame is
-// that frame's batch, uncopied.
-func readShard(frames <-chan wire.Frame) (*colbatch.Batch, error) {
+// that frame's batch, uncopied. Unless keep, the rows frames are dropped
+// as they arrive and the batch is nil.
+func readShard(frames <-chan wire.Frame, keep bool) (*colbatch.Batch, error) {
 	var parts []*colbatch.Batch
 	var err error
-	ncols := -1
+	ncols, nframes := -1, 0
 	for f := range frames {
 		switch {
 		case err != nil:
 		case f.Frame == wire.FrameSchema && ncols < 0 && len(f.Columns) >= 2:
 			ncols = len(f.Columns) - 2 // the schema frame also lists ts and te
 		case f.Frame == wire.FrameRows && len(f.Batch.Cols) == ncols:
-			parts = append(parts, f.Batch)
-		case f.Frame != wire.FrameStatus || len(parts) == 0:
+			if nframes++; keep {
+				parts = append(parts, f.Batch)
+			}
+		case f.Frame != wire.FrameStatus || nframes == 0:
 			err = fmt.Errorf("server: stage: unexpected %q frame", f.Frame)
 		}
 		if f.Frame != wire.FrameStatus && f.Frame != wire.FrameError {
 			continue
 		}
-		if err != nil {
+		if err != nil || !keep {
 			return nil, err
 		}
 		img := parts[0]

@@ -18,6 +18,7 @@ import (
 
 	"talign/internal/exec"
 	"talign/internal/plan"
+	"talign/internal/raceflag"
 	"talign/internal/relation"
 	"talign/internal/value"
 	"talign/internal/wire"
@@ -476,12 +477,12 @@ func TestFrameConnLifecycle(t *testing.T) {
 // TestWorkerFramesRefused: a server that is no coordinator's worker — a
 // plain talignd or a coordinator — answers a stage, unstage or analyze
 // frame with a "request" error, a stage frame's relation read and
-// dropped, and the connection goes on serving queries.
+// dropped as it arrives, and the connection goes on serving queries.
 func TestWorkerFramesRefused(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	_, fw, dec := dialFrames(t, ts)
+	conn, fw, dec := dialFrames(t, ts)
 	shard := relation.NewBuilder("v int").Row(0, 5, int64(1)).Row(3, 9, int64(2)).MustBuild().Columnar()
 	for _, req := range [][]wire.Frame{
 		{{Frame: wire.FrameStage, Table: "c"}, {Frame: wire.FrameSchema, Columns: []string{"v", "ts", "te"}, Types: []string{"int", "int", "int"}},
@@ -511,5 +512,37 @@ func TestWorkerFramesRefused(t *testing.T) {
 	}
 	if err != nil || f.Frame != wire.FrameStatus || f.RowCount != 4 {
 		t.Fatalf("the query after the refusals: %+v, %v; want 4 rows", f, err)
+	}
+
+	// A refused stage of many rows frames is read through the connection's
+	// one reused buffer: its frames do not pile up until the status frame.
+	b := relation.NewBuilder("v int")
+	for i := int64(0); i < 4096; i++ {
+		b.Row(i, i+1, i)
+	}
+	big := b.MustBuild().Columnar()
+	const nframes = 32
+	var body bytes.Buffer
+	bw := wire.NewWriter(&body, wire.MediaBatch)
+	bw.Write(wire.Frame{Frame: wire.FrameStage, Table: "c"})
+	bw.Write(wire.Frame{Frame: wire.FrameSchema, Columns: []string{"v", "ts", "te"}, Types: []string{"int", "int", "int"}})
+	for i := 0; i < nframes; i++ {
+		bw.Write(wire.Frame{Frame: wire.FrameRows, Batch: big})
+	}
+	bw.Write(wire.Frame{Frame: wire.FrameStatus, RowCount: nframes * int64(big.Len())})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	f, err = dec.Next()
+	runtime.ReadMemStats(&after)
+	if err != nil || f.Frame != wire.FrameError || f.Error.Code != "request" {
+		t.Fatalf("a stage of %d rows frames: %+v, %v; want a request error", nframes, f, err)
+	}
+	grown := after.TotalAlloc - before.TotalAlloc
+	t.Logf("refusing a stage of %d frame bytes allocated %d bytes", body.Len(), grown)
+	if grown > uint64(body.Len()/4) && !raceflag.Enabled {
+		t.Errorf("refusing a stage of %d frame bytes allocated %d bytes, want at most a quarter of them", body.Len(), grown)
 	}
 }

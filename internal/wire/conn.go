@@ -141,8 +141,8 @@ func (p *Pool) Connect(ctx context.Context) error {
 }
 
 // dial opens a frame connection: TCP (TLS to an https:// server) and the
-// upgrade. unreachable reports a failure worth retrying: no connection,
-// or a 503.
+// upgrade, which ctx's cancellation cuts short as it does an exchange.
+// unreachable reports a failure worth retrying: no connection, or a 503.
 func (p *Pool) dial(ctx context.Context) (c *Conn, unreachable bool, err error) {
 	if p.err != nil {
 		return nil, false, p.err
@@ -163,12 +163,16 @@ func (p *Pool) dial(ctx context.Context) (c *Conn, unreachable bool, err error) 
 	}
 	br := bufio.NewReader(nc)
 	nc.SetDeadline(time.Now().Add(upgradeTimeout))
+	cancelled := func() { nc.SetDeadline(time.Unix(1, 0)) }
+	stop := context.AfterFunc(ctx, cancelled)
 	var resp *http.Response
 	_, err = fmt.Fprintf(nc, "GET /frames HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", p.addr, FrameProtocol)
 	if err == nil {
 		resp, err = http.ReadResponse(br, nil)
 	}
 	switch {
+	case !stop():
+		unreachable, err = false, ctx.Err()
 	case err != nil:
 		unreachable = true
 	case resp.StatusCode == http.StatusNotFound:
@@ -187,8 +191,8 @@ func (p *Pool) dial(ctx context.Context) (c *Conn, unreachable bool, err error) 
 		nc.Close()
 		return nil, unreachable, err
 	}
-	c = &Conn{pool: p, nc: nc, io: counted{r: br, w: nc, read: &p.Read, written: &p.Written}}
-	c.cancelled = func() { nc.SetDeadline(time.Unix(1, 0)) }
+	nc.SetDeadline(time.Time{})
+	c = &Conn{pool: p, nc: nc, io: counted{r: br, w: nc, read: &p.Read, written: &p.Written}, cancelled: cancelled}
 	c.fw, c.dec = NewWriter(&c.io, MediaBatch), NewDecoder(&c.io)
 	if p.Ring > 0 {
 		c.dec.ReuseBuffers(make([][]byte, p.Ring))
@@ -198,8 +202,9 @@ func (p *Pool) dial(ctx context.Context) (c *Conn, unreachable bool, err error) 
 
 // RoundTrip runs one exchange: it writes reqs — a request frame and any
 // frames that follow it — on the most recently used idle connection, or
-// a new one, with ctx's cancellation and a deadline limit from now armed
-// on it, and returns the connection and the first answer frame, retrying
+// a new one, with ctx's cancellation armed on it, and returns the
+// connection and the first answer frame, which must arrive within limit
+// of the last request frame being written, retrying
 // as Pool describes. The caller reads the rest of the answer with Next
 // or NextBatch and ends the exchange with Close.
 func (p *Pool) RoundTrip(ctx context.Context, limit time.Duration, reqs ...Frame) (*Conn, Frame, error) {
@@ -297,13 +302,13 @@ func (c *counted) Write(p []byte) (int, error) {
 // errTruncated reports an answer that ended before its terminal frame.
 var errTruncated = errors.New("talign: stream truncated before status frame")
 
-// send starts an exchange: it arms the deadline and the cancellation,
-// writes the request frames and reads the first answer frame. stale
-// reports the connection failing before the answer began, as one that
-// died idle does.
+// send starts an exchange: it arms the cancellation, writes the request
+// frames — which may take as long as the server takes to read them, a
+// staged shard's included — then arms the deadline limit from now on the
+// first answer frame and reads it. stale reports the connection failing
+// before the answer began, as one that died idle does.
 func (c *Conn) send(ctx context.Context, limit time.Duration, reqs []Frame) (f Frame, stale bool, err error) {
 	c.ctx, c.done = ctx, false
-	c.nc.SetDeadline(time.Now().Add(limit))
 	if ctx.Done() != nil {
 		c.stop = context.AfterFunc(ctx, c.cancelled)
 	}
@@ -313,6 +318,7 @@ func (c *Conn) send(ctx context.Context, limit time.Duration, reqs []Frame) (f F
 	if err != nil {
 		err = c.classify(err)
 	} else {
+		c.readBy(time.Now().Add(limit))
 		f, err = c.Next()
 	}
 	return f, err != nil && (err == errTruncated || errors.As(err, new(*net.OpError))), err
@@ -336,10 +342,13 @@ func (c *Conn) Next() (Frame, error) {
 
 // NoDeadline lifts the exchange's deadline once its answer has begun:
 // rows may take minutes to arrive, and then only the context bounds them.
-func (c *Conn) NoDeadline() {
-	c.nc.SetDeadline(time.Time{})
-	if c.stop != nil && c.ctx.Err() != nil {
-		c.cancelled() // a cancellation the reset overwrote
+func (c *Conn) NoDeadline() { c.readBy(time.Time{}) }
+
+// readBy sets the answer's read deadline (zero: none), re-applying a
+// cancellation the new deadline overwrote.
+func (c *Conn) readBy(t time.Time) {
+	if c.nc.SetReadDeadline(t); c.stop != nil && c.ctx.Err() != nil {
+		c.cancelled()
 	}
 }
 
