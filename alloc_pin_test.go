@@ -99,7 +99,11 @@ func drainCount(t *testing.T, db *DB, name, sql string) int {
 // embedded workload's operator shapes, plus the plain scan); what remains
 // per execution is operator state and per-batch buffers. Before, every
 // batch was copied into a value arena at the client: 192 B per 4-column
-// row (scan_a read 197.5 B/row, align_ssn 291, filtered_join 276).
+// row (scan_a read 197.5 B/row, align_ssn 291, filtered_join 276). The
+// group sides of align_ssn, normalize_ssn and temporal_agg are projected
+// scans whose image the fused operator reads in place; while it was
+// copied, and NORMALIZE built a split-point union, they read 98, 314 and
+// 577 B/row.
 func TestEmbeddedAllocsPerRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates 8 000-row relations")
@@ -114,12 +118,13 @@ func TestEmbeddedAllocsPerRow(t *testing.T) {
 		maxBytes  float64 // per row; 0 = not pinned
 	}{
 		{"scan_a", "SELECT ssn, pcn, Ts, Te FROM a", 16},
-		{"align_ssn", "SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x", 124}, // 1.25 × the 99 it reads
+		{"align_ssn", "SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn) x", 68},    // 1.25 × the 54 it reads
+		{"normalize_ssn", "SELECT ssn, pcn, Ts, Te FROM (a NORMALIZE b USING (ssn)) x", 85}, // 1.25 × 68
 		{"outer_join", "SELECT ABSORB rid, rgrp, a, lo, x.Ts, x.Te " +
 			"FROM (dr ALIGN ds ON dr.rgrp = ds.lo) x " +
 			"LEFT OUTER JOIN (ds ALIGN dr ON dr.rgrp = ds.lo) y " +
 			"ON x.rgrp = y.lo AND x.Ts = y.Ts AND x.Te = y.Te", 0},
-		{"temporal_agg", "SELECT pcn, COUNT(*) c, Ts, Te FROM (a a1 NORMALIZE a a2 USING (pcn)) x GROUP BY pcn, Ts, Te", 0},
+		{"temporal_agg", "SELECT pcn, COUNT(*) c, Ts, Te FROM (a a1 NORMALIZE a a2 USING (pcn)) x GROUP BY pcn, Ts, Te", 460},                       // 1.25 × 365
 		{"filtered_join", fmt.Sprintf("SELECT a.ssn s1, b.pcn p2 FROM a JOIN b ON a.ssn = b.ssn WHERE b.pcn <= %d AND a.pcn >= 0", maxSSN/10), 104}, // 1.25 × 83
 	}
 	for _, st := range stmts {
@@ -139,6 +144,51 @@ func TestEmbeddedAllocsPerRow(t *testing.T) {
 		if st.maxBytes > 0 && bytes > st.maxBytes*float64(rows) && !raceflag.Enabled {
 			t.Errorf("%s: %.1f B per row, want at most %.0f", st.name, bytes/float64(rows), st.maxBytes)
 		}
+	}
+}
+
+// TestBatchBornAlignBytesPerRow pins the segment workload's time_align
+// shape: the top decile of a aligned with all of a 64 000-row b that
+// arrived as batches. b's image reaches the fused operator through a
+// projection and a guard, and is read where it lies; copying it every
+// execution read 1 242 B per result row.
+func TestBatchBornAlignBytesPerRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates 64 000-row relations")
+	}
+	const n = 64000
+	db, err := Open("talign://mem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	a := dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: 1})
+	b := dataset.Incumben(dataset.IncumbenConfig{Rows: n, Seed: 2})
+	for name, rel := range map[string]*relation.Relation{"a": a, "b": b} {
+		if err := db.Register(name, relation.FromColumnar(rel.Columnar())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Analyze(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	minTS, maxTS := a.Tuples[0].T.Ts, a.Tuples[0].T.Ts
+	for _, tup := range a.Tuples {
+		minTS, maxTS = min(minTS, tup.T.Ts), max(maxTS, tup.T.Ts)
+	}
+	sql := fmt.Sprintf("SELECT ssn, Ts, Te FROM ((SELECT ssn, pcn FROM a WHERE Ts >= %d) q ALIGN b ON q.ssn = b.ssn) x", minTS+9*(maxTS-minTS)/10)
+	rows := 0
+	drain := func() { rows = drainCount(t, db, "time_align", sql) }
+	drain() // plan cache, pipeline
+	runtime.GC()
+	bytes := bytesPerRun(3, drain) / float64(rows)
+	t.Logf("time_align: %d rows, %.1f B/row", rows, bytes)
+	if rows < 1000 {
+		t.Fatalf("%d rows is not a meaningful result", rows)
+	}
+	const maxBytes = 800 // 1.25 × the 636 it reads
+	if bytes > maxBytes && !raceflag.Enabled {
+		t.Errorf("time_align: %.1f B per row, want at most %d", bytes, maxBytes)
 	}
 }
 

@@ -158,8 +158,10 @@ func (a *Algebra) Align(r, s *relation.Relation, theta expr.Expr) (*relation.Rel
 // ---------------------------------------------------- primitive: splitter
 
 // NormalizePlan builds the plan for N_B(r; s) (Def. 9): r is grouped with
-// the union of s's start and end points π_{B,Ts}(s) ∪ π_{B,Te}(s)
-// (Sec. 6.3) and swept with isalign = false by the fused operator.
+// s on B and swept with isalign = false by the fused operator. The paper
+// joins r with the split points π_{B,Ts}(s) ∪ π_{B,Te}(s) (Sec. 6.3); the
+// fused operator reads each group row's Ts and Te in place instead, and
+// its sweep skips repeated points, so that union is never built.
 //
 // cols are the positions of the grouping attributes B, applied
 // positionally to both r and s (for the set operations they are all of
@@ -172,54 +174,27 @@ func (a *Algebra) NormalizePlan(r, s plan.Node, cols []int) plan.Node {
 // NormalizePlan2 is NormalizePlan with independent column positions for the
 // grouping attributes in r (rCols) and s (sCols).
 func (a *Algebra) NormalizePlan2(r, s plan.Node, rCols, sCols []int) plan.Node {
-	points := a.splitPointsPlan(s, sCols)
-	serial := a.normalizeFragment(r, points, rCols)
+	keys := make([]expr.EquiPair, len(rCols))
+	for i, c := range rCols {
+		at := r.Schema().Attrs[c]
+		keys[i] = expr.EquiPair{
+			Left:  expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name},
+			Right: expr.ColIdx{Idx: sCols[i], Typ: at.Type, Name: s.Schema().Attrs[sCols[i]].Name},
+		}
+	}
+	serial := a.p.FusedNormalize(r, s, keys)
 	attempt, force := a.p.ShouldParallelize(r.Rows())
 	if !attempt {
 		return serial
 	}
 	// Parallel normalization: like alignment, the splitter sweep is
 	// independent per r tuple; partition r by the whole tuple and broadcast
-	// the (much smaller) split-point relation to every fragment.
-	shared := a.p.Shared(points)
+	// s to every fragment.
+	shared := a.p.Shared(s)
 	ex, err := a.p.Exchange([]plan.Node{r}, [][]expr.Expr{nil}, func(parts []plan.Node) (plan.Node, error) {
-		return a.normalizeFragment(parts[0], shared, rCols), nil
+		return a.p.FusedNormalize(parts[0], shared, keys), nil
 	})
 	return plan.PickParallel(serial, ex, err, force)
-}
-
-// splitPointsPlan builds π_{B,Ts}(s) ∪ π_{B,Te}(s): the candidate split
-// points with their grouping attributes.
-func (a *Algebra) splitPointsPlan(s plan.Node, sCols []int) plan.Node {
-	splitPoints := func(point expr.Expr) plan.Node {
-		names := make([]string, 0, len(sCols)+1)
-		exprs := make([]expr.Expr, 0, len(sCols)+1)
-		for _, c := range sCols {
-			at := s.Schema().Attrs[c]
-			names = append(names, at.Name)
-			exprs = append(exprs, expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name})
-		}
-		names = append(names, "__p")
-		exprs = append(exprs, point)
-		// Split points are nontemporal values.
-		return a.p.ProjectMode(s, names, exprs, exec.TZero, nil)
-	}
-	return a.p.SetOp(splitPoints(expr.TStart{}), splitPoints(expr.TEnd{}), exec.UnionOp)
-}
-
-// normalizeFragment groups r with the split-point relation and sweeps; in
-// a parallel plan it runs once per partition of r. cols are B's positions
-// in r; the split-point relation carries B first and __p last.
-func (a *Algebra) normalizeFragment(r, points plan.Node, cols []int) plan.Node {
-	keys := make([]expr.EquiPair, 0, len(cols))
-	for i, c := range cols {
-		at := r.Schema().Attrs[c]
-		keys = append(keys, expr.EquiPair{
-			Left:  expr.ColIdx{Idx: c, Typ: at.Type, Name: at.Name},
-			Right: expr.ColIdx{Idx: i, Typ: at.Type, Name: points.Schema().Attrs[i].Name},
-		})
-	}
-	return a.p.FusedNormalize(r, points, keys, len(cols))
 }
 
 // Normalize evaluates N_B(r; s) with B given by attribute names of r,

@@ -26,8 +26,8 @@
 // what one that ran over two holds, a few hundred bytes an operator.
 // (Keeping a whole default batch cost a workload of 8 000-row statements
 // 15 % of its peak RSS.) Buffers grow by the same rungs (nextRung), so a
-// point query's settle at keptRows and stay. A store borrowed from a bare
-// ColScan (the relation's image) is dropped at every Close.
+// point query's settle at keptRows and stay. A borrowed image (see
+// imager) is dropped at every Close.
 //
 // # Batch ownership
 //
@@ -107,10 +107,30 @@ func (s *ColScan) NextCol() (*colbatch.Batch, error) {
 	return &s.view, nil
 }
 
+// image implements imager: the relation's image, acquired at Open.
+func (s *ColScan) image() (*colbatch.Batch, error) { return s.img, nil }
+
 // Close implements ColIterator.
 func (s *ColScan) Close() error {
 	s.img = nil
 	return nil
+}
+
+// imager is implemented by an operator whose whole output, once opened,
+// can be a view of an immutable image: the relation's own (ColScan), a
+// header over it (ColProject), or that through a guard (ColGuard). image
+// returns nil when this opening cannot offer one; a consumer that takes
+// the image reads it in place of NextCol, read-only, and never after Close.
+type imager interface {
+	image() (*colbatch.Batch, error)
+}
+
+// imageOf returns the image an opened operator offers, or nil.
+func imageOf(in ColIterator) (*colbatch.Batch, error) {
+	if im, ok := in.(imager); ok {
+		return im.image()
+	}
+	return nil, nil
 }
 
 // Materialize is the single columnar→row conversion step, at the boundary
@@ -161,20 +181,22 @@ func Collect(it ColIterator) (*relation.Relation, error) {
 }
 
 // CollectColumnar drains it into a batch-born relation — no tuple is built —
-// handling Open/Close. A bare scan's relation is the answer as it stands.
+// handling Open/Close. A borrowed image is not copied, but gets a header of
+// its own: the relation outlives the operator whose header it was.
 func CollectColumnar(it ColIterator) (*relation.Relation, error) {
-	if cs, ok := it.(*ColScan); ok {
-		return cs.Rel, nil
-	}
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
-	img, err := drainColumnar(it, 0, new(colbatch.Batch))
+	own := new(colbatch.Batch)
+	img, err := drainColumnar(it, 0, own)
 	if err != nil {
 		return nil, err
 	}
-	return relation.FromColumnar(img), nil
+	if img != own {
+		img.SliceInto(own, 0, img.Len())
+	}
+	return relation.FromColumnar(own), nil
 }
 
 // ApplyColBatch sets the batch size on an operator when it is configurable.
@@ -196,15 +218,14 @@ const maxSizeHint = 1 << 16
 func clampHint(est int) int { return min(max(est, 0), maxSizeHint) }
 
 // drainColumnar materializes an opened columnar stream as one batch. A
-// bare columnar scan hands over the relation's cached image (populated by
-// its Open) instead of a copy: the result is only ever read, so sharing is
-// safe, and it skips one full-relation copy per execution. Anything else
-// is copied column-wise into store, the caller's own (emptied here, and
-// presized from est, the planner's row estimate for the stream; 0 =
-// unknown).
+// stream that offers an image (imager) hands it over instead of a copy:
+// the result is only ever read, so sharing is safe, and it skips one
+// full-input copy per execution. Anything else is copied column-wise into
+// store, the caller's own (emptied here, and presized from est, the
+// planner's row estimate for the stream; 0 = unknown).
 func drainColumnar(in ColIterator, est int, store *colbatch.Batch) (*colbatch.Batch, error) {
-	if cs, ok := in.(*ColScan); ok {
-		return cs.img, nil
+	if img, err := imageOf(in); img != nil || err != nil {
+		return img, err
 	}
 	store.ResetSchema(in.Schema())
 	if est = clampHint(est); est > store.Cap() {

@@ -24,10 +24,10 @@ type ColAbsorb struct {
 	batching
 	Input ColIterator
 	// SizeHint is the planner's estimate of the input's rows; it presizes
-	// the store when the input is not a bare scan.
+	// the store when the input offers no image.
 	SizeHint int
 
-	store *colbatch.Batch // own, or a bare scan's image
+	store *colbatch.Batch // own, or a borrowed image
 	own   colbatch.Batch
 	table *keyTable // value key → value group
 	gids  []int32   // per store row: its value group

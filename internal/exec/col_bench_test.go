@@ -57,7 +57,7 @@ func BenchmarkColFusedAdjust(b *testing.B) {
 	left.Columnar()
 	right.Columnar()
 	k := expr.ColIdx{Idx: 0, Typ: value.KindInt, Name: "k"}
-	f, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, GroupHash, []expr.EquiPair{{Left: k, Right: k}}, nil, -1)
+	f, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, GroupHash, []expr.EquiPair{{Left: k, Right: k}}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 // immediately — concatenated join rows are never materialized.
 //
 //	align:     span = [max(l.Ts, r.Ts), min(l.Te, r.Te))   (overlaps only)
-//	normalize: span = [p, p] for the split point p = right[PCol],
+//	normalize: span = [p, p] for each of the group row's own Ts and Te,
 //	           kept only when strictly inside l's interval
 //
 // Equi keys match through order-preserving byte encodings (ω keys never
@@ -93,8 +93,8 @@ func (g GroupStrategy) String() string {
 	return [...]string{"hash join", "merge join", "nestloop join", "interval-index join"}[g]
 }
 
-// span is one (P1, P2) pair fed into the sweep; for normalization only P1
-// (the split point) is meaningful.
+// span is one (P1, P2) pair fed into the sweep; for normalization P1 = P2
+// is the split point.
 type span struct{ p1, p2 int64 }
 
 // ColFusedAdjust adjusts left tuples against their group on the right.
@@ -109,19 +109,16 @@ type ColFusedAdjust struct {
 	// Residual is the rest of θ, bound against Concat(left, right); nil
 	// when θ was fully extracted into Keys.
 	Residual expr.Expr
-	// PCol is the group-side column holding the split point (normalize
-	// only; -1 for the align modes).
-	PCol int
 	// SizeHint is the planner's estimate of the group side's rows; it
-	// presizes the store when the group side is not a bare scan.
+	// presizes the store when the group side offers no image.
 	SizeHint int
 
 	out      schema.Schema
 	lenc     rowExprs        // left equi keys
 	renc     rowExprs        // group-side equi keys
-	store    *colbatch.Batch // accumulated group side: own, or a bare scan's image
+	store    *colbatch.Batch // accumulated group side: own, or a borrowed image
 	own      colbatch.Batch
-	lown     colbatch.Batch // merge: the left side, unless a bare scan's image
+	lown     colbatch.Batch // merge: the left side, unless a borrowed image
 	rkeys    [][]byte       // merge, nested loop: encoded group-side equi keys (nil: unmatchable ω key)
 	arena    []byte
 	keyBuf   []byte
@@ -146,24 +143,11 @@ type ColFusedAdjust struct {
 	maxDur   int64    // interval: longest group-side interval
 }
 
-// NewColFusedAdjust builds the operator. For the align modes pass
-// pCol < 0; for normalize, pCol must address an int-typed group-side
-// column and the interval strategy is rejected (split points are
-// nontemporal).
-func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy, keys []expr.EquiPair, residual expr.Expr, pCol int) (*ColFusedAdjust, error) {
-	if mode == ModeNormalize {
-		rs := r.Schema()
-		if pCol < 0 || pCol >= rs.Len() {
-			return nil, fmt.Errorf("exec: fused normalize split column %d out of range for %s", pCol, rs)
-		}
-		if at := rs.Attrs[pCol]; at.Type != value.KindInt {
-			return nil, fmt.Errorf("exec: fused normalize split column %q has kind %s, want int", at.Name, at.Type)
-		}
-		if strategy == GroupInterval {
-			return nil, fmt.Errorf("exec: fused normalize cannot use the interval-index strategy")
-		}
-	} else {
-		pCol = -1
+// NewColFusedAdjust builds the operator; normalize rejects the interval
+// strategy.
+func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy, keys []expr.EquiPair, residual expr.Expr) (*ColFusedAdjust, error) {
+	if mode == ModeNormalize && strategy == GroupInterval {
+		return nil, fmt.Errorf("exec: fused normalize cannot use the interval-index strategy")
 	}
 	if strategy == GroupInterval && len(keys) > 0 {
 		return nil, fmt.Errorf("exec: interval-index strategy requires a keyless θ")
@@ -174,7 +158,7 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy
 	f := &ColFusedAdjust{
 		Left: l, Right: r,
 		Mode: mode, Strategy: strategy,
-		Keys: keys, Residual: residual, PCol: pCol,
+		Keys: keys, Residual: residual,
 		out: l.Schema(),
 	}
 	lk, rk := equiSides(keys)
@@ -363,11 +347,11 @@ func (f *ColFusedAdjust) gather(row int) error {
 		}
 	case GroupNestLoop:
 		// The only strategy that visits every pair: test overlap inline so
-		// the call is paid for real group members only.
+		// the call is paid for real group members only (a group row that
+		// does not overlap has no endpoint strictly inside either).
 		ts, te := f.store.TS, f.store.TE
-		align := f.Mode != ModeNormalize
 		for j, n := 0, f.store.Len(); j < n; j++ {
-			if align && (ts[j] >= lte || te[j] <= lts) {
+			if ts[j] >= lte || te[j] <= lts {
 				continue
 			}
 			if lk != nil && !bytes.Equal(f.rkeys[j], lk) {
@@ -393,43 +377,32 @@ func (f *ColFusedAdjust) gather(row int) error {
 }
 
 // addCandidate reduces one (current left row, store row j) pair whose
-// equi keys already matched to a span, applying the native temporal
-// predicate and then the residual.
+// equi keys already matched to spans, applying the native temporal
+// predicate and then the residual: align keeps a non-empty intersection,
+// normalize each of the group row's endpoints strictly inside the left
+// row's interval (the sweep skips repeated points).
 func (f *ColFusedAdjust) addCandidate(j int, lts, lte int64) error {
-	var p1, p2 int64
+	n := len(f.spans)
+	ts, te := f.store.TS[j], f.store.TE[j]
 	if f.Mode == ModeNormalize {
-		pv := &f.store.Cols[f.PCol]
-		if pv.IsNull(j) {
-			return nil
+		for _, p := range [2]int64{ts, te} {
+			if lts < p && p < lte {
+				f.spans = append(f.spans, span{p1: p, p2: p})
+			}
 		}
-		p := pv.Int(j)
-		if p <= lts || p >= lte {
-			return nil // only points strictly inside split
-		}
-		p1, p2 = p, p
-	} else {
-		// Align modes: overlap means a non-empty intersection.
-		p1, p2 = lts, lte
-		if ts := f.store.TS[j]; ts > p1 {
-			p1 = ts
-		}
-		if te := f.store.TE[j]; te < p2 {
-			p2 = te
-		}
-		if p1 >= p2 {
-			return nil
-		}
+	} else if p1, p2 := max(ts, lts), min(te, lte); p1 < p2 {
+		f.spans = append(f.spans, span{p1: p1, p2: p2})
 	}
-	if f.Residual != nil {
-		f.concat = boxRow(f.concat[:len(f.lb.Cols)], f.store, j)
-		f.env = expr.Env{Vals: f.concat, T: interval.Interval{Ts: lts, Te: lte}}
-		ok, err := expr.EvalBool(f.Residual, &f.env)
-		if err != nil || !ok {
-			return err
-		}
+	if f.Residual == nil || len(f.spans) == n {
+		return nil
 	}
-	f.spans = append(f.spans, span{p1: p1, p2: p2})
-	return nil
+	f.concat = boxRow(f.concat[:len(f.lb.Cols)], f.store, j)
+	f.env = expr.Env{Vals: f.concat, T: interval.Interval{Ts: lts, Te: lte}}
+	ok, err := expr.EvalBool(f.Residual, &f.env)
+	if err != nil || !ok {
+		f.spans = f.spans[:n]
+	}
+	return err
 }
 
 // sweep is the Fig. 10 plane sweep over the gathered spans of one left

@@ -25,9 +25,9 @@ func fusedInput(rel *relation.Relation, bridged bool) ColIterator {
 	return sc
 }
 
-func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode AdjustMode, strat GroupStrategy, keys []expr.EquiPair, residual expr.Expr, pCol int) []tuple.Tuple {
+func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode AdjustMode, strat GroupStrategy, keys []expr.EquiPair, residual expr.Expr) []tuple.Tuple {
 	t.Helper()
-	op, err := NewColFusedAdjust(fusedInput(left, bridged), fusedInput(right, bridged), mode, strat, keys, residual, pCol)
+	op, err := NewColFusedAdjust(fusedInput(left, bridged), fusedInput(right, bridged), mode, strat, keys, residual)
 	if err != nil {
 		t.Fatalf("%v %v: %v", mode, strat, err)
 	}
@@ -53,8 +53,8 @@ func TestColFusedAdjustSweepCases(t *testing.T) {
 		}
 		return b.MustBuild()
 	}
-	// Group side: (x, p); p doubles as a distinguishing attribute for the
-	// align modes and is the split point for normalize.
+	// Group side: (x, p); p distinguishes otherwise equal group rows.
+	// Normalize splits at each group row's own Ts and Te.
 	rrel := func(rows ...[4]any) *relation.Relation {
 		b := relation.NewBuilder("x string", "p int")
 		for _, r := range rows {
@@ -96,11 +96,18 @@ func TestColFusedAdjustSweepCases(t *testing.T) {
 			ModeAlign, lrel([3]any{"a", 0, 4}, [3]any{"a", 6, 9}, [3]any{"b", 0, 2}),
 			rrel([4]any{"a", 1, 2, 1}, [4]any{"b", 0, 2, 2}), true,
 			lrel([3]any{"a", 0, 1}, [3]any{"a", 1, 2}, [3]any{"a", 2, 4}, [3]any{"a", 6, 9}, [3]any{"b", 0, 2})},
-		{"normalize: duplicate and out-of-range split points are ignored",
+		{"normalize: a group row splits at its own Ts and Te, points outside are ignored",
 			ModeNormalize, lrel([3]any{"r1", 0, 10}),
-			rrel([4]any{"r1", 0, 1, 3}, [4]any{"r1", 1, 2, 3}, [4]any{"r1", 0, 1, 7},
-				[4]any{"r1", 0, 1, 0}, [4]any{"r1", 0, 1, 10}, [4]any{"r1", 0, 1, 12}, [4]any{"r1", 0, 1, nil}), false,
-			lrel([3]any{"r1", 0, 3}, [3]any{"r1", 3, 7}, [3]any{"r1", 7, 10})},
+			rrel([4]any{"r1", 1, 4, 1}, [4]any{"r1", 4, 15, 2}, [4]any{"r1", 12, 20, 3}), false,
+			lrel([3]any{"r1", 0, 1}, [3]any{"r1", 1, 4}, [3]any{"r1", 4, 10})},
+		{"normalize: two group rows sharing an endpoint split there once",
+			ModeNormalize, lrel([3]any{"r1", 0, 10}),
+			rrel([4]any{"r1", 2, 5, 1}, [4]any{"r1", 5, 8, 2}, [4]any{"r1", 2, 8, 3}), false,
+			lrel([3]any{"r1", 0, 2}, [3]any{"r1", 2, 5}, [3]any{"r1", 5, 8}, [3]any{"r1", 8, 10})},
+		{"normalize: an endpoint equal to the left row's Ts or Te does not split",
+			ModeNormalize, lrel([3]any{"r1", 3, 9}),
+			rrel([4]any{"r1", 3, 9, 1}, [4]any{"r1", 0, 3, 2}, [4]any{"r1", 9, 12, 3}, [4]any{"r1", 3, 6, 4}), false,
+			lrel([3]any{"r1", 3, 6}, [3]any{"r1", 6, 9})},
 		{"normalize: no split points reproduce the input tuple",
 			ModeNormalize, lrel([3]any{"r1", 5, 8}), rrel(), false,
 			lrel([3]any{"r1", 5, 8})},
@@ -118,14 +125,10 @@ func TestColFusedAdjustSweepCases(t *testing.T) {
 				variants = append(variants, variant{GroupInterval, nil})
 			}
 		}
-		pCol := -1
-		if c.mode == ModeNormalize {
-			pCol = 1
-		}
 		for _, v := range variants {
 			for _, bridged := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, v.strat, len(v.keys), bridged), func(t *testing.T) {
-					got := runFused(t, c.left, c.right, bridged, c.mode, v.strat, v.keys, nil, pCol)
+					got := runFused(t, c.left, c.right, bridged, c.mode, v.strat, v.keys, nil)
 					assertSameRows(t, got, append([]tuple.Tuple(nil), c.want.Tuples...))
 				})
 			}
@@ -143,18 +146,14 @@ func TestColFusedAdjustConstructorErrors(t *testing.T) {
 		mode  AdjustMode
 		strat GroupStrategy
 		keys  []expr.EquiPair
-		pCol  int
 		want  string
 	}{
-		{"split column out of range", ModeNormalize, GroupNestLoop, nil, 2, "out of range"},
-		{"negative split column", ModeNormalize, GroupNestLoop, nil, -1, "out of range"},
-		{"non-int split column", ModeNormalize, GroupNestLoop, nil, 0, "want int"},
-		{"interval index in normalize mode", ModeNormalize, GroupInterval, nil, 1, "interval-index"},
-		{"interval index with equi keys", ModeAlign, GroupInterval, keys, -1, "keyless"},
-		{"hash without keys", ModeAlign, GroupHash, nil, -1, "requires equi keys"},
-		{"merge without keys", ModeGaps, GroupMerge, nil, -1, "requires equi keys"},
+		{"interval index in normalize mode", ModeNormalize, GroupInterval, nil, "interval-index"},
+		{"interval index with equi keys", ModeAlign, GroupInterval, keys, "keyless"},
+		{"hash without keys", ModeAlign, GroupHash, nil, "requires equi keys"},
+		{"merge without keys", ModeGaps, GroupMerge, nil, "requires equi keys"},
 	} {
-		_, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), c.mode, c.strat, c.keys, nil, c.pCol)
+		_, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), c.mode, c.strat, c.keys, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got error %v, want one mentioning %q", c.name, err, c.want)
 		}
@@ -165,9 +164,10 @@ func TestColFusedAdjustConstructorErrors(t *testing.T) {
 // configuration: per left tuple it enumerates every candidate interval
 // over the small time domain and keeps those Def. 11 (align: intersections
 // with matching group tuples and maximal uncovered gaps; gaps: the latter
-// only) or Def. 9 (normalize: maximal pieces with no split point strictly
-// inside) admits. match decides θ for a pair.
-func refAdjust(left, right *relation.Relation, mode AdjustMode, pCol int, match func(l, r tuple.Tuple) bool) []tuple.Tuple {
+// only) or Def. 9 (normalize: maximal pieces with no split point — a group
+// tuple's start or end — strictly inside) admits. match decides θ for a
+// pair.
+func refAdjust(left, right *relation.Relation, mode AdjustMode, match func(l, r tuple.Tuple) bool) []tuple.Tuple {
 	var out []tuple.Tuple
 	for _, l := range left.Tuples {
 		var group []tuple.Tuple
@@ -180,8 +180,10 @@ func refAdjust(left, right *relation.Relation, mode AdjustMode, pCol int, match 
 		admits := func(iv interval.Interval) bool {
 			for _, r := range group {
 				if mode == ModeNormalize {
-					if p := r.Vals[pCol]; !p.IsNull() && iv.Ts < p.Int() && p.Int() < iv.Te {
-						return false
+					for _, p := range []int64{r.T.Ts, r.T.Te} {
+						if iv.Ts < p && p < iv.Te {
+							return false
+						}
 					}
 				} else if r.T.Overlaps(iv) {
 					return false
@@ -247,22 +249,16 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	}
 	for trial := 0; trial < 6; trial++ {
 		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
-			// Normalize splits on column v, which must hold ints; the align
-			// modes get mixed int/float columns to exercise demotion.
-			mixed := mode != ModeNormalize
-			left := colTestRel(r, 40, mixed).Dedup()
-			right := colTestRel(r, 50, mixed)
-			pCol := -1
-			if mode == ModeNormalize {
-				pCol = 1
-			}
+			// Mixed int/float columns exercise demotion.
+			left := colTestRel(r, 40, true).Dedup()
+			right := colTestRel(r, 50, true)
 			for _, sh := range shapes {
-				want := refAdjust(left, right, mode, pCol, sh.match)
+				want := refAdjust(left, right, mode, sh.match)
 				for _, strat := range sh.strats {
 					if strat == GroupInterval && mode == ModeNormalize {
 						continue
 					}
-					got := runFused(t, left, right, trial%2 == 1, mode, strat, sh.keys, sh.residual, pCol)
+					got := runFused(t, left, right, trial%2 == 1, mode, strat, sh.keys, sh.residual)
 					t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, strat), func(t *testing.T) {
 						assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
 					})
@@ -284,7 +280,7 @@ func TestColFusedAdjustKeyEvalError(t *testing.T) {
 			{{Left: bad, Right: k0}},
 			{{Left: k0, Right: bad}},
 		} {
-			op, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), ModeAlign, strat, keys, nil, -1)
+			op, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), ModeAlign, strat, keys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

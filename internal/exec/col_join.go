@@ -67,12 +67,12 @@ type ColHashJoin struct {
 	// Merge selects the sort-merge method; it requires Keys.
 	Merge bool
 	// SizeHint is the planner's estimate of the right input's rows; it
-	// presizes the build store when the right input is not a bare scan.
+	// presizes the build store when the right input offers no image.
 	SizeHint int
 
 	out        schema.Schema
 	lenc, renc rowExprs
-	store      *colbatch.Batch // the build side: own, or a bare scan's image
+	store      *colbatch.Batch // the build side: own, or a borrowed image
 	own        colbatch.Batch
 	index      chainIndex
 	matched    []bool // right/full outer: store rows some left row matched
@@ -84,7 +84,7 @@ type ColHashJoin struct {
 	// batch and a store row, -1 for an ω-padded side.
 	lidx, ridx []int32
 
-	// Merge: the drained left side (unless a bare scan's image), both sides'
+	// Merge: the drained left side (unless a borrowed image), both sides'
 	// rows in key order with their keys alongside (ω-keyed right rows
 	// dropped), and the first right row whose key is not below the probe's.
 	lown         colbatch.Batch

@@ -10,7 +10,6 @@ package exec
 import (
 	"talign/internal/colbatch"
 	"talign/internal/expr"
-	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/value"
 )
@@ -21,8 +20,6 @@ type TPolicy uint8
 const (
 	// TKeep propagates the input tuple's T (the default for π).
 	TKeep TPolicy = iota
-	// TZero marks outputs as nontemporal (zero interval).
-	TZero
 	// TFromExpr computes T from TExpr, which must yield a period value;
 	// tuples whose TExpr is ω or empty are dropped (used by the standard-SQL
 	// baseline to build intersection timestamps).
@@ -43,13 +40,12 @@ type ColProject struct {
 	Out   schema.Schema
 
 	srcs  []int // per output column: input index, srcTS or srcTE
-	tzero bool  // TZero: output carries no valid time
 	tfrom bool  // TFromExpr
 	tsSrc int   // header shuffle: PERIOD arg sources (column index, srcTS or srcTE)
 	teSrc int
 	out   colbatch.Batch // header over the input's storage
-	own   colbatch.Batch // computed, TFromExpr or TZero: the surviving rows, compact
-	rows  []int32        // TFromExpr/TZero: scratch, the surviving physical rows
+	own   colbatch.Batch // computed or TFromExpr: the surviving rows, compact
+	rows  []int32        // TFromExpr: scratch, the surviving physical rows
 
 	// A projection that computes: the output expressions, then TFromExpr's
 	// period; vals is one row's outputs before they are known to survive.
@@ -88,7 +84,7 @@ func periodTimeSrcs(texpr expr.Expr) (ts, te int, ok bool) {
 // NewColProject compiles the projection of exprs (texpr is read under
 // TFromExpr only) into out.
 func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode TPolicy, texpr expr.Expr) *ColProject {
-	p := &ColProject{Input: in, Out: out, tzero: tmode == TZero, tfrom: tmode == TFromExpr}
+	p := &ColProject{Input: in, Out: out, tfrom: tmode == TFromExpr}
 	shuffle := true
 	if p.tfrom {
 		p.tsSrc, p.teSrc, shuffle = periodTimeSrcs(texpr)
@@ -124,7 +120,7 @@ func (p *ColProject) Schema() schema.Schema { return p.Out }
 
 // Open implements ColIterator.
 func (p *ColProject) Open() error {
-	if p.tfrom || p.tzero || p.computed {
+	if p.tfrom || p.computed {
 		p.own.ResetSchema(p.Out)
 	}
 	return p.Input.Open()
@@ -141,6 +137,15 @@ func (p *ColProject) NextCol() (*colbatch.Batch, error) {
 	if p.computed {
 		return p.compute(b)
 	}
+	o := p.header(b)
+	if p.tfrom {
+		return p.retime(b, o), nil
+	}
+	return o, nil
+}
+
+// header assembles the reused output header over b's storage.
+func (p *ColProject) header(b *colbatch.Batch) *colbatch.Batch {
 	o := &p.out
 	o.Schema = p.Out
 	o.Cols = o.Cols[:0]
@@ -156,15 +161,26 @@ func (p *ColProject) NextCol() (*colbatch.Batch, error) {
 	}
 	o.TS, o.TE, o.Sel = b.TS, b.TE, b.Sel
 	o.SetLen(b.Len())
-	if p.tfrom || p.tzero {
-		return p.retime(b, o), nil
-	}
-	return o, nil
+	return o
 }
 
-// retime finishes a projection whose policy rewrites the valid time:
-// TZero's zero intervals, or TFromExpr's PERIOD recomputed per row, with
-// the rows whose PERIOD is ω or empty dropped (the row Project's
+// image implements imager when the projection only shuffles columns and
+// keeps T: its whole output is then a header over the input's image. The
+// header is reused (and cleared at Close), so whoever keeps the image past
+// the execution must copy it (CollectColumnar).
+func (p *ColProject) image() (*colbatch.Batch, error) {
+	if p.computed || p.tfrom {
+		return nil, nil
+	}
+	img, err := imageOf(p.Input)
+	if img == nil {
+		return nil, err
+	}
+	return p.header(img), nil
+}
+
+// retime finishes a TFromExpr projection: the PERIOD recomputed per row,
+// with the rows whose PERIOD is ω or empty dropped (the row Project's
 // semantics: PERIOD returns ω when a bound is ω or ts >= te). New valid
 // times need arrays of their own, and arrays as long as the physical
 // batch — what sharing the input's column storage would take — cost 16 KB
@@ -179,14 +195,10 @@ func (p *ColProject) retime(b, o *colbatch.Batch) *colbatch.Batch {
 	rows := roomFor(p.rows[:0], nsel, b.Len())
 	for i := 0; i < nsel; i++ {
 		row := b.RowAt(i)
-		var ts, te int64
-		if p.tfrom {
-			var ok1, ok2 bool
-			ts, ok1 = timeAt(b, p.tsSrc, row)
-			te, ok2 = timeAt(b, p.teSrc, row)
-			if !ok1 || !ok2 || ts >= te {
-				continue
-			}
+		ts, ok1 := timeAt(b, p.tsSrc, row)
+		te, ok2 := timeAt(b, p.teSrc, row)
+		if !ok1 || !ok2 || ts >= te {
+			continue
 		}
 		rows = append(rows, int32(row))
 		own.TS, own.TE = append(own.TS, ts), append(own.TE, te)
@@ -217,9 +229,8 @@ func (p *ColProject) compute(b *colbatch.Batch) (*colbatch.Batch, error) {
 				return nil, err
 			}
 		}
-		var t interval.Interval
-		switch {
-		case p.tfrom:
+		t := b.Interval(row)
+		if p.tfrom {
 			v, err := p.es.eval(len(p.vals))
 			if err != nil {
 				return nil, err
@@ -228,8 +239,6 @@ func (p *ColProject) compute(b *colbatch.Batch) (*colbatch.Batch, error) {
 				continue
 			}
 			t = v.Interval()
-		case !p.tzero:
-			t = b.Interval(row)
 		}
 		for c, v := range p.vals {
 			own.Cols[c].Append(v)

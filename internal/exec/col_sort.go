@@ -26,11 +26,11 @@ type ColSort struct {
 	Input ColIterator
 	Keys  []SortKey
 	// SizeHint is the planner's estimate of the input's rows; it presizes
-	// the store when the input is not a bare scan.
+	// the store when the input offers no image.
 	SizeHint int
 
 	enc   rowExprs
-	store *colbatch.Batch // own, or a bare scan's image
+	store *colbatch.Batch // own, or a borrowed image
 	own   colbatch.Batch
 	perm  []int32
 	keys  [][]byte

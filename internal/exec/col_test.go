@@ -143,10 +143,9 @@ func TestColProjectMatchesNaive(t *testing.T) {
 		texpr expr.Expr
 	}{
 		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TKeep, nil},
-		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TZero, nil},
 		{[]expr.Expr{v, k, expr.TStart{}, expr.TEnd{}}, TFromExpr, expr.Call("PERIOD", k, v)},
 		{[]expr.Expr{expr.Add(k, v), k, expr.Div(expr.Int(6), k), expr.TEnd{}}, TKeep, nil},
-		{[]expr.Expr{expr.Mul(v, expr.Int(2))}, TZero, nil},
+		{[]expr.Expr{expr.Mul(v, expr.Int(2))}, TKeep, nil},
 		{[]expr.Expr{v, expr.Sub(v, k)}, TFromExpr, expr.Call("PERIOD", k, v)},
 		{[]expr.Expr{k}, TFromExpr, expr.Call("PERIOD", expr.Add(expr.TStart{}, k), expr.Add(k, v))},
 	} {
@@ -162,8 +161,8 @@ func TestColProjectMatchesNaive(t *testing.T) {
 		got := drainCol(t, NewColProject(NewColScan(src), c.exprs, out, c.tmode, c.texpr))
 		assertSameRows(t, got, naiveProject(t, src.Rows(), c.exprs, c.tmode, c.texpr))
 
-		// The same over a filter's sparse selections (TFromExpr and TZero
-		// then gather the survivors instead of sharing column storage).
+		// The same over a filter's sparse selections (TFromExpr then
+		// gathers the survivors instead of sharing column storage).
 		pred := expr.Ge(v, expr.Int(25))
 		got = drainCol(t, NewColProject(NewColFilter(NewColScan(src), pred), c.exprs, out, c.tmode, c.texpr))
 		assertSameRows(t, got, naiveProject(t, naiveFilter(t, src.Rows(), pred), c.exprs, c.tmode, c.texpr))
@@ -201,21 +200,19 @@ func TestFirstBuffersSizedByRowsInHand(t *testing.T) {
 	exprs := []expr.Expr{expr.ColIdx{Idx: 1, Typ: value.KindInt}}
 	period := expr.Call("PERIOD", expr.TStart{}, expr.TEnd{})
 	out := schema.MustNew(schema.Attr{Name: "v", Type: value.KindInt})
-	for _, tmode := range []TPolicy{TFromExpr, TZero} {
-		cp := NewColProject(cf, exprs, out, tmode, period)
-		if err := cp.Open(); err != nil {
-			t.Fatal(err)
-		}
-		b, err := cp.NextCol()
-		if err != nil || b == nil {
-			t.Fatalf("NextCol: %v, %v", b, err)
-		}
-		if b.NumRows() != 1 || b.Len() != 1 || cap(b.TS) > 8 {
-			t.Fatalf("policy %d: %d selected of %d physical rows over valid-time arrays of cap %d, want a compact 1-row batch",
-				tmode, b.NumRows(), b.Len(), cap(b.TS))
-		}
-		cp.Close()
+	cp := NewColProject(cf, exprs, out, TFromExpr, period)
+	if err := cp.Open(); err != nil {
+		t.Fatal(err)
 	}
+	b, err := cp.NextCol()
+	if err != nil || b == nil {
+		t.Fatalf("NextCol: %v, %v", b, err)
+	}
+	if b.NumRows() != 1 || b.Len() != 1 || cap(b.TS) > 8 {
+		t.Fatalf("%d selected of %d physical rows over valid-time arrays of cap %d, want a compact 1-row batch",
+			b.NumRows(), b.Len(), cap(b.TS))
+	}
+	cp.Close()
 }
 
 // TestColLimitCountsSelectedRows is the regression test for OFFSET over

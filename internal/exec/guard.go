@@ -174,7 +174,18 @@ func (g *ColGuard) Open() (err error) {
 
 // NextCol implements ColIterator, charging the batch's selected rows: a
 // fixed cost per row (valid time + header) plus a fixed cost per value.
-func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
+func (g *ColGuard) NextCol() (*colbatch.Batch, error) { return g.pass(g.Input.NextCol) }
+
+// image implements imager when the input does: the whole image passes the
+// boundary as one batch, checked, counted and charged as the batches it
+// stands for would have been.
+func (g *ColGuard) image() (*colbatch.Batch, error) {
+	return g.pass(func() (*colbatch.Batch, error) { return imageOf(g.Input) })
+}
+
+// pass runs next behind the panic boundary, the cancellation check and the
+// exec.next fault site, then counts and charges the batch it returns.
+func (g *ColGuard) pass(next func() (*colbatch.Batch, error)) (b *colbatch.Batch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			b, err = nil, Recovered(g.site(), r)
@@ -186,8 +197,7 @@ func (g *ColGuard) NextCol() (b *colbatch.Batch, err error) {
 	if err := faultinject.Hit("exec.next"); err != nil {
 		return nil, err
 	}
-	b, err = g.Input.NextCol()
-	if err != nil || b == nil {
+	if b, err = next(); err != nil || b == nil {
 		return nil, err
 	}
 	n := b.NumRows()

@@ -138,9 +138,6 @@ func reopenCases() []reopenCase {
 		{name: "project TKeep", build: func(c *reopenTree) ColIterator {
 			return c.project(c.left(), TKeep, nil, rV, expr.TStart{}, rK)
 		}},
-		{name: "project TZero", build: func(c *reopenTree) ColIterator {
-			return c.project(c.left(), TZero, nil, rK, expr.TEnd{})
-		}},
 		{name: "project TFromExpr", build: func(c *reopenTree) ColIterator {
 			return c.project(c.left(), TFromExpr, expr.Func{Name: "PERIOD", Args: []expr.Expr{rK, rV}}, rK, rV)
 		}},
@@ -166,8 +163,8 @@ func reopenCases() []reopenCase {
 		}},
 		{name: "temporal left outer join", build: func(c *reopenTree) ColIterator {
 			// Table 2: α((r Φθ s) ⟕ θ ∧ r.T = s.T (s Φθ r)), θ: k = k2.
-			rs := must(NewColFusedAdjust(c.left(), c.right(), ModeAlign, GroupHash, []expr.EquiPair{{Left: rK, Right: sK}}, nil, -1))
-			sr := must(NewColFusedAdjust(c.right(), c.left(), ModeAlign, GroupMerge, []expr.EquiPair{{Left: sK, Right: rK}}, nil, -1))
+			rs := must(NewColFusedAdjust(c.left(), c.right(), ModeAlign, GroupHash, []expr.EquiPair{{Left: rK, Right: sK}}, nil))
+			sr := must(NewColFusedAdjust(c.right(), c.left(), ModeAlign, GroupMerge, []expr.EquiPair{{Left: sK, Right: rK}}, nil))
 			j := NewColHashJoin(NewColGuard(c.gs, c.sized(rs)), NewColGuard(c.gs, c.sized(sr)), []expr.EquiPair{{Left: rK, Right: sK}}, nil, LeftOuterJoin, true)
 			return c.sized(NewColAbsorb(NewColGuard(c.gs, c.sized(j))))
 		}, want: func(_ *testing.T, _, rf, sf *relation.Relation) *relation.Relation {
@@ -176,8 +173,7 @@ func reopenCases() []reopenCase {
 		{name: "temporal aggregation", build: func(c *reopenTree) ColIterator {
 			// B,Tϑ_F(N_B(r; r)), B = {k}: the split points are r's own
 			// bounds, by k.
-			points := must(NewColSetOp(c.project(c.left(), TKeep, nil, rK, expr.TStart{}), NewColGuard(c.gs, c.project(c.left(), TKeep, nil, rK, expr.TEnd{})), UnionOp))
-			norm := must(NewColFusedAdjust(c.left(), NewColGuard(c.gs, points), ModeNormalize, GroupHash, []expr.EquiPair{{Left: rK, Right: expr.CI(0, value.KindInt)}}, nil, 1))
+			norm := must(NewColFusedAdjust(c.left(), c.left(), ModeNormalize, GroupHash, []expr.EquiPair{{Left: rK, Right: rK}}, nil))
 			aggs := []AggSpec{{Func: AggCountStar, Name: "n"}, {Func: AggSum, Arg: rV, Name: "sv"}}
 			return c.sized(must(NewColHashAggregate(NewColGuard(c.gs, c.sized(norm)), []expr.Expr{rK}, []string{"k"}, true, aggs)))
 		}, want: func(_ *testing.T, _, rf, _ *relation.Relation) *relation.Relation {
@@ -187,11 +183,11 @@ func reopenCases() []reopenCase {
 	// Set operations over r's and s's (k, v | w) pairs; DISTINCT over r's k.
 	for _, kind := range []SetOpKind{UnionOp, IntersectOp, ExceptOp} {
 		cases = append(cases, reopenCase{name: "set-op " + kind.String(), build: func(c *reopenTree) ColIterator {
-			return must(NewColSetOp(c.project(c.left(), TZero, nil, rK, rV), NewColGuard(c.gs, c.project(c.right(), TZero, nil, sK, sW)), kind))
+			return must(NewColSetOp(c.project(c.left(), TKeep, nil, rK, rV), NewColGuard(c.gs, c.project(c.right(), TKeep, nil, sK, sW)), kind))
 		}})
 	}
 	cases = append(cases, reopenCase{name: "distinct", build: func(c *reopenTree) ColIterator {
-		return NewColDistinct(c.project(c.left(), TZero, nil, rK))
+		return NewColDistinct(c.project(c.left(), TKeep, nil, rK))
 	}})
 	// Sort: ascending, descending and expression keys over a filter chain
 	// (an owned store) and a bare scan (the relation's image).
@@ -243,7 +239,8 @@ func reopenCases() []reopenCase {
 		}
 	}
 	// Fused adjust: {align, normalize} × {hash, merge, nested loop,
-	// interval index}.
+	// interval index}. Nested loop groups over a projected bare scan, whose
+	// image passes the guard and the projection without a copy.
 	keys := []expr.EquiPair{{Left: rK, Right: sK}}
 	for _, fc := range []struct {
 		mode     AdjustMode
@@ -260,9 +257,9 @@ func reopenCases() []reopenCase {
 			build: func(c *reopenTree) ColIterator {
 				right := c.right()
 				if fc.strategy == GroupNestLoop {
-					right = c.sized(NewColScan(c.s)) // a borrowed store
+					right = NewColGuard(c.gs, c.project(c.sized(NewColScan(c.s)), TKeep, nil, sK, sW)) // a borrowed image
 				}
-				return c.sized(must(NewColFusedAdjust(c.left(), right, fc.mode, fc.strategy, fc.keys, fc.residual, 1)))
+				return c.sized(must(NewColFusedAdjust(c.left(), right, fc.mode, fc.strategy, fc.keys, fc.residual)))
 			},
 		})
 	}

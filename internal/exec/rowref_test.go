@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"talign/internal/expr"
-	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/tuple"
 )
@@ -46,10 +45,7 @@ func naiveProject(t *testing.T, rows []tuple.Tuple, exprs []expr.Expr, tmode TPo
 			}
 			o.Vals = append(o.Vals, v)
 		}
-		switch tmode {
-		case TZero:
-			o.T = interval.Interval{}
-		case TFromExpr:
+		if tmode == TFromExpr {
 			v, err := texpr.Eval(&env)
 			if err != nil {
 				t.Fatal(err)

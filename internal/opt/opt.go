@@ -67,7 +67,7 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 		if l == x.Left && r == x.Right {
 			return x
 		}
-		return o.p.FusedAdjustFrom(l, r, x.Mode, x.Keys, x.Residual, x.PCol)
+		return o.p.FusedAdjustFrom(l, r, x.Mode, x.Keys, x.Residual)
 	case *plan.SortNode:
 		in := o.rewrite(x.Input)
 		if in == x.Input {
@@ -142,7 +142,7 @@ func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 		// Substituting the projection's expressions into the predicate
 		// moves it below the projection. Safe unless the substituted
 		// predicate reads the tuple's own T while the projection rewrites
-		// T (TFromExpr/TZero): below, T is still the input's.
+		// T (TFromExpr): below, T is still the input's.
 		sub := substitute(pred, x.Exprs)
 		if x.TMode == exec.TKeep || !expr.UsesT(sub) {
 			return o.project(o.filter(x.Input, sub), x.Names, x.Exprs, x.TMode, x.TExpr)
@@ -158,7 +158,7 @@ func (o *optimizer) filter(in plan.Node, pred expr.Expr) plan.Node {
 		// predicate commutes with the whole group construction + sweep.
 		push, keep := splitConjuncts(pred, func(c expr.Expr) bool { return !expr.UsesT(c) })
 		if push != nil {
-			n := o.p.FusedAdjustFrom(o.filter(x.Left, push), x.Right, x.Mode, x.Keys, x.Residual, x.PCol)
+			n := o.p.FusedAdjustFrom(o.filter(x.Left, push), x.Right, x.Mode, x.Keys, x.Residual)
 			return o.keepFilter(n, keep)
 		}
 

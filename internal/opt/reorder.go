@@ -277,7 +277,7 @@ func (o *optimizer) rebuildChildren(n plan.Node) plan.Node {
 	case *plan.AdjustmentNode:
 		l, r := o.reorder(x.Left), o.reorder(x.Right)
 		if l != x.Left || r != x.Right {
-			return o.p.FusedAdjustFrom(l, r, x.Mode, x.Keys, x.Residual, x.PCol)
+			return o.p.FusedAdjustFrom(l, r, x.Mode, x.Keys, x.Residual)
 		}
 	case *plan.AggNode:
 		if in := o.reorder(x.Input); in != x.Input {

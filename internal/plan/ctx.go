@@ -132,9 +132,9 @@ func (c *ExecCtx) stream(n Node) (exec.ColIterator, error) {
 // or NextCol call (join, adjust, aggregate, sort, absorb, the right side of
 // a set operation, an exchange fragment), behind the boundary that lets a
 // deadline stop a build over a runaway join: exec.ColGuard's cancellation
-// check, budget charge and panic isolation per batch. A bare scan is
-// exempt: it cannot run away, and the operators take its image over
-// without copying only while they can see it is one.
+// check, budget charge and panic isolation per batch — or once, for an
+// image the operator takes over whole. A bare scan is exempt: it cannot
+// run away.
 func (c *ExecCtx) input(n Node) (exec.ColIterator, error) {
 	it, err := c.stream(n)
 	if _, bare := it.(*exec.ColScan); err != nil || c == nil || bare {

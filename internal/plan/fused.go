@@ -24,7 +24,6 @@ type AdjustmentNode struct {
 	Strategy    exec.GroupStrategy
 	Keys        []expr.EquiPair
 	Residual    expr.Expr
-	PCol        int
 
 	out   schema.Schema
 	rows  float64
@@ -41,24 +40,24 @@ func (p *Planner) FusedAlign(r, s Node, theta expr.Expr, mode exec.AdjustMode) *
 	if theta != nil {
 		keys, residual = expr.SplitJoinCondition(theta, r.Schema().Len())
 	}
-	return p.FusedAdjustFrom(r, s, mode, keys, residual, -1)
+	return p.FusedAdjustFrom(r, s, mode, keys, residual)
 }
 
-// FusedNormalize builds the fused splitter N_B(r; points): keys equate
-// r's grouping attributes with the point relation's leading columns, and
-// pCol is the split-point column in the point relation.
-func (p *Planner) FusedNormalize(r, points Node, keys []expr.EquiPair, pCol int) *AdjustmentNode {
-	return p.FusedAdjustFrom(r, points, exec.ModeNormalize, keys, nil, pCol)
+// FusedNormalize builds the fused splitter N_B(r; s): keys equate r's
+// grouping attributes with s's, and every matching s row splits r's rows
+// at its own Ts and Te.
+func (p *Planner) FusedNormalize(r, s Node, keys []expr.EquiPair) *AdjustmentNode {
+	return p.FusedAdjustFrom(r, s, exec.ModeNormalize, keys, nil)
 }
 
 // FusedAdjustFrom builds the node from its decomposed parts, choosing the
 // group strategy under the planner's flags and the inputs' statistics. The
 // optimizer uses it to rebuild a node over rewritten inputs after pushing
 // predicates below it.
-func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.EquiPair, residual expr.Expr, pCol int) *AdjustmentNode {
+func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.EquiPair, residual expr.Expr) *AdjustmentNode {
 	n := &AdjustmentNode{
 		Left: l, Right: r, Mode: mode,
-		Keys: keys, Residual: residual, PCol: pCol,
+		Keys: keys, Residual: residual,
 		out: l.Schema(), batch: p.Flags.BatchSize,
 	}
 	n.rows = n.estimateRows() // choose costs the sweep per output row
@@ -121,10 +120,15 @@ func (n *AdjustmentNode) Rows() float64         { return n.rows }
 // by its key selectivity like JoinNode. With interval statistics on both
 // inputs the group join is additionally scaled by the overlap fraction —
 // group construction only pairs tuples whose valid times overlap, which
-// is exactly what the overlap profile estimates.
+// is exactly what the overlap profile estimates. Normalization's group
+// join is the paper's, with the split points π_{B,Ts}(s) ∪ π_{B,Te}(s):
+// two per group row, and no statistics of their own.
 func (n *AdjustmentNode) estimateRows() float64 {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	ls, rs := NodeStats(n.Left), NodeStats(n.Right)
+	if n.Mode == exec.ModeNormalize {
+		rr, rs = math.Max(2*n.Right.Rows(), 1), nil
+	}
 	f, hasOverlap := stats.OverlapFrac(ls, rs)
 	sel := RangeSelectivity
 	switch {
@@ -173,7 +177,7 @@ func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	fa, err := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual), n.PCol)
+	fa, err := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual))
 	if err != nil {
 		return nil, err
 	}

@@ -38,9 +38,10 @@ func TestPaperCostEstimates(t *testing.T) {
 		t.Fatalf("align rows: got %v want 300 (= 3·group join)", got)
 	}
 	keys := []expr.EquiPair{{Left: expr.CI(0, value.KindInt), Right: expr.CI(0, value.KindInt)}}
-	norm := p.FusedNormalize(scan, scan, keys, 1)
-	if got := norm.Rows(); got != 200 {
-		t.Fatalf("normalize rows: got %v want 200 (= 2·group join)", got)
+	// Normalization groups with two split points per s row: max(100·200·2·EqSelectivity, 100) = 200.
+	norm := p.FusedNormalize(scan, scan, keys)
+	if got := norm.Rows(); got != 400 {
+		t.Fatalf("normalize rows: got %v want 400 (= 2·group join)", got)
 	}
 	join := p.Join(scan, scan, equiCond(2), exec.LeftOuterJoin, false)
 	if got, want := align.Cost(), join.Cost()+2*CPUOperatorCost*300; got != want {
