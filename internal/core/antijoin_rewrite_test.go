@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"talign/internal/exec"
@@ -66,7 +67,7 @@ func TestAntiJoinRewritePlanShape(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	text := plan.Explain(node)
-	if !containsStr(text, "align-gaps") {
+	if !strings.Contains(text, "align-gaps") {
 		t.Fatalf("rewrite should use the gaps mode:\n%s", text)
 	}
 	// Exactly one Adjust and no outer join above it besides the group
@@ -84,12 +85,10 @@ func TestAntiJoinRewritePlanShape(t *testing.T) {
 	}
 }
 
-// TestAntiJoinRewriteComposesWithIntervalIndex: both future-work features
-// can be active together.
-func TestAntiJoinRewriteComposesWithIntervalIndex(t *testing.T) {
-	f := rewriteFlags()
-	f.EnableIntervalIndex = true
-	both := New(f)
+// TestAntiJoinRewriteKeylessTheta: the gaps-only aligner composes with
+// the interval scan that keyless θ groups through.
+func TestAntiJoinRewriteKeylessTheta(t *testing.T) {
+	both := New(rewriteFlags())
 	rng := rand.New(rand.NewSource(124))
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}}
@@ -105,7 +104,7 @@ func TestAntiJoinRewriteComposesWithIntervalIndex(t *testing.T) {
 			t.Fatalf("round %d: oracle: %v", round, err)
 		}
 		if !relation.SetEqual(got, want) {
-			t.Fatalf("round %d: combined flags changed the antijoin", round)
+			t.Fatalf("round %d: the rewrite over keyless θ changed the antijoin", round)
 		}
 	}
 }

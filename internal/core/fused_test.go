@@ -120,32 +120,22 @@ func refNormalize(r, s *relation.Relation, cols []int) *relation.Relation {
 	return out
 }
 
-// strategyFlags are the four planner configurations that force each group
-// strategy (the interval index only fires for keyless align θ; keyed
-// shapes under it fall to the cost-based choice).
+// strategyFlags are the default planner configuration and the three that
+// force one join method each. None of them steers group construction:
+// θ's shape alone picks the access path (wantLabel).
 func strategyFlags() map[string]plan.Flags {
-	ivx := plan.DefaultFlags()
-	ivx.EnableIntervalIndex = true
 	return map[string]plan.Flags{
-		"hash":           {EnableHashJoin: true, EnableSort: true},
-		"merge":          {EnableMergeJoin: true, EnableSort: true},
-		"nestloop":       {EnableNestLoop: true, EnableSort: true},
-		"interval-index": ivx,
+		"default":  plan.DefaultFlags(),
+		"merge":    {EnableMergeJoin: true, EnableSort: true},
+		"hash":     {EnableHashJoin: true, EnableSort: true},
+		"nestloop": {EnableNestLoop: true, EnableSort: true},
 	}
 }
 
-// wantStrategy is the group strategy EXPLAIN must show for a flag set and
-// θ shape ("join" alone where the choice is left to the cost model).
-func wantStrategy(flags string, keyed, normalize bool) string {
-	switch {
-	case keyed && flags == "interval-index":
-		return "join"
-	case keyed && flags != "nestloop":
-		return flags + " join"
-	case !keyed && !normalize && flags == "interval-index":
-		return "interval-index join"
-	}
-	return "nestloop join"
+// wantLabel is the fused node EXPLAIN must show for a mode and θ shape,
+// whatever the planner's join-method flags.
+func wantLabel(mode exec.AdjustMode, keyed bool) string {
+	return fmt.Sprintf("FusedAdjust %s (%s)", mode, exec.GroupAccess(keyed))
 }
 
 func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation) {
@@ -158,8 +148,8 @@ func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation)
 
 // TestFusedAdjustMatchesDefinitions is the randomized differential test of
 // the one ALIGN/NORMALIZE operator against Defs. 11 and 9: 30 seeds ×
-// {hash, merge, nestloop, interval-index} × {θ equi, equi+residual,
-// keyless, nil} × {align, gaps, normalize}.
+// {default, merge-only, hash-only, nestloop-only flags} × {θ equi,
+// equi+residual, keyless, nil} × {align, gaps, normalize}.
 func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -187,11 +177,11 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 			for _, sh := range shapes {
 				tag := fmt.Sprintf("seed %d %s/%s", seed, fname, sh.name)
 				for _, gaps := range []bool{false, true} {
-					node := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
+					node, mode := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeAlign
 					if gaps {
-						node = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta)
+						node, mode = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeGaps
 					}
-					if text, want := plan.Explain(node), wantStrategy(fname, sh.keyed, false); !strings.Contains(text, want) {
+					if text, want := plan.Explain(node), wantLabel(mode, sh.keyed); !strings.Contains(text, want) {
 						t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
 					}
 					got, err := plan.Run(node)
@@ -204,7 +194,7 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 				// Split points from the other relation and from r itself.
 				for _, pts := range []*relation.Relation{s, r} {
 					node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
-					if text, want := plan.Explain(node), wantStrategy(fname, len(sh.cols) > 0, true); !strings.Contains(text, want) {
+					if text, want := plan.Explain(node), wantLabel(exec.ModeNormalize, len(sh.cols) > 0); !strings.Contains(text, want) {
 						t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
 					}
 					got, err := plan.Run(node)
@@ -219,8 +209,8 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 }
 
 // TestFusedAdjustComposedMatchesOracle: the Table 2 reductions built on
-// the primitives agree with the snapshot oracle under every forced group
-// strategy.
+// the primitives agree with the snapshot oracle under every join-method
+// flag set.
 func TestFusedAdjustComposedMatchesOracle(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -305,7 +295,7 @@ func TestFusedAdjustParallel(t *testing.T) {
 }
 
 // TestFusedAdjustPlanShape: EXPLAIN renders the fused node with its mode
-// and group strategy.
+// and group access path.
 func TestFusedAdjustPlanShape(t *testing.T) {
 	r := relation.NewBuilder("x string", "v int").Row(0, 5, "a", 1).MustBuild()
 	s := relation.NewBuilder("y string", "w int").Row(2, 7, "a", 2).MustBuild()
@@ -315,7 +305,7 @@ func TestFusedAdjustPlanShape(t *testing.T) {
 	}
 	a := Default()
 	text := plan.Explain(a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "FusedAdjust align (") || !strings.Contains(text, " join)") {
-		t.Fatalf("plan missing the fused node label with its group strategy:\n%s", text)
+	if !strings.Contains(text, "FusedAdjust align (hash join)") {
+		t.Fatalf("plan missing the fused node label with its group access path:\n%s", text)
 	}
 }

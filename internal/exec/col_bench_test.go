@@ -57,9 +57,10 @@ func BenchmarkColFusedAdjust(b *testing.B) {
 	left.Columnar()
 	right.Columnar()
 	k := expr.ColIdx{Idx: 0, Typ: value.KindInt, Name: "k"}
-	f, err := NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, GroupHash, []expr.EquiPair{{Left: k, Right: k}}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDrain(b, f)
+	b.Run("keyed", func(b *testing.B) {
+		benchDrain(b, NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, []expr.EquiPair{{Left: k, Right: k}}, nil))
+	})
+	b.Run("keyless", func(b *testing.B) {
+		benchDrain(b, NewColFusedAdjust(NewColScan(left), NewColScan(right), ModeAlign, nil, nil))
+	})
 }

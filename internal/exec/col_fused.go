@@ -1,10 +1,16 @@
 // ColFusedAdjust: the one ALIGN/NORMALIZE operator. It fuses the
 // group-construction join of Sec. 6.1/6.3 with the plane-sweep adjustment
 // of Sec. 6.2 (Fig. 10): the group side accumulates into a columnar store,
-// each left row finds its group members through one of four strategies
-// (hash, merge, nested loop, interval index), every member is reduced to a
-// (P1, P2) span, and the small per-row span buffer is sorted and swept
-// immediately — concatenated join rows are never materialized.
+// each left row finds its group members through the one access path θ's
+// shape admits, every member is reduced to a (P1, P2) span, and the small
+// per-row span buffer is sorted and swept immediately — concatenated join
+// rows are never materialized.
+//
+//	θ with equi keys: the keys' hash chains (chainIndex, as ColHashJoin)
+//	keyless θ:        the group side sorted by Ts, scanned from the first
+//	                  row that can still overlap (Ts > l.Ts − the longest
+//	                  group interval) while Ts < l.Te — the Sec. 8 interval
+//	                  index
 //
 //	align:     span = [max(l.Ts, r.Ts), min(l.Te, r.Te))   (overlaps only)
 //	normalize: span = [p, p] for each of the group row's own Ts and Te,
@@ -14,18 +20,15 @@
 // match). The optional residual θ runs over a reused scratch concatenation
 // of the pair, with env.T = the left row's T, and only for pairs that
 // passed the temporal and key tests. Output rows are the left row's
-// attribute vectors with an adjusted timestamp, in left-input order (or
-// equi-key order under GroupMerge); consumers are order-insensitive
-// (relations are sets).
+// attribute vectors with an adjusted timestamp, in left-input order;
+// consumers are order-insensitive (relations are sets).
 //
 // The operator assumes the left input is duplicate free (the paper's
 // Sec. 3.1 relation invariant): each left row sweeps its own group.
 package exec
 
 import (
-	"bytes"
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -33,7 +36,6 @@ import (
 	"talign/internal/expr"
 	"talign/internal/interval"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -69,28 +71,13 @@ func (m AdjustMode) String() string {
 	return "normalize"
 }
 
-// GroupStrategy selects how ColFusedAdjust finds each left row's group
-// members (the physical method of the group-construction join that the
-// fused node absorbs).
-type GroupStrategy uint8
-
-const (
-	// GroupHash builds a hash table over the group side's equi keys and
-	// probes it per left row.
-	GroupHash GroupStrategy = iota
-	// GroupMerge key-sorts both sides by their equi keys and walks the
-	// runs in lockstep.
-	GroupMerge
-	// GroupNestLoop scans the whole group side per left row (the paper's
-	// fallback when θ has no equi keys).
-	GroupNestLoop
-	// GroupInterval uses the sort-by-start interval index over the group
-	// side (the Sec. 8 access path; align modes only).
-	GroupInterval
-)
-
-func (g GroupStrategy) String() string {
-	return [...]string{"hash join", "merge join", "nestloop join", "interval-index join"}[g]
+// GroupAccess names, as EXPLAIN prints it, how ColFusedAdjust finds a left
+// row's group for a θ with (keyed) or without equi keys.
+func GroupAccess(keyed bool) string {
+	if keyed {
+		return "hash join"
+	}
+	return "interval-index join"
 }
 
 // span is one (P1, P2) pair fed into the sweep; for normalization P1 = P2
@@ -102,7 +89,6 @@ type ColFusedAdjust struct {
 	batching
 	Left, Right ColIterator
 	Mode        AdjustMode
-	Strategy    GroupStrategy
 	// Keys are θ's equi conjuncts: Left bound against the left schema,
 	// Right against the group side's schema.
 	Keys []expr.EquiPair
@@ -118,60 +104,42 @@ type ColFusedAdjust struct {
 	renc     rowExprs        // group-side equi keys
 	store    *colbatch.Batch // accumulated group side: own, or a borrowed image
 	own      colbatch.Batch
-	lown     colbatch.Batch // merge: the left side, unless a borrowed image
-	rkeys    [][]byte       // merge, nested loop: encoded group-side equi keys (nil: unmatchable ω key)
-	arena    []byte
 	keyBuf   []byte
 	concat   []value.Value // residual scratch: left values, then right values
 	env      expr.Env      // reused eval scratch: avoids a per-row heap Env
 	spans    []span
 	outB     colbatch.Batch
-	lb       *colbatch.Batch // current left batch (merge: the whole left side)
+	lb       *colbatch.Batch // current left batch
 	lpos     int
 	leftDone bool
 
-	index chainIndex // hash strategy: equi key → chain of store rows
-
-	// merge and interval strategies: rperm lists store rows in equi-key
-	// order (merge, ω-keyed rows dropped, rkeys permuted alongside) or in
-	// start order (interval).
-	rperm    []int32
-	lperm    []int32  // merge: left rows in equi-key order
-	lkeys    [][]byte // merge: left keys, parallel to lperm
-	rlo, rhi int      // merge: current right-side equi-key run
-	starts   []int64  // interval: store.TS in rperm order
-	maxDur   int64    // interval: longest group-side interval
+	index chainIndex // keyed θ: equi key → chain of store rows
+	// Keyless θ: store rows in start order, their starts alongside, and
+	// the longest group-side interval.
+	byStart []int32
+	starts  []int64
+	maxDur  int64
 }
 
-// NewColFusedAdjust builds the operator; normalize rejects the interval
-// strategy.
-func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, strategy GroupStrategy, keys []expr.EquiPair, residual expr.Expr) (*ColFusedAdjust, error) {
-	if mode == ModeNormalize && strategy == GroupInterval {
-		return nil, fmt.Errorf("exec: fused normalize cannot use the interval-index strategy")
-	}
-	if strategy == GroupInterval && len(keys) > 0 {
-		return nil, fmt.Errorf("exec: interval-index strategy requires a keyless θ")
-	}
-	if (strategy == GroupHash || strategy == GroupMerge) && len(keys) == 0 {
-		return nil, fmt.Errorf("exec: %s strategy requires equi keys", strategy)
-	}
+// NewColFusedAdjust builds the operator.
+func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, keys []expr.EquiPair, residual expr.Expr) *ColFusedAdjust {
 	f := &ColFusedAdjust{
-		Left: l, Right: r,
-		Mode: mode, Strategy: strategy,
+		Left: l, Right: r, Mode: mode,
 		Keys: keys, Residual: residual,
 		out: l.Schema(),
 	}
 	lk, rk := equiSides(keys)
 	f.lenc, f.renc = newRowExprs(lk), newRowExprs(rk)
-	return f, nil
+	return f
 }
 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
 
 // Open implements ColIterator: it drains the group side into the columnar
-// store, encodes its equi keys once, and builds the strategy's access
-// structure (hash chains, key-sorted or start-sorted permutation).
+// store and builds its access structure — hash chains over the equi keys,
+// or, for a keyless θ, a start-sorted permutation. Both are rebuilt at
+// every Open: a parameter-filtered group side changes between executions.
 func (f *ColFusedAdjust) Open() error {
 	if err := f.Left.Open(); err != nil {
 		return err
@@ -185,104 +153,40 @@ func (f *ColFusedAdjust) Open() error {
 	}
 	f.outB.ResetSchema(f.out)
 	f.lb, f.lpos, f.leftDone = nil, 0, false
-	n := f.store.Len()
-
-	if len(f.Keys) > 0 && f.Strategy != GroupHash {
-		// ω keys become nil: they can never match, and unmatched group rows
-		// never surface — the group join is a left outer join.
-		if f.arena, f.rkeys, err = encodeKeys(f.arena[:0], f.rkeys[:0], &f.renc, f.store, true); err != nil {
-			return err
-		}
+	if len(f.Keys) > 0 {
+		return f.index.build(&f.renc, f.store)
 	}
-	switch f.Strategy {
-	case GroupHash:
-		if err = f.index.build(&f.renc, f.store); err != nil {
-			return err
-		}
-	case GroupMerge:
-		// Materialize the left side too and key-sort a row permutation of
-		// each side; NextCol walks the runs in lockstep.
-		if f.lb, err = drainColumnar(f.Left, 0, &f.lown); err != nil {
-			return err
-		}
-		if f.arena, f.lkeys, err = encodeKeys(f.arena, f.lkeys[:0], &f.lenc, f.lb, false); err != nil {
-			return err
-		}
-		f.lperm = identityPerm(f.lperm[:0], f.lb.Len())
-		tuple.KeySort(f.lperm, f.lkeys)
-		f.rperm = f.rperm[:0]
-		live := f.rkeys[:0]
-		for j, k := range f.rkeys {
-			if k != nil {
-				f.rperm = append(f.rperm, int32(j))
-				live = append(live, k)
-			}
-		}
-		f.rkeys = live
-		tuple.KeySort(f.rperm, f.rkeys)
-		f.rlo, f.rhi = 0, 0
-		reserveOut(&f.outB, min(f.lb.Len(), f.batchCap()), f.batchCap())
-	case GroupInterval:
-		f.rperm = identityPerm(f.rperm[:0], n)
-		ts, te := f.store.TS, f.store.TE
-		slices.SortFunc(f.rperm, func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
-		f.starts, f.maxDur = slices.Grow(f.starts[:0], n), 0
-		for _, j := range f.rperm {
-			f.starts = append(f.starts, ts[j])
-			if d := te[j] - ts[j]; d > f.maxDur {
-				f.maxDur = d
-			}
-		}
+	n := f.store.Len()
+	f.byStart = identityPerm(f.byStart[:0], n)
+	ts, te := f.store.TS, f.store.TE
+	slices.SortFunc(f.byStart, func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
+	f.starts, f.maxDur = slices.Grow(f.starts[:0], n), 0
+	for _, j := range f.byStart {
+		f.starts = append(f.starts, ts[j])
+		f.maxDur = max(f.maxDur, te[j]-ts[j])
 	}
 	return nil
-}
-
-func identityPerm(dst []int32, n int) []int32 {
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-// nextLeft advances to the next left row of f.lb: the next equi-key
-// ordered row under the merge strategy, else the next selected row of the
-// streamed left input. ok=false signals exhaustion.
-func (f *ColFusedAdjust) nextLeft() (row int, ok bool, err error) {
-	if f.Strategy == GroupMerge {
-		if f.lpos >= len(f.lperm) {
-			return 0, false, nil
-		}
-		f.lpos++
-		return int(f.lperm[f.lpos-1]), true, nil
-	}
-	for f.lb == nil || f.lpos >= f.lb.NumRows() {
-		b, err := f.Left.NextCol()
-		if err != nil || b == nil {
-			return 0, false, err
-		}
-		f.lb, f.lpos = b, 0
-		// Every left row comes out at least once: room for the rows in
-		// hand is room the output is certain to use.
-		reserveOut(&f.outB, min(b.NumRows(), f.batchCap()-f.outB.Len()), f.batchCap())
-	}
-	f.lpos++
-	return f.lb.RowAt(f.lpos - 1), true, nil
 }
 
 // NextCol implements ColIterator.
 func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 	f.outB.Reset()
-	target := f.batchCap()
-	for f.outB.Len() < target && !f.leftDone {
-		row, ok, err := f.nextLeft()
-		if err != nil {
-			return nil, err
+	for f.outB.Len() < f.batchCap() && !f.leftDone {
+		if f.lb == nil || f.lpos >= f.lb.NumRows() {
+			b, err := f.Left.NextCol()
+			if err != nil {
+				return nil, err
+			}
+			f.lb, f.lpos, f.leftDone = b, 0, b == nil
+			if b != nil {
+				// Every left row comes out at least once: room for the rows
+				// in hand is room the output is certain to use.
+				reserveOut(&f.outB, min(b.NumRows(), f.batchCap()-f.outB.Len()), f.batchCap())
+			}
+			continue
 		}
-		if !ok {
-			f.leftDone = true
-			break
-		}
+		row := f.lb.RowAt(f.lpos)
+		f.lpos++
 		if err := f.gather(row); err != nil {
 			return nil, err
 		}
@@ -294,19 +198,16 @@ func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 	return &f.outB, nil
 }
 
-// gather fills f.spans with the group of physical left row `row` under
-// the operator's strategy.
+// gather fills f.spans with the group of physical left row `row`;
+// addCandidate applies the temporal predicate to every row either access
+// path visits.
 func (f *ColFusedAdjust) gather(row int) error {
 	f.spans = f.spans[:0]
 	lts, lte := f.lb.TS[row], f.lb.TE[row]
 	if f.Residual != nil {
 		f.concat = boxRow(f.concat[:0], f.lb, row)
 	}
-	var lk []byte
-	switch {
-	case f.Strategy == GroupMerge:
-		lk = f.lkeys[f.lpos-1]
-	case len(f.Keys) > 0:
+	if len(f.Keys) > 0 {
 		kb, hasNull, err := f.lenc.appendKey(f.keyBuf[:0], f.lb, row)
 		f.keyBuf = kb
 		if err != nil {
@@ -315,62 +216,21 @@ func (f *ColFusedAdjust) gather(row int) error {
 		if hasNull {
 			return nil // ω keys never match: empty group, bare sweep
 		}
-		lk = kb
-	}
-	switch f.Strategy {
-	case GroupHash:
-		for j := f.index.first(lk); j != 0; j = f.index.next[j-1] {
+		for j := f.index.first(kb); j != 0; j = f.index.next[j-1] {
 			if err := f.addCandidate(int(j-1), lts, lte); err != nil {
 				return err
 			}
 		}
-	case GroupMerge:
-		// Both sides are sorted by encoded equi keys, so the right-run
-		// window only moves forward: position it at the first key >= lk.
-		if f.rlo == f.rhi || bytes.Compare(f.rkeys[f.rlo], lk) < 0 {
-			lo := f.rhi
-			for lo < len(f.rkeys) && bytes.Compare(f.rkeys[lo], lk) < 0 {
-				lo++
-			}
-			hi := lo
-			for hi < len(f.rkeys) && bytes.Equal(f.rkeys[hi], lk) {
-				hi++
-			}
-			f.rlo, f.rhi = lo, hi
-		}
-		if f.rlo < f.rhi && bytes.Equal(f.rkeys[f.rlo], lk) {
-			for i := f.rlo; i < f.rhi; i++ {
-				if err := f.addCandidate(int(f.rperm[i]), lts, lte); err != nil {
-					return err
-				}
-			}
-		}
-	case GroupNestLoop:
-		// The only strategy that visits every pair: test overlap inline so
-		// the call is paid for real group members only (a group row that
-		// does not overlap has no endpoint strictly inside either).
-		ts, te := f.store.TS, f.store.TE
-		for j, n := 0, f.store.Len(); j < n; j++ {
-			if ts[j] >= lte || te[j] <= lts {
-				continue
-			}
-			if lk != nil && !bytes.Equal(f.rkeys[j], lk) {
-				continue
-			}
-			if err := f.addCandidate(j, lts, lte); err != nil {
-				return err
-			}
-		}
-	case GroupInterval:
-		// Overlap candidates satisfy r.Ts < lte and r.Te > lts; since
-		// r.Te <= r.Ts + maxDur, every candidate has r.Ts > lts - maxDur.
-		// Binary search that bound and scan while r.Ts < lte.
-		lo := lts - f.maxDur
-		pos := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo })
-		for ; pos < len(f.starts) && f.starts[pos] < lte; pos++ {
-			if err := f.addCandidate(int(f.rperm[pos]), lts, lte); err != nil {
-				return err
-			}
+		return nil
+	}
+	// Overlap candidates satisfy r.Ts < lte and r.Te > lts; since
+	// r.Te <= r.Ts + maxDur, every candidate has r.Ts > lts - maxDur.
+	// Binary search that bound and scan while r.Ts < lte.
+	lo := lts - f.maxDur
+	pos := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo })
+	for ; pos < len(f.starts) && f.starts[pos] < lte; pos++ {
+		if err := f.addCandidate(int(f.byStart[pos]), lts, lte); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -467,13 +327,8 @@ func (f *ColFusedAdjust) Close() error {
 	f.store, f.lb = nil, nil
 	f.index.release()
 	keepBatch(&f.own)
-	keepBatch(&f.lown)
 	keepBatch(&f.outB)
-	f.rkeys, f.lkeys, f.spans = kept(f.rkeys), kept(f.lkeys), kept(f.spans)
-	f.rperm, f.lperm, f.starts = kept(f.rperm), kept(f.lperm), kept(f.starts)
-	if cap(f.arena) > keptBytes {
-		f.arena = nil
-	}
+	f.spans, f.byStart, f.starts = kept(f.spans), kept(f.byStart), kept(f.starts)
 	err1 := f.Left.Close()
 	err2 := f.Right.Close()
 	if err1 != nil {

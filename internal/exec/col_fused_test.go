@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"talign/internal/expr"
@@ -25,12 +24,9 @@ func fusedInput(rel *relation.Relation, bridged bool) ColIterator {
 	return sc
 }
 
-func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode AdjustMode, strat GroupStrategy, keys []expr.EquiPair, residual expr.Expr) []tuple.Tuple {
+func runFused(t *testing.T, left, right *relation.Relation, bridged bool, mode AdjustMode, keys []expr.EquiPair, residual expr.Expr) []tuple.Tuple {
 	t.Helper()
-	op, err := NewColFusedAdjust(fusedInput(left, bridged), fusedInput(right, bridged), mode, strat, keys, residual)
-	if err != nil {
-		t.Fatalf("%v %v: %v", mode, strat, err)
-	}
+	op := NewColFusedAdjust(fusedInput(left, bridged), fusedInput(right, bridged), mode, keys, residual)
 	op.SetBatchSize(2)
 	return drainCol(t, op)
 }
@@ -40,11 +36,15 @@ func keyOnCol0(k value.Kind) []expr.EquiPair {
 	return []expr.EquiPair{{Left: expr.ColIdx{Idx: 0, Typ: k}, Right: expr.ColIdx{Idx: 0, Typ: k}}}
 }
 
+// accessPath names the group access θ's shape selects, as EXPLAIN prints
+// it.
+func accessPath(keys []expr.EquiPair) string { return GroupAccess(len(keys) > 0) }
+
 // TestColFusedAdjustSweepCases replays the Fig. 10/11 unit cases of the
 // plane sweep — group members given as group-side tuples rather than a
-// pre-joined stream — under every group strategy that applies: keyed
-// cases under hash, merge and nested loop, single-group cases
-// additionally keyless under nested loop and the interval index.
+// pre-joined stream — through both access paths: every case keyed (hash
+// chains), and the single-group cases keyless too (the start-sorted
+// interval scan), in every mode.
 func TestColFusedAdjustSweepCases(t *testing.T) {
 	lrel := func(rows ...[3]any) *relation.Relation {
 		b := relation.NewBuilder("x string")
@@ -113,49 +113,17 @@ func TestColFusedAdjustSweepCases(t *testing.T) {
 			lrel([3]any{"r1", 5, 8})},
 	}
 	for _, c := range cases {
-		type variant struct {
-			strat GroupStrategy
-			keys  []expr.EquiPair
-		}
-		keys := keyOnCol0(value.KindString)
-		variants := []variant{{GroupHash, keys}, {GroupMerge, keys}, {GroupNestLoop, keys}}
+		variants := [][]expr.EquiPair{keyOnCol0(value.KindString)}
 		if !c.needsKeys {
-			variants = append(variants, variant{GroupNestLoop, nil})
-			if c.mode != ModeNormalize {
-				variants = append(variants, variant{GroupInterval, nil})
-			}
+			variants = append(variants, nil)
 		}
-		for _, v := range variants {
+		for _, keys := range variants {
 			for _, bridged := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, v.strat, len(v.keys), bridged), func(t *testing.T) {
-					got := runFused(t, c.left, c.right, bridged, c.mode, v.strat, v.keys, nil)
+				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, accessPath(keys), len(keys), bridged), func(t *testing.T) {
+					got := runFused(t, c.left, c.right, bridged, c.mode, keys, nil)
 					assertSameRows(t, got, append([]tuple.Tuple(nil), c.want.Tuples...))
 				})
 			}
-		}
-	}
-}
-
-// TestColFusedAdjustConstructorErrors: invalid configurations are build
-// errors, not refusals or per-row panics.
-func TestColFusedAdjustConstructorErrors(t *testing.T) {
-	rel := relation.NewBuilder("x string", "p int").MustBuild()
-	keys := keyOnCol0(value.KindString)
-	for _, c := range []struct {
-		name  string
-		mode  AdjustMode
-		strat GroupStrategy
-		keys  []expr.EquiPair
-		want  string
-	}{
-		{"interval index in normalize mode", ModeNormalize, GroupInterval, nil, "interval-index"},
-		{"interval index with equi keys", ModeAlign, GroupInterval, keys, "keyless"},
-		{"hash without keys", ModeAlign, GroupHash, nil, "requires equi keys"},
-		{"merge without keys", ModeGaps, GroupMerge, nil, "requires equi keys"},
-	} {
-		_, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), c.mode, c.strat, c.keys, nil)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got error %v, want one mentioning %q", c.name, err, c.want)
 		}
 	}
 }
@@ -214,9 +182,11 @@ func refAdjust(left, right *relation.Relation, mode AdjustMode, match func(l, r 
 }
 
 // TestColFusedAdjustMatchesDefinition is the operator-level randomized
-// differential: every group strategy × mode × θ shape — including key
+// differential: every mode × θ shape, keyed and keyless — including key
 // expressions the vector accessors cannot compile, residual θ and
-// float-demoted columns — against the brute-force reference.
+// float-demoted columns — against the brute-force reference. Trials 6–11
+// add one long group interval, which widens the keyless scan's window
+// (r.Ts > lts − maxDur) over most of the group side: its worst case.
 func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	k0 := expr.ColIdx{Idx: 0, Typ: value.KindInt}
@@ -236,30 +206,92 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 		keys     []expr.EquiPair
 		residual expr.Expr
 		match    func(l, r tuple.Tuple) bool
-		strats   []GroupStrategy
 	}
-	keyed := []GroupStrategy{GroupHash, GroupMerge, GroupNestLoop}
-	keyless := []GroupStrategy{GroupNestLoop, GroupInterval}
 	shapes := []shape{
-		{"equi", plainKeys, nil, keyMatch, keyed},
-		{"equi-computed", computedKeys, nil, keyMatch, keyed},
-		{"equi+residual", plainKeys, residual, func(l, r tuple.Tuple) bool { return keyMatch(l, r) && resMatch(l, r) }, keyed},
-		{"keyless-residual", nil, residual, resMatch, keyless},
-		{"nil", nil, nil, func(l, r tuple.Tuple) bool { return true }, keyless},
+		{"equi", plainKeys, nil, keyMatch},
+		{"equi-computed", computedKeys, nil, keyMatch},
+		{"equi+residual", plainKeys, residual, func(l, r tuple.Tuple) bool { return keyMatch(l, r) && resMatch(l, r) }},
+		{"keyless-residual", nil, residual, resMatch},
+		{"nil", nil, nil, func(l, r tuple.Tuple) bool { return true }},
 	}
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
 			// Mixed int/float columns exercise demotion.
 			left := colTestRel(r, 40, true).Dedup()
 			right := colTestRel(r, 50, true)
+			if trial >= 6 {
+				ts := r.Int63n(20)
+				right.MustAppend(tuple.New(interval.New(ts, ts+70+r.Int63n(20)), value.NewInt(r.Int63n(8)), value.NewInt(r.Int63n(50))))
+			}
 			for _, sh := range shapes {
 				want := refAdjust(left, right, mode, sh.match)
-				for _, strat := range sh.strats {
-					if strat == GroupInterval && mode == ModeNormalize {
-						continue
-					}
-					got := runFused(t, left, right, trial%2 == 1, mode, strat, sh.keys, sh.residual)
-					t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, strat), func(t *testing.T) {
+				got := runFused(t, left, right, trial%2 == 1, mode, sh.keys, sh.residual)
+				t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, accessPath(sh.keys)), func(t *testing.T) {
+					assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
+				})
+			}
+		}
+	}
+}
+
+// TestColFusedAdjustScanWindow pins the edges of the keyless scan's
+// window — a group row overlaps iff r.Ts < lte and r.Te > lts, and the
+// scan starts at the first r.Ts > lts − maxDur — with hand-built rows
+// around each bound, in every mode, keyed and keyless, against the
+// definition reference. Keys are k; group rows carry a tag p.
+func TestColFusedAdjustScanWindow(t *testing.T) {
+	rows := func(spec ...[3]int64) *relation.Relation {
+		b := relation.NewBuilder("k int", "p int")
+		for i, s := range spec {
+			b.Row(s[1], s[2], s[0], int64(i))
+		}
+		return b.MustBuild()
+	}
+	cases := []struct {
+		name        string
+		left, right *relation.Relation
+	}{
+		{"touching rows do not overlap",
+			rows([3]int64{1, 10, 20}), rows([3]int64{1, 5, 10}, [3]int64{1, 20, 25})},
+		{"the longest row starting at lts - maxDur ends at lts",
+			rows([3]int64{1, 10, 20}), rows([3]int64{1, 2, 10}, [3]int64{1, 12, 14})},
+		{"the longest row starting one past lts - maxDur reaches in",
+			rows([3]int64{1, 10, 20}), rows([3]int64{1, 1, 11}, [3]int64{1, 15, 16})},
+		{"one long row widens the window over many short ones",
+			rows([3]int64{1, 40, 45}, [3]int64{1, 70, 72}),
+			rows([3]int64{1, 0, 100}, [3]int64{1, 5, 6}, [3]int64{1, 10, 12}, [3]int64{1, 41, 43},
+				[3]int64{1, 44, 50}, [3]int64{1, 71, 72}, [3]int64{1, 90, 95})},
+		{"rows sharing a start with different ends",
+			rows([3]int64{1, 11, 14}, [3]int64{1, 20, 25}),
+			rows([3]int64{1, 10, 12}, [3]int64{1, 10, 15}, [3]int64{1, 10, 30})},
+		{"left rows out of start order",
+			rows([3]int64{1, 50, 60}, [3]int64{1, 0, 10}, [3]int64{1, 25, 35}),
+			rows([3]int64{1, 30, 55}, [3]int64{1, 5, 8})},
+		{"unit-length rows",
+			rows([3]int64{1, 3, 4}, [3]int64{1, 4, 5}),
+			rows([3]int64{1, 4, 5}, [3]int64{1, 2, 3}, [3]int64{1, 3, 4})},
+		{"group rows equal to and containing the left row",
+			rows([3]int64{1, 10, 20}), rows([3]int64{1, 10, 20}, [3]int64{1, 0, 30})},
+		{"every group row after the left rows",
+			rows([3]int64{1, 0, 5}), rows([3]int64{1, 20, 30}, [3]int64{1, 5, 9})},
+		{"empty left side",
+			rows(), rows([3]int64{1, 0, 5})},
+		{"keys partition overlapping group rows",
+			rows([3]int64{1, 10, 20}, [3]int64{2, 10, 20}),
+			rows([3]int64{2, 12, 14}, [3]int64{1, 15, 18}, [3]int64{2, 0, 11}, [3]int64{3, 5, 25})},
+	}
+	keyMatch := func(l, r tuple.Tuple) bool { return l.Vals[0].Equal(r.Vals[0]) }
+	for _, c := range cases {
+		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
+			for _, keys := range [][]expr.EquiPair{keyOnCol0(value.KindInt), nil} {
+				match := keyMatch
+				if keys == nil {
+					match = func(l, r tuple.Tuple) bool { return true }
+				}
+				want := refAdjust(c.left, c.right, mode, match)
+				for _, bridged := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/%s/bridged=%v", c.name, mode, accessPath(keys), bridged), func(t *testing.T) {
+						got := runFused(t, c.left, c.right, bridged, mode, keys, nil)
 						assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
 					})
 				}
@@ -270,28 +302,23 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 
 // TestColFusedAdjustKeyEvalError: an equi-key expression that fails to
 // evaluate surfaces as an error from Open (group side) or NextCol (left
-// side), under every keyed strategy.
+// side).
 func TestColFusedAdjustKeyEvalError(t *testing.T) {
 	rel := relation.NewBuilder("k string").Row(0, 5, "a").MustBuild()
 	k0 := expr.ColIdx{Idx: 0, Typ: value.KindString}
 	bad := expr.Add(k0, expr.Int(1)) // string + int fails at evaluation
-	for _, strat := range []GroupStrategy{GroupHash, GroupMerge, GroupNestLoop} {
-		for _, keys := range [][]expr.EquiPair{
-			{{Left: bad, Right: k0}},
-			{{Left: k0, Right: bad}},
-		} {
-			op, err := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), ModeAlign, strat, keys, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = op.Open()
-			if err == nil {
-				_, err = op.NextCol()
-			}
-			if err == nil {
-				t.Errorf("%s: key evaluation error was swallowed", strat)
-			}
-			op.Close()
+	for side, keys := range [][]expr.EquiPair{
+		{{Left: bad, Right: k0}},
+		{{Left: k0, Right: bad}},
+	} {
+		op := NewColFusedAdjust(NewColScan(rel), NewColScan(rel), ModeAlign, keys, nil)
+		err := op.Open()
+		if err == nil {
+			_, err = op.NextCol()
 		}
+		if err == nil {
+			t.Errorf("bad key on side %d: key evaluation error was swallowed", side)
+		}
+		op.Close()
 	}
 }

@@ -92,6 +92,15 @@ func encodeKeys(arena []byte, keys [][]byte, enc *rowExprs, b *colbatch.Batch, n
 	return arena, keys, nil
 }
 
+// identityPerm appends the row permutation 0, 1, …, n-1 to dst.
+func identityPerm(dst []int32, n int) []int32 {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
 // boxRow appends physical row `row` of b to dst as boxed values.
 func boxRow(dst []value.Value, b *colbatch.Batch, row int) []value.Value {
 	for c := range b.Cols {
@@ -109,7 +118,7 @@ func equiSides(keys []expr.EquiPair) (l, r []expr.Expr) {
 }
 
 // chainIndex is the key → build rows multimap under the hash join and the
-// fused adjust's hash strategy: a keyTable of the distinct equi keys whose
+// fused adjust's keyed θ: a keyTable of the distinct equi keys whose
 // ids head chains threaded through one int32 per build row. Rows whose
 // key has an ω component are in no chain — they can never match.
 type chainIndex struct {

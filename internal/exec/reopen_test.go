@@ -163,8 +163,8 @@ func reopenCases() []reopenCase {
 		}},
 		{name: "temporal left outer join", build: func(c *reopenTree) ColIterator {
 			// Table 2: α((r Φθ s) ⟕ θ ∧ r.T = s.T (s Φθ r)), θ: k = k2.
-			rs := must(NewColFusedAdjust(c.left(), c.right(), ModeAlign, GroupHash, []expr.EquiPair{{Left: rK, Right: sK}}, nil))
-			sr := must(NewColFusedAdjust(c.right(), c.left(), ModeAlign, GroupMerge, []expr.EquiPair{{Left: sK, Right: rK}}, nil))
+			rs := NewColFusedAdjust(c.left(), c.right(), ModeAlign, []expr.EquiPair{{Left: rK, Right: sK}}, nil)
+			sr := NewColFusedAdjust(c.right(), c.left(), ModeAlign, []expr.EquiPair{{Left: sK, Right: rK}}, nil)
 			j := NewColHashJoin(NewColGuard(c.gs, c.sized(rs)), NewColGuard(c.gs, c.sized(sr)), []expr.EquiPair{{Left: rK, Right: sK}}, nil, LeftOuterJoin, true)
 			return c.sized(NewColAbsorb(NewColGuard(c.gs, c.sized(j))))
 		}, want: func(_ *testing.T, _, rf, sf *relation.Relation) *relation.Relation {
@@ -173,7 +173,7 @@ func reopenCases() []reopenCase {
 		{name: "temporal aggregation", build: func(c *reopenTree) ColIterator {
 			// B,Tϑ_F(N_B(r; r)), B = {k}: the split points are r's own
 			// bounds, by k.
-			norm := must(NewColFusedAdjust(c.left(), c.left(), ModeNormalize, GroupHash, []expr.EquiPair{{Left: rK, Right: rK}}, nil))
+			norm := NewColFusedAdjust(c.left(), c.left(), ModeNormalize, []expr.EquiPair{{Left: rK, Right: rK}}, nil)
 			aggs := []AggSpec{{Func: AggCountStar, Name: "n"}, {Func: AggSum, Arg: rV, Name: "sv"}}
 			return c.sized(must(NewColHashAggregate(NewColGuard(c.gs, c.sized(norm)), []expr.Expr{rK}, []string{"k"}, true, aggs)))
 		}, want: func(_ *testing.T, _, rf, _ *relation.Relation) *relation.Relation {
@@ -238,30 +238,28 @@ func reopenCases() []reopenCase {
 			}
 		}
 	}
-	// Fused adjust: {align, normalize} × {hash, merge, nested loop,
-	// interval index}. Nested loop groups over a projected bare scan, whose
-	// image passes the guard and the projection without a copy.
-	keys := []expr.EquiPair{{Left: rK, Right: sK}}
-	for _, fc := range []struct {
-		mode     AdjustMode
-		strategy GroupStrategy
-		keys     []expr.EquiPair
-		residual expr.Expr
-	}{
-		{ModeAlign, GroupHash, keys, nil}, {ModeAlign, GroupMerge, keys, vLEw}, {ModeAlign, GroupNestLoop, keys, nil},
-		{ModeAlign, GroupNestLoop, nil, vLEw}, {ModeAlign, GroupInterval, nil, nil}, {ModeGaps, GroupHash, keys, nil},
-		{ModeNormalize, GroupHash, keys, nil}, {ModeNormalize, GroupMerge, keys, nil}, {ModeNormalize, GroupNestLoop, keys, nil},
-	} {
-		cases = append(cases, reopenCase{
-			name: fmt.Sprintf("fused %s %s keys=%d residual=%v", fc.mode, fc.strategy, len(fc.keys), fc.residual != nil),
-			build: func(c *reopenTree) ColIterator {
-				right := c.right()
-				if fc.strategy == GroupNestLoop {
-					right = NewColGuard(c.gs, c.project(c.sized(NewColScan(c.s)), TKeep, nil, sK, sW)) // a borrowed image
-				}
-				return c.sized(must(NewColFusedAdjust(c.left(), right, fc.mode, fc.strategy, fc.keys, fc.residual)))
-			},
-		})
+	// Fused adjust: {align, gaps, normalize} × {keyed, keyless} × residual.
+	// The group side is parameter-filtered, so the hash chains and the start
+	// order must be rebuilt at every Open; two cases group over a projected
+	// bare scan instead, whose image passes the guard and the projection
+	// without a copy.
+	equi := []expr.EquiPair{{Left: rK, Right: sK}}
+	for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
+		for _, keys := range [][]expr.EquiPair{equi, nil} {
+			for _, residual := range []expr.Expr{nil, vLEw} {
+				borrowed := mode == ModeAlign && (keys != nil) == (residual == nil)
+				cases = append(cases, reopenCase{
+					name: fmt.Sprintf("fused %s %s keys=%d residual=%v", mode, accessPath(keys), len(keys), residual != nil),
+					build: func(c *reopenTree) ColIterator {
+						right := c.right()
+						if borrowed {
+							right = NewColGuard(c.gs, c.project(c.sized(NewColScan(c.s)), TKeep, nil, sK, sW))
+						}
+						return c.sized(NewColFusedAdjust(c.left(), right, mode, keys, residual))
+					},
+				})
+			}
+		}
 	}
 	return cases
 }

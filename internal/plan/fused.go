@@ -13,15 +13,13 @@ import (
 // AdjustmentNode is the logical node of the two temporal primitives,
 // r Φ_θ s and N_B(r; s): group construction (Sec. 6.1/6.3) and the plane
 // sweep (Sec. 6.2, Fig. 10) as one operator, exec.ColFusedAdjust, that
-// never materializes concatenated join rows. The group strategy (hash,
-// merge, nested loop, interval index) is chosen at construction exactly
-// like JoinNode's method — candidate costs plus DisableCost for disabled
-// paths — so the planner flags that steer Fig. 13's join-method series
-// steer the fused node the same way.
+// never materializes concatenated join rows. θ's shape alone decides how
+// a left row finds its group — hash chains over the equi keys, or the
+// start-sorted interval scan (Sec. 8) when θ has none — so the planner's
+// join-method flags steer JoinNode only.
 type AdjustmentNode struct {
 	Left, Right Node
 	Mode        exec.AdjustMode
-	Strategy    exec.GroupStrategy
 	Keys        []expr.EquiPair
 	Residual    expr.Expr
 
@@ -50,8 +48,7 @@ func (p *Planner) FusedNormalize(r, s Node, keys []expr.EquiPair) *AdjustmentNod
 	return p.FusedAdjustFrom(r, s, exec.ModeNormalize, keys, nil)
 }
 
-// FusedAdjustFrom builds the node from its decomposed parts, choosing the
-// group strategy under the planner's flags and the inputs' statistics. The
+// FusedAdjustFrom builds the node from its decomposed parts. The
 // optimizer uses it to rebuild a node over rewritten inputs after pushing
 // predicates below it.
 func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.EquiPair, residual expr.Expr) *AdjustmentNode {
@@ -60,55 +57,24 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 		Keys: keys, Residual: residual,
 		out: l.Schema(), batch: p.Flags.BatchSize,
 	}
-	n.rows = n.estimateRows() // choose costs the sweep per output row
-	n.choose(p.Flags)
+	n.rows = n.estimateRows() // the cost charges the sweep per output row
+	n.cost = n.estimateCost()
 	return n
 }
 
-// choose picks the group strategy with JoinNode's cost candidates, plus
-// the interval index (align only, keyless θ), which wins whenever its flag
-// is on and θ has no equi keys.
-func (n *AdjustmentNode) choose(flags Flags) {
+// estimateCost prices group construction like the join it absorbs: a keyed
+// θ at JoinNode's hash cost; a keyless θ at its nested-loop cost, the
+// interval scan's worst case when one long group interval widens every
+// scan to the whole side. The sweep adds the paper's Sec. 6.2/6.3 per-row
+// adjustment cost.
+func (n *AdjustmentNode) estimateCost() float64 {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	base := n.Left.Cost() + n.Right.Cost()
-
-	if len(n.Keys) == 0 && n.Mode != exec.ModeNormalize && flags.EnableIntervalIndex {
-		n.Strategy = exec.GroupInterval
-		n.cost = base +
-			2*CPUOperatorCost*rr*math.Log2(rr+1) +
-			lr*CPUOperatorCost*math.Log2(rr+1) +
-			lr*3*CPUOperatorCost
-		return
-	}
-
-	nlCost := base + lr*rr*CPUOperatorCost + rr*CPUTupleCost
-	if !flags.EnableNestLoop {
-		nlCost += DisableCost
-	}
-	best, bestCost := exec.GroupNestLoop, nlCost
-
+	group := base + lr*rr*CPUOperatorCost + rr*CPUTupleCost
 	if len(n.Keys) > 0 {
-		hashCost := base + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
-		if !flags.EnableHashJoin {
-			hashCost += DisableCost
-		}
-		if hashCost < bestCost {
-			best, bestCost = exec.GroupHash, hashCost
-		}
-		mergeCost := base +
-			2*CPUOperatorCost*lr*math.Log2(lr+1) +
-			2*CPUOperatorCost*rr*math.Log2(rr+1) +
-			(lr+rr)*CPUOperatorCost
-		if !flags.EnableMergeJoin {
-			mergeCost += DisableCost
-		}
-		if mergeCost < bestCost {
-			best, bestCost = exec.GroupMerge, mergeCost
-		}
+		group = base + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
 	}
-	n.Strategy = best
-	// The sweep itself: the paper's Sec. 6.2/6.3 per-row adjustment cost.
-	n.cost = bestCost + 2*CPUOperatorCost*n.rows
+	return group + 2*CPUOperatorCost*n.rows
 }
 
 func (n *AdjustmentNode) Schema() schema.Schema { return n.out }
@@ -177,14 +143,11 @@ func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	fa, err := exec.NewColFusedAdjust(l, r, n.Mode, n.Strategy, bindPairs(ctx, n.Keys), ctx.bind(n.Residual))
-	if err != nil {
-		return nil, err
-	}
+	fa := exec.NewColFusedAdjust(l, r, n.Mode, bindPairs(ctx, n.Keys), ctx.bind(n.Residual))
 	fa.SizeHint = rowHint(n.Right)
 	return exec.ApplyColBatch(fa, n.batch), nil
 }
 
 func (n *AdjustmentNode) Label() string {
-	return fmt.Sprintf("FusedAdjust %s (%s)", n.Mode, n.Strategy)
+	return fmt.Sprintf("FusedAdjust %s (%s)", n.Mode, exec.GroupAccess(len(n.Keys) > 0))
 }

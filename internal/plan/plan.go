@@ -40,19 +40,16 @@ const (
 	RangeSelectivity = 1.0 / 3.0
 )
 
-// Flags mirror PostgreSQL's planner enable_* settings (Sec. 7.2 toggles
-// enable_mergejoin / enable_hashjoin to steer normalization's internal
-// join).
+// Flags mirror PostgreSQL's planner enable_* settings. The join-method
+// flags steer JoinNode only: where Sec. 7.2 toggles enable_mergejoin /
+// enable_hashjoin to steer normalization's internal join, alignment and
+// normalization here find their groups by θ's shape alone (see
+// AdjustmentNode).
 type Flags struct {
 	EnableNestLoop  bool
 	EnableHashJoin  bool
 	EnableMergeJoin bool
 	EnableSort      bool
-	// EnableIntervalIndex turns on the sort-based overlap join for the
-	// aligner's group construction when θ has no equi keys (the paper's
-	// Sec. 8 future-work direction). Off by default to keep the
-	// paper-faithful access paths.
-	EnableIntervalIndex bool
 	// EnableAntiJoinRewrite evaluates the temporal antijoin with the
 	// customized gaps-only aligner instead of the generic Table 2
 	// reduction (Sec. 8 future work: primitives specialized per operator).
@@ -119,9 +116,9 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,ii%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,zp%c",
+	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,zp%c",
 		b(f.EnableNestLoop), b(f.EnableHashJoin), b(f.EnableMergeJoin), b(f.EnableSort),
-		b(f.EnableIntervalIndex), b(f.EnableAntiJoinRewrite),
+		b(f.EnableAntiJoinRewrite),
 		f.DOP, f.ParallelMinRows, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer),
 		b(f.DisablePruning))
 }

@@ -55,7 +55,8 @@ func writeFrames(fw *wire.Writer, rs *RowStream, binary bool, flusher http.Flush
 			ended = true
 		}
 		if err != nil {
-			return false // the peer is gone; the caller's Close cancels upstream
+			rs.hangUp() // the peer is gone; the caller's Close cancels upstream
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()

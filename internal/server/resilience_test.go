@@ -123,7 +123,9 @@ func TestPanicFunctionIsolated(t *testing.T) {
 // nothing.
 func TestQueryTimeout(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	s := resilServer(t, 4000, func(c *Config) {
+	// 10 000 mutually overlapping rows: the self-ALIGN reads 100M group
+	// candidates, several times the timeout's worth of work.
+	s := resilServer(t, 10000, func(c *Config) {
 		c.Timeout = 100 * time.Millisecond
 		c.Flags.DOP = 4
 		c.Flags.ForceParallel = true

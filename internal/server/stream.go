@@ -135,6 +135,17 @@ func (rs *RowStream) fail(err error) {
 	rs.Close()
 }
 
+// hangUp ends a running stream whose peer went away mid-answer. The
+// connection's context is cancelled as well, but a write can fail before
+// the executor next checks it; either way the client aborted the query,
+// so it counts as one cancellation. A stream already exhausted or failed
+// is left as it is.
+func (rs *RowStream) hangUp() {
+	if rs.src != nil && !rs.done {
+		rs.fail(context.Canceled)
+	}
+}
+
 // Close tears the execution down, releases its admission-gate units and
 // cancels its per-query deadline context; it is idempotent and safe to
 // call mid-stream (the pipeline stops without draining).

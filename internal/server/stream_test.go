@@ -546,3 +546,52 @@ func TestWorkerFramesRefused(t *testing.T) {
 		t.Errorf("refusing a stage of %d frame bytes allocated %d bytes, want at most a quarter of them", body.Len(), grown)
 	}
 }
+
+// failAfter accepts its first n writes and fails every later one, like a
+// connection whose peer hung up mid-answer.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, io.ErrClosedPipe
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestFailedFrameWriteCountsOneCancel: a frame write that fails while the
+// stream still runs ends it as exactly one client cancellation (and one
+// error) and releases its gate claim; a write that fails after the last
+// row was pulled — only the status frame is lost — counts nothing.
+func TestFailedFrameWriteCountsOneCancel(t *testing.T) {
+	// A bounded gate, so InUse counts the stream's claim.
+	s := demoServer(t, Config{Flags: plan.DefaultFlags(), MaxDOP: 4})
+	cases := []struct {
+		name   string
+		writes int // frames written before the transport fails
+		want   uint64
+	}{
+		{"rows frame", 1, 1},   // schema written, rows lost
+		{"status frame", 2, 0}, // schema and rows written, status lost
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cancels, errs := s.cancels.Load(), s.errors.Load()
+			rs, err := s.Stream(context.Background(), "", "", "SELECT a FROM p WHERE a >= 40", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFrames(wire.NewWriter(&failAfter{n: c.writes}, wire.MediaBatch), rs, true, nil)
+			rs.Close()
+			if got := s.cancels.Load() - cancels; got != c.want {
+				t.Errorf("cancellations counted: %d, want %d", got, c.want)
+			}
+			if got := s.errors.Load() - errs; got != c.want {
+				t.Errorf("errors counted: %d, want %d", got, c.want)
+			}
+			if inUse := s.gate.Stats().InUse; inUse != 0 {
+				t.Errorf("gate in use after the stream: %d", inUse)
+			}
+		})
+	}
+}

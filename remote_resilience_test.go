@@ -105,8 +105,10 @@ func TestClientRetryDisabled(t *testing.T) {
 // with a deadline error instead of hanging.
 func TestRemoteClientTimeout(t *testing.T) {
 	srv := server.New(server.Config{})
+	// 8 000 mutually overlapping rows: the self-ALIGN reads 64M group
+	// candidates (about 0.4 s on 2 vCPUs), several times the timeout.
 	b := relation.NewBuilder("v int")
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 8000; i++ {
 		b.Row(int64(i%13), int64(i%13)+50, int64(i))
 	}
 	srv.Catalog().Register("big", b.MustBuild())
@@ -292,9 +294,11 @@ func openTest(t *testing.T, dsn string) *DB {
 	return db
 }
 
-// bigRemote serves a table whose self-ALIGN runs for seconds.
+// bigRemote serves a table whose self-ALIGN runs for seconds. Its gate is
+// bounded, so GateStats().InUse counts the statements still running: an
+// unlimited gate claims nothing and reads 0 throughout.
 func bigRemote(t *testing.T) (*server.Server, *DB) {
-	srv := server.New(server.Config{})
+	srv := server.New(server.Config{MaxDOP: 4})
 	b := relation.NewBuilder("v int")
 	for i := 0; i < 3000; i++ {
 		b.Row(int64(i%13), int64(i%13)+50, int64(i))
