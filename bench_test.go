@@ -47,9 +47,9 @@ func reportRows(b *testing.B, rows int) {
 
 // BenchmarkFig13NormalizeJoinMethods reproduces Fig. 13(a): N_{ssn} on
 // Incumben, and Fig. 13(b) through the reported rows metric. The paper
-// forces each join method of normalization's group construction; here the
-// equi key ssn alone picks its hash chains, whatever the planner's method
-// flags say, so the panel is one series.
+// forces each join method of normalization's group construction; here
+// every θ groups through the one run index (runs by ssn), whatever the
+// planner's method flags say, so the panel is one series.
 func BenchmarkFig13NormalizeJoinMethods(b *testing.B) {
 	b.Run("n=8000", func(b *testing.B) {
 		b.ReportAllocs()

@@ -120,8 +120,8 @@ func normalizeRun(attrs []string, flags plan.Flags) benchkit.Runner {
 }
 
 // fig13a: runtime of N{ssn}. Sec. 7.2 forces each join method of the
-// group construction; here the equi key ssn alone picks its hash chains,
-// so the panel is one series (plus a parallel one under -j).
+// group construction; here every θ groups through the one run index
+// (runs by ssn), so the panel is one series (plus a parallel one under -j).
 func fig13a() (benchkit.Figure, error) {
 	sz := sizes([]int{10000, 20000, 40000, 80000})
 	fig := benchkit.Figure{ID: "13a", Title: "Normalization N{ssn} on Incumben", XLabel: "input tuples"}

@@ -86,7 +86,7 @@ func TestAntiJoinRewritePlanShape(t *testing.T) {
 }
 
 // TestAntiJoinRewriteKeylessTheta: the gaps-only aligner composes with
-// the interval scan that keyless θ groups through.
+// a keyless θ, whose group is the one run of the whole group side.
 func TestAntiJoinRewriteKeylessTheta(t *testing.T) {
 	both := New(rewriteFlags())
 	rng := rand.New(rand.NewSource(124))

@@ -122,7 +122,7 @@ func refNormalize(r, s *relation.Relation, cols []int) *relation.Relation {
 
 // strategyFlags are the default planner configuration and the three that
 // force one join method each. None of them steers group construction:
-// θ's shape alone picks the access path (wantLabel).
+// every θ uses the one group index (wantLabel).
 func strategyFlags() map[string]plan.Flags {
 	return map[string]plan.Flags{
 		"default":  plan.DefaultFlags(),
@@ -132,10 +132,10 @@ func strategyFlags() map[string]plan.Flags {
 	}
 }
 
-// wantLabel is the fused node EXPLAIN must show for a mode and θ shape,
-// whatever the planner's join-method flags.
-func wantLabel(mode exec.AdjustMode, keyed bool) string {
-	return fmt.Sprintf("FusedAdjust %s (%s)", mode, exec.GroupAccess(keyed))
+// wantLabel is the fused node EXPLAIN must show for a mode, whatever θ's
+// shape and the planner's join-method flags.
+func wantLabel(mode exec.AdjustMode) string {
+	return fmt.Sprintf("FusedAdjust %s  (", mode)
 }
 
 func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation) {
@@ -159,12 +159,11 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 		name  string
 		theta expr.Expr
 		cols  []int // the normalize B of matching shape
-		keyed bool
 	}{
-		{"equi", equi, []int{0}, true},
-		{"equi+residual", expr.And(equi, vLEw), []int{0, 1}, true},
-		{"keyless", vLEw, nil, false},
-		{"nil", nil, nil, false},
+		{"equi", equi, []int{0}},
+		{"equi+residual", expr.And(equi, vLEw), []int{0, 1}},
+		{"keyless", vLEw, nil},
+		{"nil", nil, nil},
 	}
 
 	for seed := int64(0); seed < 30; seed++ {
@@ -181,7 +180,7 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 					if gaps {
 						node, mode = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeGaps
 					}
-					if text, want := plan.Explain(node), wantLabel(mode, sh.keyed); !strings.Contains(text, want) {
+					if text, want := plan.Explain(node), wantLabel(mode); !strings.Contains(text, want) {
 						t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
 					}
 					got, err := plan.Run(node)
@@ -194,7 +193,7 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 				// Split points from the other relation and from r itself.
 				for _, pts := range []*relation.Relation{s, r} {
 					node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
-					if text, want := plan.Explain(node), wantLabel(exec.ModeNormalize, len(sh.cols) > 0); !strings.Contains(text, want) {
+					if text, want := plan.Explain(node), wantLabel(exec.ModeNormalize); !strings.Contains(text, want) {
 						t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
 					}
 					got, err := plan.Run(node)
@@ -294,8 +293,7 @@ func TestFusedAdjustParallel(t *testing.T) {
 	}
 }
 
-// TestFusedAdjustPlanShape: EXPLAIN renders the fused node with its mode
-// and group access path.
+// TestFusedAdjustPlanShape: EXPLAIN renders the fused node with its mode.
 func TestFusedAdjustPlanShape(t *testing.T) {
 	r := relation.NewBuilder("x string", "v int").Row(0, 5, "a", 1).MustBuild()
 	s := relation.NewBuilder("y string", "w int").Row(2, 7, "a", 2).MustBuild()
@@ -305,7 +303,7 @@ func TestFusedAdjustPlanShape(t *testing.T) {
 	}
 	a := Default()
 	text := plan.Explain(a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(s, "s"), theta))
-	if !strings.Contains(text, "FusedAdjust align (hash join)") {
-		t.Fatalf("plan missing the fused node label with its group access path:\n%s", text)
+	if !strings.Contains(text, wantLabel(exec.ModeAlign)) {
+		t.Fatalf("plan missing the fused node label with its mode:\n%s", text)
 	}
 }

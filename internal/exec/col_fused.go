@@ -1,16 +1,12 @@
 // ColFusedAdjust: the one ALIGN/NORMALIZE operator. It fuses the
 // group-construction join of Sec. 6.1/6.3 with the plane-sweep adjustment
-// of Sec. 6.2 (Fig. 10): the group side accumulates into a columnar store,
-// each left row finds its group members through the one access path θ's
-// shape admits, every member is reduced to a (P1, P2) span, and the small
-// per-row span buffer is sorted and swept immediately — concatenated join
-// rows are never materialized.
-//
-//	θ with equi keys: the keys' hash chains (chainIndex, as ColHashJoin)
-//	keyless θ:        the group side sorted by Ts, scanned from the first
-//	                  row that can still overlap (Ts > l.Ts − the longest
-//	                  group interval) while Ts < l.Te — the Sec. 8 interval
-//	                  index
+// of Sec. 6.2 (Fig. 10). The group side accumulates into a columnar store
+// indexed in runs, one per distinct equi key (one run when θ has none),
+// each in Ts order: a left row scans its key's run from the first row
+// that can still overlap (Ts > l.Ts − the longest group interval) while
+// Ts < l.Te, the Sec. 8 interval index. Every member becomes a (P1, P2)
+// span, and the row's small span buffer is sorted and swept at once —
+// concatenated join rows are never materialized.
 //
 //	align:     span = [max(l.Ts, r.Ts), min(l.Te, r.Te))   (overlaps only)
 //	normalize: span = [p, p] for each of the group row's own Ts and Te,
@@ -71,15 +67,6 @@ func (m AdjustMode) String() string {
 	return "normalize"
 }
 
-// GroupAccess names, as EXPLAIN prints it, how ColFusedAdjust finds a left
-// row's group for a θ with (keyed) or without equi keys.
-func GroupAccess(keyed bool) string {
-	if keyed {
-		return "hash join"
-	}
-	return "interval-index join"
-}
-
 // span is one (P1, P2) pair fed into the sweep; for normalization P1 = P2
 // is the split point.
 type span struct{ p1, p2 int64 }
@@ -113,12 +100,14 @@ type ColFusedAdjust struct {
 	lpos     int
 	leftDone bool
 
-	index chainIndex // keyed θ: equi key → chain of store rows
-	// Keyless θ: store rows in start order, their starts alongside, and
-	// the longest group-side interval.
-	byStart []int32
-	starts  []int64
-	maxDur  int64
+	// The group index: run<<32 | row for each store row without an ω key,
+	// in (run, Ts) order; run i (equi key id i in keys, or every row when
+	// θ has none) is byRun[runs[i]:runs[i+1]]. maxDur: the longest interval.
+	keys     *keyTable
+	byRun    []uint64
+	runs     []int32
+	maxDur   int64
+	examined int // group candidates addCandidate tested since Open
 }
 
 // NewColFusedAdjust builds the operator.
@@ -136,10 +125,8 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, keys []expr.EquiPair, 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
 
-// Open implements ColIterator: it drains the group side into the columnar
-// store and builds its access structure — hash chains over the equi keys,
-// or, for a keyless θ, a start-sorted permutation. Both are rebuilt at
-// every Open: a parameter-filtered group side changes between executions.
+// Open implements ColIterator: it drains the group side into the store and
+// indexes it anew, since a parameter-filtered group side can change.
 func (f *ColFusedAdjust) Open() error {
 	if err := f.Left.Open(); err != nil {
 		return err
@@ -152,20 +139,49 @@ func (f *ColFusedAdjust) Open() error {
 		return err
 	}
 	f.outB.ResetSchema(f.out)
-	f.lb, f.lpos, f.leftDone = nil, 0, false
+	f.lb, f.lpos, f.leftDone, f.examined = nil, 0, false, 0
+	n, ts, te := f.store.Len(), f.store.TS, f.store.TE
+	f.byRun, f.maxDur = slices.Grow(f.byRun[:0], n), 0
 	if len(f.Keys) > 0 {
-		return f.index.build(&f.renc, f.store)
+		f.keys = f.keys.reset(n)
 	}
-	n := f.store.Len()
-	f.byStart = identityPerm(f.byStart[:0], n)
-	ts, te := f.store.TS, f.store.TE
-	slices.SortFunc(f.byStart, func(a, b int32) int { return cmp.Compare(ts[a], ts[b]) })
-	f.starts, f.maxDur = slices.Grow(f.starts[:0], n), 0
-	for _, j := range f.byStart {
-		f.starts = append(f.starts, ts[j])
-		f.maxDur = max(f.maxDur, te[j]-ts[j])
+	nruns := 1 // an empty index still has run 0
+	for j := 0; j < n; j++ {
+		switch run, err := f.runOf(&f.renc, f.store, j, true); {
+		case err != nil:
+			return err
+		case run >= 0: // a key with an ω component is in no run
+			f.byRun = append(f.byRun, uint64(run)<<32|uint64(j))
+			f.maxDur, nruns = max(f.maxDur, te[j]-ts[j]), max(nruns, int(run)+1)
+		}
+	}
+	slices.Sort(f.byRun) // by run; no run is empty, so each ends at its last row
+	f.runs = zeroed(f.runs, nruns+1)
+	for i, x := range f.byRun {
+		f.runs[x>>32+1] = int32(i + 1)
+	}
+	for r := range nruns {
+		slices.SortFunc(f.byRun[f.runs[r]:f.runs[r+1]], func(a, b uint64) int { return cmp.Compare(ts[uint32(a)], ts[uint32(b)]) })
 	}
 	return nil
+}
+
+// runOf returns the run of physical row `row` of b under enc: 0 when θ has
+// no keys, else its key's id (insert adds new keys), -1 for ω or unknown.
+func (f *ColFusedAdjust) runOf(enc *rowExprs, b *colbatch.Batch, row int, insert bool) (int32, error) {
+	if len(f.Keys) == 0 {
+		return 0, nil
+	}
+	kb, hasNull, err := enc.appendKey(f.keyBuf[:0], b, row)
+	f.keyBuf = kb
+	if err != nil || hasNull {
+		return -1, err
+	}
+	if insert {
+		id, _ := f.keys.insert(kb)
+		return id, nil
+	}
+	return f.keys.find(kb), nil
 }
 
 // NextCol implements ColIterator.
@@ -198,38 +214,25 @@ func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 	return &f.outB, nil
 }
 
-// gather fills f.spans with the group of physical left row `row`;
-// addCandidate applies the temporal predicate to every row either access
-// path visits.
+// gather fills f.spans with the group of physical left row `row`: it scans
+// its key's run from the first row that can still overlap, and
+// addCandidate applies the temporal predicate to every row it visits.
 func (f *ColFusedAdjust) gather(row int) error {
 	f.spans = f.spans[:0]
 	lts, lte := f.lb.TS[row], f.lb.TE[row]
 	if f.Residual != nil {
 		f.concat = boxRow(f.concat[:0], f.lb, row)
 	}
-	if len(f.Keys) > 0 {
-		kb, hasNull, err := f.lenc.appendKey(f.keyBuf[:0], f.lb, row)
-		f.keyBuf = kb
-		if err != nil {
-			return err
-		}
-		if hasNull {
-			return nil // ω keys never match: empty group, bare sweep
-		}
-		for j := f.index.first(kb); j != 0; j = f.index.next[j-1] {
-			if err := f.addCandidate(int(j-1), lts, lte); err != nil {
-				return err
-			}
-		}
-		return nil
+	id, err := f.runOf(&f.lenc, f.lb, row, false)
+	if err != nil || id < 0 {
+		return err // empty group, bare sweep
 	}
 	// Overlap candidates satisfy r.Ts < lte and r.Te > lts; since
 	// r.Te <= r.Ts + maxDur, every candidate has r.Ts > lts - maxDur.
-	// Binary search that bound and scan while r.Ts < lte.
-	lo := lts - f.maxDur
-	pos := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > lo })
-	for ; pos < len(f.starts) && f.starts[pos] < lte; pos++ {
-		if err := f.addCandidate(int(f.byStart[pos]), lts, lte); err != nil {
+	run, ts, lo := f.byRun[f.runs[id]:f.runs[id+1]], f.store.TS, lts-f.maxDur
+	i := sort.Search(len(run), func(i int) bool { return ts[uint32(run[i])] > lo })
+	for ; i < len(run) && ts[uint32(run[i])] < lte; i++ {
+		if err := f.addCandidate(int(uint32(run[i])), lts, lte); err != nil {
 			return err
 		}
 	}
@@ -242,6 +245,7 @@ func (f *ColFusedAdjust) gather(row int) error {
 // normalize each of the group row's endpoints strictly inside the left
 // row's interval (the sweep skips repeated points).
 func (f *ColFusedAdjust) addCandidate(j int, lts, lte int64) error {
+	f.examined++
 	n := len(f.spans)
 	ts, te := f.store.TS[j], f.store.TE[j]
 	if f.Mode == ModeNormalize {
@@ -325,10 +329,10 @@ func (f *ColFusedAdjust) sweep(row int) {
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
 	f.store, f.lb = nil, nil
-	f.index.release()
+	f.keys = f.keys.small()
 	keepBatch(&f.own)
 	keepBatch(&f.outB)
-	f.spans, f.byStart, f.starts = kept(f.spans), kept(f.byStart), kept(f.starts)
+	f.spans, f.byRun, f.runs = kept(f.spans), kept(f.byRun), kept(f.runs)
 	err1 := f.Left.Close()
 	err2 := f.Right.Close()
 	if err1 != nil {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"talign/internal/dataset"
 	"talign/internal/expr"
 	"talign/internal/interval"
 	"talign/internal/relation"
@@ -36,15 +37,18 @@ func keyOnCol0(k value.Kind) []expr.EquiPair {
 	return []expr.EquiPair{{Left: expr.ColIdx{Idx: 0, Typ: k}, Right: expr.ColIdx{Idx: 0, Typ: k}}}
 }
 
-// accessPath names the group access θ's shape selects, as EXPLAIN prints
-// it.
-func accessPath(keys []expr.EquiPair) string { return GroupAccess(len(keys) > 0) }
+// keyedName names a θ shape in subtest names: keyed, or keyless (one run).
+func keyedName(keys []expr.EquiPair) string {
+	if len(keys) > 0 {
+		return "keyed"
+	}
+	return "keyless"
+}
 
 // TestColFusedAdjustSweepCases replays the Fig. 10/11 unit cases of the
 // plane sweep — group members given as group-side tuples rather than a
-// pre-joined stream — through both access paths: every case keyed (hash
-// chains), and the single-group cases keyless too (the start-sorted
-// interval scan), in every mode.
+// pre-joined stream — every case keyed (one run per key), and the
+// single-group cases keyless too (one run), in every mode.
 func TestColFusedAdjustSweepCases(t *testing.T) {
 	lrel := func(rows ...[3]any) *relation.Relation {
 		b := relation.NewBuilder("x string")
@@ -119,7 +123,7 @@ func TestColFusedAdjustSweepCases(t *testing.T) {
 		}
 		for _, keys := range variants {
 			for _, bridged := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, accessPath(keys), len(keys), bridged), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/keys=%d/bridged=%v", c.name, keyedName(keys), len(keys), bridged), func(t *testing.T) {
 					got := runFused(t, c.left, c.right, bridged, c.mode, keys, nil)
 					assertSameRows(t, got, append([]tuple.Tuple(nil), c.want.Tuples...))
 				})
@@ -185,8 +189,8 @@ func refAdjust(left, right *relation.Relation, mode AdjustMode, match func(l, r 
 // differential: every mode × θ shape, keyed and keyless — including key
 // expressions the vector accessors cannot compile, residual θ and
 // float-demoted columns — against the brute-force reference. Trials 6–11
-// add one long group interval, which widens the keyless scan's window
-// (r.Ts > lts − maxDur) over most of the group side: its worst case.
+// add one long group interval, which widens every run's scan window
+// (r.Ts > lts − maxDur) over most of the run: its worst case.
 func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	k0 := expr.ColIdx{Idx: 0, Typ: value.KindInt}
@@ -226,7 +230,7 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 			for _, sh := range shapes {
 				want := refAdjust(left, right, mode, sh.match)
 				got := runFused(t, left, right, trial%2 == 1, mode, sh.keys, sh.residual)
-				t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, accessPath(sh.keys)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("trial%d/%s/%s/%s", trial, mode, sh.name, keyedName(sh.keys)), func(t *testing.T) {
 					assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
 				})
 			}
@@ -234,16 +238,22 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	}
 }
 
-// TestColFusedAdjustScanWindow pins the edges of the keyless scan's
-// window — a group row overlaps iff r.Ts < lte and r.Te > lts, and the
-// scan starts at the first r.Ts > lts − maxDur — with hand-built rows
-// around each bound, in every mode, keyed and keyless, against the
-// definition reference. Keys are k; group rows carry a tag p.
+// TestColFusedAdjustScanWindow pins the edges of the run scan's window —
+// a group row overlaps iff r.Ts < lte and r.Te > lts, and the scan starts
+// at the first r.Ts > lts − maxDur of the left row's run — and the
+// boundaries between runs, with hand-built rows around each bound, in
+// every mode, keyed and keyless (one run), against the definition
+// reference. Keys are k (omega stands for ω); group rows carry a tag p.
 func TestColFusedAdjustScanWindow(t *testing.T) {
+	const omega = -1
 	rows := func(spec ...[3]int64) *relation.Relation {
 		b := relation.NewBuilder("k int", "p int")
 		for i, s := range spec {
-			b.Row(s[1], s[2], s[0], int64(i))
+			var k any = s[0]
+			if s[0] == omega {
+				k = nil
+			}
+			b.Row(s[1], s[2], k, int64(i))
 		}
 		return b.MustBuild()
 	}
@@ -279,8 +289,27 @@ func TestColFusedAdjustScanWindow(t *testing.T) {
 		{"keys partition overlapping group rows",
 			rows([3]int64{1, 10, 20}, [3]int64{2, 10, 20}),
 			rows([3]int64{2, 12, 14}, [3]int64{1, 15, 18}, [3]int64{2, 0, 11}, [3]int64{3, 5, 25})},
+		{"runs of different keys interleave in time",
+			rows([3]int64{1, 10, 30}, [3]int64{2, 15, 25}),
+			rows([3]int64{1, 5, 12}, [3]int64{2, 8, 16}, [3]int64{1, 14, 18}, [3]int64{2, 20, 22},
+				[3]int64{1, 26, 40}, [3]int64{2, 24, 35}, [3]int64{1, 29, 31})},
+		{"the last row of one run and the first of the next both overlap",
+			rows([3]int64{1, 10, 20}, [3]int64{2, 10, 20}),
+			rows([3]int64{1, 0, 5}, [3]int64{1, 15, 25}, [3]int64{2, 12, 14}, [3]int64{2, 30, 40})},
+		{"a long interval in another key's run",
+			rows([3]int64{1, 50, 55}, [3]int64{2, 95, 99}),
+			rows([3]int64{2, 0, 100}, [3]int64{1, 10, 12}, [3]int64{1, 52, 53}, [3]int64{1, 60, 70}, [3]int64{1, 45, 51})},
+		{"a left key absent from the group side",
+			rows([3]int64{9, 0, 10}, [3]int64{1, 0, 10}),
+			rows([3]int64{1, 2, 5}, [3]int64{3, 4, 8})},
+		{"ω keys on both sides",
+			rows([3]int64{omega, 0, 10}, [3]int64{1, 0, 10}, [3]int64{omega, 20, 30}),
+			rows([3]int64{omega, 2, 5}, [3]int64{1, 4, 8}, [3]int64{omega, 22, 40}, [3]int64{1, 0, 3})},
+		{"one-row runs",
+			rows([3]int64{1, 0, 10}, [3]int64{2, 5, 15}, [3]int64{3, 10, 20}, [3]int64{4, 0, 5}),
+			rows([3]int64{3, 12, 14}, [3]int64{1, 3, 6}, [3]int64{2, 0, 8}, [3]int64{5, 0, 20})},
 	}
-	keyMatch := func(l, r tuple.Tuple) bool { return l.Vals[0].Equal(r.Vals[0]) }
+	keyMatch := func(l, r tuple.Tuple) bool { return !l.Vals[0].IsNull() && l.Vals[0].Equal(r.Vals[0]) }
 	for _, c := range cases {
 		for _, mode := range []AdjustMode{ModeAlign, ModeGaps, ModeNormalize} {
 			for _, keys := range [][]expr.EquiPair{keyOnCol0(value.KindInt), nil} {
@@ -290,7 +319,7 @@ func TestColFusedAdjustScanWindow(t *testing.T) {
 				}
 				want := refAdjust(c.left, c.right, mode, match)
 				for _, bridged := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%s/%s/bridged=%v", c.name, mode, accessPath(keys), bridged), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/%s/bridged=%v", c.name, mode, keyedName(keys), bridged), func(t *testing.T) {
 						got := runFused(t, c.left, c.right, bridged, mode, keys, nil)
 						assertSameRows(t, got, append([]tuple.Tuple(nil), want...))
 					})
@@ -320,5 +349,71 @@ func TestColFusedAdjustKeyEvalError(t *testing.T) {
 			t.Errorf("bad key on side %d: key evaluation error was swallowed", side)
 		}
 		op.Close()
+	}
+}
+
+// TestColFusedAdjustExamined counts the group candidates the run scan
+// visits (examined) on the benchmark's adjustment shapes over
+// internal/dataset at n = 8 000, seed 1, against the chain walk it
+// replaced, which visited the whole key run of every left row. The scan
+// may visit no more; where runs are long next to the window it must visit
+// at most half. It must also visit every group row that feeds the sweep.
+func TestColFusedAdjustExamined(t *testing.T) {
+	a := dataset.Incumben(dataset.IncumbenConfig{Rows: 8000, Seed: 1})
+	b := dataset.Incumben(dataset.IncumbenConfig{Rows: 8000, Seed: 2})
+	dr, ds := dataset.Drand(2000, 1) // dr(rid, rgrp), ds(a, lo, hi)
+	cases := []struct {
+		name        string
+		left, right *relation.Relation
+		mode        AdjustMode
+		lk, rk      int     // the equi key's column on each side
+		bound       float64 // examined ÷ the chain walk's count
+	}{
+		{"align_ssn", a, b, ModeAlign, 0, 0, 1},
+		{"normalize_pcn", a, b, ModeNormalize, 1, 1, 0.5},
+		{"temporal_agg", a, a, ModeNormalize, 1, 1, 0.5},
+		{"outer_join/dr-align-ds", dr, ds, ModeAlign, 1, 1, 0.5},
+		{"outer_join/ds-align-dr", ds, dr, ModeAlign, 1, 1, 0.5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runs := map[int64][]interval.Interval{}
+			for _, r := range c.right.Tuples {
+				k := r.Vals[c.rk].Int()
+				runs[k] = append(runs[k], r.T)
+			}
+			walk, members, spans := 0, 0, 0
+			for _, l := range c.left.Tuples {
+				run := runs[l.Vals[c.lk].Int()]
+				walk += len(run)
+				for _, iv := range run {
+					n := 0
+					if c.mode != ModeNormalize {
+						if iv.Overlaps(l.T) {
+							n = 1
+						}
+					} else {
+						for _, p := range []int64{iv.Ts, iv.Te} {
+							if l.T.Ts < p && p < l.T.Te {
+								n++
+							}
+						}
+					}
+					spans += n
+					members += min(n, 1)
+				}
+			}
+			k := func(i int) expr.Expr { return expr.ColIdx{Idx: i, Typ: value.KindInt} }
+			op := NewColFusedAdjust(NewColScan(c.left), NewColScan(c.right), c.mode, []expr.EquiPair{{Left: k(c.lk), Right: k(c.rk)}}, nil)
+			drainCol(t, op)
+			t.Logf("examined %d, chain walk %d (%.3f), spans %d: examined ÷ spans = %.2f",
+				op.examined, walk, float64(op.examined)/float64(walk), spans, float64(op.examined)/float64(spans))
+			if float64(op.examined) > c.bound*float64(walk) {
+				t.Errorf("examined %d candidates, want at most %.1f × the chain walk's %d", op.examined, c.bound, walk)
+			}
+			if op.examined < members {
+				t.Errorf("examined %d candidates, fewer than the %d group rows that feed the sweep", op.examined, members)
+			}
+		})
 	}
 }

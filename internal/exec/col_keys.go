@@ -117,10 +117,10 @@ func equiSides(keys []expr.EquiPair) (l, r []expr.Expr) {
 	return l, r
 }
 
-// chainIndex is the key → build rows multimap under the hash join and the
-// fused adjust's keyed θ: a keyTable of the distinct equi keys whose
-// ids head chains threaded through one int32 per build row. Rows whose
-// key has an ω component are in no chain — they can never match.
+// chainIndex is the hash join's key → build rows multimap: a keyTable of
+// the distinct equi keys whose ids head chains threaded through one int32
+// per build row. Rows whose key has an ω component are in no chain — they
+// can never match.
 type chainIndex struct {
 	table *keyTable
 	head  []int32 // per key id: first build row + 1

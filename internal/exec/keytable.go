@@ -11,8 +11,8 @@ import (
 // keyTable is the executor's one hash table: it maps distinct
 // order-preserving byte keys (value.AppendKey encodings) to dense ids in
 // insertion order. Set operations use it as a set, the hash aggregate and
-// absorb as key → group, the hash join and the fused adjust as key →
-// chain of build rows (the chains hang off the ids, in the operator).
+// absorb as key → group, the hash join as key → chain of build rows (in
+// chainIndex) and the fused adjust as key → run of group rows.
 //
 // Keys live back to back in one arena, the ids' full hashes in a flat
 // slice, and the buckets are an open-addressing slot array of id+1

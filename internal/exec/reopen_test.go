@@ -239,7 +239,7 @@ func reopenCases() []reopenCase {
 		}
 	}
 	// Fused adjust: {align, gaps, normalize} × {keyed, keyless} × residual.
-	// The group side is parameter-filtered, so the hash chains and the start
+	// The group side is parameter-filtered, so its runs and their start
 	// order must be rebuilt at every Open; two cases group over a projected
 	// bare scan instead, whose image passes the guard and the projection
 	// without a copy.
@@ -249,7 +249,7 @@ func reopenCases() []reopenCase {
 			for _, residual := range []expr.Expr{nil, vLEw} {
 				borrowed := mode == ModeAlign && (keys != nil) == (residual == nil)
 				cases = append(cases, reopenCase{
-					name: fmt.Sprintf("fused %s %s keys=%d residual=%v", mode, accessPath(keys), len(keys), residual != nil),
+					name: fmt.Sprintf("fused %s %s keys=%d residual=%v", mode, keyedName(keys), len(keys), residual != nil),
 					build: func(c *reopenTree) ColIterator {
 						right := c.right()
 						if borrowed {
@@ -261,6 +261,11 @@ func reopenCases() []reopenCase {
 			}
 		}
 	}
+	// A group side whose key set moves with $1 (k2 >= $1: from every key
+	// to none under ω), so the runs themselves change between executions.
+	cases = append(cases, reopenCase{name: "fused align keyed, group keys move", build: func(c *reopenTree) ColIterator {
+		return c.sized(NewColFusedAdjust(c.left(), c.filter(c.s, expr.Ge(sK, p(1))), ModeAlign, equi, nil))
+	}})
 	return cases
 }
 

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"math"
 
 	"talign/internal/exec"
@@ -13,10 +12,9 @@ import (
 // AdjustmentNode is the logical node of the two temporal primitives,
 // r Φ_θ s and N_B(r; s): group construction (Sec. 6.1/6.3) and the plane
 // sweep (Sec. 6.2, Fig. 10) as one operator, exec.ColFusedAdjust, that
-// never materializes concatenated join rows. θ's shape alone decides how
-// a left row finds its group — hash chains over the equi keys, or the
-// start-sorted interval scan (Sec. 8) when θ has none — so the planner's
-// join-method flags steer JoinNode only.
+// never materializes concatenated join rows. Every θ finds its groups in
+// start-ordered runs, one per equi key (the Sec. 8 interval index), so
+// the planner's join-method flags steer JoinNode only.
 type AdjustmentNode struct {
 	Left, Right Node
 	Mode        exec.AdjustMode
@@ -63,10 +61,9 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 }
 
 // estimateCost prices group construction like the join it absorbs: a keyed
-// θ at JoinNode's hash cost; a keyless θ at its nested-loop cost, the
-// interval scan's worst case when one long group interval widens every
-// scan to the whole side. The sweep adds the paper's Sec. 6.2/6.3 per-row
-// adjustment cost.
+// θ at JoinNode's hash cost; a keyless θ at its nested-loop cost, the worst
+// case of scanning its one run, which a long group interval can widen to
+// the whole side. The sweep adds the Sec. 6.2/6.3 per-row adjustment cost.
 func (n *AdjustmentNode) estimateCost() float64 {
 	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
 	base := n.Left.Cost() + n.Right.Cost()
@@ -148,6 +145,4 @@ func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	return exec.ApplyColBatch(fa, n.batch), nil
 }
 
-func (n *AdjustmentNode) Label() string {
-	return fmt.Sprintf("FusedAdjust %s (%s)", n.Mode, exec.GroupAccess(len(n.Keys) > 0))
-}
+func (n *AdjustmentNode) Label() string { return "FusedAdjust " + n.Mode.String() }

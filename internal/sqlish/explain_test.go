@@ -41,7 +41,7 @@ func TestExplainGolden(t *testing.T) {
   HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20 cost=4.13)
     nestloop inner join ON true  (rows=40 cost=3.93)
       Project n, TS, TE  (rows=40 cost=2.75)
-        FusedAdjust align (interval-index join)  (rows=40 cost=2.45)
+        FusedAdjust align  (rows=40 cost=2.45)
           Project n, TS, TE  (rows=3 cost=1.05)
             SeqScan r  (rows=3 cost=1.03)
           Project a, mn, mx, TS, TE  (rows=5 cost=1.11)
@@ -67,7 +67,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
   HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20 cost=4.13) (actual rows=5)
     nestloop inner join ON true  (rows=40 cost=3.93) (actual rows=10)
       Project n, TS, TE  (rows=40 cost=2.75) (actual rows=5)
-        FusedAdjust align (interval-index join)  (rows=40 cost=2.45) (actual rows=5)
+        FusedAdjust align  (rows=40 cost=2.45) (actual rows=5)
           Project n, TS, TE  (rows=3 cost=1.05) (actual rows=3)
             SeqScan r  (rows=3 cost=1.03) (actual rows=3)
           Project a, mn, mx, TS, TE  (rows=5 cost=1.11) (actual rows=5)

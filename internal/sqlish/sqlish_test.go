@@ -154,7 +154,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explain: %v", err)
 	}
-	for _, wantPart := range []string{"Adjust align", "join", "SeqScan"} {
+	for _, wantPart := range []string{"FusedAdjust align", "SeqScan"} {
 		if !strings.Contains(text, wantPart) {
 			t.Fatalf("explain output missing %q:\n%s", wantPart, text)
 		}
