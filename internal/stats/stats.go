@@ -2,17 +2,20 @@
 // optimizer: per-column row counts, null fractions, distinct-count
 // estimates, min/max bounds and equi-depth histograms, plus interval
 // statistics for the valid-time column (duration histogram, covering span
-// and an overlap profile). ANALYZE computes them with one pass over a
-// relation's tuples or column images; the planner consumes them through
-// the estimation helpers below, falling back to the classic hard-coded
-// selectivity constants wherever statistics are missing. All estimation
-// methods are nil-safe: a nil *Table or *Column reports ok=false and the
-// caller keeps its default.
+// and an overlap profile). ANALYZE computes them from typed keys read in
+// place from a relation's column images or tuples, one sort per column;
+// the planner consumes them through the estimation helpers below, falling
+// back to the classic hard-coded selectivity constants wherever statistics
+// are missing. All estimation methods are nil-safe: a nil *Table or
+// *Column reports ok=false and the caller keeps its default.
 package stats
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
+	"talign/internal/colbatch"
 	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/value"
@@ -247,7 +250,9 @@ func OverlapFrac(l, r *Table) (frac float64, ok bool) {
 // sort of the non-null values (null fraction, exact distinct count,
 // min/max, equi-depth histogram) and for the valid-time column a
 // start-ordered sweep counting overlapping pairs. It reads the form the
-// relation holds — column images (relation.Parts) or tuples — as it is.
+// relation holds — column images (relation.Parts) or tuples — in place:
+// an int, float or string column is sorted as int64, float64 or string
+// keys, and only Min/Max and the histogram bounds become value.Values.
 func Analyze(rel *relation.Relation) *Table {
 	n := rel.Len()
 	cols := make([]Column, rel.Schema.Len())
@@ -311,8 +316,23 @@ func FromSegments(segs []relation.Segment) *Table {
 	return t
 }
 
-// analyzeColumn computes one column's statistics.
+// analyzeColumn computes one column's statistics. An int, float or string
+// column that every image stores flat, or every tuple holds in its declared
+// kind, is summarized from typed keys; any other (bool, interval, demoted
+// or untyped storage, tuples of mixed kinds) from its boxed values.
 func analyzeColumn(rel *relation.Relation, col int) Column {
+	c, ok := Column{}, false
+	switch k := rel.Schema.Attrs[col].Type; k {
+	case value.KindInt:
+		c, ok = typedColumn(rel, col, k, (*colbatch.Vec).IntsRaw, value.Value.Int, value.NewInt)
+	case value.KindFloat:
+		c, ok = typedColumn(rel, col, k, (*colbatch.Vec).FloatsRaw, value.Value.Float, value.NewFloat)
+	case value.KindString:
+		c, ok = typedColumn(rel, col, k, (*colbatch.Vec).StrsRaw, value.Value.Str, value.NewString)
+	}
+	if ok {
+		return c
+	}
 	vals := make([]value.Value, 0, rel.Len())
 	parts := rel.Parts()
 	for _, p := range parts {
@@ -329,105 +349,121 @@ func analyzeColumn(rel *relation.Relation, col int) Column {
 			}
 		}
 	}
-	c := Column{Min: value.Null, Max: value.Null}
-	if rel.Len() > 0 {
-		c.NullFrac = float64(rel.Len()-len(vals)) / float64(rel.Len())
+	slices.SortFunc(vals, value.Value.Compare)
+	return summarize(vals, rel.Len(), value.Value.Compare, func(v value.Value) value.Value { return v })
+}
+
+// typedColumn summarizes column col from keys of type K read in place: raw
+// gives an image's flat storage, payload a tuple's value of kind k. ok is
+// false when some image or tuple holds the column in another form.
+func typedColumn[K cmp.Ordered](rel *relation.Relation, col int, k value.Kind,
+	raw func(*colbatch.Vec) ([]K, bool), payload func(value.Value) K, box func(K) value.Value) (Column, bool) {
+	keys := make([]K, 0, rel.Len())
+	parts := rel.Parts()
+	for _, p := range parts {
+		vec := &p.Cols[col]
+		xs, ok := raw(vec)
+		if !ok {
+			return Column{}, false
+		}
+		for i, x := range xs[:p.Len()] {
+			if !vec.IsNull(i) {
+				keys = append(keys, x)
+			}
+		}
 	}
-	if len(vals) == 0 {
+	if parts == nil {
+		for _, tp := range rel.Rows() {
+			switch v := tp.Vals[col]; v.Kind() {
+			case k:
+				keys = append(keys, payload(v))
+			case value.KindNull:
+			default:
+				return Column{}, false
+			}
+		}
+	}
+	slices.Sort(keys)
+	return summarize(keys, rel.Len(), cmp.Compare[K], box), true
+}
+
+// summarize computes the statistics of n rows whose non-null values are
+// sorted, in cmpK order: null fraction, exact distinct count, Min/Max and
+// the equi-depth histogram. Only the values it keeps are boxed.
+func summarize[K any](sorted []K, n int, cmpK func(a, b K) int, box func(K) value.Value) Column {
+	c := Column{Min: value.Null, Max: value.Null}
+	if n > 0 {
+		c.NullFrac = float64(n-len(sorted)) / float64(n)
+	}
+	if len(sorted) == 0 {
 		return c
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a].Compare(vals[b]) < 0 })
 	distinct := 1
-	for i := 1; i < len(vals); i++ {
-		if vals[i].Compare(vals[i-1]) != 0 {
+	for i := 1; i < len(sorted); i++ {
+		if cmpK(sorted[i], sorted[i-1]) != 0 {
 			distinct++
 		}
 	}
 	c.Distinct = float64(distinct)
-	c.Min, c.Max = vals[0], vals[len(vals)-1]
-	c.Hist = equiDepth(vals, distinct)
+	c.Min, c.Max = box(sorted[0]), box(sorted[len(sorted)-1])
+	b := min(HistBuckets, distinct)
+	c.Hist.Bounds = make([]value.Value, b+1)
+	for i := range c.Hist.Bounds {
+		c.Hist.Bounds[i] = box(sorted[i*(len(sorted)-1)/b])
+	}
 	return c
 }
 
-// equiDepth builds histogram bounds over sorted values.
-func equiDepth(sorted []value.Value, distinct int) Histogram {
-	b := HistBuckets
-	if distinct < b {
-		b = distinct
-	}
-	if b < 1 || len(sorted) == 0 {
-		return Histogram{}
-	}
-	bounds := make([]value.Value, 0, b+1)
-	for i := 0; i <= b; i++ {
-		idx := i * (len(sorted) - 1) / b
-		bounds = append(bounds, sorted[idx])
-	}
-	return Histogram{Bounds: bounds}
-}
-
-// analyzeIntervals computes the valid-time statistics.
+// analyzeIntervals computes the valid-time statistics from one copy of the
+// rows' intervals, sorted in (Ts, Te) order, and their durations as int64
+// keys.
 func analyzeIntervals(rel *relation.Relation) IntervalStats {
 	n := rel.Len()
 	if n == 0 {
 		return IntervalStats{}
 	}
-	starts, ends := rel.ValidTimes() // read-only: they may be the image's own
-	durs := make([]value.Value, n)
+	ivs := make([]interval.Interval, 0, n)
+	parts := rel.Parts()
+	for _, p := range parts {
+		for i, ts := range p.TS {
+			ivs = append(ivs, interval.Interval{Ts: ts, Te: p.TE[i]})
+		}
+	}
+	if parts == nil {
+		for _, tp := range rel.Rows() {
+			ivs = append(ivs, tp.T)
+		}
+	}
+	durs := make([]int64, n)
 	var durSum float64
-	st := IntervalStats{Span: interval.Interval{Ts: starts[0], Te: ends[0]}}
-	for i := range starts {
-		durs[i] = value.NewInt(ends[i] - starts[i])
-		durSum += float64(ends[i] - starts[i])
-		st.Span.Ts, st.Span.Te = min(st.Span.Ts, starts[i]), max(st.Span.Te, ends[i])
+	st := IntervalStats{Span: ivs[0]}
+	for i, iv := range ivs {
+		durs[i] = iv.Te - iv.Ts
+		durSum += float64(durs[i])
+		st.Span.Ts, st.Span.Te = min(st.Span.Ts, iv.Ts), max(st.Span.Te, iv.Te)
 	}
 	st.AvgDur = durSum / float64(n)
+	slices.Sort(durs)
+	st.DurHist = summarize(durs, n, cmp.Compare[int64], value.NewInt).Hist
 
-	// Distinct exact intervals: sort (Ts, Te) pairs lexicographically.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if starts[ia] != starts[ib] {
-			return starts[ia] < starts[ib]
-		}
-		return ends[ia] < ends[ib]
-	})
+	// Distinct exact intervals are the runs of equal neighbours.
+	slices.SortFunc(ivs, interval.Interval.Compare)
 	distinctT := 1
 	for k := 1; k < n; k++ {
-		a, b := order[k-1], order[k]
-		if starts[a] != starts[b] || ends[a] != ends[b] {
+		if ivs[k] != ivs[k-1] {
 			distinctT++
 		}
 	}
 	st.DistinctT = float64(distinctT)
 
-	// Overlap profile: with tuples ordered by Ts, tuple i overlaps every
-	// later tuple j whose Ts_j < Te_i, so one binary search per tuple
+	// Overlap profile: with tuples ordered by Ts, tuple k overlaps every
+	// later tuple j whose Ts_j < Te_k, so one binary search per tuple
 	// counts all overlapping pairs.
-	sortedTs := make([]int64, n)
-	for k, idx := range order {
-		sortedTs[k] = starts[idx]
-	}
 	var pairs float64
-	for k, idx := range order {
-		te := ends[idx]
-		hi := sort.Search(n, func(j int) bool { return sortedTs[j] >= te })
-		if hi > k+1 {
-			pairs += float64(hi - k - 1)
-		}
+	for k, iv := range ivs {
+		hi, _ := slices.BinarySearchFunc(ivs, iv.Te, func(x interval.Interval, te int64) int { return cmp.Compare(x.Ts, te) })
+		pairs += float64(max(hi-k-1, 0))
 	}
 	st.AvgOverlap = 2 * pairs / float64(n)
-
-	sort.Slice(durs, func(a, b int) bool { return durs[a].Compare(durs[b]) < 0 })
-	dd := 1
-	for i := 1; i < len(durs); i++ {
-		if durs[i].Compare(durs[i-1]) != 0 {
-			dd++
-		}
-	}
-	st.DurHist = equiDepth(durs, dd)
 	return st
 }

@@ -20,7 +20,7 @@ import (
 // tiedRelation is mixedRelation's rows plus an all-ω untyped column, in a
 // shuffled order and with valid times that collide: seven start points,
 // two durations, so every (TS, TE) key is shared by several rows and only
-// a stable sort keeps their order.
+// the row-number tiebreak keeps their order.
 func tiedRelation(t *testing.T) *relation.Relation {
 	src := mixedRelation(t)
 	attrs := append(append([]schema.Attr{}, src.Schema.Attrs...), schema.Attr{Name: "u", Type: value.KindNull})
@@ -106,6 +106,51 @@ func TestCreateTableSameBytesEitherBirth(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCreateTableKeepsTiedRowOrder: with thousands of rows on a handful of
+// (TS, TE) keys, every birth writes the same files, and the loaded table
+// holds each key's rows in input order (column a is the input position).
+func TestCreateTableKeepsTiedRowOrder(t *testing.T) {
+	const n = 3000
+	rel := relation.New(schema.MustNew(schema.Attr{Name: "a", Type: value.KindInt}))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		ts := int64(rng.Intn(5))
+		rel.Tuples = append(rel.Tuples, tuple.Tuple{
+			Vals: []value.Value{value.NewInt(int64(i))}, T: interval.New(ts, ts+1+int64(rng.Intn(2)))})
+	}
+	want := storeFiles(t, rel, 256)
+	for birth, twin := range batchBorn(rel) {
+		got := storeFiles(t, twin, 256)
+		for file, data := range want {
+			if !bytes.Equal(got[file], data) {
+				t.Errorf("from %s: %s differs from the row-born table's", birth, file)
+			}
+		}
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SegmentRows = 256
+	if err := s.CreateTable("t", rel); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := s.Load("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := loaded.Rows()
+	for i := 1; i < len(rows); i++ {
+		if p, c := rows[i-1], rows[i]; p.T == c.T && p.Vals[0].Int() > c.Vals[0].Int() {
+			t.Fatalf("rows %d and %d share %v but are out of input order", p.Vals[0].Int(), c.Vals[0].Int(), c.T)
+		}
+	}
+	if len(rows) != n {
+		t.Fatalf("loaded %d rows, want %d", len(rows), n)
 	}
 }
 

@@ -248,9 +248,10 @@ func (s *Store) CreateTable(name string, rel *relation.Relation) error {
 // rows, partitioned by valid time: (TS, TE) order gives segments tight,
 // mostly disjoint time zones, which is what makes zone-map pruning work
 // on valid-time predicates. A permutation of row numbers is sorted, not
-// rows — stably, so ties keep their order — and each run of it gathered
-// into one reused batch: from the columns of a batch-born relation (its
-// one image; a segmented one concatenates first), else from the tuples.
+// rows — on (TS, TE, row number), so ties keep their order — and each run
+// of it gathered into one reused batch: from the columns of a batch-born
+// relation (its one image; a segmented one concatenates first), else from
+// the tuples.
 func (s *Store) writeSegments(rel *relation.Relation) ([]segMeta, error) {
 	var img *colbatch.Batch
 	if rel.Parts() != nil {
@@ -261,8 +262,8 @@ func (s *Store) writeSegments(rel *relation.Relation) ([]segMeta, error) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(ts[a], ts[b]), cmp.Compare(te[a], te[b]))
+	slices.SortFunc(perm, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(ts[a], ts[b]), cmp.Compare(te[a], te[b]), cmp.Compare(a, b))
 	})
 	var segs []segMeta
 	per := min(s.segRows(), len(perm))
