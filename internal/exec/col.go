@@ -73,6 +73,7 @@ type ColScan struct {
 	Rel *relation.Relation
 
 	img  *colbatch.Batch
+	memo *relation.IndexMemo // img's
 	pos  int
 	view colbatch.Batch
 }
@@ -86,7 +87,7 @@ func (s *ColScan) Schema() schema.Schema { return s.Rel.Schema }
 // Open implements ColIterator; it acquires (and on first use builds) the
 // relation's columnar image.
 func (s *ColScan) Open() error {
-	s.img = s.Rel.Columnar()
+	s.img, s.memo = s.Rel.Image()
 	s.pos = 0
 	return nil
 }
@@ -112,7 +113,7 @@ func (s *ColScan) image() (*colbatch.Batch, error) { return s.img, nil }
 
 // Close implements ColIterator.
 func (s *ColScan) Close() error {
-	s.img = nil
+	s.img, s.memo = nil, nil
 	return nil
 }
 

@@ -1,12 +1,12 @@
 // ColFusedAdjust: the one ALIGN/NORMALIZE operator. It fuses the
 // group-construction join of Sec. 6.1/6.3 with the plane-sweep adjustment
-// of Sec. 6.2 (Fig. 10). The group side accumulates into a columnar store
-// indexed in runs, one per distinct equi key (one run when θ has none),
-// each in Ts order: a left row scans its key's run from the first row
-// that can still overlap (Ts > l.Ts − the longest group interval) while
-// Ts < l.Te, the Sec. 8 interval index. Every member becomes a (P1, P2)
-// span, and the row's small span buffer is sorted and swept at once —
-// concatenated join rows are never materialized.
+// of Sec. 6.2 (Fig. 10). The group side is indexed in runs, one per
+// distinct equi key (one run when θ has none), each in Ts order — once per
+// base relation image, else at Open: a left row scans its key's run from
+// the first row that can still overlap (Ts > l.Ts − the longest group
+// interval) while Ts < l.Te, the Sec. 8 interval index. Every member
+// becomes a (P1, P2) span, and the row's small span buffer is sorted and
+// swept at once — concatenated join rows are never materialized.
 //
 //	align:     span = [max(l.Ts, r.Ts), min(l.Te, r.Te))   (overlaps only)
 //	normalize: span = [p, p] for each of the group row's own Ts and Te,
@@ -24,14 +24,16 @@
 package exec
 
 import (
-	"cmp"
+	"bytes"
 	"slices"
 	"sort"
 
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/interval"
+	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -85,6 +87,8 @@ type ColFusedAdjust struct {
 	// SizeHint is the planner's estimate of the group side's rows; it
 	// presizes the store when the group side offers no image.
 	SizeHint int
+	// Stats, when set, counts executions that built or shared their index.
+	Stats *OpStats
 
 	out      schema.Schema
 	lenc     rowExprs        // left equi keys
@@ -100,14 +104,20 @@ type ColFusedAdjust struct {
 	lpos     int
 	leftDone bool
 
-	// The group index: run<<32 | row for each store row without an ω key,
-	// in (run, Ts) order; run i (equi key id i in keys, or every row when
-	// θ has none) is byRun[runs[i]:runs[i+1]]. maxDur: the longest interval.
-	keys     *keyTable
-	byRun    []uint64
-	runs     []int32
-	maxDur   int64
-	examined int // group candidates addCandidate tested since Open
+	idx      *groupIndex // the image's, or ownIdx
+	ownIdx   groupIndex
+	cols     []int // the group-side keys' columns in the image
+	examined int   // group candidates addCandidate tested since Open
+}
+
+// groupIndex is the interval index: the group rows without an ω key in
+// (encoded equi key, Ts) order; run i is perm[runs[i]:runs[i+1]], its key
+// prefix + heads[hoff[i]:hoff[i+1]]. keys and arena are build scratch.
+type groupIndex struct {
+	perm, runs, hoff     []int32
+	prefix, heads, arena []byte
+	keys                 [][]byte
+	maxDur               int64
 }
 
 // NewColFusedAdjust builds the operator.
@@ -125,8 +135,8 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, keys []expr.EquiPair, 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
 
-// Open implements ColIterator: it drains the group side into the store and
-// indexes it anew, since a parameter-filtered group side can change.
+// Open implements ColIterator: it finds the group side's index — its
+// image's, or one built anew: a parameter-filtered group side can change.
 func (f *ColFusedAdjust) Open() error {
 	if err := f.Left.Open(); err != nil {
 		return err
@@ -140,48 +150,103 @@ func (f *ColFusedAdjust) Open() error {
 	}
 	f.outB.ResetSchema(f.out)
 	f.lb, f.lpos, f.leftDone, f.examined = nil, 0, false, 0
-	n, ts, te := f.store.Len(), f.store.TS, f.store.TE
-	f.byRun, f.maxDur = slices.Grow(f.byRun[:0], n), 0
-	if len(f.Keys) > 0 {
-		f.keys = f.keys.reset(n)
+	built := true
+	if memo := f.imageMemo(); memo != nil {
+		var v any
+		v, built, err = memo.Get(f.cols, func() (any, error) {
+			x := new(groupIndex) // kept for good: fitted, without its build scratch
+			err := x.build(&f.renc, f.store)
+			x.runs, x.hoff, x.heads, x.arena, x.keys = slices.Clone(x.runs), slices.Clone(x.hoff), slices.Clone(x.heads), nil, nil
+			return x, err
+		})
+		f.idx, _ = v.(*groupIndex)
+	} else {
+		f.idx, err = &f.ownIdx, f.ownIdx.build(&f.renc, f.store)
 	}
-	nruns := 1 // an empty index still has run 0
-	for j := 0; j < n; j++ {
-		switch run, err := f.runOf(&f.renc, f.store, j, true); {
-		case err != nil:
-			return err
-		case run >= 0: // a key with an ω component is in no run
-			f.byRun = append(f.byRun, uint64(run)<<32|uint64(j))
-			f.maxDur, nruns = max(f.maxDur, te[j]-ts[j]), max(nruns, int(run)+1)
+	if st := f.Stats; st != nil && built {
+		st.IndexBuilt.Add(1)
+	} else if st != nil {
+		st.IndexShared.Add(1)
+	}
+	return err
+}
+
+// imageMemo returns the memo of the relation image the group side handed
+// over (through projections and guards) and sets f.cols to its key columns;
+// nil when the side was copied or a key is not a plain column.
+func (f *ColFusedAdjust) imageMemo() *relation.IndexMemo {
+	f.cols = f.cols[:0]
+	for _, k := range f.Keys {
+		c, ok := k.Right.(expr.ColIdx)
+		if !ok {
+			return nil
 		}
+		f.cols = append(f.cols, c.Idx)
 	}
-	slices.Sort(f.byRun) // by run; no run is empty, so each ends at its last row
-	f.runs = zeroed(f.runs, nruns+1)
-	for i, x := range f.byRun {
-		f.runs[x>>32+1] = int32(i + 1)
-	}
-	for r := range nruns {
-		slices.SortFunc(f.byRun[f.runs[r]:f.runs[r+1]], func(a, b uint64) int { return cmp.Compare(ts[uint32(a)], ts[uint32(b)]) })
+	for in := f.Right; f.store != &f.own; {
+		switch it := in.(type) {
+		case *ColScan:
+			return it.memo
+		case *ColProject:
+			for i, c := range f.cols {
+				if c >= 0 {
+					f.cols[i] = it.srcs[c]
+				}
+			}
+			in = it.Input
+		case *ColGuard:
+			in = it.Input
+		default:
+			return nil
+		}
 	}
 	return nil
 }
 
-// runOf returns the run of physical row `row` of b under enc: 0 when θ has
-// no keys, else its key's id (insert adds new keys), -1 for ω or unknown.
-func (f *ColFusedAdjust) runOf(enc *rowExprs, b *colbatch.Batch, row int, insert bool) (int32, error) {
-	if len(f.Keys) == 0 {
-		return 0, nil
+// build indexes every physical row of b under enc, over x's buffers: the
+// rows' keys, each followed by its Ts, are key-sorted (radix when of one
+// width) together with the permutation.
+func (x *groupIndex) build(enc *rowExprs, b *colbatch.Batch) error {
+	x.perm, x.keys, x.maxDur, x.arena = slices.Grow(x.perm[:0], b.Len()), slices.Grow(x.keys[:0], b.Len()), 0, x.arena[:0]
+	for j := range b.Len() {
+		kb, null, err := enc.appendKey(x.arena, b, j)
+		if err != nil {
+			return err
+		}
+		if !null { // an ω key is in no run
+			kb = value.AppendInt64Key(kb, b.TS[j])
+			x.perm, x.keys = append(x.perm, int32(j)), append(x.keys, kb[len(x.arena):len(kb):len(kb)])
+			x.maxDur = max(x.maxDur, b.TE[j]-b.TS[j])
+		}
+		x.arena = kb
 	}
-	kb, hasNull, err := enc.appendKey(f.keyBuf[:0], b, row)
-	f.keyBuf = kb
-	if err != nil || hasNull {
-		return -1, err
+	tuple.KeySort(x.perm, x.keys)
+	key := func(i int) []byte { return x.keys[i][:len(x.keys[i])-8] }
+	x.prefix, x.runs, x.hoff, x.heads = x.prefix[:0], x.runs[:0], x.hoff[:0], x.heads[:0]
+	if m := len(x.perm); m > 0 { // the first and last keys' common prefix is everyone's
+		first, last := key(0), key(m-1)
+		for len(x.prefix) < min(len(first), len(last)) && first[len(x.prefix)] == last[len(x.prefix)] {
+			x.prefix = append(x.prefix, first[len(x.prefix)])
+		}
 	}
-	if insert {
-		id, _ := f.keys.insert(kb)
-		return id, nil
+	for i := range x.perm {
+		if i == 0 || !bytes.Equal(key(i), key(i-1)) {
+			x.runs, x.hoff = append(x.runs, int32(i)), append(x.hoff, int32(len(x.heads)))
+			x.heads = append(x.heads, key(i)[len(x.prefix):]...)
+		}
 	}
-	return f.keys.find(kb), nil
+	x.runs, x.hoff = append(x.runs, int32(len(x.perm))), append(x.hoff, int32(len(x.heads)))
+	return nil
+}
+
+// run returns key's run, by binary search: byte order is key order.
+func (x *groupIndex) run(key []byte) []int32 {
+	rest, ok := bytes.CutPrefix(key, x.prefix)
+	i, found := sort.Find(len(x.runs)-1, func(i int) int { return bytes.Compare(rest, x.heads[x.hoff[i]:x.hoff[i+1]]) })
+	if !ok || !found {
+		return nil
+	}
+	return x.perm[x.runs[i]:x.runs[i+1]]
 }
 
 // NextCol implements ColIterator.
@@ -223,16 +288,16 @@ func (f *ColFusedAdjust) gather(row int) error {
 	if f.Residual != nil {
 		f.concat = boxRow(f.concat[:0], f.lb, row)
 	}
-	id, err := f.runOf(&f.lenc, f.lb, row, false)
-	if err != nil || id < 0 {
-		return err // empty group, bare sweep
+	kb, null, err := f.lenc.appendKey(f.keyBuf[:0], f.lb, row)
+	if f.keyBuf = kb; err != nil || null {
+		return err // ω: empty group, bare sweep
 	}
 	// Overlap candidates satisfy r.Ts < lte and r.Te > lts; since
 	// r.Te <= r.Ts + maxDur, every candidate has r.Ts > lts - maxDur.
-	run, ts, lo := f.byRun[f.runs[id]:f.runs[id+1]], f.store.TS, lts-f.maxDur
-	i := sort.Search(len(run), func(i int) bool { return ts[uint32(run[i])] > lo })
-	for ; i < len(run) && ts[uint32(run[i])] < lte; i++ {
-		if err := f.addCandidate(int(uint32(run[i])), lts, lte); err != nil {
+	run, ts, lo := f.idx.run(kb), f.store.TS, lts-f.idx.maxDur
+	i := sort.Search(len(run), func(i int) bool { return ts[run[i]] > lo })
+	for ; i < len(run) && ts[run[i]] < lte; i++ {
+		if err := f.addCandidate(int(run[i]), lts, lte); err != nil {
 			return err
 		}
 	}
@@ -328,11 +393,15 @@ func (f *ColFusedAdjust) sweep(row int) {
 
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
-	f.store, f.lb = nil, nil
-	f.keys = f.keys.small()
+	f.store, f.lb, f.idx = nil, nil, nil
+	x := &f.ownIdx
+	x.perm, x.runs, x.hoff, x.keys = kept(x.perm), kept(x.runs), kept(x.hoff), kept(x.keys)
+	if cap(x.heads) > keptBytes || cap(x.arena) > keptBytes {
+		x.heads, x.arena = nil, nil
+	}
 	keepBatch(&f.own)
 	keepBatch(&f.outB)
-	f.spans, f.byRun, f.runs = kept(f.spans), kept(f.byRun), kept(f.runs)
+	f.spans = kept(f.spans)
 	err1 := f.Left.Close()
 	err2 := f.Right.Close()
 	if err1 != nil {

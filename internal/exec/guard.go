@@ -114,6 +114,8 @@ func (g *GuardState) check() error {
 // count into their template node's stats from worker goroutines.
 type OpStats struct {
 	Rows, Batches atomic.Int64
+	// ColFusedAdjust executions that built / shared their group index.
+	IndexBuilt, IndexShared atomic.Int64
 }
 
 // ColGuard is the resilience boundary of a pipeline, placed where a whole

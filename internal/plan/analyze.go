@@ -17,7 +17,9 @@ import (
 // template nodes EXPLAIN shows. Nodes that never built an operator during
 // this execution render "actual rows=-". The result relation is returned
 // alongside the rendering so callers can report the output cardinality
-// without re-running the statement.
+// without re-running the statement. A FusedAdjust node also says whether
+// this execution built its group index or read one shared with the group
+// side's image.
 //
 // ctx must be fresh: ExplainAnalyze makes it an analyzed one.
 func ExplainAnalyze(n Node, ctx *ExecCtx) (string, *relation.Relation, error) {
@@ -42,17 +44,23 @@ func ExplainAnalyze(n Node, ctx *ExecCtx) (string, *relation.Relation, error) {
 	walk = func(n Node, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
 		actual := "-"
-		segInfo := ""
+		note := ""
 		if st, ok := ctx.stats[n]; ok {
 			actual = fmt.Sprint(st.Rows.Load())
+			switch {
+			case st.IndexBuilt.Load() > 0:
+				note = " (group index built)"
+			case st.IndexShared.Load() > 0:
+				note = " (group index shared)"
+			}
 		}
 		mu.Lock()
 		if sc, ok := segs[n]; ok {
-			segInfo = fmt.Sprintf(" (segments scanned=%d pruned=%d)", sc.scanned, sc.pruned)
+			note = fmt.Sprintf(" (segments scanned=%d pruned=%d)", sc.scanned, sc.pruned)
 		}
 		mu.Unlock()
 		fmt.Fprintf(&b, "%s  (rows=%.0f cost=%.2f) (actual rows=%s)%s\n",
-			n.Label(), n.Rows(), n.Cost(), actual, segInfo)
+			n.Label(), n.Rows(), n.Cost(), actual, note)
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}

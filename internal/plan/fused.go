@@ -142,6 +142,9 @@ func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	}
 	fa := exec.NewColFusedAdjust(l, r, n.Mode, bindPairs(ctx, n.Keys), ctx.bind(n.Residual))
 	fa.SizeHint = rowHint(n.Right)
+	if ctx != nil && ctx.stats != nil {
+		fa.Stats = ctx.statsFor(n)
+	}
 	return exec.ApplyColBatch(fa, n.batch), nil
 }
 

@@ -5,6 +5,7 @@
 package relation
 
 import (
+	"slices"
 	"sync"
 
 	"talign/internal/colbatch"
@@ -22,6 +23,7 @@ type batchForm struct {
 	rowsOnce, imgOnce sync.Once
 	rows              []tuple.Tuple
 	img               *colbatch.Batch
+	memo              IndexMemo
 }
 
 // colImage is a row-born relation's cached columnar conversion, stamped
@@ -31,6 +33,36 @@ type colImage struct {
 	img   *colbatch.Batch
 	n     int
 	first *tuple.Tuple // nil for empty relations
+	memo  IndexMemo
+}
+
+// IndexMemo holds the read-only indexes built over one columnar image (the
+// executor's group indexes), each under the image columns it reads. It
+// lives and dies with the image: a re-stamped row-born image starts empty.
+type IndexMemo struct {
+	mu      sync.Mutex
+	entries []*memoEntry
+}
+
+type memoEntry struct {
+	cols []int
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Get returns the index over the image columns cols, made by build under a
+// sync.Once the first time anyone asks (built: by this call), then shared.
+func (m *IndexMemo) Get(cols []int, build func() (any, error)) (v any, built bool, err error) {
+	m.mu.Lock()
+	i := slices.IndexFunc(m.entries, func(e *memoEntry) bool { return slices.Equal(e.cols, cols) })
+	if i < 0 {
+		i, m.entries = len(m.entries), append(m.entries, &memoEntry{cols: slices.Clone(cols)})
+	}
+	e := m.entries[i]
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build(); built = true })
+	return e.v, built, e.err
 }
 
 // FromColumnar returns a batch-born relation over a dense image (no
@@ -45,13 +77,19 @@ func FromColumnar(img *colbatch.Batch) *Relation {
 	return &Relation{Schema: img.Schema, born: &batchForm{n: img.Len(), parts: []*colbatch.Batch{img}}}
 }
 
-// Columnar returns the rows as one dense image, shared and read-only
-// (scan it through views, never append). A relation born from one image
-// returns it; one born from segments concatenates their columns on first
-// use and keeps that. A row-born relation converts Tuples on first use
-// and caches the result until a mutating method, or the stamp catching a
-// direct append to Tuples, drops it.
+// Columnar is Image's image.
 func (r *Relation) Columnar() *colbatch.Batch {
+	img, _ := r.Image()
+	return img
+}
+
+// Image returns the rows as one dense image, shared and read-only (scan it
+// through views, never append), and its index memo. A relation born from
+// one image returns it; one born from segments concatenates their columns
+// on first use and keeps that. A row-born relation converts Tuples on first
+// use and caches the result until a mutating method, or the stamp catching
+// a direct append to Tuples, drops it.
+func (r *Relation) Image() (*colbatch.Batch, *IndexMemo) {
 	if b := r.born; b != nil {
 		b.imgOnce.Do(func() {
 			if len(b.parts) == 1 {
@@ -64,14 +102,14 @@ func (r *Relation) Columnar() *colbatch.Batch {
 				b.img.AppendBatch(p)
 			}
 		})
-		return b.img
+		return b.img, &b.memo
 	}
-	if c := r.colv.Load(); c != nil && c.n == len(r.Tuples) && c.first == stamp(r) {
-		return c.img
+	c := r.colv.Load()
+	if c == nil || c.n != len(r.Tuples) || c.first != stamp(r) {
+		c = &colImage{img: colbatch.FromTuples(nil, r.Schema, r.Tuples), n: len(r.Tuples), first: stamp(r)}
+		r.colv.Store(c)
 	}
-	img := colbatch.FromTuples(nil, r.Schema, r.Tuples)
-	r.colv.Store(&colImage{img: img, n: len(r.Tuples), first: stamp(r)})
-	return img
+	return c.img, &c.memo
 }
 
 // Parts returns the images a batch-born relation holds, in row order, or

@@ -61,13 +61,14 @@ func TestExplainGolden(t *testing.T) {
 }
 
 // TestExplainAnalyzeGolden pins the estimated-vs-actual rendering: the
-// demo data is fixed, so every actual count is deterministic.
+// demo data is fixed, so every actual count is deterministic, and the
+// fresh engine's first execution builds p's group index.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	const want = `Project g0, agg0  (rows=20 cost=4.23) (actual rows=5)
   HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20 cost=4.13) (actual rows=5)
     nestloop inner join ON true  (rows=40 cost=3.93) (actual rows=10)
       Project n, TS, TE  (rows=40 cost=2.75) (actual rows=5)
-        FusedAdjust align  (rows=40 cost=2.45) (actual rows=5)
+        FusedAdjust align  (rows=40 cost=2.45) (actual rows=5) (group index built)
           Project n, TS, TE  (rows=3 cost=1.05) (actual rows=3)
             SeqScan r  (rows=3 cost=1.03) (actual rows=3)
           Project a, mn, mx, TS, TE  (rows=5 cost=1.11) (actual rows=5)

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"talign/internal/colbatch"
+	"talign/internal/exec"
 	"talign/internal/interval"
 	"talign/internal/relation"
 	"talign/internal/schema"
@@ -248,4 +250,70 @@ func TestCloseAfterDropsUnmapsOnce(t *testing.T) {
 	if rel2.Segments()[0].Img.Cols[0].Ints[3999] != 3999 {
 		t.Fatal("the bystander's segment does not read back")
 	}
+}
+
+// TestDropTableReleasesPagesAtOnce: DROP TABLE gives the dropped table's
+// resident pages back without waiting for the collector, while a scan
+// opened before the drop still drains the same rows and checksum after it,
+// faulting its pages back in from the unlinked files.
+func TestDropTableReleasesPagesAtOnce(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SegmentRows = 4000
+	src := intRelation(64000) // 2 MiB of zero-copy columns, 16 segments
+	if err := st.CreateTable("c", src); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := st.Load("c") // decoding checks the CRC: every page is resident
+	if err != nil {
+		t.Fatal(err)
+	}
+	checksum := func(b *colbatch.Batch, sum *int64, rows *int) {
+		for i := range b.NumRows() {
+			r := b.RowAt(i)
+			*sum += b.Cols[0].Ints[r]*3 + b.Cols[1].Ints[r]*5 + b.TS[r]*7 + b.TE[r]*11
+			*rows++
+		}
+	}
+	var want int64
+	wantRows := 0
+	checksum(src.Columnar(), &want, &wantRows)
+	scan := exec.NewColSegScan(rel.Schema, rel.Segments())
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Close()
+	var sum int64
+	rows := 0
+	for range 5 { // part of the table before the drop
+		b, err := scan.NextCol()
+		if err != nil || b == nil {
+			t.Fatalf("batch before the drop: %v, %v", b, err)
+		}
+		checksum(b, &sum, &rows)
+	}
+	before := rssFile(t)
+	if err := st.DropTable("c"); err != nil {
+		t.Fatal(err)
+	}
+	if after := rssFile(t); before-after < 1024 {
+		t.Errorf("RssFile went from %d to %d KiB at DROP TABLE, want at least 1 MiB of the table's 2 given back", before, after)
+	}
+	for {
+		b, err := scan.NextCol()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		checksum(b, &sum, &rows)
+	}
+	if rows != wantRows || sum != want {
+		t.Errorf("the scan drained %d rows, checksum %d, want %d rows, %d", rows, sum, wantRows, want)
+	}
+	runtime.KeepAlive(rel)
 }

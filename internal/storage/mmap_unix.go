@@ -5,6 +5,7 @@ package storage
 import (
 	"os"
 	"syscall"
+	"unsafe"
 )
 
 // mmapFile maps a file read-only. The mapping stays valid until
@@ -26,4 +27,13 @@ func munmapFile(b []byte) error {
 		return nil
 	}
 	return syscall.Munmap(b)
+}
+
+// releasePages gives a mapping's resident pages back at once: a reader still
+// holding the shared, read-only mapping faults them back in from the file.
+// The advice may fail harmlessly: the pages then go at the unmap.
+func releasePages(m *mapping) {
+	if m != nil && len(m.data) > 0 {
+		_, _, _ = syscall.Syscall(syscall.SYS_MADVISE, uintptr(unsafe.Pointer(&m.data[0])), uintptr(len(m.data)), syscall.MADV_DONTNEED)
+	}
 }

@@ -360,8 +360,9 @@ func (s *Store) Append(name string, rows []tuple.Tuple) error {
 
 // DropTable removes a table. The WAL record is the commit point; the
 // segment files are deleted immediately afterwards and the Store lets go
-// of their mappings, which stay valid for the relations that hold them —
-// the pages live until munmap — and go with the last one (see mapping).
+// of their mappings, which stay valid for the relations that hold them
+// and go with the last one (see mapping). Their resident pages go at once:
+// a scan still reading faults them back in from the unlinked file.
 func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,6 +380,7 @@ func (s *Store) DropTable(name string) error {
 	delete(s.pending, name)
 	for _, sg := range t.segs {
 		os.Remove(filepath.Join(s.dir, sg.file))
+		releasePages(s.maps[sg.file])
 		delete(s.maps, sg.file)
 	}
 	return nil
