@@ -45,12 +45,11 @@ func reportRows(b *testing.B, rows int) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-// BenchmarkFig13NormalizeJoinMethods reproduces Fig. 13(a): N_{ssn} on
-// Incumben, and Fig. 13(b) through the reported rows metric. The paper
-// forces each join method of normalization's group construction; here
-// every θ groups through the one run index (runs by ssn), whatever the
-// planner's method flags say, so the panel is one series.
-func BenchmarkFig13NormalizeJoinMethods(b *testing.B) {
+// BenchmarkFig13Normalize reproduces Fig. 13(a): N_{ssn} on Incumben, and
+// Fig. 13(b) through the reported rows metric. The paper forces each join
+// method of normalization's group construction; here every θ groups
+// through the one run index (runs by ssn), so the panel is one series.
+func BenchmarkFig13Normalize(b *testing.B) {
 	b.Run("n=8000", func(b *testing.B) {
 		b.ReportAllocs()
 		rel := incumbenN(b, 8000)
@@ -220,40 +219,6 @@ func BenchmarkFig16bO3RandomNorm(b *testing.B) {
 			rows := 0
 			for i := 0; i < b.N; i++ {
 				out, err := baseline.FullOuterJoin(st, r, s, baseline.O3Theta())
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = out.Len()
-			}
-			reportRows(b, rows)
-		})
-	}
-}
-
-// BenchmarkAblationAntiJoinRewrite measures the second Sec. 8 future-work
-// customization: the temporal antijoin via the gaps-only aligner (no
-// second alignment, no join) against the generic Table 2 reduction.
-func BenchmarkAblationAntiJoinRewrite(b *testing.B) {
-	rel := dataset.RandomIncumbenLike(8000, 3)
-	r, s := dataset.SplitHalves(rel, []string{"ssn", "pcn"}, []string{"ssn2", "pcn2"})
-	variants := []struct {
-		name string
-		mk   func() *core.Algebra
-	}{
-		{"generic", core.Default},
-		{"gaps-only", func() *core.Algebra {
-			f := plan.DefaultFlags()
-			f.EnableAntiJoinRewrite = true
-			return core.New(f)
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name+"/n=8000", func(b *testing.B) {
-			b.ReportAllocs()
-			a := v.mk()
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				out, err := a.AntiJoin(r, s, baseline.O3Theta())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -15,18 +15,16 @@ import (
 	"talign/internal/value"
 )
 
-// The antijoin rewrite (gaps-only aligner, Sec. 8 future work) must be a
-// pure plan change: the result stays the oracle's definitional antijoin.
+// The temporal antijoin runs as the gaps-only aligner (the Sec. 8
+// specialized primitive); its result must be the oracle's definitional
+// antijoin, serial and through DOP-2 exchanges.
 
-func rewriteFlags() plan.Flags {
-	f := plan.DefaultFlags()
-	f.EnableAntiJoinRewrite = true
-	return f
+// antijoinFlags are the serial default and a forced DOP-2 exchange.
+func antijoinFlags() map[string]plan.Flags {
+	return map[string]plan.Flags{"default": plan.DefaultFlags(), "dop2": parallelFlags(2, 0)}
 }
 
 func TestAntiJoinRewriteEquivalence(t *testing.T) {
-	fast := New(rewriteFlags())
-	rng := rand.New(rand.NewSource(123))
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
 	thetas := map[string]expr.Expr{
@@ -34,22 +32,26 @@ func TestAntiJoinRewriteEquivalence(t *testing.T) {
 		"x=y":  expr.Eq(expr.C("x"), expr.C("y")),
 		"v<=w": expr.Le(expr.C("v"), expr.C("w")),
 	}
-	for name, theta := range thetas {
-		for round := 0; round < 80; round++ {
-			r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-			s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-			got, err := fast.AntiJoin(r, s, theta)
-			if err != nil {
-				t.Fatalf("θ=%s: rewrite: %v", name, err)
-			}
-			want, err := oracle.AntiJoin(r, s, theta)
-			if err != nil {
-				t.Fatalf("θ=%s: oracle: %v", name, err)
-			}
-			if !relation.SetEqual(got, want) {
-				onlyGot, onlyWant := relation.Diff(got, want)
-				t.Fatalf("θ=%s round %d: rewrite changed the antijoin\nonly rewrite: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
-					name, round, onlyGot, onlyWant, r, s)
+	for fname, flags := range antijoinFlags() {
+		fast := New(flags)
+		rng := rand.New(rand.NewSource(123))
+		for name, theta := range thetas {
+			for round := 0; round < 80; round++ {
+				r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+				s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
+				got, err := fast.AntiJoin(r, s, theta)
+				if err != nil {
+					t.Fatalf("%s θ=%s: rewrite: %v", fname, name, err)
+				}
+				want, err := oracle.AntiJoin(r, s, theta)
+				if err != nil {
+					t.Fatalf("θ=%s: oracle: %v", name, err)
+				}
+				if !relation.SetEqual(got, want) {
+					onlyGot, onlyWant := relation.Diff(got, want)
+					t.Fatalf("%s θ=%s round %d: rewrite changed the antijoin\nonly rewrite: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
+						fname, name, round, onlyGot, onlyWant, r, s)
+				}
 			}
 		}
 	}
@@ -58,7 +60,7 @@ func TestAntiJoinRewriteEquivalence(t *testing.T) {
 // TestAntiJoinRewritePlanShape: the rewritten plan has no join above the
 // adjustment and mentions the gaps mode.
 func TestAntiJoinRewritePlanShape(t *testing.T) {
-	fast := New(rewriteFlags())
+	fast := Default()
 	r := relation.NewBuilder("x string").Row(0, 9, "a").MustBuild()
 	s := relation.NewBuilder("y string").Row(2, 4, "a").MustBuild()
 	p := fast.Planner()
@@ -88,23 +90,25 @@ func TestAntiJoinRewritePlanShape(t *testing.T) {
 // TestAntiJoinRewriteKeylessTheta: the gaps-only aligner composes with
 // a keyless θ, whose group is the one run of the whole group side.
 func TestAntiJoinRewriteKeylessTheta(t *testing.T) {
-	both := New(rewriteFlags())
-	rng := rand.New(rand.NewSource(124))
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}}
-	for round := 0; round < 60; round++ {
-		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		got, err := both.AntiJoin(r, s, nil)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		want, err := oracle.AntiJoin(r, s, nil)
-		if err != nil {
-			t.Fatalf("round %d: oracle: %v", round, err)
-		}
-		if !relation.SetEqual(got, want) {
-			t.Fatalf("round %d: the rewrite over keyless θ changed the antijoin", round)
+	for fname, flags := range antijoinFlags() {
+		a := New(flags)
+		rng := rand.New(rand.NewSource(124))
+		for round := 0; round < 60; round++ {
+			r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+			s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
+			got, err := a.AntiJoin(r, s, nil)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", fname, round, err)
+			}
+			want, err := oracle.AntiJoin(r, s, nil)
+			if err != nil {
+				t.Fatalf("%s round %d: oracle: %v", fname, round, err)
+			}
+			if !relation.SetEqual(got, want) {
+				t.Fatalf("%s round %d: the rewrite over keyless θ changed the antijoin", fname, round)
+			}
 		}
 	}
 }

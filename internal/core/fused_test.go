@@ -120,20 +120,8 @@ func refNormalize(r, s *relation.Relation, cols []int) *relation.Relation {
 	return out
 }
 
-// strategyFlags are the default planner configuration and the three that
-// force one join method each. None of them steers group construction:
-// every θ uses the one group index (wantLabel).
-func strategyFlags() map[string]plan.Flags {
-	return map[string]plan.Flags{
-		"default":  plan.DefaultFlags(),
-		"merge":    {EnableMergeJoin: true, EnableSort: true},
-		"hash":     {EnableHashJoin: true, EnableSort: true},
-		"nestloop": {EnableNestLoop: true, EnableSort: true},
-	}
-}
-
 // wantLabel is the fused node EXPLAIN must show for a mode, whatever θ's
-// shape and the planner's join-method flags.
+// shape: every θ uses the one group index.
 func wantLabel(mode exec.AdjustMode) string {
 	return fmt.Sprintf("FusedAdjust %s  (", mode)
 }
@@ -148,8 +136,7 @@ func mustSetEqual(t *testing.T, what string, got, want, r, s *relation.Relation)
 
 // TestFusedAdjustMatchesDefinitions is the randomized differential test of
 // the one ALIGN/NORMALIZE operator against Defs. 11 and 9: 30 seeds ×
-// {default, merge-only, hash-only, nestloop-only flags} × {θ equi,
-// equi+residual, keyless, nil} × {align, gaps, normalize}.
+// {θ equi, equi+residual, keyless, nil} × {align, gaps, normalize}.
 func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -170,46 +157,43 @@ func TestFusedAdjustMatchesDefinitions(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		for fname, flags := range strategyFlags() {
-			a := New(flags)
-			p := a.Planner()
-			for _, sh := range shapes {
-				tag := fmt.Sprintf("seed %d %s/%s", seed, fname, sh.name)
-				for _, gaps := range []bool{false, true} {
-					node, mode := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeAlign
-					if gaps {
-						node, mode = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeGaps
-					}
-					if text, want := plan.Explain(node), wantLabel(mode); !strings.Contains(text, want) {
-						t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
-					}
-					got, err := plan.Run(node)
-					if err != nil {
-						t.Fatalf("%s gaps=%v: %v", tag, gaps, err)
-					}
-					mustSetEqual(t, fmt.Sprintf("%s gaps=%v: align differs from Def. 11", tag, gaps),
-						got, refAlign(t, r, s, sh.theta, gaps), r, s)
+		a := Default()
+		p := a.Planner()
+		for _, sh := range shapes {
+			tag := fmt.Sprintf("seed %d %s", seed, sh.name)
+			for _, gaps := range []bool{false, true} {
+				node, mode := a.AlignPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeAlign
+				if gaps {
+					node, mode = a.GapsPlan(p.Scan(r, "r"), p.Scan(s, "s"), sh.theta), exec.ModeGaps
 				}
-				// Split points from the other relation and from r itself.
-				for _, pts := range []*relation.Relation{s, r} {
-					node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
-					if text, want := plan.Explain(node), wantLabel(exec.ModeNormalize); !strings.Contains(text, want) {
-						t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
-					}
-					got, err := plan.Run(node)
-					if err != nil {
-						t.Fatalf("%s normalize: %v", tag, err)
-					}
-					mustSetEqual(t, tag+": normalize differs from Def. 9", got, refNormalize(r, pts, sh.cols), r, pts)
+				if text, want := plan.Explain(node), wantLabel(mode); !strings.Contains(text, want) {
+					t.Fatalf("%s: plan does not use the %s:\n%s", tag, want, text)
 				}
+				got, err := plan.Run(node)
+				if err != nil {
+					t.Fatalf("%s gaps=%v: %v", tag, gaps, err)
+				}
+				mustSetEqual(t, fmt.Sprintf("%s gaps=%v: align differs from Def. 11", tag, gaps),
+					got, refAlign(t, r, s, sh.theta, gaps), r, s)
+			}
+			// Split points from the other relation and from r itself.
+			for _, pts := range []*relation.Relation{s, r} {
+				node := a.NormalizePlan(p.Scan(r, "r"), p.Scan(pts, "s"), sh.cols)
+				if text, want := plan.Explain(node), wantLabel(exec.ModeNormalize); !strings.Contains(text, want) {
+					t.Fatalf("%s: normalize plan does not use the %s:\n%s", tag, want, text)
+				}
+				got, err := plan.Run(node)
+				if err != nil {
+					t.Fatalf("%s normalize: %v", tag, err)
+				}
+				mustSetEqual(t, tag+": normalize differs from Def. 9", got, refNormalize(r, pts, sh.cols), r, pts)
 			}
 		}
 	}
 }
 
 // TestFusedAdjustComposedMatchesOracle: the Table 2 reductions built on
-// the primitives agree with the snapshot oracle under every join-method
-// flag set.
+// the primitives agree with the snapshot oracle.
 func TestFusedAdjustComposedMatchesOracle(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -251,18 +235,16 @@ func TestFusedAdjustComposedMatchesOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
 		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		for fname, flags := range strategyFlags() {
-			for _, c := range checks {
-				want, err := c.oracle(r, s)
-				if err != nil {
-					t.Fatalf("seed %d %s oracle: %v", seed, c.name, err)
-				}
-				got, err := c.run(New(flags), r, s)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: %v", seed, c.name, fname, err)
-				}
-				mustSetEqual(t, fmt.Sprintf("seed %d %s/%s differs from the oracle", seed, c.name, fname), got, want, r, s)
+		for _, c := range checks {
+			want, err := c.oracle(r, s)
+			if err != nil {
+				t.Fatalf("seed %d %s oracle: %v", seed, c.name, err)
 			}
+			got, err := c.run(Default(), r, s)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, c.name, err)
+			}
+			mustSetEqual(t, fmt.Sprintf("seed %d %s differs from the oracle", seed, c.name), got, want, r, s)
 		}
 	}
 }

@@ -17,12 +17,13 @@ import (
 )
 
 // TestHashOperatorsMatchOracle chains the columnar hash join, hash
-// aggregate and absorb to the snapshot-semantics oracle. With nested-loop
-// and merge joins disabled, every Table 2 reduction below runs its
-// ordinary join as the hash join (with MatchT, and with the residual half
-// of θ), its aggregation as the hash aggregate grouped by T, and — for
-// the joins — the absorb on top; each result must equal the oracle's
-// snapshot-by-snapshot evaluation, at the default batch size and at 2.
+// aggregate and absorb to the snapshot-semantics oracle. Every Table 2
+// join reduction below runs its ordinary join as the hash join (MatchT
+// makes T a key; the residual half of θ rides along) with the absorb on
+// top — the antijoin runs as the gaps-only alignment — and its
+// aggregation as the hash aggregate grouped by T; each result must equal
+// the oracle's snapshot-by-snapshot evaluation, at the default batch size
+// and at 2.
 func TestHashOperatorsMatchOracle(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
@@ -43,7 +44,6 @@ func TestHashOperatorsMatchOracle(t *testing.T) {
 	}
 	for _, batch := range []int{0, 2} {
 		flags := plan.DefaultFlags()
-		flags.EnableNestLoop, flags.EnableMergeJoin = false, false
 		flags.BatchSize = batch
 		a := New(flags)
 		probe := randrel.Generate(rand.New(rand.NewSource(1)), randrel.DefaultConfig(attrsR...))

@@ -135,10 +135,8 @@ func (a *Algebra) Intersection(r, s *relation.Relation) (*relation.Relation, err
 	return plan.Run(a.p.SetOp(nr, ns, exec.IntersectOp))
 }
 
-// joinReduce implements the shared reduction for the tuple based binary
-// operators: align both arguments, join the adjusted relations with
-// θ ∧ r.T = s.T, and absorb temporal duplicates (Example 9) — except for
-// the antijoin, whose rule has no absorb.
+// joinReduce evaluates a tuple based binary operator through its Table 2
+// plan (JoinReducePlan) over scans of r and s.
 func (a *Algebra) joinReduce(r, s *relation.Relation, theta expr.Expr, typ exec.JoinType) (*relation.Relation, error) {
 	bound, err := BindTheta(r, s, theta)
 	if err != nil {
@@ -152,15 +150,17 @@ func (a *Algebra) joinReduce(r, s *relation.Relation, theta expr.Expr, typ exec.
 }
 
 // JoinReducePlan builds the Table 2 plan for a tuple based binary operator
-// over already-constructed inputs. theta must be bound against
-// Concat(r.Schema, s.Schema) (nil means true).
+// over already-constructed inputs: align both arguments, join the adjusted
+// relations with θ ∧ r.T = s.T, and absorb temporal duplicates (Example 9).
+// theta must be bound against Concat(r.Schema, s.Schema) (nil means true).
 func (a *Algebra) JoinReducePlan(r, s plan.Node, theta expr.Expr, typ exec.JoinType) (plan.Node, error) {
-	if typ == exec.AntiJoin && a.p.Flags.EnableAntiJoinRewrite {
-		// Specialized primitive (Sec. 8 future work): only the aligner's
-		// gap tuples can survive (rΦθs) ▷_{θ∧r.T=s.T} (sΦθr) — by
-		// Proposition 3 every intersection piece has an equal-timestamp
-		// θ-partner on the other side — so the antijoin IS the gaps-only
-		// alignment, and the second alignment and the join disappear.
+	if typ == exec.AntiJoin {
+		// The antijoin's rule has no absorb, and only the aligner's gap
+		// tuples survive (rΦθs) ▷_{θ∧r.T=s.T} (sΦθr): by Proposition 3
+		// every intersection piece has an equal-timestamp θ-partner on the
+		// other side. So the antijoin IS the gaps-only alignment (the
+		// Sec. 8 specialized primitive), with no second alignment and no
+		// join.
 		return a.GapsPlan(r, s, theta), nil
 	}
 	rl, sl := r.Schema().Len(), s.Schema().Len()
@@ -169,11 +169,7 @@ func (a *Algebra) JoinReducePlan(r, s plan.Node, theta expr.Expr, typ exec.JoinT
 	// The reduction compares adjusted timestamps with equality, so T is an
 	// ordinary equi-join key — which also makes the join hash-partitionable
 	// across the exchange layer when DOP > 1.
-	join := a.p.ParJoin(rAligned, sAligned, theta, typ, true)
-	if typ == exec.AntiJoin {
-		return join, nil
-	}
-	return a.p.Absorb(join), nil
+	return a.p.Absorb(a.p.ParJoin(rAligned, sAligned, theta, typ, true)), nil
 }
 
 // CartesianProduct evaluates r ×T s.

@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"bytes"
-
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 	"talign/internal/value"
 )
 
@@ -41,13 +38,7 @@ func (j JoinType) projectsLeftOnly() bool { return j == SemiJoin || j == AntiJoi
 // candidate pairs: the residual runs over a scratch concatenation of the
 // pair with env.T = the left row's T. With no Keys at all every left row
 // probes the one chain of all store rows, which is the nested-loop join
-// of an arbitrary condition — the planner's nestloop method builds that.
-//
-// Under Merge the same join runs sort-merge: the left input is drained too,
-// a row permutation of each side is key-sorted (tuple.KeySort), each run of
-// equal right keys becomes one chain, and the left rows are probed in key
-// order against a run cursor that only moves forward — everything past
-// "which chain" is the code the hash method runs.
+// of an arbitrary condition: the planner builds that for a keyless θ.
 //
 // A match is only noted as a (left row, store row) index pair; the pairs
 // are gathered column-wise into a reused output batch, so no tuple is
@@ -64,8 +55,6 @@ type ColHashJoin struct {
 	Residual expr.Expr // bound against Concat(left, right); may be nil
 	Type     JoinType
 	MatchT   bool
-	// Merge selects the sort-merge method; it requires Keys.
-	Merge bool
 	// SizeHint is the planner's estimate of the right input's rows; it
 	// presizes the build store when the right input offers no image.
 	SizeHint int
@@ -84,17 +73,8 @@ type ColHashJoin struct {
 	// batch and a store row, -1 for an ω-padded side.
 	lidx, ridx []int32
 
-	// Merge: the drained left side (unless a borrowed image), both sides'
-	// rows in key order with their keys alongside (ω-keyed right rows
-	// dropped), and the first right row whose key is not below the probe's.
-	lown         colbatch.Batch
-	lperm, rperm []int32
-	lkeys, rkeys [][]byte
-	arena        []byte
-	rpos         int
-
-	lb       *colbatch.Batch // current left batch (merge: the whole left side)
-	lpos     int             // next logical row of lb (merge: next position in lperm)
+	lb       *colbatch.Batch // current left batch
+	lpos     int             // next logical row of lb
 	row      int             // current probe row (physical, in lb)
 	cur      int32           // rest of the probe row's chain: store row + 1
 	probing  bool            // row still has chain entries or its pad pending
@@ -133,12 +113,7 @@ func (j *ColHashJoin) Open() error {
 		return err
 	}
 	j.lb, j.lpos, j.probing = nil, 0, false
-	if j.Merge {
-		err = j.openMerge()
-	} else {
-		err = j.index.build(&j.renc, j.store)
-	}
-	if err != nil {
+	if err = j.index.build(&j.renc, j.store); err != nil {
 		return err
 	}
 	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
@@ -147,39 +122,6 @@ func (j *ColHashJoin) Open() error {
 	j.outB.ResetSchema(j.out)
 	j.lidx, j.ridx = j.lidx[:0], j.ridx[:0]
 	j.drainPos, j.draining, j.done = 0, false, false
-	return nil
-}
-
-// openMerge drains the left side, key-sorts a permutation of each side and
-// threads every run of equal right keys into a chain.
-func (j *ColHashJoin) openMerge() (err error) {
-	if j.lb, err = drainColumnar(j.Left, 0, &j.lown); err != nil {
-		return err
-	}
-	j.arena = j.arena[:0]
-	if j.arena, j.lkeys, err = encodeKeys(j.arena, j.lkeys[:0], &j.lenc, j.lb, false); err != nil {
-		return err
-	}
-	j.lperm = identityPerm(j.lperm[:0], j.lb.Len())
-	tuple.KeySort(j.lperm, j.lkeys)
-	var all [][]byte
-	if j.arena, all, err = encodeKeys(j.arena, j.rkeys[:0], &j.renc, j.store, true); err != nil {
-		return err
-	}
-	j.rperm, j.rkeys = j.rperm[:0], all[:0]
-	for r, k := range all {
-		if k != nil { // ω keys never match
-			j.rperm, j.rkeys = append(j.rperm, int32(r)), append(j.rkeys, k)
-		}
-	}
-	tuple.KeySort(j.rperm, j.rkeys)
-	j.index.next = zeroed(j.index.next, j.store.Len())
-	for i := len(j.rperm) - 1; i > 0; i-- {
-		if bytes.Equal(j.rkeys[i-1], j.rkeys[i]) {
-			j.index.next[j.rperm[i-1]] = j.rperm[i] + 1
-		}
-	}
-	j.rpos = 0
 	return nil
 }
 
@@ -222,49 +164,30 @@ func (j *ColHashJoin) NextCol() (*colbatch.Batch, error) {
 // output rows index into the current left batch, so they are flushed
 // before the batch is replaced.
 func (j *ColHashJoin) nextProbe() error {
-	if j.Merge {
-		if j.lpos >= len(j.lperm) {
-			j.leftDone()
-			return nil
-		}
-		lk := j.lkeys[j.lpos]
-		j.row = int(j.lperm[j.lpos])
-		j.lpos++
-		// Both sides ascend: the run cursor only moves forward. A left key
-		// with an ω component equals no right key (those rows were dropped).
-		for j.rpos < len(j.rkeys) && bytes.Compare(j.rkeys[j.rpos], lk) < 0 {
-			j.rpos++
-		}
-		j.cur = 0
-		if j.rpos < len(j.rkeys) && bytes.Equal(j.rkeys[j.rpos], lk) {
-			j.cur = j.rperm[j.rpos] + 1
-		}
-	} else {
-		for j.lb == nil || j.lpos >= j.lb.NumRows() {
-			j.flush()
-			b, err := j.Left.NextCol()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				j.leftDone()
-				return nil
-			}
-			j.lb, j.lpos = b, 0
-			rows, limit := min(b.NumRows(), j.batchCap()-j.outB.Len()), j.batchCap()
-			j.lidx, j.ridx = roomFor(j.lidx, rows, limit), roomFor(j.ridx, rows, limit)
-		}
-		j.row = j.lb.RowAt(j.lpos)
-		j.lpos++
-		kb, hasNull, err := j.lenc.appendKey(j.keyBuf[:0], j.lb, j.row)
-		j.keyBuf = kb
+	for j.lb == nil || j.lpos >= j.lb.NumRows() {
+		j.flush()
+		b, err := j.Left.NextCol()
 		if err != nil {
 			return err
 		}
-		j.cur = 0
-		if !hasNull { // ω keys never match
-			j.cur = j.index.first(kb)
+		if b == nil {
+			j.leftDone()
+			return nil
 		}
+		j.lb, j.lpos = b, 0
+		rows, limit := min(b.NumRows(), j.batchCap()-j.outB.Len()), j.batchCap()
+		j.lidx, j.ridx = roomFor(j.lidx, rows, limit), roomFor(j.ridx, rows, limit)
+	}
+	j.row = j.lb.RowAt(j.lpos)
+	j.lpos++
+	kb, hasNull, err := j.lenc.appendKey(j.keyBuf[:0], j.lb, j.row)
+	j.keyBuf = kb
+	if err != nil {
+		return err
+	}
+	j.cur = 0
+	if !hasNull { // ω keys never match
+		j.cur = j.index.first(kb)
 	}
 	if j.Residual != nil && j.cur != 0 {
 		j.concat = boxRow(j.concat[:0], j.lb, j.row)
@@ -376,13 +299,8 @@ func (j *ColHashJoin) Close() error {
 	j.store, j.lb = nil, nil
 	j.index.release()
 	keepBatch(&j.own)
-	keepBatch(&j.lown)
 	keepBatch(&j.outB)
 	j.matched, j.lidx, j.ridx = kept(j.matched), kept(j.lidx), kept(j.ridx)
-	j.lperm, j.rperm, j.lkeys, j.rkeys = kept(j.lperm), kept(j.rperm), kept(j.lkeys), kept(j.rkeys)
-	if cap(j.arena) > keptBytes {
-		j.arena = nil
-	}
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

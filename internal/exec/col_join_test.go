@@ -89,10 +89,10 @@ func joinInput(rng *rand.Rand, dom int, kname, vname string, maxTuples int) *rel
 	return out
 }
 
-// TestColHashJoinDifferential checks the join's hash and merge methods
-// against the naive nested loop on random inputs across every join type,
-// MatchT on and off, with and without a residual θ, over ω, NaN, mixed
-// int/float and 0x00-string keys, at the default batch size and at 2.
+// TestColHashJoinDifferential checks the keyed join against the naive
+// nested loop on random inputs across every join type, MatchT on and off,
+// with and without a residual θ, over ω, NaN, mixed int/float and
+// 0x00-string keys, at the default batch size and at 2.
 func TestColHashJoinDifferential(t *testing.T) {
 	types := []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin}
 	for dom, d := range keyDomains {
@@ -114,13 +114,10 @@ func TestColHashJoinDifferential(t *testing.T) {
 						tag := fmt.Sprintf("%s round %d %s matchT=%v residual=%v", d.name, round, typ, matchT, residual != nil)
 						want := naiveJoin(t, r, s, full, typ, matchT)
 						for _, batch := range []int{0, 2} {
-							for _, merge := range []bool{false, true} {
-								hj := NewColHashJoin(ApplyColBatch(NewColScan(r), batch), ApplyColBatch(NewColScan(s), batch), pairs, residual, typ, matchT)
-								hj.Merge = merge
-								got := collect(t, ApplyColBatch(hj, batch))
-								if !sameRows(got, want) {
-									t.Fatalf("%s batch=%d merge=%v: join differs from nested loop\njoin:\n%s\nnested loop:\n%s\nr:\n%s\ns:\n%s", tag, batch, merge, got, want, r, s)
-								}
+							hj := NewColHashJoin(ApplyColBatch(NewColScan(r), batch), ApplyColBatch(NewColScan(s), batch), pairs, residual, typ, matchT)
+							got := collect(t, ApplyColBatch(hj, batch))
+							if !sameRows(got, want) {
+								t.Fatalf("%s batch=%d: join differs from nested loop\njoin:\n%s\nnested loop:\n%s\nr:\n%s\ns:\n%s", tag, batch, got, want, r, s)
 							}
 						}
 					}

@@ -67,31 +67,6 @@ func (r *rowExprs) appendKey(dst []byte, b *colbatch.Batch, row int) (key []byte
 	return dst, hasNull, nil
 }
 
-// encodeKeys appends the key (enc's expressions) of every physical row of b
-// to arena and the keys, which alias it, to keys; with nilOnNull set, rows
-// whose key contains ω get a nil key instead.
-func encodeKeys(arena []byte, keys [][]byte, enc *rowExprs, b *colbatch.Batch, nilOnNull bool) ([]byte, [][]byte, error) {
-	keys = slices.Grow(keys, b.Len())
-	for row := 0; row < b.Len(); row++ {
-		start := len(arena)
-		kb, hasNull, err := enc.appendKey(arena, b, row)
-		if err != nil {
-			return arena, nil, err
-		}
-		if nilOnNull && hasNull {
-			keys = append(keys, nil)
-			continue
-		}
-		arena = kb
-		keys = append(keys, kb[start:len(kb):len(kb)])
-		if row == 0 {
-			// Fixed-width keys, the common case, then fit one allocation.
-			arena = slices.Grow(arena, (len(kb)-start)*(b.Len()-1))
-		}
-	}
-	return arena, keys, nil
-}
-
 // identityPerm appends the row permutation 0, 1, …, n-1 to dst.
 func identityPerm(dst []int32, n int) []int32 {
 	dst = slices.Grow(dst, n)

@@ -167,7 +167,7 @@ func TestGuardByteBudget(t *testing.T) {
 }
 
 // TestDrainingOpenSurfacesGuardErrors: the operators that drain an input
-// inside Open — the sort, the merge join's two sides — pass on what the
+// inside Open — the sort, the join's build side — pass on what the
 // input's guard reports (a cancelled context, an exhausted budget, a
 // recovered panic) as it is, and close cleanly afterwards.
 func TestDrainingOpenSurfacesGuardErrors(t *testing.T) {
@@ -183,9 +183,8 @@ func TestDrainingOpenSurfacesGuardErrors(t *testing.T) {
 		"budget":    {func() ColIterator { return NewColGuard(armed(nil, NewBudget(2, 0)), &faultyIter{n: 5}) }, func(err error) bool { return errors.As(err, &be) }},
 		"panic":     {func() ColIterator { return NewColGuard(armed(nil, nil), &faultyIter{nextPanic: "boom"}) }, func(err error) bool { return errors.As(err, &pe) }},
 	} {
-		merge := NewColHashJoin(&faultyIter{n: 2}, c.in(), []expr.EquiPair{{Left: expr.TStart{}, Right: expr.TStart{}}}, nil, InnerJoin, false)
-		merge.Merge = true
-		for _, op := range []ColIterator{NewColSort(c.in(), SortKey{Expr: expr.TStart{}}), merge} {
+		join := NewColHashJoin(&faultyIter{n: 2}, c.in(), []expr.EquiPair{{Left: expr.TStart{}, Right: expr.TStart{}}}, nil, InnerJoin, false)
+		for _, op := range []ColIterator{NewColSort(c.in(), SortKey{Expr: expr.TStart{}}), join} {
 			if err := op.Open(); !c.check(err) {
 				t.Errorf("%s: %T.Open = %v", name, op, err)
 			}

@@ -200,17 +200,18 @@ func reopenCases() []reopenCase {
 			return c.sized(NewColSort(in, keys...))
 		}})
 	}
-	// Join: six types × MatchT × residual; keyed under the hash and the
-	// merge method, and keyless (the nested-loop method). The keyed ones
-	// build over a filter chain (an owned store), the keyless over a bare
-	// scan (the relation's image).
+	// Join: six types × MatchT × residual; keyed (the hash join) and
+	// keyless (the nested loop), each building over a filter chain (an
+	// owned store) and over a bare scan (the relation's image, borrowed).
 	vLEw := expr.Le(rV, expr.CI(4, value.KindInt))
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin} {
 		for _, matchT := range []bool{false, true} {
 			for _, residual := range []expr.Expr{nil, vLEw} {
-				for _, method := range []string{"hash", "merge", "keyless"} {
-					keyless := method == "keyless"
-					if keyless && residual == nil {
+				for _, access := range []struct {
+					name           string
+					keyless, image bool
+				}{{"hash", false, false}, {"hash image", false, true}, {"keyless owned", true, false}, {"keyless", true, true}} {
+					if access.keyless && residual == nil {
 						continue
 					}
 					cond := expr.And(expr.Eq(rK, expr.CI(3, value.KindInt)), vLEw)
@@ -218,17 +219,19 @@ func reopenCases() []reopenCase {
 						cond = expr.Eq(rK, expr.CI(3, value.KindInt))
 					}
 					cases = append(cases, reopenCase{
-						name: fmt.Sprintf("join %s matchT=%v residual=%v %s", typ, matchT, residual != nil, method),
+						name: fmt.Sprintf("join %s matchT=%v residual=%v %s", typ, matchT, residual != nil, access.name),
 						build: func(c *reopenTree) ColIterator {
-							if keyless {
-								return c.sized(NewColHashJoin(c.left(), c.sized(NewColScan(c.s)), nil, cond, typ, matchT))
+							right := c.right()
+							if access.image {
+								right = c.sized(NewColScan(c.s))
 							}
-							j := NewColHashJoin(c.left(), c.right(), []expr.EquiPair{{Left: rK, Right: sK}}, residual, typ, matchT)
-							j.Merge = method == "merge"
-							return c.sized(j)
+							if access.keyless {
+								return c.sized(NewColHashJoin(c.left(), right, nil, cond, typ, matchT))
+							}
+							return c.sized(NewColHashJoin(c.left(), right, []expr.EquiPair{{Left: rK, Right: sK}}, residual, typ, matchT))
 						},
 						want: func(t *testing.T, s, rf, sf *relation.Relation) *relation.Relation {
-							if keyless {
+							if access.image {
 								sf = s
 							}
 							return naiveJoin(t, rf, sf, cond, typ, matchT)

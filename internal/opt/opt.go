@@ -4,10 +4,10 @@
 // projections, joins, set operations, duplicate elimination, aggregation
 // and the fused ALIGN/NORMALIZE operator), projection collapsing, and
 // cost-based join reordering for chains of inner joins. Every rebuilt
-// node goes back through the plan.Planner, so physical method choices
-// (hash vs merge vs nested loop, fused group strategies) are re-costed
-// against the rewritten inputs — with table statistics from ANALYZE when
-// the catalog carries them.
+// node goes back through the plan.Planner, so its access (hash on the
+// equi keys or nested loop) follows the rewritten condition and its cost
+// is re-estimated against the rewritten inputs — with table statistics
+// from ANALYZE when the catalog carries them.
 //
 // The pass is semantics-preserving by construction; each rule documents
 // the invariant that makes it safe (most importantly: a join's output

@@ -66,26 +66,23 @@ func corpusCatalog(seed int) sqlish.MapCatalog {
 }
 
 // TestExplainAnalyzeCorpus pins EXPLAIN ANALYZE over the 25-shape corpus:
-// the golden file's default and hash-only sections were rendered when row
-// operators did the counting, so every node's "actual rows" — the selected
-// rows leaving the node — and every label and estimate must still read the
-// same now that the guards of the one pipeline count. The hash-only flag
-// set forces the hash join under every join shape (the tiny inputs
-// otherwise pick nested loops). The dop2-forced section runs six shapes
+// the golden file's default section was rendered when row operators did
+// the counting, so every node's "actual rows" — the selected rows leaving
+// the node — and every label and estimate must still read the same now
+// that the guards of the one pipeline count. The dop2-forced section runs six shapes
 // (join, ALIGN, NORMALIZE, GROUP BY, union, WITH) through exchanges: a
 // template node shows the sum over its fragments — partition seeds are
 // random, the sums are not — and a broadcast Materialize its rows once.
 // The root's count must equal the statement's result size.
 func TestExplainAnalyzeCorpus(t *testing.T) {
-	hashOnly, dop2 := plan.DefaultFlags(), plan.DefaultFlags()
-	hashOnly.EnableNestLoop, hashOnly.EnableMergeJoin = false, false
+	dop2 := plan.DefaultFlags()
 	dop2.DOP, dop2.ForceParallel = 2, true
 	var b strings.Builder
 	for _, fl := range []struct {
 		name   string
 		flags  plan.Flags
 		shapes []int // indexes into analyzeCorpus; nil: all
-	}{{"default", plan.DefaultFlags(), nil}, {"hash-only", hashOnly, nil}, {"dop2-forced", dop2, []int{2, 7, 8, 9, 10, 13}}} {
+	}{{"default", plan.DefaultFlags(), nil}, {"dop2-forced", dop2, []int{2, 7, 8, 9, 10, 13}}} {
 		for seed := 0; seed < 3; seed++ {
 			cat := corpusCatalog(seed)
 			for i, q := range analyzeCorpus {

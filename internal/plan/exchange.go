@@ -337,8 +337,8 @@ func MaxDOP(n Node) int {
 // rewrite for an input of the given estimated cardinality. force means the
 // configuration demands the rewrite unconditionally (Flags.ForceParallel),
 // which also skips the cost comparison; otherwise the attempt requires
-// DOP > 1, a machine with real concurrency to offer, and rows clearing the
-// gate — and the rewrite still has to win on estimated cost.
+// DOP > 1, a machine with real concurrency to offer, and rows clearing
+// ExchangeMinRows — and the rewrite still has to win on estimated cost.
 func (p *Planner) ShouldParallelize(rows float64) (attempt, force bool) {
 	if p.Flags.DOP <= 1 {
 		return false, false
@@ -351,11 +351,7 @@ func (p *Planner) ShouldParallelize(rows float64) (attempt, force bool) {
 		// overhead cannot be bought back.
 		return false, false
 	}
-	gate := p.Flags.ParallelMinRows
-	if gate <= 0 {
-		gate = DefaultParallelMinRows
-	}
-	return rows >= gate, false
+	return rows >= ExchangeMinRows, false
 }
 
 // ParJoin plans a join and, when the planner's DOP and the estimated

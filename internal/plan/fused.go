@@ -13,8 +13,7 @@ import (
 // r Φ_θ s and N_B(r; s): group construction (Sec. 6.1/6.3) and the plane
 // sweep (Sec. 6.2, Fig. 10) as one operator, exec.ColFusedAdjust, that
 // never materializes concatenated join rows. Every θ finds its groups in
-// start-ordered runs, one per equi key (the Sec. 8 interval index), so
-// the planner's join-method flags steer JoinNode only.
+// start-ordered runs, one per equi key (the Sec. 8 interval index).
 type AdjustmentNode struct {
 	Left, Right Node
 	Mode        exec.AdjustMode
@@ -65,13 +64,7 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 // case of scanning its one run, which a long group interval can widen to
 // the whole side. The sweep adds the Sec. 6.2/6.3 per-row adjustment cost.
 func (n *AdjustmentNode) estimateCost() float64 {
-	lr, rr := math.Max(n.Left.Rows(), 1), math.Max(n.Right.Rows(), 1)
-	base := n.Left.Cost() + n.Right.Cost()
-	group := base + lr*rr*CPUOperatorCost + rr*CPUTupleCost
-	if len(n.Keys) > 0 {
-		group = base + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
-	}
-	return group + 2*CPUOperatorCost*n.rows
+	return accessCost(n.Left, n.Right, len(n.Keys) > 0) + 2*CPUOperatorCost*n.rows
 }
 
 func (n *AdjustmentNode) Schema() schema.Schema { return n.out }

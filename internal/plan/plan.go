@@ -1,15 +1,12 @@
 // Package plan implements the logical plan layer above the executor:
-// statistics-based cost estimation, join-method selection (nested loop vs
-// hash vs sort-merge) with PostgreSQL-style enable flags, the paper's row
-// and cost estimates for the new Align/Normalize nodes (Sec. 6.2/6.3), plan
-// construction helpers, and EXPLAIN rendering.
+// statistics-based cost estimation, the paper's row and cost estimates for
+// the new Align/Normalize nodes (Sec. 6.2/6.3), plan construction helpers,
+// and EXPLAIN rendering.
 //
-// The optimizer is deliberately in the spirit of the paper's host system:
-// enable flags add a large disable cost rather than removing an access path
-// (so a forced method still wins even if it is the only viable one), and
-// the group-construction joins of alignment and normalization go through
-// the same join planning as every other join — which is what Fig. 13
-// measures.
+// Access paths follow θ's shape, not a cost comparison or a flag: a join
+// whose condition has equi keys hashes on them, one without runs as a
+// nested loop, and alignment and normalization scan start-ordered runs of
+// their group side, one per equi key (see AdjustmentNode).
 package plan
 
 import (
@@ -33,39 +30,20 @@ const (
 	CPUOperatorCost = 0.0025
 	SeqPageCost     = 1.0
 	TuplesPerPage   = 100
-	DisableCost     = 1.0e10
 
 	// Default selectivities.
 	EqSelectivity    = 0.005
 	RangeSelectivity = 1.0 / 3.0
 )
 
-// Flags mirror PostgreSQL's planner enable_* settings. The join-method
-// flags steer JoinNode only: where Sec. 7.2 toggles enable_mergejoin /
-// enable_hashjoin to steer normalization's internal join, alignment and
-// normalization here find their groups by θ's shape alone (see
-// AdjustmentNode).
+// Flags are the planner's settings: parallelism, batch size and the two
+// escape hatches of the differential tests.
 type Flags struct {
-	EnableNestLoop  bool
-	EnableHashJoin  bool
-	EnableMergeJoin bool
-	EnableSort      bool
-	// EnableAntiJoinRewrite evaluates the temporal antijoin with the
-	// customized gaps-only aligner instead of the generic Table 2
-	// reduction (Sec. 8 future work: primitives specialized per operator).
-	// Off by default for paper fidelity.
-	EnableAntiJoinRewrite bool
 	// DOP is the degree of parallelism for the exchange layer: plans whose
-	// estimated input cardinality reaches ParallelMinRows are rewritten to
+	// estimated input cardinality reaches ExchangeMinRows are rewritten to
 	// hash-partition work across DOP worker goroutines. 0 or 1 disables
 	// parallel execution.
 	DOP int
-	// ParallelMinRows gates the exchange rewrite: below this estimated
-	// input cardinality the startup and transfer overhead of an exchange
-	// outweighs the speedup, and above it the exchange plan still has to
-	// beat the serial plan on estimated cost. 0 (the zero value) means
-	// DefaultParallelMinRows.
-	ParallelMinRows float64
 	// ForceParallel applies the exchange rewrite unconditionally when
 	// DOP > 1, skipping the row gate, the core-count check and the cost
 	// comparison. It exists for tests and benchmarks that must exercise
@@ -87,28 +65,21 @@ type Flags struct {
 	DisablePruning bool
 }
 
-// DefaultFlags enables every paper-faithful access path; parallelism stays
-// off (DOP 1) so plans remain the paper's serial pipelines unless asked.
-func DefaultFlags() Flags {
-	return Flags{
-		EnableNestLoop:  true,
-		EnableHashJoin:  true,
-		EnableMergeJoin: true,
-		EnableSort:      true,
-		DOP:             1,
-		ParallelMinRows: DefaultParallelMinRows,
-	}
-}
+// DefaultFlags keeps parallelism off (DOP 1) so plans remain the paper's
+// serial pipelines unless asked.
+func DefaultFlags() Flags { return Flags{DOP: 1} }
 
-// DefaultParallelMinRows is the default exchange gate: roughly where the
-// per-worker startup cost amortizes against per-tuple work on current
-// hardware.
-const DefaultParallelMinRows = 1024
+// ExchangeMinRows is the exchange gate: below this estimated input
+// cardinality the startup and transfer overhead of an exchange outweighs
+// the speedup — roughly where the per-worker startup cost amortizes
+// against per-tuple work on current hardware — and above it the exchange
+// plan still has to beat the serial plan on estimated cost.
+const ExchangeMinRows = 1024
 
 // Fingerprint renders the flags as a short stable string. Every field that
-// can change plan shape or method choice participates, which makes the
-// fingerprint a sound plan-cache key component: two flag sets with equal
-// fingerprints always plan a statement identically.
+// can change plan shape participates, which makes the fingerprint a sound
+// plan-cache key component: two flag sets with equal fingerprints always
+// plan a statement identically.
 func (f Flags) Fingerprint() string {
 	b := func(v bool) byte {
 		if v {
@@ -116,26 +87,8 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("nl%c,hj%c,mj%c,so%c,aj%c,dop%d,pmr%g,fp%c,bs%d,op%c,zp%c",
-		b(f.EnableNestLoop), b(f.EnableHashJoin), b(f.EnableMergeJoin), b(f.EnableSort),
-		b(f.EnableAntiJoinRewrite),
-		f.DOP, f.ParallelMinRows, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer),
-		b(f.DisablePruning))
-}
-
-// JoinMethod enumerates physical join strategies.
-type JoinMethod uint8
-
-// The physical join strategies the cost model chooses among.
-const (
-	MethodNestLoop JoinMethod = iota
-	MethodHash
-	MethodMerge
-)
-
-// String renders the method for EXPLAIN labels.
-func (m JoinMethod) String() string {
-	return [...]string{"nestloop", "hash", "merge"}[m]
+	return fmt.Sprintf("dop%d,fp%c,bs%d,op%c,zp%c",
+		f.DOP, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer), b(f.DisablePruning))
 }
 
 // Node is a logical plan node with cost estimates and a physical build.
@@ -728,15 +681,15 @@ func (s *SortNode) Label() string { return fmt.Sprintf("Sort (%d keys)", len(s.K
 
 // ------------------------------------------------------------------- join
 
-// JoinNode joins two inputs; the physical method is chosen at construction
-// from the planner's flags and cost estimates.
+// JoinNode joins two inputs. Its access follows the condition's shape: a
+// hash join on the equi keys (T among them under MatchT), or a nested loop
+// when there are none.
 type JoinNode struct {
 	Left, Right Node
 	Cond        expr.Expr // bound against Concat(left, right); may be nil
 	Type        exec.JoinType
 	MatchT      bool
 
-	Method   JoinMethod
 	keys     []expr.EquiPair
 	residual expr.Expr
 	out      schema.Schema
@@ -746,7 +699,7 @@ type JoinNode struct {
 	batch    int
 }
 
-// Join builds a join node and selects the cheapest enabled method.
+// Join builds a join node and estimates its cost and rows.
 func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool) *JoinNode {
 	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize}
 	if typ == exec.SemiJoin || typ == exec.AntiJoin {
@@ -760,47 +713,11 @@ func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool
 	if matchT {
 		// The reduction rules compare adjusted timestamps with equality
 		// only (Table 2): T becomes an ordinary equi-join key, which is
-		// what lets reduced temporal joins use hash or merge strategies.
+		// what lets reduced temporal joins hash.
 		j.keys = append(j.keys, expr.EquiPair{Left: expr.TPeriod{}, Right: expr.TPeriod{}})
 	}
-	j.choose(p.Flags)
-	return j
-}
-
-// choose picks the physical method: candidate costs plus DisableCost for
-// disabled paths, cheapest wins.
-func (j *JoinNode) choose(flags Flags) {
-	lr, rr := math.Max(j.Left.Rows(), 1), math.Max(j.Right.Rows(), 1)
-	base := j.Left.Cost() + j.Right.Cost()
-
-	nlCost := base + lr*rr*CPUOperatorCost + rr*CPUTupleCost
-	if !flags.EnableNestLoop {
-		nlCost += DisableCost
-	}
-	best, bestCost := MethodNestLoop, nlCost
-
-	if len(j.keys) > 0 {
-		hashCost := base + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
-		if !flags.EnableHashJoin {
-			hashCost += DisableCost
-		}
-		if hashCost < bestCost {
-			best, bestCost = MethodHash, hashCost
-		}
-		mergeCost := base +
-			2*CPUOperatorCost*lr*math.Log2(lr+1) +
-			2*CPUOperatorCost*rr*math.Log2(rr+1) +
-			(lr+rr)*CPUOperatorCost
-		if !flags.EnableMergeJoin {
-			mergeCost += DisableCost
-		}
-		if mergeCost < bestCost {
-			best, bestCost = MethodMerge, mergeCost
-		}
-	}
-	j.Method = best
-	j.cost = bestCost
-
+	j.cost = accessCost(l, r, len(j.keys) > 0)
+	lr, rr := math.Max(l.Rows(), 1), math.Max(r.Rows(), 1)
 	sel := joinSelectivity(j.Cond, j.keys, NodeStats(j.Left), NodeStats(j.Right))
 	rows := lr * rr * clampSel(sel, lr*rr)
 	switch j.Type {
@@ -814,6 +731,18 @@ func (j *JoinNode) choose(flags Flags) {
 		rows = lr * 0.5
 	}
 	j.rows = math.Max(rows, 1)
+	return j
+}
+
+// accessCost prices pairing each l row with its r partners, inputs
+// included: hashing r on the equi keys when keyed, the nested loop's cross
+// product when not.
+func accessCost(l, r Node, keyed bool) float64 {
+	lr, rr := math.Max(l.Rows(), 1), math.Max(r.Rows(), 1)
+	if keyed {
+		return l.Cost() + r.Cost() + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
+	}
+	return l.Cost() + r.Cost() + lr*rr*CPUOperatorCost + rr*CPUTupleCost
 }
 
 // joinSelectivity estimates a join condition's selectivity over the cross
@@ -891,10 +820,8 @@ func (j *JoinNode) Stats() *stats.Table {
 }
 
 // Build runs the one join operator, exec.ColHashJoin, over guarded inputs
-// (see ExecCtx.input): the merge method sorts row permutations of both
-// sides instead of hashing one, and the nested-loop method is the hash
-// method with no keys — every build row in one chain — and the whole
-// condition as its residual.
+// (see ExecCtx.input). With no keys it is the nested loop: every build row
+// in one chain, the whole condition as the residual.
 func (j *JoinNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	l, err := ctx.input(j.Left)
 	if err != nil {
@@ -904,12 +831,7 @@ func (j *JoinNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, residual := j.keys, j.residual
-	if j.Method == MethodNestLoop {
-		keys, residual = nil, j.Cond
-	}
-	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, keys), ctx.bind(residual), j.Type, j.MatchT)
-	hj.Merge = j.Method == MethodMerge
+	hj := exec.NewColHashJoin(l, r, bindPairs(ctx, j.keys), ctx.bind(j.residual), j.Type, j.MatchT)
 	hj.SizeHint = rowHint(j.Right)
 	return exec.ApplyColBatch(hj, j.batch), nil
 }
@@ -923,7 +845,11 @@ func (j *JoinNode) Label() string {
 	if j.MatchT {
 		t = " AND l.T = r.T"
 	}
-	return fmt.Sprintf("%s %s join ON %s%s", j.Method, j.Type, cond, t)
+	method := "hash"
+	if len(j.keys) == 0 {
+		method = "nestloop"
+	}
+	return fmt.Sprintf("%s %s join ON %s%s", method, j.Type, cond, t)
 }
 
 // ------------------------------------------------------------- aggregation

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"talign/internal/exec"
 	"talign/internal/expr"
 	"talign/internal/interval"
+	"talign/internal/oracle"
 	"talign/internal/relation"
 	"talign/internal/tuple"
 	"talign/internal/value"
@@ -49,94 +51,79 @@ func TestPaperCostEstimates(t *testing.T) {
 	}
 }
 
-// TestJoinMethodSelection mirrors the Sec. 7.2 experiment mechanics: with
-// everything enabled an equi join picks hash or merge; disabling paths
-// steers the choice, and with only nestloop left it falls back to it.
-func TestJoinMethodSelection(t *testing.T) {
-	rel := sampleRel(1000)
-	mk := func(flags Flags) JoinMethod {
-		p := NewPlanner(flags)
-		j := p.Join(p.Scan(rel, "r"), p.Scan(rel, "s"), equiCond(2), exec.InnerJoin, false)
-		return j.Method
-	}
-	all := DefaultFlags()
-	if m := mk(all); m == MethodNestLoop {
-		t.Fatalf("equi join with all paths enabled must not pick nestloop, got %s", m)
-	}
-	noMerge := all
-	noMerge.EnableMergeJoin = false
-	if m := mk(noMerge); m != MethodHash {
-		t.Fatalf("with merge disabled want hash, got %s", m)
-	}
-	nlOnly := Flags{EnableNestLoop: true}
-	if m := mk(nlOnly); m != MethodNestLoop {
-		t.Fatalf("with only nestloop want nestloop, got %s", m)
-	}
-	// Non-equi conditions can only nest-loop.
-	p := NewPlanner(all)
-	j := p.Join(p.Scan(rel, "r"), p.Scan(rel, "s"),
-		expr.Lt(expr.CI(0, value.KindInt), expr.CI(2, value.KindInt)), exec.InnerJoin, false)
-	if j.Method != MethodNestLoop {
-		t.Fatalf("non-equi join must nestloop, got %s", j.Method)
-	}
+// estimated overrides a node's row estimate and leaves what it runs alone.
+type estimated struct {
+	Node
+	rows float64
 }
 
-// TestMatchTAddsTimestampKey: with MatchT the adjusted timestamp becomes an
-// equi key, so even θ=true joins can hash (the Table 2 joins after
-// alignment).
-func TestMatchTAddsTimestampKey(t *testing.T) {
-	rel := sampleRel(1000)
-	p := NewPlanner(DefaultFlags())
-	j := p.Join(p.Scan(rel, "r"), p.Scan(rel, "s"), nil, exec.InnerJoin, true)
-	if j.Method == MethodNestLoop {
-		t.Fatalf("T-equality join should hash or merge, got %s", j.Method)
-	}
-}
+func (e estimated) Rows() float64 { return e.rows }
 
-// TestDisabledPathStillUsable: disabling every path must still produce a
-// plan (disable costs, not hard removal).
-func TestDisabledPathStillUsable(t *testing.T) {
-	rel := sampleRel(10)
-	p := NewPlanner(Flags{})
-	j := p.Join(p.Scan(rel, "r"), p.Scan(rel, "s"), equiCond(2), exec.InnerJoin, false)
-	out, err := Run(j)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+// TestJoinAccessFollowsTheta: a join hashes on θ's equi keys — T among
+// them under MatchT — and runs a nested loop only when θ has none,
+// whatever its inputs' estimated sizes; each access returns the oracle's
+// rows. Both sides take their valid times from two disjoint periods, so
+// under MatchT the plain join is the temporal one; without MatchT the
+// oracle joins against a right side that covers every left row, whose
+// pieces then carry the left row's valid time as the plain join's do.
+func TestJoinAccessFollowsTheta(t *testing.T) {
+	side := func(prefix string, cover bool) *relation.Relation {
+		b := relation.NewBuilder(prefix+"k int", prefix+"v int")
+		for i := 0; i < 12; i++ {
+			ts := int64(i % 2 * 5)
+			if cover {
+				b.Row(0, 10, i%3, i)
+			} else {
+				b.Row(ts, ts+5, i%3, i)
+			}
+		}
+		return b.MustBuild()
 	}
-	if out.Len() == 0 {
-		t.Fatal("join produced nothing")
-	}
-}
-
-// TestJoinMethodsProduceSameResult runs the same plan under each forced
-// method and compares.
-func TestJoinMethodsProduceSameResult(t *testing.T) {
-	rel := sampleRel(50)
-	var results []*relation.Relation
-	for _, flags := range []Flags{
-		{EnableNestLoop: true},
-		{EnableHashJoin: true, EnableNestLoop: true},
-		{EnableMergeJoin: true, EnableSort: true, EnableNestLoop: true},
+	l, r, rCover := side("l", false), side("r", false), side("r", true)
+	for _, tc := range []struct {
+		name   string
+		cond   expr.Expr
+		matchT bool
+		access string
+	}{
+		{"keyed", equiCond(2), false, "hash"},
+		{"matchT", nil, true, "hash"},
+		{"keyless", expr.Lt(expr.CI(1, value.KindInt), expr.CI(3, value.KindInt)), false, "nestloop"},
 	} {
-		p := NewPlanner(flags)
-		j := p.Join(p.Scan(rel, "r"), p.Scan(rel, "s"), equiCond(2), exec.LeftOuterJoin, false)
-		out, err := Run(j)
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		results = append(results, out)
-	}
-	for i := 1; i < len(results); i++ {
-		if !relation.SetEqual(results[0], results[i]) {
-			t.Fatalf("method %d produced different result", i)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			right := rCover
+			if tc.matchT {
+				right = r
+			}
+			want, err := oracle.Join(l, right, tc.cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rows := range []float64{1, 1e6} {
+				t.Run(fmt.Sprintf("rows=%g", rows), func(t *testing.T) {
+					p := NewPlanner(DefaultFlags())
+					j := p.Join(estimated{p.Scan(l, "l"), rows}, estimated{p.Scan(right, "r"), rows}, tc.cond, exec.InnerJoin, tc.matchT)
+					if !strings.HasPrefix(j.Label(), tc.access+" ") {
+						t.Errorf("%q, want %s", j.Label(), tc.access)
+					}
+					got, err := Run(j)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !relation.SetEqual(got, want) {
+						t.Errorf("%d rows differ from the oracle's %d", got.Len(), want.Len())
+					}
+				})
+			}
+		})
 	}
 }
 
 // TestNaNPayloadsJoin runs one pair of NaNs with different payload bits —
-// math.NaN() against what Inf-Inf yields on amd64 — through the hash,
-// merge and nested-loop joins and through a DOP=2 exchange. Equal, Compare and AppendKey treat every NaN as one value,
-// so each configuration must pair the two rows.
+// math.NaN() against what Inf-Inf yields on amd64 — through the hash join,
+// the nested loop (a keyless θ that still compares the two) and a DOP=2
+// exchange. Equal, Compare and AppendKey treat every NaN as one value, so
+// each configuration must pair the two rows.
 func TestNaNPayloadsJoin(t *testing.T) {
 	mk := func(f float64) *relation.Relation {
 		rel := relation.New(relation.NewBuilder("k float").MustBuild().Schema)
@@ -144,28 +131,28 @@ func TestNaNPayloadsJoin(t *testing.T) {
 		return rel
 	}
 	l, r := mk(math.NaN()), mk(math.Float64frombits(0xFFF8000000000000))
-	cond := expr.Eq(expr.CI(0, value.KindFloat), expr.CI(1, value.KindFloat))
-	method := func(nl, hash, merge bool) Flags {
-		f := DefaultFlags()
-		f.EnableNestLoop, f.EnableHashJoin, f.EnableMergeJoin = nl, hash, merge
-		return f
-	}
+	eq := expr.Eq(expr.CI(0, value.KindFloat), expr.CI(1, value.KindFloat))
 	exchange := DefaultFlags()
 	exchange.DOP, exchange.ForceParallel = 2, true
-	for name, flags := range map[string]Flags{
-		"hash": method(false, true, false), "merge": method(false, false, true), "nestloop": method(true, false, false),
-		"exchange": exchange,
+	for _, tc := range []struct {
+		name  string
+		cond  expr.Expr
+		flags Flags
+	}{
+		{"hash", eq, DefaultFlags()},
+		{"nestloop", expr.Neg(expr.Ne(expr.CI(0, value.KindFloat), expr.CI(1, value.KindFloat))), DefaultFlags()},
+		{"exchange", eq, exchange},
 	} {
-		p := NewPlanner(flags)
+		p := NewPlanner(tc.flags)
 		// The exchange seed is random per build: repeat so that a routing
 		// that only works by luck shows up.
 		for i := 0; i < 20; i++ {
-			out, err := Run(p.ParJoin(p.Scan(l, "l"), p.Scan(r, "r"), cond, exec.InnerJoin, false))
+			out, err := Run(p.ParJoin(p.Scan(l, "l"), p.Scan(r, "r"), tc.cond, exec.InnerJoin, false))
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", tc.name, err)
 			}
 			if out.Len() != 1 {
-				t.Fatalf("%s: NaN = NaN produced %d rows, want 1", name, out.Len())
+				t.Fatalf("%s: NaN = NaN produced %d rows, want 1", tc.name, out.Len())
 			}
 		}
 	}
@@ -182,9 +169,7 @@ func TestBudgetStopsColumnarBlowUp(t *testing.T) {
 		b.Row(0, 10, 7, i) // one key: the equi join is a cross product
 	}
 	rel := b.MustBuild()
-	flags := DefaultFlags()
-	flags.EnableNestLoop, flags.EnableMergeJoin = false, false
-	p := NewPlanner(flags)
+	p := NewPlanner(DefaultFlags())
 	join := p.Join(p.Scan(rel, "l"), p.Scan(rel, "r"), equiCond(2), exec.InnerJoin, false)
 	agg, err := p.Aggregate(join, nil, nil, false, []exec.AggSpec{{Func: exec.AggCountStar, Name: "c"}})
 	if err != nil {

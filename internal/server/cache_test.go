@@ -168,7 +168,7 @@ func TestCacheNormalization(t *testing.T) {
 func TestCacheFlagsKeying(t *testing.T) {
 	f1 := plan.DefaultFlags()
 	f2 := plan.DefaultFlags()
-	f2.EnableHashJoin = false
+	f2.BatchSize = 2
 	if f1.Fingerprint() == f2.Fingerprint() {
 		t.Fatalf("distinct flags share a fingerprint %q", f1.Fingerprint())
 	}

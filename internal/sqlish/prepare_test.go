@@ -136,7 +136,7 @@ func streamCount(t *testing.T, prep *Prepared, ctx context.Context, stopAfter in
 // many: a clean end — exhaustion or an early Close — hands the pipeline
 // back and the next execution re-opens it with its own parameters; an
 // execution that ended in an error does not; sorts, set operations and
-// merge joins re-open like everything else; a plan with a part that cannot
+// joins re-open like everything else; a plan with a part that cannot
 // be re-opened (a WITH memo) builds every time; executions that overlap get
 // a pipeline each.
 func TestStreamReusesPipeline(t *testing.T) {
@@ -174,21 +174,18 @@ func TestStreamReusesPipeline(t *testing.T) {
 			t.Fatalf("execution %d (a >= %d): %d rows, reused = %v; want %d rows, reused = %v", i, c.arg, rows, reused, c.rows, c.wantReused)
 		}
 	}
-	mergeOnly := flags
-	mergeOnly.EnableNestLoop, mergeOnly.EnableHashJoin = false, false
 	for _, c := range []struct {
 		sql      string
-		flags    plan.Flags
 		rows     [4]int // under $1 = 30, 40, 50, 40
 		reusable bool
 	}{
-		{"SELECT a, mn FROM p WHERE a >= $1 ORDER BY a DESC, mn", flags, [4]int{5, 4, 2, 4}, true},
-		{"SELECT DISTINCT a FROM p WHERE a >= $1", flags, [4]int{5, 4, 2, 4}, true},
-		{"SELECT a FROM p EXCEPT SELECT a FROM p WHERE a >= $1", flags, [4]int{0, 1, 3, 1}, true},
-		{"SELECT x.a, y.mn FROM p x JOIN p y ON x.a = y.a AND x.Ts = y.Ts WHERE x.a >= $1", mergeOnly, [4]int{5, 4, 2, 4}, true},
-		{"WITH q AS (SELECT a FROM p WHERE a >= $1) SELECT a FROM q", flags, [4]int{5, 4, 2, 4}, false}, // SharedNode memo
+		{"SELECT a, mn FROM p WHERE a >= $1 ORDER BY a DESC, mn", [4]int{5, 4, 2, 4}, true},
+		{"SELECT DISTINCT a FROM p WHERE a >= $1", [4]int{5, 4, 2, 4}, true},
+		{"SELECT a FROM p EXCEPT SELECT a FROM p WHERE a >= $1", [4]int{0, 1, 3, 1}, true},
+		{"SELECT x.a, y.mn FROM p x JOIN p y ON x.a = y.a AND x.Ts = y.Ts WHERE x.a >= $1", [4]int{5, 4, 2, 4}, true},
+		{"WITH q AS (SELECT a FROM p WHERE a >= $1) SELECT a FROM q", [4]int{5, 4, 2, 4}, false}, // SharedNode memo
 	} {
-		prep, err := Prepare(c.sql, cat, c.flags)
+		prep, err := Prepare(c.sql, cat, flags)
 		if err != nil {
 			t.Fatal(err)
 		}

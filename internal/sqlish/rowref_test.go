@@ -213,8 +213,6 @@ func TestRowReference(t *testing.T) {
 		{"default", func(*plan.Flags) {}},
 		{"batch=2", func(f *plan.Flags) { f.BatchSize = 2 }},
 		{"dop=2 forced", func(f *plan.Flags) { f.DOP, f.ForceParallel = 2, true }},
-		{"merge-only", func(f *plan.Flags) { f.EnableNestLoop, f.EnableHashJoin = false, false }},
-		{"hash-only", func(f *plan.Flags) { f.EnableNestLoop, f.EnableMergeJoin = false, false }},
 		{"no optimizer", func(f *plan.Flags) { f.DisableOptimizer = true }},
 	} {
 		flags := plan.DefaultFlags()
