@@ -84,17 +84,11 @@ type ColFusedAdjust struct {
 	// Residual is the rest of θ, bound against Concat(left, right); nil
 	// when θ was fully extracted into Keys.
 	Residual expr.Expr
-	// SizeHint is the planner's estimate of the group side's rows; it
-	// presizes the store when the group side offers no image.
-	SizeHint int
-	// Stats, when set, counts executions that built or shared their index.
-	Stats *OpStats
 
+	groupSide
 	out      schema.Schema
-	lenc     rowExprs        // left equi keys
-	renc     rowExprs        // group-side equi keys
-	store    *colbatch.Batch // accumulated group side: own, or a borrowed image
-	own      colbatch.Batch
+	lenc     rowExprs // left equi keys
+	renc     rowExprs // group-side equi keys
 	keyBuf   []byte
 	concat   []value.Value // residual scratch: left values, then right values
 	env      expr.Env      // reused eval scratch: avoids a per-row heap Env
@@ -103,11 +97,25 @@ type ColFusedAdjust struct {
 	lb       *colbatch.Batch // current left batch
 	lpos     int
 	leftDone bool
+	examined int // group candidates addCandidate tested since Open
+}
 
-	idx      *groupIndex // the image's, or ownIdx
-	ownIdx   groupIndex
-	cols     []int // the group-side keys' columns in the image
-	examined int   // group candidates addCandidate tested since Open
+// groupSide is a group side drained at Open with its index: the one kept
+// with the side's image (relation.IndexMemo) when the side hands one over
+// and its keys are plain columns, else one built anew — a
+// parameter-filtered side can change between executions.
+type groupSide struct {
+	// SizeHint is the planner's estimate of the side's rows; it presizes
+	// the store when the side offers no image.
+	SizeHint int
+	// Stats, when set, counts executions that built or shared the index.
+	Stats *OpStats
+
+	store  *colbatch.Batch // own, or a borrowed image
+	own    colbatch.Batch
+	idx    *groupIndex // the image's, or ownIdx
+	ownIdx groupIndex
+	cols   []int // the keys' columns in the image
 }
 
 // groupIndex is the interval index: the group rows without an ω key in
@@ -135,35 +143,39 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, keys []expr.EquiPair, 
 // Schema implements ColIterator.
 func (f *ColFusedAdjust) Schema() schema.Schema { return f.out }
 
-// Open implements ColIterator: it finds the group side's index — its
-// image's, or one built anew: a parameter-filtered group side can change.
+// Open implements ColIterator.
 func (f *ColFusedAdjust) Open() error {
 	if err := f.Left.Open(); err != nil {
 		return err
 	}
-	if err := f.Right.Open(); err != nil {
+	f.outB.ResetSchema(f.out)
+	f.lb, f.lpos, f.leftDone, f.examined = nil, 0, false, 0
+	return f.groupSide.open(f.Right, &f.renc)
+}
+
+// open opens and drains in and finds its index under the keys enc computes.
+func (g *groupSide) open(in ColIterator, enc *rowExprs) error {
+	if err := in.Open(); err != nil {
 		return err
 	}
 	var err error
-	if f.store, err = drainColumnar(f.Right, f.SizeHint, &f.own); err != nil {
+	if g.store, err = drainColumnar(in, g.SizeHint, &g.own); err != nil {
 		return err
 	}
-	f.outB.ResetSchema(f.out)
-	f.lb, f.lpos, f.leftDone, f.examined = nil, 0, false, 0
 	built := true
-	if memo := f.imageMemo(); memo != nil {
+	if memo := g.imageMemo(in, enc.es); memo != nil {
 		var v any
-		v, built, err = memo.Get(f.cols, func() (any, error) {
+		v, built, err = memo.Get(g.cols, func() (any, error) {
 			x := new(groupIndex) // kept for good: fitted, without its build scratch
-			err := x.build(&f.renc, f.store)
+			err := x.build(enc, g.store)
 			x.runs, x.hoff, x.heads, x.arena, x.keys = slices.Clone(x.runs), slices.Clone(x.hoff), slices.Clone(x.heads), nil, nil
 			return x, err
 		})
-		f.idx, _ = v.(*groupIndex)
+		g.idx, _ = v.(*groupIndex)
 	} else {
-		f.idx, err = &f.ownIdx, f.ownIdx.build(&f.renc, f.store)
+		g.idx, err = &g.ownIdx, g.ownIdx.build(enc, g.store)
 	}
-	if st := f.Stats; st != nil && built {
+	if st := g.Stats; st != nil && built {
 		st.IndexBuilt.Add(1)
 	} else if st != nil {
 		st.IndexShared.Add(1)
@@ -171,26 +183,26 @@ func (f *ColFusedAdjust) Open() error {
 	return err
 }
 
-// imageMemo returns the memo of the relation image the group side handed
-// over (through projections and guards) and sets f.cols to its key columns;
-// nil when the side was copied or a key is not a plain column.
-func (f *ColFusedAdjust) imageMemo() *relation.IndexMemo {
-	f.cols = f.cols[:0]
-	for _, k := range f.Keys {
-		c, ok := k.Right.(expr.ColIdx)
+// imageMemo returns the memo of the relation image in handed over
+// (through projections and guards) and sets g.cols to the keys' columns
+// in it; nil when the side was copied or a key is not a plain column.
+func (g *groupSide) imageMemo(in ColIterator, keys []expr.Expr) *relation.IndexMemo {
+	g.cols = g.cols[:0]
+	for _, k := range keys {
+		c, ok := k.(expr.ColIdx)
 		if !ok {
 			return nil
 		}
-		f.cols = append(f.cols, c.Idx)
+		g.cols = append(g.cols, c.Idx)
 	}
-	for in := f.Right; f.store != &f.own; {
+	for g.store != &g.own {
 		switch it := in.(type) {
 		case *ColScan:
 			return it.memo
 		case *ColProject:
-			for i, c := range f.cols {
+			for i, c := range g.cols {
 				if c >= 0 {
-					f.cols[i] = it.srcs[c]
+					g.cols[i] = it.srcs[c]
 				}
 			}
 			in = it.Input
@@ -201,6 +213,17 @@ func (f *ColFusedAdjust) imageMemo() *relation.IndexMemo {
 		}
 	}
 	return nil
+}
+
+// close drops the side and applies the retention rule to what it owns.
+func (g *groupSide) close() {
+	g.store, g.idx = nil, nil
+	x := &g.ownIdx
+	x.perm, x.runs, x.hoff, x.keys = kept(x.perm), kept(x.runs), kept(x.hoff), kept(x.keys)
+	if cap(x.heads) > keptBytes || cap(x.arena) > keptBytes {
+		x.heads, x.arena = nil, nil
+	}
+	keepBatch(&g.own)
 }
 
 // build indexes every physical row of b under enc, over x's buffers: the
@@ -393,13 +416,8 @@ func (f *ColFusedAdjust) sweep(row int) {
 
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
-	f.store, f.lb, f.idx = nil, nil, nil
-	x := &f.ownIdx
-	x.perm, x.runs, x.hoff, x.keys = kept(x.perm), kept(x.runs), kept(x.hoff), kept(x.keys)
-	if cap(x.heads) > keptBytes || cap(x.arena) > keptBytes {
-		x.heads, x.arena = nil, nil
-	}
-	keepBatch(&f.own)
+	f.groupSide.close()
+	f.lb = nil
 	keepBatch(&f.outB)
 	f.spans = kept(f.spans)
 	err1 := f.Left.Close()

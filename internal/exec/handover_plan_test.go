@@ -127,10 +127,12 @@ func TestHandOverParallelNormalize(t *testing.T) {
 }
 
 // TestHandOverWithBody: a WITH body that projects a scan, read twice — as
-// NORMALIZE's left input and as its group side.
+// NORMALIZE's left input and as its group side. The HAVING clause (always
+// true: the rows carry no ω) aggregates MIN and MAX, which the temporal
+// aggregation sweep does not take, so the plan keeps N_B and both reads.
 func TestHandOverWithBody(t *testing.T) {
 	runTemporalAgg(t, plan.DefaultFlags(),
-		"WITH w AS (SELECT v, k FROM r) SELECT k, COUNT(*) n, Ts, Te FROM (w a1 NORMALIZE w a2 USING (k)) x GROUP BY k, Ts, Te", 2)
+		"WITH w AS (SELECT v, k FROM r) SELECT k, COUNT(*) n, Ts, Te FROM (w a1 NORMALIZE w a2 USING (k)) x GROUP BY k, Ts, Te HAVING MAX(v) >= MIN(v)", 2)
 }
 
 // alignOverProjections is r ALIGN s ON r.k = s.k with both inputs projected

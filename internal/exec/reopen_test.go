@@ -179,6 +179,20 @@ func reopenCases() []reopenCase {
 		}, want: func(_ *testing.T, _, rf, _ *relation.Relation) *relation.Relation {
 			return must(oracle.Aggregation(rf, []string{"k"}, []oracle.AggSpec{{Op: oracle.CountStar, Name: "n"}, {Op: oracle.Sum, Arg: rV, Name: "sv"}}))
 		}},
+		{name: "temporal aggregation sweep", build: func(c *reopenTree) ColIterator {
+			// The same B,Tϑ_F(N_B(r; r)) as one endpoint sweep per k run;
+			// the filtered input's index is rebuilt at every Open.
+			aggs := []AggSpec{{Func: AggCountStar, Name: "n"}, {Func: AggSum, Arg: rV, Name: "sv"}, {Func: AggCount, Arg: rF, Name: "cf"}}
+			return c.sized(must(NewColSweepAggregate(c.left(), []int{0}, []int{0}, must(AggregateSchema([]expr.Expr{rK}, []string{"k"}, aggs)), aggs)))
+		}, want: func(_ *testing.T, _, rf, _ *relation.Relation) *relation.Relation {
+			return must(oracle.Aggregation(rf, []string{"k"}, []oracle.AggSpec{{Op: oracle.CountStar, Name: "n"}, {Op: oracle.Sum, Arg: rV, Name: "sv"}, {Op: oracle.Count, Arg: rF, Name: "cf"}}))
+		}},
+		{name: "temporal aggregation sweep image", build: func(c *reopenTree) ColIterator {
+			// Over a projected bare scan: the index r's image keeps.
+			aggs := []AggSpec{{Func: AggCount, Arg: rK, Name: "ck"}, {Func: AggSum, Arg: rV, Name: "sv"}}
+			in := NewColGuard(c.gs, c.project(c.sized(NewColScan(c.r)), TKeep, nil, rV, rK))
+			return c.sized(must(NewColSweepAggregate(in, []int{1}, []int{1}, must(AggregateSchema([]expr.Expr{rK}, []string{"k"}, aggs)), aggs)))
+		}},
 	}
 	// Set operations over r's and s's (k, v | w) pairs; DISTINCT over r's k.
 	for _, kind := range []SetOpKind{UnionOp, IntersectOp, ExceptOp} {

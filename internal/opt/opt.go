@@ -2,8 +2,9 @@
 // analyzer and the executor: a rewrite pass over plan.Node trees doing
 // constant folding, filter merging, predicate pushdown (below
 // projections, joins, set operations, duplicate elimination, aggregation
-// and the fused ALIGN/NORMALIZE operator), projection collapsing, and
-// cost-based join reordering for chains of inner joins. Every rebuilt
+// and the fused ALIGN/NORMALIZE operator), projection collapsing,
+// temporal aggregation as an endpoint sweep (sweep.go), and cost-based
+// join reordering for chains of inner joins. Every rebuilt
 // node goes back through the plan.Planner, so its access (hash on the
 // equi keys or nested loop) follows the rewritten condition and its cost
 // is re-estimated against the rewritten inputs — with table statistics
@@ -75,15 +76,14 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 		}
 		return o.p.Sort(in, x.Keys...)
 	case *plan.AggNode:
-		in := o.rewrite(x.Input)
-		if in == x.Input {
-			return x
+		if in := o.rewrite(x.Input); in != x.Input {
+			agg, err := o.p.Aggregate(in, x.GroupBy, x.Names, x.GroupByT, x.Aggs)
+			if err != nil {
+				return x
+			}
+			x = agg
 		}
-		agg, err := o.p.Aggregate(in, x.GroupBy, x.Names, x.GroupByT, x.Aggs)
-		if err != nil {
-			return x
-		}
-		return agg
+		return o.sweepAggregate(x)
 	case *plan.SetOpNode:
 		l, r := o.rewrite(x.Left), o.rewrite(x.Right)
 		if l == x.Left && r == x.Right {

@@ -20,7 +20,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explain_analyze_corpus.golden")
 
 // analyzeCorpus is the 25-shape differential corpus of the distributed
-// and wire tests (internal/distsql), as statement text plus bindings.
+// and wire tests (internal/distsql), as statement text plus bindings, and
+// temporal aggregation, which the optimizer runs as one endpoint sweep.
 var analyzeCorpus = []struct {
 	sql    string
 	params []value.Value
@@ -50,6 +51,7 @@ var analyzeCorpus = []struct {
 	{sql: "SELECT DISTINCT b FROM r"},
 	{sql: "SELECT a, b FROM r WHERE a >= $1 AND b <= $2", params: []value.Value{value.NewInt(0), value.NewInt(2)}},
 	{sql: "SELECT r.a, s.b FROM r JOIN s ON r.a = s.a WHERE s.b >= $1", params: []value.Value{value.NewInt(1)}},
+	{sql: "SELECT b, COUNT(*) c, Ts, Te FROM (r r1 NORMALIZE r r2 USING (b)) x GROUP BY b, Ts, Te"},
 }
 
 // corpusCatalog builds the three randomized relations the corpus reads.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 
 	"talign/internal/exec"
@@ -142,3 +143,61 @@ func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 }
 
 func (n *AdjustmentNode) Label() string { return "FusedAdjust " + n.Mode.String() }
+
+// SweepAggNode is temporal aggregation B,Tϑ_F(N_B(r; r)) as one operator,
+// exec.ColSweepAggregate: an endpoint sweep per key run of r's group
+// index, where the reduction splits every row of r at its key's endpoints
+// and hashes the pieces on (B, Ts, Te). The optimizer puts it in place of
+// that plan when F is invertible (opt's sweepAggregate rule).
+type SweepAggNode struct {
+	Input Node // r
+	// Keys are B as r's columns; Group names, per output group column, its
+	// column of r.
+	Keys, Group []int
+	Aggs        []exec.AggSpec
+
+	out   schema.Schema
+	batch int
+}
+
+// SweepAggregate builds the node with the output schema of the
+// aggregation it replaces; every aggregate is COUNT(*), or COUNT or SUM of
+// a column of input.
+func (p *Planner) SweepAggregate(input Node, keys, group []int, out schema.Schema, aggs []exec.AggSpec) *SweepAggNode {
+	return &SweepAggNode{Input: input, Keys: keys, Group: group, Aggs: aggs, out: out, batch: p.Flags.BatchSize}
+}
+
+func (n *SweepAggNode) Schema() schema.Schema { return n.out }
+func (n *SweepAggNode) Children() []Node      { return []Node{n.Input} }
+
+// Rows is the sweep's bound: a run of m rows has at most 2m − 1
+// elementary intervals.
+func (n *SweepAggNode) Rows() float64 { return math.Max(1, 2*n.Input.Rows()) }
+
+// Cost charges the sort of every run's ends and a state update per row
+// and aggregate.
+func (n *SweepAggNode) Cost() float64 {
+	in := math.Max(n.Input.Rows(), 1)
+	return n.Input.Cost() + in*CPUOperatorCost*(math.Log2(in+1)+float64(len(n.Aggs)))
+}
+
+// Build runs the sweep over a guarded input (see ExecCtx.input).
+func (n *SweepAggNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
+	in, err := ctx.input(n.Input)
+	if err != nil {
+		return nil, err
+	}
+	sw, err := exec.NewColSweepAggregate(in, n.Keys, n.Group, n.out, n.Aggs)
+	if err != nil {
+		return nil, err
+	}
+	sw.SizeHint = rowHint(n.Input)
+	if ctx != nil && ctx.stats != nil {
+		sw.Stats = ctx.statsFor(n)
+	}
+	return exec.ApplyColBatch(sw, n.batch), nil
+}
+
+func (n *SweepAggNode) Label() string {
+	return fmt.Sprintf("SweepAggregate (%d key cols, %d aggs)", len(n.Keys), len(n.Aggs))
+}
