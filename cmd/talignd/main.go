@@ -252,7 +252,7 @@ func main() {
 			fatalf("talignd: %v", err)
 		}
 		if store != nil {
-			// Fold any WAL tail into segments so the next start replays
+			// Fold any WAL tail into the manifest so the next start replays
 			// nothing; failures leave the WAL in place, which the next
 			// open replays — durability never depends on this step.
 			if err := store.Checkpoint(); err != nil {

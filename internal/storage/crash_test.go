@@ -1,7 +1,14 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"talign/internal/faultinject"
@@ -60,10 +67,10 @@ func (o oracle) clone() oracle {
 	return c
 }
 
-// asRelation materializes one oracle table for comparison.
-func (o oracle) asRelation(name string) *relation.Relation {
+// tortureRelation wraps torture rows in a relation.
+func tortureRelation(rows []tuple.Tuple) *relation.Relation {
 	rel := relation.New(tortureSchema)
-	rel.Tuples = append(rel.Tuples, o[name]...)
+	rel.Tuples = append(rel.Tuples, rows...)
 	return rel
 }
 
@@ -84,26 +91,38 @@ func storeMatches(t *testing.T, s *Store, o oracle) bool {
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}
-		wantRel := relation.New(tortureSchema)
-		wantRel.Tuples = append(wantRel.Tuples, want...)
-		if !relation.SetEqual(got, wantRel) {
+		if !relation.SetEqual(got, tortureRelation(want)) {
 			return false
 		}
 	}
 	return true
 }
 
-// TestCrashRecoveryTorture drives a random operation mix (create,
-// append, drop, checkpoint, restart) against a store while injecting a
-// failure at a random storage kill point every few steps, then
-// simulates a crash (close without checkpoint, reset faults, reopen)
-// and checks the crash-consistency contract against an in-memory
-// oracle:
+// createOrDrop runs one logical change to table name against s: a drop
+// when committed holds the table, else a create with fresh random rows.
+// It returns the change the call meant to make, for applying to an
+// oracle, together with the call's error.
+func createOrDrop(rng *rand.Rand, s *Store, committed oracle, name string) (func(oracle), error) {
+	if _, exists := committed[name]; exists {
+		return func(o oracle) { delete(o, name) }, s.DropTable(name)
+	}
+	rows := randRows(rng, 1+rng.Intn(40))
+	return func(o oracle) { o[name] = rows }, s.CreateTable(name, tortureRelation(rows))
+}
+
+// TestCrashRecoveryTorture drives a random operation mix (create, drop,
+// checkpoint, restart) against a store while injecting a failure at a
+// random storage kill point every few steps. After a failure it half the
+// time keeps issuing operations on the same store first; then it
+// simulates a crash (close without checkpoint, reset faults, reopen) and
+// checks the crash-consistency contract against an in-memory oracle:
 //
 //   - atomicity: the reopened store equals either the oracle BEFORE the
 //     failed operation or AFTER it — never a partial state;
-//   - durability: every operation acknowledged before the failure is
-//     still visible.
+//   - durability: every operation acknowledged, before the failure or
+//     after it, is still visible;
+//   - fail-stop: once a WAL write has failed, the store acknowledges no
+//     further create or drop until it is reopened.
 func TestCrashRecoveryTorture(t *testing.T) {
 	defer faultinject.Reset()
 	tables := []string{"t0", "t1", "t2"}
@@ -144,24 +163,10 @@ func TestCrashRecoveryTorture(t *testing.T) {
 			applied := committed.clone()
 			var opErr error
 			switch op := rng.Intn(10); {
-			case op < 4: // create (replacing tables is not allowed; drop first)
-				if _, exists := committed[name]; exists {
-					delete(applied, name)
-					opErr = s.DropTable(name)
-					break
-				}
-				rows := randRows(rng, 1+rng.Intn(40))
-				rel := relation.New(tortureSchema)
-				rel.Tuples = rows
-				applied[name] = rows
-				opErr = s.CreateTable(name, rel)
-			case op < 8: // append
-				if _, exists := committed[name]; !exists {
-					break
-				}
-				rows := randRows(rng, 1+rng.Intn(10))
-				applied[name] = append(applied[name], rows...)
-				opErr = s.Append(name, rows)
+			case op < 8: // create or drop (replacing tables is not allowed)
+				var change func(oracle)
+				change, opErr = createOrDrop(rng, s, committed, name)
+				change(applied)
 			case op < 9: // checkpoint: no logical data change either way
 				opErr = s.Checkpoint()
 			default: // clean restart
@@ -172,9 +177,35 @@ func TestCrashRecoveryTorture(t *testing.T) {
 			}
 
 			if opErr != nil {
-				// The operation failed (injected or cascading). Crash and
-				// reopen: the store must be wholly before or wholly after
-				// the failed operation.
+				// The operation failed (injected). Half the time the
+				// store keeps serving before the crash: every operation
+				// it acknowledges now must survive the reopen, on top of
+				// either outcome of the failed one.
+				if rng.Intn(2) == 0 {
+					faultinject.Reset()
+					walFailed := strings.HasPrefix(site, "storage.wal.")
+					for k := 1 + rng.Intn(4); k > 0; k-- {
+						var change func(oracle)
+						var err error
+						if rng.Intn(4) == 0 {
+							err = s.Checkpoint()
+						} else {
+							change, err = createOrDrop(rng, s, committed, tables[rng.Intn(len(tables))])
+						}
+						if err != nil {
+							continue
+						}
+						if walFailed {
+							t.Fatalf("seed %d step %d: operation acknowledged after a failed WAL write at %s", seed, step, site)
+						}
+						if change != nil {
+							change(committed)
+							change(applied)
+						}
+					}
+				}
+				// Crash and reopen: the store must be wholly before or
+				// wholly after the failed operation.
 				reopen()
 				matchCommitted := storeMatches(t, s, committed)
 				matchApplied := storeMatches(t, s, applied)
@@ -203,9 +234,10 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	}
 }
 
-// TestTornWALTailTruncated pins the torn-write behavior precisely: an
-// append that crashes mid-record leaves a torn tail, replay stops
-// before it, the tail is truncated, and the log keeps working.
+// TestTornWALTailTruncated pins the torn-write behavior precisely: a
+// commit that crashes mid-record leaves a torn tail, the store refuses
+// further commits, replay at the next open stops before the tail and
+// truncates it, and the log keeps working.
 func TestTornWALTailTruncated(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -215,39 +247,41 @@ func TestTornWALTailTruncated(t *testing.T) {
 	}
 	s.SegmentRows = 8
 	rng := rand.New(rand.NewSource(42))
-	base := randRows(rng, 20)
-	rel := relation.New(tortureSchema)
-	rel.Tuples = base
-	if err := s.CreateTable("t", rel); err != nil {
+	base := tortureRelation(randRows(rng, 20))
+	if err := s.CreateTable("t", base); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 
 	faultinject.Arm("storage.wal.torn", faultinject.Fault{Kind: faultinject.KindError})
-	if err := s.Append("t", randRows(rng, 5)); err == nil {
-		t.Fatal("append with torn WAL write succeeded")
+	if err := s.CreateTable("u", tortureRelation(randRows(rng, 5))); err == nil {
+		t.Fatal("create with torn WAL write succeeded")
+	}
+	faultinject.Reset()
+	if err := s.DropTable("t"); err == nil {
+		t.Fatal("drop behind a torn WAL write succeeded")
 	}
 	s.Close()
-	faultinject.Reset()
 
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
 	defer s2.Close()
+	if names := s2.Tables(); len(names) != 1 || names[0] != "t" {
+		t.Fatalf("tables after torn create: %v", names)
+	}
 	got, err := s2.Load("t")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	want := relation.New(tortureSchema)
-	want.Tuples = append(want.Tuples, base...)
-	if !relation.SetEqual(got, want) {
-		t.Fatal("torn append leaked rows (or lost committed ones)")
+	if !relation.SetEqual(got, base) {
+		t.Fatal("torn create lost committed rows")
 	}
 
 	// The truncated log must accept and replay new records.
-	extra := randRows(rng, 3)
-	if err := s2.Append("t", extra); err != nil {
-		t.Fatalf("append after torn-tail truncation: %v", err)
+	extra := tortureRelation(randRows(rng, 3))
+	if err := s2.CreateTable("u", extra); err != nil {
+		t.Fatalf("create after torn-tail truncation: %v", err)
 	}
 	s2.Close()
 	s3, err := Open(dir)
@@ -255,12 +289,67 @@ func TestTornWALTailTruncated(t *testing.T) {
 		t.Fatalf("third open: %v", err)
 	}
 	defer s3.Close()
-	got3, err := s3.Load("t")
+	got3, err := s3.Load("u")
 	if err != nil {
 		t.Fatalf("load 3: %v", err)
 	}
-	want.Tuples = append(want.Tuples, extra...)
-	if !relation.SetEqual(got3, want) {
-		t.Fatal("append after truncation not durable")
+	if !relation.SetEqual(got3, extra) {
+		t.Fatal("create after truncation not durable")
+	}
+}
+
+// TestUndecodableWALRecordRefused: a whole, checksum-valid record that
+// does not decode — a retired append record (type 3) or an unknown type
+// — is no torn tail. Open fails with ErrCorrupt rather than truncating
+// it and the committed drop behind it, and leaves the log untouched.
+func TestUndecodableWALRecordRefused(t *testing.T) {
+	frameRec := func(payload []byte) []byte {
+		rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+		return append(rec, payload...)
+	}
+	retired := func() []byte { // one row, as the append path encoded it
+		var e enc
+		e.u64(2)
+		e.u8(3)
+		e.str("a")
+		e.u32(1)
+		e.u16(2)
+		e.i64(0)
+		e.i64(5)
+		e.val(value.NewInt(1))
+		e.val(value.NewString("x"))
+		return e.b
+	}()
+	unknown := encodeWALDrop(2, "a")
+	unknown[8] = 0x7f
+	for name, bad := range map[string][]byte{"retired append": retired, "unknown type": unknown} {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateTable("a", relation.New(tortureSchema)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		path := filepath.Join(dir, "wal.log")
+		log, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(append(log, frameRec(bad)...), frameRec(encodeWALDrop(3, "a"))...)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+			if err == nil {
+				s.Close()
+			}
+			t.Fatalf("%s: open over an undecodable record: %v, want ErrCorrupt", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+			t.Fatalf("%s: wal.log changed from %d to %d bytes (%v)", name, len(log), len(after), err)
+		}
 	}
 }

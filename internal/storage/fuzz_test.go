@@ -20,9 +20,11 @@ func fuzzSeeds(f *testing.F, valid []byte) {
 		}
 	}
 	for _, off := range []int{0, 8, 12, len(valid) / 2, len(valid) - 1} {
-		c := append([]byte(nil), valid...)
-		c[off] ^= 0xff
-		f.Add(c)
+		if off >= 0 && off < len(valid) {
+			c := append([]byte(nil), valid...)
+			c[off] ^= 0xff
+			f.Add(c)
+		}
 	}
 }
 
@@ -69,6 +71,25 @@ func FuzzDecodeManifest(f *testing.F) {
 			if name == "" || tm == nil {
 				t.Fatalf("decoded manifest holds empty/nil table entry")
 			}
+		}
+	})
+}
+
+// FuzzDecodeWALRecord: same contract for the WAL record decoder, which
+// replay runs on every whole, checksum-valid record of wal.log.
+func FuzzDecodeWALRecord(f *testing.F) {
+	fuzzSeeds(f, encodeWALCreate(5, goldenManifest().tables["g"]))
+	fuzzSeeds(f, encodeWALDrop(6, "g"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeWALRecord(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("unstructured decode error: %v", err)
+			}
+			return
+		}
+		if r.typ != walCreateTable && r.typ != walDropTable {
+			t.Fatalf("decoded record of unknown type %d", r.typ)
 		}
 	})
 }

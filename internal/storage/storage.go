@@ -22,15 +22,18 @@
 //
 // Tables become durable through the WAL: CreateTable writes and syncs
 // the segment files first, then appends one create-table record to the
-// WAL (the commit point). Append and DropTable are single WAL records.
-// Every record carries a sequence number, a length and a CRC; replay
-// stops at the first torn or corrupt record and truncates the tail.
-// Checkpoint folds WAL state into a fresh manifest (written to a temp
-// file, synced, then atomically renamed) and truncates the WAL; records
-// with sequence numbers at or below the manifest's are skipped on
-// replay, so a crash between manifest rename and WAL truncation only
-// replays no-ops. Segment files not referenced by manifest + WAL are
-// orphans from interrupted CreateTables and are deleted on Open.
+// WAL (the commit point). DropTable is a single WAL record. Every record
+// carries a sequence number, a length and a CRC; replay stops at the
+// first torn record (short or failing its CRC) and truncates the tail,
+// but refuses to open a log holding a whole, CRC-valid record it cannot
+// decode. After a failed WAL write the store commits nothing more until
+// it is reopened (fail-stop). Checkpoint folds the create and drop
+// records into a fresh manifest (written to a temp file, synced, then
+// atomically renamed) and truncates the WAL; records with sequence
+// numbers at or below the manifest's are skipped on replay, so a crash
+// between manifest rename and WAL truncation only replays no-ops.
+// Segment files not referenced by manifest + WAL are orphans from
+// interrupted CreateTables and are deleted on Open.
 //
 // Decoding never trusts the bytes: magic, version, region bounds and
 // checksums are validated, and every failure surfaces as a structured

@@ -16,7 +16,6 @@ import (
 	"talign/internal/faultinject"
 	"talign/internal/relation"
 	"talign/internal/schema"
-	"talign/internal/tuple"
 )
 
 // DefaultSegmentRows is the partition size CreateTable chops tables
@@ -61,13 +60,12 @@ type Store struct {
 
 	dir string
 
-	mu      sync.Mutex
-	man     *manifest
-	wal     *walWriter
-	seq     uint64
-	pending map[string][]tuple.Tuple
-	maps    map[string]*mapping // segment file -> its mapping, for tables in the manifest
-	closed  bool
+	mu     sync.Mutex
+	man    *manifest
+	wal    *walWriter
+	seq    uint64
+	maps   map[string]*mapping // segment file -> its mapping, for tables in the manifest
+	closed bool
 }
 
 // mapping owns one memory-mapped segment file. Every relation.Segment
@@ -92,17 +90,17 @@ func newMapping(data []byte) *mapping {
 }
 
 // Open opens (creating if needed) a data directory: it reads the
-// manifest, replays the WAL on top — truncating any crash-torn tail —
-// and deletes orphan segment files left by interrupted CreateTables.
+// manifest, replays the WAL on top — truncating any crash-torn tail,
+// refusing a whole record it cannot decode — and deletes orphan segment
+// files left by interrupted CreateTables.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{
-		dir:     dir,
-		man:     newManifest(),
-		pending: make(map[string][]tuple.Tuple),
-		maps:    make(map[string]*mapping),
+		dir:  dir,
+		man:  newManifest(),
+		maps: make(map[string]*mapping),
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, "manifest.bin")); err == nil {
 		m, err := decodeManifest(data)
@@ -126,11 +124,6 @@ func Open(dir string) (*Store, error) {
 			s.bumpSegIDs(t.segs)
 		case walDropTable:
 			delete(s.man.tables, r.name)
-			delete(s.pending, r.name)
-		case walAppend:
-			if s.man.tables[r.name] != nil {
-				s.pending[r.name] = append(s.pending[r.name], r.rows...)
-			}
 		}
 	})
 	if err != nil {
@@ -331,33 +324,6 @@ func (s *Store) commit(payload []byte) error {
 	return nil
 }
 
-// Append durably appends rows to a table through the WAL; they serve
-// from memory until the next Checkpoint folds them into segments.
-func (s *Store) Append(name string, rows []tuple.Tuple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
-	t := s.man.tables[name]
-	if t == nil {
-		return fmt.Errorf("storage: unknown table %q", name)
-	}
-	for _, r := range rows {
-		if len(r.Vals) != t.schema.Len() {
-			return fmt.Errorf("storage: append to %q: row arity %d, schema arity %d", name, len(r.Vals), t.schema.Len())
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	if err := s.commit(encodeWALAppend(s.seq+1, name, rows)); err != nil {
-		return err
-	}
-	s.pending[name] = append(s.pending[name], rows...)
-	return nil
-}
-
 // DropTable removes a table. The WAL record is the commit point; the
 // segment files are deleted immediately afterwards and the Store lets go
 // of their mappings, which stay valid for the relations that hold them
@@ -377,7 +343,6 @@ func (s *Store) DropTable(name string) error {
 		return err
 	}
 	delete(s.man.tables, name)
-	delete(s.pending, name)
 	for _, sg := range t.segs {
 		os.Remove(filepath.Join(s.dir, sg.file))
 		releasePages(s.maps[sg.file])
@@ -386,10 +351,10 @@ func (s *Store) DropTable(name string) error {
 	return nil
 }
 
-// Checkpoint folds WAL-resident rows into fresh segments, writes a new
-// manifest (atomically), and truncates the WAL. Crashing anywhere in
-// between is safe: the WAL replays idempotently over whichever
-// manifest survived, and half-written segments are orphan-collected.
+// Checkpoint folds the WAL's create and drop records into a new
+// manifest (written atomically) and truncates the WAL. Crashing
+// anywhere in between is safe: the WAL replays idempotently over
+// whichever manifest survived.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -399,39 +364,9 @@ func (s *Store) Checkpoint() error {
 	if err := faultinject.Hit("storage.checkpoint"); err != nil {
 		return err
 	}
-	// Fold pending rows into segments first; only on full success does
-	// the manifest advance past their WAL records.
-	type folded struct {
-		table *tableMeta
-		segs  []segMeta
-	}
-	var folds []folded
-	names := make([]string, 0, len(s.pending))
-	for n := range s.pending {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		rows := s.pending[n]
-		t := s.man.tables[n]
-		if t == nil || len(rows) == 0 {
-			continue
-		}
-		segs, err := s.writeSegments(&relation.Relation{Schema: t.schema, Tuples: rows})
-		if err != nil {
-			return err
-		}
-		folds = append(folds, folded{table: t, segs: segs})
-	}
-	for _, f := range folds {
-		f.table.segs = append(f.table.segs, f.segs...)
-	}
 	s.man.seq = s.seq
 	if err := writeManifest(s.dir, s.man); err != nil {
 		return err
-	}
-	for _, f := range folds {
-		delete(s.pending, f.table.name)
 	}
 	if err := s.wal.truncate(); err != nil {
 		return err
@@ -442,10 +377,9 @@ func (s *Store) Checkpoint() error {
 
 // Load assembles a table into a batch-born relation over its segments
 // (relation.FromSegments): one zero-copy columnar image per mapped
-// segment file, zone maps included, plus any WAL-resident rows as a
-// trailing heap segment. No tuple is built: the heap cost is per segment,
-// not per row (but see DecodeSegment on strings and bools). Fault site:
-// storage.load, before anything is mapped.
+// segment file, zone maps included. No tuple is built: the heap cost is
+// per segment, not per row (but see DecodeSegment on strings and bools).
+// Fault site: storage.load, before anything is mapped.
 func (s *Store) Load(name string) (*relation.Relation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -479,10 +413,6 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 		segs = append(segs, relation.Segment{Img: batch, Zone: zone, Lo: lo, Hi: lo + batch.Len(), Owner: m})
 		lo += batch.Len()
 		segsLoadedTotal.Add(1)
-	}
-	if rows := s.pending[name]; len(rows) > 0 {
-		batch := colbatch.FromTuples(nil, t.schema, rows)
-		segs = append(segs, relation.Segment{Img: batch, Zone: colbatch.ZoneOf(batch), Lo: lo, Hi: lo + batch.Len()})
 	}
 	return relation.FromSegments(t.schema, segs), nil
 }

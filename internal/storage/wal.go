@@ -7,36 +7,35 @@ import (
 	"path/filepath"
 
 	"talign/internal/faultinject"
-	"talign/internal/interval"
-	"talign/internal/tuple"
-	"talign/internal/value"
 )
 
-// WAL record types.
+// WAL record types. Type 3 must not be reused: older logs may hold it
+// (row appends), and replay refuses it like any record it cannot decode.
 const (
 	walCreateTable = 1 // name, schema, segment list (the commit point of CreateTable)
 	walDropTable   = 2 // name
-	walAppend      = 3 // name, appended rows as tagged cells
 )
 
 // walRecord is one decoded WAL record.
 type walRecord struct {
-	seq  uint64
-	typ  uint8
-	name string
-	// walCreateTable
-	table tableMeta
-	// walAppend
-	rows []tuple.Tuple
+	seq   uint64
+	typ   uint8
+	name  string
+	table tableMeta // walCreateTable only
 }
 
 // maxWALRecord bounds a single record; longer length prefixes are
 // treated as corruption (they would otherwise allocate unboundedly).
 const maxWALRecord = 1 << 30
 
-// walWriter appends checksummed records to wal.log.
+// walWriter appends checksummed records to wal.log. It is fail-stop:
+// after a failed append or truncate the file's tail is unknown (a torn
+// prefix, or bytes whose fsync failed), and a record appended behind it
+// would be lost when replay truncates there. So the first error latches
+// and every later call returns it until the store is reopened.
 type walWriter struct {
-	f *os.File
+	f   *os.File
+	err error
 }
 
 func openWAL(dir string) (*walWriter, error) {
@@ -53,6 +52,13 @@ func openWAL(dir string) (*walWriter, error) {
 // (simulating a crash mid-write), storage.wal.sync fails after the
 // write but before the fsync that makes it durable.
 func (w *walWriter) append(payload []byte) error {
+	if w.err == nil {
+		w.err = w.write(payload)
+	}
+	return w.err
+}
+
+func (w *walWriter) write(payload []byte) error {
 	if err := faultinject.Hit("storage.wal.append"); err != nil {
 		return err
 	}
@@ -79,13 +85,17 @@ func (w *walWriter) close() error { return w.f.Close() }
 // truncate empties the log after a checkpoint; fault site
 // storage.wal.truncate fails before the truncation happens.
 func (w *walWriter) truncate() error {
+	if w.err != nil {
+		return w.err
+	}
 	if err := faultinject.Hit("storage.wal.truncate"); err != nil {
-		return err
+		w.err = err
+	} else if err := w.f.Truncate(0); err != nil {
+		w.err = err
+	} else {
+		w.err = w.f.Sync()
 	}
-	if err := w.f.Truncate(0); err != nil {
-		return err
-	}
-	return w.f.Sync()
+	return w.err
 }
 
 // encodeWALCreate builds a create-table record payload.
@@ -113,29 +123,6 @@ func encodeWALDrop(seq uint64, name string) []byte {
 	return e.b
 }
 
-// encodeWALAppend builds an append record payload: each row's valid
-// time plus its attribute cells in tagged form.
-func encodeWALAppend(seq uint64, name string, rows []tuple.Tuple) []byte {
-	var e enc
-	e.u64(seq)
-	e.u8(walAppend)
-	e.str(name)
-	e.u32(uint32(len(rows)))
-	if len(rows) == 0 {
-		e.u16(0)
-		return e.b
-	}
-	e.u16(uint16(len(rows[0].Vals)))
-	for _, t := range rows {
-		e.i64(t.T.Ts)
-		e.i64(t.T.Te)
-		for _, v := range t.Vals {
-			e.val(v)
-		}
-	}
-	return e.b
-}
-
 // decodeWALRecord parses one record payload.
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	d := &dec{b: payload, what: "wal record"}
@@ -155,31 +142,12 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 			return r, d.err
 		}
 		r.table.segs = make([]segMeta, nsegs)
-		for i := range r.table.segs {
+		for i := 0; i < nsegs && d.err == nil; i++ { // a short record allocates no zone per claimed segment
 			r.table.segs[i].file = d.str()
 			r.table.segs[i].rows = int(d.u32())
 			r.table.segs[i].zone = decodeZone(d, r.table.schema.Len())
 		}
 	case walDropTable:
-	case walAppend:
-		nrows := int(d.u32())
-		ncols := int(d.u16())
-		if d.err == nil && (nrows > len(payload) || ncols > len(payload)) {
-			d.fail("row/column count %d/%d exceeds record", nrows, ncols)
-		}
-		if d.err != nil {
-			return r, d.err
-		}
-		r.rows = make([]tuple.Tuple, 0, nrows)
-		for i := 0; i < nrows; i++ {
-			ts := d.i64()
-			te := d.i64()
-			vals := make([]value.Value, ncols)
-			for c := range vals {
-				vals[c] = d.val()
-			}
-			r.rows = append(r.rows, tuple.Tuple{Vals: vals, T: interval.Interval{Ts: ts, Te: te}})
-		}
 	default:
 		d.fail("unknown record type %d", r.typ)
 	}
@@ -190,8 +158,12 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 }
 
 // replayWAL scans wal.log, applies every intact record through apply,
-// and truncates the file at the first torn or corrupt record (the
-// crash-interrupted tail). It returns the highest sequence number seen.
+// and truncates the file at the first torn record — a short length or a
+// checksum mismatch, the crash-interrupted tail. A record that is whole
+// and checksum-valid but does not decode is no torn write: cutting it
+// off would drop the committed records behind it, so replay fails with
+// an error wrapping ErrCorrupt and leaves the file as it is. It returns
+// the highest sequence number seen.
 func replayWAL(dir string, apply func(walRecord)) (uint64, error) {
 	path := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(path)
@@ -219,7 +191,7 @@ func replayWAL(dir string, apply func(walRecord)) (uint64, error) {
 		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
-			break // framed but malformed: treat as the torn tail
+			return maxSeq, err
 		}
 		if rec.seq > maxSeq {
 			maxSeq = rec.seq
