@@ -15,8 +15,8 @@
 // executions: a bound expr.Param's frame slot (ColFilter picks its flat
 // kernel from the slot's kind there), the scan's image or pruned segment
 // list, the guards' context and budget (GuardState.Arm). What survives
-// Close is independent of any execution: compiled closures, headers, and
-// small buffers.
+// Close is independent of any execution: expressions, filter kernels,
+// headers, and small buffers.
 //
 // Retention rule: at Close an operator keeps a buffer it owns (output
 // batch, selection vector, key table, chain index, permutation, store)

@@ -220,7 +220,7 @@ func NewColHashAggregate(input ColIterator, groupBy []expr.Expr, names []string,
 		h.argAt = append(h.argAt, len(es))
 		es = append(es, a.Arg)
 	}
-	h.exprs = newRowExprs(es)
+	h.exprs = rowExprs{es: es}
 	return h, nil
 }
 

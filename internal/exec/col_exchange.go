@@ -64,7 +64,7 @@ func NewColSplitter(input ColIterator, keys []expr.Expr, dop int, seed maphash.S
 	}
 	s := &ColSplitter{
 		input:      input,
-		keys:       newRowExprs(keys),
+		keys:       rowExprs{es: keys},
 		whole:      keys == nil,
 		dop:        dop,
 		seed:       seed,

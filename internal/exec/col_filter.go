@@ -1,48 +1,32 @@
 // ColFilter: the filter. It never copies rows — each input batch comes back
 // with a (possibly refined) selection vector listing the qualifying physical
-// rows. Predicates are compiled once at construction into tri-state row
-// closures (Kleene logic over -1/0/1 for ω/false/true) mirroring expr's Eval
-// semantics exactly; a sub-predicate whose operands compute (DUR(Ts, Te) >= 5)
-// is the closure that Evals it over the boxed row; the single-comparison
-// shapes that dominate real filters additionally compile to a branch-light
-// batch kernel over the flat int64/float64 column storage (flatKernel).
+// rows. The predicate is expr.EvalBool over an Env positioned on each
+// selected row in place, WHERE semantics (ω and false both drop the row);
+// the single-comparison shapes that dominate real filters instead run a
+// branch-light batch kernel over the flat int64/float64 column storage
+// (flatKernel).
 package exec
 
 import (
-	"fmt"
-	"math"
-
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/schema"
 	"talign/internal/value"
 )
 
-// rowPred evaluates a predicate on one physical row: 1 true, 0 false,
-// -1 unknown (ω).
-type rowPred func(b *colbatch.Batch, row int) int8
-
-// colVal produces one operand value for a physical row.
-type colVal func(b *colbatch.Batch, row int) value.Value
-
 // ColFilter filters a columnar stream by writing selection vectors.
 type ColFilter struct {
 	Input ColIterator
 	Pred  expr.Expr
 
-	pred   rowPred
 	kernel *flatKernel
-	rest   rowExprs // the sub-predicates without a closure of their own (evalPred)
-	err    error    // the current batch's first evaluation error
+	env    expr.Env // positioned on the row Pred is evaluated on
 	selBuf []int32
 }
 
-// NewColFilter compiles pred over in's schema.
+// NewColFilter builds the filter of pred, bound against in's schema.
 func NewColFilter(in ColIterator, pred expr.Expr) *ColFilter {
-	f := &ColFilter{Input: in, Pred: pred, kernel: compileKernel(pred)}
-	f.pred = f.compile(pred)
-	f.rest = newRowExprs(f.rest.es)
-	return f
+	return &ColFilter{Input: in, Pred: pred, kernel: compileKernel(pred)}
 }
 
 // Schema implements ColIterator.
@@ -59,7 +43,6 @@ func (f *ColFilter) Open() error {
 	if f.kernel != nil {
 		f.kernel.v, _ = f.kernel.operand.Eval(nil) // a constant or a bound slot: no env, no error
 	}
-	f.err = nil
 	return f.Input.Open()
 }
 
@@ -79,211 +62,35 @@ func (f *ColFilter) NextCol() (*colbatch.Batch, error) {
 			return b, nil
 		}
 	}
-	evals := len(f.rest.es) > 0
+	f.env.L = b
 	for i, nsel := 0, b.NumRows(); i < nsel; i++ {
 		row := b.RowAt(i)
-		if evals {
-			f.rest.at(b, row)
+		f.env.LRow, f.env.T = row, b.Interval(row)
+		ok, err := expr.EvalBool(f.Pred, &f.env)
+		if err != nil {
+			f.selBuf = out
+			return nil, err
 		}
-		if f.pred(b, row) == 1 {
+		if ok {
 			out = append(out, int32(row))
 		}
 	}
 	f.selBuf = out
-	if f.err != nil {
-		return nil, f.err
-	}
 	b.Sel = out
 	return b, nil
 }
 
 // Close implements ColIterator.
 func (f *ColFilter) Close() error {
-	f.selBuf = kept(f.selBuf)
+	f.selBuf, f.env = kept(f.selBuf), expr.Env{}
 	return f.Input.Close()
-}
-
-// compile builds the tri-state closure for a predicate tree: comparisons,
-// IS [NOT] NULL and BETWEEN over column/constant/valid-time operands,
-// Kleene connectives, NOT and boolean literals each get one of their own,
-// anything else evalPred's.
-func (f *ColFilter) compile(e expr.Expr) rowPred {
-	switch n := e.(type) {
-	case expr.Cmp:
-		l, lok := compileOperand(n.L)
-		r, rok := compileOperand(n.R)
-		if !lok || !rok {
-			break
-		}
-		op := n.Op
-		return func(b *colbatch.Batch, row int) int8 {
-			lv, rv := l(b, row), r(b, row)
-			if lv.IsNull() || rv.IsNull() {
-				return -1
-			}
-			return cmpTruth(op, lv.Compare(rv))
-		}
-	case expr.Logic:
-		l, r := f.compile(n.L), f.compile(n.R)
-		if n.Op == expr.AndOp {
-			return func(b *colbatch.Batch, row int) int8 {
-				a := l(b, row)
-				if a == 0 {
-					return 0
-				}
-				c := r(b, row)
-				if c == 0 {
-					return 0
-				}
-				if a == -1 || c == -1 {
-					return -1
-				}
-				return 1
-			}
-		}
-		return func(b *colbatch.Batch, row int) int8 {
-			a := l(b, row)
-			if a == 1 {
-				return 1
-			}
-			c := r(b, row)
-			if c == 1 {
-				return 1
-			}
-			if a == -1 || c == -1 {
-				return -1
-			}
-			return 0
-		}
-	case expr.Not:
-		x := f.compile(n.X)
-		return func(b *colbatch.Batch, row int) int8 {
-			switch x(b, row) {
-			case 1:
-				return 0
-			case 0:
-				return 1
-			}
-			return -1
-		}
-	case expr.IsNull:
-		x, ok := compileOperand(n.X)
-		if !ok {
-			break
-		}
-		neg := n.Negate
-		return func(b *colbatch.Batch, row int) int8 {
-			if x(b, row).IsNull() != neg {
-				return 1
-			}
-			return 0
-		}
-	case expr.Between:
-		// Same desugaring as Between.Eval.
-		return f.compile(expr.Logic{
-			Op: expr.AndOp,
-			L:  expr.Cmp{Op: expr.LE, L: n.Lo, R: n.X},
-			R:  expr.Cmp{Op: expr.LE, L: n.X, R: n.Hi},
-		})
-	case expr.Const:
-		switch v := n.V; {
-		case v.IsNull():
-			return func(*colbatch.Batch, int) int8 { return -1 }
-		case v.Kind() == value.KindBool && v.Bool():
-			return func(*colbatch.Batch, int) int8 { return 1 }
-		case v.Kind() == value.KindBool:
-			return func(*colbatch.Batch, int) int8 { return 0 }
-		}
-	}
-	return f.evalPred(e)
-}
-
-// evalPred is the closure of a sub-predicate with no compiled form: e's
-// Eval over the row boxed into a scratch slice (at most once per row,
-// however many of these the predicate has). An evaluation error — a function's, or a
-// value that is no truth value — counts as false and is kept for NextCol.
-func (f *ColFilter) evalPred(e expr.Expr) rowPred {
-	i := len(f.rest.es)
-	f.rest.es = append(f.rest.es, e)
-	return func(*colbatch.Batch, int) int8 {
-		v, err := f.rest.eval(i) // NextCol positioned rest on the row
-
-		switch {
-		case err != nil:
-		case v.IsNull():
-			return -1
-		case v.Kind() != value.KindBool:
-			err = fmt.Errorf("expr: predicate %s evaluated to %s, want bool", e, v.Kind())
-		case v.Bool():
-			return 1
-		}
-		if f.err == nil {
-			f.err = err
-		}
-		return 0
-	}
-}
-
-// compileOperand builds a value accessor for the leaf operand shapes.
-func compileOperand(e expr.Expr) (colVal, bool) {
-	switch n := e.(type) {
-	case expr.Const:
-		v := n.V
-		return func(*colbatch.Batch, int) value.Value { return v }, true
-	case expr.Param:
-		if slot := n.Slot; slot != nil { // bound: read the frame per row
-			return func(*colbatch.Batch, int) value.Value { return *slot }, true
-		}
-	case expr.ColIdx:
-		idx := n.Idx
-		return func(b *colbatch.Batch, row int) value.Value {
-			return b.Cols[idx].Value(row)
-		}, true
-	case expr.TStart:
-		return func(b *colbatch.Batch, row int) value.Value {
-			return value.NewInt(b.TS[row])
-		}, true
-	case expr.TEnd:
-		return func(b *colbatch.Batch, row int) value.Value {
-			return value.NewInt(b.TE[row])
-		}, true
-	case expr.TPeriod:
-		return func(b *colbatch.Batch, row int) value.Value {
-			return value.NewInterval(b.Interval(row))
-		}, true
-	}
-	return nil, false
-}
-
-// cmpTruth maps a Compare result through a comparison operator, exactly
-// as expr.Cmp.Eval does.
-func cmpTruth(op expr.CmpOp, cv int) int8 {
-	var b bool
-	switch op {
-	case expr.EQ:
-		b = cv == 0
-	case expr.NE:
-		b = cv != 0
-	case expr.LT:
-		b = cv < 0
-	case expr.LE:
-		b = cv <= 0
-	case expr.GT:
-		b = cv > 0
-	case expr.GE:
-		b = cv >= 0
-	}
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // flatKernel is the fast path of the single-comparison shapes worth a flat
 // loop: <int column> op <int> and <float column> op <float>, in either
 // operand order, plus TS/TE against an int. The operand is a constant or a
 // bound parameter, so which loop runs — if any: exact cross-kind compare is
-// not a flat loop and stays with the row closure — is decided at Open.
+// not a flat loop and stays with expr.EvalBool — is decided at Open.
 type flatKernel struct {
 	col     int // column index, srcTS or srcTE
 	op      expr.CmpOp
@@ -291,8 +98,7 @@ type flatKernel struct {
 	v       value.Value // the operand, this execution
 }
 
-// compileKernel returns e's flat kernel, nil when the shape doesn't match;
-// the row closure still handles it.
+// compileKernel returns e's flat kernel, nil when the shape doesn't match.
 func compileKernel(e expr.Expr) *flatKernel {
 	c, ok := e.(expr.Cmp)
 	if !ok {
@@ -302,7 +108,7 @@ func compileKernel(e expr.Expr) *flatKernel {
 		return &flatKernel{col: col, op: c.Op, operand: c.R}
 	}
 	if col, ok := kernelCol(c.R); ok && kernelOperand(c.L) {
-		return &flatKernel{col: col, op: flipOp(c.Op), operand: c.L}
+		return &flatKernel{col: col, op: c.Op.Flip(), operand: c.L}
 	}
 	return nil
 }
@@ -327,7 +133,7 @@ func kernelOperand(e expr.Expr) bool {
 
 // run filters a whole batch, appending qualifying physical rows to out.
 // ok=false means the operand's kind or the column's storage (demoted) has
-// no flat loop for this batch and the caller must use the row closure.
+// no flat loop for this batch and the caller must evaluate row by row.
 func (k *flatKernel) run(b *colbatch.Batch, out []int32) (_ []int32, ok bool) {
 	switch kind := k.v.Kind(); {
 	case k.col < 0 && kind == value.KindInt:
@@ -336,7 +142,7 @@ func (k *flatKernel) run(b *colbatch.Batch, out []int32) (_ []int32, ok bool) {
 			ts = b.TE
 		}
 		for i := range ts {
-			if cmpTruth(k.op, cmpI64(ts[i], c)) == 1 {
+			if k.op.Holds(value.CmpInt64(ts[i], c)) {
 				out = append(out, int32(i))
 			}
 		}
@@ -345,7 +151,7 @@ func (k *flatKernel) run(b *colbatch.Batch, out []int32) (_ []int32, ok bool) {
 		vec, c := &b.Cols[k.col], k.v.Int()
 		ints, flat := vec.IntsRaw()
 		for i := range ints {
-			if !vec.IsNull(i) && cmpTruth(k.op, cmpI64(ints[i], c)) == 1 {
+			if !vec.IsNull(i) && k.op.Holds(value.CmpInt64(ints[i], c)) {
 				out = append(out, int32(i))
 			}
 		}
@@ -354,57 +160,11 @@ func (k *flatKernel) run(b *colbatch.Batch, out []int32) (_ []int32, ok bool) {
 		vec, c := &b.Cols[k.col], k.v.Float()
 		fs, flat := vec.FloatsRaw()
 		for i := range fs {
-			if !vec.IsNull(i) && cmpTruth(k.op, cmpF64(fs[i], c)) == 1 {
+			if !vec.IsNull(i) && k.op.Holds(value.CmpFloat64(fs[i], c)) {
 				out = append(out, int32(i))
 			}
 		}
 		return out, flat
 	}
 	return out, false
-}
-
-// flipOp mirrors an operator across swapped operands (c op x ≡ x flip(op) c).
-func flipOp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	}
-	return op // EQ, NE are symmetric
-}
-
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// cmpF64 is value's total float order (NaN first, NaN == NaN, -0 == 0),
-// replicated so kernel results match Value.Compare bit for bit.
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	case a == b:
-		return 0
-	}
-	an, bn := math.IsNaN(a), math.IsNaN(b)
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	}
-	return 1
 }

@@ -13,11 +13,12 @@
 //	           kept only when strictly inside l's interval
 //
 // Equi keys match through order-preserving byte encodings (ω keys never
-// match). The optional residual θ runs over a reused scratch concatenation
-// of the pair, with env.T = the left row's T, and only for pairs that
-// passed the temporal and key tests. Output rows are the left row's
-// attribute vectors with an adjusted timestamp, in left-input order;
-// consumers are order-insensitive (relations are sets).
+// match). The optional residual θ is expr.EvalBool over an Env positioned
+// on the pair in place (the left batch's row, then the group row), with T
+// the left row's, and runs only for pairs that passed the temporal and key
+// tests. Output rows are the left row's attribute vectors with an adjusted
+// timestamp, in left-input order; consumers are order-insensitive
+// (relations are sets).
 //
 // The operator assumes the left input is duplicate free (the paper's
 // Sec. 3.1 relation invariant): each left row sweeps its own group.
@@ -90,8 +91,7 @@ type ColFusedAdjust struct {
 	lenc     rowExprs // left equi keys
 	renc     rowExprs // group-side equi keys
 	keyBuf   []byte
-	concat   []value.Value // residual scratch: left values, then right values
-	env      expr.Env      // reused eval scratch: avoids a per-row heap Env
+	env      expr.Env // the residual's: positioned on the candidate pair
 	spans    []span
 	outB     colbatch.Batch
 	lb       *colbatch.Batch // current left batch
@@ -136,7 +136,7 @@ func NewColFusedAdjust(l, r ColIterator, mode AdjustMode, keys []expr.EquiPair, 
 		out: l.Schema(),
 	}
 	lk, rk := equiSides(keys)
-	f.lenc, f.renc = newRowExprs(lk), newRowExprs(rk)
+	f.lenc, f.renc = rowExprs{es: lk}, rowExprs{es: rk}
 	return f
 }
 
@@ -308,9 +308,7 @@ func (f *ColFusedAdjust) NextCol() (*colbatch.Batch, error) {
 func (f *ColFusedAdjust) gather(row int) error {
 	f.spans = f.spans[:0]
 	lts, lte := f.lb.TS[row], f.lb.TE[row]
-	if f.Residual != nil {
-		f.concat = boxRow(f.concat[:0], f.lb, row)
-	}
+	f.env = expr.Env{L: f.lb, LRow: row, R: f.store, T: interval.Interval{Ts: lts, Te: lte}}
 	kb, null, err := f.lenc.appendKey(f.keyBuf[:0], f.lb, row)
 	if f.keyBuf = kb; err != nil || null {
 		return err // ω: empty group, bare sweep
@@ -348,8 +346,7 @@ func (f *ColFusedAdjust) addCandidate(j int, lts, lte int64) error {
 	if f.Residual == nil || len(f.spans) == n {
 		return nil
 	}
-	f.concat = boxRow(f.concat[:len(f.lb.Cols)], f.store, j)
-	f.env = expr.Env{Vals: f.concat, T: interval.Interval{Ts: lts, Te: lte}}
+	f.env.RRow = j
 	ok, err := expr.EvalBool(f.Residual, &f.env)
 	if err != nil || !ok {
 		f.spans = f.spans[:n]
@@ -417,7 +414,7 @@ func (f *ColFusedAdjust) sweep(row int) {
 // Close implements ColIterator.
 func (f *ColFusedAdjust) Close() error {
 	f.groupSide.close()
-	f.lb = nil
+	f.lb, f.env = nil, expr.Env{}
 	keepBatch(&f.outB)
 	f.spans = kept(f.spans)
 	err1 := f.Left.Close()

@@ -187,23 +187,33 @@ func refAdjust(left, right *relation.Relation, mode AdjustMode, match func(l, r 
 
 // TestColFusedAdjustMatchesDefinition is the operator-level randomized
 // differential: every mode × θ shape, keyed and keyless — including key
-// expressions the vector accessors cannot compile, residual θ and
-// float-demoted columns — against the brute-force reference. Trials 6–11
+// expressions that compute, residual θ (one computing across the
+// left/right split) and ω and float-demoted columns — against the
+// brute-force reference. Trials 6–11
 // add one long group interval, which widens every run's scan window
 // (r.Ts > lts − maxDur) over most of the run: its worst case.
 func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	k0 := expr.ColIdx{Idx: 0, Typ: value.KindInt}
 	plainKeys := []expr.EquiPair{{Left: k0, Right: k0}}
-	// k + 0 = k + 0: same matches, but evaluated through the boxed-row path.
+	// k + 0 = k + 0: same matches, but computed rather than read.
 	computedKeys := []expr.EquiPair{{Left: expr.Add(k0, expr.Int(0)), Right: expr.Add(k0, expr.Int(0))}}
 	// l.v <= r.v over Concat(left, right).
-	residual := expr.Le(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt})
+	lv, rk, rv := expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 2, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt}
+	residual := expr.Le(lv, rv)
+	// l.v + r.v > 40 - r.k: r.k is ω in a tenth of the rows, r.v a float
+	// in a seventh.
+	cross := expr.Gt(expr.Add(lv, rv), expr.Sub(expr.Int(40), rk))
 	keyMatch := func(l, r tuple.Tuple) bool {
 		return !l.Vals[0].IsNull() && !r.Vals[0].IsNull() && l.Vals[0].Equal(r.Vals[0])
 	}
 	resMatch := func(l, r tuple.Tuple) bool {
 		return !l.Vals[1].IsNull() && !r.Vals[1].IsNull() && l.Vals[1].Compare(r.Vals[1]) <= 0
+	}
+	crossMatch := func(l, r tuple.Tuple) bool {
+		a, _ := l.Vals[1].AsFloat()
+		b, _ := r.Vals[1].AsFloat()
+		return !r.Vals[0].IsNull() && a+b > 40-float64(r.Vals[0].Int())
 	}
 	type shape struct {
 		name     string
@@ -216,6 +226,7 @@ func TestColFusedAdjustMatchesDefinition(t *testing.T) {
 		{"equi-computed", computedKeys, nil, keyMatch},
 		{"equi+residual", plainKeys, residual, func(l, r tuple.Tuple) bool { return keyMatch(l, r) && resMatch(l, r) }},
 		{"keyless-residual", nil, residual, resMatch},
+		{"keyless-cross-residual", nil, cross, crossMatch},
 		{"nil", nil, nil, func(l, r tuple.Tuple) bool { return true }},
 	}
 	for trial := 0; trial < 12; trial++ {

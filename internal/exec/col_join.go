@@ -4,7 +4,6 @@ import (
 	"talign/internal/colbatch"
 	"talign/internal/expr"
 	"talign/internal/schema"
-	"talign/internal/value"
 )
 
 // JoinType enumerates join flavours. Semi and Anti emit left tuples only.
@@ -35,10 +34,11 @@ func (j JoinType) projectsLeftOnly() bool { return j == SemiJoin || j == AntiJoi
 // when the values Compare equal: 1 and 1.0, every NaN — and ω keys never
 // match (SQL semantics); unmatched rows surface through the outer join
 // types. A residual condition and optional timestamp equality filter
-// candidate pairs: the residual runs over a scratch concatenation of the
-// pair with env.T = the left row's T. With no Keys at all every left row
-// probes the one chain of all store rows, which is the nested-loop join
-// of an arbitrary condition: the planner builds that for a keyless θ.
+// candidate pairs: the residual is expr.EvalBool over an Env positioned on
+// the pair in place (the left batch's row, then the store row), with T the
+// left row's. With no Keys at all every left row probes the one chain of
+// all store rows, which is the nested-loop join of an arbitrary condition:
+// the planner builds that for a keyless θ.
 //
 // A match is only noted as a (left row, store row) index pair; the pairs
 // are gathered column-wise into a reused output batch, so no tuple is
@@ -66,8 +66,7 @@ type ColHashJoin struct {
 	index      chainIndex
 	matched    []bool // right/full outer: store rows some left row matched
 	keyBuf     []byte
-	concat     []value.Value // residual scratch: left values, then right values
-	env        expr.Env      // reused eval scratch
+	env        expr.Env // the residual's: positioned on the candidate pair
 	outB       colbatch.Batch
 	// Output rows noted since the last flush: a row of the current left
 	// batch and a store row, -1 for an ω-padded side.
@@ -93,7 +92,7 @@ func NewColHashJoin(l, r ColIterator, keys []expr.EquiPair, residual expr.Expr, 
 		j.out = l.Schema().Concat(r.Schema())
 	}
 	lk, rk := equiSides(keys)
-	j.lenc, j.renc = newRowExprs(lk), newRowExprs(rk)
+	j.lenc, j.renc = rowExprs{es: lk}, rowExprs{es: rk}
 	return j
 }
 
@@ -189,9 +188,6 @@ func (j *ColHashJoin) nextProbe() error {
 	if !hasNull { // ω keys never match
 		j.cur = j.index.first(kb)
 	}
-	if j.Residual != nil && j.cur != 0 {
-		j.concat = boxRow(j.concat[:0], j.lb, j.row)
-	}
 	j.probing, j.hit = true, false
 	return nil
 }
@@ -208,6 +204,7 @@ func (j *ColHashJoin) leftDone() {
 // until the chain ends or the batch fills.
 func (j *ColHashJoin) probe() error {
 	lts, lte := j.lb.TS[j.row], j.lb.TE[j.row]
+	j.env = expr.Env{L: j.lb, LRow: j.row, R: j.store, T: j.lb.Interval(j.row)}
 	for j.cur != 0 {
 		r := int(j.cur - 1)
 		j.cur = j.index.next[r]
@@ -215,8 +212,7 @@ func (j *ColHashJoin) probe() error {
 			continue
 		}
 		if j.Residual != nil {
-			j.concat = boxRow(j.concat[:len(j.lb.Cols)], j.store, r)
-			j.env = expr.Env{Vals: j.concat, T: j.lb.Interval(j.row)}
+			j.env.RRow = r
 			ok, err := expr.EvalBool(j.Residual, &j.env)
 			if err != nil {
 				return err
@@ -296,7 +292,7 @@ func (j *ColHashJoin) flush() {
 
 // Close implements ColIterator.
 func (j *ColHashJoin) Close() error {
-	j.store, j.lb = nil, nil
+	j.store, j.lb, j.env = nil, nil, expr.Env{}
 	j.index.release()
 	keepBatch(&j.own)
 	keepBatch(&j.outB)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -89,22 +90,43 @@ func joinInput(rng *rand.Rand, dom int, kname, vname string, maxTuples int) *rel
 	return out
 }
 
+// mixValues returns rel with some column-1 values ω and some floats, so
+// the column is demoted in its batches.
+func mixValues(rng *rand.Rand, rel *relation.Relation) *relation.Relation {
+	out := relation.New(rel.Schema)
+	for _, tp := range rel.Rows() {
+		vals := slices.Clone(tp.Vals)
+		switch rng.Intn(5) {
+		case 0:
+			vals[1] = value.Null
+		case 1:
+			vals[1] = value.NewFloat(float64(vals[1].Int()) + 0.5)
+		}
+		out.MustAppend(mkT(tp.T.Ts, tp.T.Te, vals...))
+	}
+	return out
+}
+
 // TestColHashJoinDifferential checks the keyed join against the naive
 // nested loop on random inputs across every join type, MatchT on and off,
-// with and without a residual θ, over ω, NaN, mixed int/float and
-// 0x00-string keys, at the default batch size and at 2.
+// with and without a residual θ — one of them computing across the
+// left/right split over a right column with ω and float values — over ω,
+// NaN, mixed int/float and 0x00-string keys, at the default batch size
+// and at 2.
 func TestColHashJoinDifferential(t *testing.T) {
 	types := []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin}
 	for dom, d := range keyDomains {
 		rng := rand.New(rand.NewSource(int64(40 + dom)))
 		for round := 0; round < 25; round++ {
 			r := joinInput(rng, dom, "k", "v", 10)
-			s := joinInput(rng, dom, "k2", "w", 10)
+			s := mixValues(rng, joinInput(rng, dom, "k2", "w", 10))
 			lk, rk := expr.ColIdx{Idx: 0, Typ: d.kind}, expr.ColIdx{Idx: 0, Typ: d.kind}
 			pairs := []expr.EquiPair{{Left: lk, Right: rk}}
 			equi := expr.Eq(lk, expr.ColIdx{Idx: 2, Typ: d.kind})
-			vLEw := expr.Le(expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt})
-			for _, residual := range []expr.Expr{nil, vLEw} {
+			v, w := expr.ColIdx{Idx: 1, Typ: value.KindInt}, expr.ColIdx{Idx: 3, Typ: value.KindInt}
+			vLEw := expr.Le(v, w)
+			vPlusW := expr.Gt(expr.Add(v, w), expr.Int(2)) // l.v + r.w > 2
+			for _, residual := range []expr.Expr{nil, vLEw, vPlusW} {
 				full := equi
 				if residual != nil {
 					full = expr.And(equi, residual)

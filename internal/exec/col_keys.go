@@ -9,45 +9,22 @@ import (
 )
 
 // rowExprs evaluates a fixed list of expressions on physical batch rows:
-// through a compiled vector accessor for the plain column / constant /
-// valid-time shapes, otherwise by Eval over the row boxed (once per row,
-// whatever the number of expressions) into a scratch slice. It is how the
-// columnar join, aggregate and fused adjust compute equi keys, group keys
-// and aggregate arguments without materializing tuples.
+// expr.Eval over an Env positioned on the row, which reads the columns in
+// place. It is how the columnar operators compute projections, equi keys,
+// group keys, sort keys and aggregate arguments without materializing
+// tuples.
 type rowExprs struct {
-	fast []colVal // nil entry: evaluate es[i] over the boxed row
-	es   []expr.Expr
-
-	b     *colbatch.Batch
-	row   int
-	boxed bool
-	vals  []value.Value
-	env   expr.Env // reused eval scratch: avoids a per-row heap Env
-}
-
-func newRowExprs(es []expr.Expr) rowExprs {
-	r := rowExprs{es: es, fast: make([]colVal, len(es))}
-	for i, e := range es {
-		r.fast[i], _ = compileOperand(e)
-	}
-	return r
+	es  []expr.Expr
+	env expr.Env
 }
 
 // at positions the evaluator on physical row `row` of b.
-func (r *rowExprs) at(b *colbatch.Batch, row int) { r.b, r.row, r.boxed = b, row, false }
+func (r *rowExprs) at(b *colbatch.Batch, row int) {
+	r.env.L, r.env.LRow, r.env.T = b, row, b.Interval(row)
+}
 
 // eval evaluates expression i on the current row.
-func (r *rowExprs) eval(i int) (value.Value, error) {
-	if f := r.fast[i]; f != nil {
-		return f(r.b, r.row), nil
-	}
-	if !r.boxed {
-		r.vals = boxRow(r.vals[:0], r.b, r.row)
-		r.env = expr.Env{Vals: r.vals, T: r.b.Interval(r.row)}
-		r.boxed = true
-	}
-	return r.es[i].Eval(&r.env)
-}
+func (r *rowExprs) eval(i int) (value.Value, error) { return r.es[i].Eval(&r.env) }
 
 // appendKey appends the order-preserving encoding of every expression's
 // value on physical row `row` of b; hasNull reports an ω component (an
@@ -72,14 +49,6 @@ func identityPerm(dst []int32, n int) []int32 {
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-// boxRow appends physical row `row` of b to dst as boxed values.
-func boxRow(dst []value.Value, b *colbatch.Batch, row int) []value.Value {
-	for c := range b.Cols {
-		dst = append(dst, b.Cols[c].Value(row))
 	}
 	return dst
 }

@@ -3,8 +3,9 @@
 // project as int columns sharing the time arrays), building the output
 // batch is a constant-time header assembly — no values move — unless the
 // time policy rewrites T (see retime). A projection that computes (a + b, a
-// period from arbitrary expressions) evaluates its expressions per selected
-// row into a batch of its own (see compute).
+// period from arbitrary expressions) evaluates its expressions with
+// expr.Eval on each selected row, read in place, into a batch of its own
+// (see compute).
 package exec
 
 import (
@@ -107,7 +108,7 @@ func NewColProject(in ColIterator, exprs []expr.Expr, out schema.Schema, tmode T
 		if p.tfrom {
 			exprs = append(exprs[:len(exprs):len(exprs)], texpr)
 		}
-		p.es, p.vals = newRowExprs(exprs), make([]value.Value, len(out.Attrs))
+		p.es, p.vals = rowExprs{es: exprs}, make([]value.Value, len(out.Attrs))
 		return p
 	}
 	p.srcs = srcs

@@ -45,7 +45,7 @@ func NewColSort(in ColIterator, keys ...SortKey) *ColSort {
 	for i, k := range keys {
 		es[i] = k.Expr
 	}
-	return &ColSort{Input: in, Keys: keys, enc: newRowExprs(es)}
+	return &ColSort{Input: in, Keys: keys, enc: rowExprs{es: es}}
 }
 
 // Schema implements ColIterator.

@@ -58,7 +58,7 @@ func NewColSweepAggregate(in ColIterator, keys, group []int, out schema.Schema, 
 	for i, c := range keys {
 		es[i] = expr.ColIdx{Idx: c, Typ: in.Schema().Attrs[c].Type}
 	}
-	s.enc = newRowExprs(es)
+	s.enc = rowExprs{es: es}
 	for _, a := range aggs {
 		c, ok := a.Arg.(expr.ColIdx)
 		switch {

@@ -81,29 +81,48 @@ func TestColFilterMatchesNaive(t *testing.T) {
 		expr.Le(ci(0), expr.Int(4)),                                         // int kernel
 		expr.Gt(expr.Int(3), ci(0)),                                         // flipped kernel
 		expr.Ne(ci(1), expr.Int(7)),                                         // mixed column: kernel bails per batch
-		expr.And(expr.Ge(ci(0), expr.Int(2)), expr.Lt(ci(1), expr.Int(30))), // row closure
+		expr.And(expr.Ge(ci(0), expr.Int(2)), expr.Lt(ci(1), expr.Int(30))), // row by row
 		expr.Or(expr.IsNull{X: ci(0)}, expr.Eq(ci(0), expr.Int(1))),
 		expr.Neg(expr.Le(ci(0), expr.Int(3))), // NOT over ω must stay ω (dropped)
 		expr.Between{X: ci(1), Lo: expr.Int(10), Hi: expr.Int(20)},
 		expr.Le(expr.TStart{}, expr.Int(40)), // time kernel
 		expr.Gt(expr.TEnd{}, expr.Int(60)),
-		expr.Ge(expr.Call("DUR", expr.TStart{}, expr.TEnd{}), expr.Int(5)),                   // computed operand: Eval over the boxed row
-		expr.And(expr.Le(ci(0), expr.Int(4)), expr.Gt(expr.Add(ci(0), ci(1)), expr.Int(20))), // compiled AND evaluated
+		expr.Ge(expr.Call("DUR", expr.TStart{}, expr.TEnd{}), expr.Int(5)),                   // computed operand
+		expr.And(expr.Le(ci(0), expr.Int(4)), expr.Gt(expr.Add(ci(0), ci(1)), expr.Int(20))), // AND over a computed operand
 		expr.Or(expr.IsNull{X: expr.Div(expr.Int(6), ci(0))}, expr.Neg(expr.Lt(expr.Mul(ci(0), expr.Int(2)), ci(1)))),
 	}
 	for _, pred := range preds {
 		got := drainCol(t, NewColFilter(NewColScan(rel), pred))
 		assertSameRows(t, got, naiveFilter(t, rel.Rows(), pred))
 	}
-	// An evaluation error ends the stream; a short-circuited one never happens.
+	// An evaluation error ends the stream with expr.EvalBool's own error on
+	// the same rows; a short-circuited one never happens. A connective over
+	// a non-truth value is the connective's error, not the predicate's.
 	bad := expr.Eq(expr.Call("ABS", expr.Str("x")), expr.Int(1))
-	for i, pred := range []expr.Expr{bad, expr.Or(expr.Bool(false), bad), expr.And(expr.Bool(false), bad)} {
-		f := NewColFilter(NewColScan(rel), pred)
+	for _, c := range []struct {
+		pred    expr.Expr
+		wantErr bool
+	}{
+		{bad, true},
+		{expr.Or(expr.Bool(false), bad), true},
+		{expr.And(expr.Bool(false), bad), false},
+		{expr.And(expr.Bool(true), expr.Int(5)), true},
+		{expr.Or(expr.Lt(ci(1), expr.Int(-1)), expr.Int(5)), true},
+		{expr.Neg(expr.Int(5)), true},
+	} {
+		var want error
+		for _, tp := range rel.Rows() {
+			if _, want = expr.EvalBool(c.pred, &expr.Env{Vals: tp.Vals, T: tp.T}); want != nil {
+				break
+			}
+		}
+		f := NewColFilter(NewColScan(rel), c.pred)
 		if err := f.Open(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.NextCol(); (err != nil) != (i < 2) {
-			t.Fatalf("%s: NextCol error = %v, want an error: %v", pred, err, i < 2)
+		_, err := f.NextCol()
+		if (err != nil) != c.wantErr || fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("%s: NextCol error = %v, want %v", c.pred, err, want)
 		}
 		f.Close()
 	}
@@ -120,7 +139,7 @@ func TestColFilterZeroMatchFirstBatch(t *testing.T) {
 	for _, pred := range []expr.Expr{
 		expr.Ge(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(1)), // kernel path
 		expr.And(expr.Ge(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(1)),
-			expr.Le(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(5))), // row-closure path
+			expr.Le(expr.ColIdx{Idx: 0, Typ: value.KindInt}, expr.Int(5))), // row-by-row path
 	} {
 		if got := drainCol(t, NewColFilter(NewColScan(rel), pred)); len(got) != 0 {
 			t.Fatalf("zero-match filter leaked %d rows: %v", len(got), got)

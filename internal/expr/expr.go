@@ -11,16 +11,21 @@ import (
 	"fmt"
 	"strings"
 
+	"talign/internal/colbatch"
 	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/value"
 )
 
-// Env is the evaluation environment: the (possibly concatenated) tuple
-// values and the tuple's valid time.
+// Env is the evaluation environment: the (possibly concatenated) row and
+// its valid time. The row is Vals, or, when L is set, read in place from
+// batches: columns [0, len(L.Cols)) are L's physical row LRow, the rest R's
+// physical row RRow (the right half of a join pair; R is nil for one row).
 type Env struct {
-	Vals []value.Value
-	T    interval.Interval
+	Vals       []value.Value
+	T          interval.Interval
+	L, R       *colbatch.Batch
+	LRow, RRow int
 }
 
 // Expr is a scalar expression. Expressions are immutable after Bind.
@@ -100,10 +105,16 @@ func (c ColIdx) Bind(s schema.Schema) (Expr, error) {
 }
 func (c ColIdx) Type() value.Kind { return c.Typ }
 func (c ColIdx) Eval(env *Env) (value.Value, error) {
-	if c.Idx >= len(env.Vals) {
-		return value.Null, fmt.Errorf("expr: column #%d out of range at runtime", c.Idx)
+	if env.L == nil {
+		if c.Idx < len(env.Vals) {
+			return env.Vals[c.Idx], nil
+		}
+	} else if i := c.Idx - len(env.L.Cols); i < 0 {
+		return env.L.Cols[c.Idx].Value(env.LRow), nil
+	} else if env.R != nil && i < len(env.R.Cols) {
+		return env.R.Cols[i].Value(env.RRow), nil
 	}
-	return env.Vals[c.Idx], nil
+	return value.Null, fmt.Errorf("expr: column #%d out of range at runtime", c.Idx)
 }
 func (c ColIdx) String() string {
 	if c.Name != "" {
@@ -163,6 +174,38 @@ func (op CmpOp) String() string {
 	return [...]string{"=", "<>", "<", "<=", ">", ">="}[op]
 }
 
+// Holds reports whether a Compare result c (-1, 0 or 1) satisfies op.
+func (op CmpOp) Holds(c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	}
+	return c >= 0 // GE
+}
+
+// Flip mirrors op across swapped operands: x op y is y op.Flip() x.
+func (op CmpOp) Flip() CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	}
+	return op // EQ, NE are symmetric
+}
+
 // Cmp compares two expressions; any ω operand yields ω (unknown).
 type Cmp struct {
 	Op   CmpOp
@@ -211,23 +254,7 @@ func (c Cmp) Eval(env *Env) (value.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return value.Null, nil
 	}
-	cv := l.Compare(r)
-	var b bool
-	switch c.Op {
-	case EQ:
-		b = cv == 0
-	case NE:
-		b = cv != 0
-	case LT:
-		b = cv < 0
-	case LE:
-		b = cv <= 0
-	case GT:
-		b = cv > 0
-	case GE:
-		b = cv >= 0
-	}
-	return value.NewBool(b), nil
+	return value.NewBool(c.Op.Holds(l.Compare(r))), nil
 }
 func (c Cmp) String() string {
 	return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R)
@@ -414,8 +441,19 @@ func (b Between) Bind(s schema.Schema) (Expr, error) {
 	return Between{x, lo, hi}, nil
 }
 func (b Between) Type() value.Kind { return value.KindBool }
+
+// Eval is Logic's AND of the two comparisons, spelled out: boxing them into
+// a Logic would allocate on every row.
 func (b Between) Eval(env *Env) (value.Value, error) {
-	return Logic{AndOp, Cmp{LE, b.Lo, b.X}, Cmp{LE, b.X, b.Hi}}.Eval(env)
+	lo, err := Cmp{LE, b.Lo, b.X}.Eval(env)
+	if err != nil || !lo.IsNull() && !lo.Bool() {
+		return lo, err
+	}
+	hi, err := Cmp{LE, b.X, b.Hi}.Eval(env)
+	if err == nil && lo.IsNull() && (hi.IsNull() || hi.Bool()) {
+		return lo, nil // ω AND (ω or true)
+	}
+	return hi, err
 }
 func (b Between) String() string {
 	return fmt.Sprintf("(%s BETWEEN %s AND %s)", b.X, b.Lo, b.Hi)

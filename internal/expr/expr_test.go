@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"talign/internal/colbatch"
 	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/value"
@@ -47,6 +48,22 @@ func TestColumnBindingAndEval(t *testing.T) {
 	}
 	if _, err := (Col{Name: "a"}).Eval(en); err == nil {
 		t.Fatal("unbound column must fail to eval")
+	}
+	// In place: columns [0, 2) are L's row LRow, the rest R's row RRow.
+	ts := []int64{0, 0}
+	l := colbatch.NewFromParts(sch().Project([]int{0, 1}), []colbatch.Vec{colbatch.VecFromInts([]int64{7, 8}, nil), colbatch.VecFromStrs([]string{"x", "y"}, nil)}, ts, ts)
+	r := colbatch.NewFromParts(sch().Project([]int{0}), []colbatch.Vec{colbatch.VecFromInts([]int64{3, 4}, nil)}, ts, ts)
+	pair := &Env{L: l, LRow: 1, R: r}
+	for i, want := range []string{"8", "y", "3"} {
+		if got, err := CI(i, value.KindNull).Eval(pair); err != nil || got.String() != want {
+			t.Errorf("#%d of the pair = %v, %v; want %s", i, got, err, want)
+		}
+	}
+	if _, err := CI(3, value.KindInt).Eval(pair); err == nil {
+		t.Error("a column past R must fail to eval")
+	}
+	if _, err := CI(2, value.KindInt).Eval(&Env{L: l}); err == nil {
+		t.Error("a column past L must fail to eval without R")
 	}
 }
 
@@ -125,6 +142,17 @@ func TestIsNullAndBetween(t *testing.T) {
 	}
 	if got := evalOn(t, Between{X: C("a"), Lo: Int(8), Hi: Int(9)}, en); got.Bool() {
 		t.Fatal("7 NOT BETWEEN 8 AND 9")
+	}
+	// Every ω / true / false combination of the two bounds agrees with the
+	// AND of the two comparisons.
+	for _, lo := range []Expr{Null, Int(5), Int(8)} {
+		for _, hi := range []Expr{Null, Int(6), Int(9)} {
+			got := evalOn(t, Between{X: C("a"), Lo: lo, Hi: hi}, en)
+			want := evalOn(t, And(Le(lo, C("a")), Le(C("a"), hi)), en)
+			if !got.Equal(want) {
+				t.Errorf("7 BETWEEN %s AND %s = %v, want %v", lo, hi, got, want)
+			}
+		}
 	}
 }
 

@@ -484,7 +484,7 @@ func colConstCmp(e expr.Cmp) (col int, v value.Value, op expr.CmpOp, ok bool) {
 	}
 	if ci, isCol := e.R.(expr.ColIdx); isCol {
 		if cv, known := estVal(e.L); known {
-			return ci.Idx, cv, flipCmp(e.Op), true
+			return ci.Idx, cv, e.Op.Flip(), true
 		}
 	}
 	return 0, value.Null, e.Op, false
@@ -506,21 +506,6 @@ func estVal(e expr.Expr) (value.Value, bool) {
 		}
 	}
 	return value.Null, false
-}
-
-// flipCmp mirrors an operator across swapped operands (5 < a ⇒ a > 5).
-func flipCmp(op expr.CmpOp) expr.CmpOp {
-	switch op {
-	case expr.LT:
-		return expr.GT
-	case expr.LE:
-		return expr.GE
-	case expr.GT:
-		return expr.LT
-	case expr.GE:
-		return expr.LE
-	}
-	return op
 }
 
 // ---------------------------------------------------------------- project

@@ -92,7 +92,7 @@ func ExtractPruneBounds(pred expr.Expr, width int) *PruneBounds {
 				continue
 			}
 			if target, ok := pruneTargetOf(e.R); ok {
-				add(target, flipCmp(e.Op), e.L)
+				add(target, e.Op.Flip(), e.L)
 			}
 		case expr.Between:
 			if target, ok := pruneTargetOf(e.X); ok {

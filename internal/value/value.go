@@ -158,17 +158,17 @@ func (v Value) Compare(o Value) int {
 	case KindNull:
 		return 0
 	case KindBool:
-		return cmpInt64(v.i, o.i)
+		return CmpInt64(v.i, o.i)
 	case KindInt:
 		if o.kind == KindFloat {
 			return cmpIntFloat(v.i, o.f)
 		}
-		return cmpInt64(v.i, o.i)
+		return CmpInt64(v.i, o.i)
 	case KindFloat:
 		if o.kind == KindInt {
 			return -cmpIntFloat(o.i, v.f)
 		}
-		return cmpFloat64(v.f, o.f)
+		return CmpFloat64(v.f, o.f)
 	case KindString:
 		switch {
 		case v.s < o.s:
@@ -262,7 +262,8 @@ func (v Value) String() string {
 	return "?"
 }
 
-func cmpInt64(a, b int64) int {
+// CmpInt64 orders two int64s: -1, 0 or 1.
+func CmpInt64(a, b int64) int {
 	switch {
 	case a < b:
 		return -1
@@ -272,9 +273,9 @@ func cmpInt64(a, b int64) int {
 	return 0
 }
 
-// cmpFloat64 totally orders float64: NaN first (NaN == NaN), then the
+// CmpFloat64 totally orders float64s: NaN first (NaN == NaN), then the
 // usual order; -0.0 == 0.0.
-func cmpFloat64(a, b float64) int {
+func CmpFloat64(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
@@ -298,7 +299,7 @@ func cmpFloat64(a, b float64) int {
 const two63 = float64(1 << 63)
 
 // cmpIntFloat exactly compares an int64 with a float64 under the total
-// order of cmpFloat64 (NaN first). It never rounds i through float64, so
+// order of CmpFloat64 (NaN first). It never rounds i through float64, so
 // integers that differ only beyond 2^53 still compare correctly.
 func cmpIntFloat(i int64, f float64) int {
 	switch {
@@ -312,7 +313,7 @@ func cmpIntFloat(i int64, f float64) int {
 	// f is finite with floor(f) representable as int64.
 	ff := math.Floor(f)
 	if fi := int64(ff); i != fi {
-		return cmpInt64(i, fi)
+		return CmpInt64(i, fi)
 	}
 	if f > ff {
 		return -1 // i == floor(f) < f
