@@ -9,14 +9,12 @@
 package talign
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"talign/internal/baseline"
 	"talign/internal/core"
 	"talign/internal/dataset"
-	"talign/internal/plan"
 	"talign/internal/relation"
 )
 
@@ -273,67 +271,4 @@ func BenchmarkPrimitives(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkParallelExchange measures the exchange layer against the serial
-// executor on the two Fig. 13/14-style workloads at the largest scaled
-// size: normalization N_{ssn} (Fig. 13a's winning hash plan) and the full
-// temporal outer join O3 (Fig. 15d's align strategy). dop=1 is the serial
-// baseline; higher DOPs hash-partition the plane sweep, sort and joins
-// across worker goroutines.
-func BenchmarkParallelExchange(b *testing.B) {
-	const n = 8000
-	variants := []struct {
-		name  string
-		dop   int
-		force bool
-	}{
-		{"serial", 1, false},
-		// auto: the core-aware cost model picks the exchange only when the
-		// machine has real concurrency to offer (on a 1-CPU box it keeps
-		// the serial plan, so this series measures the planner's fallback).
-		{"dop=2-auto", 2, false},
-		{"dop=4-auto", 4, false},
-		// forced: ForceParallel runs the exchange regardless of
-		// profitability, exposing its overhead on single-core machines
-		// and its speedup on multi-core ones.
-		{"dop=4-forced", 4, true},
-	}
-	for _, v := range variants {
-		flags := plan.DefaultFlags()
-		flags.DOP = v.dop
-		if v.force {
-			flags.ForceParallel = true
-		}
-		b.Run(fmt.Sprintf("normalize-ssn/n=%d/%s", n, v.name), func(b *testing.B) {
-			b.ReportAllocs()
-			rel := incumbenN(b, n)
-			a := core.New(flags)
-			b.ResetTimer()
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				out, err := a.Normalize(rel, rel, "ssn")
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = out.Len()
-			}
-			reportRows(b, rows)
-		})
-		b.Run(fmt.Sprintf("align-join-o3/n=%d/%s", n, v.name), func(b *testing.B) {
-			b.ReportAllocs()
-			r, s := dataset.SplitHalves(incumbenN(b, n), []string{"ssn", "pcn"}, []string{"ssn2", "pcn2"})
-			a := core.New(flags)
-			b.ResetTimer()
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				out, err := a.FullOuterJoin(r, s, baseline.O3Theta())
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = out.Len()
-			}
-			reportRows(b, rows)
-		})
-	}
 }

@@ -25,8 +25,7 @@ import (
 
 // chaosQueries is the differential corpus: scans, joins, temporal
 // primitives and aggregation over the randomized relations r and s, so
-// injected faults land in every operator family (including exchange
-// fragments under the forced-parallel flags).
+// injected faults land in every operator family.
 var chaosQueries = []string{
 	"SELECT a, b, Ts, Te FROM r",
 	"SELECT a, b, Ts, Te FROM r WHERE a >= 1",
@@ -38,19 +37,17 @@ var chaosQueries = []string{
 }
 
 // chaosSites pairs each fault-injection site with the kinds that are
-// survivable there. Panics are only injected behind recovery boundaries
-// (operator guards, exchange goroutines, the server's stream guard);
-// client-side and handler sites get errors and delays, which exercise
-// teardown without crashing unguarded stacks.
+// survivable there. Every site must be one a faultinject.Hit call names:
+// TestChaosDifferential fails when a listed site never fires. Panics are
+// only injected behind recovery boundaries (operator guards, the server's
+// stream guard); client-side and handler sites get errors and delays,
+// which exercise teardown without crashing unguarded stacks.
 var chaosSites = []struct {
 	site  string
 	kinds []faultinject.Kind
 }{
 	{"exec.open", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
 	{"exec.next", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
-	{"exec.splitter.run", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
-	{"exec.colsplitter.run", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
-	{"exec.exchange.worker", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
 	{"server.stream", []faultinject.Kind{faultinject.KindPanic, faultinject.KindError, faultinject.KindDelay}},
 	{"server.stream.rows", []faultinject.Kind{faultinject.KindError, faultinject.KindDelay}},
 	{"wire.decode", []faultinject.Kind{faultinject.KindError, faultinject.KindDelay}},
@@ -69,7 +66,7 @@ var chaosCodes = map[string]bool{
 
 // chaosRun executes one query through the public client and returns its
 // rows canonicalized: each row rendered and the set sorted, so two
-// executions compare byte-for-byte regardless of parallel interleaving.
+// executions compare byte-for-byte whatever order the plan emits.
 func chaosRun(db *DB, q string) ([]string, error) {
 	rows, err := db.Query(context.Background(), q)
 	if err != nil {
@@ -116,9 +113,9 @@ func chaosErrOK(err error) bool {
 // sites across the executor, the server and the wire client, over a
 // randomized catalog and the differential query corpus. Every run must
 // end in either a byte-correct result (identical to the fault-free
-// baseline) or a structured, coded error; afterwards the server must
-// report zero in-flight DOP and the process must hold no leaked
-// goroutines.
+// baseline) or a structured, coded error; every listed site must fire at
+// least once over the whole run; afterwards the server must report zero
+// in-flight queries and the process must hold no leaked goroutines.
 func TestChaosDifferential(t *testing.T) {
 	attrs := []schema.Attr{
 		{Name: "a", Type: value.KindInt},
@@ -132,10 +129,7 @@ func TestChaosDifferential(t *testing.T) {
 		"s": randrel.Generate(rng, cfg),
 	}
 
-	flags := plan.DefaultFlags()
-	flags.DOP = 4
-	flags.ForceParallel = true
-	srv := server.New(server.Config{Flags: flags, MaxDOP: 16})
+	srv := server.New(server.Config{Flags: plan.DefaultFlags(), MaxDOP: 16})
 	for name, rel := range rels {
 		srv.Catalog().Register(name, rel)
 	}
@@ -168,6 +162,7 @@ func TestChaosDifferential(t *testing.T) {
 	}
 	var correct, failed int
 	var fired uint64
+	firedAt := make(map[string]uint64, len(chaosSites))
 	for i := 0; i < runs; i++ {
 		q := chaosQueries[rng.Intn(len(chaosQueries))]
 		sp := chaosSites[rng.Intn(len(chaosSites))]
@@ -179,7 +174,9 @@ func TestChaosDifferential(t *testing.T) {
 			Delay: time.Duration(rng.Intn(3)) * time.Millisecond,
 		})
 		got, err := chaosRun(db, q)
-		fired += faultinject.Fired()
+		n := faultinject.Fired()
+		fired += n
+		firedAt[sp.site] += n
 		faultinject.Reset()
 
 		tag := fmt.Sprintf("run %d: %s@%s after=%d on %q", i, kind, sp.site, after, q)
@@ -197,6 +194,13 @@ func TestChaosDifferential(t *testing.T) {
 	}
 	t.Logf("chaos: %d runs, %d byte-correct, %d structured failures, %d faults fired",
 		runs, correct, failed, fired)
+	// A site no run fired at is not being tested: its runs only repeat the
+	// baseline.
+	for _, sp := range chaosSites {
+		if firedAt[sp.site] == 0 {
+			t.Errorf("site %s never fired in %d runs", sp.site, runs)
+		}
+	}
 
 	// Quiesce: the gate must be fully released and goroutines back to
 	// baseline (HTTP keep-alive conns settle within the wait window).
@@ -208,7 +212,7 @@ func TestChaosDifferential(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if g := srv.GateStats(); g.InUse != 0 {
-		t.Fatalf("gate still holds %d in-flight DOP after chaos", g.InUse)
+		t.Fatalf("gate still holds %d in-flight queries after chaos", g.InUse)
 	}
 	if n := runtime.NumGoroutine(); n > baselineGoroutines+4 {
 		buf := make([]byte, 1<<20)

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 
 	"talign/internal/baseline"
@@ -30,27 +29,7 @@ var (
 	nlMax     = flag.Int("nlmax", 4000, "largest input for nested-loop series (quadratic)")
 	sqlMax    = flag.Int("sqlmax", 2000, "largest input for standard-SQL series (quadratic)")
 	seed      = flag.Int64("seed", 1, "dataset seed")
-	dopFlag   = flag.Int("j", 1, "degree of parallelism: when > 1, parallel exchange series are added (0 = all CPUs)")
 )
-
-// dop resolves the -j flag (0 means every CPU; negatives are rejected).
-func dop() int {
-	if *dopFlag < 0 {
-		fmt.Fprintf(os.Stderr, "-j must be >= 0 (0 = all CPUs), got %d\n", *dopFlag)
-		os.Exit(1)
-	}
-	if *dopFlag == 0 {
-		return runtime.NumCPU()
-	}
-	return *dopFlag
-}
-
-// parFlags is DefaultFlags with the exchange layer enabled at -j workers.
-func parFlags() plan.Flags {
-	f := plan.DefaultFlags()
-	f.DOP = dop()
-	return f
-}
 
 func main() {
 	flag.Parse()
@@ -106,10 +85,10 @@ func incumben(n int) *relation.Relation {
 	return rel
 }
 
-// normalizeSSN runs N_{ssn}(inc; inc) under the given flags.
-func normalizeRun(attrs []string, flags plan.Flags) benchkit.Runner {
+// normalizeRun runs N_attrs(inc; inc).
+func normalizeRun(attrs []string) benchkit.Runner {
 	return func(n int) (int, error) {
-		a := core.New(flags)
+		a := core.New(plan.DefaultFlags())
 		inc := incumben(n)
 		out, err := a.Normalize(inc, inc, attrs...)
 		if err != nil {
@@ -121,27 +100,15 @@ func normalizeRun(attrs []string, flags plan.Flags) benchkit.Runner {
 
 // fig13a: runtime of N{ssn}. Sec. 7.2 forces each join method of the
 // group construction; here every θ groups through the one run index
-// (runs by ssn), so the panel is one series (plus a parallel one under -j).
+// (runs by ssn), so the panel is one series.
 func fig13a() (benchkit.Figure, error) {
 	sz := sizes([]int{10000, 20000, 40000, 80000})
 	fig := benchkit.Figure{ID: "13a", Title: "Normalization N{ssn} on Incumben", XLabel: "input tuples"}
-	variants := []struct {
-		name  string
-		flags plan.Flags
-	}{{"hash", plan.DefaultFlags()}}
-	if dop() > 1 {
-		variants = append(variants, struct {
-			name  string
-			flags plan.Flags
-		}{fmt.Sprintf("hash-par(j=%d)", dop()), parFlags()})
+	s, err := benchkit.Sweep("hash", sz, normalizeRun([]string{"ssn"}))
+	if err != nil {
+		return fig, err
 	}
-	for _, v := range variants {
-		s, err := benchkit.Sweep(v.name, sz, normalizeRun([]string{"ssn"}, v.flags))
-		if err != nil {
-			return fig, err
-		}
-		fig.Series = append(fig.Series, s)
-	}
+	fig.Series = append(fig.Series, s)
 	return fig, nil
 }
 
@@ -149,7 +116,7 @@ func fig13a() (benchkit.Figure, error) {
 func fig13b() (benchkit.Figure, error) {
 	sz := sizes([]int{10000, 20000, 40000, 80000})
 	fig := benchkit.Figure{ID: "13b", Title: "Normalization N{ssn} output size", XLabel: "input tuples"}
-	s, err := benchkit.Sweep("output", sz, normalizeRun([]string{"ssn"}, plan.DefaultFlags()))
+	s, err := benchkit.Sweep("output", sz, normalizeRun([]string{"ssn"}))
 	if err != nil {
 		return fig, err
 	}
@@ -172,7 +139,7 @@ func fig14(fig benchkit.Figure) (benchkit.Figure, error) {
 		{"N{ssn}", []string{"ssn"}, 1 << 30},
 	}
 	for _, v := range variants {
-		s, err := benchkit.Sweep(v.name, benchkit.CapSizes(sz, v.cap), normalizeRun(v.attrs, plan.DefaultFlags()))
+		s, err := benchkit.Sweep(v.name, benchkit.CapSizes(sz, v.cap), normalizeRun(v.attrs))
 		if err != nil {
 			return fig, err
 		}
@@ -287,21 +254,6 @@ func fig15d() (benchkit.Figure, error) {
 		return fig, err
 	}
 	fig.Series = append(fig.Series, sAlign, sSQL)
-	if dop() > 1 {
-		run := func(n int) (int, error) {
-			r, s := dataset.SplitHalves(incumben(n), []string{"ssn", "pcn"}, []string{"ssn2", "pcn2"})
-			out, err := core.New(parFlags()).FullOuterJoin(r, s, baseline.O3Theta())
-			if err != nil {
-				return 0, err
-			}
-			return out.Len(), nil
-		}
-		sPar, err := benchkit.Sweep(fmt.Sprintf("align-par(j=%d)", dop()), sz, run)
-		if err != nil {
-			return fig, err
-		}
-		fig.Series = append(fig.Series, sPar)
-	}
 	return fig, nil
 }
 

@@ -6,14 +6,11 @@
 //
 // Usage:
 //
-//	talign [-q query] [-j dop] [-connect host:port] [name=file.csv ...]
+//	talign [-q query] [-connect host:port] [name=file.csv ...]
 //
 // Without -q, talign reads statements from stdin, one per line (or
 // semicolon-terminated blocks). The CSV layout is documented in package
-// csvio: a "name:type,...,ts,te" header followed by data rows. -j enables
-// the parallel exchange layer: large joins, aggregations, ALIGN and
-// NORMALIZE are hash-partitioned across that many worker goroutines
-// (-j 0 uses all CPUs); EXPLAIN shows the Exchange nodes.
+// csvio: a "name:type,...,ts,te" header followed by data rows.
 //
 // With -connect, talign becomes a client of a running talignd server:
 // statements run over its wire-level row-streaming protocol
@@ -26,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"talign/internal/csvio"
@@ -39,13 +35,8 @@ import (
 func main() {
 	query := flag.String("q", "", "run a single query and exit")
 	demo := flag.Bool("demo", false, "preload the paper's hotel example relations r and p")
-	dop := flag.Int("j", 1, "degree of parallelism for the exchange layer (0 = all CPUs)")
 	connect := flag.String("connect", "", "connect to a talignd server (host:port or URL) instead of executing locally")
 	flag.Parse()
-
-	if *dop < 0 {
-		fatalf("-j must be >= 0 (0 = all CPUs), got %d", *dop)
-	}
 
 	// Client mode: statements go to a talignd server.
 	var exec func(sql string)
@@ -56,23 +47,13 @@ func main() {
 		if *demo {
 			fatalf("-connect uses the server's catalog; start talignd with -demo instead")
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "j" {
-				fatalf("-connect executes on the server; set parallelism with talignd -j")
-			}
-		})
 		cl, err := newClient(*connect)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		exec = cl.run
 	} else {
-		flags := plan.DefaultFlags()
-		flags.DOP = *dop
-		if flags.DOP == 0 {
-			flags.DOP = runtime.NumCPU()
-		}
-		eng := sqlish.NewEngine(flags)
+		eng := sqlish.NewEngine(plan.DefaultFlags())
 		for _, arg := range flag.Args() {
 			parts := strings.SplitN(arg, "=", 2)
 			if len(parts) != 2 {

@@ -2,11 +2,11 @@
 // loads interval-timestamped relations from CSV files, then serves the
 // temporal SQL dialect over HTTP/JSON with prepared statements, an LRU
 // plan cache keyed on the catalog version, and an admission gate bounding
-// the total in-flight degree of parallelism.
+// the number of in-flight queries.
 //
 // Usage:
 //
-//	talignd [-addr :7411] [-j dop] [-cache n] [-max-dop n] [-timeout d]
+//	talignd [-addr :7411] [-cache n] [-max-dop n] [-timeout d]
 //	        [-max-rows n] [-max-bytes n] [-drain d] [-demo]
 //	        [-data dir] [-segment-rows n]
 //	        [-role coordinator|worker] [-worker host:port,...]
@@ -94,9 +94,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":7411", "listen address")
-	dop := flag.Int("j", 1, "degree of parallelism per query (0 = all CPUs)")
 	cacheSize := flag.Int("cache", server.DefaultCacheSize, "prepared-plan cache capacity")
-	maxDOP := flag.Int("max-dop", 0, "total in-flight DOP across queries (0 = 4x CPUs)")
+	maxDOP := flag.Int("max-dop", 0, "in-flight queries admitted at once (0 = 4x CPUs)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 	maxRows := flag.Int64("max-rows", 0, "per-query row budget across operator boundaries (0 = unlimited)")
 	maxBytes := flag.Int64("max-bytes", 0, "per-query byte budget across operator boundaries (0 = unlimited)")
@@ -110,14 +109,7 @@ func main() {
 	partition := flag.String("partition", "", "coordinator partition overrides: table=col,table=col,...")
 	flag.Parse()
 
-	if *dop < 0 {
-		fatalf("-j must be >= 0 (0 = all CPUs), got %d", *dop)
-	}
 	flags := plan.DefaultFlags()
-	flags.DOP = *dop
-	if flags.DOP == 0 {
-		flags.DOP = runtime.NumCPU()
-	}
 	if *maxDOP == 0 {
 		*maxDOP = 4 * runtime.NumCPU()
 	}
@@ -207,8 +199,8 @@ func main() {
 		handler = distsql.Handler(srv)
 		fmt.Println("worker: frame connections take the coordinator's stage, unstage and analyze frames")
 	}
-	fmt.Printf("talignd listening on %s (dop=%d, cache=%d, max in-flight dop=%d)\n",
-		*addr, flags.DOP, *cacheSize, *maxDOP)
+	fmt.Printf("talignd listening on %s (cache=%d, max in-flight queries=%d)\n",
+		*addr, *cacheSize, *maxDOP)
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()

@@ -3,7 +3,6 @@ package talign
 import (
 	"fmt"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -34,7 +33,6 @@ type dsnConfig struct {
 	// Embedded options.
 	demo     bool
 	loads    [][2]string // name, csv path
-	dop      int
 	cache    int
 	maxDOP   int
 	maxRows  int
@@ -44,7 +42,7 @@ type dsnConfig struct {
 
 // parseDSN splits a DSN into backend kind and options.
 func parseDSN(dsn string) (dsnConfig, error) {
-	cfg := dsnConfig{dop: 1, analyze: true, retry: -1}
+	cfg := dsnConfig{analyze: true, retry: -1}
 	u, err := url.Parse(dsn)
 	if err != nil {
 		return cfg, fmt.Errorf("talign: bad DSN %q: %v", dsn, err)
@@ -100,7 +98,7 @@ func parseDSN(dsn string) (dsnConfig, error) {
 			continue
 		}
 		// Everything else configures the embedded engine; rejecting it
-		// on remote DSNs beats silently ignoring a load= or j= the
+		// on remote DSNs beats silently ignoring a load= or cache= the
 		// server can never honor.
 		if cfg.remote != "" {
 			return cfg, fmt.Errorf("talign: DSN option %q applies to embedded talign:// only", key)
@@ -113,13 +111,6 @@ func parseDSN(dsn string) (dsnConfig, error) {
 					return cfg, fmt.Errorf("talign: DSN load option %q is not name=file.csv", v)
 				}
 				cfg.loads = append(cfg.loads, [2]string{name, path})
-			}
-		case "j":
-			if cfg.dop, err = dsnInt(key, vals); err != nil {
-				return cfg, err
-			}
-			if cfg.dop == 0 {
-				cfg.dop = runtime.NumCPU()
 			}
 		case "cache":
 			if cfg.cache, err = dsnInt(key, vals); err != nil {
@@ -158,9 +149,6 @@ func dsnInt(key string, vals []string) (int, error) {
 // flags builds the embedded planner flags for this DSN.
 func (c dsnConfig) flags() plan.Flags {
 	f := plan.DefaultFlags()
-	if c.dop > 0 {
-		f.DOP = c.dop
-	}
 	if c.batch > 0 {
 		f.BatchSize = c.batch
 	}

@@ -54,6 +54,11 @@ func TestDSNBatchOption(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "embedded") {
 		t.Fatalf("remote load= error = %v, want embedded-only rejection", err)
 	}
+	// There is no parallelism option: every query runs at one width.
+	_, err = parseDSN("talign://?j=2")
+	if err == nil || !strings.Contains(err.Error(), `DSN option "j" is not known`) {
+		t.Fatalf("j= error = %v, want unknown-option rejection", err)
+	}
 }
 
 // TestDSNBatchAppliesRemote runs a query over the wire with batch=1 and

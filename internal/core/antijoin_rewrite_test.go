@@ -17,12 +17,7 @@ import (
 
 // The temporal antijoin runs as the gaps-only aligner (the Sec. 8
 // specialized primitive); its result must be the oracle's definitional
-// antijoin, serial and through DOP-2 exchanges.
-
-// antijoinFlags are the serial default and a forced DOP-2 exchange.
-func antijoinFlags() map[string]plan.Flags {
-	return map[string]plan.Flags{"default": plan.DefaultFlags(), "dop2": parallelFlags(2, 0)}
-}
+// antijoin.
 
 func TestAntiJoinRewriteEquivalence(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
@@ -32,26 +27,24 @@ func TestAntiJoinRewriteEquivalence(t *testing.T) {
 		"x=y":  expr.Eq(expr.C("x"), expr.C("y")),
 		"v<=w": expr.Le(expr.C("v"), expr.C("w")),
 	}
-	for fname, flags := range antijoinFlags() {
-		fast := New(flags)
-		rng := rand.New(rand.NewSource(123))
-		for name, theta := range thetas {
-			for round := 0; round < 80; round++ {
-				r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-				s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-				got, err := fast.AntiJoin(r, s, theta)
-				if err != nil {
-					t.Fatalf("%s θ=%s: rewrite: %v", fname, name, err)
-				}
-				want, err := oracle.AntiJoin(r, s, theta)
-				if err != nil {
-					t.Fatalf("θ=%s: oracle: %v", name, err)
-				}
-				if !relation.SetEqual(got, want) {
-					onlyGot, onlyWant := relation.Diff(got, want)
-					t.Fatalf("%s θ=%s round %d: rewrite changed the antijoin\nonly rewrite: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
-						fname, name, round, onlyGot, onlyWant, r, s)
-				}
+	fast := Default()
+	rng := rand.New(rand.NewSource(123))
+	for name, theta := range thetas {
+		for round := 0; round < 80; round++ {
+			r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+			s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
+			got, err := fast.AntiJoin(r, s, theta)
+			if err != nil {
+				t.Fatalf("θ=%s: rewrite: %v", name, err)
+			}
+			want, err := oracle.AntiJoin(r, s, theta)
+			if err != nil {
+				t.Fatalf("θ=%s: oracle: %v", name, err)
+			}
+			if !relation.SetEqual(got, want) {
+				onlyGot, onlyWant := relation.Diff(got, want)
+				t.Fatalf("θ=%s round %d: rewrite changed the antijoin\nonly rewrite: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
+					name, round, onlyGot, onlyWant, r, s)
 			}
 		}
 	}
@@ -92,23 +85,21 @@ func TestAntiJoinRewritePlanShape(t *testing.T) {
 func TestAntiJoinRewriteKeylessTheta(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}}
 	attrsS := []schema.Attr{{Name: "y", Type: value.KindString}}
-	for fname, flags := range antijoinFlags() {
-		a := New(flags)
-		rng := rand.New(rand.NewSource(124))
-		for round := 0; round < 60; round++ {
-			r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-			s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-			got, err := a.AntiJoin(r, s, nil)
-			if err != nil {
-				t.Fatalf("%s round %d: %v", fname, round, err)
-			}
-			want, err := oracle.AntiJoin(r, s, nil)
-			if err != nil {
-				t.Fatalf("%s round %d: oracle: %v", fname, round, err)
-			}
-			if !relation.SetEqual(got, want) {
-				t.Fatalf("%s round %d: the rewrite over keyless θ changed the antijoin", fname, round)
-			}
+	a := Default()
+	rng := rand.New(rand.NewSource(124))
+	for round := 0; round < 60; round++ {
+		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
+		got, err := a.AntiJoin(r, s, nil)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want, err := oracle.AntiJoin(r, s, nil)
+		if err != nil {
+			t.Fatalf("round %d: oracle: %v", round, err)
+		}
+		if !relation.SetEqual(got, want) {
+			t.Fatalf("round %d: the rewrite over keyless θ changed the antijoin", round)
 		}
 	}
 }

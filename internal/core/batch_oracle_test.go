@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"talign/internal/exec"
@@ -15,23 +14,13 @@ import (
 	"talign/internal/value"
 )
 
-// parallelFlags builds a configuration that forces the exchange rewrite
-// regardless of input size, with a tiny batch size to shake out batch
-// boundary bugs.
-func parallelFlags(dop, batch int) plan.Flags {
-	f := plan.DefaultFlags()
-	f.DOP = dop
-	f.ForceParallel = true
-	f.BatchSize = batch
-	return f
-}
-
-// TestParallelMatchesSerial is the randomized differential test for the
-// batched executor and the exchange layer: for random relations, every
-// temporal operator must return set-equal results under the serial plan,
-// parallel plans at several DOPs, and (where the oracle implements the
-// operator) the independent snapshot-by-snapshot oracle.
-func TestParallelMatchesSerial(t *testing.T) {
+// TestBatchSizesMatchOracle is the randomized differential test for the
+// batched executor: for random relations, every temporal operator must
+// return the same set at every batch size — degenerate batches of one
+// tuple put every tuple on a boundary — and, where the oracle implements
+// the operator, the same set as the independent snapshot-by-snapshot
+// oracle.
+func TestBatchSizesMatchOracle(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	attrsS := []schema.Attr{{Name: "x2", Type: value.KindString}, {Name: "w", Type: value.KindInt}}
 	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
@@ -86,48 +75,47 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}},
 	}
 
-	serial := Default()
-	variants := []struct {
-		dop, batch int
-	}{
-		{2, 1},   // degenerate batches: every tuple crosses a boundary
-		{3, 2},   // odd dop, tiny batches
-		{4, 0},   // default batch size
-		{8, 512}, // more workers than data
+	batches := []int{
+		1,   // degenerate batches: every tuple crosses a boundary
+		2,   // tiny batches
+		0,   // default batch size
+		512, // one batch holds every input
 	}
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		s := randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
-		for _, op := range ops {
-			want, err := op.run(serial, r, s)
-			if err != nil {
-				t.Fatalf("seed %d %s serial: %v", seed, op.name, err)
+	type input struct{ r, s *relation.Relation }
+	inputs := make([]input, 25)
+	for seed := range inputs {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		inputs[seed].r = randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+		inputs[seed].s = randrel.Generate(rng, randrel.DefaultConfig(attrsS...))
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			for seed, in := range inputs {
+				r, s := in.r, in.s
+				var want *relation.Relation
+				if op.oracle != nil {
+					var err error
+					if want, err = op.oracle(r, s); err != nil {
+						t.Fatalf("seed %d oracle: %v", seed, err)
+					}
+				}
+				for _, batch := range batches {
+					got, err := op.run(New(plan.Flags{BatchSize: batch}), r, s)
+					if err != nil {
+						t.Fatalf("seed %d batch=%d: %v", seed, batch, err)
+					}
+					if want == nil {
+						want = got // no oracle: every batch size must agree with the first
+						continue
+					}
+					if !relation.SetEqual(want, got) {
+						a, b := relation.Diff(want, got)
+						t.Fatalf("seed %d batch=%d: result differs from the reference\nonly reference: %v\nonly engine: %v\nr:\n%s\ns:\n%s",
+							seed, batch, a, b, r, s)
+					}
+				}
 			}
-			if op.oracle != nil {
-				ow, err := op.oracle(r, s)
-				if err != nil {
-					t.Fatalf("seed %d %s oracle: %v", seed, op.name, err)
-				}
-				if !relation.SetEqual(want, ow) {
-					a, b := relation.Diff(want, ow)
-					t.Fatalf("seed %d %s: serial differs from oracle\nonly engine: %v\nonly oracle: %v\nr:\n%s\ns:\n%s",
-						seed, op.name, a, b, r, s)
-				}
-			}
-			for _, v := range variants {
-				par := New(parallelFlags(v.dop, v.batch))
-				got, err := op.run(par, r, s)
-				if err != nil {
-					t.Fatalf("seed %d %s dop=%d batch=%d: %v", seed, op.name, v.dop, v.batch, err)
-				}
-				if !relation.SetEqual(want, got) {
-					a, b := relation.Diff(want, got)
-					t.Fatalf("seed %d %s dop=%d batch=%d: parallel differs from serial\nonly serial: %v\nonly parallel: %v\nr:\n%s\ns:\n%s",
-						seed, op.name, v.dop, v.batch, a, b, r, s)
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -136,24 +124,4 @@ func r2(s *relation.Relation, attrs []schema.Attr) *relation.Relation {
 	out := relation.New(schema.Schema{Attrs: attrs})
 	out.Tuples = s.Tuples
 	return out
-}
-
-// TestParallelExplainShowsExchange: a parallel plan renders Exchange and
-// Partition nodes with the configured DOP.
-func TestParallelExplainShowsExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cfg := randrel.DefaultConfig(
-		schema.Attr{Name: "x", Type: value.KindString},
-		schema.Attr{Name: "v", Type: value.KindInt},
-	)
-	cfg.MaxTuples = 64
-	r := randrel.Generate(rng, cfg)
-	a := New(parallelFlags(4, 0))
-	node := a.AlignPlan(a.Planner().Scan(r, "r"), a.Planner().Scan(r, "s"), nil)
-	out := plan.Explain(node)
-	for _, want := range []string{"Exchange (hash partition, dop=4", "Partition (hash by tuple"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("EXPLAIN missing %q:\n%s", want, out)
-		}
-	}
 }

@@ -117,7 +117,7 @@ func swapTheta(theta expr.Expr, rWidth, sWidth int) expr.Expr {
 // of Sec. 6.1 and the plane sweep of Sec. 6.2 as one fused operator
 // (plan.AdjustmentNode).
 func (a *Algebra) AlignPlan(r, s plan.Node, theta expr.Expr) plan.Node {
-	return a.alignPlanMode(r, s, theta, exec.ModeAlign)
+	return a.p.FusedAlign(r, s, theta, exec.ModeAlign)
 }
 
 // GapsPlan builds the customized aligner that emits only the maximal
@@ -125,24 +125,7 @@ func (a *Algebra) AlignPlan(r, s plan.Node, theta expr.Expr) plan.Node {
 // future-work specialization that evaluates the temporal antijoin without
 // producing intersections that cannot contribute to its result.
 func (a *Algebra) GapsPlan(r, s plan.Node, theta expr.Expr) plan.Node {
-	return a.alignPlanMode(r, s, theta, exec.ModeGaps)
-}
-
-func (a *Algebra) alignPlanMode(r, s plan.Node, theta expr.Expr, mode exec.AdjustMode) plan.Node {
-	serial := a.p.FusedAlign(r, s, theta, mode)
-	attempt, force := a.p.ShouldParallelize(r.Rows())
-	if !attempt {
-		return serial
-	}
-	// Parallel alignment: the plane sweep is independent per left tuple, so
-	// r is hash-partitioned by the whole tuple (values and valid time), the
-	// group side is materialized once and broadcast, and each fragment runs
-	// group construction + sweep on its partition.
-	shared := a.p.Shared(s)
-	ex, err := a.p.Exchange([]plan.Node{r}, [][]expr.Expr{nil}, func(parts []plan.Node) (plan.Node, error) {
-		return a.p.FusedAlign(parts[0], shared, theta, mode), nil
-	})
-	return plan.PickParallel(serial, ex, err, force)
+	return a.p.FusedAlign(r, s, theta, exec.ModeGaps)
 }
 
 // Align evaluates r Φ_θ s. theta is a condition over Concat(r, s) (nil for
@@ -182,19 +165,7 @@ func (a *Algebra) NormalizePlan2(r, s plan.Node, rCols, sCols []int) plan.Node {
 			Right: expr.ColIdx{Idx: sCols[i], Typ: at.Type, Name: s.Schema().Attrs[sCols[i]].Name},
 		}
 	}
-	serial := a.p.FusedNormalize(r, s, keys)
-	attempt, force := a.p.ShouldParallelize(r.Rows())
-	if !attempt {
-		return serial
-	}
-	// Parallel normalization: like alignment, the splitter sweep is
-	// independent per r tuple; partition r by the whole tuple and broadcast
-	// s to every fragment.
-	shared := a.p.Shared(s)
-	ex, err := a.p.Exchange([]plan.Node{r}, [][]expr.Expr{nil}, func(parts []plan.Node) (plan.Node, error) {
-		return a.p.FusedNormalize(parts[0], shared, keys), nil
-	})
-	return plan.PickParallel(serial, ex, err, force)
+	return a.p.FusedNormalize(r, s, keys)
 }
 
 // Normalize evaluates N_B(r; s) with B given by attribute names of r,

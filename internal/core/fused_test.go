@@ -249,29 +249,31 @@ func TestFusedAdjustComposedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFusedAdjustParallel: the exchange rewrite composes with the fused
-// fragment — parallel plans match the definitions too.
-func TestFusedAdjustParallel(t *testing.T) {
+// TestFusedAdjustBatchSizes: the fused operator matches the definitions
+// at every batch size, down to one tuple per batch.
+func TestFusedAdjustBatchSizes(t *testing.T) {
 	attrsR := []schema.Attr{{Name: "x", Type: value.KindString}, {Name: "v", Type: value.KindInt}}
 	theta := expr.Eq(expr.CI(0, value.KindString), expr.CI(2, value.KindString))
-	for seed := int64(0); seed < 15; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		s := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
-		for _, v := range []struct{ dop, batch int }{{2, 1}, {4, 3}, {4, 0}} {
-			a := New(parallelFlags(v.dop, v.batch))
-			tag := fmt.Sprintf("seed %d dop=%d batch=%d", seed, v.dop, v.batch)
-			got, err := a.Align(r, s, theta)
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
+	for _, batch := range []int{1, 3, 0} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			a := New(plan.Flags{BatchSize: batch})
+			for seed := int64(0); seed < 15; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				r := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+				s := randrel.Generate(rng, randrel.DefaultConfig(attrsR...))
+				tag := fmt.Sprintf("seed %d", seed)
+				got, err := a.Align(r, s, theta)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				mustSetEqual(t, tag+": align differs from Def. 11", got, refAlign(t, r, s, theta, false), r, s)
+				gotN, err := a.Normalize(r, r, "x")
+				if err != nil {
+					t.Fatalf("%s normalize: %v", tag, err)
+				}
+				mustSetEqual(t, tag+": normalize differs from Def. 9", gotN, refNormalize(r, r, []int{0}), r, r)
 			}
-			mustSetEqual(t, tag+": parallel align differs from Def. 11", got, refAlign(t, r, s, theta, false), r, s)
-			gotN, err := a.Normalize(r, r, "x")
-			if err != nil {
-				t.Fatalf("%s normalize: %v", tag, err)
-			}
-			mustSetEqual(t, tag+": parallel normalize differs from Def. 9", gotN, refNormalize(r, r, []int{0}), r, r)
-		}
+		})
 	}
 }
 

@@ -87,7 +87,7 @@ func (a *Algebra) Aggregation(r *relation.Relation, groupBy []string, aggs []exe
 			boundAggs[i].Arg = arg
 		}
 	}
-	agg, err := a.p.ParAggregate(norm, exprs, names, true, boundAggs)
+	agg, err := a.p.Aggregate(norm, exprs, names, true, boundAggs)
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +167,8 @@ func (a *Algebra) JoinReducePlan(r, s plan.Node, theta expr.Expr, typ exec.JoinT
 	rAligned := a.AlignPlan(r, s, theta)
 	sAligned := a.AlignPlan(s, r, swapTheta(theta, rl, sl))
 	// The reduction compares adjusted timestamps with equality, so T is an
-	// ordinary equi-join key — which also makes the join hash-partitionable
-	// across the exchange layer when DOP > 1.
-	return a.p.Absorb(a.p.ParJoin(rAligned, sAligned, theta, typ, true)), nil
+	// ordinary equi-join key of the hash join.
+	return a.p.Absorb(a.p.Join(rAligned, sAligned, theta, typ, true)), nil
 }
 
 // CartesianProduct evaluates r ×T s.

@@ -20,8 +20,7 @@ func BudgetAborts() uint64 { return budgetAborts.Load() }
 // so the counters measure the work and transient memory of the whole
 // tree — intermediate blow-ups (a runaway group construction, a cross
 // product feeding a sort) trip the budget long before the final result
-// would. Charging happens at batch granularity through shared atomic
-// counters, so one Budget serves every fragment of a parallel plan.
+// would. Charging happens at batch granularity through atomic counters.
 //
 // A nil *Budget, or a Budget with zero limits, never aborts anything.
 type Budget struct {

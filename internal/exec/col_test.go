@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
 	"testing"
 
@@ -299,41 +298,6 @@ func TestColSortMatchesNaive(t *testing.T) {
 				if !got[i].Equal(want[i]) {
 					t.Fatalf("keys %v: row %d is %v, want %v", keys, i, got[i], want[i])
 				}
-			}
-		}
-	}
-}
-
-// TestColSplitterPartitions checks that the columnar splitter preserves
-// the row multiset across partitions and co-partitions equal keys under
-// a shared seed (including int/float key equality).
-func TestColSplitterPartitions(t *testing.T) {
-	r := rand.New(rand.NewSource(16))
-	rel := colTestRel(r, 500, true)
-	const dop = 4
-	seed := maphash.MakeSeed()
-	keys := []expr.Expr{expr.ColIdx{Idx: 1, Typ: value.KindInt}}
-
-	mk := func() *ColSplitter {
-		return must(NewColSplitter(NewColScan(rel), keys, dop, seed))
-	}
-	spA, spB := mk(), mk()
-	var all []tuple.Tuple
-	partOf := map[string]int{} // encoded key -> partition (run A)
-	for i := 0; i < dop; i++ {
-		rows := drainCol(t, spA.Partition(i))
-		for _, tp := range rows {
-			partOf[string(tp.Vals[1].AppendKey(nil))] = i
-		}
-		all = append(all, rows...)
-	}
-	assertSameRows(t, all, append([]tuple.Tuple(nil), rel.Tuples...))
-	// Run B (fresh splitter, same seed) must agree on every key's home.
-	for i := 0; i < dop; i++ {
-		rows := drainCol(t, spB.Partition(i))
-		for _, tp := range rows {
-			if want, okk := partOf[string(tp.Vals[1].AppendKey(nil))]; okk && want != i {
-				t.Fatalf("key %v routed to partition %d, expected %d", tp.Vals[1], i, want)
 			}
 		}
 	}

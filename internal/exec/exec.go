@@ -6,9 +6,8 @@
 // group-construction join of Sec. 6.1/6.3 fused with the plane-sweep
 // ExecAdjustment of Sec. 6.2, Fig. 10), ColHashJoin (inner, left/right/full
 // outer, semi, anti; hash on the equi keys or — keyless — nested loop),
-// ColHashAggregate, ColSort and ColAbsorb (Def. 12). A hash-partitioned
-// parallel exchange layer (ColSplitter / ColExchange) spreads a plan
-// fragment across worker goroutines. A tree is built once per prepared plan
+// ColHashAggregate, ColSort and ColAbsorb (Def. 12). Every operator runs on
+// its consumer's goroutine. A tree is built once per prepared plan
 // and re-opened for every execution (see col.go); Materialize is the one
 // columnar→row step, at the API boundary.
 //

@@ -79,7 +79,7 @@ func RecoverAsError(site string, errp *error) {
 type GuardState struct {
 	ctx     context.Context
 	budget  *Budget
-	tripped atomic.Bool // guards of exchange fragments run concurrently
+	tripped atomic.Bool
 }
 
 // Arm points the guards at one execution: a nil (or never-cancellable) ctx
@@ -110,8 +110,7 @@ func (g *GuardState) check() error {
 
 // OpStats is what one plan node's operator did during an analyzed execution
 // (EXPLAIN ANALYZE): the selected rows that left it and the batches they
-// left in. The counters are atomic because the fragments of an exchange
-// count into their template node's stats from worker goroutines.
+// left in.
 type OpStats struct {
 	Rows, Batches atomic.Int64
 	// ColFusedAdjust executions that built / shared their group index.
@@ -137,10 +136,8 @@ type OpStats struct {
 //
 // It also carries the exec.open / exec.next fault sites, and — in an
 // analyzed execution, which guards every node's operator — counts what
-// passes into the node's OpStats. Exchange worker and splitter producer
-// goroutines carry their own recovery (they are separate stacks); together
-// with ColGuard that makes every goroutine a query can run on
-// panic-isolated.
+// passes into the node's OpStats. A query runs on its consumer's goroutine,
+// so the root's ColGuard makes all of it panic-isolated.
 type ColGuard struct {
 	// Input is the wrapped columnar operator.
 	Input ColIterator

@@ -76,10 +76,10 @@ func imageKeys(rel *relation.Relation) []byte {
 }
 
 // runTemporalAgg runs a temporal aggregation by k over NORMALIZE three
-// times on a fresh engine under flags; each result must equal the oracle's
+// times on a fresh engine; each result must equal the oracle's
 // B,Tϑ_COUNT(r), the plan must hold the shared materialization whose input
 // is a projection, and r's image must stay as it was.
-func runTemporalAgg(t *testing.T, flags plan.Flags, sql string, shared int) {
+func runTemporalAgg(t *testing.T, sql string, shared int) {
 	t.Helper()
 	r, _ := handOverRels()
 	want, err := oracle.Aggregation(r, []string{"k"}, []oracle.AggSpec{{Op: oracle.CountStar, Name: "n"}})
@@ -87,7 +87,7 @@ func runTemporalAgg(t *testing.T, flags plan.Flags, sql string, shared int) {
 		t.Fatal(err)
 	}
 	before := imageKeys(r)
-	e := sqlish.NewEngine(flags)
+	e := sqlish.NewEngine(plan.DefaultFlags())
 	e.Register("r", r)
 	_, text, err := e.Query("EXPLAIN " + sql)
 	if err != nil {
@@ -117,21 +117,12 @@ func runTemporalAgg(t *testing.T, flags plan.Flags, sql string, shared int) {
 	}
 }
 
-// TestHandOverParallelNormalize: a forced DOP-2 NORMALIZE broadcasts its
-// group side, a projected scan, through Shared; the materialization takes
-// the image over with a header of its own.
-func TestHandOverParallelNormalize(t *testing.T) {
-	flags := plan.DefaultFlags()
-	flags.DOP, flags.ForceParallel = 2, true
-	runTemporalAgg(t, flags, "SELECT k, COUNT(*) n, Ts, Te FROM (r a1 NORMALIZE r a2 USING (k)) x GROUP BY k, Ts, Te", 1)
-}
-
 // TestHandOverWithBody: a WITH body that projects a scan, read twice — as
 // NORMALIZE's left input and as its group side. The HAVING clause (always
 // true: the rows carry no ω) aggregates MIN and MAX, which the temporal
 // aggregation sweep does not take, so the plan keeps N_B and both reads.
 func TestHandOverWithBody(t *testing.T) {
-	runTemporalAgg(t, plan.DefaultFlags(),
+	runTemporalAgg(t,
 		"WITH w AS (SELECT v, k FROM r) SELECT k, COUNT(*) n, Ts, Te FROM (w a1 NORMALIZE w a2 USING (k)) x GROUP BY k, Ts, Te HAVING MAX(v) >= MIN(v)", 2)
 }
 

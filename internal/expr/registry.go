@@ -20,8 +20,8 @@ type RegisteredFunc struct {
 	// Result is the static result kind used by the type checker.
 	Result value.Kind
 	// Eval computes the call. It runs once per row inside executor
-	// operators, so it must be safe for concurrent use across parallel
-	// fragments. A panic here is recovered at the operator boundary and
+	// operators, so it must be safe for concurrent use by concurrent
+	// queries. A panic here is recovered at the operator boundary and
 	// surfaces as a structured internal error.
 	Eval func(args []value.Value) (value.Value, error)
 }

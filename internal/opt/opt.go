@@ -108,11 +108,6 @@ func (o *optimizer) rewriteNode(n plan.Node) plan.Node {
 			return x
 		}
 		return o.p.Shared(in)
-	case *plan.ExchangeNode:
-		// Exchange fragments are closures over their sources; rewriting
-		// inside them would detach the template from the built fragments.
-		// Parallel plans keep the analyzer's shape.
-		return x
 	}
 	return n
 }

@@ -13,8 +13,7 @@ import (
 // node's operator behind a guard that counts the selected rows (and the
 // batches) leaving it, the pipeline production runs otherwise — executes it
 // to completion, and renders the tree with estimated vs actual
-// cardinalities per node. The fragments of an exchange count into the
-// template nodes EXPLAIN shows. Nodes that never built an operator during
+// cardinalities per node. Nodes that never built an operator during
 // this execution render "actual rows=-". The result relation is returned
 // alongside the rendering so callers can report the output cardinality
 // without re-running the statement. A FusedAdjust node also says whether

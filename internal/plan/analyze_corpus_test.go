@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -68,51 +67,38 @@ func corpusCatalog(seed int) sqlish.MapCatalog {
 }
 
 // TestExplainAnalyzeCorpus pins EXPLAIN ANALYZE over the 25-shape corpus:
-// the golden file's default section was rendered when row operators did
-// the counting, so every node's "actual rows" — the selected rows leaving
-// the node — and every label and estimate must still read the same now
-// that the guards of the one pipeline count. The dop2-forced section runs six shapes
-// (join, ALIGN, NORMALIZE, GROUP BY, union, WITH) through exchanges: a
-// template node shows the sum over its fragments — partition seeds are
-// random, the sums are not — and a broadcast Materialize its rows once.
-// The root's count must equal the statement's result size.
+// the golden file was rendered when row operators did the counting, so
+// every node's "actual rows" — the selected rows leaving the node — and
+// every label and estimate must still read the same now that the guards
+// of the one pipeline count. The root's count must equal the statement's
+// result size.
 func TestExplainAnalyzeCorpus(t *testing.T) {
-	dop2 := plan.DefaultFlags()
-	dop2.DOP, dop2.ForceParallel = 2, true
 	var b strings.Builder
-	for _, fl := range []struct {
-		name   string
-		flags  plan.Flags
-		shapes []int // indexes into analyzeCorpus; nil: all
-	}{{"default", plan.DefaultFlags(), nil}, {"dop2-forced", dop2, []int{2, 7, 8, 9, 10, 13}}} {
-		for seed := 0; seed < 3; seed++ {
-			cat := corpusCatalog(seed)
-			for i, q := range analyzeCorpus {
-				if fl.shapes != nil && !slices.Contains(fl.shapes, i) {
-					continue
-				}
-				p, err := sqlish.Prepare("EXPLAIN ANALYZE "+q.sql, cat, fl.flags)
-				if err != nil {
-					t.Fatalf("%s seed %d: prepare %q: %v", fl.name, seed, q.sql, err)
-				}
-				text, err := p.ExplainAnalyze(q.params...)
-				if err != nil {
-					t.Fatalf("%s seed %d: %q: %v", fl.name, seed, q.sql, err)
-				}
-				fmt.Fprintf(&b, "-- %s seed %d: %s\n%s", fl.name, seed, q.sql, text)
+	flags := plan.DefaultFlags()
+	for seed := 0; seed < 3; seed++ {
+		cat := corpusCatalog(seed)
+		for _, q := range analyzeCorpus {
+			p, err := sqlish.Prepare("EXPLAIN ANALYZE "+q.sql, cat, flags)
+			if err != nil {
+				t.Fatalf("seed %d: prepare %q: %v", seed, q.sql, err)
+			}
+			text, err := p.ExplainAnalyze(q.params...)
+			if err != nil {
+				t.Fatalf("seed %d: %q: %v", seed, q.sql, err)
+			}
+			fmt.Fprintf(&b, "-- default seed %d: %s\n%s", seed, q.sql, text)
 
-				run, err := sqlish.Prepare(q.sql, cat, fl.flags)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rel, err := run.Execute(q.params...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				root := text[:strings.IndexByte(text, '\n')]
-				if want := fmt.Sprintf("(actual rows=%d)", rel.Len()); !strings.HasSuffix(root, want) {
-					t.Errorf("%s seed %d: %q: root line %q, want suffix %s", fl.name, seed, q.sql, root, want)
-				}
+			run, err := sqlish.Prepare(q.sql, cat, flags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := run.Execute(q.params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root := text[:strings.IndexByte(text, '\n')]
+			if want := fmt.Sprintf("(actual rows=%d)", rel.Len()); !strings.HasSuffix(root, want) {
+				t.Errorf("seed %d: %q: root line %q, want suffix %s", seed, q.sql, root, want)
 			}
 		}
 	}

@@ -39,11 +39,7 @@ type ExecCtx struct {
 	shared map[*SharedNode]*relation.Relation
 	// stats, when non-nil, makes the build an analyzed one (EXPLAIN ANALYZE):
 	// every node's operator is guarded and counts into the node's entry.
-	// The nodes of an exchange fragment share their template node's entry.
 	stats map[Node]*exec.OpStats
-	// replica is set while the second and later fragments of an exchange are
-	// built: what the fragments share is counted in the first.
-	replica bool
 }
 
 // NewExecCtx returns an execution context binding params to $1..$N.
@@ -61,17 +57,16 @@ func NewExecCtxContext(ctx context.Context, params ...value.Value) *ExecCtx {
 
 // Arm points every guard of the pipeline (exec.ColGuard) at one
 // execution. Cancelling a cancellable ctx — or passing its deadline —
-// aborts the whole executor tree between batches, exchange fragments
-// included; a nil ctx (or context.Background()) skips the check. budget,
-// when set, is charged every guarded operator's output batches (atomically:
-// one Budget serves all fragments), and exhausting it aborts the query with
-// a *exec.BudgetError (wire code "resource"). Arm(nil, nil) lets go.
+// aborts the whole executor tree between batches; a nil ctx (or
+// context.Background()) skips the check. budget, when set, is charged
+// every guarded operator's output batches, and exhausting it aborts the
+// query with a *exec.BudgetError (wire code "resource"). Arm(nil, nil)
+// lets go.
 func (c *ExecCtx) Arm(ctx context.Context, budget *exec.Budget) { c.guard.Arm(ctx, budget) }
 
 // Reusable reports whether the pipeline built under c may be opened again
-// after Close. False once the build put in something that cannot be yet: an
-// exchange (its partitions are single-use) or a scan of a SharedNode's
-// per-execution memo.
+// after Close. False once the build put in something that cannot be yet: a
+// scan of a SharedNode's per-execution memo.
 func (c *ExecCtx) Reusable() bool { return !c.singleUse }
 
 // bind ties e's placeholders to the pipeline's parameter frame. A nil
@@ -112,8 +107,8 @@ func BuildRoot(n Node, ctx *ExecCtx) (exec.ColIterator, error) {
 }
 
 // stream builds n as the input of an operator that passes batches on as
-// they come (filter, project, limit, the streamed side of a set operation,
-// a splitter's producer): no boundary of its own. An analyzed build guards
+// they come (filter, project, limit, the streamed side of a set
+// operation): no boundary of its own. An analyzed build guards
 // every node's operator, counting what leaves it; an ordinary one places
 // guards only where a subtree runs inside one call (input, BuildRoot).
 func (c *ExecCtx) stream(n Node) (exec.ColIterator, error) {
@@ -122,15 +117,13 @@ func (c *ExecCtx) stream(n Node) (exec.ColIterator, error) {
 		return it, err
 	}
 	g := exec.NewColGuard(&c.guard, it)
-	if _, shared := n.(*SharedNode); !shared || !c.replica {
-		g.Stats = c.statsFor(n)
-	}
+	g.Stats = c.statsFor(n)
 	return g, nil
 }
 
 // input builds n as the input of an operator that drains it inside one Open
 // or NextCol call (join, adjust, aggregate, sort, absorb, the right side of
-// a set operation, an exchange fragment), behind the boundary that lets a
+// a set operation), behind the boundary that lets a
 // deadline stop a build over a runaway join: exec.ColGuard's cancellation
 // check, budget charge and panic isolation per batch — or once, for an
 // image the operator takes over whole. A bare scan is exempt: it cannot

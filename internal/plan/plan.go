@@ -36,19 +36,9 @@ const (
 	RangeSelectivity = 1.0 / 3.0
 )
 
-// Flags are the planner's settings: parallelism, batch size and the two
-// escape hatches of the differential tests.
+// Flags are the planner's settings: batch size and the two escape hatches
+// of the differential tests.
 type Flags struct {
-	// DOP is the degree of parallelism for the exchange layer: plans whose
-	// estimated input cardinality reaches ExchangeMinRows are rewritten to
-	// hash-partition work across DOP worker goroutines. 0 or 1 disables
-	// parallel execution.
-	DOP int
-	// ForceParallel applies the exchange rewrite unconditionally when
-	// DOP > 1, skipping the row gate, the core-count check and the cost
-	// comparison. It exists for tests and benchmarks that must exercise
-	// the parallel plans regardless of profitability.
-	ForceParallel bool
 	// BatchSize overrides the executor's DefaultBatchSize when > 0.
 	BatchSize int
 	// DisableOptimizer skips the rule-based rewrite pass (predicate
@@ -65,16 +55,9 @@ type Flags struct {
 	DisablePruning bool
 }
 
-// DefaultFlags keeps parallelism off (DOP 1) so plans remain the paper's
-// serial pipelines unless asked.
-func DefaultFlags() Flags { return Flags{DOP: 1} }
-
-// ExchangeMinRows is the exchange gate: below this estimated input
-// cardinality the startup and transfer overhead of an exchange outweighs
-// the speedup — roughly where the per-worker startup cost amortizes
-// against per-tuple work on current hardware — and above it the exchange
-// plan still has to beat the serial plan on estimated cost.
-const ExchangeMinRows = 1024
+// DefaultFlags is the production setting: the executor's batch size, the
+// optimizer and zone-map pruning on.
+func DefaultFlags() Flags { return Flags{} }
 
 // Fingerprint renders the flags as a short stable string. Every field that
 // can change plan shape participates, which makes the fingerprint a sound
@@ -87,8 +70,7 @@ func (f Flags) Fingerprint() string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("dop%d,fp%c,bs%d,op%c,zp%c",
-		f.DOP, b(f.ForceParallel), f.BatchSize, b(f.DisableOptimizer), b(f.DisablePruning))
+	return fmt.Sprintf("bs%d,op%c,zp%c", f.BatchSize, b(f.DisableOptimizer), b(f.DisablePruning))
 }
 
 // Node is a logical plan node with cost estimates and a physical build.
@@ -1063,7 +1045,7 @@ func (a *AbsorbNode) Label() string { return "Absorb" }
 
 // Run builds and drains a parameterless plan into a relation. It still
 // allocates an ExecCtx: SharedNode memoization is per-context, so a nil
-// context would re-materialize broadcast subtrees once per fragment.
+// context would re-materialize a WITH body once per reference.
 func Run(n Node) (*relation.Relation, error) {
 	return RunCtx(n, NewExecCtx())
 }

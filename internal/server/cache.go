@@ -12,8 +12,8 @@ import (
 // lifted into hidden parameter slots, plus each lifted literal's kind, so
 // statements that differ only in such literals share one plan; EXPLAIN
 // statements and GET /explain key on their literal normalized text) and
-// the planner-flags fingerprint (flags change method choice and exchange
-// placement, so plans under different flags must not mix).
+// the planner-flags fingerprint (flags change batch size, the optimizer's
+// rewrites and pruning, so plans under different flags must not mix).
 type CacheKey struct {
 	Shape string
 	Flags string

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -255,67 +256,63 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestGate(t *testing.T) {
-	g := NewGate(3)
-	if got := g.Acquire(2); got != 2 {
-		t.Fatalf("Acquire(2) = %d", got)
-	}
-	// A request wider than capacity is clamped, not deadlocked.
-	done := make(chan int)
-	go func() { done <- g.Acquire(5) }()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case w := <-done:
-		t.Fatalf("Acquire(5) succeeded at %d units with 2/3 in use", w)
-	default:
-	}
-	g.Release(2)
-	if w := <-done; w != 3 {
-		t.Fatalf("clamped acquire = %d, want 3", w)
-	}
-	st := g.Stats()
-	if st.InUse != 3 || st.Capacity != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	g.Release(3)
-	if st := g.Stats(); st.InUse != 0 {
-		t.Fatalf("in use after release = %d", st.InUse)
-	}
+	bg := context.Background()
+	t.Run("fifo", func(t *testing.T) {
+		g := NewGate(2)
+		for i := 0; i < 2; i++ {
+			if err := g.AcquireCtx(bg); err != nil {
+				t.Fatalf("AcquireCtx #%d: %v", i, err)
+			}
+		}
+		if st := g.Stats(); st.InUse != 2 || st.Capacity != 2 {
+			t.Fatalf("stats = %+v", st)
+		}
 
-	// FIFO: a narrow arrival must not overtake a queued wide waiter.
-	g.Acquire(1)
-	wide := make(chan struct{})
-	go func() { g.Acquire(3); close(wide) }()
-	for g.Stats().Waiting == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	narrow := make(chan struct{})
-	go func() { g.Acquire(1); close(narrow) }()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-narrow:
-		t.Fatalf("narrow acquisition overtook the queued wide waiter")
-	default:
-	}
-	g.Release(1) // wide (3) admitted first, then narrow still waits
-	<-wide
-	select {
-	case <-narrow:
-		t.Fatalf("narrow admitted while wide holds full capacity")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.Release(3)
-	<-narrow
-	g.Release(1)
-	if st := g.Stats(); st.InUse != 0 || st.Waiting != 0 {
-		t.Fatalf("gate not drained: %+v", st)
-	}
-
-	// Unlimited gate is a no-op.
-	u := NewGate(0)
-	if w := u.Acquire(100); w != 0 {
-		t.Fatalf("unlimited Acquire = %d", w)
-	}
-	u.Release(0)
+		// Waiters are admitted in arrival order, one per released unit.
+		queue := func() chan struct{} {
+			ch := make(chan struct{})
+			n := g.Stats().Waiting
+			go func() {
+				if err := g.AcquireCtx(bg); err != nil {
+					t.Errorf("queued AcquireCtx: %v", err)
+				}
+				close(ch)
+			}()
+			for g.Stats().Waiting == n {
+				time.Sleep(time.Millisecond)
+			}
+			return ch
+		}
+		first, second := queue(), queue()
+		g.Release()
+		<-first
+		select {
+		case <-second:
+			t.Fatalf("second waiter admitted with one unit released")
+		case <-time.After(20 * time.Millisecond):
+		}
+		if st := g.Stats(); st.InUse != 2 || st.Waiting != 1 {
+			t.Fatalf("stats after one release = %+v", st)
+		}
+		g.Release()
+		<-second
+		g.Release()
+		g.Release()
+		if st := g.Stats(); st.InUse != 0 || st.Waiting != 0 {
+			t.Fatalf("gate not drained: %+v", st)
+		}
+	})
+	t.Run("unlimited", func(t *testing.T) {
+		// An unlimited gate claims nothing.
+		u := NewGate(0)
+		if err := u.AcquireCtx(bg); err != nil {
+			t.Fatalf("unlimited AcquireCtx: %v", err)
+		}
+		if st := u.Stats(); st.InUse != 0 {
+			t.Fatalf("unlimited gate counted a claim: %+v", st)
+		}
+		u.Release()
+	})
 }
 
 // TestPlanCacheHitAllocatesNothing: resolving a warm statement — the key,

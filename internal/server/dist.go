@@ -95,21 +95,20 @@ func (s *Server) Distributor() Distributor { return s.dist }
 // coordinator's own fan-out work — before planning, releasing it on
 // error, on plan-only results, or at stream Close.
 func (s *Server) distStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*RowStream, bool, error) {
-	claimed, gerr := s.gate.AcquireCtx(ctx, 1)
-	if gerr != nil {
+	if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 		return nil, true, gerr
 	}
 	res, handled, err := s.dist.DistStream(ctx, st, params, batch)
 	if !handled {
-		s.gate.Release(claimed)
+		s.gate.Release()
 		return nil, false, nil
 	}
 	if err != nil {
-		s.gate.Release(claimed)
+		s.gate.Release()
 		return nil, true, err
 	}
 	if res.Src == nil {
-		s.gate.Release(claimed)
+		s.gate.Release()
 		return &RowStream{s: s, plan: res.Plan, cacheHit: res.CacheHit}, true, nil
 	}
 	return &RowStream{
@@ -119,6 +118,5 @@ func (s *Server) distStream(ctx context.Context, st *sqlish.Statement, params []
 		cacheHit: res.CacheHit,
 		s:        s,
 		src:      res.Src,
-		release:  func() { s.gate.Release(claimed) },
 	}, true, nil
 }

@@ -5,72 +5,48 @@ import (
 	"sync"
 )
 
-// Gate is the admission controller: a weighted FIFO semaphore bounding
-// the total in-flight degree of parallelism across all queries. Every
-// query acquires a weight equal to the parallelism its plan can actually
-// use (1 for serial plans), so N serial queries and one DOP-N parallel
-// query consume the same budget and a burst of parallel queries queues
-// instead of oversubscribing the machine with worker goroutines.
+// Gate is the admission controller: a FIFO counting semaphore bounding
+// the number of in-flight queries. Every execution claims one unit from
+// admission until its result is closed, so a burst of queries queues
+// instead of oversubscribing the machine.
 //
-// Admission is strictly first-come-first-served: a wide waiter at the
-// head of the queue blocks later narrow arrivals until it is admitted,
-// which is what prevents a steady stream of cheap queries from starving
-// an expensive one indefinitely.
+// Admission is strictly first-come-first-served: a released unit goes to
+// the longest waiter, never to a later arrival.
 type Gate struct {
 	mu       sync.Mutex
 	capacity int
 	inUse    int
-	waiters  []*gateWaiter
+	waiters  []chan struct{} // queued acquisitions; each closes on admission
 }
 
-// gateWaiter is one queued acquisition; ch closes on admission.
-type gateWaiter struct {
-	w  int
-	ch chan struct{}
-}
-
-// NewGate returns a gate admitting up to capacity units of in-flight DOP;
+// NewGate returns a gate admitting up to capacity in-flight queries;
 // capacity <= 0 means unlimited.
 func NewGate(capacity int) *Gate {
 	return &Gate{capacity: capacity}
 }
 
-// Acquire blocks until w units are available and claims them. Weights
-// above the gate's capacity are clamped to it, so a single over-wide
-// query waits for an idle gate rather than deadlocking. Acquire returns
-// the weight actually claimed, which must be passed to Release.
-func (g *Gate) Acquire(w int) int {
-	claimed, _ := g.AcquireCtx(context.Background(), w)
-	return claimed
-}
-
-// AcquireCtx is Acquire with cooperative cancellation: a caller whose
-// context is cancelled while queued abandons its place in line (later
-// waiters move up) and gets the context's error back with no units
-// claimed. Admission that raced with the cancellation is rolled back, so
-// the accounting stays exact either way.
-func (g *Gate) AcquireCtx(ctx context.Context, w int) (int, error) {
+// AcquireCtx blocks until a unit is free and claims it; every nil return
+// must be paired with one Release. A caller whose context is cancelled
+// while queued abandons its place in line (later waiters move up) and
+// gets the context's error back with nothing claimed. Admission that
+// raced with the cancellation is rolled back, so the accounting stays
+// exact either way.
+func (g *Gate) AcquireCtx(ctx context.Context) error {
 	if g.capacity <= 0 {
-		return 0, ctx.Err() // unlimited: nothing to claim
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > g.capacity {
-		w = g.capacity
+		return ctx.Err() // unlimited: nothing to claim
 	}
 	g.mu.Lock()
-	if len(g.waiters) == 0 && g.inUse+w <= g.capacity {
-		g.inUse += w
+	if len(g.waiters) == 0 && g.inUse < g.capacity {
+		g.inUse++
 		g.mu.Unlock()
-		return w, nil
+		return nil
 	}
-	wt := &gateWaiter{w: w, ch: make(chan struct{})}
-	g.waiters = append(g.waiters, wt)
+	ch := make(chan struct{})
+	g.waiters = append(g.waiters, ch)
 	g.mu.Unlock()
 	select {
-	case <-wt.ch:
-		return w, nil
+	case <-ch:
+		return nil
 	case <-ctx.Done():
 	}
 	// Cancelled while queued: leave the line — unless admission raced the
@@ -78,44 +54,37 @@ func (g *Gate) AcquireCtx(ctx context.Context, w int) (int, error) {
 	// (which also lets the next waiter in).
 	g.mu.Lock()
 	for i, q := range g.waiters {
-		if q == wt {
+		if q == ch {
 			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
 			g.mu.Unlock()
-			return 0, ctx.Err()
+			return ctx.Err()
 		}
 	}
 	g.mu.Unlock()
-	g.Release(w)
-	return 0, ctx.Err()
+	g.Release()
+	return ctx.Err()
 }
 
-// Release returns w units claimed by Acquire and admits queued waiters
-// in FIFO order as far as the freed capacity reaches.
-func (g *Gate) Release(w int) {
-	if g.capacity <= 0 || w <= 0 {
+// Release returns a unit claimed by AcquireCtx, handing it straight to the
+// head of the queue when there is one.
+func (g *Gate) Release() {
+	if g.capacity <= 0 {
 		return
 	}
 	g.mu.Lock()
-	g.inUse -= w
-	if g.inUse < 0 {
-		g.inUse = 0
-	}
-	for len(g.waiters) > 0 {
-		head := g.waiters[0]
-		if g.inUse+head.w > g.capacity {
-			break // strict FIFO: the head blocks the line
-		}
-		g.inUse += head.w
+	if len(g.waiters) > 0 {
+		close(g.waiters[0])
 		g.waiters = g.waiters[1:]
-		close(head.ch)
+	} else {
+		g.inUse--
 	}
 	g.mu.Unlock()
 }
 
 // GateStats is a point-in-time view of the gate.
 type GateStats struct {
-	// Capacity is the admission budget (0 = unlimited); InUse the claimed
-	// units; Waiting the queued acquisitions.
+	// Capacity is the admission budget (0 = unlimited); InUse the
+	// in-flight queries; Waiting the queued acquisitions.
 	Capacity int `json:"capacity"`
 	InUse    int `json:"in_use"`
 	Waiting  int `json:"waiting"`

@@ -11,9 +11,9 @@ import (
 // handleMetrics renders the server's operational counters in Prometheus
 // text exposition format: query/error/cancellation totals, wire-level
 // streaming volume, plan-cache effectiveness (hits, misses, evictions,
-// invalidations, plans, size) and the admission gate's capacity, in-flight DOP and
-// queue depth. Scrape it with any Prometheus-compatible collector; the
-// talignd smoke test in CI greps it directly.
+// invalidations, plans, size) and the admission gate's capacity, in-flight
+// queries and queue depth. Scrape it with any Prometheus-compatible
+// collector; the talignd smoke test in CI greps it directly.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	cs := s.cache.Stats()
@@ -38,7 +38,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("talignd_frame_conns_open", "Open frame connections (GET /frames).", int(s.frameConns.Load()))
 	counter("talignd_frame_conns_total", "Frame connections upgraded.", s.frameConnsTotal.Load())
 	counter("talignd_exec_cancel_observed_total", "Operator batch loops that observed a cancelled context (process-wide).", exec.CancelObserved())
-	counter("talignd_exec_panics_recovered_total", "Panics recovered at executor boundaries (process-wide, includes exchange goroutines).", exec.PanicsRecovered())
+	counter("talignd_exec_panics_recovered_total", "Panics recovered at executor boundaries (process-wide).", exec.PanicsRecovered())
 	counter("talignd_exec_budget_aborts_total", "Budget trips observed at executor boundaries (process-wide).", exec.BudgetAborts())
 
 	counter("talignd_segments_scanned_total", "Segments read by pruning-eligible scans (process-wide).", exec.SegmentsScanned())
@@ -59,8 +59,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("talignd_plan_cache_size", "Cached plans.", cs.Size)
 	gauge("talignd_plan_cache_capacity", "Plan cache capacity.", cs.Capacity)
 
-	gauge("talignd_gate_capacity", "Admission gate capacity in DOP units (0 = unlimited).", gs.Capacity)
-	gauge("talignd_gate_in_flight_dop", "In-flight degree of parallelism claimed by running queries.", gs.InUse)
+	gauge("talignd_gate_capacity", "Admission gate capacity in in-flight queries (0 = unlimited).", gs.Capacity)
+	gauge("talignd_gate_in_flight_dop", "In-flight queries holding an admission-gate unit.", gs.InUse)
 	gauge("talignd_gate_waiting", "Queries queued at the admission gate.", gs.Waiting)
 
 	gauge("talignd_sessions", "Live sessions.", s.sess.count())

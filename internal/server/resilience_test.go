@@ -51,7 +51,7 @@ func drainRows(rs *RowStream) (int, error) {
 	}
 }
 
-// assertQuiesced waits for the gate to return to zero in-flight DOP and
+// assertQuiesced waits for the gate to return to zero in-flight queries and
 // the goroutine count to return to its baseline.
 func assertQuiesced(t *testing.T, s *Server, baseline int) {
 	t.Helper()
@@ -65,10 +65,9 @@ func assertQuiesced(t *testing.T, s *Server, baseline int) {
 
 // TestPanicFunctionIsolated is the crash-isolation acceptance test (run
 // with -race): a registered SQL function that panics mid-batch must fail
-// its query with a structured "internal" error — on the row and columnar
-// executors, serial and under a forced-parallel exchange — leak no
-// goroutines, release the admission gate, and count into the panic
-// metric. The process (and the test binary) must survive every case.
+// its query with a structured "internal" error, leak no goroutines,
+// release the admission gate, and count into the panic metric. The process
+// (and the test binary) must survive.
 func TestPanicFunctionIsolated(t *testing.T) {
 	expr.RegisterFunc("chaos_panic_at", expr.RegisteredFunc{
 		MinArity: 2, MaxArity: 2, Result: value.KindInt,
@@ -81,41 +80,27 @@ func TestPanicFunctionIsolated(t *testing.T) {
 	})
 	t.Cleanup(func() { expr.UnregisterFunc("chaos_panic_at") })
 
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"serial", nil},
-		{"parallel", func(c *Config) {
-			c.Flags.DOP = 4
-			c.Flags.ForceParallel = true
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			s := resilServer(t, 5000, tc.mut)
+	baseline := runtime.NumGoroutine()
+	s := resilServer(t, 5000, nil)
 
-			rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t WHERE chaos_panic_at(v, 7) = v", nil)
-			if err == nil {
-				_, err = drainRows(rs)
-			}
-			var pe *exec.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("got %v, want *exec.PanicError", err)
-			}
-			if fmt.Sprint(pe.Val) != "chaos function panic" {
-				t.Fatalf("recovered wrong panic value: %v", pe.Val)
-			}
-			if code := errorCode(err); code != sqlish.ErrInternal {
-				t.Fatalf("errorCode = %q, want %q", code, sqlish.ErrInternal)
-			}
-			if got := s.panics.Load(); got != 1 {
-				t.Fatalf("panics metric = %d, want 1", got)
-			}
-			assertQuiesced(t, s, baseline)
-		})
+	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t WHERE chaos_panic_at(v, 7) = v", nil)
+	if err == nil {
+		_, err = drainRows(rs)
 	}
+	var pe *exec.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *exec.PanicError", err)
+	}
+	if fmt.Sprint(pe.Val) != "chaos function panic" {
+		t.Fatalf("recovered wrong panic value: %v", pe.Val)
+	}
+	if code := errorCode(err); code != sqlish.ErrInternal {
+		t.Fatalf("errorCode = %q, want %q", code, sqlish.ErrInternal)
+	}
+	if got := s.panics.Load(); got != 1 {
+		t.Fatalf("panics metric = %d, want 1", got)
+	}
+	assertQuiesced(t, s, baseline)
 }
 
 // TestQueryTimeout proves the server-side per-query deadline aborts a
@@ -127,8 +112,6 @@ func TestQueryTimeout(t *testing.T) {
 	// candidates, several times the timeout's worth of work.
 	s := resilServer(t, 10000, func(c *Config) {
 		c.Timeout = 100 * time.Millisecond
-		c.Flags.DOP = 4
-		c.Flags.ForceParallel = true
 	})
 
 	start := time.Now()
@@ -235,7 +218,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 }
 
-// TestPanicDoesNotDisturbConcurrentQuery runs a slow parallel ALIGN
+// TestPanicDoesNotDisturbConcurrentQuery runs a slow ALIGN
 // while a second query panics: the panic must fail only its own query.
 func TestPanicDoesNotDisturbConcurrentQuery(t *testing.T) {
 	expr.RegisterFunc("chaos_always_panic", expr.RegisteredFunc{
@@ -247,10 +230,7 @@ func TestPanicDoesNotDisturbConcurrentQuery(t *testing.T) {
 	t.Cleanup(func() { expr.UnregisterFunc("chaos_always_panic") })
 
 	baseline := runtime.NumGoroutine()
-	s := resilServer(t, 2000, func(c *Config) {
-		c.Flags.DOP = 4
-		c.Flags.ForceParallel = true
-	})
+	s := resilServer(t, 2000, nil)
 
 	type result struct {
 		rows int

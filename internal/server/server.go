@@ -5,7 +5,7 @@
 // comparisons lifted into hidden placeholders) + planner flags and valid
 // while the catalog entries a plan was built from are unchanged, named
 // prepared statements with $N placeholders scoped to sessions, an
-// admission gate bounding the total in-flight degree of parallelism, and
+// admission gate bounding the number of in-flight queries, and
 // an HTTP/JSON front end (POST /query, POST /query/stream, POST /prepare,
 // GET /explain, GET /healthz) and binary frame connections (GET /frames).
 //
@@ -51,8 +51,9 @@ type Config struct {
 	// CacheSize is the prepared-plan cache capacity (DefaultCacheSize when
 	// zero).
 	CacheSize int
-	// MaxDOP bounds the total in-flight degree of parallelism across
-	// concurrent queries; 0 means unlimited.
+	// MaxDOP bounds the number of in-flight queries (each runs on one
+	// goroutine, so this is the executor's total width); 0 means
+	// unlimited.
 	MaxDOP int
 	// Timeout is the per-query deadline: every execution (buffered or
 	// streamed, including its wait at the admission gate) runs under a
@@ -157,7 +158,7 @@ func (s *Server) PipelineStats() (built, reused uint64) {
 }
 
 // GateStats exposes the admission-gate counters; a drained idle server
-// must report zero in-flight DOP.
+// must report zero in-flight queries.
 func (s *Server) GateStats() GateStats { return s.gate.Stats() }
 
 // plan resolves a parsed statement to a cached (or freshly prepared) plan
@@ -259,7 +260,7 @@ type Result struct {
 
 // Query executes ad-hoc SQL (stmtName == "") or a session's named
 // prepared statement, binding params to $1..$N, buffering the full
-// result. Execution is admitted through the DOP gate.
+// result. Execution is admitted through the admission gate.
 func (s *Server) Query(sessionID, stmtName, sql string, params []value.Value) (Result, error) {
 	return s.QueryContext(context.Background(), sessionID, stmtName, sql, params)
 }

@@ -21,12 +21,12 @@ import (
 // encodings), the public talign package's embedded cursors and the
 // buffered legacy Query path.
 //
-// The admission-gate units the execution claimed are held until Close —
-// a streaming client occupies its parallelism budget for as long as it
-// keeps the cursor open — so Close must always be called. Statements
-// that produce a plan rendering instead of rows (EXPLAIN, EXPLAIN
-// ANALYZE, ANALYZE) return a RowStream with Plan set and no row batches;
-// Close is then a no-op.
+// A stream with a source holds the admission-gate unit its execution
+// claimed until Close — a streaming client occupies its slot for as long
+// as it keeps the cursor open — so Close must always be called.
+// Statements that produce a plan rendering instead of rows (EXPLAIN,
+// EXPLAIN ANALYZE, ANALYZE) return a RowStream with Plan set and no row
+// batches; Close is then a no-op.
 type RowStream struct {
 	cols     []string
 	types    []string
@@ -37,7 +37,6 @@ type RowStream struct {
 	src     BatchSource
 	sch     schema.Schema
 	rows    []tuple.Tuple // Next's buffer when the source has no row pull
-	release func()
 	cancel  func()
 	counted bool
 	done    bool
@@ -146,7 +145,7 @@ func (rs *RowStream) hangUp() {
 	}
 }
 
-// Close tears the execution down, releases its admission-gate units and
+// Close tears the execution down, releases its admission-gate unit and
 // cancels its per-query deadline context; it is idempotent and safe to
 // call mid-stream (the pipeline stops without draining).
 func (rs *RowStream) Close() error {
@@ -157,10 +156,7 @@ func (rs *RowStream) Close() error {
 	var err error
 	if rs.src != nil {
 		err = rs.src.Close()
-	}
-	if rs.release != nil {
-		rs.release()
-		rs.release = nil
+		rs.s.gate.Release()
 	}
 	if rs.cancel != nil {
 		rs.cancel()
@@ -285,11 +281,10 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		// the admission gate — its full-table scan is real work that must
 		// queue with the rest of the traffic.
 		if name, ok := st.AnalyzeTarget(); ok {
-			claimed, gerr := s.gate.AcquireCtx(ctx, 1)
-			if gerr != nil {
+			if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 				return nil, gerr
 			}
-			defer s.gate.Release(claimed)
+			defer s.gate.Release()
 			t, aerr := s.Analyze(name)
 			if aerr != nil {
 				return nil, aerr
@@ -301,11 +296,10 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		// the plan cache but pay one admission-gate unit — the CSV load
 		// and segment writes are real work.
 		if name, path, ok := st.CreateTarget(); ok {
-			claimed, gerr := s.gate.AcquireCtx(ctx, 1)
-			if gerr != nil {
+			if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 				return nil, gerr
 			}
-			defer s.gate.Release(claimed)
+			defer s.gate.Release()
 			rel, cerr := s.CreateTable(name, path)
 			if cerr != nil {
 				return nil, cerr
@@ -313,11 +307,10 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 			return &RowStream{s: s, plan: fmt.Sprintf("CREATE TABLE %s: %d rows, %d columns", name, rel.Len(), rel.Schema.Len())}, nil
 		}
 		if name, ok := st.DropTarget(); ok {
-			claimed, gerr := s.gate.AcquireCtx(ctx, 1)
-			if gerr != nil {
+			if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 				return nil, gerr
 			}
-			defer s.gate.Release(claimed)
+			defer s.gate.Release()
 			if derr := s.DropTable(name); derr != nil {
 				return nil, derr
 			}
@@ -335,11 +328,10 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	if prep.IsExplainAnalyze() {
 		// EXPLAIN ANALYZE executes the statement, so it goes through the
 		// admission gate like any other execution.
-		claimed, gerr := s.gate.AcquireCtx(ctx, prep.MaxDOP())
-		if gerr != nil {
+		if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 			return nil, gerr
 		}
-		defer s.gate.Release(claimed)
+		defer s.gate.Release()
 		text, eerr := prep.ExplainAnalyzeContext(ctx, params...)
 		if eerr != nil {
 			return nil, eerr
@@ -349,12 +341,9 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	if prep.IsExplain() {
 		return &RowStream{s: s, plan: prep.Explain(), cacheHit: hit}, nil
 	}
-	// Charge the plan's actual width, not the configured DOP: a serial
-	// plan costs one unit, so cheap queries never queue behind the
-	// parallel budget. The claim is held until the stream is closed —
-	// an open cursor IS in-flight work.
-	claimed, gerr := s.gate.AcquireCtx(ctx, prep.MaxDOP())
-	if gerr != nil {
+	// The claim is held until the stream is closed — an open cursor IS
+	// in-flight work.
+	if gerr := s.gate.AcquireCtx(ctx); gerr != nil {
 		return nil, gerr
 	}
 	var bud *exec.Budget
@@ -363,7 +352,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	}
 	cur, err := prep.StreamFor(ctx, bud, st, params)
 	if err != nil {
-		s.gate.Release(claimed)
+		s.gate.Release()
 		return nil, err
 	}
 	if cur.Reused() {
@@ -379,6 +368,5 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		s:        s,
 		src:      cur,
 		sch:      cur.Schema(),
-		release:  func() { s.gate.Release(claimed) },
 	}, nil
 }

@@ -230,7 +230,7 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 		default:
 			return nil, nil, fmt.Errorf("sqlish: unsupported join type %q", f.Type)
 		}
-		node := a.planner.ParJoin(left, right, cond, jt, false)
+		node := a.planner.Join(left, right, cond, jt, false)
 		return node, combined, nil
 	}
 	return nil, nil, fmt.Errorf("sqlish: unhandled from item %T", fi)

@@ -21,8 +21,8 @@ import (
 //	Parse    — lex + parse the SQL text into an AST (Statement)
 //	Analyze  — resolve names against a Catalog, type-check, extract
 //	           placeholders
-//	Plan     — build the immutable plan.Node tree (cost-based method and
-//	           exchange choices happen here)
+//	Plan     — build the immutable plan.Node tree (cost estimates and
+//	           the optimizer's rewrites happen here)
 //	Execute  — bind $N parameter values and drain the plan
 //
 // Parse is independent of any catalog; Analyze+Plan are fused in Prepare
@@ -224,7 +224,6 @@ type Prepared struct {
 
 	root           plan.Node
 	cols, types    []string // root's ResultColumns, listed once per plan
-	maxDOP         int
 	explain        bool
 	explainAnalyze bool
 
@@ -254,7 +253,7 @@ func Prepare(sql string, cat Catalog, flags plan.Flags) (*Prepared, error) {
 // Prepare runs the Analyze, Plan and Optimize stages: names are resolved
 // against cat, WITH clauses become shared subplans, the cost-based
 // planner (under flags, fed by the catalog's table statistics when cat
-// implements plan.StatsSource) fixes join methods and exchange placement,
+// implements plan.StatsSource) estimates every node,
 // and — unless flags.DisableOptimizer — the rule-based optimizer rewrites
 // the plan (predicate pushdown, projection pruning, constant folding,
 // join reordering). The resulting plan is generic over its $N
@@ -325,16 +324,10 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 		root:           node,
 		cols:           cols,
 		types:          types,
-		maxDOP:         plan.MaxDOP(node),
 		explain:        ast.Explain,
 		explainAnalyze: ast.ExplainAnalyze,
 	}, nil
 }
-
-// MaxDOP reports the widest exchange in the plan: how many worker
-// goroutines one execution can occupy (1 for serial plans). Admission
-// control charges executions this weight.
-func (p *Prepared) MaxDOP() int { return p.maxDOP }
 
 // IsExplain reports whether the statement was an EXPLAIN; Execute refuses
 // such statements (use Explain instead).

@@ -93,49 +93,3 @@ func TestColumnarDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestColumnarExchangeParallel forces parallel plans (ColSplitter
-// partitions by hashing key encodings, ColExchange merges the fragments)
-// and diffs them byte-equal against the serial engine. Run under -race this
-// is the concurrency check for the exchange.
-func TestColumnarExchangeParallel(t *testing.T) {
-	attrs := []schema.Attr{
-		{Name: "a", Type: value.KindInt},
-		{Name: "b", Type: value.KindInt},
-	}
-	queries := []string{
-		"SELECT r.a, s.b FROM r JOIN s ON r.a = s.a WHERE s.b >= 1",
-		"SELECT a, b, Ts, Te FROM (r ALIGN s ON r.a = s.a) x WHERE a >= 1",
-		"SELECT a, b, Ts, Te FROM (r NORMALIZE s USING (a)) x",
-		"SELECT a, b FROM r WHERE a = 1 UNION SELECT a, b FROM s WHERE b = 1",
-	}
-	for seed := 0; seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(int64(2000 + seed)))
-		cfg := randrel.DefaultConfig(attrs...)
-		cfg.MaxTuples = 40
-		rels := map[string]*relation.Relation{
-			"r": randrel.Generate(rng, cfg),
-			"s": randrel.Generate(rng, cfg),
-		}
-		par := plan.DefaultFlags()
-		par.DOP = 4
-		par.ForceParallel = true
-		pe := NewEngine(par)
-		re := NewEngine(plan.DefaultFlags())
-		for name, rel := range rels {
-			pe.Register(name, rel)
-			re.Register(name, rel)
-		}
-		for _, q := range queries {
-			want, _, err := re.Query(q)
-			if err != nil {
-				t.Fatalf("seed %d: serial %s: %v", seed, q, err)
-			}
-			got, _, err := pe.Query(q)
-			if err != nil {
-				t.Fatalf("seed %d: parallel %s: %v", seed, q, err)
-			}
-			assertByteEqual(t, "parallel", q, seed, got, want)
-		}
-	}
-}

@@ -33,8 +33,7 @@ import (
 // left to the collector. So no batch may be used after Close.
 //
 // A Cursor is single-use and not safe for concurrent use; Close is
-// idempotent and must be called (it tears down exchange workers and
-// releases operator state).
+// idempotent and must be called (it releases operator state).
 type Cursor struct {
 	cit    exec.ColIterator
 	rows   *exec.Materialize // over cit, from the first Next
@@ -198,8 +197,8 @@ func (c *Cursor) finish(err error) {
 }
 
 // Close releases the execution's resources (idempotent). Closing before
-// exhaustion stops the pipeline early — upstream operators, exchange
-// workers included, are torn down without draining. A re-openable
+// exhaustion stops the pipeline early — upstream operators are torn down
+// without draining. A re-openable
 // pipeline that ended cleanly goes back to its Prepared.
 func (c *Cursor) Close() error {
 	if c.closed {

@@ -366,35 +366,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-// TestPreparedMaxDOP: admission weight reflects the plan's actual width,
-// not the configured DOP — serial plans cost 1.
-func TestPreparedMaxDOP(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cfg := randrel.DefaultConfig(
-		schema.Attr{Name: "k", Type: value.KindString},
-		schema.Attr{Name: "v", Type: value.KindInt})
-	cfg.MaxTuples = 50
-	cat := MapCatalog{}
-	cat.Register("t", randrel.Generate(rng, cfg))
-	flags := plan.DefaultFlags()
-	flags.DOP = 4
-	flags.ForceParallel = true
-	par, err := Prepare("SELECT k, COUNT(*) c FROM t GROUP BY k", cat, flags)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if par.MaxDOP() != 4 {
-		t.Fatalf("parallel plan MaxDOP = %d, want 4", par.MaxDOP())
-	}
-	ser, err := Prepare("SELECT k FROM t", cat, flags)
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if ser.MaxDOP() != 1 {
-		t.Fatalf("serial plan MaxDOP = %d, want 1", ser.MaxDOP())
-	}
-}
-
 // TestWithClauseIsPerExecution ensures WITH bodies re-materialize per
 // execution (they are SharedNode subtrees, not prepare-time snapshots), so
 // parameters inside WITH work.

@@ -129,7 +129,7 @@ func refRun(st refStmt, cat MapCatalog, flags plan.Flags) (*relation.Relation, e
 		jt := exec.InnerJoin
 		for ; !strings.HasPrefix(spec, jt.String()); jt++ {
 		}
-		return plan.Run(p.ParJoin(p.Scan(cat["r"], "r"), p.Scan(cat["s"], "s"), cond, jt, strings.Contains(spec, "matchT")))
+		return plan.Run(p.Join(p.Scan(cat["r"], "r"), p.Scan(cat["s"], "s"), cond, jt, strings.Contains(spec, "matchT")))
 	}
 	prep, err := Prepare(st.sql, cat, flags)
 	if err != nil {
@@ -212,15 +212,16 @@ func TestRowReference(t *testing.T) {
 	}{
 		{"default", func(*plan.Flags) {}},
 		{"batch=2", func(f *plan.Flags) { f.BatchSize = 2 }},
-		{"dop=2 forced", func(f *plan.Flags) { f.DOP, f.ForceParallel = 2, true }},
 		{"no optimizer", func(f *plan.Flags) { f.DisableOptimizer = true }},
 	} {
-		flags := plan.DefaultFlags()
-		c.mut(&flags)
-		for i, got := range strings.Split(refRender(t, c.tag, flags), "\n") {
-			if i >= len(want) || got != want[i] {
-				t.Fatalf("%s: line %d:\n got %q\nwant %q", c.tag, i+1, got, append(want, "<end of golden>")[min(i, len(want))])
+		t.Run(c.tag, func(t *testing.T) {
+			flags := plan.DefaultFlags()
+			c.mut(&flags)
+			for i, got := range strings.Split(refRender(t, c.tag, flags), "\n") {
+				if i >= len(want) || got != want[i] {
+					t.Fatalf("line %d:\n got %q\nwant %q", i+1, got, append(want, "<end of golden>")[min(i, len(want))])
+				}
 			}
-		}
+		})
 	}
 }

@@ -57,7 +57,7 @@ func (a *analyzer) buildSelect(st *selectStmt) (plan.Node, *scope, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		node = a.planner.ParJoin(node, right, nil, exec.InnerJoin, false)
+		node = a.planner.Join(node, right, nil, exec.InnerJoin, false)
 		sc = combineScopes(sc, rsc)
 	}
 	// Alias uniqueness.
@@ -261,7 +261,7 @@ func (a *analyzer) buildAggSelect(st *selectStmt, node plan.Node, sc *scope) (pl
 	for i := range groupExprs {
 		groupNames[i] = fmt.Sprintf("g%d", i)
 	}
-	aggNode, err := a.planner.ParAggregate(node, groupExprs, groupNames, groupByT, aggs)
+	aggNode, err := a.planner.Aggregate(node, groupExprs, groupNames, groupByT, aggs)
 	if err != nil {
 		return nil, err
 	}

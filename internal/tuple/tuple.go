@@ -3,7 +3,6 @@
 package tuple
 
 import (
-	"hash/maphash"
 	"strings"
 
 	"talign/internal/interval"
@@ -86,26 +85,6 @@ func (t Tuple) Compare(o Tuple) int {
 // CompareVals orders tuples by nontemporal values only.
 func (t Tuple) CompareVals(o Tuple) int {
 	return compareVals(t.Vals, o.Vals)
-}
-
-// HashVals mixes the nontemporal values at the given positions into h; a nil
-// cols hashes all values.
-func (t Tuple) HashVals(h *maphash.Hash, cols []int) {
-	if cols == nil {
-		for _, v := range t.Vals {
-			v.Hash(h)
-		}
-		return
-	}
-	for _, c := range cols {
-		t.Vals[c].Hash(h)
-	}
-}
-
-// Hash mixes values and timestamp into h (full set-semantics identity).
-func (t Tuple) Hash(h *maphash.Hash) {
-	t.HashVals(h, nil)
-	value.NewInterval(t.T).Hash(h)
 }
 
 // Concat returns the concatenation of t and o's values; the result carries

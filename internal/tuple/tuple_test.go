@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"hash/maphash"
 	"testing"
 
 	"talign/internal/interval"
@@ -69,32 +68,6 @@ func TestConcatWithTAndPad(t *testing.T) {
 	p := NullPad(3, interval.New(0, 1))
 	if p.Arity() != 3 || !p.Vals[0].IsNull() {
 		t.Fatalf("pad: %v", p)
-	}
-}
-
-func TestHashConsistency(t *testing.T) {
-	seed := maphash.MakeSeed()
-	h := func(tp Tuple, cols []int) uint64 {
-		var mh maphash.Hash
-		mh.SetSeed(seed)
-		tp.HashVals(&mh, cols)
-		return mh.Sum64()
-	}
-	a := tup(0, 5, value.NewString("x"), value.NewInt(1))
-	b := tup(9, 12, value.NewString("x"), value.NewInt(1))
-	if h(a, nil) != h(b, nil) {
-		t.Fatal("HashVals ignores time")
-	}
-	if h(a, []int{0}) != h(b, []int{0}) {
-		t.Fatal("column-restricted hash")
-	}
-	var m1, m2 maphash.Hash
-	m1.SetSeed(seed)
-	m2.SetSeed(seed)
-	a.Hash(&m1)
-	b.Hash(&m2)
-	if m1.Sum64() == m2.Sum64() {
-		t.Fatal("full Hash must include time")
 	}
 }
 

@@ -6,7 +6,6 @@ package value
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 
@@ -201,45 +200,6 @@ func (v Value) rank() int {
 	return 5
 }
 
-// Hash mixes the value into h for the row exchange's partition routing.
-// Values that are Equal hash identically: an integral float hashes like
-// the int it equals, and every NaN hashes alike.
-func (v Value) Hash(h *maphash.Hash) {
-	switch v.kind {
-	case KindNull:
-		h.WriteByte(0)
-	case KindBool:
-		h.WriteByte(1)
-		h.WriteByte(byte(v.i))
-	case KindInt:
-		h.WriteByte(2)
-		writeUint64(h, uint64(v.i))
-	case KindFloat:
-		switch f := v.f; {
-		case f >= -two63 && f < two63 && f == float64(int64(f)):
-			// Integral float hashes like the equal int.
-			h.WriteByte(2)
-			writeUint64(h, uint64(int64(f)))
-		case f != f:
-			// Every NaN is one value to Equal, Compare and AppendKey,
-			// whatever its sign and payload bits.
-			h.WriteByte(3)
-			writeUint64(h, math.Float64bits(math.NaN()))
-		default:
-			h.WriteByte(3)
-			writeUint64(h, math.Float64bits(f))
-		}
-	case KindString:
-		h.WriteByte(4)
-		h.WriteString(v.s)
-		h.WriteByte(0xff)
-	case KindInterval:
-		h.WriteByte(5)
-		writeUint64(h, uint64(v.i))
-		writeUint64(h, uint64(v.j))
-	}
-}
-
 // String renders the value; ω prints as the paper's symbol.
 func (v Value) String() string {
 	switch v.kind {
@@ -319,12 +279,4 @@ func cmpIntFloat(i int64, f float64) int {
 		return -1 // i == floor(f) < f
 	}
 	return 0
-}
-
-func writeUint64(h *maphash.Hash, u uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	h.Write(b[:])
 }

@@ -1,7 +1,6 @@
 package value
 
 import (
-	"hash/maphash"
 	"testing"
 	"testing/quick"
 
@@ -96,33 +95,6 @@ func TestAsFloat(t *testing.T) {
 	}
 }
 
-func hashOf(v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(fixedSeed)
-	v.Hash(&h)
-	return h.Sum64()
-}
-
-var fixedSeed = maphash.MakeSeed()
-
-// Property: Equal values hash identically (including int/float equality).
-func TestPropEqualImpliesSameHash(t *testing.T) {
-	f := func(i int16, pickFloat bool) bool {
-		a := NewInt(int64(i))
-		b := a
-		if pickFloat {
-			b = NewFloat(float64(i))
-		}
-		if !a.Equal(b) {
-			return false
-		}
-		return hashOf(a) == hashOf(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Compare is antisymmetric and Equal ⇔ Compare==0.
 func TestPropCompareAntisymmetric(t *testing.T) {
 	mk := func(sel uint8, i int16, s string) Value {
@@ -148,21 +120,6 @@ func TestPropCompareAntisymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: string hashing distinguishes boundary-shifted strings (the
-// terminator byte prevents ["ab","c"] colliding with ["a","bc"]).
-func TestStringHashBoundary(t *testing.T) {
-	var h1, h2 maphash.Hash
-	h1.SetSeed(fixedSeed)
-	h2.SetSeed(fixedSeed)
-	NewString("ab").Hash(&h1)
-	NewString("c").Hash(&h1)
-	NewString("a").Hash(&h2)
-	NewString("bc").Hash(&h2)
-	if h1.Sum64() == h2.Sum64() {
-		t.Fatal("string concatenation ambiguity in hashing")
 	}
 }
 

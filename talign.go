@@ -33,9 +33,8 @@
 //	demo            host part "demo" preloads the paper's hotel example
 //	                relations r(n) and p(a, mn, mx)
 //	load=name=path  load a CSV file as a relation (repeatable)
-//	j=N             degree of parallelism (0 = all CPUs)
 //	cache=N         prepared-plan cache capacity
-//	max-dop=N       total in-flight DOP across concurrent queries
+//	max-dop=N       in-flight queries admitted at once (0 = unlimited)
 //	max-rows=N      per-query row budget across operator boundaries
 //	max-bytes=N     per-query byte budget across operator boundaries
 //	analyze=0       skip the automatic ANALYZE of loaded tables
