@@ -2,7 +2,7 @@
 // temporal SQL dialect of the paper: load interval timestamped relations
 // from CSV files, then run queries with ALIGN, NORMALIZE, ABSORB, outer
 // joins and temporal aggregation; EXPLAIN shows the plan with the
-// optimizer's row and cost estimates.
+// optimizer's row estimates.
 //
 // Usage:
 //

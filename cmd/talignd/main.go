@@ -58,8 +58,8 @@
 // /readyz turns 503), lets in-flight streams finish for up to -drain,
 // then exits 0.
 //
-// Loaded tables are auto-analyzed at startup, so the cost-based optimizer
-// starts with real statistics; "ANALYZE <table>" via POST /query
+// Loaded tables are auto-analyzed at startup, so the planner's row
+// estimates start from real statistics; "ANALYZE <table>" via POST /query
 // refreshes them at any time.
 //
 // Example:

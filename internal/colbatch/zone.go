@@ -19,8 +19,8 @@ func (z ZoneCol) AllNull() bool { return z.Min.IsNull() }
 // (min/max of TS and TE over all rows), and per-column min/max. The
 // optimizer prunes a segment when a pushed-down predicate's admissible
 // range is disjoint from the zone; internal/stats aggregates zones into
-// table statistics so freshly loaded tables cost realistically before
-// their first ANALYZE.
+// table statistics so freshly loaded tables get realistic estimates
+// before their first ANALYZE.
 type Zone struct {
 	Rows  int
 	MinTS int64

@@ -238,7 +238,7 @@ func (c *Coordinator) stageShards(ctx context.Context, name string, shards []*co
 }
 
 // AnalyzeWorkers broadcasts a full ANALYZE to every worker so their
-// cost-based optimizers start with real per-shard statistics (the
+// row estimates start from real per-shard statistics (the
 // distributed mirror of single-node startup auto-analyze).
 func (c *Coordinator) AnalyzeWorkers(ctx context.Context) error {
 	for _, w := range c.client.workers {

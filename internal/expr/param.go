@@ -19,7 +19,7 @@ type Param struct {
 	// Peek is set on a slot the statement front end lifted out of the
 	// statement text: the literal first seen in that position. The plan is
 	// shared by every statement of the same shape, so the peeked value may
-	// feed cost estimates and nothing else — which rows qualify is decided
+	// feed row estimates and nothing else — which rows qualify is decided
 	// by the value bound at execution. It also fixes the slot's static kind
 	// (statements whose literals differ in kind never share a plan) and is
 	// what EXPLAIN prints for the slot.

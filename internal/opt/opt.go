@@ -3,19 +3,18 @@
 // constant folding, filter merging, predicate pushdown (below
 // projections, joins, set operations, duplicate elimination, aggregation
 // and the fused ALIGN/NORMALIZE operator), projection collapsing,
-// temporal aggregation as an endpoint sweep (sweep.go), and cost-based
-// join reordering for chains of inner joins. Every rebuilt
-// node goes back through the plan.Planner, so its access (hash on the
-// equi keys or nested loop) follows the rewritten condition and its cost
-// is re-estimated against the rewritten inputs — with table statistics
-// from ANALYZE when the catalog carries them.
+// and temporal aggregation as an endpoint sweep (sweep.go). Inner joins
+// run in the order written. Every rebuilt node goes back through the
+// plan.Planner, so its access (hash on the equi keys or nested loop)
+// follows the rewritten condition and its rows are re-estimated against
+// the rewritten inputs — with table statistics from ANALYZE when the
+// catalog carries them.
 //
 // The pass is semantics-preserving by construction; each rule documents
 // the invariant that makes it safe (most importantly: a join's output
-// valid time is its LEFT input's T, so pushdown to the right side and
-// join reordering are restricted to rewrites that keep the observable T
-// unchanged). plan.Flags.DisableOptimizer bypasses the whole pass for
-// differential testing.
+// valid time is its LEFT input's T, so pushdown to the right side is
+// restricted to conjuncts that do not read T). plan.Flags.DisableOptimizer
+// bypasses the whole pass for differential testing.
 package opt
 
 import (
@@ -30,21 +29,18 @@ import (
 // returns the (possibly identical) optimized plan. The input plan is
 // never mutated; shared subtrees (WITH bodies) stay shared in the output.
 func Optimize(n plan.Node, p *plan.Planner) plan.Node {
-	o := &optimizer{p: p, memo: map[plan.Node]plan.Node{}, reMemo: map[plan.Node]plan.Node{}}
-	out := o.rewrite(n)
-	return o.reorder(out)
+	o := &optimizer{p: p, memo: map[plan.Node]plan.Node{}}
+	return o.rewrite(n)
 }
 
 // optimizer carries one pass's state: the planner (flags + statistics)
-// and sharing-preserving memo tables for both phases.
+// and a sharing-preserving memo table.
 type optimizer struct {
-	p      *plan.Planner
-	memo   map[plan.Node]plan.Node
-	reMemo map[plan.Node]plan.Node
+	p    *plan.Planner
+	memo map[plan.Node]plan.Node
 }
 
-// rewrite is the memoized phase-1 entry point (folding, filters,
-// projections).
+// rewrite is the memoized entry point (folding, filters, projections).
 func (o *optimizer) rewrite(n plan.Node) plan.Node {
 	if r, ok := o.memo[n]; ok {
 		return r
@@ -263,7 +259,10 @@ func (o *optimizer) keepFilter(n plan.Node, keep expr.Expr) plan.Node {
 // The join's output valid time is the LEFT input's T, so left-side pushes
 // may reference T while right-side pushes must not; outer joins only
 // accept pushes on their row-preserving side (pushing into the
-// null-extended side would change which rows get padded).
+// null-extended side would change which rows get padded). An inner join
+// takes the conjuncts that stay into its condition, which evaluates with
+// env.T = the left tuple's T, the T a filter above the join reads: a
+// comma join's two-sided conjuncts become keys to hash on.
 func (o *optimizer) filterOverJoin(j *plan.JoinNode, pred expr.Expr) plan.Node {
 	lw := j.Left.Schema().Len()
 	canLeft := j.Type == exec.InnerJoin || j.Type == exec.LeftOuterJoin ||
@@ -281,7 +280,14 @@ func (o *optimizer) filterOverJoin(j *plan.JoinNode, pred expr.Expr) plan.Node {
 			keep = append(keep, c)
 		}
 	}
-	if len(lefts) == 0 && len(rights) == 0 {
+	cond := j.Cond
+	if j.Type == exec.InnerJoin && len(keep) > 0 {
+		if cond != nil {
+			keep = append([]expr.Expr{cond}, keep...)
+		}
+		cond, keep = expr.And(keep...), nil
+	}
+	if len(lefts) == 0 && len(rights) == 0 && len(keep) > 0 {
 		return o.p.Filter(j, pred)
 	}
 	l, r := j.Left, j.Right
@@ -291,7 +297,7 @@ func (o *optimizer) filterOverJoin(j *plan.JoinNode, pred expr.Expr) plan.Node {
 	if len(rights) > 0 {
 		r = o.filter(r, expr.And(rights...))
 	}
-	nj := o.p.Join(l, r, j.Cond, j.Type, j.MatchT)
+	nj := o.p.Join(l, r, cond, j.Type, j.MatchT)
 	if len(keep) == 0 {
 		return nj
 	}

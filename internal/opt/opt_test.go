@@ -111,8 +111,9 @@ func TestPushdownBelowJoin(t *testing.T) {
 	if !strings.Contains(below, "Filter (#0 = 3)") || !strings.Contains(below, "Filter (#1 >= 10)") {
 		t.Errorf("single-side conjuncts not pushed below the join:\n%s", text)
 	}
-	if !strings.HasPrefix(text, "Filter") {
-		t.Errorf("cross-side residual should stay above the join:\n%s", text)
+	// An inner join takes the cross-side residual into its condition.
+	if !strings.HasPrefix(text, "hash inner join ON ((#0 = #2) AND (#1 <> #3))") {
+		t.Errorf("cross-side residual should join the join's condition:\n%s", text)
 	}
 }
 
@@ -160,24 +161,24 @@ func TestIdentityProjectElided(t *testing.T) {
 	}
 }
 
-func TestJoinReorder(t *testing.T) {
+// TestCommaJoinHashes: a WHERE conjunct that reads both inputs of an
+// inner join becomes part of the join's condition, so
+//
+//	SELECT r.b, s.b, u.b FROM r, s, u WHERE r.a = s.a AND s.b = u.b AND u.a = 1
+//
+// runs as two hash joins on its equi keys instead of a filter over each
+// nested-loop cross product.
+func TestCommaJoinHashes(t *testing.T) {
 	p := plan.NewPlanner(plan.DefaultFlags())
-	// big1 ⋈ big2 (huge intermediate) then ⋈ tiny: joining big1 with the
-	// tiny relation first collapses the intermediate result. The
-	// reorderer must find that order, and the result (column order and
-	// valid times included) must not change.
-	big1 := scanWithStats(p, testRel(2000, 50), "big1")
-	big2 := scanWithStats(p, testRel(2000, 50), "big2")
-	tiny := scanWithStats(p, testRel(3, 3), "tiny")
-	j1 := p.Join(big1, big2, expr.Eq(expr.CI(0, value.KindInt), expr.CI(2, value.KindInt)), exec.InnerJoin, false)
-	j2 := p.Join(j1, tiny, expr.Eq(expr.CI(0, value.KindInt), expr.CI(4, value.KindInt)), exec.InnerJoin, false)
-	o := runBoth(t, p, j2)
-	if o.Cost() >= j2.Cost() {
-		t.Errorf("reordered plan should be cheaper: %v >= %v\n%s", o.Cost(), j2.Cost(), plan.Explain(o))
-	}
-	// Schema must be preserved exactly.
-	if o.Schema().String() != j2.Schema().String() {
-		t.Errorf("reorder changed the schema: %s vs %s", o.Schema(), j2.Schema())
+	r, s, u := p.Scan(testRel(30, 4), "r"), p.Scan(testRel(30, 5), "s"), p.Scan(testRel(30, 3), "u")
+	col := func(i int) expr.Expr { return expr.CI(i, value.KindInt) }
+	// Columns of r × s × u: r.k 0, r.v 1, s.k 2, s.v 3, u.k 4, u.v 5.
+	from := p.Join(p.Join(r, s, nil, exec.InnerJoin, false), u, nil, exec.InnerJoin, false)
+	where := expr.And(expr.Eq(col(0), col(2)), expr.Eq(col(3), col(5)), expr.Eq(col(4), expr.Int(1)))
+	stmt := p.Project(p.Filter(from, where), []string{"rv", "sv", "uv"}, []expr.Expr{col(1), col(3), col(5)})
+	text := plan.Explain(runBoth(t, p, stmt))
+	if strings.Count(text, "hash inner join") != 2 || strings.Contains(text, "ON true") {
+		t.Errorf("want two hash inner joins and no ON true:\n%s", text)
 	}
 }
 

@@ -58,8 +58,8 @@ func ExplainAnalyze(n Node, ctx *ExecCtx) (string, *relation.Relation, error) {
 			note = fmt.Sprintf(" (segments scanned=%d pruned=%d)", sc.scanned, sc.pruned)
 		}
 		mu.Unlock()
-		fmt.Fprintf(&b, "%s  (rows=%.0f cost=%.2f) (actual rows=%s)%s\n",
-			n.Label(), n.Rows(), n.Cost(), actual, note)
+		fmt.Fprintf(&b, "%s  (rows=%.0f) (actual rows=%s)%s\n",
+			n.Label(), n.Rows(), actual, note)
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}

@@ -23,7 +23,6 @@ type AdjustmentNode struct {
 
 	out   schema.Schema
 	rows  float64
-	cost  float64
 	stats memoStats
 	batch int
 }
@@ -55,17 +54,8 @@ func (p *Planner) FusedAdjustFrom(l, r Node, mode exec.AdjustMode, keys []expr.E
 		Keys: keys, Residual: residual,
 		out: l.Schema(), batch: p.Flags.BatchSize,
 	}
-	n.rows = n.estimateRows() // the cost charges the sweep per output row
-	n.cost = n.estimateCost()
+	n.rows = n.estimateRows()
 	return n
-}
-
-// estimateCost prices group construction like the join it absorbs: a keyed
-// θ at JoinNode's hash cost; a keyless θ at its nested-loop cost, the worst
-// case of scanning its one run, which a long group interval can widen to
-// the whole side. The sweep adds the Sec. 6.2/6.3 per-row adjustment cost.
-func (n *AdjustmentNode) estimateCost() float64 {
-	return accessCost(n.Left, n.Right, len(n.Keys) > 0) + 2*CPUOperatorCost*n.rows
 }
 
 func (n *AdjustmentNode) Schema() schema.Schema { return n.out }
@@ -121,8 +111,6 @@ func (n *AdjustmentNode) Stats() *stats.Table {
 	return n.stats.store(&stats.Table{Rows: int64(n.rows), Cols: in.Cols})
 }
 
-func (n *AdjustmentNode) Cost() float64 { return n.cost }
-
 // Build runs the one fused operator over guarded inputs (see
 // ExecCtx.input).
 func (n *AdjustmentNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
@@ -173,13 +161,6 @@ func (n *SweepAggNode) Children() []Node      { return []Node{n.Input} }
 // Rows is the sweep's bound: a run of m rows has at most 2m − 1
 // elementary intervals.
 func (n *SweepAggNode) Rows() float64 { return math.Max(1, 2*n.Input.Rows()) }
-
-// Cost charges the sort of every run's ends and a state update per row
-// and aggregate.
-func (n *SweepAggNode) Cost() float64 {
-	in := math.Max(n.Input.Rows(), 1)
-	return n.Input.Cost() + in*CPUOperatorCost*(math.Log2(in+1)+float64(len(n.Aggs)))
-}
 
 // Build runs the sweep over a guarded input (see ExecCtx.input).
 func (n *SweepAggNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {

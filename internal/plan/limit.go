@@ -19,7 +19,6 @@ type LimitNode struct {
 	N      int64
 	Offset int64
 
-	cost  memoFloat
 	stats memoStats
 }
 
@@ -38,20 +37,6 @@ func (l *LimitNode) Rows() float64 {
 		in = math.Min(in, float64(l.N))
 	}
 	return in
-}
-
-// Cost charges the input in proportion to the fraction of it the early
-// exit actually pulls.
-func (l *LimitNode) Cost() float64 {
-	if v, ok := l.cost.load(); ok {
-		return v
-	}
-	inRows := math.Max(l.Input.Rows(), 1)
-	frac := 1.0
-	if l.N >= 0 {
-		frac = math.Min(1, (float64(l.N)+float64(l.Offset))/inRows)
-	}
-	return l.cost.store(l.Input.Cost()*frac + l.Rows()*CPUTupleCost)
 }
 
 // Stats scales the input's statistics down to the capped cardinality.

@@ -1,12 +1,13 @@
 // Package plan implements the logical plan layer above the executor:
-// statistics-based cost estimation, the paper's row and cost estimates for
+// statistics-based cardinality estimation, the paper's row estimates for
 // the new Align/Normalize nodes (Sec. 6.2/6.3), plan construction helpers,
 // and EXPLAIN rendering.
 //
-// Access paths follow θ's shape, not a cost comparison or a flag: a join
-// whose condition has equi keys hashes on them, one without runs as a
-// nested loop, and alignment and normalization scan start-ordered runs of
-// their group side, one per equi key (see AdjustmentNode).
+// Plans carry estimates, not costs, and nothing chooses between plans by
+// them: a join whose condition has equi keys hashes on them, one without
+// runs as a nested loop, alignment and normalization scan start-ordered
+// runs of their group side, one per equi key (see AdjustmentNode), and
+// inner joins run in the order written.
 package plan
 
 import (
@@ -24,14 +25,8 @@ import (
 	"talign/internal/value"
 )
 
-// Cost model constants, PostgreSQL-flavoured.
+// Default selectivities, for predicates that statistics do not cover.
 const (
-	CPUTupleCost    = 0.01
-	CPUOperatorCost = 0.0025
-	SeqPageCost     = 1.0
-	TuplesPerPage   = 100
-
-	// Default selectivities.
 	EqSelectivity    = 0.005
 	RangeSelectivity = 1.0 / 3.0
 )
@@ -42,10 +37,10 @@ type Flags struct {
 	// BatchSize overrides the executor's DefaultBatchSize when > 0.
 	BatchSize int
 	// DisableOptimizer skips the rule-based rewrite pass (predicate
-	// pushdown, projection pruning, constant folding, join reordering)
-	// after analysis, preserving the analyzer's literal plans. It exists
-	// as the escape hatch for differential testing: optimized and
-	// unoptimized plans must return identical results.
+	// pushdown, projection pruning, constant folding) after analysis,
+	// preserving the analyzer's literal plans. It exists as the escape
+	// hatch for differential testing: optimized and unoptimized plans
+	// must return identical results.
 	DisableOptimizer bool
 	// DisablePruning turns off zone-map segment pruning on scans of
 	// storage-backed relations. Pruning only ever skips segments whose
@@ -73,22 +68,20 @@ func (f Flags) Fingerprint() string {
 	return fmt.Sprintf("bs%d,op%c,zp%c", f.BatchSize, b(f.DisableOptimizer), b(f.DisablePruning))
 }
 
-// Node is a logical plan node with cost estimates and a physical build.
+// Node is a logical plan node with row estimates and a physical build.
 // A node is immutable once its constructor returns, and each of its
-// estimates — Rows, Cost and, where it has them, Stats — is computed the
-// first time somebody asks and memoized (memoFloat, memoStats): asking
-// again reads a field, so estimation stays linear in plan size however
-// often the cost comparisons, the optimizer's rebuilds, EXPLAIN and the
-// executors' presizing hints ask. A copy-constructor that changes what an
-// estimate depends on must start from empty memos (ScanNode.WithPrune
-// changes none of it: a scan's estimates read its relation).
+// estimates — Rows and, where it has them, Stats — is computed the first
+// time somebody asks and memoized (memoFloat, memoStats): asking again
+// reads a field, so estimation stays linear in plan size however often
+// the optimizer's rebuilds, EXPLAIN and the executors' presizing hints
+// ask. A copy-constructor that changes what an estimate depends on must
+// start from empty memos (ScanNode.WithPrune changes none of it: a scan's
+// estimates read its relation).
 type Node interface {
 	Schema() schema.Schema
 	Children() []Node
 	// Rows is the estimated output cardinality.
 	Rows() float64
-	// Cost is the estimated total cost (children included).
-	Cost() float64
 	// Build instantiates the node's operator over its built inputs (see
 	// ExecCtx.stream and ExecCtx.input; BuildRoot for a whole plan). Plans
 	// are immutable and may be Built concurrently; what an execution binds
@@ -103,7 +96,7 @@ type Node interface {
 type Planner struct {
 	Flags Flags
 	// Stats resolves table statistics during plan construction; nil means
-	// no statistics (the cost model falls back to its constants).
+	// no statistics (estimates fall back to the default selectivities).
 	Stats StatsSource
 }
 
@@ -128,7 +121,7 @@ type Statser interface {
 	Stats() *stats.Table
 }
 
-// memoFloat memoizes one Rows or Cost estimate. The zero value means
+// memoFloat memoizes one Rows estimate. The zero value means
 // "not computed yet": the stored bits are the value's XORed with a NaN
 // payload no estimate produces. Two executions building the same cached
 // plan may both compute an estimate; they store the same bits.
@@ -218,7 +211,7 @@ func Explain(n Node) string {
 	var walk func(n Node, depth int)
 	walk = func(n Node, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s  (rows=%.0f cost=%.2f)\n", n.Label(), n.Rows(), n.Cost())
+		fmt.Fprintf(&b, "%s  (rows=%.0f)\n", n.Label(), n.Rows())
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}
@@ -270,10 +263,6 @@ func (s *ScanNode) Children() []Node      { return nil }
 // Rows is the relation's exact cardinality (the scan holds the data, so
 // no estimate is needed even when statistics are stale).
 func (s *ScanNode) Rows() float64 { return float64(s.Rel.Len()) }
-func (s *ScanNode) Cost() float64 {
-	pages := math.Ceil(float64(s.Rel.Len()) / TuplesPerPage)
-	return pages*SeqPageCost + float64(s.Rel.Len())*CPUTupleCost
-}
 
 // Stats implements Statser with the table's ANALYZE statistics.
 func (s *ScanNode) Stats() *stats.Table { return s.TableStats }
@@ -330,8 +319,8 @@ type FilterNode struct {
 	Input Node
 	Pred  expr.Expr
 
-	rows, cost memoFloat
-	stats      memoStats
+	rows  memoFloat
+	stats memoStats
 }
 
 // Filter builds a selection node; pred must be bound against input's
@@ -349,12 +338,6 @@ func (f *FilterNode) Rows() float64 {
 	in := f.Input.Rows()
 	sel := clampSel(selectivity(f.Pred, NodeStats(f.Input)), in)
 	return f.rows.store(math.Max(1, in*sel))
-}
-func (f *FilterNode) Cost() float64 {
-	if v, ok := f.cost.load(); ok {
-		return v
-	}
-	return f.cost.store(f.Input.Cost() + f.Input.Rows()*CPUOperatorCost)
 }
 
 // Stats scales the input's statistics to the filtered cardinality; the
@@ -474,7 +457,7 @@ func colConstCmp(e expr.Cmp) (col int, v value.Value, op expr.CmpOp, ok bool) {
 
 // estVal is the operand value an ESTIMATE may use: a literal, or the
 // literal a lifted placeholder was first seen with (bind peeking — the
-// plan is costed as if every statement of its shape carried the first
+// plan is estimated as if every statement of its shape carried the first
 // one's values). Nothing that decides which rows qualify may call it: a
 // true constant is an expr.Const and nothing else, which is what constant
 // folding (package opt) and zone-map pruning (pruneCond.value) test for.
@@ -501,7 +484,6 @@ type ProjectNode struct {
 	TExpr expr.Expr
 
 	out   schema.Schema
-	cost  memoFloat
 	stats memoStats
 }
 
@@ -532,12 +514,6 @@ func (p *Planner) ProjectMode(input Node, names []string, exprs []expr.Expr, tmo
 func (pr *ProjectNode) Schema() schema.Schema { return pr.out }
 func (pr *ProjectNode) Children() []Node      { return []Node{pr.Input} }
 func (pr *ProjectNode) Rows() float64         { return pr.Input.Rows() }
-func (pr *ProjectNode) Cost() float64 {
-	if v, ok := pr.cost.load(); ok {
-		return v
-	}
-	return pr.cost.store(pr.Input.Cost() + pr.Input.Rows()*CPUOperatorCost*float64(len(pr.Exprs)))
-}
 
 // Stats remaps the input's column statistics through pass-through column
 // references — the columns are shared, not copied; computed output
@@ -587,7 +563,6 @@ type SortNode struct {
 	Input Node
 	Keys  []exec.SortKey
 
-	cost  memoFloat
 	batch int
 }
 
@@ -599,13 +574,6 @@ func (p *Planner) Sort(input Node, keys ...exec.SortKey) *SortNode {
 func (s *SortNode) Schema() schema.Schema { return s.Input.Schema() }
 func (s *SortNode) Children() []Node      { return []Node{s.Input} }
 func (s *SortNode) Rows() float64         { return s.Input.Rows() }
-func (s *SortNode) Cost() float64 {
-	if v, ok := s.cost.load(); ok {
-		return v
-	}
-	n := math.Max(s.Input.Rows(), 2)
-	return s.cost.store(s.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n))
-}
 
 // Stats passes the input's statistics through (sorting reorders rows
 // only).
@@ -660,13 +628,12 @@ type JoinNode struct {
 	keys     []expr.EquiPair
 	residual expr.Expr
 	out      schema.Schema
-	cost     float64
 	rows     float64
 	stats    memoStats
 	batch    int
 }
 
-// Join builds a join node and estimates its cost and rows.
+// Join builds a join node and estimates its rows.
 func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool) *JoinNode {
 	j := &JoinNode{Left: l, Right: r, Cond: cond, Type: typ, MatchT: matchT, batch: p.Flags.BatchSize}
 	if typ == exec.SemiJoin || typ == exec.AntiJoin {
@@ -683,7 +650,6 @@ func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool
 		// what lets reduced temporal joins hash.
 		j.keys = append(j.keys, expr.EquiPair{Left: expr.TPeriod{}, Right: expr.TPeriod{}})
 	}
-	j.cost = accessCost(l, r, len(j.keys) > 0)
 	lr, rr := math.Max(l.Rows(), 1), math.Max(r.Rows(), 1)
 	sel := joinSelectivity(j.Cond, j.keys, NodeStats(j.Left), NodeStats(j.Right))
 	rows := lr * rr * clampSel(sel, lr*rr)
@@ -699,17 +665,6 @@ func (p *Planner) Join(l, r Node, cond expr.Expr, typ exec.JoinType, matchT bool
 	}
 	j.rows = math.Max(rows, 1)
 	return j
-}
-
-// accessCost prices pairing each l row with its r partners, inputs
-// included: hashing r on the equi keys when keyed, the nested loop's cross
-// product when not.
-func accessCost(l, r Node, keyed bool) float64 {
-	lr, rr := math.Max(l.Rows(), 1), math.Max(r.Rows(), 1)
-	if keyed {
-		return l.Cost() + r.Cost() + rr*(CPUOperatorCost+CPUTupleCost) + lr*CPUOperatorCost*2
-	}
-	return l.Cost() + r.Cost() + lr*rr*CPUOperatorCost + rr*CPUTupleCost
 }
 
 // joinSelectivity estimates a join condition's selectivity over the cross
@@ -761,7 +716,6 @@ func joinSelectivity(cond expr.Expr, keys []expr.EquiPair, ls, rs *stats.Table) 
 func (j *JoinNode) Schema() schema.Schema { return j.out }
 func (j *JoinNode) Children() []Node      { return []Node{j.Left, j.Right} }
 func (j *JoinNode) Rows() float64         { return j.rows }
-func (j *JoinNode) Cost() float64         { return j.cost }
 
 // Stats concatenates the children's column statistics in output-schema
 // order (semi/anti joins keep only the left side), sharing the columns;
@@ -829,9 +783,9 @@ type AggNode struct {
 	GroupByT bool
 	Aggs     []exec.AggSpec
 
-	out        schema.Schema
-	rows, cost memoFloat
-	batch      int
+	out   schema.Schema
+	rows  memoFloat
+	batch int
 }
 
 // Aggregate builds an aggregation node.
@@ -884,12 +838,6 @@ func (a *AggNode) estimateRows() float64 {
 	}
 	return math.Max(1, math.Min(groups, in))
 }
-func (a *AggNode) Cost() float64 {
-	if v, ok := a.cost.load(); ok {
-		return v
-	}
-	return a.cost.store(a.Input.Cost() + a.Input.Rows()*CPUOperatorCost*float64(1+len(a.Aggs)))
-}
 
 // Build runs the aggregation operator, exec.ColHashAggregate, over a
 // guarded input (see ExecCtx.input).
@@ -922,8 +870,6 @@ func (a *AggNode) Label() string {
 type SetOpNode struct {
 	Left, Right Node
 	Kind        exec.SetOpKind
-
-	cost memoFloat
 }
 
 // SetOp builds a set operation node.
@@ -942,12 +888,6 @@ func (s *SetOpNode) Rows() float64 {
 	default:
 		return s.Left.Rows() * 0.5
 	}
-}
-func (s *SetOpNode) Cost() float64 {
-	if v, ok := s.cost.load(); ok {
-		return v
-	}
-	return s.cost.store(s.Left.Cost() + s.Right.Cost() + (s.Left.Rows()+s.Right.Rows())*CPUOperatorCost)
 }
 
 // Build streams the left input into the set operation; the right input,
@@ -975,8 +915,6 @@ func (s *SetOpNode) Label() string { return "SetOp " + s.Kind.String() }
 // DistinctNode removes exact duplicates.
 type DistinctNode struct {
 	Input Node
-
-	cost memoFloat
 }
 
 // Distinct builds a duplicate-elimination node.
@@ -987,12 +925,6 @@ func (p *Planner) Distinct(input Node) *DistinctNode {
 func (d *DistinctNode) Schema() schema.Schema { return d.Input.Schema() }
 func (d *DistinctNode) Children() []Node      { return []Node{d.Input} }
 func (d *DistinctNode) Rows() float64         { return math.Max(1, d.Input.Rows()*0.9) }
-func (d *DistinctNode) Cost() float64 {
-	if v, ok := d.cost.load(); ok {
-		return v
-	}
-	return d.cost.store(d.Input.Cost() + d.Input.Rows()*CPUOperatorCost)
-}
 func (d *DistinctNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	in, err := ctx.stream(d.Input)
 	if err != nil {
@@ -1010,7 +942,6 @@ func (d *DistinctNode) Label() string { return "Distinct" }
 type AbsorbNode struct {
 	Input Node
 
-	cost  memoFloat
 	batch int
 }
 
@@ -1022,13 +953,6 @@ func (p *Planner) Absorb(input Node) *AbsorbNode {
 func (a *AbsorbNode) Schema() schema.Schema { return a.Input.Schema() }
 func (a *AbsorbNode) Children() []Node      { return []Node{a.Input} }
 func (a *AbsorbNode) Rows() float64         { return math.Max(1, a.Input.Rows()*0.9) }
-func (a *AbsorbNode) Cost() float64 {
-	if v, ok := a.cost.load(); ok {
-		return v
-	}
-	n := math.Max(a.Input.Rows(), 2)
-	return a.cost.store(a.Input.Cost() + 2*CPUOperatorCost*n*math.Log2(n))
-}
 
 // Build runs the absorb operator, exec.ColAbsorb, over a guarded input
 // (see ExecCtx.input).

@@ -28,10 +28,9 @@ func equiCond(split int) expr.Expr {
 	return expr.Eq(expr.CI(0, value.KindInt), expr.CI(split, value.KindInt))
 }
 
-// TestPaperCostEstimates checks the Sec. 6.2/6.3 formulas on the fused
-// node: alignment estimates 3× its group-join rows, normalization 2×, and
-// the sweep adds 2·cpu_op per output row to the chosen group strategy.
-func TestPaperCostEstimates(t *testing.T) {
+// TestPaperRowEstimates checks the Sec. 6.2/6.3 formulas on the fused
+// node: alignment estimates 3× its group-join rows, normalization 2×.
+func TestPaperRowEstimates(t *testing.T) {
 	p := NewPlanner(DefaultFlags())
 	scan := p.Scan(sampleRel(100), "r")
 	// No statistics: the group join on k = k keeps max(100·100·2·EqSelectivity, 100) = 100 rows.
@@ -44,10 +43,6 @@ func TestPaperCostEstimates(t *testing.T) {
 	norm := p.FusedNormalize(scan, scan, keys)
 	if got := norm.Rows(); got != 400 {
 		t.Fatalf("normalize rows: got %v want 400 (= 2·group join)", got)
-	}
-	join := p.Join(scan, scan, equiCond(2), exec.LeftOuterJoin, false)
-	if got, want := align.Cost(), join.Cost()+2*CPUOperatorCost*300; got != want {
-		t.Fatalf("align cost: got %v want %v (group join + sweep)", got, want)
 	}
 }
 
@@ -189,21 +184,21 @@ func TestExplainRendering(t *testing.T) {
 	node := p.Absorb(p.Distinct(p.Filter(p.Scan(rel, "r"),
 		expr.Gt(expr.CI(1, value.KindInt), expr.Int(3)))))
 	text := Explain(node)
-	for _, part := range []string{"Absorb", "Distinct", "Filter", "SeqScan r", "rows=", "cost="} {
+	for _, part := range []string{"Absorb", "Distinct", "Filter", "SeqScan r", "rows="} {
 		if !strings.Contains(text, part) {
 			t.Fatalf("explain missing %q:\n%s", part, text)
 		}
 	}
+	if strings.Contains(text, "cost") {
+		t.Fatalf("explain prints estimates, not costs:\n%s", text)
+	}
 }
 
-// TestScanCostGrowsWithSize sanity-checks the scan model.
-func TestScanCostGrowsWithSize(t *testing.T) {
+// TestScanRowsExact: a scan holds its data, so its row estimate is exact.
+func TestScanRowsExact(t *testing.T) {
 	p := NewPlanner(DefaultFlags())
 	small := p.Scan(sampleRel(10), "s")
 	big := p.Scan(sampleRel(1000), "b")
-	if small.Cost() >= big.Cost() {
-		t.Fatal("scan cost must grow with relation size")
-	}
 	if small.Rows() != 10 || big.Rows() != 1000 {
 		t.Fatal("scan row estimates must be exact")
 	}

@@ -28,12 +28,6 @@ func (s *SharedNode) Schema() schema.Schema { return s.Input.Schema() }
 func (s *SharedNode) Children() []Node      { return []Node{s.Input} }
 func (s *SharedNode) Rows() float64         { return s.Input.Rows() }
 
-// Cost charges the input once plus a scan; without knowing the reuse count
-// here, it reports the single-execution cost.
-func (s *SharedNode) Cost() float64 {
-	return s.Input.Cost() + s.Input.Rows()*CPUTupleCost
-}
-
 // Stats passes the input's statistics through (materialization does not
 // change the distribution).
 func (s *SharedNode) Stats() *stats.Table { return NodeStats(s.Input) }

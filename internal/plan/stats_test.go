@@ -155,11 +155,11 @@ func TestExplainAnalyzeCounts(t *testing.T) {
 	}
 }
 
-// TestNodeEstimatesMemoized: a node's Rows, Cost and Stats are computed
+// TestNodeEstimatesMemoized: a node's Rows and Stats are computed
 // once, the first time they are asked for, from its inputs' — asking
 // again reads fields.
-// Walking a plan that has every node kind and asking every node for all
-// three allocates nothing, however deep the plan; before, each call
+// Walking a plan that has every node kind and asking every node for both
+// allocates nothing, however deep the plan; before, each call
 // re-derived its whole subtree and ProjectNode.Stats copied every column.
 func TestNodeEstimatesMemoized(t *testing.T) {
 	p := NewPlanner(DefaultFlags())
@@ -191,7 +191,7 @@ func TestNodeEstimatesMemoized(t *testing.T) {
 	var sink float64
 	ask := func() {
 		for _, n := range nodes {
-			sink += n.Rows() + n.Cost()
+			sink += n.Rows()
 			if st := NodeStats(n); st != nil {
 				sink += float64(st.Rows)
 			}
@@ -199,7 +199,7 @@ func TestNodeEstimatesMemoized(t *testing.T) {
 	}
 	ask()
 	if allocs := testing.AllocsPerRun(10, ask); allocs != 0 {
-		t.Errorf("asking %d nodes for Rows, Cost and Stats allocates %.0f times, want 0", len(nodes), allocs)
+		t.Errorf("asking %d nodes for Rows and Stats allocates %.0f times, want 0", len(nodes), allocs)
 	}
 	// Derived statistics share their inputs' columns instead of copying them.
 	if got, want := NodeStats(left).Col(1), r.TableStats.Col(1); got != want {

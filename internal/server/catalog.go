@@ -86,7 +86,7 @@ func (c *Catalog) Drop(name string) bool {
 }
 
 // SetStatsIf installs a table's ANALYZE statistics — invalidating the
-// cached plans over that table, whose cost decisions could change — only
+// cached plans over that table, whose estimates could change — only
 // if the relation registered under name is still rel, reporting whether
 // it did. ANALYZE computes outside the catalog lock; this compare-and-set
 // discards results that raced with a Register/Drop of the same table,

@@ -21,7 +21,7 @@ import (
 //	Parse    — lex + parse the SQL text into an AST (Statement)
 //	Analyze  — resolve names against a Catalog, type-check, extract
 //	           placeholders
-//	Plan     — build the immutable plan.Node tree (cost estimates and
+//	Plan     — build the immutable plan.Node tree (row estimates and
 //	           the optimizer's rewrites happen here)
 //	Execute  — bind $N parameter values and drain the plan
 //
@@ -251,12 +251,12 @@ func Prepare(sql string, cat Catalog, flags plan.Flags) (*Prepared, error) {
 }
 
 // Prepare runs the Analyze, Plan and Optimize stages: names are resolved
-// against cat, WITH clauses become shared subplans, the cost-based
-// planner (under flags, fed by the catalog's table statistics when cat
-// implements plan.StatsSource) estimates every node,
-// and — unless flags.DisableOptimizer — the rule-based optimizer rewrites
-// the plan (predicate pushdown, projection pruning, constant folding,
-// join reordering). The resulting plan is generic over its $N
+// against cat, WITH clauses become shared subplans, the planner (under
+// flags, fed by the catalog's table statistics when cat implements
+// plan.StatsSource) estimates every node's rows, and — unless
+// flags.DisableOptimizer — the rule-based optimizer rewrites the plan
+// (predicate pushdown, projection pruning, constant folding). Inner joins
+// run in the order written. The resulting plan is generic over its $N
 // placeholders.
 func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	if name, ok := st.AnalyzeTarget(); ok {
@@ -346,7 +346,7 @@ func (p *Prepared) Schema() schema.Schema { return p.root.Schema() }
 // are shared and must not be modified.
 func (p *Prepared) Columns() (cols, types []string) { return p.cols, p.types }
 
-// Explain renders the plan with the optimizer's row and cost estimates;
+// Explain renders the plan with the optimizer's row estimates;
 // unbound placeholders render as $N.
 func (p *Prepared) Explain() string { return plan.Explain(p.root) }
 

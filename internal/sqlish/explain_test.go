@@ -37,18 +37,18 @@ func goldenEngine(t *testing.T) *Engine {
 // locks in: the ON conjunct p2.a >= 45 pushed below the join as a filter
 // on p2's scan, and the collapsed hidden-column projections.
 func TestExplainGolden(t *testing.T) {
-	const want = `Project g0, agg0  (rows=20 cost=4.23)
-  HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20 cost=4.13)
-    nestloop inner join ON true  (rows=40 cost=3.93)
-      Project n, TS, TE  (rows=40 cost=2.75)
-        FusedAdjust align  (rows=40 cost=2.45)
-          Project n, TS, TE  (rows=3 cost=1.05)
-            SeqScan r  (rows=3 cost=1.03)
-          Project a, mn, mx, TS, TE  (rows=5 cost=1.11)
-            SeqScan p  (rows=5 cost=1.05)
-      Project a, mn, mx, TS, TE  (rows=1 cost=1.07)
-        Filter (a >= 45)  (rows=1 cost=1.06)
-          SeqScan p  (rows=5 cost=1.05)
+	const want = `Project g0, agg0  (rows=20)
+  HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20)
+    nestloop inner join ON true  (rows=40)
+      Project n, TS, TE  (rows=40)
+        FusedAdjust align  (rows=40)
+          Project n, TS, TE  (rows=3)
+            SeqScan r  (rows=3)
+          Project a, mn, mx, TS, TE  (rows=5)
+            SeqScan p  (rows=5)
+      Project a, mn, mx, TS, TE  (rows=1)
+        Filter (a >= 45)  (rows=1)
+          SeqScan p  (rows=5)
 `
 	e := goldenEngine(t)
 	_, got, err := e.Query("EXPLAIN " + goldenQuery)
@@ -64,18 +64,18 @@ func TestExplainGolden(t *testing.T) {
 // demo data is fixed, so every actual count is deterministic, and the
 // fresh engine's first execution builds p's group index.
 func TestExplainAnalyzeGolden(t *testing.T) {
-	const want = `Project g0, agg0  (rows=20 cost=4.23) (actual rows=5)
-  HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20 cost=4.13) (actual rows=5)
-    nestloop inner join ON true  (rows=40 cost=3.93) (actual rows=10)
-      Project n, TS, TE  (rows=40 cost=2.75) (actual rows=5)
-        FusedAdjust align  (rows=40 cost=2.45) (actual rows=5) (group index built)
-          Project n, TS, TE  (rows=3 cost=1.05) (actual rows=3)
-            SeqScan r  (rows=3 cost=1.03) (actual rows=3)
-          Project a, mn, mx, TS, TE  (rows=5 cost=1.11) (actual rows=5)
-            SeqScan p  (rows=5 cost=1.05) (actual rows=5)
-      Project a, mn, mx, TS, TE  (rows=1 cost=1.07) (actual rows=2)
-        Filter (a >= 45)  (rows=1 cost=1.06) (actual rows=2)
-          SeqScan p  (rows=5 cost=1.05) (actual rows=5)
+	const want = `Project g0, agg0  (rows=20) (actual rows=5)
+  HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20) (actual rows=5)
+    nestloop inner join ON true  (rows=40) (actual rows=10)
+      Project n, TS, TE  (rows=40) (actual rows=5)
+        FusedAdjust align  (rows=40) (actual rows=5) (group index built)
+          Project n, TS, TE  (rows=3) (actual rows=3)
+            SeqScan r  (rows=3) (actual rows=3)
+          Project a, mn, mx, TS, TE  (rows=5) (actual rows=5)
+            SeqScan p  (rows=5) (actual rows=5)
+      Project a, mn, mx, TS, TE  (rows=1) (actual rows=2)
+        Filter (a >= 45)  (rows=1) (actual rows=2)
+          SeqScan p  (rows=5) (actual rows=5)
 `
 	e := goldenEngine(t)
 	_, got, err := e.Query("EXPLAIN ANALYZE " + goldenQuery)

@@ -16,7 +16,7 @@ import (
 // diffQueries is the statement mix the optimizer differential covers:
 // filters over every pushdown target (projections, joins incl. outer,
 // ALIGN/NORMALIZE, set operations, DISTINCT/ABSORB, GROUP BY + HAVING),
-// constant folding, multi-way join chains eligible for reordering, WITH
+// constant folding, multi-way join chains (a comma join among them), WITH
 // sharing, and ORDER BY.
 var diffQueries = []string{
 	"SELECT a, b FROM r WHERE a = 1 AND b >= 1",

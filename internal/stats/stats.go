@@ -1,5 +1,5 @@
-// Package stats implements per-table statistics for the cost-based
-// optimizer: per-column row counts, null fractions, distinct-count
+// Package stats implements per-table statistics for the planner's row
+// estimates: per-column row counts, null fractions, distinct-count
 // estimates, min/max bounds and equi-depth histograms, plus interval
 // statistics for the valid-time column (duration histogram, covering span
 // and an overlap profile). ANALYZE computes them from typed keys read in
