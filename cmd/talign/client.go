@@ -9,26 +9,25 @@ import (
 	"talign"
 )
 
-// client wraps the public talign package's remote backend: every
-// statement entered in the shell runs over talignd's streaming
-// protocol, and rows print as they arrive instead of after the server
-// finished buffering the result. Ctrl-C'ing the shell mid-query drops
-// the connection, which cancels the query server-side.
+// client runs the shell's statements on a talign.DB, embedded or
+// remote: rows print as the cursor yields them, not after the result was
+// buffered. On a remote DB, Ctrl-C'ing the shell mid-query drops the
+// connection, which cancels the query server-side.
 type client struct {
 	db *talign.DB
 }
 
-// newClient connects to a talignd server ("host:port" or a URL).
-func newClient(base string) (*client, error) {
-	dsn := base
+// newClient opens dsn: a talign:// or talignd:// DSN, a URL, or a
+// talignd server's "host:port".
+func newClient(dsn string) *client {
 	if !strings.Contains(dsn, "://") {
 		dsn = "talignd://" + dsn
 	}
 	db, err := talign.Open(dsn)
 	if err != nil {
-		return nil, err
+		fatalf("%v", err)
 	}
-	return &client{db: db}, nil
+	return &client{db: db}
 }
 
 // run sends one statement and prints the streamed result.

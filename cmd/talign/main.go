@@ -12,10 +12,12 @@
 // semicolon-terminated blocks). The CSV layout is documented in package
 // csvio: a "name:type,...,ts,te" header followed by data rows.
 //
-// With -connect, talign becomes a client of a running talignd server:
-// statements run over its wire-level row-streaming protocol
-// (rows print as the server produces them) and the catalog lives on the
-// server (name=file.csv arguments are rejected).
+// Statements run through the public talign package: on an embedded
+// talign://mem DB (talign://demo under -demo), or with -connect on a
+// running talignd server over its wire-level row-streaming protocol,
+// where the catalog lives on the server (name=file.csv arguments are
+// rejected). Either way rows print in stream order, as they arrive, with
+// the valid time as trailing ts and te columns.
 package main
 
 import (
@@ -26,10 +28,6 @@ import (
 	"strings"
 
 	"talign/internal/csvio"
-	"talign/internal/dataset"
-	"talign/internal/plan"
-	"talign/internal/relation"
-	"talign/internal/sqlish"
 )
 
 func main() {
@@ -38,8 +36,7 @@ func main() {
 	connect := flag.String("connect", "", "connect to a talignd server (host:port or URL) instead of executing locally")
 	flag.Parse()
 
-	// Client mode: statements go to a talignd server.
-	var exec func(sql string)
+	var cl *client
 	if *connect != "" {
 		if len(flag.Args()) > 0 {
 			fatalf("-connect uses the server's catalog; load CSVs on the talignd side")
@@ -47,13 +44,13 @@ func main() {
 		if *demo {
 			fatalf("-connect uses the server's catalog; start talignd with -demo instead")
 		}
-		cl, err := newClient(*connect)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		exec = cl.run
+		cl = newClient(*connect)
 	} else {
-		eng := sqlish.NewEngine(plan.DefaultFlags())
+		dsn := "talign://mem"
+		if *demo {
+			dsn = "talign://demo"
+		}
+		cl = newClient(dsn)
 		for _, arg := range flag.Args() {
 			parts := strings.SplitN(arg, "=", 2)
 			if len(parts) != 2 {
@@ -63,17 +60,18 @@ func main() {
 			if err != nil {
 				fatalf("loading %s: %v", parts[1], err)
 			}
-			eng.Register(parts[0], rel)
+			if err := cl.db.Register(parts[0], rel); err != nil {
+				fatalf("%v", err)
+			}
 			fmt.Printf("loaded %s: %d tuples, schema %s\n", parts[0], rel.Len(), rel.Schema)
 		}
 		if *demo {
-			loadDemo(eng)
+			fmt.Println("demo relations loaded: r(n), p(a, mn, mx) — months since 2012/1")
 		}
-		exec = func(sql string) { run(eng, sql) }
 	}
 
 	if *query != "" {
-		exec(*query)
+		cl.run(*query)
 		return
 	}
 
@@ -105,48 +103,9 @@ func main() {
 			if strings.TrimSpace(stmt) == "" {
 				continue
 			}
-			exec(stmt)
+			cl.run(stmt)
 		}
 	}
-}
-
-func run(eng *sqlish.Engine, sql string) {
-	rel, explain, err := eng.Query(sql)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
-	}
-	if explain != "" {
-		fmt.Print(explain)
-		return
-	}
-	printRelation(rel)
-}
-
-func printRelation(rel *relation.Relation) {
-	out := rel.Clone().SortCanonical()
-	names := make([]string, 0, out.Schema.Len()+1)
-	for _, a := range out.Schema.Attrs {
-		names = append(names, a.Name)
-	}
-	names = append(names, "t")
-	fmt.Println(strings.Join(names, "\t"))
-	for _, t := range out.Rows() {
-		cells := make([]string, 0, len(t.Vals)+1)
-		for _, v := range t.Vals {
-			cells = append(cells, v.String())
-		}
-		cells = append(cells, t.T.String())
-		fmt.Println(strings.Join(cells, "\t"))
-	}
-	fmt.Printf("(%d rows)\n", out.Len())
-}
-
-func loadDemo(eng *sqlish.Engine) {
-	r, p := dataset.Demo()
-	eng.Register("r", r)
-	eng.Register("p", p)
-	fmt.Println("demo relations loaded: r(n), p(a, mn, mx) — months since 2012/1")
 }
 
 func fatalf(format string, args ...any) {

@@ -63,33 +63,6 @@ func (v *Vec) StrsRaw() ([]string, bool) {
 	return v.Strs, true
 }
 
-// BoolsRaw returns the flat bool storage, or nil,false when the column
-// is not in bool layout.
-func (v *Vec) BoolsRaw() ([]bool, bool) {
-	if v.ph != physBool {
-		return nil, false
-	}
-	return v.Bools, true
-}
-
-// IntervalsRaw returns the parallel start/end storage, or nils,false
-// when the column is not in interval layout.
-func (v *Vec) IntervalsRaw() ([]int64, []int64, bool) {
-	if v.ph != physInterval {
-		return nil, nil, false
-	}
-	return v.IvTs, v.IvTe, true
-}
-
-// AnyRaw returns the boxed storage, or nil,false when the column is in a
-// typed layout. Demoted and untyped columns report true.
-func (v *Vec) AnyRaw() ([]value.Value, bool) {
-	if v.ph != physAny {
-		return nil, false
-	}
-	return v.Any, true
-}
-
 // NullBitmap returns the column's packed validity bitmap in canonical
 // form (nullOff 0, no bit at or beyond Len), or nil when no row is ω. A
 // view shares its parent's bitmap, so the result is freshly allocated

@@ -57,6 +57,10 @@ var deletedNames = []struct {
 	// constants and formulas, and EXPLAIN's cost text may not come back.
 	{"One join order", `reorderJoin|maxReorderLeaves|maxDPLeaves|restoreOrder|reMemo|CPUTupleCost|CPUOperatorCost|SeqPageCost|TuplesPerPage|accessCost|estimateCost|Cost\(\) float64`, []string{"*.go"}, nil},
 	{"One join order", `cost=`, []string{"*.go", "*.golden"}, nil},
+	// The root BenchmarkFig* panels are the one reproducer of the paper's
+	// figures: the second harness, its sweep package and their flags may
+	// not come back.
+	{"One figure reproducer", `cmd/experiments|benchkit`, []string{"*.go", "*.yml"}, nil},
 }
 
 // TestDeletedNamesStayGone fails on any line of the tree that names a

@@ -93,17 +93,6 @@ func Arm(site string, f Fault) {
 	enabled.Store(true)
 }
 
-// Disarm removes the fault at a site, if any.
-func Disarm(site string) {
-	mu.Lock()
-	delete(sites, site)
-	empty := len(sites) == 0
-	mu.Unlock()
-	if empty {
-		enabled.Store(false)
-	}
-}
-
 // Reset disarms every site and zeroes the fired counter.
 func Reset() {
 	mu.Lock()

@@ -11,7 +11,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -978,12 +977,6 @@ func Run(n Node) (*relation.Relation, error) {
 // values bound.
 func RunParams(n Node, params ...value.Value) (*relation.Relation, error) {
 	return RunCtx(n, NewExecCtx(params...))
-}
-
-// RunContext builds and drains a plan under ctx with params bound:
-// cancelling ctx cooperatively aborts every operator in the tree.
-func RunContext(ctx context.Context, n Node, params ...value.Value) (*relation.Relation, error) {
-	return RunCtx(n, NewExecCtxContext(ctx, params...))
 }
 
 // RunCtx builds and drains a plan under an explicit execution context.

@@ -45,13 +45,6 @@ func (s *Session) stmt(name string) (*sqlish.Statement, error) {
 	return st, nil
 }
 
-// StmtCount returns the number of prepared statements in the session.
-func (s *Session) StmtCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.stmts)
-}
-
 // sessions is the server's session table.
 type sessions struct {
 	mu sync.Mutex
