@@ -119,9 +119,10 @@ func benchPanel(b *testing.B, panel []figSeries) {
 }
 
 // TestFigureClaims asserts the panels' claims about output size, which
-// need no clock. The claims about time stay reported by the benchmarks.
+// need no clock, one subtest per panel. The claims about time stay
+// reported by the benchmarks.
 func TestFigureClaims(t *testing.T) {
-	rows := func(s figSeries, n int) int {
+	rows := func(t *testing.T, s figSeries, n int) int {
 		t.Helper()
 		got, err := s.point(n)()
 		if err != nil {
@@ -130,25 +131,32 @@ func TestFigureClaims(t *testing.T) {
 		return got
 	}
 	// Fig. 13(b): N{ssn}'s output grows linearly with its input.
-	if r1, r2 := rows(fig13[0], 10000), rows(fig13[0], 20000); r2 < r1*18/10 || r2 > r1*22/10 {
-		t.Errorf("fig 13b: |N{ssn}| is %d at n=10000 and %d at n=20000, want a ratio in [1.8, 2.2]", r1, r2)
-	}
-	// Fig. 14(b): fewer grouping attributes split more.
-	const n = 1000
-	if e, p, s := rows(fig14[0], n), rows(fig14[1], n), rows(fig14[2], n); !(e > p && p > s && s >= n) {
-		t.Errorf("fig 14b at n=%d: |N{}|=%d |N{pcn}|=%d |N{ssn}|=%d, want N{} > N{pcn} > N{ssn} >= n", n, e, p, s)
-	}
-	// Figs. 15–16: the output size does not depend on the method.
-	for name, panel := range map[string][]figSeries{
-		"15a": fig15a, "15b": fig15b, "15c": fig15c, "15d": fig15d, "16a": fig16a, "16b": fig16b,
-	} {
-		n := panel[0].sizes[0]
-		want := rows(panel[0], n)
-		for _, s := range panel[1:] {
-			if got := rows(s, n); got != want {
-				t.Errorf("fig %s at n=%d: %s returns %d rows, %s %d", name, n, s.name, got, panel[0].name, want)
-			}
+	t.Run("fig13b", func(t *testing.T) {
+		if r1, r2 := rows(t, fig13[0], 10000), rows(t, fig13[0], 20000); r2 < r1*18/10 || r2 > r1*22/10 {
+			t.Errorf("|N{ssn}| is %d at n=10000 and %d at n=20000, want a ratio in [1.8, 2.2]", r1, r2)
 		}
+	})
+	// Fig. 14(b): fewer grouping attributes split more.
+	t.Run("fig14b", func(t *testing.T) {
+		const n = 1000
+		if e, p, s := rows(t, fig14[0], n), rows(t, fig14[1], n), rows(t, fig14[2], n); !(e > p && p > s && s >= n) {
+			t.Errorf("at n=%d: |N{}|=%d |N{pcn}|=%d |N{ssn}|=%d, want N{} > N{pcn} > N{ssn} >= n", n, e, p, s)
+		}
+	})
+	// Figs. 15–16: the output size does not depend on the method.
+	for _, fig := range []struct {
+		name  string
+		panel []figSeries
+	}{{"fig15a", fig15a}, {"fig15b", fig15b}, {"fig15c", fig15c}, {"fig15d", fig15d}, {"fig16a", fig16a}, {"fig16b", fig16b}} {
+		t.Run(fig.name, func(t *testing.T) {
+			n := fig.panel[0].sizes[0]
+			want := rows(t, fig.panel[0], n)
+			for _, s := range fig.panel[1:] {
+				if got := rows(t, s, n); got != want {
+					t.Errorf("at n=%d: %s returns %d rows, %s %d", n, s.name, got, fig.panel[0].name, want)
+				}
+			}
+		})
 	}
 }
 
