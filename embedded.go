@@ -55,7 +55,7 @@ func (e *embeddedDB) query(ctx context.Context, session, stmt, sql string, param
 	if e.closed.Load() {
 		return nil, fmt.Errorf("talign: DB is closed")
 	}
-	rs, err := e.srv.Stream(ctx, session, stmt, sql, params)
+	rs, err := e.srv.StreamBatch(ctx, session, stmt, sql, params, 0)
 	if err != nil {
 		return nil, err
 	}

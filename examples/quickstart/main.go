@@ -3,21 +3,23 @@
 // left outer join Q1 with a predicate over the reservations' original
 // timestamps (extended snapshot reducibility), the temporal aggregation
 // Q2, and a prepared statement with a $1 placeholder. It shows the
-// algebra API, the SQL dialect and the staged Prepare/Execute pipeline.
-// The whole walkthrough also runs as an Example test (example_test.go),
-// so `go test ./examples/quickstart` keeps this document honest.
+// algebra API, then the SQL dialect through the public talign package:
+// an embedded DB (talign://mem) with both relations registered, one
+// ad-hoc query and one prepared statement. The whole walkthrough also
+// runs as an Example test (example_test.go), so
+// `go test ./examples/quickstart` keeps this document honest.
 package main
 
 import (
+	"context"
 	"fmt"
+	"strings"
 
+	"talign"
 	"talign/internal/core"
 	"talign/internal/exec"
 	"talign/internal/expr"
-	"talign/internal/plan"
 	"talign/internal/relation"
-	"talign/internal/sqlish"
-	"talign/internal/value"
 )
 
 func main() { run() }
@@ -66,31 +68,67 @@ func run() {
 	fmt.Println("\nQ2 — average reservation duration over time:")
 	fmt.Print(q2.SortCanonical())
 
-	// The same Q1 through the SQL dialect of Sec. 6, nearly verbatim.
-	engine := sqlish.NewEngine(plan.DefaultFlags())
-	engine.Register("r", reservations)
-	engine.Register("p", prices)
-	sqlQ1 := engine.MustQuery(`
+	// The same Q1 through the SQL dialect of Sec. 6, nearly verbatim, on
+	// an embedded DB. ORDER BY reproduces the canonical order (ω first).
+	ctx := context.Background()
+	db, err := talign.Open("talign://mem")
+	if err != nil {
+		panic(err)
+	}
+	defer db.Close()
+	if err := db.Register("r", reservations); err != nil {
+		panic(err)
+	}
+	if err := db.Register("p", prices); err != nil {
+		panic(err)
+	}
+	sqlQ1, err := db.Query(ctx, `
 		WITH r2 AS (SELECT Ts Us, Te Ue, * FROM r)
 		SELECT ABSORB n, a, mn, mx, x.Ts, x.Te
 		FROM (r2 ALIGN p ON DUR(Us, Ue) BETWEEN mn AND mx) x
 		LEFT OUTER JOIN (p ALIGN r2 ON DUR(Us, Ue) BETWEEN mn AND mx) y
-		ON DUR(Us, Ue) BETWEEN y.mn AND y.mx AND x.Ts = y.Ts AND x.Te = y.Te`)
+		ON DUR(Us, Ue) BETWEEN y.mn AND y.mx AND x.Ts = y.Ts AND x.Te = y.Te
+		ORDER BY n, a, mn, mx, Ts`)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("\nQ1 via SQL (ALIGN + ABSORB):")
-	fmt.Print(sqlQ1.SortCanonical())
+	printRows(sqlQ1)
 
 	// Prepared statements: $N placeholders are planned once and bound per
 	// execution — the path cmd/talignd serves over HTTP.
-	cat := sqlish.MapCatalog{}
-	cat.Register("p", prices)
-	prep, err := sqlish.Prepare("SELECT a, mn, mx FROM p WHERE a >= $1", cat, plan.DefaultFlags())
+	prep, err := db.Prepare(ctx, "SELECT a, mn, mx FROM p WHERE a >= $1 ORDER BY a, mn, mx, Ts")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nPrepared with %d parameter(s); a >= 40:\n", prep.NumParams)
-	byPrice, err := prep.Execute(value.NewInt(40))
+	fmt.Printf("\nPrepared with %d parameter(s); a >= 40:\n", prep.NumParams())
+	byPrice, err := prep.Query(ctx, 40)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(byPrice.SortCanonical())
+	printRows(byPrice)
+}
+
+// printRows drains a cursor in a relation's layout: the attributes, then
+// one "(values) [ts, te)" line per row.
+func printRows(rows *talign.Rows) {
+	defer rows.Close()
+	cols, types := rows.Columns(), rows.Types()
+	n := len(cols) - 2 // the last two columns are ts and te
+	attrs := make([]string, n)
+	for i := range attrs {
+		attrs[i] = cols[i] + " " + types[i]
+	}
+	fmt.Printf("(%s) T\n", strings.Join(attrs, ", "))
+	for rows.Next() {
+		vals := rows.Values()
+		cells := make([]string, n)
+		for i := range cells {
+			cells[i] = vals[i].String()
+		}
+		fmt.Printf("  (%s) [%v, %v)\n", strings.Join(cells, ", "), vals[n], vals[n+1])
+	}
+	if err := rows.Err(); err != nil {
+		panic(err)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,6 +26,7 @@ import (
 	"talign/internal/schema"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 	"talign/internal/wire"
 )
@@ -157,21 +157,9 @@ func testRels(seed int) map[string]*relation.Relation {
 	}
 }
 
-// canonKeys renders a result as its sorted per-row key encodings, so two
-// results compare byte-equal exactly when every row (values and valid
-// time) is identical.
-func canonKeys(rel *relation.Relation) [][]byte {
-	keys := make([][]byte, rel.Len())
-	for i := range rel.Rows() {
-		keys[i] = rel.Rows()[i].AppendKey(nil)
-	}
-	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
-	return keys
-}
-
 func assertSameRows(t *testing.T, tag, q string, got, want *relation.Relation) {
 	t.Helper()
-	gk, wk := canonKeys(got), canonKeys(want)
+	gk, wk := sqltest.Keys(got), sqltest.Keys(want)
 	if len(gk) != len(wk) {
 		t.Fatalf("%s: row count diverged on %q: %d vs %d", tag, q, len(gk), len(wk))
 	}
@@ -229,7 +217,7 @@ var distDiffQueries = []diffQuery{
 // TestDistributedDifferential is the acceptance differential: for random
 // relations, every corpus shape must return the exact same row set
 // (values and valid time, byte-compared) through a 1-, 2- and 3-worker
-// coordinator as on a single node — buffered and streamed.
+// coordinator as on a single node, at the default batch size and at 3.
 func TestDistributedDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -239,34 +227,22 @@ func TestDistributedDifferential(t *testing.T) {
 				cl := newCluster(t, workers, nil)
 				cl.load(t, rels)
 				for _, q := range distDiffQueries {
-					want, werr := single.QueryContext(context.Background(), "", "", q.sql, q.params)
-					got, gerr := cl.csrv.QueryContext(context.Background(), "", "", q.sql, q.params)
+					want, werr := sqltest.Run(context.Background(), single, "", "", q.sql, q.params, 0)
+					got, gerr := sqltest.Run(context.Background(), cl.csrv, "", "", q.sql, q.params, 0)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("seed %d: error parity diverged on %q: single=%v dist=%v", seed, q.sql, werr, gerr)
 					}
 					if werr != nil {
 						continue
 					}
-					assertSameRows(t, fmt.Sprintf("seed %d buffered", seed), q.sql, got.Rel, want.Rel)
+					assertSameRows(t, fmt.Sprintf("seed %d", seed), q.sql, got.Rel, want.Rel)
 
-					// Streamed must match buffered byte-for-byte too.
-					rs, serr := cl.csrv.StreamBatch(context.Background(), "", "", q.sql, q.params, 3)
+					// 3-row batches must match byte-for-byte too.
+					small, serr := sqltest.Run(context.Background(), cl.csrv, "", "", q.sql, q.params, 3)
 					if serr != nil {
-						t.Fatalf("seed %d: streamed %q: %v", seed, q.sql, serr)
+						t.Fatalf("seed %d: batch=3 %q: %v", seed, q.sql, serr)
 					}
-					streamed := relation.New(want.Rel.Schema)
-					for {
-						b, nerr := rs.Next()
-						if nerr != nil {
-							t.Fatalf("seed %d: streamed %q: %v", seed, q.sql, nerr)
-						}
-						if len(b) == 0 {
-							break
-						}
-						streamed.Tuples = append(streamed.Tuples, b...)
-					}
-					rs.Close()
-					assertSameRows(t, fmt.Sprintf("seed %d streamed", seed), q.sql, streamed, want.Rel)
+					assertSameRows(t, fmt.Sprintf("seed %d batch=3", seed), q.sql, small.Rel, want.Rel)
 				}
 			}
 		})
@@ -295,7 +271,7 @@ func TestDistributedStrategies(t *testing.T) {
 		{"WITH w AS (SELECT a FROM r) SELECT a FROM w", "Distributed: gather-all"},
 	}
 	for _, tc := range cases {
-		res, err := cl.csrv.QueryContext(context.Background(), "", "", "EXPLAIN "+tc.sql, nil)
+		res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "EXPLAIN "+tc.sql, nil, 0)
 		if err != nil {
 			t.Fatalf("EXPLAIN %s: %v", tc.sql, err)
 		}
@@ -319,7 +295,7 @@ func TestPlanKeyInvalidation(t *testing.T) {
 	const q = "SELECT r.a, s.b FROM r JOIN s ON r.a = s.a"
 	run := func(want bool, when string) {
 		t.Helper()
-		res, err := cl.csrv.QueryContext(ctx, "", "", q, nil)
+		res, err := sqltest.Run(ctx, cl.csrv, "", "", q, nil, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
@@ -337,7 +313,7 @@ func TestPlanKeyInvalidation(t *testing.T) {
 		}
 		run(true, "after restaging u")
 	}
-	if _, err := cl.csrv.QueryContext(ctx, "", "", "DROP TABLE u", nil); err != nil {
+	if _, err := sqltest.Run(ctx, cl.csrv, "", "", "DROP TABLE u", nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	run(true, "after dropping u")
@@ -358,14 +334,14 @@ func TestPlanKeyInvalidation(t *testing.T) {
 	// Same stub, another partition column: colocation no longer holds.
 	cl.coord.setPart("s", "b")
 	run(false, "after repartitioning s")
-	if res, err := cl.csrv.QueryContext(ctx, "", "", "EXPLAIN "+q, nil); err != nil || !strings.Contains(res.Plan, "repartition: s by a") {
+	if res, err := sqltest.Run(ctx, cl.csrv, "", "", "EXPLAIN "+q, nil, 0); err != nil || !strings.Contains(res.Plan, "repartition: s by a") {
 		t.Fatalf("EXPLAIN after repartitioning s:\n%s\n%v", res.Plan, err)
 	}
 
 	// Another topology is another coordinator: nothing to inherit.
 	cl3 := newCluster(t, 3, nil)
 	cl3.load(t, rels)
-	res, err := cl3.csrv.QueryContext(ctx, "", "", q, nil)
+	res, err := sqltest.Run(ctx, cl3.csrv, "", "", q, nil, 0)
 	if err != nil || res.CacheHit {
 		t.Fatalf("first execution on a 3-worker topology: hit=%v err=%v", res.CacheHit, err)
 	}
@@ -379,7 +355,7 @@ func TestDistributedDDL(t *testing.T) {
 	cl := newCluster(t, 2, nil)
 	cl.load(t, rels)
 
-	res, err := cl.csrv.QueryContext(context.Background(), "", "", "ANALYZE r", nil)
+	res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "ANALYZE r", nil, 0)
 	if err != nil {
 		t.Fatalf("ANALYZE: %v", err)
 	}
@@ -388,7 +364,7 @@ func TestDistributedDDL(t *testing.T) {
 		t.Fatalf("ANALYZE ack = %q, want %q", res.Plan, want)
 	}
 
-	res, err = cl.csrv.QueryContext(context.Background(), "", "", "DROP TABLE u", nil)
+	res, err = sqltest.Run(context.Background(), cl.csrv, "", "", "DROP TABLE u", nil, 0)
 	if err != nil {
 		t.Fatalf("DROP: %v", err)
 	}
@@ -400,7 +376,7 @@ func TestDistributedDDL(t *testing.T) {
 			t.Fatalf("worker %d still holds a shard of the dropped table", i)
 		}
 	}
-	if _, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a FROM u", nil); err == nil {
+	if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a FROM u", nil, 0); err == nil {
 		t.Fatal("query over a dropped table succeeded")
 	}
 }
@@ -435,7 +411,7 @@ func TestWorkerUnreachable(t *testing.T) {
 	cl.noRetries() // keep the failure fast; retry accounting is covered below
 
 	cl.workers[1].kill()
-	_, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil)
+	_, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a, b FROM r", nil, 0)
 	var se *sqlish.Error
 	if !errors.As(err, &se) || se.Code != sqlish.ErrUnavailable {
 		t.Fatalf("got %v, want structured %q error", err, sqlish.ErrUnavailable)
@@ -477,7 +453,7 @@ func TestDispatchRetry(t *testing.T) {
 	cl.load(t, rels)
 
 	faultArm(t, "distsql.dispatch", 1, false)
-	res, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil)
+	res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a, b FROM r", nil, 0)
 	if err != nil {
 		t.Fatalf("query with one transient dispatch fault: %v", err)
 	}
@@ -509,7 +485,7 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 
 	// Warm the connection pool, then baseline: the cluster's own listener
 	// and keep-alive goroutines must not count as query leaks.
-	if _, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a FROM r WHERE a = 0", nil); err != nil {
+	if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a FROM r WHERE a = 0", nil, 0); err != nil {
 		t.Fatalf("warm-up query: %v", err)
 	}
 	baseline := runtime.NumGoroutine()
@@ -563,7 +539,7 @@ func TestWorkerFaultInjection(t *testing.T) {
 	cl.noRetries()
 
 	faultArm(t, "distsql.fragment", 0, true)
-	_, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil)
+	_, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a, b FROM r", nil, 0)
 	var se *sqlish.Error
 	if !errors.As(err, &se) || se.Code == sqlish.ErrUnavailable || !strings.Contains(se.Msg, "distsql.fragment") {
 		t.Fatalf("query with the fragment site faulted: %v, want the injected error", err)
@@ -572,7 +548,7 @@ func TestWorkerFaultInjection(t *testing.T) {
 		return cl.csrv.GateStats().InUse == 0
 	})
 	faultinject.Reset()
-	if _, err := cl.csrv.QueryContext(context.Background(), "", "", "SELECT a, b FROM r", nil); err != nil {
+	if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", "SELECT a, b FROM r", nil, 0); err != nil {
 		t.Fatalf("after the fault: %v", err)
 	}
 	// Worker 0's error frame is read before the merge fails the query; the
@@ -591,7 +567,7 @@ func TestRepartitionCleanup(t *testing.T) {
 	cl.load(t, rels)
 
 	q := "SELECT r.a, s.b FROM r JOIN s ON r.b = s.b"
-	if _, err := cl.csrv.QueryContext(context.Background(), "", "", q, nil); err != nil {
+	if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", q, nil, 0); err != nil {
 		t.Fatalf("repartition query: %v", err)
 	}
 	if cl.coord.repartitions.Load() == 0 {
@@ -635,7 +611,7 @@ func TestFragmentConnsReused(t *testing.T) {
 			"SELECT b, COUNT(*) c FROM r GROUP BY b",
 			"SELECT r.a, s.b FROM r JOIN s ON r.b = s.b",
 		} {
-			if _, err := cl.csrv.QueryContext(context.Background(), "", "", q, nil); err != nil {
+			if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", q, nil, 0); err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
 		}

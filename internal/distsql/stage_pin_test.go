@@ -20,6 +20,7 @@ import (
 	"talign/internal/relation"
 	"talign/internal/schema"
 	"talign/internal/server"
+	"talign/internal/sqltest"
 	"talign/internal/tuple"
 	"talign/internal/value"
 	"talign/internal/wire"
@@ -44,11 +45,11 @@ func TestStagedShardsOwnTheirBuffers(t *testing.T) {
 	}
 	single := singleNode(t, rels)
 	for _, q := range []string{"SELECT * FROM c", "SELECT * FROM d"} {
-		want, err := single.QueryContext(ctx, "", "", q, nil)
+		want, err := sqltest.Run(ctx, single, "", "", q, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.csrv.QueryContext(ctx, "", "", q, nil)
+		got, err := sqltest.Run(ctx, cl.csrv, "", "", q, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

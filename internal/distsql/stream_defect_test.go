@@ -17,6 +17,7 @@ import (
 	"talign/internal/interval"
 	"talign/internal/schema"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/tuple"
 	"talign/internal/value"
 	"talign/internal/wire"
@@ -121,14 +122,14 @@ func TestWorkerStreamDefects(t *testing.T) {
 	const q = "SELECT a, b, Ts, Te FROM r"
 	for name, bad := range defects {
 		defect.Store(&bad)
-		_, err := cl.csrv.QueryContext(context.Background(), "", "", q, nil)
+		_, err := sqltest.Run(context.Background(), cl.csrv, "", "", q, nil, 0)
 		var se *sqlish.Error
 		if !errors.As(err, &se) || se.Code != sqlish.ErrUnavailable || !strings.Contains(se.Msg, "worker w1") {
 			t.Errorf("%s: got %v, want a structured %q error naming worker w1", name, err, sqlish.ErrUnavailable)
 		}
 	}
 	defect.Store(nil)
-	if _, err := cl.csrv.QueryContext(context.Background(), "", "", q, nil); err != nil {
+	if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", q, nil, 0); err != nil {
 		t.Fatalf("coordinator did not recover once the worker answered properly: %v", err)
 	}
 	waitFor(t, 5*time.Second, "coordinator gate to drain", func() bool { return cl.csrv.GateStats().InUse == 0 })

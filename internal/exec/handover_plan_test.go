@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +18,8 @@ import (
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
-	"talign/internal/sqlish"
+	"talign/internal/server"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
@@ -42,29 +43,6 @@ func handOverRels() (r, s *relation.Relation) {
 	return gen(), gen()
 }
 
-// keysOf renders a relation's rows as sorted keys (values, then valid time).
-func keysOf(rel *relation.Relation) [][]byte {
-	keys := make([][]byte, 0, rel.Len())
-	for _, tp := range rel.Rows() {
-		keys = append(keys, tp.AppendKey(nil))
-	}
-	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
-	return keys
-}
-
-func sameKeys(a, b *relation.Relation) bool {
-	ka, kb := keysOf(a), keysOf(b)
-	if len(ka) != len(kb) {
-		return false
-	}
-	for i := range ka {
-		if !bytes.Equal(ka[i], kb[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // imageKeys snapshots a relation's columnar image, row by row.
 func imageKeys(rel *relation.Relation) []byte {
 	img := rel.Columnar()
@@ -76,7 +54,8 @@ func imageKeys(rel *relation.Relation) []byte {
 }
 
 // runTemporalAgg runs a temporal aggregation by k over NORMALIZE three
-// times on a fresh engine; each result must equal the oracle's
+// times on a fresh server (the second and third runs reuse the first's
+// cached plan); each result must equal the oracle's
 // B,Tϑ_COUNT(r), the plan must hold the shared materialization whose input
 // is a projection, and r's image must stay as it was.
 func runTemporalAgg(t *testing.T, sql string, shared int) {
@@ -87,13 +66,10 @@ func runTemporalAgg(t *testing.T, sql string, shared int) {
 		t.Fatal(err)
 	}
 	before := imageKeys(r)
-	e := sqlish.NewEngine(plan.DefaultFlags())
-	e.Register("r", r)
-	_, text, err := e.Query("EXPLAIN " + sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(text, "\n")
+	e := server.New(server.Config{Flags: plan.DefaultFlags()})
+	e.Catalog().Register("r", r)
+	res := sqltest.MustRun(t, e, "EXPLAIN "+sql)
+	lines := strings.Split(res.Plan, "\n")
 	found := 0
 	for i, l := range lines {
 		if strings.Contains(l, "Materialize (shared)") && i+1 < len(lines) && strings.Contains(lines[i+1], "Project ") {
@@ -101,15 +77,12 @@ func runTemporalAgg(t *testing.T, sql string, shared int) {
 		}
 	}
 	if found < shared {
-		t.Fatalf("want %d shared materializations of a projection, found %d in\n%s", shared, found, text)
+		t.Fatalf("want %d shared materializations of a projection, found %d in\n%s", shared, found, res.Plan)
 	}
 	for i := 0; i < 3; i++ {
-		got, _, err := e.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameKeys(got, want) {
-			t.Fatalf("execution %d disagrees with the oracle\ngot:\n%s\nwant:\n%s", i, got, want)
+		got := sqltest.MustRun(t, e, sql)
+		if !slices.EqualFunc(sqltest.Keys(got.Rel), sqltest.Keys(want), bytes.Equal) {
+			t.Fatalf("execution %d disagrees with the oracle\ngot:\n%s\nwant:\n%s", i, got.Rel, want)
 		}
 	}
 	if !bytes.Equal(imageKeys(r), before) {

@@ -17,7 +17,9 @@ import (
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/tuple"
 	"talign/internal/value"
 )
@@ -265,18 +267,15 @@ func TestSweepAggregatePreparedAggEq(t *testing.T) {
 // TestSweepAggregateExplain: temporal_agg is one sweep over one scan of
 // a, and from the second execution on it reads the index a's image keeps.
 func TestSweepAggregateExplain(t *testing.T) {
-	e := sqlish.NewEngine(plan.DefaultFlags())
+	e := server.New(server.Config{Flags: plan.DefaultFlags()})
 	for name, rel := range sweepCatalog() {
-		e.Register(name, rel)
+		e.Catalog().Register(name, rel)
 	}
 	const sql = "SELECT pcn, COUNT(*) c, Ts, Te FROM (a a1 NORMALIZE a a2 USING (pcn)) x GROUP BY pcn, Ts, Te"
 	var last string
 	for range 2 {
-		_, text, err := e.Query("EXPLAIN ANALYZE " + sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = text
+		res := sqltest.MustRun(t, e, "EXPLAIN ANALYZE "+sql)
+		last = res.Plan
 	}
 	if strings.Count(last, "SeqScan a") != 1 || strings.Contains(last, "FusedAdjust") || strings.Contains(last, "HashAggregate") {
 		t.Fatalf("temporal_agg is not one sweep over one scan:\n%s", last)

@@ -82,7 +82,7 @@ func TestExplainAnalyzeCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: prepare %q: %v", seed, q.sql, err)
 			}
-			text, err := p.ExplainAnalyze(q.params...)
+			text, err := p.ExplainAnalyzeContext(t.Context(), q.params...)
 			if err != nil {
 				t.Fatalf("seed %d: %q: %v", seed, q.sql, err)
 			}

@@ -973,12 +973,6 @@ func Run(n Node) (*relation.Relation, error) {
 	return RunCtx(n, NewExecCtx())
 }
 
-// RunParams builds and drains a plan with the given $1..$N parameter
-// values bound.
-func RunParams(n Node, params ...value.Value) (*relation.Relation, error) {
-	return RunCtx(n, NewExecCtx(params...))
-}
-
 // RunCtx builds and drains a plan under an explicit execution context.
 func RunCtx(n Node, ctx *ExecCtx) (*relation.Relation, error) {
 	it, err := BuildRoot(n, ctx)

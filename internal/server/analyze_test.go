@@ -2,17 +2,14 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"talign/internal/plan"
 	"talign/internal/relation"
-	"talign/internal/value"
+	"talign/internal/sqltest"
 )
 
 // TestAnalyzeInvalidatesPlanCache: ANALYZE bumps the statistics version,
@@ -21,27 +18,21 @@ import (
 func TestAnalyzeInvalidatesPlanCache(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
 	const q = "SELECT a FROM p WHERE a >= 40"
-	if _, err := s.Query("", "", q, nil); err != nil {
+	if _, err := sqltest.Run(t.Context(), s, "", "", q, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query("", "", q, nil)
+	res, err := sqltest.Run(t.Context(), s, "", "", q, nil, 0)
 	if err != nil || !res.CacheHit {
 		t.Fatalf("second execution should hit the cache (err=%v hit=%v)", err, res.CacheHit)
 	}
 	plans := s.CacheStats().Plans
 
-	res, err = s.Query("", "", "ANALYZE p", nil)
-	if err != nil {
-		t.Fatalf("ANALYZE: %v", err)
-	}
+	res = sqltest.MustRun(t, s, "ANALYZE p")
 	if !strings.Contains(res.Plan, "ANALYZE p: 5 rows") {
 		t.Fatalf("ANALYZE summary = %q", res.Plan)
 	}
 
-	res, err = s.Query("", "", q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = sqltest.MustRun(t, s, q)
 	if res.CacheHit {
 		t.Fatal("ANALYZE must invalidate the cached plan (stats version keying)")
 	}
@@ -52,7 +43,7 @@ func TestAnalyzeInvalidatesPlanCache(t *testing.T) {
 		t.Fatal("ANALYZE did not install statistics")
 	}
 	// ANALYZE of an unknown table errors cleanly.
-	if _, err := s.Query("", "", "ANALYZE nosuch", nil); err == nil {
+	if _, err := sqltest.Run(t.Context(), s, "", "", "ANALYZE nosuch", nil, 0); err == nil {
 		t.Fatal("ANALYZE nosuch should fail")
 	}
 }
@@ -157,28 +148,7 @@ func TestHTTPStatsEndpoint(t *testing.T) {
 // corrupt results or leak gate units.
 func TestConcurrentAnalyzeStress(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags(), MaxDOP: 4})
-
-	serial := map[string]*relation.Relation{}
-	for qi, q := range stressQueries {
-		for _, p := range bindings(q.nparams) {
-			res, err := s.Query("", "", q.sql, p)
-			if err != nil {
-				t.Fatalf("serial %s with %v: %v", q.sql, p, err)
-			}
-			serial[resultKey(qi, p)] = res.Rel
-		}
-	}
-	for qi, q := range stressQueries {
-		if _, err := s.Prepare("stress", fmt.Sprintf("q%d", qi), q.sql); err != nil {
-			t.Fatalf("Prepare q%d: %v", qi, err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
+	runStress(t, s, 30, 2000, func(stop <-chan struct{}) {
 		tables := []string{"r", "p"}
 		for i := 0; ; i++ {
 			select {
@@ -186,60 +156,12 @@ func TestConcurrentAnalyzeStress(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.Query("", "", "ANALYZE "+tables[i%2], nil); err != nil {
+			if _, err := sqltest.Run(t.Context(), s, "", "", "ANALYZE "+tables[i%2], nil, 0); err != nil {
 				t.Errorf("ANALYZE churn: %v", err)
 				return
 			}
 		}
-	}()
-
-	const workers = 8
-	const iters = 30
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(2000 + w)))
-			for i := 0; i < iters; i++ {
-				qi := rng.Intn(len(stressQueries))
-				q := stressQueries[qi]
-				var params []value.Value
-				if q.nparams == 1 {
-					params = []value.Value{value.NewInt(stressParams[rng.Intn(len(stressParams))])}
-				}
-				var res Result
-				var err error
-				if w%2 == 0 {
-					res, err = s.Query("stress", fmt.Sprintf("q%d", qi), "", params)
-				} else {
-					res, err = s.Query("", "", q.sql, params)
-				}
-				if err != nil {
-					errs <- fmt.Errorf("worker %d: %s: %v", w, q.sql, err)
-					return
-				}
-				want := serial[resultKey(qi, params)]
-				if !relation.SetEqual(res.Rel, want) {
-					onlyG, onlyW := relation.Diff(res.Rel, want)
-					errs <- fmt.Errorf("worker %d: %s with %v diverged under ANALYZE churn\nonly concurrent: %v\nonly serial: %v",
-						w, q.sql, params, onlyG, onlyW)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	churn.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if st := s.gate.Stats(); st.InUse != 0 {
-		t.Fatalf("gate leaked %d units", st.InUse)
-	}
+	})
 }
 
 // TestHTTPExplainAnalyze: EXPLAIN ANALYZE over the wire returns the

@@ -8,6 +8,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
@@ -37,7 +38,7 @@ func TestPreparedPlansExactlyOnce(t *testing.T) {
 		t.Fatalf("Prepare: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		res, err := s.Query("s1", "q", "", []value.Value{value.NewInt(40)})
+		res, err := sqltest.Run(t.Context(), s, "s1", "q", "", []value.Value{value.NewInt(40)}, 0)
 		if err != nil {
 			t.Fatalf("Query #%d: %v", i+1, err)
 		}
@@ -65,7 +66,7 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	if _, err := s.Prepare("s1", "q", "SELECT n FROM r"); err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	res, err := s.Query("s1", "q", "", nil)
+	res, err := sqltest.Run(t.Context(), s, "s1", "q", "", nil, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -80,7 +81,7 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	}
 
 	before := s.CacheStats().Plans
-	res, err = s.Query("s1", "q", "", nil)
+	res, err = sqltest.Run(t.Context(), s, "s1", "q", "", nil, 0)
 	if err != nil {
 		t.Fatalf("Query after catalog change: %v", err)
 	}
@@ -95,7 +96,7 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 	}
 
 	// The same key now hits again.
-	res, err = s.Query("s1", "q", "", nil)
+	res, err = sqltest.Run(t.Context(), s, "s1", "q", "", nil, 0)
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -111,12 +112,9 @@ func TestCacheInvalidationOnCatalogChange(t *testing.T) {
 // are not LRU evictions. Plans over other tables stay and keep hitting.
 func TestDropPurgesDependentPlans(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
-	query := func(q string) Result {
+	query := func(q string) sqltest.Result {
 		t.Helper()
-		res, err := s.Query("", "", q, nil)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", q, err)
-		}
+		res := sqltest.MustRun(t, s, q)
 		return res
 	}
 	query("SELECT n FROM r")
@@ -149,13 +147,10 @@ func TestDropPurgesDependentPlans(t *testing.T) {
 // cache entry.
 func TestCacheNormalization(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
-	if _, err := s.Query("", "", "SELECT n FROM r WHERE n = 'Ann'", nil); err != nil {
+	if _, err := sqltest.Run(t.Context(), s, "", "", "SELECT n FROM r WHERE n = 'Ann'", nil, 0); err != nil {
 		t.Fatalf("Query: %v", err)
 	}
-	res, err := s.Query("", "", "select   N from R where n='Ann'", nil)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
+	res := sqltest.MustRun(t, s, "select   N from R where n='Ann'")
 	if !res.CacheHit {
 		t.Fatalf("formatting variant missed the cache")
 	}
@@ -230,7 +225,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		"SELECT mn FROM p",
 	}
 	for _, q := range queries {
-		if _, err := s.Query("", "", q, nil); err != nil {
+		if _, err := sqltest.Run(t.Context(), s, "", "", q, nil, 0); err != nil {
 			t.Fatalf("Query(%s): %v", q, err)
 		}
 	}
@@ -239,17 +234,11 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("stats = %+v, want size 2, evictions 1", st)
 	}
 	// queries[0] was evicted; queries[2] is still cached.
-	res, err := s.Query("", "", queries[2], nil)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
+	res := sqltest.MustRun(t, s, queries[2])
 	if !res.CacheHit {
 		t.Fatalf("most recent entry evicted")
 	}
-	res, err = s.Query("", "", queries[0], nil)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
+	res = sqltest.MustRun(t, s, queries[0])
 	if res.CacheHit {
 		t.Fatalf("oldest entry survived eviction")
 	}

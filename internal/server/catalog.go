@@ -123,8 +123,8 @@ func (c *Catalog) Version() uint64 {
 }
 
 // Snapshot returns an immutable view of the catalog as it is now.
-// Snapshots implement sqlish.StatsCatalog and stay valid (and consistent)
-// however the catalog changes afterwards.
+// Snapshots implement sqlish.Catalog and plan.StatsSource and stay valid
+// (and consistent) however the catalog changes afterwards.
 func (c *Catalog) Snapshot() Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

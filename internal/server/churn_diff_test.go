@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"talign/internal/relation"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/storage"
 	"talign/internal/value"
 )
@@ -71,7 +73,7 @@ func churnCorpus(t *testing.T, rels map[string]*relation.Relation, sv [churnVers
 				if err != nil {
 					t.Fatalf("%s: %v", c.sql, err)
 				}
-				c.want[v], c.readsS = rowKeys(rel), prep.DependsOn("s")
+				c.want[v], c.readsS = sqltest.Keys(rel), prep.DependsOn("s")
 			}
 			add(c)
 		}
@@ -82,7 +84,7 @@ func churnCorpus(t *testing.T, rels map[string]*relation.Relation, sv [churnVers
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel.want[v] = rowKeys(rel)
+		sel.want[v] = sqltest.Keys(rel)
 	}
 	add(sel)
 	return stmts, len(keys)
@@ -159,9 +161,9 @@ func TestChurnDifferential(t *testing.T) {
 	}
 
 	for _, tgt := range churnTargets(t, rels) {
-		query := func(sql string, params []value.Value) server.Result {
+		query := func(sql string, params []value.Value) sqltest.Result {
 			t.Helper()
-			res, err := tgt.front.QueryContext(context.Background(), "", "", sql, params)
+			res, err := sqltest.Run(context.Background(), tgt.front, "", "", sql, params, 0)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", tgt.name, sql, err)
 			}
@@ -172,15 +174,15 @@ func TestChurnDifferential(t *testing.T) {
 		var started, done atomic.Int64
 		check := func(c *churnStmt, phase string) {
 			lo := done.Load()
-			res, err := tgt.front.QueryContext(context.Background(), "", "", c.sql, c.params)
+			res, err := sqltest.Run(context.Background(), tgt.front, "", "", c.sql, c.params, 0)
 			hi := started.Load()
 			if err != nil {
 				t.Errorf("%s %s: %s: %v", tgt.name, phase, c.sql, err)
 				return
 			}
-			got := rowKeys(res.Rel)
+			got := sqltest.Keys(res.Rel)
 			for v := lo; v <= hi; v++ {
-				if equalKeys(got, c.want[v%churnVersions]) {
+				if slices.EqualFunc(got, c.want[v%churnVersions], bytes.Equal) {
 					return
 				}
 			}
@@ -286,19 +288,6 @@ func TestChurnDifferential(t *testing.T) {
 		pass("after re-registering s", len(readS))
 		pass("after re-registering s, again", 0)
 	}
-}
-
-// equalKeys compares two sorted key lists.
-func equalKeys(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // churnTargets builds the deployments of the churn differential, each

@@ -38,7 +38,7 @@ type DistResult struct {
 	// valid-time bounds), parallel to SchemaColumns.
 	Cols  []string
 	Types []string
-	// Schema is the visible-attribute schema (for buffered results).
+	// Schema is the visible-attribute schema (RowStream.Schema).
 	Schema schema.Schema
 	// Plan is the plan/acknowledgement text when the statement produces
 	// no rows; Src must be nil then.

@@ -25,7 +25,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	rs, err := s.StreamBatch(r.Context(), req.Session, req.Stmt, req.SQL, params, req.Batch)
 	if err != nil {
 		// Nothing was sent yet: report the failure as a plain structured
-		// HTTP error, exactly like the buffered endpoint.
+		// HTTP error, exactly like POST /query.
 		httpError(w, err)
 		return
 	}

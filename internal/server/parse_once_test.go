@@ -9,6 +9,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
@@ -65,7 +66,7 @@ func TestOneLexAtMostOneParse(t *testing.T) {
 		query := func(stmt, sql string, params ...value.Value) func() {
 			return func() {
 				t.Helper()
-				if _, err := srv.Query("", stmt, sql, params); err != nil {
+				if _, err := sqltest.Run(t.Context(), srv, "", stmt, sql, params, 0); err != nil {
 					t.Fatalf("%s%s: %v", stmt, sql, err)
 				}
 			}
@@ -109,7 +110,7 @@ func TestOneLexAtMostOneParse(t *testing.T) {
 			{"EXPLAIN statement", query("", "EXPLAIN SELECT a FROM r WHERE a = 1"), 1, 1},
 			{"ANALYZE statement", query("", "ANALYZE r"), 1, 1},
 			{"syntax error", func() {
-				if _, err := srv.Query("", "", "SELECT a FROM r WHERE a = ", nil); err == nil {
+				if _, err := sqltest.Run(t.Context(), srv, "", "", "SELECT a FROM r WHERE a = ", nil, 0); err == nil {
 					t.Fatal("syntax error accepted")
 				}
 			}, 1, 1},

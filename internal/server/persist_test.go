@@ -18,6 +18,7 @@ import (
 	"talign/internal/faultinject"
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/sqltest"
 	"talign/internal/storage"
 )
 
@@ -367,10 +368,7 @@ func TestCursorSurvivesDropTable(t *testing.T) {
 		if _, err := s.CreateTable("big", csvPath); err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.Query("", "", sql, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sqltest.MustRun(t, s, sql)
 		rs, err := s.StreamBatch(context.Background(), "", "", sql, nil, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -384,7 +382,7 @@ func TestCursorSurvivesDropTable(t *testing.T) {
 		if err := s.DropTable("big"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Query("", "", sql, nil); err == nil || !strings.Contains(err.Error(), "unknown table") {
+		if _, err := sqltest.Run(t.Context(), s, "", "", sql, nil, 0); err == nil || !strings.Contains(err.Error(), "unknown table") {
 			t.Fatalf("store=%v: query after DROP TABLE: %v, want unknown table", withStore, err)
 		}
 		for {

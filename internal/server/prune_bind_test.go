@@ -8,6 +8,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/server"
+	"talign/internal/sqltest"
 	"talign/internal/storage"
 	"talign/internal/value"
 )
@@ -52,7 +53,7 @@ func TestBindTimePruning(t *testing.T) {
 	run := func(stmt, sql string, params ...value.Value) (rows int, scanned, pruned uint64) {
 		t.Helper()
 		s0, p0 := exec.SegmentsScanned(), exec.SegmentsPruned()
-		res, err := srv.Query("", stmt, sql, params)
+		res, err := sqltest.Run(t.Context(), srv, "", stmt, sql, params, 0)
 		if err != nil {
 			t.Fatalf("%s%s %v: %v", stmt, sql, params, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
@@ -83,10 +84,7 @@ func TestPanicFunctionIsolated(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := resilServer(t, 5000, nil)
 
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t WHERE chaos_panic_at(v, 7) = v", nil)
-	if err == nil {
-		_, err = drainRows(rs)
-	}
+	_, err := sqltest.Run(t.Context(), s, "", "", "SELECT v, Ts, Te FROM t WHERE chaos_panic_at(v, 7) = v", nil, 0)
 	var pe *exec.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *exec.PanicError", err)
@@ -115,10 +113,7 @@ func TestQueryTimeout(t *testing.T) {
 	})
 
 	start := time.Now()
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM (t a ALIGN t b ON true) x", nil)
-	if err == nil {
-		_, err = drainRows(rs)
-	}
+	_, err := sqltest.Run(t.Context(), s, "", "", "SELECT v, Ts, Te FROM (t a ALIGN t b ON true) x", nil, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -141,10 +136,7 @@ func TestResourceBudget(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := resilServer(t, 5000, func(c *Config) { c.MaxRows = 50 })
 
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil)
-	if err == nil {
-		_, err = drainRows(rs)
-	}
+	_, err := sqltest.Run(t.Context(), s, "", "", "SELECT v, Ts, Te FROM t", nil, 0)
 	var be *exec.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("got %v, want *exec.BudgetError", err)
@@ -162,13 +154,9 @@ func TestResourceBudget(t *testing.T) {
 // changes nothing: the full result still streams.
 func TestBudgetAllowsSmallResults(t *testing.T) {
 	s := resilServer(t, 100, func(c *Config) { c.MaxRows = 100_000; c.MaxBytes = 100 << 20 })
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil)
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	n, err := drainRows(rs)
-	if err != nil || n != 100 {
-		t.Fatalf("got %d rows, err %v; want 100, nil", n, err)
+	res, err := sqltest.Run(t.Context(), s, "", "", "SELECT v, Ts, Te FROM t", nil, 0)
+	if err != nil || res.Rel.Len() != 100 {
+		t.Fatalf("got %v, err %v; want 100 rows, nil", res.Rel, err)
 	}
 }
 
@@ -189,7 +177,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 
 	// Open a stream, then drain with it still in flight.
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil)
+	rs, err := s.StreamBatch(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil, 0)
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
@@ -206,7 +194,7 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 
 	// New work is refused with the structured code...
-	_, err = s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil)
+	_, err = s.StreamBatch(context.Background(), "", "", "SELECT v, Ts, Te FROM t", nil, 0)
 	var se *sqlish.Error
 	if !errors.As(err, &se) || se.Code != sqlish.ErrUnavailable {
 		t.Fatalf("query during drain: %v, want structured %q error", err, sqlish.ErrUnavailable)
@@ -238,7 +226,7 @@ func TestPanicDoesNotDisturbConcurrentQuery(t *testing.T) {
 	}
 	alignDone := make(chan result, 1)
 	go func() {
-		rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM (t a ALIGN t b ON true) x", nil)
+		rs, err := s.StreamBatch(context.Background(), "", "", "SELECT v, Ts, Te FROM (t a ALIGN t b ON true) x", nil, 0)
 		if err != nil {
 			alignDone <- result{0, err}
 			return
@@ -256,10 +244,7 @@ func TestPanicDoesNotDisturbConcurrentQuery(t *testing.T) {
 	waitFor(t, 10*time.Second, "align stream to produce rows", func() bool {
 		return s.rowsStreamed.Load() > 0
 	})
-	rs, err := s.Stream(context.Background(), "", "", "SELECT v, Ts, Te FROM t WHERE chaos_always_panic(v) = v", nil)
-	if err == nil {
-		_, err = drainRows(rs)
-	}
+	_, err := sqltest.Run(t.Context(), s, "", "", "SELECT v, Ts, Te FROM t WHERE chaos_always_panic(v) = v", nil, 0)
 	var pe *exec.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking query: got %v, want *exec.PanicError", err)

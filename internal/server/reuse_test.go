@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/relation"
 	"talign/internal/server"
+	"talign/internal/sqltest"
 	"talign/internal/storage"
 	"talign/internal/value"
 )
@@ -62,13 +65,13 @@ func TestReuseDifferential(t *testing.T) {
 		for _, tpl := range shapeTemplates {
 			for _, lit := range reuseLiterals {
 				sql := fmt.Sprintf(tpl.sql, lit)
-				got, gerr := warm.QueryContext(context.Background(), "", "", sql, tpl.params)
-				want, werr := start().QueryContext(context.Background(), "", "", sql, tpl.params)
+				got, gerr := sqltest.Run(context.Background(), warm, "", "", sql, tpl.params, 0)
+				want, werr := sqltest.Run(context.Background(), start(), "", "", sql, tpl.params, 0)
 				if (gerr != nil) != (werr != nil) {
 					t.Errorf("%s: %q: warm server error %v, cold server error %v", backing, sql, gerr, werr)
 					continue
 				}
-				if gerr == nil && !equalKeys(rowKeys(got.Rel), rowKeys(want.Rel)) {
+				if gerr == nil && !slices.EqualFunc(sqltest.Keys(got.Rel), sqltest.Keys(want.Rel), bytes.Equal) {
 					t.Errorf("%s: %q: a re-opened pipeline returned\n%s\na server started for the statement\n%s", backing, sql, got.Rel, want.Rel)
 				}
 			}
@@ -114,7 +117,7 @@ func TestReuseNoCrossTalk(t *testing.T) {
 			defer wg.Done()
 			sql := fmt.Sprintf("SELECT a, b FROM big WHERE a = %d AND b >= 0", g)
 			for i := 0; i < rounds; i++ {
-				rs, err := srv.Stream(context.Background(), "", "", sql, nil)
+				rs, err := srv.StreamBatch(context.Background(), "", "", sql, nil, 0)
 				if err != nil {
 					t.Errorf("client %d: %v", g, err)
 					return
@@ -149,7 +152,7 @@ func TestReuseNoCrossTalk(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			rs, err := srv.Stream(ctx, "", "", "SELECT a, b FROM big WHERE a = 8 AND b >= 0", nil)
+			rs, err := srv.StreamBatch(ctx, "", "", "SELECT a, b FROM big WHERE a = 8 AND b >= 0", nil, 0)
 			if err != nil {
 				t.Errorf("canceller: %v", err)
 				cancel()
@@ -189,7 +192,7 @@ func TestFailedPipelineNotReused(t *testing.T) {
 	defer faultinject.Reset()
 	srv := reuseServer(t, server.Config{MaxDOP: 16, MaxRows: 100})
 	run := func(ctx context.Context, lit int) (int, error) {
-		rs, err := srv.Stream(ctx, "", "", fmt.Sprintf("SELECT a, b FROM big WHERE a >= %d AND b >= 0", lit), nil)
+		rs, err := srv.StreamBatch(ctx, "", "", fmt.Sprintf("SELECT a, b FROM big WHERE a >= %d AND b >= 0", lit), nil, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -266,10 +269,7 @@ func TestReuseServesRecreatedTable(t *testing.T) {
 	srv := server.New(server.Config{Flags: plan.DefaultFlags()})
 	exec1 := func(sql string) *relation.Relation {
 		t.Helper()
-		res, err := srv.Query("", "", sql, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
+		res := sqltest.MustRun(t, srv, sql)
 		return res.Rel
 	}
 	exec1("CREATE TABLE c FROM CSV '" + v1 + "'")
@@ -332,15 +332,12 @@ func TestPointWorkloadReuseIsTotal(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			for slot := 0; slot < 10; slot++ {
 				lo, shape := int64(round*10+slot)%97, slot%5
-				prepared, err := srv.Query("s", fmt.Sprint("p", shape), "", []value.Value{value.NewInt(lo)})
+				prepared, err := sqltest.Run(t.Context(), srv, "s", fmt.Sprint("p", shape), "", []value.Value{value.NewInt(lo)}, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				adhoc, err := srv.Query("", "", strings.ReplaceAll(shapes[shape], "$1", fmt.Sprint(lo)), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalKeys(rowKeys(prepared.Rel), rowKeys(adhoc.Rel)) {
+				adhoc := sqltest.MustRun(t, srv, strings.ReplaceAll(shapes[shape], "$1", fmt.Sprint(lo)))
+				if !slices.EqualFunc(sqltest.Keys(prepared.Rel), sqltest.Keys(adhoc.Rel), bytes.Equal) {
 					t.Fatalf("%s, round %d, shape %d, ssn = %d: prepared and ad-hoc disagree", method, round, shape, lo)
 				}
 			}

@@ -10,7 +10,7 @@
 // GET /explain, GET /healthz) and binary frame connections (GET /frames).
 //
 // Every execution is a RowStream, pulled as tuple batches (Next: the
-// NDJSON encoder, embedded cursors, the buffered path) or as columnar
+// NDJSON encoder, embedded cursors, POST /query) or as columnar
 // batches (NextBatch: the wire batch-frame encoder, which serves a
 // columnar plan root straight off the executor). writeFrames is the one
 // writer of a result stream, over HTTP and on frame connections.
@@ -35,7 +35,6 @@ import (
 
 	"talign/internal/exec"
 	"talign/internal/plan"
-	"talign/internal/relation"
 	"talign/internal/sqlish"
 	"talign/internal/stats"
 	"talign/internal/storage"
@@ -55,11 +54,11 @@ type Config struct {
 	// goroutine, so this is the executor's total width); 0 means
 	// unlimited.
 	MaxDOP int
-	// Timeout is the per-query deadline: every execution (buffered or
-	// streamed, including its wait at the admission gate) runs under a
-	// context that expires after this long. 0 means no server-side
-	// deadline; clients can still bring their own through the request
-	// context. Expiry aborts with the wire code "timeout".
+	// Timeout is the per-query deadline: every execution (including its
+	// wait at the admission gate) runs under a context that expires after
+	// this long. 0 means no server-side deadline; clients can still bring
+	// their own through the request context. Expiry aborts with the wire
+	// code "timeout".
 	Timeout time.Duration
 	// MaxRows and MaxBytes are the per-query resource budget: cumulative
 	// tuples / approximate bytes crossing operator boundaries (see
@@ -247,60 +246,6 @@ func (s *Server) Prepare(sessionID, name, sql string) (*sqlish.Prepared, error) 
 	return prep, nil
 }
 
-// Result is one query's outcome: either a relation or (for EXPLAIN) a
-// plan rendering, plus whether the plan came out of the cache.
-type Result struct {
-	// Rel holds the result rows (nil for EXPLAIN statements).
-	Rel *relation.Relation
-	// Plan holds the EXPLAIN rendering (empty for ordinary statements).
-	Plan string
-	// CacheHit reports whether the plan was served from the cache.
-	CacheHit bool
-}
-
-// Query executes ad-hoc SQL (stmtName == "") or a session's named
-// prepared statement, binding params to $1..$N, buffering the full
-// result. Execution is admitted through the admission gate.
-func (s *Server) Query(sessionID, stmtName, sql string, params []value.Value) (Result, error) {
-	return s.QueryContext(context.Background(), sessionID, stmtName, sql, params)
-}
-
-// QueryContext is Query under a context: cancellation aborts the
-// execution cooperatively (including while queued at the admission gate).
-// It is implemented over the streaming core — the buffered path IS the
-// stream, drained to completion — so buffered and streamed executions
-// can never diverge.
-func (s *Server) QueryContext(ctx context.Context, sessionID, stmtName, sql string, params []value.Value) (Result, error) {
-	return s.QueryBatch(ctx, sessionID, stmtName, sql, params, 0)
-}
-
-// QueryBatch is QueryContext with a per-request batch-size override
-// (batch <= 0 keeps the server's configured batch size).
-func (s *Server) QueryBatch(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (Result, error) {
-	rs, err := s.StreamBatch(ctx, sessionID, stmtName, sql, params, batch)
-	if err != nil {
-		return Result{}, err
-	}
-	defer rs.Close()
-	if rs.Plan() != "" {
-		return Result{Plan: rs.Plan(), CacheHit: rs.CacheHit()}, nil
-	}
-	rel := relation.New(rs.sch)
-	for {
-		b, nerr := rs.Next()
-		if nerr != nil {
-			return Result{}, nerr
-		}
-		if len(b) == 0 {
-			break
-		}
-		// Batches are reused by the executor; the tuple structs copy
-		// safely per the batch ownership contract.
-		rel.Tuples = append(rel.Tuples, b...)
-	}
-	return Result{Rel: rel, CacheHit: rs.CacheHit()}, nil
-}
-
 // Explain renders the plan of ad-hoc SQL or of a named prepared
 // statement, with the estimates of the statement's own literals: ad-hoc
 // text is parsed un-lifted and planned (through the cache) under its
@@ -413,16 +358,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	res, err := s.QueryBatch(r.Context(), req.Session, req.Stmt, req.SQL, params, req.Batch)
+	rs, err := s.StreamBatch(r.Context(), req.Session, req.Stmt, req.SQL, params, req.Batch)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	if res.Plan != "" {
-		writeJSON(w, queryResponse{Plan: res.Plan, CacheHit: res.CacheHit})
-		return
+	defer rs.Close()
+	resp := queryResponse{Columns: rs.Columns(), Types: rs.Types(), Plan: rs.Plan(), CacheHit: rs.CacheHit()}
+	// The whole stream is drained before a byte is written, so a failure
+	// mid-stream still answers as a structured error.
+	for b, err := rs.Next(); len(b) > 0 || err != nil; b, err = rs.Next() {
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		resp.Rows = append(resp.Rows, cellRows(b)...)
 	}
-	writeJSON(w, encodeRelation(res.Rel, res.CacheHit))
+	resp.RowCount = len(resp.Rows)
+	writeJSON(w, resp)
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
@@ -567,18 +520,6 @@ func decodeRequest(r *http.Request) (queryRequest, []value.Value, error) {
 		params[i] = v
 	}
 	return req, params, nil
-}
-
-// encodeRelation renders a result relation as a queryResponse.
-func encodeRelation(rel *relation.Relation, cacheHit bool) queryResponse {
-	cols, types := rel.Schema.ResultColumns()
-	return queryResponse{
-		Columns:  cols,
-		Types:    types,
-		Rows:     cellRows(rel.Rows()),
-		RowCount: rel.Len(),
-		CacheHit: cacheHit,
-	}
 }
 
 // SchemaColumns lists a prepared statement's result columns and types:

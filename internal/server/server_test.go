@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -46,6 +47,13 @@ func TestHTTPQuery(t *testing.T) {
 	row := out["rows"].([]any)[0].([]any)
 	if row[0].(float64) != 40 {
 		t.Fatalf("first row = %v", row)
+	}
+
+	// An empty result names its columns and types and has no rows key.
+	code, out = post(t, ts, "/query", `{"sql": "SELECT a FROM p WHERE a >= $1", "params": [100]}`)
+	if _, hasRows := out["rows"]; code != http.StatusOK || out["row_count"] != 0.0 || hasRows ||
+		fmt.Sprint(out["columns"], out["types"]) != "[a ts te] [int int int]" {
+		t.Fatalf("empty result: status %d: %v", code, out)
 	}
 }
 
@@ -198,6 +206,17 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	}
 	if e := out["error"].(map[string]any); e["code"] != "request" {
 		t.Fatalf("missing param error = %v", e)
+	}
+
+	// A row budget that trips after the first batch reached the handler
+	// answers the structured resource error, never a 200 with the rows
+	// that came before it.
+	small := demoServer(t, Config{Flags: plan.DefaultFlags(), MaxRows: 3})
+	sts := httptest.NewServer(small.Handler())
+	defer sts.Close()
+	code, out = post(t, sts, "/query", `{"sql": "SELECT a FROM p", "batch": 1}`)
+	if e, _ := out["error"].(map[string]any); code != http.StatusTooManyRequests || e["code"] != "resource" || out["rows"] != nil || small.rowsStreamed.Load() == 0 {
+		t.Fatalf("budget abort after %d streamed rows: status %d: %v", small.rowsStreamed.Load(), code, out)
 	}
 
 	// /prepare errors point into the ORIGINAL (multi-line) text as well.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"talign/internal/schema"
 	"talign/internal/server"
 	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/storage"
 	"talign/internal/value"
 )
@@ -80,17 +80,6 @@ func shapeRels(seed int) map[string]*relation.Relation {
 	return rels
 }
 
-// rowKeys renders a result as its sorted per-row key encodings (values
-// and valid time).
-func rowKeys(rel *relation.Relation) [][]byte {
-	keys := make([][]byte, rel.Len())
-	for i := range rel.Rows() {
-		keys[i] = rel.Rows()[i].AppendKey(nil)
-	}
-	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
-	return keys
-}
-
 // shapeCase is one statement of the differential with its reference
 // outcome: the rows (or failure) of a fresh, un-lifted sqlish.Prepare of
 // the same text over the same relations.
@@ -117,7 +106,7 @@ func shapeCases(t *testing.T, rels map[string]*relation.Relation) []shapeCase {
 			if err == nil {
 				var rel *relation.Relation
 				if rel, err = prep.Execute(c.params...); err == nil {
-					c.want = rowKeys(rel)
+					c.want = sqltest.Keys(rel)
 				}
 			}
 			c.fails = err != nil
@@ -139,7 +128,7 @@ func runShapeCases(t *testing.T, tag string, srv *server.Server, cases []shapeCa
 			order := rand.New(rand.NewSource(int64(g))).Perm(len(cases))
 			for _, i := range order {
 				c := cases[i]
-				res, err := srv.QueryContext(context.Background(), "", "", c.sql, c.params)
+				res, err := sqltest.Run(context.Background(), srv, "", "", c.sql, c.params, 0)
 				if (err != nil) != c.fails {
 					t.Errorf("%s: %q: server error %v, un-lifted reference failed=%v", tag, c.sql, err, c.fails)
 					continue
@@ -147,7 +136,7 @@ func runShapeCases(t *testing.T, tag string, srv *server.Server, cases []shapeCa
 				if err != nil {
 					continue
 				}
-				got := rowKeys(res.Rel)
+				got := sqltest.Keys(res.Rel)
 				if len(got) != len(c.want) {
 					t.Errorf("%s: %q: %d rows, reference has %d", tag, c.sql, len(got), len(c.want))
 					continue
@@ -245,7 +234,7 @@ func TestShapeDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for tag, srv := range map[string]*server.Server{"memory": mem, "2 workers": csrv} {
-					res, err := srv.Query("", "", sel.sql, nil)
+					res, err := sqltest.Run(t.Context(), srv, "", "", sel.sql, nil, 0)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", tag, sel.sql, err)
 					}
@@ -274,23 +263,20 @@ func TestShapeKeepsCallerNumbering(t *testing.T) {
 		t.Errorf("NumParams = %d, want 1", prep.NumParams)
 	}
 	for _, params := range [][]value.Value{nil, {value.NewInt(0), value.NewInt(1)}} {
-		_, err := srv.Query("s", "q", "", params)
+		_, err := sqltest.Run(t.Context(), srv, "s", "q", "", params, 0)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wants 1 parameter(s), got %d", len(params))) {
 			t.Errorf("by name with %d params: error %v", len(params), err)
 		}
-		_, err = srv.Query("", "", "SELECT a, b FROM r WHERE a >= $1 AND b <= 2", params)
+		_, err = sqltest.Run(t.Context(), srv, "", "", "SELECT a, b FROM r WHERE a >= $1 AND b <= 2", params, 0)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wants 1 parameter(s), got %d", len(params))) {
 			t.Errorf("ad hoc with %d params: error %v", len(params), err)
 		}
 	}
-	res, err := srv.Query("s", "q", "", []value.Value{value.NewInt(0)})
+	res, err := sqltest.Run(t.Context(), srv, "s", "q", "", []value.Value{value.NewInt(0)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := srv.Query("", "", "SELECT a, b FROM r WHERE a >= 0 AND b <= 2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := sqltest.MustRun(t, srv, "SELECT a, b FROM r WHERE a >= 0 AND b <= 2")
 	if !relation.SetEqual(res.Rel, ref.Rel) {
 		t.Errorf("prepared statement with a lifted literal diverged from its literal text")
 	}

@@ -17,9 +17,9 @@ import (
 
 // RowStream is one query's incremental result: schema metadata up front,
 // then batches of rows pulled straight from the executor. It is the
-// server-core primitive beneath the wire-level frame streaming (both
-// encodings), the public talign package's embedded cursors and the
-// buffered legacy Query path.
+// server-core primitive beneath every statement: the wire-level frame
+// streaming (both encodings), POST /query's JSON answer and the public
+// talign package's embedded cursors.
 //
 // A stream with a source holds the admission-gate unit its execution
 // claimed until Close — a streaming client occupies its slot for as long
@@ -48,6 +48,10 @@ func (rs *RowStream) Columns() []string { return rs.cols }
 
 // Types lists the column type names, parallel to Columns.
 func (rs *RowStream) Types() []string { return rs.types }
+
+// Schema describes the rows Next returns (the zero schema for a stream
+// that answers with a plan rendering).
+func (rs *RowStream) Schema() schema.Schema { return rs.sch }
 
 // Plan holds the plan rendering for EXPLAIN/ANALYZE-style statements
 // (empty for row-producing statements).
@@ -185,19 +189,15 @@ func (s *Server) countFailure(err error) {
 	}
 }
 
-// Stream executes ad-hoc SQL (stmtName == "") or a session's named
+// StreamBatch executes ad-hoc SQL (stmtName == "") or a session's named
 // prepared statement as an incremental row stream under ctx: admission
 // waits on the gate honor the context, and every operator in the built
 // pipeline checks it between batches, so cancelling ctx (a disconnected
-// client, a deadline) aborts the query server-side. The returned
-// RowStream must be Closed.
-func (s *Server) Stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value) (*RowStream, error) {
-	return s.StreamBatch(ctx, sessionID, stmtName, sql, params, 0)
-}
-
-// StreamBatch is Stream with a per-request batch-size override (batch <=
-// 0 keeps the server's configured batch size); the override participates
-// in the plan-cache key through the flags fingerprint.
+// client, a deadline) aborts the query server-side. batch is a
+// per-request batch-size override (batch <= 0 keeps the server's
+// configured batch size); the override participates in the plan-cache
+// key through the flags fingerprint. The returned RowStream must be
+// Closed.
 //
 // The query lifecycle seams live here: a draining server refuses new
 // work with the code "unavailable", the server's per-query deadline is
@@ -215,7 +215,7 @@ func (s *Server) StreamBatch(ctx context.Context, sessionID, stmtName, sql strin
 	if s.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 	}
-	rs, err := s.streamGuarded(ctx, sessionID, stmtName, sql, params, batch)
+	rs, err := s.stream(ctx, sessionID, stmtName, sql, params, batch)
 	if err != nil {
 		cancel()
 		s.countFailure(err)
@@ -231,16 +231,13 @@ func (s *Server) StreamBatch(ctx context.Context, sessionID, stmtName, sql strin
 	return rs, nil
 }
 
-// streamGuarded is stream behind the server-level panic boundary.
-func (s *Server) streamGuarded(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (rs *RowStream, err error) {
+// stream is StreamBatch's statement path, behind the server-level panic
+// boundary.
+func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (_ *RowStream, err error) {
 	defer exec.RecoverAsError("server.stream", &err)
 	if err := faultinject.Hit("server.stream"); err != nil {
 		return nil, err
 	}
-	return s.stream(ctx, sessionID, stmtName, sql, params, batch)
-}
-
-func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (*RowStream, error) {
 	var st *sqlish.Statement
 	switch {
 	case stmtName != "" && sql != "":

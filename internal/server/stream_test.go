@@ -228,7 +228,7 @@ func TestCancelMidAlign(t *testing.T) {
 
 	before := exec.CancelObserved()
 	ctx, cancel := context.WithCancel(context.Background())
-	rs, err := s.Stream(ctx, "", "", sql, nil)
+	rs, err := s.StreamBatch(ctx, "", "", sql, nil, 0)
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
 	}
@@ -574,7 +574,7 @@ func TestFailedFrameWriteCountsOneCancel(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cancels, errs := s.cancels.Load(), s.errors.Load()
-			rs, err := s.Stream(context.Background(), "", "", "SELECT a FROM p WHERE a >= 40", nil)
+			rs, err := s.StreamBatch(context.Background(), "", "", "SELECT a FROM p WHERE a >= 40", nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
@@ -36,38 +37,69 @@ var stressParams = []int64{0, 1, 2, 30, 40, 50}
 // shared cached plans, the COW catalog and the admission gate must not
 // corrupt results under contention.
 func TestConcurrentServerMatchesSerial(t *testing.T) {
-	flags := plan.DefaultFlags()
-	s := demoServer(t, Config{Flags: flags, MaxDOP: 4})
+	runStress(t, demoServer(t, Config{Flags: plan.DefaultFlags(), MaxDOP: 4}), 40, 1000, nil)
+}
 
-	// Serial oracle: every (query, param) combination executed on a
-	// single-goroutine engine before any concurrency starts.
+// TestConcurrentCatalogChurn runs the same workload while another
+// goroutine registers and drops unrelated tables, exercising the COW
+// snapshot path: queries must never observe a half-updated catalog, and
+// version churn must only cause re-plans, not wrong results.
+func TestConcurrentCatalogChurn(t *testing.T) {
+	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
+	runStress(t, s, 50, 3000, func(stop <-chan struct{}) {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := fmt.Sprintf("tmp%d", i%4)
+			s.Catalog().Register(name, relation.NewBuilder("x int").Row(0, 1, i).MustBuild())
+			if i%3 == 0 {
+				s.Catalog().Drop(name)
+			}
+		}
+	})
+}
+
+// runStress executes every stressQueries binding serially, prepares each
+// statement, then has 8 workers (seeded from seed) run iters random
+// statements each, half by prepared name and half ad hoc, while churn
+// (if set) runs beside them until they finish. Every result must equal
+// the serial one, and no admission-gate unit may leak.
+func runStress(t *testing.T, s *Server, iters int, seed int64, churn func(stop <-chan struct{})) {
+	t.Helper()
 	serial := map[string]*relation.Relation{}
 	for qi, q := range stressQueries {
 		for _, p := range bindings(q.nparams) {
-			res, err := s.Query("", "", q.sql, p)
+			res, err := sqltest.Run(t.Context(), s, "", "", q.sql, p, 0)
 			if err != nil {
 				t.Fatalf("serial %s with %v: %v", q.sql, p, err)
 			}
 			serial[resultKey(qi, p)] = res.Rel
 		}
-	}
-
-	// Half the workers use named prepared statements, half ad-hoc SQL.
-	for qi, q := range stressQueries {
 		if _, err := s.Prepare("stress", fmt.Sprintf("q%d", qi), q.sql); err != nil {
 			t.Fatalf("Prepare q%d: %v", qi, err)
 		}
 	}
 
+	stop := make(chan struct{})
+	var churned sync.WaitGroup
+	if churn != nil {
+		churned.Add(1)
+		go func() {
+			defer churned.Done()
+			churn(stop)
+		}()
+	}
 	const workers = 8
-	const iters = 40
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(1000 + w)))
+			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := 0; i < iters; i++ {
 				qi := rng.Intn(len(stressQueries))
 				q := stressQueries[qi]
@@ -75,13 +107,11 @@ func TestConcurrentServerMatchesSerial(t *testing.T) {
 				if q.nparams == 1 {
 					params = []value.Value{value.NewInt(stressParams[rng.Intn(len(stressParams))])}
 				}
-				var res Result
-				var err error
-				if w%2 == 0 {
-					res, err = s.Query("stress", fmt.Sprintf("q%d", qi), "", params)
-				} else {
-					res, err = s.Query("", "", q.sql, params)
+				stmt, sql := fmt.Sprintf("q%d", qi), ""
+				if w%2 == 1 {
+					stmt, sql = "", q.sql
 				}
+				res, err := sqltest.Run(t.Context(), s, "stress", stmt, sql, params, 0)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %s: %v", w, q.sql, err)
 					return
@@ -97,70 +127,14 @@ func TestConcurrentServerMatchesSerial(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	churned.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 	if st := s.gate.Stats(); st.InUse != 0 {
 		t.Fatalf("gate leaked %d units", st.InUse)
-	}
-}
-
-// TestConcurrentCatalogChurn runs queries over stable tables while
-// another goroutine registers and drops unrelated tables, exercising the
-// COW snapshot path: queries must never observe a half-updated catalog,
-// and version churn must only cause re-plans, not wrong results.
-func TestConcurrentCatalogChurn(t *testing.T) {
-	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
-	want, err := s.Query("", "", "SELECT n FROM r", nil)
-	if err != nil {
-		t.Fatalf("serial query: %v", err)
-	}
-
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			name := fmt.Sprintf("tmp%d", i%4)
-			s.Catalog().Register(name, relation.NewBuilder("x int").Row(0, 1, i).MustBuild())
-			if i%3 == 0 {
-				s.Catalog().Drop(name)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				res, err := s.Query("", "", "SELECT n FROM r", nil)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if !relation.SetEqual(res.Rel, want.Rel) {
-					errs <- fmt.Errorf("worker %d: result diverged under catalog churn", w)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	churn.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
 	}
 }
 

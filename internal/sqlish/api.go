@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"talign/internal/csvio"
 	"talign/internal/opt"
 	"talign/internal/plan"
 	"talign/internal/relation"
@@ -83,13 +82,9 @@ func Parse(sql string) (*Statement, error) {
 	return &Statement{SQL: sql, ast: ast}, nil
 }
 
-// IsExplain reports whether the statement is an EXPLAIN.
-func (st *Statement) IsExplain() bool { return !st.deferred && st.ast.Explain }
-
 // AnalyzeTarget returns the table name of a standalone ANALYZE statement;
 // ok is false for every other statement kind. ANALYZE mutates catalog
-// statistics and is executed by the Engine or the server, never through
-// Prepare.
+// statistics and is executed by the server, never through Prepare.
 func (st *Statement) AnalyzeTarget() (name string, ok bool) {
 	if st.deferred {
 		return "", false
@@ -260,7 +255,7 @@ func Prepare(sql string, cat Catalog, flags plan.Flags) (*Prepared, error) {
 // placeholders.
 func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 	if name, ok := st.AnalyzeTarget(); ok {
-		return nil, fmt.Errorf("sqlish: ANALYZE %s cannot be prepared; execute it through the engine or server", name)
+		return nil, fmt.Errorf("sqlish: ANALYZE %s cannot be prepared; execute it through the server", name)
 	}
 	if name, _, ok := st.CreateTarget(); ok {
 		return nil, fmt.Errorf("sqlish: CREATE TABLE %s cannot be prepared; execute it through the server", name)
@@ -334,8 +329,8 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 func (p *Prepared) IsExplain() bool { return p.explain }
 
 // IsExplainAnalyze reports whether the statement was an EXPLAIN ANALYZE;
-// such statements run through ExplainAnalyze, which executes the plan and
-// reports actual row counts.
+// such statements run through ExplainAnalyzeContext, which executes the
+// plan and reports actual row counts.
 func (p *Prepared) IsExplainAnalyze() bool { return p.explainAnalyze }
 
 // Schema describes the result columns (parameter-typed columns report
@@ -350,17 +345,12 @@ func (p *Prepared) Columns() (cols, types []string) { return p.cols, p.types }
 // unbound placeholders render as $N.
 func (p *Prepared) Explain() string { return plan.Explain(p.root) }
 
-// ExplainAnalyze executes the plan with params bound to $1..$N, counting
-// every operator's actual output rows, and renders the tree with
-// estimated vs actual cardinalities. It is only valid for EXPLAIN
-// ANALYZE statements and is safe to call concurrently (each call builds
-// and runs a fresh executor tree).
-func (p *Prepared) ExplainAnalyze(params ...value.Value) (string, error) {
-	return p.ExplainAnalyzeContext(context.Background(), params...)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze under a context: cancelling ctx
-// aborts the measured execution cooperatively.
+// ExplainAnalyzeContext executes the plan under ctx with params bound to
+// $1..$N, counting every operator's actual output rows, and renders the
+// tree with estimated vs actual cardinalities. It is only valid for
+// EXPLAIN ANALYZE statements and is safe to call concurrently (each call
+// builds and runs a fresh executor tree); cancelling ctx aborts the
+// measured execution cooperatively.
 func (p *Prepared) ExplainAnalyzeContext(ctx context.Context, params ...value.Value) (string, error) {
 	if !p.explainAnalyze {
 		return "", requestError("statement is not EXPLAIN ANALYZE")
@@ -384,7 +374,7 @@ func (p *Prepared) Execute(params ...value.Value) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.RunParams(p.root, args...)
+	return plan.RunCtx(p.root, plan.NewExecCtx(args...))
 }
 
 // ParseNormalized runs the Parse stage and derives the normalized
@@ -419,131 +409,4 @@ func Normalize(sql string) (string, error) {
 		return "", err
 	}
 	return renderTokens(sql, toks, nil), nil
-}
-
-// StatsCatalog is a Catalog that also resolves per-table ANALYZE
-// statistics; the analyzer feeds them to the planner when the catalog it
-// prepares against implements this (the Engine's private catalog and the
-// server's versioned snapshots both do).
-type StatsCatalog interface {
-	Catalog
-	plan.StatsSource
-}
-
-// engineCatalog is the Engine's private StatsCatalog: a MapCatalog plus a
-// statistics side table maintained by ANALYZE.
-type engineCatalog struct {
-	MapCatalog
-	stats map[string]*stats.Table
-}
-
-// TableStats implements plan.StatsSource.
-func (c engineCatalog) TableStats(name string) *stats.Table {
-	return c.stats[strings.ToLower(name)]
-}
-
-// Engine is the one-stop convenience wrapper around the pipeline: it owns
-// a private MapCatalog (plus the statistics ANALYZE collects) and runs
-// each statement through Prepare + Execute. It preserves the pre-server
-// one-shot API used by the shell, the examples and the tests; long-lived
-// multi-client use wants the server package (COW catalog, plan cache,
-// admission control) instead, and NEW consumer code should reach for the
-// public talign package at the module root — context-aware streaming
-// cursors over this same pipeline, embedded or remote — rather than this
-// internal shim. An Engine is not safe for concurrent use.
-type Engine struct {
-	catalog engineCatalog
-	flags   plan.Flags
-}
-
-// NewEngine creates an engine with the given planner flags.
-func NewEngine(flags plan.Flags) *Engine {
-	return &Engine{
-		catalog: engineCatalog{MapCatalog: MapCatalog{}, stats: map[string]*stats.Table{}},
-		flags:   flags,
-	}
-}
-
-// Register adds (or replaces) a named relation; statistics for a replaced
-// relation are dropped (re-run ANALYZE to refresh them).
-func (e *Engine) Register(name string, rel *relation.Relation) {
-	e.catalog.Register(name, rel)
-	delete(e.catalog.stats, strings.ToLower(name))
-}
-
-// Analyze computes and installs statistics for a registered table, as the
-// ANALYZE statement does.
-func (e *Engine) Analyze(name string) (*stats.Table, error) {
-	rel, ok := e.catalog.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("sqlish: ANALYZE: unknown table %q", name)
-	}
-	st := stats.Analyze(rel)
-	e.catalog.stats[strings.ToLower(name)] = st
-	return st, nil
-}
-
-// Query parses, plans and runs a statement. For EXPLAIN and EXPLAIN
-// ANALYZE statements the returned relation is nil and the plan text is
-// set; ANALYZE statements refresh the named table's statistics and
-// report a short summary in the plan slot.
-func (e *Engine) Query(sql string) (*relation.Relation, string, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, "", err
-	}
-	if name, ok := st.AnalyzeTarget(); ok {
-		ts, err := e.Analyze(name)
-		if err != nil {
-			return nil, "", err
-		}
-		return nil, fmt.Sprintf("ANALYZE %s: %d rows, %d columns", name, ts.Rows, len(ts.Cols)), nil
-	}
-	if name, path, ok := st.CreateTarget(); ok {
-		if _, exists := e.catalog.Lookup(name); exists {
-			return nil, "", fmt.Errorf("sqlish: CREATE TABLE: table %q already exists", name)
-		}
-		rel, err := csvio.ReadFile(path)
-		if err != nil {
-			return nil, "", fmt.Errorf("sqlish: CREATE TABLE %s: %w", name, err)
-		}
-		e.Register(name, rel)
-		return nil, fmt.Sprintf("CREATE TABLE %s: %d rows, %d columns", name, rel.Len(), rel.Schema.Len()), nil
-	}
-	if name, ok := st.DropTarget(); ok {
-		if _, exists := e.catalog.Lookup(name); !exists {
-			return nil, "", fmt.Errorf("sqlish: DROP TABLE: unknown table %q", name)
-		}
-		delete(e.catalog.MapCatalog, strings.ToLower(name))
-		delete(e.catalog.stats, strings.ToLower(name))
-		return nil, "DROP TABLE " + name, nil
-	}
-	p, err := st.Prepare(e.catalog, e.flags)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.IsExplainAnalyze() {
-		text, err := p.ExplainAnalyze()
-		if err != nil {
-			return nil, "", err
-		}
-		return nil, text, nil
-	}
-	if p.IsExplain() {
-		return nil, p.Explain(), nil
-	}
-	rel, err := p.Execute()
-	if err != nil {
-		return nil, "", err
-	}
-	return rel, "", nil
-}
-
-// MustQuery is Query but panics on error (examples and tests).
-func (e *Engine) MustQuery(sql string) *relation.Relation {
-	rel, _, err := e.Query(sql)
-	if err != nil {
-		panic(err)
-	}
-	return rel
 }

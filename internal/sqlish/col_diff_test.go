@@ -1,53 +1,32 @@
-package sqlish
+package sqlish_test
 
 import (
 	"bytes"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"talign/internal/plan"
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/server"
+	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
-// colEngines builds an engine under default flags and one with a tiny batch
-// size (stressing selection vectors across batch boundaries) over the same
-// relations.
-func colEngines(t *testing.T, rels map[string]*relation.Relation) (col, colSmall *Engine) {
-	t.Helper()
-	mk := func(mut func(*plan.Flags)) *Engine {
-		f := plan.DefaultFlags()
-		mut(&f)
-		e := NewEngine(f)
-		for name, rel := range rels {
-			e.Register(name, rel)
-			if _, err := e.Analyze(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-	return mk(func(*plan.Flags) {}), mk(func(f *plan.Flags) { f.BatchSize = 3 })
-}
-
-// canonKeys renders a result as its sorted per-row key encodings, so two
-// results compare byte-equal exactly when every row (values and valid
-// time) is identical.
-func canonKeys(rel *relation.Relation) [][]byte {
-	keys := make([][]byte, rel.Len())
-	for i := range rel.Rows() {
-		keys[i] = rel.Rows()[i].AppendKey(nil)
-	}
-	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })
-	return keys
+// colServers builds a server under default flags and one with a tiny
+// batch size (stressing selection vectors across batch boundaries) over
+// the same analyzed relations.
+func colServers(rels map[string]*relation.Relation) (col, colSmall *server.Server) {
+	small := plan.DefaultFlags()
+	small.BatchSize = 3
+	return newServer(plan.DefaultFlags(), true, rels), newServer(small, true, rels)
 }
 
 func assertByteEqual(t *testing.T, tag, q string, seed int, got, want *relation.Relation) {
 	t.Helper()
-	gk, wk := canonKeys(got), canonKeys(want)
+	gk, wk := sqltest.Keys(got), sqltest.Keys(want)
 	if len(gk) != len(wk) {
 		t.Fatalf("seed %d: %s row count diverged on %s: %d vs %d", seed, tag, q, len(gk), len(wk))
 	}
@@ -79,13 +58,13 @@ func TestColumnarDifferential(t *testing.T) {
 			"s": randrel.Generate(rng, cfg),
 			"u": randrel.Generate(rng, cfg),
 		}
-		col, colSmall := colEngines(t, rels)
-		for _, q := range diffQueries {
-			want, _, err := col.Query(q)
+		col, colSmall := colServers(rels)
+		for _, q := range sqlish.DiffQueries {
+			want, _, err := query(t, col, q)
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, q, err)
 			}
-			got, _, err := colSmall.Query(q)
+			got, _, err := query(t, colSmall, q)
 			if err != nil {
 				t.Fatalf("seed %d: batch=3 %s: %v", seed, q, err)
 			}

@@ -81,22 +81,17 @@ func (p *Prepared) checkin(pl *pipeline) {
 // EXPLAIN statements cannot be streamed (use Explain); an ANALYZE
 // statement never reaches Prepare in the first place.
 func (p *Prepared) Stream(ctx context.Context, params ...value.Value) (*Cursor, error) {
-	return p.StreamBudget(ctx, nil, params...)
+	return p.stream(ctx, nil, params, p.lifted)
 }
 
-// StreamBudget is Stream under a resource budget: every operator of the
-// built tree charges its output batches against budget, and exhausting
-// it aborts the execution with a structured *exec.BudgetError. A nil
-// budget streams unbounded.
-func (p *Prepared) StreamBudget(ctx context.Context, budget *exec.Budget, params ...value.Value) (*Cursor, error) {
-	return p.stream(ctx, budget, params, p.lifted)
-}
-
-// StreamFor is StreamBudget for st, a statement of the plan's shape (the
-// same ShapeKey under ParseLifted — the plan caches guarantee it): params
-// bind the caller's $1..$N and st's own lifted literals bind the hidden
-// slots, so st's rows come back whichever statement the plan was prepared
-// from.
+// StreamFor is Stream for st under a resource budget. Every operator of
+// the built tree charges its output batches against budget, and
+// exhausting it aborts the execution with a structured *exec.BudgetError
+// (a nil budget streams unbounded). st is a statement of the plan's shape
+// (the same ShapeKey under ParseLifted — the plan caches guarantee it):
+// params bind the caller's $1..$N and st's own lifted literals bind the
+// hidden slots, so st's rows come back whichever statement the plan was
+// prepared from.
 func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *Statement, params []value.Value) (*Cursor, error) {
 	if len(st.lifted) != len(p.lifted) {
 		return nil, fmt.Errorf("sqlish: statement with %d lifted literal(s) executed on a plan with %d", len(st.lifted), len(p.lifted))

@@ -1,4 +1,4 @@
-package sqlish
+package sqlish_test
 
 import (
 	"strings"
@@ -6,6 +6,9 @@ import (
 
 	"talign/internal/dataset"
 	"talign/internal/plan"
+	"talign/internal/relation"
+	"talign/internal/server"
+	"talign/internal/sqlish"
 )
 
 // goldenQuery is the representative ALIGN + join + aggregate statement
@@ -15,20 +18,11 @@ const goldenQuery = `SELECT n, COUNT(*) c, Ts, Te
 FROM (r ALIGN p ON a >= 40) x JOIN p p2 ON p2.a >= 45
 GROUP BY n, Ts, Te`
 
-// goldenEngine builds an engine over the demo catalog with fresh
+// goldenServer builds a server over the demo catalog with fresh
 // statistics, exactly like talignd's auto-analyzed startup state.
-func goldenEngine(t *testing.T) *Engine {
-	t.Helper()
+func goldenServer() *server.Server {
 	r, p := dataset.Demo()
-	e := NewEngine(plan.DefaultFlags())
-	e.Register("r", r)
-	e.Register("p", p)
-	for _, name := range []string{"r", "p"} {
-		if _, err := e.Analyze(name); err != nil {
-			t.Fatalf("ANALYZE %s: %v", name, err)
-		}
-	}
-	return e
+	return newServer(plan.DefaultFlags(), true, map[string]*relation.Relation{"r": r, "p": p})
 }
 
 // TestExplainGolden pins the optimized plan shape for the representative
@@ -50,8 +44,8 @@ func TestExplainGolden(t *testing.T) {
         Filter (a >= 45)  (rows=1)
           SeqScan p  (rows=5)
 `
-	e := goldenEngine(t)
-	_, got, err := e.Query("EXPLAIN " + goldenQuery)
+	e := goldenServer()
+	_, got, err := query(t, e, "EXPLAIN "+goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +56,7 @@ func TestExplainGolden(t *testing.T) {
 
 // TestExplainAnalyzeGolden pins the estimated-vs-actual rendering: the
 // demo data is fixed, so every actual count is deterministic, and the
-// fresh engine's first execution builds p's group index.
+// fresh server's first execution builds p's group index.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	const want = `Project g0, agg0  (rows=20) (actual rows=5)
   HashAggregate (1 group cols, byT=true, 1 aggs)  (rows=20) (actual rows=5)
@@ -77,8 +71,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
         Filter (a >= 45)  (rows=1) (actual rows=2)
           SeqScan p  (rows=5) (actual rows=5)
 `
-	e := goldenEngine(t)
-	_, got, err := e.Query("EXPLAIN ANALYZE " + goldenQuery)
+	e := goldenServer()
+	_, got, err := query(t, e, "EXPLAIN ANALYZE "+goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +84,12 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 // TestExplainAnalyzeMatchesExecution: the instrumented run must return
 // the same row count the plain execution does.
 func TestExplainAnalyzeMatchesExecution(t *testing.T) {
-	e := goldenEngine(t)
-	rel, _, err := e.Query(goldenQuery)
+	e := goldenServer()
+	rel, _, err := query(t, e, goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, text, err := e.Query("EXPLAIN ANALYZE " + goldenQuery)
+	_, text, err := query(t, e, "EXPLAIN ANALYZE "+goldenQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,23 +100,22 @@ func TestExplainAnalyzeMatchesExecution(t *testing.T) {
 }
 
 // TestAnalyzeStatement: ANALYZE through the SQL front end updates the
-// engine's statistics and reports a summary.
+// catalog's statistics and reports a summary.
 func TestAnalyzeStatement(t *testing.T) {
 	r, _ := dataset.Demo()
-	e := NewEngine(plan.DefaultFlags())
-	e.Register("r", r)
-	rel, msg, err := e.Query("ANALYZE r")
+	e := newServer(plan.DefaultFlags(), false, map[string]*relation.Relation{"r": r})
+	rel, msg, err := query(t, e, "ANALYZE r")
 	if err != nil || rel != nil {
 		t.Fatalf("ANALYZE: rel=%v err=%v", rel, err)
 	}
 	if !strings.Contains(msg, "ANALYZE r") || !strings.Contains(msg, "3 rows") {
 		t.Errorf("ANALYZE summary = %q", msg)
 	}
-	if _, _, err := e.Query("ANALYZE nosuch"); err == nil {
+	if _, _, err := query(t, e, "ANALYZE nosuch"); err == nil {
 		t.Error("ANALYZE of an unknown table must fail")
 	}
 	// ANALYZE cannot be prepared (it mutates catalog state).
-	if _, err := Prepare("ANALYZE r", e.catalog, e.flags); err == nil {
+	if _, err := sqlish.Prepare("ANALYZE r", sqlish.MapCatalog{"r": r}, plan.DefaultFlags()); err == nil {
 		t.Error("Prepare(ANALYZE) must fail")
 	}
 }

@@ -1,4 +1,4 @@
-package sqlish
+package sqlish_test
 
 import (
 	"regexp"
@@ -7,6 +7,7 @@ import (
 	"talign/internal/dataset"
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/server"
 )
 
 // groupIndexNote returns what an EXPLAIN ANALYZE rendering says about its
@@ -29,12 +30,7 @@ func groupIndexNote(t *testing.T, text string) string {
 func TestGroupIndexSharedAcrossStatements(t *testing.T) {
 	a := dataset.Incumben(dataset.IncumbenConfig{Rows: 1500, Seed: 1})
 	b := dataset.Incumben(dataset.IncumbenConfig{Rows: 1500, Seed: 2})
-	engine := func() *Engine {
-		e := NewEngine(plan.DefaultFlags())
-		e.Register("a", a)
-		e.Register("b", b)
-		return e
-	}
+	rels := map[string]*relation.Relation{"a": a, "b": b}
 	const filtered = "(SELECT ssn, pcn FROM b WHERE pcn >= 0 OR ssn >= 0)"
 	alignRef := "SELECT ssn, pcn, Ts, Te FROM (a ALIGN " + filtered + " y ON a.ssn = y.ssn) x"
 	statements := []struct{ shared, note, reference string }{
@@ -45,13 +41,13 @@ func TestGroupIndexSharedAcrossStatements(t *testing.T) {
 		// A computed key is no image column: its index is built every time.
 		{"SELECT ssn, pcn, Ts, Te FROM (a ALIGN b ON a.ssn = b.ssn + 0) x", "built", alignRef},
 	}
-	shared, reference := engine(), engine()
-	run := func(e *Engine, sql string) (*relation.Relation, string) {
-		_, text, err := e.Query("EXPLAIN ANALYZE " + sql)
+	shared, reference := newServer(plan.DefaultFlags(), false, rels), newServer(plan.DefaultFlags(), false, rels)
+	run := func(e *server.Server, sql string) (*relation.Relation, string) {
+		_, text, err := query(t, e, "EXPLAIN ANALYZE "+sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, _, err := e.Query(sql)
+		rel, _, err := query(t, e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

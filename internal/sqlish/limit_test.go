@@ -1,4 +1,4 @@
-package sqlish
+package sqlish_test
 
 import (
 	"errors"
@@ -7,23 +7,22 @@ import (
 
 	"talign/internal/plan"
 	"talign/internal/relation"
+	"talign/internal/server"
+	"talign/internal/sqlish"
 )
 
-func limitEngine(t *testing.T) *Engine {
-	t.Helper()
-	e := NewEngine(plan.DefaultFlags())
+func limitServer() *server.Server {
 	b := relation.NewBuilder("v int")
 	for i := 0; i < 100; i++ {
 		b.Row(int64(i), int64(i)+1, int64(i))
 	}
-	e.Register("nums", b.MustBuild())
-	return e
+	return newServer(plan.DefaultFlags(), false, map[string]*relation.Relation{"nums": b.MustBuild()})
 }
 
 // TestLimitOffsetSQL checks the grammar end to end: LIMIT/OFFSET apply
 // after ORDER BY, compose, and accept OFFSET alone.
 func TestLimitOffsetSQL(t *testing.T) {
-	e := limitEngine(t)
+	e := limitServer()
 	for _, tc := range []struct {
 		sql   string
 		rows  int
@@ -36,7 +35,7 @@ func TestLimitOffsetSQL(t *testing.T) {
 		{"SELECT v FROM nums ORDER BY v LIMIT 0", 0, 0},
 		{"SELECT v FROM nums ORDER BY v LIMIT 1000", 100, 0},
 	} {
-		rel, _, err := e.Query(tc.sql)
+		rel, _, err := query(t, e, tc.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}
@@ -51,8 +50,8 @@ func TestLimitOffsetSQL(t *testing.T) {
 
 // TestLimitExplain: the plan renders the Limit node above the sort.
 func TestLimitExplain(t *testing.T) {
-	e := limitEngine(t)
-	_, text, err := e.Query("EXPLAIN SELECT v FROM nums ORDER BY v LIMIT 7 OFFSET 3")
+	e := limitServer()
+	_, text, err := query(t, e, "EXPLAIN SELECT v FROM nums ORDER BY v LIMIT 7 OFFSET 3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +62,14 @@ func TestLimitExplain(t *testing.T) {
 
 // TestLimitErrors: LIMIT/OFFSET take non-negative integer literals.
 func TestLimitErrors(t *testing.T) {
-	e := limitEngine(t)
+	e := limitServer()
 	for _, sql := range []string{
 		"SELECT v FROM nums LIMIT x",
 		"SELECT v FROM nums LIMIT 1.5",
 		"SELECT v FROM nums OFFSET v",
 		"SELECT v FROM nums LIMIT", // dangling
 	} {
-		if _, _, err := e.Query(sql); err == nil {
+		if _, _, err := query(t, e, sql); err == nil {
 			t.Fatalf("%s: expected an error", sql)
 		}
 	}
@@ -87,15 +86,15 @@ func TestStructuredParseErrors(t *testing.T) {
 		{"SELECT v\nFROM nums WHERE\n  v >", 3, 6},
 		{"SELECT 'oops", 1, 8},
 	} {
-		_, err := Parse(tc.sql)
+		_, err := sqlish.Parse(tc.sql)
 		if err == nil {
 			t.Fatalf("%q: expected a parse error", tc.sql)
 		}
-		var se *Error
+		var se *sqlish.Error
 		if !errors.As(err, &se) {
 			t.Fatalf("%q: error %v is not a structured *Error", tc.sql, err)
 		}
-		if se.Code != ErrParse {
+		if se.Code != sqlish.ErrParse {
 			t.Fatalf("%q: code %q, want parse", tc.sql, se.Code)
 		}
 		if se.Line != tc.line || se.Col != tc.col {

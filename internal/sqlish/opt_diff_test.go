@@ -1,4 +1,4 @@
-package sqlish
+package sqlish_test
 
 import (
 	"math/rand"
@@ -10,51 +10,19 @@ import (
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/server"
+	"talign/internal/sqlish"
+	"talign/internal/sqltest"
 	"talign/internal/value"
 )
 
-// diffQueries is the statement mix the optimizer differential covers:
-// filters over every pushdown target (projections, joins incl. outer,
-// ALIGN/NORMALIZE, set operations, DISTINCT/ABSORB, GROUP BY + HAVING),
-// constant folding, multi-way join chains (a comma join among them), WITH
-// sharing, and ORDER BY.
-var diffQueries = []string{
-	"SELECT a, b FROM r WHERE a = 1 AND b >= 1",
-	"SELECT a, b, Ts, Te FROM r WHERE a = 1 AND 1 = 1",
-	"SELECT r.a, s.b FROM r JOIN s ON r.a = s.a WHERE s.b >= 1 AND r.b <= 2",
-	"SELECT r.a, s.b FROM r LEFT JOIN s ON r.a = s.a WHERE r.b >= 1",
-	"SELECT r.a, s.b FROM r RIGHT JOIN s ON r.a = s.a AND r.b >= 1 WHERE s.b <= 2",
-	"SELECT r.a ra, s.a sa, u.b ub FROM r JOIN s ON r.a = s.a JOIN u ON s.b = u.b WHERE u.a >= 1",
-	"SELECT r.b, s.b, u.b FROM r, s, u WHERE r.a = s.a AND s.b = u.b AND u.a = 1",
-	"SELECT a, b, Ts, Te FROM (r ALIGN s ON r.a = s.a) x WHERE a >= 1",
-	"SELECT a, b, Ts, Te FROM (r NORMALIZE s USING (a)) x WHERE b = 2",
-	"SELECT a, COUNT(*) c FROM r WHERE b >= 0 GROUP BY a HAVING a >= 1",
-	"SELECT a, b FROM r WHERE a = 1 UNION SELECT a, b FROM s WHERE b = 1",
-	"SELECT DISTINCT a FROM r WHERE b = 0",
-	"SELECT ABSORB a, b, Ts, Te FROM r WHERE a >= 1",
-	"WITH w AS (SELECT a, b FROM r WHERE a >= 1) SELECT w1.a, w2.b FROM w w1 JOIN w w2 ON w1.a = w2.a",
-	"SELECT a, b FROM r WHERE a BETWEEN 0 AND 1 ORDER BY a, b",
-}
+// unopt plans with the optimizer off.
+var unopt = plan.Flags{DisableOptimizer: true}
 
-// diffEngines builds optimizer-on (analyzed and unanalyzed) and
-// optimizer-off engines over the same relations.
-func diffEngines(t *testing.T, rels map[string]*relation.Relation) (on, onStats, off *Engine) {
-	t.Helper()
-	mk := func(disable, analyze bool) *Engine {
-		f := plan.DefaultFlags()
-		f.DisableOptimizer = disable
-		e := NewEngine(f)
-		for name, rel := range rels {
-			e.Register(name, rel)
-			if analyze {
-				if _, err := e.Analyze(name); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		return e
-	}
-	return mk(false, false), mk(false, true), mk(true, false)
+// diffServers builds optimizer-on (analyzed and unanalyzed) and
+// optimizer-off servers over the same relations.
+func diffServers(rels map[string]*relation.Relation) (on, onStats, off *server.Server) {
+	return newServer(plan.DefaultFlags(), false, rels), newServer(plan.DefaultFlags(), true, rels), newServer(unopt, false, rels)
 }
 
 // TestOptimizerDifferential proves, over randomized relations, that
@@ -62,6 +30,9 @@ func diffEngines(t *testing.T, rels map[string]*relation.Relation) (on, onStats,
 // the rows the unoptimized plans do. The unoptimized path is itself
 // diffed against the snapshot-semantics oracle by the core and fused
 // operator tests, so agreement here chains the optimizer to the oracle.
+// The servers plan the literal-lifted shapes with bound parameters; the
+// "literal" legs prepare the statement text itself, so plans built from
+// constant literals are diffed too.
 func TestOptimizerDifferential(t *testing.T) {
 	attrs := []schema.Attr{
 		{Name: "a", Type: value.KindInt},
@@ -77,14 +48,25 @@ func TestOptimizerDifferential(t *testing.T) {
 			"s": randrel.Generate(rng, cfg),
 			"u": randrel.Generate(rng, cfg),
 		}
-		on, onStats, off := diffEngines(t, rels)
-		for _, q := range diffQueries {
-			want, _, err := off.Query(q)
+		on, onStats, off := diffServers(rels)
+		for _, q := range sqlish.DiffQueries {
+			want, _, err := query(t, off, q)
 			if err != nil {
 				t.Fatalf("seed %d: unoptimized %s: %v", seed, q, err)
 			}
-			for name, e := range map[string]*Engine{"opt": on, "opt+stats": onStats} {
-				got, _, err := e.Query(q)
+			for name, e := range map[string]*server.Server{"opt": on, "opt+stats": onStats} {
+				got, _, err := query(t, e, q)
+				if err != nil {
+					t.Fatalf("seed %d: %s %s: %v", seed, name, q, err)
+				}
+				if !relation.SetEqual(got, want) {
+					onlyG, onlyW := relation.Diff(got, want)
+					t.Fatalf("seed %d: %s diverged on %s\nonly %s: %v\nonly unopt: %v",
+						seed, name, q, name, onlyG, onlyW)
+				}
+			}
+			for name, flags := range map[string]plan.Flags{"literal opt+stats": plan.DefaultFlags(), "literal unopt": unopt} {
+				got, err := literal(onStats, flags, q)
 				if err != nil {
 					t.Fatalf("seed %d: %s %s: %v", seed, name, q, err)
 				}
@@ -114,8 +96,8 @@ func TestOptimizerAlignPushdownVsAlgebra(t *testing.T) {
 		r := randrel.Generate(rng, cfg)
 		s := randrel.Generate(rng, cfg)
 
-		_, onStats, _ := diffEngines(t, map[string]*relation.Relation{"r": r, "s": s})
-		got, _, err := onStats.Query("SELECT a, b, Ts, Te FROM (r ALIGN s ON r.a = s.a) x WHERE a = 1")
+		_, onStats, _ := diffServers(map[string]*relation.Relation{"r": r, "s": s})
+		got, _, err := query(t, onStats, "SELECT a, b, Ts, Te FROM (r ALIGN s ON r.a = s.a) x WHERE a = 1")
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -144,7 +126,8 @@ func TestOptimizerAlignPushdownVsAlgebra(t *testing.T) {
 
 // TestOptimizedPlansDeterministic: preparing the same statement twice
 // yields the same EXPLAIN, so the plan cache can safely share optimized
-// plans.
+// plans. Each EXPLAIN is prepared on its own server, so neither answer
+// comes out of a plan cache.
 func TestOptimizedPlansDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := randrel.DefaultConfig(schema.Attr{Name: "a", Type: value.KindInt}, schema.Attr{Name: "b", Type: value.KindInt})
@@ -153,17 +136,17 @@ func TestOptimizedPlansDeterministic(t *testing.T) {
 		"s": randrel.Generate(rng, cfg),
 		"u": randrel.Generate(rng, cfg),
 	}
-	_, onStats, _ := diffEngines(t, rels)
-	for _, q := range diffQueries {
-		_, p1, err := onStats.Query("EXPLAIN " + q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+	explain := func(q string) string {
+		t.Helper()
+		_, onStats, _ := diffServers(rels)
+		res := sqltest.MustRun(t, onStats, "EXPLAIN "+q)
+		if res.CacheHit {
+			t.Fatalf("%s: a fresh server answered from its plan cache", q)
 		}
-		_, p2, err := onStats.Query("EXPLAIN " + q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		if p1 != p2 {
+		return res.Plan
+	}
+	for _, q := range sqlish.DiffQueries {
+		if p1, p2 := explain(q), explain(q); p1 != p2 {
 			t.Errorf("nondeterministic plan for %s:\n%s\nvs\n%s", q, p1, p2)
 		}
 	}

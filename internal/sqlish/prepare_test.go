@@ -42,7 +42,7 @@ func TestPipelineStages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if st.IsExplain() {
+	if st.ast.Explain {
 		t.Fatalf("not an EXPLAIN statement")
 	}
 	prep, err := st.Prepare(cat, plan.DefaultFlags())

@@ -34,12 +34,36 @@ func refP(sql string, params ...int64) refStmt {
 	return st
 }
 
+// DiffQueries is the statement mix the optimizer differential covers:
+// filters over every pushdown target (projections, joins incl. outer,
+// ALIGN/NORMALIZE, set operations, DISTINCT/ABSORB, GROUP BY + HAVING),
+// constant folding, multi-way join chains (a comma join among them), WITH
+// sharing, and ORDER BY. It is exported for the package's external
+// tests.
+var DiffQueries = []string{
+	"SELECT a, b FROM r WHERE a = 1 AND b >= 1",
+	"SELECT a, b, Ts, Te FROM r WHERE a = 1 AND 1 = 1",
+	"SELECT r.a, s.b FROM r JOIN s ON r.a = s.a WHERE s.b >= 1 AND r.b <= 2",
+	"SELECT r.a, s.b FROM r LEFT JOIN s ON r.a = s.a WHERE r.b >= 1",
+	"SELECT r.a, s.b FROM r RIGHT JOIN s ON r.a = s.a AND r.b >= 1 WHERE s.b <= 2",
+	"SELECT r.a ra, s.a sa, u.b ub FROM r JOIN s ON r.a = s.a JOIN u ON s.b = u.b WHERE u.a >= 1",
+	"SELECT r.b, s.b, u.b FROM r, s, u WHERE r.a = s.a AND s.b = u.b AND u.a = 1",
+	"SELECT a, b, Ts, Te FROM (r ALIGN s ON r.a = s.a) x WHERE a >= 1",
+	"SELECT a, b, Ts, Te FROM (r NORMALIZE s USING (a)) x WHERE b = 2",
+	"SELECT a, COUNT(*) c FROM r WHERE b >= 0 GROUP BY a HAVING a >= 1",
+	"SELECT a, b FROM r WHERE a = 1 UNION SELECT a, b FROM s WHERE b = 1",
+	"SELECT DISTINCT a FROM r WHERE b = 0",
+	"SELECT ABSORB a, b, Ts, Te FROM r WHERE a >= 1",
+	"WITH w AS (SELECT a, b FROM r WHERE a >= 1) SELECT w1.a, w2.b FROM w w1 JOIN w w2 ON w1.a = w2.a",
+	"SELECT a, b FROM r WHERE a BETWEEN 0 AND 1 ORDER BY a, b",
+}
+
 // refCorpus is what the row executor answered before it was deleted:
-// diffQueries, the rest of the 25-shape analyze corpus, and one statement
+// DiffQueries, the rest of the 25-shape analyze corpus, and one statement
 // per operator that moved onto the columnar kit.
 func refCorpus() []refStmt {
 	var c []refStmt
-	for _, q := range diffQueries {
+	for _, q := range DiffQueries {
 		c = append(c, refP(q))
 	}
 	c = append(c,

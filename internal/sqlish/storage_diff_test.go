@@ -1,4 +1,4 @@
-package sqlish
+package sqlish_test
 
 import (
 	"math/rand"
@@ -11,6 +11,7 @@ import (
 	"talign/internal/randrel"
 	"talign/internal/relation"
 	"talign/internal/schema"
+	"talign/internal/sqlish"
 	"talign/internal/storage"
 	"talign/internal/tuple"
 	"talign/internal/value"
@@ -45,7 +46,7 @@ func persist(t *testing.T, rels map[string]*relation.Relation, segRows int) (map
 }
 
 // TestDiskVsMemoryDifferential runs the optimizer differential's full
-// query corpus against two engines over the same data — one on
+// query corpus against two servers over the same data — one on
 // in-memory relations, one on segment-backed relations loaded from an
 // on-disk store — and requires identical results. This is the
 // disk-serving path's equivalence proof: mmap-backed columnar views,
@@ -67,18 +68,14 @@ func TestDiskVsMemoryDifferential(t *testing.T) {
 		}
 		disk, st := persist(t, rels, 4)
 
-		mem := NewEngine(plan.DefaultFlags())
-		onDisk := NewEngine(plan.DefaultFlags())
-		for name := range rels {
-			mem.Register(name, rels[name])
-			onDisk.Register(name, disk[name])
-		}
-		for _, q := range diffQueries {
-			want, _, err := mem.Query(q)
+		mem := newServer(plan.DefaultFlags(), false, rels)
+		onDisk := newServer(plan.DefaultFlags(), false, disk)
+		for _, q := range sqlish.DiffQueries {
+			want, _, err := query(t, mem, q)
 			if err != nil {
 				t.Fatalf("seed %d: memory %s: %v", seed, q, err)
 			}
-			got, _, err := onDisk.Query(q)
+			got, _, err := query(t, onDisk, q)
 			if err != nil {
 				t.Fatalf("seed %d: disk %s: %v", seed, q, err)
 			}
@@ -101,7 +98,7 @@ var pruningQueries = append([]string{
 	"SELECT a, b FROM r WHERE a = 999",
 	"SELECT q.a, s.b FROM (SELECT a, b FROM r WHERE Ts >= 5) q JOIN s ON q.a = s.a",
 	"SELECT a, Ts, Te FROM ((SELECT a, b FROM r WHERE Ts >= 5) q ALIGN s ON q.a = s.a) x",
-}, diffQueries...)
+}, sqlish.DiffQueries...)
 
 // TestPruningDifferential proves zone-map pruning never changes
 // results: the same disk-backed data queried with pruning enabled and
@@ -124,22 +121,21 @@ func TestPruningDifferential(t *testing.T) {
 		}
 		disk, st := persist(t, rels, 4)
 
-		pruning := NewEngine(plan.DefaultFlags())
+		pruning := newServer(plan.DefaultFlags(), false, disk)
 		noPruneFlags := plan.DefaultFlags()
 		noPruneFlags.DisablePruning = true
-		noPruning := NewEngine(noPruneFlags)
-		for name := range disk {
-			pruning.Register(name, disk[name])
-			noPruning.Register(name, disk[name])
-		}
+		noPruning := newServer(noPruneFlags, false, disk)
 		for _, q := range pruningQueries {
-			want, _, err := noPruning.Query(q)
+			want, _, err := query(t, noPruning, q)
 			if err != nil {
 				t.Fatalf("seed %d: pruning-off %s: %v", seed, q, err)
 			}
-			got, _, err := pruning.Query(q)
+			got, _, err := query(t, pruning, q)
 			if err != nil {
 				t.Fatalf("seed %d: pruning-on %s: %v", seed, q, err)
+			}
+			if lit, err := literal(pruning, plan.DefaultFlags(), q); err != nil || !relation.SetEqual(lit, want) {
+				t.Fatalf("seed %d: pruning-on %s from its literal text: %v\n%v", seed, q, err, lit)
 			}
 			if !relation.SetEqual(got, want) {
 				onlyG, onlyW := relation.Diff(got, want)
@@ -179,14 +175,11 @@ func TestExplainAnalyzeSegmentCounters(t *testing.T) {
 	}
 	disk, st := persist(t, rels, 10)
 	defer st.Close()
-	e := NewEngine(plan.DefaultFlags())
-	for name := range disk {
-		e.Register(name, disk[name])
-	}
+	e := newServer(plan.DefaultFlags(), false, disk)
 
 	// Segments hold rows [10i, 10i+9] with MinTS=10i, MaxTS=10i+9; the
 	// filter Ts >= 50 disqualifies segments 0-4 (MaxTS 9..49) exactly.
-	_, text, err := e.Query("EXPLAIN ANALYZE SELECT a, Ts, Te FROM r WHERE Ts >= 50")
+	_, text, err := query(t, e, "EXPLAIN ANALYZE SELECT a, Ts, Te FROM r WHERE Ts >= 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +192,7 @@ func TestExplainAnalyzeSegmentCounters(t *testing.T) {
 
 	// The acceptance shape: a valid-time-filtered ALIGN over
 	// multi-segment data reports at least one pruned segment.
-	_, text, err = e.Query("EXPLAIN ANALYZE SELECT a, Ts, Te FROM ((SELECT a FROM r WHERE Ts >= 50) q ALIGN s ON q.a = s.a) x")
+	_, text, err = query(t, e, "EXPLAIN ANALYZE SELECT a, Ts, Te FROM ((SELECT a FROM r WHERE Ts >= 50) q ALIGN s ON q.a = s.a) x")
 	if err != nil {
 		t.Fatal(err)
 	}
