@@ -10,16 +10,14 @@
 //	        [-max-rows n] [-max-bytes n] [-drain d] [-demo]
 //	        [-data dir] [-segment-rows n]
 //	        [-role coordinator|worker] [-worker host:port,...]
-//	        [-cluster manifest.json] [-partition table=col,...]
-//	        [name=file.csv ...]
+//	        [-partition table=col,...] [name=file.csv ...]
 //
 // With -role, talignd forms a scatter-gather cluster: a worker is a full
 // single-node server whose frame connections also take the
 // coordinator's stage, unstage and analyze frames, and a coordinator
-// hash-partitions loaded tables by their alignment key across the
-// -worker list (or the -cluster manifest, whose per-table partition
-// columns -partition overrides), sends query fragments over pooled frame
-// connections and merges the shard streams — the client-facing protocol
+// hash-partitions loaded tables across the -worker list, each by its
+// -partition column (default: its first column), sends query fragments
+// over pooled frame connections and merges the shard streams — the client-facing protocol
 // is byte-identical to a single node. See docs/API.md "Distributed
 // deployment".
 //
@@ -105,7 +103,6 @@ func main() {
 	segRows := flag.Int("segment-rows", 0, "rows per on-disk segment (0 = default)")
 	role := flag.String("role", "", "cluster role: coordinator, worker, or empty for single-node")
 	workers := flag.String("worker", "", "coordinator worker list: host:port,host:port,...")
-	cluster := flag.String("cluster", "", "coordinator cluster manifest file (JSON: workers + partition columns)")
 	partition := flag.String("partition", "", "coordinator partition overrides: table=col,table=col,...")
 	flag.Parse()
 
@@ -141,11 +138,11 @@ func main() {
 	var coord *distsql.Coordinator
 	switch *role {
 	case "", "worker":
-		if *workers != "" || *cluster != "" {
-			fatalf("-worker and -cluster require -role coordinator")
+		if *workers != "" {
+			fatalf("-worker requires -role coordinator")
 		}
 	case "coordinator":
-		topo, partMap, err := clusterConfig(*workers, *cluster, *partition)
+		topo, partMap, err := clusterConfig(*workers, *partition)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -256,28 +253,10 @@ func main() {
 }
 
 // clusterConfig resolves the coordinator's topology and partition
-// overrides from the -cluster manifest or the -worker/-partition flags.
-func clusterConfig(workers, cluster, partition string) (distsql.Topology, map[string]string, error) {
-	if cluster != "" {
-		if workers != "" {
-			return distsql.Topology{}, nil, fmt.Errorf("-worker and -cluster are mutually exclusive")
-		}
-		m, err := distsql.LoadManifest(cluster)
-		if err != nil {
-			return distsql.Topology{}, nil, err
-		}
-		part := m.Partition
-		if overrides, err := parsePartition(partition); err != nil {
-			return distsql.Topology{}, nil, err
-		} else {
-			for t, c := range overrides {
-				part[t] = c
-			}
-		}
-		return distsql.Topology{Workers: m.Workers}, part, nil
-	}
+// overrides from the -worker and -partition flags.
+func clusterConfig(workers, partition string) (distsql.Topology, map[string]string, error) {
 	if workers == "" {
-		return distsql.Topology{}, nil, fmt.Errorf("-role coordinator requires -worker or -cluster")
+		return distsql.Topology{}, nil, fmt.Errorf("-role coordinator requires -worker")
 	}
 	topo, err := distsql.ParseWorkers(workers)
 	if err != nil {

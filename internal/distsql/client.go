@@ -11,7 +11,6 @@ import (
 	"talign/internal/exec"
 	"talign/internal/schema"
 	"talign/internal/sqlish"
-	"talign/internal/value"
 	"talign/internal/wire"
 )
 
@@ -160,13 +159,12 @@ type workerStream struct {
 	err  error
 }
 
-// startExec dispatches an exec fragment — a query frame carrying sql, its
-// typed parameters and the batch size — to w and streams the decoded
-// batches. The stream ends with a closed channel; a stream that is
+// startExec dispatches an exec fragment — the query frame req — to w
+// and streams the decoded batches. The stream ends with a closed channel; a stream that is
 // truncated (a worker killed mid-query), corrupt, or whose status frame
 // disagrees with the rows received surfaces as a structured
 // "unavailable" error naming the worker.
-func (c *workerClient) startExec(ctx context.Context, w *worker, sql string, params []value.Value, batch int) *workerStream {
+func (c *workerClient) startExec(ctx context.Context, w *worker, req wire.Frame) *workerStream {
 	ws := &workerStream{ch: make(chan *colbatch.Batch, streamDepth)}
 	go func() {
 		defer close(ws.ch)
@@ -176,7 +174,7 @@ func (c *workerClient) startExec(ctx context.Context, w *worker, sql string, par
 				ws.err = perr
 			}
 		}()
-		conn, first, err := c.roundTrip(ctx, w, wire.Frame{Frame: wire.FrameQuery, SQL: sql, Params: params, BatchSize: batch})
+		conn, first, err := c.roundTrip(ctx, w, req)
 		if ws.conn = conn; err == nil && first.Frame != wire.FrameSchema {
 			err = c.failed(ctx, w, wire.Unexpected(first))
 		}

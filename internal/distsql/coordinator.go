@@ -25,15 +25,15 @@ import (
 type strategy int
 
 const (
-	// stratScatter runs the statement (or its ORDER-less body) verbatim
-	// on every worker and concatenates the streams in worker order.
+	// stratScatter runs the whole statement on every worker and
+	// concatenates the streams in worker order.
 	stratScatter strategy = iota
-	// stratScatterFinal scatters the body, gathers the shard results into
-	// a coordinator temp and runs a final SELECT for ORDER BY/LIMIT or a
-	// global dedup pass.
+	// stratScatterFinal runs the plan's body on the workers and the
+	// ORDER BY/LIMIT above it, or a global dedup pass, over the gathered
+	// results.
 	stratScatterFinal
-	// stratPartialAgg pushes partial COUNT/SUM/MIN/MAX aggregation to the
-	// workers and re-aggregates the gathered partials.
+	// stratPartialAgg runs the plan up to its aggregation on the workers
+	// and re-aggregates the gathered partials.
 	stratPartialAgg
 	// stratGatherAll reassembles every referenced table and runs the
 	// original statement on the coordinator — the universal fallback.
@@ -64,25 +64,25 @@ type tableDep struct {
 	col  string
 }
 
-// distPlan is one cached distributed plan: the strategy decision plus
-// the rendered fragments (rendered without table substitution; plans
-// that repartition re-render per execution with the staged names).
+// distPlan is one cached distributed plan: the strategy decision and the
+// coordinator's own plan of the statement. Every fragment is the
+// statement itself plus the cut of its plan the workers answer; final
+// strategies run the coordinator's nodes above the cut over the gathered
+// answers.
 type distPlan struct {
 	// deps holds one entry per table of the statement; the plan is served
 	// only while every one still matches (Coordinator.current).
 	deps []tableDep
 
 	strategy  strategy
-	verbatim  bool // workerSQL is the whole statement over all of its placeholders; every value passes through
+	cut       sqlish.Cut
 	redoDedup bool
 	repart    map[string]string // table -> partition column it must be re-hashed on
 	tables    []string
 
-	workerSQL    string
-	workerParams []int
-	finalSQL     string
-	finalParams  []int
-
+	prep    *sqlish.Prepared
+	final   string        // the nodes above the cut, for EXPLAIN
+	explain string        // the EXPLAIN text, rendered once
 	bodySch schema.Schema // schema of the gathered worker results (final strategies)
 	sch     schema.Schema // client-visible result schema
 	cols    []string
@@ -100,8 +100,8 @@ type Coordinator struct {
 	flagsFP string
 	client  *workerClient
 
-	// partOverride maps table -> partition column from the cluster
-	// manifest; tables absent default to their first column.
+	// partOverride maps table -> partition column (talignd's -partition);
+	// tables absent default to their first column.
 	partOverride map[string]string
 
 	// parts is the shard map, table -> current partition column. It is
@@ -125,9 +125,9 @@ type Coordinator struct {
 }
 
 // New builds a coordinator over srv and the worker topology. flags must
-// be the planner flags srv was configured with (the coordinator prepares
-// final stages locally under the same flags). partition carries the
-// manifest's per-table partition-column overrides (nil for defaults).
+// be the planner flags srv was configured with (the coordinator plans
+// every statement under the same flags as its workers). partition carries the
+// per-table partition-column overrides (nil for defaults).
 func New(srv *server.Server, topo Topology, flags plan.Flags, partition map[string]string) *Coordinator {
 	po := map[string]string{}
 	for t, col := range partition {
@@ -189,9 +189,9 @@ func allSharded(parts map[string]string, tables ...string) bool {
 	return true
 }
 
-// DistributeTable hash-partitions rel by its manifest-assigned (or
-// first) column, stages one shard per worker under the table's real
-// name, registers a schema-only stub locally (the coordinator plans
+// DistributeTable hash-partitions rel by its assigned (or first)
+// column, stages one shard per worker under the table's real name,
+// registers a schema-only stub locally (the coordinator plans
 // against schemas, never rows) and records the partitioning in the
 // shard map.
 func (c *Coordinator) DistributeTable(ctx context.Context, name string, rel *relation.Relation) error {
@@ -275,7 +275,7 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, para
 		return nil, true, err
 	}
 	if info.Explain {
-		return &server.DistResult{Plan: c.explainText(pl), CacheHit: hit}, true, nil
+		return &server.DistResult{Plan: pl.explain, CacheHit: hit}, true, nil
 	}
 	if pl.strategy == stratGatherAll {
 		res, err := c.runGatherAll(ctx, st, pl, params, batch, hit, info.ExplainAnalyze)
@@ -297,10 +297,12 @@ func (c *Coordinator) DistExplain(st *sqlish.Statement) (string, bool, error) {
 	if err != nil {
 		return "", true, err
 	}
-	return c.explainText(pl), true, nil
+	return pl.explain, true, nil
 }
 
-// explainText renders the distributed plan for EXPLAIN.
+// explainText renders the distributed plan for EXPLAIN: the strategy, the
+// staging, and for the scatter family the cut the workers answer and the
+// nodes the coordinator runs above it, merge form included.
 func (c *Coordinator) explainText(pl *distPlan) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Distributed: %s over %d worker(s)\n", pl.strategy, len(c.topo.Workers))
@@ -311,9 +313,9 @@ func (c *Coordinator) explainText(pl *distPlan) string {
 		fmt.Fprintf(&b, "  gather: %s\n", strings.Join(pl.tables, ", "))
 		return b.String()
 	}
-	fmt.Fprintf(&b, "  worker: %s\n", pl.workerSQL)
-	if pl.finalSQL != "" {
-		fmt.Fprintf(&b, "  final:  %s\n", pl.finalSQL)
+	fmt.Fprintf(&b, "  worker: the statement to its %s cut\n", pl.cut)
+	if pl.strategy != stratScatter {
+		fmt.Fprintf(&b, "  final:  %s\n", pl.final)
 	}
 	return b.String()
 }
@@ -412,13 +414,11 @@ func current(pl *distPlan, snap server.Snapshot, parts map[string]string) bool {
 	return true
 }
 
-// buildPlan picks the cheapest strategy the statement's shape admits.
-// Every candidate's rendered fragments are validated by preparing them
-// locally (worker bodies against the schema stubs, final stages against
-// an empty temp of the body schema) — a candidate that fails to prepare
-// falls through to the next, ending at gather-all, so a renderer gap can
-// cost performance but never correctness.
-func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (*distPlan, error) {
+// buildPlan picks the cheapest strategy the statement's shape admits. A
+// candidate is available when the coordinator's own plan of the statement
+// has a node at its cut with a merge form (sqlish.Prepared.Split); one
+// that has not falls through to the next, ending at gather-all.
+func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (pl *distPlan, err error) {
 	prep, err := st.Prepare(snap, c.flags)
 	if err != nil {
 		// The statement does not analyze against the schemas; surface the
@@ -426,17 +426,16 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, sna
 		return nil, err
 	}
 	cols, types := server.SchemaColumns(prep)
-	pl := &distPlan{tables: info.Tables, sch: prep.Schema(), cols: cols, types: types}
+	pl = &distPlan{tables: info.Tables, prep: prep, sch: prep.Schema(), cols: cols, types: types}
 	for _, t := range info.Tables {
 		stub, _ := snap.Lookup(t)
 		pl.deps = append(pl.deps, tableDep{name: t, stub: stub, col: parts[t]})
 	}
+	defer func() { pl.explain = c.explainText(pl) }()
 
 	if len(c.topo.Workers) == 1 && !info.ExplainAnalyze {
-		// One worker holds every shard: any statement runs there verbatim.
+		// One worker holds every shard: any statement runs there whole.
 		pl.strategy = stratScatter
-		pl.verbatim = true
-		pl.workerSQL = st.ShapeSQL()
 		return pl, nil
 	}
 
@@ -472,70 +471,17 @@ func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, sna
 	}
 	ordered := info.OrderLimit
 
-	tryScatter := func() bool {
-		body, ps, rerr := st.RenderDistBody(nil)
-		if rerr != nil {
+	try := func(s strategy, cut sqlish.Cut, redo bool) bool {
+		body, final, serr := prep.Split(cut, redo)
+		if serr != nil {
 			return false
 		}
-		if _, perr := sqlish.Prepare(body, snap, c.flags); perr != nil {
-			return false
-		}
-		pl.strategy = stratScatter
-		pl.workerSQL, pl.workerParams = body, ps
+		pl.strategy, pl.cut, pl.redoDedup, pl.bodySch, pl.final = s, cut, redo, body, final
 		return true
 	}
-	tryScatterFinal := func(redo bool) bool {
-		body, ps, rerr := st.RenderDistBody(nil)
-		if rerr != nil {
-			return false
-		}
-		bprep, perr := sqlish.Prepare(body, snap, c.flags)
-		if perr != nil {
-			return false
-		}
-		finalSQL, fps, rerr := st.RenderDistFinal("__g", redo)
-		if rerr != nil {
-			return false
-		}
-		tmp := sqlish.MapCatalog{}
-		tmp.Register("__g", relation.New(bprep.Schema()))
-		if _, perr := sqlish.Prepare(finalSQL, tmp, c.flags); perr != nil {
-			return false
-		}
-		pl.strategy = stratScatterFinal
-		pl.redoDedup = redo
-		pl.workerSQL, pl.workerParams = body, ps
-		pl.finalSQL, pl.finalParams = finalSQL, fps
-		pl.bodySch = bprep.Schema()
-		return true
-	}
-	tryAggSplit := func() bool {
-		agg, rerr := st.RenderDistAgg(nil, "__g")
-		if rerr != nil {
-			return false
-		}
-		wprep, perr := sqlish.Prepare(agg.Worker, snap, c.flags)
-		if perr != nil {
-			return false
-		}
-		tmp := sqlish.MapCatalog{}
-		tmp.Register("__g", relation.New(wprep.Schema()))
-		fprep, perr := sqlish.Prepare(agg.Final, tmp, c.flags)
-		if perr != nil {
-			return false
-		}
-		// The final stage must reproduce the original output shape exactly;
-		// a naming or typing divergence means the split is unsafe.
-		fcols, ftypes := server.SchemaColumns(fprep)
-		if !slices.Equal(fcols, pl.cols) || !slices.Equal(ftypes, pl.types) {
-			return false
-		}
-		pl.strategy = stratPartialAgg
-		pl.workerSQL, pl.workerParams = agg.Worker, agg.WorkerParams
-		pl.finalSQL, pl.finalParams = agg.Final, agg.FinalParams
-		pl.bodySch = wprep.Schema()
-		return true
-	}
+	tryScatter := func() bool { return try(stratScatter, sqlish.CutWhole, false) }
+	tryScatterFinal := func(redo bool) bool { return try(stratScatterFinal, sqlish.CutBody, redo) }
+	tryAggSplit := func() bool { return try(stratPartialAgg, sqlish.CutAggregate, false) }
 
 	switch {
 	case shape.HasAgg || shape.HasGroupBy:
@@ -589,7 +535,7 @@ func (c *Coordinator) scanShards(ctx context.Context, name string, batch int) *m
 	gctx, cancel := context.WithCancel(ctx)
 	streams := make([]*workerStream, len(c.client.workers))
 	for i, w := range c.client.workers {
-		streams[i] = c.client.startExec(gctx, w, "SELECT * FROM "+name, nil, batch)
+		streams[i] = c.client.startExec(gctx, w, wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT * FROM " + name, BatchSize: batch})
 	}
 	return &mergeSource{cancel: cancel, streams: streams}
 }
@@ -611,13 +557,11 @@ func (c *Coordinator) unstageAll(names []string) {
 }
 
 // run executes a scatter-family plan: stage repartitioned tables if the
-// plan needs them, fan the (possibly re-rendered) worker fragment out,
-// then either stream the merged shards straight through (scatter) or
-// gather and run the final stage locally.
+// plan needs them, fan the fragment out, then either stream the merged
+// shards straight through (scatter) or gather them and run the
+// coordinator's plan above the cut over them.
 func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPlan, params []value.Value, batch int, hit bool) (res *server.DistResult, err error) {
-	// The fragments were rendered from the lifted statement: their $N
-	// index the caller's parameters followed by the lifted literals.
-	params, err = st.Args(params)
+	args, err := st.Args(params)
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +576,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	// Coordinator-mediated shuffle: gather each mis-partitioned table,
 	// re-hash it on the required column and stage the shards back under a
 	// per-execution temp name the fragment substitutes for the original.
-	subst := map[string]string{}
+	var subst map[string]string
 	var staged []string
 	cleanup := func() { c.unstageAll(staged) }
 	defer func() {
@@ -642,6 +586,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	}()
 	if len(pl.repart) > 0 {
 		c.repartitions.Add(1)
+		subst = map[string]string{}
 		qid := c.qid.Add(1)
 		snap := c.srv.Catalog().Snapshot()
 		for _, t := range sortedKeys(pl.repart) {
@@ -672,34 +617,12 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 		}
 	}
 
-	workerSQL, wpIdx := pl.workerSQL, pl.workerParams
-	if len(subst) > 0 {
-		// Staged names are per-execution, so substituted fragments are
-		// re-rendered here; the cached render already validated the shape.
-		if pl.strategy == stratPartialAgg {
-			agg, rerr := st.RenderDistAgg(subst, "__g")
-			if rerr != nil {
-				return nil, rerr
-			}
-			workerSQL, wpIdx = agg.Worker, agg.WorkerParams
-		} else {
-			body, ps, rerr := st.RenderDistBody(subst)
-			if rerr != nil {
-				return nil, rerr
-			}
-			workerSQL, wpIdx = body, ps
-		}
-	}
-	wparams := params
-	if !pl.verbatim {
-		if wparams, err = mapParams(wpIdx, params); err != nil {
-			return nil, err
-		}
-	}
-
+	// Every fragment is the statement itself, over every value of its
+	// placeholders, to the plan's cut.
+	frag := wire.Frame{Frame: wire.FrameQuery, SQL: st.ShapeSQL(), Params: args, BatchSize: batch, Cut: pl.cut, Subst: subst}
 	streams := make([]*workerStream, len(c.client.workers))
 	for i, w := range c.client.workers {
-		streams[i] = c.client.startExec(fanCtx, w, workerSQL, wparams, batch)
+		streams[i] = c.client.startExec(fanCtx, w, frag)
 	}
 	merge := &mergeSource{cancel: cancel, streams: streams}
 
@@ -712,25 +635,15 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 		}, nil
 	}
 
-	// Final-stage strategies buffer: gather the shard results into a temp
-	// and stream the rendered final statement over it locally.
+	// Final-stage strategies buffer: gather the shard results and stream
+	// the coordinator's plan above the cut over them.
 	gathered, derr := gatherInto(merge, pl.bodySch)
 	cleanup()
 	staged = nil
 	if derr != nil {
 		return nil, derr
 	}
-	tmp := sqlish.MapCatalog{}
-	tmp.Register("__g", relation.FromColumnar(gathered))
-	fprep, perr := sqlish.Prepare(pl.finalSQL, tmp, c.flagsFor(batch))
-	if perr != nil {
-		return nil, fmt.Errorf("distsql: final stage: %v", perr)
-	}
-	fparams, merr := mapParams(pl.finalParams, params)
-	if merr != nil {
-		return nil, merr
-	}
-	cur, xerr := fprep.Stream(ctx, fparams...)
+	cur, xerr := pl.prep.StreamSplit(ctx, pl.cut, pl.redoDedup, relation.FromColumnar(gathered), c.flagsFor(batch), args)
 	if xerr != nil {
 		return nil, xerr
 	}
@@ -739,7 +652,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	} else {
 		c.scatterFinals.Add(1)
 	}
-	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: fprep.Schema(), CacheHit: hit, Src: cur}, nil
+	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: cur.Schema(), CacheHit: hit, Src: cur}, nil
 }
 
 // flagsFor is the coordinator's planner flags under a request's
@@ -789,23 +702,6 @@ func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl
 		return nil, err
 	}
 	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: prep.Schema(), CacheHit: hit, Src: cur}, nil
-}
-
-// mapParams rebinds a fragment's gap-free $1..$N to the original
-// statement's bound parameters.
-func mapParams(idxs []int, params []value.Value) ([]value.Value, error) {
-	out := make([]value.Value, len(idxs))
-	for i, idx := range idxs {
-		if idx < 1 || idx > len(params) {
-			return nil, &sqlish.Error{
-				Code: sqlish.ErrRequest,
-				Msg:  fmt.Sprintf("statement references $%d but %d parameter(s) are bound", idx, len(params)),
-				Pos:  -1,
-			}
-		}
-		out[i] = params[idx-1]
-	}
-	return out, nil
 }
 
 // cleanupSource runs a cleanup (unstaging repartition temps) when the

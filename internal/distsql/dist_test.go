@@ -212,6 +212,14 @@ var distDiffQueries = []diffQuery{
 	{sql: "SELECT a, a / $1 q FROM r", params: []value.Value{value.NewFloat(4)}},
 	{sql: "SELECT a, a + $1 q FROM r", params: []value.Value{value.NewFloat(math.NaN())}},
 	{sql: "SELECT a, b FROM r WHERE PERIOD(Ts, Te) = $1", params: []value.Value{value.NewInterval(interval.New(12, 22))}},
+	// Every merge form over the gathered rows; each ORDER BY ... LIMIT is
+	// free of ties.
+	{sql: "SELECT b, COUNT(*) c FROM r GROUP BY b HAVING COUNT(*) >= $1", params: []value.Value{value.NewInt(2)}},
+	{sql: "SELECT b, SUM(a) s FROM r GROUP BY b ORDER BY s DESC, b LIMIT 2"},
+	{sql: "SELECT b, COUNT(*) c, Ts, Te FROM r GROUP BY b, Ts, Te"},
+	{sql: "SELECT ABSORB b, Ts, Te FROM r"},
+	{sql: "SELECT DISTINCT b FROM r ORDER BY b, Ts, Te LIMIT 2"},
+	{sql: "SELECT r.a, s.b FROM r JOIN s ON r.b = s.b ORDER BY r.a, s.b, Ts, Te LIMIT 5"},
 }
 
 // TestDistributedDifferential is the acceptance differential: for random
@@ -269,6 +277,12 @@ func TestDistributedStrategies(t *testing.T) {
 		{"SELECT a, b, Ts, Te FROM (r NORMALIZE s USING (a)) x", "Distributed: scatter over"},
 		{"SELECT a, b FROM r ORDER BY a, b LIMIT 3", "Distributed: scatter+final"},
 		{"WITH w AS (SELECT a FROM r) SELECT a FROM w", "Distributed: gather-all"},
+		{"SELECT b, COUNT(*) c FROM r GROUP BY b HAVING COUNT(*) >= $1", "Distributed: partial-aggregate"},
+		{"SELECT b, SUM(a) s FROM r GROUP BY b ORDER BY s DESC, b LIMIT 2", "Distributed: partial-aggregate"},
+		{"SELECT b, COUNT(*) c, Ts, Te FROM r GROUP BY b, Ts, Te", "Distributed: partial-aggregate"},
+		{"SELECT ABSORB b, Ts, Te FROM r", "Distributed: scatter+final"},
+		{"SELECT DISTINCT b FROM r ORDER BY b, Ts, Te LIMIT 2", "Distributed: scatter+final"},
+		{"SELECT r.a, s.b FROM r JOIN s ON r.b = s.b ORDER BY r.a, s.b, Ts, Te LIMIT 5", "Distributed: scatter+final over 2 worker(s)\n  repartition: r by b\n  repartition: s by b"},
 	}
 	for _, tc := range cases {
 		res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "EXPLAIN "+tc.sql, nil, 0)
@@ -427,6 +441,19 @@ func TestWorkerUnreachable(t *testing.T) {
 	})
 }
 
+// TestCutMissingOnWorker: a fragment whose cut the worker's plan does not
+// have fails as the worker's structured error naming it, never as rows.
+func TestCutMissingOnWorker(t *testing.T) {
+	cl := newCluster(t, 2, nil)
+	cl.load(t, testRels(0))
+	ws := cl.coord.client.startExec(context.Background(), cl.coord.client.workers[1], wire.Frame{Frame: wire.FrameQuery, SQL: "SELECT a, b FROM r", Cut: sqlish.CutAggregate})
+	ws.finish()
+	var se *sqlish.Error
+	if !errors.As(ws.err, &se) || se.Code != sqlish.ErrRequest || !strings.Contains(se.Msg, "worker w1") {
+		t.Fatalf("an aggregate cut of a plan without one: %v, want a request error naming w1", ws.err)
+	}
+}
+
 // TestUpgradeCancelled: a fragment cancelled while its connection waits
 // for a worker's answer to the upgrade fails with the cancellation at
 // once, not after the upgrade timeout — so closing a fan-out early, which
@@ -560,7 +587,8 @@ func TestWorkerFaultInjection(t *testing.T) {
 }
 
 // TestRepartitionCleanup proves repartition temps are unstaged from every
-// worker after the query answers.
+// worker after the query answers, and that no worker caches a plan over
+// them.
 func TestRepartitionCleanup(t *testing.T) {
 	rels := testRels(0)
 	cl := newCluster(t, 2, nil)
@@ -573,7 +601,7 @@ func TestRepartitionCleanup(t *testing.T) {
 	if cl.coord.repartitions.Load() == 0 {
 		t.Fatal("query did not take the repartition path")
 	}
-	waitFor(t, 5*time.Second, "repartition temps to unstage", func() bool {
+	unstaged := func() bool {
 		for _, w := range cl.wsrvs {
 			snap := w.Catalog().Snapshot()
 			for _, name := range snap.Names() {
@@ -583,7 +611,20 @@ func TestRepartitionCleanup(t *testing.T) {
 			}
 		}
 		return true
-	})
+	}
+	waitFor(t, 5*time.Second, "repartition temps to unstage", unstaged)
+	sizes := []int{cl.wsrvs[0].CacheStats().Size, cl.wsrvs[1].CacheStats().Size}
+	for i := 0; i < 5; i++ {
+		if _, err := sqltest.Run(context.Background(), cl.csrv, "", "", q, nil, 0); err != nil {
+			t.Fatalf("repartition query: %v", err)
+		}
+	}
+	waitFor(t, 5*time.Second, "repartition temps to unstage", unstaged)
+	for i, w := range cl.wsrvs {
+		if n := w.CacheStats().Size; n != sizes[i] {
+			t.Errorf("worker %d caches %d plans after five more runs, %d after the first", i, n, sizes[i])
+		}
+	}
 }
 
 // TestFragmentConnsReused: after a warm-up, rounds of every strategy that
@@ -621,6 +662,10 @@ func TestFragmentConnsReused(t *testing.T) {
 	}
 	round()
 	before := []int{metric(t, cl.wsrvs[0], "talignd_frame_conns_total"), metric(t, cl.wsrvs[1], "talignd_frame_conns_total")}
+	var built, reused [2]uint64
+	for i, w := range cl.wsrvs {
+		built[i], reused[i] = w.PipelineStats()
+	}
 	for i := 0; i < 50; i++ {
 		round()
 	}
@@ -630,6 +675,12 @@ func TestFragmentConnsReused(t *testing.T) {
 	for i, w := range cl.wsrvs {
 		if n := metric(t, w, "talignd_frame_conns_total"); n != before[i] {
 			t.Errorf("worker %d: %d frame connections after 50 rounds, %d after the warm-up", i, n, before[i])
+		}
+		// A round re-opens the scatter, body and aggregate fragments and the
+		// join's two gather scans, and builds the join's fragment, whose
+		// staged relations are new at every execution.
+		if b, r := w.PipelineStats(); b-built[i] != 50 || r-reused[i] != 250 {
+			t.Errorf("worker %d: %d pipelines built and %d re-opened in 50 rounds, want 50 and 250", i, b-built[i], r-reused[i])
 		}
 	}
 	if n := others.Load(); n != 0 {

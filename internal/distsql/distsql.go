@@ -1,7 +1,9 @@
 // Package distsql turns talignd into a sharded cluster: a coordinator
 // hash-partitions tables by alignment key across N worker talignd
-// nodes, rewrites each statement into per-shard SQL fragments, executes
-// them over pooled frame connections to the workers (the same
+// nodes, splits each statement's plan at a cut — every worker runs the
+// statement itself up to the cut on its shard, the coordinator runs its
+// own plan above the cut over the gathered answers — executes the
+// fragments over pooled frame connections to the workers (the same
 // wire.Pool the Go client speaks: exec fragments are query frames,
 // staging and statistics the worker-only stage, unstage and analyze
 // frames), and merges the worker streams back into the ordinary client
@@ -13,21 +15,22 @@
 // repartition paths pass decoded batches along, so a streamed scatter
 // result goes from a worker's frame to the client's frame without a
 // tuple being built. Rows appear only where a relation is registered
-// for a local plan (a staged shard on a worker, a final-stage or
-// gather-all input on the coordinator).
+// for a local plan (a staged shard on a worker, the gathered answers of
+// a final stage or a gather-all input on the coordinator).
 //
 // The planner picks the cheapest correct strategy per statement:
 //
 //   - scatter: the FROM tree is colocated under the current partitioning
 //     (every join/ALIGN/NORMALIZE boundary is bridged by an
 //     equi-condition on the partition columns), so workers run the
-//     statement verbatim and the coordinator concatenates the streams.
-//   - scatter+final: scatter, then a coordinator-local final stage over
-//     the gathered rows for ORDER BY/LIMIT or a global DISTINCT/ABSORB
-//     pass when dedup groups are not pinned to one shard.
-//   - partial aggregate: workers compute per-shard COUNT/SUM/MIN/MAX
-//     partials, the coordinator re-aggregates (COUNT→SUM and friends)
-//     and reapplies HAVING/ORDER BY/LIMIT.
+//     whole statement and the coordinator concatenates the streams.
+//   - scatter+final: workers run the plan's body, the coordinator its
+//     ORDER BY/LIMIT over the gathered rows, after a global
+//     DISTINCT/ABSORB pass when dedup groups are not pinned to one shard.
+//   - partial aggregate: workers run the plan up to its aggregation
+//     (per-shard COUNT/SUM/MIN/MAX partials), the coordinator
+//     re-aggregates (COUNT→SUM and friends) and runs the HAVING, ORDER
+//     BY and LIMIT of its own plan.
 //   - repartition: a table whose required alignment key differs from its
 //     current partition column is gathered, re-hashed on the required
 //     key and staged back to the workers under a temporary name
@@ -44,11 +47,9 @@
 package distsql
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 
@@ -103,41 +104,6 @@ func ParseWorkers(list string) (Topology, error) {
 		return t, fmt.Errorf("distsql: no workers in %q", list)
 	}
 	return t, nil
-}
-
-// Manifest is the cluster manifest file: the worker set plus optional
-// per-table partition-column overrides (tables default to their first
-// column).
-type Manifest struct {
-	Workers   []Worker          `json:"workers"`
-	Partition map[string]string `json:"partition,omitempty"`
-}
-
-// LoadManifest reads a JSON cluster manifest.
-func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("distsql: manifest: %v", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("distsql: manifest %s: %v", path, err)
-	}
-	if len(m.Workers) == 0 {
-		return nil, fmt.Errorf("distsql: manifest %s: no workers", path)
-	}
-	for i := range m.Workers {
-		if m.Workers[i].Name == "" {
-			m.Workers[i].Name = fmt.Sprintf("w%d", i)
-		}
-		m.Workers[i].URL = strings.TrimRight(m.Workers[i].URL, "/")
-	}
-	part := map[string]string{}
-	for t, c := range m.Partition {
-		part[strings.ToLower(t)] = strings.ToLower(c)
-	}
-	m.Partition = part
-	return &m, nil
 }
 
 // Handler is a worker's HTTP surface: the full single-node one (health

@@ -69,6 +69,11 @@ var deletedNames = []struct {
 	// back. (talign.DB.Query, Stmt.Query and database/sql's QueryContext
 	// are other types' methods.)
 	{"One statement runner", `\(\w+ \*Server\) (Query|QueryContext|Stream)\(|QueryBatch|server\.Result\b|encodeRelation|sqlish\.Engine\b|type Engine\b|NewEngine|engineCatalog|StatsCatalog|MustQuery|StreamBudget|\(\w+ \*Prepared\) ExplainAnalyze\(|\(\w+ \*Statement\) IsExplain\(|RunParams`, []string{"*.go"}, nil},
+	// A distributed fragment is the statement itself plus a cut of its
+	// plan; the coordinator runs its own plan's nodes above the cut. The
+	// AST-to-SQL fragment renderer, its $N renumbering, the cluster
+	// manifest and the text-only cache-key normalizer may not come back.
+	{"Fragments are plan cuts", `RenderDistBody|RenderDistFinal|RenderDistAgg|DistAggSQL|drender|mapParams|LoadManifest|sqlish\.Normalize\b|func Normalize\(sql`, []string{"*.go"}, nil},
 }
 
 // TestDeletedNamesStayGone fails on any line of the tree that names a

@@ -314,11 +314,11 @@ func TestPlanCacheHitAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep, _, err := s.plan(st, 0); err != nil || len(prep.Deps()) != 2 {
+	if prep, _, err := s.plan(st, 0, nil); err != nil || len(prep.Deps()) != 2 {
 		t.Fatalf("plan: %v, deps %v", err, prep.Deps())
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, hit, err := s.plan(st, 0); err != nil || !hit {
+		if _, hit, err := s.plan(st, 0, nil); err != nil || !hit {
 			t.Fatalf("warm plan: hit=%v err=%v", hit, err)
 		}
 	})

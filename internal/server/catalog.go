@@ -156,6 +156,30 @@ func (s Snapshot) TableStats(name string) *stats.Table {
 	return s.stats[strings.ToLower(name)]
 }
 
+// substCatalog is a snapshot that resolves the tables of a fragment's
+// substitution to the relations staged for it.
+type substCatalog struct {
+	Snapshot
+	subst map[string]string
+}
+
+// Lookup implements sqlish.Catalog.
+func (c substCatalog) Lookup(name string) (*relation.Relation, bool) {
+	return c.Snapshot.Lookup(c.resolve(name))
+}
+
+// TableStats implements plan.StatsSource.
+func (c substCatalog) TableStats(name string) *stats.Table {
+	return c.Snapshot.TableStats(c.resolve(name))
+}
+
+func (c substCatalog) resolve(name string) string {
+	if staged, ok := c.subst[strings.ToLower(name)]; ok {
+		return staged
+	}
+	return name
+}
+
 // Current reports whether prep was built from exactly the entries this
 // snapshot holds: every table it reads still resolves to the same
 // relation and the same statistics, by pointer (prep pins them, so an

@@ -71,9 +71,9 @@ type DistMetric struct {
 type Distributor interface {
 	// DistStream plans and launches one statement. The statement arrives
 	// parsed and lifted (sqlish.ParseLifted: its ShapeKey is the
-	// distributed-plan cache key text, its Args the values of every
-	// placeholder the rendered fragments can reference) with the caller's
-	// bound parameters. The returned source must honor ctx.
+	// distributed-plan cache key text, its ShapeSQL the text every
+	// fragment runs, its Args the values of that text's placeholders) with
+	// the caller's bound parameters. The returned source must honor ctx.
 	DistStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*DistResult, bool, error)
 	// DistExplain renders the distributed plan for EXPLAIN (the GET
 	// /explain path, which never executes).

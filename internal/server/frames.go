@@ -17,7 +17,8 @@ import (
 
 // EnableFragments makes the server a worker of a distsql coordinator: its
 // frame connections also answer the stage, unstage and analyze frames the
-// coordinator sends, and every request on them visits the
+// coordinator sends and query frames that name a cut of the statement's
+// plan or a substitution, and every request on them visits the
 // "distsql.fragment" fault site. Any other server refuses those frames
 // with a "request" error and goes on serving the connection. Call it
 // before serving.
@@ -116,9 +117,11 @@ func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Fram
 	var rows int64
 	switch {
 	case err != nil:
+	case req.Frame == wire.FrameQuery && !worker && (req.Cut != sqlish.CutWhole || req.Subst != nil):
+		err = fmt.Errorf("server: a query frame with a cut or a substitution is for workers; this server is not one")
 	case req.Frame == wire.FrameQuery:
 		var rs *RowStream
-		if rs, err = s.StreamBatch(ctx, req.Session, req.Stmt, req.SQL, req.Params, req.BatchSize); err == nil {
+		if rs, err = s.streamBatch(ctx, req.Session, req.Stmt, req.SQL, req.Params, req.BatchSize, fragment{req.Cut, req.Subst}); err == nil {
 			defer rs.Close()
 			s.streams.Add(1)
 			writeFrames(fw, rs, true, nil)

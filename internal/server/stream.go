@@ -205,6 +205,19 @@ func (s *Server) countFailure(err error) {
 // anywhere in the planning path is recovered into a structured internal
 // error rather than crashing the process.
 func (s *Server) StreamBatch(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (*RowStream, error) {
+	return s.streamBatch(ctx, sessionID, stmtName, sql, params, batch, fragment{})
+}
+
+// fragment is what a coordinator's query frame adds to a worker's
+// statement: the cut of its plan to answer and the staged relations to
+// read in place of tables (sqlish.Cut; wire.Frame).
+type fragment struct {
+	cut   sqlish.Cut
+	subst map[string]string
+}
+
+// streamBatch is StreamBatch for a statement that may be a fragment.
+func (s *Server) streamBatch(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int, frag fragment) (*RowStream, error) {
 	s.queries.Add(1)
 	if s.Draining() {
 		err := errDraining()
@@ -215,7 +228,7 @@ func (s *Server) StreamBatch(ctx context.Context, sessionID, stmtName, sql strin
 	if s.timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 	}
-	rs, err := s.stream(ctx, sessionID, stmtName, sql, params, batch)
+	rs, err := s.stream(ctx, sessionID, stmtName, sql, params, batch, frag)
 	if err != nil {
 		cancel()
 		s.countFailure(err)
@@ -233,7 +246,7 @@ func (s *Server) StreamBatch(ctx context.Context, sessionID, stmtName, sql strin
 
 // stream is StreamBatch's statement path, behind the server-level panic
 // boundary.
-func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int) (_ *RowStream, err error) {
+func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, params []value.Value, batch int, frag fragment) (_ *RowStream, err error) {
 	defer exec.RecoverAsError("server.stream", &err)
 	if err := faultinject.Hit("server.stream"); err != nil {
 		return nil, err
@@ -318,7 +331,10 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	}
 	// A hit binds the caller's parameters and the statement's lifted
 	// literals into the shape's plan: no analyze, no optimize.
-	prep, hit, err := s.plan(st, batch)
+	prep, hit, err := s.plan(st, batch, frag.subst)
+	if err == nil && frag.cut != sqlish.CutWhole {
+		prep, err = prep.Cut(frag.cut)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ import (
 	"talign/internal/plan"
 	"talign/internal/raceflag"
 	"talign/internal/relation"
+	"talign/internal/sqlish"
 	"talign/internal/value"
 	"talign/internal/wire"
 )
@@ -473,7 +474,8 @@ func TestFrameConnLifecycle(t *testing.T) {
 
 // TestWorkerFramesRefused: a server that is no coordinator's worker — a
 // plain talignd or a coordinator — answers a stage, unstage or analyze
-// frame with a "request" error, a stage frame's relation read and
+// frame, or a query frame with a cut or a substitution, with a "request"
+// error, a stage frame's relation read and
 // dropped as it arrives, and the connection goes on serving queries.
 func TestWorkerFramesRefused(t *testing.T) {
 	s := demoServer(t, Config{Flags: plan.DefaultFlags()})
@@ -486,6 +488,8 @@ func TestWorkerFramesRefused(t *testing.T) {
 			{Frame: wire.FrameRows, Batch: shard}, {Frame: wire.FrameStatus, RowCount: 2}},
 		{{Frame: wire.FrameUnstage, Table: "p"}},
 		{{Frame: wire.FrameAnalyze}},
+		{{Frame: wire.FrameQuery, SQL: "SELECT a FROM p", Cut: sqlish.CutBody}},
+		{{Frame: wire.FrameQuery, SQL: "SELECT a FROM p", Subst: map[string]string{"p": "r"}}},
 	} {
 		for _, f := range req {
 			if err := fw.Write(f); err != nil {

@@ -223,7 +223,8 @@ type Prepared struct {
 	explainAnalyze bool
 
 	mu   sync.Mutex
-	idle []*pipeline // built, re-openable, not running: at most GOMAXPROCS
+	idle []*pipeline        // built, re-openable, not running: at most GOMAXPROCS
+	cuts [numCuts]*Prepared // the memoized subtrees at each cut (Cut)
 }
 
 // Deps lists the catalog entries the plan was built from, one per base
@@ -396,17 +397,4 @@ func ParseNormalized(sql string) (*Statement, string, error) {
 	}
 	norm := renderTokens(sql, toks, nil)
 	return &Statement{SQL: sql, ast: ast, shape: norm}, norm, nil
-}
-
-// Normalize canonicalizes a statement's text for plan-cache keying: it
-// re-renders the token stream with single spaces, lower-cased keywords and
-// identifiers, and canonical symbols, so formatting and case differences
-// (but nothing semantic) map to the same cache entry. The result is not
-// meant to be pretty — only stable.
-func Normalize(sql string) (string, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return "", err
-	}
-	return renderTokens(sql, toks, nil), nil
 }

@@ -3,19 +3,16 @@ package sqlish
 // Distributed-planning support: the distsql coordinator needs to reason
 // about a parsed statement — which base tables it touches, whether its
 // FROM tree is colocatable under a hash partitioning, whether its
-// aggregation admits a partial/final split — and to render rewritten,
-// re-parseable SQL fragments for workers. The AST is deliberately
+// aggregation admits a partial/final split. The AST is deliberately
 // unexported, so this file is the one sanctioned window onto it: a
 // conservative distillation (anything it cannot prove scatter-safe is
 // reported as unsupported, and the coordinator falls back to gathering
-// whole shards) plus renderers that emit valid dialect SQL with $N
-// placeholders renumbered gap-free per fragment.
+// whole shards). Fragments are no rewritten SQL: every worker runs the
+// statement itself up to a cut of its plan (cut.go).
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // DistKind classifies a statement for the distributed planner.
@@ -96,17 +93,6 @@ type DistShape struct {
 	// split (plain grouped COUNT/SUM/MIN/MAX; AVG and global aggregates
 	// are excluded and fall back to gather-all).
 	CanAggSplit bool
-}
-
-// DistAggSQL is the rendered partial/final aggregate split: Worker runs
-// on every shard, Final re-aggregates the gathered partials. The param
-// slices map each fragment's $1..$N back to the original statement's
-// 1-based parameter indices.
-type DistAggSQL struct {
-	Worker       string
-	WorkerParams []int
-	Final        string
-	FinalParams  []int
 }
 
 // ------------------------------------------------------------ analysis
@@ -748,538 +734,4 @@ func havingSplittable(e sexpr, groupKeys map[string]bool, okAgg func(sCall) bool
 	default:
 		return true // literals, params
 	}
-}
-
-// ------------------------------------------------------------ rendering
-
-// drender renders AST fragments back to valid dialect SQL, renumbering
-// $N placeholders gap-free in first-appearance order and substituting
-// base-table names (the original binding name is preserved as an alias,
-// so column references survive the substitution).
-type drender struct {
-	sb     strings.Builder
-	subst  map[string]string
-	params []int
-	seen   map[int]int
-	err    error
-}
-
-func newDrender(subst map[string]string) *drender {
-	return &drender{subst: subst, seen: map[int]int{}}
-}
-
-func (d *drender) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("sqlish: distributed render: "+format, args...)
-	}
-}
-
-func (d *drender) str(s string) { d.sb.WriteString(s) }
-
-func (d *drender) param(idx int) {
-	n, ok := d.seen[idx]
-	if !ok {
-		d.params = append(d.params, idx)
-		n = len(d.params)
-		d.seen[idx] = n
-	}
-	d.str("$" + strconv.Itoa(n))
-}
-
-func (d *drender) expr(e sexpr) {
-	switch x := e.(type) {
-	case sRef:
-		if x.Table != "" {
-			d.str(x.Table + "." + x.Col)
-		} else {
-			d.str(x.Col)
-		}
-	case sNum:
-		d.str(x.Text)
-	case sStr:
-		d.str("'" + strings.ReplaceAll(x.Text, "'", "''") + "'")
-	case sBool:
-		if x.V {
-			d.str("TRUE")
-		} else {
-			d.str("FALSE")
-		}
-	case sNull:
-		d.str("NULL")
-	case sParam:
-		d.param(x.Idx)
-	case sBin:
-		d.str("(")
-		d.expr(x.L)
-		d.str(" " + strings.ToUpper(x.Op) + " ")
-		d.expr(x.R)
-		d.str(")")
-	case sNot:
-		d.str("(NOT ")
-		d.expr(x.X)
-		d.str(")")
-	case sIsNull:
-		d.str("(")
-		d.expr(x.X)
-		if x.Negate {
-			d.str(" IS NOT NULL)")
-		} else {
-			d.str(" IS NULL)")
-		}
-	case sBetween:
-		d.str("(")
-		d.expr(x.X)
-		d.str(" BETWEEN ")
-		d.expr(x.Lo)
-		d.str(" AND ")
-		d.expr(x.Hi)
-		d.str(")")
-	case sCall:
-		d.str(x.Name + "(")
-		if x.Star {
-			d.str("*")
-		}
-		for i, a := range x.Args {
-			if i > 0 {
-				d.str(", ")
-			}
-			d.expr(a)
-		}
-		d.str(")")
-	default:
-		d.fail("unsupported expression %T", e)
-	}
-}
-
-func (d *drender) fromItem(f fromItem) {
-	switch x := f.(type) {
-	case fTable:
-		repl, substituted := d.subst[x.Name]
-		switch {
-		case substituted:
-			binding := x.Alias
-			if binding == "" {
-				binding = x.Name
-			}
-			d.str(repl + " AS " + binding)
-		case x.Alias != "":
-			d.str(x.Name + " AS " + x.Alias)
-		default:
-			d.str(x.Name)
-		}
-	case fAlign:
-		d.str("(")
-		d.fromItem(x.Left)
-		d.str(" ALIGN ")
-		d.fromItem(x.Right)
-		d.str(" ON ")
-		d.expr(x.Theta)
-		d.str(")")
-		if x.Alias != "" {
-			d.str(" " + x.Alias)
-		}
-	case fNormalize:
-		d.str("(")
-		d.fromItem(x.Left)
-		d.str(" NORMALIZE ")
-		d.fromItem(x.Right)
-		d.str(" USING (" + strings.Join(x.Using, ", ") + "))")
-		if x.Alias != "" {
-			d.str(" " + x.Alias)
-		}
-	case fJoin:
-		d.fromItem(x.Left)
-		switch x.Type {
-		case "left":
-			d.str(" LEFT JOIN ")
-		case "right":
-			d.str(" RIGHT JOIN ")
-		case "full":
-			d.str(" FULL JOIN ")
-		case "cross":
-			d.str(" CROSS JOIN ")
-		default:
-			d.str(" JOIN ")
-		}
-		d.fromItem(x.Right)
-		if x.On != nil {
-			d.str(" ON ")
-			d.expr(x.On)
-		}
-	default:
-		d.fail("unsupported FROM item %T", f)
-	}
-}
-
-func (d *drender) selectBody(sel *selectStmt) {
-	d.str("SELECT ")
-	switch sel.Dedup {
-	case dedupDistinct:
-		d.str("DISTINCT ")
-	case dedupAbsorb:
-		d.str("ABSORB ")
-	}
-	for i, it := range sel.Items {
-		if i > 0 {
-			d.str(", ")
-		}
-		if it.Star {
-			d.str("*")
-			continue
-		}
-		d.expr(it.Expr)
-		if it.Alias != "" {
-			d.str(" AS " + it.Alias)
-		}
-	}
-	if len(sel.From) > 0 {
-		d.str(" FROM ")
-		for i, f := range sel.From {
-			if i > 0 {
-				d.str(", ")
-			}
-			d.fromItem(f)
-		}
-	}
-	if sel.Where != nil {
-		d.str(" WHERE ")
-		d.expr(sel.Where)
-	}
-	if len(sel.GroupBy) > 0 {
-		d.str(" GROUP BY ")
-		for i, g := range sel.GroupBy {
-			if i > 0 {
-				d.str(", ")
-			}
-			d.expr(g)
-		}
-	}
-	if sel.Having != nil {
-		d.str(" HAVING ")
-		d.expr(sel.Having)
-	}
-}
-
-func (d *drender) orderLimit(a *statement) {
-	if len(a.OrderBy) > 0 {
-		d.str(" ORDER BY ")
-		for i, k := range a.OrderBy {
-			if i > 0 {
-				d.str(", ")
-			}
-			d.expr(k.Expr)
-			if k.Desc {
-				d.str(" DESC")
-			}
-		}
-	}
-	if a.Limit != nil {
-		d.str(" LIMIT " + strconv.FormatInt(*a.Limit, 10))
-	}
-	if a.Offset != nil {
-		d.str(" OFFSET " + strconv.FormatInt(*a.Offset, 10))
-	}
-}
-
-// RenderDistBody renders the statement's single-SELECT body — dedup
-// mode, SELECT list, FROM, WHERE, GROUP BY, HAVING — without ORDER
-// BY/LIMIT (those run in the coordinator's final stage). subst replaces
-// base-table names (aliasing the original binding name so references
-// survive); the returned ints map the rendered $1..$N back to the
-// original statement's parameter indices.
-func (st *Statement) RenderDistBody(subst map[string]string) (string, []int, error) {
-	a, err := st.tree()
-	if err != nil {
-		return "", nil, err
-	}
-	if len(a.With) > 0 || a.Body == nil || a.Body.Select == nil {
-		return "", nil, fmt.Errorf("sqlish: distributed render: not a single-SELECT statement")
-	}
-	d := newDrender(subst)
-	d.selectBody(a.Body.Select)
-	if d.err != nil {
-		return "", nil, d.err
-	}
-	return d.sb.String(), d.params, nil
-}
-
-// RenderDistFinal renders the coordinator's final stage over a gathered
-// temp table: `SELECT [dedup] * FROM <from>` plus the statement's ORDER
-// BY/LIMIT/OFFSET. redoDedup re-applies the statement's DISTINCT/ABSORB
-// over the union of shard-local results (needed when dedup groups are
-// not pinned to one shard).
-func (st *Statement) RenderDistFinal(from string, redoDedup bool) (string, []int, error) {
-	a, err := st.tree()
-	if err != nil {
-		return "", nil, err
-	}
-	d := newDrender(nil)
-	d.str("SELECT ")
-	if redoDedup && a.Body != nil && a.Body.Select != nil {
-		switch a.Body.Select.Dedup {
-		case dedupDistinct:
-			d.str("DISTINCT ")
-		case dedupAbsorb:
-			d.str("ABSORB ")
-		}
-	}
-	d.str("* FROM " + from)
-	d.orderLimit(a)
-	if d.err != nil {
-		return "", nil, d.err
-	}
-	return d.sb.String(), d.params, nil
-}
-
-// RenderDistAgg renders the partial/final aggregate split (CanAggSplit
-// must hold). Workers evaluate the partial form per shard — group terms
-// as __g<j> columns, each distinct aggregate as an __a<k> column, HAVING
-// deferred — and the coordinator re-aggregates the gathered partials
-// with SUM/MIN/MAX finals, reapplying HAVING, ORDER BY and LIMIT.
-// Temporal grouping rides on the tuples' valid time: the worker groups
-// by Ts/Te so each partial carries its group interval, and the final
-// groups by Ts/Te again.
-func (st *Statement) RenderDistAgg(subst map[string]string, from string) (*DistAggSQL, error) {
-	a, err := st.tree()
-	if err != nil {
-		return nil, err
-	}
-	if len(a.With) > 0 || a.Body == nil || a.Body.Select == nil {
-		return nil, fmt.Errorf("sqlish: distributed render: not a single-SELECT statement")
-	}
-	sel := a.Body.Select
-
-	// Collect plain group terms and distinct aggregate calls.
-	type aggSlot struct {
-		call sCall
-		key  string
-	}
-	var groups []sexpr
-	groupIdx := map[string]int{}
-	groupByT := false
-	for _, g := range sel.GroupBy {
-		if _, _, ok := isTimeRef(g); ok {
-			groupByT = true
-			continue
-		}
-		k := render(g)
-		if _, ok := groupIdx[k]; !ok {
-			groupIdx[k] = len(groups)
-			groups = append(groups, g)
-		}
-	}
-	var aggs []aggSlot
-	aggIdx := map[string]int{}
-	var collect func(e sexpr)
-	collect = func(e sexpr) {
-		switch x := e.(type) {
-		case sCall:
-			if isAggName(x.Name) {
-				k := render(x)
-				if _, ok := aggIdx[k]; !ok {
-					aggIdx[k] = len(aggs)
-					aggs = append(aggs, aggSlot{call: x, key: k})
-				}
-				return
-			}
-			for _, arg := range x.Args {
-				collect(arg)
-			}
-		case sBin:
-			collect(x.L)
-			collect(x.R)
-		case sNot:
-			collect(x.X)
-		case sIsNull:
-			collect(x.X)
-		case sBetween:
-			collect(x.X)
-			collect(x.Lo)
-			collect(x.Hi)
-		}
-	}
-	for _, it := range sel.Items {
-		if it.Expr != nil {
-			collect(it.Expr)
-		}
-	}
-	if sel.Having != nil {
-		collect(sel.Having)
-	}
-	if len(groups) == 0 || len(aggs) == 0 {
-		return nil, fmt.Errorf("sqlish: distributed render: aggregation not splittable")
-	}
-
-	// Worker fragment: groups and partial aggregates, original GROUP BY.
-	w := newDrender(subst)
-	w.str("SELECT ")
-	for j, g := range groups {
-		if j > 0 {
-			w.str(", ")
-		}
-		w.expr(g)
-		w.str(" AS __g" + strconv.Itoa(j))
-	}
-	for k, slot := range aggs {
-		w.str(", ")
-		w.expr(slot.call) // COUNT/SUM/MIN/MAX partials are the calls themselves
-		w.str(" AS __a" + strconv.Itoa(k))
-	}
-	w.str(" FROM ")
-	for i, f := range sel.From {
-		if i > 0 {
-			w.str(", ")
-		}
-		w.fromItem(f)
-	}
-	if sel.Where != nil {
-		w.str(" WHERE ")
-		w.expr(sel.Where)
-	}
-	w.str(" GROUP BY ")
-	for i, g := range sel.GroupBy {
-		if i > 0 {
-			w.str(", ")
-		}
-		w.expr(g)
-	}
-	if w.err != nil {
-		return nil, w.err
-	}
-
-	// Final stage: re-aggregate the gathered partials. finalExpr rewrites
-	// an expression in terms of the temp columns.
-	f := newDrender(nil)
-	finalAgg := func(slot aggSlot, k int) {
-		col := "__a" + strconv.Itoa(k)
-		switch slot.call.Name {
-		case "count", "sum":
-			f.str("sum(" + col + ")")
-		case "min":
-			f.str("min(" + col + ")")
-		case "max":
-			f.str("max(" + col + ")")
-		}
-	}
-	var finalExpr func(e sexpr)
-	finalExpr = func(e sexpr) {
-		if c, ok := e.(sCall); ok && isAggName(c.Name) {
-			k, found := aggIdx[render(c)]
-			if !found {
-				f.fail("aggregate %s missing from split", render(c))
-				return
-			}
-			finalAgg(aggs[k], k)
-			return
-		}
-		if j, ok := groupIdx[render(e)]; ok {
-			f.str("__g" + strconv.Itoa(j))
-			return
-		}
-		if _, _, ok := isTimeRef(e); ok {
-			f.expr(e)
-			return
-		}
-		switch x := e.(type) {
-		case sRef:
-			f.fail("unresolved reference %s in final stage", render(e))
-		case sBin:
-			f.str("(")
-			finalExpr(x.L)
-			f.str(" " + strings.ToUpper(x.Op) + " ")
-			finalExpr(x.R)
-			f.str(")")
-		case sNot:
-			f.str("(NOT ")
-			finalExpr(x.X)
-			f.str(")")
-		case sIsNull:
-			f.str("(")
-			finalExpr(x.X)
-			if x.Negate {
-				f.str(" IS NOT NULL)")
-			} else {
-				f.str(" IS NULL)")
-			}
-		case sBetween:
-			f.str("(")
-			finalExpr(x.X)
-			f.str(" BETWEEN ")
-			finalExpr(x.Lo)
-			f.str(" AND ")
-			finalExpr(x.Hi)
-			f.str(")")
-		default:
-			f.expr(e)
-		}
-	}
-	f.str("SELECT ")
-	for i, it := range sel.Items {
-		if i > 0 {
-			f.str(", ")
-		}
-		name := distItemName(it, i)
-		before := f.sb.Len()
-		finalExpr(it.Expr)
-		if f.sb.String()[before:] != name {
-			f.str(" AS " + name)
-		}
-	}
-	f.str(" FROM " + from + " GROUP BY ")
-	for j := range groups {
-		if j > 0 {
-			f.str(", ")
-		}
-		f.str("__g" + strconv.Itoa(j))
-	}
-	if groupByT {
-		f.str(", ts, te")
-	}
-	if sel.Having != nil {
-		f.str(" HAVING ")
-		finalExpr(sel.Having)
-	}
-	// ORDER BY keys must be re-expressed against the final stage's own
-	// output: a bare reference names an output column (group terms and
-	// aggregates keep their original names via AS), an aggregate call is
-	// rewritten to its re-aggregated form, anything else is unsupported
-	// (the coordinator falls back to gather-all when rendering fails).
-	if len(a.OrderBy) > 0 {
-		f.str(" ORDER BY ")
-		for i, k := range a.OrderBy {
-			if i > 0 {
-				f.str(", ")
-			}
-			if r, isRef := k.Expr.(sRef); isRef && r.Table == "" {
-				f.str(r.Col)
-			} else if c, isCall := k.Expr.(sCall); isCall && isAggName(c.Name) {
-				finalExpr(k.Expr)
-			} else {
-				f.fail("ORDER BY key %s not renderable in final aggregate stage", render(k.Expr))
-			}
-			if k.Desc {
-				f.str(" DESC")
-			}
-		}
-	}
-	if a.Limit != nil {
-		f.str(" LIMIT " + strconv.FormatInt(*a.Limit, 10))
-	}
-	if a.Offset != nil {
-		f.str(" OFFSET " + strconv.FormatInt(*a.Offset, 10))
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	return &DistAggSQL{
-		Worker:       w.sb.String(),
-		WorkerParams: w.params,
-		Final:        f.sb.String(),
-		FinalParams:  f.params,
-	}, nil
-}
-
-// distItemName mirrors the analyzer's output-column naming.
-func distItemName(item selectItem, pos int) string {
-	return itemName(item, pos)
 }

@@ -1,7 +1,6 @@
 package sqlish
 
 import (
-	"strings"
 	"testing"
 
 	"talign/internal/plan"
@@ -98,79 +97,30 @@ func TestDistInfoAggShape(t *testing.T) {
 	}
 }
 
-// TestRenderDistBodyParams proves fragment SQL renumbers $N gap-free and
-// reports the original indices, and that substituted tables keep their
-// binding name.
-func TestRenderDistBodyParams(t *testing.T) {
-	st, err := Parse("SELECT a, b FROM r WHERE a >= $2 AND b <= $1 ORDER BY a LIMIT 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, params, err := st.RenderDistBody(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(body, "ORDER") || strings.Contains(body, "LIMIT") {
-		t.Fatalf("body kept ORDER BY/LIMIT: %s", body)
-	}
-	if !strings.Contains(body, "$1") || !strings.Contains(body, "$2") || strings.Contains(body, "$3") {
-		t.Fatalf("body params not renumbered gap-free: %s", body)
-	}
-	if len(params) != 2 || params[0] != 2 || params[1] != 1 {
-		t.Fatalf("param mapping = %v, want [2 1]", params)
-	}
-
-	body, _, err = st.RenderDistBody(map[string]string{"r": "__rp1_r"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body, "__rp1_r AS r") {
-		t.Fatalf("substituted body does not alias the staged table: %s", body)
-	}
-
-	final, fparams, err := st.RenderDistFinal("__g", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(final, "FROM __g") || !strings.Contains(final, "ORDER BY") || !strings.Contains(final, "LIMIT 3") {
-		t.Fatalf("final stage missing FROM/ORDER/LIMIT: %s", final)
-	}
-	if len(fparams) != 0 {
-		t.Fatalf("final stage params = %v, want none", fparams)
-	}
-}
-
-// TestRenderDistAggSplit proves the worker/final pair prepares and
-// reproduces the original statement's output columns.
-func TestRenderDistAggSplit(t *testing.T) {
-	cat := distCat(t)
-	st, err := Parse("SELECT b, COUNT(*) c, SUM(a) sa, MIN(a) mn, MAX(a) mx FROM r WHERE a >= $1 GROUP BY b HAVING b >= 0 ORDER BY b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := st.RenderDistAgg(nil, "__g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flags := plan.DefaultFlags()
-	wprep, err := Prepare(agg.Worker, cat, flags)
-	if err != nil {
-		t.Fatalf("worker fragment does not prepare: %v\n%s", err, agg.Worker)
-	}
-	tmp := MapCatalog{}
-	tmp.Register("__g", relation.New(wprep.Schema()))
-	fprep, err := Prepare(agg.Final, tmp, flags)
-	if err != nil {
-		t.Fatalf("final fragment does not prepare: %v\n%s", err, agg.Final)
-	}
-	want, err := st.Prepare(cat, flags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, exp := fprep.Schema().String(), want.Schema().String(); got != exp {
-		t.Fatalf("final schema %s, want %s", got, exp)
-	}
-	if len(agg.WorkerParams) != 1 || agg.WorkerParams[0] != 1 {
-		t.Fatalf("worker params = %v, want [1]", agg.WorkerParams)
+// TestPlanCuts: for each cut, a plan where the coordinator finds it and
+// its merge form rebuilds the plan's output, and one where it must fall
+// through to the next strategy.
+func TestPlanCuts(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		cut  Cut
+		redo bool
+		ok   bool
+	}{
+		{"SELECT a, b FROM r WHERE a >= $1", CutWhole, false, true},
+		{"SELECT a, b FROM r", CutWhole, true, false}, // nothing to redo
+		{"SELECT DISTINCT b FROM r ORDER BY b LIMIT 2", CutBody, true, true},
+		{"SELECT a, b FROM r ORDER BY a LIMIT 2", CutBody, true, false},
+		{"SELECT b, COUNT(*) c, MIN(a) m FROM r GROUP BY b HAVING COUNT(*) >= $1 ORDER BY c", CutAggregate, false, true},
+		{"SELECT b, AVG(a) av FROM r GROUP BY b", CutAggregate, false, false}, // AVG partials do not merge
+		{"SELECT DISTINCT b FROM r", CutAggregate, false, false},
+	} {
+		prep, err := Prepare(tc.sql, distCat(t), plan.DefaultFlags())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := prep.Split(tc.cut, tc.redo); (err == nil) != tc.ok {
+			t.Errorf("%s at the %s cut (redo %v): %v, want found %v", tc.sql, tc.cut, tc.redo, err, tc.ok)
+		}
 	}
 }

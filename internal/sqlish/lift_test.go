@@ -117,7 +117,7 @@ func TestLiftNeverForPlanStatements(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		norm, _ := Normalize(sql)
+		_, norm, _ := ParseNormalized(sql)
 		if st.ShapeKey() != norm || len(st.lifted) != 0 {
 			t.Errorf("%s: shape %q lifted %v, want the normalized text and nothing lifted", sql, st.ShapeKey(), st.lifted)
 		}

@@ -343,13 +343,13 @@ func TestPlaceholderVsOracle(t *testing.T) {
 }
 
 func TestNormalize(t *testing.T) {
-	a, err := Normalize("SELECT   A, mn FROM P  WHERE a >= $1 -- trailing comment\n ORDER BY a")
+	_, a, err := ParseNormalized("SELECT   A, mn FROM P  WHERE a >= $1 -- trailing comment\n ORDER BY a")
 	if err != nil {
-		t.Fatalf("Normalize: %v", err)
+		t.Fatalf("ParseNormalized: %v", err)
 	}
-	b, err := Normalize("select a,mn from p where a>=$1 order by a")
+	_, b, err := ParseNormalized("select a,mn from p where a>=$1 order by a")
 	if err != nil {
-		t.Fatalf("Normalize: %v", err)
+		t.Fatalf("ParseNormalized: %v", err)
 	}
 	if a != b {
 		t.Fatalf("normal forms differ:\n%q\n%q", a, b)
@@ -359,8 +359,8 @@ func TestNormalize(t *testing.T) {
 		t.Fatalf("normalized text does not prepare: %v", err)
 	}
 	// String case is semantic and must be preserved.
-	c, _ := Normalize("SELECT * FROM r WHERE n = 'Ann'")
-	d, _ := Normalize("SELECT * FROM r WHERE n = 'ann'")
+	_, c, _ := ParseNormalized("SELECT * FROM r WHERE n = 'Ann'")
+	_, d, _ := ParseNormalized("SELECT * FROM r WHERE n = 'ann'")
 	if c == d {
 		t.Fatalf("string literal case was lost: %q", c)
 	}

@@ -10,9 +10,11 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"talign/internal/colbatch"
 	"talign/internal/schema"
+	"talign/internal/sqlish"
 	"talign/internal/tuple"
 	"talign/internal/value"
 )
@@ -29,7 +31,7 @@ const (
 
 // BatchFrameVersion is the batch-frame format version this build reads
 // and writes; a frame of any other version is refused with ErrVersion.
-const BatchFrameVersion = 1
+const BatchFrameVersion = 2
 
 // MaxFramePayload bounds one frame's payload, so a corrupt length prefix
 // can never size an allocation.
@@ -79,9 +81,11 @@ func corruptf(format string, args ...any) error {
 //	plan     u8 flags (bit 0 cache_hit), plan text
 //	status   u64 row count
 //	error    u32 line, u32 col, u16 code length, u16 0, code, message
-//	query    u32 batch size, u32 0, a statement, then the parameters as
-//	         a one-row rows payload: one column per parameter, of the
-//	         parameter's kind (ω in an untyped column)
+//	query    u32 batch size, u8 cut, u8 0, u16 substitution length, a
+//	         statement whose sql is followed by the substitution (table
+//	         and staged name, each pair NUL-separated), then the
+//	         parameters as a one-row rows payload: one column per
+//	         parameter, of the parameter's kind (ω in an untyped column)
 //	prepare  a statement
 //	prepared u16 parameter count, then a schema payload
 //	stage    (9), unstage (10), analyze (11): u16 table-name length, the
@@ -124,6 +128,7 @@ type Writer struct {
 	buf   []byte         // binary: the frame under construction
 	batch colbatch.Batch // binary: a rows batch compacted, or a query's parameter row
 	attrs []schema.Attr  // binary: the parameter row's schema
+	subst []byte         // binary: a query's substitution
 }
 
 // NewWriter returns a frame writer for media (MediaBatch selects binary
@@ -203,7 +208,18 @@ func appendFrame(dst []byte, f Frame, fw *Writer) ([]byte, error) {
 		if f.BatchSize < 0 || f.BatchSize > math.MaxUint32 || len(f.Params) > math.MaxUint16 {
 			return dst[:base], encodef("query frame: batch size %d or %d parameters out of range", f.BatchSize, len(f.Params))
 		}
-		dst, err = appendStatement(append(binary.LittleEndian.AppendUint32(dst, uint32(f.BatchSize)), 0, 0, 0, 0), &f)
+		fw.subst = fw.subst[:0]
+		for t, staged := range f.Subst {
+			if len(fw.subst) > 0 {
+				fw.subst = append(fw.subst, 0)
+			}
+			fw.subst = append(append(append(fw.subst, t...), 0), staged...)
+		}
+		if err = checkU16(&f, len(fw.subst), "substitution length"); err != nil {
+			return dst[:base], err
+		}
+		dst = append(binary.LittleEndian.AppendUint32(dst, uint32(f.BatchSize)), uint8(f.Cut), 0)
+		dst, err = appendStatement(binary.LittleEndian.AppendUint16(dst, uint16(len(fw.subst))), &f, fw.subst)
 		// The parameters are one row whose columns carry their kinds.
 		fw.attrs = fw.attrs[:0]
 		for _, p := range f.Params {
@@ -213,7 +229,7 @@ func appendFrame(dst []byte, f Frame, fw *Writer) ([]byte, error) {
 		fw.batch.AppendTuple(tuple.Tuple{Vals: f.Params})
 		dst = appendBatchPayload(dst, &fw.batch)
 	case FramePrepare:
-		dst, err = appendStatement(dst, &f)
+		dst, err = appendStatement(dst, &f, nil)
 	case FramePrepared:
 		dst, err = appendSchemaPayload(binary.LittleEndian.AppendUint16(dst, uint16(f.NumParams)), &f)
 	case FrameStage, FrameUnstage, FrameAnalyze:
@@ -266,17 +282,18 @@ func appendSchemaPayload(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// appendStatement appends a query or prepare frame's statement, padded so
-// that a parameter row after it keeps its regions 8-byte aligned.
-func appendStatement(dst []byte, f *Frame) ([]byte, error) {
+// appendStatement appends a query or prepare frame's statement, its sql
+// followed by tail, padded so that a parameter row after it keeps its
+// regions 8-byte aligned.
+func appendStatement(dst []byte, f *Frame, tail []byte) ([]byte, error) {
 	if err := checkU16(f, max(len(f.Session), len(f.Stmt)), "session or statement name length"); err != nil {
 		return dst, err
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Session)))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Stmt)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.SQL)))
-	dst = append(append(append(dst, f.Session...), f.Stmt...), f.SQL...)
-	for n := 8 + len(f.Session) + len(f.Stmt) + len(f.SQL); n%8 != 0; n++ {
+	dst = append(append(append(append(dst, f.Session...), f.Stmt...), f.SQL...), tail...)
+	for n := 8 + len(f.Session) + len(f.Stmt) + len(f.SQL) + len(tail); n%8 != 0; n++ {
 		dst = append(dst, 0)
 	}
 	return dst, nil
@@ -499,8 +516,18 @@ func (d *Decoder) decodePayload(f *Frame, kind string, p []byte) error {
 		if len(p) < 8 {
 			return corruptf("query frame truncated")
 		}
-		f.BatchSize = int(binary.LittleEndian.Uint32(p))
-		rest, err := decodeStatement(f, p[8:])
+		f.BatchSize, f.Cut = int(binary.LittleEndian.Uint32(p)), sqlish.Cut(p[4])
+		rest, subst, err := decodeStatement(f, p[8:], int(binary.LittleEndian.Uint16(p[6:])))
+		if subst != "" {
+			pairs := strings.Split(subst, "\x00")
+			if len(pairs)%2 != 0 {
+				return corruptf("query frame: substitution of %d names", len(pairs))
+			}
+			f.Subst = make(map[string]string, len(pairs)/2)
+			for i := 0; i < len(pairs); i += 2 {
+				f.Subst[pairs[i]] = pairs[i+1]
+			}
+		}
 		var b *colbatch.Batch
 		if err == nil {
 			b, err = decodeBatchPayload(rest, nil)
@@ -516,7 +543,7 @@ func (d *Decoder) decodePayload(f *Frame, kind string, p []byte) error {
 			f.Params[c] = b.Cols[c].Value(0)
 		}
 	case FramePrepare:
-		if rest, err := decodeStatement(f, p); err != nil || len(rest) != 0 {
+		if rest, _, err := decodeStatement(f, p, 0); err != nil || len(rest) != 0 {
 			return cmp.Or(err, corruptf("prepare frame: %d trailing bytes", len(rest)))
 		}
 	case FramePrepared:
@@ -566,21 +593,22 @@ func decodeSchemaPayload(f *Frame, p []byte) error {
 }
 
 // decodeStatement decodes the statement part of a query or prepare frame
-// into f and returns what follows its padding.
-func decodeStatement(f *Frame, p []byte) ([]byte, error) {
+// into f and returns the tail of tailLen bytes after its sql and what
+// follows its padding.
+func decodeStatement(f *Frame, p []byte, tailLen int) ([]byte, string, error) {
 	if len(p) < 8 {
-		return nil, corruptf("%s frame truncated", f.Frame)
+		return nil, "", corruptf("%s frame truncated", f.Frame)
 	}
 	sl, nl := int(binary.LittleEndian.Uint16(p)), int(binary.LittleEndian.Uint16(p[2:]))
 	ql := int(binary.LittleEndian.Uint32(p[4:]))
-	end := 8 + sl + nl + ql
+	end := 8 + sl + nl + ql + tailLen
 	if ql > len(p) || (end+7)&^7 > len(p) {
-		return nil, corruptf("%s frame of %d bytes cannot hold a %d-byte statement", f.Frame, len(p), end)
+		return nil, "", corruptf("%s frame of %d bytes cannot hold a %d-byte statement", f.Frame, len(p), end)
 	}
 	names := string(p[8 : 8+sl+nl])
 	f.Session, f.Stmt = names[:sl], names[sl:]
-	f.SQL = string(p[8+sl+nl : end])
-	return p[(end+7)&^7:], nil
+	f.SQL = string(p[8+sl+nl : end-tailLen])
+	return p[(end+7)&^7:], string(p[end-tailLen : end]), nil
 }
 
 // decodeBatchPayload decodes a rows-frame payload. names, when it has

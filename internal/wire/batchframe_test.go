@@ -20,6 +20,7 @@ import (
 	"talign/internal/interval"
 	"talign/internal/randrel"
 	"talign/internal/schema"
+	"talign/internal/sqlish"
 	"talign/internal/tuple"
 	"talign/internal/value"
 )
@@ -195,7 +196,7 @@ func goldenBatch() *colbatch.Batch {
 // go test ./internal/wire -run Golden -update.
 func TestBatchFrameGolden(t *testing.T) {
 	got := rowsFrame(goldenBatch())
-	path := filepath.Join("testdata", "batchframe_v1.bin")
+	path := filepath.Join("testdata", "batchframe_v2.bin")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -304,7 +305,7 @@ func TestBatchFrameEncodeDefects(t *testing.T) {
 // ErrVersion or is the end of the input, and a batch that does decode
 // survives the read path.
 func FuzzDecodeBatchFrame(f *testing.F) {
-	valid, err := os.ReadFile(filepath.Join("testdata", "batchframe_v1.bin"))
+	valid, err := os.ReadFile(filepath.Join("testdata", "batchframe_v2.bin"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -319,6 +320,7 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 	}
 	for _, req := range []Frame{ // the request kinds and the prepare answer
 		{Frame: FrameQuery, Session: "s", Stmt: "q", Params: []value.Value{value.NewString("x"), value.Null, value.NewFloat(2)}},
+		{Frame: FrameQuery, SQL: "SELECT a FROM r", Cut: sqlish.CutAggregate, Subst: map[string]string{"r": "__rp1_r"}},
 		{Frame: FramePrepare, Session: "s", Stmt: "q", SQL: "SELECT a FROM p"},
 		{Frame: FramePrepared, NumParams: 1, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
 		{Frame: FrameStage, Table: "__rp1_r"},
@@ -486,7 +488,7 @@ func TestRequestFrames(t *testing.T) {
 	fw := NewWriter(&buf, MediaBatch)
 	for _, f := range []Frame{
 		{Frame: FrameQuery, Session: "s1", Stmt: "q", Params: params, BatchSize: 64},
-		{Frame: FrameQuery, SQL: "SELECT 1"},
+		{Frame: FrameQuery, SQL: "SELECT 1", Cut: sqlish.CutBody, Subst: map[string]string{"r": "__rp7_r", "s": "__rp7_s"}},
 		{Frame: FramePrepare, Session: "s", Stmt: "stmt-3", SQL: "SELECT a FROM p WHERE a >= $1"},
 		{Frame: FramePrepared, NumParams: 2, Columns: []string{"a", "ts", "te"}, Types: []string{"int", "int", "int"}},
 		{Frame: FrameStage, Table: "__rp7_r"},
@@ -513,7 +515,7 @@ func TestRequestFrames(t *testing.T) {
 			t.Errorf("$%d = %v (%s), want %v (%s)", i+1, p, p.Kind(), params[i], params[i].Kind())
 		}
 	}
-	if f, err = dec.Next(); err != nil || f.SQL != "SELECT 1" || len(f.Params) != 0 {
+	if f, err = dec.Next(); err != nil || f.SQL != "SELECT 1" || len(f.Params) != 0 || f.Cut != sqlish.CutBody || len(f.Subst) != 2 || f.Subst["s"] != "__rp7_s" {
 		t.Fatalf("parameterless query frame: %+v, %v", f, err)
 	}
 	if f, err = dec.Next(); err != nil || f.Frame != FramePrepare || f.Session != "s" || f.Stmt != "stmt-3" || f.SQL != "SELECT a FROM p WHERE a >= $1" {

@@ -113,14 +113,19 @@ type Frame struct {
 	// Request fields (binary only): the session, the prepared statement a
 	// query runs or a prepare names, the text, $1..$N with their kinds, a
 	// batch-size override (0: the server's); NumParams is a prepared's,
-	// Table the relation a stage, unstage or analyze frame names.
-	Session   string        `json:"-"`
-	Stmt      string        `json:"-"`
-	SQL       string        `json:"-"`
-	Params    []value.Value `json:"-"`
-	BatchSize int           `json:"-"`
-	NumParams int           `json:"-"`
-	Table     string        `json:"-"`
+	// Table the relation a stage, unstage or analyze frame names. A
+	// coordinator's query frame to a worker may name the cut of the
+	// statement's plan the worker answers (sqlish.Cut) and map tables to
+	// the staged relations the statement reads in their place.
+	Session   string            `json:"-"`
+	Stmt      string            `json:"-"`
+	SQL       string            `json:"-"`
+	Params    []value.Value     `json:"-"`
+	BatchSize int               `json:"-"`
+	NumParams int               `json:"-"`
+	Table     string            `json:"-"`
+	Cut       sqlish.Cut        `json:"-"`
+	Subst     map[string]string `json:"-"`
 }
 
 // Error is the structured wire error {code, message, line, col}: the
