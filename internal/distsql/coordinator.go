@@ -41,17 +41,7 @@ const (
 )
 
 func (s strategy) String() string {
-	switch s {
-	case stratScatter:
-		return "scatter"
-	case stratScatterFinal:
-		return "scatter+final"
-	case stratPartialAgg:
-		return "partial-aggregate"
-	case stratGatherAll:
-		return "gather-all"
-	}
-	return "unknown"
+	return [...]string{stratScatter: "scatter", stratScatterFinal: "scatter+final", stratPartialAgg: "partial-aggregate", stratGatherAll: "gather-all"}[s]
 }
 
 // tableDep is one table a distributed plan was built from: the schema
@@ -78,15 +68,11 @@ type distPlan struct {
 	cut       sqlish.Cut
 	redoDedup bool
 	repart    map[string]string // table -> partition column it must be re-hashed on
-	tables    []string
 
 	prep    *sqlish.Prepared
 	final   string        // the nodes above the cut, for EXPLAIN
 	explain string        // the EXPLAIN text, rendered once
 	bodySch schema.Schema // schema of the gathered worker results (final strategies)
-	sch     schema.Schema // client-visible result schema
-	cols    []string
-	types   []string
 }
 
 // Coordinator implements server.Distributor over a static worker
@@ -177,16 +163,21 @@ func (c *Coordinator) setPart(table, col string) {
 	})
 }
 
-// allSharded reports whether every table is in the shard map parts;
-// statements touching any other table are declined to the local pipeline
+// shardedView is a catalog snapshot in which only the tables of the
+// shard map resolve: a statement that reads any other table does not
+// prepare there, and the coordinator declines it to the local pipeline
 // (which also produces the proper error for unknown tables).
-func allSharded(parts map[string]string, tables ...string) bool {
-	for _, t := range tables {
-		if _, ok := parts[t]; !ok {
-			return false
-		}
+type shardedView struct {
+	server.Snapshot
+	parts map[string]string
+}
+
+// Lookup implements sqlish.Catalog.
+func (v shardedView) Lookup(name string) (*relation.Relation, bool) {
+	if _, ok := v.parts[name]; !ok {
+		return nil, false
 	}
-	return true
+	return v.Snapshot.Lookup(name)
 }
 
 // DistributeTable hash-partitions rel by its assigned (or first)
@@ -251,34 +242,30 @@ func (c *Coordinator) AnalyzeWorkers(ctx context.Context) error {
 
 // ------------------------------------------------------- Distributor
 
-// DistStream implements server.Distributor: it classifies the parsed
-// statement, declines anything purely local, and otherwise plans and
-// launches the distributed execution.
+// DistStream implements server.Distributor: it broadcasts or partitions
+// the catalog statements, declines anything that is not over sharded
+// tables alone, and otherwise plans and launches the distributed
+// execution.
 func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, params []value.Value, batch int) (*server.DistResult, bool, error) {
-	snap := c.srv.Catalog().Snapshot()
-	info := st.DistInfo(snap)
-	switch info.Kind {
-	case sqlish.DistAnalyze:
-		return c.distAnalyze(ctx, info)
-	case sqlish.DistCreate:
-		return c.distCreate(ctx, info)
-	case sqlish.DistDrop:
-		return c.distDrop(ctx, info)
+	if name, ok := st.AnalyzeTarget(); ok {
+		return c.distAnalyze(ctx, name)
 	}
-	parts := c.shardMap()
-	if len(info.Tables) == 0 || !allSharded(parts, info.Tables...) {
+	if name, path, ok := st.CreateTarget(); ok {
+		return c.distCreate(ctx, name, path)
+	}
+	if name, ok := st.DropTarget(); ok {
+		return c.distDrop(ctx, name)
+	}
+	pl, hit := c.plan(st)
+	if pl == nil {
 		return nil, false, nil
 	}
 	c.queries.Add(1)
-	pl, hit, err := c.plan(st, info, snap, parts)
-	if err != nil {
-		return nil, true, err
-	}
-	if info.Explain {
+	if pl.prep.IsExplain() && !pl.prep.IsExplainAnalyze() {
 		return &server.DistResult{Plan: pl.explain, CacheHit: hit}, true, nil
 	}
 	if pl.strategy == stratGatherAll {
-		res, err := c.runGatherAll(ctx, st, pl, params, batch, hit, info.ExplainAnalyze)
+		res, err := c.runGatherAll(ctx, st, pl, params, batch, hit)
 		return res, true, err
 	}
 	res, err := c.run(ctx, st, pl, params, batch, hit)
@@ -287,15 +274,9 @@ func (c *Coordinator) DistStream(ctx context.Context, st *sqlish.Statement, para
 
 // DistExplain implements the never-executing GET /explain path.
 func (c *Coordinator) DistExplain(st *sqlish.Statement) (string, bool, error) {
-	snap := c.srv.Catalog().Snapshot()
-	info := st.DistInfo(snap)
-	parts := c.shardMap()
-	if info.Kind != sqlish.DistSelect || len(info.Tables) == 0 || !allSharded(parts, info.Tables...) {
+	pl, _ := c.plan(st)
+	if pl == nil {
 		return "", false, nil
-	}
-	pl, _, err := c.plan(st, info, snap, parts)
-	if err != nil {
-		return "", true, err
 	}
 	return pl.explain, true, nil
 }
@@ -310,7 +291,11 @@ func (c *Coordinator) explainText(pl *distPlan) string {
 		fmt.Fprintf(&b, "  repartition: %s by %s\n", t, pl.repart[t])
 	}
 	if pl.strategy == stratGatherAll {
-		fmt.Fprintf(&b, "  gather: %s\n", strings.Join(pl.tables, ", "))
+		tables := make([]string, len(pl.deps))
+		for i, d := range pl.deps {
+			tables[i] = d.name
+		}
+		fmt.Fprintf(&b, "  gather: %s\n", strings.Join(tables, ", "))
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  worker: the statement to its %s cut\n", pl.cut)
@@ -324,9 +309,8 @@ func (c *Coordinator) explainText(pl *distPlan) string {
 
 // distAnalyze broadcasts ANALYZE to every worker and sums the per-shard
 // row counts into the single-node acknowledgement format.
-func (c *Coordinator) distAnalyze(ctx context.Context, info *sqlish.DistInfo) (*server.DistResult, bool, error) {
-	target := strings.ToLower(info.Target)
-	if !allSharded(c.shardMap(), target) {
+func (c *Coordinator) distAnalyze(ctx context.Context, target string) (*server.DistResult, bool, error) {
+	if _, ok := c.shardMap()[target]; !ok {
 		return nil, false, nil
 	}
 	var rows int64
@@ -347,12 +331,11 @@ func (c *Coordinator) distAnalyze(ctx context.Context, info *sqlish.DistInfo) (*
 // distCreate loads the CSV on the coordinator, partitions it across the
 // workers and registers the local schema stub, mirroring the
 // single-node CREATE TABLE acknowledgement byte-for-byte.
-func (c *Coordinator) distCreate(ctx context.Context, info *sqlish.DistInfo) (*server.DistResult, bool, error) {
-	target := strings.ToLower(info.Target)
+func (c *Coordinator) distCreate(ctx context.Context, target, path string) (*server.DistResult, bool, error) {
 	if _, exists := c.srv.Catalog().Snapshot().Lookup(target); exists {
 		return nil, true, fmt.Errorf("server: CREATE TABLE: table %q already exists", target)
 	}
-	rel, err := csvio.ReadFile(info.CreatePath)
+	rel, err := csvio.ReadFile(path)
 	if err != nil {
 		return nil, true, fmt.Errorf("server: CREATE TABLE %s: %v", target, err)
 	}
@@ -363,9 +346,8 @@ func (c *Coordinator) distCreate(ctx context.Context, info *sqlish.DistInfo) (*s
 }
 
 // distDrop broadcasts the unstage and drops the local stub.
-func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*server.DistResult, bool, error) {
-	target := strings.ToLower(info.Target)
-	if !allSharded(c.shardMap(), target) {
+func (c *Coordinator) distDrop(ctx context.Context, target string) (*server.DistResult, bool, error) {
+	if _, ok := c.shardMap()[target]; !ok {
 		return nil, false, nil
 	}
 	for _, w := range c.client.workers {
@@ -383,23 +365,26 @@ func (c *Coordinator) distDrop(ctx context.Context, info *sqlish.DistInfo) (*ser
 // plan resolves the distributed plan through the cache: one plan per
 // statement shape (sqlish.Statement.ShapeKey: statements that differ only
 // in lifted literals share one distributed plan, like they share one
-// local plan), served while the tables it was built from are unchanged.
-// snap and parts are the catalog snapshot and shard map the statement
-// was classified against.
-func (c *Coordinator) plan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (*distPlan, bool, error) {
+// local plan), served while the tables it was built from are unchanged,
+// so a hit parses nothing. On a miss the statement is prepared against
+// the sharded view of the catalog; nil means it is not the coordinator's
+// to run: it reads no table, or one that is not sharded, or it does not
+// prepare (the local pipeline reports its error).
+func (c *Coordinator) plan(st *sqlish.Statement) (*distPlan, bool) {
+	snap, parts := c.srv.Catalog().Snapshot(), c.shardMap()
 	key := server.CacheKey{Shape: st.ShapeKey(), Flags: c.flagsFP}
-	pl, ok := c.cache.Get(key, func(pl *distPlan) bool { return current(pl, snap, parts) })
-	if ok {
-		return pl, true, nil
+	if pl, ok := c.cache.Get(key, func(pl *distPlan) bool { return current(pl, snap, parts) }); ok {
+		return pl, true
 	}
-	pl, err := c.buildPlan(st, info, snap, parts)
-	if err != nil {
-		return nil, false, err
+	prep, err := st.Prepare(shardedView{snap, parts}, c.flags)
+	if err != nil || len(prep.Deps()) == 0 {
+		return nil, false
 	}
+	pl := c.buildPlan(prep, parts)
 	c.cache.Put(key, pl, func(pl *distPlan) bool {
 		return current(pl, c.srv.Catalog().Snapshot(), c.shardMap())
 	})
-	return pl, false, nil
+	return pl, false
 }
 
 // current reports whether every table pl was built from still has the
@@ -414,118 +399,43 @@ func current(pl *distPlan, snap server.Snapshot, parts map[string]string) bool {
 	return true
 }
 
-// buildPlan picks the cheapest strategy the statement's shape admits. A
-// candidate is available when the coordinator's own plan of the statement
-// has a node at its cut with a merge form (sqlish.Prepared.Split); one
-// that has not falls through to the next, ending at gather-all.
-func (c *Coordinator) buildPlan(st *sqlish.Statement, info *sqlish.DistInfo, snap server.Snapshot, parts map[string]string) (pl *distPlan, err error) {
-	prep, err := st.Prepare(snap, c.flags)
-	if err != nil {
-		// The statement does not analyze against the schemas; surface the
-		// same structured error single-node planning would.
-		return nil, err
+// buildPlan reads the strategy off the coordinator's own plan of the
+// statement (sqlish.Prepared.Place): the cut the workers answer names it —
+// whole for scatter, body for scatter+final, aggregate for
+// partial-aggregate — provided the plan has a merge form there
+// (sqlish.Prepared.Split). Anything else gathers every table.
+func (c *Coordinator) buildPlan(prep *sqlish.Prepared, parts map[string]string) *distPlan {
+	pl := &distPlan{prep: prep, strategy: stratGatherAll}
+	for _, d := range prep.Deps() {
+		pl.deps = append(pl.deps, tableDep{name: d.Name, stub: d.Rel, col: parts[d.Name]})
 	}
-	cols, types := server.SchemaColumns(prep)
-	pl = &distPlan{tables: info.Tables, prep: prep, sch: prep.Schema(), cols: cols, types: types}
-	for _, t := range info.Tables {
-		stub, _ := snap.Lookup(t)
-		pl.deps = append(pl.deps, tableDep{name: t, stub: stub, col: parts[t]})
-	}
+	slices.SortFunc(pl.deps, func(a, b tableDep) int { return strings.Compare(a.name, b.name) })
 	defer func() { pl.explain = c.explainText(pl) }()
 
-	if len(c.topo.Workers) == 1 && !info.ExplainAnalyze {
-		// One worker holds every shard: any statement runs there whole.
-		pl.strategy = stratScatter
-		return pl, nil
+	if prep.IsExplainAnalyze() {
+		return pl
 	}
-
-	gather := func() (*distPlan, error) {
-		pl.strategy = stratGatherAll
-		pl.repart = nil
-		return pl, nil
+	// One worker holds every shard: any statement runs there whole.
+	place, ok := sqlish.Placement{Cut: sqlish.CutWhole}, true
+	if len(c.topo.Workers) > 1 {
+		place, ok = prep.Place(parts)
 	}
-	shape := info.Shape
-	if shape == nil || !shape.Colocatable || info.ExplainAnalyze {
-		return gather()
+	if !ok {
+		return pl
 	}
-
-	repart := map[string]string{}
-	eff := map[string]string{}
-	for _, t := range info.Tables {
-		eff[t] = parts[t]
+	body, final, err := prep.Split(place.Cut, place.Redo)
+	if err != nil {
+		return pl
 	}
-	for t, col := range shape.Require {
+	pl.strategy = [...]strategy{sqlish.CutWhole: stratScatter, sqlish.CutBody: stratScatterFinal, sqlish.CutAggregate: stratPartialAgg}[place.Cut]
+	pl.cut, pl.redoDedup, pl.bodySch, pl.final = place.Cut, place.Redo, body, final
+	pl.repart = map[string]string{}
+	for t, col := range place.Require {
 		if parts[t] != col {
-			repart[t] = col
+			pl.repart[t] = col
 		}
-		eff[t] = col
 	}
-	pl.repart = repart
-	pinned := func(refs []sqlish.TableCol) bool {
-		for _, r := range refs {
-			if eff[r.Table] == r.Col {
-				return true
-			}
-		}
-		return false
-	}
-	ordered := info.OrderLimit
-
-	try := func(s strategy, cut sqlish.Cut, redo bool) bool {
-		body, final, serr := prep.Split(cut, redo)
-		if serr != nil {
-			return false
-		}
-		pl.strategy, pl.cut, pl.redoDedup, pl.bodySch, pl.final = s, cut, redo, body, final
-		return true
-	}
-	tryScatter := func() bool { return try(stratScatter, sqlish.CutWhole, false) }
-	tryScatterFinal := func(redo bool) bool { return try(stratScatterFinal, sqlish.CutBody, redo) }
-	tryAggSplit := func() bool { return try(stratPartialAgg, sqlish.CutAggregate, false) }
-
-	switch {
-	case shape.HasAgg || shape.HasGroupBy:
-		// Groups pinned to one shard make any aggregation (HAVING included)
-		// shard-exact; otherwise a partial/final split handles the plain
-		// COUNT/SUM/MIN/MAX shapes.
-		pinnedGroups := shape.HasGroupBy && shape.PlainGroup && len(shape.GroupRefs) > 0 && pinned(shape.GroupRefs)
-		if pinnedGroups && !ordered && tryScatter() {
-			return pl, nil
-		}
-		if pinnedGroups && ordered && tryScatterFinal(false) {
-			return pl, nil
-		}
-		if shape.Dedup == "" && shape.CanAggSplit && tryAggSplit() {
-			return pl, nil
-		}
-		return gather()
-	case shape.Dedup != "":
-		// Dedup groups pinned to one shard (some projected column is the
-		// partition column) make shard-local DISTINCT/ABSORB exact and the
-		// shard results disjoint; otherwise the final stage re-applies the
-		// dedup over the union (absorption is compositional: a locally
-		// absorbed tuple is absorbed by the same witness globally).
-		if pinned(shape.ProjRefs) {
-			if !ordered && tryScatter() {
-				return pl, nil
-			}
-			if tryScatterFinal(false) {
-				return pl, nil
-			}
-		}
-		if tryScatterFinal(true) {
-			return pl, nil
-		}
-		return gather()
-	default:
-		if !ordered && tryScatter() {
-			return pl, nil
-		}
-		if ordered && tryScatterFinal(false) {
-			return pl, nil
-		}
-		return gather()
-	}
+	return pl
 }
 
 // ------------------------------------------------------- execution
@@ -626,11 +536,12 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	}
 	merge := &mergeSource{cancel: cancel, streams: streams}
 
+	cols, types := pl.prep.Columns(params...)
 	if pl.strategy == stratScatter {
 		c.scatters.Add(1)
 		streaming = true
 		return &server.DistResult{
-			Cols: pl.cols, Types: pl.types, Schema: pl.sch, CacheHit: hit,
+			Cols: cols, Types: types, Schema: pl.prep.Schema(), CacheHit: hit,
 			Src: &cleanupSource{mergeSource: merge, cleanup: cleanup},
 		}, nil
 	}
@@ -652,7 +563,7 @@ func (c *Coordinator) run(ctx context.Context, st *sqlish.Statement, pl *distPla
 	} else {
 		c.scatterFinals.Add(1)
 	}
-	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: cur.Schema(), CacheHit: hit, Src: cur}, nil
+	return &server.DistResult{Cols: cols, Types: types, Schema: cur.Schema(), CacheHit: hit, Src: cur}, nil
 }
 
 // flagsFor is the coordinator's planner flags under a request's
@@ -669,28 +580,28 @@ func (c *Coordinator) flagsFor(batch int) plan.Flags {
 // runGatherAll reassembles every referenced table on the coordinator and
 // runs the original statement locally — correctness for every shape the
 // scatter strategies cannot prove.
-func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl *distPlan, params []value.Value, batch int, hit bool, explainAnalyze bool) (*server.DistResult, error) {
+func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl *distPlan, params []value.Value, batch int, hit bool) (*server.DistResult, error) {
 	c.gatherAlls.Add(1)
 	snap := c.srv.Catalog().Snapshot()
 	tmp := sqlish.MapCatalog{}
-	for _, t := range pl.tables {
-		stub, found := snap.Lookup(t)
+	for _, d := range pl.deps {
+		stub, found := snap.Lookup(d.name)
 		if !found {
-			return nil, fmt.Errorf("distsql: table %s vanished during planning", t)
+			return nil, fmt.Errorf("distsql: table %s vanished during planning", d.name)
 		}
 		// One batch-born relation: the stub's schema supplies the attribute
 		// kinds, the rows arrive as batches and stay batches.
-		img, err := gatherInto(c.scanShards(ctx, t, batch), stub.Schema)
+		img, err := gatherInto(c.scanShards(ctx, d.name, batch), stub.Schema)
 		if err != nil {
 			return nil, err
 		}
-		tmp.Register(t, relation.FromColumnar(img))
+		tmp.Register(d.name, relation.FromColumnar(img))
 	}
 	prep, err := st.Prepare(tmp, c.flagsFor(batch))
 	if err != nil {
 		return nil, err
 	}
-	if explainAnalyze {
+	if prep.IsExplainAnalyze() {
 		text, aerr := prep.ExplainAnalyzeContext(ctx, params...)
 		if aerr != nil {
 			return nil, aerr
@@ -701,7 +612,8 @@ func (c *Coordinator) runGatherAll(ctx context.Context, st *sqlish.Statement, pl
 	if err != nil {
 		return nil, err
 	}
-	return &server.DistResult{Cols: pl.cols, Types: pl.types, Schema: prep.Schema(), CacheHit: hit, Src: cur}, nil
+	cols, types := pl.prep.Columns(params...)
+	return &server.DistResult{Cols: cols, Types: types, Schema: prep.Schema(), CacheHit: hit, Src: cur}, nil
 }
 
 // cleanupSource runs a cleanup (unstaging repartition temps) when the

@@ -220,6 +220,19 @@ var distDiffQueries = []diffQuery{
 	{sql: "SELECT ABSORB b, Ts, Te FROM r"},
 	{sql: "SELECT DISTINCT b FROM r ORDER BY b, Ts, Te LIMIT 2"},
 	{sql: "SELECT r.a, s.b FROM r JOIN s ON r.b = s.b ORDER BY r.a, s.b, Ts, Te LIMIT 5"},
+	// Strategies read off the plan: a FROM subquery scatters, arithmetic
+	// over an aggregate splits, a LIMIT below the cut and a DISTINCT over
+	// groups off the partition column gather; a DISTINCT over pinned groups
+	// and groups of null-padded columns span shards.
+	{sql: "SELECT q.a, s.b FROM (SELECT a, b FROM r WHERE b >= 1) q JOIN s ON q.a = s.a"},
+	{sql: "SELECT b, SUM(a) + 1 s1 FROM r GROUP BY b"},
+	{sql: "SELECT q.a, s.b FROM (SELECT a, b FROM r ORDER BY a, b, Ts, Te LIMIT 2) q JOIN s ON q.a = s.a"},
+	{sql: "SELECT DISTINCT b, COUNT(*) c FROM r GROUP BY b"},
+	{sql: "SELECT DISTINCT COUNT(*) c FROM r GROUP BY a"},
+	{sql: "SELECT s.a, COUNT(*) c FROM r LEFT JOIN s ON r.a = s.a GROUP BY s.a"},
+	// Tables outside the shard map are the local pipeline's.
+	{sql: "SELECT a, b FROM l WHERE a >= 0"},
+	{sql: "SELECT a FROM nosuch"},
 }
 
 // TestDistributedDifferential is the acceptance differential: for random
@@ -234,6 +247,8 @@ func TestDistributedDifferential(t *testing.T) {
 				single := singleNode(t, rels)
 				cl := newCluster(t, workers, nil)
 				cl.load(t, rels)
+				single.Catalog().Register("l", rels["u"])
+				cl.csrv.Catalog().Register("l", rels["u"])
 				for _, q := range distDiffQueries {
 					want, werr := sqltest.Run(context.Background(), single, "", "", q.sql, q.params, 0)
 					got, gerr := sqltest.Run(context.Background(), cl.csrv, "", "", q.sql, q.params, 0)
@@ -259,7 +274,9 @@ func TestDistributedDifferential(t *testing.T) {
 
 // TestDistributedStrategies pins the planner's strategy choices via
 // EXPLAIN: colocated scatters stay scatters, mismatched join keys
-// repartition, plain aggregates split, and WITH falls back to gather.
+// repartition, aggregates off the partition column split, and WITH, a
+// LIMIT below the cut and a DISTINCT over split groups fall back to
+// gather.
 func TestDistributedStrategies(t *testing.T) {
 	rels := testRels(1)
 	cl := newCluster(t, 2, nil)
@@ -283,6 +300,10 @@ func TestDistributedStrategies(t *testing.T) {
 		{"SELECT ABSORB b, Ts, Te FROM r", "Distributed: scatter+final"},
 		{"SELECT DISTINCT b FROM r ORDER BY b, Ts, Te LIMIT 2", "Distributed: scatter+final"},
 		{"SELECT r.a, s.b FROM r JOIN s ON r.b = s.b ORDER BY r.a, s.b, Ts, Te LIMIT 5", "Distributed: scatter+final over 2 worker(s)\n  repartition: r by b\n  repartition: s by b"},
+		{"SELECT q.a, s.b FROM (SELECT a, b FROM r WHERE b >= 1) q JOIN s ON q.a = s.a", "Distributed: scatter over"},
+		{"SELECT b, SUM(a) + 1 s1 FROM r GROUP BY b", "Distributed: partial-aggregate"},
+		{"SELECT q.a, s.b FROM (SELECT a, b FROM r ORDER BY a, b, Ts, Te LIMIT 2) q JOIN s ON q.a = s.a", "Distributed: gather-all"},
+		{"SELECT DISTINCT b, COUNT(*) c FROM r GROUP BY b", "Distributed: gather-all"},
 	}
 	for _, tc := range cases {
 		res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "EXPLAIN "+tc.sql, nil, 0)

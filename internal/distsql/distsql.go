@@ -18,12 +18,14 @@
 // for a local plan (a staged shard on a worker, the gathered answers of
 // a final stage or a gather-all input on the coordinator).
 //
-// The planner picks the cheapest correct strategy per statement:
+// The planner reads the cheapest correct strategy off the coordinator's
+// own plan of the statement (sqlish.Prepared.Place):
 //
-//   - scatter: the FROM tree is colocated under the current partitioning
-//     (every join/ALIGN/NORMALIZE boundary is bridged by an
-//     equi-condition on the partition columns), so workers run the
-//     whole statement and the coordinator concatenates the streams.
+//   - scatter: the plan is colocated under the current partitioning
+//     (every join, Φ and N in it is bridged by an equi-condition on the
+//     partition columns) and every grouping in it is pinned to one
+//     shard, so workers run the whole statement and the coordinator
+//     concatenates the streams.
 //   - scatter+final: workers run the plan's body, the coordinator its
 //     ORDER BY/LIMIT over the gathered rows, after a global
 //     DISTINCT/ABSORB pass when dedup groups are not pinned to one shard.
@@ -35,9 +37,9 @@
 //     current partition column is gathered, re-hashed on the required
 //     key and staged back to the workers under a temporary name
 //     (coordinator-mediated shuffle), then the query scatters.
-//   - gather-all: the universal fallback (WITH, set operations,
-//     subqueries, AVG, non-colocatable joins) — shards are gathered and
-//     the original statement runs on the coordinator.
+//   - gather-all: the universal fallback (WITH, set operations, a LIMIT
+//     below the cut, AVG, non-colocatable joins) — shards are gathered
+//     and the original statement runs on the coordinator.
 //
 // Correctness leans on the paper's key property: temporal alignment
 // group construction only ever combines tuples that agree on the

@@ -74,6 +74,12 @@ var deletedNames = []struct {
 	// AST-to-SQL fragment renderer, its $N renumbering, the cluster
 	// manifest and the text-only cache-key normalizer may not come back.
 	{"Fragments are plan cuts", `RenderDistBody|RenderDistFinal|RenderDistAgg|DistAggSQL|drender|mapParams|LoadManifest|sqlish\.Normalize\b|func Normalize\(sql`, []string{"*.go"}, nil},
+	// The coordinator reads its strategy off the statement's own plan
+	// (sqlish.Prepared.Place). The AST's second description of the
+	// statement — its classifier, table collector, name resolver and
+	// aggregate-split rules — may not come back.
+	{"Strategy from the plan", `DistInfo|DistShape|DistKind|DistSelect|DistAnalyze|DistCreate|DistDrop|\bTableCol\b|collectBaseTables|\bdinst\b|\bdcol\b|\bdbind\b|\bdnode\b|\bdboundary\b|\bdwalker\b|distillSelect|selHasAgg|canAggSplit|havingSplittable|walkFrom|resolveIn\b`, []string{"*.go"}, nil},
+	{"Strategy from the plan", `DistInfo|DistShape`, nil, []string{"docs/ARCHITECTURE.md", "docs/API.md", "docs/SQL.md", "README.md"}},
 }
 
 // TestDeletedNamesStayGone fails on any line of the tree that names a

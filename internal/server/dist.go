@@ -67,7 +67,7 @@ type DistMetric struct {
 // (SetDistributor), every statement is offered to it after parsing and
 // before local planning. A distributor that declines (handled=false)
 // leaves the statement to the local pipeline — that is how statements
-// touching no sharded table keep working unchanged on a coordinator.
+// over local or unknown tables keep working unchanged on a coordinator.
 type Distributor interface {
 	// DistStream plans and launches one statement. The statement arrives
 	// parsed and lifted (sqlish.ParseLifted: its ShapeKey is the

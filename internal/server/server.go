@@ -531,8 +531,9 @@ func decodeRequest(r *http.Request) (queryRequest, []value.Value, error) {
 
 // SchemaColumns lists a prepared statement's result columns and types:
 // the visible attributes followed by the valid-time bounds "ts" and
-// "te", listed once per plan (sqlish.Prepared.Columns; the slices are
-// shared and must not be modified).
+// "te", listed once per plan (sqlish.Prepared.Columns with no value
+// bound, so a column that is exactly $N is ω; the slices are shared and
+// must not be modified).
 func SchemaColumns(prep *sqlish.Prepared) (cols, types []string) { return prep.Columns() }
 
 func writeJSON(w http.ResponseWriter, v any) {

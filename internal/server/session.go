@@ -20,8 +20,8 @@ type Session struct {
 	mu sync.Mutex
 	// stmts holds each named statement as parsed and lifted once, at
 	// /prepare: its shape key is the plan-cache key component, its lifted
-	// literals bind on every execution, and a coordinator classifies its
-	// AST without parsing again. Everything else (param count, schema)
+	// literals bind on every execution, and a coordinator plans it
+	// without parsing again. Everything else (param count, schema)
 	// lives on the cached Prepared and may legitimately change when a
 	// catalog change forces a re-plan.
 	stmts map[string]*sqlish.Statement

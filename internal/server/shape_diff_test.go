@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -78,6 +79,62 @@ func shapeRels(seed int) map[string]*relation.Relation {
 		rels[name] = randrel.Generate(rng, cfg)
 	}
 	return rels
+}
+
+// single is a single-node server holding rels.
+func single(rels map[string]*relation.Relation) *server.Server {
+	srv := server.New(server.Config{Flags: plan.DefaultFlags(), MaxDOP: 16})
+	for name, rel := range rels {
+		srv.Catalog().Register(name, rel)
+	}
+	return srv
+}
+
+// coordinator is a coordinator's server over n in-process workers, with
+// rels distributed across them and analyzed.
+func coordinator(t *testing.T, n int, rels map[string]*relation.Relation) *server.Server {
+	t.Helper()
+	flags := plan.DefaultFlags()
+	var topo distsql.Topology
+	for i := 0; i < n; i++ {
+		hs := httptest.NewServer(distsql.Handler(server.New(server.Config{Flags: flags, MaxDOP: 16})))
+		t.Cleanup(hs.Close)
+		topo.Workers = append(topo.Workers, distsql.Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
+	}
+	csrv := server.New(server.Config{Flags: flags, MaxDOP: 16})
+	coord := distsql.New(csrv, topo, flags, nil)
+	coord.Attach()
+	for name, rel := range rels {
+		if err := coord.DistributeTable(t.Context(), name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.AnalyzeWorkers(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	return csrv
+}
+
+// TestParamColumnTypes: a result column that is exactly $N reports the
+// bound value's kind wherever the statement executes — POST /query and
+// the stream's schema frame, locally and through a coordinator — and ω in
+// the prepared schema, where no value is bound.
+func TestParamColumnTypes(t *testing.T) {
+	for tag, srv := range map[string]*server.Server{"local": single(shapeRels(0)), "coordinator": coordinator(t, 2, shapeRels(0))} {
+		var got [][]string
+		for _, path := range []string{"/query", "/query/stream", "/prepare"} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(`{"name":"q","sql":"SELECT $1 x, a FROM r","params":[7]}`)))
+			var first struct{ Types []string } // the stream's first frame is its schema
+			if err := json.NewDecoder(rec.Body).Decode(&first); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, first.Types)
+		}
+		if s := fmt.Sprint(got); s != "[[int int int int] [int int int int] [null int int int]]" {
+			t.Errorf("%s: the types of /query, /query/stream and /prepare are %s", tag, s)
+		}
+	}
 }
 
 // shapeCase is one statement of the differential with its reference
@@ -167,10 +224,7 @@ func TestShapeDifferential(t *testing.T) {
 		rels := shapeRels(seed)
 		cases := shapeCases(t, rels)
 
-		mem := server.New(server.Config{Flags: plan.DefaultFlags(), MaxDOP: 16})
-		for name, rel := range rels {
-			mem.Catalog().Register(name, rel)
-		}
+		mem := single(rels)
 		mem.AnalyzeAll()
 		runShapeCases(t, fmt.Sprintf("seed %d memory", seed), mem, cases, 4)
 		// Lifting is what is under test: the liftable statements must have
@@ -197,25 +251,7 @@ func TestShapeDifferential(t *testing.T) {
 		runShapeCases(t, fmt.Sprintf("seed %d segments", seed), disk, cases, 4)
 		store.Close()
 
-		flags := plan.DefaultFlags()
-		var topo distsql.Topology
-		for i := 0; i < 2; i++ {
-			w := server.New(server.Config{Flags: flags, MaxDOP: 16})
-			hs := httptest.NewServer(distsql.Handler(w))
-			defer hs.Close()
-			topo.Workers = append(topo.Workers, distsql.Worker{Name: fmt.Sprintf("w%d", i), URL: hs.URL})
-		}
-		csrv := server.New(server.Config{Flags: flags, MaxDOP: 16})
-		coord := distsql.New(csrv, topo, flags, nil)
-		coord.Attach()
-		for name, rel := range rels {
-			if err := coord.DistributeTable(context.Background(), name, rel); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := coord.AnalyzeWorkers(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		csrv := coordinator(t, 2, rels)
 		runShapeCases(t, fmt.Sprintf("seed %d 2 workers", seed), csrv, cases, 2)
 
 		// Oracle: the selection shapes straight from the definitions.

@@ -258,7 +258,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	case stmtName != "":
 		// The statement was parsed and lifted at Prepare time (and an
 		// ANALYZE can never be prepared): its shape key goes straight to
-		// the plan cache, and a coordinator classifies the same AST.
+		// the plan cache, a coordinator's included.
 		var lerr error
 		if st, lerr = s.sess.get(sessionID).stmt(stmtName); lerr != nil {
 			return nil, lerr
@@ -280,7 +280,8 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		// The distributed seam sees every statement first — ANALYZE, CREATE
 		// and DROP included, since on a coordinator they must broadcast or
 		// partition rather than act locally. A declined statement (one that
-		// touches no sharded table) falls through to the local pipeline.
+		// reads no sharded table, or any other) falls through to the local
+		// pipeline.
 		if s.dist != nil {
 			if rs, handled, derr := s.distStream(ctx, st, params, batch); handled {
 				return rs, derr
@@ -373,7 +374,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	} else {
 		s.pipelinesBuilt.Add(1)
 	}
-	cols, types := SchemaColumns(prep)
+	cols, types := prep.Columns(params...)
 	return &RowStream{
 		cols:     cols,
 		types:    types,

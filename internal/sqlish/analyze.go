@@ -127,9 +127,13 @@ func (a *analyzer) buildFrom(fi fromItem) (plan.Node, *scope, error) {
 
 	case fSubquery:
 		node, _, err := a.buildSelect(f.Query)
+		if err == nil {
+			node, err = a.orderBy(node, f.orderLimit)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
+		node = a.limit(node, f.orderLimit)
 		wrapped := a.addHidden(node)
 		n := node.Schema().Len()
 		sc := &scope{

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"talign/internal/expr"
 	"talign/internal/opt"
 	"talign/internal/plan"
 	"talign/internal/relation"
@@ -181,14 +182,16 @@ func (r *depRecorder) Lookup(name string) (*relation.Relation, bool) {
 	return rel, ok
 }
 
-// TableStats implements plan.StatsSource.
+// TableStats implements plan.StatsSource. Only tables the analyzer
+// resolved have statistics: a scan of a computed relation (the optimizer's
+// empty WHERE FALSE scan) names no catalog entry.
 func (r *depRecorder) TableStats(name string) *stats.Table {
-	if r.stats == nil {
+	i := slices.IndexFunc(r.deps, func(d Dep) bool { return d.Name == name })
+	if r.stats == nil || i < 0 {
 		return nil
 	}
-	t := r.stats.TableStats(name)
-	r.dep(name).Stats = t
-	return t
+	r.deps[i].Stats = r.stats.TableStats(name)
+	return r.deps[i].Stats
 }
 
 // Prepared is an analyzed and planned statement: the output of the
@@ -219,6 +222,7 @@ type Prepared struct {
 
 	root           plan.Node
 	cols, types    []string // root's ResultColumns, listed once per plan
+	paramCols      []int    // per result column the $N it is exactly, 0 for none; nil when none is
 	explain        bool
 	explainAnalyze bool
 
@@ -279,34 +283,20 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 		}
 		a.with[strings.ToLower(w.Name)] = a.planner.Shared(node)
 	}
-	node, outScope, err := a.buildQueryExpr(ast.Body)
+	node, _, err := a.buildQueryExpr(ast.Body)
 	if err != nil {
 		return nil, err
 	}
-	if len(ast.OrderBy) > 0 {
-		keys, err := a.orderKeys(ast.OrderBy, node.Schema(), outScope)
-		if err != nil {
-			return nil, err
-		}
-		node = a.planner.Sort(node, keys...)
+	if node, err = a.orderBy(node, ast.orderLimit); err != nil {
+		return nil, err
 	}
 	if !flags.DisableOptimizer {
 		node = opt.Optimize(node, a.planner)
 	}
-	if ast.Limit != nil || ast.Offset != nil {
-		// LIMIT sits above ORDER BY and outside the optimizer: its executor
-		// exits early, which is what lets a cursor stop the pipeline
-		// instead of draining it.
-		n := int64(-1)
-		if ast.Limit != nil {
-			n = *ast.Limit
-		}
-		var off int64
-		if ast.Offset != nil {
-			off = *ast.Offset
-		}
-		node = a.planner.Limit(node, n, off)
-	}
+	// LIMIT sits above ORDER BY and outside the optimizer: its executor
+	// exits early, which is what lets a cursor stop the pipeline instead of
+	// draining it.
+	node = a.limit(node, ast.orderLimit)
 	// Hidden slots are numbered from the parser's count of the caller's
 	// placeholders; the two counts agree on every statement that analyzes,
 	// and taking the larger keeps the slots aligned regardless.
@@ -320,6 +310,7 @@ func (st *Statement) Prepare(cat Catalog, flags plan.Flags) (*Prepared, error) {
 		root:           node,
 		cols:           cols,
 		types:          types,
+		paramCols:      paramColumns(node),
 		explain:        ast.Explain,
 		explainAnalyze: ast.ExplainAnalyze,
 	}, nil
@@ -339,8 +330,45 @@ func (p *Prepared) IsExplainAnalyze() bool { return p.explainAnalyze }
 func (p *Prepared) Schema() schema.Schema { return p.root.Schema() }
 
 // Columns is Schema().ResultColumns(), listed once per plan; the slices
-// are shared and must not be modified.
-func (p *Prepared) Columns() (cols, types []string) { return p.cols, p.types }
+// are shared and must not be modified. A column that is exactly $N has
+// kind ω in the plan; given an execution's params, its type is the kind
+// of the value bound to it.
+func (p *Prepared) Columns(params ...value.Value) (cols, types []string) {
+	if p.paramCols == nil || len(params) == 0 {
+		return p.cols, p.types
+	}
+	types = slices.Clone(p.types)
+	for i, n := range p.paramCols {
+		if n > 0 && n <= len(params) {
+			types[i] = params[n-1].Kind().String()
+		}
+	}
+	return p.cols, types
+}
+
+// paramColumns lists, per result column of root, the $N the column is
+// exactly (0 for none); nil when no column is one.
+func paramColumns(root plan.Node) []int {
+	for {
+		switch x := root.(type) {
+		case *plan.LimitNode, *plan.SortNode, *plan.FilterNode, *plan.DistinctNode, *plan.AbsorbNode:
+			root = root.Children()[0]
+		case *plan.ProjectNode:
+			var out []int
+			for i, e := range x.Exprs {
+				if prm, ok := e.(expr.Param); ok && prm.Peek == nil {
+					if out == nil {
+						out = make([]int, len(x.Exprs))
+					}
+					out[i] = prm.Idx
+				}
+			}
+			return out
+		default:
+			return nil
+		}
+	}
+}
 
 // Explain renders the plan with the optimizer's row estimates;
 // unbound placeholders render as $N.

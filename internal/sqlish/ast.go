@@ -93,9 +93,11 @@ type (
 	fTable struct {
 		Name, Alias string
 	}
-	// fSubquery is a parenthesized SELECT with a mandatory alias.
+	// fSubquery is a parenthesized SELECT, with its own ORDER BY, LIMIT
+	// and OFFSET, and a mandatory alias.
 	fSubquery struct {
 		Query *selectStmt
+		orderLimit
 		Alias string
 	}
 	// fAlign is (a ALIGN b ON θ) alias; ThetaPos is θ's byte offset.
@@ -185,11 +187,16 @@ type statement struct {
 	Create *createStmt
 	// Drop holds the table name of a "DROP TABLE <name>" statement
 	// (Body is nil in that case).
-	Drop    string
-	With    []withClause
-	Body    *queryExpr
+	Drop string
+	With []withClause
+	Body *queryExpr
+	orderLimit
+}
+
+// orderLimit holds the ORDER BY, LIMIT and OFFSET clauses that end a
+// statement or a FROM subquery (nil Limit or Offset = absent).
+type orderLimit struct {
 	OrderBy []orderKey
-	// Limit and Offset are the LIMIT/OFFSET clause values (nil = absent).
-	Limit  *int64
-	Offset *int64
+	Limit   *int64
+	Offset  *int64
 }

@@ -1,14 +1,15 @@
 package sqlish
 
 import (
+	"fmt"
 	"testing"
 
 	"talign/internal/plan"
 	"talign/internal/relation"
 )
 
-// distCat is the two-table catalog the dist analysis tests resolve
-// unqualified references against.
+// distCat is the two-table catalog the plan walk and cut tests plan
+// against.
 func distCat(t *testing.T) MapCatalog {
 	t.Helper()
 	cat := MapCatalog{}
@@ -20,80 +21,37 @@ func distCat(t *testing.T) MapCatalog {
 	return cat
 }
 
-func distInfo(t *testing.T, sql string) *DistInfo {
-	t.Helper()
-	st, err := Parse(sql)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", sql, err)
-	}
-	return st.DistInfo(distCat(t))
-}
-
-func TestDistInfoClassification(t *testing.T) {
-	info := distInfo(t, "SELECT a, b FROM r WHERE a = 1")
-	if info.Kind != DistSelect || len(info.Tables) != 1 || info.Tables[0] != "r" {
-		t.Fatalf("simple select: kind %v tables %v", info.Kind, info.Tables)
-	}
-	if info.Shape == nil || !info.Shape.Colocatable || len(info.Shape.Require) != 0 {
-		t.Fatalf("single-table scan should be unconstrained-colocatable: %+v", info.Shape)
-	}
-	if info.OrderLimit {
-		t.Fatal("OrderLimit set without ORDER BY/LIMIT")
-	}
-
-	info = distInfo(t, "SELECT a FROM r ORDER BY a LIMIT 1")
-	if !info.OrderLimit {
-		t.Fatal("OrderLimit not set for ORDER BY + LIMIT")
-	}
-
-	info = distInfo(t, "SELECT r.a FROM r JOIN s ON r.a = s.b")
-	if info.Shape == nil || !info.Shape.Colocatable {
-		t.Fatalf("equi-join should be colocatable: %+v", info.Shape)
-	}
-	if info.Shape.Require["r"] != "a" || info.Shape.Require["s"] != "b" {
-		t.Fatalf("join key assignment = %v, want r:a s:b", info.Shape.Require)
-	}
-
-	info = distInfo(t, "SELECT r.a FROM r JOIN s ON r.a > s.a")
-	if info.Shape != nil && info.Shape.Colocatable {
-		t.Fatal("non-equi join must not be colocatable")
-	}
-
-	info = distInfo(t, "WITH w AS (SELECT a FROM r) SELECT a FROM w")
-	if info.Shape != nil {
-		t.Fatalf("WITH statement should have no scatter shape, got %+v", info.Shape)
-	}
-	if len(info.Tables) != 1 || info.Tables[0] != "r" {
-		t.Fatalf("WITH base tables = %v, want [r]", info.Tables)
-	}
-
-	info = distInfo(t, "ANALYZE r")
-	if info.Kind != DistAnalyze || info.Target != "r" {
-		t.Fatalf("ANALYZE: kind %v target %q", info.Kind, info.Target)
-	}
-	info = distInfo(t, "DROP TABLE s")
-	if info.Kind != DistDrop || info.Target != "s" {
-		t.Fatalf("DROP: kind %v target %q", info.Kind, info.Target)
-	}
-}
-
-func TestDistInfoAggShape(t *testing.T) {
-	info := distInfo(t, "SELECT b, COUNT(*) c, SUM(a) sa FROM r GROUP BY b")
-	sh := info.Shape
-	if sh == nil || !sh.HasAgg || !sh.HasGroupBy || !sh.PlainGroup || !sh.CanAggSplit {
-		t.Fatalf("grouped count/sum should admit the agg split: %+v", sh)
-	}
-	if len(sh.GroupRefs) != 1 || sh.GroupRefs[0] != (TableCol{Table: "r", Col: "b"}) {
-		t.Fatalf("GroupRefs = %v, want [r.b]", sh.GroupRefs)
-	}
-
-	info = distInfo(t, "SELECT b, AVG(a) av FROM r GROUP BY b")
-	if info.Shape != nil && info.Shape.CanAggSplit {
-		t.Fatal("AVG must not admit the partial/final split")
-	}
-	info = distInfo(t, "SELECT COUNT(*) c FROM r")
-	if info.Shape != nil && info.Shape.CanAggSplit {
-		t.Fatal("a global aggregate must not admit the partial/final split")
+// TestPlanWalk: per operator the plan walk reads, one plan that runs
+// shard by shard with r and s hashed on a — with the partition columns it
+// requires — and one that must not.
+func TestPlanWalk(t *testing.T) {
+	parts := map[string]string{"r": "a", "s": "a"}
+	for _, tc := range []struct{ op, walks, req, not string }{
+		{"join", "SELECT r.a FROM r JOIN s ON r.a = s.b", "map[r:a s:b]", "SELECT r.a FROM r JOIN s ON r.a > s.a"},
+		{"comma join", "SELECT r.a FROM r, s WHERE r.b = s.b", "map[r:b s:b]", "SELECT r.a FROM r, s WHERE r.a < s.a"},
+		{"ALIGN", "SELECT a, Ts, Te FROM (r ALIGN s ON r.a = s.a) x", "map[r:a s:a]", "SELECT a, Ts, Te FROM (r ALIGN s ON r.a < s.a) x"},
+		{"NORMALIZE", "SELECT a, Ts, Te FROM (r NORMALIZE s USING (b)) x", "map[r:b s:b]", "SELECT a, Ts, Te FROM (r NORMALIZE s USING ()) x"},
+		{"temporal aggregation", "SELECT a, COUNT(*) c, Ts, Te FROM (r x NORMALIZE r y USING (a)) z GROUP BY a, Ts, Te", "map[r:a]",
+			"SELECT COUNT(*) c, Ts, Te FROM (r x NORMALIZE r y USING ()) z GROUP BY Ts, Te"},
+		{"aggregation", "SELECT a, COUNT(*) c FROM r GROUP BY a HAVING COUNT(*) > 1", "map[]", "SELECT b, COUNT(*) c FROM r GROUP BY b"},
+		{"DISTINCT", "SELECT DISTINCT b, a FROM r", "map[]", "SELECT DISTINCT COUNT(*) c FROM r GROUP BY a"},
+		{"ABSORB", "SELECT ABSORB a, Ts, Te FROM r", "map[]", "SELECT ABSORB b, Ts, Te FROM r"},
+		{"outer join", "SELECT DISTINCT r.a FROM r LEFT JOIN s ON r.a = s.a", "map[r:a s:a]", "SELECT DISTINCT s.a FROM r LEFT JOIN s ON r.a = s.a"},
+		{"FROM subquery", "SELECT q.a FROM (SELECT a, b FROM r WHERE b >= 1) q JOIN s ON q.a = s.a", "map[r:a s:a]",
+			"SELECT q.a FROM (SELECT a, b FROM r ORDER BY a LIMIT 1) q JOIN s ON q.a = s.a"},
+		{"WITH", "SELECT a FROM r WHERE a = 1", "map[]", "WITH w AS (SELECT a FROM r) SELECT a FROM w"},
+		{"empty scan, UNION", "SELECT a FROM r WHERE 1 = 0", "map[]", "SELECT a FROM r UNION SELECT a FROM s"},
+	} {
+		for _, sql := range []string{tc.walks, tc.not} {
+			prep, err := Prepare(sql, distCat(t), plan.DefaultFlags())
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, ok := require(prep.root, prep.deps, parts)
+			if want := sql == tc.walks; ok != want || ok && fmt.Sprint(req) != tc.req {
+				t.Errorf("%s: %s walks %v requiring %v, want %v requiring %s", tc.op, sql, ok, req, want, tc.req)
+			}
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 // of the lifted literals, which is all a plan-cache hit needs
 // (Prepared.StreamFor); the parse itself — over the same tokens, lifted
 // literals appearing as hidden placeholders — is deferred to the first
-// use of the AST (Prepare on a miss, DistInfo on a coordinator) and
+// use of the AST (Prepare on a miss, local or distributed) and
 // happens at most once. A syntax error therefore surfaces from ParseLifted
 // for statement kinds it parses at once (EXPLAIN, ANALYZE, CREATE, DROP)
 // and from Prepare for the rest — an unparsable text has no cached plan

@@ -20,7 +20,8 @@ func limitServer() *server.Server {
 }
 
 // TestLimitOffsetSQL checks the grammar end to end: LIMIT/OFFSET apply
-// after ORDER BY, compose, and accept OFFSET alone.
+// after ORDER BY, compose, and accept OFFSET alone, in a FROM subquery
+// too, where a filter above them stays above them.
 func TestLimitOffsetSQL(t *testing.T) {
 	e := limitServer()
 	for _, tc := range []struct {
@@ -34,6 +35,8 @@ func TestLimitOffsetSQL(t *testing.T) {
 		{"SELECT v FROM nums ORDER BY v OFFSET 95", 5, 95},
 		{"SELECT v FROM nums ORDER BY v LIMIT 0", 0, 0},
 		{"SELECT v FROM nums ORDER BY v LIMIT 1000", 100, 0},
+		{"SELECT v FROM (SELECT v FROM nums ORDER BY v DESC LIMIT 3 OFFSET 1) q ORDER BY v", 3, 96},
+		{"SELECT v FROM (SELECT v FROM nums ORDER BY v LIMIT 10) q WHERE v >= 5 ORDER BY v", 5, 5},
 	} {
 		rel, _, err := query(t, e, tc.sql)
 		if err != nil {

@@ -174,14 +174,22 @@ func (p *parser) statement() (*statement, error) {
 		return nil, err
 	}
 	st.Body = body
+	if st.orderLimit, err = p.orderLimit(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// orderLimit parses the optional ORDER BY, LIMIT and OFFSET clauses.
+func (p *parser) orderLimit() (ol orderLimit, err error) {
 	if p.kw("order") {
 		if err := p.expectKw("by"); err != nil {
-			return nil, err
+			return ol, err
 		}
 		for {
 			e, err := p.expr()
 			if err != nil {
-				return nil, err
+				return ol, err
 			}
 			k := orderKey{Expr: e}
 			if p.kw("desc") {
@@ -189,7 +197,7 @@ func (p *parser) statement() (*statement, error) {
 			} else {
 				p.kw("asc")
 			}
-			st.OrderBy = append(st.OrderBy, k)
+			ol.OrderBy = append(ol.OrderBy, k)
 			if !p.sym(",") {
 				break
 			}
@@ -198,18 +206,18 @@ func (p *parser) statement() (*statement, error) {
 	if p.kw("limit") {
 		n, err := p.intLiteral("LIMIT")
 		if err != nil {
-			return nil, err
+			return ol, err
 		}
-		st.Limit = &n
+		ol.Limit = &n
 	}
 	if p.kw("offset") {
 		n, err := p.intLiteral("OFFSET")
 		if err != nil {
-			return nil, err
+			return ol, err
 		}
-		st.Offset = &n
+		ol.Offset = &n
 	}
-	return st, nil
+	return ol, nil
 }
 
 // intLiteral parses a non-negative integer literal (LIMIT/OFFSET counts).
@@ -416,6 +424,10 @@ func (p *parser) fromPrimary() (fromItem, error) {
 			if err != nil {
 				return nil, err
 			}
+			ol, err := p.orderLimit()
+			if err != nil {
+				return nil, err
+			}
 			if err := p.expectSym(")"); err != nil {
 				return nil, err
 			}
@@ -426,7 +438,7 @@ func (p *parser) fromPrimary() (fromItem, error) {
 			if alias == "" {
 				return nil, p.errf("subquery in FROM requires an alias")
 			}
-			return fSubquery{Query: sub, Alias: alias}, nil
+			return fSubquery{Query: sub, orderLimit: ol, Alias: alias}, nil
 		}
 		left, err := p.fromPrimary()
 		if err != nil {

@@ -424,9 +424,36 @@ func itemName(item selectItem, pos int) string {
 	return "col" + strconv.Itoa(pos)
 }
 
+// orderBy sorts node by the clause's ORDER BY keys, if any.
+func (a *analyzer) orderBy(node plan.Node, ol orderLimit) (plan.Node, error) {
+	if len(ol.OrderBy) == 0 {
+		return node, nil
+	}
+	keys, err := a.orderKeys(ol.OrderBy, node.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return a.planner.Sort(node, keys...), nil
+}
+
+// limit caps node at the clause's LIMIT after its OFFSET, if any.
+func (a *analyzer) limit(node plan.Node, ol orderLimit) plan.Node {
+	if ol.Limit == nil && ol.Offset == nil {
+		return node
+	}
+	n, off := int64(-1), int64(0)
+	if ol.Limit != nil {
+		n = *ol.Limit
+	}
+	if ol.Offset != nil {
+		off = *ol.Offset
+	}
+	return a.planner.Limit(node, n, off)
+}
+
 // orderKeys resolves ORDER BY terms against the output schema; Ts/Te sort
 // on the valid time, names on columns, integers on ordinals.
-func (a *analyzer) orderKeys(keys []orderKey, out schema.Schema, _ *scope) ([]exec.SortKey, error) {
+func (a *analyzer) orderKeys(keys []orderKey, out schema.Schema) ([]exec.SortKey, error) {
 	var sk []exec.SortKey
 	for _, k := range keys {
 		var e expr.Expr
