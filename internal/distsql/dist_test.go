@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -221,13 +222,17 @@ var distDiffQueries = []diffQuery{
 	{sql: "SELECT DISTINCT b FROM r ORDER BY b, Ts, Te LIMIT 2"},
 	{sql: "SELECT r.a, s.b FROM r JOIN s ON r.b = s.b ORDER BY r.a, s.b, Ts, Te LIMIT 5"},
 	// Strategies read off the plan: a FROM subquery scatters, arithmetic
-	// over an aggregate splits, a LIMIT below the cut and a DISTINCT over
-	// groups off the partition column gather; a DISTINCT over pinned groups
+	// over an aggregate splits, a LIMIT below the cut gathers, a DISTINCT
+	// or ABSORB over groups off the partition column runs again above the
+	// merged groups (where it removes rows); a DISTINCT over pinned groups
 	// and groups of null-padded columns span shards.
 	{sql: "SELECT q.a, s.b FROM (SELECT a, b FROM r WHERE b >= 1) q JOIN s ON q.a = s.a"},
 	{sql: "SELECT b, SUM(a) + 1 s1 FROM r GROUP BY b"},
 	{sql: "SELECT q.a, s.b FROM (SELECT a, b FROM r ORDER BY a, b, Ts, Te LIMIT 2) q JOIN s ON q.a = s.a"},
 	{sql: "SELECT DISTINCT b, COUNT(*) c FROM r GROUP BY b"},
+	{sql: "SELECT ABSORB b, COUNT(*) c FROM r GROUP BY b"},
+	{sql: "SELECT DISTINCT COUNT(*) c FROM r GROUP BY b"},
+	{sql: "SELECT ABSORB COUNT(*) c, Ts, Te FROM r GROUP BY b, Ts, Te"},
 	{sql: "SELECT DISTINCT COUNT(*) c FROM r GROUP BY a"},
 	{sql: "SELECT s.a, COUNT(*) c FROM r LEFT JOIN s ON r.a = s.a GROUP BY s.a"},
 	// Tables outside the shard map are the local pipeline's.
@@ -274,9 +279,9 @@ func TestDistributedDifferential(t *testing.T) {
 
 // TestDistributedStrategies pins the planner's strategy choices via
 // EXPLAIN: colocated scatters stay scatters, mismatched join keys
-// repartition, aggregates off the partition column split, and WITH, a
-// LIMIT below the cut and a DISTINCT over split groups fall back to
-// gather.
+// repartition, aggregates off the partition column split, a DISTINCT or
+// ABSORB above them included, and WITH and a LIMIT below the cut fall
+// back to gather.
 func TestDistributedStrategies(t *testing.T) {
 	rels := testRels(1)
 	cl := newCluster(t, 2, nil)
@@ -303,7 +308,10 @@ func TestDistributedStrategies(t *testing.T) {
 		{"SELECT q.a, s.b FROM (SELECT a, b FROM r WHERE b >= 1) q JOIN s ON q.a = s.a", "Distributed: scatter over"},
 		{"SELECT b, SUM(a) + 1 s1 FROM r GROUP BY b", "Distributed: partial-aggregate"},
 		{"SELECT q.a, s.b FROM (SELECT a, b FROM r ORDER BY a, b, Ts, Te LIMIT 2) q JOIN s ON q.a = s.a", "Distributed: gather-all"},
-		{"SELECT DISTINCT b, COUNT(*) c FROM r GROUP BY b", "Distributed: gather-all"},
+		{"SELECT DISTINCT b, COUNT(*) c FROM r GROUP BY b", "Distributed: partial-aggregate"},
+		{"SELECT ABSORB b, COUNT(*) c FROM r GROUP BY b", "Distributed: partial-aggregate"},
+		{"SELECT DISTINCT COUNT(*) c FROM r GROUP BY b", "Distributed: partial-aggregate"},
+		{"SELECT ABSORB COUNT(*) c, Ts, Te FROM r GROUP BY b, Ts, Te", "Distributed: partial-aggregate"},
 	}
 	for _, tc := range cases {
 		res, err := sqltest.Run(context.Background(), cl.csrv, "", "", "EXPLAIN "+tc.sql, nil, 0)
@@ -608,8 +616,8 @@ func TestWorkerFaultInjection(t *testing.T) {
 }
 
 // TestRepartitionCleanup proves repartition temps are unstaged from every
-// worker after the query answers, and that no worker caches a plan over
-// them.
+// worker after the query answers, and that no worker caches a plan per
+// execution: the temps are bound, not planned.
 func TestRepartitionCleanup(t *testing.T) {
 	rels := testRels(0)
 	cl := newCluster(t, 2, nil)
@@ -645,6 +653,81 @@ func TestRepartitionCleanup(t *testing.T) {
 		if n := w.CacheStats().Size; n != sizes[i] {
 			t.Errorf("worker %d caches %d plans after five more runs, %d after the first", i, n, sizes[i])
 		}
+	}
+}
+
+// TestRepartitionPlansOnce: ten runs of one repartitioned join plan its
+// fragment once on each worker, over the worker's own tables, and re-open
+// that plan's pipeline at every later run with the execution's staged
+// relations bound in their place.
+func TestRepartitionPlansOnce(t *testing.T) {
+	rels := testRels(0)
+	cl := newCluster(t, 2, nil)
+	cl.load(t, rels)
+	// The shuffle's gather scans are planned before the count starts; they
+	// re-open at every run as well, twice per worker.
+	for _, w := range cl.wsrvs {
+		sqltest.MustRun(t, w, "SELECT * FROM r")
+		sqltest.MustRun(t, w, "SELECT * FROM s")
+	}
+	var plans, hits, built, reused [2]uint64
+	for i, w := range cl.wsrvs {
+		plans[i], hits[i] = w.CacheStats().Plans, w.CacheStats().Hits
+		built[i], reused[i] = w.PipelineStats()
+	}
+	for range 10 {
+		sqltest.MustRun(t, cl.csrv, "SELECT r.a, s.b FROM r JOIN s ON r.b = s.b")
+	}
+	if n := cl.coord.repartitions.Load(); n != 10 {
+		t.Fatalf("%d of 10 runs repartitioned", n)
+	}
+	for i, w := range cl.wsrvs {
+		p, h := w.CacheStats().Plans-plans[i], w.CacheStats().Hits-hits[i]
+		b, r := w.PipelineStats()
+		if b, r = b-built[i], r-reused[i]-20; p != 1 || h < 9 || b != 1 || r != 9 {
+			t.Errorf("worker %d: the fragment was planned %d times (%d cache hits) and built %d pipelines, re-opened %d times; want 1 (>= 9), 1 and 9", i, p, h, b, r)
+		}
+	}
+}
+
+// TestConcurrentRepartitions: eight clients run repartitioned statements
+// at once; each execution binds its own staged relations into a pipeline
+// of the one plan per worker, and every answer is the single node's.
+func TestConcurrentRepartitions(t *testing.T) {
+	rels := testRels(3)
+	single := singleNode(t, rels)
+	cl := newCluster(t, 2, nil)
+	cl.load(t, rels)
+	queries := []string{
+		"SELECT r.a, s.b FROM r JOIN s ON r.b = s.b WHERE r.a >= 0",
+		"SELECT a, b, Ts, Te FROM (r ALIGN s ON r.b = s.b) x",
+		"SELECT a, b, Ts, Te FROM (r NORMALIZE s USING (b)) x",
+	}
+	want := make([][][]byte, len(queries))
+	for i, q := range queries {
+		want[i] = sqltest.Keys(sqltest.MustRun(t, single, q).Rel)
+	}
+	var wg sync.WaitGroup
+	for c := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 6 {
+				q := (c + i) % len(queries)
+				got, err := sqltest.Run(context.Background(), cl.csrv, "", "", queries[q], nil, 0)
+				if err != nil {
+					t.Errorf("client %d: %s: %v", c, queries[q], err)
+					return
+				}
+				if !slices.EqualFunc(sqltest.Keys(got.Rel), want[q], bytes.Equal) {
+					t.Errorf("client %d: %s answered %d rows, the single node %d", c, queries[q], got.Rel.Len(), len(want[q]))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := cl.coord.repartitions.Load(); n != 48 {
+		t.Errorf("%d of 48 runs repartitioned", n)
 	}
 }
 
@@ -697,11 +780,11 @@ func TestFragmentConnsReused(t *testing.T) {
 		if n := metric(t, w, "talignd_frame_conns_total"); n != before[i] {
 			t.Errorf("worker %d: %d frame connections after 50 rounds, %d after the warm-up", i, n, before[i])
 		}
-		// A round re-opens the scatter, body and aggregate fragments and the
-		// join's two gather scans, and builds the join's fragment, whose
-		// staged relations are new at every execution.
-		if b, r := w.PipelineStats(); b-built[i] != 50 || r-reused[i] != 250 {
-			t.Errorf("worker %d: %d pipelines built and %d re-opened in 50 rounds, want 50 and 250", i, b-built[i], r-reused[i])
+		// A round re-opens the scatter, body and aggregate fragments, the
+		// join's two gather scans and the join's fragment, whose staged
+		// relations are bound at every execution, not planned.
+		if b, r := w.PipelineStats(); b-built[i] != 0 || r-reused[i] != 300 {
+			t.Errorf("worker %d: %d pipelines built and %d re-opened in 50 rounds, want 0 and 300", i, b-built[i], r-reused[i])
 		}
 	}
 	if n := others.Load(); n != 0 {

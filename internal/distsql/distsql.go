@@ -36,7 +36,11 @@
 //   - repartition: a table whose required alignment key differs from its
 //     current partition column is gathered, re-hashed on the required
 //     key and staged back to the workers under a temporary name
-//     (coordinator-mediated shuffle), then the query scatters.
+//     (coordinator-mediated shuffle), then the query scatters. The
+//     fragment names the temp for the table; a worker binds it per
+//     execution into the plan it cached for the statement over its own
+//     tables, so a repartitioned fragment is planned once per worker
+//     and re-opens an idle pipeline like any other.
 //   - gather-all: the universal fallback (WITH, set operations, a LIMIT
 //     below the cut, AVG, non-colocatable joins) — shards are gathered
 //     and the original statement runs on the coordinator.

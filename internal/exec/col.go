@@ -13,10 +13,10 @@
 // execution can observe — cursors, counters, phases, hash tables, match
 // bitmaps, pending output — and re-reads what may differ between
 // executions: a bound expr.Param's frame slot (ColFilter picks its flat
-// kernel from the slot's kind there), the scan's image or pruned segment
-// list, the guards' context and budget (GuardState.Arm). What survives
-// Close is independent of any execution: expressions, filter kernels,
-// headers, and small buffers.
+// kernel from the slot's kind there), the scan's relation (Rebinds), image
+// or pruned segment list, the guards' context and budget (GuardState.Arm).
+// What survives Close is independent of any execution: expressions,
+// filter kernels, headers, and small buffers.
 //
 // Retention rule: at Close an operator keeps a buffer it owns (output
 // batch, selection vector, key table, chain index, permutation, store)
@@ -27,7 +27,8 @@
 // (Keeping a whole default batch cost a workload of 8 000-row statements
 // 15 % of its peak RSS.) Buffers grow by the same rungs (nextRung), so a
 // point query's settle at keptRows and stay. A borrowed image (see
-// imager) is dropped at every Close.
+// imager) is dropped at every Close, and so is a view header over
+// another's storage (dropView).
 //
 // # Batch ownership
 //
@@ -71,6 +72,8 @@ type ColIterator interface {
 type ColScan struct {
 	batching
 	Rel *relation.Relation
+	// Rebinds, when set, may put another relation in Rel's place at Open.
+	Rebinds *Rebinds
 
 	img  *colbatch.Batch
 	memo *relation.IndexMemo // img's
@@ -85,9 +88,9 @@ func NewColScan(rel *relation.Relation) *ColScan { return &ColScan{Rel: rel} }
 func (s *ColScan) Schema() schema.Schema { return s.Rel.Schema }
 
 // Open implements ColIterator; it acquires (and on first use builds) the
-// relation's columnar image.
+// image of the relation this execution reads.
 func (s *ColScan) Open() error {
-	s.img, s.memo = s.Rel.Image()
+	s.img, s.memo = s.Rebinds.Of(s.Rel).Image()
 	s.pos = 0
 	return nil
 }
@@ -114,7 +117,31 @@ func (s *ColScan) image() (*colbatch.Batch, error) { return s.img, nil }
 // Close implements ColIterator.
 func (s *ColScan) Close() error {
 	s.img, s.memo = nil, nil
+	dropView(&s.view)
 	return nil
+}
+
+// dropView lets go of the storage a view header aliases, keeping its Cols.
+func dropView(b *colbatch.Batch) {
+	clear(b.Cols[:cap(b.Cols)])
+	b.TS, b.TE, b.Sel = nil, nil, nil
+}
+
+// Rebind is a relation one execution scans in place of the one its plan
+// was built over, of the same schema (a worker's staged shard for its own).
+type Rebind struct{ From, To *relation.Relation }
+
+// Rebinds are one execution's Rebind pairs.
+type Rebinds []Rebind
+
+// Of returns the relation r puts in rel's place, or rel (also when r is nil).
+func (r *Rebinds) Of(rel *relation.Relation) *relation.Relation {
+	for i := 0; r != nil && i < len(*r); i++ {
+		if (*r)[i].From == rel {
+			return (*r)[i].To
+		}
+	}
+	return rel
 }
 
 // imager is implemented by an operator whose whole output, once opened,

@@ -268,8 +268,7 @@ func timeAt(b *colbatch.Batch, src, row int) (int64, bool) {
 
 // Close implements ColIterator.
 func (p *ColProject) Close() error {
-	clear(p.out.Cols[:cap(p.out.Cols)]) // a header must not keep the input's storage alive
-	p.out.TS, p.out.TE, p.out.Sel = nil, nil, nil
+	dropView(&p.out)
 	keepBatch(&p.own)
 	p.rows = kept(p.rows)
 	return p.Input.Close()

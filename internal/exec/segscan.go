@@ -88,5 +88,11 @@ func (s *ColSegScan) NextCol() (*colbatch.Batch, error) {
 	return nil, nil
 }
 
-// Close implements ColIterator.
-func (s *ColSegScan) Close() error { return nil }
+// Close implements ColIterator; it lets go of what Prune resolved and views.
+func (s *ColSegScan) Close() error {
+	if s.Prune != nil {
+		clear(s.Segs)
+	}
+	dropView(&s.view)
+	return nil
+}

@@ -13,8 +13,9 @@ import (
 
 // ExecCtx is the rebindable state of one built pipeline, handed down
 // through Build and kept by whoever keeps the pipeline: the parameter
-// frame its expressions read, the guard state its operators' resilience
-// boundaries check, and the materialization memo for SharedNode subtrees.
+// frame its expressions read, the relations its scans read, the guard
+// state its operators' resilience boundaries check, and the
+// materialization memo for SharedNode subtrees.
 // Plans themselves stay immutable — a prepared plan can be Built
 // concurrently, each build with its own ExecCtx — which is what makes the
 // server's plan cache safe to share. A pipeline that runs again (Reusable)
@@ -25,6 +26,11 @@ type ExecCtx struct {
 	// every placeholder to its element (expr.BindParams), so the slice is
 	// fixed once a Build has seen it: rebind by assigning elements.
 	Params []value.Value
+
+	// Rebinds names the relations this execution scans in place of the
+	// plan's, read by every scan at Open: its owner rewrites it like
+	// Params, and empties it when the pipeline goes idle.
+	Rebinds exec.Rebinds
 
 	// SegObserver, when set, receives each pruning-eligible scan's
 	// segment outcome as it is built: how many segments will be read

@@ -268,14 +268,19 @@ func (s *ScanNode) Stats() *stats.Table { return s.TableStats }
 
 // Build streams the relation's cached columnar image (zero-copy views, see
 // relation.Columnar), or the segments that survive pruning, resolved at
-// every Open under the frame's values of the moment.
+// every Open under the frame's values of the moment, of the relation
+// ctx.Rebinds puts in Rel's place, if any.
 func (s *ScanNode) Build(ctx *ExecCtx) (exec.ColIterator, error) {
 	if s.prunes() {
 		cs := exec.NewColSegScan(s.Rel.Schema, nil)
 		cs.Prune = func(dst []relation.Segment) []relation.Segment { return s.pruneSegments(ctx, dst) }
 		return exec.ApplyColBatch(cs, s.batch), nil
 	}
-	return exec.ApplyColBatch(exec.NewColScan(s.Rel), s.batch), nil
+	cs := exec.NewColScan(s.Rel)
+	if ctx != nil {
+		cs.Rebinds = &ctx.Rebinds
+	}
+	return exec.ApplyColBatch(cs, s.batch), nil
 }
 
 // prunes reports whether a segment scan should be used at all: false when
@@ -287,11 +292,14 @@ func (s *ScanNode) prunes() bool { return s.Prune != nil && s.Rel.Segments() != 
 // the scan asks at every Open. It also feeds the process-wide pruning
 // counters and the context's SegObserver (EXPLAIN ANALYZE).
 func (s *ScanNode) pruneSegments(ctx *ExecCtx, dst []relation.Segment) []relation.Segment {
-	var params []value.Value
+	rel, params := s.Rel, []value.Value(nil)
 	if ctx != nil {
-		params = ctx.Params
+		rel, params = ctx.Rebinds.Of(rel), ctx.Params
 	}
-	segs := s.Rel.Segments()
+	segs := rel.Segments()
+	if segs == nil { // rebound to a relation of one image: all of it
+		return append(dst, relation.Segment{Img: rel.Columnar(), Hi: rel.Len()})
+	}
 	keep := s.Prune.Filter(dst, segs, params)
 	exec.SegmentsObserve(len(keep), len(segs)-len(keep))
 	if ctx != nil && ctx.SegObserver != nil {

@@ -169,12 +169,13 @@ func (s *Server) answerFrame(ctx context.Context, fw *wire.Writer, req wire.Fram
 // refused or malformed relation leaves the connection at the next
 // request. The first rows frame types the columns (a stage always sends
 // one, even for an empty relation), and a relation that fits one frame is
-// that frame's batch, uncopied. Unless keep, the rows frames are dropped
-// as they arrive and the batch is nil.
+// that frame's batch, uncopied; one of many is copied once, into storage
+// reserved for all its rows. Unless keep, the rows frames are dropped as
+// they arrive and the batch is nil.
 func readShard(frames <-chan wire.Frame, keep bool) (*colbatch.Batch, error) {
 	var parts []*colbatch.Batch
 	var err error
-	ncols, nframes := -1, 0
+	ncols, nframes, rows := -1, 0, 0
 	for f := range frames {
 		switch {
 		case err != nil:
@@ -182,7 +183,7 @@ func readShard(frames <-chan wire.Frame, keep bool) (*colbatch.Batch, error) {
 			ncols = len(f.Columns) - 2 // the schema frame also lists ts and te
 		case f.Frame == wire.FrameRows && len(f.Batch.Cols) == ncols:
 			if nframes++; keep {
-				parts = append(parts, f.Batch)
+				parts, rows = append(parts, f.Batch), rows+f.Batch.Len()
 			}
 		case f.Frame != wire.FrameStatus || nframes == 0:
 			err = fmt.Errorf("server: stage: unexpected %q frame", f.Frame)
@@ -196,6 +197,7 @@ func readShard(frames <-chan wire.Frame, keep bool) (*colbatch.Batch, error) {
 		img := parts[0]
 		if len(parts) > 1 {
 			img = colbatch.New(img.Schema)
+			img.Reserve(rows)
 			for _, p := range parts {
 				img.AppendBatch(p)
 			}

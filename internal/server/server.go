@@ -171,21 +171,16 @@ func (s *Server) GateStats() GateStats { return s.gate.Stats() }
 // override (batch <= 0 keeps the server's configured flags). Overridden
 // plans are cached like any other: the flags fingerprint in the cache key
 // includes the batch size, so requests with different overrides never
-// share a plan.
-func (s *Server) plan(st *sqlish.Statement, batch int, subst map[string]string) (*sqlish.Prepared, bool, error) {
+// share a plan. A worker's fragment over staged relations takes this path
+// too: its plan reads the worker's own tables, the staged ones are bound
+// per execution (rebinds).
+func (s *Server) plan(st *sqlish.Statement, batch int) (*sqlish.Prepared, bool, error) {
 	flags, fp := s.flags, s.flagsFP
 	if batch > 0 && batch != flags.BatchSize {
 		flags.BatchSize = batch
 		fp = flags.Fingerprint()
 	}
 	snap := s.catalog.Snapshot()
-	if subst != nil {
-		// A fragment over staged relations is planned for its one
-		// execution: the staged names change at every execution, and no
-		// cached plan may pin a relation after its unstage.
-		prep, err := st.Prepare(substCatalog{snap, subst}, flags)
-		return prep, false, err
-	}
 	ck := CacheKey{Shape: st.ShapeKey(), Flags: fp}
 	if prep, ok := s.cache.Get(ck, snap.Current); ok {
 		return prep, true, nil
@@ -245,7 +240,7 @@ func (s *Server) Prepare(sessionID, name, sql string) (*sqlish.Prepared, error) 
 	if err != nil {
 		return nil, err
 	}
-	prep, _, err := s.plan(st, 0, nil)
+	prep, _, err := s.plan(st, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +274,7 @@ func (s *Server) Explain(sessionID, stmtName, sql string) (string, error) {
 	if stmtName != "" {
 		prep, err = st.Prepare(s.catalog.Snapshot(), s.flags)
 	} else {
-		prep, _, err = s.plan(st, 0, nil)
+		prep, _, err = s.plan(st, 0)
 	}
 	if err != nil {
 		return "", err

@@ -118,21 +118,29 @@ func coordinator(t *testing.T, n int, rels map[string]*relation.Relation) *serve
 // TestParamColumnTypes: a result column that is exactly $N reports the
 // bound value's kind wherever the statement executes — POST /query and
 // the stream's schema frame, locally and through a coordinator — and ω in
-// the prepared schema, where no value is bound.
+// the prepared schema, where no value is bound. The column may reach the
+// result through a subquery and a join.
 func TestParamColumnTypes(t *testing.T) {
+	stmts := []string{
+		"SELECT $1 x, a FROM r",
+		"SELECT q.x, y.a FROM (SELECT $1 x, a FROM r) q JOIN r y ON q.a = y.a",
+	}
 	for tag, srv := range map[string]*server.Server{"local": single(shapeRels(0)), "coordinator": coordinator(t, 2, shapeRels(0))} {
-		var got [][]string
-		for _, path := range []string{"/query", "/query/stream", "/prepare"} {
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(`{"name":"q","sql":"SELECT $1 x, a FROM r","params":[7]}`)))
-			var first struct{ Types []string } // the stream's first frame is its schema
-			if err := json.NewDecoder(rec.Body).Decode(&first); err != nil {
-				t.Fatal(err)
+		for i, sql := range stmts {
+			var got [][]string
+			for _, path := range []string{"/query", "/query/stream", "/prepare"} {
+				body, _ := json.Marshal(map[string]any{"name": fmt.Sprint("q", i), "sql": sql, "params": []int{7}})
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+				var first struct{ Types []string } // the stream's first frame is its schema
+				if err := json.NewDecoder(rec.Body).Decode(&first); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, first.Types)
 			}
-			got = append(got, first.Types)
-		}
-		if s := fmt.Sprint(got); s != "[[int int int int] [int int int int] [null int int int]]" {
-			t.Errorf("%s: the types of /query, /query/stream and /prepare are %s", tag, s)
+			if s := fmt.Sprint(got); s != "[[int int int int] [int int int int] [null int int int]]" {
+				t.Errorf("%s: %s: the types of /query, /query/stream and /prepare are %s", tag, sql, s)
+			}
 		}
 	}
 }

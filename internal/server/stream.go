@@ -332,9 +332,13 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	}
 	// A hit binds the caller's parameters and the statement's lifted
 	// literals into the shape's plan: no analyze, no optimize.
-	prep, hit, err := s.plan(st, batch, frag.subst)
+	prep, hit, err := s.plan(st, batch)
 	if err == nil && frag.cut != sqlish.CutWhole {
 		prep, err = prep.Cut(frag.cut)
+	}
+	var rebinds exec.Rebinds
+	if err == nil && frag.subst != nil {
+		rebinds, err = s.rebinds(prep, frag.subst)
 	}
 	if err != nil {
 		return nil, err
@@ -364,7 +368,7 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 	if s.maxRows > 0 || s.maxBytes > 0 {
 		bud = exec.NewBudget(s.maxRows, s.maxBytes)
 	}
-	cur, err := prep.StreamFor(ctx, bud, st, params)
+	cur, err := prep.StreamFor(ctx, bud, st, params, rebinds)
 	if err != nil {
 		s.gate.Release()
 		return nil, err
@@ -383,4 +387,24 @@ func (s *Server) stream(ctx context.Context, sessionID, stmtName, sql string, pa
 		src:      cur,
 		sch:      cur.Schema(),
 	}, nil
+}
+
+// rebinds resolves a fragment's substitution in the catalog: per table of
+// the plan, the staged relation the execution reads in its place, which
+// must have the table's column names and kinds. An EXPLAIN binds none.
+func (s *Server) rebinds(prep *sqlish.Prepared, subst map[string]string) (exec.Rebinds, error) {
+	if prep.IsExplain() {
+		return nil, fmt.Errorf("server: a substitution binds a streamed execution, not an EXPLAIN")
+	}
+	snap, out := s.catalog.Snapshot(), make(exec.Rebinds, 0, len(subst))
+	for _, d := range prep.Deps() {
+		if name, ok := subst[d.Name]; ok {
+			staged, found := snap.Lookup(name)
+			if !found || !staged.Schema.Equal(d.Rel.Schema) {
+				return nil, fmt.Errorf("server: no staged relation %q of %s's columns (%s)", name, d.Name, d.Rel.Schema)
+			}
+			out = append(out, exec.Rebind{From: d.Rel, To: staged})
+		}
+	}
+	return out, nil
 }

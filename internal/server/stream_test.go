@@ -12,10 +12,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"talign/internal/colbatch"
 	"talign/internal/exec"
 	"talign/internal/plan"
 	"talign/internal/raceflag"
@@ -594,5 +596,50 @@ func TestFailedFrameWriteCountsOneCancel(t *testing.T) {
 				t.Errorf("gate in use after the stream: %d", inUse)
 			}
 		})
+	}
+}
+
+// TestMultiFrameStageAllocPin: a staged relation of several rows frames
+// is copied once, into storage reserved for all of its rows: every
+// column's capacity is its length, and the copy allocates one array per
+// column and per valid-time bound. Appending the frames to an empty batch
+// regrew each array at every frame, to 4 096 rows of capacity here.
+func TestMultiFrameStageAllocPin(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	const frames, rows = 3, 1000
+	b := relation.NewBuilder("v int", "s string")
+	for i := range int64(frames * rows) {
+		b.Row(i, i+1, i, fmt.Sprint(i))
+	}
+	img := b.MustBuild().Columnar()
+	var parts [frames]colbatch.Batch
+	stage := []wire.Frame{{Frame: wire.FrameSchema, Columns: []string{"v", "s", "ts", "te"}, Types: []string{"int", "string", "int", "int"}}}
+	for i := range parts {
+		img.SliceInto(&parts[i], i*rows, (i+1)*rows)
+		stage = append(stage, wire.Frame{Frame: wire.FrameRows, Batch: &parts[i]})
+	}
+	stage = append(stage, wire.Frame{Frame: wire.FrameStatus, RowCount: frames * rows})
+	in := make(chan wire.Frame, len(stage))
+	var shard *colbatch.Batch
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, f := range stage {
+			in <- f
+		}
+		var err error
+		if shard, err = readShard(in, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Exactly, up to the allocator's size classes (an eighth apart).
+	caps := []int{cap(shard.Cols[0].Ints), cap(shard.Cols[1].Strs), cap(shard.TS), cap(shard.TE)}
+	if shard.Len() != frames*rows || slices.ContainsFunc(caps, func(c int) bool { return c*8 > shard.Len()*9 }) {
+		t.Errorf("a staged relation of %d rows has capacities %v", shard.Len(), caps)
+	}
+	// Beyond the four arrays: the batch and its column headers, and the
+	// list of frames (three appends).
+	if want := float64(len(parts[0].Cols) + 2 + 2 + 3); allocs > want {
+		t.Errorf("staging %d frames allocates %.0f times, want at most %.0f", frames, allocs, want)
 	}
 }

@@ -347,27 +347,37 @@ func (p *Prepared) Columns(params ...value.Value) (cols, types []string) {
 }
 
 // paramColumns lists, per result column of root, the $N the column is
-// exactly (0 for none); nil when no column is one.
+// exactly (0 for none); nil when no column is one. A column is followed
+// down through the nodes that pass columns on, a join's concatenation
+// included, to the projection that computes it.
 func paramColumns(root plan.Node) []int {
-	for {
-		switch x := root.(type) {
-		case *plan.LimitNode, *plan.SortNode, *plan.FilterNode, *plan.DistinctNode, *plan.AbsorbNode:
-			root = root.Children()[0]
-		case *plan.ProjectNode:
-			var out []int
-			for i, e := range x.Exprs {
-				if prm, ok := e.(expr.Param); ok && prm.Peek == nil {
-					if out == nil {
-						out = make([]int, len(x.Exprs))
-					}
-					out[i] = prm.Idx
+	var out []int
+	for col := range root.Schema().Len() {
+		n, c := root, col
+		for n != nil {
+			switch x := n.(type) {
+			case *plan.LimitNode, *plan.SortNode, *plan.FilterNode, *plan.DistinctNode, *plan.AbsorbNode:
+				n = n.Children()[0]
+			case *plan.JoinNode:
+				if n = x.Left; c >= x.Left.Schema().Len() {
+					n, c = x.Right, c-x.Left.Schema().Len()
 				}
+			case *plan.ProjectNode:
+				n = nil
+				if e, ok := x.Exprs[c].(expr.ColIdx); ok && e.Idx >= 0 {
+					n, c = x.Input, e.Idx
+				} else if prm, ok := x.Exprs[c].(expr.Param); ok && prm.Peek == nil {
+					if out == nil {
+						out = make([]int, root.Schema().Len())
+					}
+					out[col] = prm.Idx
+				}
+			default:
+				n = nil
 			}
-			return out
-		default:
-			return nil
 		}
 	}
+	return out
 }
 
 // Explain renders the plan with the optimizer's row estimates;

@@ -64,10 +64,13 @@ func (p *Prepared) checkout() (pl *pipeline, reused bool) {
 	return &pipeline{owner: p, ec: plan.NewExecCtx(make([]value.Value, p.NumParams+len(p.lifted))...)}, false
 }
 
-// checkin keeps pl for the next execution, disarmed; beyond one pipeline
-// per processor, the number that can run at once, it is dropped.
+// checkin keeps pl for the next execution, disarmed and unbound; beyond
+// one pipeline per processor, the number that can run at once, it is
+// dropped.
 func (p *Prepared) checkin(pl *pipeline) {
 	pl.ec.Arm(nil, nil)
+	clear(pl.ec.Rebinds)
+	pl.ec.Rebinds = pl.ec.Rebinds[:0]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.idle) < runtime.GOMAXPROCS(0) {
@@ -81,7 +84,7 @@ func (p *Prepared) checkin(pl *pipeline) {
 // EXPLAIN statements cannot be streamed (use Explain); an ANALYZE
 // statement never reaches Prepare in the first place.
 func (p *Prepared) Stream(ctx context.Context, params ...value.Value) (*Cursor, error) {
-	return p.stream(ctx, nil, params, p.lifted)
+	return p.stream(ctx, nil, params, p.lifted, nil)
 }
 
 // StreamFor is Stream for st under a resource budget. Every operator of
@@ -91,21 +94,22 @@ func (p *Prepared) Stream(ctx context.Context, params ...value.Value) (*Cursor, 
 // (the same ShapeKey under ParseLifted — the plan caches guarantee it):
 // params bind the caller's $1..$N and st's own lifted literals bind the
 // hidden slots, so st's rows come back whichever statement the plan was
-// prepared from.
-func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *Statement, params []value.Value) (*Cursor, error) {
+// prepared from. rebinds bind relations of Deps to the ones of their
+// schema this execution scans in their place (a worker's staged shards).
+func (p *Prepared) StreamFor(ctx context.Context, budget *exec.Budget, st *Statement, params []value.Value, rebinds exec.Rebinds) (*Cursor, error) {
 	if len(st.lifted) != len(p.lifted) {
 		return nil, fmt.Errorf("sqlish: statement with %d lifted literal(s) executed on a plan with %d", len(st.lifted), len(p.lifted))
 	}
-	return p.stream(ctx, budget, params, st.lifted)
+	return p.stream(ctx, budget, params, st.lifted, rebinds)
 }
 
-// stream starts one execution over the caller's params and the given
-// lifted values. There is one path: the values are written into a
-// pipeline's frame and its guards armed, the tree is built if the pipeline
-// has none yet (its placeholders bound to the frame), and the cursor's
-// first pull opens it — a plan's first execution and its thousandth run
-// the same Open.
-func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lifted []value.Value) (*Cursor, error) {
+// stream starts one execution over the caller's params, the given
+// lifted values and rebound relations. There is one path: they are
+// written into a pipeline's frame and its guards armed, the tree is built
+// if the pipeline has none yet (its placeholders bound to the frame), and
+// the cursor's first pull opens it — a plan's first execution and its
+// thousandth run the same Open.
+func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lifted []value.Value, rebinds exec.Rebinds) (*Cursor, error) {
 	if p.explain {
 		return nil, requestError("cannot Stream an EXPLAIN statement")
 	}
@@ -115,6 +119,7 @@ func (p *Prepared) stream(ctx context.Context, budget *exec.Budget, params, lift
 	pl, reused := p.checkout()
 	n := copy(pl.ec.Params, params)
 	copy(pl.ec.Params[n:], lifted)
+	pl.ec.Rebinds = append(pl.ec.Rebinds, rebinds...)
 	pl.ec.Arm(ctx, budget)
 	c := &Cursor{cit: pl.cit, reused: reused, sch: p.root.Schema()}
 	if c.cit == nil {

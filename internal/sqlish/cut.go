@@ -30,8 +30,8 @@ const (
 	// CutBody is the node under the top Limit and Sort, a DISTINCT or
 	// ABSORB included.
 	CutBody
-	// CutAggregate is the first aggregation under Limit, Sort, Project and
-	// Filter: fragments answer partial aggregates.
+	// CutAggregate is the first aggregation under Limit, Sort, Project,
+	// Filter, DISTINCT and ABSORB: fragments answer partial aggregates.
 	CutAggregate
 	numCuts
 )
@@ -59,13 +59,9 @@ func cutPath(root plan.Node, c Cut) (above []plan.Node, at plan.Node) {
 			in = x.Input
 		case *plan.SortNode:
 			in = x.Input
-		case *plan.ProjectNode:
+		case *plan.ProjectNode, *plan.FilterNode, *plan.DistinctNode, *plan.AbsorbNode:
 			if c == CutAggregate {
-				in = x.Input
-			}
-		case *plan.FilterNode:
-			if c == CutAggregate {
-				in = x.Input
+				in = n.Children()[0]
 			}
 		case *plan.AggNode, *plan.SweepAggNode:
 			// The sweep rule reads the shard's column storage, so a worker
@@ -147,7 +143,7 @@ func (p *Prepared) StreamSplit(ctx context.Context, c Cut, redo bool, rows *rela
 		return nil, err
 	}
 	g := &Prepared{SQL: p.SQL, NumParams: len(args), root: root}
-	return g.stream(ctx, nil, args, nil)
+	return g.stream(ctx, nil, args, nil, nil)
 }
 
 // graft rebuilds the nodes of p's plan above c over leaf, the fragments'
@@ -196,6 +192,10 @@ func (p *Prepared) graft(c Cut, redo bool, pl *plan.Planner, leaf plan.Node) (pl
 			n = pl.ProjectMode(n, x.Names, x.Exprs, x.TMode, x.TExpr)
 		case *plan.FilterNode:
 			n = pl.Filter(n, x.Pred)
+		case *plan.DistinctNode:
+			n = pl.Distinct(n)
+		case *plan.AbsorbNode:
+			n = pl.Absorb(n)
 		}
 	}
 	return n, nil
@@ -249,7 +249,8 @@ type Placement struct {
 //     again over the union.
 //  3. An aggregation with a group column whose input walks answers
 //     partials per shard, which the coordinator merges (Split says
-//     whether its aggregates have a merge form).
+//     whether its aggregates have a merge form) and runs the nodes above
+//     over, a DISTINCT or ABSORB included.
 func (p *Prepared) Place(parts map[string]string) (Placement, bool) {
 	above, body := cutPath(p.root, CutBody)
 	if req, ok := require(body, p.deps, parts); ok {

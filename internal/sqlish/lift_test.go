@@ -145,7 +145,7 @@ func TestLiftedExecution(t *testing.T) {
 	}
 	rows := func(st *Statement, params ...value.Value) int {
 		t.Helper()
-		cur, err := prep.StreamFor(context.Background(), nil, st, params)
+		cur, err := prep.StreamFor(context.Background(), nil, st, params, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", st.SQL, err)
 		}
@@ -182,7 +182,7 @@ func TestLiftedExecution(t *testing.T) {
 	if rel, err := prep.Execute(value.NewInt(50)); err != nil || rel.Len() != 2 {
 		t.Errorf("Execute with the plan's own literals: %v rows, err %v; want 2", rel, err)
 	}
-	if _, err := prep.StreamFor(context.Background(), nil, other, nil); err == nil || !strings.Contains(err.Error(), "wants 1 parameter(s), got 0") {
+	if _, err := prep.StreamFor(context.Background(), nil, other, nil, nil); err == nil || !strings.Contains(err.Error(), "wants 1 parameter(s), got 0") {
 		t.Errorf("arity error = %v, want the caller's numbering", err)
 	}
 	str, err := ParseLifted("SELECT a FROM p WHERE a >= $1 AND mn = 'x'")

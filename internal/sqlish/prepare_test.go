@@ -407,7 +407,7 @@ func TestStreamReuseAllocPin(t *testing.T) {
 	}
 	ctx, params := context.Background(), []value.Value{value.NewInt(40)}
 	run := func() {
-		cur, err := prep.StreamFor(ctx, nil, st, params)
+		cur, err := prep.StreamFor(ctx, nil, st, params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
